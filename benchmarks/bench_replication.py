@@ -42,7 +42,7 @@ from repro.repl import (
     checkpoint_service,
     rotate_service_wal,
 )
-from repro.service import LabelService
+from repro.service import ShardedLabelService
 from repro.storage import BlockStore, FileBackend, default_page_bytes
 
 REPL_SCALE = {
@@ -94,7 +94,7 @@ def _make_primary(directory: str, base: int):
     scheme = WBox(BENCH_CONFIG, store=BlockStore(BENCH_CONFIG, backend=backend))
     attach_scheme_to_backend(scheme)
     lids = scheme.bulk_load(base, [i ^ 1 for i in range(base)])
-    service = LabelService(scheme).start()
+    service = ShardedLabelService([scheme]).start()
     annotate_commits_with_epoch(service)
     checkpoint_service(service)
     return service, lids
@@ -118,7 +118,7 @@ def _await_caught_up(follower, service, deadline_s=120.0) -> float:
     """Seconds from call until every shard's applied epoch matches the
     primary and the lag gauges read zero."""
     start = time.perf_counter()
-    target = service.current_epoch.number
+    target = service.current_epoch_vector.numbers[0]
     deadline = start + deadline_s
     while time.perf_counter() < deadline:
         shard = follower.shards[0]

@@ -35,7 +35,13 @@ from .core import (
     WBoxO,
 )
 from .errors import ReproError
-from .service import Epoch, LabelService, ReaderSession, ServiceStats
+from .service import (
+    Epoch,
+    EpochVector,
+    ServiceStats,
+    ShardedLabelService,
+    ShardedReaderSession,
+)
 from .storage import BlockStore, HeapFile, IOStats
 from .xml import Element, parse, serialize
 
@@ -60,9 +66,10 @@ __all__ = [
     "LabeledDocument",
     "CachedLabelStore",
     "ModificationLog",
-    "LabelService",
-    "ReaderSession",
+    "ShardedLabelService",
+    "ShardedReaderSession",
     "Epoch",
+    "EpochVector",
     "ServiceStats",
     "BlockStore",
     "HeapFile",

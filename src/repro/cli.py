@@ -27,7 +27,7 @@ process.  ``recover`` reopens such a file (replaying or discarding any
 interrupted commit) and verifies the structure; ``info`` prints what a
 saved file contains — snapshot or page file — without modifying it.
 
-``stress`` spins up the concurrent :class:`~repro.service.LabelService`
+``stress`` spins up the concurrent :class:`~repro.service.ShardedLabelService`
 over a synthetic document and hammers it with reader threads plus a write
 stream for a fixed duration, printing throughput and the service counters;
 ``serve`` labels a document and answers lookup/compare/insert commands on
@@ -52,7 +52,8 @@ import argparse
 import json
 import os
 import sys
-from typing import Any
+from contextlib import contextmanager
+from typing import Any, Iterator
 
 from .config import BoxConfig
 from .core import (
@@ -283,31 +284,6 @@ def cmd_workload(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sharded_schemes(args: argparse.Namespace, config: BoxConfig) -> list[Any]:
-    """Build one scheme per shard for ``--shards N`` commands.
-
-    Memory storage makes N independent in-memory schemes; file storage
-    lays out a sharded root directory (``SHARDS.json`` + one page file
-    per shard) under ``--storage-path``.
-    """
-    if args.storage == "memory":
-        return [make_scheme(args.scheme, config) for _ in range(args.shards)]
-    if args.storage != "file":
-        raise ReproError("--shards supports --storage memory or file")
-    if not args.storage_path:
-        raise ReproError("--shards with --storage file requires --storage-path DIR")
-    backends = create_sharded_backends(
-        args.storage_path,
-        args.shards,
-        page_bytes=default_page_bytes(config.block_bytes),
-    )
-    schemes = []
-    for backend in backends:
-        store = BlockStore(config, backend=backend)
-        schemes.append(make_scheme_on_store(args.scheme, config, store))
-    return schemes
-
-
 def make_scheme_on_store(
     name: str, config: BoxConfig, store: BlockStore | None
 ) -> Any:
@@ -338,25 +314,106 @@ def make_scheme_on_store(
     return scheme
 
 
-def _cmd_stress_sharded(args: argparse.Namespace) -> int:
+def _open_schemes(
+    args: argparse.Namespace,
+    n_shards: int,
+    *,
+    persistent: bool = False,
+    fsync: bool = False,
+    retain_wal: bool = False,
+) -> tuple[list[Any], bool]:
+    """One scheme per shard on the verb's ``--storage`` → ``(schemes, fresh)``.
+
+    Memory storage makes N independent in-memory schemes.  File storage
+    has two layouts: one page file at ``--storage-path`` (a single shard;
+    the layout ``label``/``recover``/``info`` read), or — for N > 1, and
+    always for a ``persistent`` store — a sharded root directory
+    (``SHARDS.json`` + one page file per shard), which is reopened with
+    per-shard WAL recovery (``fresh`` is False) when it already exists.
+    """
+    config = BoxConfig(block_bytes=args.block_bytes)
+    if args.storage == "memory":
+        return [make_scheme(args.scheme, config) for _ in range(n_shards)], True
+    if n_shards == 1 and not persistent:
+        return [make_scheme(args.scheme, config, args.storage, args.storage_path)], True
+    if args.storage != "file":
+        raise ReproError("a sharded store supports --storage memory or file")
+    if not args.storage_path:
+        raise ReproError("a sharded --storage file store needs --storage-path DIR")
+    if is_sharded_root(args.storage_path):
+        from .persist import open_sharded_schemes
+
+        return open_sharded_schemes(
+            args.storage_path, fsync=fsync, retain_wal=retain_wal
+        ), False
+    backends = create_sharded_backends(
+        args.storage_path,
+        n_shards,
+        page_bytes=default_page_bytes(config.block_bytes),
+        fsync=fsync,
+        retain_wal=retain_wal,
+    )
+    return [
+        make_scheme_on_store(args.scheme, config, BlockStore(config, backend=backend))
+        for backend in backends
+    ], True
+
+
+def _open_service(
+    args: argparse.Namespace,
+    n_shards: int,
+    populate: Any,
+    *,
+    persistent: bool = False,
+    fsync: bool = False,
+    retain_wal: bool = False,
+    **service_options: Any,
+) -> tuple[Any, Any]:
+    """The one place a verb builds its service → ``(service, loaded)``.
+
+    ``populate(schemes)`` fills freshly created schemes (document or bulk
+    load) before the service pins epoch 0, and its return value comes back
+    as ``loaded``; a reopened ``persistent`` store skips it (``None``).  A
+    freshly loaded persistent store is checkpointed, so a kill before the
+    first commit still reopens the loaded state.
+    """
+    from .service import ShardedLabelService
+
+    schemes, fresh = _open_schemes(
+        args, n_shards, persistent=persistent, fsync=fsync, retain_wal=retain_wal
+    )
+    loaded = None
+    if fresh:
+        loaded = populate(schemes)
+        if persistent and args.storage == "file":
+            from .persist import checkpoint_sharded
+
+            checkpoint_sharded(schemes)
+    return ShardedLabelService(schemes, **service_options), loaded
+
+
+def _close_service(service: Any) -> None:
+    """Stop the writers, then checkpoint and close file-backed shards."""
+    service.close()
+    for scheme in service.schemes:
+        _finish_scheme(scheme)
+
+
+def _stress_writers(args: argparse.Namespace, schemes: list[Any]) -> list:
+    """``stress --shards N`` (N > 1): concentrated write clients, one hot
+    spot per shard.  Prints the summary; returns the client errors."""
     from .workloads import run_sharded_write_stress
 
-    config = BoxConfig(block_bytes=args.block_bytes)
-    schemes = _sharded_schemes(args, config)
-    try:
-        result = run_sharded_write_stress(
-            schemes,
-            base_labels=args.base,
-            clients=args.readers,
-            total_ops=args.total_ops,
-            batch=args.write_batch,
-            group_size=args.group_size,
-            write_buffer=args.write_buffer,
-            log_capacity=args.log_capacity,
-        )
-    finally:
-        for scheme in schemes:
-            _finish_scheme(scheme)
+    result = run_sharded_write_stress(
+        schemes,
+        base_labels=args.base,
+        clients=args.readers,
+        total_ops=args.total_ops,
+        batch=args.write_batch,
+        group_size=args.group_size,
+        write_buffer=args.write_buffer,
+        log_capacity=args.log_capacity,
+    )
     print(f"stress: scheme={args.scheme} shards={result.shards} "
           f"clients={result.clients} seconds={result.wall_seconds:.2f}")
     print(f"  write ops:         {result.write_ops} "
@@ -366,20 +423,14 @@ def _cmd_stress_sharded(args: argparse.Namespace) -> int:
     print(f"  write merges:      {result.write_merges} "
           f"(write buffer {args.write_buffer})")
     print(f"  mean ticket wait:  {result.mean_ticket_ms:.2f} ms")
-    if result.errors:
-        for error in result.errors:
-            print(f"error: client failed: {error!r}", file=sys.stderr)
-        return 1
-    return 0
+    return result.errors
 
 
-def cmd_stress(args: argparse.Namespace) -> int:
+def _stress_readers(args: argparse.Namespace, scheme: Any) -> list:
+    """``stress`` on one shard: reader threads beside a write stream.
+    Prints the summary; returns the reader errors."""
     from .workloads import run_service_stress
 
-    if args.shards > 1:
-        return _cmd_stress_sharded(args)
-    config = BoxConfig(block_bytes=args.block_bytes)
-    scheme = make_scheme(args.scheme, config, args.storage, args.storage_path)
     result = run_service_stress(
         scheme,
         base_elements=args.base,
@@ -407,12 +458,22 @@ def cmd_stress(args: argparse.Namespace) -> int:
     print(f"  epoch lag:         mean {counters.mean_epoch_lag:.2f}, "
           f"max {counters.max_epoch_lag}")
     print(f"  write errors:      {counters.write_errors}")
-    _finish_scheme(scheme)
-    if result.reader_errors:
-        for error in result.reader_errors:
-            print(f"error: reader failed: {error!r}", file=sys.stderr)
-        return 1
-    return 0
+    return result.reader_errors
+
+
+def cmd_stress(args: argparse.Namespace) -> int:
+    schemes, _fresh = _open_schemes(args, args.shards)
+    try:
+        if args.shards > 1:
+            errors = _stress_writers(args, schemes)
+        else:
+            errors = _stress_readers(args, schemes[0])
+    finally:
+        for scheme in schemes:
+            _finish_scheme(scheme)
+    for error in errors:
+        print(f"error: stress thread failed: {error!r}", file=sys.stderr)
+    return 1 if errors else 0
 
 
 def _parse_listen(listen: str) -> tuple[str, int]:
@@ -423,58 +484,34 @@ def _parse_listen(listen: str) -> tuple[str, int]:
         raise ReproError(f"--listen wants HOST:PORT, got {listen!r}")
 
 
-def _serve_net_service(args: argparse.Namespace) -> tuple[Any, list[Any]]:
-    """Build the service behind ``serve --listen``.
+def _serve_service(args: argparse.Namespace) -> tuple[Any, Any]:
+    """Build the service behind ``serve`` → ``(service, loaded)``.
 
-    Three modes: an XML ``document`` positional (labeled in memory or on
-    the chosen storage), a synthetic in-memory store (``--base`` labels
-    over ``--shards`` shards), or a file-backed sharded root under
-    ``--storage-path`` — created and bulk-loaded on first start, reopened
-    (with per-shard WAL recovery) on every start after that.
+    Two modes: an XML ``document`` positional (labeled in memory or on the
+    chosen storage, one shard), or — with ``--listen`` only — a synthetic
+    store of ``--base`` labels over ``--shards`` shards, in memory or as a
+    persistent file-backed sharded root under ``--storage-path``
+    (bulk-loaded on first start, reopened on every start after that).
     """
-    from .service import LabelService, ShardedLabelService, bulk_load_sharded
+    from .service import bulk_load_sharded
 
-    config = BoxConfig(block_bytes=args.block_bytes)
     if args.document:
-        scheme = make_scheme(args.scheme, config, args.storage, args.storage_path)
-        doc = _load_document(args.document, scheme)
-        return LabelService(doc, log_capacity=args.log_capacity), [scheme]
-    replicate = getattr(args, "replicate", False)
-    if args.storage == "memory":
-        if replicate:
-            raise ReproError("serve --replicate needs --storage file (WAL shipping)")
-        schemes = [make_scheme(args.scheme, config) for _ in range(args.shards)]
-        bulk_load_sharded(schemes, args.base)
-    elif args.storage == "file":
-        if not args.storage_path:
-            raise ReproError("serve --listen with --storage file needs --storage-path DIR")
-        if is_sharded_root(args.storage_path):
-            from .persist import open_sharded_schemes
-
-            schemes = open_sharded_schemes(
-                args.storage_path, fsync=args.fsync, retain_wal=replicate
-            )
-        else:
-            from .persist import checkpoint_sharded
-
-            backends = create_sharded_backends(
-                args.storage_path,
-                args.shards,
-                page_bytes=default_page_bytes(config.block_bytes),
-                fsync=args.fsync,
-                retain_wal=replicate,
-            )
-            schemes = [
-                make_scheme_on_store(args.scheme, config, BlockStore(config, backend=b))
-                for b in backends
-            ]
-            bulk_load_sharded(schemes, args.base)
-            checkpoint_sharded(schemes)
-    else:
-        raise ReproError("serve --listen supports --storage memory or file")
-    return (
-        ShardedLabelService(schemes, log_capacity=args.log_capacity),
-        schemes,
+        return _open_service(
+            args,
+            1,
+            lambda schemes: _load_document(args.document, schemes[0]),
+            log_capacity=args.log_capacity,
+        )
+    if args.replicate and args.storage == "memory":
+        raise ReproError("serve --replicate needs --storage file (WAL shipping)")
+    return _open_service(
+        args,
+        args.shards,
+        lambda schemes: bulk_load_sharded(schemes, args.base),
+        persistent=True,
+        fsync=args.fsync,
+        retain_wal=args.replicate,
+        log_capacity=args.log_capacity,
     )
 
 
@@ -485,7 +522,7 @@ def _cmd_serve_net(args: argparse.Namespace) -> int:
     from .net.server import NetServer
 
     host, port = _parse_listen(args.listen)
-    service, schemes = _serve_net_service(args)
+    service, _loaded = _serve_service(args)
 
     async def _run() -> None:
         server = NetServer(
@@ -515,7 +552,7 @@ def _cmd_serve_net(args: argparse.Namespace) -> int:
 
     service.start()
     checkpoint_stop = None
-    if getattr(args, "replicate", False):
+    if args.replicate:
         from .repl import (
             annotate_commits_with_epoch,
             checkpoint_service,
@@ -536,66 +573,65 @@ def _cmd_serve_net(args: argparse.Namespace) -> int:
     finally:
         if checkpoint_stop is not None:
             checkpoint_stop.set()
-        service.close()
-        for scheme in schemes:
-            _finish_scheme(scheme)
+        _close_service(service)
     print("server stopped", flush=True)
     return 0
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    from .service import LabelService
-
     if args.listen:
         return _cmd_serve_net(args)
     if not args.document:
         raise ReproError("serve without --listen needs an XML document to label")
-    config = BoxConfig(block_bytes=args.block_bytes)
-    scheme = make_scheme(args.scheme, config, args.storage, args.storage_path)
-    doc = _load_document(args.document, scheme)
+    service, doc = _serve_service(args)
     print(f"serving {args.document} ({element_count(doc.root)} elements) "
-          f"on {scheme.name}; commands: lookup LID | compare LID LID | "
+          f"on {doc.scheme.name}; commands: lookup LID | compare LID LID | "
           "insert LID | stats | epoch | quit")
-    with LabelService(doc, log_capacity=args.log_capacity) as service:
-        session = service.session()
-        stream = open(args.input, "r", encoding="utf-8") if args.input else sys.stdin
-        try:
-            for line in stream:
-                words = line.split()
-                if not words:
-                    continue
-                command, rest = words[0].lower(), words[1:]
-                try:
-                    if command in ("quit", "exit"):
-                        break
-                    elif command == "lookup":
-                        session.refresh()
-                        print(session.lookup(int(rest[0])))
-                    elif command == "compare":
-                        session.refresh()
-                        order = session.compare(int(rest[0]), int(rest[1]))
-                        print({-1: "before", 0: "equal", 1: "after"}[order])
-                    elif command == "insert":
-                        from .core import BatchOp
-                        ticket = service.submit_ops(
-                            [BatchOp("insert_element_before", (int(rest[0]),))],
-                            timeout=30,
-                        )
-                        result = ticket.wait(timeout=30)
-                        print(f"inserted lids {result.results[0]}")
-                    elif command == "epoch":
-                        print(service.current_epoch)
-                    elif command == "stats":
-                        for key, value in service.describe().items():
-                            print(f"  {key}: {value}")
-                    else:
-                        print(f"unknown command: {command}", file=sys.stderr)
-                except (IndexError, ValueError, KeyError) as error:
-                    print(f"bad arguments: {error}", file=sys.stderr)
-        finally:
-            if stream is not sys.stdin:
-                stream.close()
-    _finish_scheme(scheme)
+    service.start()
+    session = service.session()
+    stream = open(args.input, "r", encoding="utf-8") if args.input else sys.stdin
+    try:
+        for line in stream:
+            words = line.split()
+            if not words:
+                continue
+            command, rest = words[0].lower(), words[1:]
+            try:
+                if command in ("quit", "exit"):
+                    break
+                elif command == "lookup":
+                    session.refresh()
+                    print(session.lookup(int(rest[0])))
+                elif command == "compare":
+                    session.refresh()
+                    order = session.compare(int(rest[0]), int(rest[1]))
+                    print({-1: "before", 0: "equal", 1: "after"}[order])
+                elif command == "insert":
+                    from .core import BatchOp
+                    ticket = service.submit_ops(
+                        [BatchOp("insert_element_before", (int(rest[0]),))],
+                        timeout=30,
+                    )
+                    result = ticket.wait(timeout=30)
+                    print(f"inserted lids {result.results[0]}")
+                elif command == "epoch":
+                    print(service.current_epoch_vector)
+                elif command == "stats":
+                    described = service.describe()
+                    shards = described.pop("shards")
+                    for key, value in described.items():
+                        print(f"  {key}: {value}")
+                    for index, shard in enumerate(shards):
+                        for key, value in shard.items():
+                            print(f"  shard{index} {key}: {value}")
+                else:
+                    print(f"unknown command: {command}", file=sys.stderr)
+            except (IndexError, ValueError, KeyError) as error:
+                print(f"bad arguments: {error}", file=sys.stderr)
+    finally:
+        if stream is not sys.stdin:
+            stream.close()
+        _close_service(service)
     return 0
 
 
@@ -638,27 +674,13 @@ def cmd_replicate(args: argparse.Namespace) -> int:
         follower.close()
         return 0
 
-    server_holder: dict = {}
-    server_thread = None
+    server_holder, server_thread = {}, None
     if args.listen:
-        from .net.server import run_server
+        from .net.server import serve_in_thread
 
-        lhost, lport = _parse_listen(args.listen)
-        ready = threading.Event()
-        server_thread = threading.Thread(
-            target=run_server,
-            args=(follower.service,),
-            kwargs={
-                "host": lhost,
-                "port": lport,
-                "ready": ready,
-                "holder": server_holder,
-            },
-            daemon=True,
+        server_holder, server_thread = serve_in_thread(
+            follower.service, *_parse_listen(args.listen)
         )
-        server_thread.start()
-        if not ready.wait(10):
-            raise ReproError("replica read server did not come up")
         server = server_holder["server"]
         print(f"serving replica reads on {server.host}:{server.port}", flush=True)
 
@@ -921,16 +943,20 @@ def _cmd_chaos_repl(args: argparse.Namespace) -> int:
 def cmd_metrics(args: argparse.Namespace) -> int:
     from .core import BatchOp
     from .obs.metrics import get_registry
-    from .service import LabelService
     from .xml.xmark import xmark_document
 
-    config = BoxConfig(block_bytes=args.block_bytes)
-    scheme = make_scheme(args.scheme, config, args.storage, args.storage_path)
-    doc = LabeledDocument(scheme, xmark_document(args.items, seed=args.seed))
-    with LabelService(doc, group_size=16) as service:
+    service, doc = _open_service(
+        args,
+        1,
+        lambda schemes: LabeledDocument(
+            schemes[0], xmark_document(args.items, seed=args.seed)
+        ),
+        group_size=16,
+    )
+    service.start()
+    try:
         elements = list(doc.elements())
-        anchor = elements[len(elements) // 2]
-        lid = doc.start_lid(anchor)
+        lid = doc.start_lid(elements[len(elements) // 2])
         session = service.session()
         session.lookup(lid)
         ticket = service.submit_ops(
@@ -939,262 +965,134 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         ticket.wait(timeout=30)
         session.refresh()
         session.lookup(lid)
+    finally:
+        _close_service(service)
     registry = get_registry()
     if args.format == "json":
         print(registry.to_json())
     else:
         print(registry.render_prometheus(), end="")
-    _finish_scheme(scheme)
     return 0
 
 
-def _cmd_trace_sharded(args: argparse.Namespace) -> int:
-    import tempfile
-
-    from .core import BatchOp
+@contextmanager
+def _recording() -> Iterator[Any]:
+    """Install a sample-everything tracer for the block; yields it."""
     from .obs import trace as trace_mod
     from .obs.trace import Tracer
-    from .service import ShardedLabelService, bulk_load_sharded
 
-    config = BoxConfig(block_bytes=args.block_bytes)
-    n = args.shards
-    with tempfile.TemporaryDirectory(prefix="repro-trace-") as tmp:
-        backends = create_sharded_backends(
-            os.path.join(tmp, "shards"),
-            n,
-            page_bytes=default_page_bytes(config.block_bytes),
-        )
-        try:
-            schemes = [
-                make_scheme_on_store(args.scheme, config, BlockStore(config, backend=b))
-                for b in backends
-            ]
-            glids = bulk_load_sharded(schemes, max(args.items * 30, 16 * n))
-            # One op per shard, anchored mid-chunk, so every shard's writer
-            # contributes a labeled span to the same tree.
-            anchors = []
-            for shard in range(n):
-                chunk = [glid for glid in glids if glid % n == shard]
-                anchors.append(chunk[len(chunk) // 2])
-            service = ShardedLabelService(schemes)
-            if args.op == "insert":
-                ops = [BatchOp("insert_element_before", (a,)) for a in anchors]
-            elif args.op == "delete":
-                pairs = service.apply_ops_sync(
-                    [BatchOp("insert_element_before", (a,)) for a in anchors]
-                ).results
-                ops = [BatchOp("delete_element", pair) for pair in pairs]
-            else:  # lookup
-                ops = [BatchOp("lookup", (a,)) for a in anchors]
-            tracer = Tracer(enabled=True, sample_every=1)
-            previous = trace_mod.set_tracer(tracer)
-            before = [scheme.stats.snapshot() for scheme in schemes]
-            try:
-                with trace_mod.span("service.apply_sharded", shards=n):
-                    service.apply_ops_sync(ops)
-            finally:
-                trace_mod.set_tracer(previous)
-            deltas = [
-                scheme.stats.snapshot() - snap
-                for scheme, snap in zip(schemes, before)
-            ]
-            root = tracer.take()
-            service.close()
-            if root is None:
-                print("error: tracer recorded no span", file=sys.stderr)
-                return 1
-            if args.json:
-                print(json.dumps(root.to_dict(), indent=2))
-            else:
-                print(root.render())
-            out = sys.stderr if args.json else sys.stdout
-            consistent = True
-            for shard in range(n):
-                name = f"shard{shard}"
-                span_reads = span_writes = 0.0
-                for span in root.walk():
-                    if span.labels.get("shard") == name:
-                        span_reads += span.total("io.reads")
-                        span_writes += span.total("io.writes")
-                delta = deltas[shard]
-                ok = span_reads == delta.reads and span_writes == delta.writes
-                consistent = consistent and ok
-                print(
-                    f"{name} span I/O: {span_reads:g} reads, {span_writes:g} writes | "
-                    f"IOStats delta: {delta.reads} reads, {delta.writes} writes | "
-                    f"{'consistent' if ok else 'MISMATCH'}",
-                    file=out,
-                )
-            for scheme in schemes:
-                _finish_scheme(scheme)
-            return 0 if consistent else 1
-        finally:
-            for backend in backends:
-                backend.close()
-
-
-def _cmd_trace_net(args: argparse.Namespace) -> int:
-    """Trace a request across the socket boundary.
-
-    Starts an in-process :class:`~repro.net.server.NetServer` over a
-    synthetic sharded service, submits one traced insert through the
-    :class:`~repro.net.client.NetClient`, and verifies the resulting
-    ``net.request`` span tree — client arrival through writer group
-    commit — sums to each shard's IOStats delta.
-    """
-    import threading
-
-    from .core import BatchOp
-    from .net.client import NetClient
-    from .net.server import run_server
-    from .obs import trace as trace_mod
-    from .obs.trace import Tracer
-    from .service import ShardedLabelService, bulk_load_sharded
-
-    config = BoxConfig(block_bytes=args.block_bytes)
-    n = args.shards
-    schemes = [make_scheme(args.scheme, config) for _ in range(n)]
-    glids = bulk_load_sharded(schemes, max(args.items * 30, 16 * n))
-    anchors = []
-    for shard in range(n):
-        chunk = [glid for glid in glids if glid % n == shard]
-        anchors.append(chunk[len(chunk) // 2])
-    service = ShardedLabelService(schemes).start()
-    ready = threading.Event()
-    holder: dict[str, Any] = {}
-    thread = threading.Thread(
-        target=run_server,
-        args=(service,),
-        kwargs={"ready": ready, "holder": holder},
-        daemon=True,
-    )
-    thread.start()
-    if not ready.wait(10):
-        print("error: server did not start", file=sys.stderr)
-        return 1
-    server = holder["server"]
+    tracer = Tracer(enabled=True, sample_every=1)
+    previous = trace_mod.set_tracer(tracer)
     try:
-        with NetClient("127.0.0.1", server.port) as client:
-            # The handshake ran untraced; from here every request is a
-            # span tree of its own.
-            tracer = Tracer(enabled=True, sample_every=1)
-            previous = trace_mod.set_tracer(tracer)
-            before = [scheme.stats.snapshot() for scheme in schemes]
-            try:
-                if args.op == "lookup":
-                    client.lookup(anchors)
-                else:
-                    client.submit(
-                        [BatchOp("insert_element_before", (a,)) for a in anchors]
-                    )
-            finally:
-                trace_mod.set_tracer(previous)
-        deltas = [
-            scheme.stats.snapshot() - snap for scheme, snap in zip(schemes, before)
-        ]
+        yield tracer
+    finally:
+        trace_mod.set_tracer(previous)
+
+
+def _trace_local(service: Any, ops: list[Any]) -> Any:
+    """Trace ``ops`` (one per shard) in writer context on the calling
+    thread, so the whole operation — service, batch engine, scheme, store,
+    backend, WAL — lands in one span tree.  Returns the tracer."""
+    from .obs import trace as trace_mod
+
+    with _recording() as tracer:
+        with trace_mod.span("service.apply_sharded", shards=service.n_shards):
+            service.apply_ops_sync(ops)
+    return tracer
+
+
+def _trace_net(service: Any, ops: list[Any]) -> Any:
+    """Trace ``ops`` as one request across the socket boundary: an
+    in-process :class:`~repro.net.server.NetServer` over the service, one
+    traced request through the :class:`~repro.net.client.NetClient` —
+    client arrival through writer group commit.  Returns the tracer."""
+    from .net.client import NetClient
+    from .net.server import serve_in_thread
+
+    service.start()
+    holder, thread = serve_in_thread(service)
+    try:
+        # The handshake runs untraced; the one request after it is a span
+        # tree of its own.
+        with NetClient("127.0.0.1", holder["server"].port) as client, _recording() as tracer:
+            if ops[0].kind == "lookup":
+                client.lookup([op.args[0] for op in ops])
+            else:
+                client.submit(ops)
     finally:
         holder["stop"]()
         thread.join(10)
-        service.close()
-    roots = tracer.finished
-    if len(roots) != 1:
-        print(
-            f"error: expected one net.request span tree, got {len(roots)}",
-            file=sys.stderr,
-        )
-        return 1
-    root = roots[0]
-    if args.json:
-        print(json.dumps(root.to_dict(), indent=2))
-    else:
-        print(root.render())
-    out = sys.stderr if args.json else sys.stdout
-    span_reads = root.total("io.reads")
-    span_writes = root.total("io.writes")
-    total_reads = sum(delta.reads for delta in deltas)
-    total_writes = sum(delta.writes for delta in deltas)
-    consistent = span_reads == total_reads and span_writes == total_writes
-    print(
-        f"net request span I/O: {span_reads:g} reads, {span_writes:g} writes | "
-        f"IOStats delta: {total_reads} reads, {total_writes} writes | "
-        f"{'consistent' if consistent else 'MISMATCH'}",
-        file=out,
-    )
-    return 0 if consistent else 1
+    return tracer
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
     import tempfile
 
     from .core import BatchOp
-    from .obs import trace as trace_mod
-    from .obs.trace import Tracer
-    from .service import LabelService
-    from .xml.xmark import xmark_document
+    from .service import bulk_load_sharded
 
-    if args.net:
-        return _cmd_trace_net(args)
-    if args.shards > 1:
-        return _cmd_trace_sharded(args)
-    config = BoxConfig(block_bytes=args.block_bytes)
-    tmp: tempfile.TemporaryDirectory | None = None
-    storage_path = args.storage_path
-    if args.storage == "file" and not storage_path:
-        # A throwaway page file: the point of defaulting to file storage is
-        # that the trace then includes the backend-commit and WAL layers.
-        tmp = tempfile.TemporaryDirectory(prefix="repro-trace-")
-        storage_path = os.path.join(tmp.name, "trace.pages")
-    try:
-        scheme = make_scheme(args.scheme, config, args.storage, storage_path)
-        doc = LabeledDocument(scheme, xmark_document(args.items, seed=args.seed))
-        elements = list(doc.elements())
-        anchor = elements[len(elements) // 2]
-        start_lid = doc.start_lid(anchor)
-        if args.op == "insert":
-            ops = [BatchOp("insert_element_before", (start_lid,))]
-        elif args.op == "delete":
-            # Delete a freshly inserted childless element, leaving the
-            # document intact; the insert itself runs before tracing starts.
-            new_start, new_end = scheme.insert_element_before(start_lid)
-            ops = [BatchOp("delete_element", (new_start, new_end))]
-        else:  # lookup
-            ops = [BatchOp("lookup_pair", (start_lid, doc.end_lid(anchor)))]
-        service = LabelService(doc)
-        tracer = Tracer(enabled=True, sample_every=1)
-        previous = trace_mod.set_tracer(tracer)
-        before = scheme.stats.snapshot()
+    n = args.shards
+    with tempfile.TemporaryDirectory(prefix="repro-trace-") as tmp:
+        if not args.storage_path:
+            # A throwaway store: the point of defaulting to file storage is
+            # that the trace then includes the backend-commit and WAL layers.
+            args.storage_path = os.path.join(tmp, "trace.pages")
+        service, glids = _open_service(
+            args, n, lambda schemes: bulk_load_sharded(schemes, max(args.items * 30, 16 * n))
+        )
+        # One op per shard, anchored mid-chunk, so every shard's writer
+        # contributes a span to the same tree.
+        chunks = [[glid for glid in glids if glid % n == shard] for shard in range(n)]
+        ops = [
+            BatchOp("lookup" if args.op == "lookup" else "insert_element_before", (a,))
+            for a in (chunk[len(chunk) // 2] for chunk in chunks)
+        ]
         try:
-            # Writer context on the calling thread: the whole operation —
-            # service, batch engine, scheme, store, backend, WAL — lands in
-            # one span tree.
-            service.apply_ops_sync(ops)
+            if args.op == "delete":
+                # Delete freshly inserted childless elements; the inserts
+                # themselves run before tracing starts.
+                pairs = service.apply_ops_sync(ops).results
+                ops = [BatchOp("delete_element", pair) for pair in pairs]
+            before = [scheme.stats.snapshot() for scheme in service.schemes]
+            tracer = (_trace_net if args.net else _trace_local)(service, ops)
+            deltas = [
+                scheme.stats.snapshot() - snap
+                for scheme, snap in zip(service.schemes, before)
+            ]
         finally:
-            trace_mod.set_tracer(previous)
-        delta = scheme.stats.snapshot() - before
-        root = tracer.take()
-        service.close()
-        if root is None:
-            print("error: tracer recorded no span", file=sys.stderr)
-            return 1
-        if args.json:
-            print(json.dumps(root.to_dict(), indent=2))
-        else:
-            print(root.render())
-        span_reads = root.total("io.reads")
-        span_writes = root.total("io.writes")
-        consistent = span_reads == delta.reads and span_writes == delta.writes
+            _close_service(service)
+    roots = tracer.finished
+    if len(roots) != 1:
+        print(f"error: expected one span tree, got {len(roots)}", file=sys.stderr)
+        return 1
+    root = roots[0]
+    if args.net:
+        # Reads are served on executor threads, writes on the writer
+        # threads: only the whole request tree is comparable.
+        checks = [("net request", root, sum(deltas[1:], deltas[0]))]
+        consistent = True
+    else:
+        # apply_ops_sync visits shards in index order, one apply span each.
+        applies = [span for span in root.walk() if span.name == "service.apply"]
+        checks = [(f"shard{i}", *pair) for i, pair in enumerate(zip(applies, deltas))]
+        consistent = len(applies) == n
+    if args.json:
+        print(json.dumps(root.to_dict(), indent=2))
+    else:
+        print(root.render())
+    for label, span, delta in checks:
+        span_reads = span.total("io.reads")
+        span_writes = span.total("io.writes")
+        ok = span_reads == delta.reads and span_writes == delta.writes
+        consistent = consistent and ok
         print(
-            f"span I/O: {span_reads:g} reads, {span_writes:g} writes | "
+            f"{label} span I/O: {span_reads:g} reads, {span_writes:g} writes | "
             f"IOStats delta: {delta.reads} reads, {delta.writes} writes | "
-            f"{'consistent' if consistent else 'MISMATCH'}",
+            f"{'consistent' if ok else 'MISMATCH'}",
             # With --json, stdout must stay parseable JSON.
             file=sys.stderr if args.json else sys.stdout,
         )
-        _finish_scheme(scheme)
-        return 0 if consistent else 1
-    finally:
-        if tmp is not None:
-            tmp.cleanup()
+    return 0 if consistent else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -204,8 +204,6 @@ class LabeledDocument:
         edits: Sequence[tuple],
         group_size: int = 64,
         locality_grouping: bool = True,
-        on_group_start=None,
-        on_group_commit=None,
     ) -> BatchResult:
         """Apply a sequence of element edits with group commit.
 
@@ -271,8 +269,6 @@ class LabeledDocument:
             ops,
             group_size=group_size,
             locality_grouping=locality_grouping,
-            on_group_start=on_group_start,
-            on_group_commit=on_group_commit,
         )
 
         # Apply the tree / lid-map consequences, in edit order.

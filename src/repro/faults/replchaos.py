@@ -49,23 +49,6 @@ from .chaos import _SCHEME_FACTORIES, ChaosReport, ChaosTrial, _bulk
 REPL_PLAN_NAMES = ("follower-kill", "primary-restart")
 
 
-def _start_server(service: Any, port: int = 0) -> tuple[dict, threading.Thread]:
-    from ..net.server import run_server
-
-    ready = threading.Event()
-    holder: dict = {}
-    thread = threading.Thread(
-        target=run_server,
-        args=(service,),
-        kwargs={"port": port, "ready": ready, "holder": holder},
-        daemon=True,
-    )
-    thread.start()
-    if not ready.wait(10):
-        raise RuntimeError("replication trial server did not come up")
-    return holder, thread
-
-
 def _torn_append(rng: random.Random, wal_path: str) -> None:
     """Leave the torn tail a real kill leaves: a *prefix* of valid log
     bytes — a partial record (header or body cut short), or, on a log
@@ -99,13 +82,14 @@ def run_repl_chaos_trial(
 ) -> ChaosTrial:
     """One seeded replication crash trial (see module docstring)."""
     from ..core.batch import BatchOp
+    from ..net.server import serve_in_thread
     from ..repl import (
         Follower,
         annotate_commits_with_epoch,
         checkpoint_service,
         rotate_service_wal,
     )
-    from ..service import LabelService
+    from ..service import ShardedLabelService
     from ..storage import FileBackend
 
     if plan_name not in REPL_PLAN_NAMES:
@@ -130,10 +114,10 @@ def run_repl_chaos_trial(
     )
     scheme = factory(config, BlockStore(config, backend=backend))
     live = _bulk(scheme, base_labels)
-    service = LabelService(scheme).start()
+    service = ShardedLabelService([scheme]).start()
     annotate_commits_with_epoch(service)
     checkpoint_service(service)
-    holder, thread = _start_server(service)
+    holder, thread = serve_in_thread(service)
     port = holder["server"].port
 
     follower = Follower("127.0.0.1", port, froot).connect()
@@ -222,9 +206,10 @@ def _restart_primary(
     """Kill the primary after the follower mirrors a torn tail, reopen
     it (recovery trims the tear), and restart the server on the same
     port — the running follower must trim its mirror and resume."""
+    from ..net.server import serve_in_thread
     from ..repl import annotate_commits_with_epoch
     from ..persist import open_file_scheme
-    from ..service import LabelService
+    from ..service import ShardedLabelService
 
     # A torn in-flight append: bytes hit the live log but no commit
     # record ever will.  The server keeps serving, so the follower
@@ -242,9 +227,9 @@ def _restart_primary(
     service.close()
     trial.faults_fired.append("repl.primary:restart")
     reopened = open_file_scheme(path, retain_wal=True)
-    service = LabelService(reopened).start()
+    service = ShardedLabelService([reopened]).start()
     annotate_commits_with_epoch(service)
-    holder, thread = _start_server(service, port=port)
+    holder, thread = serve_in_thread(service, port=port)
     return service, holder, thread, reopened.store.backend
 
 

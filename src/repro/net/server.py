@@ -1,17 +1,18 @@
-"""Asyncio TCP front end over a label service.
+"""Asyncio TCP front end over the label service.
 
-One :class:`NetServer` exposes a :class:`~repro.service.service.LabelService`
-or :class:`~repro.service.sharded.ShardedLabelService` to any number of
-connections speaking the varint-framed protocol (:mod:`repro.net.protocol`).
+One :class:`NetServer` exposes a
+:class:`~repro.service.sharded.ShardedLabelService` (N >= 1 shards) to any
+number of connections speaking the varint-framed protocol
+(:mod:`repro.net.protocol`).
 
 Connection model
 ----------------
 
-* **Session pinning.**  Each connection gets its own reader session
-  (:class:`ReaderSession` / :class:`ShardedReaderSession`) created at
-  accept time.  Every read the connection issues is served at the
-  session's pinned epoch(s); a ``Refresh`` frame advances the pin and
-  returns the new epoch numbers.  Sessions are not thread-safe, which
+* **Session pinning.**  Each connection gets its own
+  :class:`~repro.service.sharded.ShardedReaderSession` created at accept
+  time.  Every read the connection issues is served at the session's
+  pinned epoch vector; a ``Refresh`` frame advances the pin and returns
+  the new epoch numbers.  Sessions are not thread-safe, which
   dovetails with the ordering contract below.
 * **Pipelining with per-connection order.**  The read loop decodes frames
   as they arrive and spawns one task per request, but each task runs the
@@ -57,6 +58,7 @@ from ..errors import (
     ReproError,
     ServiceClosedError,
     ServiceDegradedError,
+    ServiceError,
     ServiceOverloadedError,
     UnknownLIDError,
     WriterCrashError,
@@ -64,6 +66,8 @@ from ..errors import (
 from ..obs import trace
 from ..obs.metrics import get_registry
 from ..query.streams import ElementCatalog, QueryEngine
+from ..service.service import LabelService
+from ..service.sharded import ShardedLabelService, ShardedReaderSession
 from ..storage.walseg import checkpoint_image_path, segment_path
 from . import protocol as proto
 from .protocol import (
@@ -137,7 +141,7 @@ class _Connection:
         self,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
-        session: Any,
+        session: ShardedReaderSession,
         max_frame_bytes: int,
     ) -> None:
         self.reader = reader
@@ -156,7 +160,7 @@ class NetServer:
     Parameters
     ----------
     service:
-        A started :class:`LabelService` or :class:`ShardedLabelService`.
+        A started :class:`~repro.service.sharded.ShardedLabelService`.
         The server does not own it (caller starts/closes it).
     host / port:
         Listen address; ``port=0`` picks a free port (see :attr:`port`).
@@ -179,7 +183,7 @@ class NetServer:
 
     def __init__(
         self,
-        service: Any,
+        service: ShardedLabelService,
         host: str = "127.0.0.1",
         port: int = 0,
         *,
@@ -231,25 +235,6 @@ class NetServer:
             "repro_net_query_chunks_total",
             help="query stream chunks sent to clients",
         )
-
-    # -- service shape helpers -----------------------------------------
-
-    @property
-    def n_shards(self) -> int:
-        return getattr(self.service, "n_shards", 1)
-
-    @property
-    def scheme_name(self) -> str:
-        service = self.service
-        if hasattr(service, "schemes"):
-            return service.schemes[0].name
-        return service.scheme.name
-
-    @staticmethod
-    def _epoch_numbers(session: Any) -> tuple[int, ...]:
-        if hasattr(session, "vector"):
-            return tuple(session.vector.numbers)
-        return (session.epoch.number,)
 
     # -- lifecycle ------------------------------------------------------
 
@@ -527,15 +512,14 @@ class NetServer:
             return ServerHello(
                 frame.request_id,
                 proto.PROTOCOL_VERSION,
-                self.n_shards,
-                self.scheme_name,
-                self._epoch_numbers(session),
+                self.service.n_shards,
+                self.service.schemes[0].name,
+                session.vector.numbers,
             )
         if isinstance(frame, Ping):
             return Pong(frame.request_id)
         if isinstance(frame, Refresh):
-            session.refresh()
-            return Epochs(frame.request_id, self._epoch_numbers(session))
+            return Epochs(frame.request_id, session.refresh().numbers)
         if isinstance(frame, Lookup):
             values = session.lookup_many(list(frame.lids))
             return Values(frame.request_id, tuple(values))
@@ -568,9 +552,9 @@ class NetServer:
 
     # -- replication (WAL shipping) ------------------------------------
 
-    def _repl_shard(self, shard: int) -> tuple[Any, Any]:
+    def _repl_shard(self, shard: int) -> tuple[LabelService, Any]:
         """``(shard service, retain-mode backend)`` for one shard index."""
-        services = getattr(self.service, "shards", None) or [self.service]
+        services = self.service.shards
         if not 0 <= shard < len(services):
             raise ReplicationError(
                 f"shard {shard} out of range (service has {len(services)})"
@@ -665,7 +649,7 @@ class NetServer:
 
 
 def run_server(
-    service: Any,
+    service: ShardedLabelService,
     host: str = "127.0.0.1",
     port: int = 0,
     *,
@@ -703,3 +687,23 @@ def run_server(
         asyncio.run(_main())
     except asyncio.CancelledError:
         pass
+
+
+def serve_in_thread(
+    service: ShardedLabelService, host: str = "127.0.0.1", port: int = 0, **kwargs: Any
+) -> tuple[dict, threading.Thread]:
+    """:func:`run_server` on a daemon thread.  Returns its ``holder``
+    (``server`` / ``loop`` / ``stop``) and the thread once the server is
+    listening; stop it with ``holder["stop"]()`` then ``thread.join()``."""
+    ready = threading.Event()
+    holder: dict = {}
+    thread = threading.Thread(
+        target=run_server,
+        args=(service, host, port),
+        kwargs={"ready": ready, "holder": holder, **kwargs},
+        daemon=True,
+    )
+    thread.start()
+    if not ready.wait(10):
+        raise ServiceError("network front end did not come up within 10s")
+    return holder, thread

@@ -3,9 +3,8 @@
 The lookup-heavy counterpart of the update-heavy workloads: descendant /
 following / ancestor(-at-depth) streams evaluated purely from the labels
 of a *catalog* of elements, read through a pinned
-:class:`~repro.service.service.ReaderSession` (or
-:class:`~repro.service.sharded.ShardedReaderSession`) so every stream
-reflects exactly one published epoch — lock-free, with the same
+:class:`~repro.service.sharded.ShardedReaderSession` so every stream
+reflects exactly one published epoch vector — lock-free, with the same
 retry-on-pin-movement discipline as ``lookup_many``.
 
 Three layers:
@@ -22,22 +21,25 @@ Three layers:
   can never mix epochs ("no torn results").
 * :class:`QueryEngine` — the cheap façade that rebuilds the view only
   when the catalog version or the session pin moved, and exposes the
-  axis streams.  :meth:`LabelService.query()
-  <repro.service.service.LabelService.query>` hands one out.
+  axis streams.  :meth:`ShardedLabelService.query()
+  <repro.service.sharded.ShardedLabelService.query>` hands one out.
 
 Document order across shards needs no special casing: the sharded
-partition is contiguous chunks in document order, so the sort key
-``(shard index, label)`` *is* global document order — even for elements
-whose start and end tags live on different shards.
+partition is contiguous chunks in document order, so the router's sort
+key ``(shard index, label)`` *is* global document order — even for
+elements whose start and end tags live on different shards.
 """
 
 from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from typing import Any, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 from ..errors import LabelingError, RecordNotFoundError, UnknownLIDError
+
+if TYPE_CHECKING:  # the service builds engines; importing it here would cycle
+    from ..service.sharded import ShardedReaderSession
 
 __all__ = ["ElementCatalog", "EpochView", "QueryEngine"]
 
@@ -87,25 +89,6 @@ class ElementCatalog:
             return self._version, list(self._pairs)
 
 
-def _pin_numbers(session: Any) -> tuple[int, ...]:
-    """The session's pinned epoch number(s) as a flat tuple — one entry
-    for a :class:`ReaderSession`, one per shard for a sharded session."""
-    vector = getattr(session, "vector", None)
-    if vector is not None:
-        return vector.numbers
-    return (session.epoch.number,)
-
-
-def _key_factory(session: Any):
-    """A document-order sort key for (lid, label): the label itself for a
-    single service, (shard, label) for a sharded one (contiguous-chunk
-    partitioning makes that lexicographic order global document order)."""
-    router = getattr(session, "_router", None)
-    if router is None:
-        return lambda lid, label: label
-    return lambda lid, label: (router.shard_of(lid), label)
-
-
 class EpochView:
     """An immutable document-order index of a catalog at one epoch.
 
@@ -132,7 +115,7 @@ class EpochView:
         start_keys: list[Any],
         end_keys: list[Any],
     ) -> None:
-        #: The pinned epoch number(s) the labels were read at.
+        #: The pinned epoch vector's numbers the labels were read at.
         self.epochs = epochs
         self.catalog_version = catalog_version
         #: Element pairs in document order (sorted by start label).
@@ -218,12 +201,15 @@ class QueryEngine:
     exactly like sessions themselves.
     """
 
-    def __init__(self, session: Any, catalog: ElementCatalog | Iterable[ElementPair]) -> None:
+    def __init__(
+        self,
+        session: "ShardedReaderSession",
+        catalog: ElementCatalog | Iterable[ElementPair],
+    ) -> None:
         if not isinstance(catalog, ElementCatalog):
             catalog = ElementCatalog(catalog)
         self.session = session
         self.catalog = catalog
-        self._key_of = _key_factory(session)
         self._view: EpochView | None = None
 
     def view(self) -> EpochView:
@@ -239,12 +225,12 @@ class QueryEngine:
         if (
             view is not None
             and view.catalog_version == self.catalog.version
-            and view.epochs == _pin_numbers(self.session)
+            and view.epochs == self.session.vector.numbers
         ):
             return view
         while True:
             version, pairs = self.catalog.snapshot()
-            before = _pin_numbers(self.session)
+            before = self.session.vector.numbers
             lids = [lid for pair in pairs for lid in pair]
             try:
                 labels = self.session.lookup_many(lids)
@@ -257,7 +243,7 @@ class QueryEngine:
                 if self.catalog.version != version:
                     continue
                 raise
-            after = _pin_numbers(self.session)
+            after = self.session.vector.numbers
             if after != before:
                 continue
             self._view = self._build(after, version, pairs, labels)
@@ -270,7 +256,7 @@ class QueryEngine:
         pairs: list[ElementPair],
         labels: Sequence[Any],
     ) -> EpochView:
-        key_of = self._key_of
+        key_of = self.session.router.order_key
         keyed = []
         for position, pair in enumerate(pairs):
             start_key = key_of(pair[0], labels[2 * position])

@@ -8,9 +8,9 @@ bytes to followers over the ordinary varint-framed protocol.
 
 The follower side (:mod:`repro.repl.follower`) pulls sealed segments and
 the live tail, persists them *log-first* into a local mirror of the
-primary's layout, applies committed transactions to a replica
-:class:`~repro.service.service.LabelService` under its exclusive latch,
-and publishes epochs — so pinned-epoch reader sessions on the follower
+primary's layout, applies committed transactions to each shard of a
+replica :class:`~repro.service.sharded.ShardedLabelService` under that
+shard's exclusive latch, and publishes epochs — so pinned-epoch reader sessions on the follower
 behave exactly like sessions on the primary, lagging by the shipping
 delay.  A killed follower restarts through the stock crash-recovery
 path and resumes from its local cursor; :meth:`Follower.promote` turns

@@ -348,7 +348,7 @@ class Follower:
         self.reconnect_interval = reconnect_interval
         self.log_capacity = log_capacity
         self.client: NetClient | None = None
-        self.service: Any = None
+        self.service: ShardedLabelService | None = None
         self.shards: list[ShardFollower] = []
         self.last_error: BaseException | None = None
         self._stop = threading.Event()
@@ -372,19 +372,12 @@ class Follower:
         os.makedirs(self.root, exist_ok=True)
         write_manifest(self.root, info.n_shards)
         schemes = [self._bootstrap_shard(shard) for shard in range(info.n_shards)]
-        if info.n_shards > 1:
-            self.service = ShardedLabelService(
-                schemes, log_capacity=self.log_capacity, replica=True
-            )
-            per_shard = self.service.shards
-        else:
-            self.service = LabelService(
-                schemes[0], log_capacity=self.log_capacity, replica=True
-            )
-            per_shard = [self.service]
+        self.service = ShardedLabelService(
+            schemes, log_capacity=self.log_capacity, replica=True
+        )
         self.shards = [
-            ShardFollower(self.client, shard, per_shard[shard])
-            for shard in range(info.n_shards)
+            ShardFollower(self.client, shard, shard_service)
+            for shard, shard_service in enumerate(self.service.shards)
         ]
         return self
 
@@ -518,7 +511,7 @@ class Follower:
             self._thread.join(timeout)
             self._thread = None
 
-    def promote(self) -> Any:
+    def promote(self) -> ShardedLabelService:
         """Stop following and turn the replica into a writable service.
 
         Failover handoff: pulls whatever the (presumably dead) primary

@@ -3,19 +3,21 @@
 :func:`~repro.persist.full_checkpoint` and
 :func:`~repro.persist.incremental_checkpoint` operate on a bare scheme
 and require the caller to exclude concurrent commits.  Under a running
-:class:`~repro.service.service.LabelService` the writer thread commits
-whenever a batch drains, so these wrappers take each shard's exclusive
-latch for the duration — a checkpoint or rotation then sits between two
-group commits, never inside one.
+:class:`~repro.service.sharded.ShardedLabelService` each shard's writer
+thread commits whenever a batch drains, so these wrappers take each
+shard's exclusive latch for the duration — a checkpoint or rotation then
+sits between two group commits, never inside one.
 """
 
 from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Any, Iterator
+from typing import Iterator
 
 from ..persist import full_checkpoint, incremental_checkpoint
+from ..service.service import LabelService
+from ..service.sharded import ShardedLabelService
 
 __all__ = [
     "annotate_commits_with_epoch",
@@ -25,15 +27,8 @@ __all__ = [
 ]
 
 
-def shard_services(service: Any) -> list[Any]:
-    """The per-shard :class:`LabelService` list of ``service`` (itself,
-    singly, when unsharded)."""
-    shards = getattr(service, "shards", None)
-    return list(shards) if shards is not None else [service]
-
-
 @contextmanager
-def _exclusive(shard_service: Any) -> Iterator[None]:
+def _exclusive(shard_service: LabelService) -> Iterator[None]:
     shard_service._latch.acquire_exclusive()
     try:
         yield
@@ -41,7 +36,7 @@ def _exclusive(shard_service: Any) -> Iterator[None]:
         shard_service._latch.release_exclusive()
 
 
-def annotate_commits_with_epoch(service: Any) -> Any:
+def annotate_commits_with_epoch(service: ShardedLabelService) -> ShardedLabelService:
     """Stamp every commit's journaled metadata with the epoch it will
     publish as (``repl_epoch``).
 
@@ -52,7 +47,7 @@ def annotate_commits_with_epoch(service: Any) -> Any:
     in epochs; everything else ignores the extra key.  Returns
     ``service`` for chaining; idempotent per service.
     """
-    for shard_service in shard_services(service):
+    for shard_service in service.shards:
         backend = shard_service.scheme.store.backend
 
         def decorate(meta, shard_service=shard_service):
@@ -64,7 +59,7 @@ def annotate_commits_with_epoch(service: Any) -> Any:
     return service
 
 
-def checkpoint_service(service: Any) -> list[dict]:
+def checkpoint_service(service: ShardedLabelService) -> list[dict]:
     """Full checkpoint of every shard, each under its commit latch.
 
     Per shard: flush every resident block, seal the live log, and record
@@ -74,7 +69,7 @@ def checkpoint_service(service: Any) -> list[dict]:
     requires: a follower attaches to the newest recorded image.
     """
     records = []
-    for shard_service in shard_services(service):
+    for shard_service in service.shards:
         with _exclusive(shard_service):
             records.append(
                 full_checkpoint(
@@ -85,7 +80,7 @@ def checkpoint_service(service: Any) -> list[dict]:
     return records
 
 
-def rotate_service_wal(service: Any) -> list[int | None]:
+def rotate_service_wal(service: ShardedLabelService) -> list[int | None]:
     """Incremental checkpoint of every shard, each under its commit latch.
 
     Seals each shard's accumulated live log as one segment (metadata-only
@@ -94,14 +89,14 @@ def rotate_service_wal(service: Any) -> list[int | None]:
     (``None`` where nothing had been committed since the last rotation).
     """
     sealed = []
-    for shard_service in shard_services(service):
+    for shard_service in service.shards:
         with _exclusive(shard_service):
             sealed.append(incremental_checkpoint(shard_service.scheme))
     return sealed
 
 
 def start_checkpoint_thread(
-    service: Any,
+    service: ShardedLabelService,
     interval: float,
     *,
     full_every: int = 0,

@@ -1,16 +1,21 @@
-"""Concurrent label service: snapshot-consistent reads over one writer.
+"""Concurrent label service: snapshot-consistent reads over N writers.
 
-Turns a labeling scheme (Sections 3-6 of the paper) into a service: a
-single writer applies group-committed batches and publishes an immutable
-epoch at every commit, while any number of reader sessions serve label
-reads from epoch-pinned caches repaired by modification-log replay —
-falling through to a latched BOX read only when the log no longer covers
-their history.  See DESIGN.md section 8 for the protocol.
+:class:`ShardedLabelService` (:mod:`repro.service.sharded`, N >= 1 shards)
+is the service: the one type every layer above this package accepts.  It
+binds N schemes into one global label space through a
+:class:`~repro.service.router.ShardRouter`; reader sessions
+(:class:`ShardedReaderSession`) pin a cross-shard :class:`EpochVector`
+(DESIGN.md section 13).
 
-:mod:`repro.service.sharded` lifts the stack to N shards — one writer,
-WAL and epoch stream per shard, bound into one global label space by a
-:class:`~repro.service.router.ShardRouter`, with reader sessions pinning
-a cross-shard epoch *vector* (DESIGN.md section 13).
+Each shard is one :class:`LabelService` unit (Sections 3-6 of the paper
+as a service): a single writer applies group-committed batches and
+publishes an immutable epoch at every commit, while any number of
+:class:`ReaderSession` objects serve label reads from epoch-pinned caches
+repaired by modification-log replay — falling through to a latched BOX
+read only when the log no longer covers their history (DESIGN.md section
+8).  The unit is constructed only by :mod:`repro.service.sharded`; it
+stays importable here for the deterministic interleaving harness, whose
+subject it is.
 """
 
 from .epoch import Epoch, WriteTicket

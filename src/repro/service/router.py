@@ -62,6 +62,12 @@ class ShardRouter:
         """A shard-local LID's global LID."""
         return local * self.n_shards + shard
 
+    def order_key(self, glid: int, label: Any) -> tuple[int, Any]:
+        """Document-order sort key of ``glid``'s ``label``: chunks are
+        contiguous in document order, so (shard index, label) compares
+        lexicographically as global document order."""
+        return (glid % self.n_shards, label)
+
     # -- partition -----------------------------------------------------
 
     def split_bulk(self, count: int) -> list[int]:

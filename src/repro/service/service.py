@@ -1,8 +1,10 @@
 """Multi-reader / single-writer label service with snapshot-consistent reads.
 
-The service wraps one :class:`~repro.core.interface.LabelingScheme` (or a
-:class:`~repro.core.document.LabeledDocument` over one) behind an
-epoch-based snapshot protocol:
+This is the per-shard unit: :class:`~repro.service.sharded.ShardedLabelService`
+constructs one :class:`LabelService` per shard (N >= 1) and is the only
+service type the layers above ``repro.service`` know.  Each unit wraps one
+:class:`~repro.core.interface.LabelingScheme` behind an epoch-based
+snapshot protocol:
 
 * **One writer.**  Writes are submitted as batches into a bounded
   :class:`~repro.service.queue.WriteQueue` (backpressure: producers block
@@ -29,9 +31,9 @@ only ever moves forward (never past the latest published epoch).  The
 deterministic interleaving harness in ``tests/conc`` sweeps reader/writer
 schedules to prove no torn or stale-beyond-log value can be observed.
 
-All writes must go through the service (``submit_*`` or the ``apply_*_sync``
-writer-context variants); mutating the scheme behind the service's back
-leaves published epochs stale until the next commit.
+All writes must go through the service (``submit_ops`` or the
+``apply_ops_sync`` writer-context variant); mutating the scheme behind the
+service's back leaves published epochs stale until the next commit.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from typing import Any, Callable, Sequence
 
 from ..core.batch import BatchOp, BatchResult, shift_refs
 from ..core.cachelog import LABEL_CHANNEL, ORDINAL_CHANNEL, LabelRef, ModificationLog
-from ..core.document import LabeledDocument
 from ..core.interface import Label, LabelingScheme
 from ..errors import (
     CrashError,
@@ -105,9 +106,8 @@ class LabelService:
 
     Parameters
     ----------
-    target:
-        A :class:`LabeledDocument` (enables element-level ``submit_edits``)
-        or a bare :class:`LabelingScheme` (op-level ``submit_ops`` only).
+    scheme:
+        The :class:`LabelingScheme` this unit serializes writes to.
     log_capacity:
         Effects retained by the modification log.  This is the *write
         window* readers can ride without fallthrough: size it to cover the
@@ -146,8 +146,7 @@ class LabelService:
         above 1 trade freshness for throughput: merged batches share one
         set of group commits (fewer WAL transactions, fewer epochs) but a
         submitter's ticket resolves only when the whole merged run
-        commits, and a failing op fails every merged ticket.  Only
-        all-``ops`` runs merge; element-level edits apply singly.
+        commits, and a failing op fails every merged ticket.
     shard_name:
         Label attached to this service's :class:`ServiceStats` and its
         store's :class:`~repro.storage.stats.IOStats` (and to its apply
@@ -167,7 +166,7 @@ class LabelService:
 
     def __init__(
         self,
-        target: LabeledDocument | LabelingScheme,
+        scheme: LabelingScheme,
         *,
         log_capacity: int = 1024,
         queue_capacity: int = 64,
@@ -182,12 +181,7 @@ class LabelService:
         shard_name: str | None = None,
         replica: bool = False,
     ) -> None:
-        if isinstance(target, LabeledDocument):
-            self.document: LabeledDocument | None = target
-            self.scheme = target.scheme
-        else:
-            self.document = None
-            self.scheme = target
+        self.scheme = scheme
         self.group_size = group_size
         self.locality_grouping = locality_grouping
         if write_buffer < 1:
@@ -402,26 +396,14 @@ class LabelService:
         Blocks (backpressure) while the queue is full; returns a
         :class:`WriteTicket` resolved after the batch's last group commit.
         """
-        return self._submit("ops", list(ops), timeout)
-
-    def submit_edits(self, edits: Sequence[tuple], timeout: float | None = None) -> WriteTicket:
-        """Queue a batch of element-level edits (see
-        :meth:`LabeledDocument.apply_edits` for the tuple forms)."""
-        if self.document is None:
-            raise ServiceError("service wraps a bare scheme; use submit_ops")
-        return self._submit("edits", list(edits), timeout)
-
-    def _submit(self, kind: str, payload: list, timeout: float | None) -> WriteTicket:
         self._check_writable()  # degraded mode fails fast, before the queue
         if self._writer is None:
-            raise ServiceError("service not started; call start() or use apply_*_sync")
+            raise ServiceError("service not started; call start() or use apply_ops_sync")
         ticket = WriteTicket()
         # Carry the submitter's active span across the thread hop so the
         # writer's apply spans land in the submitting request's trace tree.
         try:
-            self._queue.put(
-                (ticket, kind, payload, trace.current_span()), timeout=timeout
-            )
+            self._queue.put((ticket, list(ops), trace.current_span()), timeout=timeout)
         except ServiceClosedError:
             # The writer died (closing the queue) while we were submitting.
             self._check_writable()
@@ -449,26 +431,6 @@ class LabelService:
             if span.recording:
                 span.add("service.ops", len(ops))
         self.stats.add(batches_applied=1, ops_applied=len(ops))
-        return result
-
-    def apply_edits_sync(self, edits: Sequence[tuple]) -> BatchResult:
-        """Element-level counterpart of :meth:`apply_ops_sync`."""
-        if self.document is None:
-            raise ServiceError("service wraps a bare scheme; use apply_ops_sync")
-        self._check_writable()
-        with trace.span("service.apply", kind="edits") as span:
-            if span.recording and self.shard_name is not None:
-                span.set("shard", self.shard_name)
-            result = self.document.apply_edits(
-                edits,
-                group_size=self.group_size,
-                locality_grouping=self.locality_grouping,
-                on_group_start=self._on_group_start,
-                on_group_commit=self._on_group_commit,
-            )
-            if span.recording:
-                span.add("service.ops", len(edits))
-        self.stats.add(batches_applied=1, ops_applied=len(edits))
         return result
 
     def _on_group_start(self) -> None:
@@ -514,71 +476,46 @@ class LabelService:
             # queued (never waiting), up to write_buffer items.  Under load
             # the writer applies several submitted batches as one run,
             # sharing its group commits; when the queue is empty this takes
-            # one timeout-0 get and behaves exactly like the unbuffered
-            # loop.
+            # one timeout-0 get and the run is the one submitted batch.
             while len(batch) < self.write_buffer:
                 extra = self._queue.get(timeout=0)
                 if extra is None:
                     break
                 batch.append(extra)
-            if len(batch) > 1 and all(entry[1] == "ops" for entry in batch):
-                if not self._apply_merged(batch):
-                    return
-                continue
-            for ticket, kind, payload, parent_span in batch:
-                try:
-                    with trace.get_tracer().attach(parent_span):
-                        result = self._apply_guarded(kind, payload)
-                except FATAL_WRITER_ERRORS as error:
-                    # The backend (or an injected fault) killed the writer:
-                    # fail this ticket, degrade to read-only, and exit.  The
-                    # degradation path drains and fails everything queued —
-                    # including any batches buffered after this one.
-                    self.stats.add(write_errors=1)
-                    ticket._fail(error)
-                    self._fail_buffered(batch, after=ticket)
-                    return
-                except BaseException as error:  # keep serving later batches
-                    self.stats.add(write_errors=1)
-                    ticket._fail(error)
-                else:
-                    ticket._resolve(result)
+            if not self._apply_run(batch):
+                return
 
-    def _apply_merged(self, batch: list) -> bool:
-        """Apply several buffered all-``ops`` batches as one run.
+    def _apply_run(self, batch: list) -> bool:
+        """Apply the buffered batches (usually one) as a single run.
 
         Each submitter's ops are rebased (:func:`shift_refs`) onto the
         merged list so intra-batch :class:`~repro.core.batch.BatchRef`
         links stay valid, then every ticket resolves with its own slice
         of the positional results.  Group costs describe the shared run,
         so each ticket carries the full merged-run accounting.  Returns
-        False when a fatal error killed the writer (caller must exit).
+        False when a fatal error killed the writer (caller must exit; the
+        degradation path has already failed everything still queued).
         """
         merged: list[BatchOp] = []
         bounds: list[tuple[int, int]] = []
-        for _ticket, _kind, payload, _span in batch:
+        for _ticket, payload, _span in batch:
             start = len(merged)
             merged.extend(shift_refs(payload, start))
             bounds.append((start, len(merged)))
         try:
-            with trace.get_tracer().attach(batch[0][3]):
-                result = self._apply_guarded("ops", merged)
-        except FATAL_WRITER_ERRORS as error:
-            self.stats.add(write_errors=1)
-            for ticket, _kind, _payload, _span in batch:
-                ticket._fail(error)
-            return False
+            with trace.get_tracer().attach(batch[0][2]):
+                result = self._apply_guarded(merged)
         except BaseException as error:
-            # A merged run fails as a unit: the group engine may have
-            # committed earlier groups spanning several submitters, so no
-            # single ticket can claim clean success.  Every merged ticket
-            # sees the error; the writer keeps serving.
+            # A run fails as a unit: the group engine may have committed
+            # earlier groups spanning several submitters, so no single
+            # ticket can claim clean success.  Every ticket sees the error;
+            # the writer keeps serving unless the error killed it.
             self.stats.add(write_errors=1)
-            for ticket, _kind, _payload, _span in batch:
+            for ticket, _payload, _span in batch:
                 ticket._fail(error)
-            return True
+            return not isinstance(error, FATAL_WRITER_ERRORS)
         self.stats.add(write_merges=len(batch) - 1)
-        for (ticket, _kind, _payload, _span), (start, end) in zip(batch, bounds):
+        for (ticket, _payload, _span), (start, end) in zip(batch, bounds):
             ticket._resolve(
                 BatchResult(
                     results=result.results[start:end],
@@ -589,19 +526,7 @@ class LabelService:
             )
         return True
 
-    @staticmethod
-    def _fail_buffered(batch: list, after: WriteTicket) -> None:
-        """Fail the tickets buffered behind ``after`` in a fatal exit."""
-        seen = False
-        for ticket, _kind, _payload, _span in batch:
-            if seen:
-                ticket._fail(
-                    ServiceDegradedError("writer died before applying buffered batch")
-                )
-            elif ticket is after:
-                seen = True
-
-    def _apply_guarded(self, kind: str, payload: list) -> BatchResult:
+    def _apply_guarded(self, ops: list[BatchOp]) -> BatchResult:
         """Apply one batch in writer context; on a fatal storage/fault
         error, enter degraded mode before re-raising.
 
@@ -611,9 +536,7 @@ class LabelService:
         schedule."""
         try:
             self._fire_service_fault("service.writer_apply")
-            if kind == "ops":
-                return self.apply_ops_sync(payload)
-            return self.apply_edits_sync(payload)
+            return self.apply_ops_sync(ops)
         except FATAL_WRITER_ERRORS as error:
             self._enter_degraded(error)
             raise
@@ -629,19 +552,6 @@ class LabelService:
         not itself thread-safe — its ref cache is private by design).
         """
         return ReaderSession(self, self._current)
-
-    def query(self, elements: Any, session: "ReaderSession | None" = None) -> Any:
-        """An ordered-axis :class:`~repro.query.streams.QueryEngine` over
-        ``elements`` (an :class:`~repro.query.streams.ElementCatalog` or an
-        iterable of (start LID, end LID) pairs).
-
-        The engine reads through a pinned session — ``session`` if given,
-        else a fresh one — so every stream reflects exactly one published
-        epoch.  Like sessions, engines are per-thread objects.
-        """
-        from ..query.streams import QueryEngine
-
-        return QueryEngine(session if session is not None else self.session(), elements)
 
     def describe(self) -> dict[str, Any]:
         """Diagnostic summary for CLIs and tests."""
@@ -730,12 +640,6 @@ class ReaderSession:
             (a_start, d_start, d_end, a_end)
         )
         return la_start < ld_start and ld_end < la_end
-
-    def lookup_many(self, lids: Sequence[int]) -> list[Label]:
-        """Labels for several LIDs, all at one pinned epoch (the torn-read
-        safe multi-lookup; single-service counterpart of
-        :meth:`~repro.service.sharded.ShardedReaderSession.lookup_many`)."""
-        return self._get_consistent(lids)
 
     # -- internals -----------------------------------------------------
 

@@ -1,7 +1,9 @@
-"""Multi-writer sharded label service with cross-shard snapshot epochs.
+"""The label service: N >= 1 single-writer shards behind one label space.
 
-:class:`ShardedLabelService` runs N independent
-:class:`~repro.service.service.LabelService` instances — each with its own
+:class:`ShardedLabelService` is the one service type the layers above
+``repro.service`` (network front end, replication, query streams, chaos
+and stress drivers, CLI) accept.  It runs N independent
+:class:`~repro.service.service.LabelService` units — each with its own
 scheme, store, WAL, write queue and single-writer thread — behind one
 global label space bound together by a :class:`~repro.service.router.ShardRouter`.
 Write batches are routed into per-shard sub-batches (order-preserving, so
@@ -29,14 +31,17 @@ always false; cross-shard *element pairs* (a start LID on one shard, its
 end on another) cannot exist under the partition invariant and are
 rejected with :class:`~repro.errors.CrossShardError`.
 
-``n_shards == 1`` degenerates exactly to today's stack: the codec is the
-identity, stats stay unlabeled, the fault injector is not scoped, and the
-on-disk file is byte-identical to an unsharded service's.
+``n_shards == 1`` is the plain single-writer stack under the same types:
+the codec is the identity, the epoch vector has one component, stats stay
+unlabeled, the fault injector is not scoped, and the on-disk file is
+byte-identical to a bare per-shard unit's.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Sequence
 
 from ..core.batch import BatchOp, BatchResult
@@ -94,6 +99,34 @@ def bulk_load_sharded(
     return glids
 
 
+def _remaining(deadline: float | None) -> float | None:
+    """Seconds left until a monotonic ``deadline`` (``None`` = unbounded)."""
+    return None if deadline is None else max(0.0, deadline - time.monotonic())
+
+
+def _join_results(
+    router: ShardRouter,
+    ops: list[BatchOp],
+    routing: Any,
+    shard_results: Sequence[tuple[int, BatchResult]],
+) -> BatchResult:
+    """Per-shard :class:`BatchResult` items (shard order) → one result in
+    submission order with global LIDs and concatenated group accounting."""
+    group_costs: list = []
+    group_sizes: list[int] = []
+    for _shard, result in shard_results:
+        group_costs.extend(result.group_costs)
+        group_sizes.extend(result.group_sizes)
+    return BatchResult(
+        results=router.merge(
+            ops, routing, {shard: result.results for shard, result in shard_results}
+        ),
+        group_costs=group_costs,
+        group_sizes=group_sizes,
+        backend_commits=sum(result.backend_commits for _shard, result in shard_results),
+    )
+
+
 class ShardedWriteTicket:
     """Joins the per-shard tickets of one routed submission.
 
@@ -103,19 +136,15 @@ class ShardedWriteTicket:
     failed, the first failure (in shard order) re-raises.
     """
 
-    __slots__ = ("_ops", "_router", "_routing", "_tickets")
+    __slots__ = ("_tickets", "_join")
 
     def __init__(
         self,
-        ops: list[BatchOp],
-        router: ShardRouter,
-        routing: Any,
         tickets: list[tuple[int, WriteTicket]],
+        join: Callable[[list[tuple[int, BatchResult]]], BatchResult],
     ) -> None:
-        self._ops = ops
-        self._router = router
-        self._routing = routing
         self._tickets = tickets
+        self._join = join
 
     @property
     def done(self) -> bool:
@@ -124,22 +153,13 @@ class ShardedWriteTicket:
         return all(ticket.done for _shard, ticket in self._tickets)
 
     def wait(self, timeout: float | None = None) -> BatchResult:
-        """Block for all shards; merged, globalized result or first error."""
-        per_shard: dict[int, Sequence[Any]] = {}
-        group_costs: list = []
-        group_sizes: list[int] = []
-        backend_commits = 0
-        for shard, ticket in self._tickets:
-            result = ticket.wait(timeout)
-            per_shard[shard] = result.results
-            group_costs.extend(result.group_costs)
-            group_sizes.extend(result.group_sizes)
-            backend_commits += result.backend_commits
-        return BatchResult(
-            results=self._router.merge(self._ops, self._routing, per_shard),
-            group_costs=group_costs,
-            group_sizes=group_sizes,
-            backend_commits=backend_commits,
+        """Block for all shards; merged, globalized result or first error.
+
+        ``timeout`` bounds the whole join: one deadline, each shard's
+        ticket waits for what is left of it."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        return self._join(
+            [(shard, ticket.wait(_remaining(deadline))) for shard, ticket in self._tickets]
         )
 
 
@@ -272,17 +292,24 @@ class ShardedLabelService:
         """Route a batch and queue each sub-batch on its shard's writer.
 
         Sub-batches are enqueued in shard order; the returned ticket joins
-        them.  A cross-shard op fails fast (before anything is queued)
-        with :class:`~repro.errors.CrossShardError`.
+        them.  Refusals fail fast, before anything is queued: a cross-shard
+        op raises :class:`~repro.errors.CrossShardError`, and a batch
+        touching a degraded (or replica) shard raises
+        :class:`~repro.errors.ServiceDegradedError` without committing its
+        healthy shards' halves.  ``timeout`` bounds the total backpressure
+        wait across all involved shards.
         """
         ops = list(ops)
         routing = self.router.route(ops)
-        tickets: list[tuple[int, WriteTicket]] = []
-        for shard in sorted(routing.per_shard):
-            tickets.append(
-                (shard, self.shards[shard].submit_ops(routing.per_shard[shard], timeout))
-            )
-        return ShardedWriteTicket(ops, self.router, routing, tickets)
+        involved = sorted(routing.per_shard)
+        for shard in involved:
+            self.shards[shard]._check_writable()
+        deadline = None if timeout is None else time.monotonic() + timeout
+        tickets = [
+            (shard, self.shards[shard].submit_ops(routing.per_shard[shard], _remaining(deadline)))
+            for shard in involved
+        ]
+        return ShardedWriteTicket(tickets, partial(_join_results, self.router, ops, routing))
 
     def apply_ops_sync(self, ops: Sequence[BatchOp]) -> BatchResult:
         """Writer-context application: route, apply shard by shard on the
@@ -290,21 +317,14 @@ class ShardedLabelService:
         writers use the per-shard services directly instead.)"""
         ops = list(ops)
         routing = self.router.route(ops)
-        per_shard: dict[int, Sequence[Any]] = {}
-        group_costs: list = []
-        group_sizes: list[int] = []
-        backend_commits = 0
-        for shard in sorted(routing.per_shard):
-            result = self.shards[shard].apply_ops_sync(routing.per_shard[shard])
-            per_shard[shard] = result.results
-            group_costs.extend(result.group_costs)
-            group_sizes.extend(result.group_sizes)
-            backend_commits += result.backend_commits
-        return BatchResult(
-            results=self.router.merge(ops, routing, per_shard),
-            group_costs=group_costs,
-            group_sizes=group_sizes,
-            backend_commits=backend_commits,
+        return _join_results(
+            self.router,
+            ops,
+            routing,
+            [
+                (shard, self.shards[shard].apply_ops_sync(routing.per_shard[shard]))
+                for shard in sorted(routing.per_shard)
+            ],
         )
 
     # -- read path -----------------------------------------------------
@@ -355,8 +375,9 @@ class ShardedReaderSession:
     """
 
     def __init__(self, service: ShardedLabelService) -> None:
-        self._service = service
-        self._router = service.router
+        #: The service's :class:`ShardRouter` (global-LID codec and the
+        #: document-order sort key query streams use).
+        self.router = service.router
         self._sessions = [shard.session() for shard in service.shards]
 
     @property
@@ -373,18 +394,18 @@ class ShardedReaderSession:
     # -- reads ---------------------------------------------------------
 
     def lookup(self, glid: int) -> Label:
-        router = self._router
+        router = self.router
         return self._sessions[router.shard_of(glid)].lookup(router.to_local(glid))
 
     def ordinal_lookup(self, glid: int) -> int:
-        router = self._router
+        router = self.router
         return self._sessions[router.shard_of(glid)].ordinal_lookup(router.to_local(glid))
 
     def lookup_pair(self, start_glid: int, end_glid: int) -> tuple[Label, Label]:
         """(start, end) labels of one element.  An element lives entirely
         on one shard (the partition cuts at subtree boundaries), so a
         split pair is a caller error."""
-        router = self._router
+        router = self.router
         shard = router.shard_of(start_glid)
         if router.shard_of(end_glid) != shard:
             raise CrossShardError(
@@ -399,7 +420,7 @@ class ShardedReaderSession:
         """Document-order comparison.  Cross-shard compares are free: the
         chunks are contiguous in document order, so shard index order is
         document order."""
-        router = self._router
+        router = self.router
         shard1, shard2 = router.shard_of(glid1), router.shard_of(glid2)
         if shard1 != shard2:
             return (shard1 > shard2) - (shard1 < shard2)
@@ -413,7 +434,7 @@ class ShardedReaderSession:
         """Ancestor-axis test.  Each element pair must be same-shard;
         elements on different shards are never in an ancestor relation
         (the partition cuts at subtree boundaries)."""
-        router = self._router
+        router = self.router
         a_shard = router.shard_of(ancestor[0])
         if router.shard_of(ancestor[1]) != a_shard:
             raise CrossShardError(f"element pair {ancestor} spans shards")
@@ -438,7 +459,7 @@ class ShardedReaderSession:
         generalization of the single-epoch ``_get_consistent`` retry.
         Terminates because every component pin only ever advances.
         """
-        router = self._router
+        router = self.router
         groups: dict[int, list[int]] = {}
         for glid in glids:
             groups.setdefault(router.shard_of(glid), []).append(router.to_local(glid))

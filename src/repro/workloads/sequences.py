@@ -427,6 +427,17 @@ def churn_edit_batches(
         yield ops
 
 
+def _start_stress_service(scheme: LabelingScheme, log_capacity: int, group_size: int):
+    """A started one-shard service over ``scheme`` plus that shard's
+    counters (short write queue: backpressure is part of the load)."""
+    from ..service import ShardedLabelService
+
+    service = ShardedLabelService(
+        [scheme], log_capacity=log_capacity, group_size=group_size, queue_capacity=8
+    )
+    return service.start(), service.shards[0].stats
+
+
 @dataclass
 class ServiceStressResult:
     """Outcome of one concurrent service stress run."""
@@ -460,7 +471,8 @@ def run_service_stress(
     hot_elements: int | None = None,
     seed: int = 1,
 ) -> ServiceStressResult:
-    """Drive a :class:`~repro.service.LabelService` with concurrent load.
+    """Drive a one-shard :class:`~repro.service.ShardedLabelService` with
+    concurrent load.
 
     ``readers`` closed-loop reader threads each run a seeded
     :func:`read_op_stream` against their own pinned session, re-pinning
@@ -484,8 +496,6 @@ def run_service_stress(
     """
     import threading
 
-    from ..service import LabelService
-
     if write_mode not in ("insert", "churn"):
         raise ValueError(f"unknown write_mode: {write_mode!r}")
     lids = _bulk_load_two_level(scheme, base_elements)
@@ -493,13 +503,7 @@ def run_service_stress(
         read_lids = lids[: 2 + 2 * min(hot_elements, base_elements)]
     else:
         read_lids = list(lids)
-    service = LabelService(
-        scheme,
-        log_capacity=log_capacity,
-        group_size=group_size,
-        queue_capacity=8,
-    )
-    service.start()
+    service, stats = _start_stress_service(scheme, log_capacity, group_size)
     if write_mode == "churn":
         # Priming batch: grows leaf weights once so every later insert
         # reclaims a ghost — no splits inside the measured window.
@@ -548,7 +552,7 @@ def run_service_stress(
     for thread in threads:
         thread.start()
     barrier.wait(timeout=60)
-    service.stats.reset()
+    stats.reset()
     started = time.perf_counter()
     deadline = started + duration
     tickets = []
@@ -577,7 +581,7 @@ def run_service_stress(
         wall_seconds=wall,
         read_ops=sum(read_counts),
         write_ops=write_ops,
-        counters=service.stats.snapshot(),
+        counters=stats.snapshot(),
         reader_errors=errors,
     )
 
@@ -638,7 +642,6 @@ def run_query_stress(
     import threading
 
     from ..query.streams import ElementCatalog, QueryEngine
-    from ..service import LabelService
 
     lids = _bulk_load_two_level(scheme, base_elements)
     root_pair = (lids[0], lids[-1])
@@ -646,13 +649,7 @@ def run_query_stress(
     catalog.add(*root_pair)
     for child in range(base_elements):
         catalog.add(lids[1 + 2 * child], lids[2 + 2 * child])
-    service = LabelService(
-        scheme,
-        log_capacity=log_capacity,
-        group_size=group_size,
-        queue_capacity=8,
-    )
-    service.start()
+    service, stats = _start_stress_service(scheme, log_capacity, group_size)
     stop_flag = threading.Event()
     barrier = threading.Barrier(readers + 1)
     query_counts = [0] * readers
@@ -713,7 +710,7 @@ def run_query_stress(
     for thread in threads:
         thread.start()
     barrier.wait(timeout=60)
-    service.stats.reset()
+    stats.reset()
     started = time.perf_counter()
     deadline = started + duration
     timeout = max(duration, 10.0)
@@ -749,7 +746,7 @@ def run_query_stress(
         elements_streamed=sum(element_counts),
         views_built=sum(view_counts),
         write_ops=write_ops,
-        counters=service.stats.snapshot(),
+        counters=stats.snapshot(),
         reader_errors=errors,
     )
 

@@ -60,9 +60,7 @@ def build_degraded_world(scheduler):
 def make_dying_writer(service, lids, outcome):
     def run() -> None:
         try:
-            service._apply_guarded(
-                "ops", [BatchOp("insert_element_before", (lids[3],))]
-            )
+            service._apply_guarded([BatchOp("insert_element_before", (lids[3],))])
         except WriterCrashError:
             outcome["crashes"] += 1
 

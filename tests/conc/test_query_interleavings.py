@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from repro import BatchOp, TINY_CONFIG, WBox
 from repro.query.streams import ElementCatalog, EpochView, QueryEngine
-from repro.service import LabelService
+from repro.service import ShardedLabelService
 from repro.workloads.sequences import _bulk_load_two_level
 
 from .scheduler import SchedulerLatch, explore
@@ -44,16 +44,16 @@ def build_world(scheduler):
             lid: scheme.lookup(lid) for lid, _value in scheme.lidf.scan()
         }
 
-    service = LabelService(
-        scheme,
+    service = ShardedLabelService(
+        [scheme],
         log_capacity=64,
         group_size=1,
         locality_grouping=False,
-        latch=SchedulerLatch(scheduler),
+        latches=[SchedulerLatch(scheduler)],
         yield_hook=scheduler.yield_point,
-        epoch_hook=record,
+        epoch_hooks=[record],
     )
-    record(service.current_epoch)
+    record(service.current_epoch_vector[0])
     pairs = [(lids[0], lids[-1])] + [
         (lids[1 + 2 * child], lids[2 + 2 * child]) for child in range(BASE_CHILDREN)
     ]

@@ -124,3 +124,61 @@ class TestWorkloadCommand:
         batched_total = int(batched_out.split("total I/O:")[1].split()[0])
         per_op_total = int(per_op_out.split("total I/O:")[1].split()[0])
         assert batched_total < per_op_total
+
+
+class TestServiceVerbs:
+    """The verbs that build a ShardedLabelService (N from ``--shards``)."""
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("op", ["insert", "delete", "lookup"])
+    def test_trace_spans_match_io_per_shard(self, op, shards, capsys):
+        code = main(["trace", "--op", op, "--items", "10", "--shards", str(shards),
+                     "--scheme", "wbox"])
+        out = capsys.readouterr().out
+        verdicts = [line for line in out.splitlines() if "span I/O:" in line]
+        assert code == 0
+        assert [line.split()[0] for line in verdicts] == [
+            f"shard{shard}" for shard in range(shards)
+        ]
+        assert all(line.endswith("consistent") for line in verdicts)
+        if op != "lookup":
+            assert "wal.append" in out  # default storage reaches the WAL
+
+    def test_trace_net_joins_both_shards_into_one_request_tree(self, capsys):
+        assert main(["trace", "--net", "--shards", "2", "--items", "10"]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1].startswith("net request span I/O:")
+        assert out.splitlines()[-1].endswith("consistent")
+        assert "shard0" in out and "shard1" in out
+
+    def test_stress_sharded_write_run(self, capsys):
+        assert main(["stress", "--shards", "2", "--total-ops", "200", "--base", "200"]) == 0
+        out = capsys.readouterr().out
+        assert "shards=2" in out
+        assert "write ops:         192" in out  # 4 clients x 6 batches x 8 ops
+
+    def test_stress_read_run(self, capsys):
+        assert main(["stress", "--seconds", "1", "--readers", "2", "--base", "200"]) == 0
+        out = capsys.readouterr().out
+        assert "readers=2" in out and "write errors:      0" in out
+        assert int(out.split("read ops:")[1].split()[0]) > 0
+
+    def test_metrics_prometheus_exposition(self, capsys):
+        assert main(["metrics", "--items", "10", "--format", "prom"]) == 0
+        out = capsys.readouterr().out
+        assert "repro_service_epochs_published_total" in out
+        assert "repro_io_reads_total" in out
+
+    def test_serve_stdin_loop(self, xml_file, tmp_path, capsys):
+        commands = tmp_path / "commands.txt"
+        commands.write_text("lookup 3\ninsert 3\nepoch\nbogus\nquit\nlookup 5\n")
+        assert main(["serve", xml_file, "--scheme", "wbox", "--input", str(commands)]) == 0
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert lines[0].startswith(f"serving {xml_file}")
+        assert lines[1].isdigit()  # the label behind LID 3
+        assert lines[2].startswith("inserted lids (")
+        # One shard, one committed insert: the vector has one component at 1.
+        assert lines[3].startswith("EpochVector(") and "number=1" in lines[3]
+        assert len(lines) == 4  # quit stops the loop before the last lookup
+        assert "unknown command: bogus" in captured.err

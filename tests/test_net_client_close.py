@@ -20,14 +20,14 @@ import pytest
 from repro import TINY_CONFIG, WBox
 from repro.net.client import NetClient
 from repro.net.server import run_server
-from repro.service import LabelService
+from repro.service import ShardedLabelService
 
 
 @pytest.fixture(scope="module")
 def server():
     scheme = WBox(TINY_CONFIG)
     scheme.bulk_load(24, [i ^ 1 for i in range(24)])
-    service = LabelService(scheme).start()
+    service = ShardedLabelService([scheme]).start()
     ready = threading.Event()
     holder: dict = {}
     thread = threading.Thread(

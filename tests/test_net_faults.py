@@ -19,7 +19,7 @@ from repro.errors import ServiceDegradedError
 from repro.faults import FaultInjector, FaultPlan
 from repro.net.client import NetClient
 from repro.net.server import run_server
-from repro.service import LabelService, ShardedLabelService, bulk_load_sharded
+from repro.service import ShardedLabelService, bulk_load_sharded
 
 
 def start_server(service):
@@ -46,8 +46,8 @@ def test_writer_crash_under_live_connection():
     reading after the writer dies."""
     scheme = WBox(TINY_CONFIG)
     lids = scheme.bulk_load(24)
-    service = LabelService(
-        scheme,
+    service = ShardedLabelService(
+        [scheme],
         fault_injector=FaultInjector(FaultPlan.writer_crash(at=2)),
     ).start()
     holder, thread = start_server(service)
@@ -89,8 +89,8 @@ def test_new_connections_read_after_degradation():
     handshake, pings, and typed errors — no resets, no hangs."""
     scheme = WBox(TINY_CONFIG)
     lids = scheme.bulk_load(16)
-    service = LabelService(
-        scheme,
+    service = ShardedLabelService(
+        [scheme],
         fault_injector=FaultInjector(FaultPlan.writer_crash(at=1)),
     ).start()
     holder, thread = start_server(service)

@@ -55,7 +55,7 @@ from repro.net.protocol import (
     encode_payload,
 )
 from repro.net.server import run_server
-from repro.service import LabelService
+from repro.service import ShardedLabelService
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -348,7 +348,7 @@ def test_oversized_frame_refused_at_encode_time():
 def live_server():
     scheme = WBox(TINY_CONFIG)
     scheme.bulk_load(32)
-    service = LabelService(scheme).start()
+    service = ShardedLabelService([scheme]).start()
     ready = threading.Event()
     holder: dict = {}
     thread = threading.Thread(

@@ -23,7 +23,7 @@ from repro.net.client import NetClient, PendingStream
 from repro.net.protocol import Query, QueryChunk, encode_frame
 from repro.net.server import run_server
 from repro.query import ElementCatalog, QueryEngine
-from repro.service import LabelService
+from repro.service import ShardedLabelService
 from repro.workloads import two_level_pairing
 
 N_CHILDREN = 10
@@ -60,7 +60,7 @@ def stop_server(holder, thread):
 def world():
     scheme = WBox(TINY_CONFIG)
     lids, pairs = build_catalog(scheme, N_CHILDREN)
-    service = LabelService(scheme).start()
+    service = ShardedLabelService([scheme]).start()
     catalog = ElementCatalog(pairs)
     holder, thread = start_server(service, catalog=catalog)
     try:
@@ -174,8 +174,8 @@ def test_writer_death_collapses_stream_to_typed_degraded():
     epoch."""
     scheme = WBox(TINY_CONFIG)
     lids, pairs = build_catalog(scheme, 6)
-    service = LabelService(
-        scheme,
+    service = ShardedLabelService(
+        [scheme],
         fault_injector=FaultInjector(FaultPlan.writer_crash(at=1)),
     ).start()
     catalog = ElementCatalog(pairs)

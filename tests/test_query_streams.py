@@ -9,7 +9,7 @@ sharded), and across a commit that moves the catalog and the epoch.
 
 import pytest
 
-from repro import LabeledDocument, LabelService, TINY_CONFIG, WBox
+from repro import LabeledDocument, TINY_CONFIG, WBox
 from repro.core import AncestryDynamic
 from repro.core.batch import BatchOp
 from repro.errors import LabelingError
@@ -62,7 +62,7 @@ class ModelOracle:
 
 def service_engine(doc):
     """A started service + engine whose catalog is the document's elements."""
-    service = LabelService(doc.scheme)
+    service = ShardedLabelService([doc.scheme])
     service.start()
     catalog = ElementCatalog(
         (doc.start_lid(element), doc.end_lid(element)) for element in doc.elements()
@@ -164,7 +164,7 @@ def test_sharded_view_crosses_shards():
 
 def test_service_query_facade():
     doc = LabeledDocument(WBox(TINY_CONFIG), two_level_document(5))
-    service = LabelService(doc.scheme)
+    service = ShardedLabelService([doc.scheme])
     service.start()
     try:
         pairs = [(doc.start_lid(e), doc.end_lid(e)) for e in doc.elements()]

@@ -36,7 +36,7 @@ from repro.repl import (
     checkpoint_service,
     rotate_service_wal,
 )
-from repro.service import LabelService
+from repro.service import ShardedLabelService
 from repro.storage import BlockStore, FileBackend, default_page_bytes
 from repro.storage.shardlayout import shard_page_path
 
@@ -91,7 +91,7 @@ def test_follower_kill_straddling_a_segment_boundary(tmp_path):
     scheme = WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))
     attach_scheme_to_backend(scheme)
     lids = scheme.bulk_load(24, [i ^ 1 for i in range(24)])
-    service = LabelService(scheme).start()
+    service = ShardedLabelService([scheme]).start()
     annotate_commits_with_epoch(service)
     checkpoint_service(service)
     thread = threading.Thread(

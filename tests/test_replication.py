@@ -1,7 +1,7 @@
 """WAL-shipping replication, in-process and over real sockets.
 
 A file-backed primary (``retain_wal`` mode) runs under a
-:class:`~repro.service.LabelService` behind the network front end; a
+:class:`~repro.service.ShardedLabelService` behind the network front end; a
 :class:`~repro.repl.Follower` bootstraps from its newest checkpoint
 image, mirrors the WAL — sealed segments and the live tail — through the
 wire protocol's replication frames, and applies committed transactions
@@ -29,7 +29,7 @@ from repro.repl import (
     checkpoint_service,
     rotate_service_wal,
 )
-from repro.service import LabelService, ShardedLabelService, bulk_load_sharded
+from repro.service import ShardedLabelService, bulk_load_sharded
 from repro.storage import BlockStore, FileBackend, default_page_bytes
 
 
@@ -49,7 +49,7 @@ class Primary:
             scheme = WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))
             attach_scheme_to_backend(scheme)
             self.lids = scheme.bulk_load(base, [i ^ 1 for i in range(base)])
-            self.service = LabelService(scheme).start()
+            self.service = ShardedLabelService([scheme]).start()
         else:
             root = str(tmp_path / "primary-shards")
             backends = create_sharded_backends(
@@ -252,8 +252,8 @@ class TestLag:
                 primary.insert(primary.lids[index])
             f.catch_up()
             shard = f.shards[0]
-            assert shard.position_epoch == primary.service.current_epoch.number
-            assert shard.primary_epoch == primary.service.current_epoch.number
+            assert shard.position_epoch == primary.service.current_epoch_vector.numbers[0]
+            assert shard.primary_epoch == primary.service.current_epoch_vector.numbers[0]
 
 
 class TestSharded:

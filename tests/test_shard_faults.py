@@ -77,6 +77,41 @@ def test_scoped_views_share_one_budget_with_per_shard_addressing():
 
 # ---------------------------------------------------------------------------
 # live shard kill
+def test_batch_touching_a_dead_shard_is_refused_whole():
+    """A routed batch spanning a dead shard must be refused BEFORE its
+    healthy half is queued: the caller is told the write failed, so
+    nothing of it may commit."""
+    schemes = [WBox(TINY_CONFIG) for _ in range(2)]
+    glids = bulk_load_sharded(schemes, 12)
+    shard0_glid = next(g for g in glids if g % 2 == 0)
+    shard1_glid = next(g for g in glids if g % 2 == 1)
+    injector = FaultInjector(
+        FaultPlan([FaultSpec(WRITER_CRASH, "service.writer_apply@shard1", at=1)])
+    )
+    with ShardedLabelService(schemes, fault_injector=injector) as service:
+        with pytest.raises(WriterCrashError):
+            service.submit_ops(
+                [BatchOp("insert_before", (shard1_glid,))], timeout=10
+            ).wait(timeout=10)
+        assert service.degraded_shards == [1]
+        epoch_before = service.current_epoch_vector.numbers[0]
+        labels_before = len(schemes[0].lidf)
+
+        with pytest.raises(ServiceDegradedError):
+            service.submit_ops(
+                [
+                    BatchOp("insert_before", (shard0_glid,)),
+                    BatchOp("insert_before", (shard1_glid,)),
+                ],
+                timeout=10,
+            )
+        # Drain shard 0's writer: anything wrongly queued would commit
+        # before this marker write does.
+        service.submit_ops([BatchOp("lookup", (shard0_glid,))], timeout=10).wait(10)
+        assert len(schemes[0].lidf) == labels_before
+        assert service.current_epoch_vector.numbers[0] == epoch_before + 1
+
+
 # ---------------------------------------------------------------------------
 
 

@@ -11,6 +11,9 @@ service is byte-identical on disk to the plain ``LabelService`` stack.
 
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 
 from repro import TINY_CONFIG, BatchOp, WBox
@@ -46,6 +49,7 @@ from repro.storage import (
     read_manifest,
     shard_page_path,
 )
+from repro.storage.blockstore import ReaderWriterLatch
 from repro.storage.stats import collect_io_samples
 
 
@@ -212,6 +216,46 @@ def test_session_reads_and_cross_shard_semantics():
         # ancestor of anything on another.
         with pytest.raises(CrossShardError):
             session.lookup_pair(glids[0], glids[7])
+
+
+class _GatedLatch(ReaderWriterLatch):
+    """A store latch whose exclusive acquisition waits for ``gate`` — a
+    writer stalled at its group-commit latch, on demand."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.gate = threading.Event()
+
+    def acquire_exclusive(self) -> None:
+        self.gate.wait(30)
+        super().acquire_exclusive()
+
+
+def test_ticket_timeout_bounds_the_whole_join_not_each_shard():
+    """``wait(timeout)`` is one deadline across shards: shard 0 resolving
+    late must not hand shard 1 a fresh full timeout."""
+    schemes = [WBox(TINY_CONFIG) for _ in range(2)]
+    glids = bulk_load_sharded(schemes, 8)
+    latches = [_GatedLatch(), _GatedLatch()]
+    service = ShardedLabelService(schemes, latches=latches).start()
+    try:
+        ticket = service.submit_ops(
+            [BatchOp("insert_before", (glids[0],)), BatchOp("insert_before", (glids[-1],))]
+        )
+        # Shard 0 unblocks at 0.4 s; shard 1 stays stalled.
+        release = threading.Timer(0.4, latches[0].gate.set)
+        release.start()
+        started = time.monotonic()
+        with pytest.raises(TimeoutError):
+            ticket.wait(0.5)
+        elapsed = time.monotonic() - started
+        release.join()
+        # One deadline: ~0.5 s.  Per-shard timeouts would take >= 0.9 s.
+        assert elapsed < 0.8
+    finally:
+        for latch in latches:
+            latch.gate.set()
+        service.close()
 
 
 def test_epoch_vector_tracks_per_shard_publishes():
