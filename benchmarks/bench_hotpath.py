@@ -1,42 +1,36 @@
-"""Array-native hot paths: codec ns/node, batch reconstruction, end-to-end.
+"""Array-native hot paths: codec ns/node and batch label reconstruction.
 
-Three measurements, one table (``BENCH_hotpath.json``):
+Two measurements, one table (``BENCH_hotpath.json``):
 
-* **Codec micro** — encode/decode ns per node, packed-row fast path vs
-  the streaming reference (``set_fast_codec``), over representative node
-  payloads, plus the long-ORDPATH-vector decode case the satellite fix
-  (list preallocation inside ``_S_SEQ``) targets.
+* **Codec micro** — encode/decode ns per node, the production packed-row
+  codec (:mod:`repro.storage.codec`) vs the streaming reference it
+  replaced (``tests/codec_reference.py``, the byte-identity oracle), over
+  representative node payloads, plus the long-ORDPATH-vector decode case
+  the satellite fix (list preallocation inside ``_S_SEQ``) targets.
 * **Batch reconstruction** — labels/second for ``BBox.batch_lookup``
   (memoized path prefixes) vs the scalar per-LID loop on a churned tree,
   with identical results and no extra counted reads.
-* **End-to-end** — the XMark insert workload per scheme variant on a
-  real page file: the PR-5 baseline (streaming codec + ``FileBackend``)
-  vs the hot-path configuration (packed-row codec + ``MmapBackend``).
-  Counted I/O must be *identical* between the two runs — the fast paths
-  change how bytes move, never which blocks move.  A fifth config runs
-  W-BOX-O on paper-scale 2 KB blocks, where bigger rows amplify the
-  codec win.
 
-Thresholds (asserted at ``small``/``medium`` scale; ``smoke`` is too
-noisy to judge ratios): every scheme variant ≥1.3×, the 2 KB config
-≥2.0×.
+End-to-end timing is not measured here: that is ``benchmarks/e2e``'s job
+(one production codec and one page-file backend leave no slow arm to
+compare against).
 
-Regression gate: with ``REPRO_BENCH_GATE=1`` the measured end-to-end
-speedups are compared against the committed ``BENCH_hotpath.json`` —
-any config whose speedup fell below 85% of the committed value (a >15%
-relative wall-clock regression of the fast path) fails the run.  The
-gate compares speedup *ratios*, not absolute seconds, so it holds
-across machines; it only fires when the committed scale matches.
+Regression gate: with ``REPRO_BENCH_GATE=1`` the measured speedup
+*ratios* are compared against the committed ``BENCH_hotpath.json`` — a
+ratio that fell below 85% of the committed value fails the run.  Both
+sides of every ratio run on the same host in the same process, so the
+gate holds across machines; it only fires when the committed scale
+matches.
 """
 
 from __future__ import annotations
 
 import gc
+import io
 import json
 import os
-import tempfile
+import statistics
 import time
-from pathlib import Path
 
 from benchmarks.conftest import (
     BENCH_CONFIG,
@@ -46,43 +40,27 @@ from benchmarks.conftest import (
     fmt,
     record_table,
 )
-from repro import BBox, BoxConfig, WBox, WBoxO
-from repro.persist import attach_scheme_to_backend
-from repro.storage import BlockStore, FileBackend, MmapBackend, default_page_bytes
-from repro.storage.codec import (
-    decode_block_payload,
-    encode_block_payload,
-    set_fast_codec,
-)
-from repro.workloads import run_xmark_build
+from repro import BBox
+from repro.storage.codec import decode_block_payload, encode_block_payload
+from tests.codec_reference import decode_payload, encode_payload
 
-SCHEMES = ["W-BOX", "W-BOX-O", "B-BOX", "B-BOX-O"]
-
-#: Paper-scale block config: 2 KB rows amplify the packed-row codec win.
-PAPER_BLOCK_CONFIG = BoxConfig(block_bytes=2048)
-PAPER_BLOCK_KEY = "W-BOX-O @2KB"
-
-MIN_SPEEDUP_PER_SCHEME = 1.3
-MIN_SPEEDUP_PAPER_BLOCK = 2.0
-GATE_TOLERANCE = 0.85  # >15% regression vs the committed speedup fails
+GATE_TOLERANCE = 0.85  # >15% regression vs the committed ratio fails
 
 JUDGE_THRESHOLDS = SCALE_NAME != "smoke"
 
 
-def _make_scheme(name: str, config: BoxConfig, store: BlockStore):
-    if name == "W-BOX":
-        return WBox(config, store=store)
-    if name == "W-BOX-O":
-        return WBoxO(config, store=store)
-    if name == "B-BOX":
-        return BBox(config, store=store)
-    if name == "B-BOX-O":
-        return BBox(config, store=store, ordinal=True)
-    raise KeyError(name)
+def _reference_encode(payload) -> bytes:
+    stream = io.BytesIO()
+    encode_payload(stream, payload)
+    return stream.getvalue()
+
+
+def _reference_decode(image: bytes):
+    return decode_payload(io.BytesIO(image))
 
 
 # ----------------------------------------------------------------------
-# codec micro: ns per node, fast vs slow
+# codec micro: ns per node, packed vs reference
 # ----------------------------------------------------------------------
 
 
@@ -122,17 +100,30 @@ def _ordpath_block():
     ]
 
 
-def _time_per_item(fn, items, repeats=5, loops=30) -> float:
-    """Best-of-``repeats`` mean ns per item for ``fn(item)`` loops."""
-    best = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        for _ in range(loops):
-            for item in items:
-                fn(item)
-        elapsed = time.perf_counter() - started
-        best = min(best, elapsed)
-    return best / (loops * len(items)) * 1e9
+#: Paired repeats per ratio.  This host's speed drifts 1-2x on every
+#: timescale, so each repeat times the production side and the reference
+#: side back to back and contributes one *ratio*; the median ratio is
+#: what the gate judges (best-of times are reported beside it).
+PAIRED_REPEATS = 9
+
+
+def _loop_seconds(fn, items, loops: int) -> float:
+    started = time.perf_counter()
+    for _ in range(loops):
+        for item in items:
+            fn(item)
+    return time.perf_counter() - started
+
+
+def _paired(fast_fn, slow_fn, items, loops=10) -> tuple[float, float, float]:
+    """``(fast ns/item, slow ns/item, median slow/fast ratio)``."""
+    fast_times, slow_times = [], []
+    for _ in range(PAIRED_REPEATS):
+        fast_times.append(_loop_seconds(fast_fn, items, loops))
+        slow_times.append(_loop_seconds(slow_fn, items, loops))
+    scale = 1e9 / (loops * len(items))
+    ratio = statistics.median(s / f for s, f in zip(slow_times, fast_times))
+    return min(fast_times) * scale, min(slow_times) * scale, ratio
 
 
 def _codec_micro() -> dict:
@@ -140,20 +131,17 @@ def _codec_micro() -> dict:
     payloads = list(corpus.values())
     payloads.append(_ordpath_block())
     images = [encode_block_payload(p) for p in payloads]
+    assert images == [_reference_encode(p) for p in payloads]
     out = {}
-    for fast in (True, False):
-        previous = set_fast_codec(fast)
-        try:
-            key = "fast" if fast else "slow"
-            out[f"encode_ns_{key}"] = _time_per_item(encode_block_payload, payloads)
-            out[f"decode_ns_{key}"] = _time_per_item(decode_block_payload, images)
-            out[f"ordpath_decode_ns_{key}"] = _time_per_item(
-                decode_block_payload, [images[-1]], loops=200
-            )
-        finally:
-            set_fast_codec(previous)
-    for stage in ("encode", "decode", "ordpath_decode"):
-        out[f"{stage}_speedup"] = out[f"{stage}_ns_slow"] / out[f"{stage}_ns_fast"]
+    for stage, fast_fn, slow_fn, items, loops in (
+        ("encode", encode_block_payload, _reference_encode, payloads, 10),
+        ("decode", decode_block_payload, _reference_decode, images, 10),
+        ("ordpath_decode", decode_block_payload, _reference_decode, images[-1:], 60),
+    ):
+        fast, slow, ratio = _paired(fast_fn, slow_fn, items, loops)
+        out[f"{stage}_ns_fast"] = fast
+        out[f"{stage}_ns_slow"] = slow
+        out[f"{stage}_speedup"] = ratio
     return out
 
 
@@ -166,140 +154,58 @@ def _batch_reconstruction() -> dict:
     import random
 
     base = max(2000, SCALE["base"] // 20)
-    scheme = BBox(BENCH_CONFIG, ordinal=True)
-    lids = scheme.bulk_load(base)
-    rng = random.Random(42)
-    for _ in range(base // 50):
-        lids.append(scheme.insert_before(lids[rng.randrange(len(lids))]))
+    scalar_walls, batch_walls = [], []
+    for _ in range(PAIRED_REPEATS):
+        # A fresh tree per repeat: batch_lookup leaves position maps
+        # cached on the nodes, which must not leak into the next pair.
+        scheme = BBox(BENCH_CONFIG, ordinal=True)
+        lids = scheme.bulk_load(base)
+        rng = random.Random(42)
+        for _ in range(base // 50):
+            lids.append(scheme.insert_before(lids[rng.randrange(len(lids))]))
+        before = scheme.stats.reads
 
-    gc.collect()
-    started = time.perf_counter()
-    scalar = [scheme.lookup(lid) for lid in lids]
-    scalar_wall = time.perf_counter() - started
-    scalar_reads = scheme.stats.reads
+        gc.collect()
+        started = time.perf_counter()
+        scalar = [scheme.lookup(lid) for lid in lids]
+        scalar_walls.append(time.perf_counter() - started)
+        scalar_reads = scheme.stats.reads - before
 
-    started = time.perf_counter()
-    batched = scheme.batch_lookup(lids)
-    batch_wall = time.perf_counter() - started
-    batch_reads = scheme.stats.reads - scalar_reads
+        started = time.perf_counter()
+        batched = scheme.batch_lookup(lids)
+        batch_walls.append(time.perf_counter() - started)
+        batch_reads = scheme.stats.reads - before - scalar_reads
 
-    assert batched == scalar, "batch_lookup diverged from the scalar loop"
+        assert batched == scalar, "batch_lookup diverged from the scalar loop"
     return {
         "labels": len(lids),
-        "scalar_labels_per_s": len(lids) / scalar_wall,
-        "batch_labels_per_s": len(lids) / batch_wall,
-        "speedup": scalar_wall / batch_wall,
+        "scalar_labels_per_s": len(lids) / min(scalar_walls),
+        "batch_labels_per_s": len(lids) / min(batch_walls),
+        "speedup": statistics.median(
+            s / b for s, b in zip(scalar_walls, batch_walls)
+        ),
         "scalar_reads": scalar_reads,
         "batch_reads": batch_reads,
     }
 
 
 # ----------------------------------------------------------------------
-# end-to-end xmark inserts: PR-5 baseline vs hot-path configuration
+# regression gate + table
 # ----------------------------------------------------------------------
 
 
-def _xmark_run(
-    name: str, key: str, config: BoxConfig, fast: bool, backend_cls, directory: str
-) -> tuple[float, dict]:
-    previous = set_fast_codec(fast)
-    try:
-        tag = f"{key}-{'fast' if fast else 'slow'}".lower().replace(" ", "")
-        backend = backend_cls(
-            str(Path(directory) / f"{tag}.pages"),
-            page_bytes=default_page_bytes(config.block_bytes),
-        )
-        scheme = _make_scheme(name, config, BlockStore(config, backend=backend))
-        attach_scheme_to_backend(scheme)
-        # GC pauses landing inside one side's timed region are the main
-        # noise source (the workload allocates millions of objects);
-        # collect up front and keep the collector off while timing.  CPU
-        # time is tracked alongside wall-clock as a scheduler-immune
-        # second estimator.
-        gc.collect()
-        gc.disable()
-        try:
-            wall_started = time.perf_counter()
-            cpu_started = time.process_time()
-            run_xmark_build(scheme, SCALE["xmark_items"], prime_fraction=0.6)
-            wall = time.perf_counter() - wall_started
-            cpu = time.process_time() - cpu_started
-        finally:
-            gc.enable()
-        stats = scheme.stats
-        counts = {
-            "reads": stats.reads,
-            "writes": stats.writes,
-            "allocs": stats.allocs,
-            "frees": stats.frees,
-        }
-        backend.close()
-        return wall, cpu, counts
-    finally:
-        set_fast_codec(previous)
+def _ratios(codec: dict, batch: dict) -> dict[str, float]:
+    """The speedup ratios the gate judges."""
+    return {
+        "codec encode": codec["encode_speedup"],
+        "codec decode": codec["decode_speedup"],
+        "ordpath decode": codec["ordpath_decode_speedup"],
+        "batch_lookup": batch["speedup"],
+    }
 
 
-#: Interleaved repeats per end-to-end config; min-of-N discards scheduler
-#: noise that landed in one side's samples (same estimator as the obs
-#: overhead budget benchmark).
-END_TO_END_REPEATS = 1 if SCALE_NAME == "smoke" else 2
-
-
-def _end_to_end() -> dict:
-    results: dict[str, dict] = {}
-    configs = [(name, BENCH_CONFIG) for name in SCHEMES]
-    configs.append(("W-BOX-O", PAPER_BLOCK_CONFIG))
-    with tempfile.TemporaryDirectory(prefix="repro-hotpath-") as directory:
-        for name, config in configs:
-            key = name if config is BENCH_CONFIG else PAPER_BLOCK_KEY
-            slow_walls: list[float] = []
-            fast_walls: list[float] = []
-            slow_cpus: list[float] = []
-            fast_cpus: list[float] = []
-            slow_counts = fast_counts = None
-            for _ in range(END_TO_END_REPEATS):
-                wall, cpu, counts = _xmark_run(
-                    name, key, config, False, FileBackend, directory
-                )
-                slow_walls.append(wall)
-                slow_cpus.append(cpu)
-                assert slow_counts is None or counts == slow_counts
-                slow_counts = counts
-                wall, cpu, counts = _xmark_run(
-                    name, key, config, True, MmapBackend, directory
-                )
-                fast_walls.append(wall)
-                fast_cpus.append(cpu)
-                assert fast_counts is None or counts == fast_counts
-                fast_counts = counts
-            assert fast_counts == slow_counts, (
-                f"{key}: counted I/O diverged between hot-path and baseline"
-            )
-            slow_wall, fast_wall = min(slow_walls), min(fast_walls)
-            wall_speedup = slow_wall / fast_wall
-            cpu_speedup = min(slow_cpus) / min(fast_cpus)
-            results[key] = {
-                "slow_wall": slow_wall,
-                "fast_wall": fast_wall,
-                "slow_walls": slow_walls,
-                "fast_walls": fast_walls,
-                "slow_cpus": slow_cpus,
-                "fast_cpus": fast_cpus,
-                "speedup": wall_speedup,
-                "cpu_speedup": cpu_speedup,
-                # Scheduler/interrupt noise can only *inflate* one run's
-                # wall-clock, so under load whichever estimator is larger
-                # is closer to the true ratio (same reasoning as the obs
-                # overhead benchmark's min-based estimate); thresholds
-                # and the regression gate judge this one.
-                "judged_speedup": max(wall_speedup, cpu_speedup),
-                "io": fast_counts,
-            }
-    return results
-
-
-def _apply_gate(end_to_end: dict) -> dict:
-    """Compare measured speedups against the committed baseline JSON."""
+def _apply_gate(measured: dict[str, float]) -> dict:
+    """Compare measured speedup ratios against the committed baseline JSON."""
     gate = {"enabled": bool(int(os.environ.get("REPRO_BENCH_GATE", "0") or "0"))}
     baseline_path = RESULTS_DIR / "BENCH_hotpath.json"
     if not gate["enabled"]:
@@ -316,21 +222,19 @@ def _apply_gate(end_to_end: dict) -> dict:
         return gate
     failures = []
     checked = {}
-    for key, row in committed.get("extra", {}).get("end_to_end", {}).items():
-        if key not in end_to_end:
+    for key, committed_ratio in committed.get("extra", {}).get("ratios", {}).items():
+        if key not in measured:
             continue
-        committed_speedup = row.get("judged_speedup", row["speedup"])
-        floor = committed_speedup * GATE_TOLERANCE
-        measured = end_to_end[key]["judged_speedup"]
+        floor = committed_ratio * GATE_TOLERANCE
         checked[key] = {
-            "committed": committed_speedup,
-            "measured": measured,
+            "committed": committed_ratio,
+            "measured": measured[key],
             "floor": floor,
         }
-        if measured < floor:
+        if measured[key] < floor:
             failures.append(
-                f"{key}: speedup {measured:.2f}x < {floor:.2f}x "
-                f"(committed {committed_speedup:.2f}x - 15%)"
+                f"{key}: speedup {measured[key]:.2f}x < {floor:.2f}x "
+                f"(committed {committed_ratio:.2f}x - 15%)"
             )
     gate["checked"] = checked
     gate["failures"] = failures
@@ -340,8 +244,8 @@ def _apply_gate(end_to_end: dict) -> dict:
 def test_hotpath_table(benchmark):
     codec = _codec_micro()
     batch = _batch_reconstruction()
-    end_to_end = _end_to_end()
-    gate = _apply_gate(end_to_end)
+    ratios = _ratios(codec, batch)
+    gate = _apply_gate(ratios)
 
     rows = [
         [
@@ -349,7 +253,7 @@ def test_hotpath_table(benchmark):
             fmt(codec["encode_ns_slow"], 0),
             fmt(codec["encode_ns_fast"], 0),
             fmt(codec["encode_speedup"]) + "x",
-            "",
+            "bytes identical",
         ],
         [
             "codec decode (ns/node)",
@@ -373,31 +277,19 @@ def test_hotpath_table(benchmark):
             f"reads {batch['batch_reads']} <= {batch['scalar_reads']}",
         ],
     ]
-    for key, row in end_to_end.items():
-        rows.append(
-            [
-                f"xmark inserts, {key}",
-                fmt(row["slow_wall"], 3) + "s",
-                fmt(row["fast_wall"], 3) + "s",
-                fmt(row["speedup"]) + "x",
-                f"io identical ({row['io']['reads']}r/{row['io']['writes']}w)",
-            ]
-        )
 
     record_table(
         "hotpath",
-        "Array-native hot paths: baseline (streaming codec + FileBackend) "
-        "vs fast (packed-row codec + MmapBackend)",
-        ["path", "baseline", "fast", "speedup", "identity"],
+        "Array-native hot paths: reference (streaming codec, scalar lookups) "
+        "vs production (packed-row codec, batch_lookup)",
+        ["path", "reference", "production", "speedup", "identity"],
         rows,
         extra={
             "scale": SCALE_NAME,
             "codec": codec,
             "batch_reconstruction": batch,
-            "end_to_end": end_to_end,
+            "ratios": ratios,
             "thresholds_checked": JUDGE_THRESHOLDS,
-            "min_speedup_per_scheme": MIN_SPEEDUP_PER_SCHEME,
-            "min_speedup_paper_block": MIN_SPEEDUP_PAPER_BLOCK,
             "gate": gate,
         },
     )
@@ -405,16 +297,7 @@ def test_hotpath_table(benchmark):
     assert batch["batch_reads"] <= batch["scalar_reads"]
     assert gate.get("failures", []) == [], "\n".join(gate.get("failures", []))
     # In gate mode the committed-ratio floor above is the judge; the
-    # absolute thresholds are enforced when refreshing the baseline so a
-    # noisy shared runner can't fail a run the gate already accepts.
+    # absolute floor is enforced when refreshing the baseline so a noisy
+    # shared runner can't fail a run the gate already accepts.
     if JUDGE_THRESHOLDS and not gate["enabled"]:
-        assert codec["encode_speedup"] > 1.0 and codec["decode_speedup"] > 1.0
-        for name in SCHEMES:
-            assert end_to_end[name]["judged_speedup"] >= MIN_SPEEDUP_PER_SCHEME, (
-                f"{name}: {end_to_end[name]['judged_speedup']:.2f}x < "
-                f"{MIN_SPEEDUP_PER_SCHEME}x"
-            )
-        judged = end_to_end[PAPER_BLOCK_KEY]["judged_speedup"]
-        assert judged >= MIN_SPEEDUP_PAPER_BLOCK, (
-            f"{PAPER_BLOCK_KEY}: {judged:.2f}x < {MIN_SPEEDUP_PAPER_BLOCK}x"
-        )
+        assert min(ratios.values()) > 1.0, ratios

@@ -56,16 +56,7 @@ from contextlib import contextmanager
 from typing import Any, Iterator
 
 from .config import BoxConfig
-from .core import (
-    AncestryDynamic,
-    AncestryScheme,
-    BBox,
-    LabeledDocument,
-    NaiveScheme,
-    OrdPath,
-    WBox,
-    WBoxO,
-)
+from .core import LabeledDocument, scheme_factory
 from .errors import PersistError, ReproError
 from .persist import (
     MAGIC,
@@ -81,7 +72,6 @@ from .query.xpath import evaluate
 from .storage import (
     BlockStore,
     FileBackend,
-    MmapBackend,
     default_page_bytes,
     is_sharded_root,
     read_manifest,
@@ -109,28 +99,19 @@ def make_scheme(
     storage: str = "memory",
     storage_path: str | None = None,
 ) -> Any:
-    """Instantiate a scheme from its CLI name (``wbox``, ``wboxo``,
-    ``bbox``, ``bbox-o``, or ``naive-<k>``), optionally on a file-backed
-    store (``storage="file"`` + a page-file path)."""
-    store = _make_store(config, storage, storage_path)
-    return make_scheme_on_store(name, config, store)
-
-
-def _make_store(
-    config: BoxConfig, storage: str, storage_path: str | None
-) -> BlockStore | None:
-    """Build the block store a CLI-made scheme runs on (None = default)."""
+    """Instantiate a scheme from its CLI name (see
+    :mod:`repro.core.registry`), optionally on a file-backed store
+    (``storage="file"`` + a page-file path)."""
     if storage == "memory":
-        return None
-    if storage not in ("file", "mmap"):
+        return make_scheme_on_store(name, config, None)
+    if storage != "file":
         raise ReproError(f"unknown storage backend {storage!r}")
     if not storage_path:
-        raise ReproError(f"--storage {storage} requires --storage-path")
-    backend_cls = MmapBackend if storage == "mmap" else FileBackend
-    backend = backend_cls(
+        raise ReproError("--storage file requires --storage-path")
+    backend = FileBackend(
         storage_path, page_bytes=default_page_bytes(config.block_bytes)
     )
-    return BlockStore(config, backend=backend)
+    return make_scheme_on_store(name, config, BlockStore(config, backend=backend))
 
 
 def _finish_scheme(scheme: Any) -> None:
@@ -156,12 +137,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--storage",
-        choices=["memory", "file", "mmap"],
+        choices=["memory", "file"],
         default="memory",
-        help=(
-            "block storage backend (default: memory; 'file' and 'mmap' "
-            "need --storage-path; 'mmap' serves page reads zero-copy)"
-        ),
+        help="block storage backend (default: memory; 'file' needs --storage-path)",
     )
     parser.add_argument(
         "--storage-path",
@@ -289,26 +267,7 @@ def make_scheme_on_store(
 ) -> Any:
     """Instantiate a scheme from its CLI name onto an existing store
     (``None`` = the scheme's default in-memory store)."""
-    if name == "wbox":
-        scheme = WBox(config, store=store)
-    elif name == "wbox-ordinal":
-        scheme = WBox(config, store=store, ordinal=True)
-    elif name == "wboxo":
-        scheme = WBoxO(config, store=store)
-    elif name == "bbox":
-        scheme = BBox(config, store=store)
-    elif name == "bbox-o":
-        scheme = BBox(config, store=store, ordinal=True)
-    elif name == "ordpath":
-        scheme = OrdPath(config, store=store)
-    elif name == "ancestry":
-        scheme = AncestryScheme(config, store=store)
-    elif name == "ancestry-dyn":
-        scheme = AncestryDynamic(config, store=store)
-    elif name.startswith("naive-"):
-        scheme = NaiveScheme(int(name.split("-", 1)[1]), config, store=store)
-    else:
-        raise ReproError(f"unknown scheme {name!r}")
+    scheme = scheme_factory(name)(config, store)
     if isinstance(scheme.store.backend, FileBackend):
         attach_scheme_to_backend(scheme)
     return scheme
@@ -336,8 +295,6 @@ def _open_schemes(
         return [make_scheme(args.scheme, config) for _ in range(n_shards)], True
     if n_shards == 1 and not persistent:
         return [make_scheme(args.scheme, config, args.storage, args.storage_path)], True
-    if args.storage != "file":
-        raise ReproError("a sharded store supports --storage memory or file")
     if not args.storage_path:
         raise ReproError("a sharded --storage file store needs --storage-path DIR")
     if is_sharded_root(args.storage_path):
@@ -854,17 +811,14 @@ def cmd_chaos(args: argparse.Namespace) -> int:
                 f"{trial.checked_lids} LID(s) checked: {status}"
             )
 
-    try:
-        report = run_chaos_sweep(
-            args.seeds,
-            schemes=schemes,
-            plans=plans,
-            max_ops=args.max_ops,
-            base_labels=args.base,
-            progress=progress,
-        )
-    except KeyError as error:
-        raise ReproError(str(error.args[0]))
+    report = run_chaos_sweep(
+        args.seeds,
+        schemes=schemes,
+        plans=plans,
+        max_ops=args.max_ops,
+        base_labels=args.base,
+        progress=progress,
+    )
     print(
         f"chaos: {report.total} trial(s) "
         f"({args.seeds} seed(s) x {len(plans)} plan(s) x {len(schemes)} scheme(s))"
@@ -909,17 +863,14 @@ def _cmd_chaos_repl(args: argparse.Namespace) -> int:
                 f"{trial.checked_lids} LID(s) checked: {status}"
             )
 
-    try:
-        report = run_repl_chaos_sweep(
-            args.seeds,
-            schemes=schemes,
-            max_ops=args.max_ops,
-            base_labels=args.base,
-            kills=args.repl,
-            progress=progress,
-        )
-    except KeyError as error:
-        raise ReproError(str(error.args[0]))
+    report = run_repl_chaos_sweep(
+        args.seeds,
+        schemes=schemes,
+        max_ops=args.max_ops,
+        base_labels=args.base,
+        kills=args.repl,
+        progress=progress,
+    )
     print(
         f"repl chaos: {report.total} trial(s) "
         f"({args.seeds} seed(s) x {len(REPL_PLAN_NAMES)} plan(s), "

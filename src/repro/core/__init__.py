@@ -12,6 +12,7 @@ from .wbox.tree import WBox
 from .wbox.pairs import WBoxO
 from .bbox.tree import BBox
 from .document import LabeledDocument
+from .registry import register_scheme, scheme_class, scheme_factory
 from .cachelog import CachedLabelStore, LogSnapshot, ModificationLog, RangeShift, Invalidate
 
 __all__ = [
@@ -32,6 +33,9 @@ __all__ = [
     "WBoxO",
     "BBox",
     "LabeledDocument",
+    "register_scheme",
+    "scheme_class",
+    "scheme_factory",
     "CachedLabelStore",
     "LogSnapshot",
     "ModificationLog",

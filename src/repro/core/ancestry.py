@@ -44,7 +44,7 @@ substrate like every other scheme.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import Sequence
+from typing import Any, Sequence
 
 from ..config import BoxConfig
 from ..errors import LabelingError
@@ -152,7 +152,7 @@ class _OrderedGapScheme(LabelingScheme):
     ) -> None:
         super().__init__(config, store, lidf)
         #: In-memory sorted (value, lid) view — derived state, rebuilt
-        #: from the LIDF on restore (see :meth:`rebuild_derived_state`).
+        #: from the LIDF on restore (see :meth:`restore_state`).
         self._order: list[tuple[int, int]] = []
         #: LID -> kind code mirror of the records' kind column.
         self._kind: dict[int, int] = {}
@@ -298,21 +298,25 @@ class _OrderedGapScheme(LabelingScheme):
         self._order = sorted((value, lid) for lid, value in new_values.items())
 
     # ------------------------------------------------------------------
-    # restore support
+    # persistence
     # ------------------------------------------------------------------
 
-    def rebuild_derived_state(self) -> None:
-        """Rebuild the in-memory order list and kind mirror from the
-        LIDF records (uncounted peeks — derived state, not a measured
-        access; the persistence layer calls this on reopen)."""
-        free = set(self.lidf._free)
+    def persist_state(self) -> dict[str, Any]:
+        # Order list and kind mirror are derived state (each record
+        # stores value + kind) and are rebuilt on restore.
+        return {
+            **super().persist_state(),
+            "relabel_count": self.relabel_count,
+            "relabeled_items": self.relabeled_items,
+        }
+
+    def restore_state(self, meta: dict[str, Any]) -> None:
+        super().restore_state(meta)
+        self.relabel_count = meta["relabel_count"]
+        self.relabeled_items = meta["relabeled_items"]
         order: list[tuple[int, int]] = []
         kinds: dict[int, int] = {}
-        for lid in range(self.lidf._tail):
-            if lid in free:
-                continue
-            block_id, slot = self.lidf._locate(lid)
-            value, kind = self.store.peek(block_id)[slot]
+        for lid, (value, kind) in self.lidf.peek_records():
             order.append((value, lid))
             kinds[lid] = kind
         order.sort()
@@ -399,6 +403,16 @@ class AncestryDynamic(_OrderedGapScheme):
         self.capacity = dynamic_ancestry_universe(0)
         #: The Θ(lg n) spacing global renumberings re-establish.
         self.gap = dynamic_ancestry_gap(0)
+
+    # -- persistence: only the universe sizing is journaled -------------
+
+    def persist_state(self) -> dict[str, Any]:
+        return {**super().persist_state(), "capacity": self.capacity, "gap": self.gap}
+
+    def restore_state(self, meta: dict[str, Any]) -> None:
+        super().restore_state(meta)
+        self.capacity = meta["capacity"]
+        self.gap = meta["gap"]
 
     # -- layout --------------------------------------------------------
 

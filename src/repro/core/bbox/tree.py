@@ -26,7 +26,7 @@ insert/delete churn (at the price of slightly longer labels).
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Any, Sequence
 
 from ...config import BoxConfig
 from ...errors import ConfigError, InvariantViolation, UnknownLIDError
@@ -77,6 +77,32 @@ class BBox(LabelingScheme):
         self.root_id = self.store.allocate(BNode(leaf=True))
         self.height = 0
         self._live = 0
+
+    # ------------------------------------------------------------------
+    # persistence
+    # ------------------------------------------------------------------
+
+    def persist_state(self) -> dict[str, Any]:
+        return {
+            **super().persist_state(),
+            "root_id": self.root_id,
+            "height": self.height,
+            "live": self._live,
+            "ordinal": self.ordinal,
+            "min_fill_divisor": self.min_fill_divisor,
+        }
+
+    def restore_state(self, meta: dict[str, Any]) -> None:
+        super().restore_state(meta)
+        self.root_id = meta["root_id"]
+        self.height = meta["height"]
+        self._live = meta["live"]
+
+    @classmethod
+    def from_persisted(cls, config: BoxConfig, meta: dict[str, Any]) -> "BBox":
+        return cls(
+            config, ordinal=meta["ordinal"], min_fill_divisor=meta["min_fill_divisor"]
+        )
 
     # ------------------------------------------------------------------
     # accounting

@@ -246,6 +246,33 @@ class LabelingScheme(ABC):
         return self.clock
 
     # ------------------------------------------------------------------
+    # persistence (see repro.persist: snapshots and commit metadata)
+    # ------------------------------------------------------------------
+
+    def persist_state(self) -> dict[str, Any]:
+        """The scheme's own persistent state as a JSON-able dict: counters,
+        root pointers, and the constructor flags :meth:`from_persisted`
+        reads back.  Journaled with *every* file-backend commit, so keep
+        it O(1) — state derivable from the LIDF records is rebuilt in
+        :meth:`restore_state` instead.  Subclasses extend the base dict;
+        key order is part of the snapshot format.
+        """
+        return {"clock": self.clock}
+
+    def restore_state(self, meta: dict[str, Any]) -> None:
+        """Adopt the state :meth:`persist_state` produced.  The blocks
+        and the LIDF directory are already in place when this runs."""
+        self.clock = meta["clock"]
+
+    @classmethod
+    def from_persisted(cls, config: BoxConfig, meta: dict[str, Any]) -> "LabelingScheme":
+        """A fresh, empty scheme of the flavour ``meta`` describes, on a
+        default in-memory store (the caller restores or swaps the store,
+        then calls :meth:`restore_state`)."""
+        del meta
+        return cls(config)
+
+    # ------------------------------------------------------------------
     # reporting helpers
     # ------------------------------------------------------------------
 

@@ -24,7 +24,7 @@ benchmark).
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import Sequence
+from typing import Any, Sequence
 
 from ..config import BoxConfig
 from ..errors import LabelingError
@@ -155,6 +155,33 @@ class NaiveScheme(LabelingScheme):
             for lid in doomed:
                 self.delete(lid)
             return doomed
+
+    # ------------------------------------------------------------------
+    # persistence
+    # ------------------------------------------------------------------
+
+    def persist_state(self) -> dict[str, Any]:
+        # The in-memory order list is derived state (every record stores
+        # its value in the LIDF) and is rebuilt on restore; journaling it
+        # would make every file-backend commit O(n).
+        return {
+            **super().persist_state(),
+            "gap_bits": self.gap_bits,
+            "relabel_count": self.relabel_count,
+        }
+
+    def restore_state(self, meta: dict[str, Any]) -> None:
+        super().restore_state(meta)
+        self.relabel_count = meta["relabel_count"]
+        # Labels are distinct and totally ordered, so sorting reproduces
+        # the insort-maintained list exactly.
+        self._order = sorted(
+            (value, lid) for lid, (value, _gap) in self.lidf.peek_records()
+        )
+
+    @classmethod
+    def from_persisted(cls, config: BoxConfig, meta: dict[str, Any]) -> "NaiveScheme":
+        return cls(meta["gap_bits"], config)
 
     # ------------------------------------------------------------------
     # global relabel

@@ -29,7 +29,7 @@ Li/Oi prefix-free code of the original paper).
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import Sequence
+from typing import Any, Sequence
 
 from ..config import BoxConfig
 from ..errors import LabelingError
@@ -179,6 +179,14 @@ class OrdPath(LabelingScheme):
             ]
             self._order = [((2 * index + 1,), lid) for index, lid in enumerate(lids)]
         return lids
+
+    def restore_state(self, meta: dict[str, Any]) -> None:
+        super().restore_state(meta)
+        # The order list is derived state, as for naive-k: the snapshot
+        # codec hands labels back as tuples, which is what lookup returns.
+        self._order = sorted(
+            (tuple(label), lid) for lid, label in self.lidf.peek_records()
+        )
 
     def delete_range(self, first_lid: int, last_lid: int) -> list[int]:
         with self.store.operation():

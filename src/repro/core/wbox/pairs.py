@@ -27,7 +27,7 @@ outermost operation finishes (a *fixup session*).
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 from ...config import BoxConfig
 from ...errors import LabelingError, UnknownLIDError
@@ -75,6 +75,10 @@ class WBoxO(WBox):
         self._pending_moves: dict[int, tuple[PairRecord, int]] = {}
         self._pending_relabeled: dict[int, None] = {}
         super().__init__(config, store, lidf, ordinal)
+
+    @classmethod
+    def from_persisted(cls, config: BoxConfig, meta: dict[str, Any]) -> "WBoxO":
+        return cls(config, ordinal=meta["ordinal"])  # weight-balanced only
 
     # ------------------------------------------------------------------
     # record format hooks

@@ -22,6 +22,7 @@ label count the whole structure is rebuilt by bulk loading.
 
 from __future__ import annotations
 
+from typing import Any
 
 from ...config import BoxConfig
 from ...errors import InvariantViolation, UnknownLIDError
@@ -88,6 +89,34 @@ class WBox(LabelingScheme):
         self.root_weight = 0
         self._live = 0
         self._deletions = 0
+
+    # ------------------------------------------------------------------
+    # persistence
+    # ------------------------------------------------------------------
+
+    def persist_state(self) -> dict[str, Any]:
+        return {
+            **super().persist_state(),
+            "root_id": self.root_id,
+            "height": self.height,
+            "root_weight": self.root_weight,
+            "live": self._live,
+            "deletions": self._deletions,
+            "ordinal": self.ordinal,
+            "balance": self.balance,
+        }
+
+    def restore_state(self, meta: dict[str, Any]) -> None:
+        super().restore_state(meta)
+        self.root_id = meta["root_id"]
+        self.height = meta["height"]
+        self.root_weight = meta["root_weight"]
+        self._live = meta["live"]
+        self._deletions = meta["deletions"]
+
+    @classmethod
+    def from_persisted(cls, config: BoxConfig, meta: dict[str, Any]) -> "WBox":
+        return cls(config, ordinal=meta["ordinal"], balance=meta["balance"])
 
     # ------------------------------------------------------------------
     # record-format hooks (overridden by W-BOX-O)

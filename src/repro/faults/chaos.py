@@ -32,12 +32,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
 from ..config import BoxConfig
-from ..core.ancestry import AncestryDynamic, AncestryScheme
-from ..core.bbox.tree import BBox
-from ..core.naive import NaiveScheme
-from ..core.ordpath import OrdPath
-from ..core.wbox.pairs import WBoxO
-from ..core.wbox.tree import WBox
+from ..core.registry import scheme_factory
 from ..errors import (
     CrashError,
     FsyncFailedError,
@@ -59,17 +54,6 @@ from .plan import WRITER_CRASH, FaultInjector, FaultPlan, FaultSpec
 
 #: The scheme variants every sweep covers (CLI names).
 SCHEME_NAMES = ("wbox", "wboxo", "bbox", "bbox-o", "naive-8", "ancestry-dyn")
-
-_SCHEME_FACTORIES: dict[str, Callable[[BoxConfig, Any], Any]] = {
-    "wbox": lambda config, store: WBox(config, store=store),
-    "wboxo": lambda config, store: WBoxO(config, store=store),
-    "bbox": lambda config, store: BBox(config, store=store),
-    "bbox-o": lambda config, store: BBox(config, store=store, ordinal=True),
-    "naive-8": lambda config, store: NaiveScheme(8, config, store=store),
-    "ordpath": lambda config, store: OrdPath(config, store=store),
-    "ancestry": lambda config, store: AncestryScheme(config, store=store),
-    "ancestry-dyn": lambda config, store: AncestryDynamic(config, store=store),
-}
 
 #: Exceptions that mean "the machine died here" for sweep purposes.
 _CRASH_ERRORS = (CrashError, FsyncFailedError, TransientIOError)
@@ -184,23 +168,16 @@ def run_chaos_trial(
     max_ops: int = 300,
     base_labels: int = 24,
     config: BoxConfig | None = None,
-    backend_cls: type[FileBackend] = FileBackend,
 ) -> ChaosTrial:
-    """Run one crash-recovery trial in ``directory`` (caller-owned).
-
-    ``backend_cls`` picks the physical backend variant for both the
-    crashing run and the recovery reopen (e.g.
-    :class:`~repro.storage.MmapBackend`); the fault hooks and the on-disk
-    format are shared, so the same plans exercise every variant.
-    """
+    """Run one crash-recovery trial in ``directory`` (caller-owned)."""
     trial = ChaosTrial(scheme=scheme_name, plan=plan_name, seed=seed)
     if config is None:
         from ..config import TINY_CONFIG
 
         config = TINY_CONFIG
-    factory = _SCHEME_FACTORIES[scheme_name]
+    factory = scheme_factory(scheme_name)
     path = os.path.join(directory, f"{scheme_name}-{plan_name}-{seed}.pages")
-    backend = backend_cls(
+    backend = FileBackend(
         path,
         page_bytes=default_page_bytes(config.block_bytes),
         fsync=_plan_needs_fsync(plan),
@@ -222,7 +199,7 @@ def run_chaos_trial(
     backend.close()
 
     try:
-        reopened = open_file_scheme(path, backend_cls=backend_cls)
+        reopened = open_file_scheme(path)
     except RecoveryError as error:
         trial.error = f"recovery failed: {error}"
         return trial
@@ -269,7 +246,6 @@ def run_shard_chaos_trial(
     base_labels: int = 24,
     config: BoxConfig | None = None,
     n_shards: int = 2,
-    backend_cls: type[FileBackend] = FileBackend,
 ) -> ChaosTrial:
     """One crash-recovery trial against a live sharded service.
 
@@ -293,7 +269,7 @@ def run_shard_chaos_trial(
         from ..config import TINY_CONFIG
 
         config = TINY_CONFIG
-    factory = _SCHEME_FACTORIES[scheme_name]
+    factory = scheme_factory(scheme_name)
     router = ShardRouter(n_shards)
     root = os.path.join(directory, f"{scheme_name}-{plan_name}-{seed}.shards")
     backends = create_sharded_backends(
@@ -301,7 +277,6 @@ def run_shard_chaos_trial(
         n_shards,
         page_bytes=default_page_bytes(config.block_bytes),
         fsync=_plan_needs_fsync(plan),
-        backend_cls=backend_cls,
     )
     schemes = [
         factory(config, BlockStore(config, backend=backend)) for backend in backends
@@ -335,7 +310,7 @@ def run_shard_chaos_trial(
         backend.close()
 
     try:
-        reopened = open_sharded_schemes(root, backend_cls=backend_cls)
+        reopened = open_sharded_schemes(root)
     except RecoveryError as error:
         trial.error = f"recovery failed: {error}"
         return trial
@@ -407,21 +382,18 @@ def run_chaos_sweep(
     config: BoxConfig | None = None,
     root_dir: str | None = None,
     progress: Callable[[ChaosTrial], None] | None = None,
-    backend_cls: type[FileBackend] = FileBackend,
 ) -> ChaosReport:
     """The full sweep: ``seeds`` x ``plans`` x ``schemes`` trials.
 
     ``seeds`` may be a count (``20`` means seeds ``0..19``) or an explicit
-    iterable.  Unknown scheme names raise ``KeyError`` up front rather
-    than failing trials one by one.
+    iterable.  Unknown scheme names raise
+    :class:`~repro.errors.ReproError` up front rather than failing trials
+    one by one.
     """
     seed_list = list(range(seeds)) if isinstance(seeds, int) else list(seeds)
     scheme_list = list(schemes) if schemes is not None else list(SCHEME_NAMES)
     for name in scheme_list:
-        if name not in _SCHEME_FACTORIES:
-            raise KeyError(
-                f"unknown scheme {name!r}; choose from {sorted(_SCHEME_FACTORIES)}"
-            )
+        scheme_factory(name)
     plan_map = plans if plans is not None else standard_plans()
     report = ChaosReport()
     with tempfile.TemporaryDirectory(
@@ -442,7 +414,6 @@ def run_chaos_sweep(
                         max_ops=max_ops,
                         base_labels=base_labels,
                         config=config,
-                        backend_cls=backend_cls,
                     )
                     report.trials.append(trial)
                     if progress is not None:

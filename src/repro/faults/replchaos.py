@@ -40,10 +40,11 @@ import time
 from typing import Any, Callable, Iterable
 
 from ..config import BoxConfig
+from ..core.registry import scheme_factory
 from ..storage import BlockStore, default_page_bytes
 from ..storage.shardlayout import shard_page_path
 from ..workloads.sequences import crash_recovery_tape
-from .chaos import _SCHEME_FACTORIES, ChaosReport, ChaosTrial, _bulk
+from .chaos import ChaosReport, ChaosTrial, _bulk
 
 #: The replication crash stories a ``--repl`` sweep covers.
 REPL_PLAN_NAMES = ("follower-kill", "primary-restart")
@@ -102,7 +103,7 @@ def run_repl_chaos_trial(
         from ..config import TINY_CONFIG
 
         config = TINY_CONFIG
-    factory = _SCHEME_FACTORIES[scheme_name]
+    factory = scheme_factory(scheme_name)
     rng = random.Random((seed << 8) ^ 0x5EED)
     path = os.path.join(directory, f"repl-{scheme_name}-{plan_name}-{seed}.pages")
     froot = path + ".replica"
@@ -256,10 +257,7 @@ def run_repl_chaos_sweep(
     scheme_list = list(schemes) if schemes is not None else ["wbox"]
     plan_list = list(plans) if plans is not None else list(REPL_PLAN_NAMES)
     for name in scheme_list:
-        if name not in _SCHEME_FACTORIES:
-            raise KeyError(
-                f"unknown scheme {name!r}; choose from {sorted(_SCHEME_FACTORIES)}"
-            )
+        scheme_factory(name)
     report = ChaosReport()
     with tempfile.TemporaryDirectory(
         prefix="repro-repl-chaos-", dir=root_dir

@@ -9,7 +9,8 @@ container written in one pass —
 
 * a magic string and a JSON header (scheme class, config, counters, LIDF
   directory, block-store allocation state);
-* one record per block: block id, a kind tag, and the payload fields.
+* a block count, then per block its id and its
+  :func:`~repro.storage.codec.encode_block_payload` image, back to back.
 
 Varints keep the format correct even for values that outgrow fixed-width
 fields (naive-k label values with large k, W-BOX range origins after many
@@ -25,8 +26,12 @@ scheme whose LIDs all resolve.  :func:`checkpoint_scheme` is the explicit
 flush: every resident block committed, the WAL truncated.  The historical
 whole-structure snapshot is thereby just one checkpoint format among two.
 
-Supported schemes: W-BOX, W-BOX-O, B-BOX (each with any flags), naive-k
-and ORDPATH.  Round trip::
+This module knows no concrete scheme.  What a scheme's persistent state
+*is* belongs to the scheme (``persist_state`` / ``restore_state`` /
+``from_persisted`` on :class:`~repro.core.interface.LabelingScheme`, and
+the same pair on the LIDF :class:`~repro.storage.HeapFile`); which class a
+stored name means belongs to :mod:`repro.core.registry`.  Any registered
+scheme round-trips::
 
     save_scheme(scheme, "labels.box")
     scheme = load_scheme("labels.box")
@@ -37,29 +42,26 @@ whole point of the LIDF).
 
 from __future__ import annotations
 
-import io
+import dataclasses
 import json
 import os
+import shutil
 from typing import Any
 
 from .config import BoxConfig
-from .core.ancestry import AncestryDynamic, AncestryScheme, _OrderedGapScheme
-from .core.bbox.tree import BBox
-from .core.naive import NaiveScheme
-from .core.ordpath import OrdPath
-from .core.wbox.pairs import WBoxO
-from .core.wbox.tree import WBox
+from .core.registry import scheme_class
 from .errors import PersistError
 from .storage import BlockStore, FileBackend, HeapFile
-from .storage.shardlayout import read_manifest, shard_page_path, write_manifest
 from .storage.codec import (
-    decode_payload as _decode_payload,
-    encode_payload as _encode_payload,
-    read_svarint,
-    read_uvarint,
-    write_svarint,
-    write_uvarint,
+    append_uvarints,
+    check_count,
+    decode_block_payload_at,
+    encode_block_payload,
+    scan_uvarint,
+    scan_uvarints,
+    uvarint_bytes,
 )
+from .storage.shardlayout import read_manifest, shard_page_path, write_manifest
 
 __all__ = [
     "MAGIC",
@@ -78,83 +80,10 @@ __all__ = [
     "open_sharded_schemes",
     "checkpoint_sharded",
     "scheme_metadata_header",
-    "read_uvarint",
-    "write_uvarint",
-    "read_svarint",
-    "write_svarint",
+    "restore_scheme_state",
 ]
 
 MAGIC = b"BOXS0001"
-
-
-# ----------------------------------------------------------------------
-# scheme metadata
-# ----------------------------------------------------------------------
-
-_SCHEME_CLASSES = {
-    "WBox": WBox,
-    "WBoxO": WBoxO,
-    "BBox": BBox,
-    "NaiveScheme": NaiveScheme,
-    "OrdPath": OrdPath,
-    "AncestryScheme": AncestryScheme,
-    "AncestryDynamic": AncestryDynamic,
-}
-
-
-def _scheme_metadata(scheme: Any) -> dict:
-    meta: dict[str, Any] = {"clock": scheme.clock}
-    if isinstance(scheme, WBox):  # includes WBoxO
-        meta.update(
-            root_id=scheme.root_id,
-            height=scheme.height,
-            root_weight=scheme.root_weight,
-            live=scheme._live,
-            deletions=scheme._deletions,
-            ordinal=scheme.ordinal,
-            balance=scheme.balance,
-        )
-    elif isinstance(scheme, BBox):
-        meta.update(
-            root_id=scheme.root_id,
-            height=scheme.height,
-            live=scheme._live,
-            ordinal=scheme.ordinal,
-            min_fill_divisor=scheme.min_fill_divisor,
-        )
-    elif isinstance(scheme, NaiveScheme):
-        # The in-memory order list is derived state (every record stores
-        # its value in the LIDF) and is rebuilt on restore; journaling it
-        # would make every file-backend commit O(n).
-        meta.update(
-            gap_bits=scheme.gap_bits,
-            relabel_count=scheme.relabel_count,
-        )
-    elif isinstance(scheme, AncestryDynamic):
-        # Order list and kind mirror are derived state (each record
-        # stores value + kind); only the universe sizing is journaled.
-        meta.update(
-            relabel_count=scheme.relabel_count,
-            relabeled_items=scheme.relabeled_items,
-            capacity=scheme.capacity,
-            gap=scheme.gap,
-        )
-    elif isinstance(scheme, AncestryScheme):
-        meta.update(
-            relabel_count=scheme.relabel_count,
-            relabeled_items=scheme.relabeled_items,
-        )
-    elif isinstance(scheme, OrdPath):
-        pass  # order list is derived state, as for naive-k
-    else:
-        raise PersistError(f"cannot persist scheme type {type(scheme).__name__}")
-    return meta
-
-
-def _config_fields(config: BoxConfig) -> dict:
-    import dataclasses
-
-    return {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
 
 
 # ----------------------------------------------------------------------
@@ -174,23 +103,22 @@ def scheme_metadata_header(scheme: Any) -> dict:
     counts I/Os) identically to the original process.
     """
     type_name = type(scheme).__name__
-    if type_name not in _SCHEME_CLASSES:
+    if scheme_class(type_name) is not type(scheme):
         raise PersistError(f"cannot persist scheme type {type_name}")
-    store: BlockStore = scheme.store
-    lidf: HeapFile = scheme.lidf
+    backend = scheme.store.backend
     return {
         "scheme": type_name,
-        "config": _config_fields(scheme.config),
-        "meta": _scheme_metadata(scheme),
-        "lidf": {
-            "block_ids": list(lidf._block_ids),
-            "free": list(lidf._free),
-            "tail": lidf._tail,
-            "live": lidf._live,
+        # Not dataclasses.asdict: its deep copy doubles the cost of this
+        # dict, which every commit builds.
+        "config": {
+            f.name: getattr(scheme.config, f.name)
+            for f in dataclasses.fields(scheme.config)
         },
+        "meta": scheme.persist_state(),
+        "lidf": scheme.lidf.persist_state(),
         "store": {
-            "next_id": store.backend.next_id,
-            "free_ids": list(store.backend.free_ids),
+            "next_id": backend.next_id,
+            "free_ids": list(backend.free_ids),
         },
     }
 
@@ -203,18 +131,17 @@ def save_scheme(scheme: Any, path: str) -> None:
     # kept for format stability (load re-heapifies / re-lists anyway).
     header["lidf"]["free"] = sorted(header["lidf"]["free"])
     header["store"]["free_ids"] = sorted(header["store"]["free_ids"])
-    body = io.BytesIO()
     block_ids = sorted(store.block_ids())
-    write_uvarint(body, len(block_ids))
+    body = bytearray(uvarint_bytes(len(block_ids)))
     for block_id in block_ids:
-        write_uvarint(body, block_id)
-        _encode_payload(body, store.peek(block_id))
+        body += uvarint_bytes(block_id)
+        body += encode_block_payload(store.peek(block_id))
     header_bytes = json.dumps(header).encode("utf-8")
     with open(path, "wb") as handle:
         handle.write(MAGIC)
         handle.write(len(header_bytes).to_bytes(8, "big"))
         handle.write(header_bytes)
-        handle.write(body.getvalue())
+        handle.write(body)
 
 
 def save_document(document: Any, path: str) -> None:
@@ -246,11 +173,9 @@ def save_document(document: Any, path: str) -> None:
         handle.write(b"DOCSECT1")
         handle.write(len(xml_bytes).to_bytes(8, "big"))
         handle.write(xml_bytes)
-        body = io.BytesIO()
-        write_uvarint(body, len(lids))
-        for lid in lids:
-            write_uvarint(body, lid)
-        handle.write(body.getvalue())
+        body = bytearray(uvarint_bytes(len(lids)))
+        append_uvarints(body, lids)
+        handle.write(body)
 
 
 def load_document(path: str) -> Any:
@@ -265,9 +190,9 @@ def load_document(path: str) -> Any:
         raise PersistError(f"{path} has no document section (saved with save_scheme?)")
     xml_length = int.from_bytes(remainder[8:16], "big")
     xml_text = remainder[16 : 16 + xml_length].decode("utf-8")
-    body = io.BytesIO(remainder[16 + xml_length :])
-    count = read_uvarint(body)
-    lids = [read_uvarint(body) for _ in range(count)]
+    body = remainder[16 + xml_length :]
+    count, pos = scan_uvarint(body, 0)
+    lids, _ = scan_uvarints(body, pos, count)
 
     root = parse(xml_text)
     document = LabeledDocument(scheme)  # bind without bulk loading
@@ -295,16 +220,19 @@ def load_scheme(path: str) -> Any:
 
 def _load_scheme_and_rest(path: str) -> tuple[Any, bytes]:
     with open(path, "rb") as handle:
-        if handle.read(len(MAGIC)) != MAGIC:
-            raise PersistError(f"{path} is not a saved BOX structure")
-        header_length = int.from_bytes(handle.read(8), "big")
-        header = json.loads(handle.read(header_length).decode("utf-8"))
-        blocks: dict[int, Any] = {}
-        count = read_uvarint(handle)
-        for _ in range(count):
-            block_id = read_uvarint(handle)
-            blocks[block_id] = _decode_payload(handle)
-        remainder = handle.read()
+        data = handle.read()
+    if data[: len(MAGIC)] != MAGIC:
+        raise PersistError(f"{path} is not a saved BOX structure")
+    pos = len(MAGIC) + 8
+    header_length = int.from_bytes(data[len(MAGIC) : pos], "big")
+    header = json.loads(data[pos : pos + header_length].decode("utf-8"))
+    pos += header_length
+    blocks: dict[int, Any] = {}
+    count, pos = scan_uvarint(data, pos)
+    check_count(data, pos, count)
+    for _ in range(count):
+        block_id, pos = scan_uvarint(data, pos)
+        blocks[block_id], pos = decode_block_payload_at(data, pos)
 
     scheme = _instantiate_scheme(header)
     store: BlockStore = scheme.store
@@ -312,8 +240,8 @@ def _load_scheme_and_rest(path: str) -> tuple[Any, bytes]:
         blocks, header["store"]["next_id"], list(header["store"]["free_ids"])
     )
     store.stats.reset()
-    _restore_scheme_state(scheme, header)
-    return scheme, remainder
+    restore_scheme_state(scheme, header)
+    return scheme, data[pos:]
 
 
 def _instantiate_scheme(header: dict) -> Any:
@@ -322,79 +250,20 @@ def _instantiate_scheme(header: dict) -> Any:
     The scheme comes with a default in-memory store; callers either bulk
     restore into its backend (snapshots) or swap the store for a
     file-backed one (:func:`open_file_scheme`)."""
-    config = BoxConfig(**header["config"])
-    cls = _SCHEME_CLASSES[header["scheme"]]
-    meta = header["meta"]
-    if cls is OrdPath:
-        return OrdPath(config)
-    if cls in (AncestryScheme, AncestryDynamic):
-        return cls(config)
-    if cls is NaiveScheme:
-        return NaiveScheme(meta["gap_bits"], config)
-    if cls is BBox:
-        return BBox(config, ordinal=meta["ordinal"], min_fill_divisor=meta["min_fill_divisor"])
-    if cls is WBoxO:
-        return WBoxO(config, ordinal=meta["ordinal"])
-    return WBox(config, ordinal=meta["ordinal"], balance=meta["balance"])
+    cls = scheme_class(header["scheme"])
+    if cls is None:
+        raise PersistError(f"cannot load scheme type {header['scheme']}")
+    return cls.from_persisted(BoxConfig(**header["config"]), header["meta"])
 
 
-def _restore_scheme_state(scheme: Any, header: dict) -> None:
-    """Restore the LIDF directory and per-scheme counters from a header.
-
-    The block payloads themselves must already be in ``scheme.store``."""
-    import heapq
-
-    meta = header["meta"]
-    lidf: HeapFile = scheme.lidf
-    lidf._block_ids = list(header["lidf"]["block_ids"])
-    lidf._free = list(header["lidf"]["free"])
-    heapq.heapify(lidf._free)
-    lidf._tail = header["lidf"]["tail"]
-    lidf._live = header["lidf"]["live"]
-
-    scheme.clock = meta["clock"]
-    if isinstance(scheme, WBox):
-        scheme.root_id = meta["root_id"]
-        scheme.height = meta["height"]
-        scheme.root_weight = meta["root_weight"]
-        scheme._live = meta["live"]
-        scheme._deletions = meta["deletions"]
-    elif isinstance(scheme, BBox):
-        scheme.root_id = meta["root_id"]
-        scheme.height = meta["height"]
-        scheme._live = meta["live"]
-    elif isinstance(scheme, OrdPath):
-        scheme._order = _derived_order(scheme)
-    elif isinstance(scheme, _OrderedGapScheme):
-        scheme.relabel_count = meta["relabel_count"]
-        scheme.relabeled_items = meta["relabeled_items"]
-        if isinstance(scheme, AncestryDynamic):
-            scheme.capacity = meta["capacity"]
-            scheme.gap = meta["gap"]
-        scheme.rebuild_derived_state()
-    elif isinstance(scheme, NaiveScheme):
-        scheme.relabel_count = meta["relabel_count"]
-        scheme._order = _derived_order(scheme)
-
-
-def _derived_order(scheme: Any) -> list[tuple[Any, int]]:
-    """Rebuild the in-memory ``(value, lid)`` sort oracle of naive-k /
-    ORDPATH from the LIDF records.
-
-    Labels are distinct and totally ordered, so sorting reproduces the
-    insort-maintained list exactly.  Reads are uncounted peeks: the list
-    is derived state, not a measured access."""
-    lidf: HeapFile = scheme.lidf
-    free = set(lidf._free)
-    entries: list[tuple[Any, int]] = []
-    for lid in range(lidf._tail):
-        if lid in free:
-            continue
-        block_id, slot = lidf._locate(lid)
-        record = scheme.store.peek(block_id)[slot]
-        entries.append((record[0] if isinstance(scheme, NaiveScheme) else tuple(record), lid))
-    entries.sort()
-    return entries
+def restore_scheme_state(scheme: Any, header: dict) -> None:
+    """Restore the LIDF directory and the scheme's own state from a
+    :func:`scheme_metadata_header` dict (snapshot header, or the metadata
+    of a commit — a replication follower applies each shipped commit's
+    through this).  The block payloads themselves must already be in
+    ``scheme.store``."""
+    scheme.lidf.restore_state(header["lidf"])
+    scheme.restore_state(header["meta"])
 
 
 # ----------------------------------------------------------------------
@@ -481,7 +350,6 @@ def restore_to_checkpoint(
     path: str,
     target: str,
     upto_segment: int | None = None,
-    backend_cls: type[FileBackend] = FileBackend,
 ) -> dict:
     """Point-in-time recovery: rebuild ``path``'s state at a recorded
     checkpoint + sealed-segment prefix into a fresh page file ``target``.
@@ -503,11 +371,10 @@ def restore_to_checkpoint(
         for seg in manifest["segments"]
         if upto_segment is None or seg <= upto_segment
     ]
-    horizon = (upto_segment if upto_segment is not None else None)
     candidates = [
         record
         for record in manifest["checkpoints"]
-        if horizon is None or record["segment"] <= horizon + 1
+        if upto_segment is None or record["segment"] <= upto_segment + 1
     ]
     if not candidates:
         raise PersistError(
@@ -515,23 +382,12 @@ def restore_to_checkpoint(
         )
     record = candidates[-1]
     image = os.path.join(os.path.dirname(path) or ".", record["image"])
-    with open(image, "rb") as src, open(target, "wb") as dst:
-        while True:
-            chunk = src.read(1 << 20)
-            if not chunk:
-                break
-            dst.write(chunk)
+    shutil.copyfile(image, target)
     for seg in segments:
         if seg < record["segment"]:
             continue
-        with open(segment_path(path, seg), "rb") as src:
-            with open(target + ".wal", "wb") as dst:
-                while True:
-                    chunk = src.read(1 << 20)
-                    if not chunk:
-                        break
-                    dst.write(chunk)
-        backend_cls(target).close()
+        shutil.copyfile(segment_path(path, seg), target + ".wal")
+        FileBackend(target).close()
     return record
 
 
@@ -539,7 +395,6 @@ def open_file_scheme(
     path: str,
     page_bytes: int | None = None,
     fsync: bool = False,
-    backend_cls: type[FileBackend] = FileBackend,
     retain_wal: bool = False,
 ) -> Any:
     """Open a page file written through a scheme-attached
@@ -548,12 +403,9 @@ def open_file_scheme(
 
     The reopened scheme has fresh I/O counters; every committed LID
     resolves to its pre-crash label.  The backend's ``recovery_report``
-    says what recovery found and did.  ``backend_cls`` selects the
-    physical read path (:class:`~repro.storage.mmapbackend.MmapBackend`
-    for zero-copy page reads) — the on-disk format is shared, so any
-    variant opens any file.
+    says what recovery found and did.
     """
-    backend = backend_cls(
+    backend = FileBackend(
         path, page_bytes=page_bytes, fsync=fsync, retain_wal=retain_wal
     )
     header = backend.metadata
@@ -570,7 +422,7 @@ def open_file_scheme(
     store = BlockStore(scheme.config, backend=backend)
     scheme.store = store
     scheme.lidf = HeapFile(store, scheme.config)
-    _restore_scheme_state(scheme, header)
+    restore_scheme_state(scheme, header)
     store.stats.reset()
     attach_scheme_to_backend(scheme)
     return scheme
@@ -586,7 +438,6 @@ def create_sharded_backends(
     n_shards: int,
     page_bytes: int | None = None,
     fsync: bool = False,
-    backend_cls: type[FileBackend] = FileBackend,
     retain_wal: bool = False,
 ) -> list[FileBackend]:
     """Create a sharded store directory: the manifest plus one fresh
@@ -600,7 +451,7 @@ def create_sharded_backends(
     """
     write_manifest(root, n_shards, page_bytes=page_bytes)
     return [
-        backend_cls(
+        FileBackend(
             shard_page_path(root, shard),
             page_bytes=page_bytes,
             fsync=fsync,
@@ -614,7 +465,6 @@ def open_sharded_schemes(
     root: str,
     page_bytes: int | None = None,
     fsync: bool = False,
-    backend_cls: type[FileBackend] = FileBackend,
     retain_wal: bool = False,
 ) -> list[Any]:
     """Open every shard of a sharded store directory, in shard order.
@@ -631,7 +481,6 @@ def open_sharded_schemes(
             shard_page_path(root, shard),
             page_bytes=page_bytes,
             fsync=fsync,
-            backend_cls=backend_cls,
             retain_wal=retain_wal,
         )
         for shard in range(manifest["n_shards"])

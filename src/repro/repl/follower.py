@@ -41,7 +41,7 @@ from ..core.cachelog import LABEL_CHANNEL, ORDINAL_CHANNEL, invalidate_all
 from ..net import protocol as proto
 from ..net.client import NetClient
 from ..obs.metrics import get_registry
-from ..persist import _restore_scheme_state, open_file_scheme
+from ..persist import open_file_scheme, restore_scheme_state
 from ..service.service import LabelService
 from ..service.sharded import ShardedLabelService
 from ..storage.codec import decode_block_payload
@@ -264,7 +264,7 @@ class ShardFollower:
                     backend._objects.pop(block_id)
             backend._write_superblock(state)
             backend._sync(backend._handle)
-            _restore_scheme_state(self.scheme, state["meta"])
+            restore_scheme_state(self.scheme, state["meta"])
             clock = self.scheme.clock
             service.log.record(invalidate_all(clock, LABEL_CHANNEL))
             service.log.record(invalidate_all(clock, ORDINAL_CHANNEL))

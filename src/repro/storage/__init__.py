@@ -13,7 +13,6 @@ from .cache import BlockCache
 from .blockstore import BlockStore, OperationBuffer, ReaderWriterLatch
 from .filebackend import FileBackend, default_page_bytes, read_superblock
 from .heapfile import HeapFile
-from .mmapbackend import MmapBackend
 from .shardlayout import (
     MANIFEST_NAME,
     is_sharded_root,
@@ -41,7 +40,6 @@ __all__ = [
     "StorageBackend",
     "MemoryBackend",
     "FileBackend",
-    "MmapBackend",
     "default_page_bytes",
     "read_superblock",
     "BlockCache",

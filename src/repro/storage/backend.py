@@ -165,11 +165,6 @@ class StorageBackend(ABC):
         for block_id, payload in blocks.items():
             self._install(block_id, payload)
 
-    @property
-    def describes_as(self) -> str:
-        """Short human-readable backend name for diagnostics."""
-        return type(self).__name__
-
 
 class MemoryBackend(StorageBackend):
     """Live-object block residency: the historical in-memory store.

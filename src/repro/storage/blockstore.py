@@ -194,13 +194,6 @@ class BlockStore:
         self._buffers = threading.local()
         self.cache = BlockCache(cache_capacity, cache_mode)
         self._cache_capacity = cache_capacity
-        # A backend that remaps its read views (MmapBackend) invalidates
-        # anything admitted against the old mapping: wipe the id cache so
-        # no admission decision outlives the view it was made from.  Duck-
-        # typed so the store stays backend-agnostic.
-        register_remap = getattr(self.backend, "register_remap_listener", None)
-        if register_remap is not None:
-            register_remap(self.cache.clear)
         #: Shared/exclusive latch for concurrent direct reads (advisory;
         #: taken by the label service, never by single-threaded paths).
         self.latch = ReaderWriterLatch()

@@ -51,7 +51,6 @@ class BlockCache:
         "protected_capacity",
         "probation_capacity",
         "_lock",
-        "generation",
     )
 
     def __init__(self, capacity: int = 0, mode: str = "lru") -> None:
@@ -69,10 +68,6 @@ class BlockCache:
         self.protected_capacity = (numerator * capacity) // denominator
         self.probation_capacity = capacity - self.protected_capacity
         self._lock = threading.Lock()
-        #: Bumped on every :meth:`clear`, so holders of anything derived
-        #: from cached state (e.g. zero-copy views into a since-remapped
-        #: page file) can detect that their snapshot predates a wipe.
-        self.generation = 0
 
     @property
     def enabled(self) -> bool:
@@ -136,9 +131,3 @@ class BlockCache:
             self._probation.pop(block_id, None)
             self._protected.pop(block_id, None)
 
-    def clear(self) -> None:
-        """Empty the cache (both segments) and advance the generation."""
-        with self._lock:
-            self._probation.clear()
-            self._protected.clear()
-            self.generation += 1

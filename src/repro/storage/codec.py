@@ -1,366 +1,47 @@
-"""Block codecs: bit-packed layout proofs and the live-payload block codec.
+"""The block codec: how a live node becomes bytes.
 
-Two codecs live here, serving two different honesty requirements:
-
-**Layout proofs** (the ``encode_*``/``decode_*`` image functions): the hot
-paths of this package keep nodes as Python objects and only *count* block
-I/Os, but the block-size-derived capacities in
-:class:`~repro.config.BoxConfig` are honest exactly when a maximally full
-node really fits in a block.  The bit-packed encoders/decoders for every
-node layout provide the proof, used by the test suite to assert
-
-* a node at maximum capacity encodes to ``<= block_bytes`` bytes, and
-* encodings round-trip losslessly.
-
-The encoders are deliberately simple fixed-width packers (a real system
-would add checksums and versioning); they match the field widths declared
-in :class:`BoxConfig` plus the declared node header.
-
-**The live-payload block codec** (:func:`encode_block_payload` /
-:func:`decode_block_payload`): a varint container that round-trips every
-payload the trees actually allocate — ``WNode`` (basic and W-BOX-O pair
-leaves), ``BNode``, and LIDF record lists (ints, naive-k ``(value, gap)``
-pairs, ORDPATH component vectors).  This is the wire format of the
+One varint container round-trips every payload the trees actually
+allocate — ``WNode`` (basic and W-BOX-O pair leaves), ``BNode``, and LIDF
+record lists (ints, naive-k ``(value, gap)`` pairs, ORDPATH component
+vectors).  It is the format of the
 :class:`~repro.storage.filebackend.FileBackend`'s pages and write-ahead
-log, and of :mod:`repro.persist` snapshots — one codec, three consumers.
-Varints keep it correct for values that outgrow fixed-width fields
-(naive-k label values with large k, W-BOX range origins after many root
-splits).
+log and of :mod:`repro.persist` snapshot bodies — one codec, three
+consumers.  Varints (unsigned LEB128; signed values zigzag-encoded) keep
+it correct for values that outgrow fixed-width fields (naive-k label
+values with large k, W-BOX range origins after many root splits).
+
+The codec moves whole rows at a time: the encoder flattens a node's
+child arrays into one list of ints and appends their varints to a
+``bytearray`` in one pass; the decoder scans varints straight out of the
+buffer (``bytes`` or a ``memoryview``) by index.  Two uniform-width tiers
+use C-level batch packing — ``bytes(seq)`` when every value is a
+single-byte varint, ``array('H')`` word packing when every value is
+exactly two bytes — and mixed-width rows fall back to a tight per-value
+loop.  Values that overflow a tier are exactly the values the generic
+loop encodes, so the bytes never depend on the tier.
+
+The byte-at-a-time streaming implementation this replaced lives on as
+the byte-identity oracle in ``tests/codec_reference.py``; the bit-packed
+layout images that prove ``BoxConfig``'s capacities fit a block are
+test-only too (``tests/layout_images.py``).
+
+Everything decoded here may come from an untrusted file, so every
+element count is checked against the bytes that remain (each element
+costs at least one byte) before anything is allocated, and every
+malformed input surfaces as :class:`~repro.errors.PersistError`.
 """
 
 from __future__ import annotations
 
-import io
-import struct
 import sys
 from array import array
-from dataclasses import dataclass, field
-from typing import Any, BinaryIO
+from typing import Any
 
-from ..config import BoxConfig
-from ..errors import BlockOverflowError, PersistError
-
-
-class BitWriter:
-    """Append-only bit buffer with fixed-width integer writes."""
-
-    def __init__(self) -> None:
-        self._acc = 0
-        self._nbits = 0
-
-    def write(self, value: int, width: int) -> None:
-        """Append ``value`` as an unsigned ``width``-bit integer."""
-        if value < 0 or value >= (1 << width):
-            raise ValueError(f"value {value} does not fit in {width} bits")
-        self._acc = (self._acc << width) | value
-        self._nbits += width
-
-    @property
-    def bit_length(self) -> int:
-        """Number of bits written so far."""
-        return self._nbits
-
-    def getvalue(self) -> bytes:
-        """The buffer, padded with zero bits to a whole number of bytes."""
-        pad = (-self._nbits) % 8
-        return ((self._acc << pad)).to_bytes((self._nbits + pad) // 8 or 1, "big")
-
-
-class BitReader:
-    """Sequential fixed-width integer reads over a byte buffer."""
-
-    def __init__(self, data: bytes) -> None:
-        self._value = int.from_bytes(data, "big")
-        self._remaining = len(data) * 8
-
-    def read(self, width: int) -> int:
-        """Consume and return the next ``width`` bits as an unsigned int."""
-        if width > self._remaining:
-            raise ValueError("read past end of buffer")
-        self._remaining -= width
-        return (self._value >> self._remaining) & ((1 << width) - 1)
-
+from ..errors import PersistError
 
 # ----------------------------------------------------------------------
-# plain-data node images
+# varint rows
 # ----------------------------------------------------------------------
-
-
-@dataclass
-class WBoxLeafImage:
-    """Encodable image of a basic W-BOX leaf: LIDs + deleted flags.
-
-    The leaf's assigned-range origin lives in the node header; labels are
-    implicit (origin + position)."""
-
-    range_lo: int
-    lids: list[int] = field(default_factory=list)
-    deleted: list[bool] = field(default_factory=list)
-
-
-@dataclass
-class WBoxInternalImage:
-    """Encodable image of an internal W-BOX node: per-child (pointer, slot,
-    weight, size) tuples plus the node's own range origin."""
-
-    range_lo: int
-    children: list[tuple[int, int, int, int]] = field(default_factory=list)
-
-
-@dataclass
-class BBoxLeafImage:
-    """Encodable image of a B-BOX leaf: back-link plus LIDs."""
-
-    back_link: int
-    lids: list[int] = field(default_factory=list)
-
-
-@dataclass
-class BBoxInternalImage:
-    """Encodable image of an internal B-BOX node: back-link plus per-child
-    (pointer, size) tuples."""
-
-    back_link: int
-    children: list[tuple[int, int]] = field(default_factory=list)
-
-
-@dataclass
-class LidfBlockImage:
-    """Encodable image of one LIDF block: per-slot (live, pointer_or_value,
-    aux) records.  BOX schemes use ``pointer_or_value`` as the leaf block
-    pointer; naive-k uses it as the label value and ``aux`` as the gap."""
-
-    slots: list[tuple[bool, int, int]] = field(default_factory=list)
-
-
-# ----------------------------------------------------------------------
-# encoders
-# ----------------------------------------------------------------------
-
-_COUNT_WIDTH = 16  # entry counters within the header
-_LEVEL_WIDTH = 8
-_RANGE_WIDTH = 64  # range origins can exceed label_bits transiently; header pays
-
-
-def _header(writer: BitWriter, config: BoxConfig, kind: int, count: int, extra: int) -> None:
-    """Write the declared node header (padded to config.node_header_bits)."""
-    writer.write(kind, _LEVEL_WIDTH)
-    writer.write(count, _COUNT_WIDTH)
-    writer.write(extra & ((1 << _RANGE_WIDTH) - 1), _RANGE_WIDTH)
-    used = _LEVEL_WIDTH + _COUNT_WIDTH + _RANGE_WIDTH
-    if used > config.node_header_bits:
-        raise BlockOverflowError(
-            f"declared node_header_bits={config.node_header_bits} cannot hold "
-            f"the {used}-bit header"
-        )
-    writer.write(0, config.node_header_bits - used)
-
-
-def _check_fits(writer: BitWriter, config: BoxConfig, what: str) -> bytes:
-    if writer.bit_length > config.block_bits:
-        raise BlockOverflowError(
-            f"{what} needs {writer.bit_length} bits but the block holds "
-            f"{config.block_bits}"
-        )
-    return writer.getvalue()
-
-
-def encode_wbox_leaf(image: WBoxLeafImage, config: BoxConfig) -> bytes:
-    """Encode a basic W-BOX leaf; raises BlockOverflowError if oversized."""
-    writer = BitWriter()
-    _header(writer, config, kind=1, count=len(image.lids), extra=image.range_lo)
-    for lid, dead in zip(image.lids, image.deleted):
-        writer.write(lid, config.lid_bits)
-        writer.write(1 if dead else 0, 1)
-    return _check_fits(writer, config, "W-BOX leaf")
-
-
-def decode_wbox_leaf(data: bytes, config: BoxConfig) -> WBoxLeafImage:
-    reader = BitReader(data)
-    reader.read(_LEVEL_WIDTH)
-    count = reader.read(_COUNT_WIDTH)
-    range_lo = reader.read(_RANGE_WIDTH)
-    reader.read(config.node_header_bits - _LEVEL_WIDTH - _COUNT_WIDTH - _RANGE_WIDTH)
-    lids, deleted = [], []
-    for _ in range(count):
-        lids.append(reader.read(config.lid_bits))
-        deleted.append(bool(reader.read(1)))
-    return WBoxLeafImage(range_lo=range_lo, lids=lids, deleted=deleted)
-
-
-def encode_wbox_internal(image: WBoxInternalImage, config: BoxConfig) -> bytes:
-    """Encode an internal W-BOX node; raises BlockOverflowError if oversized."""
-    writer = BitWriter()
-    _header(writer, config, kind=2, count=len(image.children), extra=image.range_lo)
-    for pointer, slot, weight, size in image.children:
-        writer.write(pointer, config.pointer_bits)
-        writer.write(slot, 8)
-        writer.write(weight, config.weight_bits)
-        writer.write(size, config.size_bits)
-    return _check_fits(writer, config, "W-BOX internal node")
-
-
-def decode_wbox_internal(data: bytes, config: BoxConfig) -> WBoxInternalImage:
-    reader = BitReader(data)
-    reader.read(_LEVEL_WIDTH)
-    count = reader.read(_COUNT_WIDTH)
-    range_lo = reader.read(_RANGE_WIDTH)
-    reader.read(config.node_header_bits - _LEVEL_WIDTH - _COUNT_WIDTH - _RANGE_WIDTH)
-    children = []
-    for _ in range(count):
-        pointer = reader.read(config.pointer_bits)
-        slot = reader.read(8)
-        weight = reader.read(config.weight_bits)
-        size = reader.read(config.size_bits)
-        children.append((pointer, slot, weight, size))
-    return WBoxInternalImage(range_lo=range_lo, children=children)
-
-
-def encode_bbox_leaf(image: BBoxLeafImage, config: BoxConfig) -> bytes:
-    """Encode a B-BOX leaf; raises BlockOverflowError if oversized."""
-    writer = BitWriter()
-    _header(writer, config, kind=3, count=len(image.lids), extra=image.back_link)
-    for lid in image.lids:
-        writer.write(lid, config.lid_bits)
-    return _check_fits(writer, config, "B-BOX leaf")
-
-
-def decode_bbox_leaf(data: bytes, config: BoxConfig) -> BBoxLeafImage:
-    reader = BitReader(data)
-    reader.read(_LEVEL_WIDTH)
-    count = reader.read(_COUNT_WIDTH)
-    back_link = reader.read(_RANGE_WIDTH)
-    reader.read(config.node_header_bits - _LEVEL_WIDTH - _COUNT_WIDTH - _RANGE_WIDTH)
-    return BBoxLeafImage(back_link=back_link, lids=[reader.read(config.lid_bits) for _ in range(count)])
-
-
-def encode_bbox_internal(image: BBoxInternalImage, config: BoxConfig) -> bytes:
-    """Encode an internal B-BOX node; raises BlockOverflowError if oversized."""
-    writer = BitWriter()
-    _header(writer, config, kind=4, count=len(image.children), extra=image.back_link)
-    for pointer, size in image.children:
-        writer.write(pointer, config.pointer_bits)
-        writer.write(size, config.size_bits)
-    return _check_fits(writer, config, "B-BOX internal node")
-
-
-def decode_bbox_internal(data: bytes, config: BoxConfig) -> BBoxInternalImage:
-    reader = BitReader(data)
-    reader.read(_LEVEL_WIDTH)
-    count = reader.read(_COUNT_WIDTH)
-    back_link = reader.read(_RANGE_WIDTH)
-    reader.read(config.node_header_bits - _LEVEL_WIDTH - _COUNT_WIDTH - _RANGE_WIDTH)
-    children = []
-    for _ in range(count):
-        pointer = reader.read(config.pointer_bits)
-        size = reader.read(config.size_bits)
-        children.append((pointer, size))
-    return BBoxInternalImage(back_link=back_link, children=children)
-
-
-def encode_lidf_block(image: LidfBlockImage, config: BoxConfig) -> bytes:
-    """Encode one LIDF block; raises BlockOverflowError if oversized."""
-    writer = BitWriter()
-    _header(writer, config, kind=5, count=len(image.slots), extra=0)
-    value_width = max(config.pointer_bits, config.label_bits)
-    aux_width = config.lidf_record_bits - value_width - 1  # 1 bit: live flag
-    for live, value, aux in image.slots:
-        writer.write(1 if live else 0, 1)
-        writer.write(value, value_width)
-        writer.write(aux, max(1, aux_width))
-    return _check_fits(writer, config, "LIDF block")
-
-
-def decode_lidf_block(data: bytes, config: BoxConfig) -> LidfBlockImage:
-    reader = BitReader(data)
-    reader.read(_LEVEL_WIDTH)
-    count = reader.read(_COUNT_WIDTH)
-    reader.read(_RANGE_WIDTH)
-    reader.read(config.node_header_bits - _LEVEL_WIDTH - _COUNT_WIDTH - _RANGE_WIDTH)
-    value_width = max(config.pointer_bits, config.label_bits)
-    aux_width = max(1, config.lidf_record_bits - value_width - 1)
-    slots = []
-    for _ in range(count):
-        live = bool(reader.read(1))
-        value = reader.read(value_width)
-        aux = reader.read(aux_width)
-        slots.append((live, value, aux))
-    return LidfBlockImage(slots=slots)
-
-
-# ----------------------------------------------------------------------
-# varint primitives (unsigned LEB128; signed values are zigzag-encoded)
-# ----------------------------------------------------------------------
-
-
-def write_uvarint(stream: BinaryIO, value: int) -> None:
-    if value < 0:
-        raise PersistError(f"uvarint cannot encode negative value {value}")
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            stream.write(bytes((byte | 0x80,)))
-        else:
-            stream.write(bytes((byte,)))
-            return
-
-
-def read_uvarint(stream: BinaryIO) -> int:
-    shift = 0
-    value = 0
-    while True:
-        raw = stream.read(1)
-        if not raw:
-            raise PersistError("truncated varint")
-        byte = raw[0]
-        value |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return value
-        shift += 7
-
-
-def write_svarint(stream: BinaryIO, value: int) -> None:
-    write_uvarint(stream, (value << 1) ^ (value >> 63) if value < 0 else value << 1)
-
-
-def read_svarint(stream: BinaryIO) -> int:
-    raw = read_uvarint(stream)
-    return (raw >> 1) ^ -(raw & 1)
-
-
-def uvarint_bytes(value: int) -> bytes:
-    """One value's uvarint encoding as a byte string (no stream)."""
-    if value < 0:
-        raise PersistError(f"uvarint cannot encode negative value {value}")
-    if value < 0x80:
-        return bytes((value,))
-    out = bytearray()
-    while value > 0x7F:
-        out.append((value & 0x7F) | 0x80)
-        value >>= 7
-    out.append(value)
-    return bytes(out)
-
-
-# ----------------------------------------------------------------------
-# packed-row varint fast paths (array-native encode/decode)
-# ----------------------------------------------------------------------
-#
-# The streaming primitives above spend a Python-level ``stream.write`` /
-# ``stream.read(1)`` round trip per *byte*.  The helpers below keep the
-# wire format bit-for-bit identical (LEB128 varints, zigzag for signed)
-# but move whole rows at a time: an encoder flattens a node's child
-# arrays into one list of ints and appends their varints to a
-# ``bytearray`` in one pass; a decoder scans varints straight out of the
-# page buffer (``bytes`` or a zero-copy ``memoryview``) by index.  Two
-# uniform-width tiers use C-level batch packing — ``bytes(seq)`` when
-# every value is a single-byte varint, ``array('H')``/``struct`` word
-# packing when every value is exactly two bytes — and mixed-width rows
-# fall back to a tight per-value loop.  Values that overflow a tier are
-# exactly the values the generic loop encodes, so the bytes never change.
-
-_FAST_CODEC = True
 
 #: Two-byte varints packed as native u16 words; swapped on big-endian
 #: hosts so the emitted byte order is always (low 7 bits | 0x80, high 7).
@@ -384,22 +65,6 @@ def _payload_classes() -> tuple[Any, ...]:
     return classes
 
 
-def set_fast_codec(enabled: bool) -> bool:
-    """Toggle the packed-row fast paths (returns the previous setting).
-
-    The slow path is the streaming reference implementation; benchmarks
-    and byte-identity tests flip this to compare the two.
-    """
-    global _FAST_CODEC
-    previous = _FAST_CODEC
-    _FAST_CODEC = bool(enabled)
-    return previous
-
-
-def fast_codec_enabled() -> bool:
-    return _FAST_CODEC
-
-
 #: Precomputed one/two-byte varint images for values < 2**14, built on
 #: first use (the mixed-width tier joins these at C speed).
 _VARINT_TABLE: list[bytes] | None = None
@@ -417,10 +82,24 @@ def _varint_table() -> list[bytes]:
     return table
 
 
-def _append_uvarints(out: bytearray, values: Any) -> None:
+def uvarint_bytes(value: int) -> bytes:
+    """One value's uvarint encoding as a byte string."""
+    if value < 0:
+        raise PersistError(f"uvarint cannot encode negative value {value}")
+    if value < 0x80:
+        return bytes((value,))
+    out = bytearray()
+    while value > 0x7F:
+        out.append((value & 0x7F) | 0x80)
+        value >>= 7
+    out.append(value)
+    return bytes(out)
+
+
+def append_uvarints(out: bytearray, values: Any) -> None:
     """Append the uvarint encoding of every int in ``values`` to ``out``.
 
-    Byte-identical to calling :func:`write_uvarint` per value.
+    Byte-identical to appending :func:`uvarint_bytes` of each value.
     """
     if not values:
         return
@@ -453,43 +132,15 @@ def _append_uvarints(out: bytearray, values: Any) -> None:
         append(value)
 
 
-def _append_uvarint(out: bytearray, value: int) -> None:
-    """Append one uvarint (header fields; rows use :func:`_append_uvarints`)."""
-    if value < 0:
-        raise PersistError(f"uvarint cannot encode negative value {value}")
-    append = out.append
-    while value > 0x7F:
-        append((value & 0x7F) | 0x80)
-        value >>= 7
-    append(value)
+def scan_uvarint(buf: Any, pos: int) -> tuple[int, int]:
+    """Decode one uvarint at ``buf[pos]``; returns ``(value, new_pos)``.
 
-
-def _scan_uvarint(buf: Any, pos: int) -> tuple[int, int]:
-    """Decode one uvarint at ``buf[pos]``; returns ``(value, new_pos)``."""
-    byte = buf[pos]
-    pos += 1
-    if byte < 0x80:
-        return byte, pos
-    value = byte & 0x7F
-    shift = 7
-    while True:
-        byte = buf[pos]
-        pos += 1
-        value |= (byte & 0x7F) << shift
-        if byte < 0x80:
-            return value, pos
-        shift += 7
-
-
-def _scan_uvarints(buf: Any, pos: int, count: int) -> tuple[list[int], int]:
-    """Decode ``count`` consecutive uvarints; preallocates the row once."""
-    values = [0] * count
-    for i in range(count):
+    Raises :class:`PersistError` when the varint runs off the buffer."""
+    try:
         byte = buf[pos]
         pos += 1
         if byte < 0x80:
-            values[i] = byte
-            continue
+            return byte, pos
         value = byte & 0x7F
         shift = 7
         while True:
@@ -497,14 +148,55 @@ def _scan_uvarints(buf: Any, pos: int, count: int) -> tuple[list[int], int]:
             pos += 1
             value |= (byte & 0x7F) << shift
             if byte < 0x80:
-                break
+                return value, pos
             shift += 7
-        values[i] = value
+    except IndexError:
+        raise PersistError("truncated varint") from None
+
+
+def check_count(buf: Any, pos: int, count: int) -> None:
+    """Refuse an element count the rest of ``buf`` cannot hold.
+
+    Every element costs at least one byte, so a larger count is corrupt
+    (or hostile) — and must be rejected *before* a row is preallocated
+    from it."""
+    if count > len(buf) - pos:
+        raise PersistError(
+            f"element count {count} exceeds the {len(buf) - pos} bytes remaining"
+        )
+
+
+def scan_uvarints(buf: Any, pos: int, count: int) -> tuple[list[int], int]:
+    """Decode ``count`` consecutive uvarints; preallocates the row once.
+
+    Raises :class:`PersistError` on an impossible ``count`` or a row that
+    runs off the buffer."""
+    check_count(buf, pos, count)
+    values = [0] * count
+    try:
+        for i in range(count):
+            byte = buf[pos]
+            pos += 1
+            if byte < 0x80:
+                values[i] = byte
+                continue
+            value = byte & 0x7F
+            shift = 7
+            while True:
+                byte = buf[pos]
+                pos += 1
+                value |= (byte & 0x7F) << shift
+                if byte < 0x80:
+                    break
+                shift += 7
+            values[i] = value
+    except IndexError:
+        raise PersistError("truncated varint") from None
     return values, pos
 
 
 # ----------------------------------------------------------------------
-# live-payload block codec (pages, WAL, snapshots)
+# block payloads (pages, WAL, snapshots)
 # ----------------------------------------------------------------------
 
 # Block payload kind tags.
@@ -522,187 +214,16 @@ _S_PAIR = 2
 _S_SEQ = 3  # arbitrary-length signed component vector (ORDPATH labels)
 
 
-def encode_payload(stream: BinaryIO, payload: Any) -> None:
-    """Append one block payload (a live tree/LIDF object) to ``stream``."""
-    # Imported lazily: repro.core imports repro.storage at module load.
-    from ..core.bbox.node import BNode
-    from ..core.wbox.node import WNode
-
-    if isinstance(payload, WNode):
-        _encode_wnode(stream, payload)
-    elif isinstance(payload, BNode):
-        _encode_bnode(stream, payload)
-    elif isinstance(payload, list):
-        _encode_lidf_records(stream, payload)
-    else:
-        raise PersistError(f"unsupported block payload {type(payload).__name__}")
-
-
-def _encode_wnode(stream: BinaryIO, node: Any) -> None:
-    from ..core.wbox.pairs import PairRecord
-
-    if node.is_leaf:
-        pair_leaf = bool(node.entries) and isinstance(node.entries[0], PairRecord)
-        write_uvarint(stream, _K_WPAIRLEAF if pair_leaf else _K_WLEAF)
-        write_uvarint(stream, node.range_lo or 0)
-        write_uvarint(stream, node.range_len)
-        write_uvarint(stream, node.weight)
-        write_uvarint(stream, len(node.entries))
-        for record in node.entries:
-            if pair_leaf:
-                write_uvarint(stream, record.lid)
-                write_uvarint(stream, 1 if record.is_start else 0)
-                write_uvarint(stream, 0 if record.partner_lid is None else record.partner_lid + 1)
-                write_uvarint(stream, record.partner_block)
-                write_uvarint(stream, 0 if record.end_value is None else record.end_value + 1)
-            else:
-                write_uvarint(stream, record)
-        return
-    write_uvarint(stream, _K_WINT)
-    write_uvarint(stream, node.level)
-    write_uvarint(stream, node.range_lo or 0)
-    write_uvarint(stream, node.range_len)
-    write_uvarint(stream, node.weight)
-    write_uvarint(stream, len(node.entries))
-    for entry in node.entries:
-        write_uvarint(stream, entry.child)
-        write_uvarint(stream, entry.slot)
-        write_uvarint(stream, entry.weight)
-        write_uvarint(stream, entry.size)
-
-
-def _encode_bnode(stream: BinaryIO, node: Any) -> None:
-    write_uvarint(stream, _K_BLEAF if node.leaf else _K_BINT)
-    write_uvarint(stream, node.parent)
-    write_uvarint(stream, len(node.entries))
-    for entry in node.entries:
-        write_uvarint(stream, entry)
-    if not node.leaf:
-        if node.sizes is None:
-            write_uvarint(stream, 0)
-        else:
-            write_uvarint(stream, 1)
-            for size in node.sizes:
-                write_uvarint(stream, size)
-
-
-def _encode_lidf_records(stream: BinaryIO, records: list) -> None:
-    write_uvarint(stream, _K_LIDF)
-    write_uvarint(stream, len(records))
-    for record in records:
-        if record is None:
-            write_uvarint(stream, _S_EMPTY)
-        elif isinstance(record, int):
-            write_uvarint(stream, _S_INT)
-            write_uvarint(stream, record)
-        elif (
-            isinstance(record, tuple)
-            and len(record) == 2
-            and all(isinstance(x, int) and x >= 0 for x in record)
-        ):
-            write_uvarint(stream, _S_PAIR)
-            write_uvarint(stream, record[0])
-            write_uvarint(stream, record[1])
-        elif isinstance(record, tuple) and all(isinstance(x, int) for x in record):
-            write_uvarint(stream, _S_SEQ)
-            write_uvarint(stream, len(record))
-            for component in record:
-                write_svarint(stream, component)
-        else:
-            raise PersistError(f"unsupported LIDF record {record!r}")
-
-
-def decode_payload(stream: BinaryIO) -> Any:
-    """Read back one block payload written by :func:`encode_payload`."""
-    from ..core.bbox.node import BNode
-    from ..core.wbox.node import WEntry, WNode
-    from ..core.wbox.pairs import PairRecord
-
-    kind = read_uvarint(stream)
-    if kind in (_K_WLEAF, _K_WPAIRLEAF):
-        range_lo = read_uvarint(stream)
-        range_len = read_uvarint(stream)
-        weight = read_uvarint(stream)
-        count = read_uvarint(stream)
-        entries: list = []
-        for _ in range(count):
-            if kind == _K_WPAIRLEAF:
-                record = PairRecord(read_uvarint(stream))
-                record.is_start = bool(read_uvarint(stream))
-                partner = read_uvarint(stream)
-                record.partner_lid = None if partner == 0 else partner - 1
-                record.partner_block = read_uvarint(stream)
-                end_value = read_uvarint(stream)
-                record.end_value = None if end_value == 0 else end_value - 1
-                entries.append(record)
-            else:
-                entries.append(read_uvarint(stream))
-        return WNode(0, range_lo, range_len, weight, entries)
-    if kind == _K_WINT:
-        level = read_uvarint(stream)
-        range_lo = read_uvarint(stream)
-        range_len = read_uvarint(stream)
-        weight = read_uvarint(stream)
-        count = read_uvarint(stream)
-        entries = [
-            WEntry(
-                read_uvarint(stream),
-                read_uvarint(stream),
-                read_uvarint(stream),
-                read_uvarint(stream),
-            )
-            for _ in range(count)
-        ]
-        return WNode(level, range_lo, range_len, weight, entries)
-    if kind in (_K_BLEAF, _K_BINT):
-        parent = read_uvarint(stream)
-        count = read_uvarint(stream)
-        entries = [read_uvarint(stream) for _ in range(count)]
-        sizes = None
-        if kind == _K_BINT and read_uvarint(stream):
-            sizes = [read_uvarint(stream) for _ in range(count)]
-        return BNode(leaf=kind == _K_BLEAF, parent=parent, entries=entries, sizes=sizes)
-    if kind == _K_LIDF:
-        count = read_uvarint(stream)
-        records: list = []
-        for _ in range(count):
-            tag = read_uvarint(stream)
-            if tag == _S_EMPTY:
-                records.append(None)
-            elif tag == _S_INT:
-                records.append(read_uvarint(stream))
-            elif tag == _S_PAIR:
-                records.append((read_uvarint(stream), read_uvarint(stream)))
-            elif tag == _S_SEQ:
-                length = read_uvarint(stream)
-                # Preallocate and fill once: a generator inside tuple() pays
-                # a frame resume per component, which dominates on the long
-                # ORDPATH component vectors.
-                components = [0] * length
-                for i in range(length):
-                    components[i] = read_svarint(stream)
-                records.append(tuple(components))
-            else:
-                raise PersistError(f"unknown LIDF slot tag {tag}")
-        return records
-    raise PersistError(f"unknown block kind {kind}")
-
-
-# ----------------------------------------------------------------------
-# packed-row encode/decode (fast twins of encode_payload/decode_payload)
-# ----------------------------------------------------------------------
-
-
-def _fast_encode_wnode(out: bytearray, node: Any) -> None:
+def _encode_wnode(out: bytearray, node: Any) -> None:
     PairRecord = _payload_classes()[3]
 
     if node.is_leaf:
         pair_leaf = bool(node.entries) and isinstance(node.entries[0], PairRecord)
-        _append_uvarint(out, _K_WPAIRLEAF if pair_leaf else _K_WLEAF)
-        _append_uvarint(out, node.range_lo or 0)
-        _append_uvarint(out, node.range_len)
-        _append_uvarint(out, node.weight)
-        _append_uvarint(out, len(node.entries))
+        out += uvarint_bytes(_K_WPAIRLEAF if pair_leaf else _K_WLEAF)
+        out += uvarint_bytes(node.range_lo or 0)
+        out += uvarint_bytes(node.range_len)
+        out += uvarint_bytes(node.weight)
+        out += uvarint_bytes(len(node.entries))
         if pair_leaf:
             flat: list[int] = []
             extend = flat.extend
@@ -718,36 +239,34 @@ def _fast_encode_wnode(out: bytearray, node: Any) -> None:
                         0 if end_value is None else end_value + 1,
                     )
                 )
-            _append_uvarints(out, flat)
+            append_uvarints(out, flat)
         else:
-            _append_uvarints(out, node.entries)
+            append_uvarints(out, node.entries)
         return
-    _append_uvarint(out, _K_WINT)
-    _append_uvarint(out, node.level)
-    _append_uvarint(out, node.range_lo or 0)
-    _append_uvarint(out, node.range_len)
-    _append_uvarint(out, node.weight)
-    _append_uvarint(out, len(node.entries))
-    _append_uvarints(out, node.entry_rows())
+    out += uvarint_bytes(_K_WINT)
+    out += uvarint_bytes(node.level)
+    out += uvarint_bytes(node.range_lo or 0)
+    out += uvarint_bytes(node.range_len)
+    out += uvarint_bytes(node.weight)
+    out += uvarint_bytes(len(node.entries))
+    append_uvarints(out, node.entry_rows())
 
 
-def _fast_encode_bnode(out: bytearray, node: Any) -> None:
-    _append_uvarint(out, _K_BLEAF if node.leaf else _K_BINT)
-    _append_uvarint(out, node.parent)
-    _append_uvarint(out, len(node.entries))
-    _append_uvarints(out, node.entries)
+def _encode_bnode(out: bytearray, node: Any) -> None:
+    out += uvarint_bytes(_K_BLEAF if node.leaf else _K_BINT)
+    out += uvarint_bytes(node.parent)
+    out += uvarint_bytes(len(node.entries))
+    append_uvarints(out, node.entries)
     if not node.leaf:
         if node.sizes is None:
-            _append_uvarint(out, 0)
+            out += uvarint_bytes(0)
         else:
-            _append_uvarint(out, 1)
-            _append_uvarints(out, node.sizes)
+            out += uvarint_bytes(1)
+            append_uvarints(out, node.sizes)
 
 
-def _fast_encode_lidf_records(out: bytearray, records: list) -> None:
-    _append_uvarint(out, _K_LIDF)
-    _append_uvarint(out, len(records))
-    flat: list[int] = []
+def _encode_lidf_records(out: bytearray, records: list) -> None:
+    flat: list[int] = [_K_LIDF, len(records)]
     append = flat.append
     extend = flat.extend
     for record in records:
@@ -768,97 +287,104 @@ def _fast_encode_lidf_records(out: bytearray, records: list) -> None:
             )
         else:
             raise PersistError(f"unsupported LIDF record {record!r}")
-    _append_uvarints(out, flat)
+    append_uvarints(out, flat)
 
 
-def _fast_decode_payload(buf: Any) -> Any:
+def decode_block_payload_at(buf: Any, pos: int) -> tuple[Any, int]:
+    """Decode the payload starting at ``buf[pos]``; returns it with the
+    offset one past its last byte (snapshot bodies are walked with this)."""
     WNode, BNode, WEntry, PairRecord = _payload_classes()
 
-    kind, pos = _scan_uvarint(buf, 0)
-    if kind in (_K_WLEAF, _K_WPAIRLEAF):
-        range_lo, pos = _scan_uvarint(buf, pos)
-        range_len, pos = _scan_uvarint(buf, pos)
-        weight, pos = _scan_uvarint(buf, pos)
-        count, pos = _scan_uvarint(buf, pos)
-        if kind == _K_WPAIRLEAF:
-            flat, pos = _scan_uvarints(buf, pos, 5 * count)
-            it = iter(flat)
-            entries: list = []
-            append = entries.append
-            for lid, is_start, partner, partner_block, end_value in zip(
-                it, it, it, it, it
-            ):
-                record = PairRecord(lid)
-                record.is_start = bool(is_start)
-                record.partner_lid = None if partner == 0 else partner - 1
-                record.partner_block = partner_block
-                record.end_value = None if end_value == 0 else end_value - 1
-                append(record)
-        else:
-            entries, pos = _scan_uvarints(buf, pos, count)
-        return WNode(0, range_lo, range_len, weight, entries)
-    if kind == _K_WINT:
-        level, pos = _scan_uvarint(buf, pos)
-        range_lo, pos = _scan_uvarint(buf, pos)
-        range_len, pos = _scan_uvarint(buf, pos)
-        weight, pos = _scan_uvarint(buf, pos)
-        count, pos = _scan_uvarint(buf, pos)
-        flat, pos = _scan_uvarints(buf, pos, 4 * count)
-        it = iter(flat)
-        entries = [
-            WEntry(child, slot, w, size) for child, slot, w, size in zip(it, it, it, it)
-        ]
-        return WNode(level, range_lo, range_len, weight, entries)
-    if kind in (_K_BLEAF, _K_BINT):
-        parent, pos = _scan_uvarint(buf, pos)
-        count, pos = _scan_uvarint(buf, pos)
-        entries, pos = _scan_uvarints(buf, pos, count)
-        sizes = None
-        if kind == _K_BINT:
-            flag, pos = _scan_uvarint(buf, pos)
-            if flag:
-                sizes, pos = _scan_uvarints(buf, pos, count)
-        return BNode(leaf=kind == _K_BLEAF, parent=parent, entries=entries, sizes=sizes)
-    if kind == _K_LIDF:
-        count, pos = _scan_uvarint(buf, pos)
-        records: list = [None] * count
-        for i in range(count):
-            tag = buf[pos]
-            pos += 1
-            if tag >= 0x80:  # multi-byte tag: impossible today, stay exact
-                tag, pos = _scan_uvarint(buf, pos - 1)
-            if tag == _S_EMPTY:
-                continue
-            if tag == _S_INT:
-                records[i], pos = _scan_uvarint(buf, pos)
-            elif tag == _S_PAIR:
-                first, pos = _scan_uvarint(buf, pos)
-                second, pos = _scan_uvarint(buf, pos)
-                records[i] = (first, second)
-            elif tag == _S_SEQ:
-                length, pos = _scan_uvarint(buf, pos)
-                raws, pos = _scan_uvarints(buf, pos, length)
-                records[i] = tuple([(raw >> 1) ^ -(raw & 1) for raw in raws])
+    try:
+        kind, pos = scan_uvarint(buf, pos)
+        if kind in (_K_WLEAF, _K_WPAIRLEAF):
+            range_lo, pos = scan_uvarint(buf, pos)
+            range_len, pos = scan_uvarint(buf, pos)
+            weight, pos = scan_uvarint(buf, pos)
+            count, pos = scan_uvarint(buf, pos)
+            if kind == _K_WPAIRLEAF:
+                flat, pos = scan_uvarints(buf, pos, 5 * count)
+                it = iter(flat)
+                entries: list = []
+                append = entries.append
+                for lid, is_start, partner, partner_block, end_value in zip(
+                    it, it, it, it, it
+                ):
+                    record = PairRecord(lid)
+                    record.is_start = bool(is_start)
+                    record.partner_lid = None if partner == 0 else partner - 1
+                    record.partner_block = partner_block
+                    record.end_value = None if end_value == 0 else end_value - 1
+                    append(record)
             else:
-                raise PersistError(f"unknown LIDF slot tag {tag}")
-        return records
+                entries, pos = scan_uvarints(buf, pos, count)
+            return WNode(0, range_lo, range_len, weight, entries), pos
+        if kind == _K_WINT:
+            level, pos = scan_uvarint(buf, pos)
+            range_lo, pos = scan_uvarint(buf, pos)
+            range_len, pos = scan_uvarint(buf, pos)
+            weight, pos = scan_uvarint(buf, pos)
+            count, pos = scan_uvarint(buf, pos)
+            flat, pos = scan_uvarints(buf, pos, 4 * count)
+            it = iter(flat)
+            entries = [
+                WEntry(child, slot, w, size)
+                for child, slot, w, size in zip(it, it, it, it)
+            ]
+            return WNode(level, range_lo, range_len, weight, entries), pos
+        if kind in (_K_BLEAF, _K_BINT):
+            parent, pos = scan_uvarint(buf, pos)
+            count, pos = scan_uvarint(buf, pos)
+            entries, pos = scan_uvarints(buf, pos, count)
+            sizes = None
+            if kind == _K_BINT:
+                flag, pos = scan_uvarint(buf, pos)
+                if flag:
+                    sizes, pos = scan_uvarints(buf, pos, count)
+            node = BNode(
+                leaf=kind == _K_BLEAF, parent=parent, entries=entries, sizes=sizes
+            )
+            return node, pos
+        if kind == _K_LIDF:
+            count, pos = scan_uvarint(buf, pos)
+            check_count(buf, pos, count)
+            records: list = [None] * count
+            for i in range(count):
+                tag = buf[pos]
+                pos += 1
+                if tag >= 0x80:  # multi-byte tag: impossible today, stay exact
+                    tag, pos = scan_uvarint(buf, pos - 1)
+                if tag == _S_EMPTY:
+                    continue
+                if tag == _S_INT:
+                    records[i], pos = scan_uvarint(buf, pos)
+                elif tag == _S_PAIR:
+                    first, pos = scan_uvarint(buf, pos)
+                    second, pos = scan_uvarint(buf, pos)
+                    records[i] = (first, second)
+                elif tag == _S_SEQ:
+                    length, pos = scan_uvarint(buf, pos)
+                    raws, pos = scan_uvarints(buf, pos, length)
+                    records[i] = tuple([(raw >> 1) ^ -(raw & 1) for raw in raws])
+                else:
+                    raise PersistError(f"unknown LIDF slot tag {tag}")
+            return records, pos
+    except IndexError:
+        raise PersistError("truncated varint") from None
     raise PersistError(f"unknown block kind {kind}")
 
 
 def encode_block_payload(payload: Any) -> bytes:
-    """One block payload as a self-contained byte string (page/WAL image)."""
-    if not _FAST_CODEC:
-        buffer = io.BytesIO()
-        encode_payload(buffer, payload)
-        return buffer.getvalue()
+    """One block payload as a self-contained byte string (page/WAL image;
+    snapshot bodies concatenate them)."""
     WNode, BNode = _payload_classes()[:2]
     out = bytearray()
     if isinstance(payload, WNode):
-        _fast_encode_wnode(out, payload)
+        _encode_wnode(out, payload)
     elif isinstance(payload, BNode):
-        _fast_encode_bnode(out, payload)
+        _encode_bnode(out, payload)
     elif isinstance(payload, list):
-        _fast_encode_lidf_records(out, payload)
+        _encode_lidf_records(out, payload)
     else:
         raise PersistError(f"unsupported block payload {type(payload).__name__}")
     return bytes(out)
@@ -867,13 +393,8 @@ def encode_block_payload(payload: Any) -> bytes:
 def decode_block_payload(data: Any) -> Any:
     """Inverse of :func:`encode_block_payload`.
 
-    ``data`` may be ``bytes`` or a ``memoryview`` (the mmap backend hands
-    in a zero-copy view of the page); decoded payloads are always fully
-    materialized Python objects holding no reference into ``data``.
+    ``data`` may be ``bytes`` or a ``memoryview``; decoded payloads are
+    always fully materialized Python objects holding no reference into
+    ``data``.  Trailing bytes are ignored (a page is zero-padded).
     """
-    if not _FAST_CODEC:
-        return decode_payload(io.BytesIO(data))
-    try:
-        return _fast_decode_payload(data)
-    except IndexError:
-        raise PersistError("truncated varint") from None
+    return decode_block_payload_at(data, 0)[0]

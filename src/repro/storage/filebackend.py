@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import struct
 import time as _time
 import zlib
@@ -83,16 +84,14 @@ SUPERBLOCK_BYTES = 8192
 DEFAULT_PAGE_BYTES = 4096
 
 _PAGE_HEADER = struct.Struct(">I")  # payload length
+
+#: Object-table miss marker (``None`` is a legal payload).
+_ABSENT = object()
 _SUPER_HEADER = struct.Struct(">II")  # JSON length, CRC-32
 
 
-def decode_superblock_image(image: "bytes | memoryview") -> dict[str, Any] | None:
-    """Decode a raw superblock region, or ``None`` if torn/corrupt.
-
-    Accepts a ``memoryview`` as well as ``bytes``: the mmap backend passes
-    a slice of its mapped view, so the CRC below is computed over the view
-    itself — only the verified JSON payload is ever materialized.
-    """
+def decode_superblock_image(image: bytes) -> dict[str, Any] | None:
+    """Decode a raw superblock region, or ``None`` if torn/corrupt."""
     if len(image) < _SUPER_HEADER.size:
         return None
     length, crc = _SUPER_HEADER.unpack_from(image)
@@ -100,7 +99,7 @@ def decode_superblock_image(image: "bytes | memoryview") -> dict[str, Any] | Non
     if len(payload) != length or zlib.crc32(payload) != crc:
         return None
     try:
-        return json.loads(bytes(payload).decode("utf-8"))
+        return json.loads(payload.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError):
         return None
 
@@ -403,10 +402,6 @@ class FileBackend(StorageBackend):
         image = _SUPER_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
         self._raw_write_at(len(MAGIC), image.ljust(SUPERBLOCK_BYTES, b"\0"))
 
-    def _read_superblock(self) -> dict[str, Any] | None:
-        """Decode the superblock (following overflow), or None if torn."""
-        return resolve_superblock(self._handle)
-
     def _apply_superblock(self, state: dict[str, Any]) -> None:
         self.page_bytes = state["page_bytes"]
         self._next_id = state["next_id"]
@@ -422,7 +417,7 @@ class FileBackend(StorageBackend):
         self._handle.seek(0)
         if self._handle.read(len(MAGIC)) != MAGIC:
             raise PersistError(f"{self.path} is not a page file (bad magic)")
-        state = self._read_superblock()
+        state = resolve_superblock(self._handle)
         scan = scan_wal(self.wal_path)
         if scan.committed:
             # Committed-but-unapplied transactions: replay them (page
@@ -498,8 +493,17 @@ class FileBackend(StorageBackend):
         self.page_writes += 1
 
     def _read_page(self, block_id: int) -> Any:
-        self._handle.seek(self._page_offset(block_id))
-        framed = self._handle.read(self.page_bytes)
+        # Positioned read on the descriptor: readers under the shared
+        # latch cold-read concurrently, and seek + read on the one shared
+        # handle would let two of them swap pages.  pread bypasses the
+        # handle's userspace write buffer, which is safe because a block
+        # is only ever cold-read once it is in ``_on_disk`` and out of the
+        # object table — and every path that writes a page image (commit,
+        # recovery replay, follower apply) flushes the handle via
+        # ``_sync`` before the block can leave the object table.
+        framed = os.pread(
+            self._handle.fileno(), self.page_bytes, self._page_offset(block_id)
+        )
         self.page_reads += 1
         (length,) = _PAGE_HEADER.unpack_from(framed)
         return decode_block_payload(framed[_PAGE_HEADER.size : _PAGE_HEADER.size + length])
@@ -509,11 +513,11 @@ class FileBackend(StorageBackend):
     # ------------------------------------------------------------------
 
     def read(self, block_id: int) -> Any:
-        payload = self._objects.get(block_id)
-        if payload is not None:
-            return payload
-        if block_id in self._objects:  # a stored literal None payload
-            return None
+        # One dict probe: concurrent cold readers install into the table,
+        # so a get-then-contains pair could see "absent" then "present".
+        payload = self._objects.get(block_id, _ABSENT)
+        if payload is not _ABSENT:
+            return payload  # may be a stored literal None
         if not self.exists(block_id):
             raise KeyError(block_id)
         payload = self._read_page(block_id)
@@ -662,11 +666,7 @@ class FileBackend(StorageBackend):
         self._handle.flush()
         tmp = image + ".tmp"
         with open(self.path, "rb") as src, open(tmp, "wb") as dst:
-            while True:
-                chunk = src.read(1 << 20)
-                if not chunk:
-                    break
-                dst.write(chunk)
+            shutil.copyfileobj(src, dst, 1 << 20)
             if self.fsync:
                 dst.flush()
                 os.fsync(dst.fileno())
@@ -713,11 +713,3 @@ class FileBackend(StorageBackend):
         self._next_id = next_id
         self._free_ids = list(free_ids)
         self.checkpoint()
-
-    @property
-    def wal_records(self) -> int:
-        return self._wal.records_written
-
-    @property
-    def describes_as(self) -> str:
-        return f"FileBackend({self.path!r}, page_bytes={self.page_bytes})"

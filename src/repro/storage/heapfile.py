@@ -132,8 +132,19 @@ class HeapFile:
         Costs one read I/O per heap block, the sequential-scan cost the
         paper charges the naive scheme's relabeling pass.
         """
+        return self._live_records(self.store.read)
+
+    def peek_records(self) -> Iterator[tuple[int, Any]]:
+        """:meth:`scan` without the I/O accounting: for rebuilding state
+        *derived* from the records on restore, which is not a measured
+        access."""
+        return self._live_records(self.store.peek)
+
+    def _live_records(
+        self, read: Callable[[int], Any]
+    ) -> Iterator[tuple[int, Any]]:
         for block_index, block_id in enumerate(self._block_ids):
-            records = self.store.read(block_id)
+            records = read(block_id)
             base = block_index * self.records_per_block
             for slot, value in enumerate(records):
                 if value is not _EMPTY:
@@ -152,6 +163,31 @@ class HeapFile:
                 if value is not _EMPTY:
                     records[slot] = transform(base + slot, value)
             self.store.write(block_id)
+
+    # ------------------------------------------------------------------
+    # persistence
+    # ------------------------------------------------------------------
+
+    def persist_state(self) -> dict[str, Any]:
+        """The LIDF directory as a JSON-able dict: which store blocks back
+        the file, and the allocation state.  The free list keeps its heap
+        order, so a restored file recycles LIDs exactly as this one would.
+        """
+        return {
+            "block_ids": list(self._block_ids),
+            "free": list(self._free),
+            "tail": self._tail,
+            "live": self._live,
+        }
+
+    def restore_state(self, state: dict[str, Any]) -> None:
+        """Adopt a directory produced by :meth:`persist_state` (the record
+        blocks themselves must already be in the store)."""
+        self._block_ids = list(state["block_ids"])
+        self._free = list(state["free"])
+        heapq.heapify(self._free)
+        self._tail = state["tail"]
+        self._live = state["live"]
 
     # ------------------------------------------------------------------
     # sizing

@@ -30,7 +30,6 @@ The file starts with an 8-byte magic.
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import struct
@@ -41,7 +40,7 @@ from typing import Any, Callable
 from ..errors import PersistError, TransientIOError, WALError
 from ..obs import trace
 from ..obs.metrics import get_registry
-from .codec import read_uvarint, uvarint_bytes
+from .codec import scan_uvarint, uvarint_bytes
 
 MAGIC = b"BOXWAL01"
 
@@ -336,19 +335,18 @@ def scan_wal_bytes(
             continue
         crc = zlib.crc32(record, crc)
         if rec_type == REC_PUT:
-            stream = io.BytesIO(body)
             # A truncated-then-overwritten tail can leave a PUT whose body
             # length checks out but whose block-id varint is cut short;
-            # read_uvarint raises PersistError on that.  The record is by
+            # scan_uvarint raises PersistError on that.  The record is by
             # construction uncommitted (a commit CRC over it could not have
             # verified), so it is a torn tail to discard — not a reason to
             # fail recovery of the committed prefix.
             try:
-                block_id = read_uvarint(stream)
+                block_id, image_start = scan_uvarint(body, 0)
             except PersistError:
                 scan.tail_reason = "corrupt PUT body"
                 break
-            pending.puts[block_id] = body[stream.tell() :]
+            pending.puts[block_id] = body[image_start:]
         else:  # REC_META
             try:
                 pending.meta = json.loads(body.decode("utf-8"))

@@ -111,6 +111,35 @@ class TestFileBackendPages:
         assert backend.page_reads == 1
         backend.close()
 
+    def test_reads_after_commit_see_new_blocks(self, tmp_path):
+        """Cold reads go around the handle's write buffer (positioned
+        reads on the descriptor), so a block committed after the file
+        grew must already be flushed when the first cold read arrives."""
+        scheme, backend = make_file_scheme(tmp_path, SCHEME_FACTORIES["bbox"])
+        lids = bulk(scheme, 8)
+        checkpoint_scheme(scheme)
+        backend.drop_clean_objects()
+        scheme.lookup(lids[0])
+        size_before = os.path.getsize(backend.path)
+
+        # Grow the tree well past that size, then cold-read everything.
+        for i in range(40):
+            lids.append(scheme.insert_before(lids[i % len(lids)]))
+        checkpoint_scheme(scheme)
+        assert os.path.getsize(backend.path) > size_before
+        backend.drop_clean_objects()
+        labels = [scheme.lookup(lid) for lid in lids]
+        assert len(set(labels)) == len(labels)
+        scheme.check_invariants()
+        backend.close()
+
+    def test_close_is_idempotent(self, tmp_path):
+        scheme, backend = make_file_scheme(tmp_path, SCHEME_FACTORIES["bbox"])
+        bulk(scheme, 6)
+        checkpoint_scheme(scheme)
+        backend.close()
+        backend.close()
+
     def test_uncommitted_blocks_survive_drop(self, tmp_path):
         backend = make_backend(tmp_path)
         block_id = backend.allocate([9])

@@ -5,7 +5,7 @@ import pytest
 
 from repro.config import BENCH_CONFIG, BoxConfig
 from repro.errors import BlockOverflowError
-from repro.storage.codec import (
+from .layout_images import (
     BBoxInternalImage,
     BBoxLeafImage,
     BitReader,

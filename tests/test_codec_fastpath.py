@@ -1,21 +1,24 @@
-"""Byte-identity rail for the packed-row live-payload codec.
+"""Byte-identity rail for the packed-row block codec.
 
-``storage/codec.py`` carries two implementations of the block payload
-codec: the streaming reference (``encode_payload``/``decode_payload``
-over one-byte ``BinaryIO`` round trips) and the packed-row fast path
-(``bytearray`` append tiers on encode, index scans on decode).  The fast
-path is an *optimization of the wire format's producer*, not a format
-change — so every test here pins the same property from a different
-angle: for any payload, fast and slow must emit the same bytes and
-decode the same bytes to equal objects.
+``repro.storage.codec`` is the one production codec (``bytearray``
+append tiers on encode, index scans on decode).  Its oracle is the
+streaming implementation it replaced — ``tests/codec_reference.py``, one
+``BinaryIO`` round trip per byte, sharing no code with production.  The
+packed codec is an *optimization of the wire format's producer*, not a
+format change — so every test here pins the same property from a
+different angle: for any payload, packed and reference must emit the
+same bytes, decode the same bytes to equal objects, and reject the same
+malformed input with the same exception type.
 
-The payload zoo deliberately straddles the fast encoder's width tiers
+The payload zoo deliberately straddles the packed encoder's width tiers
 (all-one-byte rows, all-two-byte rows, mixed rows, >2**14 values that
 fall off the table, 2**50 magnitudes) and every kind tag / LIDF slot tag,
 including the long signed ORDPATH component vectors whose decode the
 satellite fix (list preallocation instead of a generator inside
 ``tuple()``) targets.
 """
+
+import io
 
 import pytest
 
@@ -25,20 +28,27 @@ from repro.core.wbox.pairs import PairRecord
 from repro.errors import PersistError
 from repro.storage.codec import (
     decode_block_payload,
+    decode_block_payload_at,
     encode_block_payload,
-    fast_codec_enabled,
-    set_fast_codec,
     uvarint_bytes,
-    write_uvarint,
 )
 
+from .codec_reference import decode_payload, encode_payload, write_uvarint
 
-@pytest.fixture
-def slow_codec():
-    """Run the body with the streaming reference codec, then restore."""
-    previous = set_fast_codec(False)
-    yield
-    set_fast_codec(previous)
+
+def reference_encode(payload):
+    stream = io.BytesIO()
+    encode_payload(stream, payload)
+    return stream.getvalue()
+
+
+def reference_decode(image):
+    return decode_payload(io.BytesIO(image))
+
+
+#: ``fast`` parametrizations pick the implementation under test.
+ENCODERS = {True: encode_block_payload, False: reference_encode}
+DECODERS = {True: decode_block_payload, False: reference_decode}
 
 
 def _pair_record(lid, is_start, partner_lid, partner_block, end_value):
@@ -157,13 +167,7 @@ def _equal_payload(left, right):
 @pytest.mark.parametrize("name", sorted(ZOO))
 def test_fast_and_slow_encode_byte_identical(name):
     payload = ZOO[name]
-    fast = encode_block_payload(payload)
-    previous = set_fast_codec(False)
-    try:
-        slow = encode_block_payload(payload)
-    finally:
-        set_fast_codec(previous)
-    assert fast == slow
+    assert encode_block_payload(payload) == reference_encode(payload)
 
 
 @pytest.mark.parametrize("name", sorted(ZOO))
@@ -171,17 +175,9 @@ def test_round_trip_all_codec_combinations(name):
     """Encode with either codec, decode with either codec: same object."""
     payload = ZOO[name]
     for encode_fast in (True, False):
-        previous = set_fast_codec(encode_fast)
-        try:
-            image = encode_block_payload(payload)
-        finally:
-            set_fast_codec(previous)
+        image = ENCODERS[encode_fast](payload)
         for decode_fast in (True, False):
-            previous = set_fast_codec(decode_fast)
-            try:
-                decoded = decode_block_payload(image)
-            finally:
-                set_fast_codec(previous)
+            decoded = DECODERS[decode_fast](image)
             assert _equal_payload(payload, decoded), (
                 f"{name}: encode_fast={encode_fast} decode_fast={decode_fast}"
             )
@@ -189,7 +185,7 @@ def test_round_trip_all_codec_combinations(name):
 
 @pytest.mark.parametrize("name", sorted(ZOO))
 def test_decode_accepts_memoryview(name):
-    """The mmap read path hands the decoder a zero-copy view."""
+    """The decoder is buffer-agnostic: a view decodes like the bytes."""
     payload = ZOO[name]
     image = encode_block_payload(payload)
     decoded = decode_block_payload(memoryview(image))
@@ -197,8 +193,7 @@ def test_decode_accepts_memoryview(name):
 
 
 def test_decode_from_memoryview_holds_no_reference(name="lidf-mixed"):
-    """Decoded payloads must survive the view's buffer being released
-    (the mmap backend remaps and closes old maps under live results)."""
+    """Decoded payloads must survive the view's buffer being released."""
     image = bytearray(encode_block_payload(ZOO[name]))
     view = memoryview(image)
     decoded = decode_block_payload(view)
@@ -206,20 +201,7 @@ def test_decode_from_memoryview_holds_no_reference(name="lidf-mixed"):
     assert _equal_payload(ZOO[name], decoded)
 
 
-def test_toggle_returns_previous_state():
-    assert fast_codec_enabled()
-    assert set_fast_codec(False) is True
-    try:
-        assert not fast_codec_enabled()
-        assert set_fast_codec(False) is False
-    finally:
-        set_fast_codec(True)
-    assert fast_codec_enabled()
-
-
 def test_uvarint_bytes_matches_stream_writer():
-    import io
-
     probes = [0, 1, 0x7F, 0x80, 0x3FFF, 0x4000, 2**20, 2**50 + 3]
     for value in probes:
         stream = io.BytesIO()
@@ -231,58 +213,104 @@ def test_uvarint_bytes_matches_stream_writer():
 
 @pytest.mark.parametrize("fast", [True, False])
 def test_negative_row_value_raises(fast):
-    previous = set_fast_codec(fast)
-    try:
-        with pytest.raises(PersistError):
-            encode_block_payload(WNode(0, 0, 16, 1, [-3]))
-    finally:
-        set_fast_codec(previous)
+    with pytest.raises(PersistError):
+        ENCODERS[fast](WNode(0, 0, 16, 1, [-3]))
 
 
 @pytest.mark.parametrize("fast", [True, False])
 def test_unsupported_payload_raises(fast):
-    previous = set_fast_codec(fast)
-    try:
-        with pytest.raises(PersistError):
-            encode_block_payload({"not": "a payload"})
-        with pytest.raises(PersistError):
-            encode_block_payload([object()])  # bad LIDF record
-    finally:
-        set_fast_codec(previous)
+    with pytest.raises(PersistError):
+        ENCODERS[fast]({"not": "a payload"})
+    with pytest.raises(PersistError):
+        ENCODERS[fast]([object()])  # bad LIDF record
 
 
 @pytest.mark.parametrize("fast", [True, False])
 def test_truncated_image_raises(fast):
     image = encode_block_payload(ZOO["lidf-long-seq"])
-    previous = set_fast_codec(fast)
-    try:
-        for cut in (1, len(image) // 2, len(image) - 1):
-            with pytest.raises(PersistError):
-                decode_block_payload(image[:cut])
-    finally:
-        set_fast_codec(previous)
+    for cut in (1, len(image) // 2, len(image) - 1):
+        with pytest.raises(PersistError):
+            DECODERS[fast](image[:cut])
 
 
 @pytest.mark.parametrize("fast", [True, False])
 def test_unknown_kind_and_slot_tags_raise(fast):
-    previous = set_fast_codec(fast)
-    try:
-        with pytest.raises(PersistError):
-            decode_block_payload(bytes([99]))  # unknown block kind
-        # _K_LIDF block with one record carrying an unknown slot tag.
-        with pytest.raises(PersistError):
-            decode_block_payload(bytes([6, 1, 9]))
-    finally:
-        set_fast_codec(previous)
+    with pytest.raises(PersistError):
+        DECODERS[fast](bytes([99]))  # unknown block kind
+    # _K_LIDF block with one record carrying an unknown slot tag.
+    with pytest.raises(PersistError):
+        DECODERS[fast](bytes([6, 1, 9]))
 
 
-def test_streaming_seq_decode_matches_fast(slow_codec):
+def test_streaming_seq_decode_matches_fast():
     """Satellite pin: the reference decoder's preallocated _S_SEQ loop
-    (the generator-inside-tuple() fix) agrees with the fast scanner on a
-    long component vector."""
+    (the generator-inside-tuple() fix) agrees with the packed scanner on
+    a long component vector."""
     vector = [tuple(((-1) ** i) * (i**2) for i in range(1000))]
-    image = encode_block_payload(vector)
+    image = reference_encode(vector)
+    assert reference_decode(image) == vector
     assert decode_block_payload(image) == vector
-    set_fast_codec(True)
-    assert decode_block_payload(image) == vector
-    set_fast_codec(False)
+
+
+# ----------------------------------------------------------------------
+# malformed input: packed and reference fail alike
+# ----------------------------------------------------------------------
+
+
+def _failure_type(decode, image):
+    try:
+        decode(image)
+    except Exception as error:  # noqa: BLE001 - the type is the assertion
+        return type(error)
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(ZOO))
+def test_every_truncation_fails_alike(name):
+    """Every strict prefix of a payload image is rejected — by both
+    decoders, with the same exception type (a page image can be cut
+    anywhere by a torn write)."""
+    image = encode_block_payload(ZOO[name])
+    for cut in range(len(image)):
+        prefix = image[:cut]
+        assert _failure_type(decode_block_payload, prefix) is PersistError, cut
+        assert _failure_type(reference_decode, prefix) is PersistError, cut
+
+
+def _count_bombs():
+    """One image per element count in the decoder, each claiming 2**40
+    elements it does not carry."""
+    bomb = uvarint_bytes(1 << 40)
+    return {
+        "wleaf-entries": bytes([1, 0, 16, 0]) + bomb,
+        "wpairleaf-records": bytes([3, 0, 16, 0]) + bomb,
+        "wint-entries": bytes([2, 1, 0, 16, 0]) + bomb,
+        "bleaf-entries": bytes([4, 0]) + bomb,
+        "bint-entries": bytes([5, 0]) + bomb,
+        # one real entry, sizes flag set, but the sizes row is missing
+        "bint-sizes": bytes([5, 0, 1, 7, 1]),
+        "lidf-records": bytes([6]) + bomb,
+        "lidf-seq-length": bytes([6, 1, 3]) + bomb,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_count_bombs()))
+def test_count_bomb_is_refused_before_allocation(name):
+    """A count larger than the bytes that remain is corrupt; the packed
+    decoder must say so instead of preallocating a row from it (2**40
+    slots is a MemoryError, smaller bombs are gigabytes first)."""
+    image = _count_bombs()[name]
+    assert _failure_type(decode_block_payload, image) is PersistError
+    # The reference preallocates exactly one row — the _S_SEQ vector, the
+    # satellite fix it is kept verbatim with — so it is no oracle there.
+    if name != "lidf-seq-length":
+        assert _failure_type(reference_decode, image) is PersistError
+
+
+def test_count_bomb_uses_bytes_remaining_after_offset():
+    """The bound is the bytes left *after* the payload's offset, not the
+    buffer length: snapshot bodies decode payloads mid-buffer."""
+    padding = bytes(64)
+    bomb = bytes([4, 0, 40])  # B-BOX leaf claiming 40 entries, none present
+    with pytest.raises(PersistError, match="exceeds"):
+        decode_block_payload_at(padding + bomb, len(padding))

@@ -17,10 +17,11 @@ sweep driver's own regression test.
 import pytest
 
 from repro.config import TINY_CONFIG
+from repro.core import scheme_factory
 from repro.faults import FaultPlan, run_chaos_trial, standard_plans
 from repro.faults.chaos import SCHEME_NAMES, _plan_is_sharded, run_shard_chaos_trial
 from repro.persist import checkpoint_scheme
-from repro.storage import BlockStore, FileBackend, MmapBackend, default_page_bytes
+from repro.storage import BlockStore, FileBackend, default_page_bytes
 from repro.storage import filebackend as filebackend_module
 from repro.storage.filebackend import decode_superblock_image
 
@@ -53,41 +54,6 @@ def test_recovery_matrix(tmp_path, scheme_name, plan_name):
         assert any(f.startswith(("backend.",)) for f in trial.faults_fired)
 
 
-@pytest.mark.parametrize("scheme_name", sorted(SCHEME_NAMES))
-def test_recovery_matrix_mmap_matches_file_twin(tmp_path, scheme_name):
-    """The mmap backend shares the file backend's write path, WAL, and
-    fault hooks, so the same (plan, seed) must crash at the same write,
-    recover through the same protocol, and reach the same verdict.  Run a
-    torn-write trial on both backends and compare the trials field by
-    field; the per-trial twin oracle already pins label-level agreement."""
-    plan = MATRIX_PLANS["torn-write"]
-    for seed in (0, 1):
-        file_dir = tmp_path / f"file-{seed}"
-        mmap_dir = tmp_path / f"mmap-{seed}"
-        file_dir.mkdir()
-        mmap_dir.mkdir()
-        file_trial = run_chaos_trial(
-            scheme_name, "torn-write", plan, seed, str(file_dir), max_ops=200
-        )
-        mmap_trial = run_chaos_trial(
-            scheme_name,
-            "torn-write",
-            plan,
-            seed,
-            str(mmap_dir),
-            max_ops=200,
-            backend_cls=MmapBackend,
-        )
-        assert mmap_trial.crashed and file_trial.crashed
-        assert mmap_trial.mismatches == 0 and not mmap_trial.error, mmap_trial
-        assert mmap_trial.checked_lids > 0
-        assert mmap_trial.faults_fired == file_trial.faults_fired
-        assert mmap_trial.completed_ops == file_trial.completed_ops
-        assert mmap_trial.committed_ops == file_trial.committed_ops
-        assert mmap_trial.replayed == file_trial.replayed
-        assert mmap_trial.checked_lids == file_trial.checked_lids
-
-
 @pytest.mark.parametrize("scheme_name", ["wbox", "bbox"])
 def test_superblock_overflow_blob_crash(tmp_path, monkeypatch, scheme_name):
     """Shrink the fixed superblock region so scheme metadata must spill to
@@ -98,9 +64,7 @@ def test_superblock_overflow_blob_crash(tmp_path, monkeypatch, scheme_name):
 
     # Prove the path is actually exercised: a checkpointed scheme's inline
     # superblock must be an overflow pointer, not the state itself.
-    from repro.faults.chaos import _SCHEME_FACTORIES
-
-    factory = _SCHEME_FACTORIES[scheme_name]
+    factory = scheme_factory(scheme_name)
     probe_path = str(tmp_path / "probe.pages")
     backend = FileBackend(
         probe_path, page_bytes=default_page_bytes(TINY_CONFIG.block_bytes)

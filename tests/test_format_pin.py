@@ -1,0 +1,171 @@
+"""Format pin: committed snapshot, page-file and WAL-segment bytes.
+
+``tests/data/golden_format/`` holds, for six scheme variants, the three
+on-disk artefacts of one small fixed tape — a :func:`save_scheme`
+snapshot, the page file after the tape, and the sealed WAL segment that
+holds the tape's commits.  The files were generated before the on-disk
+code was refactored; every change since must reproduce them bit for bit
+(the commit-metadata dict, the page images, the WAL record framing and
+the snapshot body all live in those bytes) and must still *load* them
+into a working scheme whose every LID agrees with a memory twin.
+
+Regenerate (only when the format is changed on purpose)::
+
+    PYTHONPATH=src python -m tests.test_format_pin
+"""
+
+import filecmp
+import os
+import shutil
+
+import pytest
+
+from repro import BBox, NaiveScheme, OrdPath, WBox, WBoxO
+from repro.config import TINY_CONFIG
+from repro.core.ancestry import AncestryDynamic
+from repro.persist import (
+    full_checkpoint,
+    incremental_checkpoint,
+    load_scheme,
+    open_file_scheme,
+    save_scheme,
+)
+from repro.storage import BlockStore, FileBackend, segment_path
+
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "data", "golden_format")
+
+#: TINY_CONFIG node images are well under this; small pages keep the
+#: committed files small.
+PAGE_BYTES = 512
+
+BASE_LABELS = 16
+
+#: ``(kind, draw)`` steps, interpreted like ``apply_tape_step``: a draw
+#: indexes the live-LID list modulo its length.
+TAPE = [
+    ("insert_before", 3),
+    ("insert_before", 3),
+    ("insert_before", 0),
+    ("delete", 5),
+    ("insert_before", 17),
+    ("insert_before", 17),
+    ("insert_before", 9),
+    ("delete", 2),
+    ("insert_before", 4),
+    ("insert_before", 4),
+    ("insert_before", 4),
+    ("insert_before", 11),
+    ("delete", 0),
+    ("insert_before", 7),
+    ("insert_before", 1),
+    ("insert_before", 4),
+    ("insert_before", 4),
+    ("delete", 13),
+    ("insert_before", 4),
+    ("insert_before", 20),
+]
+
+FACTORIES = {
+    "wbox": lambda store: WBox(TINY_CONFIG, store=store),
+    "wboxo": lambda store: WBoxO(TINY_CONFIG, store=store),
+    "bbox-o": lambda store: BBox(TINY_CONFIG, store=store, ordinal=True),
+    "naive-8": lambda store: NaiveScheme(8, TINY_CONFIG, store=store),
+    "ordpath": lambda store: OrdPath(TINY_CONFIG, store=store),
+    "ancestry-dyn": lambda store: AncestryDynamic(TINY_CONFIG, store=store),
+}
+
+
+def _bulk(scheme):
+    return scheme.bulk_load(BASE_LABELS, [i ^ 1 for i in range(BASE_LABELS)])
+
+
+def _apply_tape(scheme, lids):
+    for kind, draw in TAPE:
+        if kind == "delete":
+            scheme.delete(lids.pop(draw % len(lids)))
+        else:
+            lids.append(scheme.insert_before(lids[draw % len(lids)]))
+
+
+def build_artefacts(name, workdir):
+    """Run the tape on a fresh page file under ``workdir``; returns the
+    path of each artefact it produced."""
+    page_path = os.path.join(workdir, "work.pages")
+    snapshot_path = os.path.join(workdir, "snapshot")
+    backend = FileBackend(page_path, page_bytes=PAGE_BYTES, retain_wal=True)
+    scheme = FACTORIES[name](BlockStore(TINY_CONFIG, backend=backend))
+    lids = _bulk(scheme)
+    full_checkpoint(scheme)  # seals the bulk load; the tape gets its own segment
+    _apply_tape(scheme, lids)
+    segment = incremental_checkpoint(scheme)
+    save_scheme(scheme, snapshot_path)
+    backend.close()
+    return {
+        "snapshot": snapshot_path,
+        "pages": page_path,
+        "segment.wal": segment_path(page_path, segment),
+    }
+
+
+def _twin(name):
+    twin = FACTORIES[name](None)
+    lids = _bulk(twin)
+    _apply_tape(twin, lids)
+    return twin, lids
+
+
+def _assert_matches_twin(scheme, name):
+    twin, lids = _twin(name)
+    assert scheme.label_count() == twin.label_count() == len(lids)
+    assert [scheme.lookup(lid) for lid in lids] == [twin.lookup(lid) for lid in lids]
+    # A loaded structure must keep working, not just answer lookups.
+    scheme.insert_before(lids[0])
+    if hasattr(scheme, "check_invariants"):
+        scheme.check_invariants()
+
+
+@pytest.mark.parametrize("name", sorted(FACTORIES))
+def test_rebuilt_artefacts_are_byte_identical(tmp_path, name):
+    for artefact, rebuilt in build_artefacts(name, str(tmp_path)).items():
+        golden = os.path.join(GOLDEN_DIR, name, artefact)
+        assert filecmp.cmp(golden, rebuilt, shallow=False), (
+            f"{name}/{artefact} differs from the committed format"
+        )
+
+
+@pytest.mark.parametrize("name", sorted(FACTORIES))
+def test_committed_snapshot_loads(name):
+    scheme = load_scheme(os.path.join(GOLDEN_DIR, name, "snapshot"))
+    _assert_matches_twin(scheme, name)
+
+
+@pytest.mark.parametrize("replay_segment", [False, True], ids=["clean", "replay"])
+@pytest.mark.parametrize("name", sorted(FACTORIES))
+def test_committed_page_file_opens(tmp_path, name, replay_segment):
+    """The committed page file opens into a working scheme — on its own,
+    and with the committed segment placed as its log, which sends every
+    commit of the tape back through WAL scan + replay (page writes are
+    idempotent, the newest metadata wins)."""
+    path = str(tmp_path / "copy.pages")
+    shutil.copyfile(os.path.join(GOLDEN_DIR, name, "pages"), path)
+    if replay_segment:
+        shutil.copyfile(os.path.join(GOLDEN_DIR, name, "segment.wal"), path + ".wal")
+    scheme = open_file_scheme(path)
+    try:
+        replayed = scheme.store.backend.recovery_report["replayed_transactions"]
+        assert (replayed > 0) == replay_segment
+        _assert_matches_twin(scheme, name)
+    finally:
+        scheme.store.backend.close()
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    for _name in sorted(FACTORIES):
+        _target = os.path.join(GOLDEN_DIR, _name)
+        os.makedirs(_target, exist_ok=True)
+        with tempfile.TemporaryDirectory() as _workdir:
+            for _artefact, _built in build_artefacts(_name, _workdir).items():
+                shutil.copyfile(_built, os.path.join(_target, _artefact))
+                print(_name, _artefact, os.path.getsize(_built))

@@ -17,7 +17,7 @@ import pytest
 
 from repro import BBox, BoxConfig, NaiveScheme, WBox, WBoxO
 from repro.persist import attach_scheme_to_backend
-from repro.storage import BlockStore, FileBackend, MmapBackend, default_page_bytes
+from repro.storage import BlockStore, FileBackend, default_page_bytes
 from repro.workloads import run_concentrated, run_xmark_build
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_io_smoke.json")
@@ -62,11 +62,10 @@ def test_memory_backend_counts_match_pre_refactor(workload, name):
     assert _observed(workload, result, scheme) == GOLDEN["workloads"][workload][name]
 
 
-@pytest.mark.parametrize("backend_cls", [FileBackend, MmapBackend])
+@pytest.mark.parametrize("backend_cls", [FileBackend])  # keeps the test ids stable
 @pytest.mark.parametrize("name", ["W-BOX", "B-BOX", "naive-16"])
 def test_file_backend_counts_identical(tmp_path, name, backend_cls):
-    """The same workload on a real page file counts the same I/Os —
-    regardless of the physical read path (buffered reads or mmap views)."""
+    """The same workload on a real page file counts the same I/Os."""
     backend = backend_cls(
         str(tmp_path / "golden.pages"),
         page_bytes=default_page_bytes(CONFIG.block_bytes),

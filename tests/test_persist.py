@@ -5,18 +5,11 @@ import io
 import pytest
 
 from repro import BBox, LabeledDocument, NaiveScheme, TINY_CONFIG, WBox, WBoxO
-from repro.persist import (
-    PersistError,
-    load_scheme,
-    read_svarint,
-    read_uvarint,
-    save_scheme,
-    write_svarint,
-    write_uvarint,
-)
+from repro.persist import PersistError, load_scheme, save_scheme
 from repro.xml.generator import two_level_document
 from repro.xml.model import Element
 
+from .codec_reference import read_svarint, read_uvarint, write_svarint, write_uvarint
 from .conftest import random_edit_session
 
 

@@ -6,7 +6,16 @@ import io
 import pytest
 
 from repro import TINY_CONFIG, WBox
-from repro.persist import MAGIC, PersistError, load_scheme, save_scheme
+from repro.persist import (
+    MAGIC,
+    PersistError,
+    checkpoint_scheme,
+    load_scheme,
+    open_file_scheme,
+    save_scheme,
+)
+from repro.storage import BlockStore, FileBackend
+from repro.storage.codec import uvarint_bytes
 
 
 @pytest.fixture
@@ -53,7 +62,7 @@ class TestCorruption:
             b'"store": {"next_id": 2, "free_ids": []}}'
         )
         body = io.BytesIO()
-        from repro.persist import write_uvarint
+        from .codec_reference import write_uvarint
 
         write_uvarint(body, 1)  # one block
         write_uvarint(body, 1)  # block id
@@ -81,3 +90,50 @@ class TestCorruption:
 
         with pytest.raises(PersistError):
             save_scheme(NotAScheme(), str(tmp_path / "x.box"))
+
+
+class TestCountBombs:
+    """An untrusted file can claim any element count; the decoder must
+    refuse one the file cannot hold instead of preallocating from it."""
+
+    #: LIDF block, one record, an _S_SEQ vector of 2**40 components.
+    BOMB = bytes([6, 1, 3]) + uvarint_bytes(1 << 40)
+
+    def test_snapshot_payload_count_bomb(self, saved, tmp_path):
+        _, path = saved
+        data = path.read_bytes()
+        body_start = len(MAGIC) + 8 + int.from_bytes(data[len(MAGIC) :][:8], "big")
+        bad = tmp_path / "bomb.box"
+        # One block (id 1) whose payload is the bomb.
+        bad.write_bytes(data[:body_start] + bytes([1, 1]) + self.BOMB)
+        with pytest.raises(PersistError):
+            load_scheme(str(bad))
+
+    def test_snapshot_block_count_bomb(self, saved, tmp_path):
+        _, path = saved
+        data = path.read_bytes()
+        body_start = len(MAGIC) + 8 + int.from_bytes(data[len(MAGIC) :][:8], "big")
+        bad = tmp_path / "blocks.box"
+        bad.write_bytes(data[:body_start] + uvarint_bytes(1 << 40))
+        with pytest.raises(PersistError, match="exceeds"):
+            load_scheme(str(bad))
+
+    def test_page_image_count_bomb(self, tmp_path):
+        path = str(tmp_path / "bomb.pages")
+        backend = FileBackend(path, page_bytes=512)
+        scheme = WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))
+        lids = scheme.bulk_load(8)
+        checkpoint_scheme(scheme)
+        store = scheme.store
+        lidf_block = next(b for b in store.block_ids() if isinstance(store.peek(b), list))
+        offset = backend._page_offset(lidf_block)
+        backend.close()
+        with open(path, "r+b") as handle:
+            handle.seek(offset)
+            handle.write(len(self.BOMB).to_bytes(4, "big") + self.BOMB)
+        reopened = open_file_scheme(path)
+        try:
+            with pytest.raises(PersistError):
+                reopened.lookup(lids[0])
+        finally:
+            reopened.store.backend.close()

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.config import TINY_CONFIG, BoxConfig
 from repro.storage import BlockStore, HeapFile
-from repro.storage.codec import (
+from .layout_images import (
     BBoxInternalImage,
     BBoxLeafImage,
     WBoxLeafImage,

@@ -1,7 +1,7 @@
 """Fault injection for the WAL recovery scan's torn-tail handling.
 
 Regression target: :func:`repro.storage.wal.scan_wal` decodes PUT bodies
-with :func:`~repro.storage.codec.read_uvarint`, which raises
+with :func:`~repro.storage.codec.scan_uvarint`, which raises
 :class:`~repro.errors.PersistError` on a truncated varint.  A crash can
 tear a PUT record so that its length header survives but the block-id
 varint inside the body does not — the record is by construction
@@ -102,7 +102,7 @@ def test_corrupt_put_varint_is_torn_tail_not_crash(tmp_path, fresh_registry):
     path = tmp_path / "varint.wal"
     write_transactions(path, count=2)
     with open(path, "ab") as handle:
-        # length=2, body=two continuation bytes: read_uvarint hits EOF.
+        # length=2, body=two continuation bytes: scan_uvarint hits EOF.
         handle.write(_HEADER.pack(REC_PUT, 2) + b"\x80\x80")
 
     scan = scan_wal(str(path))
