@@ -28,15 +28,7 @@ import warnings
 from typing import Any, Sequence
 
 from ..core.batch import BatchOp
-from ..errors import (
-    CrossShardError,
-    ProtocolError,
-    ReproError,
-    ServiceDegradedError,
-    ServiceError,
-    ServiceOverloadedError,
-    UnknownLIDError,
-)
+from ..errors import ProtocolError, ReproError
 from . import protocol as proto
 from .protocol import (
     Compare,
@@ -64,21 +56,12 @@ from .protocol import (
     encode_frame,
 )
 
-#: Wire error code → the exception class raised client-side.
-EXCEPTION_FOR_CODE = {
-    proto.ERR_PROTOCOL: ProtocolError,
-    proto.ERR_OVERLOADED: ServiceOverloadedError,
-    proto.ERR_DEGRADED: ServiceDegradedError,
-    proto.ERR_CROSS_SHARD: CrossShardError,
-    proto.ERR_UNKNOWN_LID: UnknownLIDError,
-    proto.ERR_BAD_REQUEST: ReproError,
-    proto.ERR_INTERNAL: ServiceError,
-}
-
 
 def exception_for_frame(frame: ErrorFrame) -> ReproError:
-    """The typed exception an :class:`ErrorFrame` decodes to."""
-    cls = EXCEPTION_FOR_CODE.get(frame.code, ReproError)
+    """The typed exception an :class:`ErrorFrame` decodes to (the
+    ``raises`` column of :data:`repro.net.protocol.ERRORS`)."""
+    kind = proto.ERRORS.get(frame.code)
+    cls = kind.raises if kind else ReproError
     return cls(f"[{frame.code_name}] {frame.message}")
 
 
@@ -172,7 +155,6 @@ class NetClient:
         port: int,
         *,
         connect_timeout: float = 10.0,
-        max_frame_bytes: int = proto.MAX_FRAME_BYTES,
         handshake: bool = True,
     ) -> None:
         self._sock = socket.create_connection((host, port), timeout=connect_timeout)
@@ -183,7 +165,7 @@ class NetClient:
         self._ids = itertools.count(1)
         self._dead: BaseException | None = None
         self._closed = False
-        self._decoder = FrameDecoder(max_frame_bytes)
+        self._decoder = FrameDecoder()
         self._reader = threading.Thread(
             target=self._read_loop, name="net-client-reader", daemon=True
         )
@@ -283,14 +265,18 @@ class NetClient:
 
     # -- request submission ---------------------------------------------
 
-    def _begin(self, make_frame: Any, factory: type[Pending] = Pending) -> Pending:
+    def _begin(
+        self, frame_cls: type, *fields: Any, factory: type[Pending] = Pending
+    ) -> Pending:
         request_id = next(self._ids)
+        # Encode first: a frame the wire refuses raises here and never
+        # registers a pending entry nobody would resolve.
+        wire = encode_frame(frame_cls(request_id, *fields))
         pending = factory(request_id)
         with self._pending_lock:
             if self._dead is not None:
                 raise ConnectionError(f"connection is dead: {self._dead}")
             self._pending[request_id] = pending
-        wire = encode_frame(make_frame(request_id))
         try:
             with self._send_lock:
                 self._sock.sendall(wire)
@@ -303,27 +289,25 @@ class NetClient:
     # pipelined forms ----------------------------------------------------
 
     def begin_hello(self) -> Pending:
-        return self._begin(lambda rid: Hello(rid, proto.PROTOCOL_VERSION))
+        return self._begin(Hello, proto.PROTOCOL_VERSION)
 
     def begin_ping(self) -> Pending:
-        return self._begin(lambda rid: Ping(rid))
+        return self._begin(Ping)
 
     def begin_refresh(self) -> Pending:
-        return self._begin(lambda rid: Refresh(rid))
+        return self._begin(Refresh)
 
     def begin_lookup(self, lids: Sequence[int]) -> Pending:
-        return self._begin(lambda rid: Lookup(rid, tuple(lids)))
+        return self._begin(Lookup, tuple(lids))
 
     def begin_ordinal(self, lids: Sequence[int]) -> Pending:
-        return self._begin(lambda rid: Ordinal(rid, tuple(lids)))
+        return self._begin(Ordinal, tuple(lids))
 
     def begin_compare(self, pairs: Sequence[tuple[int, int]]) -> Pending:
-        return self._begin(
-            lambda rid: Compare(rid, tuple((a, b) for a, b in pairs))
-        )
+        return self._begin(Compare, tuple((a, b) for a, b in pairs))
 
     def begin_submit(self, ops: Sequence[BatchOp]) -> Pending:
-        return self._begin(lambda rid: Submit(rid, tuple(ops)))
+        return self._begin(Submit, tuple(ops))
 
     def begin_query(
         self,
@@ -336,21 +320,18 @@ class NetClient:
     ) -> PendingStream:
         """Start a query stream; :meth:`PendingStream.result` collects it."""
         pending = self._begin(
-            lambda rid: Query(rid, axis, start_lid, end_lid, depth, chunk),
-            factory=PendingStream,
+            Query, axis, start_lid, end_lid, depth, chunk, factory=PendingStream
         )
         assert isinstance(pending, PendingStream)
         return pending
 
     def begin_repl_state(self, shard: int = 0) -> Pending:
-        return self._begin(lambda rid: ReplState(rid, shard))
+        return self._begin(ReplState, shard)
 
     def begin_repl_fetch(
         self, shard: int, kind: int, segment: int, offset: int = 0, limit: int = 0
     ) -> Pending:
-        return self._begin(
-            lambda rid: ReplFetch(rid, shard, kind, segment, offset, limit)
-        )
+        return self._begin(ReplFetch, shard, kind, segment, offset, limit)
 
     # blocking forms -----------------------------------------------------
 

@@ -5,14 +5,18 @@ Every message on the wire is one *frame*::
     uvarint(payload_length) ++ payload
     payload = uvarint(frame_type) ++ uvarint(request_id) ++ body
 
-Varints are the storage codec's unsigned LEB128
-(:func:`~repro.storage.codec.write_uvarint` et al.) — the same primitive
-that encodes block payloads and WAL records encodes the wire, so one
-codec discipline covers disk and network.  ``request_id`` is chosen by
-the client and echoed verbatim in the response, which is what makes
-pipelining work: a client may have any number of requests in flight and
-match responses by id (responses to one connection additionally arrive
-in request order).
+Varints are unsigned LEB128 (zigzag for signed), the integer encoding
+the storage codec uses for block payloads and WAL records.
+``request_id`` is chosen by the client and echoed verbatim in the
+response, which is what makes pipelining work: a client may have any
+number of requests in flight and match responses by id (responses to one
+connection additionally arrive in request order).
+
+What a frame *is* is declared once, by :func:`wire` on its class: type
+code, trace/metric name, one codec per body field.  :data:`SCHEMA` is the
+resulting table; encode, decode, the ``T_*`` constants and the server's
+dispatch all read it.  Adding a frame is one decorated class here, one
+``NetServer`` handler and one ``NetClient`` method.
 
 Label values (which are scheme-specific: ints for W-BOX, component
 tuples for B-BOX/ORDPATH) travel as a small self-describing tagged
@@ -27,6 +31,9 @@ Decoding discipline — the property the fuzz suite pins:
   varints, element counts exceeding the bytes that could hold them,
   unknown frame types or tags, trailing garbage, and over-deep value
   nesting are all typed errors, detected in time linear in the payload.
+* The encoder raises the same typed error for every integer the decoder
+  would refuse, so an unsendable value fails its own request instead of
+  killing the peer's connection.
 * :class:`FrameDecoder` (the incremental stream side) bounds the length
   prefix (10 varint bytes, ``max_frame_bytes`` total) *before* buffering
   a frame, so a hostile length prefix cannot balloon memory and an
@@ -35,11 +42,24 @@ Decoding discipline — the property the fuzz suite pins:
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator, NamedTuple, Union
 
 from ..core.batch import BatchOp, BatchRef
-from ..errors import ProtocolError
+from ..errors import (
+    BackpressureTimeout,
+    CrossShardError,
+    LabelingError,
+    ProtocolError,
+    RecordNotFoundError,
+    ReproError,
+    ServiceDegradedError,
+    ServiceError,
+    ServiceOverloadedError,
+    UnknownLIDError,
+    WriterCrashError,
+)
 
 #: Protocol version spoken by this module (bumped on incompatible change).
 PROTOCOL_VERSION = 1
@@ -47,51 +67,18 @@ PROTOCOL_VERSION = 1
 #: Hard ceiling on one frame's payload (requests and responses alike).
 MAX_FRAME_BYTES = 1 << 20
 
-#: A uvarint longer than this many bytes is a protocol violation (10
-#: bytes already covers 70 bits — far past any sane length or id).
+#: A structural uvarint (length, count, id, LID, epoch) longer than this
+#: many bytes is a protocol violation — 10 bytes already cover 70 bits.
 MAX_VARINT_BYTES = 10
+
+#: The bound on value integers (tagged label ints, :class:`Orders`
+#: entries), shared by encoder and decoder: 224 zigzag bits, wider than
+#: any registered scheme's labels (``naive-80`` needs ~91).
+MAX_VALUE_VARINT_BYTES = 32
 
 #: Maximum nesting depth of an encoded value (labels are flat or nearly
 #: so; anything deeper is an encoding bomb, not a label).
 MAX_VALUE_DEPTH = 8
-
-# -- frame type codes (requests 0x01.., responses 0x81..) ---------------
-
-T_HELLO = 0x01
-T_PING = 0x02
-T_REFRESH = 0x03
-T_LOOKUP = 0x04
-T_ORDINAL = 0x05
-T_COMPARE = 0x06
-T_SUBMIT = 0x07
-T_REPL_STATE = 0x08
-T_REPL_FETCH = 0x09
-T_QUERY = 0x0A
-
-T_SERVER_HELLO = 0x81
-T_PONG = 0x82
-T_EPOCHS = 0x83
-T_VALUES = 0x84
-T_ORDERS = 0x85
-T_RESULTS = 0x86
-T_ERROR = 0x87
-T_REPL_MANIFEST = 0x88
-T_REPL_CHUNK = 0x89
-T_QUERY_CHUNK = 0x8A
-
-#: Human-readable request kind names (metrics labels, span labels).
-REQUEST_NAMES = {
-    T_HELLO: "hello",
-    T_PING: "ping",
-    T_REFRESH: "refresh",
-    T_LOOKUP: "lookup",
-    T_ORDINAL: "ordinal",
-    T_COMPARE: "compare",
-    T_SUBMIT: "submit",
-    T_REPL_STATE: "repl_state",
-    T_REPL_FETCH: "repl_fetch",
-    T_QUERY: "query",
-}
 
 #: :class:`Query` axis kinds (wire codes; append only).
 AXIS_DESCENDANTS = 0
@@ -99,36 +86,9 @@ AXIS_FOLLOWING = 1
 AXIS_ANCESTORS = 2
 AXIS_ANCESTOR_AT_DEPTH = 3
 
-AXIS_NAMES = {
-    AXIS_DESCENDANTS: "descendants",
-    AXIS_FOLLOWING: "following",
-    AXIS_ANCESTORS: "ancestors",
-    AXIS_ANCESTOR_AT_DEPTH: "ancestor_at_depth",
-}
-
 #: :class:`ReplFetch` source kinds.
 REPL_FETCH_IMAGE = 0  # a checkpoint image (page-file copy)
 REPL_FETCH_WAL = 1  # a WAL segment (sealed file, or the live tail)
-
-# -- typed error-frame codes -------------------------------------------
-
-ERR_PROTOCOL = 1  # malformed frame; the server closes the connection
-ERR_OVERLOADED = 2  # typed shedding: admission or write queue full
-ERR_DEGRADED = 3  # service is read-only (writer died); pinned reads OK
-ERR_CROSS_SHARD = 4  # op spans shard boundaries
-ERR_UNKNOWN_LID = 5  # a referenced LID does not exist
-ERR_BAD_REQUEST = 6  # well-formed frame, semantically invalid request
-ERR_INTERNAL = 7  # unexpected server-side failure
-
-ERROR_NAMES = {
-    ERR_PROTOCOL: "protocol",
-    ERR_OVERLOADED: "overloaded",
-    ERR_DEGRADED: "degraded",
-    ERR_CROSS_SHARD: "cross_shard",
-    ERR_UNKNOWN_LID: "unknown_lid",
-    ERR_BAD_REQUEST: "bad_request",
-    ERR_INTERNAL: "internal",
-}
 
 #: Batch-op kinds in their wire order.  Index == wire code; append only.
 WIRE_KINDS = (
@@ -145,244 +105,48 @@ WIRE_KINDS = (
 )
 _KIND_CODE = {kind: code for code, kind in enumerate(WIRE_KINDS)}
 
-# -- value-encoding tags ------------------------------------------------
+# -- typed error-frame codes -------------------------------------------
 
-_V_NONE = 0
-_V_INT = 1
-_V_TUPLE = 2
-_V_LIST = 3
-_V_STR = 4
-_V_BOOL = 5
+ERR_PROTOCOL = 1  # malformed frame; the server closes the connection
+ERR_OVERLOADED = 2  # typed shedding: admission or write queue full
+ERR_DEGRADED = 3  # service is read-only (writer died); pinned reads OK
+ERR_CROSS_SHARD = 4  # op spans shard boundaries
+ERR_UNKNOWN_LID = 5  # a referenced LID does not exist
+ERR_BAD_REQUEST = 6  # well-formed frame, semantically invalid request
+ERR_INTERNAL = 7  # unexpected server-side failure
 
 
-# ----------------------------------------------------------------------
-# frame dataclasses
-# ----------------------------------------------------------------------
+class ErrorKind(NamedTuple):
+    """One error code: its name, the exception the client raises for it
+    and the server-side exceptions that are answered with it."""
 
-
-@dataclass(frozen=True)
-class Hello:
-    """Client handshake: the protocol version it speaks."""
-
-    request_id: int
-    version: int = PROTOCOL_VERSION
-
-
-@dataclass(frozen=True)
-class Ping:
-    request_id: int
-
-
-@dataclass(frozen=True)
-class Refresh:
-    """Advance the connection's pinned session to the latest epochs."""
-
-    request_id: int
-
-
-@dataclass(frozen=True)
-class Lookup:
-    """Batched label lookup, served at the connection's pinned epoch(s)."""
-
-    request_id: int
-    lids: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Ordinal:
-    """Batched ordinal lookup at the pinned epoch(s)."""
-
-    request_id: int
-    lids: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Compare:
-    """Batched document-order comparison of LID pairs."""
-
-    request_id: int
-    pairs: tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
-class Submit:
-    """A write tape: batch ops applied through the service's writer."""
-
-    request_id: int
-    ops: tuple[BatchOp, ...]
-
-
-@dataclass(frozen=True)
-class ReplState:
-    """A follower asking one shard's replication position (manifest)."""
-
-    request_id: int
-    shard: int
-
-
-@dataclass(frozen=True)
-class ReplFetch:
-    """A follower pulling bytes of one replication source.
-
-    ``kind`` selects the source (:data:`REPL_FETCH_IMAGE` /
-    :data:`REPL_FETCH_WAL`); ``segment`` names it — for WAL fetches a
-    sealed segment id, or the manifest's ``next_segment`` for the live
-    tail.  ``offset``/``limit`` window the read so one fetch never
-    exceeds a frame.
-    """
-
-    request_id: int
-    shard: int
-    kind: int
-    segment: int
-    offset: int
-    limit: int
-
-
-@dataclass(frozen=True)
-class Query:
-    """An ordered-axis stream request over the server's element catalog.
-
-    ``axis`` is one of the ``AXIS_*`` codes; the anchor element is the
-    ``(start_lid, end_lid)`` pair; ``depth`` is the target depth for
-    :data:`AXIS_ANCESTOR_AT_DEPTH` (ignored otherwise); ``chunk`` caps
-    elements per response chunk (0 = server default).  The response is a
-    *stream*: one or more :class:`QueryChunk` frames sharing this
-    request id, the final one flagged ``last`` — or a single
-    :class:`ErrorFrame`.
-    """
-
-    request_id: int
-    axis: int
-    start_lid: int
-    end_lid: int
-    depth: int = 0
-    chunk: int = 0
-
-
-@dataclass(frozen=True)
-class ServerHello:
-    """Server handshake reply: topology plus the session's initial pin."""
-
-    request_id: int
-    version: int
-    n_shards: int
-    scheme: str
-    epochs: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Pong:
-    request_id: int
-
-
-@dataclass(frozen=True)
-class Epochs:
-    """The session's pinned epoch numbers, one per shard."""
-
-    request_id: int
-    numbers: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Values:
-    """Label values answering a :class:`Lookup`."""
-
-    request_id: int
-    values: tuple[Any, ...]
-
-
-@dataclass(frozen=True)
-class Orders:
-    """Signed comparison results answering a :class:`Compare` (or the
-    integer ordinals answering an :class:`Ordinal`)."""
-
-    request_id: int
-    orders: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Results:
-    """Positional results answering a :class:`Submit` tape."""
-
-    request_id: int
-    values: tuple[Any, ...]
-
-
-@dataclass(frozen=True)
-class ReplManifest:
-    """One shard's replication position, answering :class:`ReplState`.
-
-    ``segments`` are the sealed segment ids; ``next_segment`` is the id
-    the live tail will take when sealed; ``tail_bytes`` its current
-    length.  ``checkpoint_segment``/``checkpoint_bytes`` describe the
-    newest checkpoint image (0/0 when none is recorded — segment ids
-    start at 1).  ``epoch`` is the shard service's current epoch number,
-    the follower's lag-in-epochs reference.
-    """
-
-    request_id: int
-    shard: int
-    next_segment: int
-    segments: tuple[int, ...]
-    checkpoint_segment: int
-    checkpoint_bytes: int
-    epoch: int
-    tail_bytes: int
-
-
-@dataclass(frozen=True)
-class ReplChunk:
-    """One windowed read answering a :class:`ReplFetch`.
-
-    ``total`` is the source's current byte length; ``sealed`` says the
-    source can no longer grow (a sealed segment or checkpoint image —
-    the live tail ships with ``sealed=False``).  ``data`` may be empty
-    when the offset is at (or past) the current end.
-    """
-
-    request_id: int
-    sealed: bool
-    total: int
-    data: bytes
-
-
-@dataclass(frozen=True)
-class QueryChunk:
-    """One slice of a :class:`Query` result stream.
-
-    ``epochs`` is the pinned epoch number(s) the whole stream was
-    evaluated at — identical on every chunk of one stream, which is the
-    wire form of the "no torn results" guarantee; ``elements`` are
-    ``(start_lid, end_lid)`` pairs in document order; ``last`` marks the
-    stream's final chunk (an empty result set is one empty last chunk).
-    """
-
-    request_id: int
-    last: bool
-    epochs: tuple[int, ...]
-    elements: tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
-class ErrorFrame:
-    """A typed failure: one of the ``ERR_*`` codes plus a message."""
-
-    request_id: int
     code: int
-    message: str
-
-    @property
-    def code_name(self) -> str:
-        return ERROR_NAMES.get(self.code, f"code{self.code}")
+    name: str
+    raises: type[ReproError]
+    catches: tuple[type[BaseException], ...]
 
 
-Frame = (
-    Hello | Ping | Refresh | Lookup | Ordinal | Compare | Submit
-    | ReplState | ReplFetch | Query
-    | ServerHello | Pong | Epochs | Values | Orders | Results | ErrorFrame
-    | ReplManifest | ReplChunk | QueryChunk
-)
+#: The error catalogue both ends read, keyed by code.  The server answers
+#: an exception with the *first* row that catches it, so the order is
+#: specific classes, then the ``ReproError`` catch-all, then INTERNAL.
+#: (A ``WriterCrashError`` failing an in-flight ticket IS the moment the
+#: service degrades; both tell the client the same thing.)
+ERRORS = {
+    kind.code: kind
+    for kind in (
+        ErrorKind(ERR_DEGRADED, "degraded", ServiceDegradedError,
+                  (ServiceDegradedError, WriterCrashError)),
+        ErrorKind(ERR_OVERLOADED, "overloaded", ServiceOverloadedError,
+                  (ServiceOverloadedError, BackpressureTimeout)),
+        ErrorKind(ERR_CROSS_SHARD, "cross_shard", CrossShardError, (CrossShardError,)),
+        ErrorKind(ERR_UNKNOWN_LID, "unknown_lid", UnknownLIDError,
+                  (UnknownLIDError, RecordNotFoundError)),
+        ErrorKind(ERR_PROTOCOL, "protocol", ProtocolError, (ProtocolError,)),
+        ErrorKind(ERR_BAD_REQUEST, "bad_request", ReproError,
+                  (LabelingError, ReproError, ValueError, TypeError)),
+        ErrorKind(ERR_INTERNAL, "internal", ServiceError, (BaseException,)),
+    )
+}
 
 
 # ----------------------------------------------------------------------
@@ -390,9 +154,11 @@ Frame = (
 # ----------------------------------------------------------------------
 
 
-def _append_uvarint(out: bytearray, value: int) -> None:
-    if value < 0:
-        raise ProtocolError(f"cannot encode negative value {value} as uvarint")
+def _append_uvarint(out: bytearray, value: int, max_bytes: int = MAX_VARINT_BYTES) -> None:
+    if value >> (7 * max_bytes):  # negative, or wider than the decoder reads
+        raise ProtocolError(
+            f"cannot encode {value} as a uvarint of at most {max_bytes} bytes"
+        )
     while value > 0x7F:
         out.append((value & 0x7F) | 0x80)
         value >>= 7
@@ -400,7 +166,30 @@ def _append_uvarint(out: bytearray, value: int) -> None:
 
 
 def _append_svarint(out: bytearray, value: int) -> None:
-    _append_uvarint(out, (value << 1) ^ (value >> 63) if value < 0 else value << 1)
+    # Zigzag in its arbitrary-precision form: ``value >> 63`` is the sign
+    # only for 64-bit values, and labels are not bounded by a word.
+    zigzag = ~(value << 1) if value < 0 else value << 1
+    _append_uvarint(out, zigzag, MAX_VALUE_VARINT_BYTES)
+
+
+def _scan_uvarint(
+    buf: Any, pos: int, end: int, max_bytes: int = MAX_VARINT_BYTES
+) -> tuple[int, int] | None:
+    """``(value, next_pos)`` of the uvarint at ``buf[pos:end]``, or None
+    when the buffer ends inside it; :class:`ProtocolError` once
+    ``max_bytes`` bytes have gone by without a terminator."""
+    limit = pos + max_bytes
+    value = shift = 0
+    while pos < end:
+        byte = buf[pos]
+        pos += 1
+        value |= (byte & 0x7F) << shift
+        if not byte & 0x80:
+            return value, pos
+        if pos >= limit:
+            raise ProtocolError(f"varint longer than {max_bytes} bytes")
+        shift += 7
+    return None
 
 
 class _Reader:
@@ -408,35 +197,31 @@ class _Reader:
 
     __slots__ = ("buf", "pos", "end")
 
-    def __init__(self, buf: bytes, pos: int = 0, end: int | None = None) -> None:
+    def __init__(self, buf: bytes) -> None:
         self.buf = buf
-        self.pos = pos
-        self.end = len(buf) if end is None else end
+        self.pos = 0
+        self.end = len(buf)
 
     @property
     def remaining(self) -> int:
         return self.end - self.pos
 
-    def uvarint(self) -> int:
-        buf, pos, end = self.buf, self.pos, self.end
-        shift = 0
-        value = 0
-        while True:
-            if pos >= end:
-                raise ProtocolError("truncated varint")
-            byte = buf[pos]
-            pos += 1
-            value |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                self.pos = pos
-                return value
-            shift += 7
-            if shift > 7 * MAX_VARINT_BYTES:
-                raise ProtocolError("varint too long")
+    def uvarint(self, max_bytes: int = MAX_VARINT_BYTES) -> int:
+        scanned = _scan_uvarint(self.buf, self.pos, self.end, max_bytes)
+        if scanned is None:
+            raise ProtocolError("truncated varint")
+        value, self.pos = scanned
+        return value
 
     def svarint(self) -> int:
-        raw = self.uvarint()
+        raw = self.uvarint(MAX_VALUE_VARINT_BYTES)
         return (raw >> 1) ^ -(raw & 1)
+
+    def byte(self) -> int:
+        if self.pos >= self.end:
+            raise ProtocolError("truncated payload")
+        self.pos += 1
+        return self.buf[self.pos - 1]
 
     def count(self) -> int:
         """An element count; each element costs >= 1 byte, so any count
@@ -461,8 +246,56 @@ class _Reader:
 
 
 # ----------------------------------------------------------------------
-# tagged value encoding (labels, submit results)
+# field codecs: how one field of a frame travels
 # ----------------------------------------------------------------------
+
+
+class Codec(NamedTuple):
+    """``put(out, value)`` appends a field; ``get(reader)`` reads it back."""
+
+    put: Callable[[bytearray, Any], None]
+    get: Callable[[_Reader], Any]
+
+
+def _put_bytes(out: bytearray, raw: bytes) -> None:
+    _append_uvarint(out, len(raw))
+    out += raw
+
+
+def _get_bytes(reader: _Reader) -> bytes:
+    return reader.take(reader.count())
+
+
+def _put_string(out: bytearray, text: str) -> None:
+    _put_bytes(out, text.encode("utf-8"))
+
+
+def _get_string(reader: _Reader) -> str:
+    try:
+        return _get_bytes(reader).decode("utf-8")
+    except UnicodeDecodeError as error:
+        raise ProtocolError(f"bad utf-8 in string: {error}") from None
+
+
+def _put_flag(out: bytearray, flag: bool) -> None:
+    out.append(1 if flag else 0)
+
+
+def _get_flag(reader: _Reader) -> bool:
+    raw = reader.uvarint()
+    if raw > 1:
+        raise ProtocolError(f"bad flag value {raw}")
+    return bool(raw)
+
+
+# -- tagged values (labels, submit results) ------------------------------
+
+_V_NONE = 0
+_V_INT = 1
+_V_TUPLE = 2
+_V_LIST = 3
+_V_STR = 4
+_V_BOOL = 5
 
 
 def encode_value(out: bytearray, value: Any, depth: int = 0) -> None:
@@ -477,21 +310,14 @@ def encode_value(out: bytearray, value: Any, depth: int = 0) -> None:
     elif isinstance(value, int):
         out.append(_V_INT)
         _append_svarint(out, value)
-    elif isinstance(value, tuple):
-        out.append(_V_TUPLE)
-        _append_uvarint(out, len(value))
-        for item in value:
-            encode_value(out, item, depth + 1)
-    elif isinstance(value, list):
-        out.append(_V_LIST)
+    elif isinstance(value, (tuple, list)):
+        out.append(_V_TUPLE if isinstance(value, tuple) else _V_LIST)
         _append_uvarint(out, len(value))
         for item in value:
             encode_value(out, item, depth + 1)
     elif isinstance(value, str):
-        raw = value.encode("utf-8")
         out.append(_V_STR)
-        _append_uvarint(out, len(raw))
-        out += raw
+        _put_string(out, value)
     else:
         raise ProtocolError(f"value of type {type(value).__name__} is not encodable")
 
@@ -499,45 +325,25 @@ def encode_value(out: bytearray, value: Any, depth: int = 0) -> None:
 def _decode_value(reader: _Reader, depth: int = 0) -> Any:
     if depth > MAX_VALUE_DEPTH:
         raise ProtocolError(f"value nesting exceeds depth {MAX_VALUE_DEPTH}")
-    if reader.remaining < 1:
-        raise ProtocolError("truncated value")
-    tag = reader.buf[reader.pos]
-    reader.pos += 1
+    tag = reader.byte()
     if tag == _V_NONE:
         return None
     if tag == _V_BOOL:
-        raw = reader.take(1)[0]
+        raw = reader.byte()
         if raw > 1:
             raise ProtocolError(f"bad bool byte {raw}")
         return bool(raw)
     if tag == _V_INT:
         return reader.svarint()
     if tag in (_V_TUPLE, _V_LIST):
-        n = reader.count()
-        items = [_decode_value(reader, depth + 1) for _ in range(n)]
+        items = [_decode_value(reader, depth + 1) for _ in range(reader.count())]
         return tuple(items) if tag == _V_TUPLE else items
     if tag == _V_STR:
-        n = reader.count()
-        raw = reader.take(n)
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as error:
-            raise ProtocolError(f"bad utf-8 in string value: {error}") from None
+        return _get_string(reader)
     raise ProtocolError(f"unknown value tag {tag}")
 
 
-def _decode_str(reader: _Reader) -> str:
-    n = reader.count()
-    raw = reader.take(n)
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as error:
-        raise ProtocolError(f"bad utf-8 in string field: {error}") from None
-
-
-# ----------------------------------------------------------------------
-# batch-op encoding (the Submit tape)
-# ----------------------------------------------------------------------
+# -- batch ops (the Submit tape) -----------------------------------------
 
 _A_INT = 0
 _A_REF = 1
@@ -567,13 +373,9 @@ def _decode_op(reader: _Reader) -> BatchOp:
     code = reader.uvarint()
     if code >= len(WIRE_KINDS):
         raise ProtocolError(f"unknown batch op code {code}")
-    nargs = reader.count()
     args: list[Any] = []
-    for _ in range(nargs):
-        if reader.remaining < 1:
-            raise ProtocolError("truncated batch op argument")
-        tag = reader.buf[reader.pos]
-        reader.pos += 1
+    for _ in range(reader.count()):
+        tag = reader.byte()
         if tag == _A_INT:
             args.append(reader.uvarint())
         elif tag == _A_REF:
@@ -585,146 +387,358 @@ def _decode_op(reader: _Reader) -> BatchOp:
     return BatchOp(WIRE_KINDS[code], tuple(args))
 
 
+# -- the codecs a frame declaration names --------------------------------
+
+UVARINT = Codec(_append_uvarint, _Reader.uvarint)
+SVARINT = Codec(_append_svarint, _Reader.svarint)
+STRING = Codec(_put_string, _get_string)
+BYTES = Codec(_put_bytes, _get_bytes)
+FLAG = Codec(_put_flag, _get_flag)
+VALUE = Codec(encode_value, _decode_value)
+OP = Codec(_encode_op, _decode_op)
+
+
+def seq(item: Codec) -> Codec:
+    """A counted tuple of ``item``.  The count is checked against the
+    bytes remaining (:meth:`_Reader.count`) before anything is built."""
+    put_item, get_item = item
+
+    def put(out: bytearray, values: Any) -> None:
+        _append_uvarint(out, len(values))
+        for value in values:
+            put_item(out, value)
+
+    def get(reader: _Reader) -> tuple:
+        return tuple([get_item(reader) for _ in range(reader.count())])
+
+    return Codec(put, get)
+
+
+def pair(item: Codec) -> Codec:
+    """Two ``item`` values back to back, as a 2-tuple."""
+    put_item, get_item = item
+
+    def put(out: bytearray, value: Any) -> None:
+        first, second = value
+        put_item(out, first)
+        put_item(out, second)
+
+    def get(reader: _Reader) -> tuple:
+        return get_item(reader), get_item(reader)
+
+    return Codec(put, get)
+
+
 # ----------------------------------------------------------------------
-# frame encode
+# the schema: every frame declared once
+# ----------------------------------------------------------------------
+
+
+class FrameType(NamedTuple):
+    """One row of the wire schema."""
+
+    code: int
+    name: str
+    cls: type
+    #: ``(attribute, codec)`` per body field, in wire order.
+    fields: tuple[tuple[str, Codec], ...]
+
+
+#: The wire schema: one row per frame class, filled by :func:`wire`.
+SCHEMA: dict[type, FrameType] = {}
+_BY_CODE: dict[int, FrameType] = {}
+
+
+def wire(code: int, name: str, *codecs: Codec) -> Callable[[type], type]:
+    """Declare the decorated dataclass as frame type ``code``, a row of
+    :data:`SCHEMA`.
+
+    ``name`` labels its spans and metrics; ``codecs`` encode its fields
+    in declaration order after ``request_id`` (which travels in the frame
+    header).  Requests take codes 0x01.., responses 0x81.."""
+
+    def register(cls: type) -> type:
+        names = [field.name for field in dataclasses.fields(cls)]
+        if names[0] != "request_id" or len(names) != len(codecs) + 1 or code in _BY_CODE:
+            raise TypeError(f"bad wire declaration for {cls.__name__}")
+        SCHEMA[cls] = _BY_CODE[code] = FrameType(
+            code, name, cls, tuple(zip(names[1:], codecs))
+        )
+        return cls
+
+    return register
+
+
+@wire(0x01, "hello", UVARINT)
+@dataclass(frozen=True)
+class Hello:
+    """Client handshake: the protocol version it speaks."""
+
+    request_id: int
+    version: int = PROTOCOL_VERSION
+
+
+@wire(0x02, "ping")
+@dataclass(frozen=True)
+class Ping:
+    request_id: int
+
+
+@wire(0x03, "refresh")
+@dataclass(frozen=True)
+class Refresh:
+    """Advance the connection's pinned session to the latest epochs."""
+
+    request_id: int
+
+
+@wire(0x04, "lookup", seq(UVARINT))
+@dataclass(frozen=True)
+class Lookup:
+    """Batched label lookup, served at the connection's pinned epoch(s)."""
+
+    request_id: int
+    lids: tuple[int, ...]
+
+
+@wire(0x05, "ordinal", seq(UVARINT))
+@dataclass(frozen=True)
+class Ordinal:
+    """Batched ordinal lookup at the pinned epoch(s)."""
+
+    request_id: int
+    lids: tuple[int, ...]
+
+
+@wire(0x06, "compare", seq(pair(UVARINT)))
+@dataclass(frozen=True)
+class Compare:
+    """Batched document-order comparison of LID pairs."""
+
+    request_id: int
+    pairs: tuple[tuple[int, int], ...]
+
+
+@wire(0x07, "submit", seq(OP))
+@dataclass(frozen=True)
+class Submit:
+    """A write tape: batch ops applied through the service's writer."""
+
+    request_id: int
+    ops: tuple[BatchOp, ...]
+
+
+@wire(0x08, "repl_state", UVARINT)
+@dataclass(frozen=True)
+class ReplState:
+    """A follower asking one shard's replication position (manifest)."""
+
+    request_id: int
+    shard: int
+
+
+@wire(0x09, "repl_fetch", UVARINT, UVARINT, UVARINT, UVARINT, UVARINT)
+@dataclass(frozen=True)
+class ReplFetch:
+    """A follower pulling bytes of one replication source.
+
+    ``kind`` selects the source (:data:`REPL_FETCH_IMAGE` /
+    :data:`REPL_FETCH_WAL`); ``segment`` names it — for WAL fetches a
+    sealed segment id, or the manifest's ``next_segment`` for the live
+    tail.  ``offset``/``limit`` window the read so one fetch never
+    exceeds a frame.
+    """
+
+    request_id: int
+    shard: int
+    kind: int
+    segment: int
+    offset: int
+    limit: int
+
+
+@wire(0x0A, "query", UVARINT, UVARINT, UVARINT, UVARINT, UVARINT)
+@dataclass(frozen=True)
+class Query:
+    """An ordered-axis stream request over the server's element catalog.
+
+    ``axis`` is one of the ``AXIS_*`` codes; the anchor element is the
+    ``(start_lid, end_lid)`` pair; ``depth`` is the target depth for
+    :data:`AXIS_ANCESTOR_AT_DEPTH` (ignored otherwise); ``chunk`` caps
+    elements per response chunk (0 = server default).  The response is a
+    *stream*: one or more :class:`QueryChunk` frames sharing this
+    request id, the final one flagged ``last`` — or a single
+    :class:`ErrorFrame`.
+    """
+
+    request_id: int
+    axis: int
+    start_lid: int
+    end_lid: int
+    depth: int = 0
+    chunk: int = 0
+
+
+@wire(0x81, "server_hello", UVARINT, UVARINT, STRING, seq(UVARINT))
+@dataclass(frozen=True)
+class ServerHello:
+    """Server handshake reply: topology plus the session's initial pin."""
+
+    request_id: int
+    version: int
+    n_shards: int
+    scheme: str
+    epochs: tuple[int, ...]
+
+
+@wire(0x82, "pong")
+@dataclass(frozen=True)
+class Pong:
+    request_id: int
+
+
+@wire(0x83, "epochs", seq(UVARINT))
+@dataclass(frozen=True)
+class Epochs:
+    """The session's pinned epoch numbers, one per shard."""
+
+    request_id: int
+    numbers: tuple[int, ...]
+
+
+@wire(0x84, "values", seq(VALUE))
+@dataclass(frozen=True)
+class Values:
+    """Label values answering a :class:`Lookup`."""
+
+    request_id: int
+    values: tuple[Any, ...]
+
+
+@wire(0x85, "orders", seq(SVARINT))
+@dataclass(frozen=True)
+class Orders:
+    """Signed comparison results answering a :class:`Compare` (or the
+    integer ordinals answering an :class:`Ordinal`)."""
+
+    request_id: int
+    orders: tuple[int, ...]
+
+
+@wire(0x86, "results", seq(VALUE))
+@dataclass(frozen=True)
+class Results:
+    """Positional results answering a :class:`Submit` tape."""
+
+    request_id: int
+    values: tuple[Any, ...]
+
+
+@wire(0x87, "error", UVARINT, STRING)
+@dataclass(frozen=True)
+class ErrorFrame:
+    """A typed failure: one of the ``ERR_*`` codes plus a message."""
+
+    request_id: int
+    code: int
+    message: str
+
+    @property
+    def code_name(self) -> str:
+        kind = ERRORS.get(self.code)
+        return kind.name if kind else f"code{self.code}"
+
+
+@wire(0x88, "repl_manifest", UVARINT, UVARINT, seq(UVARINT), UVARINT, UVARINT, UVARINT, UVARINT)
+@dataclass(frozen=True)
+class ReplManifest:
+    """One shard's replication position, answering :class:`ReplState`.
+
+    ``segments`` are the sealed segment ids; ``next_segment`` is the id
+    the live tail will take when sealed; ``tail_bytes`` its current
+    length.  ``checkpoint_segment``/``checkpoint_bytes`` describe the
+    newest checkpoint image (0/0 when none is recorded — segment ids
+    start at 1).  ``epoch`` is the shard service's current epoch number,
+    the follower's lag-in-epochs reference.
+    """
+
+    request_id: int
+    shard: int
+    next_segment: int
+    segments: tuple[int, ...]
+    checkpoint_segment: int
+    checkpoint_bytes: int
+    epoch: int
+    tail_bytes: int
+
+
+@wire(0x89, "repl_chunk", FLAG, UVARINT, BYTES)
+@dataclass(frozen=True)
+class ReplChunk:
+    """One windowed read answering a :class:`ReplFetch`.
+
+    ``total`` is the source's current byte length; ``sealed`` says the
+    source can no longer grow (a sealed segment or checkpoint image —
+    the live tail ships with ``sealed=False``).  ``data`` may be empty
+    when the offset is at (or past) the current end.
+    """
+
+    request_id: int
+    sealed: bool
+    total: int
+    data: bytes
+
+
+@wire(0x8A, "query_chunk", FLAG, seq(UVARINT), seq(pair(UVARINT)))
+@dataclass(frozen=True)
+class QueryChunk:
+    """One slice of a :class:`Query` result stream.
+
+    ``epochs`` is the pinned epoch number(s) the whole stream was
+    evaluated at — identical on every chunk of one stream, which is the
+    wire form of the "no torn results" guarantee; ``elements`` are
+    ``(start_lid, end_lid)`` pairs in document order; ``last`` marks the
+    stream's final chunk (an empty result set is one empty last chunk).
+    """
+
+    request_id: int
+    last: bool
+    epochs: tuple[int, ...]
+    elements: tuple[tuple[int, int], ...]
+
+
+# -- derived from the schema, never written beside it ---------------------
+
+#: ``T_HELLO`` .. ``T_QUERY_CHUNK``: each frame's type code by name.
+globals().update({f"T_{row.name.upper()}": row.code for row in SCHEMA.values()})
+
+#: Request kind names by type code (metric and span labels).
+REQUEST_NAMES = {row.code: row.name for row in SCHEMA.values() if row.code < 0x80}
+
+Frame = Union[tuple(SCHEMA)]  # type: ignore[valid-type]
+
+
+def error_frame(request_id: int, error: BaseException) -> ErrorFrame:
+    """The typed frame that answers ``error`` (see :data:`ERRORS`)."""
+    code = next(kind.code for kind in ERRORS.values() if isinstance(error, kind.catches))
+    return ErrorFrame(request_id, code, str(error))
+
+
+# ----------------------------------------------------------------------
+# frame encode / decode
 # ----------------------------------------------------------------------
 
 
 def encode_payload(frame: Frame) -> bytes:
     """The frame's payload bytes (everything after the length prefix)."""
-    out = bytearray()
-    if isinstance(frame, Hello):
-        _append_uvarint(out, T_HELLO)
-        _append_uvarint(out, frame.request_id)
-        _append_uvarint(out, frame.version)
-    elif isinstance(frame, Ping):
-        _append_uvarint(out, T_PING)
-        _append_uvarint(out, frame.request_id)
-    elif isinstance(frame, Refresh):
-        _append_uvarint(out, T_REFRESH)
-        _append_uvarint(out, frame.request_id)
-    elif isinstance(frame, Lookup):
-        _append_uvarint(out, T_LOOKUP)
-        _append_uvarint(out, frame.request_id)
-        _append_uvarint(out, len(frame.lids))
-        for lid in frame.lids:
-            _append_uvarint(out, lid)
-    elif isinstance(frame, Ordinal):
-        _append_uvarint(out, T_ORDINAL)
-        _append_uvarint(out, frame.request_id)
-        _append_uvarint(out, len(frame.lids))
-        for lid in frame.lids:
-            _append_uvarint(out, lid)
-    elif isinstance(frame, Compare):
-        _append_uvarint(out, T_COMPARE)
-        _append_uvarint(out, frame.request_id)
-        _append_uvarint(out, len(frame.pairs))
-        for first, second in frame.pairs:
-            _append_uvarint(out, first)
-            _append_uvarint(out, second)
-    elif isinstance(frame, Submit):
-        _append_uvarint(out, T_SUBMIT)
-        _append_uvarint(out, frame.request_id)
-        _append_uvarint(out, len(frame.ops))
-        for op in frame.ops:
-            _encode_op(out, op)
-    elif isinstance(frame, ReplState):
-        _append_uvarint(out, T_REPL_STATE)
-        _append_uvarint(out, frame.request_id)
-        _append_uvarint(out, frame.shard)
-    elif isinstance(frame, ReplFetch):
-        _append_uvarint(out, T_REPL_FETCH)
-        _append_uvarint(out, frame.request_id)
-        _append_uvarint(out, frame.shard)
-        _append_uvarint(out, frame.kind)
-        _append_uvarint(out, frame.segment)
-        _append_uvarint(out, frame.offset)
-        _append_uvarint(out, frame.limit)
-    elif isinstance(frame, Query):
-        _append_uvarint(out, T_QUERY)
-        _append_uvarint(out, frame.request_id)
-        _append_uvarint(out, frame.axis)
-        _append_uvarint(out, frame.start_lid)
-        _append_uvarint(out, frame.end_lid)
-        _append_uvarint(out, frame.depth)
-        _append_uvarint(out, frame.chunk)
-    elif isinstance(frame, ServerHello):
-        _append_uvarint(out, T_SERVER_HELLO)
-        _append_uvarint(out, frame.request_id)
-        _append_uvarint(out, frame.version)
-        _append_uvarint(out, frame.n_shards)
-        raw = frame.scheme.encode("utf-8")
-        _append_uvarint(out, len(raw))
-        out += raw
-        _append_uvarint(out, len(frame.epochs))
-        for number in frame.epochs:
-            _append_uvarint(out, number)
-    elif isinstance(frame, Pong):
-        _append_uvarint(out, T_PONG)
-        _append_uvarint(out, frame.request_id)
-    elif isinstance(frame, Epochs):
-        _append_uvarint(out, T_EPOCHS)
-        _append_uvarint(out, frame.request_id)
-        _append_uvarint(out, len(frame.numbers))
-        for number in frame.numbers:
-            _append_uvarint(out, number)
-    elif isinstance(frame, Values):
-        _append_uvarint(out, T_VALUES)
-        _append_uvarint(out, frame.request_id)
-        _append_uvarint(out, len(frame.values))
-        for value in frame.values:
-            encode_value(out, value)
-    elif isinstance(frame, Orders):
-        _append_uvarint(out, T_ORDERS)
-        _append_uvarint(out, frame.request_id)
-        _append_uvarint(out, len(frame.orders))
-        for order in frame.orders:
-            _append_svarint(out, order)
-    elif isinstance(frame, Results):
-        _append_uvarint(out, T_RESULTS)
-        _append_uvarint(out, frame.request_id)
-        _append_uvarint(out, len(frame.values))
-        for value in frame.values:
-            encode_value(out, value)
-    elif isinstance(frame, ReplManifest):
-        _append_uvarint(out, T_REPL_MANIFEST)
-        _append_uvarint(out, frame.request_id)
-        _append_uvarint(out, frame.shard)
-        _append_uvarint(out, frame.next_segment)
-        _append_uvarint(out, len(frame.segments))
-        for segment in frame.segments:
-            _append_uvarint(out, segment)
-        _append_uvarint(out, frame.checkpoint_segment)
-        _append_uvarint(out, frame.checkpoint_bytes)
-        _append_uvarint(out, frame.epoch)
-        _append_uvarint(out, frame.tail_bytes)
-    elif isinstance(frame, ReplChunk):
-        _append_uvarint(out, T_REPL_CHUNK)
-        _append_uvarint(out, frame.request_id)
-        _append_uvarint(out, 1 if frame.sealed else 0)
-        _append_uvarint(out, frame.total)
-        _append_uvarint(out, len(frame.data))
-        out += frame.data
-    elif isinstance(frame, QueryChunk):
-        _append_uvarint(out, T_QUERY_CHUNK)
-        _append_uvarint(out, frame.request_id)
-        _append_uvarint(out, 1 if frame.last else 0)
-        _append_uvarint(out, len(frame.epochs))
-        for number in frame.epochs:
-            _append_uvarint(out, number)
-        _append_uvarint(out, len(frame.elements))
-        for start_lid, end_lid in frame.elements:
-            _append_uvarint(out, start_lid)
-            _append_uvarint(out, end_lid)
-    elif isinstance(frame, ErrorFrame):
-        _append_uvarint(out, T_ERROR)
-        _append_uvarint(out, frame.request_id)
-        _append_uvarint(out, frame.code)
-        raw = frame.message.encode("utf-8")
-        _append_uvarint(out, len(raw))
-        out += raw
-    else:
+    row = SCHEMA.get(type(frame))
+    if row is None:
         raise ProtocolError(f"cannot encode frame of type {type(frame).__name__}")
+    out = bytearray()
+    _append_uvarint(out, row.code)
+    _append_uvarint(out, frame.request_id)
+    for name, codec in row.fields:
+        codec.put(out, getattr(frame, name))
     return bytes(out)
 
 
@@ -740,23 +754,6 @@ def encode_frame(frame: Frame) -> bytes:
     return bytes(prefix) + payload
 
 
-# ----------------------------------------------------------------------
-# frame decode
-# ----------------------------------------------------------------------
-
-
-def peek_header(payload: bytes) -> tuple[int, int, int]:
-    """``(frame_type, request_id, body_offset)`` without decoding the body.
-
-    The server's read loop uses this to account and shed requests before
-    paying for a full decode; raises :class:`ProtocolError` exactly like
-    :func:`decode_payload` would."""
-    reader = _Reader(payload)
-    frame_type = reader.uvarint()
-    request_id = reader.uvarint()
-    return frame_type, request_id, reader.pos
-
-
 def decode_payload(payload: bytes) -> Frame:
     """Decode one payload into its frame, or raise :class:`ProtocolError`.
 
@@ -764,108 +761,14 @@ def decode_payload(payload: bytes) -> Frame:
     the one typed error — never hangs, never escapes another exception.
     """
     reader = _Reader(payload)
-    frame_type = reader.uvarint()
+    code = reader.uvarint()
     request_id = reader.uvarint()
-    frame = _decode_body(frame_type, request_id, reader)
+    row = _BY_CODE.get(code)
+    if row is None:
+        raise ProtocolError(f"unknown frame type {code:#x}")
+    frame = row.cls(request_id, *[codec.get(reader) for _name, codec in row.fields])
     reader.expect_end()
     return frame
-
-
-def _decode_body(frame_type: int, request_id: int, reader: _Reader) -> Frame:
-    if frame_type == T_HELLO:
-        return Hello(request_id, reader.uvarint())
-    if frame_type == T_PING:
-        return Ping(request_id)
-    if frame_type == T_REFRESH:
-        return Refresh(request_id)
-    if frame_type in (T_LOOKUP, T_ORDINAL):
-        n = reader.count()
-        lids = tuple(reader.uvarint() for _ in range(n))
-        return (Lookup if frame_type == T_LOOKUP else Ordinal)(request_id, lids)
-    if frame_type == T_COMPARE:
-        n = reader.count()
-        pairs = tuple((reader.uvarint(), reader.uvarint()) for _ in range(n))
-        return Compare(request_id, pairs)
-    if frame_type == T_SUBMIT:
-        n = reader.count()
-        ops = tuple(_decode_op(reader) for _ in range(n))
-        return Submit(request_id, ops)
-    if frame_type == T_SERVER_HELLO:
-        version = reader.uvarint()
-        n_shards = reader.uvarint()
-        scheme = _decode_str(reader)
-        n = reader.count()
-        epochs = tuple(reader.uvarint() for _ in range(n))
-        return ServerHello(request_id, version, n_shards, scheme, epochs)
-    if frame_type == T_PONG:
-        return Pong(request_id)
-    if frame_type == T_EPOCHS:
-        n = reader.count()
-        return Epochs(request_id, tuple(reader.uvarint() for _ in range(n)))
-    if frame_type == T_VALUES:
-        n = reader.count()
-        return Values(request_id, tuple(_decode_value(reader) for _ in range(n)))
-    if frame_type == T_ORDERS:
-        n = reader.count()
-        return Orders(request_id, tuple(reader.svarint() for _ in range(n)))
-    if frame_type == T_RESULTS:
-        n = reader.count()
-        return Results(request_id, tuple(_decode_value(reader) for _ in range(n)))
-    if frame_type == T_REPL_STATE:
-        return ReplState(request_id, reader.uvarint())
-    if frame_type == T_REPL_FETCH:
-        return ReplFetch(
-            request_id,
-            reader.uvarint(),
-            reader.uvarint(),
-            reader.uvarint(),
-            reader.uvarint(),
-            reader.uvarint(),
-        )
-    if frame_type == T_REPL_MANIFEST:
-        shard = reader.uvarint()
-        next_segment = reader.uvarint()
-        n = reader.count()
-        segments = tuple(reader.uvarint() for _ in range(n))
-        return ReplManifest(
-            request_id,
-            shard,
-            next_segment,
-            segments,
-            reader.uvarint(),
-            reader.uvarint(),
-            reader.uvarint(),
-            reader.uvarint(),
-        )
-    if frame_type == T_QUERY:
-        return Query(
-            request_id,
-            reader.uvarint(),
-            reader.uvarint(),
-            reader.uvarint(),
-            reader.uvarint(),
-            reader.uvarint(),
-        )
-    if frame_type == T_QUERY_CHUNK:
-        last_raw = reader.uvarint()
-        if last_raw > 1:
-            raise ProtocolError(f"bad last flag {last_raw}")
-        n = reader.count()
-        epochs = tuple(reader.uvarint() for _ in range(n))
-        n = reader.count()
-        elements = tuple((reader.uvarint(), reader.uvarint()) for _ in range(n))
-        return QueryChunk(request_id, bool(last_raw), epochs, elements)
-    if frame_type == T_REPL_CHUNK:
-        sealed_raw = reader.uvarint()
-        if sealed_raw > 1:
-            raise ProtocolError(f"bad sealed flag {sealed_raw}")
-        total = reader.uvarint()
-        n = reader.count()
-        return ReplChunk(request_id, bool(sealed_raw), total, reader.take(n))
-    if frame_type == T_ERROR:
-        code = reader.uvarint()
-        return ErrorFrame(request_id, code, _decode_str(reader))
-    raise ProtocolError(f"unknown frame type {frame_type:#x}")
 
 
 class FrameDecoder:
@@ -892,45 +795,26 @@ class FrameDecoder:
         """Unconsumed bytes currently buffered."""
         return len(self._buf) - self._pos
 
-    def _try_length(self) -> tuple[int, int] | None:
-        """``(payload_len, offset_past_prefix)`` or None if incomplete."""
-        buf, pos, end = self._buf, self._pos, len(self._buf)
-        shift = 0
-        value = 0
-        index = pos
-        while True:
-            if index >= end:
-                if index - pos >= MAX_VARINT_BYTES:
-                    raise ProtocolError("frame length prefix varint too long")
-                return None
-            byte = buf[index]
-            index += 1
-            value |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                if value > self.max_frame_bytes:
-                    raise ProtocolError(
-                        f"announced frame of {value} bytes exceeds "
-                        f"limit {self.max_frame_bytes}"
-                    )
-                return value, index
-            shift += 7
-            if index - pos >= MAX_VARINT_BYTES:
-                raise ProtocolError("frame length prefix varint too long")
-
     def frames(self) -> Iterator[Frame]:
         """Yield every complete frame currently buffered."""
+        buf = self._buf
         while True:
-            header = self._try_length()
+            header = _scan_uvarint(buf, self._pos, len(buf))
             if header is None:
                 break
             length, offset = header
-            if len(self._buf) - offset < length:
+            if length > self.max_frame_bytes:
+                raise ProtocolError(
+                    f"announced frame of {length} bytes exceeds "
+                    f"limit {self.max_frame_bytes}"
+                )
+            if len(buf) - offset < length:
                 break
-            payload = bytes(self._buf[offset:offset + length])
+            payload = bytes(buf[offset:offset + length])
             self._pos = offset + length
             # Periodically drop the consumed prefix to bound the buffer.
             if self._pos > 1 << 16:
-                del self._buf[:self._pos]
+                del buf[:self._pos]
                 self._pos = 0
             yield decode_payload(payload)
 

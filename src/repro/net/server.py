@@ -50,18 +50,10 @@ from typing import Any
 from ..core.batch import BatchRef
 from ..errors import (
     BackpressureTimeout,
-    CrossShardError,
-    LabelingError,
     ProtocolError,
-    RecordNotFoundError,
     ReplicationError,
-    ReproError,
-    ServiceClosedError,
-    ServiceDegradedError,
     ServiceError,
     ServiceOverloadedError,
-    UnknownLIDError,
-    WriterCrashError,
 )
 from ..obs import trace
 from ..obs.metrics import get_registry
@@ -112,44 +104,26 @@ REPL_CHUNK_CAP = 256 * 1024
 DEFAULT_QUERY_CHUNK = 256
 QUERY_CHUNK_CAP = 8192
 
-
-def _error_code_for(error: BaseException) -> int:
-    """Map a service/labeling exception to its wire error code."""
-    if isinstance(error, (ServiceDegradedError, WriterCrashError)):
-        # A WriterCrashError failing an in-flight ticket IS the moment the
-        # service degrades; both tell the client the same thing.
-        return proto.ERR_DEGRADED
-    if isinstance(error, (ServiceOverloadedError, BackpressureTimeout)):
-        return proto.ERR_OVERLOADED
-    if isinstance(error, CrossShardError):
-        return proto.ERR_CROSS_SHARD
-    if isinstance(error, (UnknownLIDError, RecordNotFoundError)):
-        return proto.ERR_UNKNOWN_LID
-    if isinstance(error, ProtocolError):
-        return proto.ERR_PROTOCOL
-    if isinstance(error, (LabelingError, ReproError, ValueError, TypeError)):
-        return proto.ERR_BAD_REQUEST
-    return proto.ERR_INTERNAL
+#: Executor threads running the blocking service calls.
+MAX_WORKERS = 8
 
 
 class _Connection:
     """Per-connection state: the pinned session and the FIFO order lock."""
 
-    __slots__ = ("reader", "writer", "session", "lock", "decoder", "peer", "engine")
+    __slots__ = ("reader", "writer", "session", "lock", "decoder", "engine")
 
     def __init__(
         self,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
         session: ShardedReaderSession,
-        max_frame_bytes: int,
     ) -> None:
         self.reader = reader
         self.writer = writer
         self.session = session
         self.lock = asyncio.Lock()
-        self.decoder = FrameDecoder(max_frame_bytes)
-        self.peer = writer.get_extra_info("peername")
+        self.decoder = FrameDecoder()
         self.engine: QueryEngine | None = None
 
 
@@ -170,8 +144,6 @@ class NetServer:
     submit_timeout:
         Longest a write submission may block on the service's bounded
         write queue before shedding.
-    max_workers:
-        Executor threads running the blocking service calls.
     catalog:
         The :class:`~repro.query.streams.ElementCatalog` query streams
         range over, shared by every connection.  Defaults to a fresh
@@ -189,8 +161,6 @@ class NetServer:
         *,
         max_inflight: int = DEFAULT_MAX_INFLIGHT,
         submit_timeout: float = DEFAULT_SUBMIT_TIMEOUT,
-        max_workers: int = 8,
-        max_frame_bytes: int = proto.MAX_FRAME_BYTES,
         catalog: ElementCatalog | None = None,
     ) -> None:
         self.service = service
@@ -198,11 +168,19 @@ class NetServer:
         self._requested_port = port
         self.max_inflight = max_inflight
         self.submit_timeout = submit_timeout
-        self.max_frame_bytes = max_frame_bytes
         self.catalog = catalog if catalog is not None else ElementCatalog()
         self._executor = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="net-worker"
+            max_workers=MAX_WORKERS, thread_name_prefix="net-worker"
         )
+        #: The dispatch table: each request frame class is handled by the
+        #: method named after it in the schema (``Lookup`` -> ``_lookup``),
+        #: ``(conn, frame) -> [reply, ...]`` on an executor thread.  A
+        #: request frame without a handler fails here, at construction.
+        self._handlers = {
+            row.cls: getattr(self, f"_{row.name}")
+            for row in proto.SCHEMA.values()
+            if row.code in proto.REQUEST_NAMES
+        }
         self._server: asyncio.base_events.Server | None = None
         self._inflight = 0
         self._connections: set[asyncio.StreamWriter] = set()
@@ -284,7 +262,7 @@ class NetServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self._connections_total.inc()
-        conn = _Connection(reader, writer, self.service.session(), self.max_frame_bytes)
+        conn = _Connection(reader, writer, self.service.session())
         self._connections.add(writer)
         tasks: set[asyncio.Task] = set()
         try:
@@ -355,21 +333,13 @@ class NetServer:
     async def _serve_request(self, conn: _Connection, frame: Frame) -> None:
         try:
             async with conn.lock:  # FIFO: per-connection program order
-                loop = asyncio.get_running_loop()
-                if isinstance(frame, Query):
-                    # Streaming: the full result is computed at one epoch
-                    # on the executor, then shipped as a chunk sequence
-                    # under the same FIFO lock — no other reply can
-                    # interleave mid-stream on this connection.
-                    replies = await loop.run_in_executor(
-                        self._executor, self._execute_query, conn, frame
-                    )
-                    for reply in replies:
-                        await self._send(conn, reply)
-                else:
-                    reply = await loop.run_in_executor(
-                        self._executor, self._execute, conn, frame
-                    )
+                # The whole answer is computed on the executor, then sent
+                # under the same FIFO lock — no other reply can interleave
+                # with a multi-frame (query stream) answer.
+                replies = await asyncio.get_running_loop().run_in_executor(
+                    self._executor, self._execute, conn, frame
+                )
+                for reply in replies:
                     await self._send(conn, reply)
         except (ConnectionError, OSError):
             pass  # peer is gone; the work (if any) already happened
@@ -378,56 +348,71 @@ class NetServer:
 
     # -- blocking request execution (executor thread) ------------------
 
-    def _execute(self, conn: _Connection, frame: Frame) -> Frame:
-        """Run one request on an executor thread, returning its reply.
+    def _execute(self, conn: _Connection, frame: Frame) -> list[Frame]:
+        """Run one request on an executor thread, returning its replies
+        (one frame; a run of chunks for a query).  Any failure collapses
+        the answer to a single typed error frame and the connection
+        lives on.
 
         The ``net.request`` span opened here is the root of the request's
         trace tree; ``submit_ops`` captures it as the cross-thread parent
         for the writer's apply spans, and the ticket resolves only after
         those spans close — so the tree is complete before the reply."""
-        kind = proto.REQUEST_NAMES.get(
-            getattr(proto, f"T_{type(frame).__name__.upper()}", 0),
-            type(frame).__name__.lower(),
-        )
-        with trace.span("net.request", kind=kind) as span:
+        with trace.span("net.request", kind=proto.SCHEMA[type(frame)].name) as span:
             if span.recording:
                 span.set("request_id", frame.request_id)
             try:
-                reply = self._apply(conn, frame)
+                handler = self._handlers.get(type(frame))
+                if handler is None:
+                    raise ProtocolError(f"{type(frame).__name__} is not a request frame")
+                replies = handler(conn, frame)
             except BaseException as error:  # noqa: BLE001 — typed frame, conn lives
-                code = _error_code_for(error)
+                reply = proto.error_frame(frame.request_id, error)
                 if span.recording:
-                    span.set("error", proto.ERROR_NAMES.get(code, str(code)))
-                self._requests_total.inc()
-                return ErrorFrame(frame.request_id, code, str(error))
+                    span.set("error", reply.code_name)
+                replies = [reply]
         self._requests_total.inc()
-        return reply
+        return replies
 
-    def _execute_query(self, conn: _Connection, frame: Query) -> list[Frame]:
-        """Evaluate one query stream on an executor thread.
+    def _hello(self, conn: _Connection, frame: Hello) -> list[Frame]:
+        if frame.version != proto.PROTOCOL_VERSION:
+            raise ProtocolError(
+                f"peer speaks protocol {frame.version}, "
+                f"server speaks {proto.PROTOCOL_VERSION}"
+            )
+        return [
+            ServerHello(
+                frame.request_id,
+                proto.PROTOCOL_VERSION,
+                self.service.n_shards,
+                self.service.schemes[0].name,
+                conn.session.vector.numbers,
+            )
+        ]
 
-        The whole answer is materialised from a single
-        :class:`~repro.query.streams.EpochView` before the first chunk is
-        framed, so every chunk of the stream carries the same epoch
-        vector — the wire form of "no torn results".  Any failure
-        (degraded service mid-build, unknown element, bad axis) collapses
-        the stream to a single typed error frame."""
-        with trace.span("net.request", kind="query") as span:
-            if span.recording:
-                span.set("request_id", frame.request_id)
-            try:
-                chunks = self._query_chunks(conn, frame)
-            except BaseException as error:  # noqa: BLE001 — typed frame, conn lives
-                code = _error_code_for(error)
-                if span.recording:
-                    span.set("error", proto.ERROR_NAMES.get(code, str(code)))
-                self._requests_total.inc()
-                return [ErrorFrame(frame.request_id, code, str(error))]
-        self._requests_total.inc()
-        self._query_chunks_total.inc(len(chunks))
-        return chunks
+    def _ping(self, conn: _Connection, frame: Ping) -> list[Frame]:
+        return [Pong(frame.request_id)]
 
-    def _query_chunks(self, conn: _Connection, frame: Query) -> list[Frame]:
+    def _refresh(self, conn: _Connection, frame: Refresh) -> list[Frame]:
+        return [Epochs(frame.request_id, conn.session.refresh().numbers)]
+
+    def _lookup(self, conn: _Connection, frame: Lookup) -> list[Frame]:
+        values = conn.session.lookup_many(list(frame.lids))
+        return [Values(frame.request_id, tuple(values))]
+
+    def _ordinal(self, conn: _Connection, frame: Ordinal) -> list[Frame]:
+        ordinals = tuple(conn.session.ordinal_lookup(lid) for lid in frame.lids)
+        return [Orders(frame.request_id, ordinals)]
+
+    def _compare(self, conn: _Connection, frame: Compare) -> list[Frame]:
+        orders = tuple(conn.session.compare(a, b) for a, b in frame.pairs)
+        return [Orders(frame.request_id, orders)]
+
+    def _query(self, conn: _Connection, frame: Query) -> list[Frame]:
+        """Evaluate one query stream.  The whole answer is materialised
+        from a single :class:`~repro.query.streams.EpochView` before the
+        first chunk is framed, so every chunk of the stream carries the
+        same epoch vector — the wire form of "no torn results"."""
         if conn.engine is None:
             conn.engine = QueryEngine(conn.session, self.catalog)
         view = conn.engine.view()
@@ -458,7 +443,21 @@ class NetServer:
             )
         if not chunks:  # empty result still answers: one empty last chunk
             chunks.append(QueryChunk(frame.request_id, True, view.epochs, ()))
+        self._query_chunks_total.inc(len(chunks))
         return chunks
+
+    def _submit(self, conn: _Connection, frame: Submit) -> list[Frame]:
+        ops = list(frame.ops)
+        self._untrack_deletes(ops)
+        try:
+            ticket = self.service.submit_ops(ops, timeout=self.submit_timeout)
+        except BackpressureTimeout as error:
+            raise ServiceOverloadedError(
+                f"write queue full for {self.submit_timeout}s: {error}"
+            ) from error
+        results = tuple(ticket.wait().results)
+        self._track_submit(ops, results)
+        return [Results(frame.request_id, results)]
 
     def _untrack_deletes(self, ops: list[Any]) -> None:
         """Catalog half 1, *before* the batch commits: drop every element
@@ -501,55 +500,6 @@ class NetServer:
             ):
                 self.catalog.add(result[0], result[1])
 
-    def _apply(self, conn: _Connection, frame: Frame) -> Frame:
-        session = conn.session
-        if isinstance(frame, Hello):
-            if frame.version != proto.PROTOCOL_VERSION:
-                raise ProtocolError(
-                    f"peer speaks protocol {frame.version}, "
-                    f"server speaks {proto.PROTOCOL_VERSION}"
-                )
-            return ServerHello(
-                frame.request_id,
-                proto.PROTOCOL_VERSION,
-                self.service.n_shards,
-                self.service.schemes[0].name,
-                session.vector.numbers,
-            )
-        if isinstance(frame, Ping):
-            return Pong(frame.request_id)
-        if isinstance(frame, Refresh):
-            return Epochs(frame.request_id, session.refresh().numbers)
-        if isinstance(frame, Lookup):
-            values = session.lookup_many(list(frame.lids))
-            return Values(frame.request_id, tuple(values))
-        if isinstance(frame, Ordinal):
-            ordinals = tuple(session.ordinal_lookup(lid) for lid in frame.lids)
-            return Orders(frame.request_id, ordinals)
-        if isinstance(frame, Compare):
-            orders = tuple(session.compare(a, b) for a, b in frame.pairs)
-            return Orders(frame.request_id, orders)
-        if isinstance(frame, ReplState):
-            return self._repl_state(frame)
-        if isinstance(frame, ReplFetch):
-            return self._repl_fetch(frame)
-        if isinstance(frame, Submit):
-            self._untrack_deletes(list(frame.ops))
-            try:
-                ticket = self.service.submit_ops(
-                    list(frame.ops), timeout=self.submit_timeout
-                )
-            except BackpressureTimeout as error:
-                raise ServiceOverloadedError(
-                    f"write queue full for {self.submit_timeout}s: {error}"
-                ) from error
-            result = ticket.wait()
-            self._track_submit(list(frame.ops), tuple(result.results))
-            return Results(frame.request_id, tuple(result.results))
-        raise ProtocolError(
-            f"{type(frame).__name__} is not a request frame"
-        )
-
     # -- replication (WAL shipping) ------------------------------------
 
     def _repl_shard(self, shard: int) -> tuple[LabelService, Any]:
@@ -568,7 +518,7 @@ class NetServer:
             )
         return shard_service, backend
 
-    def _repl_state(self, frame: ReplState) -> ReplManifest:
+    def _repl_state(self, conn: _Connection, frame: ReplState) -> list[Frame]:
         shard_service, backend = self._repl_shard(frame.shard)
         manifest = backend.wal_manifest
         checkpoints = manifest["checkpoints"]
@@ -577,18 +527,20 @@ class NetServer:
             tail_bytes = os.path.getsize(backend.wal_path)
         except OSError:
             tail_bytes = 0
-        return ReplManifest(
-            frame.request_id,
-            frame.shard,
-            manifest["next_segment"],
-            tuple(manifest["segments"]),
-            newest["segment"] if newest else 0,
-            newest["bytes"] if newest else 0,
-            shard_service.current_epoch.number,
-            tail_bytes,
-        )
+        return [
+            ReplManifest(
+                frame.request_id,
+                frame.shard,
+                manifest["next_segment"],
+                tuple(manifest["segments"]),
+                newest["segment"] if newest else 0,
+                newest["bytes"] if newest else 0,
+                shard_service.current_epoch.number,
+                tail_bytes,
+            )
+        ]
 
-    def _repl_fetch(self, frame: ReplFetch) -> ReplChunk:
+    def _repl_fetch(self, conn: _Connection, frame: ReplFetch) -> list[Frame]:
         _shard_service, backend = self._repl_shard(frame.shard)
         manifest = backend.wal_manifest
         if frame.kind == proto.REPL_FETCH_IMAGE:
@@ -632,12 +584,19 @@ class NetServer:
             total, data = 0, b""  # live tail not created yet: empty
         self._repl_chunks_total.inc()
         self._repl_bytes_total.inc(len(data))
-        return ReplChunk(frame.request_id, sealed, total, data)
+        return [ReplChunk(frame.request_id, sealed, total, data)]
 
     # -- writes ---------------------------------------------------------
 
     async def _send(self, conn: _Connection, frame: Frame) -> None:
-        conn.writer.write(encode_frame(frame))
+        try:
+            wire = encode_frame(frame)
+        except ProtocolError as error:
+            # A reply the wire cannot carry (a label integer past
+            # MAX_VALUE_VARINT_BYTES, a body past MAX_FRAME_BYTES) fails
+            # its own request with a typed frame, not the connection.
+            wire = encode_frame(proto.error_frame(frame.request_id, error))
+        conn.writer.write(wire)
         await conn.writer.drain()
 
     def _queue_send(self, conn: _Connection, frame: Frame) -> None:

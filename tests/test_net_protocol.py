@@ -69,7 +69,7 @@ label_values = st.recursive(
     st.one_of(
         st.none(),
         st.booleans(),
-        st.integers(min_value=-(2**50), max_value=2**50),
+        st.integers(min_value=-(2**100), max_value=2**100),
         st.text(max_size=12),
     ),
     lambda children: st.one_of(
@@ -133,7 +133,7 @@ frames = st.one_of(
     st.builds(
         Orders,
         request_ids,
-        st.lists(st.integers(min_value=-(2**40), max_value=2**40), max_size=8).map(
+        st.lists(st.integers(min_value=-(2**100), max_value=2**100), max_size=8).map(
             tuple
         ),
     ),

@@ -215,3 +215,40 @@ def test_pending_stream_epoch_mismatch_is_rejected_client_side():
     pending._resolve(final)
     with pytest.raises(ProtocolError):
         pending.result(1)
+
+
+def test_request_spans_carry_the_schema_name_of_every_request_type(world):
+    """One ``net.request`` span per request type, ``kind`` read from the
+    wire schema — the same names the docs list as ``REQUEST_NAMES``
+    (``repl_state`` / ``repl_fetch`` used to be traced as ``replstate`` /
+    ``replfetch``, reconstructed from the class name)."""
+    from repro.obs import trace
+    from repro.obs.trace import Tracer
+
+    server, _service, lids, pairs = world
+    tracer = Tracer(enabled=True, sample_every=1, keep=64)
+    with NetClient("127.0.0.1", server.port, handshake=False) as client:
+        previous = trace.set_tracer(tracer)
+        try:
+            pending = [
+                client.begin_hello(),
+                client.begin_ping(),
+                client.begin_refresh(),
+                client.begin_lookup(lids[:2]),
+                client.begin_ordinal(lids[:1]),  # W-BOX: typed error, still a span
+                client.begin_compare([(lids[0], lids[1])]),
+                client.begin_submit([BatchOp("lookup", (lids[0],))]),
+                client.begin_repl_state(0),  # memory store: typed error
+                client.begin_repl_fetch(0, proto.REPL_FETCH_WAL, 1),
+                client.begin_query(proto.AXIS_DESCENDANTS, *pairs[0]),
+            ]
+            for item in pending:
+                try:
+                    item.wait(10)
+                except ReproError:
+                    pass
+        finally:
+            trace.set_tracer(previous)
+    kinds = [root.labels["kind"] for root in tracer.finished if root.name == "net.request"]
+    assert kinds == list(proto.REQUEST_NAMES.values())
+    assert kinds[7:9] == ["repl_state", "repl_fetch"]
