@@ -14,11 +14,16 @@ Connection model
   pinned epoch vector; a ``Refresh`` frame advances the pin and returns
   the new epoch numbers.  Sessions are not thread-safe, which
   dovetails with the ordering contract below.
-* **Pipelining with per-connection order.**  The read loop decodes frames
-  as they arrive and spawns one task per request, but each task runs the
-  blocking work under the connection's FIFO lock — so one connection's
-  requests execute (and answer) in submission order, while different
-  connections run concurrently on the executor's threads.
+* **A burst at a time, in per-connection order.**  The read loop appends
+  every admitted frame of a received chunk to the connection's FIFO; one
+  drain task per connection hands the longest run of queued requests to
+  a ``net-worker`` thread as one job — executed in order against the
+  pinned session, replies encoded there — and answers it with one
+  ``write``.  One run in flight per connection keeps replies in request
+  order and the session on one thread at a time.  ``Submit`` (fsync),
+  ``Query`` (view rebuild) and ``ReplFetch`` (file read) can wait on
+  something other than CPU, so each is a run of one: a read's reply
+  never waits behind a later write of the same burst.
 * **Admission control.**  A server-wide in-flight cap bounds the work
   backlog.  When a request arrives above the cap it is *shed at the
   door*: the read loop immediately answers with a typed ``OVERLOADED``
@@ -26,6 +31,10 @@ Connection model
   where the server can see it (its own counter), not hidden in kernel
   socket buffers — which is what keeps p99 bounded past the knee instead
   of collapsing.
+* **Backpressure.**  A connection whose send buffer is above its
+  high-water mark is not read from until it drains: a peer that does not
+  read its replies is stopped by TCP flow control, and the server buffers
+  at most the high-water mark plus one chunk's replies for it.
 * **Typed failure, clean close.**  Service-level failures (degraded
   read-only mode, write-queue backpressure timeouts, cross-shard ops,
   unknown LIDs) map to per-request error frames; the connection lives on.
@@ -34,7 +43,7 @@ Connection model
   are untouched.
 
 Tracing: each request runs inside a ``net.request`` span opened on the
-executor thread, so the service's apply spans — carried across the writer
+worker thread, so the service's apply spans — carried across the writer
 thread hop by ``Tracer.attach`` — land under it and the finished tree is
 a single client-to-commit trace per request.
 """
@@ -43,9 +52,11 @@ from __future__ import annotations
 
 import asyncio
 import os
+import queue
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any
+from collections import deque
+from contextlib import suppress
+from typing import Any, Callable
 
 from ..core.batch import BatchRef
 from ..errors import (
@@ -104,14 +115,35 @@ REPL_CHUNK_CAP = 256 * 1024
 DEFAULT_QUERY_CHUNK = 256
 QUERY_CHUNK_CAP = 8192
 
-#: Executor threads running the blocking service calls.
+#: Worker threads running the blocking service calls.
 MAX_WORKERS = 8
+
+#: Requests that can wait on something other than CPU; each is a run of one.
+RUNS_ALONE = frozenset({Submit, Query, ReplFetch})
+
+#: Every counter the front end keeps (``NetServer._count``): name -> help.
+COUNTERS = {
+    "repro_net_requests_total": "requests answered by the network front end, by outcome",
+    "repro_net_shed_total": "requests shed at the admission door with OVERLOADED frames",
+    "repro_net_protocol_errors_total": "connections closed for protocol violations",
+    "repro_net_connections_total": "connections accepted by the network front end",
+    "repro_repl_chunks_shipped_total": "replication chunks served to followers",
+    "repro_repl_bytes_shipped_total": "replication payload bytes served to followers",
+    "repro_net_query_chunks_total": "query stream chunks sent to clients",
+}
+
+
+def _settle(done: asyncio.Future, resolve: Callable[[Any], None], outcome: Any) -> None:
+    """Event-loop half of a worker's hand-back: resolve the job's future."""
+    if not done.done():  # else the waiter was cancelled meanwhile
+        resolve(outcome)
 
 
 class _Connection:
-    """Per-connection state: the pinned session and the FIFO order lock."""
+    """Per-connection state: the pinned session, the FIFO of admitted
+    requests and the one task draining it."""
 
-    __slots__ = ("reader", "writer", "session", "lock", "decoder", "engine")
+    __slots__ = ("reader", "writer", "session", "decoder", "engine", "queue", "drainer")
 
     def __init__(
         self,
@@ -122,9 +154,10 @@ class _Connection:
         self.reader = reader
         self.writer = writer
         self.session = session
-        self.lock = asyncio.Lock()
         self.decoder = FrameDecoder()
         self.engine: QueryEngine | None = None
+        self.queue: deque[Frame] = deque()
+        self.drainer: asyncio.Task | None = None
 
 
 class NetServer:
@@ -169,12 +202,10 @@ class NetServer:
         self.max_inflight = max_inflight
         self.submit_timeout = submit_timeout
         self.catalog = catalog if catalog is not None else ElementCatalog()
-        self._executor = ThreadPoolExecutor(
-            max_workers=MAX_WORKERS, thread_name_prefix="net-worker"
-        )
+        self._jobs: queue.SimpleQueue = queue.SimpleQueue()
         #: The dispatch table: each request frame class is handled by the
         #: method named after it in the schema (``Lookup`` -> ``_lookup``),
-        #: ``(conn, frame) -> [reply, ...]`` on an executor thread.  A
+        #: ``(conn, frame) -> [reply, ...]`` on a worker thread.  A
         #: request frame without a handler fails here, at construction.
         self._handlers = {
             row.cls: getattr(self, f"_{row.name}")
@@ -185,34 +216,7 @@ class NetServer:
         self._inflight = 0
         self._connections: set[asyncio.StreamWriter] = set()
         registry = get_registry()
-        self._requests_total = registry.counter(
-            "repro_net_requests_total",
-            help="requests answered by the network front end, by outcome",
-        )
-        self._shed_total = registry.counter(
-            "repro_net_shed_total",
-            help="requests shed at the admission door with OVERLOADED frames",
-        )
-        self._protocol_errors_total = registry.counter(
-            "repro_net_protocol_errors_total",
-            help="connections closed for protocol violations",
-        )
-        self._connections_total = registry.counter(
-            "repro_net_connections_total",
-            help="connections accepted by the network front end",
-        )
-        self._repl_chunks_total = registry.counter(
-            "repro_repl_chunks_shipped_total",
-            help="replication chunks served to followers",
-        )
-        self._repl_bytes_total = registry.counter(
-            "repro_repl_bytes_shipped_total",
-            help="replication payload bytes served to followers",
-        )
-        self._query_chunks_total = registry.counter(
-            "repro_net_query_chunks_total",
-            help="query stream chunks sent to clients",
-        )
+        self._count = {name: registry.counter(name, help=text) for name, text in COUNTERS.items()}
 
     # -- lifecycle ------------------------------------------------------
 
@@ -232,6 +236,8 @@ class NetServer:
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self._requested_port
         )
+        for index in range(MAX_WORKERS):
+            threading.Thread(target=self._work, name=f"net-worker_{index}", daemon=True).start()
         return self
 
     async def serve_forever(self) -> None:
@@ -246,9 +252,10 @@ class NetServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
+            for _ in range(MAX_WORKERS):
+                self._jobs.put(None)  # each worker exits after the jobs queued so far
         for writer in list(self._connections):
             writer.close()
-        self._executor.shutdown(wait=False)
 
     async def __aenter__(self) -> "NetServer":
         return await self.start()
@@ -261,22 +268,19 @@ class NetServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        self._connections_total.inc()
+        self._count["repro_net_connections_total"].inc()
         conn = _Connection(reader, writer, self.service.session())
         self._connections.add(writer)
-        tasks: set[asyncio.Task] = set()
         try:
-            await self._read_loop(conn, tasks)
-        except (ConnectionError, asyncio.IncompleteReadError, OSError):
-            pass  # peer vanished; per-request tasks observe the closed writer
-        except asyncio.CancelledError:
-            # Server shutdown cancels live handlers; finish the cleanup
-            # below and end the task normally so the loop's teardown does
-            # not log the handler as crashed.
+            await self._read_loop(conn)
+        except (ConnectionError, OSError, asyncio.CancelledError):
+            # The peer vanished, or server shutdown cancelled this handler:
+            # finish the cleanup below and end the task normally, so the
+            # loop's teardown does not log the handler as crashed.
             pass
         finally:
-            if tasks:
-                await asyncio.gather(*tasks, return_exceptions=True)
+            if conn.drainer is not None:
+                await asyncio.gather(conn.drainer, return_exceptions=True)
             self._connections.discard(writer)
             writer.close()
             try:
@@ -284,8 +288,13 @@ class NetServer:
             except (ConnectionError, OSError, asyncio.CancelledError):
                 pass
 
-    async def _read_loop(self, conn: _Connection, tasks: set[asyncio.Task]) -> None:
-        while True:
+    async def _read_loop(self, conn: _Connection) -> None:
+        overloaded = f"server at {self.max_inflight} in-flight requests"
+        alive = True
+        while alive:
+            # Backpressure: a peer whose replies pile up unread is not read
+            # from until they drain (module docstring gives the bound).
+            await conn.writer.drain()
             data = await conn.reader.read(1 << 16)
             if not data:
                 # Orderly EOF.  A partial frame left behind is a protocol
@@ -294,65 +303,76 @@ class NetServer:
                 try:
                     conn.decoder.close()
                 except ProtocolError:
-                    self._protocol_errors_total.inc()
+                    self._count["repro_net_protocol_errors_total"].inc()
                 return
             conn.decoder.feed(data)
+            refused: list[Frame] = []
             try:
                 for frame in conn.decoder.frames():
-                    self._dispatch(conn, frame, tasks)
+                    if self._inflight < self.max_inflight:
+                        self._inflight += 1
+                        conn.queue.append(frame)
+                        continue
+                    # Shed at the door: typed, immediate, nothing queued.
+                    self._count["repro_net_shed_total"].inc()
+                    refused.append(ErrorFrame(frame.request_id, proto.ERR_OVERLOADED, overloaded))
             except ProtocolError as error:
-                # One typed error frame, then the connection dies.  The
-                # request id is unknowable for a malformed frame: 0 marks
-                # a connection-level failure.
-                self._protocol_errors_total.inc()
-                await self._send(
-                    conn, ErrorFrame(0, proto.ERR_PROTOCOL, str(error))
-                )
-                return
+                # One typed error frame, then (once what was admitted is
+                # answered) the connection dies.  The request id is unknowable
+                # for a malformed frame: 0 marks a connection-level failure.
+                self._count["repro_net_protocol_errors_total"].inc()
+                refused.append(ErrorFrame(0, proto.ERR_PROTOCOL, str(error)))
+                alive = False
+            if refused:
+                conn.writer.write(b"".join(map(encode_frame, refused)))
+            if conn.queue and conn.drainer is None:
+                conn.drainer = asyncio.ensure_future(self._drain(conn))
 
-    def _dispatch(
-        self, conn: _Connection, frame: Frame, tasks: set[asyncio.Task]
-    ) -> None:
-        if self._inflight >= self.max_inflight:
-            # Shed at the door: typed, immediate, nothing queued.
-            self._shed_total.inc()
-            self._queue_send(
-                conn,
-                ErrorFrame(
-                    frame.request_id,
-                    proto.ERR_OVERLOADED,
-                    f"server at {self.max_inflight} in-flight requests",
-                ),
-            )
-            return
-        self._inflight += 1
-        task = asyncio.ensure_future(self._serve_request(conn, frame))
-        tasks.add(task)
-        task.add_done_callback(tasks.discard)
-
-    async def _serve_request(self, conn: _Connection, frame: Frame) -> None:
+    async def _drain(self, conn: _Connection) -> None:
+        """The connection's one drain task: one run at a time, one job
+        and one ``write`` per run.  It never waits on the peer — a slot is
+        released once its reply is computed — so a peer that stops reading
+        (the read loop's problem) pins no server capacity."""
+        run: list[Frame] = []
         try:
-            async with conn.lock:  # FIFO: per-connection program order
-                # The whole answer is computed on the executor, then sent
-                # under the same FIFO lock — no other reply can interleave
-                # with a multi-frame (query stream) answer.
-                replies = await asyncio.get_running_loop().run_in_executor(
-                    self._executor, self._execute, conn, frame
-                )
-                for reply in replies:
-                    await self._send(conn, reply)
-        except (ConnectionError, OSError):
-            pass  # peer is gone; the work (if any) already happened
+            while conn.queue and self._server is not None:  # stopped: no worker would take it
+                run = [conn.queue.popleft()]
+                if type(run[0]) not in RUNS_ALONE:
+                    while conn.queue and type(conn.queue[0]) not in RUNS_ALONE:
+                        run.append(conn.queue.popleft())
+                done = asyncio.get_running_loop().create_future()
+                self._jobs.put((conn, run, done))
+                wire = await done
+                self._inflight -= len(run)
+                run = []
+                if not conn.writer.is_closing():  # else the peer is gone
+                    conn.writer.write(wire)
         finally:
-            self._inflight -= 1
+            # Shutdown (stopped or cancelled) with requests unanswered: release them.
+            self._inflight -= len(run) + len(conn.queue)
+            conn.queue.clear()
+            conn.drainer = None
 
-    # -- blocking request execution (executor thread) ------------------
+    # -- blocking request execution (worker thread) --------------------
 
-    def _execute(self, conn: _Connection, frame: Frame) -> list[Frame]:
-        """Run one request on an executor thread, returning its replies
-        (one frame; a run of chunks for a query).  Any failure collapses
-        the answer to a single typed error frame and the connection
-        lives on.
+    def _work(self) -> None:
+        """Body of one ``net-worker`` thread: serve queued runs, handing
+        each outcome back to its event loop in one ``call_soon_threadsafe``."""
+        while (job := self._jobs.get()) is not None:
+            conn, run, done = job
+            try:
+                outcome = done.set_result, b"".join([self._execute(conn, frame) for frame in run])
+            except BaseException as error:  # noqa: BLE001 — re-raised by the waiter
+                outcome = done.set_exception, error
+            with suppress(RuntimeError):  # loop closed under the job (shutdown): nobody waits
+                done.get_loop().call_soon_threadsafe(_settle, done, *outcome)
+
+    def _execute(self, conn: _Connection, frame: Frame) -> bytes:
+        """Run one request on a worker thread, returning its encoded replies
+        (one frame; a run of chunks for a query).  Any failure — a reply the
+        wire cannot carry included (a label integer past
+        MAX_VALUE_VARINT_BYTES, a body past MAX_FRAME_BYTES) — collapses the
+        answer to a single typed error frame and the connection lives on.
 
         The ``net.request`` span opened here is the root of the request's
         trace tree; ``submit_ops`` captures it as the cross-thread parent
@@ -365,14 +385,14 @@ class NetServer:
                 handler = self._handlers.get(type(frame))
                 if handler is None:
                     raise ProtocolError(f"{type(frame).__name__} is not a request frame")
-                replies = handler(conn, frame)
+                wire = b"".join(map(encode_frame, handler(conn, frame)))
             except BaseException as error:  # noqa: BLE001 — typed frame, conn lives
                 reply = proto.error_frame(frame.request_id, error)
                 if span.recording:
                     span.set("error", reply.code_name)
-                replies = [reply]
-        self._requests_total.inc()
-        return replies
+                wire = encode_frame(reply)
+        self._count["repro_net_requests_total"].inc()
+        return wire
 
     def _hello(self, conn: _Connection, frame: Hello) -> list[Frame]:
         if frame.version != proto.PROTOCOL_VERSION:
@@ -443,7 +463,7 @@ class NetServer:
             )
         if not chunks:  # empty result still answers: one empty last chunk
             chunks.append(QueryChunk(frame.request_id, True, view.epochs, ()))
-        self._query_chunks_total.inc(len(chunks))
+        self._count["repro_net_query_chunks_total"].inc(len(chunks))
         return chunks
 
     def _submit(self, conn: _Connection, frame: Submit) -> list[Frame]:
@@ -582,29 +602,9 @@ class NetServer:
             if sealed:
                 raise ReplicationError(f"replication source {path} vanished") from None
             total, data = 0, b""  # live tail not created yet: empty
-        self._repl_chunks_total.inc()
-        self._repl_bytes_total.inc(len(data))
+        self._count["repro_repl_chunks_shipped_total"].inc()
+        self._count["repro_repl_bytes_shipped_total"].inc(len(data))
         return [ReplChunk(frame.request_id, sealed, total, data)]
-
-    # -- writes ---------------------------------------------------------
-
-    async def _send(self, conn: _Connection, frame: Frame) -> None:
-        try:
-            wire = encode_frame(frame)
-        except ProtocolError as error:
-            # A reply the wire cannot carry (a label integer past
-            # MAX_VALUE_VARINT_BYTES, a body past MAX_FRAME_BYTES) fails
-            # its own request with a typed frame, not the connection.
-            wire = encode_frame(proto.error_frame(frame.request_id, error))
-        conn.writer.write(wire)
-        await conn.writer.drain()
-
-    def _queue_send(self, conn: _Connection, frame: Frame) -> None:
-        """Fire-and-forget write from the read loop (shed replies)."""
-        try:
-            conn.writer.write(encode_frame(frame))
-        except (ConnectionError, OSError):
-            pass
 
 
 def run_server(

@@ -252,3 +252,34 @@ def test_request_spans_carry_the_schema_name_of_every_request_type(world):
     kinds = [root.labels["kind"] for root in tracer.finished if root.name == "net.request"]
     assert kinds == list(proto.REQUEST_NAMES.values())
     assert kinds[7:9] == ["repl_state", "repl_fetch"]
+
+    # The same ten frames as ONE burst (one ``sendall``, so one ``recv``
+    # server-side): every frame still gets its own span, in request order.
+    burst = [
+        proto.Hello(1, proto.PROTOCOL_VERSION),
+        proto.Ping(2),
+        proto.Refresh(3),
+        proto.Lookup(4, tuple(lids[:2])),
+        proto.Ordinal(5, (lids[0],)),
+        proto.Compare(6, ((lids[0], lids[1]),)),
+        proto.Submit(7, (BatchOp("lookup", (lids[0],)),)),
+        proto.ReplState(8, 0),
+        proto.ReplFetch(9, 0, proto.REPL_FETCH_WAL, 1, 0, 0),
+        Query(10, proto.AXIS_DESCENDANTS, pairs[0][0], pairs[0][1], 0, 0),
+    ]
+    tracer = Tracer(enabled=True, sample_every=1, keep=64)
+    decoder, answered = proto.FrameDecoder(), set()
+    with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+        previous = trace.set_tracer(tracer)
+        try:
+            sock.sendall(b"".join(encode_frame(frame) for frame in burst))
+            while len(answered) < len(burst):
+                data = sock.recv(1 << 16)
+                assert data, "server closed mid-burst"
+                decoder.feed(data)
+                answered.update(frame.request_id for frame in decoder.frames())
+        finally:
+            trace.set_tracer(previous)
+    spans = [root for root in tracer.finished if root.name == "net.request"]
+    assert [root.labels["kind"] for root in spans] == list(proto.REQUEST_NAMES.values())
+    assert [root.labels["request_id"] for root in spans] == list(range(1, 11))

@@ -94,12 +94,9 @@ def test_each_type_code_is_written_once_on_a_wire_line():
 def test_every_request_frame_has_a_server_handler():
     scheme = WBox(TINY_CONFIG)
     scheme.bulk_load(4)
-    server = NetServer(ShardedLabelService([scheme]))
-    try:
-        requests = {row.cls for row in proto.SCHEMA.values() if row.code in proto.REQUEST_NAMES}
-        assert set(server._handlers) == requests
-    finally:
-        server._executor.shutdown()
+    server = NetServer(ShardedLabelService([scheme]))  # never started: owns no threads
+    requests = {row.cls for row in proto.SCHEMA.values() if row.code in proto.REQUEST_NAMES}
+    assert set(server._handlers) == requests
 
 
 def test_every_frame_is_drawn_by_the_fuzz_strategy():
