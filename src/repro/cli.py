@@ -34,9 +34,10 @@ stream for a fixed duration, printing throughput and the service counters;
 stdin through a reader session and the bounded write queue.
 
 ``chaos`` runs the seeded fault-injection sweep of :mod:`repro.faults`:
-N seeds x fault plans x scheme variants, each trial crashing a file-backed
-scheme mid-tape, recovering it, and checking every LID against a twin
-oracle on the memory backend.
+N seeds x fault plans x scheme variants, each trial crashing a live
+file-backed service (a backend, a shard's writer, its follower, or the
+primary under a follower) mid-tape, recovering it, and checking every LID
+against a twin oracle on the memory backend.
 
 ``metrics`` runs a small sample workload through the service and prints the
 process metrics registry (Prometheus text or JSON); ``trace`` enables the
@@ -343,9 +344,8 @@ def _open_service(
     if fresh:
         loaded = populate(schemes)
         if persistent and args.storage == "file":
-            from .persist import checkpoint_sharded
-
-            checkpoint_sharded(schemes)
+            for scheme in schemes:
+                checkpoint_scheme(scheme)
     return ShardedLabelService(schemes, **service_options), loaded
 
 
@@ -779,24 +779,13 @@ def cmd_info(args: argparse.Namespace) -> int:
 def cmd_chaos(args: argparse.Namespace) -> int:
     from .faults import SCHEME_NAMES, run_chaos_sweep, standard_plans
 
-    if args.repl is not None:
-        return _cmd_chaos_repl(args)
-    plans = standard_plans()
-    if args.plans:
-        wanted = [name.strip() for name in args.plans.split(",") if name.strip()]
-        unknown = [name for name in wanted if name not in plans]
-        if unknown:
-            raise ReproError(
-                f"unknown plan(s) {', '.join(unknown)}; "
-                f"choose from {', '.join(plans)}"
-            )
-        plans = {name: plans[name] for name in wanted}
-    schemes = (
-        [name.strip() for name in args.schemes.split(",") if name.strip()]
-        if args.schemes
-        else list(SCHEME_NAMES)
-    )
+    def names(option: str | None) -> list[str] | None:
+        if not option:
+            return None
+        return [name.strip() for name in option.split(",") if name.strip()]
 
+    plans = standard_plans(names(args.plans))
+    schemes = names(args.schemes) or list(SCHEME_NAMES)
     shown = 0
 
     def progress(trial: Any) -> None:
@@ -806,7 +795,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             status = "ok" if trial.ok else "FAIL"
             outcome = "crashed" if trial.crashed else "clean"
             print(
-                f"  [{shown}] {trial.scheme:8s} {trial.plan:16s} seed={trial.seed:<3d} "
+                f"  [{shown}] {trial.scheme:12s} {trial.plan:18s} seed={trial.seed:<3d} "
                 f"{outcome}, {trial.committed_ops} committed op(s), "
                 f"{trial.checked_lids} LID(s) checked: {status}"
             )
@@ -836,58 +825,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             )
         return 1
     print("  verdict:           OK (every recovered LID matches its twin oracle)")
-    return 0
-
-
-def _cmd_chaos_repl(args: argparse.Namespace) -> int:
-    """``repro chaos --repl N``: replication crash sweep — follower kills
-    and primary restarts mid-stream, N kill(s) per trial, every LID
-    verified follower-vs-primary."""
-    from .faults import REPL_PLAN_NAMES, run_repl_chaos_sweep
-
-    schemes = (
-        [name.strip() for name in args.schemes.split(",") if name.strip()]
-        if args.schemes
-        else None
-    )
-    shown = 0
-
-    def progress(trial: Any) -> None:
-        nonlocal shown
-        shown += 1
-        if args.verbose:
-            status = "ok" if trial.ok else "FAIL"
-            print(
-                f"  [{shown}] {trial.scheme:12s} {trial.plan:16s} "
-                f"seed={trial.seed:<3d} {trial.completed_ops} op(s), "
-                f"{trial.checked_lids} LID(s) checked: {status}"
-            )
-
-    report = run_repl_chaos_sweep(
-        args.seeds,
-        schemes=schemes,
-        max_ops=args.max_ops,
-        base_labels=args.base,
-        kills=args.repl,
-        progress=progress,
-    )
-    print(
-        f"repl chaos: {report.total} trial(s) "
-        f"({args.seeds} seed(s) x {len(REPL_PLAN_NAMES)} plan(s), "
-        f"{args.repl} kill(s) per trial)"
-    )
-    print(f"  kills injected:    {report.crashes}")
-    print(f"  LIDs checked:      {report.lids_checked}")
-    print(f"  oracle mismatches: {sum(t.mismatches for t in report.trials)}")
-    if report.failures:
-        for trial in report.failures:
-            detail = trial.error or f"{trial.mismatches} LID mismatch(es)"
-            print(
-                f"error: {trial.scheme}/{trial.plan}/seed={trial.seed}: {detail}",
-                file=sys.stderr,
-            )
-        return 1
-    print("  verdict:           OK (every follower LID matches the primary)")
     return 0
 
 
@@ -1293,7 +1230,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument(
         "--schemes",
         metavar="LIST",
-        help="comma-separated scheme names (default: all five variants)",
+        help="comma-separated scheme names (default: all six variants)",
     )
     chaos.add_argument(
         "--plans",
@@ -1308,17 +1245,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument(
         "--verbose", action="store_true", help="print every trial as it finishes"
-    )
-    chaos.add_argument(
-        "--repl",
-        type=int,
-        default=None,
-        metavar="KILLS",
-        help=(
-            "run the replication crash sweep instead: kill/restart the "
-            "follower (and the primary) KILLS time(s) per trial and "
-            "verify every LID across the wire"
-        ),
     )
     chaos.set_defaults(handler=cmd_chaos)
 

@@ -50,6 +50,8 @@ class LabelingScheme(ABC):
 
     #: Short scheme name used in benchmark tables, e.g. ``"W-BOX"``.
     name: str = "abstract"
+    #: Whether :meth:`bulk_load` refuses to run without a tag pairing.
+    bulk_needs_pairing: bool = False
 
     def __init__(
         self,
@@ -91,7 +93,8 @@ class LabelingScheme(ABC):
         labeling scheme needs — a single scan of the document produces the
         records in exactly their intended order (Section 4).  ``pairing``
         optionally maps each tag position to its partner tag's position
-        (start <-> end of the same element); only W-BOX-O requires it.
+        (start <-> end of the same element); only W-BOX-O requires it
+        (:attr:`bulk_needs_pairing`).
         """
 
     @abstractmethod

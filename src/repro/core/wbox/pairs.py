@@ -63,6 +63,7 @@ class WBoxO(WBox):
     """W-BOX optimized for reading start/end labels in pairs."""
 
     name = "W-BOX-O"
+    bulk_needs_pairing = True
 
     def __init__(
         self,
@@ -281,6 +282,7 @@ class WBoxO(WBox):
     def _wire_pairing(self, lids: Sequence[int], pairing: Sequence[int]) -> None:
         if len(pairing) != len(lids):
             raise LabelingError("pairing length must match the number of labels")
+        # A position that is its own partner stays unpaired.
         for index, partner_index in enumerate(pairing):
             if index < partner_index:
                 self._wire_pair(lids[index], lids[partner_index])

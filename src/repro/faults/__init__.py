@@ -3,25 +3,18 @@
 :mod:`repro.faults.plan` defines the declarative :class:`FaultPlan` /
 :class:`FaultSpec` vocabulary and the :class:`FaultInjector` runtime that
 backends, the WAL, and the label service consult at named hook points;
-:mod:`repro.faults.chaos` drives seeded crash-recovery sweeps that check
-every recovered label against a twin oracle (the ``repro chaos`` CLI);
-:mod:`repro.faults.replchaos` kills and restarts replication followers
-(and the primary) mid-stream and verifies every LID across the wire
-(``repro chaos --repl``).
+:mod:`repro.faults.chaos` drives seeded crash-recovery sweeps — backend
+and writer crashes, follower kills, primary restarts, one row of
+:func:`standard_plans` each — that check every recovered label against a
+twin oracle (the ``repro chaos`` CLI).
 """
 
-from .replchaos import (
-    REPL_PLAN_NAMES,
-    run_repl_chaos_sweep,
-    run_repl_chaos_trial,
-)
 from .chaos import (
     SCHEME_NAMES,
     ChaosReport,
     ChaosTrial,
     run_chaos_sweep,
     run_chaos_trial,
-    run_shard_chaos_trial,
     standard_plan_names,
     standard_plans,
 )
@@ -63,15 +56,11 @@ __all__ = [
     "SHORT_WRITE",
     "TORN_WRITE",
     "WRITER_CRASH",
-    "REPL_PLAN_NAMES",
     "SCHEME_NAMES",
     "ScopedFaultInjector",
     "apply_simple_action",
     "run_chaos_sweep",
     "run_chaos_trial",
-    "run_repl_chaos_sweep",
-    "run_repl_chaos_trial",
-    "run_shard_chaos_trial",
     "spec_at",
     "split_hook",
     "standard_plan_names",

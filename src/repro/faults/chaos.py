@@ -1,83 +1,131 @@
 """Seeded chaos sweeps: crash, recover, verify against a twin oracle.
 
 One *trial* is the full crash-recovery story for a single
-``(scheme, fault plan, seed)`` triple:
+``(scheme, fault plan, seed)`` triple, and :func:`run_chaos_trial` is the
+one shape of it:
 
-1. Build the scheme on a fresh :class:`~repro.storage.FileBackend` in a
-   throwaway directory, bulk load a base document, checkpoint it.
-2. Install a :class:`~repro.faults.FaultInjector` built from the plan and
-   seed, then run a deterministic mixed insert/delete tape
-   (:func:`~repro.workloads.crash_recovery_tape`) until the injected
-   fault kills the backend — or the tape ends (latency plans don't kill).
-3. Reopen the page file with :func:`~repro.persist.open_file_scheme`,
-   which runs WAL recovery.
-4. Replay the *committed prefix* of the same tape on a twin scheme over
-   the memory backend and compare **every** LID's label: the recovered
-   structure must agree exactly.  The committed prefix is the ops that
-   finished before the crash, plus the in-flight op if (and only if) its
-   commit record reached the log (``recovery_report`` says so).
+1. Create a sharded store root in a throwaway directory, bulk load a base
+   document (:func:`~repro.service.bulk_load_sharded`) and checkpoint
+   every shard.  The topology is *derived from the plan*: one shard more
+   than the highest ``@shardK`` scope it names (else one shard), and a
+   network front end plus a streaming :class:`~repro.repl.Follower` iff
+   it names a ``repl.*`` hook.
+2. Start a :class:`~repro.service.ShardedLabelService` carrying a
+   :class:`~repro.faults.FaultInjector` built from the plan and seed, and
+   drive a deterministic mixed insert/delete tape
+   (:func:`~repro.workloads.crash_recovery_tape`), one synchronous ticket
+   per step, until an injected fault kills a backend or a writer — or the
+   tape ends (latency plans don't kill; ``repl.*`` faults kill the
+   follower or restart the primary mid-stream and the tape goes on).
+3. Close everything and reopen the root with
+   :func:`~repro.persist.open_sharded_schemes`, which runs WAL recovery
+   shard by shard.
+4. Replay the *committed prefix* of the same tape on per-shard twin
+   schemes over the memory backend and compare **every** LID's label on
+   every endpoint — each recovered shard, plus the follower when there is
+   one — against the twin.  The committed prefix is the steps that
+   finished before the crash, plus the in-flight step if (and only if)
+   its commit record reached a log (``recovery_report`` says so).  Each
+   recovered shard must then accept a fresh insert.
 
 :func:`run_chaos_sweep` runs the full cross product and aggregates a
 :class:`ChaosReport`; the ``repro chaos`` CLI subcommand is a thin shell
 around it.  Everything is deterministic in the seed list: tapes, firing
-points, and short-write cut points all come from ``random.Random`` seeded
-per trial.
+points, short-write cut points and torn-tail bytes all come from
+``random.Random`` seeded per trial.
 """
 
 from __future__ import annotations
 
 import os
+import random
+import re
 import tempfile
+import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
-from ..config import BoxConfig
+from ..config import TINY_CONFIG, BoxConfig
+from ..core.batch import BatchOp
 from ..core.registry import scheme_factory
 from ..errors import (
     CrashError,
     FsyncFailedError,
-    RecoveryError,
+    ReproError,
     ServiceClosedError,
     ServiceDegradedError,
     TransientIOError,
     WriterCrashError,
 )
-from ..persist import (
-    checkpoint_scheme,
-    create_sharded_backends,
-    open_file_scheme,
-    open_sharded_schemes,
+from ..net.server import serve_in_thread
+from ..persist import checkpoint_scheme, create_sharded_backends, open_sharded_schemes
+from ..repl import (
+    Follower,
+    annotate_commits_with_epoch,
+    checkpoint_service,
+    rotate_service_wal,
 )
-from ..storage import BlockStore, FileBackend, default_page_bytes
+from ..service import ShardedLabelService, bulk_load_sharded
+from ..service.router import ShardRouter
+from ..storage import BlockStore, default_page_bytes
+from ..storage.shardlayout import shard_page_path
+from ..storage.wal import _HEADER, MAGIC, REC_META, REC_PUT
 from ..workloads.sequences import apply_tape_step, crash_recovery_tape
-from .plan import WRITER_CRASH, FaultInjector, FaultPlan, FaultSpec
+from .plan import TORN_WRITE, WRITER_CRASH, FaultInjector, FaultPlan, FaultSpec
 
 #: The scheme variants every sweep covers (CLI names).
 SCHEME_NAMES = ("wbox", "wboxo", "bbox", "bbox-o", "naive-8", "ancestry-dyn")
 
-#: Exceptions that mean "the machine died here" for sweep purposes.
-_CRASH_ERRORS = (CrashError, FsyncFailedError, TransientIOError)
+#: Exceptions that mean "the machine died here": the tape stops.
+_CRASH_ERRORS = (
+    CrashError,
+    FsyncFailedError,
+    TransientIOError,
+    WriterCrashError,
+    ServiceDegradedError,
+    ServiceClosedError,
+)
+
+_SHARD_SCOPE = re.compile(r"@shard(\d+)$")
 
 
-def standard_plans() -> dict[str, FaultPlan]:
-    """The standard sweep plan set: one plan per crash window class.
+def _kills(hook: str) -> FaultPlan:
+    """Two kills at driver hook ``hook``, one spec each.  The driver fires
+    the hook once per completed tape step; disjoint windows make both
+    kills land, at distinct steps, on any tape of 40+ steps.  The kind
+    names what both stories leave behind — a process killed with a torn
+    append in its live log; the driver's action for the hook
+    (``_REPL_ACTIONS``) is what performs it, so the kind selects nothing."""
+    return FaultPlan(
+        [
+            FaultSpec(TORN_WRITE, hook, at=None, window=window)
+            for window in ((1, 20), (21, 40))
+        ],
+        name=f"kills@{hook}",
+    )
+
+
+def standard_plans(names: Iterable[str] | None = None) -> dict[str, FaultPlan]:
+    """The standard sweep plan table: one row per crash window class.
 
     Firing points are seeded (``at=None``) where the window is wide, so
     different seeds crash at different protocol offsets — the sweep walks
     the crash point through WAL records, page images, the superblock, and
     the fsync boundaries without anyone enumerating write budgets.
+
+    ``names`` selects rows (in the order given); a name that is not in
+    the table raises :class:`~repro.errors.ReproError`.
     """
-    return {
+    plans = {
         "torn-write": FaultPlan.torn_write(at=None, window=(1, 48)),
         "short-write": FaultPlan.short_write(at=None, window=(1, 48)),
         "fsync-fail": FaultPlan.fsync_failure(at=None, window=(1, 12)),
         "superblock-torn": FaultPlan.superblock_crash(at=None, window=(1, 8)),
         "latency": FaultPlan.latency_spike(0.0002, at=None, window=(1, 48)),
-        # Shard-targeted: kill exactly shard 1's writer of a 2-shard
-        # service at a seeded apply, then recover *all* shards.  The
-        # ``@shard1`` scope suffix routes the fault through shard 1's
-        # scoped injector view only; the sweep dispatches this plan to
-        # the sharded trial runner automatically.
+        # Shard-targeted: kill exactly shard 1's writer at a seeded apply,
+        # then recover *all* shards.  The ``@shard1`` scope suffix routes
+        # the fault through shard 1's scoped injector view only, and makes
+        # the trial a 2-shard one.
         "shard-writer-crash": FaultPlan(
             [
                 FaultSpec(
@@ -86,7 +134,21 @@ def standard_plans() -> dict[str, FaultPlan]:
             ],
             name="shard-writer-crash",
         ),
+        # Replication stories (see _Stack.kill_follower / restart_primary):
+        # a ``repl.*`` hook makes the trial serve the network and stream
+        # its WAL to a follower, which is then verified like a shard.
+        "follower-kill": _kills("repl.follower"),
+        "primary-restart": _kills("repl.primary"),
     }
+    if names is None:
+        return plans
+    wanted = list(names)
+    unknown = [name for name in wanted if name not in plans]
+    if unknown:
+        raise ReproError(
+            f"unknown plan(s) {', '.join(unknown)}; choose from {', '.join(plans)}"
+        )
+    return {name: plans[name] for name in wanted}
 
 
 def standard_plan_names() -> list[str]:
@@ -97,9 +159,12 @@ def standard_plan_names() -> list[str]:
 class ChaosTrial:
     """Outcome of one (scheme, plan, seed) crash-recovery trial."""
 
+    #: Scheme name plus the derived topology: ``wbox``, ``wboxx2`` (two
+    #: shards), ``wbox+repl`` (primary + follower).
     scheme: str
     plan: str
     seed: int
+    #: A fault killed something: the tape, the follower, or the primary.
     crashed: bool = False
     #: What the injector actually fired, as ``hook:kind`` strings.
     faults_fired: list[str] = field(default_factory=list)
@@ -107,9 +172,12 @@ class ChaosTrial:
     completed_ops: int = 0
     #: Committed prefix length the twin replayed (ops, not transactions).
     committed_ops: int = 0
-    #: Whether recovery replayed the in-flight op's committed transaction.
+    #: Whether a committed transaction was replayed from a log: by a
+    #: shard's crash recovery — or, on a replication row, by the follower
+    #: applying shipped WAL (there the primary's own reopen does not count).
     replayed: bool = False
     checked_lids: int = 0
+    #: (LID, endpoint) pairs whose label disagrees with the twin.
     mismatches: int = 0
     #: Unexpected failure (recovery error, oracle exception), if any.
     error: str = ""
@@ -150,13 +218,151 @@ class ChaosReport:
         return not self.failures
 
 
-def _bulk(scheme: Any, count: int) -> list[int]:
-    # Sibling start/end pairing: W-BOX-O needs it, the rest ignore it.
-    return scheme.bulk_load(count, [i ^ 1 for i in range(count)])
+def _torn_append(rng: random.Random, wal_path: str) -> None:
+    """Leave the torn tail a real kill leaves: a *prefix* of valid log
+    bytes — a partial record (header or body cut short), or, on a log
+    that never got its first append, a partial magic.  Random garbage
+    would be dishonest: real crashes tear writes, they don't invent
+    impossible record types."""
+    fresh = not os.path.exists(wal_path) or os.path.getsize(wal_path) < len(MAGIC)
+    if fresh:
+        torn = MAGIC[: rng.randrange(1, len(MAGIC))]
+    else:
+        body = bytes(rng.randrange(0, 24))
+        header = _HEADER.pack(
+            rng.choice((REC_PUT, REC_META)), len(body) + rng.randrange(8, 64)
+        )
+        torn = (header + body)[: rng.randrange(1, len(header) + len(body) + 1)]
+    with open(wal_path, "ab") as handle:
+        handle.write(torn)
 
 
-def _plan_needs_fsync(plan: FaultPlan) -> bool:
-    return any(spec.hook == "backend.fsync" for spec in plan)
+class _Shards:
+    """Bare per-shard schemes addressed by global LID: the memory twins
+    (an insert/delete target for :func:`apply_tape_step`) and the
+    recovered shards (an endpoint to look up)."""
+
+    def __init__(self, schemes: list) -> None:
+        self.schemes = schemes
+        self.router = ShardRouter(len(schemes))
+
+    def _local(self, glid: int) -> tuple[Any, int]:
+        return self.schemes[self.router.shard_of(glid)], self.router.to_local(glid)
+
+    def lookup(self, glid: int) -> Any:
+        scheme, local = self._local(glid)
+        return scheme.lookup(local)
+
+    def insert_before(self, glid: int) -> int:
+        scheme, local = self._local(glid)
+        return self.router.to_global(
+            scheme.insert_before(local), self.router.shard_of(glid)
+        )
+
+    def delete(self, glid: int) -> None:
+        scheme, local = self._local(glid)
+        scheme.delete(local)
+
+
+class _Stack:
+    """The live system one trial drives: the insert/delete target
+    :func:`apply_tape_step` sees, one synchronous ticket per call.  A
+    replicated stack also serves the network and streams to a follower;
+    the ``repl.*`` actions swap its parts in place."""
+
+    def __init__(self, root: str, injector: FaultInjector, replicated: bool) -> None:
+        self.root = root
+        self.injector = injector
+        self.replicated = replicated
+        #: Draws the torn-tail bytes the ``repl.*`` kills leave behind.
+        self.rng = random.Random((injector.seed << 8) ^ 0x5EED)
+        self.service: Any = None
+        self.server: Any = None  # serve_in_thread's (holder, thread)
+        self.follower: Any = None
+
+    def start(self, schemes: list, port: int = 0) -> None:
+        """Bring the primary up over ``schemes``."""
+        self.service = ShardedLabelService(
+            schemes, group_size=8, fault_injector=self.injector
+        ).start()
+        if self.replicated:
+            annotate_commits_with_epoch(self.service)
+            self.server = serve_in_thread(self.service, port=port)
+
+    def follow(self) -> None:
+        """Bring a follower up over the replica root (fresh or reopened)."""
+        port = self.server[0]["server"].port
+        self.follower = Follower("127.0.0.1", port, self.root + ".replica").start()
+
+    def stop_primary(self) -> None:
+        """Stop the server, the service and its backends; a no-op on a
+        primary that is already down."""
+        server, service, self.server, self.service = self.server, self.service, None, None
+        try:
+            if server is not None:
+                holder, thread = server
+                holder["stop"]()
+                thread.join(10)
+        finally:
+            if service is not None:
+                service.close()
+                for scheme in service.schemes:
+                    scheme.store.backend.close()
+
+    def insert_before(self, glid: int) -> int:
+        ticket = self.service.submit_ops([BatchOp("insert_before", (glid,))])
+        return ticket.wait(10).results[0]
+
+    def delete(self, glid: int) -> None:
+        self.service.submit_ops([BatchOp("delete", (glid,))]).wait(10)
+
+    def kill_follower(self) -> None:
+        """``repl.follower``: the follower is torn down mid-stream and its
+        local live log gets the torn, never-fsynced tail a real kill
+        leaves.  A fresh follower reopens the same files: stock crash
+        recovery trims the tear, the cursor resumes from the committed
+        prefix, and streaming continues."""
+        self.follower.close()
+        _torn_append(self.rng, shard_page_path(self.root + ".replica", 0) + ".wal")
+        self.follow()
+
+    def restart_primary(self) -> None:
+        """``repl.primary``: a torn in-flight append hits the *primary's*
+        live log while the server is still up — bytes no commit record
+        will ever follow — and the follower mirrors them (it cannot apply
+        them).  Then the primary is killed and reopened on the same port:
+        its recovery trims the tear, so the restarted log is *shorter*
+        than what the follower mirrored, and the running follower must
+        detect the trim (``chunk.total < offset``), cut its own mirror
+        back to the applied prefix, and resume.  This is the one window
+        ordinary streaming never exercises."""
+        backend = self.service.schemes[0].store.backend
+        _torn_append(self.rng, backend.wal_path)
+        wal_len = os.path.getsize(backend.wal_path)
+        manifest = backend.wal_manifest
+        segment = manifest["next_segment"] if manifest else 0
+        shard = self.follower.shards[0]
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline:
+            if shard.segment == segment and shard.offset >= wal_len:
+                break
+            time.sleep(0.01)
+        self.stop_primary()
+        self.start(
+            open_sharded_schemes(self.root, retain_wal=True), port=self.follower.port
+        )
+
+    def stop_follower(self) -> None:
+        if self.follower is not None:
+            self.follower.close()
+
+
+#: Driver-level hooks, fired once per completed tape step of a replicated
+#: trial; each fired spec is one kill.
+_REPL_ACTIONS = {
+    "repl.follower": _Stack.kill_follower,
+    "repl.primary": _Stack.restart_primary,
+}
 
 
 def run_chaos_trial(
@@ -169,208 +375,116 @@ def run_chaos_trial(
     base_labels: int = 24,
     config: BoxConfig | None = None,
 ) -> ChaosTrial:
-    """Run one crash-recovery trial in ``directory`` (caller-owned)."""
-    trial = ChaosTrial(scheme=scheme_name, plan=plan_name, seed=seed)
-    if config is None:
-        from ..config import TINY_CONFIG
-
-        config = TINY_CONFIG
+    """Run one crash-recovery trial under ``directory`` (caller-owned);
+    see the module docstring for its four steps."""
+    config = config if config is not None else TINY_CONFIG
     factory = scheme_factory(scheme_name)
-    path = os.path.join(directory, f"{scheme_name}-{plan_name}-{seed}.pages")
-    backend = FileBackend(
-        path,
-        page_bytes=default_page_bytes(config.block_bytes),
-        fsync=_plan_needs_fsync(plan),
+    scoped = [int(m.group(1)) for spec in plan if (m := _SHARD_SCOPE.search(spec.hook))]
+    n_shards = max(scoped, default=0) + 1
+    repl_hooks = sorted({spec.hook for spec in plan} & _REPL_ACTIONS.keys())
+    trial = ChaosTrial(
+        scheme=scheme_name
+        + ("+repl" if repl_hooks else "")
+        + (f"x{n_shards}" if n_shards > 1 else ""),
+        plan=plan_name,
+        seed=seed,
     )
-    scheme = factory(config, BlockStore(config, backend=backend))
-    lids = _bulk(scheme, base_labels)
-    checkpoint_scheme(scheme)
-
-    injector = FaultInjector(plan, seed=seed)
-    backend.install_faults(injector)
-    tape = crash_recovery_tape(max_ops, seed=seed)
-    try:
-        for step in tape:
-            apply_tape_step(scheme, lids, step)
-            trial.completed_ops += 1
-    except _CRASH_ERRORS:
-        trial.crashed = True
-    trial.faults_fired = [f"{f.hook}:{f.kind}" for f in injector.fired]
-    backend.close()
-
-    try:
-        reopened = open_file_scheme(path)
-    except RecoveryError as error:
-        trial.error = f"recovery failed: {error}"
-        return trial
-    try:
-        report = reopened.store.backend.recovery_report
-        trial.replayed = bool(report.get("replayed_transactions"))
-        trial.committed_ops = trial.completed_ops
-        if trial.crashed and trial.replayed:
-            # The in-flight op's commit record made the log: recovery
-            # replayed it, so the twin must apply that op too.
-            trial.committed_ops += 1
-
-        twin = factory(config, None)
-        twin_lids = _bulk(twin, base_labels)
-        for step in tape[: trial.committed_ops]:
-            apply_tape_step(twin, twin_lids, step)
-        trial.checked_lids = len(twin_lids)
-        for lid in twin_lids:
-            if reopened.lookup(lid) != twin.lookup(lid):
-                trial.mismatches += 1
-        # The recovered structure must also keep working.
-        reopened.insert_before(twin_lids[0])
-        if hasattr(reopened, "check_invariants"):
-            reopened.check_invariants()
-    except Exception as error:  # noqa: BLE001 - a trial must not kill the sweep
-        trial.error = f"{type(error).__name__}: {error}"
-    finally:
-        reopened.store.backend.close()
-    return trial
-
-
-def _plan_is_sharded(plan: FaultPlan) -> bool:
-    """Whether any spec targets a shard-scoped hook (``hook@shardN``)."""
-    return any("@" in spec.hook for spec in plan)
-
-
-def run_shard_chaos_trial(
-    scheme_name: str,
-    plan_name: str,
-    plan: FaultPlan,
-    seed: int,
-    directory: str,
-    max_ops: int = 120,
-    base_labels: int = 24,
-    config: BoxConfig | None = None,
-    n_shards: int = 2,
-) -> ChaosTrial:
-    """One crash-recovery trial against a live sharded service.
-
-    The tape drives a running :class:`~repro.service.ShardedLabelService`
-    (one writer thread per shard) over file-backed shards, one synchronous
-    ticket per step, until the plan's shard-scoped fault kills one shard's
-    writer.  Because the standard shard plan fires at
-    ``service.writer_apply`` — *before* the batch touches the structure —
-    the committed state is exactly the completed tape prefix: the twin
-    oracle replays precisely the steps whose tickets resolved.  Recovery
-    then reopens **all** shards (:func:`~repro.persist.open_sharded_schemes`)
-    and every global LID is compared against the per-shard memory twins;
-    finally each recovered shard must accept a fresh insert.
-    """
-    from ..core.batch import BatchOp
-    from ..service import ShardedLabelService
-    from ..service.router import ShardRouter
-
-    trial = ChaosTrial(scheme=f"{scheme_name}x{n_shards}", plan=plan_name, seed=seed)
-    if config is None:
-        from ..config import TINY_CONFIG
-
-        config = TINY_CONFIG
-    factory = scheme_factory(scheme_name)
-    router = ShardRouter(n_shards)
     root = os.path.join(directory, f"{scheme_name}-{plan_name}-{seed}.shards")
-    backends = create_sharded_backends(
-        root,
-        n_shards,
-        page_bytes=default_page_bytes(config.block_bytes),
-        fsync=_plan_needs_fsync(plan),
-    )
-    schemes = [
-        factory(config, BlockStore(config, backend=backend)) for backend in backends
-    ]
-    glids = _bulk_sharded(schemes, router, base_labels)
-    for scheme in schemes:
-        checkpoint_scheme(scheme)
-
     injector = FaultInjector(plan, seed=seed)
-    for shard, backend in enumerate(backends):
-        backend.install_faults(injector.scoped(f"shard{shard}"))
     tape = crash_recovery_tape(max_ops, seed=seed)
-    service = ShardedLabelService(schemes, group_size=8, fault_injector=injector)
-    service.start()
+    stack = _Stack(root, injector, bool(repl_hooks))
+    replica = None
+    backends: list = []
+    reopened: list = []
     try:
-        for step in tape:
-            kind, draw = step
-            if kind == "delete" and len(glids) > 12:
-                glid = glids.pop(draw % len(glids))
-                service.submit_ops([BatchOp("delete", (glid,))]).wait(10)
-            else:
-                anchor = glids[draw % len(glids)]
-                ticket = service.submit_ops([BatchOp("insert_before", (anchor,))])
-                glids.append(ticket.wait(10).results[0])
-            trial.completed_ops += 1
-    except _CRASH_ERRORS + (WriterCrashError, ServiceDegradedError, ServiceClosedError):
-        trial.crashed = True
-    trial.faults_fired = [f"{f.hook}:{f.kind}" for f in injector.fired]
-    service.close()
-    for backend in backends:
-        backend.close()
+        backends = create_sharded_backends(
+            root,
+            n_shards,
+            page_bytes=default_page_bytes(config.block_bytes),
+            fsync=any(spec.hook.startswith("backend.fsync") for spec in plan),
+            retain_wal=bool(repl_hooks),
+        )
+        schemes = [factory(config, BlockStore(config, backend=b)) for b in backends]
+        lids = bulk_load_sharded(schemes, base_labels)
+        for scheme in schemes:
+            checkpoint_scheme(scheme)
+        stack.start(schemes)
+        if repl_hooks:
+            checkpoint_service(stack.service)  # the image a follower boots from
+            stack.follow()
+        for shard, backend in enumerate(backends):
+            backend.install_faults(injector.scoped(f"shard{shard}"))
+        try:
+            for index, step in enumerate(tape):
+                apply_tape_step(stack, lids, step)
+                trial.completed_ops += 1
+                if repl_hooks and index % 17 == 16:
+                    rotate_service_wal(stack.service)
+                for hook in repl_hooks:
+                    if injector.fire(hook) is not None:
+                        trial.crashed = True
+                        _REPL_ACTIONS[hook](stack)
+            if repl_hooks:
+                # Seal the live tail and let the follower apply everything
+                # shipped: its reader session is one more endpoint to verify.
+                rotate_service_wal(stack.service)
+                stack.follower.stop()
+                stack.follower.catch_up()
+                replica = stack.follower.service.session()
+        except _CRASH_ERRORS:
+            trial.crashed = True
+        trial.faults_fired = [f"{f.hook}:{f.kind}" for f in injector.fired]
+        stack.stop_primary()
 
-    try:
         reopened = open_sharded_schemes(root)
-    except RecoveryError as error:
-        trial.error = f"recovery failed: {error}"
-        return trial
-    try:
         trial.replayed = any(
-            bool(scheme.store.backend.recovery_report.get("replayed_transactions"))
+            scheme.store.backend.recovery_report.get("replayed_transactions")
             for scheme in reopened
         )
-        # The writer-apply fault fires before its batch mutates anything,
-        # so the committed prefix is exactly the completed steps — no
-        # in-flight-transaction correction, unlike the single-scheme trial.
-        trial.committed_ops = trial.completed_ops
+        # A tape cut short leaves one step in flight.  If its commit
+        # record made a log, recovery replayed it, so the twin must
+        # apply that step too.
+        in_flight = trial.completed_ops < len(tape) and trial.replayed
+        trial.committed_ops = trial.completed_ops + (1 if in_flight else 0)
+        if repl_hooks:
+            # What a replication row must show is the *follower* applying
+            # shipped WAL; the primary's own reopen does not count.
+            trial.replayed = any(s.txns_applied for s in stack.follower.shards)
 
-        twins = [factory(config, None) for _ in range(n_shards)]
-        twin_glids = _bulk_sharded(twins, router, base_labels)
+        twin = _Shards([factory(config, None) for _ in range(n_shards)])
+        twin_lids = bulk_load_sharded(twin.schemes, base_labels)
         for step in tape[: trial.committed_ops]:
-            kind, draw = step
-            if kind == "delete" and len(twin_glids) > 12:
-                glid = twin_glids.pop(draw % len(twin_glids))
-                twins[router.shard_of(glid)].delete(router.to_local(glid))
-            else:
-                anchor = twin_glids[draw % len(twin_glids)]
-                shard = router.shard_of(anchor)
-                local = twins[shard].insert_before(router.to_local(anchor))
-                twin_glids.append(router.to_global(local, shard))
-        trial.checked_lids = len(twin_glids)
-        for glid in twin_glids:
-            shard, local = router.shard_of(glid), router.to_local(glid)
-            if reopened[shard].lookup(local) != twins[shard].lookup(local):
-                trial.mismatches += 1
-        # Every recovered shard — including the killed one — must keep
+            apply_tape_step(twin, twin_lids, step)
+        recovered = _Shards(reopened)
+        endpoints = [recovered.lookup]
+        if replica is not None:
+            endpoints.append(replica.lookup)
+        trial.checked_lids = len(twin_lids)
+        for lid in twin_lids:
+            expected = twin.lookup(lid)
+            trial.mismatches += sum(lookup(lid) != expected for lookup in endpoints)
+        # Every recovered shard — a killed one included — must keep
         # working: accept an insert anchored at its first live LID.
-        for shard in range(n_shards):
-            anchored = next(
-                (g for g in twin_glids if router.shard_of(g) == shard), None
+        for shard, scheme in enumerate(reopened):
+            anchor = next(
+                (g for g in twin_lids if twin.router.shard_of(g) == shard), None
             )
-            if anchored is not None:
-                reopened[shard].insert_before(router.to_local(anchored))
-            if hasattr(reopened[shard], "check_invariants"):
-                reopened[shard].check_invariants()
+            if anchor is not None:
+                recovered.insert_before(anchor)
+            if hasattr(scheme, "check_invariants"):
+                scheme.check_invariants()
     except Exception as error:  # noqa: BLE001 - a trial must not kill the sweep
         trial.error = f"{type(error).__name__}: {error}"
     finally:
-        for scheme in reopened:
-            scheme.store.backend.close()
+        closers = [stack.stop_follower, stack.stop_primary]
+        closers += [backend.close for backend in backends]  # if setup failed
+        closers += [scheme.store.backend.close for scheme in reopened]
+        for close in closers:
+            try:
+                close()
+            except Exception as error:  # noqa: BLE001 - nor may its teardown
+                trial.error = trial.error or f"teardown {type(error).__name__}: {error}"
     return trial
-
-
-def _bulk_sharded(schemes: list, router: Any, count: int) -> list[int]:
-    """Paired bulk load split into contiguous per-shard chunks, returning
-    global LIDs in document order (chunk sizes forced even so sibling
-    start/end pairs never straddle a chunk)."""
-    per = count // len(schemes)
-    per -= per % 2
-    glids: list[int] = []
-    for shard, scheme in enumerate(schemes):
-        chunk = count - per * (len(schemes) - 1) if shard == len(schemes) - 1 else per
-        locals_ = scheme.bulk_load(chunk, [i ^ 1 for i in range(chunk)])
-        glids.extend(router.to_global(local, shard) for local in locals_)
-    return glids
 
 
 def run_chaos_sweep(
@@ -401,11 +515,8 @@ def run_chaos_sweep(
     ) as directory:
         for seed in seed_list:
             for plan_name, plan in plan_map.items():
-                runner = (
-                    run_shard_chaos_trial if _plan_is_sharded(plan) else run_chaos_trial
-                )
                 for scheme_name in scheme_list:
-                    trial = runner(
+                    trial = run_chaos_trial(
                         scheme_name,
                         plan_name,
                         plan,

@@ -31,7 +31,16 @@ hook                   fires
                        *before* the log is emptied; the stale-tail window
 ``service.writer_apply``   writer loop, before applying one queued batch
 ``service.group_commit``   inside a group commit, before the epoch publishes
+``repl.follower``      chaos driver, after each completed tape step: kill the
+                       follower mid-stream, tear its local log, reopen it
+``repl.primary``       chaos driver, after each completed tape step: tear the
+                       primary's live log, let the follower mirror the tear,
+                       kill and reopen the primary
 =====================  ==========================================================
+
+The two ``repl.*`` hooks are fired by :func:`~repro.faults.run_chaos_trial`
+itself, not by production code; a plan naming one makes the trial run a
+network front end and a follower.
 
 Any hook may carry a shard-scope suffix (``service.writer_apply@shard2``):
 a sharded service hands each shard a :meth:`FaultInjector.scoped` view, and
@@ -107,6 +116,8 @@ HOOKS = frozenset(
         "wal.truncate",
         "service.writer_apply",
         "service.group_commit",
+        "repl.follower",
+        "repl.primary",
     )
 )
 

@@ -78,7 +78,6 @@ __all__ = [
     "open_file_scheme",
     "create_sharded_backends",
     "open_sharded_schemes",
-    "checkpoint_sharded",
     "scheme_metadata_header",
     "restore_scheme_state",
 ]
@@ -485,10 +484,3 @@ def open_sharded_schemes(
         )
         for shard in range(manifest["n_shards"])
     ]
-
-
-def checkpoint_sharded(schemes: list) -> None:
-    """Checkpoint every shard scheme of a sharded store (in shard order:
-    each shard's checkpoint is an independent durability point)."""
-    for scheme in schemes:
-        checkpoint_scheme(scheme)

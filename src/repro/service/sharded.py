@@ -85,6 +85,12 @@ def bulk_load_sharded(
 
     Shard ``i`` receives the ``i``-th document-order chunk (near-even
     split); the returned list holds *global* LIDs in document order.
+    A scheme that cannot load without a tag pairing (W-BOX-O:
+    ``bulk_needs_pairing``) gets its chunk as sibling leaf elements — tags
+    ``2k`` / ``2k+1`` are one element's start and end; the tag left over
+    in an odd chunk is its own partner, which W-BOX-O leaves unpaired like
+    any freshly inserted label.  Every other scheme loads exactly as it
+    does without a pairing.
     Call this before constructing the :class:`ShardedLabelService` —
     bulk load is an offline build step, the paper's Section 5, and the
     services' epoch 0 then reflects the loaded state.
@@ -94,7 +100,10 @@ def bulk_load_sharded(
     for shard, chunk in enumerate(router.split_bulk(count)):
         if chunk == 0:
             continue
-        for local in schemes[shard].bulk_load(chunk):
+        pairing = None
+        if schemes[shard].bulk_needs_pairing:
+            pairing = [min(index ^ 1, chunk - 1) for index in range(chunk)]
+        for local in schemes[shard].bulk_load(chunk, pairing):
             glids.append(router.to_global(local, shard))
     return glids
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Any, Sequence
 
 from ..core.batch import BatchOp, BatchRef, BatchResult
 from ..core.document import tag_pairing
@@ -895,20 +895,21 @@ def crash_recovery_tape(
     return steps
 
 
-def apply_tape_step(
-    scheme: LabelingScheme, lids: list[int], step: tuple[str, int]
-) -> None:
-    """Interpret one :func:`crash_recovery_tape` step against ``scheme``,
+def apply_tape_step(target: Any, lids: list[int], step: tuple[str, int]) -> None:
+    """Interpret one :func:`crash_recovery_tape` step against ``target``,
     keeping ``lids`` (the live-LID list, mutated in place) in sync.
 
+    ``target`` is anything with ``insert_before(lid) -> lid`` and
+    ``delete(lid)`` over the LIDs in ``lids``: a scheme, or the chaos
+    driver's live service and its twin (the one interpreter for both).
     Deletes are demoted to inserts while the live population is small, so
     a delete-heavy seed can never drain the structure.
     """
     kind, draw = step
     if kind == "delete" and len(lids) > 12:
-        scheme.delete(lids.pop(draw % len(lids)))
+        target.delete(lids.pop(draw % len(lids)))
     else:
-        lids.append(scheme.insert_before(lids[draw % len(lids)]))
+        lids.append(target.insert_before(lids[draw % len(lids)]))
 
 
 def subtree_tags_and_pairing(root: Element) -> tuple[list[Tag], list[int]]:

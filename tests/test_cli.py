@@ -182,3 +182,33 @@ class TestServiceVerbs:
         assert lines[3].startswith("EpochVector(") and "number=1" in lines[3]
         assert len(lines) == 4  # quit stops the loop before the last lookup
         assert "unknown command: bogus" in captured.err
+
+
+class TestChaosVerb:
+    """``repro chaos``: one sweep, one report, ``--plans`` the one selector."""
+
+    def test_default_sweep_runs_every_standard_plan(self, capsys):
+        assert main(["chaos", "--seeds", "1", "--max-ops", "40", "--schemes", "wbox"]) == 0
+        out = capsys.readouterr().out
+        assert "chaos: 8 trial(s) (1 seed(s) x 8 plan(s) x 1 scheme(s))" in out
+        assert "oracle mismatches: 0" in out
+        assert "verdict:           OK" in out
+
+    def test_plans_selects_exactly_the_named_rows(self, capsys):
+        code = main(["chaos", "--seeds", "1", "--max-ops", "40", "--schemes", "wbox",
+                     "--plans", "follower-kill,shard-writer-crash", "--verbose"])
+        out = capsys.readouterr().out
+        assert code == 0
+        trials = [line.split() for line in out.splitlines() if line.startswith("  [")]
+        # One line per trial, tagged with the topology its plan derived.
+        assert [(line[1], line[2]) for line in trials] == [
+            ("wbox+repl", "follower-kill"),
+            ("wboxx2", "shard-writer-crash"),
+        ]
+        assert "chaos: 2 trial(s) (1 seed(s) x 2 plan(s) x 1 scheme(s))" in out
+
+    def test_unknown_plan_names_the_valid_ones(self, capsys):
+        assert main(["chaos", "--plans", "nope"]) != 0
+        err = capsys.readouterr().err
+        assert "unknown plan(s) nope" in err
+        assert "follower-kill" in err and "torn-write" in err

@@ -1,7 +1,7 @@
 """The crash-recovery matrix: every scheme variant x every crash window.
 
 This is the PR-2 twin-oracle recovery test, generalized through
-:class:`repro.faults.FaultPlan`: for each of the five scheme variants and
+:class:`repro.faults.FaultPlan`: for each of the six scheme variants and
 each fault class — torn physical write, failed fsync, mid-superblock
 crash — a file-backed scheme runs a deterministic op tape until the
 injected fault kills the backend, reopens through WAL recovery, and must
@@ -19,7 +19,7 @@ import pytest
 from repro.config import TINY_CONFIG
 from repro.core import scheme_factory
 from repro.faults import FaultPlan, run_chaos_trial, standard_plans
-from repro.faults.chaos import SCHEME_NAMES, _plan_is_sharded, run_shard_chaos_trial
+from repro.faults.chaos import SCHEME_NAMES
 from repro.persist import checkpoint_scheme
 from repro.storage import BlockStore, FileBackend, default_page_bytes
 from repro.storage import filebackend as filebackend_module
@@ -94,20 +94,38 @@ def test_superblock_overflow_blob_crash(tmp_path, monkeypatch, scheme_name):
 
 def test_standard_plan_set_covers_all_windows(tmp_path):
     """The CLI's standard plan set, one seed, one scheme: every plan runs
-    to a verdict (crash plans crash, the latency plan completes clean).
-    Shard-scoped plans go through the 2-shard trial runner, exactly as
-    the sweep dispatches them."""
+    to a verdict through the one trial function (crash plans crash, the
+    latency plan completes clean); the topology each row needs — two
+    shards, a follower — is derived from the plan."""
     for plan_name, plan in standard_plans().items():
-        if _plan_is_sharded(plan):
-            trial = run_shard_chaos_trial(
-                "wbox", plan_name, plan, 0, str(tmp_path / plan_name), max_ops=150
-            )
-        else:
-            trial = run_chaos_trial(
-                "wbox", plan_name, plan, 0, str(tmp_path), max_ops=150
-            )
+        trial = run_chaos_trial("wbox", plan_name, plan, 0, str(tmp_path), max_ops=150)
         assert trial.mismatches == 0 and not trial.error, trial
         if plan_name == "latency":
             assert not trial.crashed and trial.completed_ops == 150
         else:
             assert trial.crashed
+
+
+@pytest.mark.parametrize("broken", ["bulk_load_sharded", "stop_follower"])
+def test_a_failing_trial_reports_instead_of_raising(tmp_path, monkeypatch, broken):
+    """Setup and teardown sit inside the trial's error net: a failure
+    there lands in ``trial.error`` (the first one wins) and the sweep
+    goes on — it must never escape ``run_chaos_trial``."""
+    from repro.faults import chaos
+
+    target = chaos if broken == "bulk_load_sharded" else chaos._Stack
+    real = getattr(target, broken)
+
+    def boom(*args, **kwargs):
+        real(*args, **kwargs)  # leak nothing: do the work, then fail
+        raise OSError(f"{broken} broke")
+
+    monkeypatch.setattr(target, broken, boom)
+    plan = standard_plans()["follower-kill"]
+    trial = run_chaos_trial("wbox", "follower-kill", plan, 0, str(tmp_path), max_ops=40)
+    assert not trial.ok
+    assert f"OSError: {broken} broke" in trial.error
+    if broken == "stop_follower":
+        # The trial itself was clean; only its teardown failed.
+        assert trial.error.startswith("teardown ") and trial.mismatches == 0
+        assert trial.replayed  # the follower, not the primary's reopen

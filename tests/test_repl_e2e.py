@@ -1,10 +1,10 @@
 """Replication kill/restart campaigns over WAL-segment boundaries.
 
-The replication chaos harness (:mod:`repro.faults.replchaos`) runs a
-real primary behind a real socket with a follower streaming its WAL,
-kills one side mid-stream at seeded points, and verifies **every** live
-LID between primary and follower sessions after catch-up — the
-twin-oracle check with the primary itself as oracle.
+The two replication rows of :func:`repro.faults.standard_plans` make the
+chaos driver run a real primary behind a real socket with a follower
+streaming its WAL, kill one side mid-stream at seeded points (two kills
+per trial), and verify **every** live LID of the recovered primary *and*
+of the caught-up follower against a memory twin.
 
 Two crash stories sweep here: the follower torn down mid-segment (its
 local live log gets the torn tail a real kill leaves, and a fresh
@@ -15,8 +15,8 @@ trim and cut back to its applied prefix).  A directed test walks a
 follower kill across a rotation so the resumed instance finishes
 mirroring a segment that sealed while it was down.
 
-``REPRO_REPL_KILLS`` (default 1) sets kills per trial and the seed
-count — the nightly campaign runs 3.
+``REPRO_REPL_KILLS`` (default 1) sets the seed count — the nightly
+campaign runs 3.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ import threading
 import pytest
 
 from repro import TINY_CONFIG, BatchOp, WBox
-from repro.faults import REPL_PLAN_NAMES, run_repl_chaos_trial
-from repro.faults.replchaos import _torn_append
+from repro.faults import run_chaos_trial, standard_plans
+from repro.faults.chaos import _torn_append
 from repro.persist import attach_scheme_to_backend
 from repro.repl import (
     Follower,
@@ -41,14 +41,15 @@ from repro.storage import BlockStore, FileBackend, default_page_bytes
 from repro.storage.shardlayout import shard_page_path
 
 KILLS = int(os.environ.get("REPRO_REPL_KILLS", "1"))
+REPL_PLANS = standard_plans(["follower-kill", "primary-restart"])
 
 
-@pytest.mark.parametrize("plan_name", REPL_PLAN_NAMES)
+@pytest.mark.parametrize("plan_name", REPL_PLANS)
 def test_kill_restart_sweep(tmp_path, plan_name):
     """Seeded kills mid-stream; zero LID mismatches after catch-up."""
     for seed in range(KILLS):
-        trial = run_repl_chaos_trial(
-            "wbox", plan_name, seed, str(tmp_path), max_ops=60, kills=KILLS
+        trial = run_chaos_trial(
+            "wbox", plan_name, REPL_PLANS[plan_name], seed, str(tmp_path), max_ops=60
         )
         assert trial.crashed, f"seed {seed}: no kill was injected"
         assert trial.mismatches == 0 and not trial.error, trial
@@ -57,19 +58,15 @@ def test_kill_restart_sweep(tmp_path, plan_name):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("plan_name", REPL_PLAN_NAMES)
+@pytest.mark.parametrize("plan_name", REPL_PLANS)
 def test_kill_restart_campaign(tmp_path, plan_name):
     """The nightly-sized sweep: more seeds, longer tapes, double kills."""
     for seed in range(max(3, KILLS)):
-        trial = run_repl_chaos_trial(
-            "wbox",
-            plan_name,
-            seed,
-            str(tmp_path),
-            max_ops=120,
-            kills=max(2, KILLS),
+        trial = run_chaos_trial(
+            "wbox", plan_name, REPL_PLANS[plan_name], seed, str(tmp_path), max_ops=120
         )
         assert trial.crashed
+        assert len(trial.faults_fired) == 2  # both kills of the row landed
         assert trial.mismatches == 0 and not trial.error, trial
 
 

@@ -9,10 +9,11 @@ Three layers:
   running :class:`ShardedLabelService`; the dead shard degrades (typed,
   read-only) while the healthy shard keeps serving reads AND writes;
 * the crash-recovery matrix entry — the ``shard-writer-crash`` standard
-  plan kills shard 1's writer mid-tape in a file-backed 2-shard service,
-  every shard recovers through its own WAL, and every recovered label on
-  every shard must match a twin oracle (the same per-trial machinery the
-  ``repro chaos`` CLI sweeps nightly).
+  plan kills shard 1's writer mid-tape in a file-backed 2-shard service
+  (and a shard-scoped *backend* fault tears one of shard 1's physical
+  writes), every shard recovers through its own WAL, and every recovered
+  label on every shard must match a twin oracle (the same per-trial
+  machinery the ``repro chaos`` CLI sweeps nightly).
 """
 
 from __future__ import annotations
@@ -22,19 +23,34 @@ import pytest
 from repro import BatchOp, TINY_CONFIG, WBox
 from repro.errors import ServiceDegradedError, WriterCrashError
 from repro.faults import (
+    TORN_WRITE,
     WRITER_CRASH,
     FaultInjector,
     FaultPlan,
     FaultPlanError,
     FaultSpec,
     run_chaos_sweep,
-    run_shard_chaos_trial,
+    run_chaos_trial,
     split_hook,
     standard_plans,
 )
 from repro.service import ShardedLabelService, bulk_load_sharded
 
 SHARD_CRASH_PLAN = standard_plans()["shard-writer-crash"]
+
+#: plan name -> (plan, seeds).  The backend plan tears one of shard 1's
+#: physical writes: unlike the writer kill (which fires before its batch
+#: touches anything) the in-flight commit may already have reached the
+#: log, and the twin must then replay that step too.
+SHARD_MATRIX_PLANS = {
+    "shard-writer-crash": (SHARD_CRASH_PLAN, 20),
+    "shard-backend-torn": (
+        FaultPlan(
+            [FaultSpec(TORN_WRITE, "backend.raw_write@shard1", at=None, window=(1, 48))]
+        ),
+        12,
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -158,34 +174,49 @@ def test_live_shard_kill_leaves_healthy_shard_serving():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("scheme_name", ["wbox", "bbox"])
-def test_shard_crash_recovery_matrix(tmp_path, scheme_name):
-    """Kill shard 1's writer anywhere in the plan's seeded window; all
-    shards must recover and agree with their twin oracles LID-for-LID."""
-    crashed = 0
-    for seed in range(20):
-        trial = run_shard_chaos_trial(
+@pytest.mark.parametrize(
+    "scheme_name, plan_name",
+    [
+        pytest.param("wbox", "shard-writer-crash", id="wbox"),
+        pytest.param("bbox", "shard-writer-crash", id="bbox"),
+        pytest.param("wbox", "shard-backend-torn", id="wbox-backend-torn"),
+        pytest.param("bbox", "shard-backend-torn", id="bbox-backend-torn"),
+    ],
+)
+def test_shard_crash_recovery_matrix(tmp_path, scheme_name, plan_name):
+    """Kill shard 1 anywhere in the plan's seeded window; all shards must
+    recover and agree with their twin oracles LID-for-LID."""
+    plan, seeds = SHARD_MATRIX_PLANS[plan_name]
+    crashed = replayed = 0
+    for seed in range(seeds):
+        trial = run_chaos_trial(
             scheme_name,
-            "shard-writer-crash",
-            SHARD_CRASH_PLAN,
+            plan_name,
+            plan,
             seed,
             str(tmp_path / f"{scheme_name}-{seed}"),
+            max_ops=120,
         )
         assert trial.ok, (
             f"seed {seed}: {trial.error or f'{trial.mismatches} mismatch(es)'}"
         )
         assert trial.mismatches == 0
+        replayed += trial.replayed
         if trial.crashed:
             crashed += 1
             assert any("@shard1" in fired for fired in trial.faults_fired)
-    # The seeded window (1, 16) must actually reach shard 1's writer in
-    # the vast majority of tapes, or the matrix tests nothing.
-    assert crashed >= 16, f"only {crashed}/20 seeds crashed"
+    # The seeded window must actually reach shard 1 in the vast majority
+    # of tapes, or the matrix tests nothing.
+    assert crashed * 5 >= seeds * 4, f"only {crashed}/{seeds} seeds crashed"
+    if plan_name == "shard-backend-torn":
+        # ...and some tears must land after the commit record, or the
+        # in-flight-commit rule is never exercised.
+        assert replayed >= 1
 
 
 def test_sweep_dispatches_sharded_plans_to_sharded_trials(tmp_path):
-    """run_chaos_sweep routes any plan with an @shard hook through the
-    2-shard trial runner — visible in the trial's scheme tag."""
+    """run_chaos_sweep runs any plan with an @shard hook as a 2-shard
+    trial — visible in the trial's scheme tag."""
     report = run_chaos_sweep(
         2,
         schemes=["wbox"],

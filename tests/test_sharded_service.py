@@ -25,11 +25,11 @@ from repro.core.batch import (
     route_ops,
     shift_refs,
 )
+from repro.core.registry import scheme_factory
 from repro.errors import CrossShardError, PersistError, ServiceError
 from repro.persist import (
     attach_scheme_to_backend,
     checkpoint_scheme,
-    checkpoint_sharded,
     create_sharded_backends,
     open_sharded_schemes,
 )
@@ -159,6 +159,53 @@ def test_bulk_load_sharded_chunks_in_document_order():
     assert all(g % 2 == 1 for g in glids[5:])
     # Each shard really holds its chunk.
     assert schemes[0].lookup(0) is not None
+
+
+@pytest.mark.parametrize("count, n_shards", [(25, 1), (512, 3), (2000, 3), (24, 2)])
+@pytest.mark.parametrize(
+    "scheme_name", ["wbox", "wboxo", "bbox", "naive-8", "ancestry", "ancestry-dyn"]
+)
+def test_bulk_load_sharded_loads_every_scheme_at_any_chunk_parity(
+    scheme_name, count, n_shards
+):
+    """Odd chunks (512 over 3 shards splits 171/171/170) load on every CLI
+    scheme.  Only a scheme that demands a pairing is handed one — W-BOX-O,
+    sibling pairs, an odd chunk's last tag unpaired — so every other
+    scheme holds exactly what a plain ``bulk_load(chunk)`` gives it."""
+    factory = scheme_factory(scheme_name)
+    schemes = [factory(TINY_CONFIG, None) for _ in range(n_shards)]
+    glids = bulk_load_sharded(schemes, count)
+    assert len(glids) == count
+    chunks = ShardRouter(n_shards).split_bulk(count)
+    for scheme, chunk in zip(schemes, chunks):
+        assert scheme.label_count() == chunk
+        if hasattr(scheme, "check_invariants"):
+            scheme.check_invariants()
+        locals_ = sorted(ShardRouter(n_shards).to_local(g) for g in glids[:chunk])
+        del glids[:chunk]
+        if scheme.bulk_needs_pairing:
+            assert scheme_name == "wboxo"
+            paired = [
+                lid
+                for lid in locals_
+                if scheme.lookup_pair(lid, lid) != (scheme.lookup(lid),) * 2
+            ]
+            assert len(paired) == chunk // 2  # the start of every sibling pair
+            continue
+        plain = factory(TINY_CONFIG, None)
+        assert plain.bulk_load(chunk) == locals_
+        assert [scheme.lookup(lid) for lid in locals_] == [
+            plain.lookup(lid) for lid in locals_
+        ]
+        if hasattr(scheme, "kind_of"):
+            assert [scheme.kind_of(lid) for lid in locals_] == [
+                plain.kind_of(lid) for lid in locals_
+            ]
+    # The loaded store serves: one insert per shard through the service.
+    with ShardedLabelService(schemes) as service:
+        for shard in range(n_shards):
+            anchor = ShardRouter(n_shards).to_global(0, shard)
+            service.submit_ops([BatchOp("insert_before", (anchor,))]).wait(10)
 
 
 def test_sharded_service_matches_per_shard_twins():
@@ -353,7 +400,8 @@ def test_sharded_layout_round_trip(tmp_path):
         new_glid = service.apply_ops_sync(
             [BatchOp("insert_before", (glids[3],))]
         ).results[0]
-    checkpoint_sharded(schemes)
+    for scheme in schemes:
+        checkpoint_scheme(scheme)
     values = {g: schemes[g % 2].lookup(g // 2) for g in glids + [new_glid]}
     for backend in backends:
         backend.close()
@@ -415,7 +463,8 @@ def test_one_shard_is_byte_identical_to_plain_service(tmp_path):
     assert glids == lids  # identity codec
     with ShardedLabelService(schemes) as sharded:
         sharded.apply_ops_sync(ops_for(glids))
-    checkpoint_sharded(schemes)
+    for scheme in schemes:
+        checkpoint_scheme(scheme)
     backends[0].close()
 
     plain_bytes = open(plain_path, "rb").read()
