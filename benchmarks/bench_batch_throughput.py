@@ -15,7 +15,7 @@ benefits far less, because locality grouping correctly cuts groups early.
 import pytest
 
 from benchmarks.conftest import SCALE, fmt, get_workload, record_table, scheme_factories
-from repro.workloads import run_concentrated_batched, run_scattered_batched
+from repro.workloads import run_concentrated, run_scattered
 
 SCHEMES = ["W-BOX", "W-BOX-O", "B-BOX", "B-BOX-O"]
 GROUP_SIZES = [16, 64, 256]
@@ -27,7 +27,7 @@ def get_batched(scheme_name: str, group_size: int):
     key = (scheme_name, group_size)
     if key not in _batched_cache:
         scheme = scheme_factories()[scheme_name]()
-        _batched_cache[key] = run_concentrated_batched(
+        _batched_cache[key] = run_concentrated(
             scheme, SCALE["base"], SCALE["inserts"], group_size=group_size
         )
     return _batched_cache[key]
@@ -97,7 +97,7 @@ def test_scattered_batching_saves_less():
     concentrated_batched = get_batched(name, 64)
     scheme = scheme_factories()[name]()
     inserts = min(SCALE["inserts"], SCALE["base"])
-    scattered_batched = run_scattered_batched(
+    scattered_batched = run_scattered(
         scheme, SCALE["base"], inserts, group_size=64
     )
     scattered_per_op = get_workload("scattered", name)[1]

@@ -177,6 +177,26 @@ def _calibrate(port: int, base: int, seconds: float) -> float:
         return completed / (time.monotonic() - start)
 
 
+def _connect(port: int, patience: float = 10.0) -> NetClient:
+    """Open one load connection.  The Hello handshake is admitted like any
+    other request, so while the previous rate point's backlog drains it can
+    be shed (typed OVERLOADED); retry it on the same socket, bounded."""
+    client = NetClient("127.0.0.1", port, handshake=False)
+    deadline = time.monotonic() + patience
+    try:
+        while True:
+            try:
+                client.server_info = client.hello()
+                return client
+            except ServiceOverloadedError:
+                if time.monotonic() >= deadline:
+                    raise
+                time.sleep(0.02)
+    except BaseException:
+        client.close()
+        raise
+
+
 def _load_worker(result_queue, worker_index: int, port: int, rate: float,
                  duration: float, seed: int, base: int, conns: int) -> None:
     """One open-loop worker process: Poisson arrivals at ``rate``/s spread
@@ -186,7 +206,8 @@ def _load_worker(result_queue, worker_index: int, port: int, rate: float,
     out = {"latencies_ms": [], "shed": 0, "errors": 0, "resets": 0, "sent": 0}
     clients = []
     try:
-        clients = [NetClient("127.0.0.1", port) for _ in range(conns)]
+        for _ in range(conns):
+            clients.append(_connect(port))
         issued: list[tuple[float, object]] = []
         start = time.monotonic()
         next_at = 0.0

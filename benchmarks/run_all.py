@@ -44,7 +44,6 @@ TARGETS = [
     ("bench_table_caching_on", "test_caching_on_table"),
     ("bench_batch_throughput", "test_batch_throughput_table"),
     ("bench_backend_correlation", "test_backend_correlation_table"),
-    ("bench_service_throughput", "test_service_throughput_table"),
     ("bench_table_update_summary", "test_update_summary_table"),
     ("bench_table_ordpath", "test_ordpath_table"),
     ("bench_table_related_work", "test_related_work_table"),
@@ -53,10 +52,8 @@ TARGETS = [
     ("bench_ablation_weight_balance", "test_weight_balance_table"),
     ("bench_ablation_bbox_fanout", "test_fanout_table"),
     ("bench_hotpath", "test_hotpath_table"),
-    ("bench_shard_scaling", "test_shard_scaling_table"),
     ("bench_net_latency", "test_net_latency_table"),
     ("bench_replication", "test_replication_table"),
-    ("bench_query_streams", "test_query_streams_table"),
 ]
 
 

@@ -8,7 +8,7 @@ Eleven subcommands, all built on the public API::
     python -m repro inspect  labels.box
     python -m repro recover  labels.pages
     python -m repro info     labels.pages
-    python -m repro stress   --scheme wbox --readers 4 --seconds 5
+    python -m repro stress   --scheme wbox --shards 2 --readers 4 --seconds 5
     python -m repro serve    doc.xml --scheme bbox
     python -m repro metrics  --scheme wbox
     python -m repro trace    --op insert --scheme wbox
@@ -28,8 +28,8 @@ interrupted commit) and verifies the structure; ``info`` prints what a
 saved file contains — snapshot or page file — without modifying it.
 
 ``stress`` spins up the concurrent :class:`~repro.service.ShardedLabelService`
-over a synthetic document and hammers it with reader threads plus a write
-stream for a fixed duration, printing throughput and the service counters;
+over ``--shards N`` synthetic shards and hammers it with reader threads beside
+one write client per shard, printing throughput and the service counters;
 ``serve`` labels a document and answers lookup/compare/insert commands on
 stdin through a reader session and the bounded write queue.
 
@@ -81,14 +81,7 @@ from .storage import (
     shard_page_path,
 )
 from .storage.filebackend import MAGIC as PAGE_MAGIC
-from .workloads import (
-    run_concentrated,
-    run_concentrated_batched,
-    run_scattered,
-    run_scattered_batched,
-    run_xmark_build,
-    run_xmark_build_batched,
-)
+from .workloads import run_concentrated, run_scattered, run_stress, run_xmark_build
 from .workloads.metrics import summarize
 from .xml.model import element_count, tree_depth
 from .xml.parser import parse
@@ -214,49 +207,45 @@ def cmd_query(args: argparse.Namespace) -> int:
     return 0
 
 
+#: ``workload`` sequence name -> its runner call; the one place the verb
+#: tells the sequences apart.
+SEQUENCES = {
+    "concentrated": lambda scheme, args: run_concentrated(
+        scheme, args.base, args.inserts, group_size=args.batch
+    ),
+    "scattered": lambda scheme, args: run_scattered(
+        scheme, args.base, args.inserts, group_size=args.batch
+    ),
+    # One by one, the build is measured after the paper's priming prefix; a
+    # commit group straddles any priming index, so groups are measured whole.
+    "xmark": lambda scheme, args: run_xmark_build(
+        scheme,
+        max(1, args.base // 30),
+        prime_fraction=0.6 if args.batch == 1 else 0.0,
+        group_size=args.batch,
+    ),
+}
+
+
 def cmd_workload(args: argparse.Namespace) -> int:
-    if args.batch < 0:
-        raise ReproError(f"--batch must be >= 0, got {args.batch}")
+    if args.batch < 1:
+        raise ReproError(f"--batch must be >= 1, got {args.batch}")
     config = BoxConfig(block_bytes=args.block_bytes)
     scheme = make_scheme(args.scheme, config, args.storage, args.storage_path)
-    if args.batch > 0:
-        if args.sequence == "concentrated":
-            result = run_concentrated_batched(
-                scheme, args.base, args.inserts, group_size=args.batch
-            )
-        elif args.sequence == "scattered":
-            result = run_scattered_batched(
-                scheme, args.base, args.inserts, group_size=args.batch
-            )
-        else:
-            result = run_xmark_build_batched(
-                scheme, max(1, args.base // 30), group_size=args.batch
-            )
-        cost = result.batch.amortized_cost
-        print(f"workload: {result.workload} (batched), scheme: {result.scheme}")
-        print(f"  ops / groups:     {result.op_count} / {result.group_count}")
-        print(f"  group size:       {result.group_size}")
-        print(f"  amortized I/O:    {cost.total:.2f} per op "
-              f"({cost.reads:.2f} reads, {cost.writes:.2f} writes)")
-        print(f"  total I/O:        {result.total}")
-        print(f"  wall seconds:     {result.wall_seconds:.3f}")
-        if hasattr(scheme, "relabel_count"):
-            print(f"  relabels:         {scheme.relabel_count}")
-        _finish_scheme(scheme)
-        return 0
-    if args.sequence == "concentrated":
-        result = run_concentrated(scheme, args.base, args.inserts)
-    elif args.sequence == "scattered":
-        result = run_scattered(scheme, args.base, args.inserts)
-    else:
-        result = run_xmark_build(scheme, max(1, args.base // 30))
+    result = SEQUENCES[args.sequence](scheme, args)
     summary = summarize(result.costs)
-    print(f"workload: {result.workload}, scheme: {result.scheme}")
-    print(f"  measured inserts: {summary['n']}")
-    print(f"  mean I/O:         {summary['mean']:.2f}")
+    cost = result.batch.amortized_cost
+    batched = " (batched)" if result.group_size > 1 else ""
+    print(f"workload: {result.workload}{batched}, scheme: {result.scheme}")
+    print(f"  ops / groups:     {result.op_count} / {result.group_count} "
+          f"(group size {result.group_size})")
+    print(f"  mean I/O:         {summary['mean']:.2f} per commit group")
+    print(f"  amortized I/O:    {cost.total:.2f} per op "
+          f"({cost.reads:.2f} reads, {cost.writes:.2f} writes)")
     print(f"  p50 / p90 / p99:  {summary['p50']} / {summary['p90']} / {summary['p99']}")
     print(f"  max:              {summary['max']}")
     print(f"  total I/O:        {summary['total']}")
+    print(f"  wall seconds:     {result.wall_seconds:.3f}")
     if hasattr(scheme, "relabel_count"):
         print(f"  relabels:         {scheme.relabel_count}")
     _finish_scheme(scheme)
@@ -356,81 +345,48 @@ def _close_service(service: Any) -> None:
         _finish_scheme(scheme)
 
 
-def _stress_writers(args: argparse.Namespace, schemes: list[Any]) -> list:
-    """``stress --shards N`` (N > 1): concentrated write clients, one hot
-    spot per shard.  Prints the summary; returns the client errors."""
-    from .workloads import run_sharded_write_stress
-
-    result = run_sharded_write_stress(
-        schemes,
-        base_labels=args.base,
-        clients=args.readers,
-        total_ops=args.total_ops,
-        batch=args.write_batch,
-        group_size=args.group_size,
-        write_buffer=args.write_buffer,
-        log_capacity=args.log_capacity,
-    )
-    print(f"stress: scheme={args.scheme} shards={result.shards} "
-          f"clients={result.clients} seconds={result.wall_seconds:.2f}")
-    print(f"  write ops:         {result.write_ops} "
-          f"({result.ops_per_second:.0f}/s aggregate)")
-    print(f"  epoch vector:      {tuple(result.epoch_numbers)}")
-    print(f"  epochs published:  {result.epochs_published}")
-    print(f"  write merges:      {result.write_merges} "
-          f"(write buffer {args.write_buffer})")
-    print(f"  mean ticket wait:  {result.mean_ticket_ms:.2f} ms")
-    return result.errors
-
-
-def _stress_readers(args: argparse.Namespace, scheme: Any) -> list:
-    """``stress`` on one shard: reader threads beside a write stream.
-    Prints the summary; returns the reader errors."""
-    from .workloads import run_service_stress
-
-    result = run_service_stress(
-        scheme,
-        base_elements=args.base,
-        readers=args.readers,
-        duration=args.seconds,
-        write_batch=args.write_batch,
-        group_size=args.group_size,
-        log_capacity=args.log_capacity,
-        think_seconds=args.think_ms / 1000.0,
-        write_pause=args.write_pause_ms / 1000.0,
-        write_mode=args.write_mode,
-        hot_elements=args.hot or None,
-    )
-    counters = result.counters
-    print(f"stress: scheme={result.scheme} readers={result.readers} "
-          f"mode={args.write_mode} seconds={result.wall_seconds:.2f}")
-    print(f"  read ops:          {result.read_ops} "
-          f"({result.reads_per_second:.0f}/s aggregate)")
-    print(f"  write ops:         {result.write_ops}")
-    print(f"  epochs published:  {counters.epochs_published}")
-    print(f"  repair hit ratio:  {counters.repair_hit_ratio:.3f} "
-          f"(fresh {counters.fresh_hits}, replayed {counters.replay_hits})")
-    print(f"  fallthrough reads: {counters.fallthrough_reads}")
-    print(f"  backpressure:      {counters.backpressure_waits} wait(s)")
-    print(f"  epoch lag:         mean {counters.mean_epoch_lag:.2f}, "
-          f"max {counters.max_epoch_lag}")
-    print(f"  write errors:      {counters.write_errors}")
-    return result.reader_errors
-
-
 def cmd_stress(args: argparse.Namespace) -> int:
     schemes, _fresh = _open_schemes(args, args.shards)
     try:
-        if args.shards > 1:
-            errors = _stress_writers(args, schemes)
-        else:
-            errors = _stress_readers(args, schemes[0])
+        result = run_stress(
+            schemes,
+            base_labels=2 * args.base,
+            readers=args.readers,
+            duration=args.seconds,
+            write_batch=args.write_batch,
+            group_size=args.group_size,
+            log_capacity=args.log_capacity,
+            think_seconds=args.think_ms / 1000.0,
+            write_pause=args.write_pause_ms / 1000.0,
+            write_mode=args.write_mode,
+            hot_labels=2 * args.hot or None,
+            write_buffer=args.write_buffer,
+        )
     finally:
         for scheme in schemes:
             _finish_scheme(scheme)
-    for error in errors:
+    totals = result.totals
+    print(f"stress: scheme={result.scheme} shards={result.shards} "
+          f"readers={result.readers} mode={args.write_mode} "
+          f"seconds={result.wall_seconds:.2f}")
+    print(f"  read ops:          {result.read_ops} "
+          f"({result.reads_per_second:.0f}/s aggregate)")
+    print(f"  write ops:         {sum(result.write_ops)} "
+          f"({result.writes_per_second:.0f}/s aggregate)")
+    print(f"  epoch vector:      {result.epoch_numbers}")
+    print(f"  epochs published:  {totals.epochs_published}")
+    print(f"  write merges:      {totals.write_merges} "
+          f"(write buffer {args.write_buffer})")
+    print(f"  repair hit ratio:  {totals.repair_hit_ratio:.3f} "
+          f"(fresh {totals.fresh_hits}, replayed {totals.replay_hits})")
+    print(f"  fallthrough reads: {totals.fallthrough_reads}")
+    print(f"  backpressure:      {totals.backpressure_waits} wait(s)")
+    print(f"  epoch lag:         mean {totals.mean_epoch_lag:.2f}, "
+          f"max {totals.max_epoch_lag}")
+    print(f"  write errors:      {totals.write_errors}")
+    for error in result.errors:
         print(f"error: stress thread failed: {error!r}", file=sys.stderr)
-    return 1 if errors else 0
+    return 1 if result.errors else 0
 
 
 def _parse_listen(listen: str) -> tuple[str, int]:
@@ -1006,15 +962,15 @@ def build_parser() -> argparse.ArgumentParser:
     query.set_defaults(handler=cmd_query)
 
     workload = subparsers.add_parser("workload", help="run a paper workload")
-    workload.add_argument("sequence", choices=["concentrated", "scattered", "xmark"])
+    workload.add_argument("sequence", choices=list(SEQUENCES))
     workload.add_argument("--base", type=int, default=2000, help="base document elements")
     workload.add_argument("--inserts", type=int, default=500, help="elements to insert")
     workload.add_argument(
         "--batch",
         type=int,
-        default=0,
+        default=1,
         metavar="N",
-        help="run through the batch engine with group size N (0 = per-op, the default)",
+        help="commit group size: ops per group commit (default 1 = one by one)",
     )
     _add_common(workload)
     workload.set_defaults(handler=cmd_workload)
@@ -1022,7 +978,9 @@ def build_parser() -> argparse.ArgumentParser:
     stress = subparsers.add_parser(
         "stress", help="hammer the concurrent label service and print counters"
     )
-    stress.add_argument("--base", type=int, default=2000, help="base document elements")
+    stress.add_argument(
+        "--base", type=int, default=2000, help="base elements (two labels each), all shards"
+    )
     stress.add_argument("--readers", type=int, default=4, help="reader threads")
     stress.add_argument("--seconds", type=float, default=5.0, help="stress duration")
     stress.add_argument("--write-batch", type=int, default=8, help="elements per write batch")
@@ -1043,24 +1001,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="writer stream: growing inserts, or steady-state churn (default)",
     )
     stress.add_argument(
-        "--hot", type=int, default=64, help="hot working set (elements read); 0 = all"
+        "--hot", type=int, default=64, help="hot working set (elements read) per shard; 0 = all"
     )
     stress.add_argument(
         "--shards",
         type=int,
         default=1,
         metavar="N",
-        help=(
-            "run the multi-writer ShardedLabelService over N shards "
-            "(write-only stress: --readers become submitting clients, "
-            "--base counts bulk-loaded labels; default 1 = classic stress)"
-        ),
-    )
-    stress.add_argument(
-        "--total-ops",
-        type=int,
-        default=2000,
-        help="write ops across all clients in sharded mode (default 2000)",
+        help="shards, each with its own writer and write client (default 1)",
     )
     stress.add_argument(
         "--write-buffer",

@@ -1,4 +1,10 @@
-"""The three insertion sequences of Section 7.
+"""The workload layer: insertion tapes, one tape runner, one stress driver.
+
+**Sequences are tapes.**  The three insertion sequences of Section 7 (and
+the churn stream its deletion analysis speaks to) are each a list of
+:class:`~repro.core.batch.BatchOp` items whose anchors are concrete LIDs of
+the bulk-loaded base document or :class:`~repro.core.batch.BatchRef` links
+to earlier inserts:
 
 * **Concentrated** — bulk load a two-level document, then insert a two-level
   subtree one element at a time, each pair of insertions "squeezed" into the
@@ -11,57 +17,52 @@
   labels, without knowing subtree sizes in advance — this is *not* the same
   as bulk loading).  Measurements start after a priming prefix.
 
-Each runner drives a fresh scheme and records the I/O cost of every element
-insertion (two label insertions, as in the paper's figures).
+:func:`run_tape` executes a tape through ``scheme.execute_batch`` and
+records the block I/O of every commit group.  The paper's unit — I/Os per
+element insertion — is the tape at ``group_size=1``; a larger group size is
+the same measurement amortised over group commits, where blocks revisited
+inside a group are read and written once.
+
+**One stress driver.**  :func:`run_stress` loads a live
+:class:`~repro.service.ShardedLabelService` (N >= 1 shards) with closed-loop
+reader threads beside one write client per shard.
 """
 
 from __future__ import annotations
 
+import random
+import threading
 import time
-from dataclasses import dataclass, field
-from typing import Any, Sequence
+from dataclasses import dataclass, field, fields
+from typing import Any, Iterator, Sequence
 
 from ..core.batch import BatchOp, BatchRef, BatchResult
-from ..core.document import tag_pairing
 from ..core.interface import LabelingScheme
-from ..xml.model import Element, Tag, TagKind, document_tags
+from ..service.sharded import ShardedLabelService, bulk_load_sharded
+from ..service.stats import ServiceCounters
+from ..xml.model import Element
 from ..xml.xmark import xmark_document
 
 
 @dataclass
 class WorkloadResult:
-    """Per-element-insertion I/O costs for one scheme on one workload."""
+    """Block I/O of one scheme on one tape, one cost per commit group."""
 
     scheme: str
     workload: str
+    #: Maximum ops per commit group; 1 = one-by-one execution, where
+    #: ``costs`` is the per-element-operation list of the paper's figures.
+    group_size: int = 1
+    #: Total block I/Os of each measured commit group, in order.
     costs: list[int] = field(default_factory=list)
+    #: The measured groups' results, per-group read/write costs and sizes
+    #: (groups of a priming prefix are left out, like their ``costs``).
+    batch: BatchResult = field(default_factory=BatchResult)
     #: I/Os spent on the initial bulk load (not part of ``costs``).
     bulk_load_io: int = 0
     #: Labels present after the run.
     final_labels: int = 0
-    #: Wall-clock time of the measured insertions (not the bulk load).
-    wall_seconds: float = 0.0
-
-    @property
-    def total(self) -> int:
-        return sum(self.costs)
-
-    @property
-    def mean(self) -> float:
-        return self.total / len(self.costs) if self.costs else 0.0
-
-
-@dataclass
-class BatchedWorkloadResult:
-    """One scheme on one workload, executed through the batch engine."""
-
-    scheme: str
-    workload: str
-    group_size: int
-    batch: BatchResult
-    #: I/Os spent on the initial bulk load (not part of the batch cost).
-    bulk_load_io: int = 0
-    final_labels: int = 0
+    #: Wall-clock time of the whole tape (not the bulk load).
     wall_seconds: float = 0.0
 
     @property
@@ -70,11 +71,11 @@ class BatchedWorkloadResult:
 
     @property
     def group_count(self) -> int:
-        return self.batch.group_count
+        return len(self.costs)
 
     @property
     def total(self) -> int:
-        return self.batch.total_cost.total
+        return sum(self.costs)
 
     @property
     def mean(self) -> float:
@@ -100,135 +101,157 @@ def _bulk_load_two_level(scheme: LabelingScheme, n_children: int) -> list[int]:
     return scheme.bulk_load(2 * (n_children + 1), two_level_pairing(n_children))
 
 
-def run_concentrated(
-    scheme: LabelingScheme, base_elements: int, insert_elements: int
-) -> WorkloadResult:
-    """The concentrated (adversarial) insertion sequence.
-
-    ``base_elements`` counts the two-level base document's child elements;
-    ``insert_elements`` elements are then squeezed pairwise into the center
-    of a new subtree under the root.
-    """
-    result = WorkloadResult(scheme.name, "concentrated")
+def _measured_bulk_load(scheme: LabelingScheme, n_children: int) -> tuple[list[int], int]:
+    """Bulk load the two-level base document -> (its LIDs, the I/Os spent)."""
     before = scheme.stats.snapshot()
-    lids = _bulk_load_two_level(scheme, base_elements)
-    result.bulk_load_io = (scheme.stats.snapshot() - before).total
-
-    root_end = lids[-1]
-    started = time.perf_counter()
-    with scheme.store.measured() as op:
-        _, subtree_end = scheme.insert_element_before(root_end)
-    result.costs.append(op.total)
-    # Every insert goes immediately before the anchor; a right-side element
-    # becomes the new anchor, so consecutive pairs squeeze into the center.
-    anchor = subtree_end
-    for index in range(1, insert_elements):
-        with scheme.store.measured() as op:
-            start_lid, _ = scheme.insert_element_before(anchor)
-        result.costs.append(op.total)
-        if index % 2 == 0:
-            anchor = start_lid
-    result.wall_seconds = time.perf_counter() - started
-    result.final_labels = scheme.label_count()
-    return result
+    lids = _bulk_load_two_level(scheme, n_children)
+    return lids, (scheme.stats.snapshot() - before).total
 
 
-def run_concentrated_batched(
-    scheme: LabelingScheme,
-    base_elements: int,
-    insert_elements: int,
-    group_size: int = 64,
-    locality_grouping: bool = True,
-) -> BatchedWorkloadResult:
-    """The concentrated sequence executed through the batch engine.
+def concentrated_tape(lids: Sequence[int], insert_elements: int) -> list[BatchOp]:
+    """The concentrated (adversarial) sequence over a two-level document.
 
-    Builds exactly the structure :func:`run_concentrated` builds — each
-    insert's anchor is a result of an earlier insert, expressed as a
-    :class:`~repro.core.batch.BatchRef` — but ops commit in groups, so
-    blocks revisited inside a group are read and written once per group
-    instead of once per op.
+    Every insert goes immediately before the anchor: op 0 anchors on the
+    root's end tag, later ops on op 0's end LID until an even-indexed op's
+    start LID takes over, so consecutive pairs squeeze into the center of
+    a new subtree under the root.
     """
-    result = BatchedWorkloadResult(scheme.name, "concentrated", group_size, BatchResult())
-    before = scheme.stats.snapshot()
-    lids = _bulk_load_two_level(scheme, base_elements)
-    result.bulk_load_io = (scheme.stats.snapshot() - before).total
-
-    # Mirrors the sequential anchor chain: op 0 anchors on the root's end
-    # tag; later ops anchor on op 0's end LID until an even-indexed op's
-    # start LID takes over.
     ops = [BatchOp("insert_element_before", (lids[-1],))]
-    anchor: object = BatchRef(0, 1)
+    anchor = BatchRef(0, 1)
     for index in range(1, insert_elements):
         ops.append(BatchOp("insert_element_before", (anchor,)))
         if index % 2 == 0:
             anchor = BatchRef(index, 0)
-    started = time.perf_counter()
-    result.batch = scheme.execute_batch(
-        ops, group_size=group_size, locality_grouping=locality_grouping
-    )
-    result.wall_seconds = time.perf_counter() - started
-    result.final_labels = scheme.label_count()
-    return result
+    return ops
 
 
-def run_scattered(
-    scheme: LabelingScheme, base_elements: int, insert_elements: int
-) -> WorkloadResult:
-    """The scattered insertion sequence: inserts spread evenly over the
-    base document's children (each new element becomes a previous sibling
-    of an evenly spaced existing child)."""
+def scattered_tape(
+    lids: Sequence[int], base_elements: int, insert_elements: int
+) -> list[BatchOp]:
+    """The scattered sequence: each new element becomes a previous sibling
+    of an evenly spaced existing child of the two-level document."""
     if insert_elements > base_elements:
         raise ValueError("scattered inserts must not outnumber base children")
-    result = WorkloadResult(scheme.name, "scattered")
-    before = scheme.stats.snapshot()
-    lids = _bulk_load_two_level(scheme, base_elements)
-    result.bulk_load_io = (scheme.stats.snapshot() - before).total
-
     step = base_elements / insert_elements
-    started = time.perf_counter()
-    for index in range(insert_elements):
-        child = int(index * step)
-        child_start = lids[1 + 2 * child]
-        with scheme.store.measured() as op:
-            scheme.insert_element_before(child_start)
-        result.costs.append(op.total)
-    result.wall_seconds = time.perf_counter() - started
-    result.final_labels = scheme.label_count()
-    return result
-
-
-def run_scattered_batched(
-    scheme: LabelingScheme,
-    base_elements: int,
-    insert_elements: int,
-    group_size: int = 64,
-    locality_grouping: bool = True,
-) -> BatchedWorkloadResult:
-    """The scattered sequence executed through the batch engine.
-
-    Anchors are spread across the base document, so locality grouping cuts
-    groups early and batching saves little — the contrast case to
-    :func:`run_concentrated_batched`.
-    """
-    if insert_elements > base_elements:
-        raise ValueError("scattered inserts must not outnumber base children")
-    result = BatchedWorkloadResult(scheme.name, "scattered", group_size, BatchResult())
-    before = scheme.stats.snapshot()
-    lids = _bulk_load_two_level(scheme, base_elements)
-    result.bulk_load_io = (scheme.stats.snapshot() - before).total
-
-    step = base_elements / insert_elements
-    ops = [
+    return [
         BatchOp("insert_element_before", (lids[1 + 2 * int(index * step)],))
         for index in range(insert_elements)
     ]
+
+
+def xmark_tape(root_lids: Sequence[int], document: Element) -> list[BatchOp]:
+    """The element-at-a-time build of ``document`` under a loaded root.
+
+    Elements are added in document order of their start tags: each is
+    appended as the (current) last child of its parent, i.e. inserted
+    immediately before the parent's end tag — a
+    :class:`~repro.core.batch.BatchRef` to the insert that created the
+    parent, or the root's end LID.
+    """
+    end_refs: dict[Element, Any] = {document: root_lids[1]}
+    ops: list[BatchOp] = []
+    # pre-order = document order of start tags; the root is already loaded
+    for position, element in enumerate(list(document.iter())[1:]):
+        ops.append(BatchOp("insert_element_before", (end_refs[element.parent],)))
+        end_refs[element] = BatchRef(position, 1)
+    return ops
+
+
+def churn_tape(
+    lids: Sequence[int],
+    base_elements: int,
+    operations: int,
+    delete_fraction: float = 0.5,
+    seed: int = 1,
+) -> list[BatchOp]:
+    """A mixed insert/delete stream over a two-level base document:
+    inserts create a new element before a random live element; deletes
+    remove a random previously-inserted (by ref) or base element."""
+    if not 0 <= delete_fraction < 1:
+        raise ValueError("delete_fraction must be in [0, 1)")
+    rng = random.Random(seed)
+    # Live elements as (start, end) LIDs or refs; children of the base doc.
+    elements: list[tuple[Any, Any]] = [
+        (lids[1 + 2 * i], lids[2 + 2 * i]) for i in range(base_elements)
+    ]
+    ops: list[BatchOp] = []
+    for position in range(operations):
+        if rng.random() < delete_fraction and len(elements) > base_elements // 4:
+            ops.append(
+                BatchOp("delete_element", elements.pop(rng.randrange(len(elements))))
+            )
+        else:
+            anchor_start, _ = elements[rng.randrange(len(elements))]
+            ops.append(BatchOp("insert_element_before", (anchor_start,)))
+            elements.append((BatchRef(position, 0), BatchRef(position, 1)))
+    return ops
+
+
+def run_tape(
+    scheme: LabelingScheme,
+    workload: str,
+    ops: Sequence[BatchOp],
+    group_size: int = 1,
+    measure_from: int = 0,
+    bulk_load_io: int = 0,
+) -> WorkloadResult:
+    """Execute ``ops`` on ``scheme`` in commit groups of at most
+    ``group_size`` and record each group's block I/O.
+
+    Groups that start before tape position ``measure_from`` prime the
+    structure: they run, but are left out of the result.
+    """
     started = time.perf_counter()
-    result.batch = scheme.execute_batch(
-        ops, group_size=group_size, locality_grouping=locality_grouping
+    run = scheme.execute_batch(ops, group_size=group_size)
+    wall_seconds = time.perf_counter() - started
+    primed_groups = primed_ops = 0
+    while primed_ops < measure_from and primed_groups < run.group_count:
+        primed_ops += run.group_sizes[primed_groups]
+        primed_groups += 1
+    batch = BatchResult(
+        results=run.results[primed_ops:],
+        group_costs=run.group_costs[primed_groups:],
+        group_sizes=run.group_sizes[primed_groups:],
+        backend_commits=run.backend_commits,
     )
-    result.wall_seconds = time.perf_counter() - started
-    result.final_labels = scheme.label_count()
-    return result
+    return WorkloadResult(
+        scheme=scheme.name,
+        workload=workload,
+        group_size=group_size,
+        costs=[cost.total for cost in batch.group_costs],
+        batch=batch,
+        bulk_load_io=bulk_load_io,
+        final_labels=scheme.label_count(),
+        wall_seconds=wall_seconds,
+    )
+
+
+def run_concentrated(
+    scheme: LabelingScheme, base_elements: int, insert_elements: int, group_size: int = 1
+) -> WorkloadResult:
+    """The concentrated sequence on a fresh ``scheme``.
+
+    ``base_elements`` counts the two-level base document's child elements;
+    ``insert_elements`` elements are then squeezed pairwise into the center
+    of a new subtree under the root (:func:`concentrated_tape`).
+    """
+    lids, bulk_load_io = _measured_bulk_load(scheme, base_elements)
+    tape = concentrated_tape(lids, insert_elements)
+    return run_tape(scheme, "concentrated", tape, group_size, bulk_load_io=bulk_load_io)
+
+
+def run_scattered(
+    scheme: LabelingScheme, base_elements: int, insert_elements: int, group_size: int = 1
+) -> WorkloadResult:
+    """The scattered sequence on a fresh ``scheme`` (:func:`scattered_tape`).
+
+    Anchors are spread across the base document, so locality grouping cuts
+    commit groups early and a larger ``group_size`` saves little — the
+    contrast case to :func:`run_concentrated`.
+    """
+    lids, bulk_load_io = _measured_bulk_load(scheme, base_elements)
+    tape = scattered_tape(lids, base_elements, insert_elements)
+    return run_tape(scheme, "scattered", tape, group_size, bulk_load_io=bulk_load_io)
 
 
 def run_xmark_build(
@@ -237,75 +260,23 @@ def run_xmark_build(
     prime_fraction: float = 0.6,
     seed: int = 1,
     document: Element | None = None,
+    group_size: int = 1,
 ) -> WorkloadResult:
-    """Build an XMark-shaped document element-at-a-time.
+    """Build an XMark-shaped document element-at-a-time (:func:`xmark_tape`).
 
-    Elements are added in document order of their start tags: each new
-    element is appended as the (current) last child of its parent, i.e.
-    inserted immediately before the parent's end tag.  The first
+    The root seeds the structure (bulk load of its two tags).  The first
     ``prime_fraction`` of insertions "prime" the structures and are not
     measured, mirroring the paper (it measures after the first 200,000 of
-    336,242 elements).
+    336,242 elements); a commit group that starts inside the priming
+    prefix is dropped whole.
     """
     if not 0 <= prime_fraction < 1:
         raise ValueError("prime_fraction must be in [0, 1)")
-    result = WorkloadResult(scheme.name, "xmark")
     root = document if document is not None else xmark_document(n_items, seed=seed)
-    elements = list(root.iter())  # pre-order = document order of start tags
-    prime_count = int(len(elements) * prime_fraction)
-
-    # The root seeds the structure (bulk load of its two tags).
-    end_lids: dict[Element, int] = {}
-    root_lids = scheme.bulk_load(2, [1, 0])
-    end_lids[root] = root_lids[1]
-    started = time.perf_counter()
-    for index, element in enumerate(elements[1:], start=1):
-        parent = element.parent
-        assert parent is not None
-        with scheme.store.measured() as op:
-            _, end_lid = scheme.insert_element_before(end_lids[parent])
-        end_lids[element] = end_lid
-        if index >= prime_count:
-            result.costs.append(op.total)
-    result.wall_seconds = time.perf_counter() - started
-    result.final_labels = scheme.label_count()
-    return result
-
-
-def run_xmark_build_batched(
-    scheme: LabelingScheme,
-    n_items: int,
-    group_size: int = 64,
-    locality_grouping: bool = True,
-    seed: int = 1,
-    document: Element | None = None,
-) -> BatchedWorkloadResult:
-    """The XMark element-at-a-time build through the batch engine.
-
-    Each element is appended before its parent's end tag; for parents
-    created in the same batch the anchor is a
-    :class:`~repro.core.batch.BatchRef` to the parent's end LID.  Unlike
-    :func:`run_xmark_build`, the whole build is measured (group costs make
-    a priming prefix meaningless — groups straddle it)."""
-    result = BatchedWorkloadResult(scheme.name, "xmark", group_size, BatchResult())
-    root = document if document is not None else xmark_document(n_items, seed=seed)
-    elements = list(root.iter())  # pre-order = document order of start tags
-
-    root_lids = scheme.bulk_load(2, [1, 0])
-    end_refs: dict[Element, object] = {root: root_lids[1]}
-    ops: list[BatchOp] = []
-    for position, element in enumerate(elements[1:]):
-        parent = element.parent
-        assert parent is not None
-        ops.append(BatchOp("insert_element_before", (end_refs[parent],)))
-        end_refs[element] = BatchRef(position, 1)
-    started = time.perf_counter()
-    result.batch = scheme.execute_batch(
-        ops, group_size=group_size, locality_grouping=locality_grouping
-    )
-    result.wall_seconds = time.perf_counter() - started
-    result.final_labels = scheme.label_count()
-    return result
+    tape = xmark_tape(scheme.bulk_load(2, [1, 0]), root)
+    # Element ``index`` (the root is 0) is tape position ``index - 1``.
+    prime_count = int((len(tape) + 1) * prime_fraction)
+    return run_tape(scheme, "xmark", tape, group_size, measure_from=prime_count - 1)
 
 
 def run_churn(
@@ -314,73 +285,47 @@ def run_churn(
     operations: int,
     delete_fraction: float = 0.5,
     seed: int = 1,
+    group_size: int = 1,
 ) -> WorkloadResult:
     """A mixed insert/delete stream over a two-level base document.
 
     Not one of the paper's three plotted sequences, but the workload its
     deletion analysis speaks to: Theorem 4.6's O(1) amortized W-BOX delete
     (global rebuilding) and Theorem 5.3's O(1) amortized mixed updates for
-    B-BOX.  Each element operation's I/O is recorded (inserts create a new
-    element before a random live element; deletes remove a random
-    previously-inserted or base element).
+    B-BOX (:func:`churn_tape`).
     """
-    import random
-
-    if not 0 <= delete_fraction < 1:
-        raise ValueError("delete_fraction must be in [0, 1)")
-    result = WorkloadResult(scheme.name, "churn")
-    before = scheme.stats.snapshot()
-    lids = _bulk_load_two_level(scheme, base_elements)
-    result.bulk_load_io = (scheme.stats.snapshot() - before).total
-
-    rng = random.Random(seed)
-    # Track elements as (start_lid, end_lid); children of the two-level doc.
-    elements = [(lids[1 + 2 * i], lids[2 + 2 * i]) for i in range(base_elements)]
-    started = time.perf_counter()
-    for _ in range(operations):
-        if rng.random() < delete_fraction and len(elements) > base_elements // 4:
-            start_lid, end_lid = elements.pop(rng.randrange(len(elements)))
-            with scheme.store.measured() as op:
-                scheme.delete_element(start_lid, end_lid)
-        else:
-            anchor_start, _ = elements[rng.randrange(len(elements))]
-            with scheme.store.measured() as op:
-                pair = scheme.insert_element_before(anchor_start)
-            elements.append(pair)
-        result.costs.append(op.total)
-    result.wall_seconds = time.perf_counter() - started
-    result.final_labels = scheme.label_count()
-    return result
+    lids, bulk_load_io = _measured_bulk_load(scheme, base_elements)
+    tape = churn_tape(lids, base_elements, operations, delete_fraction, seed)
+    return run_tape(scheme, "churn", tape, group_size, bulk_load_io=bulk_load_io)
 
 
 def read_op_stream(
-    lids: Sequence[int],
+    chunks: Sequence[Sequence[int]],
     n_ops: int,
     seed: int = 1,
     mix: tuple[float, float, float] = (0.6, 0.25, 0.15),
-):
+) -> Iterator[tuple]:
     """Generate a reader op stream over a fixed LID population.
 
-    Yields ``("lookup", lid)``, ``("pair", start_lid, end_lid)``, or
-    ``("compare", lid1, lid2)`` tuples with the given probability ``mix``.
-    Pairs assume the two-level layout of :func:`two_level_pairing` (LIDs
-    ``1+2i`` / ``2+2i`` are element i's start/end); deterministic per seed,
-    so concurrent readers can each run their own seeded stream.
+    ``chunks`` holds one LID list per shard, each in document order.  Yields
+    ``(method, *lids)`` tuples naming a reader-session method — ``lookup``,
+    ``lookup_pair`` or ``compare`` — with the given probability ``mix``.  A
+    pair is two adjacent tags of one chunk, so it never spans shards; a
+    compare may.  Deterministic per seed, so concurrent readers can each
+    run their own seeded stream.
     """
-    import random
-
     rng = random.Random(seed)
     lookup_w, pair_w, _compare_w = mix
-    n_children = (len(lids) - 2) // 2
     for _ in range(n_ops):
         roll = rng.random()
-        if roll < lookup_w or n_children < 1:
-            yield ("lookup", lids[rng.randrange(len(lids))])
+        chunk = rng.choice(chunks)
+        if roll < lookup_w or len(chunk) < 2:
+            yield ("lookup", rng.choice(chunk))
         elif roll < lookup_w + pair_w:
-            child = rng.randrange(n_children)
-            yield ("pair", lids[1 + 2 * child], lids[2 + 2 * child])
+            first = 2 * rng.randrange(len(chunk) // 2)
+            yield ("lookup_pair", chunk[first], chunk[first + 1])
         else:
-            yield ("compare", lids[rng.randrange(len(lids))], lids[rng.randrange(len(lids))])
+            yield ("compare", rng.choice(chunk), rng.choice(rng.choice(chunks)))
 
 
 def concentrated_edit_batches(
@@ -427,37 +372,56 @@ def churn_edit_batches(
         yield ops
 
 
-def _start_stress_service(scheme: LabelingScheme, log_capacity: int, group_size: int):
-    """A started one-shard service over ``scheme`` plus that shard's
-    counters (short write queue: backpressure is part of the load)."""
-    from ..service import ShardedLabelService
+#: ``write_mode`` -> the writer stream a stress write client submits.
+EDIT_STREAMS = {"insert": concentrated_edit_batches, "churn": churn_edit_batches}
 
-    service = ShardedLabelService(
-        [scheme], log_capacity=log_capacity, group_size=group_size, queue_capacity=8
-    )
-    return service.start(), service.shards[0].stats
+#: Reads a stress reader serves between re-pins of its session.
+REFRESH_EVERY = 32
 
 
 @dataclass
-class ServiceStressResult:
-    """Outcome of one concurrent service stress run."""
+class StressResult:
+    """Outcome of one :func:`run_stress` run."""
 
     scheme: str
     readers: int
     wall_seconds: float
     read_ops: int
-    write_ops: int
-    counters: object  #: final ServiceCounters snapshot
-    reader_errors: list = field(default_factory=list)
+    #: Element operations the write clients submitted, per shard.
+    write_ops: list[int]
+    #: Final :class:`~repro.service.stats.ServiceCounters`, per shard.
+    counters: list[ServiceCounters]
+    #: The epoch vector at the end of the run (every shard starts at 0).
+    epoch_numbers: tuple[int, ...]
+    #: Exceptions that ended a reader or write-client thread.
+    errors: list = field(default_factory=list)
+
+    @property
+    def shards(self) -> int:
+        return len(self.counters)
 
     @property
     def reads_per_second(self) -> float:
         return self.read_ops / self.wall_seconds if self.wall_seconds else 0.0
 
+    @property
+    def writes_per_second(self) -> float:
+        return sum(self.write_ops) / self.wall_seconds if self.wall_seconds else 0.0
 
-def run_service_stress(
-    scheme: LabelingScheme,
-    base_elements: int = 500,
+    @property
+    def totals(self) -> ServiceCounters:
+        """The shards' counters summed (``max_epoch_lag``: their maximum)."""
+        summed = {
+            f.name: sum(getattr(counters, f.name) for counters in self.counters)
+            for f in fields(ServiceCounters)
+        }
+        summed["max_epoch_lag"] = max(c.max_epoch_lag for c in self.counters)
+        return ServiceCounters(**summed)
+
+
+def run_stress(
+    schemes: Sequence[LabelingScheme],
+    base_labels: int = 1000,
     readers: int = 4,
     duration: float = 2.0,
     write_batch: int = 16,
@@ -465,409 +429,134 @@ def run_service_stress(
     log_capacity: int = 4096,
     think_seconds: float = 0.0002,
     write_pause: float = 0.002,
-    refresh_every: int = 32,
-    warm_sessions: bool = True,
     write_mode: str = "insert",
-    hot_elements: int | None = None,
+    hot_labels: int | None = None,
+    write_buffer: int = 1,
     seed: int = 1,
-) -> ServiceStressResult:
-    """Drive a one-shard :class:`~repro.service.ShardedLabelService` with
-    concurrent load.
+) -> StressResult:
+    """Drive a :class:`~repro.service.ShardedLabelService` over ``schemes``
+    (freshly built; one shard each) with concurrent load for ``duration``
+    seconds.
 
-    ``readers`` closed-loop reader threads each run a seeded
-    :func:`read_op_stream` against their own pinned session, re-pinning
-    every ``refresh_every`` ops, with ``think_seconds`` of client think
-    time between ops (the open/closed-loop load model every service
-    benchmark uses: aggregate throughput scales with connections until
-    service time dominates think time).  One writer feeds concentrated
-    insert batches through the bounded queue for the whole duration,
-    pausing ``write_pause`` between submissions so the modification log
-    keeps covering the write window (the regime where warmed reads never
-    fall through).  With ``warm_sessions`` each reader touches every LID
-    once before the timed loop, so measured reads run from warmed caches.
+    ``base_labels`` labels are bulk-loaded as contiguous chunks
+    (:func:`~repro.service.sharded.bulk_load_sharded`).  ``readers``
+    closed-loop reader threads each run a seeded :func:`read_op_stream`
+    against their own pinned session, re-pinning every
+    :data:`REFRESH_EVERY` ops, with ``think_seconds`` of client think time
+    between ops.  Each reader touches every LID it will read once before
+    the timed loop, so measured reads run from warmed caches.
+
+    One write client per shard feeds batches of ``write_batch`` element
+    operations at the last label of its shard's chunk for the whole
+    duration, pausing ``write_pause`` between submissions and never waiting
+    on a ticket: the short bounded queue pushes back instead (backpressure
+    is part of the load), and a queue that stays deep lets the shard's
+    writer merge up to ``write_buffer`` batches per run.
 
     ``write_mode`` picks the writer stream: ``"insert"`` grows the
     document with :func:`concentrated_edit_batches` (splits and range
     invalidations happen, so some reads fall through); ``"churn"`` uses
-    :func:`churn_edit_batches` (steady-state, shift-only effects — the
-    zero-fallthrough regime).  ``hot_elements`` restricts reads to the
-    first N elements of the base document, modelling a hot working set
-    small enough that the log always covers the gap between re-reads.
+    :func:`churn_edit_batches` (steady-state, shift-only effects — while
+    the modification log covers the write window no warmed read falls
+    through).  ``hot_labels`` restricts reads to the first N labels of
+    every chunk, modelling a hot working set small enough that the log
+    always covers the gap between re-reads.
     """
-    import threading
-
-    if write_mode not in ("insert", "churn"):
+    if write_mode not in EDIT_STREAMS:
         raise ValueError(f"unknown write_mode: {write_mode!r}")
-    lids = _bulk_load_two_level(scheme, base_elements)
-    if hot_elements is not None:
-        read_lids = lids[: 2 + 2 * min(hot_elements, base_elements)]
-    else:
-        read_lids = list(lids)
-    service, stats = _start_stress_service(scheme, log_capacity, group_size)
-    if write_mode == "churn":
-        # Priming batch: grows leaf weights once so every later insert
-        # reclaims a ghost — no splits inside the measured window.
-        prime = next(churn_edit_batches(lids[-1], 1, write_batch))
-        service.submit_ops(prime, timeout=60).wait(timeout=60)
+    glids = bulk_load_sharded(schemes, base_labels)
+    service = ShardedLabelService(
+        schemes,
+        log_capacity=log_capacity,
+        group_size=group_size,
+        queue_capacity=8,
+        write_buffer=write_buffer,
+    )
+    chunks: list[list[int]] = [[] for _ in schemes]
+    for glid in glids:
+        chunks[service.router.shard_of(glid)].append(glid)
+    if not all(chunks):
+        raise ValueError(f"{base_labels} base labels leave a shard of {len(chunks)} empty")
+    read_chunks = [chunk[:hot_labels] if hot_labels else chunk for chunk in chunks]
+    streams = [EDIT_STREAMS[write_mode](chunk[-1], 10**9, write_batch) for chunk in chunks]
     stop_flag = threading.Event()
-    # Readers warm up, then everyone (readers + the coordinating thread)
-    # meets here; the clock starts and counters reset only after the
-    # barrier, so warmup fallthroughs don't pollute the measured window.
-    barrier = threading.Barrier(readers + 1)
+    # Readers warm up, then every thread meets here; the clock starts and
+    # the counters reset only after the barrier, so warmup fallthroughs
+    # don't pollute the measured window.
+    barrier = threading.Barrier(readers + len(schemes) + 1)
     read_counts = [0] * readers
+    write_counts = [0] * len(schemes)
     errors: list = []
-    write_ops = 0
 
     def reader(index: int) -> None:
         session = service.session()
         count = 0
         try:
-            if warm_sessions:
-                for lid in read_lids:
+            for chunk in read_chunks:
+                for lid in chunk:
                     session.lookup(lid)
             barrier.wait(timeout=60)
-            while not stop_flag.is_set():
-                session.refresh()
-                for op in read_op_stream(read_lids, refresh_every, seed=seed + index + count):
-                    if op[0] == "lookup":
-                        session.lookup(op[1])
-                    elif op[0] == "pair":
-                        session.lookup_pair(op[1], op[2])
-                    else:
-                        session.compare(op[1], op[2])
-                    count += 1
-                    if think_seconds:
-                        time.sleep(think_seconds)
-                    if stop_flag.is_set():
-                        break
+            for method, *lids in read_op_stream(read_chunks, 10**12, seed + index):
+                if stop_flag.is_set():
+                    break
+                if count % REFRESH_EVERY == 0:
+                    session.refresh()
+                getattr(session, method)(*lids)
+                count += 1
+                if think_seconds:
+                    time.sleep(think_seconds)
         except Exception as error:  # surfaced to the caller, fails the run
             errors.append(error)
         finally:
             read_counts[index] = count
 
-    threads = [
-        threading.Thread(target=reader, args=(i,), name=f"stress-reader-{i}", daemon=True)
-        for i in range(readers)
-    ]
-    for thread in threads:
-        thread.start()
-    barrier.wait(timeout=60)
-    stats.reset()
-    started = time.perf_counter()
-    deadline = started + duration
-    tickets = []
-    if write_mode == "churn":
-        batches = churn_edit_batches(lids[-1], n_batches=10**9, batch_size=write_batch)
-    else:
-        batches = concentrated_edit_batches(lids[-1], n_batches=10**9, batch_size=write_batch)
-    while time.perf_counter() < deadline:
-        batch = next(batches)
-        tickets.append(service.submit_ops(batch, timeout=max(duration, 10.0)))
-        write_ops += len(batch)
-        if write_pause:
-            time.sleep(write_pause)
-    stop_flag.set()
-    for thread in threads:
-        thread.join(timeout=30)
-    wall = time.perf_counter() - started
-    for ticket in tickets:
-        ticket.wait(timeout=30)
-    service.close()
-    if any(thread.is_alive() for thread in threads):
-        errors.append(RuntimeError("reader thread failed to stop"))
-    return ServiceStressResult(
-        scheme=scheme.name,
-        readers=readers,
-        wall_seconds=wall,
-        read_ops=sum(read_counts),
-        write_ops=write_ops,
-        counters=stats.snapshot(),
-        reader_errors=errors,
-    )
-
-
-@dataclass
-class QueryStressResult:
-    """Outcome of one mixed query-stream / writer-churn stress run."""
-
-    scheme: str
-    readers: int
-    wall_seconds: float
-    #: Axis streams fully evaluated across all readers.
-    query_ops: int
-    #: Elements yielded by those streams, summed.
-    elements_streamed: int
-    #: Epoch views (re)built across all readers — staleness-driven, so
-    #: this tracks how often the catalog or a pin actually moved under
-    #: the readers.
-    views_built: int
-    write_ops: int
-    counters: object  #: final ServiceCounters snapshot
-    reader_errors: list = field(default_factory=list)
-
-    @property
-    def queries_per_second(self) -> float:
-        return self.query_ops / self.wall_seconds if self.wall_seconds else 0.0
-
-
-def run_query_stress(
-    scheme: LabelingScheme,
-    base_elements: int = 200,
-    readers: int = 4,
-    duration: float = 2.0,
-    write_batch: int = 8,
-    group_size: int = 16,
-    log_capacity: int = 4096,
-    refresh_every: int = 8,
-    seed: int = 1,
-) -> QueryStressResult:
-    """Mixed workload: axis query streams racing an element-churn writer.
-
-    ``readers`` threads each run a :class:`~repro.query.streams.QueryEngine`
-    over a shared :class:`~repro.query.streams.ElementCatalog`, evaluating
-    descendant / following / ancestor(-at-depth) streams against elements
-    of whatever :class:`~repro.query.streams.EpochView` their pinned
-    session sees, re-pinning every ``refresh_every`` streams.  One writer
-    inserts ``write_batch`` elements as last children of the root, then
-    deletes them again — growing and shrinking the catalog from *acked*
-    results only, so the catalog never names an uncommitted element.
-
-    Each reader checks the view invariants the engine promises on every
-    rebuild: the root's descendant stream is every other catalog element
-    (document order), its following stream is empty, and every stream's
-    elements come from the view it was asked of — a live-fire version of
-    the "no torn results" guarantee under real concurrency.
-    """
-    import random
-    import threading
-
-    from ..query.streams import ElementCatalog, QueryEngine
-
-    lids = _bulk_load_two_level(scheme, base_elements)
-    root_pair = (lids[0], lids[-1])
-    catalog = ElementCatalog()
-    catalog.add(*root_pair)
-    for child in range(base_elements):
-        catalog.add(lids[1 + 2 * child], lids[2 + 2 * child])
-    service, stats = _start_stress_service(scheme, log_capacity, group_size)
-    stop_flag = threading.Event()
-    barrier = threading.Barrier(readers + 1)
-    query_counts = [0] * readers
-    element_counts = [0] * readers
-    view_counts = [0] * readers
-    errors: list = []
-    write_ops = 0
-
-    def reader(index: int) -> None:
-        session = service.session()
-        engine = QueryEngine(session, catalog)
-        rng = random.Random(seed + index)
-        queries = elements = views = 0
-        last_view = None
+    def write_client(shard: int) -> None:
         try:
             barrier.wait(timeout=60)
             while not stop_flag.is_set():
-                session.refresh()
-                for _ in range(refresh_every):
-                    view = engine.view()
-                    if view is not last_view:
-                        views += 1
-                        last_view = view
-                        # Root invariants, checked once per fresh view.
-                        if len(list(view.descendants(root_pair))) != len(view) - 1:
-                            raise AssertionError("root descendants miss elements")
-                        if list(view.following(root_pair)):
-                            raise AssertionError("root has following elements")
-                    target = view.pairs[rng.randrange(len(view.pairs))]
-                    axis = queries % 4
-                    if axis == 0:
-                        stream = view.descendants(target)
-                    elif axis == 1:
-                        stream = view.following(target)
-                    elif axis == 2:
-                        stream = view.ancestors(target)
-                    else:
-                        ancestor = view.ancestor_at_depth(target, 0)
-                        stream = () if ancestor is None else (ancestor,)
-                    for pair in stream:
-                        if pair not in view._index:
-                            raise AssertionError(f"stream yielded foreign pair {pair}")
-                        elements += 1
-                    queries += 1
-                    if stop_flag.is_set():
-                        break
+                batch = next(streams[shard])
+                service.submit_ops(batch, timeout=max(duration, 10.0))
+                write_counts[shard] += len(batch)
+                if write_pause:
+                    time.sleep(write_pause)
         except Exception as error:  # surfaced to the caller, fails the run
             errors.append(error)
-        finally:
-            query_counts[index] = queries
-            element_counts[index] = elements
-            view_counts[index] = views
 
     threads = [
-        threading.Thread(target=reader, args=(i,), name=f"query-reader-{i}", daemon=True)
-        for i in range(readers)
-    ]
-    for thread in threads:
-        thread.start()
-    barrier.wait(timeout=60)
-    stats.reset()
-    started = time.perf_counter()
-    deadline = started + duration
-    timeout = max(duration, 10.0)
-    while time.perf_counter() < deadline:
-        insert = [BatchOp("insert_element_before", (lids[-1],)) for _ in range(write_batch)]
-        inserted = service.submit_ops(insert, timeout=timeout).wait(timeout=timeout)
-        for start_lid, end_lid in inserted.results:
-            catalog.add(start_lid, end_lid)
-        write_ops += len(insert)
-        # Remove from the catalog BEFORE the delete commits: a reader
-        # snapshot taken after the commit must not name a dead LID (the
-        # engine retries snapshots that raced this removal).
-        for start_lid, end_lid in inserted.results:
-            catalog.remove(start_lid, end_lid)
-        delete = [
-            BatchOp("delete_element", (start_lid, end_lid))
-            for start_lid, end_lid in inserted.results
-        ]
-        service.submit_ops(delete, timeout=timeout).wait(timeout=timeout)
-        write_ops += len(delete)
-    stop_flag.set()
-    for thread in threads:
-        thread.join(timeout=30)
-    wall = time.perf_counter() - started
-    service.close()
-    if any(thread.is_alive() for thread in threads):
-        errors.append(RuntimeError("query reader thread failed to stop"))
-    return QueryStressResult(
-        scheme=scheme.name,
-        readers=readers,
-        wall_seconds=wall,
-        query_ops=sum(query_counts),
-        elements_streamed=sum(element_counts),
-        views_built=sum(view_counts),
-        write_ops=write_ops,
-        counters=stats.snapshot(),
-        reader_errors=errors,
-    )
-
-
-@dataclass
-class ShardedStressResult:
-    """Outcome of one sharded concentrated-write stress run."""
-
-    shards: int
-    clients: int
-    write_ops: int
-    wall_seconds: float
-    epochs_published: int
-    write_merges: int
-    #: Mean submit-to-commit latency of one batch ticket (milliseconds) —
-    #: the freshness cost a submitter pays; write buffering trades this
-    #: against throughput.
-    mean_ticket_ms: float
-    epoch_numbers: tuple
-    errors: list = field(default_factory=list)
-
-    @property
-    def ops_per_second(self) -> float:
-        return self.write_ops / self.wall_seconds if self.wall_seconds else 0.0
-
-
-def run_sharded_write_stress(
-    schemes: "Sequence[LabelingScheme]",
-    base_labels: int = 1000,
-    clients: int = 4,
-    total_ops: int = 2000,
-    batch: int = 8,
-    group_size: int = 8,
-    write_buffer: int = 1,
-    queue_capacity: int = 64,
-    log_capacity: int = 4096,
-) -> ShardedStressResult:
-    """Concentrated-insert write stress against a sharded service.
-
-    ``clients`` producer threads each hammer one shard (client ``i`` pins
-    to shard ``i % n_shards``) with batches of ``batch`` inserts squeezed
-    before an anchor in the middle of that shard's chunk — the paper's
-    concentrated adversary, one hot spot per shard.  Every submission is
-    a synchronous ticket round-trip, so ``mean_ticket_ms`` measures the
-    freshness a submitter actually gets while ``ops_per_second`` measures
-    aggregate throughput across all shard writers; raising
-    ``write_buffer`` moves the run along that tradeoff curve.
-
-    The schemes must be freshly built (this function bulk loads them);
-    with one scheme this is exactly a single-writer stress run.
-    """
-    import threading
-
-    from ..service.sharded import ShardedLabelService, bulk_load_sharded
-
-    n_shards = len(schemes)
-    glids = bulk_load_sharded(schemes, base_labels)
-    by_shard: dict[int, list[int]] = {}
-    for glid in glids:
-        by_shard.setdefault(glid % n_shards, []).append(glid)
-    anchors = [chunk[len(chunk) // 2] for _, chunk in sorted(by_shard.items())]
-
-    service = ShardedLabelService(
-        schemes,
-        group_size=group_size,
-        queue_capacity=queue_capacity,
-        log_capacity=log_capacity,
-        write_buffer=write_buffer,
-    )
-    per_client = max(1, total_ops // (clients * batch))
-    barrier = threading.Barrier(clients + 1)
-    latencies = [0.0] * clients
-    counts = [0] * clients
-    errors: list = []
-
-    def client(index: int) -> None:
-        anchor = anchors[index % n_shards]
-        ops = [BatchOp("insert_before", (anchor,))] * batch
-        waited = 0.0
-        done = 0
-        try:
-            barrier.wait(timeout=60)
-            for _ in range(per_client):
-                t0 = time.perf_counter()
-                service.submit_ops(ops, timeout=60).wait(timeout=60)
-                waited += time.perf_counter() - t0
-                done += batch
-        except Exception as error:  # surfaced to the caller, fails the run
-            errors.append(error)
-        finally:
-            latencies[index] = waited
-            counts[index] = done
-
-    threads = [
-        threading.Thread(target=client, args=(i,), name=f"shard-writer-client-{i}", daemon=True)
-        for i in range(clients)
+        threading.Thread(target=target, args=(i,), name=f"stress-{target.__name__}", daemon=True)
+        for target, count in ((reader, readers), (write_client, len(schemes)))
+        for i in range(count)
     ]
     with service:
+        if write_mode == "churn":
+            # Priming batch: grows leaf weights once so every later insert
+            # reclaims a ghost — no splits inside the measured window.
+            for stream in streams:
+                service.submit_ops(next(stream), timeout=60).wait(timeout=60)
         for thread in threads:
             thread.start()
-        barrier.wait(timeout=60)
-        started = time.perf_counter()
-        for thread in threads:
-            thread.join(timeout=600)
+        try:
+            barrier.wait(timeout=60)
+            for shard in service.shards:
+                shard.stats.reset()
+            started = time.perf_counter()
+            stop_flag.wait(duration)
+        finally:
+            stop_flag.set()
+            for thread in threads:
+                thread.join(timeout=30)
         wall = time.perf_counter() - started
-        if any(thread.is_alive() for thread in threads):
-            errors.append(RuntimeError("stress client failed to stop"))
-        epoch_numbers = service.current_epoch_vector.numbers
-        epochs = sum(s.stats.epochs_published for s in service.shards)
-        merges = sum(s.stats.write_merges for s in service.shards)
-    write_ops = sum(counts)
-    tickets = sum(counts) // batch if batch else 0
-    return ShardedStressResult(
-        shards=n_shards,
-        clients=clients,
-        write_ops=write_ops,
+    # The service is closed: every queued batch has been applied or failed.
+    if any(thread.is_alive() for thread in threads):
+        errors.append(RuntimeError("stress thread failed to stop"))
+    return StressResult(
+        scheme=schemes[0].name,
+        readers=readers,
         wall_seconds=wall,
-        epochs_published=epochs,
-        write_merges=merges,
-        mean_ticket_ms=(sum(latencies) / tickets * 1000.0) if tickets else 0.0,
-        epoch_numbers=epoch_numbers,
+        read_ops=sum(read_counts),
+        write_ops=write_counts,
+        counters=[shard.stats.snapshot() for shard in service.shards],
+        epoch_numbers=service.current_epoch_vector.numbers,
         errors=errors,
     )
 
@@ -885,8 +574,6 @@ def crash_recovery_tape(
     ``(n_ops, seed)``, same tape, every run: the chaos sweep's determinism
     rests on this.
     """
-    import random
-
     rng = random.Random(seed)
     steps: list[tuple[str, int]] = []
     for _ in range(n_ops):
@@ -910,35 +597,3 @@ def apply_tape_step(target: Any, lids: list[int], step: tuple[str, int]) -> None
         target.delete(lids.pop(draw % len(lids)))
     else:
         lids.append(target.insert_before(lids[draw % len(lids)]))
-
-
-def subtree_tags_and_pairing(root: Element) -> tuple[list[Tag], list[int]]:
-    """Tags (document order) and pairing for a subtree — the inputs bulk
-    subtree insertion needs."""
-    tags = list(document_tags(root))
-    return tags, tag_pairing(tags)
-
-
-def element_insert_order(root: Element) -> list[Element]:
-    """Elements of ``root`` in the order the XMark build inserts them."""
-    return list(root.iter())
-
-
-__all__ = [
-    "WorkloadResult",
-    "BatchedWorkloadResult",
-    "two_level_pairing",
-    "run_concentrated",
-    "run_concentrated_batched",
-    "run_scattered",
-    "run_scattered_batched",
-    "run_xmark_build",
-    "run_xmark_build_batched",
-    "ShardedStressResult",
-    "run_sharded_write_stress",
-    "crash_recovery_tape",
-    "apply_tape_step",
-    "subtree_tags_and_pairing",
-    "element_insert_order",
-    "TagKind",
-]

@@ -152,10 +152,47 @@ class TestServiceVerbs:
         assert "shard0" in out and "shard1" in out
 
     def test_stress_sharded_write_run(self, capsys):
-        assert main(["stress", "--shards", "2", "--total-ops", "200", "--base", "200"]) == 0
+        assert main(["stress", "--shards", "2", "--seconds", "0.3", "--base", "200"]) == 0
         out = capsys.readouterr().out
         assert "shards=2" in out
-        assert "write ops:         192" in out  # 4 clients x 6 batches x 8 ops
+        assert int(out.split("write ops:")[1].split()[0]) > 0
+
+    def test_stress_honours_its_flags_at_two_shards(self, capsys):
+        """Readers beside writers at N = 2 for the whole ``--seconds``."""
+        assert main(["stress", "--shards", "2", "--seconds", "1", "--readers", "2",
+                     "--base", "400"]) == 0
+        out = capsys.readouterr().out
+        assert "shards=2 readers=2" in out
+        assert int(out.split("read ops:")[1].split()[0]) > 0
+        assert int(out.split("write ops:")[1].split()[0]) > 0
+        vector = out.split("epoch vector:")[1].splitlines()[0]
+        epochs = [int(number) for number in vector.strip(" ()").split(",")]
+        assert len(epochs) == 2 and all(number > 0 for number in epochs)
+        assert "write errors:      0" in out
+        assert float(out.split("seconds=")[1].split()[0]) >= 1.0
+
+    def test_stress_write_buffer_applies_on_one_shard(self, capsys):
+        assert main(["stress", "--seconds", "1", "--write-buffer", "4",
+                     "--write-pause-ms", "0"]) == 0
+        out = capsys.readouterr().out
+        assert int(out.split("write merges:")[1].split()[0]) > 0
+
+    def test_stress_report_is_one_shape_at_every_n(self, capsys):
+        """One report: the same lines, the scheme spelled the same way."""
+        shapes = []
+        for shards in ("1", "2"):
+            assert main(["stress", "--shards", shards, "--seconds", "0.2", "--readers", "1",
+                         "--base", "200", "--scheme", "bbox"]) == 0
+            out = capsys.readouterr().out
+            assert "scheme=B-BOX" in out
+            shapes.append([line.split(":")[0] for line in out.splitlines()])
+        assert shapes[0] == shapes[1]
+
+    def test_stress_total_ops_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["stress", "--total-ops", "200"])
+        assert exit_info.value.code == 2
+        assert "--total-ops" in capsys.readouterr().err
 
     def test_stress_read_run(self, capsys):
         assert main(["stress", "--seconds", "1", "--readers", "2", "--base", "200"]) == 0

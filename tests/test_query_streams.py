@@ -7,6 +7,10 @@ on every axis, across documents, schemes, service types (single and
 sharded), and across a commit that moves the catalog and the epoch.
 """
 
+import random
+import threading
+import time
+
 import pytest
 
 from repro import LabeledDocument, TINY_CONFIG, WBox
@@ -15,7 +19,7 @@ from repro.core.batch import BatchOp
 from repro.errors import LabelingError
 from repro.query import ElementCatalog, EpochView, QueryEngine
 from repro.service.sharded import ShardedLabelService, bulk_load_sharded
-from repro.workloads import run_query_stress, two_level_pairing
+from repro.workloads import two_level_pairing
 from repro.xml.generator import random_document, two_level_document
 from repro.xml.model import TagKind, document_tags
 
@@ -177,16 +181,99 @@ def test_service_query_facade():
 
 
 def test_query_stress_smoke():
-    """A short live-fire run of the mixed query/writer workload: every
-    reader continuously checks the view invariants, so a zero-error run
-    IS the assertion; the counters just prove everyone actually ran."""
-    result = run_query_stress(
-        WBox(TINY_CONFIG), base_elements=24, readers=2, duration=0.3, seed=7
-    )
-    assert result.reader_errors == []
-    assert result.query_ops > 0 and result.elements_streamed > 0
-    assert result.write_ops > 0 and result.views_built >= result.readers
-    assert result.queries_per_second > 0
+    """A short live-fire run of axis query streams racing an element-churn
+    writer: every reader continuously checks the view invariants, so a
+    zero-error run IS the assertion; the counters just prove everyone
+    actually ran.
+
+    Two readers each run a QueryEngine over a shared catalog, re-pinning
+    every 8 streams.  The writer inserts 8 elements as last children of
+    the root, then deletes them again — growing and shrinking the catalog
+    from *acked* results only, so it never names an uncommitted element.
+    """
+    readers, base_elements, duration, write_batch = 2, 24, 0.3, 8
+    scheme = WBox(TINY_CONFIG)
+    lids = scheme.bulk_load(2 + 2 * base_elements, two_level_pairing(base_elements))
+    root_pair = (lids[0], lids[-1])
+    catalog = ElementCatalog([root_pair])
+    for child in range(base_elements):
+        catalog.add(lids[1 + 2 * child], lids[2 + 2 * child])
+    service = ShardedLabelService([scheme], log_capacity=4096, group_size=16, queue_capacity=8)
+    stop_flag = threading.Event()
+    barrier = threading.Barrier(readers + 1)
+    query_ops = [0] * readers
+    elements_streamed = [0] * readers
+    views_built = [0] * readers
+    reader_errors = []
+
+    def reader(index):
+        session = service.session()
+        engine = QueryEngine(session, catalog)
+        rng = random.Random(7 + index)
+        last_view = None
+        try:
+            barrier.wait(timeout=60)
+            while not stop_flag.is_set():
+                session.refresh()
+                for _ in range(8):
+                    view = engine.view()
+                    if view is not last_view:
+                        views_built[index] += 1
+                        last_view = view
+                        # Root invariants, checked once per fresh view.
+                        assert len(list(view.descendants(root_pair))) == len(view) - 1
+                        assert list(view.following(root_pair)) == []
+                    target = view.pairs[rng.randrange(len(view.pairs))]
+                    axis = query_ops[index] % 4
+                    if axis == 0:
+                        stream = view.descendants(target)
+                    elif axis == 1:
+                        stream = view.following(target)
+                    elif axis == 2:
+                        stream = view.ancestors(target)
+                    else:
+                        ancestor = view.ancestor_at_depth(target, 0)
+                        stream = () if ancestor is None else (ancestor,)
+                    for pair in stream:
+                        assert pair in view._index, f"stream yielded foreign pair {pair}"
+                        elements_streamed[index] += 1
+                    query_ops[index] += 1
+                    if stop_flag.is_set():
+                        break
+        except Exception as error:  # fails the run below
+            reader_errors.append(error)
+
+    threads = [threading.Thread(target=reader, args=(i,), daemon=True) for i in range(readers)]
+    write_ops = 0
+    with service:
+        for thread in threads:
+            thread.start()
+        try:
+            barrier.wait(timeout=60)
+            started = time.perf_counter()
+            while time.perf_counter() < started + duration:
+                insert = [BatchOp("insert_element_before", (lids[-1],))] * write_batch
+                inserted = service.submit_ops(insert, timeout=10).wait(timeout=10).results
+                for start_lid, end_lid in inserted:
+                    catalog.add(start_lid, end_lid)
+                # Remove from the catalog BEFORE the delete commits: a reader
+                # snapshot taken after the commit must not name a dead LID
+                # (the engine retries snapshots that raced this removal).
+                for start_lid, end_lid in inserted:
+                    catalog.remove(start_lid, end_lid)
+                delete = [BatchOp("delete_element", pair) for pair in inserted]
+                service.submit_ops(delete, timeout=10).wait(timeout=10)
+                write_ops += len(insert) + len(delete)
+        finally:
+            stop_flag.set()
+            for thread in threads:
+                thread.join(timeout=30)
+        wall_seconds = time.perf_counter() - started
+    assert not any(thread.is_alive() for thread in threads)
+    assert reader_errors == []
+    assert sum(query_ops) > 0 and sum(elements_streamed) > 0
+    assert write_ops > 0 and sum(views_built) >= readers
+    assert sum(query_ops) / wall_seconds > 0
 
 
 # -- catalog + view unit behavior ---------------------------------------
