@@ -58,7 +58,7 @@ from typing import Any, Iterator
 
 from .config import BoxConfig
 from .core import LabeledDocument, scheme_factory
-from .errors import PersistError, ReproError
+from .errors import PersistError, RecoveryError, ReproError
 from .persist import (
     MAGIC,
     attach_scheme_to_backend,
@@ -76,11 +76,11 @@ from .storage import (
     default_page_bytes,
     is_sharded_root,
     read_manifest,
-    read_superblock,
+    read_directory,
     scan_wal,
     shard_page_path,
 )
-from .storage.filebackend import MAGIC as PAGE_MAGIC
+from .storage.filebackend import fold_log
 from .workloads import run_concentrated, run_scattered, run_stress, run_xmark_build
 from .workloads.metrics import summarize
 from .xml.model import element_count, tree_depth
@@ -631,33 +631,43 @@ def cmd_recover(args: argparse.Namespace) -> int:
     backend = scheme.store.backend
     report = backend.recovery_report
     print(f"file: {args.file}")
-    print(f"  superblock from:  {report['superblock_source']}")
-    print(f"  replayed commits: {report['replayed_transactions']}")
-    print(f"  discarded tail:   {report['discarded_tail_bytes']} bytes")
+    checkpoint_lsn = report["checkpoint_lsn"]
+    print("  checkpoint LSN:   "
+          + ("none (directory torn/corrupt)" if checkpoint_lsn is None else str(checkpoint_lsn)))
+    print(f"  folded from log:  {report['replayed_transactions']} transaction(s), "
+          f"to LSN {report['lsn']} (base: {report['base']})")
+    print(f"  discarded tail:   {report['discarded_tail_bytes']} bytes"
+          + (f" ({report['discarded_tail_reason']})" if report["discarded_tail_bytes"] else ""))
     info = scheme.describe()
     for key, value in info.items():
         print(f"  {key}: {value}")
     if hasattr(scheme, "check_invariants"):
         scheme.check_invariants()
         print("  invariants: OK")
-    # Reopening applied any committed-but-unapplied transaction; make the
-    # clean state explicit on disk before closing.
+    # Reopening folded the log in memory; checkpoint it into the page
+    # file before closing.
     _finish_scheme(scheme)
-    print("  recovered: OK (WAL empty, superblock current)")
+    print("  recovered: OK (WAL empty, directory current)")
     return 0
 
 
-def _wal_status(path: str) -> str:
+def _wal_status(path: str, directory: dict | None) -> str:
+    """What reopening ``path`` would do with its log, given its at-rest
+    ``directory`` (``None``: unreadable); folds it in memory, so call last."""
     wal_path = path + ".wal"
     if not os.path.exists(wal_path) or os.path.getsize(wal_path) == 0:
         return "empty (clean shutdown)"
     scan = scan_wal(wal_path)
-    parts = []
-    if scan.committed:
-        parts.append(f"{scan.committed} committed transaction(s) to replay")
+    try:
+        to_fold = f"{fold_log(directory, scan.transactions, path)[2]} to fold"
+    except RecoveryError as error:
+        to_fold = f"cannot be folded ({error})"
+    parts = [f"{scan.committed} transaction(s), {to_fold}"]
     if scan.torn_tail:
-        parts.append(f"torn tail of {scan.tail_bytes} bytes to discard")
-    return "; ".join(parts) if parts else "empty (clean shutdown)"
+        parts.append(
+            f"torn tail of {scan.tail_bytes} bytes to discard ({scan.tail_reason})"
+        )
+    return "; ".join(parts)
 
 
 def _info_sharded(root: str) -> int:
@@ -674,21 +684,19 @@ def _info_sharded(root: str) -> int:
     for shard in range(n_shards):
         path = shard_page_path(root, shard)
         print(f"  shard {shard}:      {os.path.basename(path)}")
-        state = read_superblock(path)
+        state = read_directory(path)
         if state is None:
-            print("    superblock: TORN/CORRUPT — run 'repro recover' on the shard file")
-            print(f"    WAL:        {_wal_status(path)}")
+            print("    directory:  TORN/CORRUPT — run 'repro recover' on the shard file")
+            print(f"    WAL:        {_wal_status(path, None)}")
             continue
-        meta = state.get("meta") or {}
-        print(f"    scheme:     {meta.get('scheme', '(none attached)')}")
-        if "lidf" in meta:
-            print(f"    labels:     {meta['lidf']['live']} live "
-                  f"(document-order chunk {shard} of {n_shards})")
+        print(f"    scheme:     {state['meta'].get('scheme', '(none attached)')}")
+        print(f"    labels:     {state['lidf']['live']} live at checkpoint LSN "
+              f"{state['lsn']} (document-order chunk {shard} of {n_shards})")
         print(f"    blocks:     {len(state['on_disk'])}")
         print(f"    page file:  {os.path.getsize(path)} bytes")
         wal_path = path + ".wal"
         wal_bytes = os.path.getsize(wal_path) if os.path.exists(wal_path) else 0
-        print(f"    WAL:        {wal_bytes} bytes; {_wal_status(path)}")
+        print(f"    WAL:        {wal_bytes} bytes; {_wal_status(path, state)}")
     return 0
 
 
@@ -712,22 +720,22 @@ def cmd_info(args: argparse.Namespace) -> int:
         print(f"  live labels:  {header['lidf']['live']}")
         print("  WAL:          n/a (snapshots are atomic whole-file writes)")
         return 0
-    if magic == PAGE_MAGIC:
-        state = read_superblock(args.file)
-        print("  format:       page file (FileBackend)")
+    if magic.startswith(b"BOXPAGE"):  # any version: an old one is refused by name
+        state = read_directory(args.file)
+        print("  format:       page file (FileBackend, format version 2)")
         if state is None:
-            print("  superblock:   TORN/CORRUPT — run 'repro recover' to repair from the WAL")
-            print(f"  WAL:          {_wal_status(args.file)}")
+            print("  directory:    TORN/CORRUPT — run 'repro recover' to repair from the WAL")
+            print(f"  WAL:          {_wal_status(args.file, None)}")
             return 0
-        meta = state.get("meta") or {}
+        meta = state["meta"]
         print(f"  scheme:       {meta.get('scheme', '(none attached)')}")
         if "config" in meta:
             print(f"  block bytes:  {meta['config']['block_bytes']}")
         print(f"  page bytes:   {state['page_bytes']}")
+        print(f"  checkpoint:   LSN {state['lsn']} (what follows is as of it)")
         print(f"  blocks:       {len(state['on_disk'])}")
-        if "lidf" in meta:
-            print(f"  live labels:  {meta['lidf']['live']}")
-        print(f"  WAL:          {_wal_status(args.file)}")
+        print(f"  live labels:  {state['lidf']['live']}")
+        print(f"  WAL:          {_wal_status(args.file, state)}")
         return 0
     raise PersistError(f"{args.file} is neither a snapshot nor a page file")
 

@@ -255,10 +255,13 @@ class LabelingScheme(ABC):
     def persist_state(self) -> dict[str, Any]:
         """The scheme's own persistent state as a JSON-able dict: counters,
         root pointers, and the constructor flags :meth:`from_persisted`
-        reads back.  Journaled with *every* file-backend commit, so keep
-        it O(1) — state derivable from the LIDF records is rebuilt in
-        :meth:`restore_state` instead.  Subclasses extend the base dict;
-        key order is part of the snapshot format.
+        reads back.  Read at *every* file-backend commit, so keep it O(1)
+        — state derivable from the LIDF records is rebuilt in
+        :meth:`restore_state` instead.  Values of type ``int`` are
+        journaled by difference with each commit and must stay ints; any
+        other value reaches disk only with a checkpoint, so it must be a
+        constant of the instance (a constructor flag).  Subclasses extend
+        the base dict; key order is part of the snapshot format.
         """
         return {"clock": self.clock}
 

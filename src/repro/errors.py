@@ -45,8 +45,9 @@ class WALError(StorageError):
 
 
 class RecoveryError(StorageError):
-    """A page file cannot be brought to a consistent state: its superblock
-    is unreadable and no committed WAL transaction supplies a replacement."""
+    """A page file cannot be brought to a consistent state: its directory
+    is unreadable and the log holds no absolute record to replace it, or
+    the log's sequence numbers do not continue the state they follow."""
 
 
 class CrashError(StorageError):

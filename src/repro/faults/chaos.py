@@ -12,21 +12,23 @@ one shape of it:
    it names a ``repl.*`` hook.
 2. Start a :class:`~repro.service.ShardedLabelService` carrying a
    :class:`~repro.faults.FaultInjector` built from the plan and seed, and
-   drive a deterministic mixed insert/delete tape
-   (:func:`~repro.workloads.crash_recovery_tape`), one synchronous ticket
-   per step, until an injected fault kills a backend or a writer — or the
+   drive a deterministic mixed insert/delete tape with a checkpoint every
+   few steps (:func:`~repro.workloads.crash_recovery_tape`), one
+   synchronous ticket per step, until an injected fault kills a backend
+   or a writer — or the
    tape ends (latency plans don't kill; ``repl.*`` faults kill the
    follower or restart the primary mid-stream and the tape goes on).
 3. Close everything and reopen the root with
-   :func:`~repro.persist.open_sharded_schemes`, which runs WAL recovery
-   shard by shard.
+   :func:`~repro.persist.open_sharded_schemes`, which folds each shard's
+   log over its last checkpoint.
 4. Replay the *committed prefix* of the same tape on per-shard twin
    schemes over the memory backend and compare **every** LID's label on
    every endpoint — each recovered shard, plus the follower when there is
    one — against the twin.  The committed prefix is the steps that
    finished before the crash, plus the in-flight step if (and only if)
-   its commit record reached a log (``recovery_report`` says so).  Each
-   recovered shard must then accept a fresh insert.
+   its commit record reached a log (a recovered shard's LSN is then past
+   the one the last finished step left).  Each recovered shard must then
+   accept a fresh insert.
 
 :func:`run_chaos_sweep` runs the full cross product and aggregates a
 :class:`ChaosReport`; the ``repro chaos`` CLI subcommand is a thin shell
@@ -69,7 +71,7 @@ from ..service import ShardedLabelService, bulk_load_sharded
 from ..service.router import ShardRouter
 from ..storage import BlockStore, default_page_bytes
 from ..storage.shardlayout import shard_page_path
-from ..storage.wal import _HEADER, MAGIC, REC_META, REC_PUT
+from ..storage.wal import _HEADER, MAGIC, REC_DELTA, REC_PUT
 from ..workloads.sequences import apply_tape_step, crash_recovery_tape
 from .plan import TORN_WRITE, WRITER_CRASH, FaultInjector, FaultPlan, FaultSpec
 
@@ -110,18 +112,24 @@ def standard_plans(names: Iterable[str] | None = None) -> dict[str, FaultPlan]:
 
     Firing points are seeded (``at=None``) where the window is wide, so
     different seeds crash at different protocol offsets — the sweep walks
-    the crash point through WAL records, page images, the superblock, and
-    the fsync boundaries without anyone enumerating write budgets.
+    the crash point through WAL records, page images, the directory, and
+    the fsync boundaries without anyone enumerating write budgets.  Page
+    and directory writes happen only in the tape's checkpoint steps (one
+    ``backend.superblock`` invocation each), which is what the windows
+    are sized against.
 
     ``names`` selects rows (in the order given); a name that is not in
     the table raises :class:`~repro.errors.ReproError`.
     """
     plans = {
-        "torn-write": FaultPlan.torn_write(at=None, window=(1, 48)),
-        "short-write": FaultPlan.short_write(at=None, window=(1, 48)),
-        "fsync-fail": FaultPlan.fsync_failure(at=None, window=(1, 12)),
-        "superblock-torn": FaultPlan.superblock_crash(at=None, window=(1, 8)),
-        "latency": FaultPlan.latency_spike(0.0002, at=None, window=(1, 48)),
+        # ~50 physical writes and 9 fsyncs per 8-step tape cycle (seven
+        # commits, one checkpoint): three cycles' worth, so the draw lands
+        # in page and directory writes as often as it used to.
+        "torn-write": FaultPlan.torn_write(at=None, window=(1, 160)),
+        "short-write": FaultPlan.short_write(at=None, window=(1, 160)),
+        "fsync-fail": FaultPlan.fsync_failure(at=None, window=(1, 27)),
+        "superblock-torn": FaultPlan.superblock_crash(at=None, window=(1, 6)),
+        "latency": FaultPlan.latency_spike(0.0002, at=None, window=(1, 160)),
         # Shard-targeted: kill exactly shard 1's writer at a seeded apply,
         # then recover *all* shards.  The ``@shard1`` scope suffix routes
         # the fault through shard 1's scoped injector view only, and makes
@@ -172,8 +180,8 @@ class ChaosTrial:
     completed_ops: int = 0
     #: Committed prefix length the twin replayed (ops, not transactions).
     committed_ops: int = 0
-    #: Whether a committed transaction was replayed from a log: by a
-    #: shard's crash recovery — or, on a replication row, by the follower
+    #: Whether a committed transaction was folded from a log: by a
+    #: shard's reopen — or, on a replication row, by the follower
     #: applying shipped WAL (there the primary's own reopen does not count).
     replayed: bool = False
     checked_lids: int = 0
@@ -230,7 +238,7 @@ def _torn_append(rng: random.Random, wal_path: str) -> None:
     else:
         body = bytes(rng.randrange(0, 24))
         header = _HEADER.pack(
-            rng.choice((REC_PUT, REC_META)), len(body) + rng.randrange(8, 64)
+            rng.choice((REC_PUT, REC_DELTA)), len(body) + rng.randrange(8, 64)
         )
         torn = (header + body)[: rng.randrange(1, len(header) + len(body) + 1)]
     with open(wal_path, "ab") as handle:
@@ -315,6 +323,15 @@ class _Stack:
 
     def delete(self, glid: int) -> None:
         self.service.submit_ops([BatchOp("delete", (glid,))]).wait(10)
+
+    def checkpoint(self) -> None:
+        """The tape's checkpoint step: each shard between two commits."""
+        for shard in self.service.shards:
+            with shard._latch.exclusive():
+                checkpoint_scheme(shard.scheme)
+
+    def lsns(self) -> list[int]:
+        return [scheme.store.backend.lsn for scheme in self.service.schemes]
 
     def kill_follower(self) -> None:
         """``repl.follower``: the follower is torn down mid-stream and its
@@ -414,10 +431,12 @@ def run_chaos_trial(
             stack.follow()
         for shard, backend in enumerate(backends):
             backend.install_faults(injector.scoped(f"shard{shard}"))
+        acked = stack.lsns()
         try:
             for index, step in enumerate(tape):
                 apply_tape_step(stack, lids, step)
                 trial.completed_ops += 1
+                acked = stack.lsns()
                 if repl_hooks and index % 17 == 16:
                     rotate_service_wal(stack.service)
                 for hook in repl_hooks:
@@ -442,9 +461,11 @@ def run_chaos_trial(
             for scheme in reopened
         )
         # A tape cut short leaves one step in flight.  If its commit
-        # record made a log, recovery replayed it, so the twin must
-        # apply that step too.
-        in_flight = trial.completed_ops < len(tape) and trial.replayed
+        # record made a log, recovery folded it — the shard's LSN is past
+        # the last acknowledged one — so the twin must apply that step too.
+        in_flight = trial.completed_ops < len(tape) and any(
+            scheme.store.backend.lsn > lsn for scheme, lsn in zip(reopened, acked)
+        )
         trial.committed_ops = trial.completed_ops + (1 if in_flight else 0)
         if repl_hooks:
             # What a replication row must show is the *follower* applying

@@ -18,17 +18,20 @@ Hook points currently wired (see DESIGN.md section 10 for the table):
 hook                   fires
 =====================  ==========================================================
 ``backend.raw_write``  every physical write of a :class:`FileBackend` (WAL
-                       records, pages, superblock — the single write funnel)
-``backend.page_write`` one page image about to be written
-``backend.superblock`` the superblock (or its overflow blob) about to be written
+                       records, pages, directory — the single write funnel)
+``backend.page_write`` one page image about to be written (checkpoints only)
+``backend.superblock`` the directory image about to be written (checkpoints
+                       only; the hook keeps its format-version-1 name)
 ``backend.fsync``      an ``os.fsync`` about to be issued (only when the
-                       backend was opened with ``fsync=True``)
+                       backend was opened with ``fsync=True``): one per
+                       commit, two per checkpoint
 ``backend.commit``     entry of :meth:`StorageBackend.commit` (any backend,
                        including :class:`MemoryBackend` — no bytes moved yet)
 ``wal.append``         entry of :meth:`WALWriter.append_transaction`
 ``wal.truncate``       entry of :meth:`WALWriter.truncate` (and segment
-                       sealing) — *after* pages + superblock are synced,
-                       *before* the log is emptied; the stale-tail window
+                       sealing), a checkpoint's last step — *after* pages +
+                       directory are synced, *before* the log is emptied;
+                       the folded-log window
 ``service.writer_apply``   writer loop, before applying one queued batch
 ``service.group_commit``   inside a group commit, before the epoch publishes
 ``repl.follower``      chaos driver, after each completed tape step: kill the
@@ -245,7 +248,7 @@ class FaultPlan:
 
     @classmethod
     def superblock_crash(cls, at: int | None = 1, window: tuple[int, int] = (1, 16)) -> "FaultPlan":
-        """Tear the ``at``-th superblock (or overflow-blob) image write."""
+        """Tear the ``at``-th directory image write (one per checkpoint)."""
         return cls(
             [FaultSpec(TORN_WRITE, "backend.superblock", at=at, window=window)],
             name=f"superblock-torn@{at if at is not None else 'seeded'}",

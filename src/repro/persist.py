@@ -18,13 +18,16 @@ root splits).
 
 **File backends** (:func:`attach_scheme_to_backend`,
 :func:`checkpoint_scheme`, :func:`open_file_scheme`): a scheme whose store
-runs on a :class:`~repro.storage.filebackend.FileBackend` journals its
-metadata (scheme class, config, LIDF directory) with *every* commit, so
-the page file plus write-ahead log is self-describing at all times —
-:func:`open_file_scheme` runs crash recovery and hands back a working
-scheme whose LIDs all resolve.  :func:`checkpoint_scheme` is the explicit
-flush: every resident block committed, the WAL truncated.  The historical
-whole-structure snapshot is thereby just one checkpoint format among two.
+runs on a :class:`~repro.storage.filebackend.FileBackend` journals, with
+every commit, only what the commit *changed* — the differences of its
+integer scalars and the LIDF's allocation ops — and its complete
+description (class, config, LIDF directory) with every checkpoint, the
+first of which attaching takes.  The page file plus write-ahead log is
+thereby self-describing at all times: :func:`open_file_scheme` folds the
+log over the last checkpoint and hands back a working scheme whose LIDs
+all resolve.  :func:`checkpoint_scheme` is the explicit flush: the log
+folded into the page file and truncated.  The historical whole-structure
+snapshot is thereby just one checkpoint format among two.
 
 This module knows no concrete scheme.  What a scheme's persistent state
 *is* belongs to the scheme (``persist_state`` / ``restore_state`` /
@@ -80,6 +83,7 @@ __all__ = [
     "open_sharded_schemes",
     "scheme_metadata_header",
     "restore_scheme_state",
+    "restore_journaled_scalars",
 ]
 
 MAGIC = b"BOXS0001"
@@ -95,11 +99,13 @@ def scheme_metadata_header(scheme: Any) -> dict:
     class name, config, counters, the LIDF directory and the store's
     allocation state.
 
-    This is both the snapshot header and — journaled with every file-backend
-    commit via :func:`attach_scheme_to_backend` — the metadata that makes a
-    page file recoverable into a working scheme.  Free lists keep their
-    exact recycling order so a reopened scheme allocates (and therefore
-    counts I/Os) identically to the original process.
+    This is both the snapshot header and — journaled by every file-backend
+    *checkpoint* via :func:`attach_scheme_to_backend` — the absolute record
+    that makes a page file recoverable into a working scheme (commits in
+    between journal only deltas against it).  O(structure): never called
+    on the commit path.  Free lists keep their exact recycling order so a
+    reopened scheme allocates (and therefore counts I/Os) identically to
+    the original process.
     """
     type_name = type(scheme).__name__
     if scheme_class(type_name) is not type(scheme):
@@ -107,8 +113,6 @@ def scheme_metadata_header(scheme: Any) -> dict:
     backend = scheme.store.backend
     return {
         "scheme": type_name,
-        # Not dataclasses.asdict: its deep copy doubles the cost of this
-        # dict, which every commit builds.
         "config": {
             f.name: getattr(scheme.config, f.name)
             for f in dataclasses.fields(scheme.config)
@@ -257,12 +261,24 @@ def _instantiate_scheme(header: dict) -> Any:
 
 def restore_scheme_state(scheme: Any, header: dict) -> None:
     """Restore the LIDF directory and the scheme's own state from a
-    :func:`scheme_metadata_header` dict (snapshot header, or the metadata
-    of a commit — a replication follower applies each shipped commit's
-    through this).  The block payloads themselves must already be in
-    ``scheme.store``."""
+    :func:`scheme_metadata_header` dict (a snapshot header, or what
+    :func:`open_file_scheme` reassembles from a recovered backend).  The
+    block payloads themselves must already be in ``scheme.store``."""
     scheme.lidf.restore_state(header["lidf"])
     scheme.restore_state(header["meta"])
+
+
+def restore_journaled_scalars(scheme: Any) -> None:
+    """Adopt the scalars its file backend holds (a replication follower
+    after each applied transaction): ``persist_state()``'s integers, in
+    key order, are what :class:`_SchemeJournal` journals."""
+    journaled = iter(scheme.store.backend.scalars[1:])
+    scheme.restore_state(
+        {
+            key: next(journaled) if type(value) is int else value
+            for key, value in scheme.persist_state().items()
+        }
+    )
 
 
 # ----------------------------------------------------------------------
@@ -270,35 +286,74 @@ def restore_scheme_state(scheme: Any, header: dict) -> None:
 # ----------------------------------------------------------------------
 
 
-def attach_scheme_to_backend(scheme: Any) -> FileBackend:
-    """Register ``scheme`` as the metadata owner of its file backend.
+class _SchemeJournal:
+    """What a file backend journals for the scheme that owns it (the
+    ``FileBackend.journal`` protocol)."""
 
-    From then on every commit journals a fresh
-    :func:`scheme_metadata_header`, so the page file (plus WAL) is always
-    recoverable into a working scheme via :func:`open_file_scheme`.
-    Returns the backend; raises :class:`~repro.errors.PersistError` when
-    the scheme's store is not file-backed.
-    """
+    def __init__(self, scheme: Any) -> None:
+        self.scheme = scheme
+        if scheme.lidf.journal is None:
+            scheme.lidf.journal = []
+
+    def scalars(self) -> list[int]:
+        """``persist_state()``'s integers in key order: O(1), journaled
+        by difference with every commit."""
+        return [v for v in self.scheme.persist_state().values() if type(v) is int]
+
+    def lidf_ops(self) -> list[int]:
+        return self.scheme.lidf.journal
+
+    def consumed(self) -> None:
+        self.scheme.lidf.journal.clear()
+
+    def absolute(self) -> tuple[dict, dict]:
+        """``(owner metadata, LIDF directory)`` for a checkpoint."""
+        header = scheme_metadata_header(self.scheme)
+        lidf = header.pop("lidf")
+        del header["store"]  # the backend journals its own allocation state
+        return header, lidf
+
+
+def _attach(scheme: Any) -> tuple[FileBackend, bool]:
     backend = scheme.store.backend
     if not isinstance(backend, FileBackend):
         raise PersistError(
             f"scheme's store runs on {type(backend).__name__}, not a FileBackend"
         )
-    backend.metadata_provider = lambda: scheme_metadata_header(scheme)
+    journal = backend.journal
+    fresh = not (isinstance(journal, _SchemeJournal) and journal.scheme is scheme)
+    if fresh:
+        backend.journal = _SchemeJournal(scheme)
+    return backend, fresh
+
+
+def attach_scheme_to_backend(scheme: Any) -> FileBackend:
+    """Register ``scheme`` as the owner of its file backend.
+
+    Attaching checkpoints once, which journals the scheme's complete
+    :func:`scheme_metadata_header`; from then on every commit journals
+    what it changed, so the page file (plus WAL) is always recoverable
+    into a working scheme via :func:`open_file_scheme`.  Idempotent.
+    Returns the backend; raises :class:`~repro.errors.PersistError` when
+    the scheme's store is not file-backed.
+    """
+    backend, fresh = _attach(scheme)
+    if fresh:
+        backend.checkpoint()
     return backend
 
 
 def checkpoint_scheme(scheme: Any) -> FileBackend:
-    """Flush ``scheme`` to its file backend: every resident block is
-    committed in one WAL transaction together with the scheme metadata,
-    and the log is truncated (or, in ``retain_wal`` mode, left standing
-    as segment history).  The commit path enforces the durability order
-    explicitly: WAL fsync -> page images -> superblock -> fsync barrier
-    -> truncate, so a crash at any point recovers to either the old or
-    the new checkpoint, never a hybrid.  The file is then a complete,
-    self-describing checkpoint — the file-backend counterpart of
-    :func:`save_scheme`."""
-    backend = attach_scheme_to_backend(scheme)
+    """Flush ``scheme`` to its file backend: the scheme's complete
+    metadata goes into the log as one absolute record, every block
+    journaled since the last checkpoint is written back to the page file
+    with the directory, and the log is truncated (or, in ``retain_wal``
+    mode, left standing as segment history).  The checkpoint enforces the
+    durability order explicitly: WAL fsync -> page images -> directory ->
+    fsync barrier -> truncate, so a crash at any point recovers to the
+    same state.  The file is then a complete, self-describing checkpoint
+    — the file-backend counterpart of :func:`save_scheme`."""
+    backend = _attach(scheme)[0]
     backend.checkpoint()
     return backend
 
@@ -309,8 +364,8 @@ def full_checkpoint(scheme: Any, extra: dict | None = None) -> dict:
     The three steps establish the PITR contract (see
     :mod:`repro.storage.walseg`):
 
-    1. :meth:`~repro.storage.FileBackend.checkpoint` commits every
-       resident block — the last transaction of the current live log;
+    1. :meth:`~repro.storage.FileBackend.checkpoint` folds the live log
+       into the page file — its absolute record is the log's last;
     2. :meth:`~repro.storage.FileBackend.seal_wal_segment` rotates that
        log into sealed segment *S*;
     3. the page file (now reflecting everything through *S*) is copied
@@ -323,8 +378,7 @@ def full_checkpoint(scheme: Any, extra: dict | None = None) -> dict:
     The caller must hold the latch that guards commits — under a running
     service use :func:`repro.repl.checkpoint_service`, which latches.
     """
-    backend = attach_scheme_to_backend(scheme)
-    backend.checkpoint()
+    backend = checkpoint_scheme(scheme)
     backend.seal_wal_segment()
     return backend.record_checkpoint_image(extra)
 
@@ -332,17 +386,15 @@ def full_checkpoint(scheme: Any, extra: dict | None = None) -> dict:
 def incremental_checkpoint(scheme: Any) -> int | None:
     """Seal the accumulated live log as one segment (``retain_wal``).
 
-    The cheap durability point: a metadata-only commit closes the
-    segment with the current scheme metadata, then the log rotates.  No
-    page-file image is copied — the sealed segment *is* the increment;
-    recovery (and PITR, and a replication follower) replays it on top of
-    the last full checkpoint.  Returns the sealed segment's id, or
-    ``None`` when nothing was committed since the last rotation.  Same
-    latching requirement as :func:`full_checkpoint`.
+    The cheap durability point: the log is folded into the page file (a
+    log the page file lags could not repair a torn write-back once it is
+    sealed away), then rotates.  No page-file image is copied — the
+    sealed segment *is* the increment; PITR and a replication follower
+    replay it on top of the last full checkpoint.  Returns the sealed
+    segment's id, or ``None`` when nothing was committed since the last
+    rotation.  Same latching requirement as :func:`full_checkpoint`.
     """
-    backend = attach_scheme_to_backend(scheme)
-    backend.commit([])
-    return backend.seal_wal_segment()
+    return _attach(scheme)[0].seal_wal_segment()
 
 
 def restore_to_checkpoint(
@@ -356,11 +408,11 @@ def restore_to_checkpoint(
     Picks the newest checkpoint whose replay range fits
     ``upto_segment`` (``None`` = all sealed segments), copies its image
     to ``target``, then replays each in-range segment through the stock
-    recovery path: the segment file is placed as ``target``'s WAL and
-    the backend is opened and closed, which replays the committed
-    transactions and truncates.  Every mechanism is the ordinary crash
-    path — PITR adds no second way to interpret the log.  Returns the
-    checkpoint record used.
+    recovery path: the segment file is placed as ``target``'s WAL, the
+    backend is opened — which folds the committed transactions — and
+    checkpointed, which writes them back and truncates.  Every mechanism
+    is the ordinary crash path — PITR adds no second way to interpret
+    the log.  Returns the checkpoint record used.
     """
     from .storage.walseg import read_wal_manifest, segment_path
 
@@ -386,7 +438,9 @@ def restore_to_checkpoint(
         if seg < record["segment"]:
             continue
         shutil.copyfile(segment_path(path, seg), target + ".wal")
-        FileBackend(target).close()
+        backend = FileBackend(target)
+        backend.checkpoint()
+        backend.close()
     return record
 
 
@@ -398,7 +452,7 @@ def open_file_scheme(
 ) -> Any:
     """Open a page file written through a scheme-attached
     :class:`~repro.storage.filebackend.FileBackend` and return a working
-    scheme (crash recovery runs first if the WAL is non-empty).
+    scheme (the WAL, if non-empty, is folded over the directory first).
 
     The reopened scheme has fresh I/O counters; every committed LID
     resolves to its pre-crash label.  The backend's ``recovery_report``
@@ -421,9 +475,11 @@ def open_file_scheme(
     store = BlockStore(scheme.config, backend=backend)
     scheme.store = store
     scheme.lidf = HeapFile(store, scheme.config)
-    restore_scheme_state(scheme, header)
+    scheme.lidf.restore_state(backend.lidf_state)
+    restore_journaled_scalars(scheme)
     store.stats.reset()
-    attach_scheme_to_backend(scheme)
+    # The scheme *is* the backend's journaled state: no checkpoint needed.
+    _attach(scheme)
     return scheme
 
 

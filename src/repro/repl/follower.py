@@ -15,12 +15,14 @@ a replica label service, one shard at a time:
    loses nothing: on restart, recovery replays the persisted committed
    prefix and the cursor resumes at the local byte position.
 3. **Apply.**  Committed transactions are parsed out of the shipped
-   bytes and applied under the replica service's exclusive latch — page
-   images and superblock through the backend (the same idempotent
-   writes recovery performs), scheme state from the transaction's
-   journaled metadata — then both cache channels are invalidated and a
-   fresh epoch is published.  Pinned-epoch reader sessions on the
-   follower therefore behave exactly like sessions on the primary.
+   bytes and folded into the live replica under its exclusive latch by
+   the same :func:`~repro.storage.filebackend.fold_transaction` recovery
+   runs: O(delta) per commit, no page or directory write (journaled
+   images are served from memory until the primary's next checkpoint
+   record tells the follower to write back) — then both cache channels
+   are invalidated and a fresh epoch is published.  Pinned-epoch reader
+   sessions on the follower therefore behave exactly like sessions on
+   the primary.
 4. **Sealing.**  When the primary reports a segment sealed and the
    follower has fully mirrored and applied it, the follower seals its
    local copy too, keeping the two manifests aligned.
@@ -41,10 +43,9 @@ from ..core.cachelog import LABEL_CHANNEL, ORDINAL_CHANNEL, invalidate_all
 from ..net import protocol as proto
 from ..net.client import NetClient
 from ..obs.metrics import get_registry
-from ..persist import open_file_scheme, restore_scheme_state
+from ..persist import open_file_scheme, restore_journaled_scalars
 from ..service.service import LabelService
 from ..service.sharded import ShardedLabelService
-from ..storage.codec import decode_block_payload
 from ..storage.shardlayout import shard_page_path, write_manifest
 from ..storage.wal import MAGIC as WAL_MAGIC
 from ..storage.wal import scan_wal_bytes
@@ -95,7 +96,7 @@ class ShardFollower:
         self.txns_applied = 0
         self.segments_sealed = 0
         #: The primary epoch the last applied transaction was committed
-        #: at (``repl_epoch`` commit annotation; None until one is seen).
+        #: at (the backend ``annotation`` stamp; None until one is seen).
         self.position_epoch: int | None = None
         self.primary_epoch = 0
         labels = {"shard": f"shard{shard}"}
@@ -237,45 +238,27 @@ class ShardFollower:
             self.applied += scan.committed_bytes
 
     def _apply_txn(self, txn: Any) -> None:
-        """Apply one committed transaction under the exclusive latch.
-
-        The same idempotent writes crash recovery performs — superblock
-        state, page images — plus the scheme-state restore, cache
-        invalidation on both channels, and an epoch publish, so readers
-        move to the new state exactly as they would on the primary.
+        """Apply one committed transaction under the exclusive latch:
+        fold it into the live backend, LIDF and scheme scalars, invalidate
+        both cache channels and publish an epoch, so readers move to the
+        new state exactly as they would on the primary.  A transaction
+        the state already includes (a retried commit's duplicate) and a
+        checkpoint's restatement change nothing readers can see.
         """
-        if txn.meta is None or "superblock" not in txn.meta:
-            raise ReplicationError(
-                f"shard {self.shard}: shipped transaction carries no metadata"
-            )
-        state = txn.meta["superblock"]
         service = self.service
-        backend = self.backend
         service._latch.acquire_exclusive()
         try:
-            backend._apply_superblock(state)
-            for block_id, image in txn.puts.items():
-                backend._write_page_image(block_id, image)
-                backend._objects[block_id] = decode_block_payload(image)
-            # Purge decoded objects for blocks this transaction freed;
-            # a stale live object would otherwise still serve reads.
-            for block_id in list(backend._objects):
-                if block_id not in backend._on_disk:
-                    backend._objects.pop(block_id)
-            backend._write_superblock(state)
-            backend._sync(backend._handle)
-            restore_scheme_state(self.scheme, state["meta"])
-            clock = self.scheme.clock
-            service.log.record(invalidate_all(clock, LABEL_CHANNEL))
-            service.log.record(invalidate_all(clock, ORDINAL_CHANNEL))
-            service._publish()
+            if self.backend.apply_shipped(txn, self.scheme.lidf) and not txn.absolute:
+                restore_journaled_scalars(self.scheme)
+                clock = self.scheme.clock
+                service.log.record(invalidate_all(clock, LABEL_CHANNEL))
+                service.log.record(invalidate_all(clock, ORDINAL_CHANNEL))
+                service._publish()
+                self.position_epoch = self.backend.scalars[0] or self.position_epoch
+                self.txns_applied += 1
+                self._txns_total.inc()
         finally:
             service._latch.release_exclusive()
-        epoch = state["meta"].get("repl_epoch")
-        if epoch is not None:
-            self.position_epoch = epoch
-        self.txns_applied += 1
-        self._txns_total.inc()
 
     # -- lag ------------------------------------------------------------
 

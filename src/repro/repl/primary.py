@@ -37,25 +37,20 @@ def _exclusive(shard_service: LabelService) -> Iterator[None]:
 
 
 def annotate_commits_with_epoch(service: ShardedLabelService) -> ShardedLabelService:
-    """Stamp every commit's journaled metadata with the epoch it will
-    publish as (``repl_epoch``).
+    """Stamp every commit's journaled delta with the epoch it will
+    publish as.
 
-    Installs each shard backend's ``metadata_decorator`` (which survives
-    provider re-attachment by checkpoints): the writer commits first and
-    publishes after, so the transaction that produces epoch N+1 carries
+    Installs each shard backend's ``annotation`` (which survives journal
+    re-attachment): the writer commits first and publishes after, so the
+    transaction that produces epoch N+1 carries
     ``current_epoch.number + 1``.  Followers use the stamp to report lag
-    in epochs; everything else ignores the extra key.  Returns
-    ``service`` for chaining; idempotent per service.
+    in epochs; everything else ignores it.  Returns ``service`` for
+    chaining; idempotent per service.
     """
     for shard_service in service.shards:
-        backend = shard_service.scheme.store.backend
-
-        def decorate(meta, shard_service=shard_service):
-            meta = dict(meta or {})
-            meta["repl_epoch"] = shard_service.current_epoch.number + 1
-            return meta
-
-        backend.metadata_decorator = decorate
+        shard_service.scheme.store.backend.annotation = (
+            lambda shard_service=shard_service: shard_service.current_epoch.number + 1
+        )
     return service
 
 
@@ -83,9 +78,9 @@ def checkpoint_service(service: ShardedLabelService) -> list[dict]:
 def rotate_service_wal(service: ShardedLabelService) -> list[int | None]:
     """Incremental checkpoint of every shard, each under its commit latch.
 
-    Seals each shard's accumulated live log as one segment (metadata-only
-    commit, no image copy) so followers can mirror-and-seal it and
-    recovery replays less tail.  Returns per-shard sealed segment ids
+    Seals each shard's accumulated live log as one segment (write-back,
+    no image copy) so followers can mirror-and-seal it and recovery
+    scans less tail.  Returns per-shard sealed segment ids
     (``None`` where nothing had been committed since the last rotation).
     """
     sealed = []

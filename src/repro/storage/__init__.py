@@ -11,7 +11,7 @@ from .stats import IOStats, OperationCost
 from .backend import MemoryBackend, StorageBackend
 from .cache import BlockCache
 from .blockstore import BlockStore, OperationBuffer, ReaderWriterLatch
-from .filebackend import FileBackend, default_page_bytes, read_superblock
+from .filebackend import FileBackend, default_page_bytes, read_directory
 from .heapfile import HeapFile
 from .shardlayout import (
     MANIFEST_NAME,
@@ -41,7 +41,7 @@ __all__ = [
     "MemoryBackend",
     "FileBackend",
     "default_page_bytes",
-    "read_superblock",
+    "read_directory",
     "BlockCache",
     "OperationBuffer",
     "BlockStore",

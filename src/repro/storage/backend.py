@@ -150,21 +150,6 @@ class StorageBackend(ABC):
     def close(self) -> None:
         """Release any resources held by the backend."""
 
-    # ------------------------------------------------------------------
-    # bulk state transfer (persistence / snapshot import)
-    # ------------------------------------------------------------------
-
-    def bulk_restore(
-        self, blocks: dict[int, Any], next_id: int, free_ids: list[int]
-    ) -> None:
-        """Replace the backend's entire contents (snapshot load path)."""
-        for block_id in list(self.block_ids()):
-            self._discard(block_id)
-        self._next_id = next_id
-        self._free_ids = list(free_ids)
-        for block_id, payload in blocks.items():
-            self._install(block_id, payload)
-
 
 class MemoryBackend(StorageBackend):
     """Live-object block residency: the historical in-memory store.
@@ -204,6 +189,7 @@ class MemoryBackend(StorageBackend):
     def bulk_restore(
         self, blocks: dict[int, Any], next_id: int, free_ids: list[int]
     ) -> None:
+        """Replace the backend's entire contents (snapshot load path)."""
         self._blocks = dict(blocks)
         self._next_id = next_id
         self._free_ids = list(free_ids)

@@ -4,23 +4,30 @@ The :class:`FileBackend` stores every block as one fixed-size page in a
 single file, round-tripping payloads through the live-payload codec of
 :mod:`repro.storage.codec`.  Layout::
 
-    ┌──────────┬──────────────────────┬────────┬────────┬─────┐
-    │ magic 8B │ superblock (fixed)   │ page 1 │ page 2 │ ... │
-    └──────────┴──────────────────────┴────────┴────────┴─────┘
+    ┌──────────┬────────────────┬────────┬────────┬─────┬───────────┐
+    │ magic 8B │ header (fixed) │ page 1 │ page 2 │ ... │ directory │
+    └──────────┴────────────────┴────────┴────────┴─────┴───────────┘
 
-* The **superblock** is a CRC-guarded JSON blob: page geometry, the
-  allocation state (next id + free list, in recycling order), and the
-  owner's metadata (a labeling scheme checkpoints its LIDF directory and
-  scheme parameters here on every commit, which is what makes crash
-  recovery end-to-end: reopening yields a working scheme, not just bytes).
+* The **directory** is the structure's complete description minus block
+  payloads: page geometry, the LSN it includes, the allocation state
+  (next id, free list in recycling order, ids with a durable image), the
+  LIDF directory, and the owner's metadata (a labeling scheme's class,
+  config and scalars — what makes reopening yield a working scheme, not
+  just bytes).  It is one binary, packed-varint image written just past
+  the last page, and only by a checkpoint; the fixed **header** holds
+  its offset, length and CRC-32 under a CRC of its own.
 * A **page** is ``u32 payload length + encoded payload``, zero-padded to
   ``page_bytes``.  Page *i* lives at a fixed offset, so a block write is
   one positioned write.
 
 Durability runs through the write-ahead log (:mod:`repro.storage.wal`):
-pages are only written after their transaction's commit record is in the
-log, so any crash leaves the file recoverable — see that module for the
-protocol and :meth:`FileBackend._recover` for the read side.
+a commit appends the dirty pages' images and a DELTA record — what the
+commit changed in the directory, recorded where it changed — and syncs
+the log; nothing else.  A checkpoint (explicit, or taken by
+:meth:`FileBackend.commit` itself once :data:`CHECKPOINT_LOG_BYTES` have
+been logged) folds the log into the page file.  Opening a file folds the
+log over the directory through :func:`fold_transaction`, the one function
+recovery, point-in-time restore and replication followers all share.
 
 **Consistency model.**  Decoded payloads live in an object table and are
 mutated in place by the tree code, exactly like the memory backend — the
@@ -34,14 +41,14 @@ mutations become durable when the operation scope closes and
 (``backend.fault_injector = injector`` or
 :meth:`FileBackend.install_faults`) and the backend consults it at its
 named hook points: ``backend.raw_write`` fires on every physical write
-(WAL records, pages, the superblock — one funnel), ``backend.page_write``
-and ``backend.superblock`` fire just before those specific images go out,
-``backend.fsync`` fires before each real ``os.fsync``, and
-``backend.commit`` fires on commit entry.  A torn/short write puts a
-*prefix* of the data on disk — as real disks produce — raises
-:class:`~repro.errors.CrashError`, and the backend refuses all further
-writes until reopened.  Tests use this to prove recovery; see
-:mod:`repro.faults` for the plan vocabulary.
+(WAL records, pages, the directory — one funnel), ``backend.page_write``
+and ``backend.superblock`` fire just before a page image and the
+directory go out (inside checkpoints only), ``backend.fsync`` fires
+before each real ``os.fsync``, and ``backend.commit`` fires on commit
+entry.  A torn/short write puts a *prefix* of the data on disk — as real
+disks produce — raises :class:`~repro.errors.CrashError`, and the
+backend refuses all further writes until reopened.  Tests use this to
+prove recovery; see :mod:`repro.faults` for the plan vocabulary.
 """
 
 from __future__ import annotations
@@ -52,6 +59,7 @@ import shutil
 import struct
 import time as _time
 import zlib
+from itertools import islice
 from typing import Any, Iterable, Iterator
 
 from ..errors import (
@@ -65,9 +73,16 @@ from ..errors import (
 from ..obs import trace
 from ..obs.metrics import get_registry
 from .backend import StorageBackend
-from .codec import decode_block_payload, encode_block_payload
+from .codec import (
+    append_uvarints,
+    decode_block_payload,
+    encode_block_payload,
+    scan_uvarint,
+    scan_uvarints,
+)
+from .heapfile import fold_lidf_journal
 from .wal import MAGIC as WAL_MAGIC
-from .wal import WALWriter, scan_wal
+from .wal import WALTransaction, WALWriter, scan_wal
 from .walseg import (
     checkpoint_image_path,
     read_wal_manifest,
@@ -75,62 +90,212 @@ from .walseg import (
     write_wal_manifest,
 )
 
-MAGIC = b"BOXPAGE1"
+#: Format version 2: binary directory past the last page (version 1 kept
+#: a JSON superblock and rewrote it with every commit).
+MAGIC = b"BOXPAGE2"
 
-#: Fixed byte length of the superblock region (magic excluded).
-SUPERBLOCK_BYTES = 8192
+#: Fixed byte length of the header region; with the magic, pages start
+#: at offset 4096.
+HEADER_BYTES = 4088
 
 #: Default page size when no block geometry is given.
 DEFAULT_PAGE_BYTES = 4096
+
+#: Bytes a backend lets its log grow by before :meth:`FileBackend.commit`
+#: checkpoints on its own.  Bounds the live log and what reopening has to
+#: fold; a function of bytes logged only, never of time.
+CHECKPOINT_LOG_BYTES = 1 << 20
 
 _PAGE_HEADER = struct.Struct(">I")  # payload length
 
 #: Object-table miss marker (``None`` is a legal payload).
 _ABSENT = object()
-_SUPER_HEADER = struct.Struct(">II")  # JSON length, CRC-32
+_HEADER = struct.Struct(">QII")  # directory offset, length, CRC-32
+_CRC = struct.Struct(">I")  # of the header itself
 
 
-def decode_superblock_image(image: bytes) -> dict[str, Any] | None:
-    """Decode a raw superblock region, or ``None`` if torn/corrupt."""
-    if len(image) < _SUPER_HEADER.size:
-        return None
-    length, crc = _SUPER_HEADER.unpack_from(image)
-    payload = image[_SUPER_HEADER.size : _SUPER_HEADER.size + length]
-    if len(payload) != length or zlib.crc32(payload) != crc:
-        return None
+def _zigzag(value: int) -> int:
+    return value << 1 if value >= 0 else (-value << 1) - 1
+
+
+def _unzigzag(raw: int) -> int:
+    return (raw >> 1) ^ -(raw & 1)
+
+
+def encode_directory(state: dict[str, Any]) -> bytes:
+    """A directory dict as bytes: the at-rest image, and equally the body
+    of a checkpoint's ABSOLUTE log record (its first varint is the LSN).
+
+    Every list is a counted varint row (``on_disk`` sorted, as gaps); the
+    owner's ``meta`` — O(1), and the only part whose shape the backend
+    does not define — closes the image as JSON.
+    """
+    lidf = state["lidf"]
+    on_disk = sorted(state["on_disk"])
+    flat = [state["lsn"], state["page_bytes"], state["next_id"]]
+    flat.append(len(state["free_ids"]))
+    flat += state["free_ids"]
+    flat.append(len(on_disk))
+    flat += [b - a for a, b in zip([0] + on_disk, on_disk)]
+    flat.append(len(state["scalars"]))
+    flat += map(_zigzag, state["scalars"])
+    flat += (lidf["tail"], lidf["live"], len(lidf["block_ids"]))
+    flat += lidf["block_ids"]
+    flat.append(len(lidf["free"]))
+    flat += lidf["free"]
+    out = bytearray()
+    append_uvarints(out, flat)
+    return bytes(out) + json.dumps(state["meta"], sort_keys=True).encode("utf-8")
+
+
+def decode_directory(data: bytes) -> dict[str, Any]:
+    """Inverse of :func:`encode_directory`; raises
+    :class:`~repro.errors.PersistError` on a malformed image."""
+
+    def row(pos: int) -> tuple[list[int], int]:
+        count, pos = scan_uvarint(data, pos)
+        return scan_uvarints(data, pos, count)
+
+    (lsn, page_bytes, next_id), pos = scan_uvarints(data, 0, 3)
+    free_ids, pos = row(pos)
+    gaps, pos = row(pos)
+    scalars, pos = row(pos)
+    (tail, live), pos = scan_uvarints(data, pos, 2)
+    block_ids, pos = row(pos)
+    lidf_free, pos = row(pos)
+    on_disk, block_id = set(), 0
+    for gap in gaps:
+        block_id += gap
+        on_disk.add(block_id)
     try:
-        return json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
+        meta = json.loads(data[pos:].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        raise PersistError(f"corrupt directory metadata: {error}") from None
+    return {
+        "lsn": lsn,
+        "page_bytes": page_bytes,
+        "next_id": next_id,
+        "free_ids": free_ids,
+        "on_disk": on_disk,
+        "scalars": [_unzigzag(raw) for raw in scalars],
+        "lidf": {"block_ids": block_ids, "free": lidf_free, "tail": tail, "live": live},
+        "meta": meta,
+    }
+
+
+def fold_transaction(state: dict[str, Any], txn: WALTransaction) -> list[int] | None:
+    """Advance the directory ``state`` by one log transaction, in place.
+
+    The one fold function: crash recovery, point-in-time segment replay
+    and replication followers all bring a directory forward through it.
+    A DELTA folds only onto the state one LSN behind it — one the state
+    already includes (a log that outlived its checkpoint, a retried
+    commit's duplicate) is skipped, a gap is a
+    :class:`~repro.errors.RecoveryError` — because a delta, unlike the
+    absolute metadata version 1 journaled, is not idempotent.  An
+    ABSOLUTE record restates the state at its own LSN and folds nothing.
+
+    Returns ``None`` for a skipped transaction, else the ids of the
+    blocks it dropped (their page images are dead).
+    """
+    lsn = txn.lsn
+    if lsn is None:
+        raise RecoveryError("committed transaction carries no DELTA record")
+    if lsn <= state["lsn"]:
         return None
+    if txn.absolute or lsn != state["lsn"] + 1:
+        raise RecoveryError(
+            f"log sequence gap: transaction {lsn} cannot follow state {state['lsn']}"
+        )
+    (_lsn, count), pos = scan_uvarints(txn.body, 0, 2)
+    ints = iter(scan_uvarints(txn.body, pos, count)[0])
+
+    def row() -> list[int]:
+        return list(islice(ints, next(ints)))
+
+    state["next_id"] += next(ints)
+    pops = next(ints)
+    if pops:
+        del state["free_ids"][-pops:]
+    state["free_ids"] += row()
+    dropped = row()
+    state["on_disk"].difference_update(dropped)
+    state["on_disk"].update(txn.puts)
+    scalars = state["scalars"]
+    for index, raw in enumerate(row()):
+        if index == len(scalars):
+            scalars.append(0)
+        scalars[index] += _unzigzag(raw)
+    fold_lidf_journal(state["lidf"], ints)
+    state["lsn"] = lsn
+    return dropped
 
 
-def resolve_superblock(handle: Any) -> dict[str, Any] | None:
-    """Read the superblock through ``handle`` (positioned anywhere),
-    following the overflow pointer when the state outgrew the fixed
-    region.  Returns ``None`` if either image is torn/corrupt."""
-    handle.seek(len(MAGIC))
-    state = decode_superblock_image(handle.read(SUPERBLOCK_BYTES))
-    if state is None or "overflow" not in state:
-        return state
-    pointer = state["overflow"]
-    handle.seek(pointer["offset"])
-    return decode_superblock_image(
-        handle.read(_SUPER_HEADER.size + pointer["length"])
-    )
+def fold_log(
+    directory: dict[str, Any] | None, transactions: list[WALTransaction], path: str
+) -> tuple[dict[str, Any], str, int]:
+    """What a page file's log continues its at-rest ``directory`` to.
+
+    The base is the directory (``None``: torn or corrupt) or the log's
+    last ABSOLUTE record, whichever is newer; every transaction then goes
+    through :func:`fold_transaction`.  Returns the folded state (the
+    directory itself, advanced in place, when it was the base), which
+    base it was (``"directory"`` or ``"wal"``) and how many transactions
+    folded rather than being skipped.
+    """
+    flushed_lsn = directory["lsn"] if directory is not None else -1
+    base = None
+    for txn in transactions:
+        if txn.absolute and txn.lsn > flushed_lsn:
+            base = txn
+    if base is None and directory is None:
+        raise RecoveryError(
+            f"{path}: directory unreadable and the log holds no "
+            "absolute record to replace it"
+        )
+    state = directory if base is None else decode_directory(base.body)
+    folded = sum(fold_transaction(state, txn) is not None for txn in transactions)
+    return state, "directory" if base is None else "wal", folded
 
 
-def read_superblock(path: str) -> dict[str, Any] | None:
-    """Read a page file's superblock without opening a backend.
+def read_directory(path: str) -> dict[str, Any] | None:
+    """Read a page file's at-rest directory without opening a backend.
 
     Read-only and recovery-free: diagnostics (``repro info``) must not
     mutate the file they describe.  Raises
     :class:`~repro.errors.PersistError` on bad magic; returns ``None``
-    when the superblock itself is torn or corrupt.
+    when the header or the directory is torn or corrupt.
     """
     with open(path, "rb") as handle:
-        if handle.read(len(MAGIC)) != MAGIC:
-            raise PersistError(f"{path} is not a page file (bad magic)")
-        return resolve_superblock(handle)
+        _check_magic(handle.read(len(MAGIC)), path)
+        return _load_directory(handle)
+
+
+def _check_magic(magic: bytes, path: str) -> None:
+    if magic == b"BOXPAGE1":
+        raise PersistError(
+            f"{path} is a format-version-1 page file; this build reads version 2"
+        )
+    if magic != MAGIC:
+        raise PersistError(f"{path} is not a page file (bad magic)")
+
+
+def _load_directory(handle: Any) -> dict[str, Any] | None:
+    handle.seek(len(MAGIC))
+    image = handle.read(_HEADER.size + _CRC.size)
+    if len(image) < _HEADER.size + _CRC.size or _CRC.unpack_from(
+        image, _HEADER.size
+    ) != (zlib.crc32(image[: _HEADER.size]),):
+        return None
+    offset, length, crc = _HEADER.unpack_from(image)
+    handle.seek(offset)
+    blob = handle.read(length)
+    if len(blob) != length or zlib.crc32(blob) != crc:
+        return None
+    try:
+        return decode_directory(blob)
+    except PersistError:
+        return None
 
 
 def default_page_bytes(block_bytes: int) -> int:
@@ -149,27 +314,23 @@ class FileBackend(StorageBackend):
     Parameters
     ----------
     path:
-        The page file.  Created if missing; otherwise opened, running
-        crash recovery first when the write-ahead log (``path + ".wal"``)
-        is non-empty.
+        The page file.  Created if missing; otherwise opened, folding
+        the write-ahead log (``path + ".wal"``) over its directory.
     page_bytes:
         Fixed page size.  Must match the file's on opening an existing
         file (omit to accept the stored geometry).
     fsync:
-        Issue ``os.fsync`` at the durability points of each commit.
-        Off by default: simulated crashes (the only kind tests can make)
-        do not lose OS-buffered writes, and benchmarks should measure the
-        protocol, not the host's disk.
+        Issue ``os.fsync`` at the durability points: once per commit (the
+        log), and at a checkpoint's barriers.  Off by default: simulated
+        crashes (the only kind tests can make) do not lose OS-buffered
+        writes, and benchmarks should measure the protocol, not the
+        host's disk.
     retain_wal:
-        Keep committed transactions in the log instead of truncating it
-        after each commit (segment-retaining mode, the substrate of
-        replication and incremental checkpoints — see
-        :mod:`repro.storage.walseg`).  The live log accumulates until
-        :meth:`seal_wal_segment` rotates it into a numbered segment
-        file; recovery on reopen replays the committed tail (page writes
-        are idempotent) and trims only a torn suffix.  Off by default:
-        the classic truncate-per-commit protocol is byte-identical to
-        before.
+        What a checkpoint does with the log it has folded into the page
+        file: discard it (the default), or leave it standing as history
+        until :meth:`seal_wal_segment` rotates it into a numbered segment
+        file (the substrate of replication and incremental checkpoints —
+        see :mod:`repro.storage.walseg`).
     """
 
     def __init__(
@@ -191,24 +352,52 @@ class FileBackend(StorageBackend):
         )
         #: Decoded live payloads (the buffer pool); identity-stable.
         self._objects: dict[int, Any] = {}
-        #: Ids with a page image on disk (committed at some point).
+        #: Ids with a durable page image (in the log or the page file).
         self._on_disk: set[int] = set()
-        #: Owner metadata journaled with every commit (see metadata_provider).
+        #: Newest journaled image of every block the page file does not
+        #: hold yet; a checkpoint writes these back and empties the table.
+        self._unflushed: dict[int, bytes] = {}
+        #: LSN of the last transaction made durable, and of the at-rest
+        #: directory.
+        self.lsn = 0
+        self._directory_lsn = 0
+        # The allocation delta since the last journaled transaction,
+        # recorded by allocate/free/_discard as they happen: free-list
+        # pops reaching below this delta's own pushes, the pushes still
+        # standing, and ids that lost their durable image.
+        self._journaled_next_id = 1
+        self._pops = 0
+        self._pushed: list[int] = []
+        self._dropped: list[int] = []
+        #: The owner's journaled state (a scheme, via
+        #: :func:`repro.persist.attach_scheme_to_backend`): ``metadata``
+        #: is O(1) and written only by checkpoints, ``scalars`` are
+        #: integers journaled by difference with every commit,
+        #: ``lidf_state`` is the LIDF directory.  After opening a file
+        #: they hold what recovery folded; with a ``journal`` attached
+        #: they are refreshed from it (``journal.scalars()``,
+        #: ``journal.lidf_ops()`` at commit, ``journal.absolute()`` at
+        #: checkpoint, ``journal.consumed()`` once a delta is durable).
         self.metadata: dict[str, Any] = {}
-        #: Optional zero-arg callable returning fresh owner metadata; when
-        #: set, every commit journals its result (schemes use this to keep
-        #: their LIDF directory recoverable).
-        self.metadata_provider: Any = None
-        #: Optional one-arg callable applied to the provider's result
-        #: before journaling; survives re-attachment of the provider
-        #: (replication stamps each commit's publish epoch through this).
-        self.metadata_decorator: Any = None
-        #: A write-kind fault armed by a page/superblock hook, consumed by
-        #: the next physical write (so "tear the superblock" tears the
+        self.scalars: list[int] = [0]
+        self.lidf_state: dict[str, Any] = {
+            "block_ids": [],
+            "free": [],
+            "tail": 0,
+            "live": 0,
+        }
+        self.journal: Any = None
+        #: Optional zero-arg callable whose integer is journaled as
+        #: ``scalars[0]`` of every transaction; survives re-attachment of
+        #: the journal (replication stamps each commit's publish epoch).
+        self.annotation: Any = None
+        #: A write-kind fault armed by a page/directory hook, consumed by
+        #: the next physical write (so "tear the directory" tears the
         #: actual image bytes, wherever they land).
         self._pending_write_fault: Any = None
         self._crashed = False
         # Physical-I/O counters (the honest cost the logical IOStats models).
+        self.pages_journaled = 0
         self.page_writes = 0
         self.page_reads = 0
         self.commits = 0
@@ -216,6 +405,13 @@ class FileBackend(StorageBackend):
         #: Filled when opening an existing file: what recovery found/did.
         self.recovery_report: dict[str, Any] = {}
 
+        self._wal = WALWriter(
+            self.wal_path,
+            self._raw_write,
+            fault_fire=self._fire_fault,
+            sync=self._sync_raw,
+            sync_dir=self._sync_dir,
+        )
         existing = os.path.exists(self.path) and os.path.getsize(self.path) > 0
         if existing:
             self._handle = open(self.path, "r+b")
@@ -226,18 +422,11 @@ class FileBackend(StorageBackend):
             )
             self._handle = open(self.path, "w+b")
             self._raw_write_at(0, MAGIC)
-            self._write_superblock()
+            self._write_directory(encode_directory(self._directory()))
             self._sync(self._handle)
-        self._wal = self._make_wal_writer()
-
-    def _make_wal_writer(self) -> WALWriter:
-        return WALWriter(
-            self.wal_path,
-            self._raw_write,
-            fault_fire=self._fire_fault,
-            sync=self._sync_raw,
-            sync_dir=self._sync_dir,
-        )
+        #: ``_wal.bytes_written`` at the last checkpoint: a log that was
+        #: standing when the file was opened counts as logged since.
+        self._checkpoint_mark = -self._wal_size()
 
     # ------------------------------------------------------------------
     # physical writes (single funnel; fault injection lives here)
@@ -292,7 +481,7 @@ class FileBackend(StorageBackend):
         apply_simple_action(action)
 
     def _hook_write_site(self, hook: str, size: int) -> None:
-        """Named write-site hook (page/superblock image about to go out).
+        """Named write-site hook (page/directory image about to go out).
 
         Torn/short actions are deferred onto the next physical write so
         the fault tears the actual image bytes; transient/latency actions
@@ -324,12 +513,11 @@ class FileBackend(StorageBackend):
         """Like :meth:`_sync` but without the ``backend.fsync`` hook.
 
         Used for the post-truncate/post-seal sync of the (now empty or
-        renamed) log: the transaction is already durable in pages +
-        superblock by then, so an injected fsync failure there would
-        crash the machine *after* the commit point — a window the chaos
-        oracle cannot attribute.  The hookable crash point for this
-        window is ``wal.truncate``, fired at entry while the log still
-        holds the transaction.
+        renamed) log: the checkpoint is already durable in pages +
+        directory by then, so an injected fsync failure there would
+        crash the machine *after* it — a window the chaos oracle cannot
+        attribute.  The hookable crash point for this window is
+        ``wal.truncate``, fired at entry while the log still stands.
         """
         handle.flush()
         if self.fsync:
@@ -367,150 +555,153 @@ class FileBackend(StorageBackend):
         apply_simple_action(action)
 
     # ------------------------------------------------------------------
-    # superblock
+    # directory
     # ------------------------------------------------------------------
 
-    def _superblock_dict(self) -> dict[str, Any]:
+    def _directory(self) -> dict[str, Any]:
+        """The current directory (lists shared with the live state)."""
         return {
+            "lsn": self.lsn,
             "page_bytes": self.page_bytes,
             "next_id": self._next_id,
-            "free_ids": list(self._free_ids),
-            "on_disk": sorted(self._on_disk),
+            "free_ids": self._free_ids,
+            "on_disk": self._on_disk,
+            "scalars": self.scalars,
+            "lidf": self.lidf_state,
             "meta": self.metadata,
         }
 
-    def _write_superblock(self, state: dict[str, Any] | None = None) -> None:
-        payload = json.dumps(
-            state if state is not None else self._superblock_dict(),
-            sort_keys=True,
-        ).encode("utf-8")
-        if self.fault_injector is not None:
-            self._hook_write_site("backend.superblock", len(payload))
-        if _SUPER_HEADER.size + len(payload) > SUPERBLOCK_BYTES:
-            # State outgrew the fixed region: write it as an overflow blob
-            # just past the last page (later page growth overwrites dead
-            # blobs; each commit re-points) and store only a pointer
-            # inline.  The blob lands before the pointer, and the WAL's
-            # committed META can rebuild both, so every crash window stays
-            # recoverable.
-            blob_offset = self._page_offset(self._next_id)
-            blob = _SUPER_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
-            self._raw_write_at(blob_offset, blob)
-            payload = json.dumps(
-                {"overflow": {"offset": blob_offset, "length": len(payload)}}
-            ).encode("utf-8")
-        image = _SUPER_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
-        self._raw_write_at(len(MAGIC), image.ljust(SUPERBLOCK_BYTES, b"\0"))
-
-    def _apply_superblock(self, state: dict[str, Any]) -> None:
+    def _adopt_directory(self, state: dict[str, Any]) -> None:
+        self.lsn = state["lsn"]
         self.page_bytes = state["page_bytes"]
-        self._next_id = state["next_id"]
-        self._free_ids = list(state["free_ids"])
-        self._on_disk = set(state["on_disk"])
-        self.metadata = state.get("meta", {})
+        self._next_id = self._journaled_next_id = state["next_id"]
+        self._free_ids = state["free_ids"]
+        self._on_disk = state["on_disk"]
+        self.scalars = state["scalars"]
+        self.lidf_state = state["lidf"]
+        self.metadata = state["meta"]
+
+    def _write_directory(self, blob: bytes) -> None:
+        """Put the directory image just past the last page, then point
+        the header at it.  Not atomic, and later page growth overwrites
+        the image: a checkpoint makes the same bytes durable in the log
+        first, and recovery falls back to that record."""
+        if self.fault_injector is not None:
+            self._hook_write_site("backend.superblock", len(blob))
+        offset = self._page_offset(self._next_id)
+        self._raw_write_at(offset, blob)
+        header = _HEADER.pack(offset, len(blob), zlib.crc32(blob))
+        header += _CRC.pack(zlib.crc32(header))
+        self._raw_write_at(len(MAGIC), header)
+        self._directory_lsn = self.lsn
 
     # ------------------------------------------------------------------
     # open / recovery
     # ------------------------------------------------------------------
 
+    def _wal_size(self) -> int:
+        try:
+            return os.path.getsize(self.wal_path)
+        except OSError:
+            return 0
+
     def _open_existing(self, page_bytes: int | None) -> None:
+        """Fold the log over the newest absolute state (:func:`fold_log`).
+
+        Every journaled image still in the log is kept in ``_unflushed``,
+        newest wins, and served from there — also one the directory's LSN
+        says was written back: page, directory and header writes share
+        one sync, so a power loss can keep the directory and lose a page.
+        Opening writes nothing but the cut of a torn tail, so a
+        follower's log stays a byte-for-byte mirror and the next
+        checkpoint does the write-back.
+        """
         self._handle.seek(0)
-        if self._handle.read(len(MAGIC)) != MAGIC:
-            raise PersistError(f"{self.path} is not a page file (bad magic)")
-        state = resolve_superblock(self._handle)
+        _check_magic(self._handle.read(len(MAGIC)), self.path)
+        directory = _load_directory(self._handle)
+        flushed_lsn = directory["lsn"] if directory is not None else -1
         scan = scan_wal(self.wal_path)
-        if scan.committed:
-            # Committed-but-unapplied transactions: replay them (page
-            # writes are idempotent), newest metadata wins.
-            last_meta: dict[str, Any] | None = None
-            for txn in scan.transactions:
-                if txn.meta is not None:
-                    last_meta = txn.meta
-            if last_meta is None:
-                raise RecoveryError(
-                    f"{self.wal_path}: committed transaction carries no metadata"
-                )
-            self._apply_superblock(last_meta["superblock"])
-            for txn in scan.transactions:
-                for block_id, image in txn.puts.items():
-                    self._write_page_image(block_id, image)
-            self._write_superblock()
-            self._sync(self._handle)
-        elif state is not None:
-            self._apply_superblock(state)
-        else:
-            raise RecoveryError(
-                f"{self.path}: superblock unreadable and no committed WAL "
-                "transaction supplies a replacement"
-            )
-        if self.retain_wal:
-            # The committed tail is retained history (it will be sealed
-            # into a segment); only a torn suffix is cut away, at the
-            # clean commit boundary the scan reports.
-            if scan.torn_tail:
-                self._make_wal_writer().trim(scan.committed_bytes)
-        elif scan.committed or scan.torn_tail:
-            self._make_wal_writer().truncate()
+        state, source, folded = fold_log(directory, scan.transactions, self.path)
+        for txn in scan.transactions:
+            self._unflushed.update(txn.puts)
+        self._adopt_directory(state)
+        self._directory_lsn = max(flushed_lsn, 0)
+        for block_id in self._unflushed.keys() - self._on_disk:
+            del self._unflushed[block_id]
+        if scan.torn_tail:
+            self._wal.trim(scan.committed_bytes)
         if page_bytes is not None and page_bytes != self.page_bytes:
             raise StorageError(
                 f"{self.path} has {self.page_bytes}-byte pages, not {page_bytes}"
             )
         self.recovery_report = {
-            "replayed_transactions": scan.committed,
+            "checkpoint_lsn": flushed_lsn if directory is not None else None,
+            "lsn": self.lsn,
+            "base": source,
+            "replayed_transactions": folded,
             "discarded_tail_bytes": scan.tail_bytes if scan.torn_tail else 0,
-            "superblock_source": "wal" if scan.committed else "file",
+            "discarded_tail_reason": scan.tail_reason,
         }
         registry = get_registry()
         registry.counter(
             "repro_recovery_opens_total", help="page files opened with recovery"
         ).inc()
-        if scan.committed:
+        if folded:
             registry.counter(
                 "repro_recovery_replayed_txns_total",
-                help="committed WAL transactions replayed at open",
-            ).inc(scan.committed)
+                help="committed WAL transactions folded at open",
+            ).inc(folded)
 
     # ------------------------------------------------------------------
     # pages
     # ------------------------------------------------------------------
 
     def _page_offset(self, block_id: int) -> int:
-        return len(MAGIC) + SUPERBLOCK_BYTES + (block_id - 1) * self.page_bytes
+        return len(MAGIC) + HEADER_BYTES + (block_id - 1) * self.page_bytes
 
     def _write_page_image(self, block_id: int, image: bytes) -> None:
         if self.fault_injector is not None:
             self._hook_write_site("backend.page_write", len(image))
         framed = _PAGE_HEADER.pack(len(image)) + image
-        if len(framed) > self.page_bytes:
-            raise StorageError(
-                f"block {block_id} needs {len(framed)} bytes but pages hold "
-                f"{self.page_bytes}; raise page_bytes"
-            )
         self._raw_write_at(
             self._page_offset(block_id), framed.ljust(self.page_bytes, b"\0")
         )
-        self._on_disk.add(block_id)
         self.page_writes += 1
 
     def _read_page(self, block_id: int) -> Any:
-        # Positioned read on the descriptor: readers under the shared
+        # A block's newest image is in ``_unflushed`` from the commit that
+        # journals it until a checkpoint has written it back *and* flushed
+        # the handle; only then does a cold read go to the file.  That
+        # read is positioned on the descriptor: readers under the shared
         # latch cold-read concurrently, and seek + read on the one shared
-        # handle would let two of them swap pages.  pread bypasses the
-        # handle's userspace write buffer, which is safe because a block
-        # is only ever cold-read once it is in ``_on_disk`` and out of the
-        # object table — and every path that writes a page image (commit,
-        # recovery replay, follower apply) flushes the handle via
-        # ``_sync`` before the block can leave the object table.
-        framed = os.pread(
-            self._handle.fileno(), self.page_bytes, self._page_offset(block_id)
-        )
+        # handle would let two of them swap pages.  (``_unflushed`` itself
+        # changes only under the exclusive latch.)
+        image = self._unflushed.get(block_id)
+        if image is None:
+            framed = os.pread(
+                self._handle.fileno(), self.page_bytes, self._page_offset(block_id)
+            )
+            (length,) = _PAGE_HEADER.unpack_from(framed)
+            image = framed[_PAGE_HEADER.size : _PAGE_HEADER.size + length]
         self.page_reads += 1
-        (length,) = _PAGE_HEADER.unpack_from(framed)
-        return decode_block_payload(framed[_PAGE_HEADER.size : _PAGE_HEADER.size + length])
+        return decode_block_payload(image)
 
     # ------------------------------------------------------------------
     # StorageBackend interface
     # ------------------------------------------------------------------
+
+    def allocate(self, payload: Any = None) -> int:
+        if self._free_ids:
+            # A recycled id: cancel this delta's own push, or journal a pop.
+            if self._pushed:
+                self._pushed.pop()
+            else:
+                self._pops += 1
+        return super().allocate(payload)
+
+    def free(self, block_id: int) -> None:
+        super().free(block_id)
+        self._pushed.append(block_id)
 
     def read(self, block_id: int) -> Any:
         # One dict probe: concurrent cold readers install into the table,
@@ -518,7 +709,7 @@ class FileBackend(StorageBackend):
         payload = self._objects.get(block_id, _ABSENT)
         if payload is not _ABSENT:
             return payload  # may be a stored literal None
-        if not self.exists(block_id):
+        if block_id not in self._on_disk:
             raise KeyError(block_id)
         payload = self._read_page(block_id)
         self._objects[block_id] = payload
@@ -530,47 +721,36 @@ class FileBackend(StorageBackend):
         self._objects[block_id] = payload
 
     def exists(self, block_id: int) -> bool:
-        if block_id in self._objects:
-            return True
-        return (
-            0 < block_id < self._next_id
-            and block_id not in self._free_set()
-            and block_id in self._on_disk
-        )
-
-    def _free_set(self) -> set[int]:
-        return set(self._free_ids)
+        return block_id in self._objects or block_id in self._on_disk
 
     def block_ids(self) -> Iterator[int]:
-        free = self._free_set()
-        ids = set(self._objects) | {
-            block_id for block_id in self._on_disk if block_id not in free
-        }
-        return iter(sorted(ids))
+        return iter(sorted(self._on_disk.union(self._objects)))
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.block_ids())
+        return len(self._on_disk.union(self._objects))
 
     def _install(self, block_id: int, payload: Any) -> None:
         self._objects[block_id] = payload
 
     def _discard(self, block_id: int) -> None:
-        present = block_id in self._objects
-        if not present and not self.exists(block_id):
+        if not self.exists(block_id):
             raise KeyError(block_id)
         self._objects.pop(block_id, None)
-        self._on_disk.discard(block_id)
+        self._unflushed.pop(block_id, None)
+        if block_id in self._on_disk:
+            self._on_disk.discard(block_id)
+            self._dropped.append(block_id)
 
     # ------------------------------------------------------------------
     # durability
     # ------------------------------------------------------------------
 
     def commit(self, dirty_ids: Iterable[int]) -> None:
-        """Make the listed blocks + allocation state + metadata durable.
+        """Make the listed blocks + what changed in the directory durable:
+        one log transaction, one sync (see :mod:`repro.storage.wal`).
 
-        WAL first (with commit record), then pages, then superblock, then
-        truncate the log — the protocol documented in
-        :mod:`repro.storage.wal`.
+        Checkpoints by itself once :data:`CHECKPOINT_LOG_BYTES` have been
+        logged since the last one.
         """
         if self.fault_injector is not None:
             self._fault_point("backend.commit")
@@ -579,29 +759,18 @@ class FileBackend(StorageBackend):
             puts: dict[int, bytes] = {}
             for block_id in dirty_ids:
                 if block_id in self._objects:
-                    puts[block_id] = encode_block_payload(self._objects[block_id])
-            if self.metadata_provider is not None:
-                self.metadata = self.metadata_provider()
-                if self.metadata_decorator is not None:
-                    self.metadata = self.metadata_decorator(self.metadata)
-            # The WAL's META record embeds the full superblock so replay can
-            # rebuild it even if the on-file superblock write was torn.
-            after_state = self._superblock_dict()
-            after_state["on_disk"] = sorted(self._on_disk | set(puts))
-            self._wal.append_transaction(puts, {"superblock": after_state})
-            self._sync(self._wal._handle)
-            for block_id, image in puts.items():
-                self._write_page_image(block_id, image)
-            self._write_superblock(after_state)
-            # Explicit barrier: pages + superblock must be durable before
-            # the log stops being the source of truth.  Truncating (or, in
-            # retain mode, letting the tail stand as history) ahead of
-            # this sync would leave a window where neither the file nor
-            # the log holds the committed state.
-            self._sync(self._handle)
-            if not self.retain_wal:
-                self._wal.truncate()
+                    image = encode_block_payload(self._objects[block_id])
+                    if _PAGE_HEADER.size + len(image) > self.page_bytes:
+                        raise StorageError(
+                            f"block {block_id} needs {_PAGE_HEADER.size + len(image)} "
+                            f"bytes but pages hold {self.page_bytes}; raise page_bytes"
+                        )
+                    puts[block_id] = image
+            self._journal(puts)
             self.commits += 1
+            self.pages_journaled += len(puts)
+            if self._wal.bytes_written - self._checkpoint_mark > CHECKPOINT_LOG_BYTES:
+                self.checkpoint()
             if span.recording:
                 span.add("backend.pages", len(puts))
                 span.add("backend.bytes", self.bytes_written - bytes_before)
@@ -610,9 +779,106 @@ class FileBackend(StorageBackend):
             help="WAL-guarded page-file commits",
         ).inc()
 
+    def _journal(self, puts: dict[int, bytes]) -> None:
+        """Append ``[PUT…, DELTA, COMMIT]`` and sync the log; nothing is
+        written when nothing changed.
+
+        The pending delta and its LSN are consumed only once the sync has
+        succeeded, and a :class:`~repro.errors.TransientIOError` up to and
+        including the sync rolls the log back: a retried commit journals
+        the same delta under the same LSN, an abandoned one leaves no
+        transaction behind for a later, larger delta to duplicate.
+        """
+        journal = self.journal
+        stamp = self.annotation() if self.annotation is not None else self.scalars[0]
+        scalars = [stamp] + (journal.scalars() if journal else self.scalars[1:])
+        lidf_ops = journal.lidf_ops() if journal else []
+        row = [self._next_id - self._journaled_next_id, self._pops]
+        row.append(len(self._pushed))
+        row += self._pushed
+        row.append(len(self._dropped))
+        row += self._dropped
+        if not (puts or lidf_ops or any(row) or scalars != self.scalars):
+            return
+        old = self.scalars + [0] * (len(scalars) - len(self.scalars))
+        diffs = [_zigzag(new - was) for new, was in zip(scalars, old)]
+        row.append(len(diffs))
+        row += diffs
+        row += lidf_ops
+        body = bytearray()
+        append_uvarints(body, [self.lsn + 1, len(row)] + row)
+        self._wal.append_transaction(puts, bytes(body), sync=self._sync)
+        self.lsn += 1
+        self.scalars = scalars
+        if journal is not None:
+            journal.consumed()
+        self._journaled_next_id = self._next_id
+        self._pops = 0
+        self._pushed.clear()
+        self._dropped.clear()
+        self._on_disk.update(puts)
+        self._unflushed.update(puts)
+
     def checkpoint(self) -> None:
-        """Force a commit of every resident object (plus metadata)."""
-        self.commit(list(self._objects))
+        """Fold the log into the page file (the *force* protocol).
+
+        Whatever is still pending is journaled first, so the ABSOLUTE
+        record restates exactly the state the log's DELTAs fold to.  Then:
+        record into the log, sync; pages journaled since the last
+        checkpoint and the directory into the page file, sync; truncate
+        the log (``retain_wal``: leave it standing to be sealed).
+        """
+        self._journal({})
+        if self.journal is not None:
+            self.metadata, self.lidf_state = self.journal.absolute()
+        blob = encode_directory(self._directory())
+        self._wal.append_transaction({}, blob, absolute=True, sync=self._sync)
+        self.write_back(blob)
+        if not self.retain_wal:
+            self._wal.truncate()
+        self._checkpoint_mark = self._wal.bytes_written
+
+    def write_back(self, blob: bytes) -> None:
+        """Write the unflushed page images and the directory image
+        ``blob`` to the page file and sync it.  ``blob`` must already be
+        durable in the log as an ABSOLUTE record (a checkpoint's own, or
+        on a follower the one its primary shipped): a crash in here tears
+        pages and directory, and only the log can repair both."""
+        for block_id, image in self._unflushed.items():
+            self._write_page_image(block_id, image)
+        self._write_directory(blob)
+        # The barrier: the page file must be durable before the log stops
+        # being the source of truth (is truncated, or sealed away).  The
+        # flush inside also precedes emptying ``_unflushed``, which is
+        # what lets cold reads go to the descriptor.
+        self._sync(self._handle)
+        self._unflushed.clear()
+
+    def apply_shipped(self, txn: WALTransaction, lidf: Any) -> bool:
+        """Follower side: fold one shipped transaction into the *live*
+        state (``lidf`` is the replica scheme's heap file).  Journaled
+        images are served from ``_unflushed``; an ABSOLUTE record — the
+        primary checkpointed — is the follower's cue to write back, with
+        the record's own bytes as its directory.  Returns False for a
+        transaction the state already includes."""
+        if txn.absolute and txn.lsn == self.lsn:
+            self.write_back(txn.body)
+            return True
+        state = self._directory()
+        state["lidf"] = lidf.directory_view()
+        dropped = fold_transaction(state, txn)
+        if dropped is None:
+            return False
+        self.lsn, self._next_id = state["lsn"], state["next_id"]
+        self._journaled_next_id = self._next_id
+        lidf.adopt_view(state["lidf"])
+        for block_id in dropped:
+            self._objects.pop(block_id, None)
+            self._unflushed.pop(block_id, None)
+        for block_id in txn.puts:
+            self._objects.pop(block_id, None)
+        self._unflushed.update(txn.puts)
+        return True
 
     # ------------------------------------------------------------------
     # WAL segmentation (retain_wal mode; see repro.storage.walseg)
@@ -629,18 +895,22 @@ class FileBackend(StorageBackend):
         """Rotate the live log into a sealed, numbered segment file.
 
         Returns the new segment's id, or ``None`` when the live log holds
-        no transactions (sealing would produce an empty segment).  The
+        no transactions (sealing would produce an empty segment).  A log
+        the page file does not fully include yet — a newer LSN, or images
+        reopening found in it and could not tell were written back — is
+        checkpointed first: once sealed, it can no longer repair a torn
+        write-back.  The
         caller must hold whatever latch guards commits — rotation must
         not interleave with a transaction being appended.
         """
         manifest = self._require_retain()
-        if (
-            not os.path.exists(self.wal_path)
-            or os.path.getsize(self.wal_path) <= len(WAL_MAGIC)
-        ):
+        if self._wal_size() <= len(WAL_MAGIC):
             return None
+        if self._directory_lsn != self.lsn or self._unflushed:
+            self.checkpoint()
         seg_id = manifest["next_segment"]
         self._wal.seal_to(segment_path(self.path, seg_id))
+        self._checkpoint_mark = self._wal.bytes_written
         manifest["segments"].append(seg_id)
         manifest["next_segment"] = seg_id + 1
         write_wal_manifest(self.path, manifest, fsync=self.fsync)
@@ -691,9 +961,11 @@ class FileBackend(StorageBackend):
     def drop_clean_objects(self) -> None:
         """Evict the object table (committed blocks only).
 
-        Diagnostics/tests: forces subsequent reads down the page-decode
-        path, proving the on-disk images are the real structure.  Blocks
-        never committed stay resident — dropping them would lose data.
+        Diagnostics/tests: forces subsequent reads down the decode path
+        (the page file, or ``_unflushed`` for an image no checkpoint has
+        written back yet), proving the durable images are the real
+        structure.  Blocks never committed stay resident — dropping them
+        would lose data.
         """
         for block_id in list(self._objects):
             if block_id in self._on_disk:
@@ -703,13 +975,3 @@ class FileBackend(StorageBackend):
         self._wal.close()
         if not self._handle.closed:
             self._handle.close()
-
-    def bulk_restore(
-        self, blocks: dict[int, Any], next_id: int, free_ids: list[int]
-    ) -> None:
-        """Import a full structure (snapshot conversion) and commit it."""
-        self._objects = dict(blocks)
-        self._on_disk = set()
-        self._next_id = next_id
-        self._free_ids = list(free_ids)
-        self.checkpoint()

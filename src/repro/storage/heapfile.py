@@ -24,11 +24,50 @@ import heapq
 from typing import Any, Callable, Iterator
 
 from ..config import BoxConfig
-from ..errors import RecordNotFoundError
+from ..errors import PersistError, RecordNotFoundError
 from .blockstore import BlockStore
 
 #: Marker stored in unallocated slots.
 _EMPTY = None
+
+# Journal op codes (see :func:`fold_lidf_journal`); each op is the pair
+# ``(code, argument)``.
+_J_TAIL = 0  # argument records taken from the tail
+_J_POP = 1  # argument records popped off the free heap
+_J_FREE = 2  # LID argument pushed onto the free heap
+_J_PAIR = 3  # LIDs argument and argument + 1 taken out of the free heap
+_J_BLOCK = 4  # store block argument appended to the file
+
+
+def fold_lidf_journal(state: dict[str, Any], ops: Any) -> None:
+    """Replay journaled allocation ops (an iterator of ints, two per op)
+    onto a :meth:`HeapFile.persist_state` dict, in place.
+
+    Each op repeats exactly what :class:`HeapFile` did to its own lists,
+    so the folded free heap has the live one's order, not just its
+    members — a recovered file recycles LIDs as the crashed one would.
+    """
+    free = state["free"]
+    for code, arg in zip(ops, ops):
+        if code == _J_TAIL:
+            state["tail"] += arg
+            state["live"] += arg
+        elif code == _J_POP:
+            for _ in range(arg):
+                heapq.heappop(free)
+            state["live"] += arg
+        elif code == _J_FREE:
+            heapq.heappush(free, arg)
+            state["live"] -= 1
+        elif code == _J_PAIR:
+            free.remove(arg)
+            free.remove(arg + 1)
+            free.sort()
+            state["live"] += 2
+        elif code == _J_BLOCK:
+            state["block_ids"].append(arg)
+        else:
+            raise PersistError(f"unknown LIDF journal op {code}")
 
 
 class HeapFile:
@@ -42,6 +81,11 @@ class HeapFile:
         self._free: list[int] = []  # min-heap of freed LIDs (low LIDs reused first)
         self._tail = 0  # next never-used LID
         self._live = 0
+        #: Allocation ops since the owner last consumed them, as a flat
+        #: list of ``(code, argument)`` pairs; None (the default) records
+        #: nothing.  :func:`repro.persist.attach_scheme_to_backend` turns
+        #: it on so a file backend can journal what each commit changed.
+        self.journal: list[int] | None = None
 
     # ------------------------------------------------------------------
     # allocation
@@ -51,9 +95,11 @@ class HeapFile:
         """Allocate one record, store ``value`` in it, return its LID."""
         if self._free:
             lid = heapq.heappop(self._free)
+            self._log(_J_POP, 1)
         else:
             lid = self._tail
             self._tail += 1
+            self._log(_J_TAIL, 1)
         self._put(lid, value)
         self._live += 1
         return lid
@@ -72,8 +118,10 @@ class HeapFile:
             lid1 = self._tail
             lid2 = self._tail + 1
             self._tail += 2
+            self._log(_J_TAIL, 2)
         else:
             lid1, lid2 = pair
+            self._log(_J_PAIR, lid1)
         self._put(lid1, first)
         self._put(lid2, second)
         self._live += 2
@@ -89,6 +137,7 @@ class HeapFile:
         self.store.write(block_id)
         heapq.heappush(self._free, lid)
         self._live -= 1
+        self._log(_J_FREE, lid)
 
     # ------------------------------------------------------------------
     # record access
@@ -189,6 +238,22 @@ class HeapFile:
         self._tail = state["tail"]
         self._live = state["live"]
 
+    def directory_view(self) -> dict[str, Any]:
+        """:meth:`persist_state` without the copies: the dict shares the
+        live lists, so :func:`fold_lidf_journal` on it updates this file
+        in place (the replication follower's O(delta) apply); hand it
+        back to :meth:`adopt_view` for the two scalars."""
+        return {
+            "block_ids": self._block_ids,
+            "free": self._free,
+            "tail": self._tail,
+            "live": self._live,
+        }
+
+    def adopt_view(self, state: dict[str, Any]) -> None:
+        self._tail = state["tail"]
+        self._live = state["live"]
+
     # ------------------------------------------------------------------
     # sizing
     # ------------------------------------------------------------------
@@ -221,10 +286,20 @@ class HeapFile:
         while block_index >= len(self._block_ids):
             block_id = self.store.allocate([_EMPTY] * self.records_per_block)
             self._block_ids.append(block_id)
+            self._log(_J_BLOCK, block_id)
         block_id = self._block_ids[block_index]
         records = self.store.read(block_id)
         records[slot] = value
         self.store.write(block_id)
+
+    def _log(self, code: int, arg: int) -> None:
+        journal = self.journal
+        if journal is None:
+            return
+        if code <= _J_POP and journal and journal[-2] == code:
+            journal[-1] += arg  # runs of tail/heap allocations fold into one op
+        else:
+            journal += (code, arg)
 
     def _pop_adjacent_free_pair(self) -> tuple[int, int] | None:
         """Find two free LIDs that are adjacent within one block."""

@@ -1,36 +1,49 @@
 """Write-ahead log for the file backend.
 
-Durability protocol (classic redo-only WAL):
+Durability protocol (redo-only WAL, *no-force*):
 
-1. When an operation scope closes, the dirty blocks' encoded pages, the
-   allocation state, and the owner's metadata are **appended to the log**
-   as one transaction, terminated by a COMMIT record carrying a CRC-32 of
-   the transaction body.
-2. Only after the commit record is on disk are the pages applied to the
-   page file and the superblock rewritten.
-3. The log is then truncated.
+* **Commit.**  When an operation scope closes, the dirty blocks' encoded
+  pages and a DELTA record — what the operation changed in the
+  allocation state, the LIDF directory and the owner's scalars — are
+  appended as one transaction ``[PUT…, DELTA, COMMIT]``, and the log is
+  synced.  That is all a commit writes: pages and the page file's
+  directory stay as they were.
+* **Checkpoint.**  An ABSOLUTE record — the complete directory, the
+  state every DELTA so far folds to — is appended and synced; then the
+  pages journaled since the last checkpoint and the directory are
+  written to the page file, the page file is synced, and the log is
+  truncated (or, in segment-retaining mode, left standing to be sealed).
 
-A crash therefore leaves one of three states, all recoverable:
+Every DELTA carries a log sequence number one past its predecessor's;
+an ABSOLUTE record carries the LSN of the state it restates and the
+page file's directory records the LSN it includes.  Recovery therefore
+folds each DELTA exactly once (see
+:func:`repro.storage.filebackend.fold_transaction`), whichever of the
+crash states it finds:
 
-* **torn transaction** (crash during step 1): the log's tail has no valid
-  commit record.  Recovery discards the tail; the page file was never
-  touched, so the structure is exactly its last committed state.
-* **committed but unapplied** (crash during step 2): the log ends with a
-  valid commit.  Recovery replays the transaction onto the page file —
-  page writes are idempotent — and the structure is the new committed
-  state.  A torn *page* or *superblock* write is repaired by the same
-  replay.
-* **clean** (crash after step 3, or no crash): the log is empty.
+* **torn transaction** (crash mid-append): the log's tail has no valid
+  commit record and is discarded; the structure is its last committed
+  state.
+* **committed, not written back** (the normal state between
+  checkpoints): the directory is older than the log; DELTAs past its LSN
+  are folded over it and the newest journaled image of each block is
+  served from the log.
+* **crash inside a checkpoint**: the ABSOLUTE record is durable, pages
+  or the directory may be torn.  The record is the base, and every page
+  being written back still has its image in the log.
+* **directory written, log not yet truncated**: every DELTA's LSN is at
+  or below the directory's and is skipped.  Its page images are not:
+  pages and directory share one sync, so a landed directory does not
+  prove the pages landed, and PUTs replay idempotently.
 
 Record format: ``u8 type │ u32 length │ body``.  Types: PUT (uvarint
-block id + page image), META (JSON: allocation state + owner metadata),
-COMMIT (u32 CRC-32 over every record byte since the previous commit).
-The file starts with an 8-byte magic.
+block id + page image), DELTA and ABSOLUTE (uvarint LSN + a body the
+file backend encodes), COMMIT (u32 CRC-32 over every record byte since
+the previous commit).  The file starts with an 8-byte magic.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import struct
 import zlib
@@ -42,21 +55,28 @@ from ..obs import trace
 from ..obs.metrics import get_registry
 from .codec import scan_uvarint, uvarint_bytes
 
-MAGIC = b"BOXWAL01"
+#: Format version 2: DELTA/ABSOLUTE records replaced version 1's JSON META.
+MAGIC = b"BOXWAL02"
 
 REC_PUT = 1
-REC_META = 2
+REC_DELTA = 2
 REC_COMMIT = 3
+REC_ABSOLUTE = 4
 
 _HEADER = struct.Struct(">BI")  # record type, body length
 
 
 @dataclass
 class WALTransaction:
-    """One decoded committed transaction: page images plus metadata."""
+    """One decoded committed transaction: page images plus its DELTA (or,
+    for a checkpoint's restatement, ABSOLUTE) record."""
 
     puts: dict[int, bytes] = field(default_factory=dict)
-    meta: dict[str, Any] | None = None
+    #: The record's LSN; None when the transaction carries neither record.
+    lsn: int | None = None
+    #: The DELTA/ABSOLUTE record body, LSN varint included.
+    body: bytes = b""
+    absolute: bool = False
 
 
 @dataclass
@@ -124,24 +144,27 @@ class WALWriter:
                 self._raw_write(self._handle, MAGIC)
 
     def append_transaction(
-        self, puts: dict[int, bytes], meta: dict[str, Any]
+        self,
+        puts: dict[int, bytes],
+        body: bytes,
+        absolute: bool = False,
+        sync: Callable[[Any], None] | None = None,
     ) -> None:
-        """Append one transaction: PUT records, a META record, COMMIT.
+        """Append one transaction: PUT records, the DELTA (or ABSOLUTE)
+        record ``body`` — which starts with its uvarint LSN — and COMMIT,
+        then ``sync`` the log (the owning backend's hooked barrier).
 
         A :class:`~repro.errors.TransientIOError` raised mid-transaction
-        (an injected retryable fault) rolls the log back to the clean
-        pre-transaction boundary before propagating, so the caller can
-        re-run the whole commit against an uncorrupted log.  Crash faults
-        (:class:`~repro.errors.CrashError`) do *not* roll back — the torn
-        tail they leave is exactly what recovery must cope with.
+        or by the sync (an injected retryable fault) rolls the log back to
+        the clean pre-transaction boundary before propagating, so the
+        caller can re-run the whole commit against an uncorrupted log — and
+        one who does not leaves no transaction behind that it believes
+        failed.  Crash faults (:class:`~repro.errors.CrashError`) do *not*
+        roll back — the torn tail they leave is exactly what recovery must
+        cope with.
         """
         with trace.span("wal.append") as span:
-            if self._fault_fire is not None:
-                action = self._fault_fire("wal.append")
-                if action is not None:
-                    from ..faults.plan import apply_simple_action
-
-                    apply_simple_action(action)
+            self._fire("wal.append")
             self._ensure_open()
             records_before = self.records_written
             bytes_before = self.bytes_written
@@ -152,13 +175,15 @@ class WALWriter:
                     record = _encode_record(REC_PUT, uvarint_bytes(block_id) + image)
                     crc = zlib.crc32(record, crc)
                     self._write(record)
-                meta_record = _encode_record(
-                    REC_META, json.dumps(meta, sort_keys=True).encode("utf-8")
+                state_record = _encode_record(
+                    REC_ABSOLUTE if absolute else REC_DELTA, body
                 )
-                crc = zlib.crc32(meta_record, crc)
-                self._write(meta_record)
+                crc = zlib.crc32(state_record, crc)
+                self._write(state_record)
                 self._write(_encode_record(REC_COMMIT, struct.pack(">I", crc)))
                 self._handle.flush()
+                if sync is not None:
+                    sync(self._handle)
             except TransientIOError:
                 self._rollback_to(start_offset, records_before, bytes_before)
                 raise
@@ -203,14 +228,12 @@ class WALWriter:
                 apply_simple_action(action)
 
     def truncate(self) -> None:
-        """Empty the log (step 3 of the protocol).
+        """Empty the log (a checkpoint's last step).
 
-        The truncation itself is a durability point: if it is lost to a
-        crash, a *stale* WAL tail survives next to newer pages and a
-        later checkpoint, and recovery would replay its old metadata over
-        the newer state.  So the emptied file and its parent directory
-        are both synced (through the owning backend's fsync policy)
-        before the protocol step counts as done.
+        The emptied file and its parent directory are both synced
+        (through the owning backend's fsync policy) before the step
+        counts as done: a truncation lost to a crash leaves the folded
+        log standing, which recovery skips by LSN but must still scan.
         """
         self._fire("wal.truncate")
         if self._handle is not None:
@@ -294,6 +317,11 @@ def scan_wal_bytes(
         return scan
     if expect_magic:
         if data[: len(MAGIC)] != MAGIC:
+            if data[: len(MAGIC)] == b"BOXWAL01":
+                raise WALError(
+                    f"{source} is a format-version-1 write-ahead log; "
+                    "this build reads version 2"
+                )
             if MAGIC.startswith(data[: len(MAGIC)]):
                 # The very first physical write (the magic itself) was torn:
                 # nothing was ever committed, the whole file is a torn tail.
@@ -316,7 +344,7 @@ def scan_wal_bytes(
             break
         rec_type, length = _HEADER.unpack_from(data, offset)
         body_start = offset + _HEADER.size
-        if rec_type not in (REC_PUT, REC_META, REC_COMMIT):
+        if rec_type not in (REC_PUT, REC_DELTA, REC_COMMIT, REC_ABSOLUTE):
             raise WALError(f"{source}: impossible record type {rec_type}")
         if body_start + length > len(data):
             scan.tail_reason = "torn record body"
@@ -347,12 +375,14 @@ def scan_wal_bytes(
                 scan.tail_reason = "corrupt PUT body"
                 break
             pending.puts[block_id] = body[image_start:]
-        else:  # REC_META
+        else:  # REC_DELTA / REC_ABSOLUTE
             try:
-                pending.meta = json.loads(body.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                scan.tail_reason = "corrupt META body"
+                pending.lsn = scan_uvarint(body, 0)[0]
+            except PersistError:
+                scan.tail_reason = "corrupt DELTA body"
                 break
+            pending.body = body
+            pending.absolute = rec_type == REC_ABSOLUTE
         offset = body_start + length
     scan.committed_bytes = pending_start
     if pending_start < len(data):

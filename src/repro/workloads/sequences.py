@@ -561,6 +561,10 @@ def run_stress(
     )
 
 
+#: Every this-many-th step of a crash-recovery tape is a checkpoint.
+TAPE_CHECKPOINT_EVERY = 8
+
+
 def crash_recovery_tape(
     n_ops: int, seed: int = 0, delete_fraction: float = 0.15
 ) -> list[tuple[str, int]]:
@@ -570,15 +574,21 @@ def crash_recovery_tape(
     ``draw`` indexes the *current* live-LID list modulo its length — the
     tape is independent of concrete LID values, so the same tape replays
     identically on a file-backed scheme and on its memory-backed twin
-    oracle (:func:`apply_tape_step` is the one shared interpreter).  Same
+    oracle (:func:`apply_tape_step` is the one shared interpreter) — or,
+    every :data:`TAPE_CHECKPOINT_EVERY`-th step, ``("checkpoint", 0)``:
+    a commit writes only the log, so page, directory and truncate writes
+    (and the crash windows around them) happen here.  Same
     ``(n_ops, seed)``, same tape, every run: the chaos sweep's determinism
     rests on this.
     """
     rng = random.Random(seed)
     steps: list[tuple[str, int]] = []
-    for _ in range(n_ops):
+    for index in range(n_ops):
         kind = "delete" if rng.random() < delete_fraction else "insert_before"
-        steps.append((kind, rng.randrange(1 << 20)))
+        draw = rng.randrange(1 << 20)
+        if index % TAPE_CHECKPOINT_EVERY == TAPE_CHECKPOINT_EVERY - 1:
+            kind, draw = "checkpoint", 0
+        steps.append((kind, draw))
     return steps
 
 
@@ -590,10 +600,14 @@ def apply_tape_step(target: Any, lids: list[int], step: tuple[str, int]) -> None
     ``delete(lid)`` over the LIDs in ``lids``: a scheme, or the chaos
     driver's live service and its twin (the one interpreter for both).
     Deletes are demoted to inserts while the live population is small, so
-    a delete-heavy seed can never drain the structure.
+    a delete-heavy seed can never drain the structure.  A checkpoint step
+    calls ``target.checkpoint()`` where there is one and changes no label
+    (a no-op on a memory twin).
     """
     kind, draw = step
-    if kind == "delete" and len(lids) > 12:
+    if kind == "checkpoint":
+        getattr(target, "checkpoint", lambda: None)()
+    elif kind == "delete" and len(lids) > 12:
         target.delete(lids.pop(draw % len(lids)))
     else:
         lids.append(target.insert_before(lids[draw % len(lids)]))

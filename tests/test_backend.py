@@ -5,10 +5,10 @@ The crash tests install :class:`repro.faults.FaultPlan.crash_after_writes`
 plans (the exact semantics of the retired ``crash_after_n_writes``
 budget): ``budget`` physical writes are granted and the final one is torn
 in half — sweeping the budget walks the crash point through every window
-of the commit protocol (mid-WAL-record, between WAL and pages, mid-page,
-mid-superblock).  After every simulated crash, reopening must yield
-exactly the last committed state: every LID looks up its pre-crash
-committed label.
+of a commit followed by a checkpoint (mid-WAL-record, mid-absolute-record,
+between log and pages, mid-page, mid-directory, before the truncate).
+After every simulated crash, reopening must yield exactly the last
+committed state: every LID looks up its pre-crash committed label.
 """
 
 import os
@@ -29,11 +29,17 @@ from repro.storage import (
     FileBackend,
     MemoryBackend,
     default_page_bytes,
-    read_superblock,
+    read_directory,
     scan_wal,
 )
 from repro.storage import filebackend as filebackend_module
+from repro.storage.codec import uvarint_bytes
 from repro.storage.wal import WALWriter
+
+
+def delta(lsn, payload=b""):
+    """A DELTA record body as the log sees it: uvarint LSN + opaque rest."""
+    return uvarint_bytes(lsn) + payload
 
 
 def make_backend(tmp_path, name="t.pages", **kwargs):
@@ -181,21 +187,37 @@ class TestFileBackendPages:
             backend.commit([block_id])
         backend.close()
 
-    def test_superblock_overflow_blob(self, tmp_path, monkeypatch):
-        """State larger than the fixed region spills to an overflow blob
-        that reopening (and read-only inspection) follows transparently."""
-        monkeypatch.setattr(filebackend_module, "SUPERBLOCK_BYTES", 128)
+    def test_directory_past_last_page(self, tmp_path):
+        """The directory has one location whatever its size — past the
+        last page — and moves as the file grows; reopening and read-only
+        inspection follow the header to it."""
         backend = make_backend(tmp_path)
         ids = [backend.allocate([i]) for i in range(30)]
-        backend.metadata = {"payload": "x" * 200}
+        backend.metadata = {"payload": "x" * 20_000}
         backend.commit(ids)
-        state = read_superblock(backend.path)
-        assert state is not None and state["meta"] == {"payload": "x" * 200}
+        assert read_directory(backend.path)["on_disk"] == set()  # commits leave it be
+        backend.checkpoint()
+        first_size = os.path.getsize(backend.path)
+        more = [backend.allocate([i]) for i in range(30, 40)]
+        backend.commit(more)
+        backend.checkpoint()
+        assert os.path.getsize(backend.path) > first_size
+        state = read_directory(backend.path)
+        assert state["meta"] == {"payload": "x" * 20_000}
+        assert state["on_disk"] == set(ids + more) and state["lsn"] == backend.lsn
         backend.close()
         reopened = make_backend(tmp_path)
-        assert reopened.metadata == {"payload": "x" * 200}
-        assert reopened.read(ids[7]) == [7]
+        assert reopened.metadata == {"payload": "x" * 20_000}
+        assert reopened.read(ids[7]) == [7] and reopened.read(more[3]) == [33]
         reopened.close()
+
+    def test_version_1_page_file_is_refused_by_name(self, tmp_path):
+        path = tmp_path / "old.pages"
+        path.write_bytes(b"BOXPAGE1" + b"\0" * 8192)
+        with pytest.raises(PersistError, match="format-version-1 page file"):
+            FileBackend(str(path))
+        with pytest.raises(PersistError, match="reads version 2"):
+            read_directory(str(path))
 
 
 class TestWALScan:
@@ -209,19 +231,22 @@ class TestWALScan:
     def test_round_trip(self, tmp_path):
         path = str(tmp_path / "log.wal")
         writer = WALWriter(path, lambda handle, data: handle.write(data))
-        writer.append_transaction({1: b"abc", 9: b"de"}, {"superblock": {"k": 1}})
-        writer.append_transaction({2: b"xyz"}, {"superblock": {"k": 2}})
+        writer.append_transaction({1: b"abc", 9: b"de"}, delta(1, b"k1"))
+        writer.append_transaction({2: b"xyz"}, delta(2, b"k2"))
+        writer.append_transaction({}, delta(2, b"whole"), absolute=True)
         writer.close()
         scan = scan_wal(path)
-        assert scan.committed == 2 and not scan.torn_tail
+        assert scan.committed == 3 and not scan.torn_tail
         assert scan.transactions[0].puts == {1: b"abc", 9: b"de"}
-        assert scan.transactions[1].meta == {"superblock": {"k": 2}}
+        second, third = scan.transactions[1:]
+        assert (second.lsn, second.body, second.absolute) == (2, delta(2, b"k2"), False)
+        assert (third.lsn, third.body, third.absolute) == (2, delta(2, b"whole"), True)
 
     def test_torn_tail_discarded_committed_prefix_kept(self, tmp_path):
         path = str(tmp_path / "log.wal")
         writer = WALWriter(path, lambda handle, data: handle.write(data))
-        writer.append_transaction({1: b"abc"}, {"superblock": {"k": 1}})
-        writer.append_transaction({2: b"def"}, {"superblock": {"k": 2}})
+        writer.append_transaction({1: b"abc"}, delta(1))
+        writer.append_transaction({2: b"def"}, delta(2))
         writer.close()
         intact = os.path.getsize(path)
         first_end = len(scan_wal(path).transactions)  # sanity: both committed
@@ -240,7 +265,7 @@ class TestWALScan:
     def test_corrupt_commit_crc_treated_as_torn(self, tmp_path):
         path = str(tmp_path / "log.wal")
         writer = WALWriter(path, lambda handle, data: handle.write(data))
-        writer.append_transaction({1: b"abc"}, {"superblock": {}})
+        writer.append_transaction({1: b"abc"}, delta(1))
         writer.close()
         with open(path, "r+b") as handle:
             handle.seek(-1, os.SEEK_END)
@@ -256,9 +281,15 @@ class TestWALScan:
         with pytest.raises(WALError, match="bad magic"):
             scan_wal(str(path))
 
+    def test_version_1_log_is_refused_by_name(self, tmp_path):
+        path = tmp_path / "old.wal"
+        path.write_bytes(b"BOXWAL01" + b"\0" * 16)
+        with pytest.raises(WALError, match="format-version-1 write-ahead log"):
+            scan_wal(str(path))
+
 
 class TestRecoveryWindows:
-    """Walk the crash point through the whole commit protocol."""
+    """Walk the crash point through a commit and the checkpoint after it."""
 
     def _committed_file(self, tmp_path):
         backend = make_backend(tmp_path)
@@ -269,10 +300,11 @@ class TestRecoveryWindows:
     def test_crash_sweep_always_recovers_committed_state(self, tmp_path):
         baseline, ids = self._committed_file(tmp_path)
         committed = {i: list(baseline.read(i)) for i in baseline.block_ids()}
+        baseline.checkpoint()  # the page file alone is the committed state
         baseline.close()
         with open(baseline.path, "rb") as handle:
             image = handle.read()
-        for budget in range(1, 30):
+        for budget in range(1, 40):
             path = tmp_path / f"sweep{budget}.pages"
             path.write_bytes(image)
             backend = FileBackend(str(path))
@@ -282,69 +314,82 @@ class TestRecoveryWindows:
                 for i in ids:
                     backend.write(i, [i, i, budget])
                 backend.commit(ids)
+                backend.checkpoint()
             except CrashError:
                 crashed = True
             backend.close()
             reopened = FileBackend(str(path))
             after = {i: list(reopened.read(i)) for i in reopened.block_ids()}
-            if crashed and reopened.recovery_report["replayed_transactions"] == 0:
+            if crashed and reopened.lsn == baseline.lsn:
                 # Crash before the commit record hit the log: old state.
                 assert after == committed
             else:
                 # Commit record made it (or no crash): new state, even if
-                # pages/superblock were torn and had to be replayed.
+                # the checkpoint tore pages or the directory.
+                assert reopened.lsn == baseline.lsn + 1
                 assert after == {i: [i, i, budget] for i in ids}
-            assert scan_wal(reopened.wal_path).committed == 0  # log truncated
+            # Opening folds in memory; a checkpoint puts it in the file,
+            # after which the log is empty and a reopen folds nothing.
+            reopened.checkpoint()
+            assert scan_wal(reopened.wal_path).committed == 0
             reopened.close()
+            again = FileBackend(str(path))
+            assert again.recovery_report["replayed_transactions"] == 0
+            assert {i: list(again.read(i)) for i in again.block_ids()} == after
+            again.close()
             if not crashed:
-                break  # budget exceeds a full commit; later sweeps identical
+                break  # budget exceeds commit + checkpoint; later sweeps identical
+        assert not crashed and budget > 19, "the sweep must cover the whole checkpoint"
 
     def test_committed_but_unapplied_is_replayed(self, tmp_path):
         backend, ids = self._committed_file(tmp_path)
-        # The next commit's physical writes: WAL magic (the log was
-        # truncated) + PUT + META + COMMIT, then the page, then the
-        # superblock.  Granting exactly the first five tears the page
-        # write — after the commit record is durable.
         backend.write(ids[0], [404, 405])
-        arm_crash_after(backend, 5)
+        backend.commit([ids[0]])
+        # The checkpoint's physical writes: ABSOLUTE + COMMIT into the
+        # log, then the pages.  Granting exactly three tears the first
+        # page write — after the absolute record is durable.
+        arm_crash_after(backend, 3)
         with pytest.raises(CrashError):
-            backend.commit([ids[0]])
+            backend.checkpoint()
         backend.close()
-        assert scan_wal(backend.wal_path).committed == 1
+        assert scan_wal(backend.wal_path).committed == 3
         reopened = FileBackend(str(backend.path))
-        assert reopened.recovery_report["replayed_transactions"] == 1
-        assert reopened.recovery_report["superblock_source"] == "wal"
+        assert reopened.recovery_report["base"] == "wal"
+        # Page 1 landed where the empty file's directory image was: the
+        # file has outgrown it, so the log's record is the only base.
+        assert reopened.recovery_report["checkpoint_lsn"] is None
+        assert reopened.lsn == 2
         assert reopened.read(ids[0]) == [404, 405]
+        assert reopened.read(ids[1]) == [1, 1]  # the torn page, served from the log
         reopened.close()
 
     def test_torn_superblock_repaired_from_wal(self, tmp_path):
         backend, ids = self._committed_file(tmp_path)
+        backend.checkpoint()
         backend.write(ids[1], [777])
         backend.commit([ids[1]])
+        # Tear the directory image the next checkpoint writes: it lands
+        # on the old image (same offset), so neither survives — only the
+        # absolute record the checkpoint logged first.
+        backend.install_faults(FaultInjector(FaultPlan.superblock_crash(at=1)))
+        with pytest.raises(CrashError):
+            backend.checkpoint()
         backend.close()
-        # Corrupt the superblock region after the fact and plant the WAL
-        # of that commit back (as if the truncate never happened and the
-        # superblock write was torn).
-        wal = WALWriter(backend.path + ".wal", lambda h, d: h.write(d))
-        state = read_superblock(backend.path)
-        wal.append_transaction({}, {"superblock": state})
-        wal.close()
-        with open(backend.path, "r+b") as handle:
-            handle.seek(len(filebackend_module.MAGIC) + 2)
-            handle.write(b"\xff\xff\xff\xff")
-        assert read_superblock(backend.path) is None
+        assert read_directory(backend.path) is None
         reopened = FileBackend(str(backend.path))
-        assert reopened.recovery_report["superblock_source"] == "wal"
+        assert reopened.recovery_report["base"] == "wal"
+        assert reopened.recovery_report["checkpoint_lsn"] is None
         assert reopened.read(ids[1]) == [777]
         reopened.close()
 
     def test_unreadable_superblock_without_wal_is_unrecoverable(self, tmp_path):
         backend, _ = self._committed_file(tmp_path)
+        backend.checkpoint()
         backend.close()
         with open(backend.path, "r+b") as handle:
             handle.seek(len(filebackend_module.MAGIC) + 2)
             handle.write(b"\xff\xff\xff\xff")
-        with pytest.raises(RecoveryError, match="superblock unreadable"):
+        with pytest.raises(RecoveryError, match="directory unreadable"):
             FileBackend(str(backend.path))
 
     def test_crashed_backend_refuses_further_writes(self, tmp_path):
@@ -375,10 +420,12 @@ class TestSchemeCrashRecovery:
         lids = bulk(scheme, 24)
         arm_crash_after(backend, budget)
         crashed = False
+        acked = backend.lsn
         try:
             for round_index in range(1000):
                 anchor = lids[(7 * round_index) % len(lids)]
                 lids.append(scheme.insert_before(anchor))
+                acked = backend.lsn
         except CrashError:
             crashed = True
         assert crashed, "budget never ran out; raise the op count"
@@ -386,7 +433,7 @@ class TestSchemeCrashRecovery:
 
         reopened = open_file_scheme(str(tmp_path / f"{name}.pages"))
         committed_ops = len(lids) - 24
-        if reopened.store.backend.recovery_report["replayed_transactions"]:
+        if reopened.store.backend.lsn > acked:
             committed_ops += 1  # the torn op's commit record made the log
         twin = factory(TINY_CONFIG, store=None)
         twin_lids = bulk(twin, 24)

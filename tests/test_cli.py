@@ -249,3 +249,87 @@ class TestChaosVerb:
         err = capsys.readouterr().err
         assert "unknown plan(s) nope" in err
         assert "follower-kill" in err and "torn-write" in err
+
+
+class TestPageFileDiagnostics:
+    """``info`` and ``recover`` on a page file whose writer died: they
+    name the checkpoint LSN, how many log transactions fold over it, and
+    why the tail was discarded."""
+
+    @pytest.fixture
+    def crashed_store(self, tmp_path):
+        from repro import WBox
+        from repro.persist import attach_scheme_to_backend
+        from repro.storage import BlockStore, FileBackend, default_page_bytes
+
+        path = str(tmp_path / "s.pages")
+        backend = FileBackend(path, page_bytes=default_page_bytes(TINY_CONFIG.block_bytes))
+        scheme = WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))
+        attach_scheme_to_backend(scheme)
+        lids = scheme.bulk_load(24, [i ^ 1 for i in range(24)])
+        for index in range(5):
+            scheme.insert_before(lids[index])
+        backend.close()
+        with open(path + ".wal", "ab") as handle:
+            handle.write(b"\x01\x00\x00\x00\x40abc")  # a PUT cut short
+        return path
+
+    def test_info_then_recover_then_info(self, crashed_store, capsys):
+        assert main(["info", crashed_store]) == 0
+        before = capsys.readouterr().out
+        assert "format version 2" in before
+        assert "checkpoint:   LSN 2" in before and "live labels:  0" in before
+        assert "6 transaction(s), 6 to fold" in before
+        assert "torn tail of 8 bytes to discard (torn record body)" in before
+
+        assert main(["recover", crashed_store]) == 0
+        report = capsys.readouterr().out
+        assert "checkpoint LSN:   2" in report
+        assert "folded from log:  6 transaction(s), to LSN 8 (base: directory)" in report
+        assert "discarded tail:   8 bytes (torn record body)" in report
+        assert "labels: 29" in report and "WAL empty, directory current" in report
+
+        assert main(["info", crashed_store]) == 0
+        after = capsys.readouterr().out
+        assert "checkpoint:   LSN 8" in after and "live labels:  29" in after
+        assert "WAL:          empty (clean shutdown)" in after
+
+    def test_info_counts_what_recover_folds_under_a_newer_absolute_base(
+        self, tmp_path, capsys
+    ):
+        """Crash inside a checkpoint's write-back: the log's ABSOLUTE
+        record, not the older directory, is the base — ``info`` counts
+        through the same fold as ``recover`` and says 0, not 6."""
+        from repro import WBox
+        from repro.errors import CrashError
+        from repro.faults import TORN_WRITE, FaultInjector, FaultPlan, FaultSpec
+        from repro.persist import attach_scheme_to_backend
+        from repro.storage import BlockStore, FileBackend, default_page_bytes
+
+        path = str(tmp_path / "c.pages")
+        backend = FileBackend(path, page_bytes=default_page_bytes(TINY_CONFIG.block_bytes))
+        scheme = WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))
+        attach_scheme_to_backend(scheme)
+        lids = scheme.bulk_load(24, [i ^ 1 for i in range(24)])
+        for index in range(5):
+            scheme.insert_before(lids[index])
+        backend.install_faults(
+            FaultInjector(FaultPlan([FaultSpec(TORN_WRITE, "backend.page_write", at=1)]))
+        )
+        with pytest.raises(CrashError):
+            backend.checkpoint()
+        backend.close()
+
+        assert main(["info", path]) == 0
+        assert "7 transaction(s), 0 to fold" in capsys.readouterr().out
+        assert main(["recover", path]) == 0
+        report = capsys.readouterr().out
+        assert "folded from log:  0 transaction(s), to LSN 8 (base: wal)" in report
+
+    def test_version_1_files_are_refused_by_name(self, tmp_path, capsys):
+        old = tmp_path / "old.pages"
+        old.write_bytes(b"BOXPAGE1" + b"\0" * 8192)
+        assert main(["info", str(old)]) == 1
+        assert main(["recover", str(old)]) == 1
+        errors = capsys.readouterr().err
+        assert errors.count("format-version-1 page file") == 2

@@ -1,0 +1,164 @@
+"""O(delta) commits: what a commit journals, and that folding it is exact.
+
+A file-backend commit writes one log transaction ``[PUT…, DELTA, COMMIT]``;
+the DELTA says what changed in the directory (allocation state, LIDF
+directory, scheme scalars) and reopening folds the DELTAs over the last
+checkpoint.  Three claims are pinned here:
+
+* **fold ≡ absolute** (property): whatever tape ran, wherever checkpoints
+  fell and wherever the process died, the reopened scheme's complete
+  self-description equals a memory twin's that ran the same tape — free
+  lists *in order* — and both go on allocating the same ids;
+* **flat in the size of the structure**: the DELTA of one fixed edit has
+  the same bytes on a 2k-label and a 20k-label store;
+* **bounded log**: commits alone keep the live log under
+  ``CHECKPOINT_LOG_BYTES`` plus one transaction.
+"""
+
+import os
+import tempfile
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import HealthCheck, given, settings
+
+from repro import WBox
+from repro.config import TINY_CONFIG, BoxConfig
+from repro.persist import (
+    attach_scheme_to_backend,
+    checkpoint_scheme,
+    open_file_scheme,
+    scheme_metadata_header,
+)
+from repro.storage import BlockStore, FileBackend, default_page_bytes, scan_wal
+from repro.storage.filebackend import CHECKPOINT_LOG_BYTES
+
+from .test_format_pin import FACTORIES
+
+#: One tape step: insert before / insert an element before / delete the
+#: drawn live LID, or checkpoint.  Deletes outnumber what a document edit
+#: session would have so LIDs and blocks get recycled.
+STEP = st.tuples(
+    st.sampled_from(
+        ["insert", "insert", "element", "delete", "delete", "delete", "checkpoint"]
+    ),
+    st.integers(min_value=0, max_value=1 << 16),
+)
+
+
+def _apply(scheme, lids, step):
+    kind, draw = step
+    if kind == "checkpoint":
+        if isinstance(scheme.store.backend, FileBackend):
+            checkpoint_scheme(scheme)
+    elif kind == "delete" and len(lids) > 6:
+        scheme.delete(lids.pop(draw % len(lids)))
+    elif kind == "element":
+        lids.extend(scheme.insert_element_before(lids[draw % len(lids)]))
+    else:
+        lids.append(scheme.insert_before(lids[draw % len(lids)]))
+
+
+@pytest.mark.parametrize("name", sorted(FACTORIES))
+@given(tape=st.lists(STEP, min_size=5, max_size=120), data=st.data())
+@settings(
+    max_examples=20, deadline=None, suppress_health_check=list(HealthCheck)
+)
+def test_fold_equals_absolute(name, tape, data):
+    crash_at = data.draw(st.integers(min_value=0, max_value=len(tape)))
+    with tempfile.TemporaryDirectory(prefix="repro-fold-") as directory:
+        path = os.path.join(directory, "t.pages")
+        backend = FileBackend(
+            path, page_bytes=default_page_bytes(TINY_CONFIG.block_bytes)
+        )
+        scheme = FACTORIES[name](BlockStore(TINY_CONFIG, backend=backend))
+        attach_scheme_to_backend(scheme)
+        twin = FACTORIES[name](None)
+        lids = scheme.bulk_load(16, [i ^ 1 for i in range(16)])
+        twin_lids = twin.bulk_load(16, [i ^ 1 for i in range(16)])
+        for step in tape[:crash_at]:
+            _apply(scheme, lids, step)
+            _apply(twin, twin_lids, step)
+        assert lids == twin_lids
+        # The crash: close() writes nothing, so this is the process dying
+        # with the log as the commits left it.
+        backend.close()
+
+        reopened = open_file_scheme(path)
+        try:
+            assert scheme_metadata_header(reopened) == scheme_metadata_header(twin)
+            assert [reopened.lookup(lid) for lid in lids] == [
+                twin.lookup(lid) for lid in lids
+            ]
+            for step in range(20):
+                anchor = lids[(7 * step) % len(lids)]
+                assert reopened.insert_before(anchor) == twin.insert_before(anchor)
+            assert [reopened.store.backend.allocate([]) for _ in range(20)] == [
+                twin.store.backend.allocate([]) for _ in range(20)
+            ]
+        finally:
+            reopened.store.backend.close()
+
+
+def _three_op_delta(directory, n_labels):
+    """The DELTA body of one fixed 3-op edit on an ``n_labels`` W-BOX."""
+    config = BoxConfig(block_bytes=1024)
+    path = os.path.join(directory, f"{n_labels}.pages")
+    backend = FileBackend(path, page_bytes=default_page_bytes(config.block_bytes))
+    scheme = WBox(config, store=BlockStore(config, backend=backend))
+    attach_scheme_to_backend(scheme)
+    lids = scheme.bulk_load(n_labels, [i ^ 1 for i in range(n_labels)])
+    checkpoint_scheme(scheme)
+    with scheme.store.operation():  # one commit, as one service submit is
+        scheme.insert_element_before(lids[40])
+        scheme.insert_before(lids[40])
+        scheme.delete_element(lids[60], lids[61])
+    backend.close()
+    (txn,) = scan_wal(path + ".wal").transactions
+    assert not txn.absolute and len(txn.puts) >= 2
+    return txn.body
+
+
+def test_delta_is_flat_in_the_size_of_the_structure(tmp_path):
+    small = _three_op_delta(str(tmp_path), 2_000)
+    large = _three_op_delta(str(tmp_path), 20_000)
+    assert len(small) == len(large) <= 32
+    assert small == large  # same LSN, same differences, same LIDF ops
+
+
+def test_commits_alone_keep_the_log_bounded(tmp_path):
+    """5,000 small commits, no explicit checkpoint: ``commit`` checkpoints
+    by itself on bytes logged, so the live log never holds more than the
+    constant plus the transaction that crossed it — and that is all a
+    reopen has to scan."""
+    path = str(tmp_path / "t.pages")
+    backend = FileBackend(path, page_bytes=default_page_bytes(TINY_CONFIG.block_bytes))
+    scheme = WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))
+    attach_scheme_to_backend(scheme)
+    lids = scheme.bulk_load(24, [i ^ 1 for i in range(24)])
+    wal = path + ".wal"
+    size = os.path.getsize(wal)
+    largest = checkpoints = 0
+    for index in range(5_000):
+        lids.append(scheme.insert_before(lids[(7 * index) % len(lids)]))
+        now = os.path.getsize(wal)
+        if now < size:
+            checkpoints += 1
+            # Only the commit that crosses the bound truncates (these
+            # transactions are a few hundred bytes each).
+            assert size > CHECKPOINT_LOG_BYTES - 4096
+        else:
+            largest = max(largest, now - size)
+            assert now <= CHECKPOINT_LOG_BYTES + largest
+        size = now
+    assert checkpoints >= 1 and backend.page_writes > 0
+    labels = [scheme.lookup(lid) for lid in lids]
+    backend.close()
+
+    reopened = open_file_scheme(path)
+    report = reopened.store.backend.recovery_report
+    assert os.path.getsize(wal) == size <= CHECKPOINT_LOG_BYTES + largest
+    assert 0 < report["replayed_transactions"] < 5_000
+    assert report["lsn"] == backend.lsn
+    assert [reopened.lookup(lid) for lid in lids] == labels
+    reopened.store.backend.close()

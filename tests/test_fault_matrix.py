@@ -2,12 +2,12 @@
 
 This is the PR-2 twin-oracle recovery test, generalized through
 :class:`repro.faults.FaultPlan`: for each of the six scheme variants and
-each fault class — torn physical write, failed fsync, mid-superblock
+each fault class — torn physical write, failed fsync, mid-directory
 crash — a file-backed scheme runs a deterministic op tape until the
 injected fault kills the backend, reopens through WAL recovery, and must
 agree with a memory-backed twin on **every** LID.  A dedicated case pins
-the superblock *overflow-blob* write path, which the old write-budget
-counter never steered into deliberately.
+the *directory* write of a checkpoint, proving first that the tear
+destroys the at-rest image and only the log's absolute record remains.
 
 The per-trial machinery is :func:`repro.faults.run_chaos_trial` — the
 same code the ``repro chaos`` CLI sweeps — so this matrix doubles as the
@@ -18,16 +18,15 @@ import pytest
 
 from repro.config import TINY_CONFIG
 from repro.core import scheme_factory
-from repro.faults import FaultPlan, run_chaos_trial, standard_plans
+from repro.errors import CrashError
+from repro.faults import FaultInjector, FaultPlan, run_chaos_trial, standard_plans
 from repro.faults.chaos import SCHEME_NAMES
-from repro.persist import checkpoint_scheme
-from repro.storage import BlockStore, FileBackend, default_page_bytes
-from repro.storage import filebackend as filebackend_module
-from repro.storage.filebackend import decode_superblock_image
+from repro.persist import checkpoint_scheme, open_file_scheme
+from repro.storage import BlockStore, FileBackend, default_page_bytes, read_directory
 
 MATRIX_PLANS = {
-    "torn-write": FaultPlan.torn_write(at=None, window=(1, 40)),
-    "fsync-fail": FaultPlan.fsync_failure(at=None, window=(1, 10)),
+    "torn-write": FaultPlan.torn_write(at=None, window=(1, 160)),
+    "fsync-fail": FaultPlan.fsync_failure(at=None, window=(1, 27)),
     "superblock-torn": FaultPlan.superblock_crash(at=None, window=(1, 6)),
 }
 
@@ -55,39 +54,43 @@ def test_recovery_matrix(tmp_path, scheme_name, plan_name):
 
 
 @pytest.mark.parametrize("scheme_name", ["wbox", "bbox"])
-def test_superblock_overflow_blob_crash(tmp_path, monkeypatch, scheme_name):
-    """Shrink the fixed superblock region so scheme metadata must spill to
-    an overflow blob, then tear the superblock write: the fault lands on
-    the blob bytes, and recovery must rebuild from the WAL's committed
-    META (the inline pointer may reference the half-overwritten blob)."""
-    monkeypatch.setattr(filebackend_module, "SUPERBLOCK_BYTES", 192)
-
-    # Prove the path is actually exercised: a checkpointed scheme's inline
-    # superblock must be an overflow pointer, not the state itself.
+def test_directory_write_crash(tmp_path, scheme_name):
+    """Tear the directory image a checkpoint writes: the fault lands on
+    the image bytes (past the last page, over the previous image), so the
+    at-rest directory is gone and recovery must rebuild from the absolute
+    record the checkpoint logged first."""
+    # Prove the path is actually exercised: after the tear the header
+    # points at an image that no longer checks out.
     factory = scheme_factory(scheme_name)
     probe_path = str(tmp_path / "probe.pages")
     backend = FileBackend(
         probe_path, page_bytes=default_page_bytes(TINY_CONFIG.block_bytes)
     )
     scheme = factory(TINY_CONFIG, BlockStore(TINY_CONFIG, backend=backend))
-    scheme.bulk_load(24, [i ^ 1 for i in range(24)])
+    lids = scheme.bulk_load(24, [i ^ 1 for i in range(24)])
     checkpoint_scheme(scheme)
-    with open(probe_path, "rb") as handle:
-        handle.seek(len(filebackend_module.MAGIC))
-        inline = decode_superblock_image(handle.read(192))
-    assert inline is not None and "overflow" in inline
+    assert read_directory(probe_path)["lsn"] == backend.lsn
+    scheme.insert_before(lids[5])
+    backend.install_faults(FaultInjector(FaultPlan.superblock_crash(at=1)))
+    with pytest.raises(CrashError):
+        checkpoint_scheme(scheme)
     backend.close()
+    assert read_directory(probe_path) is None
+    reopened = open_file_scheme(probe_path)
+    assert reopened.store.backend.recovery_report["base"] == "wal"
+    assert reopened.label_count() == 25
+    reopened.store.backend.close()
 
     for seed in (0, 1, 2):
         trial = run_chaos_trial(
             scheme_name,
-            "superblock-overflow",
+            "directory-torn",
             FaultPlan.superblock_crash(at=None, window=(1, 4)),
             seed,
             str(tmp_path),
             max_ops=120,
         )
-        assert trial.crashed, f"seed {seed}: superblock fault never fired"
+        assert trial.crashed, f"seed {seed}: directory fault never fired"
         assert "backend.superblock:torn_write" in trial.faults_fired
         assert trial.mismatches == 0 and not trial.error, trial
 

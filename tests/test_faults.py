@@ -200,9 +200,10 @@ class TestBackendHooks:
         first = backend.allocate([1])
         backend.commit([first])
         second = backend.allocate([2])
-        # Invocation 2 of raw_write within the next commit lands inside the
-        # WAL transaction (magic is invocation 1 after truncation): the
-        # partial transaction must be rolled back, not left as a torn tail.
+        # Invocation 2 of raw_write within the next commit lands inside
+        # its WAL transaction (after the first PUT): the partial
+        # transaction must be rolled back, not left as a torn tail — and
+        # the allocation delta it carried must still be pending.
         backend.install_faults(
             FaultInjector(
                 FaultPlan.transient_io_error(hook="backend.raw_write", at=2)
@@ -211,11 +212,15 @@ class TestBackendHooks:
         with pytest.raises(TransientIOError):
             backend.commit([first, second])
         scan = scan_wal(backend.wal_path)
-        assert scan.committed == 0 and not scan.torn_tail
+        assert scan.committed == 1 and not scan.torn_tail
+        assert backend.lsn == 1
         backend.commit([first, second])  # retry succeeds against a clean log
+        scan = scan_wal(backend.wal_path)
+        assert [txn.lsn for txn in scan.transactions] == [1, 2]
         backend.close()
         reopened = make_backend(tmp_path)
         assert reopened.read(second) == [2]
+        assert reopened.next_id == 3  # the retried delta folded exactly once
         reopened.close()
 
     def test_fsync_failure_is_fatal(self, tmp_path):

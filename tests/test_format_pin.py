@@ -1,13 +1,15 @@
 """Format pin: committed snapshot, page-file and WAL-segment bytes.
 
-``tests/data/golden_format/`` holds, for six scheme variants, the three
+``tests/data/golden_format/`` holds, for six scheme variants, the
 on-disk artefacts of one small fixed tape — a :func:`save_scheme`
-snapshot, the page file after the tape, and the sealed WAL segment that
-holds the tape's commits.  The files were generated before the on-disk
-code was refactored; every change since must reproduce them bit for bit
-(the commit-metadata dict, the page images, the WAL record framing and
-the snapshot body all live in those bytes) and must still *load* them
-into a working scheme whose every LID agrees with a memory twin.
+snapshot, the checkpoint image taken before the tape, the page file
+after it, and the sealed WAL segment that holds the tape's commits.
+Every change must reproduce them bit for bit (the directory image, the
+page images, the DELTA and ABSOLUTE record bodies, the WAL record
+framing and the snapshot body all live in those bytes) and must still
+*load* them into a working scheme whose every LID agrees with a memory
+twin.  Snapshots date from before the page-file and WAL formats went to
+version 2 (O(delta) commits) and did not change with them.
 
 Regenerate (only when the format is changed on purpose)::
 
@@ -30,7 +32,13 @@ from repro.persist import (
     open_file_scheme,
     save_scheme,
 )
-from repro.storage import BlockStore, FileBackend, segment_path
+from repro.storage import (
+    BlockStore,
+    FileBackend,
+    checkpoint_image_path,
+    scan_wal,
+    segment_path,
+)
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "data", "golden_format")
 
@@ -95,13 +103,15 @@ def build_artefacts(name, workdir):
     backend = FileBackend(page_path, page_bytes=PAGE_BYTES, retain_wal=True)
     scheme = FACTORIES[name](BlockStore(TINY_CONFIG, backend=backend))
     lids = _bulk(scheme)
-    full_checkpoint(scheme)  # seals the bulk load; the tape gets its own segment
+    # Seals the bulk load; the tape gets its own segment.
+    image = full_checkpoint(scheme)["segment"]
     _apply_tape(scheme, lids)
     segment = incremental_checkpoint(scheme)
     save_scheme(scheme, snapshot_path)
     backend.close()
     return {
         "snapshot": snapshot_path,
+        "base.pages": checkpoint_image_path(page_path, image),
         "pages": page_path,
         "segment.wal": segment_path(page_path, segment),
     }
@@ -142,18 +152,46 @@ def test_committed_snapshot_loads(name):
 @pytest.mark.parametrize("replay_segment", [False, True], ids=["clean", "replay"])
 @pytest.mark.parametrize("name", sorted(FACTORIES))
 def test_committed_page_file_opens(tmp_path, name, replay_segment):
-    """The committed page file opens into a working scheme — on its own,
-    and with the committed segment placed as its log, which sends every
-    commit of the tape back through WAL scan + replay (page writes are
-    idempotent, the newest metadata wins)."""
+    """The committed page file opens into a working scheme on its own;
+    the committed checkpoint image from before the tape does with the
+    committed segment placed as its log — minus the absolute record that
+    closes it, as a crash before the sealing checkpoint would have left
+    it — which sends every commit of the tape back through WAL scan +
+    fold."""
     path = str(tmp_path / "copy.pages")
-    shutil.copyfile(os.path.join(GOLDEN_DIR, name, "pages"), path)
+    pages = "base.pages" if replay_segment else "pages"
+    shutil.copyfile(os.path.join(GOLDEN_DIR, name, pages), path)
     if replay_segment:
-        shutil.copyfile(os.path.join(GOLDEN_DIR, name, "segment.wal"), path + ".wal")
+        segment = os.path.join(GOLDEN_DIR, name, "segment.wal")
+        closing = scan_wal(segment).transactions[-1]
+        assert closing.absolute and not closing.puts
+        with open(segment, "rb") as src, open(path + ".wal", "wb") as dst:
+            # record header + body, then the 9-byte commit record
+            dst.write(src.read()[: -(5 + len(closing.body) + 9)])
     scheme = open_file_scheme(path)
     try:
-        replayed = scheme.store.backend.recovery_report["replayed_transactions"]
+        report = scheme.store.backend.recovery_report
+        replayed = report["replayed_transactions"]
         assert (replayed > 0) == replay_segment
+        assert not report["discarded_tail_bytes"]
+        _assert_matches_twin(scheme, name)
+    finally:
+        scheme.store.backend.close()
+
+
+@pytest.mark.parametrize("name", sorted(FACTORIES))
+def test_segment_already_in_the_page_file_is_skipped(tmp_path, name):
+    """The page file *after* the tape with the tape's segment as its log
+    (a checkpoint that crashed before its truncate): every transaction's
+    LSN is at or below the directory's, so nothing folds twice."""
+    path = str(tmp_path / "copy.pages")
+    shutil.copyfile(os.path.join(GOLDEN_DIR, name, "pages"), path)
+    shutil.copyfile(os.path.join(GOLDEN_DIR, name, "segment.wal"), path + ".wal")
+    scheme = open_file_scheme(path)
+    try:
+        report = scheme.store.backend.recovery_report
+        assert report["replayed_transactions"] == 0
+        assert report["checkpoint_lsn"] == report["lsn"] > len(TAPE)
         _assert_matches_twin(scheme, name)
     finally:
         scheme.store.backend.close()

@@ -76,5 +76,6 @@ def test_file_backend_counts_identical(tmp_path, name, backend_cls):
     assert _observed("concentrated", result, scheme) == (
         GOLDEN["workloads"]["concentrated"][name]
     )
+    backend.checkpoint()  # commits only log; pages are a checkpoint's write-back
     assert backend.commits > 0 and backend.page_writes > 0
     backend.close()

@@ -143,3 +143,46 @@ class TestBulkAccess:
         with lidf.store.measured() as op:
             lidf.rewrite_all(lambda lid, value: value)
         assert op.reads == 2 and op.writes == 2
+
+
+class TestJournal:
+    """What a file backend journals per commit: the allocation ops, which
+    folded over an older ``persist_state()`` must reproduce the newer one
+    exactly — free-heap order included."""
+
+    def test_off_by_default(self, lidf):
+        lidf.allocate(1)
+        assert lidf.journal is None
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_fold_reproduces_the_directory(self, lidf, seed):
+        import random
+
+        from repro.storage.heapfile import fold_lidf_journal
+
+        rng = random.Random(seed)
+        live = [lidf.allocate(i) for i in range(3 * RPB)]
+        for lid in rng.sample(live, RPB):
+            lidf.free(lid)
+            live.remove(lid)
+        base = lidf.persist_state()
+        lidf.journal = []
+        for _ in range(120):
+            roll = rng.random()
+            if roll < 0.4 and live:
+                lidf.free(live.pop(rng.randrange(len(live))))
+            elif roll < 0.7:
+                live.append(lidf.allocate("x"))
+            else:
+                live.extend(lidf.allocate_pair("s", "e"))
+        codes = set(lidf.journal[::2])
+        assert codes == {0, 1, 2, 3, 4}, "tail, pop, free, pair and block ops all seen"
+        fold_lidf_journal(base, iter(lidf.journal))
+        assert base == lidf.persist_state()
+
+    def test_runs_of_fresh_allocations_are_one_op(self, lidf):
+        lidf.journal = []
+        for i in range(RPB - 1):
+            lidf.allocate(i)
+        # first record, the block it needed, then one op for the run
+        assert lidf.journal == [0, 1, 4, lidf._block_ids[0], 0, RPB - 2]

@@ -64,6 +64,9 @@ def silent_port():
     thread = threading.Thread(target=accept_loop, daemon=True)
     thread.start()
     yield sock.getsockname()[1]
+    # close() from this thread does not wake a thread blocked in accept()
+    # on Linux; shutdown() does (accept fails with EINVAL).
+    sock.shutdown(socket.SHUT_RDWR)
     sock.close()
     for conn in conns:
         try:
@@ -71,6 +74,7 @@ def silent_port():
         except OSError:
             pass
     thread.join(5)
+    assert not thread.is_alive(), "accept loop leaked past the fixture"
 
 
 class TestIdempotence:

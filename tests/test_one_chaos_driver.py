@@ -12,7 +12,10 @@ twins could grow back are checked by walking the source:
   (``create_sharded_backends(`` / ``ShardedLabelService(``);
 * a module under ``repro/faults/`` branching on a tape step's kind
   itself instead of going through ``apply_tape_step``;
-* a plan row the CLI's ``--plans`` does not take.
+* a plan row the CLI's ``--plans`` does not take;
+* a plan row whose hook the protocol no longer reaches (a commit writes
+  only the log; pages, directory and truncate belong to the tape's
+  checkpoint steps), so that it "passes" by never firing.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.errors import ReproError
-from repro.faults import standard_plans
+from repro.faults import run_chaos_trial, standard_plans
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 FAULTS = SRC / "repro" / "faults"
@@ -38,7 +41,7 @@ REMOVED_NAMES = (
     "replchaos",
 )
 BUILDERS = ("ShardedLabelService", "create_sharded_backends")
-TAPE_KINDS = {"delete", "insert_before"}
+TAPE_KINDS = {"delete", "insert_before", "checkpoint"}
 
 
 def _functions_calling(name: str) -> list[str]:
@@ -102,3 +105,17 @@ def test_every_standard_plan_row_is_a_plans_value(capsys):
         assert list(standard_plans([name])) == [name]
     with pytest.raises(ReproError, match="unknown plan"):
         standard_plans(["follower-kill", "nope"])
+
+
+@pytest.mark.parametrize("plan_name", list(standard_plans()))
+def test_every_standard_plan_row_fires(tmp_path, plan_name):
+    """A plan that silently stops firing is lost coverage, not a pass: at
+    the CI smoke's tape length every row must inject its fault — at every
+    hook it names — for at least one of a few seeds, and recover clean."""
+    plan = standard_plans()[plan_name]
+    fired: set[str] = set()
+    for seed in range(3):
+        trial = run_chaos_trial("wbox", plan_name, plan, seed, str(tmp_path), max_ops=120)
+        assert trial.ok, trial
+        fired.update(entry.rsplit(":", 1)[0] for entry in trial.faults_fired)
+    assert fired == {spec.hook for spec in plan}

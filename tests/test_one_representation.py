@@ -197,20 +197,20 @@ def test_toy_scheme_recovers_from_a_crash(tmp_path, torn_write):
     scheme, lids = _build(BlockStore(TINY_CONFIG, backend=backend))
     attach_scheme_to_backend(scheme)
     backend.install_faults(FaultInjector(FaultPlan.torn_write(at=torn_write), seed=0))
-    completed = 0
+    completed, acked = 0, backend.lsn
     with pytest.raises(CrashError):
         for step in range(200):
             lids.append(scheme.insert_before(lids[(step * 5) % len(lids)]))
-            completed += 1
+            completed, acked = completed + 1, backend.lsn
     backend.close()
 
     reopened = open_file_scheme(path)
     try:
         assert type(reopened) is CountingNaive
         # The torn write may have landed after the in-flight insert's
-        # commit record reached the log; recovery then replays it.
-        replayed = bool(reopened.store.backend.recovery_report["replayed_transactions"])
-        served = completed + (1 if replayed else 0)
+        # commit record reached the log; recovery then folds it, and the
+        # LSN is past the last acknowledged one.
+        served = completed + (reopened.store.backend.lsn > acked)
         assert reopened.inserts_served == served > 0
         labels = _twin_labels(served)
         assert [reopened.lookup(lid) for lid in lids] == labels[: len(lids)]

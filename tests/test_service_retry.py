@@ -86,6 +86,84 @@ class TestTransientRetry:
             assert service.stats.snapshot().write_retries == 0
 
 
+class TestRetryOnAFileBackend:
+    def test_retried_commit_journals_its_delta_once(self, tmp_path):
+        """A transient error mid-append rolls the log back and leaves the
+        pending delta and its LSN unconsumed, so the retry journals the
+        same delta under the same LSN: one transaction, folded once."""
+        from repro.persist import (
+            attach_scheme_to_backend,
+            open_file_scheme,
+            scheme_metadata_header,
+        )
+        from repro.storage import BlockStore, FileBackend, default_page_bytes, scan_wal
+
+        path = str(tmp_path / "retry.pages")
+        backend = FileBackend(
+            path, page_bytes=default_page_bytes(TINY_CONFIG.block_bytes)
+        )
+        scheme = WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))
+        attach_scheme_to_backend(scheme)
+        lids = scheme.bulk_load(24, [i ^ 1 for i in range(24)])
+        before = [txn.lsn for txn in scan_wal(backend.wal_path).transactions]
+        policy = RetryPolicy(max_retries=3, base_delay=0.0, sleep=lambda _: None)
+        service = LabelService(scheme, log_capacity=64, retry_policy=policy)
+        # The 2nd physical write of the submit's commit is inside its
+        # transaction: a PUT is already in the log when the DELTA fails.
+        backend.fault_injector = FaultInjector(
+            FaultPlan.transient_io_error(hook="backend.raw_write", at=2)
+        )
+        with service.start():
+            service.submit_ops([BatchOp("delete", (lids[8],))]).wait(timeout=5.0)
+            assert service.stats.snapshot().write_retries == 1
+        after = [txn.lsn for txn in scan_wal(backend.wal_path).transactions]
+        assert after == before + [before[-1] + 1] and backend.lsn == after[-1]
+        header = scheme_metadata_header(scheme)
+        backend.close()
+        reopened = open_file_scheme(path)
+        assert scheme_metadata_header(reopened) == header
+        reopened.store.backend.close()
+
+    def test_abandoned_commit_leaves_no_transaction_behind(self, tmp_path):
+        """A transient error at the log's fsync — the transaction is
+        complete in the file by then — rolls it back too.  A caller who
+        does not retry and edits on then journals one larger delta under
+        that LSN; a standing first copy would be folded in its place."""
+        from repro.persist import (
+            attach_scheme_to_backend,
+            open_file_scheme,
+            scheme_metadata_header,
+        )
+        from repro.storage import BlockStore, FileBackend, default_page_bytes, scan_wal
+
+        path = str(tmp_path / "abandon.pages")
+        backend = FileBackend(
+            path, page_bytes=default_page_bytes(TINY_CONFIG.block_bytes), fsync=True
+        )
+        scheme = WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))
+        attach_scheme_to_backend(scheme)
+        twin = WBox(TINY_CONFIG)
+        lids = scheme.bulk_load(24, [i ^ 1 for i in range(24)])
+        twin.bulk_load(24, [i ^ 1 for i in range(24)])
+        before = [txn.lsn for txn in scan_wal(backend.wal_path).transactions]
+        backend.fault_injector = FaultInjector(
+            FaultPlan.transient_io_error(hook="backend.fsync", at=1)
+        )
+        with pytest.raises(TransientIOError):
+            scheme.insert_before(lids[3])
+        assert [txn.lsn for txn in scan_wal(backend.wal_path).transactions] == before
+        twin.insert_before(lids[3])
+        lids.append(scheme.insert_before(lids[5]))
+        assert twin.insert_before(lids[5]) == lids[-1]
+        after = [txn.lsn for txn in scan_wal(backend.wal_path).transactions]
+        assert after == before + [before[-1] + 1]
+        backend.close()
+        reopened = open_file_scheme(path)
+        assert scheme_metadata_header(reopened) == scheme_metadata_header(twin)
+        assert [reopened.lookup(lid) for lid in lids] == [twin.lookup(lid) for lid in lids]
+        reopened.store.backend.close()
+
+
 class TestDegradedMode:
     def test_writer_crash_degrades_to_read_only(self):
         scheme, service, lids = build_service(

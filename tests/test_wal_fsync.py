@@ -1,20 +1,22 @@
 """The WAL protocol's fsync discipline, pinned syscall-by-syscall.
 
-Two durability bugs motivate this file:
+A commit is one log append and one barrier; a checkpoint is the force
+protocol.  Two durability bugs motivate pinning the latter:
 
-* **Truncate durability** — emptying the log (protocol step 3) must fsync
-  the emptied file *and* its parent directory.  A truncation that only
-  reaches the page cache can be lost to power failure, leaving a stale
-  WAL next to newer pages; recovery would then replay old metadata over
-  the newer state.
-* **Barrier ordering** — pages + superblock must be fsynced *before* the
+* **Truncate durability** — emptying the log (a checkpoint's last step)
+  must fsync the emptied file *and* its parent directory.  A truncation
+  that only reaches the page cache can be lost to power failure, leaving
+  a folded log next to the directory that includes it; recovery must
+  then skip it by LSN instead of folding its deltas twice.
+* **Barrier ordering** — pages + directory must be fsynced *before* the
   truncate begins.  Truncating first opens a window where neither the
-  log nor the page file holds the committed transaction.
+  log nor the page file holds the committed transactions.
 
 The tests record every ``os.fsync`` target (inode + file/dir bit) during
-a single commit on an ``fsync=True`` backend and assert the exact
-sequence; a directed fault-matrix entry then crashes *at* the truncate
-hook and proves recovery replays the still-present log correctly.
+a single commit and a single checkpoint on an ``fsync=True`` backend and
+assert the exact sequences; a directed fault-matrix entry then crashes
+*at* the truncate hook and proves recovery neither loses nor double-folds
+the still-present log.
 """
 
 import os
@@ -26,8 +28,14 @@ from repro import WBox
 from repro.config import TINY_CONFIG
 from repro.errors import CrashError
 from repro.faults import TORN_WRITE, FaultInjector, FaultPlan, FaultSpec, run_chaos_trial
-from repro.persist import attach_scheme_to_backend, open_file_scheme
+from repro.persist import (
+    attach_scheme_to_backend,
+    checkpoint_scheme,
+    open_file_scheme,
+    scheme_metadata_header,
+)
 from repro.storage import BlockStore, FileBackend, default_page_bytes, scan_wal
+from repro.storage import filebackend as filebackend_module
 
 
 def make_scheme(tmp_path, fsync=True):
@@ -44,6 +52,17 @@ def make_scheme(tmp_path, fsync=True):
 
 def bulk(scheme, count):
     return scheme.bulk_load(count, [i ^ 1 for i in range(count)])
+
+
+def lose_page_writes(path):
+    """Zero every page the at-rest directory lists: the directory and
+    header reached the disk, the page images under them did not."""
+    directory = filebackend_module.read_directory(path)
+    first = len(filebackend_module.MAGIC) + filebackend_module.HEADER_BYTES
+    with open(path, "r+b") as handle:
+        for block_id in directory["on_disk"]:
+            handle.seek(first + (block_id - 1) * directory["page_bytes"])
+            handle.write(bytes(directory["page_bytes"]))
 
 
 class FsyncRecorder:
@@ -98,11 +117,25 @@ class TestTruncateDurability:
 
 
 class TestCommitBarrierOrdering:
+    def test_commit_is_one_log_fsync(self, tmp_path, monkeypatch):
+        """A commit fsyncs the appended log and nothing else: no page
+        file barrier, no truncate — and writes nothing to the page file."""
+        scheme, backend, path = make_scheme(tmp_path)
+        lids = bulk(scheme, 8)
+        wal_ino = os.stat(backend.wal_path).st_ino
+        pages_before, written_before = open(path, "rb").read(), backend.page_writes
+        recorder = FsyncRecorder(monkeypatch)
+        scheme.insert_before(lids[3])
+        assert recorder.targets == [(wal_ino, False)]
+        assert open(path, "rb").read() == pages_before
+        assert backend.page_writes == written_before
+        backend.close()
+
     def test_single_commit_fsync_sequence(self, tmp_path, monkeypatch):
-        """One commit fsyncs, in order: the appended log, the page file
-        (the barrier), the emptied log, the directory.  The barrier
-        strictly preceding the truncate syncs is the commit protocol's
-        safety argument."""
+        """One checkpoint fsyncs, in order: the log (its absolute
+        record), the page file (the barrier), the emptied log, the
+        directory.  The barrier strictly preceding the truncate syncs is
+        the protocol's safety argument."""
         scheme, backend, path = make_scheme(tmp_path)
         bulk(scheme, 8)
         wal_before = os.stat(backend.wal_path).st_ino
@@ -112,24 +145,64 @@ class TestCommitBarrierOrdering:
         wal_after = os.stat(backend.wal_path).st_ino
         dir_ino = os.stat(tmp_path).st_ino
         assert recorder.targets == [
-            (wal_before, False),  # WAL append + commit record
-            (pages_ino, False),  # pages + superblock barrier
+            (wal_before, False),  # absolute record + commit record
+            (pages_ino, False),  # pages + directory barrier
             (wal_after, False),  # emptied log
             (dir_ino, True),  # its directory entry
         ]
+        backend.close()
+
+    def test_retaining_checkpoint_leaves_the_log_to_be_sealed(
+        self, tmp_path, monkeypatch
+    ):
+        """``retain_wal``: the checkpoint's barriers stop at the page
+        file; sealing later syncs the log under its old inode, renames
+        it, and syncs the directory."""
+        path = str(tmp_path / "r.pages")
+        backend = FileBackend(
+            path,
+            page_bytes=default_page_bytes(TINY_CONFIG.block_bytes),
+            fsync=True,
+            retain_wal=True,
+        )
+        scheme = WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))
+        attach_scheme_to_backend(scheme)
+        bulk(scheme, 8)
+        wal_ino = os.stat(backend.wal_path).st_ino
+        pages_ino = os.stat(path).st_ino
+        recorder = FsyncRecorder(monkeypatch)
+        backend.checkpoint()
+        assert recorder.targets == [(wal_ino, False), (pages_ino, False)]
+        assert os.stat(backend.wal_path).st_ino == wal_ino
+        del recorder.targets[:]
+        assert backend.seal_wal_segment() == 1
+        assert recorder.files()[0] == wal_ino
+        assert os.stat(tmp_path).st_ino in recorder.dirs()
+        assert pages_ino not in recorder.files()  # already checkpointed
+        backend.close()
+
+    def test_no_fsync_policy_covers_commit_and_checkpoint(self, tmp_path, monkeypatch):
+        scheme, backend, path = make_scheme(tmp_path, fsync=False)
+        lids = bulk(scheme, 8)
+        recorder = FsyncRecorder(monkeypatch)
+        scheme.insert_before(lids[0])
+        backend.checkpoint()
+        assert recorder.targets == []
         backend.close()
 
 
 class TestTruncateCrashWindow:
     def test_crash_at_truncate_preserves_log_and_recovers(self, tmp_path):
         """A crash at truncate entry leaves the full log *and* the full
-        pages+superblock; reopening must replay the log's metadata (the
-        newest committed state) without double-applying anything."""
+        pages+directory; reopening must come up in the checkpointed
+        state without folding any of the log's deltas a second time."""
         scheme, backend, path = make_scheme(tmp_path, fsync=False)
         lids = bulk(scheme, 24)
         for index in range(6):
             lids.append(scheme.insert_before(lids[index]))
+        scheme.delete(lids.pop(2))  # a free-list push: folding it twice shows
         order = sorted(lids, key=scheme.lookup)
+        header = scheme_metadata_header(scheme)
         backend.install_faults(
             FaultInjector(
                 FaultPlan(
@@ -139,24 +212,107 @@ class TestTruncateCrashWindow:
             )
         )
         with pytest.raises(CrashError):
-            scheme.insert_before(lids[0])
-        # The commit finished everything except the truncate: the log
-        # still holds the committed transaction.
-        assert scan_wal(path + ".wal").committed
+            backend.checkpoint()
+        # The checkpoint finished everything except the truncate: the log
+        # still holds every transaction the directory now includes.
+        committed = scan_wal(path + ".wal").committed
+        assert committed >= 8
         backend.close()
 
         reopened = open_file_scheme(path)
         report = reopened.store.backend.recovery_report
-        assert report["replayed_transactions"] >= 1
+        assert report["checkpoint_lsn"] == report["lsn"] == backend.lsn
+        assert report["replayed_transactions"] == 0  # all skipped by LSN
+        assert scheme_metadata_header(reopened) == header
         assert sorted(lids, key=reopened.lookup) == order
         reopened.store.backend.close()
+
+    def test_page_lost_under_a_landed_directory_is_served_from_the_log(
+        self, tmp_path
+    ):
+        """Pages, directory and header share one fsync, so a power loss
+        can keep the directory and lose a page write.  The log still
+        stands then (truncation comes after the barrier) and its images
+        must win over the page file, whatever the directory's LSN says."""
+        scheme, backend, path = make_scheme(tmp_path, fsync=False)
+        lids = bulk(scheme, 24)
+        scheme.delete(lids.pop(2))
+        labels = [scheme.lookup(lid) for lid in lids]
+        backend.install_faults(
+            FaultInjector(FaultPlan([FaultSpec(TORN_WRITE, "wal.truncate", at=1)]))
+        )
+        with pytest.raises(CrashError):
+            backend.checkpoint()
+        backend.close()
+        lose_page_writes(path)
+
+        reopened = open_file_scheme(path)
+        assert reopened.store.backend.recovery_report["replayed_transactions"] == 0
+        assert [reopened.lookup(lid) for lid in lids] == labels
+        checkpoint_scheme(reopened)  # ...and the next checkpoint repairs the file
+        reopened.store.backend.close()
+        repaired = open_file_scheme(path)
+        assert scan_wal(path + ".wal").committed == 0
+        assert [repaired.lookup(lid) for lid in lids] == labels
+        repaired.store.backend.close()
+
+    def test_seal_does_not_rotate_away_images_the_page_file_may_lack(self, tmp_path):
+        """``retain_wal``: the same lost page writes under a log the
+        checkpoint left standing.  Sealing it after a reopen must write
+        the images back first — a sealed segment repairs nothing."""
+        path = str(tmp_path / "r.pages")
+        page_bytes = default_page_bytes(TINY_CONFIG.block_bytes)
+        backend = FileBackend(path, page_bytes=page_bytes, retain_wal=True)
+        scheme = WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))
+        attach_scheme_to_backend(scheme)
+        lids = bulk(scheme, 24)
+        labels = [scheme.lookup(lid) for lid in lids]
+        backend.checkpoint()
+        backend.close()
+        lose_page_writes(path)
+        reopened = open_file_scheme(path, retain_wal=True)
+        assert reopened.store.backend.seal_wal_segment() == 1
+        reopened.store.backend.close()
+        assert scan_wal(path + ".wal").committed == 0
+        sealed = open_file_scheme(path, retain_wal=True)
+        assert [sealed.lookup(lid) for lid in lids] == labels
+        sealed.store.backend.close()
+
+    def test_refolding_an_included_log_is_what_the_lsn_prevents(
+        self, tmp_path, monkeypatch
+    ):
+        """The same files, opened by a fold that ignores LSNs: the
+        free-list pushes land twice.  (Fails the test above if the check
+        in ``fold_transaction`` is ever dropped.)"""
+        scheme, backend, path = make_scheme(tmp_path, fsync=False)
+        lids = bulk(scheme, 24)
+        scheme.delete(lids.pop(2))
+        backend.install_faults(
+            FaultInjector(FaultPlan([FaultSpec(TORN_WRITE, "wal.truncate", at=1)]))
+        )
+        with pytest.raises(CrashError):
+            backend.checkpoint()
+        backend.close()
+        real = filebackend_module.fold_transaction
+
+        def blind(state, txn):
+            if not txn.absolute:
+                state["lsn"] = txn.lsn - 1
+            return real(state, txn)
+
+        monkeypatch.setattr(filebackend_module, "fold_transaction", blind)
+        refolded = FileBackend(path)
+        assert sorted(refolded.lidf_state["free"]) != sorted(
+            scheme.lidf.persist_state()["free"]
+        )
+        refolded.close()
 
     def test_truncate_crash_matrix_entry(self, tmp_path):
         """The directed fault-matrix entry: crash anywhere a seeded
         window puts the truncate, recover, agree with the twin oracle on
         every LID — the sweep-level regression for the stale-WAL window."""
         plan = FaultPlan(
-            [FaultSpec(TORN_WRITE, "wal.truncate", at=None, window=(1, 40))],
+            [FaultSpec(TORN_WRITE, "wal.truncate", at=None, window=(1, 20))],
             name="wal-truncate-crash",
         )
         for seed in (0, 1, 2):

@@ -19,11 +19,12 @@ import pytest
 
 from repro.errors import WALError
 from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
+from repro.storage.codec import uvarint_bytes
 from repro.storage.wal import (
     _HEADER,
     MAGIC,
     REC_COMMIT,
-    REC_META,
+    REC_DELTA,
     REC_PUT,
     WALWriter,
     scan_wal,
@@ -51,7 +52,7 @@ def write_transactions(path, count=2):
     for index in range(count):
         writer.append_transaction(
             {index * 2: b"A" * 40, index * 2 + 1: b"B" * 40},
-            {"txn": index},
+            uvarint_bytes(index + 1),
         )
     writer.close()
     return writer
@@ -79,14 +80,14 @@ def test_mid_record_truncation_keeps_committed_prefix(tmp_path, cut, fresh_regis
     write_transactions(path, count=1)
     boundary = path.stat().st_size
     write_transactions_path = WALWriter(str(path), _raw_write)
-    write_transactions_path.append_transaction({9: b"C" * 40}, {"txn": "second"})
+    write_transactions_path.append_transaction({9: b"C" * 40}, uvarint_bytes(2))
     write_transactions_path.close()
     data = path.read_bytes()
     path.write_bytes(data[: boundary + cut])
 
     scan = scan_wal(str(path))
     assert scan.committed == 1
-    assert scan.transactions[0].meta == {"txn": 0}
+    assert scan.transactions[0].lsn == 1
     assert scan.torn_tail
     assert scan.tail_bytes == cut
     assert scan.tail_reason in ("torn record header", "torn record body")
@@ -114,16 +115,18 @@ def test_corrupt_put_varint_is_torn_tail_not_crash(tmp_path, fresh_registry):
     ) == 1.0
 
 
-def test_corrupt_meta_is_torn_tail(tmp_path, fresh_registry):
-    path = tmp_path / "meta.wal"
+def test_corrupt_delta_is_torn_tail(tmp_path, fresh_registry):
+    """A DELTA whose framing is intact but whose LSN varint runs off the
+    body (every byte has the continuation bit set)."""
+    path = tmp_path / "delta.wal"
     write_transactions(path, count=1)
     with open(path, "ab") as handle:
-        handle.write(_HEADER.pack(REC_META, 4) + b"\xff\xfe{{")
+        handle.write(_HEADER.pack(REC_DELTA, 4) + b"\xff\xfe\x80\x80")
 
     scan = scan_wal(str(path))
     assert scan.committed == 1
     assert scan.torn_tail
-    assert scan.tail_reason == "corrupt META body"
+    assert scan.tail_reason == "corrupt DELTA body"
 
 
 def test_commit_crc_mismatch_is_torn_tail(tmp_path, fresh_registry):
