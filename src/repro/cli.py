@@ -67,6 +67,7 @@ from .persist import (
     load_document,
     load_scheme,
     open_file_scheme,
+    read_snapshot_header,
     save_document,
 )
 from .query.xpath import evaluate
@@ -689,8 +690,8 @@ def _info_sharded(root: str) -> int:
             print("    directory:  TORN/CORRUPT — run 'repro recover' on the shard file")
             print(f"    WAL:        {_wal_status(path, None)}")
             continue
-        print(f"    scheme:     {state['meta'].get('scheme', '(none attached)')}")
-        print(f"    labels:     {state['lidf']['live']} live at checkpoint LSN "
+        print(f"    scheme:     {state['owner'].meta.get('scheme', '(none attached)')}")
+        print(f"    labels:     {state['owner'].lidf['live']} live at checkpoint LSN "
               f"{state['lsn']} (document-order chunk {shard} of {n_shards})")
         print(f"    blocks:     {len(state['on_disk'])}")
         print(f"    page file:  {os.path.getsize(path)} bytes")
@@ -706,13 +707,11 @@ def cmd_info(args: argparse.Namespace) -> int:
             return _info_sharded(args.file)
         raise PersistError(f"{args.file} is a directory without a SHARDS.json manifest")
     with open(args.file, "rb") as handle:
-        magic = handle.read(8)
+        magic = handle.read(len(MAGIC))
+        handle.seek(0)
+        header = read_snapshot_header(handle, args.file) if magic == MAGIC else None
     print(f"file: {args.file}")
-    if magic == MAGIC:
-        with open(args.file, "rb") as handle:
-            handle.seek(len(MAGIC))
-            header_length = int.from_bytes(handle.read(8), "big")
-            header = json.loads(handle.read(header_length).decode("utf-8"))
+    if header is not None:
         print("  format:       snapshot (save_scheme/save_document)")
         print(f"  scheme:       {header['scheme']}")
         print(f"  block bytes:  {header['config']['block_bytes']}")
@@ -727,14 +726,14 @@ def cmd_info(args: argparse.Namespace) -> int:
             print("  directory:    TORN/CORRUPT — run 'repro recover' to repair from the WAL")
             print(f"  WAL:          {_wal_status(args.file, None)}")
             return 0
-        meta = state["meta"]
+        meta = state["owner"].meta
         print(f"  scheme:       {meta.get('scheme', '(none attached)')}")
         if "config" in meta:
             print(f"  block bytes:  {meta['config']['block_bytes']}")
         print(f"  page bytes:   {state['page_bytes']}")
         print(f"  checkpoint:   LSN {state['lsn']} (what follows is as of it)")
         print(f"  blocks:       {len(state['on_disk'])}")
-        print(f"  live labels:  {state['lidf']['live']}")
+        print(f"  live labels:  {state['owner'].lidf['live']}")
         print(f"  WAL:          {_wal_status(args.file, state)}")
         return 0
     raise PersistError(f"{args.file} is neither a snapshot nor a page file")

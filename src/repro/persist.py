@@ -17,17 +17,19 @@ fields (naive-k label values with large k, W-BOX range origins after many
 root splits).
 
 **File backends** (:func:`attach_scheme_to_backend`,
-:func:`checkpoint_scheme`, :func:`open_file_scheme`): a scheme whose store
-runs on a :class:`~repro.storage.filebackend.FileBackend` journals, with
-every commit, only what the commit *changed* — the differences of its
-integer scalars and the LIDF's allocation ops — and its complete
-description (class, config, LIDF directory) with every checkpoint, the
-first of which attaching takes.  The page file plus write-ahead log is
-thereby self-describing at all times: :func:`open_file_scheme` folds the
-log over the last checkpoint and hands back a working scheme whose LIDs
-all resolve.  :func:`checkpoint_scheme` is the explicit flush: the log
-folded into the page file and truncated.  The historical whole-structure
-snapshot is thereby just one checkpoint format among two.
+:func:`checkpoint_scheme`, :func:`open_file_scheme`): the scheme's journal
+is its :class:`~repro.storage.filebackend.FileBackend`'s one ``owner``
+(:mod:`repro.storage.owner`), journaling with every commit only what it
+*changed* — the differences of its integer scalars and the LIDF's
+allocation ops — and its complete description (class, config, LIDF
+directory) with every checkpoint, the first of which attaching takes.
+The page file plus write-ahead log is thereby self-describing at all
+times: :func:`open_file_scheme` builds the scheme the folded state
+describes, and its journal adopts that state (on a follower it folds
+each shipped DELTA into the live scheme).  :func:`checkpoint_scheme` is the
+explicit flush: the log folded into the page file and truncated.  The
+historical whole-structure snapshot is thereby just one checkpoint
+format among two.
 
 This module knows no concrete scheme.  What a scheme's persistent state
 *is* belongs to the scheme (``persist_state`` / ``restore_state`` /
@@ -49,7 +51,7 @@ import dataclasses
 import json
 import os
 import shutil
-from typing import Any
+from typing import Any, Iterator
 
 from .config import BoxConfig
 from .core.registry import scheme_class
@@ -64,6 +66,7 @@ from .storage.codec import (
     scan_uvarints,
     uvarint_bytes,
 )
+from .storage.owner import FoldedOwner
 from .storage.shardlayout import read_manifest, shard_page_path, write_manifest
 
 __all__ = [
@@ -83,7 +86,7 @@ __all__ = [
     "open_sharded_schemes",
     "scheme_metadata_header",
     "restore_scheme_state",
-    "restore_journaled_scalars",
+    "read_snapshot_header",
 ]
 
 MAGIC = b"BOXS0001"
@@ -221,17 +224,22 @@ def load_scheme(path: str) -> Any:
     return scheme
 
 
+def read_snapshot_header(handle: Any, path: str) -> dict:
+    """Read a snapshot's magic and JSON header (a
+    :func:`scheme_metadata_header` dict) from the open binary ``handle``,
+    leaving it at the block section."""
+    if handle.read(len(MAGIC)) != MAGIC:
+        raise PersistError(f"{path} is not a saved BOX structure")
+    header_length = int.from_bytes(handle.read(8), "big")
+    return json.loads(handle.read(header_length).decode("utf-8"))
+
+
 def _load_scheme_and_rest(path: str) -> tuple[Any, bytes]:
     with open(path, "rb") as handle:
+        header = read_snapshot_header(handle, path)
         data = handle.read()
-    if data[: len(MAGIC)] != MAGIC:
-        raise PersistError(f"{path} is not a saved BOX structure")
-    pos = len(MAGIC) + 8
-    header_length = int.from_bytes(data[len(MAGIC) : pos], "big")
-    header = json.loads(data[pos : pos + header_length].decode("utf-8"))
-    pos += header_length
     blocks: dict[int, Any] = {}
-    count, pos = scan_uvarint(data, pos)
+    count, pos = scan_uvarint(data, 0)
     check_count(data, pos, count)
     for _ in range(count):
         block_id, pos = scan_uvarint(data, pos)
@@ -261,24 +269,10 @@ def _instantiate_scheme(header: dict) -> Any:
 
 def restore_scheme_state(scheme: Any, header: dict) -> None:
     """Restore the LIDF directory and the scheme's own state from a
-    :func:`scheme_metadata_header` dict (a snapshot header, or what
-    :func:`open_file_scheme` reassembles from a recovered backend).  The
-    block payloads themselves must already be in ``scheme.store``."""
+    :func:`scheme_metadata_header` dict (a snapshot header).  The block
+    payloads themselves must already be in ``scheme.store``."""
     scheme.lidf.restore_state(header["lidf"])
     scheme.restore_state(header["meta"])
-
-
-def restore_journaled_scalars(scheme: Any) -> None:
-    """Adopt the scalars its file backend holds (a replication follower
-    after each applied transaction): ``persist_state()``'s integers, in
-    key order, are what :class:`_SchemeJournal` journals."""
-    journaled = iter(scheme.store.backend.scalars[1:])
-    scheme.restore_state(
-        {
-            key: next(journaled) if type(value) is int else value
-            for key, value in scheme.persist_state().items()
-        }
-    )
 
 
 # ----------------------------------------------------------------------
@@ -286,45 +280,58 @@ def restore_journaled_scalars(scheme: Any) -> None:
 # ----------------------------------------------------------------------
 
 
-class _SchemeJournal:
-    """What a file backend journals for the scheme that owns it (the
-    ``FileBackend.journal`` protocol)."""
+class _SchemeJournal(FoldedOwner):
+    """A file backend's owner once a scheme is attached: journals its
+    integers and LIDF ops per commit, its description per checkpoint, and
+    folds a shipped DELTA straight into the live LIDF and scheme.  Takes
+    over the journaled scalars and stamp from the backend's owner."""
 
     def __init__(self, scheme: Any) -> None:
         self.scheme = scheme
+        previous = scheme.store.backend.owner
+        self.scalars, self.stamp = previous.scalars, previous.stamp
         if scheme.lidf.journal is None:
             scheme.lidf.journal = []
+        self.ops = scheme.lidf.journal
 
-    def scalars(self) -> list[int]:
-        """``persist_state()``'s integers in key order: O(1), journaled
-        by difference with every commit."""
+    def _integers(self) -> list[int]:
         return [v for v in self.scheme.persist_state().values() if type(v) is int]
 
-    def lidf_ops(self) -> list[int]:
-        return self.scheme.lidf.journal
-
-    def consumed(self) -> None:
-        self.scheme.lidf.journal.clear()
-
-    def absolute(self) -> tuple[dict, dict]:
-        """``(owner metadata, LIDF directory)`` for a checkpoint."""
+    def _description(self) -> tuple[dict, dict]:
         header = scheme_metadata_header(self.scheme)
         lidf = header.pop("lidf")
         del header["store"]  # the backend journals its own allocation state
-        return header, lidf
+        return lidf, header
+
+    def fold(self, row: Iterator[int]) -> None:
+        super().fold(row)
+        self.restore_scalars()
+
+    def _fold_lidf(self, ops: Iterator[int]) -> None:
+        self.scheme.lidf.fold_journal(ops)
+
+    def restore_scalars(self) -> None:
+        """Hand the journaled integers back to the scheme."""
+        journaled = iter(self.scalars[1:])
+        self.scheme.restore_state(
+            {
+                key: next(journaled) if type(value) is int else value
+                for key, value in self.scheme.persist_state().items()
+            }
+        )
 
 
-def _attach(scheme: Any) -> tuple[FileBackend, bool]:
+def _attach(scheme: Any) -> FileBackend:
+    """Make ``scheme``'s journal the owner of its file backend (once)."""
     backend = scheme.store.backend
     if not isinstance(backend, FileBackend):
         raise PersistError(
             f"scheme's store runs on {type(backend).__name__}, not a FileBackend"
         )
-    journal = backend.journal
-    fresh = not (isinstance(journal, _SchemeJournal) and journal.scheme is scheme)
-    if fresh:
-        backend.journal = _SchemeJournal(scheme)
-    return backend, fresh
+    owner = backend.owner
+    if not (isinstance(owner, _SchemeJournal) and owner.scheme is scheme):
+        backend.owner = _SchemeJournal(scheme)
+    return backend
 
 
 def attach_scheme_to_backend(scheme: Any) -> FileBackend:
@@ -337,8 +344,9 @@ def attach_scheme_to_backend(scheme: Any) -> FileBackend:
     Returns the backend; raises :class:`~repro.errors.PersistError` when
     the scheme's store is not file-backed.
     """
-    backend, fresh = _attach(scheme)
-    if fresh:
+    before = getattr(scheme.store.backend, "owner", None)
+    backend = _attach(scheme)
+    if backend.owner is not before:
         backend.checkpoint()
     return backend
 
@@ -353,7 +361,7 @@ def checkpoint_scheme(scheme: Any) -> FileBackend:
     fsync barrier -> truncate, so a crash at any point recovers to the
     same state.  The file is then a complete, self-describing checkpoint
     — the file-backend counterpart of :func:`save_scheme`."""
-    backend = _attach(scheme)[0]
+    backend = _attach(scheme)
     backend.checkpoint()
     return backend
 
@@ -394,7 +402,7 @@ def incremental_checkpoint(scheme: Any) -> int | None:
     segment's id, or ``None`` when nothing was committed since the last
     rotation.  Same latching requirement as :func:`full_checkpoint`.
     """
-    return _attach(scheme)[0].seal_wal_segment()
+    return _attach(scheme).seal_wal_segment()
 
 
 def restore_to_checkpoint(
@@ -461,8 +469,8 @@ def open_file_scheme(
     backend = FileBackend(
         path, page_bytes=page_bytes, fsync=fsync, retain_wal=retain_wal
     )
-    header = backend.metadata
-    if not header or "scheme" not in header:
+    folded = backend.owner
+    if "scheme" not in folded.meta:
         backend.close()
         raise PersistError(
             f"{path} carries no scheme metadata; was it written without "
@@ -471,15 +479,15 @@ def open_file_scheme(
     # Build the scheme shell first (it allocates its empty root into a
     # throwaway memory store), then swap in the recovered file-backed
     # store so the backend's allocation state is untouched.
-    scheme = _instantiate_scheme(header)
+    scheme = _instantiate_scheme(folded.meta)
     store = BlockStore(scheme.config, backend=backend)
     scheme.store = store
     scheme.lidf = HeapFile(store, scheme.config)
-    scheme.lidf.restore_state(backend.lidf_state)
-    restore_journaled_scalars(scheme)
+    scheme.lidf.restore_state(folded.lidf)
+    # The scheme *is* the backend's journaled state: its journal adopts
+    # the folded state, no checkpoint needed.
+    _attach(scheme).owner.restore_scalars()
     store.stats.reset()
-    # The scheme *is* the backend's journaled state: no checkpoint needed.
-    _attach(scheme)
     return scheme
 
 

@@ -43,7 +43,7 @@ from ..core.cachelog import LABEL_CHANNEL, ORDINAL_CHANNEL, invalidate_all
 from ..net import protocol as proto
 from ..net.client import NetClient
 from ..obs.metrics import get_registry
-from ..persist import open_file_scheme, restore_journaled_scalars
+from ..persist import open_file_scheme
 from ..service.service import LabelService
 from ..service.sharded import ShardedLabelService
 from ..storage.shardlayout import shard_page_path, write_manifest
@@ -96,7 +96,7 @@ class ShardFollower:
         self.txns_applied = 0
         self.segments_sealed = 0
         #: The primary epoch the last applied transaction was committed
-        #: at (the backend ``annotation`` stamp; None until one is seen).
+        #: at (the stamp its owner folded; None until one is seen).
         self.position_epoch: int | None = None
         self.primary_epoch = 0
         labels = {"shard": f"shard{shard}"}
@@ -239,22 +239,22 @@ class ShardFollower:
 
     def _apply_txn(self, txn: Any) -> None:
         """Apply one committed transaction under the exclusive latch:
-        fold it into the live backend, LIDF and scheme scalars, invalidate
-        both cache channels and publish an epoch, so readers move to the
-        new state exactly as they would on the primary.  A transaction
+        fold it into the live backend and, through its owner, the live
+        LIDF and scheme scalars; invalidate both cache channels and
+        publish an epoch, so readers move to the new state exactly as
+        they would on the primary.  A transaction
         the state already includes (a retried commit's duplicate) and a
         checkpoint's restatement change nothing readers can see.
         """
         service = self.service
         service._latch.acquire_exclusive()
         try:
-            if self.backend.apply_shipped(txn, self.scheme.lidf) and not txn.absolute:
-                restore_journaled_scalars(self.scheme)
+            if self.backend.apply_shipped(txn) and not txn.absolute:
                 clock = self.scheme.clock
                 service.log.record(invalidate_all(clock, LABEL_CHANNEL))
                 service.log.record(invalidate_all(clock, ORDINAL_CHANNEL))
                 service._publish()
-                self.position_epoch = self.backend.scalars[0] or self.position_epoch
+                self.position_epoch = self.backend.owner.scalars[0] or self.position_epoch
                 self.txns_applied += 1
                 self._txns_total.inc()
         finally:

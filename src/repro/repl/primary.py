@@ -40,15 +40,15 @@ def annotate_commits_with_epoch(service: ShardedLabelService) -> ShardedLabelSer
     """Stamp every commit's journaled delta with the epoch it will
     publish as.
 
-    Installs each shard backend's ``annotation`` (which survives journal
-    re-attachment): the writer commits first and publishes after, so the
-    transaction that produces epoch N+1 carries
+    Installs the ``stamp`` of each shard backend's owner (a scheme journal
+    adopts it from the owner it replaces): the writer commits first and
+    publishes after, so the transaction that produces epoch N+1 carries
     ``current_epoch.number + 1``.  Followers use the stamp to report lag
     in epochs; everything else ignores it.  Returns ``service`` for
     chaining; idempotent per service.
     """
     for shard_service in service.shards:
-        shard_service.scheme.store.backend.annotation = (
+        shard_service.scheme.store.backend.owner.stamp = (
             lambda shard_service=shard_service: shard_service.current_epoch.number + 1
         )
     return service

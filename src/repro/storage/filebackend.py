@@ -10,20 +10,20 @@ single file, round-tripping payloads through the live-payload codec of
 
 * The **directory** is the structure's complete description minus block
   payloads: page geometry, the LSN it includes, the allocation state
-  (next id, free list in recycling order, ids with a durable image), the
-  LIDF directory, and the owner's metadata (a labeling scheme's class,
-  config and scalars — what makes reopening yield a working scheme, not
-  just bytes).  It is one binary, packed-varint image written just past
-  the last page, and only by a checkpoint; the fixed **header** holds
-  its offset, length and CRC-32 under a CRC of its own.
+  (next id, free list in recycling order, ids with a durable image), then
+  the section of the backend's one ``owner`` (:mod:`repro.storage.owner`
+  — what makes reopening yield a working scheme, not just bytes).  It is
+  one binary, packed-varint image written just past the last page, and
+  only by a checkpoint; the fixed **header** holds its offset, length
+  and CRC-32 under a CRC of its own.
 * A **page** is ``u32 payload length + encoded payload``, zero-padded to
   ``page_bytes``.  Page *i* lives at a fixed offset, so a block write is
   one positioned write.
 
 Durability runs through the write-ahead log (:mod:`repro.storage.wal`):
 a commit appends the dirty pages' images and a DELTA record — what the
-commit changed in the directory, recorded where it changed — and syncs
-the log; nothing else.  A checkpoint (explicit, or taken by
+commit changed in the directory, the owner's part last — and syncs the
+log; nothing else.  A checkpoint (explicit, or taken by
 :meth:`FileBackend.commit` itself once :data:`CHECKPOINT_LOG_BYTES` have
 been logged) folds the log into the page file.  Opening a file folds the
 log over the directory through :func:`fold_transaction`, the one function
@@ -53,13 +53,12 @@ prove recovery; see :mod:`repro.faults` for the plan vocabulary.
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 import struct
 import time as _time
 import zlib
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Any, Iterable, Iterator
 
 from ..errors import (
@@ -80,7 +79,7 @@ from .codec import (
     scan_uvarint,
     scan_uvarints,
 )
-from .heapfile import fold_lidf_journal
+from .owner import FoldedOwner
 from .wal import MAGIC as WAL_MAGIC
 from .wal import WALTransaction, WALWriter, scan_wal
 from .walseg import (
@@ -114,73 +113,61 @@ _HEADER = struct.Struct(">QII")  # directory offset, length, CRC-32
 _CRC = struct.Struct(">I")  # of the header itself
 
 
-def _zigzag(value: int) -> int:
-    return value << 1 if value >= 0 else (-value << 1) - 1
-
-
-def _unzigzag(raw: int) -> int:
-    return (raw >> 1) ^ -(raw & 1)
-
-
 def encode_directory(state: dict[str, Any]) -> bytes:
     """A directory dict as bytes: the at-rest image, and equally the body
     of a checkpoint's ABSOLUTE log record (its first varint is the LSN).
 
-    Every list is a counted varint row (``on_disk`` sorted, as gaps); the
-    owner's ``meta`` — O(1), and the only part whose shape the backend
-    does not define — closes the image as JSON.
+    The backend's fields are counted varint rows (``on_disk`` sorted, as
+    gaps); the owner's section, ``state["owner"].image()``, closes the
+    image as the owner wrote it.
     """
-    lidf = state["lidf"]
     on_disk = sorted(state["on_disk"])
     flat = [state["lsn"], state["page_bytes"], state["next_id"]]
     flat.append(len(state["free_ids"]))
     flat += state["free_ids"]
     flat.append(len(on_disk))
     flat += [b - a for a, b in zip([0] + on_disk, on_disk)]
-    flat.append(len(state["scalars"]))
-    flat += map(_zigzag, state["scalars"])
-    flat += (lidf["tail"], lidf["live"], len(lidf["block_ids"]))
-    flat += lidf["block_ids"]
-    flat.append(len(lidf["free"]))
-    flat += lidf["free"]
     out = bytearray()
     append_uvarints(out, flat)
-    return bytes(out) + json.dumps(state["meta"], sort_keys=True).encode("utf-8")
+    return bytes(out) + state["owner"].image()
 
 
 def decode_directory(data: bytes) -> dict[str, Any]:
-    """Inverse of :func:`encode_directory`; raises
+    """Inverse of :func:`encode_directory`, the image's tail handed to a
+    :class:`~repro.storage.owner.FoldedOwner`; raises
     :class:`~repro.errors.PersistError` on a malformed image."""
-
-    def row(pos: int) -> tuple[list[int], int]:
-        count, pos = scan_uvarint(data, pos)
-        return scan_uvarints(data, pos, count)
-
-    (lsn, page_bytes, next_id), pos = scan_uvarints(data, 0, 3)
-    free_ids, pos = row(pos)
-    gaps, pos = row(pos)
-    scalars, pos = row(pos)
-    (tail, live), pos = scan_uvarints(data, pos, 2)
-    block_ids, pos = row(pos)
-    lidf_free, pos = row(pos)
-    on_disk, block_id = set(), 0
-    for gap in gaps:
-        block_id += gap
-        on_disk.add(block_id)
-    try:
-        meta = json.loads(data[pos:].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise PersistError(f"corrupt directory metadata: {error}") from None
+    (lsn, page_bytes, next_id, count), pos = scan_uvarints(data, 0, 4)
+    free_ids, pos = scan_uvarints(data, pos, count)
+    count, pos = scan_uvarint(data, pos)
+    gaps, pos = scan_uvarints(data, pos, count)
     return {
         "lsn": lsn,
         "page_bytes": page_bytes,
         "next_id": next_id,
         "free_ids": free_ids,
-        "on_disk": on_disk,
-        "scalars": [_unzigzag(raw) for raw in scalars],
-        "lidf": {"block_ids": block_ids, "free": lidf_free, "tail": tail, "live": live},
-        "meta": meta,
+        "on_disk": set(accumulate(gaps)),
+        "owner": FoldedOwner(data[pos:]),
     }
+
+
+def _follows(state: dict[str, Any], txn: WALTransaction) -> bool:
+    """Whether ``txn`` folds onto ``state``: a DELTA folds only onto the
+    state one LSN behind it — one the state already includes (a log that
+    outlived its checkpoint, a retried commit's duplicate) is skipped, a
+    gap is a :class:`~repro.errors.RecoveryError` — because a delta,
+    unlike the absolute metadata version 1 journaled, is not idempotent.
+    An ABSOLUTE record restates the state at its own LSN and folds
+    nothing."""
+    lsn = txn.lsn
+    if lsn is None:
+        raise RecoveryError("committed transaction carries no DELTA record")
+    if lsn <= state["lsn"]:
+        return False
+    if txn.absolute or lsn != state["lsn"] + 1:
+        raise RecoveryError(
+            f"log sequence gap: transaction {lsn} cannot follow state {state['lsn']}"
+        )
+    return True
 
 
 def fold_transaction(state: dict[str, Any], txn: WALTransaction) -> list[int] | None:
@@ -188,25 +175,13 @@ def fold_transaction(state: dict[str, Any], txn: WALTransaction) -> list[int] | 
 
     The one fold function: crash recovery, point-in-time segment replay
     and replication followers all bring a directory forward through it.
-    A DELTA folds only onto the state one LSN behind it — one the state
-    already includes (a log that outlived its checkpoint, a retried
-    commit's duplicate) is skipped, a gap is a
-    :class:`~repro.errors.RecoveryError` — because a delta, unlike the
-    absolute metadata version 1 journaled, is not idempotent.  An
-    ABSOLUTE record restates the state at its own LSN and folds nothing.
-
-    Returns ``None`` for a skipped transaction, else the ids of the
-    blocks it dropped (their page images are dead).
+    The backend folds its own fields; the rest of the DELTA goes to
+    ``state["owner"].fold``.  Returns ``None`` for a transaction that
+    does not fold (:func:`_follows`), else the ids of the blocks it
+    dropped (their page images are dead).
     """
-    lsn = txn.lsn
-    if lsn is None:
-        raise RecoveryError("committed transaction carries no DELTA record")
-    if lsn <= state["lsn"]:
+    if not _follows(state, txn):
         return None
-    if txn.absolute or lsn != state["lsn"] + 1:
-        raise RecoveryError(
-            f"log sequence gap: transaction {lsn} cannot follow state {state['lsn']}"
-        )
     (_lsn, count), pos = scan_uvarints(txn.body, 0, 2)
     ints = iter(scan_uvarints(txn.body, pos, count)[0])
 
@@ -221,13 +196,8 @@ def fold_transaction(state: dict[str, Any], txn: WALTransaction) -> list[int] | 
     dropped = row()
     state["on_disk"].difference_update(dropped)
     state["on_disk"].update(txn.puts)
-    scalars = state["scalars"]
-    for index, raw in enumerate(row()):
-        if index == len(scalars):
-            scalars.append(0)
-        scalars[index] += _unzigzag(raw)
-    fold_lidf_journal(state["lidf"], ints)
-    state["lsn"] = lsn
+    state["owner"].fold(ints)
+    state["lsn"] = txn.lsn
     return dropped
 
 
@@ -267,29 +237,21 @@ def read_directory(path: str) -> dict[str, Any] | None:
     when the header or the directory is torn or corrupt.
     """
     with open(path, "rb") as handle:
-        _check_magic(handle.read(len(MAGIC)), path)
-        return _load_directory(handle)
-
-
-def _check_magic(magic: bytes, path: str) -> None:
-    if magic == b"BOXPAGE1":
-        raise PersistError(
-            f"{path} is a format-version-1 page file; this build reads version 2"
-        )
-    if magic != MAGIC:
-        raise PersistError(f"{path} is not a page file (bad magic)")
-
-
-def _load_directory(handle: Any) -> dict[str, Any] | None:
-    handle.seek(len(MAGIC))
-    image = handle.read(_HEADER.size + _CRC.size)
-    if len(image) < _HEADER.size + _CRC.size or _CRC.unpack_from(
-        image, _HEADER.size
-    ) != (zlib.crc32(image[: _HEADER.size]),):
-        return None
-    offset, length, crc = _HEADER.unpack_from(image)
-    handle.seek(offset)
-    blob = handle.read(length)
+        magic = handle.read(len(MAGIC))
+        if magic == b"BOXPAGE1":
+            raise PersistError(
+                f"{path} is a format-version-1 page file; this build reads version 2"
+            )
+        if magic != MAGIC:
+            raise PersistError(f"{path} is not a page file (bad magic)")
+        image = handle.read(_HEADER.size + _CRC.size)
+        if len(image) < _HEADER.size + _CRC.size or _CRC.unpack_from(
+            image, _HEADER.size
+        ) != (zlib.crc32(image[: _HEADER.size]),):
+            return None
+        offset, length, crc = _HEADER.unpack_from(image)
+        handle.seek(offset)
+        blob = handle.read(length)
     if len(blob) != length or zlib.crc32(blob) != crc:
         return None
     try:
@@ -369,28 +331,10 @@ class FileBackend(StorageBackend):
         self._pops = 0
         self._pushed: list[int] = []
         self._dropped: list[int] = []
-        #: The owner's journaled state (a scheme, via
-        #: :func:`repro.persist.attach_scheme_to_backend`): ``metadata``
-        #: is O(1) and written only by checkpoints, ``scalars`` are
-        #: integers journaled by difference with every commit,
-        #: ``lidf_state`` is the LIDF directory.  After opening a file
-        #: they hold what recovery folded; with a ``journal`` attached
-        #: they are refreshed from it (``journal.scalars()``,
-        #: ``journal.lidf_ops()`` at commit, ``journal.absolute()`` at
-        #: checkpoint, ``journal.consumed()`` once a delta is durable).
-        self.metadata: dict[str, Any] = {}
-        self.scalars: list[int] = [0]
-        self.lidf_state: dict[str, Any] = {
-            "block_ids": [],
-            "free": [],
-            "tail": 0,
-            "live": 0,
-        }
-        self.journal: Any = None
-        #: Optional zero-arg callable whose integer is journaled as
-        #: ``scalars[0]`` of every transaction; survives re-attachment of
-        #: the journal (replication stamps each commit's publish epoch).
-        self.annotation: Any = None
+        #: The owner of every directory image's and DELTA's tail
+        #: (:mod:`repro.storage.owner`): what recovery folded, until
+        #: :func:`repro.persist.attach_scheme_to_backend` installs a journal.
+        self.owner: Any = FoldedOwner()
         #: A write-kind fault armed by a page/directory hook, consumed by
         #: the next physical write (so "tear the directory" tears the
         #: actual image bytes, wherever they land).
@@ -566,20 +510,8 @@ class FileBackend(StorageBackend):
             "next_id": self._next_id,
             "free_ids": self._free_ids,
             "on_disk": self._on_disk,
-            "scalars": self.scalars,
-            "lidf": self.lidf_state,
-            "meta": self.metadata,
+            "owner": self.owner,
         }
-
-    def _adopt_directory(self, state: dict[str, Any]) -> None:
-        self.lsn = state["lsn"]
-        self.page_bytes = state["page_bytes"]
-        self._next_id = self._journaled_next_id = state["next_id"]
-        self._free_ids = state["free_ids"]
-        self._on_disk = state["on_disk"]
-        self.scalars = state["scalars"]
-        self.lidf_state = state["lidf"]
-        self.metadata = state["meta"]
 
     def _write_directory(self, blob: bytes) -> None:
         """Put the directory image just past the last page, then point
@@ -616,15 +548,16 @@ class FileBackend(StorageBackend):
         follower's log stays a byte-for-byte mirror and the next
         checkpoint does the write-back.
         """
-        self._handle.seek(0)
-        _check_magic(self._handle.read(len(MAGIC)), self.path)
-        directory = _load_directory(self._handle)
+        directory = read_directory(self.path)
         flushed_lsn = directory["lsn"] if directory is not None else -1
         scan = scan_wal(self.wal_path)
         state, source, folded = fold_log(directory, scan.transactions, self.path)
         for txn in scan.transactions:
             self._unflushed.update(txn.puts)
-        self._adopt_directory(state)
+        self.lsn, self.page_bytes = state["lsn"], state["page_bytes"]
+        self._next_id = self._journaled_next_id = state["next_id"]
+        self._free_ids, self._on_disk = state["free_ids"], state["on_disk"]
+        self.owner = state["owner"]
         self._directory_lsn = max(flushed_lsn, 0)
         for block_id in self._unflushed.keys() - self._on_disk:
             del self._unflushed[block_id]
@@ -789,29 +722,20 @@ class FileBackend(StorageBackend):
         the same delta under the same LSN, an abandoned one leaves no
         transaction behind for a later, larger delta to duplicate.
         """
-        journal = self.journal
-        stamp = self.annotation() if self.annotation is not None else self.scalars[0]
-        scalars = [stamp] + (journal.scalars() if journal else self.scalars[1:])
-        lidf_ops = journal.lidf_ops() if journal else []
+        owner_row, owner_changed = self.owner.delta()
         row = [self._next_id - self._journaled_next_id, self._pops]
         row.append(len(self._pushed))
         row += self._pushed
         row.append(len(self._dropped))
         row += self._dropped
-        if not (puts or lidf_ops or any(row) or scalars != self.scalars):
+        if not (puts or owner_changed or any(row)):
             return
-        old = self.scalars + [0] * (len(scalars) - len(self.scalars))
-        diffs = [_zigzag(new - was) for new, was in zip(scalars, old)]
-        row.append(len(diffs))
-        row += diffs
-        row += lidf_ops
+        row += owner_row
         body = bytearray()
         append_uvarints(body, [self.lsn + 1, len(row)] + row)
         self._wal.append_transaction(puts, bytes(body), sync=self._sync)
         self.lsn += 1
-        self.scalars = scalars
-        if journal is not None:
-            journal.consumed()
+        self.owner.consumed()
         self._journaled_next_id = self._next_id
         self._pops = 0
         self._pushed.clear()
@@ -829,8 +753,6 @@ class FileBackend(StorageBackend):
         the log (``retain_wal``: leave it standing to be sealed).
         """
         self._journal({})
-        if self.journal is not None:
-            self.metadata, self.lidf_state = self.journal.absolute()
         blob = encode_directory(self._directory())
         self._wal.append_transaction({}, blob, absolute=True, sync=self._sync)
         self.write_back(blob)
@@ -854,30 +776,30 @@ class FileBackend(StorageBackend):
         self._sync(self._handle)
         self._unflushed.clear()
 
-    def apply_shipped(self, txn: WALTransaction, lidf: Any) -> bool:
+    def apply_shipped(self, txn: WALTransaction) -> bool:
         """Follower side: fold one shipped transaction into the *live*
-        state (``lidf`` is the replica scheme's heap file).  Journaled
-        images are served from ``_unflushed``; an ABSOLUTE record — the
-        primary checkpointed — is the follower's cue to write back, with
-        the record's own bytes as its directory.  Returns False for a
-        transaction the state already includes."""
+        state — the backend's own lists in place, the rest through the
+        owner (a replica scheme's journal folds it into the live
+        scheme).  Journaled images are served from ``_unflushed``; an
+        ABSOLUTE record — the primary checkpointed — is the follower's cue
+        to write back, with the record's own bytes as its directory.
+        Returns False for a transaction the state already includes."""
         if txn.absolute and txn.lsn == self.lsn:
             self.write_back(txn.body)
             return True
         state = self._directory()
-        state["lidf"] = lidf.directory_view()
-        dropped = fold_transaction(state, txn)
-        if dropped is None:
+        if not _follows(state, txn):
             return False
-        self.lsn, self._next_id = state["lsn"], state["next_id"]
-        self._journaled_next_id = self._next_id
-        lidf.adopt_view(state["lidf"])
-        for block_id in dropped:
-            self._objects.pop(block_id, None)
-            self._unflushed.pop(block_id, None)
+        # Images first: the owner's fold may read the blocks they replace.
         for block_id in txn.puts:
             self._objects.pop(block_id, None)
         self._unflushed.update(txn.puts)
+        for block_id in fold_transaction(state, txn):
+            if block_id not in txn.puts:
+                self._objects.pop(block_id, None)
+                self._unflushed.pop(block_id, None)
+        self.lsn, self._next_id = state["lsn"], state["next_id"]
+        self._journaled_next_id = self._next_id
         return True
 
     # ------------------------------------------------------------------

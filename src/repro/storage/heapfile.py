@@ -35,39 +35,38 @@ _EMPTY = None
 _J_TAIL = 0  # argument records taken from the tail
 _J_POP = 1  # argument records popped off the free heap
 _J_FREE = 2  # LID argument pushed onto the free heap
-_J_PAIR = 3  # LIDs argument and argument + 1 taken out of the free heap
-_J_BLOCK = 4  # store block argument appended to the file
+_J_BLOCK = 4  # store block argument appended to the file (3 is retired)
 
 
-def fold_lidf_journal(state: dict[str, Any], ops: Any) -> None:
+def fold_lidf_journal(
+    block_ids: list[int], free: list[int], ops: Iterator[int]
+) -> tuple[int, int]:
     """Replay journaled allocation ops (an iterator of ints, two per op)
-    onto a :meth:`HeapFile.persist_state` dict, in place.
+    onto an LIDF directory's block list and free heap, in place; returns
+    how far they move its tail and its live count.
 
+    The one interpreter of the journal :meth:`HeapFile._log` writes.
     Each op repeats exactly what :class:`HeapFile` did to its own lists,
     so the folded free heap has the live one's order, not just its
     members — a recovered file recycles LIDs as the crashed one would.
     """
-    free = state["free"]
+    tail = live = 0
     for code, arg in zip(ops, ops):
         if code == _J_TAIL:
-            state["tail"] += arg
-            state["live"] += arg
+            tail += arg
+            live += arg
         elif code == _J_POP:
             for _ in range(arg):
                 heapq.heappop(free)
-            state["live"] += arg
+            live += arg
         elif code == _J_FREE:
             heapq.heappush(free, arg)
-            state["live"] -= 1
-        elif code == _J_PAIR:
-            free.remove(arg)
-            free.remove(arg + 1)
-            free.sort()
-            state["live"] += 2
+            live -= 1
         elif code == _J_BLOCK:
-            state["block_ids"].append(arg)
+            block_ids.append(arg)
         else:
             raise PersistError(f"unknown LIDF journal op {code}")
+    return tail, live
 
 
 class HeapFile:
@@ -84,7 +83,7 @@ class HeapFile:
         #: Allocation ops since the owner last consumed them, as a flat
         #: list of ``(code, argument)`` pairs; None (the default) records
         #: nothing.  :func:`repro.persist.attach_scheme_to_backend` turns
-        #: it on so a file backend can journal what each commit changed.
+        #: it on so a file backend's owner journals what each commit changed.
         self.journal: list[int] | None = None
 
     # ------------------------------------------------------------------
@@ -95,37 +94,14 @@ class HeapFile:
         """Allocate one record, store ``value`` in it, return its LID."""
         if self._free:
             lid = heapq.heappop(self._free)
-            self._log(_J_POP, 1)
+            self._log(_J_POP, 1, run=True)
         else:
             lid = self._tail
             self._tail += 1
-            self._log(_J_TAIL, 1)
+            self._log(_J_TAIL, 1, run=True)
         self._put(lid, value)
         self._live += 1
         return lid
-
-    def allocate_pair(self, first: Any, second: Any) -> tuple[int, int]:
-        """Allocate two records in adjacent slots when possible.
-
-        The paper's optimization: an element's start and end LIDF records
-        placed next to each other are retrieved with a single I/O.  We scan
-        the free list for an adjacent same-block pair, else take two fresh
-        slots from the tail (always adjacent in the same or consecutive
-        blocks).
-        """
-        pair = self._pop_adjacent_free_pair()
-        if pair is None:
-            lid1 = self._tail
-            lid2 = self._tail + 1
-            self._tail += 2
-            self._log(_J_TAIL, 2)
-        else:
-            lid1, lid2 = pair
-            self._log(_J_PAIR, lid1)
-        self._put(lid1, first)
-        self._put(lid2, second)
-        self._live += 2
-        return lid1, lid2
 
     def free(self, lid: int) -> None:
         """Release a record; its LID may be recycled by later allocations."""
@@ -238,21 +214,12 @@ class HeapFile:
         self._tail = state["tail"]
         self._live = state["live"]
 
-    def directory_view(self) -> dict[str, Any]:
-        """:meth:`persist_state` without the copies: the dict shares the
-        live lists, so :func:`fold_lidf_journal` on it updates this file
-        in place (the replication follower's O(delta) apply); hand it
-        back to :meth:`adopt_view` for the two scalars."""
-        return {
-            "block_ids": self._block_ids,
-            "free": self._free,
-            "tail": self._tail,
-            "live": self._live,
-        }
-
-    def adopt_view(self, state: dict[str, Any]) -> None:
-        self._tail = state["tail"]
-        self._live = state["live"]
+    def fold_journal(self, ops: Iterator[int]) -> None:
+        """Replay journaled ops onto this file in place (a replication
+        follower applying a shipped commit)."""
+        tail, live = fold_lidf_journal(self._block_ids, self._free, ops)
+        self._tail += tail
+        self._live += live
 
     # ------------------------------------------------------------------
     # sizing
@@ -292,25 +259,11 @@ class HeapFile:
         records[slot] = value
         self.store.write(block_id)
 
-    def _log(self, code: int, arg: int) -> None:
+    def _log(self, code: int, arg: int, run: bool = False) -> None:
         journal = self.journal
         if journal is None:
             return
-        if code <= _J_POP and journal and journal[-2] == code:
+        if run and journal and journal[-2] == code:
             journal[-1] += arg  # runs of tail/heap allocations fold into one op
         else:
             journal += (code, arg)
-
-    def _pop_adjacent_free_pair(self) -> tuple[int, int] | None:
-        """Find two free LIDs that are adjacent within one block."""
-        if len(self._free) < 2:
-            return None
-        free_set = set(self._free)
-        for lid in sorted(free_set):
-            if lid + 1 in free_set and (lid + 1) % self.records_per_block != 0:
-                free_set.discard(lid)
-                free_set.discard(lid + 1)
-                self._free = sorted(free_set)
-                heapq.heapify(self._free)
-                return lid, lid + 1
-        return None

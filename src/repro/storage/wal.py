@@ -4,7 +4,7 @@ Durability protocol (redo-only WAL, *no-force*):
 
 * **Commit.**  When an operation scope closes, the dirty blocks' encoded
   pages and a DELTA record — what the operation changed in the
-  allocation state, the LIDF directory and the owner's scalars — are
+  backend's allocation state and in its owner's state — are
   appended as one transaction ``[PUT…, DELTA, COMMIT]``, and the log is
   synced.  That is all a commit writes: pages and the page file's
   directory stay as they were.

@@ -193,7 +193,7 @@ class TestFileBackendPages:
         inspection follow the header to it."""
         backend = make_backend(tmp_path)
         ids = [backend.allocate([i]) for i in range(30)]
-        backend.metadata = {"payload": "x" * 20_000}
+        backend.owner.meta = {"payload": "x" * 20_000}
         backend.commit(ids)
         assert read_directory(backend.path)["on_disk"] == set()  # commits leave it be
         backend.checkpoint()
@@ -203,11 +203,11 @@ class TestFileBackendPages:
         backend.checkpoint()
         assert os.path.getsize(backend.path) > first_size
         state = read_directory(backend.path)
-        assert state["meta"] == {"payload": "x" * 20_000}
+        assert state["owner"].meta == {"payload": "x" * 20_000}
         assert state["on_disk"] == set(ids + more) and state["lsn"] == backend.lsn
         backend.close()
         reopened = make_backend(tmp_path)
-        assert reopened.metadata == {"payload": "x" * 20_000}
+        assert reopened.owner.meta == {"payload": "x" * 20_000}
         assert reopened.read(ids[7]) == [7] and reopened.read(more[3]) == [33]
         reopened.close()
 

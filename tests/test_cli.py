@@ -1,5 +1,8 @@
 """CLI: argument parsing and end-to-end subcommand behaviour."""
 
+import os
+import shutil
+
 import pytest
 
 from repro.cli import build_parser, main, make_scheme
@@ -251,6 +254,18 @@ class TestChaosVerb:
         assert "follower-kill" in err and "torn-write" in err
 
 
+#: ``repro info`` on ``tests/data/golden_format/<name>``: the scheme, then
+#: (checkpoint LSN, blocks, live labels) of ``pages`` and of ``base.pages``.
+GOLDEN_INFO = {
+    "ancestry-dyn": ("AncestryDynamic", (22, 4, 28), (2, 2, 16)),
+    "bbox-o": ("BBox", (23, 11, 28), (3, 6, 16)),
+    "naive-8": ("NaiveScheme", (22, 4, 28), (2, 2, 16)),
+    "ordpath": ("OrdPath", (22, 4, 28), (2, 2, 16)),
+    "wbox": ("WBox", (23, 11, 28), (3, 6, 16)),
+    "wboxo": ("WBoxO", (23, 11, 28), (3, 6, 16)),
+}
+
+
 class TestPageFileDiagnostics:
     """``info`` and ``recover`` on a page file whose writer died: they
     name the checkpoint LSN, how many log transactions fold over it, and
@@ -325,6 +340,84 @@ class TestPageFileDiagnostics:
         assert main(["recover", path]) == 0
         report = capsys.readouterr().out
         assert "folded from log:  0 transaction(s), to LSN 8 (base: wal)" in report
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_INFO))
+    def test_info_on_the_committed_page_files(self, name, tmp_path, capsys):
+        """``info`` reads scheme and live labels from the owner's section:
+        the committed page file alone, and the checkpoint image from
+        before the tape with the tape's commits (its segment minus the
+        closing ABSOLUTE record) as a log to fold."""
+        from repro.storage import scan_wal
+
+        golden = os.path.join(os.path.dirname(__file__), "data", "golden_format", name)
+        scheme, after, before = GOLDEN_INFO[name]
+        pages, base = str(tmp_path / "copy.pages"), str(tmp_path / "base.pages")
+        shutil.copyfile(os.path.join(golden, "pages"), pages)
+        shutil.copyfile(os.path.join(golden, "base.pages"), base)
+        segment = os.path.join(golden, "segment.wal")
+        closing = scan_wal(segment).transactions[-1]
+        with open(segment, "rb") as src, open(base + ".wal", "wb") as dst:
+            dst.write(src.read()[: -(5 + len(closing.body) + 9)])
+        for path, (lsn, blocks, live), wal in (
+            (pages, after, "empty (clean shutdown)"),
+            (base, before, "20 transaction(s), 20 to fold"),
+        ):
+            assert main(["info", path]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert lines[2:4] == [f"  scheme:       {scheme}", "  block bytes:  1024"]
+            assert lines[5:] == [
+                f"  checkpoint:   LSN {lsn} (what follows is as of it)",
+                f"  blocks:       {blocks}",
+                f"  live labels:  {live}",
+                f"  WAL:          {wal}",
+            ]
+        assert main(["info", os.path.join(golden, "snapshot")]) == 0
+        assert capsys.readouterr().out.splitlines()[2:6] == [
+            f"  scheme:       {scheme}",
+            "  block bytes:  1024",
+            f"  blocks:       {after[1]}",
+            f"  live labels:  {after[2]}",
+        ]
+
+    def test_info_on_a_two_shard_root(self, tmp_path, capsys):
+        from repro import WBox
+        from repro.persist import (
+            attach_scheme_to_backend,
+            checkpoint_scheme,
+            create_sharded_backends,
+        )
+        from repro.service import bulk_load_sharded
+        from repro.storage import BlockStore
+
+        root = str(tmp_path / "shards")
+        backends = create_sharded_backends(root, 2, page_bytes=512)
+        schemes = [
+            WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))
+            for backend in backends
+        ]
+        for scheme in schemes:
+            attach_scheme_to_backend(scheme)
+        glids = bulk_load_sharded(schemes, 40)
+        checkpoint_scheme(schemes[0])
+        for glid in [glid for glid in glids if glid % 2 == 1][:6]:
+            schemes[1].insert_before(glid // 2)
+        for backend in backends:
+            backend.close()
+        assert main(["info", root]) == 0
+        assert capsys.readouterr().out.splitlines()[5:] == [
+            "  shard 0:      shard-000.pages",
+            "    scheme:     WBox",
+            "    labels:     20 live at checkpoint LSN 3 (document-order chunk 0 of 2)",
+            "    blocks:     7",
+            "    page file:  8160 bytes",
+            "    WAL:        0 bytes; empty (clean shutdown)",
+            "  shard 1:      shard-001.pages",
+            "    scheme:     WBox",
+            "    labels:     0 live at checkpoint LSN 2 (document-order chunk 1 of 2)",
+            "    blocks:     1",
+            "    page file:  5077 bytes",
+            "    WAL:        816 bytes; 7 transaction(s), 7 to fold",
+        ]
 
     def test_version_1_files_are_refused_by_name(self, tmp_path, capsys):
         old = tmp_path / "old.pages"

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import WBox
 from repro.config import TINY_CONFIG
 from repro.errors import RecordNotFoundError
 from repro.storage import BlockStore, HeapFile
@@ -67,33 +68,18 @@ class TestAllocation:
 
 
 class TestPairs:
-    def test_fresh_pair_is_adjacent(self, lidf):
-        first, second = lidf.allocate_pair("s", "e")
-        assert second == first + 1
-        assert first // RPB == second // RPB
-
-    def test_pair_reuses_adjacent_freed_slots(self, lidf):
-        for i in range(6):
-            lidf.allocate(i)
-        lidf.free(2)
-        lidf.free(3)
-        assert lidf.allocate_pair("a", "b") == (2, 3)
-
-    def test_pair_skips_block_straddling_slots(self, lidf):
-        for i in range(2 * RPB):
-            lidf.allocate(i)
-        lidf.free(RPB - 1)
-        lidf.free(RPB)
-        # Adjacent LIDs but in different blocks: not a pair.
-        pair = lidf.allocate_pair("a", "b")
-        assert pair == (2 * RPB, 2 * RPB + 1)
-
-    def test_pair_single_io_for_both_records(self, lidf):
-        first, second = lidf.allocate_pair("s", "e")
-        with lidf.store.measured() as op:
-            lidf.read(first)
-            lidf.read(second)
-        assert op.reads == 1  # the paper's "obvious optimization"
+    def test_pair_single_io_for_both_records(self):
+        """The paper's "obvious optimization": ``insert_element_before``
+        takes its two LIDs back to back, so on a fresh store they share an
+        LIDF block and one I/O fetches both records."""
+        scheme = WBox(TINY_CONFIG)
+        base = scheme.bulk_load(2)
+        start, end = scheme.insert_element_before(base[1])
+        assert sorted((start, end)) == [2, 3] and start // RPB == end // RPB
+        with scheme.store.measured() as op:
+            scheme.lidf.read(start)
+            scheme.lidf.read(end)
+        assert op.reads == 1
 
 
 class TestGeometry:
@@ -171,13 +157,13 @@ class TestJournal:
             roll = rng.random()
             if roll < 0.4 and live:
                 lidf.free(live.pop(rng.randrange(len(live))))
-            elif roll < 0.7:
-                live.append(lidf.allocate("x"))
             else:
-                live.extend(lidf.allocate_pair("s", "e"))
+                live.append(lidf.allocate("x"))
         codes = set(lidf.journal[::2])
-        assert codes == {0, 1, 2, 3, 4}, "tail, pop, free, pair and block ops all seen"
-        fold_lidf_journal(base, iter(lidf.journal))
+        assert codes == {0, 1, 2, 4}, "tail, pop, free and block ops all seen"
+        tail, count = fold_lidf_journal(base["block_ids"], base["free"], iter(lidf.journal))
+        base["tail"] += tail
+        base["live"] += count
         assert base == lidf.persist_state()
 
     def test_runs_of_fresh_allocations_are_one_op(self, lidf):

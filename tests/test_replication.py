@@ -19,7 +19,7 @@ import threading
 
 import pytest
 
-from repro import TINY_CONFIG, BatchOp, WBox
+from repro import TINY_CONFIG, BatchOp, NaiveScheme, WBox
 from repro.errors import ReplicationError, ServiceDegradedError
 from repro.net.client import NetClient
 from repro.persist import attach_scheme_to_backend, create_sharded_backends
@@ -36,7 +36,7 @@ from repro.storage import BlockStore, FileBackend, default_page_bytes
 class Primary:
     """A file-backed primary service behind a real server socket."""
 
-    def __init__(self, tmp_path, n_shards=1, base=24, checkpoint=True):
+    def __init__(self, tmp_path, n_shards=1, base=24, checkpoint=True, factory=WBox):
         from repro.net.server import run_server
 
         page_bytes = default_page_bytes(TINY_CONFIG.block_bytes)
@@ -46,7 +46,7 @@ class Primary:
                 page_bytes=page_bytes,
                 retain_wal=True,
             )
-            scheme = WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))
+            scheme = factory(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))
             attach_scheme_to_backend(scheme)
             self.lids = scheme.bulk_load(base, [i ^ 1 for i in range(base)])
             self.service = ShardedLabelService([scheme]).start()
@@ -149,6 +149,24 @@ class TestBootstrap:
             f.catch_up()
             assert_twin(primary, f)
 
+    def test_derived_order_scheme_applies_shipped_writes(self, tmp_path):
+        """naive-k rebuilds its order list from the LIDF records when its
+        scalars are restored, so a shipped commit's page images must be
+        in place before the owner folds it."""
+        harness = Primary(
+            tmp_path, factory=lambda config, store: NaiveScheme(8, config, store=store)
+        )
+        try:
+            with Follower("127.0.0.1", harness.port, str(tmp_path / "f")).connect() as f:
+                f.catch_up()
+                for index in range(12):
+                    harness.insert(harness.lids[index])
+                f.catch_up()
+                assert f.shards[0].txns_applied >= 12
+                assert_twin(harness, f)
+        finally:
+            harness.close()
+
     def test_follower_restart_resumes_from_local_state(self, primary, tmp_path):
         root = str(tmp_path / "f")
         with Follower("127.0.0.1", primary.port, root).connect() as f:
@@ -247,13 +265,22 @@ class TestLag:
             assert shard.lag_epochs == 0
 
     def test_position_epoch_tracks_the_primary(self, primary, tmp_path):
+        """The stamp rides in the owner's section of every DELTA; full
+        checkpoints and rotations between the inserts put ABSOLUTE
+        records and sealed segments into the shipped stream too."""
         with Follower("127.0.0.1", primary.port, str(tmp_path / "f")).connect() as f:
-            for index in range(4):
+            for index in range(6):
                 primary.insert(primary.lids[index])
+                if index % 3 == 1:
+                    checkpoint_service(primary.service)
+                elif index % 3 == 2:
+                    rotate_service_wal(primary.service)
             f.catch_up()
             shard = f.shards[0]
+            assert shard.segments_sealed >= 4
             assert shard.position_epoch == primary.service.current_epoch_vector.numbers[0]
             assert shard.primary_epoch == primary.service.current_epoch_vector.numbers[0]
+            assert shard.lag_epochs == 0
 
 
 class TestSharded:

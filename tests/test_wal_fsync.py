@@ -302,7 +302,7 @@ class TestTruncateCrashWindow:
 
         monkeypatch.setattr(filebackend_module, "fold_transaction", blind)
         refolded = FileBackend(path)
-        assert sorted(refolded.lidf_state["free"]) != sorted(
+        assert sorted(refolded.owner.lidf["free"]) != sorted(
             scheme.lidf.persist_state()["free"]
         )
         refolded.close()
