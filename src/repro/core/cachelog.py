@@ -29,9 +29,10 @@ range bounds compare with the same operators.  A tuple bound may be a
 from __future__ import annotations
 
 import threading
-from collections import deque
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable
+from operator import attrgetter
+from typing import Sequence
 
 from ..errors import CacheError
 from .interface import Label, LabelingScheme
@@ -68,7 +69,7 @@ def _at_most(label: Label, bound: Label) -> bool:
     return label <= bound
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RangeShift:
     """All existing labels in ``[lo, hi]`` move by ``delta``.
 
@@ -99,7 +100,7 @@ class RangeShift:
         return False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Invalidate:
     """Cached labels in ``[lo, hi]`` can no longer be repaired by replay.
 
@@ -151,8 +152,13 @@ class LabelRef:
     channel: str = LABEL_CHANNEL
 
 
-def replay_effects(
-    entries: Iterable[Effect],
+_timestamp = attrgetter("timestamp")
+
+
+def replay_window(
+    items: Sequence[Effect],
+    lo: int,
+    hi: int,
     dropped_through: int,
     last_modified: int,
     label: Label,
@@ -162,48 +168,70 @@ def replay_effects(
     """Replay kernel shared by the live log and its immutable snapshots.
 
     Brings a cached ``label`` (valid as of ``last_cached``) up to the state
-    ``entries`` describes.  Returns the repaired label, or ``None`` when the
-    cache cannot be used — either the history needed has been dropped from
-    the log, or a logged effect invalidated a range containing the label.
+    the window ``items[lo:hi]`` describes, in O(log n + k) for the k effects
+    logged since ``last_cached``: the window's timestamps never decrease
+    (:meth:`ModificationLog.record` enforces it), so the suffix to replay
+    starts at a binary search.  Returns the repaired label, or ``None`` when
+    the cache cannot be used — either the history needed has been dropped
+    from the log, or a logged effect invalidated a range containing the
+    label.
     """
     if last_cached >= last_modified:
         return label  # nothing happened since; cache is fresh
     if last_cached < dropped_through:
         return None  # history lost
-    for effect in entries:
-        if effect.timestamp <= last_cached or effect.channel != channel:
-            continue
-        if effect.invalidates:
-            if effect.hits(label):
+    start = bisect_right(items, last_cached, lo, hi, key=_timestamp)
+    if label.__class__ is int:  # W-BOX, naive-k, ordinals: plain comparisons
+        for index in range(start, hi):
+            effect = items[index]
+            if effect.channel != channel:
+                continue
+            low, high = effect.lo, effect.hi
+            if effect.__class__ is RangeShift:
+                if label >= low and (high is None or label <= high):
+                    label += effect.delta
+            elif (low is None or label >= low) and (high is None or label <= high):
                 return None
-        else:
+        return label
+    for index in range(start, hi):
+        effect = items[index]
+        if effect.channel != channel:
+            continue
+        if effect.__class__ is RangeShift:
             label = effect.apply(label)
+        elif effect.hits(label):
+            return None
     return label
 
 
 @dataclass(frozen=True)
 class LogSnapshot:
-    """Immutable, epoch-stamped view of a :class:`ModificationLog`.
+    """Immutable, epoch-stamped window ``items[lo:hi]`` of a
+    :class:`ModificationLog`.
 
     The label service's writer takes one at every group commit and
-    publishes it inside the epoch object; any number of readers may then
-    :meth:`replay` against it concurrently without synchronization,
-    because nothing here ever mutates.
+    publishes it inside the epoch object.  ``items`` is the log's own list,
+    shared, not copied: the writer only appends past ``hi`` or compacts
+    into a *new* list, so any number of readers may :meth:`replay` against
+    the window concurrently without synchronization.
     """
 
-    epoch: int
-    entries: tuple[Effect, ...]
+    items: Sequence[Effect]
+    lo: int
+    hi: int
     dropped_through: int
     last_modified: int
+    epoch: int
 
     def replay(self, label: Label, last_cached: int, channel: str = LABEL_CHANNEL) -> Label | None:
         """Repair ``label`` to this snapshot's state (None = unrepairable)."""
-        return replay_effects(
-            self.entries, self.dropped_through, self.last_modified, label, last_cached, channel
+        return replay_window(
+            self.items, self.lo, self.hi, self.dropped_through, self.last_modified,
+            label, last_cached, channel,
         )
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.hi - self.lo
 
 
 class ModificationLog:
@@ -213,17 +241,22 @@ class ModificationLog:
     log remembers nothing, so any modification after ``last_cached`` forces
     a full lookup — exactly the single last-modified-timestamp behaviour.
 
-    :meth:`record` and :meth:`snapshot` are serialized by an internal lock
-    so a writer thread can append effects while other threads take epoch
-    snapshots; :meth:`replay` on the live log remains a single-threaded
-    convenience (concurrent readers replay against snapshots instead).
+    The live window is ``_items[_lo:]``.  Eviction advances ``_lo``; once
+    the dead prefix exceeds ``capacity`` the window moves to a new list, so
+    a published :class:`LogSnapshot` never sees its indices rewritten and
+    eviction stays O(1) amortized.  :meth:`record` and :meth:`snapshot` are
+    serialized by an internal lock so a writer thread can append effects
+    while other threads take epoch snapshots; :meth:`replay` on the live
+    log remains a single-threaded convenience (concurrent readers replay
+    against snapshots instead).
     """
 
     def __init__(self, capacity: int) -> None:
         if capacity < 0:
             raise CacheError("log capacity must be >= 0")
         self.capacity = capacity
-        self._entries: deque[Effect] = deque()
+        self._items: list[Effect] = []
+        self._lo = 0
         self._lock = threading.Lock()
         #: Epoch stamp: bumped by :meth:`snapshot`; the label service
         #: publishes one epoch per group commit.
@@ -236,44 +269,50 @@ class ModificationLog:
         self.last_modified = 0
 
     def record(self, effect: Effect) -> None:
-        """Append one effect, evicting the oldest beyond capacity."""
+        """Append one effect, evicting the oldest beyond capacity.
+
+        Timestamps must not decrease (several effects may share one tick):
+        replay finds its suffix by binary search on them."""
         with self._lock:
-            self.last_modified = max(self.last_modified, effect.timestamp)
+            if effect.timestamp < self.last_modified:
+                raise CacheError(
+                    f"effect at timestamp {effect.timestamp} is older than the "
+                    f"last logged modification ({self.last_modified})"
+                )
+            self.last_modified = effect.timestamp
             if self.capacity == 0:
                 self.dropped_through = self.last_modified
                 return
-            self._entries.append(effect)
-            while len(self._entries) > self.capacity:
-                dropped = self._entries.popleft()
-                self.dropped_through = max(self.dropped_through, dropped.timestamp)
+            items = self._items
+            items.append(effect)
+            if len(items) - self._lo > self.capacity:
+                self.dropped_through = items[self._lo].timestamp
+                self._lo += 1
+                if self._lo > self.capacity:
+                    self._items = items[self._lo:]
+                    self._lo = 0
 
     def snapshot(self, advance_epoch: bool = True) -> LogSnapshot:
         """Immutable view of the current log state, stamped with the next
         epoch number (``advance_epoch=False`` re-reads the current epoch
-        without claiming a new one)."""
+        without claiming a new one).  O(1): nothing is copied."""
         with self._lock:
             if advance_epoch:
                 self.epoch += 1
-            return LogSnapshot(
-                epoch=self.epoch,
-                entries=tuple(self._entries),
-                dropped_through=self.dropped_through,
-                last_modified=self.last_modified,
-            )
+            # An empty window holds no list: a session pinned before the first
+            # write must not keep alive every effect appended after it.
+            window = (self._items, self._lo, len(self._items)) if len(self) else ((), 0, 0)
+            return LogSnapshot(*window, self.dropped_through, self.last_modified, self.epoch)
 
     def replay(self, label: Label, last_cached: int, channel: str = LABEL_CHANNEL) -> Label | None:
-        """Bring a cached ``label`` (valid as of ``last_cached``) up to date.
-
-        Returns the repaired label, or ``None`` when the cache cannot be
-        used — either the history needed has been dropped from the log, or
-        a logged effect invalidated a range containing the label.
-        """
-        return replay_effects(
-            self._entries, self.dropped_through, self.last_modified, label, last_cached, channel
+        """Repair ``label`` to the live log's state (see :func:`replay_window`)."""
+        return replay_window(
+            self._items, self._lo, len(self._items), self.dropped_through,
+            self.last_modified, label, last_cached, channel,
         )
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._items) - self._lo
 
 
 @dataclass

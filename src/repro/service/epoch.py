@@ -38,7 +38,7 @@ class Epoch:
     def __repr__(self) -> str:  # compact: snapshots can hold many effects
         return (
             f"Epoch(number={self.number}, clock={self.clock}, "
-            f"log_entries={len(self.snapshot.entries)})"
+            f"log_entries={len(self.snapshot)})"
         )
 
 
