@@ -87,7 +87,6 @@ def _make_primary(directory: str, base: int):
     backend = FileBackend(
         os.path.join(directory, "primary.pages"),
         page_bytes=default_page_bytes(BENCH_CONFIG.block_bytes),
-        retain_wal=True,
     )
     from repro import WBox
 

@@ -270,7 +270,6 @@ def _open_schemes(
     *,
     persistent: bool = False,
     fsync: bool = False,
-    retain_wal: bool = False,
 ) -> tuple[list[Any], bool]:
     """One scheme per shard on the verb's ``--storage`` → ``(schemes, fresh)``.
 
@@ -291,15 +290,12 @@ def _open_schemes(
     if is_sharded_root(args.storage_path):
         from .persist import open_sharded_schemes
 
-        return open_sharded_schemes(
-            args.storage_path, fsync=fsync, retain_wal=retain_wal
-        ), False
+        return open_sharded_schemes(args.storage_path, fsync=fsync), False
     backends = create_sharded_backends(
         args.storage_path,
         n_shards,
         page_bytes=default_page_bytes(config.block_bytes),
         fsync=fsync,
-        retain_wal=retain_wal,
     )
     return [
         make_scheme_on_store(args.scheme, config, BlockStore(config, backend=backend))
@@ -314,7 +310,6 @@ def _open_service(
     *,
     persistent: bool = False,
     fsync: bool = False,
-    retain_wal: bool = False,
     **service_options: Any,
 ) -> tuple[Any, Any]:
     """The one place a verb builds its service → ``(service, loaded)``.
@@ -327,9 +322,7 @@ def _open_service(
     """
     from .service import ShardedLabelService
 
-    schemes, fresh = _open_schemes(
-        args, n_shards, persistent=persistent, fsync=fsync, retain_wal=retain_wal
-    )
+    schemes, fresh = _open_schemes(args, n_shards, persistent=persistent, fsync=fsync)
     loaded = None
     if fresh:
         loaded = populate(schemes)
@@ -424,7 +417,6 @@ def _serve_service(args: argparse.Namespace) -> tuple[Any, Any]:
         lambda schemes: bulk_load_sharded(schemes, args.base),
         persistent=True,
         fsync=args.fsync,
-        retain_wal=args.replicate,
         log_capacity=args.log_capacity,
     )
 
@@ -476,12 +468,8 @@ def _cmd_serve_net(args: argparse.Namespace) -> int:
         annotate_commits_with_epoch(service)
         checkpoint_service(service)  # the image followers bootstrap from
         if args.checkpoint_interval > 0:
-            _, checkpoint_stop = start_checkpoint_thread(
-                service,
-                args.checkpoint_interval,
-                full_every=args.full_every,
-            )
-        print("replication enabled: WAL retained, checkpoint recorded", flush=True)
+            _, checkpoint_stop = start_checkpoint_thread(service, args.checkpoint_interval)
+        print("replication enabled: checkpoint recorded", flush=True)
     try:
         asyncio.run(_run())
     finally:
@@ -1090,9 +1078,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--replicate",
         action="store_true",
         help=(
-            "retain the WAL as sealed segments and record a checkpoint "
-            "image so 'repro replicate' followers can attach (file "
-            "storage only)"
+            "record a checkpoint image so 'repro replicate' followers can "
+            "attach (file storage only)"
         ),
     )
     serve.add_argument(
@@ -1101,18 +1088,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.0,
         metavar="SECS",
         help=(
-            "with --replicate: rotate the WAL every SECS seconds in the "
-            "background (0 = only the startup checkpoint; default 0)"
-        ),
-    )
-    serve.add_argument(
-        "--full-every",
-        type=int,
-        default=0,
-        metavar="N",
-        help=(
-            "with --checkpoint-interval: make every Nth rotation a full "
-            "checkpoint image (0 = rotations only; default 0)"
+            "with --replicate: take a full checkpoint (image + sealed "
+            "segment) every SECS seconds in the background (0 = only the "
+            "startup checkpoint; default 0)"
         ),
     )
     _add_common(serve)

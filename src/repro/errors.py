@@ -152,11 +152,14 @@ class ServiceOverloadedError(ServiceError):
 
 
 class ReplicationError(ServiceError):
-    """A replication request cannot be served: the target shard does not
-    retain its WAL (``retain_wal=False``), names a segment outside the
-    manifest, or asks for a checkpoint image that was never recorded.
-    On the wire this is a ``BAD_REQUEST`` error frame — the connection
-    lives on."""
+    """A replication request cannot be served: the target shard is not
+    file-backed, or the request names a segment or checkpoint image the
+    shard's manifest does not hold (never recorded, or deleted by the
+    retention rule).  On the wire this is a ``BAD_REQUEST`` error frame —
+    the connection lives on.  Raised on the follower, it means the
+    follower cannot go on from where it is — its cursor is below the
+    primary's retention horizon, or the two histories diverged — and a
+    follower never retries it: restart it to re-bootstrap."""
 
 
 class ProtocolError(ReproError):

@@ -356,8 +356,7 @@ class _Stack:
         backend = self.service.schemes[0].store.backend
         _torn_append(self.rng, backend.wal_path)
         wal_len = os.path.getsize(backend.wal_path)
-        manifest = backend.wal_manifest
-        segment = manifest["next_segment"] if manifest else 0
+        segment = backend.wal_manifest["next_segment"]
         shard = self.follower.shards[0]
         deadline = time.monotonic() + 10.0
         while time.monotonic() < deadline:
@@ -365,9 +364,7 @@ class _Stack:
                 break
             time.sleep(0.01)
         self.stop_primary()
-        self.start(
-            open_sharded_schemes(self.root, retain_wal=True), port=self.follower.port
-        )
+        self.start(open_sharded_schemes(self.root), port=self.follower.port)
 
     def stop_follower(self) -> None:
         if self.follower is not None:
@@ -419,7 +416,6 @@ def run_chaos_trial(
             n_shards,
             page_bytes=default_page_bytes(config.block_bytes),
             fsync=any(spec.hook.startswith("backend.fsync") for spec in plan),
-            retain_wal=bool(repl_hooks),
         )
         schemes = [factory(config, BlockStore(config, backend=b)) for b in backends]
         lids = bulk_load_sharded(schemes, base_labels)
@@ -438,7 +434,15 @@ def run_chaos_trial(
                 trial.completed_ops += 1
                 acked = stack.lsns()
                 if repl_hooks and index % 17 == 16:
-                    rotate_service_wal(stack.service)
+                    # Every third rotation records an image, so retention
+                    # moves the horizon while the kills run — taken, as
+                    # the two-image horizon assumes, with the follower
+                    # caught up.
+                    if index % 51 == 50:
+                        stack.follower.catch_up()
+                        checkpoint_service(stack.service)
+                    else:
+                        rotate_service_wal(stack.service)
                 for hook in repl_hooks:
                     if injector.fire(hook) is not None:
                         trial.crashed = True

@@ -28,10 +28,10 @@ hook                   fires
 ``backend.commit``     entry of :meth:`StorageBackend.commit` (any backend,
                        including :class:`MemoryBackend` — no bytes moved yet)
 ``wal.append``         entry of :meth:`WALWriter.append_transaction`
-``wal.truncate``       entry of :meth:`WALWriter.truncate` (and segment
-                       sealing), a checkpoint's last step — *after* pages +
-                       directory are synced, *before* the log is emptied;
-                       the folded-log window
+``wal.truncate``       entry of :meth:`WALWriter.seal_to`, a checkpoint's
+                       last step — *after* pages + directory are synced,
+                       *before* the log is sealed away; the folded-log
+                       window (the hook keeps its pre-segment name)
 ``service.writer_apply``   writer loop, before applying one queued batch
 ``service.group_commit``   inside a group commit, before the epoch publishes
 ``repl.follower``      chaos driver, after each completed tape step: kill the

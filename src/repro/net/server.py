@@ -523,7 +523,7 @@ class NetServer:
     # -- replication (WAL shipping) ------------------------------------
 
     def _repl_shard(self, shard: int) -> tuple[LabelService, Any]:
-        """``(shard service, retain-mode backend)`` for one shard index."""
+        """``(shard service, file backend)`` for one shard index."""
         services = self.service.shards
         if not 0 <= shard < len(services):
             raise ReplicationError(
@@ -532,10 +532,7 @@ class NetServer:
         shard_service = services[shard]
         backend = shard_service.scheme.store.backend
         if getattr(backend, "wal_manifest", None) is None:
-            raise ReplicationError(
-                f"shard {shard} does not retain its WAL "
-                "(backend opened without retain_wal=True)"
-            )
+            raise ReplicationError(f"shard {shard} is not file-backed (no WAL to ship)")
         return shard_service, backend
 
     def _repl_state(self, conn: _Connection, frame: ReplState) -> list[Frame]:

@@ -27,7 +27,7 @@ The page file plus write-ahead log is thereby self-describing at all
 times: :func:`open_file_scheme` builds the scheme the folded state
 describes, and its journal adopts that state (on a follower it folds
 each shipped DELTA into the live scheme).  :func:`checkpoint_scheme` is the
-explicit flush: the log folded into the page file and truncated.  The
+explicit flush: the log folded into the page file and sealed.  The
 historical whole-structure snapshot is thereby just one checkpoint
 format among two.
 
@@ -79,7 +79,6 @@ __all__ = [
     "attach_scheme_to_backend",
     "checkpoint_scheme",
     "full_checkpoint",
-    "incremental_checkpoint",
     "restore_to_checkpoint",
     "open_file_scheme",
     "create_sharded_backends",
@@ -355,54 +354,34 @@ def checkpoint_scheme(scheme: Any) -> FileBackend:
     """Flush ``scheme`` to its file backend: the scheme's complete
     metadata goes into the log as one absolute record, every block
     journaled since the last checkpoint is written back to the page file
-    with the directory, and the log is truncated (or, in ``retain_wal``
-    mode, left standing as segment history).  The checkpoint enforces the
+    with the directory, and the log is sealed into the next segment,
+    which the retention rule keeps only while a checkpoint image needs it
+    (:mod:`repro.storage.walseg`).  The checkpoint enforces the
     durability order explicitly: WAL fsync -> page images -> directory ->
-    fsync barrier -> truncate, so a crash at any point recovers to the
-    same state.  The file is then a complete, self-describing checkpoint
-    — the file-backend counterpart of :func:`save_scheme`."""
+    fsync barrier -> seal, so a crash at any point recovers to the same
+    state.  The file is then a complete, self-describing checkpoint —
+    the file-backend counterpart of :func:`save_scheme`.  Returns the
+    backend.
+
+    The caller must hold the latch that guards commits — under a running
+    service use :func:`repro.repl.rotate_service_wal`, which latches."""
     backend = _attach(scheme)
     backend.checkpoint()
     return backend
 
 
 def full_checkpoint(scheme: Any, extra: dict | None = None) -> dict:
-    """Checkpoint + rotate + record a page-file image (``retain_wal``).
+    """:func:`checkpoint_scheme`, then record the page file as the
+    checkpoint image for the next segment.
 
-    The three steps establish the PITR contract (see
-    :mod:`repro.storage.walseg`):
-
-    1. :meth:`~repro.storage.FileBackend.checkpoint` folds the live log
-       into the page file — its absolute record is the log's last;
-    2. :meth:`~repro.storage.FileBackend.seal_wal_segment` rotates that
-       log into sealed segment *S*;
-    3. the page file (now reflecting everything through *S*) is copied
-       as the checkpoint image for segment *S*\\ +1.
-
-    Restoring the returned record's image and replaying segments
-    ``>= record["segment"]`` reproduces any later state.  ``extra``
-    (e.g. the service epoch) is stored in the record verbatim.
-
-    The caller must hold the latch that guards commits — under a running
-    service use :func:`repro.repl.checkpoint_service`, which latches.
+    The image reflects every sealed segment, so restoring the returned
+    record's image and replaying segments ``>= record["segment"]``
+    reproduces any later state (see :mod:`repro.storage.walseg`).
+    ``extra`` (e.g. the service epoch) is stored in the record verbatim.
+    Same latching requirement as :func:`checkpoint_scheme`; under a
+    running service use :func:`repro.repl.checkpoint_service`.
     """
-    backend = checkpoint_scheme(scheme)
-    backend.seal_wal_segment()
-    return backend.record_checkpoint_image(extra)
-
-
-def incremental_checkpoint(scheme: Any) -> int | None:
-    """Seal the accumulated live log as one segment (``retain_wal``).
-
-    The cheap durability point: the log is folded into the page file (a
-    log the page file lags could not repair a torn write-back once it is
-    sealed away), then rotates.  No page-file image is copied — the
-    sealed segment *is* the increment; PITR and a replication follower
-    replay it on top of the last full checkpoint.  Returns the sealed
-    segment's id, or ``None`` when nothing was committed since the last
-    rotation.  Same latching requirement as :func:`full_checkpoint`.
-    """
-    return _attach(scheme).seal_wal_segment()
+    return checkpoint_scheme(scheme).record_checkpoint_image(extra)
 
 
 def restore_to_checkpoint(
@@ -418,9 +397,11 @@ def restore_to_checkpoint(
     to ``target``, then replays each in-range segment through the stock
     recovery path: the segment file is placed as ``target``'s WAL, the
     backend is opened — which folds the committed transactions — and
-    checkpointed, which writes them back and truncates.  Every mechanism
-    is the ordinary crash path — PITR adds no second way to interpret
-    the log.  Returns the checkpoint record used.
+    checkpointed, which writes them back and seals the log away.  Every
+    mechanism is the ordinary crash path — PITR adds no second way to
+    interpret the log.  Returns the checkpoint record used; a checkpoint
+    image below the retention horizon is gone, and asking for it raises
+    :class:`PersistError`.
     """
     from .storage.walseg import read_wal_manifest, segment_path
 
@@ -456,7 +437,6 @@ def open_file_scheme(
     path: str,
     page_bytes: int | None = None,
     fsync: bool = False,
-    retain_wal: bool = False,
 ) -> Any:
     """Open a page file written through a scheme-attached
     :class:`~repro.storage.filebackend.FileBackend` and return a working
@@ -466,9 +446,7 @@ def open_file_scheme(
     resolves to its pre-crash label.  The backend's ``recovery_report``
     says what recovery found and did.
     """
-    backend = FileBackend(
-        path, page_bytes=page_bytes, fsync=fsync, retain_wal=retain_wal
-    )
+    backend = FileBackend(path, page_bytes=page_bytes, fsync=fsync)
     folded = backend.owner
     if "scheme" not in folded.meta:
         backend.close()
@@ -501,7 +479,6 @@ def create_sharded_backends(
     n_shards: int,
     page_bytes: int | None = None,
     fsync: bool = False,
-    retain_wal: bool = False,
 ) -> list[FileBackend]:
     """Create a sharded store directory: the manifest plus one fresh
     :class:`~repro.storage.filebackend.FileBackend` per shard.
@@ -514,12 +491,7 @@ def create_sharded_backends(
     """
     write_manifest(root, n_shards, page_bytes=page_bytes)
     return [
-        FileBackend(
-            shard_page_path(root, shard),
-            page_bytes=page_bytes,
-            fsync=fsync,
-            retain_wal=retain_wal,
-        )
+        FileBackend(shard_page_path(root, shard), page_bytes=page_bytes, fsync=fsync)
         for shard in range(n_shards)
     ]
 
@@ -528,7 +500,6 @@ def open_sharded_schemes(
     root: str,
     page_bytes: int | None = None,
     fsync: bool = False,
-    retain_wal: bool = False,
 ) -> list[Any]:
     """Open every shard of a sharded store directory, in shard order.
 
@@ -540,11 +511,6 @@ def open_sharded_schemes(
     """
     manifest = read_manifest(root)
     return [
-        open_file_scheme(
-            shard_page_path(root, shard),
-            page_bytes=page_bytes,
-            fsync=fsync,
-            retain_wal=retain_wal,
-        )
+        open_file_scheme(shard_page_path(root, shard), page_bytes=page_bytes, fsync=fsync)
         for shard in range(manifest["n_shards"])
     ]

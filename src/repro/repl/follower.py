@@ -9,7 +9,9 @@ a replica label service, one shard at a time:
    the ordinary :func:`~repro.persist.open_file_scheme` path; a follower
    restarting over existing local files just reopens them — local crash
    recovery replays the committed tail and trims a torn suffix, exactly
-   like a primary restart would.
+   like a primary restart would — unless the primary's retention has
+   deleted the segment they resume at: then they are discarded and the
+   shard bootstraps afresh.
 2. **Log-first shipping.**  Fetched WAL bytes are appended to the local
    live log *before* they are applied, so a follower killed mid-apply
    loses nothing: on restart, recovery replays the persisted committed
@@ -25,7 +27,9 @@ a replica label service, one shard at a time:
    the primary.
 4. **Sealing.**  When the primary reports a segment sealed and the
    follower has fully mirrored and applied it, the follower seals its
-   local copy too, keeping the two manifests aligned.
+   local copy too, keeping the two segment numberings aligned.  A
+   running follower whose cursor falls below the primary's retention
+   horizon stops with a :class:`~repro.errors.ReplicationError`.
 
 :meth:`Follower.promote` stops following and turns the replica service
 into a writable primary (failover handoff).
@@ -49,23 +53,35 @@ from ..service.sharded import ShardedLabelService
 from ..storage.shardlayout import shard_page_path, write_manifest
 from ..storage.wal import MAGIC as WAL_MAGIC
 from ..storage.wal import scan_wal_bytes
-from ..storage.walseg import fresh_manifest, write_wal_manifest
+from ..storage.walseg import fresh_manifest, read_wal_manifest, write_wal_manifest
 
 __all__ = ["Follower", "ShardFollower"]
 
 #: Errors :meth:`Follower.run` treats as "primary unreachable": back off
-#: and reconnect instead of dying.  Anything else (malformed shipped
-#: bytes, a cursor the primary cannot serve) is fatal and re-raises.
+#: and reconnect instead of dying.  Anything else — malformed shipped
+#: bytes, a cursor the primary cannot serve, and every
+#: :class:`ReplicationError` although it is a :class:`ServiceError` — is
+#: fatal.
 _RETRYABLE = (ConnectionError, OSError, TimeoutError, ServiceError, ProtocolError)
+
+
+def _behind_horizon(segment: int, manifest: Any) -> bool:
+    """Whether a follower cursor at ``segment`` is below the primary's
+    retention horizon: neither a retained segment nor the live tail, and
+    older than the newest checkpoint image."""
+    return (
+        segment != manifest.next_segment
+        and segment not in manifest.segments
+        and segment < manifest.checkpoint_segment
+    )
 
 
 class ShardFollower:
     """The per-shard pull/persist/apply cursor (see module docstring).
 
-    Wraps one replica :class:`LabelService` whose backend was opened
-    with ``retain_wal=True`` over the local mirror of the shard's page
-    file.  Not thread-safe; the owning :class:`Follower` drives every
-    shard from one thread.
+    Wraps one replica :class:`LabelService` whose backend is the local
+    mirror of the shard's page file.  Not thread-safe; the owning
+    :class:`Follower` drives every shard from one thread.
     """
 
     def __init__(self, client: NetClient, shard: int, service: LabelService) -> None:
@@ -74,10 +90,6 @@ class ShardFollower:
         self.service = service
         self.scheme = service.scheme
         self.backend = service.scheme.store.backend
-        if getattr(self.backend, "wal_manifest", None) is None:
-            raise ReplicationError(
-                "a follower's backend must be opened with retain_wal=True"
-            )
         #: Cursor: the segment being mirrored (local manifest's next id —
         #: local sealing keeps it aligned with the primary's numbering).
         self.segment: int = self.backend.wal_manifest["next_segment"]
@@ -138,6 +150,13 @@ class ShardFollower:
                 f"shard {self.shard}: follower cursor at segment "
                 f"{self.segment} but primary's next is {manifest.next_segment} "
                 "(primary history was reset?)"
+            )
+        if _behind_horizon(self.segment, manifest):
+            raise ReplicationError(
+                f"shard {self.shard}: follower cursor at segment {self.segment} "
+                "is below the primary's retention horizon (its newest image is "
+                f"at segment {manifest.checkpoint_segment}); restart the "
+                "follower to re-bootstrap from the newest checkpoint image"
             )
         progressed = False
         while True:
@@ -367,22 +386,31 @@ class Follower:
     def _bootstrap_shard(self, shard: int) -> Any:
         """Local page file for one shard: reopen it if present (local
         crash recovery), otherwise download the primary's newest
-        checkpoint image and seed the local manifest at its segment."""
+        checkpoint image and seed the local manifest at its segment.
+        Local files that resume below the primary's retention horizon are
+        deleted first — only this shard's — so the shard bootstraps
+        afresh."""
         assert self.client is not None
         path = shard_page_path(self.root, shard)
-        if not (os.path.exists(path) and os.path.getsize(path) > 0):
-            manifest = self.client.repl_state(shard)
-            if manifest.checkpoint_segment == 0:
-                raise ReplicationError(
-                    f"primary shard {shard} has no checkpoint image; run a "
-                    "full checkpoint (repro.repl.checkpoint_service) before "
-                    "attaching a follower"
-                )
-            self._download_image(shard, manifest.checkpoint_segment, path)
-            local = fresh_manifest()
-            local["next_segment"] = manifest.checkpoint_segment
-            write_wal_manifest(path, local)
-        return open_file_scheme(path, retain_wal=True)
+        manifest = self.client.repl_state(shard)
+        if os.path.exists(path) and os.path.getsize(path) > 0:
+            if not _behind_horizon(read_wal_manifest(path)["next_segment"], manifest):
+                return open_file_scheme(path)
+            directory, base = os.path.split(path)
+            for name in os.listdir(directory):
+                if name == base or name.startswith(base + "."):
+                    os.remove(os.path.join(directory, name))
+        if manifest.checkpoint_segment == 0:
+            raise ReplicationError(
+                f"primary shard {shard} has no checkpoint image; run a "
+                "full checkpoint (repro.repl.checkpoint_service) before "
+                "attaching a follower"
+            )
+        self._download_image(shard, manifest.checkpoint_segment, path)
+        local = fresh_manifest()
+        local["next_segment"] = manifest.checkpoint_segment
+        write_wal_manifest(path, local)
+        return open_file_scheme(path)
 
     def _download_image(self, shard: int, segment: int, dest: str) -> None:
         assert self.client is not None
@@ -439,12 +467,15 @@ class Follower:
         is then fully mirrored and applied).  A dead connection — the
         primary restarted, or the background thread stopped mid-outage —
         is re-dialed up to ``reconnect_attempts`` times before the
-        failure propagates."""
+        failure propagates; a :class:`ReplicationError` propagates at
+        once."""
         attempts = 0
         while True:
             try:
                 if not self.step():
                     return self
+            except ReplicationError:
+                raise
             except _RETRYABLE as error:
                 attempts += 1
                 if attempts > reconnect_attempts:
@@ -458,13 +489,17 @@ class Follower:
 
     def run(self, stop: threading.Event | None = None) -> None:
         """Follow until ``stop`` is set.  A vanished primary is retried
-        (reconnect + resume); malformed history is fatal."""
+        (reconnect + resume); malformed history is fatal, and a
+        :class:`ReplicationError` ends the run with ``last_error`` set."""
         if stop is not None:
             self._stop = stop
         self.connect()
         while not self._stop.is_set():
             try:
                 progressed = self.step()
+            except ReplicationError as error:
+                self.last_error = error
+                return
             except _RETRYABLE as error:
                 self.last_error = error
                 if self._stop.wait(self.reconnect_interval):

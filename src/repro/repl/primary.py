@@ -1,12 +1,12 @@
-"""Primary-side replication duties: latched checkpoints and rotation.
+"""Primary-side replication duties: latched checkpoints.
 
-:func:`~repro.persist.full_checkpoint` and
-:func:`~repro.persist.incremental_checkpoint` operate on a bare scheme
-and require the caller to exclude concurrent commits.  Under a running
+:func:`~repro.persist.checkpoint_scheme` and
+:func:`~repro.persist.full_checkpoint` operate on a bare scheme and
+require the caller to exclude concurrent commits.  Under a running
 :class:`~repro.service.sharded.ShardedLabelService` each shard's writer
 thread commits whenever a batch drains, so these wrappers take each
-shard's exclusive latch for the duration — a checkpoint or rotation then
-sits between two group commits, never inside one.
+shard's exclusive latch for the duration — a checkpoint then sits
+between two group commits, never inside one.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import threading
 from contextlib import contextmanager
 from typing import Iterator
 
-from ..persist import full_checkpoint, incremental_checkpoint
+from ..persist import checkpoint_scheme, full_checkpoint
 from ..service.service import LabelService
 from ..service.sharded import ShardedLabelService
 
@@ -57,11 +57,12 @@ def annotate_commits_with_epoch(service: ShardedLabelService) -> ShardedLabelSer
 def checkpoint_service(service: ShardedLabelService) -> list[dict]:
     """Full checkpoint of every shard, each under its commit latch.
 
-    Per shard: flush every resident block, seal the live log, and record
-    a page-file checkpoint image stamped with the shard's current epoch
-    (the follower's lag-in-epochs reference).  Returns the checkpoint
-    records in shard order.  This is the durability point bootstrap
-    requires: a follower attaches to the newest recorded image.
+    Per shard: checkpoint (which seals the live log) and record a
+    page-file checkpoint image stamped with the shard's current epoch
+    (the follower's lag-in-epochs reference); retention then keeps the
+    two newest images and the segments from the older one on.  Returns
+    the checkpoint records in shard order.  This is the durability point
+    bootstrap requires: a follower attaches to the newest recorded image.
     """
     records = []
     for shard_service in service.shards:
@@ -75,18 +76,15 @@ def checkpoint_service(service: ShardedLabelService) -> list[dict]:
     return records
 
 
-def rotate_service_wal(service: ShardedLabelService) -> list[int | None]:
-    """Incremental checkpoint of every shard, each under its commit latch.
-
-    Seals each shard's accumulated live log as one segment (write-back,
-    no image copy) so followers can mirror-and-seal it and recovery
-    scans less tail.  Returns per-shard sealed segment ids
-    (``None`` where nothing had been committed since the last rotation).
-    """
+def rotate_service_wal(service: ShardedLabelService) -> list[int]:
+    """Checkpoint every shard, each under its commit latch: write back
+    and seal the live log as one segment, no image copy.  Returns the
+    sealed segment ids in shard order."""
     sealed = []
     for shard_service in service.shards:
         with _exclusive(shard_service):
-            sealed.append(incremental_checkpoint(shard_service.scheme))
+            backend = checkpoint_scheme(shard_service.scheme)
+            sealed.append(backend.wal_manifest["next_segment"] - 1)
     return sealed
 
 
@@ -94,23 +92,17 @@ def start_checkpoint_thread(
     service: ShardedLabelService,
     interval: float,
     *,
-    full_every: int = 0,
     stop: threading.Event | None = None,
 ) -> tuple[threading.Thread, threading.Event]:
-    """Background periodic rotation: every ``interval`` seconds run
-    :func:`rotate_service_wal`; every ``full_every``-th tick (0 = never)
-    run :func:`checkpoint_service` instead.  Returns the started daemon
-    thread and its stop event."""
+    """Background full checkpoints: every ``interval`` seconds run
+    :func:`checkpoint_service` (the backend seals by itself in between,
+    every :data:`~repro.storage.filebackend.CHECKPOINT_LOG_BYTES` logged).
+    Returns the started daemon thread and its stop event."""
     stop_event = stop if stop is not None else threading.Event()
 
     def _loop() -> None:
-        tick = 0
         while not stop_event.wait(interval):
-            tick += 1
-            if full_every and tick % full_every == 0:
-                checkpoint_service(service)
-            else:
-                rotate_service_wal(service)
+            checkpoint_service(service)
 
     thread = threading.Thread(target=_loop, name="repl-checkpointer", daemon=True)
     thread.start()

@@ -25,9 +25,11 @@ a commit appends the dirty pages' images and a DELTA record — what the
 commit changed in the directory, the owner's part last — and syncs the
 log; nothing else.  A checkpoint (explicit, or taken by
 :meth:`FileBackend.commit` itself once :data:`CHECKPOINT_LOG_BYTES` have
-been logged) folds the log into the page file.  Opening a file folds the
-log over the directory through :func:`fold_transaction`, the one function
-recovery, point-in-time restore and replication followers all share.
+been logged) folds the log into the page file and seals the log into a
+numbered segment, which one retention rule keeps or deletes
+(:mod:`repro.storage.walseg`).  Opening a file folds the log over the
+directory through :func:`fold_transaction`, the one function recovery,
+point-in-time restore and replication followers all share.
 
 **Consistency model.**  Decoded payloads live in an object table and are
 mutated in place by the tree code, exactly like the memory backend — the
@@ -83,10 +85,10 @@ from .owner import FoldedOwner
 from .wal import MAGIC as WAL_MAGIC
 from .wal import WALTransaction, WALWriter, scan_wal
 from .walseg import (
+    apply_retention,
     checkpoint_image_path,
     read_wal_manifest,
     segment_path,
-    write_wal_manifest,
 )
 
 #: Format version 2: binary directory past the last page (version 1 kept
@@ -287,12 +289,6 @@ class FileBackend(StorageBackend):
         crashes (the only kind tests can make) do not lose OS-buffered
         writes, and benchmarks should measure the protocol, not the
         host's disk.
-    retain_wal:
-        What a checkpoint does with the log it has folded into the page
-        file: discard it (the default), or leave it standing as history
-        until :meth:`seal_wal_segment` rotates it into a numbered segment
-        file (the substrate of replication and incremental checkpoints —
-        see :mod:`repro.storage.walseg`).
     """
 
     def __init__(
@@ -300,18 +296,13 @@ class FileBackend(StorageBackend):
         path: str,
         page_bytes: int | None = None,
         fsync: bool = False,
-        retain_wal: bool = False,
     ) -> None:
         super().__init__()
         self.path = path
         self.wal_path = path + ".wal"
         self.fsync = fsync
-        self.retain_wal = retain_wal
-        #: Segment bookkeeping (see :mod:`repro.storage.walseg`); loaded
-        #: lazily so non-retaining backends never touch the manifest.
-        self.wal_manifest: dict[str, Any] | None = (
-            read_wal_manifest(path) if retain_wal else None
-        )
+        #: Segment bookkeeping (see :mod:`repro.storage.walseg`).
+        self.wal_manifest: dict[str, Any] = read_wal_manifest(path)
         #: Decoded live payloads (the buffer pool); identity-stable.
         self._objects: dict[int, Any] = {}
         #: Ids with a durable page image (in the log or the page file).
@@ -456,19 +447,19 @@ class FileBackend(StorageBackend):
     def _sync_raw(self, handle: Any) -> None:
         """Like :meth:`_sync` but without the ``backend.fsync`` hook.
 
-        Used for the post-truncate/post-seal sync of the (now empty or
-        renamed) log: the checkpoint is already durable in pages +
-        directory by then, so an injected fsync failure there would
-        crash the machine *after* it — a window the chaos oracle cannot
-        attribute.  The hookable crash point for this window is
-        ``wal.truncate``, fired at entry while the log still stands.
+        Used for the seal's sync of the log about to be renamed: the
+        checkpoint is already durable in pages + directory by then, so an
+        injected fsync failure there would crash the machine *after* it —
+        a window the chaos oracle cannot attribute.  The hookable crash
+        point for this window is ``wal.truncate``, fired at entry while
+        the log still stands.
         """
         handle.flush()
         if self.fsync:
             os.fsync(handle.fileno())
 
     def _sync_dir(self, dirpath: str) -> None:
-        """fsync a directory so renames/truncations within it are durable.
+        """fsync a directory so renames within it are durable.
 
         A no-op unless the backend was opened with ``fsync=True`` — the
         same policy gate as :meth:`_sync`; metadata-only, so it bypasses
@@ -743,22 +734,21 @@ class FileBackend(StorageBackend):
         self._on_disk.update(puts)
         self._unflushed.update(puts)
 
-    def checkpoint(self) -> None:
-        """Fold the log into the page file (the *force* protocol).
+    def checkpoint(self) -> int:
+        """Fold the log into the page file (the *force* protocol) and seal
+        it; returns the sealed segment's id.
 
         Whatever is still pending is journaled first, so the ABSOLUTE
         record restates exactly the state the log's DELTAs fold to.  Then:
         record into the log, sync; pages journaled since the last
-        checkpoint and the directory into the page file, sync; truncate
-        the log (``retain_wal``: leave it standing to be sealed).
+        checkpoint and the directory into the page file, sync; seal the
+        log into the next segment and apply retention (:meth:`_seal`).
         """
         self._journal({})
         blob = encode_directory(self._directory())
         self._wal.append_transaction({}, blob, absolute=True, sync=self._sync)
         self.write_back(blob)
-        if not self.retain_wal:
-            self._wal.truncate()
-        self._checkpoint_mark = self._wal.bytes_written
+        return self._seal()
 
     def write_back(self, blob: bytes) -> None:
         """Write the unflushed page images and the directory image
@@ -770,9 +760,9 @@ class FileBackend(StorageBackend):
             self._write_page_image(block_id, image)
         self._write_directory(blob)
         # The barrier: the page file must be durable before the log stops
-        # being the source of truth (is truncated, or sealed away).  The
-        # flush inside also precedes emptying ``_unflushed``, which is
-        # what lets cold reads go to the descriptor.
+        # being the source of truth (is sealed away).  The flush inside
+        # also precedes emptying ``_unflushed``, which is what lets cold
+        # reads go to the descriptor.
         self._sync(self._handle)
         self._unflushed.clear()
 
@@ -803,56 +793,56 @@ class FileBackend(StorageBackend):
         return True
 
     # ------------------------------------------------------------------
-    # WAL segmentation (retain_wal mode; see repro.storage.walseg)
+    # WAL segments and retention (see repro.storage.walseg)
     # ------------------------------------------------------------------
 
-    def _require_retain(self) -> dict[str, Any]:
-        if not self.retain_wal or self.wal_manifest is None:
-            raise StorageError(
-                f"{self.path}: WAL segmentation requires retain_wal=True"
-            )
-        return self.wal_manifest
-
-    def seal_wal_segment(self) -> int | None:
-        """Rotate the live log into a sealed, numbered segment file.
-
-        Returns the new segment's id, or ``None`` when the live log holds
-        no transactions (sealing would produce an empty segment).  A log
-        the page file does not fully include yet — a newer LSN, or images
-        reopening found in it and could not tell were written back — is
-        checkpointed first: once sealed, it can no longer repair a torn
-        write-back.  The
-        caller must hold whatever latch guards commits — rotation must
-        not interleave with a transaction being appended.
-        """
-        manifest = self._require_retain()
-        if self._wal_size() <= len(WAL_MAGIC):
-            return None
-        if self._directory_lsn != self.lsn or self._unflushed:
-            self.checkpoint()
+    def _seal(self) -> int:
+        """Rename the live log to the next numbered segment, then apply
+        retention; returns the segment's id."""
+        manifest = self.wal_manifest
         seg_id = manifest["next_segment"]
         self._wal.seal_to(segment_path(self.path, seg_id))
         self._checkpoint_mark = self._wal.bytes_written
         manifest["segments"].append(seg_id)
         manifest["next_segment"] = seg_id + 1
-        write_wal_manifest(self.path, manifest, fsync=self.fsync)
+        apply_retention(self.path, manifest, fsync=self.fsync)
         get_registry().counter(
             "repro_wal_segments_sealed_total",
             help="live WAL rotations into sealed segment files",
         ).inc()
         return seg_id
 
+    def seal_wal_segment(self) -> int | None:
+        """Seal the live log into a numbered segment — a replication
+        follower's step, once it has mirrored the segment its primary
+        sealed.
+
+        Returns the new segment's id, or ``None`` when the live log holds
+        no transactions (sealing would produce an empty segment).  A log
+        the page file does not fully include yet — a newer LSN, or images
+        reopening found in it and could not tell were written back — is
+        checkpointed instead, whose seal is the seal: once sealed, a log
+        can no longer repair a torn write-back.  The caller must hold
+        whatever latch guards commits — rotation must not interleave with
+        a transaction being appended.
+        """
+        if self._wal_size() <= len(WAL_MAGIC):
+            return None
+        if self._directory_lsn != self.lsn or self._unflushed:
+            return self.checkpoint()
+        return self._seal()
+
     def record_checkpoint_image(self, extra: dict[str, Any] | None = None) -> dict[str, Any]:
         """Copy the page file as the checkpoint image for the *next*
-        segment and record it in the manifest.
+        segment, record it in the manifest and apply retention.
 
-        Call after :meth:`checkpoint` + :meth:`seal_wal_segment`: the
-        image then reflects every sealed segment, so restoring it and
-        replaying segments ``>= record["segment"]`` reproduces any later
-        state.  ``extra`` (e.g. the service epoch at checkpoint time) is
-        stored verbatim in the record for lag accounting.
+        Call right after :meth:`checkpoint`: the image then reflects every
+        sealed segment, so restoring it and replaying segments
+        ``>= record["segment"]`` reproduces any later state.  ``extra``
+        (e.g. the service epoch at checkpoint time) is stored verbatim in
+        the record for lag accounting.
         """
-        manifest = self._require_retain()
+        manifest = self.wal_manifest
         seg = manifest["next_segment"]
         image = checkpoint_image_path(self.path, seg)
         self._handle.flush()
@@ -873,7 +863,7 @@ class FileBackend(StorageBackend):
         if extra:
             record.update(extra)
         manifest["checkpoints"].append(record)
-        write_wal_manifest(self.path, manifest, fsync=self.fsync)
+        apply_retention(self.path, manifest, fsync=self.fsync)
         get_registry().counter(
             "repro_wal_checkpoint_images_total",
             help="checkpoint images recorded in the WAL manifest",

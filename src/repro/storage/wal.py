@@ -12,7 +12,9 @@ Durability protocol (redo-only WAL, *no-force*):
   state every DELTA so far folds to — is appended and synced; then the
   pages journaled since the last checkpoint and the directory are
   written to the page file, the page file is synced, and the log is
-  truncated (or, in segment-retaining mode, left standing to be sealed).
+  sealed: renamed into the next numbered segment
+  (:mod:`repro.storage.walseg`), whose retention rule decides how long
+  it stays.
 
 Every DELTA carries a log sequence number one past its predecessor's;
 an ABSOLUTE record carries the LSN of the state it restates and the
@@ -31,7 +33,7 @@ crash states it finds:
 * **crash inside a checkpoint**: the ABSOLUTE record is durable, pages
   or the directory may be torn.  The record is the base, and every page
   being written back still has its image in the log.
-* **directory written, log not yet truncated**: every DELTA's LSN is at
+* **directory written, log not yet sealed**: every DELTA's LSN is at
   or below the directory's and is skipped.  Its page images are not:
   pages and directory share one sync, so a landed directory does not
   prove the pages landed, and PUTs replay idempotently.
@@ -125,11 +127,12 @@ class WALWriter:
         self.path = path
         self._raw_write = raw_write
         #: Optional fault dispatcher (the owning backend's ``_fire_fault``)
-        #: consulted at the ``wal.append`` and ``wal.truncate`` hook points.
+        #: consulted at the ``wal.append`` and ``wal.truncate`` (seal entry)
+        #: hook points.
         self._fault_fire = fault_fire
         #: Durability callables supplied by the owning backend: ``sync``
         #: flushes (and, per backend policy, fsyncs) a handle; ``sync_dir``
-        #: fsyncs a directory so renames/truncations survive power loss.
+        #: fsyncs a directory so renames survive power loss.
         self._sync = sync
         self._sync_dir = sync_dir
         self._handle: Any = None
@@ -227,28 +230,10 @@ class WALWriter:
 
                 apply_simple_action(action)
 
-    def truncate(self) -> None:
-        """Empty the log (a checkpoint's last step).
-
-        The emptied file and its parent directory are both synced
-        (through the owning backend's fsync policy) before the step
-        counts as done: a truncation lost to a crash leaves the folded
-        log standing, which recovery skips by LSN but must still scan.
-        """
-        self._fire("wal.truncate")
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-        with open(self.path, "wb") as handle:
-            if self._sync is not None:
-                self._sync(handle)
-        if self._sync_dir is not None:
-            self._sync_dir(os.path.dirname(self.path) or ".")
-
     def trim(self, offset: int) -> None:
         """Cut the log at ``offset``: drop a torn tail, keep the committed
-        prefix (segment-retaining mode's recovery step — the committed
-        records stay in place because they are part of segment history)."""
+        prefix (recovery's step — the committed records stay in place:
+        they are the history the next seal puts into a segment)."""
         if self._handle is not None:
             self._handle.close()
             self._handle = None
@@ -258,11 +243,14 @@ class WALWriter:
                 self._sync(handle)
 
     def seal_to(self, target: str) -> None:
-        """Atomically rename the live log to ``target`` (segment sealing).
+        """Atomically rename the live log to ``target`` (a checkpoint's
+        last step).
 
-        The file is synced before the rename and the directory after it,
-        so the sealed segment is durable under its final name — the same
-        two-step discipline as :meth:`truncate`.
+        The file is synced before the rename and the directory after it
+        (through the owning backend's fsync policy), so the sealed segment
+        is durable under its final name: a seal lost to a crash leaves the
+        folded log standing, which recovery skips by LSN but must still
+        scan.  ``wal.truncate`` fires at entry, while the log still stands.
         """
         self._fire("wal.truncate")
         if self._handle is not None:

@@ -1,21 +1,22 @@
-"""WAL segmentation: the on-disk vocabulary of retained log history.
+"""WAL segmentation: the on-disk vocabulary of a page file's log history.
 
-A :class:`~repro.storage.FileBackend` opened with ``retain_wal=True``
-stops truncating its log after each commit.  Instead the live log
-accumulates transactions until it is **sealed**: atomically renamed to a
-numbered *segment* file next to the page file.  Segment ids are
-monotonic and never reused; a small JSON manifest (atomic temp-file +
-rename, same discipline as the shard manifest) records what exists:
+Every :class:`~repro.storage.FileBackend` ends each checkpoint by
+**sealing** its live log: atomically renaming it to a numbered *segment*
+file next to the page file.  Segment ids are monotonic and never reused;
+a small JSON manifest (atomic temp-file + rename, same discipline as the
+shard manifest) records what exists:
 
 .. code-block:: text
 
     mystore.pages               <- the page file
-    mystore.pages.wal           <- live log (the tail; becomes segment 3)
-    mystore.pages.seg-000001.wal
+    mystore.pages.wal           <- live log (the tail; becomes segment 5)
     mystore.pages.seg-000002.wal
+    mystore.pages.seg-000003.wal
+    mystore.pages.seg-000004.wal
     mystore.pages.ckpt-000002   <- checkpoint image: replay segments >= 2
-    mystore.pages.walseg.json   <- {"next_segment": 3, "segments": [1, 2],
-                                    "checkpoints": [{"segment": 2, ...}]}
+    mystore.pages.ckpt-000004   <- checkpoint image: replay segments >= 4
+    mystore.pages.walseg.json   <- {"next_segment": 5, "segments": [2, 3, 4],
+                                    "checkpoints": [{"segment": 2, ...}, ...]}
 
 Every segment file is an ordinary write-ahead log (magic + records), so
 :func:`~repro.storage.wal.scan_wal` and the whole recovery path apply to
@@ -25,20 +26,34 @@ image and replaying segments ``>= record["segment"]`` (in id order)
 reproduces any later state — that is the point-in-time-recovery
 contract, and exactly what a replication follower does at bootstrap.
 
+**Retention** (:func:`apply_retention`, run after every seal and every
+recorded image) keeps the two newest checkpoint images and every segment
+from the older one's id on, and deletes all older history.  A store that
+never recorded an image keeps no sealed segment at all: on disk its
+checkpoint empties the log, as a truncate would.  Two images, not one:
+a caught-up follower is reading the very segment a full checkpoint
+seals, and a one-image horizon would delete it under every attached
+follower at every full checkpoint.  A follower whose cursor falls below
+the horizon anyway is told so (:class:`~repro.errors.ReplicationError`)
+and re-bootstraps from the newest image.
+
 The manifest is advisory bookkeeping over files that are individually
-self-describing; it is written *after* the filesystem operations it
-records, so a crash between the two leaves a sealed segment the next
-rotation re-records, never a manifest naming files that don't exist.
+self-describing; it is written *after* the renames it records and
+*before* the deletions it implies, so a crash between the two leaves a
+sealed segment the next seal re-records, or expired files the next
+retention pass sweeps — never a manifest naming files that don't exist.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 
 from ..errors import PersistError
 
 __all__ = [
+    "apply_retention",
     "checkpoint_image_path",
     "fresh_manifest",
     "manifest_path",
@@ -125,3 +140,26 @@ def write_wal_manifest(page_path: str, manifest: dict, *, fsync: bool = False) -
             os.fsync(fd)
         finally:
             os.close(fd)
+
+
+def apply_retention(page_path: str, manifest: dict, *, fsync: bool = False) -> None:
+    """The one retention rule: prune ``manifest`` to the horizon in place,
+    persist it (:func:`write_wal_manifest`), then delete the history files
+    of ``page_path`` below the horizon.
+
+    The horizon is the older of the two newest checkpoint images' segment
+    (none recorded: the next segment, so every sealed one expires).  The
+    files are found by listing the directory, not the manifest, so a
+    file a crash left behind after the manifest dropped it expires too.
+    """
+    kept = manifest["checkpoints"][-2:]
+    horizon = kept[0]["segment"] if kept else manifest["next_segment"]
+    manifest["checkpoints"] = kept
+    manifest["segments"] = [seg for seg in manifest["segments"] if seg >= horizon]
+    write_wal_manifest(page_path, manifest, fsync=fsync)
+    directory, base = os.path.split(page_path)
+    history = re.compile(re.escape(base) + r"\.(?:seg-(\d+)\.wal|ckpt-(\d+))")
+    for name in os.listdir(directory or "."):
+        match = history.fullmatch(name)
+        if match and int(match.group(1) or match.group(2)) < horizon:
+            os.remove(os.path.join(directory, name))

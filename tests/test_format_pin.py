@@ -26,8 +26,8 @@ from repro import BBox, NaiveScheme, OrdPath, WBox, WBoxO
 from repro.config import TINY_CONFIG
 from repro.core.ancestry import AncestryDynamic
 from repro.persist import (
+    checkpoint_scheme,
     full_checkpoint,
-    incremental_checkpoint,
     load_scheme,
     open_file_scheme,
     save_scheme,
@@ -100,13 +100,14 @@ def build_artefacts(name, workdir):
     path of each artefact it produced."""
     page_path = os.path.join(workdir, "work.pages")
     snapshot_path = os.path.join(workdir, "snapshot")
-    backend = FileBackend(page_path, page_bytes=PAGE_BYTES, retain_wal=True)
+    backend = FileBackend(page_path, page_bytes=PAGE_BYTES)
     scheme = FACTORIES[name](BlockStore(TINY_CONFIG, backend=backend))
     lids = _bulk(scheme)
-    # Seals the bulk load; the tape gets its own segment.
+    # Seals the bulk load; the tape gets its own segment, which the
+    # image keeps from being deleted.
     image = full_checkpoint(scheme)["segment"]
     _apply_tape(scheme, lids)
-    segment = incremental_checkpoint(scheme)
+    segment = checkpoint_scheme(scheme).wal_manifest["segments"][-1]
     save_scheme(scheme, snapshot_path)
     backend.close()
     return {
@@ -182,7 +183,7 @@ def test_committed_page_file_opens(tmp_path, name, replay_segment):
 @pytest.mark.parametrize("name", sorted(FACTORIES))
 def test_segment_already_in_the_page_file_is_skipped(tmp_path, name):
     """The page file *after* the tape with the tape's segment as its log
-    (a checkpoint that crashed before its truncate): every transaction's
+    (a checkpoint that crashed before its seal): every transaction's
     LSN is at or below the directory's, so nothing folds twice."""
     path = str(tmp_path / "copy.pages")
     shutil.copyfile(os.path.join(GOLDEN_DIR, name, "pages"), path)

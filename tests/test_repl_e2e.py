@@ -83,7 +83,6 @@ def test_follower_kill_straddling_a_segment_boundary(tmp_path):
     backend = FileBackend(
         path,
         page_bytes=default_page_bytes(TINY_CONFIG.block_bytes),
-        retain_wal=True,
     )
     scheme = WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))
     attach_scheme_to_backend(scheme)

@@ -1,6 +1,6 @@
 """WAL-shipping replication, in-process and over real sockets.
 
-A file-backed primary (``retain_wal`` mode) runs under a
+A file-backed primary runs under a
 :class:`~repro.service.ShardedLabelService` behind the network front end; a
 :class:`~repro.repl.Follower` bootstraps from its newest checkpoint
 image, mirrors the WAL — sealed segments and the live tail — through the
@@ -44,7 +44,6 @@ class Primary:
             backend = FileBackend(
                 str(tmp_path / "primary.pages"),
                 page_bytes=page_bytes,
-                retain_wal=True,
             )
             scheme = factory(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))
             attach_scheme_to_backend(scheme)
@@ -52,9 +51,7 @@ class Primary:
             self.service = ShardedLabelService([scheme]).start()
         else:
             root = str(tmp_path / "primary-shards")
-            backends = create_sharded_backends(
-                root, n_shards, page_bytes=page_bytes, retain_wal=True
-            )
+            backends = create_sharded_backends(root, n_shards, page_bytes=page_bytes)
             schemes = [
                 WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))
                 for backend in backends
@@ -275,7 +272,9 @@ class TestLag:
                     checkpoint_service(primary.service)
                 elif index % 3 == 2:
                     rotate_service_wal(primary.service)
-            f.catch_up()
+                # Two full checkpoints unread would put the cursor below
+                # the retention horizon; an attached follower keeps up.
+                f.catch_up()
             shard = f.shards[0]
             assert shard.segments_sealed >= 4
             assert shard.position_epoch == primary.service.current_epoch_vector.numbers[0]
@@ -304,3 +303,26 @@ class TestSharded:
                     )
         finally:
             harness.close()
+
+
+class TestFatalReplicationErrors:
+    def test_replication_error_is_not_retried(self, primary, tmp_path):
+        """A :class:`ReplicationError` the follower raises itself (here a
+        cursor past the primary's next segment) is fatal: ``catch_up``
+        raises it without re-dialing, and ``run`` returns with it as
+        ``last_error`` instead of reconnecting forever."""
+        with Follower("127.0.0.1", primary.port, str(tmp_path / "f")).connect() as f:
+            f.catch_up()
+            redials = []
+            f._reconnect = lambda: redials.append(1)
+            f.shards[0].segment += 5
+            with pytest.raises(ReplicationError, match="history was reset"):
+                f.catch_up()
+            runner = threading.Thread(target=f.run, daemon=True)
+            runner.start()
+            runner.join(5)
+            alive = runner.is_alive()
+            f.stop()
+            assert not alive
+            assert isinstance(f.last_error, ReplicationError)
+            assert redials == []

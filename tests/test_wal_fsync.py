@@ -1,22 +1,23 @@
 """The WAL protocol's fsync discipline, pinned syscall-by-syscall.
 
 A commit is one log append and one barrier; a checkpoint is the force
-protocol.  Two durability bugs motivate pinning the latter:
+protocol, and every checkpoint ends by sealing the log into a segment.
+Two durability bugs motivate pinning the latter:
 
-* **Truncate durability** — emptying the log (a checkpoint's last step)
-  must fsync the emptied file *and* its parent directory.  A truncation
-  that only reaches the page cache can be lost to power failure, leaving
-  a folded log next to the directory that includes it; recovery must
-  then skip it by LSN instead of folding its deltas twice.
+* **Seal durability** — renaming the log away (a checkpoint's last step)
+  must fsync the log *and* its parent directory.  A rename that only
+  reaches the page cache can be lost to power failure, leaving a folded
+  log next to the directory that includes it; recovery must then skip
+  it by LSN instead of folding its deltas twice.
 * **Barrier ordering** — pages + directory must be fsynced *before* the
-  truncate begins.  Truncating first opens a window where neither the
-  log nor the page file holds the committed transactions.
+  seal begins.  Sealing first opens a window where neither the live log
+  nor the page file holds the committed transactions.
 
 The tests record every ``os.fsync`` target (inode + file/dir bit) during
 a single commit and a single checkpoint on an ``fsync=True`` backend and
 assert the exact sequences; a directed fault-matrix entry then crashes
-*at* the truncate hook and proves recovery neither loses nor double-folds
-the still-present log.
+*at* the seal's hook (``wal.truncate``, its pre-segment name) and proves
+recovery neither loses nor double-folds the still-present log.
 """
 
 import os
@@ -36,6 +37,7 @@ from repro.persist import (
 )
 from repro.storage import BlockStore, FileBackend, default_page_bytes, scan_wal
 from repro.storage import filebackend as filebackend_module
+from repro.storage.walseg import manifest_path, segment_path
 
 
 def make_scheme(tmp_path, fsync=True):
@@ -68,7 +70,8 @@ def lose_page_writes(path):
 class FsyncRecorder:
     """Every ``os.fsync`` target as ``(inode, is_directory)``, in call
     order — classifying by inode keeps the record meaningful across the
-    truncate, which recreates the log file under a new inode."""
+    seal, after which the next commit creates the log under a new
+    inode."""
 
     def __init__(self, monkeypatch):
         self.targets = []
@@ -88,30 +91,27 @@ class FsyncRecorder:
         return [ino for ino, is_dir in self.targets if is_dir]
 
 
-class TestTruncateDurability:
-    def test_truncate_syncs_emptied_log_and_parent_dir(
-        self, tmp_path, monkeypatch
-    ):
-        """The emptied log file and its directory both reach disk before
-        truncate returns — the regression for truncations lost to the
-        page cache."""
+class TestSealDurability:
+    def test_seal_syncs_log_and_parent_dir(self, tmp_path, monkeypatch):
+        """The sealed log file and its directory both reach disk before
+        the seal returns — the regression for renames lost to the page
+        cache."""
         scheme, backend, path = make_scheme(tmp_path)
         bulk(scheme, 8)
-        recorder = FsyncRecorder(monkeypatch)
-        backend._wal.truncate()
         wal_ino = os.stat(backend.wal_path).st_ino
-        dir_ino = os.stat(tmp_path).st_ino
-        assert wal_ino in recorder.files()
-        assert dir_ino in recorder.dirs()
+        recorder = FsyncRecorder(monkeypatch)
+        backend._wal.seal_to(segment_path(path, 9))
+        assert os.stat(segment_path(path, 9)).st_ino == wal_ino
+        assert recorder.targets == [(wal_ino, False), (os.stat(tmp_path).st_ino, True)]
         backend.close()
 
     def test_no_fsync_policy_means_no_fsync(self, tmp_path, monkeypatch):
         """The durability gate is the backend's one fsync policy: with
-        ``fsync=False`` the truncate path must not sneak syncs in."""
+        ``fsync=False`` the seal must not sneak syncs in."""
         scheme, backend, path = make_scheme(tmp_path, fsync=False)
         bulk(scheme, 8)
         recorder = FsyncRecorder(monkeypatch)
-        backend._wal.truncate()
+        backend._wal.seal_to(segment_path(path, 9))
         assert recorder.targets == []
         backend.close()
 
@@ -119,7 +119,7 @@ class TestTruncateDurability:
 class TestCommitBarrierOrdering:
     def test_commit_is_one_log_fsync(self, tmp_path, monkeypatch):
         """A commit fsyncs the appended log and nothing else: no page
-        file barrier, no truncate — and writes nothing to the page file."""
+        file barrier, no seal — and writes nothing to the page file."""
         scheme, backend, path = make_scheme(tmp_path)
         lids = bulk(scheme, 8)
         wal_ino = os.stat(backend.wal_path).st_ino
@@ -133,52 +133,63 @@ class TestCommitBarrierOrdering:
 
     def test_single_commit_fsync_sequence(self, tmp_path, monkeypatch):
         """One checkpoint fsyncs, in order: the log (its absolute
-        record), the page file (the barrier), the emptied log, the
-        directory.  The barrier strictly preceding the truncate syncs is
-        the protocol's safety argument."""
+        record), the page file (the barrier), the sealed log under its
+        old inode, the directory (the rename), the manifest and the
+        directory again (its rename).  The barrier strictly preceding the
+        seal is the protocol's safety argument.  With no image recorded
+        the sealed segment is then deleted: no live log and no segment
+        remain."""
         scheme, backend, path = make_scheme(tmp_path)
         bulk(scheme, 8)
-        wal_before = os.stat(backend.wal_path).st_ino
+        wal_ino = os.stat(backend.wal_path).st_ino
         pages_ino = os.stat(path).st_ino
         recorder = FsyncRecorder(monkeypatch)
-        backend.checkpoint()
-        wal_after = os.stat(backend.wal_path).st_ino
+        assert backend.checkpoint() == 2
         dir_ino = os.stat(tmp_path).st_ino
         assert recorder.targets == [
-            (wal_before, False),  # absolute record + commit record
+            (wal_ino, False),  # absolute record + commit record
             (pages_ino, False),  # pages + directory barrier
-            (wal_after, False),  # emptied log
+            (wal_ino, False),  # the log, about to be sealed
+            (dir_ino, True),  # its new directory entry
+            (os.stat(manifest_path(path)).st_ino, False),  # the manifest
             (dir_ino, True),  # its directory entry
         ]
+        assert not os.path.exists(backend.wal_path)
+        assert not os.path.exists(segment_path(path, 2))
         backend.close()
 
     def test_retaining_checkpoint_leaves_the_log_to_be_sealed(
         self, tmp_path, monkeypatch
     ):
-        """``retain_wal``: the checkpoint's barriers stop at the page
-        file; sealing later syncs the log under its old inode, renames
-        it, and syncs the directory."""
-        path = str(tmp_path / "r.pages")
-        backend = FileBackend(
-            path,
-            page_bytes=default_page_bytes(TINY_CONFIG.block_bytes),
-            fsync=True,
-            retain_wal=True,
-        )
-        scheme = WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))
-        attach_scheme_to_backend(scheme)
+        """A checkpoint stopped at seal entry has run its barriers up to
+        the page file and left the log standing under its old inode.  A
+        log the page file already includes — this one, or a follower's
+        mirror after its primary's ABSOLUTE record was written back — is
+        sealed as it is: the same syncs as a checkpoint's tail, and no
+        page file barrier."""
+        scheme, backend, path = make_scheme(tmp_path)
         bulk(scheme, 8)
         wal_ino = os.stat(backend.wal_path).st_ino
         pages_ino = os.stat(path).st_ino
         recorder = FsyncRecorder(monkeypatch)
-        backend.checkpoint()
+        backend.install_faults(
+            FaultInjector(FaultPlan([FaultSpec(TORN_WRITE, "wal.truncate", at=1)]))
+        )
+        with pytest.raises(CrashError):
+            backend.checkpoint()
+        backend.install_faults(None)
         assert recorder.targets == [(wal_ino, False), (pages_ino, False)]
         assert os.stat(backend.wal_path).st_ino == wal_ino
         del recorder.targets[:]
-        assert backend.seal_wal_segment() == 1
-        assert recorder.files()[0] == wal_ino
-        assert os.stat(tmp_path).st_ino in recorder.dirs()
+        assert backend.seal_wal_segment() == 2
         assert pages_ino not in recorder.files()  # already checkpointed
+        dir_ino = os.stat(tmp_path).st_ino
+        assert recorder.targets == [
+            (wal_ino, False),
+            (dir_ino, True),
+            (os.stat(manifest_path(path)).st_ino, False),
+            (dir_ino, True),
+        ]
         backend.close()
 
     def test_no_fsync_policy_covers_commit_and_checkpoint(self, tmp_path, monkeypatch):
@@ -193,7 +204,7 @@ class TestCommitBarrierOrdering:
 
 class TestTruncateCrashWindow:
     def test_crash_at_truncate_preserves_log_and_recovers(self, tmp_path):
-        """A crash at truncate entry leaves the full log *and* the full
+        """A crash at seal entry leaves the full log *and* the full
         pages+directory; reopening must come up in the checkpointed
         state without folding any of the log's deltas a second time."""
         scheme, backend, path = make_scheme(tmp_path, fsync=False)
@@ -213,7 +224,7 @@ class TestTruncateCrashWindow:
         )
         with pytest.raises(CrashError):
             backend.checkpoint()
-        # The checkpoint finished everything except the truncate: the log
+        # The checkpoint finished everything except the seal: the log
         # still holds every transaction the directory now includes.
         committed = scan_wal(path + ".wal").committed
         assert committed >= 8
@@ -232,7 +243,7 @@ class TestTruncateCrashWindow:
     ):
         """Pages, directory and header share one fsync, so a power loss
         can keep the directory and lose a page write.  The log still
-        stands then (truncation comes after the barrier) and its images
+        stands then (the seal comes after the barrier) and its images
         must win over the page file, whatever the directory's LSN says."""
         scheme, backend, path = make_scheme(tmp_path, fsync=False)
         lids = bulk(scheme, 24)
@@ -257,24 +268,26 @@ class TestTruncateCrashWindow:
         repaired.store.backend.close()
 
     def test_seal_does_not_rotate_away_images_the_page_file_may_lack(self, tmp_path):
-        """``retain_wal``: the same lost page writes under a log the
-        checkpoint left standing.  Sealing it after a reopen must write
-        the images back first — a sealed segment repairs nothing."""
-        path = str(tmp_path / "r.pages")
-        page_bytes = default_page_bytes(TINY_CONFIG.block_bytes)
-        backend = FileBackend(path, page_bytes=page_bytes, retain_wal=True)
-        scheme = WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))
-        attach_scheme_to_backend(scheme)
+        """The same lost page writes under the log the crash left
+        standing.  A follower's seal of it after a reopen must write the
+        images back first — a sealed segment repairs nothing — so it
+        checkpoints, and that checkpoint's seal is the seal."""
+        scheme, backend, path = make_scheme(tmp_path, fsync=False)
         lids = bulk(scheme, 24)
         labels = [scheme.lookup(lid) for lid in lids]
-        backend.checkpoint()
+        backend.install_faults(
+            FaultInjector(FaultPlan([FaultSpec(TORN_WRITE, "wal.truncate", at=1)]))
+        )
+        with pytest.raises(CrashError):
+            backend.checkpoint()
         backend.close()
         lose_page_writes(path)
-        reopened = open_file_scheme(path, retain_wal=True)
-        assert reopened.store.backend.seal_wal_segment() == 1
+        reopened = open_file_scheme(path)
+        assert reopened.store.backend.seal_wal_segment() == 2
+        assert reopened.store.backend.page_writes > 0
         reopened.store.backend.close()
         assert scan_wal(path + ".wal").committed == 0
-        sealed = open_file_scheme(path, retain_wal=True)
+        sealed = open_file_scheme(path)
         assert [sealed.lookup(lid) for lid in lids] == labels
         sealed.store.backend.close()
 
@@ -309,7 +322,7 @@ class TestTruncateCrashWindow:
 
     def test_truncate_crash_matrix_entry(self, tmp_path):
         """The directed fault-matrix entry: crash anywhere a seeded
-        window puts the truncate, recover, agree with the twin oracle on
+        window puts the seal, recover, agree with the twin oracle on
         every LID — the sweep-level regression for the stale-WAL window."""
         plan = FaultPlan(
             [FaultSpec(TORN_WRITE, "wal.truncate", at=None, window=(1, 20))],
@@ -324,7 +337,7 @@ class TestTruncateCrashWindow:
                 str(tmp_path),
                 max_ops=200,
             )
-            assert trial.crashed, f"seed {seed}: truncate fault never fired"
+            assert trial.crashed, f"seed {seed}: seal fault never fired"
             assert trial.mismatches == 0 and not trial.error, trial
             assert trial.checked_lids > 0
             assert any("wal.truncate" in fired for fired in trial.faults_fired)

@@ -1,13 +1,15 @@
 """WAL segmentation: rotation, manifests, retained tails, and PITR.
 
-In ``retain_wal`` mode the live log rotates into numbered sealed
-segments instead of being truncated after each commit; together with
-recorded checkpoint images the segment chain supports point-in-time
-recovery and replication shipping.  These tests pin the manifest
-discipline (monotonic ids, survives reopen), retain-mode crash recovery
-(trim the torn tail, keep the committed prefix *in place*), and the PITR
-contract: restore image + replay sealed segments == the exact state at
-the chosen rotation boundary, reproducibly.
+Every checkpoint seals the live log into a numbered segment; together
+with recorded checkpoint images the segment chain supports point-in-time
+recovery and replication shipping.  Retention keeps segments only from
+the older of the two newest images on, so every store here records an
+image first.  These tests pin the manifest discipline (monotonic ids,
+survives reopen), crash recovery (trim the torn tail, keep the committed
+prefix *in place*), and the PITR contract: restore image + replay sealed
+segments == the exact state at the chosen rotation boundary,
+reproducibly.  What retention deletes is pinned by
+``tests/test_wal_retention.py``.
 """
 
 import os
@@ -19,8 +21,8 @@ from repro.config import TINY_CONFIG
 from repro.persist import (
     PersistError,
     attach_scheme_to_backend,
+    checkpoint_scheme,
     full_checkpoint,
-    incremental_checkpoint,
     open_file_scheme,
     restore_to_checkpoint,
 )
@@ -30,19 +32,23 @@ from repro.storage.walseg import (
     read_wal_manifest,
     segment_path,
 )
-from repro.storage.wal import MAGIC, _HEADER, REC_PUT
+from repro.storage.wal import _HEADER, REC_PUT
 
 
-def make_scheme(tmp_path, name="t.pages", fsync=False):
+def make_scheme(tmp_path, name="t.pages", fsync=False, image=False):
+    """A scheme on a fresh page file; attaching seals segment 1, which
+    retention deletes.  ``image``: then record the image segments 2 and
+    later are kept for."""
     path = str(tmp_path / name)
     backend = FileBackend(
         path,
         page_bytes=default_page_bytes(TINY_CONFIG.block_bytes),
-        retain_wal=True,
         fsync=fsync,
     )
     scheme = WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))
     attach_scheme_to_backend(scheme)
+    if image:
+        assert backend.record_checkpoint_image()["segment"] == 2
     return scheme, backend, path
 
 
@@ -62,51 +68,51 @@ def snapshot(scheme, lids):
 
 class TestRotation:
     def test_seal_produces_numbered_segment(self, tmp_path):
-        scheme, backend, path = make_scheme(tmp_path)
-        lids = edit(scheme, bulk(scheme, 24), 10)
-        sealed = incremental_checkpoint(scheme)
-        assert sealed == 1
+        scheme, backend, path = make_scheme(tmp_path, image=True)
+        edit(scheme, bulk(scheme, 24), 10)
+        sealed = backend.checkpoint()
+        assert sealed == 2
         manifest = read_wal_manifest(path)
-        assert manifest["segments"] == [1]
-        assert manifest["next_segment"] == 2
-        segment = segment_path(path, 1)
+        assert manifest["segments"] == [2]
+        assert manifest["next_segment"] == 3
+        segment = segment_path(path, 2)
         assert os.path.exists(segment)
         scan = scan_wal(segment)
         assert scan.committed and not scan.torn_tail
         backend.close()
 
     def test_seal_of_empty_log_is_none(self, tmp_path):
-        scheme, backend, path = make_scheme(tmp_path)
+        scheme, backend, path = make_scheme(tmp_path, image=True)
         bulk(scheme, 24)
-        assert incremental_checkpoint(scheme) == 1
-        # The live log is empty right after sealing: a bare rotation with
+        assert backend.checkpoint() == 2
+        # The live log is gone right after sealing: a bare rotation with
         # no intervening commit has nothing to seal and must not burn an id.
         assert backend.seal_wal_segment() is None
-        assert read_wal_manifest(path)["segments"] == [1]
-        assert read_wal_manifest(path)["next_segment"] == 2
+        assert read_wal_manifest(path)["segments"] == [2]
+        assert read_wal_manifest(path)["next_segment"] == 3
         backend.close()
 
     def test_segment_ids_monotonic_across_reopen(self, tmp_path):
-        scheme, backend, path = make_scheme(tmp_path)
+        scheme, backend, path = make_scheme(tmp_path, image=True)
         lids = bulk(scheme, 24)
         edit(scheme, lids, 6)
-        assert incremental_checkpoint(scheme) == 1
+        assert backend.checkpoint() == 2
         edit(scheme, lids, 6)
-        assert incremental_checkpoint(scheme) == 2
+        assert backend.checkpoint() == 3
         backend.close()
 
-        reopened = open_file_scheme(path, retain_wal=True)
+        reopened = open_file_scheme(path)
         edit(reopened, list(lids), 6)
-        assert incremental_checkpoint(reopened) == 3
+        assert reopened.store.backend.checkpoint() == 4
         manifest = read_wal_manifest(path)
-        assert manifest["segments"] == [1, 2, 3]
-        assert manifest["next_segment"] == 4
+        assert manifest["segments"] == [2, 3, 4]
+        assert manifest["next_segment"] == 5
         reopened.store.backend.close()
 
     def test_retain_mode_recovery_trims_tail_in_place(self, tmp_path):
         """A torn in-flight append dies at reopen, but the committed live
-        tail is *trimmed*, not truncated away — it is segment history the
-        next rotation will seal."""
+        tail is *trimmed*, not emptied — it is segment history the next
+        checkpoint will seal."""
         scheme, backend, path = make_scheme(tmp_path)
         lids = edit(scheme, bulk(scheme, 24), 8)
         order = sorted(lids, key=scheme.lookup)
@@ -118,7 +124,7 @@ class TestRotation:
         with open(path + ".wal", "ab") as handle:
             handle.write(torn)
 
-        reopened = open_file_scheme(path, retain_wal=True)
+        reopened = open_file_scheme(path)
         report = reopened.store.backend.recovery_report
         assert report["discarded_tail_bytes"] == len(torn)
         assert report["replayed_transactions"] > 0
@@ -138,13 +144,12 @@ class TestPITR:
         )
 
         edit(scheme, lids, 9)
-        incremental_checkpoint(scheme)
+        checkpoint_scheme(scheme)
         sealed_labels = snapshot(scheme, lids)
         sealed_count = scheme.label_count()
         # Commits past the last rotation stay in the live tail and must
         # NOT appear in the restored state.
         edit(scheme, lids, 7)
-        backend.checkpoint()
 
         target = str(tmp_path / "restored.pages")
         used = restore_to_checkpoint(path, target)
@@ -160,7 +165,7 @@ class TestPITR:
         lids = edit(scheme, bulk(scheme, 24), 8)
         full_checkpoint(scheme)
         edit(scheme, lids, 9)
-        incremental_checkpoint(scheme)
+        checkpoint_scheme(scheme)
         backend.close()
 
         targets = [str(tmp_path / f"restored-{i}.pages") for i in (0, 1)]
@@ -175,12 +180,12 @@ class TestPITR:
         full_checkpoint(scheme)
 
         edit(scheme, lids, 5)
-        first = incremental_checkpoint(scheme)
+        first = backend.checkpoint()
         at_first = snapshot(scheme, lids)
         count_at_first = scheme.label_count()
 
         edit(scheme, lids, 5)
-        second = incremental_checkpoint(scheme)
+        second = backend.checkpoint()
         assert second == first + 1
         backend.close()
 
@@ -194,7 +199,7 @@ class TestPITR:
     def test_restore_without_covering_checkpoint_raises(self, tmp_path):
         scheme, backend, path = make_scheme(tmp_path)
         edit(scheme, bulk(scheme, 24), 4)
-        incremental_checkpoint(scheme)  # sealed segment, but no image yet
+        checkpoint_scheme(scheme)  # sealed segment, but no image yet
         backend.close()
         with pytest.raises(PersistError, match="no checkpoint image"):
             restore_to_checkpoint(path, str(tmp_path / "nope.pages"))
@@ -214,18 +219,3 @@ class TestPITR:
         restored = open_file_scheme(target)
         assert snapshot(restored, list(labels)) == labels
         restored.store.backend.close()
-
-
-def test_plain_mode_has_no_manifest(tmp_path):
-    path = str(tmp_path / "plain.pages")
-    backend = FileBackend(path, page_bytes=default_page_bytes(TINY_CONFIG.block_bytes))
-    scheme = WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))
-    attach_scheme_to_backend(scheme)
-    bulk(scheme, 24)
-    from repro.errors import StorageError
-
-    with pytest.raises(StorageError, match="retain_wal"):
-        backend.seal_wal_segment()
-    assert backend.wal_manifest is None
-    backend.close()
-    assert MAGIC  # imported for the torn-tail helpers above
