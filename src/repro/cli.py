@@ -881,7 +881,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
         )
         # One op per shard, anchored mid-chunk, so every shard's writer
         # contributes a span to the same tree.
-        chunks = [[glid for glid in glids if glid % n == shard] for shard in range(n)]
+        shard_of = service.router.shard_of
+        chunks = [[glid for glid in glids if shard_of(glid) == shard] for shard in range(n)]
         ops = [
             BatchOp("lookup" if args.op == "lookup" else "insert_element_before", (a,))
             for a in (chunk[len(chunk) // 2] for chunk in chunks)

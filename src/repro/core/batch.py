@@ -18,12 +18,12 @@ equivalence-oracle tests pin this for every scheme).  Later ops may
 reference results of earlier ones through :class:`BatchRef` — necessary
 for chained edits whose anchors are LIDs created earlier in the batch.
 
-Grouping policy: a group closes when it reaches ``group_size`` ops, or —
-with ``locality_grouping`` on — when the next op's anchor LID falls in a
-different LIDF block than the previous anchor.  Locality cuts keep each
-committed group on a tight block set (coalescing works best when the group
-shares blocks); an op whose anchor is a :class:`BatchRef` extends the
-current group, since its anchor was created there.
+Grouping policy: a group closes when it reaches ``group_size`` ops, or
+when the next op's anchor LID falls in a different LIDF block than the
+previous anchor.  Locality cuts keep each committed group on a tight block
+set (coalescing works best when the group shares blocks); an op whose
+anchor is a :class:`BatchRef` extends the current group, since its anchor
+was created there.
 """
 
 from __future__ import annotations
@@ -38,55 +38,26 @@ from ..storage.stats import OperationCost
 if TYPE_CHECKING:  # pragma: no cover
     from .interface import LabelingScheme
 
-#: Operation kinds a batch may contain, mapped to the position of the
-#: anchor-LID argument used for locality grouping.
-SUPPORTED_KINDS: dict[str, int] = {
-    "lookup": 0,
-    "ordinal_lookup": 0,
-    "lookup_pair": 0,
-    "compare": 0,
-    "insert_before": 0,
-    "insert_element_before": 0,
-    "delete": 0,
-    "delete_element": 0,
-    "insert_subtree_before": 0,
-    "delete_range": 0,
-}
+#: Operation kinds a batch may contain; each one's anchor LID — the key of
+#: locality grouping — is its first argument.
+SUPPORTED_KINDS = frozenset(
+    {
+        "lookup",
+        "ordinal_lookup",
+        "lookup_pair",
+        "compare",
+        "insert_before",
+        "insert_element_before",
+        "delete",
+        "delete_element",
+        "insert_subtree_before",
+        "delete_range",
+    }
+)
 
 #: Read-only kinds eligible for vectorized execution: a run of these with
 #: plain-int anchors may be handed to a scheme's ``batch_<kind>`` method.
 _VECTOR_KINDS = frozenset({"lookup", "ordinal_lookup"})
-
-#: Every LID-typed argument position per kind.  Shard routing reads these
-#: to decide which shard an op belongs to (all LID args must agree) and to
-#: translate global LIDs into shard-local ones.
-LID_ARG_POSITIONS: dict[str, tuple[int, ...]] = {
-    "lookup": (0,),
-    "ordinal_lookup": (0,),
-    "lookup_pair": (0, 1),
-    "compare": (0, 1),
-    "insert_before": (0,),
-    "insert_element_before": (0,),
-    "delete": (0,),
-    "delete_element": (0, 1),
-    "insert_subtree_before": (0,),
-    "delete_range": (0, 1),
-}
-
-#: Shape of each kind's result in LID terms: ``None`` (labels/ordinals —
-#: nothing to translate), one LID, a (start, end) LID tuple, or a LID list.
-LID_RESULT_SHAPES: dict[str, str | None] = {
-    "lookup": None,
-    "ordinal_lookup": None,
-    "lookup_pair": None,
-    "compare": None,
-    "insert_before": "lid",
-    "insert_element_before": "lid_tuple",
-    "delete": None,
-    "delete_element": None,
-    "insert_subtree_before": "lid_list",
-    "delete_range": "lid_list",
-}
 
 
 @dataclass(frozen=True)
@@ -183,10 +154,8 @@ class BatchExecutor:
         The labeling scheme the ops run against.
     group_size:
         Maximum ops per committed group (>= 1).  ``1`` degenerates to
-        one-by-one execution.
-    locality_grouping:
-        Additionally close a group when the anchor LID moves to a
-        different LIDF block (see module docstring).
+        one-by-one execution.  A group also closes when the anchor LID
+        moves to a different LIDF block (see module docstring).
     on_group_start:
         Optional hook invoked before each group's operation scope opens.
         The label service uses it to take the store's exclusive latch, so
@@ -197,35 +166,30 @@ class BatchExecutor:
         durable backend) WAL-committed.  This is the service's epoch
         publication point.  Runs even when the group raised, so a paired
         ``on_group_start`` latch is always released.
-    vectorized:
-        Hand maximal runs of same-kind read ops (``lookup`` /
-        ``ordinal_lookup`` with plain-int anchors) to the scheme's
-        ``batch_<kind>`` method when it has one, so label reconstruction
-        is amortized over the run (B-BOX shares ancestor walks across the
-        batch).  Results and I/O counts are identical to one-by-one
-        execution: the run stays inside the group's measured scope, where
-        each block is counted once regardless of order.  Runs are only
-        formed when tracing is not recording — per-op spans keep their
-        one-span-per-op shape.
+
+    Maximal runs of same-kind read ops (``lookup`` / ``ordinal_lookup``
+    with plain-int anchors) go to the scheme's ``batch_<kind>`` method
+    when it has one, so label reconstruction is amortized over the run
+    (B-BOX shares ancestor walks across the batch).  Results and I/O
+    counts are identical to one-by-one execution: the run stays inside the
+    group's measured scope, where each block is counted once regardless of
+    order.  Runs are only formed when tracing is not recording — per-op
+    spans keep their one-span-per-op shape.
     """
 
     def __init__(
         self,
         scheme: "LabelingScheme",
         group_size: int = 64,
-        locality_grouping: bool = True,
         on_group_start: Callable[[], None] | None = None,
         on_group_commit: Callable[[], None] | None = None,
-        vectorized: bool = True,
     ) -> None:
         if group_size < 1:
             raise LabelingError(f"group_size must be >= 1, got {group_size}")
         self.scheme = scheme
         self.group_size = group_size
-        self.locality_grouping = locality_grouping
         self.on_group_start = on_group_start
         self.on_group_commit = on_group_commit
-        self.vectorized = vectorized
         self._lids_per_block = max(1, scheme.config.lidf_records_per_block)
 
     # ------------------------------------------------------------------
@@ -235,10 +199,9 @@ class BatchExecutor:
     def _locality_key(self, op: BatchOp) -> int | None:
         """LIDF block of the op's anchor LID; None when the anchor is a
         :class:`BatchRef` (or not a plain int), meaning "stay local"."""
-        anchor_index = SUPPORTED_KINDS[op.kind]
-        if anchor_index >= len(op.args):
+        if not op.args:
             return None
-        anchor = op.args[anchor_index]
+        anchor = op.args[0]
         if isinstance(anchor, bool) or not isinstance(anchor, int):
             return None
         return anchor // self._lids_per_block
@@ -251,11 +214,7 @@ class BatchExecutor:
         for position, op in enumerate(ops):
             key = self._locality_key(op)
             cut = len(current) >= self.group_size or (
-                self.locality_grouping
-                and current
-                and key is not None
-                and current_key is not None
-                and key != current_key
+                key is not None and current_key is not None and key != current_key
             )
             if cut:
                 groups.append(current)
@@ -295,11 +254,7 @@ class BatchExecutor:
                             while index < len(group):
                                 position = group[index]
                                 op = ops[position]
-                                if (
-                                    self.vectorized
-                                    and not recording
-                                    and op.kind in _VECTOR_KINDS
-                                ):
+                                if not recording and op.kind in _VECTOR_KINDS:
                                     batch_method = getattr(
                                         self.scheme, "batch_" + op.kind, None
                                     )
@@ -399,159 +354,11 @@ class BatchExecutor:
         return tuple(resolved)
 
 
-# ----------------------------------------------------------------------
-# shard routing
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class ShardRouting:
-    """One batch split into per-shard sub-batches, plus the maps that put
-    the per-shard results back into submission order.
-
-    ``per_shard[s]`` holds shard ``s``'s ops *localized* (global LIDs
-    translated to shard-local ones, :class:`BatchRef` indices rewritten to
-    the sub-batch's positions) and in original relative order — so the
-    executor's group-commit and locality grouping work unchanged per
-    shard.  ``positions[s][j]`` is the original batch position of
-    ``per_shard[s][j]``; ``op_shard[i]`` is op ``i``'s shard.
-    """
-
-    n_shards: int
-    per_shard: dict[int, list[BatchOp]]
-    positions: dict[int, list[int]]
-    op_shard: list[int]
-
-
-def route_ops(
-    ops: Sequence[BatchOp],
-    n_shards: int,
-    *,
-    shard_of: Callable[[int], int] | None = None,
-    to_local: Callable[[int], int] | None = None,
-) -> ShardRouting:
-    """Partition a batch into per-shard sub-batches.
-
-    The canonical global-LID codec interleaves: shard ``glid % n_shards``,
-    local LID ``glid // n_shards`` (``n_shards == 1`` is the identity, so
-    the single-shard path is byte-for-byte today's).  Pass ``shard_of`` /
-    ``to_local`` to override.
-
-    Every LID argument of an op must land on one shard; an op whose LID
-    args (or whose :class:`BatchRef` targets) disagree raises
-    :class:`~repro.errors.CrossShardError` — the shard partition follows
-    subtree boundaries, so such an op is a caller error, not a split
-    candidate.  Refs follow the referenced op's shard and must not cross
-    shards either.  Relative order within a shard is preserved, which is
-    what keeps group-commit I/O coalescing intact after routing.
-    """
-    from ..errors import CrossShardError
-
-    if n_shards < 1:
-        raise LabelingError(f"n_shards must be >= 1, got {n_shards}")
-    if shard_of is None:
-        shard_of = lambda lid: lid % n_shards  # noqa: E731
-    if to_local is None:
-        to_local = lambda lid: lid // n_shards  # noqa: E731
-
-    per_shard: dict[int, list[BatchOp]] = {}
-    positions: dict[int, list[int]] = {}
-    op_shard: list[int] = []
-    local_index: list[int] = []  # original position -> index in its sub-batch
-
-    for position, op in enumerate(ops):
-        lid_positions = LID_ARG_POSITIONS[op.kind]
-        shard: int | None = None
-
-        def claim(candidate: int, why: str) -> None:
-            nonlocal shard
-            if shard is None:
-                shard = candidate
-            elif shard != candidate:
-                raise CrossShardError(
-                    f"op {position} ({op.kind}) spans shards {shard} and "
-                    f"{candidate} via {why}"
-                )
-
-        for index, arg in enumerate(op.args):
-            if isinstance(arg, BatchRef):
-                if not 0 <= arg.index < position:
-                    raise LabelingError(
-                        f"op {position} references op {arg.index}, which has "
-                        "not executed yet (refs must point backwards)"
-                    )
-                claim(op_shard[arg.index], f"ref to op {arg.index}")
-            elif index in lid_positions and isinstance(arg, int) and not isinstance(arg, bool):
-                claim(shard_of(arg), f"LID argument {index}")
-        if shard is None:
-            shard = 0
-
-        sub = per_shard.setdefault(shard, [])
-        pos_map = positions.setdefault(shard, [])
-        new_args = []
-        for index, arg in enumerate(op.args):
-            if isinstance(arg, BatchRef):
-                new_args.append(BatchRef(local_index[arg.index], arg.item))
-            elif index in lid_positions and isinstance(arg, int) and not isinstance(arg, bool):
-                new_args.append(to_local(arg))
-            else:
-                new_args.append(arg)
-        op_shard.append(shard)
-        local_index.append(len(sub))
-        sub.append(BatchOp(op.kind, tuple(new_args)))
-        pos_map.append(position)
-
-    return ShardRouting(
-        n_shards=n_shards,
-        per_shard=per_shard,
-        positions=positions,
-        op_shard=op_shard,
-    )
-
-
-def merge_routed_results(
-    routing: ShardRouting, per_shard_results: dict[int, Sequence[Any]]
-) -> list:
-    """Interleave per-shard result lists back into submission order."""
-    merged: list = [None] * len(routing.op_shard)
-    for shard, pos_map in routing.positions.items():
-        results = per_shard_results[shard]
-        for pos, value in zip(pos_map, results):
-            merged[pos] = value
-    return merged
-
-
-def globalize_results(
-    ops: Sequence[BatchOp],
-    results: Sequence[Any],
-    op_shard: Sequence[int],
-    to_global: Callable[[int, int], int],
-) -> list:
-    """Translate shard-local LIDs in ``results`` to global ones.
-
-    ``to_global(local, shard)`` is the codec; only result components that
-    *are* LIDs (per :data:`LID_RESULT_SHAPES`) are translated — labels,
-    ordinals and comparison signs pass through untouched.
-    """
-    out: list = []
-    for op, value, shard in zip(ops, results, op_shard):
-        shape = LID_RESULT_SHAPES[op.kind]
-        if value is None or shape is None:
-            out.append(value)
-        elif shape == "lid":
-            out.append(to_global(value, shard))
-        elif shape == "lid_tuple":
-            out.append(tuple(to_global(item, shard) for item in value))
-        else:  # lid_list
-            out.append([to_global(item, shard) for item in value])
-    return out
-
-
 def shift_refs(ops: Sequence[BatchOp], offset: int) -> list[BatchOp]:
     """Rebase every :class:`BatchRef` in ``ops`` by ``offset`` positions.
 
     Used when independently submitted batches are concatenated into one
-    executor run (per-shard write buffering): each batch's refs are
+    executor run (the service's write buffering): each batch's refs are
     relative to its own position 0 and must shift by its start offset in
     the merged run.  ``offset == 0`` returns the ops unchanged.
     """
@@ -574,16 +381,10 @@ def shift_refs(ops: Sequence[BatchOp], offset: int) -> list[BatchOp]:
 
 __all__ = [
     "SUPPORTED_KINDS",
-    "LID_ARG_POSITIONS",
-    "LID_RESULT_SHAPES",
     "AmortizedCost",
     "BatchOp",
     "BatchRef",
     "BatchResult",
     "BatchExecutor",
-    "ShardRouting",
-    "route_ops",
-    "merge_routed_results",
-    "globalize_results",
     "shift_refs",
 ]

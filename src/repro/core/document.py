@@ -199,12 +199,7 @@ class LabeledDocument:
         except KeyError:
             raise LabelingError("anchor element is not part of this document") from None
 
-    def apply_edits(
-        self,
-        edits: Sequence[tuple],
-        group_size: int = 64,
-        locality_grouping: bool = True,
-    ) -> BatchResult:
+    def apply_edits(self, edits: Sequence[tuple], group_size: int = 64) -> BatchResult:
         """Apply a sequence of element edits with group commit.
 
         ``edits`` items are tuples:
@@ -265,11 +260,7 @@ class LabeledDocument:
             else:
                 raise LabelingError(f"unknown edit action {action!r}")
 
-        batch = self.scheme.execute_batch(
-            ops,
-            group_size=group_size,
-            locality_grouping=locality_grouping,
-        )
+        batch = self.scheme.execute_batch(ops, group_size=group_size)
 
         # Apply the tree / lid-map consequences, in edit order.
         for position, edit in enumerate(edits):

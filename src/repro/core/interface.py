@@ -196,7 +196,6 @@ class LabelingScheme(ABC):
         self,
         ops: Sequence[Any],
         group_size: int = 64,
-        locality_grouping: bool = True,
         on_group_start: Callable[[], None] | None = None,
         on_group_commit: Callable[[], None] | None = None,
     ) -> Any:
@@ -213,7 +212,6 @@ class LabelingScheme(ABC):
         executor = BatchExecutor(
             self,
             group_size=group_size,
-            locality_grouping=locality_grouping,
             on_group_start=on_group_start,
             on_group_commit=on_group_commit,
         )

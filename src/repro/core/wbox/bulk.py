@@ -301,16 +301,6 @@ def wbox_global_rebuild(tree: "WBox", timestamp: int) -> None:
     tree._deletions = 0
 
 
-def _splice_position(tree: "WBox", leaves: list[tuple[int, WNode]], leaf_id: int, position: int) -> int:
-    """Global record offset of (leaf, position) within an ordered leaf list."""
-    offset = 0
-    for block_id, node in leaves:
-        if block_id == leaf_id:
-            return offset + position
-        offset += len(node.entries)
-    raise LabelingError("anchor leaf not found in collected subtree")
-
-
 def wbox_insert_subtree(
     tree: "WBox", lid_old: int, n_labels: int, pairing: Sequence[int] | None = None
 ) -> list[int]:

@@ -20,7 +20,7 @@ reclaim or a rebuild.  Hence ``weight >= len(records)`` for leaves.
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import Any
 
 from ..kernels import cumulative, prefix
 
@@ -138,10 +138,6 @@ class WNode:
         """Currently assigned subrange slots."""
         return {entry.slot for entry in self.entries}
 
-    def recompute_weight(self) -> None:
-        """Refresh an internal node's weight from its entries."""
-        self.weight = sum(entry.weight for entry in self.entries)
-
     def entry_rows(self) -> list[int]:
         """The internal node's child array flattened to wire order —
         ``(child, slot, weight, size)`` per entry — for the codec's
@@ -191,9 +187,6 @@ class WNode:
         """Sum of all entry sizes (live records below an internal node)."""
         cum = self.size_sums()
         return cum[-1] if cum else 0
-
-    def iter_entries(self) -> Iterator:
-        return iter(self.entries)
 
     def __repr__(self) -> str:
         kind = "leaf" if self.is_leaf else f"internal(level={self.level})"

@@ -34,7 +34,6 @@ from .plan import (
     FaultSpec,
     FiredFault,
     ScopedFaultInjector,
-    apply_simple_action,
     spec_at,
     split_hook,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "WRITER_CRASH",
     "SCHEME_NAMES",
     "ScopedFaultInjector",
-    "apply_simple_action",
     "run_chaos_sweep",
     "run_chaos_trial",
     "spec_at",

@@ -4,13 +4,14 @@ A :class:`FaultPlan` is a list of :class:`FaultSpec` items, each naming a
 *hook point* (a stable string like ``backend.raw_write``), a fault
 *kind*, and *when* to fire (the 1-based invocation index of that hook).
 A :class:`FaultInjector` holds one plan plus per-hook invocation counters
-and an optional seeded RNG; production code calls
-``injector.fire(hook, ...)`` at every hook point and receives either
-``None`` (almost always) or a :class:`FaultAction` describing what to
-inject.  The *mechanics* of a fault (tearing a write in half, raising
-:class:`~repro.errors.TransientIOError`) live at the hook site — the
-site knows the handle and the bytes — while generic faults are applied
-by :func:`apply_simple_action`.
+and an optional seeded RNG.  Production code calls
+``injector.hit(hook, ...)`` at every hook point, and :meth:`FaultInjector.hit`
+is the one interpreter of what a fault kind does: it fires the plan
+(:meth:`FaultInjector.fire`, ``None`` almost always) and carries the
+action out — sleeps, or raises the kind's error.  The one thing it hands
+back is what only the site can do: a torn or short write at a site that
+passed the ``size`` of the bytes it holds.  The site tears those bytes,
+keeping :meth:`FaultAction.keep` of them.
 
 Hook points currently wired (see DESIGN.md section 10 for the table):
 
@@ -55,7 +56,8 @@ Fault kinds:
 
 * ``torn_write`` — write the first half of the granted bytes, then crash
   (:class:`~repro.errors.CrashError`); the backend refuses further writes
-  until reopened.  Exactly what a power loss mid-sector produces.
+  until reopened.  Exactly what a power loss mid-sector produces.  At a
+  hook that moves no bytes it is a plain crash.
 * ``short_write`` — like ``torn_write`` but the cut point is chosen by the
   seeded RNG (or ``spec.cut``) anywhere in ``[0, len)``, so the torn image
   can be empty, nearly complete, or anything between.
@@ -106,6 +108,16 @@ WRITER_CRASH = "writer_crash"
 KINDS = frozenset(
     (TORN_WRITE, SHORT_WRITE, IO_ERROR, FSYNC_FAIL, LATENCY, WRITER_CRASH)
 )
+
+#: What :meth:`FaultInjector.hit` raises for each kind it does not return
+#: or sleep on: the message's noun and the error type.
+_RAISED = {
+    IO_ERROR: ("transient I/O error", TransientIOError),
+    FSYNC_FAIL: ("fsync failure", FsyncFailedError),
+    WRITER_CRASH: ("writer crash", WriterCrashError),
+    TORN_WRITE: ("crash", CrashError),
+    SHORT_WRITE: ("crash", CrashError),
+}
 
 #: Hook-point names (kept in one place so tests and docs can't drift).
 HOOKS = frozenset(
@@ -191,6 +203,11 @@ class FaultAction:
     #: Resolved cut point for short writes (None until sized by the site).
     cut: int | None = None
     delay: float = 0.0
+
+    def keep(self, length: int) -> int:
+        """How many bytes of a ``length``-byte write this tear leaves on
+        disk: half for a torn write, the resolved cut for a short one."""
+        return length // 2 if self.kind == TORN_WRITE else min(self.cut or 0, length)
 
 
 class FaultPlan:
@@ -321,10 +338,10 @@ class FaultInjector:
     simulated crash, build a fresh injector for the reopened backend (the
     per-hook counters restart, like the machine did).
 
-    ``fire`` is the only hot call.  With no matching armed spec it is a
-    dict lookup plus an integer increment; hook sites additionally guard
-    the call behind ``injector is None``, so an uninstalled subsystem
-    costs one attribute check.
+    ``hit`` (through ``fire``) is the only hot call.  With no matching
+    armed spec it is a dict lookup plus an integer increment; hook sites
+    additionally guard the call behind ``injector is None``, so an
+    uninstalled subsystem costs one attribute check.
     """
 
     def __init__(self, plan: FaultPlan, seed: int = 0) -> None:
@@ -351,8 +368,10 @@ class FaultInjector:
     def fire(
         self, hook: str, size: int | None = None, scope: str | None = None
     ) -> FaultAction | None:
-        """Called by a hook site on every invocation; returns the action
-        to perform, or ``None`` (no fault scheduled here and now).
+        """Count one invocation of ``hook``; returns the action scheduled
+        for it, or ``None`` (no fault here and now).  :meth:`hit` calls
+        this and carries the action out; only the chaos driver's
+        ``repl.*`` hooks call it directly.
 
         ``size`` is the byte length available at write-type hooks, used to
         resolve a seeded ``short_write`` cut point.  ``scope`` is the shard
@@ -371,6 +390,33 @@ class FaultInjector:
             if action is not None:
                 return action
         return self._match(hook, count, size)
+
+    def hit(
+        self, hook: str, size: int | None = None, scope: str | None = None
+    ) -> FaultAction | None:
+        """Fire ``hook`` and carry out the action — the one interpreter of
+        what a fault kind does.
+
+        ``latency`` sleeps, then returns ``None`` like a silent hook;
+        ``io_error``, ``fsync_fail`` and ``writer_crash`` raise
+        :class:`~repro.errors.TransientIOError`,
+        :class:`~repro.errors.FsyncFailedError` and
+        :class:`~repro.errors.WriterCrashError`.  A torn or short write is
+        returned to a write site — one that passed ``size`` — which tears
+        the bytes it holds; at any other site it raises
+        :class:`~repro.errors.CrashError`.
+        """
+        action = self.fire(hook, size, scope)
+        if action is None:
+            return None
+        kind = action.kind
+        if kind == LATENCY:
+            time.sleep(action.delay)
+            return None
+        if size is not None and kind in (TORN_WRITE, SHORT_WRITE):
+            return action
+        noun, error = _RAISED[kind]
+        raise error(f"injected {noun} at {action.hook} (invocation {action.invocation})")
 
     def _match(self, name: str, count: int, size: int | None) -> FaultAction | None:
         entries = self._armed.get(name)
@@ -454,45 +500,11 @@ class ScopedFaultInjector:
     def fire(self, hook: str, size: int | None = None) -> FaultAction | None:
         return self.parent.fire(hook, size=size, scope=self.scope)
 
+    def hit(self, hook: str, size: int | None = None) -> FaultAction | None:
+        return self.parent.hit(hook, size, self.scope)
+
     def scoped(self, scope: str) -> "ScopedFaultInjector":
         return ScopedFaultInjector(self.parent, scope)
-
-
-def apply_simple_action(action: FaultAction | None) -> None:
-    """Perform a non-write-specific action at a generic hook site.
-
-    Write-type faults (torn/short) need the handle and bytes and are
-    handled by the site itself; everything else — transient errors,
-    latency, writer kills — has one canonical behaviour, implemented here
-    so every hook site agrees on error types.
-    """
-    if action is None:
-        return
-    if action.kind == LATENCY:
-        time.sleep(action.delay)
-        return
-    if action.kind == IO_ERROR:
-        raise TransientIOError(
-            f"injected transient I/O error at {action.hook} "
-            f"(invocation {action.invocation})"
-        )
-    if action.kind == FSYNC_FAIL:
-        raise FsyncFailedError(
-            f"injected fsync failure at {action.hook} "
-            f"(invocation {action.invocation})"
-        )
-    if action.kind == WRITER_CRASH:
-        raise WriterCrashError(
-            f"injected writer crash at {action.hook} "
-            f"(invocation {action.invocation})"
-        )
-    if action.kind in (TORN_WRITE, SHORT_WRITE):
-        # A write-type fault reached a site that moves no bytes: treat as
-        # a plain crash (the plan targeted a non-write hook on purpose).
-        raise CrashError(
-            f"injected crash at {action.hook} (invocation {action.invocation})"
-        )
-    raise FaultPlanError(f"unhandled fault kind {action.kind!r}")
 
 
 def spec_at(spec: FaultSpec, at: int) -> FaultSpec:

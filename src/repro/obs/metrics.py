@@ -285,13 +285,6 @@ class MetricsRegistry:
             self._collectors.append(collector)
         return collector
 
-    def unregister_collector(self, collector: Collector) -> None:
-        with self._lock:
-            try:
-                self._collectors.remove(collector)
-            except ValueError:
-                pass
-
     # -- export --------------------------------------------------------
 
     def collect(self) -> list[Sample]:

@@ -64,6 +64,9 @@ __all__ = ["Follower", "ShardFollower"]
 #: fatal.
 _RETRYABLE = (ConnectionError, OSError, TimeoutError, ServiceError, ProtocolError)
 
+#: Seconds a follower backs off before re-dialing a vanished primary.
+RECONNECT_BACKOFF = 0.2
+
 
 def _behind_horizon(segment: int, manifest: Any) -> bool:
     """Whether a follower cursor at ``segment`` is below the primary's
@@ -326,8 +329,6 @@ class Follower:
         every existing tool opens a follower's files.
     poll_interval:
         Idle sleep between pull rounds when fully caught up.
-    reconnect_interval:
-        Backoff before re-dialing a vanished primary.
     log_capacity:
         Modification-log capacity of the replica service (the reader
         write-window, exactly as on a primary).
@@ -340,14 +341,12 @@ class Follower:
         root: str,
         *,
         poll_interval: float = 0.05,
-        reconnect_interval: float = 0.2,
         log_capacity: int = 1024,
     ) -> None:
         self.host = host
         self.port = port
         self.root = root
         self.poll_interval = poll_interval
-        self.reconnect_interval = reconnect_interval
         self.log_capacity = log_capacity
         self.client: NetClient | None = None
         self.service: ShardedLabelService | None = None
@@ -481,7 +480,7 @@ class Follower:
                 if attempts > reconnect_attempts:
                     raise
                 self.last_error = error
-                time.sleep(self.reconnect_interval)
+                time.sleep(RECONNECT_BACKOFF)
                 try:
                     self._reconnect()
                 except OSError as dial_error:
@@ -502,7 +501,7 @@ class Follower:
                 return
             except _RETRYABLE as error:
                 self.last_error = error
-                if self._stop.wait(self.reconnect_interval):
+                if self._stop.wait(RECONNECT_BACKOFF):
                     break
                 try:
                     self._reconnect()

@@ -114,9 +114,9 @@ class LabelService:
         writes arriving between a session's reads.
     queue_capacity:
         Bounded write-queue depth (backpressure threshold).
-    group_size / locality_grouping:
-        Group-commit parameters passed to the batch executor; each group
-        commit publishes one epoch.
+    group_size:
+        Group-commit size passed to the batch executor; each group commit
+        publishes one epoch.
     latch:
         Shared/exclusive latch guarding direct BOX access.  Defaults to the
         scheme's ``store.latch``; the deterministic test harness injects a
@@ -171,7 +171,6 @@ class LabelService:
         log_capacity: int = 1024,
         queue_capacity: int = 64,
         group_size: int = 64,
-        locality_grouping: bool = True,
         latch: Any | None = None,
         yield_hook: Callable[[str], None] | None = None,
         epoch_hook: Callable[[Epoch], None] | None = None,
@@ -183,7 +182,6 @@ class LabelService:
     ) -> None:
         self.scheme = scheme
         self.group_size = group_size
-        self.locality_grouping = locality_grouping
         if write_buffer < 1:
             raise ValueError(f"write_buffer must be >= 1, got {write_buffer}")
         self.write_buffer = write_buffer
@@ -253,16 +251,6 @@ class LabelService:
         if self._orig_commit is not None:
             self.scheme.store.backend.commit = self._orig_commit
             self._orig_commit = None
-
-    def _fire_service_fault(self, hook: str) -> None:
-        injector = self.fault_injector
-        if injector is None:
-            return
-        action = injector.fire(hook)
-        if action is not None:
-            from ..faults.plan import apply_simple_action
-
-            apply_simple_action(action)
 
     @property
     def degraded(self) -> bool:
@@ -424,7 +412,6 @@ class LabelService:
             result = self.scheme.execute_batch(
                 ops,
                 group_size=self.group_size,
-                locality_grouping=self.locality_grouping,
                 on_group_start=self._on_group_start,
                 on_group_commit=self._on_group_commit,
             )
@@ -451,7 +438,8 @@ class LabelService:
             if in_flight is None:
                 # The writer-kill hook fires here, mid-commit: after the
                 # group applied, before its epoch becomes visible.
-                self._fire_service_fault("service.group_commit")
+                if self.fault_injector is not None:
+                    self.fault_injector.hit("service.group_commit")
                 self._yield("write:publish")
                 self._publish()
             elif isinstance(in_flight, FATAL_WRITER_ERRORS):
@@ -535,7 +523,8 @@ class LabelService:
         the production failure path (degrade-then-raise) on its own
         schedule."""
         try:
-            self._fire_service_fault("service.writer_apply")
+            if self.fault_injector is not None:
+                self.fault_injector.hit("service.writer_apply")
             return self.apply_ops_sync(ops)
         except FATAL_WRITER_ERRORS as error:
             self._enter_degraded(error)

@@ -48,7 +48,7 @@ from ..core.batch import BatchOp, BatchResult
 from ..core.interface import Label, LabelingScheme
 from ..errors import CrossShardError, ServiceError
 from .epoch import Epoch, WriteTicket
-from .router import ShardRouter
+from .router import ShardRouter, ShardRouting
 from .service import LabelService, RetryPolicy
 
 __all__ = [
@@ -115,8 +115,7 @@ def _remaining(deadline: float | None) -> float | None:
 
 def _join_results(
     router: ShardRouter,
-    ops: list[BatchOp],
-    routing: Any,
+    routing: ShardRouting,
     shard_results: Sequence[tuple[int, BatchResult]],
 ) -> BatchResult:
     """Per-shard :class:`BatchResult` items (shard order) → one result in
@@ -128,7 +127,7 @@ def _join_results(
         group_sizes.extend(result.group_sizes)
     return BatchResult(
         results=router.merge(
-            ops, routing, {shard: result.results for shard, result in shard_results}
+            routing, {shard: result.results for shard, result in shard_results}
         ),
         group_costs=group_costs,
         group_sizes=group_sizes,
@@ -190,7 +189,6 @@ class ShardedLabelService:
         log_capacity: int = 1024,
         queue_capacity: int = 64,
         group_size: int = 64,
-        locality_grouping: bool = True,
         latches: Sequence[Any] | None = None,
         yield_hook: Callable[[str], None] | None = None,
         epoch_hooks: Sequence[Callable[[Epoch], None]] | None = None,
@@ -220,7 +218,6 @@ class ShardedLabelService:
                     log_capacity=log_capacity,
                     queue_capacity=queue_capacity,
                     group_size=group_size,
-                    locality_grouping=locality_grouping,
                     latch=latches[shard] if latches is not None else None,
                     yield_hook=yield_hook,
                     epoch_hook=epoch_hooks[shard] if epoch_hooks is not None else None,
@@ -308,7 +305,6 @@ class ShardedLabelService:
         healthy shards' halves.  ``timeout`` bounds the total backpressure
         wait across all involved shards.
         """
-        ops = list(ops)
         routing = self.router.route(ops)
         involved = sorted(routing.per_shard)
         for shard in involved:
@@ -318,17 +314,15 @@ class ShardedLabelService:
             (shard, self.shards[shard].submit_ops(routing.per_shard[shard], _remaining(deadline)))
             for shard in involved
         ]
-        return ShardedWriteTicket(tickets, partial(_join_results, self.router, ops, routing))
+        return ShardedWriteTicket(tickets, partial(_join_results, self.router, routing))
 
     def apply_ops_sync(self, ops: Sequence[BatchOp]) -> BatchResult:
         """Writer-context application: route, apply shard by shard on the
         calling thread, reassemble.  (The deterministic harness's virtual
         writers use the per-shard services directly instead.)"""
-        ops = list(ops)
         routing = self.router.route(ops)
         return _join_results(
             self.router,
-            ops,
             routing,
             [
                 (shard, self.shards[shard].apply_ops_sync(routing.per_shard[shard]))

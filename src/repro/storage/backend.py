@@ -46,28 +46,6 @@ class StorageBackend(ABC):
         self.fault_injector: Any = None
 
     # ------------------------------------------------------------------
-    # fault injection (shared dispatcher)
-    # ------------------------------------------------------------------
-
-    def _fire_fault(self, hook: str, size: int | None = None) -> Any:
-        """Consult the installed injector at ``hook``; None when silent."""
-        injector = self.fault_injector
-        if injector is None:
-            return None
-        return injector.fire(hook, size=size)
-
-    def _fault_point(self, hook: str) -> None:
-        """Generic (non-write) hook site: raise/sleep per the action."""
-        injector = self.fault_injector
-        if injector is None:
-            return
-        action = injector.fire(hook)
-        if action is not None:
-            from ..faults.plan import apply_simple_action
-
-            apply_simple_action(action)
-
-    # ------------------------------------------------------------------
     # allocation bookkeeping (shared)
     # ------------------------------------------------------------------
 
@@ -145,7 +123,7 @@ class StorageBackend(ABC):
         commit faults can be injected on any backend.
         """
         if self.fault_injector is not None:
-            self._fault_point("backend.commit")
+            self.fault_injector.hit("backend.commit")
 
     def close(self) -> None:
         """Release any resources held by the backend."""

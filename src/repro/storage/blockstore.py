@@ -399,28 +399,6 @@ class BlockStore:
                 self.backend.commit(dirty)
         self.buffer.clear()
 
-    # ------------------------------------------------------------------
-    # legacy accessors (tests and diagnostics reach into the cache)
-    # ------------------------------------------------------------------
-
-    @property
-    def _lru(self):
-        """The LRU list / probationary segment (compatibility alias)."""
-        return self.cache._probation
-
-    @property
-    def _protected(self):
-        """The protected SLRU segment (compatibility alias)."""
-        return self.cache._protected
-
-    @property
-    def _protected_capacity(self) -> int:
-        return self.cache.protected_capacity
-
-    @property
-    def _probation_capacity(self) -> int:
-        return self.cache.probation_capacity
-
 
 class _MeasuredOperation:
     """Context manager that exposes the I/O delta of one operation."""

@@ -41,16 +41,21 @@ mutations become durable when the operation scope closes and
 
 **Fault injection.**  Install a :class:`~repro.faults.FaultInjector`
 (``backend.fault_injector = injector`` or
-:meth:`FileBackend.install_faults`) and the backend consults it at its
+:meth:`FileBackend.install_faults`) and the backend hits it at its
 named hook points: ``backend.raw_write`` fires on every physical write
 (WAL records, pages, the directory — one funnel), ``backend.page_write``
 and ``backend.superblock`` fire just before a page image and the
 directory go out (inside checkpoints only), ``backend.fsync`` fires
 before each real ``os.fsync``, and ``backend.commit`` fires on commit
-entry.  A torn/short write puts a *prefix* of the data on disk — as real
-disks produce — raises :class:`~repro.errors.CrashError`, and the
-backend refuses all further writes until reopened.  Tests use this to
-prove recovery; see :mod:`repro.faults` for the plan vocabulary.
+entry.  What a fault kind does is decided in one place,
+:meth:`~repro.faults.FaultInjector.hit`; the backend only tears bytes: a
+torn/short write puts a *prefix* of the data on disk — as real disks
+produce — and raises :class:`~repro.errors.CrashError`.  Every
+crash-type fault at any of its hooks (the WAL's included) — a tear, a
+:class:`~repro.errors.CrashError`, an
+:class:`~repro.errors.FsyncFailedError` — leaves the backend crashed: it
+refuses all further writes until reopened.  Tests use this to prove
+recovery; see :mod:`repro.faults` for the plan vocabulary.
 """
 
 from __future__ import annotations
@@ -58,7 +63,6 @@ from __future__ import annotations
 import os
 import shutil
 import struct
-import time as _time
 import zlib
 from itertools import accumulate, islice
 from typing import Any, Iterable, Iterator
@@ -69,7 +73,6 @@ from ..errors import (
     PersistError,
     RecoveryError,
     StorageError,
-    TransientIOError,
 )
 from ..obs import trace
 from ..obs.metrics import get_registry
@@ -326,9 +329,9 @@ class FileBackend(StorageBackend):
         #: (:mod:`repro.storage.owner`): what recovery folded, until
         #: :func:`repro.persist.attach_scheme_to_backend` installs a journal.
         self.owner: Any = FoldedOwner()
-        #: A write-kind fault armed by a page/directory hook, consumed by
-        #: the next physical write (so "tear the directory" tears the
-        #: actual image bytes, wherever they land).
+        #: The tear a hook returned, carried out by the next physical write
+        #: (so "tear the directory" tears the actual image bytes, wherever
+        #: they land).
         self._pending_write_fault: Any = None
         self._crashed = False
         # Physical-I/O counters (the honest cost the logical IOStats models).
@@ -343,7 +346,7 @@ class FileBackend(StorageBackend):
         self._wal = WALWriter(
             self.wal_path,
             self._raw_write,
-            fault_fire=self._fire_fault,
+            fault_hit=self._hit,
             sync=self._sync_raw,
             sync_dir=self._sync_dir,
         )
@@ -372,64 +375,47 @@ class FileBackend(StorageBackend):
         self.fault_injector = injector
         return self
 
+    def _hit(self, hook: str, size: int | None = None) -> Any:
+        """Carry out ``hook``'s fault through the one interpreter,
+        :meth:`~repro.faults.FaultInjector.hit` (the WAL calls this too).
+
+        The one place a fault crashes the backend: on a
+        :class:`~repro.errors.CrashError` or — fsyncgate: a failed fsync
+        may have dropped dirty pages — a
+        :class:`~repro.errors.FsyncFailedError` raised here, and on a tear
+        returned here, which the next physical write carries out."""
+        injector = self.fault_injector
+        if injector is None:
+            return None
+        try:
+            action = injector.hit(hook, size)
+        except (CrashError, FsyncFailedError):
+            self._crashed = True
+            raise
+        if action is not None:
+            self._crashed = True
+            self._pending_write_fault = action
+        return action
+
     def _raw_write(self, handle: Any, data: bytes) -> None:
         """Append/write ``data`` through the fault-injection funnel."""
-        if self._crashed:
-            raise CrashError("backend has crashed; reopen to recover")
         action = self._pending_write_fault
-        if action is None and self.fault_injector is not None:
-            action = self.fault_injector.fire("backend.raw_write", size=len(data))
+        if action is None:
+            if self._crashed:
+                raise CrashError("backend has crashed; reopen to recover")
+            if self.fault_injector is not None:
+                action = self._hit("backend.raw_write", len(data))
         if action is not None:
+            # Put a prefix on disk, then die, like a power loss mid-sector.
             self._pending_write_fault = None
-            self._perform_write_fault(action, handle, data)  # latency falls through
-        handle.write(data)
-        self.bytes_written += len(data)
-
-    def _perform_write_fault(self, action: Any, handle: Any, data: bytes) -> None:
-        """Inject one fault into a physical write.  Returns (letting the
-        write proceed) only for a latency spike; every other kind raises."""
-        from ..faults.plan import IO_ERROR, LATENCY, SHORT_WRITE, TORN_WRITE
-
-        if action.kind == LATENCY:
-            _time.sleep(action.delay)
-            return
-        if action.kind == IO_ERROR:
-            # Transient and side-effect free: nothing was written, the
-            # caller may retry the whole commit.
-            raise TransientIOError(
-                f"injected transient I/O error at backend.raw_write "
-                f"(invocation {action.invocation})"
-            )
-        if action.kind in (TORN_WRITE, SHORT_WRITE):
-            # Put a prefix on disk — half for a torn write, the seeded cut
-            # for a short write — then die, like a power loss mid-sector.
-            cut = len(data) // 2 if action.kind == TORN_WRITE else action.cut or 0
-            cut = min(cut, len(data))
+            cut = action.keep(len(data))
             if cut:
                 handle.write(data[:cut])
-            self._crashed = True
             raise CrashError(
                 f"simulated crash: {action.kind} after {cut} of {len(data)} bytes"
             )
-        from ..faults.plan import apply_simple_action
-
-        apply_simple_action(action)
-
-    def _hook_write_site(self, hook: str, size: int) -> None:
-        """Named write-site hook (page/directory image about to go out).
-
-        Torn/short actions are deferred onto the next physical write so
-        the fault tears the actual image bytes; transient/latency actions
-        apply immediately (before any bytes move)."""
-        action = self.fault_injector.fire(hook, size=size)
-        if action is None:
-            return
-        from ..faults.plan import SHORT_WRITE, TORN_WRITE, apply_simple_action
-
-        if action.kind in (TORN_WRITE, SHORT_WRITE):
-            self._pending_write_fault = action
-            return
-        apply_simple_action(action)
+        handle.write(data)
+        self.bytes_written += len(data)
 
     def _raw_write_at(self, offset: int, data: bytes) -> None:
         self._handle.seek(offset)
@@ -439,9 +425,7 @@ class FileBackend(StorageBackend):
         handle.flush()  # surface buffered writes to the OS (and readers)
         if self.fsync:
             if self.fault_injector is not None:
-                action = self.fault_injector.fire("backend.fsync")
-                if action is not None:
-                    self._perform_fsync_fault(action)
+                self._hit("backend.fsync")
             os.fsync(handle.fileno())
 
     def _sync_raw(self, handle: Any) -> None:
@@ -473,22 +457,6 @@ class FileBackend(StorageBackend):
         finally:
             os.close(fd)
 
-    def _perform_fsync_fault(self, action: Any) -> None:
-        from ..faults.plan import FSYNC_FAIL, LATENCY, apply_simple_action
-
-        if action.kind == FSYNC_FAIL:
-            # fsyncgate semantics: a failed fsync may have dropped dirty
-            # pages; nothing after it can be trusted, so the backend dies
-            # and recovery must rebuild from the WAL on reopen.
-            self._crashed = True
-            raise FsyncFailedError(
-                f"injected fsync failure (invocation {action.invocation})"
-            )
-        if action.kind == LATENCY:
-            _time.sleep(action.delay)
-            return
-        apply_simple_action(action)
-
     # ------------------------------------------------------------------
     # directory
     # ------------------------------------------------------------------
@@ -510,7 +478,7 @@ class FileBackend(StorageBackend):
         the image: a checkpoint makes the same bytes durable in the log
         first, and recovery falls back to that record."""
         if self.fault_injector is not None:
-            self._hook_write_site("backend.superblock", len(blob))
+            self._hit("backend.superblock", len(blob))
         offset = self._page_offset(self._next_id)
         self._raw_write_at(offset, blob)
         header = _HEADER.pack(offset, len(blob), zlib.crc32(blob))
@@ -585,7 +553,7 @@ class FileBackend(StorageBackend):
 
     def _write_page_image(self, block_id: int, image: bytes) -> None:
         if self.fault_injector is not None:
-            self._hook_write_site("backend.page_write", len(image))
+            self._hit("backend.page_write", len(image))
         framed = _PAGE_HEADER.pack(len(image)) + image
         self._raw_write_at(
             self._page_offset(block_id), framed.ljust(self.page_bytes, b"\0")
@@ -677,7 +645,7 @@ class FileBackend(StorageBackend):
         logged since the last one.
         """
         if self.fault_injector is not None:
-            self._fault_point("backend.commit")
+            self._hit("backend.commit")
         with trace.span("backend.commit") as span:
             bytes_before = self.bytes_written
             puts: dict[int, bytes] = {}

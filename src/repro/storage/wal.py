@@ -120,16 +120,16 @@ class WALWriter:
         self,
         path: str,
         raw_write: Callable[[Any, bytes], None],
-        fault_fire: Callable[..., Any] | None = None,
+        fault_hit: Callable[[str], Any] | None = None,
         sync: Callable[[Any], None] | None = None,
         sync_dir: Callable[[str], None] | None = None,
     ) -> None:
         self.path = path
         self._raw_write = raw_write
-        #: Optional fault dispatcher (the owning backend's ``_fire_fault``)
-        #: consulted at the ``wal.append`` and ``wal.truncate`` (seal entry)
+        #: Optional fault interpreter call (the owning backend's ``_hit``)
+        #: made at the ``wal.append`` and ``wal.truncate`` (seal entry)
         #: hook points.
-        self._fault_fire = fault_fire
+        self._fault_hit = fault_hit
         #: Durability callables supplied by the owning backend: ``sync``
         #: flushes (and, per backend policy, fsyncs) a handle; ``sync_dir``
         #: fsyncs a directory so renames survive power loss.
@@ -167,7 +167,8 @@ class WALWriter:
         cope with.
         """
         with trace.span("wal.append") as span:
-            self._fire("wal.append")
+            if self._fault_hit is not None:
+                self._fault_hit("wal.append")
             self._ensure_open()
             records_before = self.records_written
             bytes_before = self.bytes_written
@@ -222,14 +223,6 @@ class WALWriter:
         self.records_written = records
         self.bytes_written = bytes_written
 
-    def _fire(self, hook: str) -> None:
-        if self._fault_fire is not None:
-            action = self._fault_fire(hook)
-            if action is not None:
-                from ..faults.plan import apply_simple_action
-
-                apply_simple_action(action)
-
     def trim(self, offset: int) -> None:
         """Cut the log at ``offset``: drop a torn tail, keep the committed
         prefix (recovery's step — the committed records stay in place:
@@ -252,7 +245,8 @@ class WALWriter:
         folded log standing, which recovery skips by LSN but must still
         scan.  ``wal.truncate`` fires at entry, while the log still stands.
         """
-        self._fire("wal.truncate")
+        if self._fault_hit is not None:
+            self._fault_hit("wal.truncate")
         if self._handle is not None:
             self._handle.close()
             self._handle = None

@@ -47,7 +47,6 @@ def build_degraded_world(scheduler):
         scheme,
         log_capacity=64,
         group_size=1,
-        locality_grouping=False,
         latch=SchedulerLatch(scheduler),
         yield_hook=scheduler.yield_point,
         epoch_hook=record,

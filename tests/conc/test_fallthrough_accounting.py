@@ -51,7 +51,6 @@ def build(write_budget: int):
         scheme,
         log_capacity=1,
         group_size=1,
-        locality_grouping=False,
         yield_hook=hook,
     )
     state["service"] = service

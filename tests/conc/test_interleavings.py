@@ -54,7 +54,6 @@ def build_world(scheduler, *, log_capacity):
         scheme,
         log_capacity=log_capacity,
         group_size=1,
-        locality_grouping=False,
         latch=SchedulerLatch(scheduler),
         yield_hook=scheduler.yield_point,
         epoch_hook=record,

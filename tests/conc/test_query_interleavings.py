@@ -48,7 +48,6 @@ def build_world(scheduler):
         [scheme],
         log_capacity=64,
         group_size=1,
-        locality_grouping=False,
         latches=[SchedulerLatch(scheduler)],
         yield_hook=scheduler.yield_point,
         epoch_hooks=[record],

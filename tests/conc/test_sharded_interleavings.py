@@ -52,7 +52,6 @@ def build_world(scheduler):
     service = ShardedLabelService(
         schemes,
         group_size=1,
-        locality_grouping=False,
         latches=[SchedulerLatch(scheduler) for _ in range(N_SHARDS)],
         yield_hook=scheduler.yield_point,
         epoch_hooks=[recorder(shard) for shard in range(N_SHARDS)],

@@ -60,7 +60,6 @@ class ServiceMachine(RuleBasedStateMachine):
             self.scheme,
             log_capacity=8,  # small on purpose: overflow is a feature here
             group_size=2,
-            locality_grouping=False,
             epoch_hook=record,
         )
         record(self.service.current_epoch)

@@ -76,9 +76,7 @@ def test_concurrent_trace_matches_single_threaded_oracle(scheme_name):
     observations: list[list[tuple]] = [[] for _ in range(READERS)]
     writer_done = threading.Event()
 
-    service = LabelService(
-        scheme, log_capacity=256, group_size=GROUP_SIZE, locality_grouping=False
-    )
+    service = LabelService(scheme, log_capacity=256, group_size=GROUP_SIZE)
 
     def reader(index: int) -> None:
         session = service.session()
@@ -141,7 +139,6 @@ def test_concurrent_trace_matches_single_threaded_oracle(scheme_name):
     executor = BatchExecutor(
         oracle,
         group_size=GROUP_SIZE,
-        locality_grouping=False,
         on_group_commit=snapshot,
     )
     oracle_results = [executor.execute(batch) for batch in batches]

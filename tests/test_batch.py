@@ -37,7 +37,7 @@ class TestPlanning:
     def test_group_size_cap(self):
         scheme = make_scheme()
         scheme.bulk_load(10)
-        executor = BatchExecutor(scheme, group_size=3, locality_grouping=False)
+        executor = BatchExecutor(scheme, group_size=3)
         ops = [BatchOp("lookup", (0,))] * 8
         assert executor.plan(ops) == [[0, 1, 2], [3, 4, 5], [6, 7]]
 
@@ -66,14 +66,6 @@ class TestPlanning:
             BatchOp("insert_element_before", (BatchRef(0, 1),)),
             BatchOp("insert_element_before", (BatchRef(1, 0),)),
         ]
-        assert executor.plan(ops) == [[0, 1, 2]]
-
-    def test_locality_grouping_off(self):
-        scheme = make_scheme()
-        scheme.bulk_load(10 * scheme.config.lidf_records_per_block)
-        per_block = scheme.config.lidf_records_per_block
-        executor = BatchExecutor(scheme, group_size=100, locality_grouping=False)
-        ops = [BatchOp("lookup", (i * 3 * per_block,)) for i in range(3)]
         assert executor.plan(ops) == [[0, 1, 2]]
 
 

@@ -104,10 +104,9 @@ def run_one_by_one(scheme, ops: list[BatchOp]) -> list:
     base_children=st.integers(2, 10),
     actions=ACTIONS,
     group_size=st.integers(2, 16),
-    locality=st.booleans(),
 )
 @RELAXED
-def test_batched_equals_one_by_one(scheme_name, base_children, actions, group_size, locality):
+def test_batched_equals_one_by_one(scheme_name, base_children, actions, group_size):
     factory = SCHEME_FACTORIES[scheme_name]
     n_tags = 2 * (base_children + 1)
     pairing = two_level_pairing(base_children)
@@ -119,9 +118,7 @@ def test_batched_equals_one_by_one(scheme_name, base_children, actions, group_si
     assert batched_lids == sequential_lids
 
     ops = build_ops(batched_lids, base_children, actions)
-    executor = BatchExecutor(
-        batched_scheme, group_size=group_size, locality_grouping=locality
-    )
+    executor = BatchExecutor(batched_scheme, group_size=group_size)
     batched = executor.execute(ops)
     sequential = run_one_by_one(sequential_scheme, ops)
 

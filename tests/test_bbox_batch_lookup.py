@@ -120,14 +120,22 @@ def test_memoized_path_prefixes_walks_each_node_once():
 
 
 class TestExecutorVectorization:
-    def _twin_results(self, build, ops):
-        """Execute the same tape vectorized and scalar on twin trees."""
-        out = []
-        for vectorized in (True, False):
-            scheme = build()
-            executor = BatchExecutor(scheme, group_size=64, vectorized=vectorized)
-            out.append(executor.execute(ops))
-        return out
+    def _per_op(self, scheme, groups, ops):
+        """The scalar reference: each group's ops as plain scheme calls,
+        refs resolved by hand, inside one measured scope per group."""
+        results = [None] * len(ops)
+        costs = []
+        for group in groups:
+            with scheme.store.measured() as measured:
+                for position in group:
+                    op = ops[position]
+                    args = [
+                        results[arg.index] if isinstance(arg, BatchRef) else arg
+                        for arg in op.args
+                    ]
+                    results[position] = getattr(scheme, op.kind)(*args)
+            costs.append(measured.cost)
+        return results, costs
 
     def test_lookup_run_results_and_io_identical(self):
         def build():
@@ -137,24 +145,25 @@ class TestExecutorVectorization:
 
         _, sample = build()
         sample = sample[:12]
-        build_scheme = lambda: build()[0]  # noqa: E731
 
         ops = [BatchOp("lookup", (lid,)) for lid in sample]
         ops += [BatchOp("ordinal_lookup", (lid,)) for lid in sample]
         ops.insert(5, BatchOp("insert_before", (sample[0],)))
         ops.append(BatchOp("lookup", (BatchRef(5),)))  # ref to the insert
 
-        vec, scalar = self._twin_results(build_scheme, ops)
-        assert vec.results == scalar.results
-        assert len(vec.group_costs) == len(scalar.group_costs)
-        for fast, slow in zip(vec.group_costs, scalar.group_costs):
+        executor = BatchExecutor(build()[0], group_size=64)
+        vec = executor.execute(ops)
+        results, costs = self._per_op(build()[0], executor.plan(ops), ops)
+        assert vec.results == results
+        assert len(vec.group_costs) == len(costs)
+        for fast, slow in zip(vec.group_costs, costs):
             assert fast.reads == slow.reads
             assert fast.writes == slow.writes
 
     def test_ref_into_unfilled_slot_falls_back(self):
         scheme = BBox(TINY_CONFIG)
         lids = scheme.bulk_load(10)
-        executor = BatchExecutor(scheme, group_size=64, vectorized=True)
+        executor = BatchExecutor(scheme, group_size=64)
         # A forward ref inside a lookup run: _collect_run must break the
         # run there, and the scalar path must still resolve it in order.
         ops = [
@@ -172,7 +181,7 @@ class TestExecutorVectorization:
 
         scheme = BBox(TINY_CONFIG)
         lids = scheme.bulk_load(12)
-        executor = BatchExecutor(scheme, group_size=64, vectorized=True)
+        executor = BatchExecutor(scheme, group_size=64)
         ops = [BatchOp("lookup", (lid,)) for lid in lids]
         tracer = Tracer(enabled=True)
         previous = set_tracer(tracer)

@@ -311,7 +311,7 @@ class TestSLRUCache:
         hot = store.allocate("hot")
         store.read(hot)  # miss -> probation
         store.read(hot)  # probationary hit -> protected
-        assert hot in store._protected
+        assert hot in store.cache._protected
 
     def test_one_shot_scan_cannot_flush_protected(self):
         store = BlockStore(TINY_CONFIG, cache_capacity=10, cache_mode="slru")
@@ -343,8 +343,8 @@ class TestSLRUCache:
         for block in blocks:
             store.read(block)
             store.read(block)  # promote each; the 5th promotion overflows
-        assert len(store._protected) <= store._protected_capacity
-        assert len(store._lru) <= store._probation_capacity
+        assert len(store.cache._protected) <= store.cache.protected_capacity
+        assert len(store.cache._probation) <= store.cache.probation_capacity
 
     def test_hit_and_miss_accounting(self):
         store = BlockStore(TINY_CONFIG, cache_capacity=4, cache_mode="slru")
@@ -374,10 +374,10 @@ class TestSLRUCache:
         hot = store.allocate("hot")
         store.read(hot)
         store.read(hot)  # promoted to protected
-        assert hot in store._protected
+        assert hot in store.cache._protected
         store.free(hot)
-        assert hot not in store._protected
-        assert hot not in store._lru
+        assert hot not in store.cache._protected
+        assert hot not in store.cache._probation
         reborn = store.allocate("cold")
         assert reborn == hot  # LIFO recycling reuses the id
         store.cache.evict(reborn)  # drop the allocation write-through entry

@@ -2,10 +2,11 @@
 
 Covers the plan vocabulary (validation, the legacy ``crash_after_writes``
 mapping), the injector's deterministic firing/counting semantics, the
-generic action applier, and the storage hook points end to end: torn and
-short writes crash the backend, transient commit errors leave it healthy
-and retryable, the WAL rolls a partial transaction back to a clean
-boundary, and an uninstalled injector costs nothing observable.
+one fault interpreter (``FaultInjector.hit``), and the storage hook points
+end to end: torn and short writes — and every other crash-type fault at
+any backend hook — crash the backend, transient commit errors leave it
+healthy and retryable, the WAL rolls a partial transaction back to a
+clean boundary, and an uninstalled injector costs nothing observable.
 """
 
 import pytest
@@ -22,7 +23,6 @@ from repro.faults import (
     FaultPlan,
     FaultPlanError,
     FaultSpec,
-    apply_simple_action,
     standard_plan_names,
     standard_plans,
 )
@@ -143,31 +143,46 @@ class TestInjectorFiring:
 
 
 class TestApplySimpleAction:
-    def _action(self, kind, **overrides):
-        hook = overrides.pop("hook", "backend.commit")
-        spec_hook = "backend.raw_write" if kind in ("torn_write", "short_write") else hook
-        spec = FaultSpec(kind, spec_hook)
-        from repro.faults import FaultAction
+    """What each kind does, carried out by ``FaultInjector.hit``."""
 
-        return FaultAction(kind=kind, spec=spec, hook=hook, invocation=1, **overrides)
+    def _hit(self, kind, size=None, hook="backend.commit", **overrides):
+        injector = FaultInjector(FaultPlan([FaultSpec(kind, hook, **overrides)]))
+        return injector.hit(hook, size)
 
     def test_none_is_a_noop(self):
-        apply_simple_action(None)
+        injector = FaultInjector(FaultPlan.transient_io_error(at=2))
+        assert injector.hit("backend.commit") is None  # a silent invocation
+        assert injector.hit("wal.append") is None  # a hook with no spec
 
     def test_error_kinds_raise_their_types(self):
         with pytest.raises(TransientIOError):
-            apply_simple_action(self._action("io_error"))
+            self._hit("io_error")
         with pytest.raises(FsyncFailedError):
-            apply_simple_action(self._action("fsync_fail"))
+            self._hit("fsync_fail")
         with pytest.raises(WriterCrashError):
-            apply_simple_action(self._action("writer_crash"))
+            self._hit("writer_crash")
+        # A shard's scoped view carries its kinds out the same way.
+        scoped = FaultInjector(
+            FaultPlan([FaultSpec("io_error", "backend.commit@shard1")])
+        ).scoped("shard1")
+        with pytest.raises(TransientIOError):
+            scoped.hit("backend.commit")
 
     def test_write_kind_at_generic_site_is_a_crash(self):
         with pytest.raises(CrashError):
-            apply_simple_action(self._action("torn_write"))
+            self._hit("torn_write")
+        with pytest.raises(CrashError):
+            self._hit("short_write", cut=3)
+        # At a write site (one that passes a size) the tear is returned,
+        # for the site to carry out on the bytes it holds.
+        torn = self._hit("torn_write", size=10, hook="backend.raw_write")
+        assert torn.kind == "torn_write" and torn.keep(10) == 5
+        short = self._hit("short_write", size=10, hook="backend.raw_write", cut=3)
+        assert short.keep(10) == 3 and short.keep(2) == 2
 
     def test_latency_returns(self):
-        apply_simple_action(self._action("latency", delay=0.0))
+        assert self._hit("latency", delay=0.0) is None
+        assert self._hit("latency", size=8, hook="backend.raw_write") is None
 
 
 class TestBackendHooks:
@@ -230,6 +245,25 @@ class TestBackendHooks:
         with pytest.raises(FsyncFailedError):
             backend.commit([block_id])
         with pytest.raises(CrashError, match="reopen to recover"):
+            backend.commit([block_id])
+        backend.close()
+
+    @pytest.mark.parametrize(
+        "kind,hook",
+        [
+            ("torn_write", "backend.fsync"),
+            ("short_write", "backend.commit"),
+            ("torn_write", "wal.append"),
+            ("fsync_fail", "backend.raw_write"),
+        ],
+    )
+    def test_every_crash_fault_leaves_the_backend_crashed(self, tmp_path, kind, hook):
+        backend = make_backend(tmp_path, fsync=True)
+        block_id = backend.allocate([3])
+        backend.install_faults(FaultInjector(FaultPlan([FaultSpec(kind, hook)])))
+        with pytest.raises((CrashError, FsyncFailedError)):
+            backend.commit([block_id])
+        with pytest.raises(CrashError, match="backend has crashed; reopen"):
             backend.commit([block_id])
         backend.close()
 

@@ -1,7 +1,7 @@
 """The sharded label service: routing, epoch vectors, N=1 degeneration.
 
-Covers the layers bottom-up: the pure routing functions in
-:mod:`repro.core.batch`, the :class:`ShardRouter` glid codec, sharded
+Covers the layers bottom-up: the routing functions in
+:mod:`repro.service.router`, the :class:`ShardRouter` glid codec, sharded
 bulk load, the :class:`ShardedLabelService` write/read paths against an
 unsharded oracle, writer-side batch merging (``write_buffer``), the
 sharded on-disk layout and its persistence round-trip, shard-labeled
@@ -18,13 +18,7 @@ import pytest
 
 from repro import TINY_CONFIG, BatchOp, WBox
 from repro.core import BatchRef
-from repro.core.batch import (
-    ShardRouting,
-    globalize_results,
-    merge_routed_results,
-    route_ops,
-    shift_refs,
-)
+from repro.core.batch import shift_refs
 from repro.core.registry import scheme_factory
 from repro.errors import CrossShardError, PersistError, ServiceError
 from repro.persist import (
@@ -40,6 +34,7 @@ from repro.service import (
     ShardRouter,
     bulk_load_sharded,
 )
+from repro.service.router import ShardRouting, route_ops
 from repro.service.stats import collect_service_samples
 from repro.storage import (
     BlockStore,
@@ -97,15 +92,14 @@ def test_route_ops_partitions_by_lid_argument():
         BatchOp("lookup", (7,)),
         BatchOp("insert_before", (10,)),
     ]
-    routing = route_ops(ops, 2)
+    router = ShardRouter(2)
+    routing = route_ops(ops, router)
     assert isinstance(routing, ShardRouting)
     assert routing.op_shard == [0, 1, 0]
     # Args are localized: glid 7 -> local 3 on shard 1.
     assert routing.per_shard[1][0].args == (3,)
-    merged = merge_routed_results(
-        routing, {0: ["a", "c"], 1: ["b"]}
-    )
-    assert merged == ["a", "b", "c"]
+    merged = router.merge(routing, {0: ["a", 7], 1: ["b"]})
+    assert merged == ["a", "b", 14]  # the insert's local LID 7 on shard 0
 
 
 def test_route_ops_follows_refs_to_the_referenced_ops_shard():
@@ -115,7 +109,7 @@ def test_route_ops_follows_refs_to_the_referenced_ops_shard():
         BatchOp("insert_before", (6,)),
         BatchOp("insert_before", (BatchRef(0),)),
     ]
-    routing = route_ops(ops, 2)
+    routing = route_ops(ops, ShardRouter(2))
     assert routing.op_shard == [0, 0]
     (first, second) = routing.per_shard[0]
     assert isinstance(second.args[0], BatchRef)
@@ -124,15 +118,13 @@ def test_route_ops_follows_refs_to_the_referenced_ops_shard():
 
 def test_route_ops_rejects_cross_shard_pairs():
     with pytest.raises(CrossShardError):
-        route_ops([BatchOp("compare", (4, 7))], 2)
+        route_ops([BatchOp("compare", (4, 7))], ShardRouter(2))
 
 
 def test_globalize_results_maps_lids_back():
-    ops = [BatchOp("insert_before", (0,)), BatchOp("lookup", (0,))]
+    ops = [BatchOp("insert_before", (1,)), BatchOp("lookup", (0,))]
     router = ShardRouter(2)
-    out = globalize_results(
-        ops, [5, 123], [1, 0], router.to_global
-    )
+    out = router.merge(router.route(ops), {1: [5], 0: [123]})
     # insert_before yields a lid (local 5 on shard 1 -> glid 11); lookup
     # yields a raw value, passed through untouched.
     assert out == [11, 123]
