@@ -130,50 +130,19 @@ class LabeledDocument:
 
     def insert_before(self, new: Element, reference: Element) -> Element:
         """Insert ``new`` as ``reference``'s immediately preceding sibling."""
-        parent = reference.parent
-        if parent is None:
-            raise LabelingError("cannot insert a sibling of the root")
-        if new.children:
-            raise LabelingError("use insert_subtree for non-atomic elements")
-        start_lid, end_lid = self.scheme.insert_element_before(
-            self._start_lids[reference]
-        )
-        parent.insert(parent.children.index(reference), new)
-        self._start_lids[new] = start_lid
-        self._end_lids[new] = end_lid
+        self.apply_edits([("insert_before", new, reference)])
         return new
 
     def append_child(self, new: Element, parent: Element) -> Element:
         """Insert ``new`` as ``parent``'s last child (insert before the
         parent's end tag)."""
-        if new.children:
-            raise LabelingError("use insert_subtree for non-atomic elements")
-        start_lid, end_lid = self.scheme.insert_element_before(
-            self._end_lids[parent]
-        )
-        parent.append(new)
-        self._start_lids[new] = start_lid
-        self._end_lids[new] = end_lid
+        self.apply_edits([("append_child", new, parent)])
         return new
 
     def delete_element(self, element: Element) -> None:
         """Delete one element; its children become children of its parent
         (the paper's delete semantics)."""
-        parent = element.parent
-        if parent is None and element.children:
-            raise LabelingError("cannot delete the root while it has children")
-        self.scheme.delete_element(
-            self._start_lids.pop(element), self._end_lids.pop(element)
-        )
-        if parent is not None:
-            index = parent.children.index(element)
-            parent.children[index : index + 1] = element.children
-            for child in element.children:
-                child.parent = parent
-            element.children = []
-            element.parent = None
-        elif self.root is element:
-            self.root = None
+        self.apply_edits([("delete", element)])
 
     # ------------------------------------------------------------------
     # batched editing (group commit)

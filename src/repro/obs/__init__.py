@@ -8,11 +8,11 @@ fixed-bucket histograms, Prometheus/JSON exposition) and
 from .metrics import (
     DEFAULT_BUCKETS,
     Counter,
+    CounterSet,
     Gauge,
     Histogram,
     MetricsRegistry,
     Sample,
-    add_default_collector,
     get_registry,
     set_registry,
 )
@@ -29,13 +29,13 @@ from .trace import (
 __all__ = [
     "DEFAULT_BUCKETS",
     "Counter",
+    "CounterSet",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
     "NOOP_SPAN",
     "Sample",
     "Span",
-    "add_default_collector",
     "Tracer",
     "current_span",
     "get_registry",

@@ -8,15 +8,15 @@ stack produces.  Two publication styles coexist:
   :class:`Histogram` — created through ``registry.counter(...)`` etc.
   Increments are one lock acquisition; this is the always-on cheap path
   used by cold-ish code (WAL commits, recovery, service lifecycle).
-* **Collectors** — zero-argument callables returning samples, registered
-  with :meth:`MetricsRegistry.register_collector`.  The existing hot-path
-  counter objects (:class:`~repro.storage.stats.IOStats`,
-  :class:`~repro.service.stats.ServiceStats`) publish through collectors:
-  their ``add()`` fast paths stay exactly as they were (one internal
-  lock, plain ints), and the registry pulls current values only when
-  scraped.  This keeps the golden-I/O and contention suites — and the
-  <3 % overhead budget — intact while still making every counter visible
-  in one place.
+* **Counter sets** — the hot-path counters
+  (:class:`~repro.storage.stats.IOStats`,
+  :class:`~repro.service.stats.ServiceStats`) subclass
+  :class:`CounterSet` and declare only their fields and derived gauges.
+  ``add()`` is one lock and plain-int increments with no registry
+  traffic; the one collector, :func:`collect_counter_sets`, pulls every
+  live instance's values, grouped by shard, only when scraped.  This
+  keeps the golden-I/O and contention suites — and the <3 % overhead
+  budget — intact while still making every counter visible in one place.
 
 Exposition is Prometheus-style text (:meth:`render_prometheus`) or a
 JSON dump (:meth:`to_json`).  Zero dependencies; everything is stdlib.
@@ -26,9 +26,11 @@ from __future__ import annotations
 
 import json
 import threading
+import weakref
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from dataclasses import dataclass, field, fields, make_dataclass
+from operator import attrgetter
+from typing import Any, Callable, ClassVar, Iterable
 
 #: Default latency buckets (seconds): 0.1 ms .. 10 s, roughly 1-2-5.
 DEFAULT_BUCKETS = (
@@ -191,24 +193,130 @@ class Histogram:
         return out
 
 
+class CounterSet:
+    """One layer's named integer counters, bumped atomically under one lock.
+
+    A subclass declares its field names, the derived values on its
+    :attr:`Counts` and the gauges ``gauges(counts, instances)`` exports;
+    this base owns zeroing, :meth:`add`, :meth:`reset`, consistent copies,
+    the ``shard`` tag and publication through :func:`collect_counter_sets`.
+    Increments go through :meth:`add`: a Python ``+=`` on an attribute is a
+    read-modify-write that can lose updates between threads.  Reading one
+    attribute (``stats.reads``) stays lock-free, since a stale read of a
+    monotone counter is harmless; every copy takes the lock, so the values
+    in it are mutually consistent.
+    """
+
+    __slots__ = ("shard", "_lock", "__weakref__")
+
+    #: Sample-name prefix: counter ``x`` is exported as ``{PREFIX}_x_total``.
+    PREFIX: ClassVar[str]
+    #: The counters :meth:`add` bumps; a group of instances sums them.
+    COUNTERS: ClassVar[tuple[str, ...]]
+    #: Running maxima the subclass raises under ``_lock``; a group keeps the largest.
+    MAXIMA: ClassVar[tuple[str, ...]] = ()
+    #: Counters kept for a derived gauge but exported under no own name.
+    UNEXPORTED: ClassVar[tuple[str, ...]] = ()
+    #: What :meth:`snapshot` builds from the fields it names (default :attr:`Counts`).
+    SNAPSHOT: ClassVar[type]
+
+    class Counts:
+        """Derived values over one consistent copy of every field; the base
+        makes a subclass's ``Counts`` a frozen dataclass of those fields."""
+
+    def __init_subclass__(cls) -> None:
+        names = cls.COUNTERS + cls.MAXIMA
+        counts = make_dataclass(
+            f"{cls.__name__}Counts", [(name, int) for name in names],
+            bases=(cls.Counts,), frozen=True,
+        )
+        counts.__module__, counts.__qualname__ = cls.__module__, f"{cls.__qualname__}.Counts"
+        cls.Counts = counts
+        cls.SNAPSHOT = cls.__dict__.get("SNAPSHOT", counts)
+        cls._zeros = dict.fromkeys(names, 0)
+        cls._addable = frozenset(cls.COUNTERS)
+        cls._take_all = attrgetter(*names)
+        cls._take = attrgetter(*(f.name for f in fields(cls.SNAPSHOT)))
+
+    def __init__(self, shard: str | None = None) -> None:
+        self.shard = shard
+        self._lock = threading.Lock()
+        self.__dict__.update(self._zeros)
+        _LIVE_COUNTER_SETS.add(self)
+
+    def add(self, **deltas: int) -> None:
+        """Atomically bump any subset of ``COUNTERS``; an undeclared name
+        raises :class:`TypeError` before anything is counted."""
+        if not self._addable.issuperset(deltas):
+            raise TypeError(f"undeclared counters: {sorted(set(deltas) - self._addable)}")
+        values = self.__dict__
+        with self._lock:
+            for name, delta in deltas.items():
+                values[name] += delta
+
+    def reset(self) -> None:
+        """Zero every counter and maximum (e.g. between benchmark phases)."""
+        with self._lock:
+            self.__dict__.update(self._zeros)
+
+    def counts(self) -> Any:
+        """Every field as an immutable :attr:`Counts`, from one state."""
+        with self._lock:
+            return self.Counts(*self._take_all(self))
+
+    def snapshot(self) -> Any:
+        """The fields ``SNAPSHOT`` names, as one, from one state."""
+        with self._lock:
+            return self.SNAPSHOT(*self._take(self))
+
+    @classmethod
+    def combine(cls, parts: list[Any]) -> Any:
+        """Several instances' :attr:`Counts` as one: counters summed,
+        maxima the largest."""
+        return cls.Counts(
+            *(sum(getattr(part, name) for part in parts) for name in cls.COUNTERS),
+            *(max((getattr(part, name) for part in parts), default=0) for name in cls.MAXIMA),
+        )
+
+
+#: Every live instance; scraped by :func:`collect_counter_sets`, so the
+#: hot-path ``add`` never touches the registry.
+_LIVE_COUNTER_SETS: "weakref.WeakSet[CounterSet]" = weakref.WeakSet()
+
+
+def collect_counter_sets() -> list[Sample]:
+    """Registry collector: every live :class:`CounterSet`, per kind and shard.
+
+    Unsharded instances (``shard is None``) are combined into unlabeled
+    samples, exported even when none is live so a fresh registry scrapes a
+    complete (zeroed) surface; each shard tag gets its own ``shard``-labelled
+    group, so skew across shards is observable rather than summed away.
+    """
+    groups: dict[type[CounterSet], dict[str | None, list[Any]]] = {
+        kind: {None: []} for kind in CounterSet.__subclasses__()
+    }
+    for stats in list(_LIVE_COUNTER_SETS):
+        groups[type(stats)].setdefault(stats.shard, []).append(stats.counts())
+    samples: list[Sample] = []
+    for kind, by_shard in groups.items():
+        for shard in sorted(by_shard, key=lambda s: (s is not None, s)):
+            parts = by_shard[shard]
+            counts = kind.combine(parts)
+            labels = () if shard is None else (("shard", shard),)
+            samples.extend(
+                Sample(f"{kind.PREFIX}_{name}_total", labels, float(getattr(counts, name)))
+                for name in kind.COUNTERS
+                if name not in kind.UNEXPORTED
+            )
+            samples.extend(
+                Sample(f"{kind.PREFIX}_{name}", labels, float(value), "gauge")
+                for name, value in kind.gauges(counts, len(parts)).items()
+            )
+    return samples
+
+
 #: A collector: zero-arg callable yielding samples when the registry is scraped.
 Collector = Callable[[], Iterable[Sample]]
-
-#: Collectors installed into every registry at construction (and into the
-#: live default registry when added).  The stats modules register their
-#: process-wide aggregators here at import time, so a fresh registry
-#: swapped in by the CLI or a test still sees IOStats/ServiceStats.
-_DEFAULT_COLLECTORS: list[Collector] = []
-
-
-def add_default_collector(collector: Collector) -> Collector:
-    """Install ``collector`` into every current and future registry."""
-    if collector not in _DEFAULT_COLLECTORS:
-        _DEFAULT_COLLECTORS.append(collector)
-        registry = _default_registry
-        if registry is not None and collector not in registry._collectors:
-            registry.register_collector(collector)
-    return collector
 
 
 @dataclass
@@ -226,7 +334,7 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._families: dict[str, _Family] = {}
-        self._collectors: list[Collector] = list(_DEFAULT_COLLECTORS)
+        self._collectors: list[Collector] = [collect_counter_sets]
 
     # -- instrument factories (get-or-create; idempotent by name+labels) --
 
@@ -343,15 +451,14 @@ class MetricsRegistry:
 
     def reset(self) -> None:
         """Drop every instrument and ad-hoc collector (tests and CLI
-        runs); the process-default collectors stay installed."""
+        runs); the counter-set collector stays installed."""
         with self._lock:
             self._families.clear()
-            self._collectors = list(_DEFAULT_COLLECTORS)
+            self._collectors = [collect_counter_sets]
 
 
 #: Process-default registry.  Library code grabs it lazily at call sites,
 #: so tests (and the CLI) can swap a fresh one in with :func:`set_registry`.
-_default_registry: MetricsRegistry | None = None
 _default_registry = MetricsRegistry()
 _registry_lock = threading.Lock()
 

@@ -489,7 +489,7 @@ def create_sharded_backends(
     is an ordinary self-describing page file; the manifest only records
     the shard count and the global-LID codec.
     """
-    write_manifest(root, n_shards, page_bytes=page_bytes)
+    write_manifest(root, n_shards, page_bytes=page_bytes, fsync=fsync)
     return [
         FileBackend(shard_page_path(root, shard), page_bytes=page_bytes, fsync=fsync)
         for shard in range(n_shards)

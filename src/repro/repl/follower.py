@@ -53,7 +53,7 @@ from ..service.sharded import ShardedLabelService
 from ..storage.shardlayout import shard_page_path, write_manifest
 from ..storage.wal import MAGIC as WAL_MAGIC
 from ..storage.wal import scan_wal_bytes
-from ..storage.walseg import fresh_manifest, read_wal_manifest, write_wal_manifest
+from ..storage.walseg import fresh_manifest, manifest_path, read_wal_manifest, write_json_atomic
 
 __all__ = ["Follower", "ShardFollower"]
 
@@ -408,7 +408,7 @@ class Follower:
         self._download_image(shard, manifest.checkpoint_segment, path)
         local = fresh_manifest()
         local["next_segment"] = manifest.checkpoint_segment
-        write_wal_manifest(path, local)
+        write_json_atomic(manifest_path(path), local)
         return open_file_scheme(path)
 
     def _download_image(self, shard: int, segment: int, dest: str) -> None:

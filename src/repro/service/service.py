@@ -69,6 +69,13 @@ from .stats import ServiceStats
 #: keeps serving.
 FATAL_WRITER_ERRORS = (CrashError, FsyncFailedError, RecoveryError, WriterCrashError)
 
+#: The :class:`ServiceStats` values :meth:`LabelService.describe` reports.
+DESCRIBED_COUNTERS = (
+    "reads", "repair_hit_ratio", "fallthrough_reads", "epochs_published",
+    "backpressure_waits", "write_retries", "write_merges",
+    "degraded_write_rejects", "degraded_read_rejects", "max_epoch_lag",
+)
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -556,16 +563,7 @@ class LabelService:
             "epoch": self._current.number,
             "queue_depth": self.queue_depth,
             "log_capacity": self.log.capacity,
-            "reads": counters.reads,
-            "repair_hit_ratio": counters.repair_hit_ratio,
-            "fallthrough_reads": counters.fallthrough_reads,
-            "epochs_published": counters.epochs_published,
-            "backpressure_waits": counters.backpressure_waits,
-            "write_retries": counters.write_retries,
-            "write_merges": counters.write_merges,
-            "degraded_write_rejects": counters.degraded_write_rejects,
-            "degraded_read_rejects": counters.degraded_read_rejects,
-            "max_epoch_lag": counters.max_epoch_lag,
+            **{name: getattr(counters, name) for name in DESCRIBED_COUNTERS},
         }
 
 

@@ -10,85 +10,25 @@ The label service's health is visible through three families of numbers:
 * **staleness** — how far behind the writer's published epoch reader
   sessions were when they served reads (epoch lag).
 
-All increments are serialized under an internal lock, like
-:meth:`IOStats.add`; attribute reads stay lock-free (stale reads of
-monotone counters are harmless), and :meth:`snapshot` takes the lock so
-the values it returns are mutually consistent.
+Counting, locking and copies are :class:`~repro.obs.metrics.CounterSet`'s:
+every snapshot is one state, so ``reads == fresh_hits + replay_hits +
+fallthrough_reads`` holds in each.
 """
 
 from __future__ import annotations
 
-import threading
-import weakref
-from dataclasses import dataclass
-
-from ..obs.metrics import Sample, add_default_collector
+from ..obs.metrics import CounterSet
 
 
-@dataclass(frozen=True)
-class ServiceCounters:
-    """Immutable snapshot of a service's counters."""
-
-    reads: int
-    fresh_hits: int
-    replay_hits: int
-    fallthrough_reads: int
-    epochs_published: int
-    batches_applied: int
-    ops_applied: int
-    backpressure_waits: int
-    write_errors: int
-    write_retries: int
-    write_merges: int
-    degradations: int
-    degraded_write_rejects: int
-    degraded_read_rejects: int
-    max_epoch_lag: int
-    lag_sum: int
-    lag_samples: int
-
-    @property
-    def repair_hit_ratio(self) -> float:
-        """Reads answered without touching the BOX, over all reads."""
-        return (self.fresh_hits + self.replay_hits) / self.reads if self.reads else 0.0
-
-    @property
-    def mean_epoch_lag(self) -> float:
-        return self.lag_sum / self.lag_samples if self.lag_samples else 0.0
-
-
-class ServiceStats:
+class ServiceStats(CounterSet):
     """Mutable running totals for one :class:`~repro.service.LabelService`.
 
     ``shard`` tags the instance with the shard it belongs to (``None`` for
-    an unsharded service); the default registry collector groups by it.
+    an unsharded service); the registry collector groups by it.
     """
 
-    __slots__ = (
-        "shard",
-        "reads",
-        "fresh_hits",
-        "replay_hits",
-        "fallthrough_reads",
-        "epochs_published",
-        "batches_applied",
-        "ops_applied",
-        "backpressure_waits",
-        "write_errors",
-        "write_retries",
-        "write_merges",
-        "degradations",
-        "degraded_write_rejects",
-        "degraded_read_rejects",
-        "max_epoch_lag",
-        "lag_sum",
-        "lag_samples",
-        "_lock",
-        "__weakref__",
-    )
-
-    #: Monotone counter attributes exported to the metrics registry.
-    FIELDS = (
+    PREFIX = "repro_service"
+    COUNTERS = (
         "reads",
         "fresh_hits",
         "replay_hits",
@@ -106,63 +46,28 @@ class ServiceStats:
         "lag_sum",
         "lag_samples",
     )
+    MAXIMA = ("max_epoch_lag",)
+    UNEXPORTED = ("lag_sum", "lag_samples")
 
-    def __init__(self, shard: str | None = None) -> None:
-        self.shard = shard
-        self.reads = 0
-        self.fresh_hits = 0
-        self.replay_hits = 0
-        self.fallthrough_reads = 0
-        self.epochs_published = 0
-        self.batches_applied = 0
-        self.ops_applied = 0
-        self.backpressure_waits = 0
-        self.write_errors = 0
-        self.write_retries = 0
-        self.write_merges = 0
-        self.degradations = 0
-        self.degraded_write_rejects = 0
-        self.degraded_read_rejects = 0
-        self.max_epoch_lag = 0
-        self.lag_sum = 0
-        self.lag_samples = 0
-        self._lock = threading.Lock()
-        _LIVE_STATS.add(self)
+    class Counts:
+        """Immutable snapshot of a service's counters."""
 
-    def add(
-        self,
-        *,
-        reads: int = 0,
-        fresh_hits: int = 0,
-        replay_hits: int = 0,
-        fallthrough_reads: int = 0,
-        epochs_published: int = 0,
-        batches_applied: int = 0,
-        ops_applied: int = 0,
-        backpressure_waits: int = 0,
-        write_errors: int = 0,
-        write_retries: int = 0,
-        write_merges: int = 0,
-        degradations: int = 0,
-        degraded_write_rejects: int = 0,
-        degraded_read_rejects: int = 0,
-    ) -> None:
-        """Atomically bump any subset of the counters."""
-        with self._lock:
-            self.reads += reads
-            self.fresh_hits += fresh_hits
-            self.replay_hits += replay_hits
-            self.fallthrough_reads += fallthrough_reads
-            self.epochs_published += epochs_published
-            self.batches_applied += batches_applied
-            self.ops_applied += ops_applied
-            self.backpressure_waits += backpressure_waits
-            self.write_errors += write_errors
-            self.write_retries += write_retries
-            self.write_merges += write_merges
-            self.degradations += degradations
-            self.degraded_write_rejects += degraded_write_rejects
-            self.degraded_read_rejects += degraded_read_rejects
+        @property
+        def repair_hit_ratio(self) -> float:
+            """Reads answered without touching the BOX, over all reads."""
+            return (self.fresh_hits + self.replay_hits) / self.reads if self.reads else 0.0
+
+        @property
+        def mean_epoch_lag(self) -> float:
+            return self.lag_sum / self.lag_samples if self.lag_samples else 0.0
+
+    @staticmethod
+    def gauges(counts: Counts, instances: int) -> dict[str, float]:
+        return {
+            "repair_hit_ratio": counts.repair_hit_ratio,
+            "epoch_lag_mean": counts.mean_epoch_lag,
+            "epoch_lag_max": counts.max_epoch_lag,
+        }
 
     def observe_lag(self, lag: int) -> None:
         """Record one reader's epoch lag (published epoch - pinned epoch)."""
@@ -172,116 +77,13 @@ class ServiceStats:
             self.lag_sum += lag
             self.lag_samples += 1
 
-    def reset(self) -> None:
-        """Zero every counter (e.g. after a warmup phase)."""
-        with self._lock:
-            self.reads = 0
-            self.fresh_hits = 0
-            self.replay_hits = 0
-            self.fallthrough_reads = 0
-            self.epochs_published = 0
-            self.batches_applied = 0
-            self.ops_applied = 0
-            self.backpressure_waits = 0
-            self.write_errors = 0
-            self.write_retries = 0
-            self.write_merges = 0
-            self.degradations = 0
-            self.degraded_write_rejects = 0
-            self.degraded_read_rejects = 0
-            self.max_epoch_lag = 0
-            self.lag_sum = 0
-            self.lag_samples = 0
-
-    def snapshot(self) -> ServiceCounters:
-        """Current totals as an immutable, mutually consistent value."""
-        with self._lock:
-            return ServiceCounters(
-                reads=self.reads,
-                fresh_hits=self.fresh_hits,
-                replay_hits=self.replay_hits,
-                fallthrough_reads=self.fallthrough_reads,
-                epochs_published=self.epochs_published,
-                batches_applied=self.batches_applied,
-                ops_applied=self.ops_applied,
-                backpressure_waits=self.backpressure_waits,
-                write_errors=self.write_errors,
-                write_retries=self.write_retries,
-                write_merges=self.write_merges,
-                degradations=self.degradations,
-                degraded_write_rejects=self.degraded_write_rejects,
-                degraded_read_rejects=self.degraded_read_rejects,
-                max_epoch_lag=self.max_epoch_lag,
-                lag_sum=self.lag_sum,
-                lag_samples=self.lag_samples,
-            )
-
     @property
     def repair_hit_ratio(self) -> float:
-        """Reads answered without touching the BOX, over all reads.
-
-        Takes the lock so the numerator and denominator come from one
-        consistent state even when :meth:`reset` or :meth:`add` land
-        mid-read; zero reads yields 0.0, never a division error.
-        """
-        with self._lock:
-            hits = self.fresh_hits + self.replay_hits
-            reads = self.reads
-        return hits / reads if reads else 0.0
-
-    def __repr__(self) -> str:
-        return (
-            f"ServiceStats(reads={self.reads}, fresh={self.fresh_hits}, "
-            f"replayed={self.replay_hits}, fallthrough={self.fallthrough_reads}, "
-            f"epochs={self.epochs_published}, batches={self.batches_applied}, "
-            f"backpressure_waits={self.backpressure_waits})"
-        )
+        """:attr:`Counts.repair_hit_ratio` now, from one locked copy, so
+        numerator and denominator agree even when :meth:`reset` or
+        :meth:`add` land mid-read."""
+        return self.snapshot().repair_hit_ratio
 
 
-#: Every live ServiceStats; aggregated into the metrics registry by the
-#: default collector below (hot-path ``add`` stays registry-free).
-_LIVE_STATS: "weakref.WeakSet[ServiceStats]" = weakref.WeakSet()
-
-
-def collect_service_samples() -> list[Sample]:
-    """Registry collector: per-shard counters over every live ServiceStats.
-
-    Unsharded services (``shard is None``) are summed into unlabeled
-    samples exactly as before; shard-tagged services each get their own
-    sample group with a ``shard`` label, so a sharded deployment's skew
-    is visible instead of being silently averaged away.
-    """
-    # The unlabeled family is always exported, even with zero live
-    # instances, so a fresh registry scrapes a complete (zeroed) surface.
-    groups: dict[str | None, dict[str, int]] = {
-        None: dict.fromkeys(ServiceStats.FIELDS, 0)
-    }
-    max_lags: dict[str | None, int] = {None: 0}
-    for stats in list(_LIVE_STATS):
-        with stats._lock:
-            totals = groups.setdefault(stats.shard, dict.fromkeys(ServiceStats.FIELDS, 0))
-            for name in ServiceStats.FIELDS:
-                totals[name] += getattr(stats, name)
-            max_lags[stats.shard] = max(max_lags.get(stats.shard, 0), stats.max_epoch_lag)
-    samples: list[Sample] = []
-    for shard in sorted(groups, key=lambda s: (s is not None, s)):
-        totals = groups[shard]
-        labels = () if shard is None else (("shard", shard),)
-        samples.extend(
-            Sample(f"repro_service_{name}_total", labels, float(value))
-            for name, value in totals.items()
-            if name not in ("lag_sum", "lag_samples")
-        )
-        reads = totals["reads"]
-        ratio = (totals["fresh_hits"] + totals["replay_hits"]) / reads if reads else 0.0
-        samples.append(Sample("repro_service_repair_hit_ratio", labels, ratio, "gauge"))
-        lag_n = totals["lag_samples"]
-        mean_lag = totals["lag_sum"] / lag_n if lag_n else 0.0
-        samples.append(Sample("repro_service_epoch_lag_mean", labels, mean_lag, "gauge"))
-        samples.append(
-            Sample("repro_service_epoch_lag_max", labels, float(max_lags[shard]), "gauge")
-        )
-    return samples
-
-
-add_default_collector(collect_service_samples)
+#: The type :meth:`ServiceStats.snapshot` returns.
+ServiceCounters = ServiceStats.Counts

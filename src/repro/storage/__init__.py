@@ -26,7 +26,7 @@ from .walseg import (
     manifest_path,
     read_wal_manifest,
     segment_path,
-    write_wal_manifest,
+    write_json_atomic,
 )
 
 __all__ = [
@@ -54,5 +54,5 @@ __all__ = [
     "manifest_path",
     "read_wal_manifest",
     "segment_path",
-    "write_wal_manifest",
+    "write_json_atomic",
 ]

@@ -30,6 +30,7 @@ import json
 import os
 
 from ..errors import PersistError
+from .walseg import write_json_atomic
 
 __all__ = [
     "MANIFEST_NAME",
@@ -56,11 +57,15 @@ def is_sharded_root(path: str) -> bool:
     return os.path.isdir(path) and os.path.isfile(os.path.join(path, MANIFEST_NAME))
 
 
-def write_manifest(root: str, n_shards: int, *, page_bytes: int | None = None) -> dict:
+def write_manifest(
+    root: str, n_shards: int, *, page_bytes: int | None = None, fsync: bool = False
+) -> dict:
     """Create ``root`` (if needed) and write its shard manifest.
 
-    The write is atomic (temp file + rename) so a crash mid-write never
-    leaves a directory that half-claims to be sharded.
+    The write is atomic (:func:`~repro.storage.walseg.write_json_atomic`)
+    so a crash mid-write never leaves a directory that half-claims to be
+    sharded; with ``fsync`` (the store's own policy) it is also durable
+    before the shard files are trusted to it.
     """
     if n_shards < 1:
         raise PersistError(f"n_shards must be >= 1, got {n_shards}")
@@ -71,12 +76,7 @@ def write_manifest(root: str, n_shards: int, *, page_bytes: int | None = None) -
         "page_bytes": page_bytes,
     }
     os.makedirs(root, exist_ok=True)
-    path = os.path.join(root, MANIFEST_NAME)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    os.replace(tmp, path)
+    write_json_atomic(os.path.join(root, MANIFEST_NAME), manifest, fsync=fsync)
     return manifest
 
 

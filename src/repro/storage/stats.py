@@ -7,11 +7,9 @@ counters: performance "is measured by the number of I/Os" (Section 7).
 
 from __future__ import annotations
 
-import threading
-import weakref
 from dataclasses import dataclass
 
-from ..obs.metrics import Sample, add_default_collector
+from ..obs.metrics import CounterSet
 
 
 @dataclass(frozen=True)
@@ -33,80 +31,30 @@ class OperationCost:
         return OperationCost(self.reads - other.reads, self.writes - other.writes)
 
 
-class IOStats:
+class IOStats(CounterSet):
     """Mutable running totals of block I/Os and block lifecycle events.
 
     The counters accumulate forever; callers that want per-operation or
-    per-phase costs take a :meth:`snapshot` before and subtract after, or
-    use :meth:`BlockStore.operation` which returns the delta directly.
-
-    Increments go through :meth:`add`, which serializes them under an
-    internal lock: a Python ``+=`` on an attribute is a read-modify-write
-    that can lose updates when concurrent readers count I/Os under the
-    store's shared latch.  Reading individual attributes stays lock-free
-    (a stale read of a monotone counter is harmless); :meth:`snapshot`
-    takes the lock so the (reads, writes) pair is mutually consistent.
+    per-phase costs take a :meth:`snapshot` (an :class:`OperationCost`)
+    before and subtract after, or use :meth:`BlockStore.operation` which
+    returns the delta directly.
     """
 
-    __slots__ = (
-        "shard",
-        "reads",
-        "writes",
-        "allocs",
-        "frees",
-        "cache_hits",
-        "cache_misses",
-        "_lock",
-        "__weakref__",
-    )
+    PREFIX = "repro_io"
+    COUNTERS = ("reads", "writes", "allocs", "frees", "cache_hits", "cache_misses")
+    SNAPSHOT = OperationCost
 
-    #: Counter attributes exported to the metrics registry.
-    FIELDS = ("reads", "writes", "allocs", "frees", "cache_hits", "cache_misses")
+    class Counts:
+        @property
+        def hit_ratio(self) -> float:
+            """Cache hits over cache-eligible reads (0.0 when caching is
+            off or nothing has been read)."""
+            probes = self.cache_hits + self.cache_misses
+            return self.cache_hits / probes if probes else 0.0
 
-    def __init__(self, shard: str | None = None) -> None:
-        self.shard = shard
-        self.reads = 0
-        self.writes = 0
-        self.allocs = 0
-        self.frees = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self._lock = threading.Lock()
-        _LIVE_STATS.add(self)
-
-    def add(
-        self,
-        *,
-        reads: int = 0,
-        writes: int = 0,
-        allocs: int = 0,
-        frees: int = 0,
-        cache_hits: int = 0,
-        cache_misses: int = 0,
-    ) -> None:
-        """Atomically bump any subset of the counters."""
-        with self._lock:
-            self.reads += reads
-            self.writes += writes
-            self.allocs += allocs
-            self.frees += frees
-            self.cache_hits += cache_hits
-            self.cache_misses += cache_misses
-
-    def snapshot(self) -> OperationCost:
-        """Current totals as an immutable value."""
-        with self._lock:
-            return OperationCost(self.reads, self.writes)
-
-    def reset(self) -> None:
-        """Zero every counter (useful between benchmark phases)."""
-        with self._lock:
-            self.reads = 0
-            self.writes = 0
-            self.allocs = 0
-            self.frees = 0
-            self.cache_hits = 0
-            self.cache_misses = 0
+    @staticmethod
+    def gauges(counts: Counts, instances: int) -> dict[str, float]:
+        return {"cache_hit_ratio": counts.hit_ratio, "instances": instances}
 
     @property
     def total_io(self) -> int:
@@ -115,65 +63,11 @@ class IOStats:
 
     @property
     def hit_ratio(self) -> float:
-        """Cache hits over cache-eligible reads (0.0 when caching is off or
-        nothing has been read).
+        """:attr:`Counts.hit_ratio` now.
 
-        Reads both counters under the lock: a :meth:`reset` landing
+        Both counters come from one locked copy: a :meth:`reset` landing
         between two lock-free attribute reads could otherwise pair hits
         from before the reset with misses from after it, reporting a
-        ratio no consistent state ever had.  The zero-probe case is 0.0,
-        never a :class:`ZeroDivisionError`.
+        ratio no consistent state ever had.
         """
-        with self._lock:
-            hits = self.cache_hits
-            probes = hits + self.cache_misses
-        return hits / probes if probes else 0.0
-
-    def __repr__(self) -> str:
-        return (
-            f"IOStats(reads={self.reads}, writes={self.writes}, "
-            f"allocs={self.allocs}, frees={self.frees}, "
-            f"cache_hits={self.cache_hits}, cache_misses={self.cache_misses})"
-        )
-
-
-#: Every live IOStats instance; the registry collector below aggregates
-#: them into process-wide totals, so the hot-path ``add`` stays exactly
-#: one lock + plain-int increments (no per-I/O registry traffic).
-_LIVE_STATS: "weakref.WeakSet[IOStats]" = weakref.WeakSet()
-
-
-def collect_io_samples() -> list[Sample]:
-    """Registry collector: per-shard counters over every live IOStats.
-
-    Instances with ``shard is None`` (the unsharded common case) are
-    summed into unlabeled samples exactly as before; shard-tagged
-    instances get a ``shard`` label per group so imbalanced I/O across
-    shards is observable rather than silently summed away.
-    """
-    # The unlabeled family is always exported, even with zero live
-    # instances, so a fresh registry scrapes a complete (zeroed) surface.
-    groups: dict[str | None, dict[str, int]] = {None: dict.fromkeys(IOStats.FIELDS, 0)}
-    counts: dict[str | None, int] = {None: 0}
-    for stats in list(_LIVE_STATS):
-        with stats._lock:
-            totals = groups.setdefault(stats.shard, dict.fromkeys(IOStats.FIELDS, 0))
-            for name in IOStats.FIELDS:
-                totals[name] += getattr(stats, name)
-            counts[stats.shard] = counts.get(stats.shard, 0) + 1
-    samples: list[Sample] = []
-    for shard in sorted(groups, key=lambda s: (s is not None, s)):
-        totals = groups[shard]
-        labels = () if shard is None else (("shard", shard),)
-        samples.extend(
-            Sample(f"repro_io_{name}_total", labels, float(value))
-            for name, value in totals.items()
-        )
-        probes = totals["cache_hits"] + totals["cache_misses"]
-        ratio = totals["cache_hits"] / probes if probes else 0.0
-        samples.append(Sample("repro_io_cache_hit_ratio", labels, ratio, "gauge"))
-        samples.append(Sample("repro_io_instances", labels, float(counts[shard]), "gauge"))
-    return samples
-
-
-add_default_collector(collect_io_samples)
+        return self.counts().hit_ratio

@@ -3,8 +3,8 @@
 Every :class:`~repro.storage.FileBackend` ends each checkpoint by
 **sealing** its live log: atomically renaming it to a numbered *segment*
 file next to the page file.  Segment ids are monotonic and never reused;
-a small JSON manifest (atomic temp-file + rename, same discipline as the
-shard manifest) records what exists:
+a small JSON manifest (:func:`write_json_atomic`, which the shard
+manifest shares) records what exists:
 
 .. code-block:: text
 
@@ -59,7 +59,7 @@ __all__ = [
     "manifest_path",
     "read_wal_manifest",
     "segment_path",
-    "write_wal_manifest",
+    "write_json_atomic",
 ]
 
 #: Manifest filename suffix (next to the page file).
@@ -118,17 +118,17 @@ def read_wal_manifest(page_path: str) -> dict:
     return manifest
 
 
-def write_wal_manifest(page_path: str, manifest: dict, *, fsync: bool = False) -> None:
-    """Atomically persist the segment manifest (temp file + rename).
+def write_json_atomic(path: str, data: dict, *, fsync: bool = False) -> None:
+    """Atomically replace ``path`` with ``data`` as JSON (temp file +
+    rename); every manifest in a store is written here.
 
     With ``fsync`` the temp file is synced before the rename and the
     directory after it, so the manifest update itself cannot be lost to
     a crash that the files it describes survived.
     """
-    path = manifest_path(page_path)
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
+        json.dump(data, handle, indent=2, sort_keys=True)
         handle.write("\n")
         if fsync:
             handle.flush()
@@ -144,7 +144,7 @@ def write_wal_manifest(page_path: str, manifest: dict, *, fsync: bool = False) -
 
 def apply_retention(page_path: str, manifest: dict, *, fsync: bool = False) -> None:
     """The one retention rule: prune ``manifest`` to the horizon in place,
-    persist it (:func:`write_wal_manifest`), then delete the history files
+    persist it (:func:`write_json_atomic`), then delete the history files
     of ``page_path`` below the horizon.
 
     The horizon is the older of the two newest checkpoint images' segment
@@ -156,7 +156,7 @@ def apply_retention(page_path: str, manifest: dict, *, fsync: bool = False) -> N
     horizon = kept[0]["segment"] if kept else manifest["next_segment"]
     manifest["checkpoints"] = kept
     manifest["segments"] = [seg for seg in manifest["segments"] if seg >= horizon]
-    write_wal_manifest(page_path, manifest, fsync=fsync)
+    write_json_atomic(manifest_path(page_path), manifest, fsync=fsync)
     directory, base = os.path.split(page_path)
     history = re.compile(re.escape(base) + r"\.(?:seg-(\d+)\.wal|ckpt-(\d+))")
     for name in os.listdir(directory or "."):

@@ -33,13 +33,13 @@ from __future__ import annotations
 import random
 import threading
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any, Iterator, Sequence
 
 from ..core.batch import BatchOp, BatchRef, BatchResult
 from ..core.interface import LabelingScheme
 from ..service.sharded import ShardedLabelService, bulk_load_sharded
-from ..service.stats import ServiceCounters
+from ..service.stats import ServiceCounters, ServiceStats
 from ..xml.model import Element
 from ..xml.xmark import xmark_document
 
@@ -411,12 +411,7 @@ class StressResult:
     @property
     def totals(self) -> ServiceCounters:
         """The shards' counters summed (``max_epoch_lag``: their maximum)."""
-        summed = {
-            f.name: sum(getattr(counters, f.name) for counters in self.counters)
-            for f in fields(ServiceCounters)
-        }
-        summed["max_epoch_lag"] = max(c.max_epoch_lag for c in self.counters)
-        return ServiceCounters(**summed)
+        return ServiceStats.combine(self.counters)
 
 
 def run_stress(

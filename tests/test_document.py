@@ -82,6 +82,25 @@ class TestElementEditing:
         assert len(doc) == 20
         verify_document(doc)
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc, b, c: doc.insert_before(b, c),
+            lambda doc, b, c: doc.append_child(b, doc.root),
+            lambda doc, b, c: doc.delete_element(Element("stranger")),
+        ],
+        ids=["insert_labeled", "append_labeled", "delete_unlabeled"],
+    )
+    def test_single_edit_makes_the_batched_checks(self, doc, edit):
+        """A single-element edit is rejected exactly when the same edit in
+        ``apply_edits`` is, and leaves labels and tree untouched."""
+        b, c = doc.root.children[1], doc.root.children[2]
+        before = doc.scheme.label_count()
+        with pytest.raises(LabelingError):
+            edit(doc, b, c)
+        assert doc.scheme.label_count() == before
+        verify_document(doc)
+
 
 class TestSubtreeEditing:
     def test_insert_subtree_before(self, doc):

@@ -21,6 +21,7 @@ from repro.core import BatchRef
 from repro.core.batch import shift_refs
 from repro.core.registry import scheme_factory
 from repro.errors import CrossShardError, PersistError, ServiceError
+from repro.obs import get_registry
 from repro.persist import (
     attach_scheme_to_backend,
     checkpoint_scheme,
@@ -35,7 +36,6 @@ from repro.service import (
     bulk_load_sharded,
 )
 from repro.service.router import ShardRouting, route_ops
-from repro.service.stats import collect_service_samples
 from repro.storage import (
     BlockStore,
     FileBackend,
@@ -45,7 +45,6 @@ from repro.storage import (
     shard_page_path,
 )
 from repro.storage.blockstore import ReaderWriterLatch
-from repro.storage.stats import collect_io_samples
 
 
 def make_sharded(n_shards, count=24, **service_kwargs):
@@ -473,7 +472,7 @@ def test_service_samples_carry_shard_labels():
     schemes, glids, service = make_sharded(2, count=12)
     with service:
         service.apply_ops_sync([BatchOp("insert_before", (glids[2],))])
-        samples = collect_service_samples()
+        samples = get_registry().collect()
     by_label = {
         s.labels
         for s in samples
@@ -488,7 +487,7 @@ def test_unsharded_service_samples_stay_unlabeled():
     scheme.bulk_load(8)
     with LabelService(scheme) as service:
         service.apply_ops_sync([BatchOp("insert_before", (0,))])
-        samples = collect_service_samples()
+        samples = get_registry().collect()
     unlabeled = [
         s
         for s in samples
@@ -501,7 +500,7 @@ def test_io_samples_group_by_shard():
     schemes, glids, service = make_sharded(2, count=12)
     with service:
         service.apply_ops_sync([BatchOp("lookup", (glids[0],))])
-        samples = collect_io_samples()
+        samples = get_registry().collect()
     labels = {s.labels for s in samples if s.name == "repro_io_reads_total"}
     assert (("shard", "shard0"),) in labels
     assert (("shard", "shard1"),) in labels

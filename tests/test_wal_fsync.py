@@ -32,11 +32,13 @@ from repro.faults import TORN_WRITE, FaultInjector, FaultPlan, FaultSpec, run_ch
 from repro.persist import (
     attach_scheme_to_backend,
     checkpoint_scheme,
+    create_sharded_backends,
     open_file_scheme,
     scheme_metadata_header,
 )
 from repro.storage import BlockStore, FileBackend, default_page_bytes, scan_wal
 from repro.storage import filebackend as filebackend_module
+from repro.storage.shardlayout import MANIFEST_NAME
 from repro.storage.walseg import manifest_path, segment_path
 
 
@@ -114,6 +116,24 @@ class TestSealDurability:
         backend._wal.seal_to(segment_path(path, 9))
         assert recorder.targets == []
         backend.close()
+
+
+class TestManifestDurability:
+    @pytest.mark.parametrize("fsync", [True, False])
+    def test_shard_manifest_follows_the_store_fsync_policy(
+        self, tmp_path, monkeypatch, fsync
+    ):
+        """An fsync store syncs ``SHARDS.json`` and then its directory
+        before it creates any shard file, so a power loss cannot leave
+        page files beside an empty manifest that ``read_manifest``
+        refuses; a store without fsync syncs nothing."""
+        root = tmp_path / "store"
+        recorder = FsyncRecorder(monkeypatch)
+        backends = create_sharded_backends(str(root), 2, fsync=fsync)
+        manifest = [(os.stat(root / MANIFEST_NAME).st_ino, False), (os.stat(root).st_ino, True)]
+        assert recorder.targets[:2] == (manifest if fsync else [])
+        for backend in backends:
+            backend.close()
 
 
 class TestCommitBarrierOrdering:
