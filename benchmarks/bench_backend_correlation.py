@@ -43,18 +43,24 @@ from benchmarks.conftest import (
     workload_inserts,
 )
 from repro.persist import attach_scheme_to_backend
-from repro.storage import BlockStore, FileBackend, default_page_bytes
+from repro.core import scheme_page_bytes
+from repro.storage import BlockStore, FileBackend
 from repro.workloads import run_concentrated
 
 #: Schemes spanning the I/O-count range (B-BOX cheapest, naive-16 dearest
 #: under concentration) so the correlation has spread to latch onto.
 SCHEMES = ["W-BOX", "W-BOX-O", "B-BOX", "B-BOX-O", "naive-16"]
 
+#: One page slot every scheme in the sweep fits.
+PAGE_BYTES = max(
+    scheme_page_bytes(name, BENCH_CONFIG) for name in ("wbox", "wboxo", "bbox", "naive-16")
+)
+
 
 def _file_store(directory: str, name: str) -> tuple[BlockStore, FileBackend]:
     backend = FileBackend(
         str(Path(directory) / f"{name}.pages"),
-        page_bytes=default_page_bytes(BENCH_CONFIG.block_bytes),
+        page_bytes=PAGE_BYTES,
     )
     return BlockStore(BENCH_CONFIG, backend=backend), backend
 

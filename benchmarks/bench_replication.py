@@ -86,7 +86,7 @@ def _serve(service) -> tuple[dict, threading.Thread]:
 def _make_primary(directory: str, base: int):
     backend = FileBackend(
         os.path.join(directory, "primary.pages"),
-        page_bytes=default_page_bytes(BENCH_CONFIG.block_bytes),
+        page_bytes=default_page_bytes(BENCH_CONFIG),
     )
     from repro import WBox
 

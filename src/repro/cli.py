@@ -57,7 +57,7 @@ from contextlib import contextmanager
 from typing import Any, Iterator
 
 from .config import BoxConfig
-from .core import LabeledDocument, scheme_factory
+from .core import LabeledDocument, scheme_factory, scheme_page_bytes
 from .errors import PersistError, RecoveryError, ReproError
 from .persist import (
     MAGIC,
@@ -74,7 +74,6 @@ from .query.xpath import evaluate
 from .storage import (
     BlockStore,
     FileBackend,
-    default_page_bytes,
     is_sharded_root,
     read_manifest,
     read_directory,
@@ -103,9 +102,7 @@ def make_scheme(
         raise ReproError(f"unknown storage backend {storage!r}")
     if not storage_path:
         raise ReproError("--storage file requires --storage-path")
-    backend = FileBackend(
-        storage_path, page_bytes=default_page_bytes(config.block_bytes)
-    )
+    backend = FileBackend(storage_path, page_bytes=scheme_page_bytes(name, config))
     return make_scheme_on_store(name, config, BlockStore(config, backend=backend))
 
 
@@ -294,7 +291,7 @@ def _open_schemes(
     backends = create_sharded_backends(
         args.storage_path,
         n_shards,
-        page_bytes=default_page_bytes(config.block_bytes),
+        page_bytes=scheme_page_bytes(args.scheme, config),
         fsync=fsync,
     )
     return [

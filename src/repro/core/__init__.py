@@ -12,7 +12,7 @@ from .wbox.tree import WBox
 from .wbox.pairs import WBoxO
 from .bbox.tree import BBox
 from .document import LabeledDocument
-from .registry import register_scheme, scheme_class, scheme_factory
+from .registry import register_scheme, scheme_class, scheme_factory, scheme_page_bytes
 from .cachelog import CachedLabelStore, LogSnapshot, ModificationLog, RangeShift, Invalidate
 
 __all__ = [
@@ -36,6 +36,7 @@ __all__ = [
     "register_scheme",
     "scheme_class",
     "scheme_factory",
+    "scheme_page_bytes",
     "CachedLabelStore",
     "LogSnapshot",
     "ModificationLog",

@@ -48,8 +48,9 @@ from typing import Any, Sequence
 
 from ..config import BoxConfig
 from ..errors import LabelingError
-from ..storage import BlockStore, HeapFile
+from ..storage import BlockStore, HeapFile, default_page_bytes
 from .bits import dynamic_ancestry_gap, dynamic_ancestry_universe, next_power_of_two
+from .bits import dynamic_ancestry_label_bits_bound
 from .cachelog import invalidate_all
 from .interface import LabelingScheme, LabelKind
 
@@ -160,6 +161,13 @@ class _OrderedGapScheme(LabelingScheme):
         self.relabel_count = 0
         #: Total labels rewritten across all renumberings.
         self.relabeled_items = 0
+
+    @classmethod
+    def page_slot_bytes(cls, config: BoxConfig, **variant: Any) -> int:
+        # The interval layout spans at most 4 e^2 slots for e < 2^lid_bits / 2
+        # elements (DESIGN §7); the dynamic universe has its own bound.
+        bound = dynamic_ancestry_label_bits_bound(1 << config.lid_bits)
+        return default_page_bytes(config, max(2 * config.lid_bits + 1, bound))
 
     # ------------------------------------------------------------------
     # accounting

@@ -28,7 +28,7 @@ from typing import Any, Sequence
 
 from ..config import BoxConfig
 from ..errors import LabelingError
-from ..storage import BlockStore, HeapFile
+from ..storage import BlockStore, HeapFile, default_page_bytes
 from .cachelog import invalidate_all
 from .interface import LabelingScheme
 
@@ -182,6 +182,11 @@ class NaiveScheme(LabelingScheme):
     @classmethod
     def from_persisted(cls, config: BoxConfig, meta: dict[str, Any]) -> "NaiveScheme":
         return cls(meta["gap_bits"], config)
+
+    @classmethod
+    def page_slot_bytes(cls, config: BoxConfig, *, gap_bits: int, **variant: Any) -> int:
+        # Values and gaps stay at most n * 2^k, n < 2^lid_bits labels.
+        return default_page_bytes(config, gap_bits + config.lid_bits)
 
     # ------------------------------------------------------------------
     # global relabel

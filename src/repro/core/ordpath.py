@@ -33,7 +33,7 @@ from typing import Any, Sequence
 
 from ..config import BoxConfig
 from ..errors import LabelingError
-from ..storage import BlockStore, HeapFile
+from ..storage import BlockStore, HeapFile, default_page_bytes
 from .interface import LabelingScheme
 
 #: Approximate per-component overhead of the ORDPATH prefix-free encoding.
@@ -114,6 +114,12 @@ class OrdPath(LabelingScheme):
         #: In-memory sorted (label, lid) list — the document-order oracle,
         #: the same concession the paper grants the naive baseline.
         self._order: list[tuple[Label, int]] = []
+
+    @classmethod
+    def page_slot_bytes(cls, config: BoxConfig, **variant: Any) -> int:
+        # Careted labels have no width bound: keep the earlier fixed slot;
+        # a longer block is refused at commit with a StorageError.
+        return max(4096, 2 * config.block_bytes, default_page_bytes(config))
 
     # ------------------------------------------------------------------
     # accounting

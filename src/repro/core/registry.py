@@ -49,21 +49,32 @@ def scheme_class(type_name: str) -> type[LabelingScheme] | None:
     return _CLASSES.get(type_name)
 
 
-def scheme_factory(name: str) -> SchemeFactory:
-    """Resolve a user-facing scheme name to a ``(config, store)`` factory
-    (``store=None`` means the scheme's default in-memory store).  Raises
-    :class:`~repro.errors.ReproError` for a name nobody registered."""
+def _variant(name: str) -> tuple[type[LabelingScheme], Mapping[str, Any]]:
     variant = _VARIANTS.get(name)
     if variant is not None:
-        cls, kwargs = variant
-        return lambda config, store: cls(config, store=store, **kwargs)
+        return variant
     family, _, gap_bits = name.partition("-")
     if family == "naive" and gap_bits.isdigit():
-        return lambda config, store: NaiveScheme(int(gap_bits), config, store=store)
+        return NaiveScheme, {"gap_bits": int(gap_bits)}
     raise ReproError(
         f"unknown scheme {name!r}; choose from "
         f"{', '.join(sorted(_VARIANTS))}, naive-<k>"
     )
+
+
+def scheme_factory(name: str) -> SchemeFactory:
+    """Resolve a user-facing scheme name to a ``(config, store)`` factory
+    (``store=None`` means the scheme's default in-memory store).  Raises
+    :class:`~repro.errors.ReproError` for a name nobody registered."""
+    cls, kwargs = _variant(name)
+    return lambda config, store: cls(config=config, store=store, **kwargs)
+
+
+def scheme_page_bytes(name: str, config: BoxConfig) -> int:
+    """The page slot a file store of scheme ``name`` needs under
+    ``config`` (:meth:`LabelingScheme.page_slot_bytes`)."""
+    cls, kwargs = _variant(name)
+    return cls.page_slot_bytes(config, **kwargs)
 
 
 register_scheme(WBox, {"wbox": {}, "wbox-ordinal": {"ordinal": True}})

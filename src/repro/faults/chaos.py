@@ -49,7 +49,7 @@ from typing import Any, Callable, Iterable
 
 from ..config import TINY_CONFIG, BoxConfig
 from ..core.batch import BatchOp
-from ..core.registry import scheme_factory
+from ..core.registry import scheme_factory, scheme_page_bytes
 from ..errors import (
     CrashError,
     FsyncFailedError,
@@ -69,7 +69,7 @@ from ..repl import (
 )
 from ..service import ShardedLabelService, bulk_load_sharded
 from ..service.router import ShardRouter
-from ..storage import BlockStore, default_page_bytes
+from ..storage import BlockStore
 from ..storage.shardlayout import shard_page_path
 from ..storage.wal import _HEADER, MAGIC, REC_DELTA, REC_PUT
 from ..workloads.sequences import apply_tape_step, crash_recovery_tape
@@ -414,7 +414,7 @@ def run_chaos_trial(
         backends = create_sharded_backends(
             root,
             n_shards,
-            page_bytes=default_page_bytes(config.block_bytes),
+            page_bytes=scheme_page_bytes(scheme_name, config),
             fsync=any(spec.hook.startswith("backend.fsync") for spec in plan),
         )
         schemes = [factory(config, BlockStore(config, backend=b)) for b in backends]

@@ -5,7 +5,7 @@ Two durability paths share one payload codec
 
 **Snapshots** (:func:`save_scheme` / :func:`load_scheme`,
 :func:`save_document` / :func:`load_document`): a compact varint-encoded
-container written in one pass —
+container built in memory and written in one atomic replace —
 
 * a magic string and a JSON header (scheme class, config, counters, LIDF
   directory, block-store allocation state);
@@ -56,7 +56,7 @@ from typing import Any, Iterator
 from .config import BoxConfig
 from .core.registry import scheme_class
 from .errors import PersistError
-from .storage import BlockStore, FileBackend, HeapFile
+from .storage import BlockStore, FileBackend, HeapFile, write_bytes_atomic
 from .storage.codec import (
     append_uvarints,
     check_count,
@@ -129,24 +129,26 @@ def scheme_metadata_header(scheme: Any) -> dict:
 
 
 def save_scheme(scheme: Any, path: str) -> None:
-    """Serialize ``scheme`` (structure, LIDF, counters) to ``path``."""
+    """Serialize ``scheme`` (structure, LIDF, counters) to ``path``,
+    replacing it atomically (:func:`~repro.storage.write_bytes_atomic`)."""
+    write_bytes_atomic(path, _snapshot_image(scheme))
+
+
+def _snapshot_image(scheme: Any) -> bytearray:
     header = scheme_metadata_header(scheme)
     store: BlockStore = scheme.store
     # The snapshot format historically stores both free lists sorted;
     # kept for format stability (load re-heapifies / re-lists anyway).
     header["lidf"]["free"] = sorted(header["lidf"]["free"])
     header["store"]["free_ids"] = sorted(header["store"]["free_ids"])
-    block_ids = sorted(store.block_ids())
-    body = bytearray(uvarint_bytes(len(block_ids)))
-    for block_id in block_ids:
-        body += uvarint_bytes(block_id)
-        body += encode_block_payload(store.peek(block_id))
     header_bytes = json.dumps(header).encode("utf-8")
-    with open(path, "wb") as handle:
-        handle.write(MAGIC)
-        handle.write(len(header_bytes).to_bytes(8, "big"))
-        handle.write(header_bytes)
-        handle.write(body)
+    image = bytearray(MAGIC + len(header_bytes).to_bytes(8, "big") + header_bytes)
+    block_ids = sorted(store.block_ids())
+    image += uvarint_bytes(len(block_ids))
+    for block_id in block_ids:
+        image += uvarint_bytes(block_id)
+        image += encode_block_payload(store.peek(block_id))
+    return image
 
 
 def save_document(document: Any, path: str) -> None:
@@ -166,7 +168,7 @@ def save_document(document: Any, path: str) -> None:
         raise PersistError("save_document expects a LabeledDocument")
     if document.root is None:
         raise PersistError("cannot save an empty document")
-    save_scheme(document.scheme, path)
+    image = _snapshot_image(document.scheme)
     lids = []
     for tag in document_tags(document.root):
         if tag.kind is TagKind.START:
@@ -174,13 +176,10 @@ def save_document(document: Any, path: str) -> None:
         else:
             lids.append(document.end_lid(tag.element))
     xml_bytes = serialize(document.root).encode("utf-8")
-    with open(path, "ab") as handle:
-        handle.write(b"DOCSECT1")
-        handle.write(len(xml_bytes).to_bytes(8, "big"))
-        handle.write(xml_bytes)
-        body = bytearray(uvarint_bytes(len(lids)))
-        append_uvarints(body, lids)
-        handle.write(body)
+    image += b"DOCSECT1" + len(xml_bytes).to_bytes(8, "big") + xml_bytes
+    image += uvarint_bytes(len(lids))
+    append_uvarints(image, lids)
+    write_bytes_atomic(path, image)
 
 
 def load_document(path: str) -> Any:

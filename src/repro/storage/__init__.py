@@ -26,6 +26,7 @@ from .walseg import (
     manifest_path,
     read_wal_manifest,
     segment_path,
+    write_bytes_atomic,
     write_json_atomic,
 )
 
@@ -54,5 +55,6 @@ __all__ = [
     "manifest_path",
     "read_wal_manifest",
     "segment_path",
+    "write_bytes_atomic",
     "write_json_atomic",
 ]

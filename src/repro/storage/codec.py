@@ -290,6 +290,40 @@ def _encode_lidf_records(out: bytearray, records: list) -> None:
     append_uvarints(out, flat)
 
 
+def max_payload_bytes(config: Any, value_bits: int | None = None) -> int:
+    """The longest image :func:`encode_block_payload` gives a full node
+    under ``config`` — W-BOX leaf, pair leaf or internal node, B-BOX leaf
+    or internal node, LIDF block — every field at the largest value its
+    declared width holds (``ceil(bits/7)`` varint bytes).  An LIDF record
+    holds a block pointer or a pair of values up to ``value_bits`` wide
+    (default ``config.label_bits``); ORDPATH vectors have no width and are
+    not covered."""
+
+    def var(bits: int) -> int:
+        return max(1, -(-bits // 7))
+
+    def row(count: int, each: int) -> int:
+        return var(count.bit_length()) + count * each
+
+    c = config
+    lid, ptr, size = var(c.lid_bits), var(c.pointer_bits), var(c.size_bits)
+    value, weight = var(c.label_bits), var(c.weight_bits)
+    record = var(c.label_bits if value_bits is None else value_bits)
+    # kind, range origin, range length (up to 2**label_bits), weight
+    wheader = 1 + value + var(c.label_bits + 1) + weight
+    # lid, is_start, partner lid + 1, partner block, end value + 1
+    pair = lid + 1 + var(c.lid_bits + 1) + ptr + var(c.label_bits + 1)
+    entry = ptr + var((c.wbox_max_fanout - 1).bit_length()) + weight + size
+    return max(
+        wheader + row(c.wbox_leaf_capacity, lid),
+        wheader + row(c.wbox_pair_leaf_capacity, pair),
+        wheader + 1 + row(c.wbox_max_fanout, entry),  # + level
+        1 + ptr + row(c.bbox_leaf_capacity, lid),
+        2 + ptr + row(c.bbox_fanout, ptr + size),  # + sizes flag
+        1 + row(c.lidf_records_per_block, 1 + max(ptr, 2 * record)),  # slot tags
+    )
+
+
 def decode_block_payload_at(buf: Any, pos: int) -> tuple[Any, int]:
     """Decode the payload starting at ``buf[pos]``; returns it with the
     offset one past its last byte (snapshot bodies are walked with this)."""
@@ -395,6 +429,6 @@ def decode_block_payload(data: Any) -> Any:
 
     ``data`` may be ``bytes`` or a ``memoryview``; decoded payloads are
     always fully materialized Python objects holding no reference into
-    ``data``.  Trailing bytes are ignored (a page is zero-padded).
+    ``data``.  Trailing bytes are ignored.
     """
     return decode_block_payload_at(data, 0)[0]

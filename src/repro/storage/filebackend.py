@@ -16,9 +16,10 @@ single file, round-tripping payloads through the live-payload codec of
   one binary, packed-varint image written just past the last page, and
   only by a checkpoint; the fixed **header** holds its offset, length
   and CRC-32 under a CRC of its own.
-* A **page** is ``u32 payload length + encoded payload``, zero-padded to
-  ``page_bytes``.  Page *i* lives at a fixed offset, so a block write is
-  one positioned write.
+* A **page** is ``u32 payload length + encoded payload``, unpadded, at
+  the start of a ``page_bytes`` slot (:func:`default_page_bytes`) at a
+  fixed offset, so a block write is one positioned write.  Bytes past
+  the image in a slot are stale and never read: reads trim by length.
 
 Durability runs through the write-ahead log (:mod:`repro.storage.wal`):
 a commit appends the dirty pages' images and a DELTA record — what the
@@ -67,6 +68,7 @@ import zlib
 from itertools import accumulate, islice
 from typing import Any, Iterable, Iterator
 
+from ..config import BoxConfig
 from ..errors import (
     CrashError,
     FsyncFailedError,
@@ -81,6 +83,7 @@ from .codec import (
     append_uvarints,
     decode_block_payload,
     encode_block_payload,
+    max_payload_bytes,
     scan_uvarint,
     scan_uvarints,
 )
@@ -101,9 +104,6 @@ MAGIC = b"BOXPAGE2"
 #: Fixed byte length of the header region; with the magic, pages start
 #: at offset 4096.
 HEADER_BYTES = 4088
-
-#: Default page size when no block geometry is given.
-DEFAULT_PAGE_BYTES = 4096
 
 #: Bytes a backend lets its log grow by before :meth:`FileBackend.commit`
 #: checkpoints on its own.  Bounds the live log and what reopening has to
@@ -265,14 +265,14 @@ def read_directory(path: str) -> dict[str, Any] | None:
         return None
 
 
-def default_page_bytes(block_bytes: int) -> int:
-    """Page size for a given logical block size.
-
-    Varint page images of a maximally full node can exceed the bit-packed
-    block size (a varint spends up to 5 bytes on a 32-bit field), so pages
-    get 2x headroom, floored at 4 KB.
-    """
-    return max(DEFAULT_PAGE_BYTES, 2 * block_bytes)
+def default_page_bytes(config: BoxConfig, value_bits: int | None = None) -> int:
+    """Page slot size: the length header plus the longest image a full
+    node under ``config`` encodes to when stored label values are at
+    most ``value_bits`` wide (:func:`~repro.storage.codec.max_payload_bytes`;
+    about 1.7x the block at the default widths).  A scheme's own slot is
+    :func:`repro.core.registry.scheme_page_bytes`.  :meth:`FileBackend.commit`
+    refuses a longer image with a :class:`~repro.errors.StorageError`."""
+    return _PAGE_HEADER.size + max_payload_bytes(config, value_bits)
 
 
 class FileBackend(StorageBackend):
@@ -284,8 +284,9 @@ class FileBackend(StorageBackend):
         The page file.  Created if missing; otherwise opened, folding
         the write-ahead log (``path + ".wal"``) over its directory.
     page_bytes:
-        Fixed page size.  Must match the file's on opening an existing
-        file (omit to accept the stored geometry).
+        Fixed page slot size, :func:`default_page_bytes` when omitted for a
+        new file.  Must match the file's on opening an existing file (omit
+        to accept the stored geometry).
     fsync:
         Issue ``os.fsync`` at the durability points: once per commit (the
         log), and at a checkpoint's barriers.  Off by default: simulated
@@ -356,7 +357,7 @@ class FileBackend(StorageBackend):
             self._open_existing(page_bytes)
         else:
             self.page_bytes = (
-                page_bytes if page_bytes is not None else DEFAULT_PAGE_BYTES
+                page_bytes if page_bytes is not None else default_page_bytes(BoxConfig())
             )
             self._handle = open(self.path, "w+b")
             self._raw_write_at(0, MAGIC)
@@ -552,12 +553,10 @@ class FileBackend(StorageBackend):
         return len(MAGIC) + HEADER_BYTES + (block_id - 1) * self.page_bytes
 
     def _write_page_image(self, block_id: int, image: bytes) -> None:
-        if self.fault_injector is not None:
-            self._hit("backend.page_write", len(image))
         framed = _PAGE_HEADER.pack(len(image)) + image
-        self._raw_write_at(
-            self._page_offset(block_id), framed.ljust(self.page_bytes, b"\0")
-        )
+        if self.fault_injector is not None:
+            self._hit("backend.page_write", len(framed))
+        self._raw_write_at(self._page_offset(block_id), framed)
         self.page_writes += 1
 
     def _read_page(self, block_id: int) -> Any:

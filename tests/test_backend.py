@@ -54,7 +54,7 @@ def arm_crash_after(backend, budget):
 
 def make_file_scheme(tmp_path, factory, name="s.pages", config=TINY_CONFIG):
     backend = FileBackend(
-        str(tmp_path / name), page_bytes=default_page_bytes(config.block_bytes)
+        str(tmp_path / name), page_bytes=default_page_bytes(config)
     )
     scheme = factory(config, store=BlockStore(config, backend=backend))
     attach_scheme_to_backend(scheme)

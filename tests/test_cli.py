@@ -278,7 +278,7 @@ class TestPageFileDiagnostics:
         from repro.storage import BlockStore, FileBackend, default_page_bytes
 
         path = str(tmp_path / "s.pages")
-        backend = FileBackend(path, page_bytes=default_page_bytes(TINY_CONFIG.block_bytes))
+        backend = FileBackend(path, page_bytes=default_page_bytes(TINY_CONFIG))
         scheme = WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))
         attach_scheme_to_backend(scheme)
         lids = scheme.bulk_load(24, [i ^ 1 for i in range(24)])
@@ -322,7 +322,7 @@ class TestPageFileDiagnostics:
         from repro.storage import BlockStore, FileBackend, default_page_bytes
 
         path = str(tmp_path / "c.pages")
-        backend = FileBackend(path, page_bytes=default_page_bytes(TINY_CONFIG.block_bytes))
+        backend = FileBackend(path, page_bytes=default_page_bytes(TINY_CONFIG))
         scheme = WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))
         attach_scheme_to_backend(scheme)
         lids = scheme.bulk_load(24, [i ^ 1 for i in range(24)])

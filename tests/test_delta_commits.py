@@ -69,7 +69,7 @@ def test_fold_equals_absolute(name, tape, data):
     with tempfile.TemporaryDirectory(prefix="repro-fold-") as directory:
         path = os.path.join(directory, "t.pages")
         backend = FileBackend(
-            path, page_bytes=default_page_bytes(TINY_CONFIG.block_bytes)
+            path, page_bytes=default_page_bytes(TINY_CONFIG)
         )
         scheme = FACTORIES[name](BlockStore(TINY_CONFIG, backend=backend))
         attach_scheme_to_backend(scheme)
@@ -104,7 +104,7 @@ def _three_op_delta(directory, n_labels):
     """The DELTA body of one fixed 3-op edit on an ``n_labels`` W-BOX."""
     config = BoxConfig(block_bytes=1024)
     path = os.path.join(directory, f"{n_labels}.pages")
-    backend = FileBackend(path, page_bytes=default_page_bytes(config.block_bytes))
+    backend = FileBackend(path, page_bytes=default_page_bytes(config))
     scheme = WBox(config, store=BlockStore(config, backend=backend))
     attach_scheme_to_backend(scheme)
     lids = scheme.bulk_load(n_labels, [i ^ 1 for i in range(n_labels)])
@@ -132,7 +132,7 @@ def test_commits_alone_keep_the_log_bounded(tmp_path):
     constant plus the transaction that crossed it — and that is all a
     reopen has to scan."""
     path = str(tmp_path / "t.pages")
-    backend = FileBackend(path, page_bytes=default_page_bytes(TINY_CONFIG.block_bytes))
+    backend = FileBackend(path, page_bytes=default_page_bytes(TINY_CONFIG))
     scheme = WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))
     attach_scheme_to_backend(scheme)
     lids = scheme.bulk_load(24, [i ^ 1 for i in range(24)])

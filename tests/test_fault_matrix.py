@@ -64,7 +64,7 @@ def test_directory_write_crash(tmp_path, scheme_name):
     factory = scheme_factory(scheme_name)
     probe_path = str(tmp_path / "probe.pages")
     backend = FileBackend(
-        probe_path, page_bytes=default_page_bytes(TINY_CONFIG.block_bytes)
+        probe_path, page_bytes=default_page_bytes(TINY_CONFIG)
     )
     scheme = factory(TINY_CONFIG, BlockStore(TINY_CONFIG, backend=backend))
     lids = scheme.bulk_load(24, [i ^ 1 for i in range(24)])

@@ -68,7 +68,7 @@ def test_file_backend_counts_identical(tmp_path, name, backend_cls):
     """The same workload on a real page file counts the same I/Os."""
     backend = backend_cls(
         str(tmp_path / "golden.pages"),
-        page_bytes=default_page_bytes(CONFIG.block_bytes),
+        page_bytes=default_page_bytes(CONFIG),
     )
     scheme = FACTORIES[name](store=BlockStore(CONFIG, backend=backend))
     attach_scheme_to_backend(scheme)

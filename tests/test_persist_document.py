@@ -1,10 +1,19 @@
 """Document-level persistence: the whole LabeledDocument (structure + XML
 tree + element↔LID binding) round-trips, so saved files are queryable."""
 
+import builtins
+import errno
+
 import pytest
 
 from repro import BBox, LabeledDocument, NaiveScheme, TINY_CONFIG, WBox, WBoxO
-from repro.persist import PersistError, load_document, load_scheme, save_document
+from repro.persist import (
+    PersistError,
+    load_document,
+    load_scheme,
+    save_document,
+    save_scheme,
+)
 from repro.query import containment_join_by_name, xpath
 from repro.xml.model import Element
 from repro.xml.xmark import xmark_document
@@ -77,6 +86,54 @@ class TestCompatibility:
     def test_non_document_rejected(self, tmp_path):
         with pytest.raises(PersistError):
             save_document(WBox(TINY_CONFIG), str(tmp_path / "x.box"))
+
+
+class _TornFile:
+    """A file handle whose writes put half their bytes down, then fail."""
+
+    def __init__(self, handle):
+        self._handle = handle
+
+    def write(self, data):
+        self._handle.write(bytes(data[: len(data) // 2]))
+        raise OSError(errno.ENOSPC, "disk full halfway through a write")
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._handle.close()
+
+
+class TestAtomicSave:
+    @pytest.mark.parametrize("save", [save_document, save_scheme], ids=["document", "scheme"])
+    def test_a_save_that_fails_halfway_leaves_the_old_snapshot(
+        self, tmp_path, monkeypatch, save
+    ):
+        """A crash during ``repro label --save`` must not cost the snapshot
+        that was already there."""
+        doc = LabeledDocument(WBox(TINY_CONFIG), xmark_document(2, seed=8))
+        path = str(tmp_path / "doc.box")
+        save_document(doc, path)
+        saved = len(doc)
+        random_edit_session(doc, operations=20, seed=9)
+        real_open = builtins.open
+
+        def tearing_open(file, mode="r", *args, **kwargs):
+            handle = real_open(file, mode, *args, **kwargs)
+            return _TornFile(handle) if "w" in mode or "a" in mode else handle
+
+        monkeypatch.setattr(builtins, "open", tearing_open)
+        with pytest.raises(OSError, match="halfway"):
+            save(doc if save is save_document else doc.scheme, path)
+        monkeypatch.undo()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["doc.box"]  # no temp file left
+        reloaded = load_document(path)
+        verify_document(reloaded)
+        assert len(reloaded) == saved != len(doc)
 
 
 class TestCLIIntegration:

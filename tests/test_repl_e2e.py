@@ -82,7 +82,7 @@ def test_follower_kill_straddling_a_segment_boundary(tmp_path):
     path = str(tmp_path / "primary.pages")
     backend = FileBackend(
         path,
-        page_bytes=default_page_bytes(TINY_CONFIG.block_bytes),
+        page_bytes=default_page_bytes(TINY_CONFIG),
     )
     scheme = WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))
     attach_scheme_to_backend(scheme)

@@ -39,7 +39,7 @@ class Primary:
     def __init__(self, tmp_path, n_shards=1, base=24, checkpoint=True, factory=WBox):
         from repro.net.server import run_server
 
-        page_bytes = default_page_bytes(TINY_CONFIG.block_bytes)
+        page_bytes = default_page_bytes(TINY_CONFIG)
         if n_shards == 1:
             backend = FileBackend(
                 str(tmp_path / "primary.pages"),

@@ -100,7 +100,7 @@ class TestRetryOnAFileBackend:
 
         path = str(tmp_path / "retry.pages")
         backend = FileBackend(
-            path, page_bytes=default_page_bytes(TINY_CONFIG.block_bytes)
+            path, page_bytes=default_page_bytes(TINY_CONFIG)
         )
         scheme = WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))
         attach_scheme_to_backend(scheme)
@@ -138,7 +138,7 @@ class TestRetryOnAFileBackend:
 
         path = str(tmp_path / "abandon.pages")
         backend = FileBackend(
-            path, page_bytes=default_page_bytes(TINY_CONFIG.block_bytes), fsync=True
+            path, page_bytes=default_page_bytes(TINY_CONFIG), fsync=True
         )
         scheme = WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))
         attach_scheme_to_backend(scheme)

@@ -377,7 +377,7 @@ def test_write_buffer_validation():
 def test_sharded_layout_round_trip(tmp_path):
     root = str(tmp_path / "root")
     backends = create_sharded_backends(
-        root, 2, page_bytes=default_page_bytes(TINY_CONFIG.block_bytes)
+        root, 2, page_bytes=default_page_bytes(TINY_CONFIG)
     )
     schemes = [
         WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=b))
@@ -432,7 +432,7 @@ def test_one_shard_is_byte_identical_to_plain_service(tmp_path):
         [BatchOp("insert_before", (lids[2],)) for _ in range(5)]
         + [BatchOp("delete", (lids[7],))]
     )
-    page_bytes = default_page_bytes(TINY_CONFIG.block_bytes)
+    page_bytes = default_page_bytes(TINY_CONFIG)
 
     plain_path = str(tmp_path / "plain.pages")
     backend = FileBackend(plain_path, page_bytes=page_bytes)

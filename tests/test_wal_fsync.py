@@ -46,7 +46,7 @@ def make_scheme(tmp_path, fsync=True):
     path = str(tmp_path / "t.pages")
     backend = FileBackend(
         path,
-        page_bytes=default_page_bytes(TINY_CONFIG.block_bytes),
+        page_bytes=default_page_bytes(TINY_CONFIG),
         fsync=fsync,
     )
     scheme = WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))

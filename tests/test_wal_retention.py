@@ -43,7 +43,7 @@ from .test_replication import Primary, assert_twin
 
 
 def make_scheme(path):
-    backend = FileBackend(path, page_bytes=default_page_bytes(TINY_CONFIG.block_bytes))
+    backend = FileBackend(path, page_bytes=default_page_bytes(TINY_CONFIG))
     scheme = WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))
     attach_scheme_to_backend(scheme)
     return scheme, backend

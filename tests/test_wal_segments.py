@@ -42,7 +42,7 @@ def make_scheme(tmp_path, name="t.pages", fsync=False, image=False):
     path = str(tmp_path / name)
     backend = FileBackend(
         path,
-        page_bytes=default_page_bytes(TINY_CONFIG.block_bytes),
+        page_bytes=default_page_bytes(TINY_CONFIG),
         fsync=fsync,
     )
     scheme = WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))
