@@ -13,7 +13,8 @@ The table runs the concentrated insertion workload per scheme twice — on
 the default :class:`MemoryBackend` and on a :class:`FileBackend` (WAL and
 all, ``fsync`` off so the numbers measure work, not the disk) — asserts
 the counted I/Os are identical, and reports the physical side: WAL
-commits (one per group flush), the page images those commits journaled,
+commits (one per durable run — the whole tape is one ``execute``, so one
+commit, however many groups it has), the page images those commits journaled,
 the pages the closing checkpoint wrote back (a commit writes only the
 log; the file-backend wall clock includes that checkpoint), bytes, and
 the wall-clock ratio.  The JSON extras carry a Pearson correlation of
@@ -226,6 +227,6 @@ def test_backend_correlation_table(benchmark):
     )
     for row in rows:
         assert row["commits"] > 0 and row["page_writes"] > 0
-        # Every counted write is one journaled image; write-back sees each
-        # block once however often it was rewritten.
+        # A commit journals each block it covers once, however many counted
+        # writes it had; write-back sees each journaled block once.
         assert row["pages_journaled"] >= row["page_writes"]

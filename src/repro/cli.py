@@ -351,7 +351,6 @@ def cmd_stress(args: argparse.Namespace) -> int:
             write_pause=args.write_pause_ms / 1000.0,
             write_mode=args.write_mode,
             hot_labels=2 * args.hot or None,
-            write_buffer=args.write_buffer,
         )
     finally:
         for scheme in schemes:
@@ -366,8 +365,7 @@ def cmd_stress(args: argparse.Namespace) -> int:
           f"({result.writes_per_second:.0f}/s aggregate)")
     print(f"  epoch vector:      {result.epoch_numbers}")
     print(f"  epochs published:  {totals.epochs_published}")
-    print(f"  write merges:      {totals.write_merges} "
-          f"(write buffer {args.write_buffer})")
+    print(f"  write merges:      {totals.write_merges}")
     print(f"  repair hit ratio:  {totals.repair_hit_ratio:.3f} "
           f"(fresh {totals.fresh_hits}, replayed {totals.replay_hits})")
     print(f"  fallthrough reads: {totals.fallthrough_reads}")
@@ -1002,12 +1000,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help="shards, each with its own writer and write client (default 1)",
-    )
-    stress.add_argument(
-        "--write-buffer",
-        type=int,
-        default=1,
-        help="batches each shard writer may merge per group commit (default 1)",
     )
     _add_common(stress)
     stress.set_defaults(handler=cmd_stress)

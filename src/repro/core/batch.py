@@ -6,13 +6,20 @@ update/query streams.  A :class:`BatchExecutor` takes a sequence of
 :class:`BatchOp` items (lookups, inserts, deletes, element and subtree
 operations), partitions it into groups, and runs each group inside one
 shared :meth:`~repro.storage.blockstore.BlockStore.operation` scope.  The
-store's per-operation buffering then acts as a *group commit*: within a
-group, every block is read at most once and every dirtied block is written
-exactly once when the group ends, so ops that touch the same blocks — the
+store's per-operation buffering then coalesces a group's I/O: within a
+group, every block is read at most once and every dirtied block is counted
+as one write when the group ends, so ops that touch the same blocks — the
 common case for label-local edit bursts — share their I/O.
 
+Durability is paid once per run, not once per group: the whole run sits in
+one :meth:`~repro.storage.blockstore.BlockStore.durable` scope, so on a
+file backend an ``execute`` is at most one WAL transaction and one sync,
+and a block several groups dirty is journaled once.  Inside an enclosing
+durable scope (the label service's writer wake-up) the run joins that
+scope's one commit instead.
+
 Correctness: submission order is preserved unconditionally.  Grouping only
-chooses where to place commit points in the sequence, never reorders ops,
+chooses where to cut measured scopes in the sequence, never reorders ops,
 so the final structure state is identical to one-by-one execution (the
 equivalence-oracle tests pin this for every scheme).  Later ops may
 reference results of earlier ones through :class:`BatchRef` — necessary
@@ -20,7 +27,7 @@ for chained edits whose anchors are LIDs created earlier in the batch.
 
 Grouping policy: a group closes when it reaches ``group_size`` ops, or
 when the next op's anchor LID falls in a different LIDF block than the
-previous anchor.  Locality cuts keep each committed group on a tight block
+previous anchor.  Locality cuts keep each group on a tight block
 set (coalescing works best when the group shares blocks); an op whose
 anchor is a :class:`BatchRef` extends the current group, since its anchor
 was created there.
@@ -29,7 +36,7 @@ was created there.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from ..errors import LabelingError
 from ..obs import trace
@@ -108,16 +115,17 @@ class BatchResult:
     """Everything a batch run produced.
 
     ``results[i]`` is op ``i``'s return value; ``group_costs`` /
-    ``group_sizes`` describe each committed group in order.
+    ``group_sizes`` describe each measured group in order.
     """
 
     results: list = field(default_factory=list)
     group_costs: list[OperationCost] = field(default_factory=list)
     group_sizes: list[int] = field(default_factory=list)
-    #: Durable transactions the run cost on the store's backend (one WAL
-    #: commit per group on a file backend; 0 on the memory backend, whose
-    #: commit is a no-op).  Group commit is thus literal: batching with
-    #: group size g cuts journal transactions by a factor of g.
+    #: Durable transactions on the store's backend: on a file backend one
+    #: WAL commit for the whole run however many groups it has (none for a
+    #: read-only run); 0 on the memory backend, whose commit counts
+    #: nothing.  A run inside the label service's writer wake-up reports
+    #: the one commit every batch of that wake-up shares.
     backend_commits: int = 0
 
     @property
@@ -153,19 +161,9 @@ class BatchExecutor:
     scheme:
         The labeling scheme the ops run against.
     group_size:
-        Maximum ops per committed group (>= 1).  ``1`` degenerates to
+        Maximum ops per measured group (>= 1).  ``1`` degenerates to
         one-by-one execution.  A group also closes when the anchor LID
         moves to a different LIDF block (see module docstring).
-    on_group_start:
-        Optional hook invoked before each group's operation scope opens.
-        The label service uses it to take the store's exclusive latch, so
-        fallthrough readers never see a half-committed group.
-    on_group_commit:
-        Optional hook invoked after each group's operation scope has
-        closed — i.e. after the group's dirty blocks are flushed and (on a
-        durable backend) WAL-committed.  This is the service's epoch
-        publication point.  Runs even when the group raised, so a paired
-        ``on_group_start`` latch is always released.
 
     Maximal runs of same-kind read ops (``lookup`` / ``ordinal_lookup``
     with plain-int anchors) go to the scheme's ``batch_<kind>`` method
@@ -181,15 +179,11 @@ class BatchExecutor:
         self,
         scheme: "LabelingScheme",
         group_size: int = 64,
-        on_group_start: Callable[[], None] | None = None,
-        on_group_commit: Callable[[], None] | None = None,
     ) -> None:
         if group_size < 1:
             raise LabelingError(f"group_size must be >= 1, got {group_size}")
         self.scheme = scheme
         self.group_size = group_size
-        self.on_group_start = on_group_start
-        self.on_group_commit = on_group_commit
         self._lids_per_block = max(1, scheme.config.lidf_records_per_block)
 
     # ------------------------------------------------------------------
@@ -207,7 +201,7 @@ class BatchExecutor:
         return anchor // self._lids_per_block
 
     def plan(self, ops: Sequence[BatchOp]) -> list[list[int]]:
-        """Partition op positions into consecutive commit groups."""
+        """Partition op positions into consecutive measured groups."""
         groups: list[list[int]] = []
         current: list[int] = []
         current_key: int | None = None
@@ -232,68 +226,64 @@ class BatchExecutor:
     # ------------------------------------------------------------------
 
     def execute(self, ops: Sequence[BatchOp]) -> BatchResult:
-        """Run ``ops`` in order with one commit scope per group."""
+        """Run ``ops`` in order, one measured scope per group, inside one
+        durable scope: the run is at most one backend commit."""
         result = BatchResult(results=[None] * len(ops))
-        backend = self.scheme.store.backend
+        store = self.scheme.store
+        backend = store.backend
         commits_before = getattr(backend, "commits", 0)
-        with trace.span("batch.execute") as batch_span:
+        with trace.span("batch.execute") as batch_span, store.durable():
             if batch_span.recording:
                 batch_span.set("scheme", self.scheme.name)
                 batch_span.add("batch.ops", len(ops))
             for group in self.plan(ops):
-                if self.on_group_start is not None:
-                    self.on_group_start()
-                try:
-                    with trace.span("batch.group") as group_span:
-                        recording = group_span.recording
-                        if recording:
-                            group_span.add("group.ops", len(group))
-                        with self.scheme.store.measured() as measured:
-                            stats = self.scheme.store.stats
-                            index = 0
-                            while index < len(group):
-                                position = group[index]
-                                op = ops[position]
-                                if not recording and op.kind in _VECTOR_KINDS:
-                                    batch_method = getattr(
-                                        self.scheme, "batch_" + op.kind, None
+                with trace.span("batch.group") as group_span:
+                    recording = group_span.recording
+                    if recording:
+                        group_span.add("group.ops", len(group))
+                    with store.measured() as measured:
+                        stats = store.stats
+                        index = 0
+                        while index < len(group):
+                            position = group[index]
+                            op = ops[position]
+                            if not recording and op.kind in _VECTOR_KINDS:
+                                batch_method = getattr(
+                                    self.scheme, "batch_" + op.kind, None
+                                )
+                                if batch_method is not None:
+                                    positions, anchors = self._collect_run(
+                                        ops, group, index, result.results
                                     )
-                                    if batch_method is not None:
-                                        positions, anchors = self._collect_run(
-                                            ops, group, index, result.results
-                                        )
-                                        if len(positions) > 1:
-                                            for pos, value in zip(
-                                                positions, batch_method(anchors)
-                                            ):
-                                                result.results[pos] = value
-                                            index += len(positions)
-                                            continue
-                                args = self._resolve(op, position, result.results)
-                                if recording:
-                                    # Per-op spans exist only under a recorded
-                                    # group: the per-op call site must cost
-                                    # nothing when unsampled.  Lock-free
-                                    # counter reads are safe here — the group
-                                    # runs single-writer under its scope.
-                                    with trace.span("scheme." + op.kind) as op_span:
-                                        before_reads = stats.reads
-                                        result.results[position] = getattr(
-                                            self.scheme, op.kind
-                                        )(*args)
-                                        # Informational (op.* not io.*): reads
-                                        # this op added to the group's scope.
-                                        op_span.add(
-                                            "op.reads", stats.reads - before_reads
-                                        )
-                                else:
+                                    if len(positions) > 1:
+                                        for pos, value in zip(
+                                            positions, batch_method(anchors)
+                                        ):
+                                            result.results[pos] = value
+                                        index += len(positions)
+                                        continue
+                            args = self._resolve(op, position, result.results)
+                            if recording:
+                                # Per-op spans exist only under a recorded
+                                # group: the per-op call site must cost
+                                # nothing when unsampled.  Lock-free
+                                # counter reads are safe here — the group
+                                # runs single-writer under its scope.
+                                with trace.span("scheme." + op.kind) as op_span:
+                                    before_reads = stats.reads
                                     result.results[position] = getattr(
                                         self.scheme, op.kind
                                     )(*args)
-                                index += 1
-                finally:
-                    if self.on_group_commit is not None:
-                        self.on_group_commit()
+                                    # Informational (op.* not io.*): reads
+                                    # this op added to the group's scope.
+                                    op_span.add(
+                                        "op.reads", stats.reads - before_reads
+                                    )
+                            else:
+                                result.results[position] = getattr(
+                                    self.scheme, op.kind
+                                )(*args)
+                            index += 1
                 result.group_costs.append(measured.cost)
                 result.group_sizes.append(len(group))
         result.backend_commits = getattr(backend, "commits", 0) - commits_before
@@ -354,31 +344,6 @@ class BatchExecutor:
         return tuple(resolved)
 
 
-def shift_refs(ops: Sequence[BatchOp], offset: int) -> list[BatchOp]:
-    """Rebase every :class:`BatchRef` in ``ops`` by ``offset`` positions.
-
-    Used when independently submitted batches are concatenated into one
-    executor run (the service's write buffering): each batch's refs are
-    relative to its own position 0 and must shift by its start offset in
-    the merged run.  ``offset == 0`` returns the ops unchanged.
-    """
-    if offset == 0:
-        return list(ops)
-    shifted: list[BatchOp] = []
-    for op in ops:
-        if any(isinstance(arg, BatchRef) for arg in op.args):
-            args = tuple(
-                BatchRef(arg.index + offset, arg.item)
-                if isinstance(arg, BatchRef)
-                else arg
-                for arg in op.args
-            )
-            shifted.append(BatchOp(op.kind, args))
-        else:
-            shifted.append(op)
-    return shifted
-
-
 __all__ = [
     "SUPPORTED_KINDS",
     "AmortizedCost",
@@ -386,5 +351,4 @@ __all__ = [
     "BatchRef",
     "BatchResult",
     "BatchExecutor",
-    "shift_refs",
 ]

@@ -209,7 +209,7 @@ class LogSnapshot:
     """Immutable, epoch-stamped window ``items[lo:hi]`` of a
     :class:`ModificationLog`.
 
-    The label service's writer takes one at every group commit and
+    The label service's writer takes one at every wake-up commit and
     publishes it inside the epoch object.  ``items`` is the log's own list,
     shared, not copied: the writer only appends past ``hi`` or compacts
     into a *new* list, so any number of readers may :meth:`replay` against
@@ -259,7 +259,7 @@ class ModificationLog:
         self._lo = 0
         self._lock = threading.Lock()
         #: Epoch stamp: bumped by :meth:`snapshot`; the label service
-        #: publishes one epoch per group commit.
+        #: publishes one epoch per writer wake-up.
         self.epoch = 0
         #: Timestamp of the newest modification no longer in the log; a
         #: cached value older than this cannot be repaired.

@@ -192,29 +192,16 @@ class LabelingScheme(ABC):
     # batched execution (group commit)
     # ------------------------------------------------------------------
 
-    def execute_batch(
-        self,
-        ops: Sequence[Any],
-        group_size: int = 64,
-        on_group_start: Callable[[], None] | None = None,
-        on_group_commit: Callable[[], None] | None = None,
-    ) -> Any:
+    def execute_batch(self, ops: Sequence[Any], group_size: int = 64) -> Any:
         """Run a sequence of :class:`~repro.core.batch.BatchOp` items with
         group commit: ops are executed in submission order, partitioned
         into groups that each share one operation scope, so block I/O is
-        coalesced across the group.  Returns a
-        :class:`~repro.core.batch.BatchResult`.  The optional hooks fire
-        around every committed group (the label service's latch and epoch
-        publication points; see :class:`~repro.core.batch.BatchExecutor`).
+        coalesced across the group, and the whole run is one durable
+        commit.  Returns a :class:`~repro.core.batch.BatchResult`.
         """
         from .batch import BatchExecutor
 
-        executor = BatchExecutor(
-            self,
-            group_size=group_size,
-            on_group_start=on_group_start,
-            on_group_commit=on_group_commit,
-        )
+        executor = BatchExecutor(self, group_size=group_size)
         return executor.execute(ops)
 
     # ------------------------------------------------------------------

@@ -33,8 +33,8 @@ hook                   fires
                        last step — *after* pages + directory are synced,
                        *before* the log is sealed away; the folded-log
                        window (the hook keeps its pre-segment name)
-``service.writer_apply``   writer loop, before applying one queued batch
-``service.group_commit``   inside a group commit, before the epoch publishes
+``service.writer_apply``   writer, before applying one wake-up's batches
+``service.group_commit``   after a wake-up's one commit, before its epoch publishes
 ``repl.follower``      chaos driver, after each completed tape step: kill the
                        follower mid-stream, tear its local log, reopen it
 ``repl.primary``       chaos driver, after each completed tape step: tear the
@@ -294,7 +294,7 @@ class FaultPlan:
 
     @classmethod
     def writer_crash(cls, at: int = 1, hook: str = "service.group_commit") -> "FaultPlan":
-        """Kill the service writer at its ``at``-th group commit."""
+        """Kill the service writer at its ``at``-th wake-up commit."""
         return cls(
             [FaultSpec(WRITER_CRASH, hook, at=at)], name=f"writer-crash@{hook}"
         )

@@ -193,21 +193,49 @@ class Histogram:
         return out
 
 
+def _adder(kind: str, counters: tuple[str, ...]) -> Callable[[dict, Any], Callable[..., None]]:
+    """Generate, once per :class:`CounterSet` subclass, the binder of its
+    ``add``: ``bind(values, lock)`` returns ``add(*, c1=0, c2=0, ...)``
+    taking one keyword per counter and bumping each non-zero one in
+    ``values`` under ``lock`` — code built from ``COUNTERS`` the way
+    :mod:`dataclasses` builds ``__init__``, so a bump is one lock and a
+    few compares, with no ``**kwargs`` dict or loop.  An undeclared name
+    is an unexpected keyword: :class:`TypeError`, before anything is
+    counted."""
+    source = "\n".join(
+        [
+            "def bind(_values, _lock):",
+            f"    def add(*, {', '.join(f'{name}=0' for name in counters)}):",
+            "        with _lock:",
+            *(f"            if {name}: _values[{name!r}] += {name}" for name in counters),
+            f"    add.__qualname__ = {kind + '.add'!r}",
+            "    return add",
+        ]
+    )
+    namespace: dict[str, Any] = {}
+    exec(source, namespace)
+    return namespace["bind"]
+
+
 class CounterSet:
     """One layer's named integer counters, bumped atomically under one lock.
 
     A subclass declares its field names, the derived values on its
     :attr:`Counts` and the gauges ``gauges(counts, instances)`` exports;
-    this base owns zeroing, :meth:`add`, :meth:`reset`, consistent copies,
+    this base owns zeroing, ``add``, :meth:`reset`, consistent copies,
     the ``shard`` tag and publication through :func:`collect_counter_sets`.
-    Increments go through :meth:`add`: a Python ``+=`` on an attribute is a
-    read-modify-write that can lose updates between threads.  Reading one
-    attribute (``stats.reads``) stays lock-free, since a stale read of a
-    monotone counter is harmless; every copy takes the lock, so the values
-    in it are mutually consistent.
+    Increments go through ``add(**deltas)``, which atomically bumps any
+    subset of ``COUNTERS`` (an undeclared name, ``MAXIMA`` included, raises
+    :class:`TypeError` before anything is counted): a Python ``+=`` on an
+    attribute is a read-modify-write that can lose updates between threads.
+    ``add`` is generated per class from ``COUNTERS`` and bound per
+    instance to its values and lock.  Reading one attribute
+    (``stats.reads``) stays lock-free, since a stale read of a monotone
+    counter is harmless; every copy takes the lock, so the values in it
+    are mutually consistent.
     """
 
-    __slots__ = ("shard", "_lock", "__weakref__")
+    __slots__ = ("shard", "_lock", "add", "__weakref__")
 
     #: Sample-name prefix: counter ``x`` is exported as ``{PREFIX}_x_total``.
     PREFIX: ClassVar[str]
@@ -234,7 +262,7 @@ class CounterSet:
         cls.Counts = counts
         cls.SNAPSHOT = cls.__dict__.get("SNAPSHOT", counts)
         cls._zeros = dict.fromkeys(names, 0)
-        cls._addable = frozenset(cls.COUNTERS)
+        cls._bind_add = staticmethod(_adder(cls.__qualname__, cls.COUNTERS))
         cls._take_all = attrgetter(*names)
         cls._take = attrgetter(*(f.name for f in fields(cls.SNAPSHOT)))
 
@@ -242,17 +270,8 @@ class CounterSet:
         self.shard = shard
         self._lock = threading.Lock()
         self.__dict__.update(self._zeros)
+        self.add = self._bind_add(self.__dict__, self._lock)
         _LIVE_COUNTER_SETS.add(self)
-
-    def add(self, **deltas: int) -> None:
-        """Atomically bump any subset of ``COUNTERS``; an undeclared name
-        raises :class:`TypeError` before anything is counted."""
-        if not self._addable.issuperset(deltas):
-            raise TypeError(f"undeclared counters: {sorted(set(deltas) - self._addable)}")
-        values = self.__dict__
-        with self._lock:
-            for name, delta in deltas.items():
-                values[name] += delta
 
     def reset(self) -> None:
         """Zero every counter and maximum (e.g. between benchmark phases)."""

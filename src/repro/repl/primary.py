@@ -6,7 +6,7 @@ require the caller to exclude concurrent commits.  Under a running
 :class:`~repro.service.sharded.ShardedLabelService` each shard's writer
 thread commits whenever a batch drains, so these wrappers take each
 shard's exclusive latch for the duration — a checkpoint then sits
-between two group commits, never inside one.
+between two wake-up commits, never inside one.
 """
 
 from __future__ import annotations

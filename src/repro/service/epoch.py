@@ -1,6 +1,6 @@
 """Epoch objects: the unit of snapshot publication.
 
-The writer publishes one :class:`Epoch` per group commit (and one at
+The writer publishes one :class:`Epoch` per wake-up commit (and one at
 service start covering the pre-existing state).  An epoch is immutable and
 self-contained: its :class:`~repro.core.cachelog.LogSnapshot` carries every
 modification effect still in the log at publication time, so a reader
@@ -45,9 +45,9 @@ class Epoch:
 class WriteTicket:
     """Handle returned by an asynchronous submit: wait for the commit.
 
-    The writer resolves the ticket after the batch's final group commit
-    (all of its epochs are published by then) or fails it with the raised
-    exception.
+    The writer resolves the ticket once the wake-up that applied the batch
+    has committed and published its epoch, or fails it with the batch's
+    own exception (or the wake-up's, when its commit failed).
     """
 
     __slots__ = ("_event", "_result", "_error")

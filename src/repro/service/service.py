@@ -9,10 +9,11 @@ snapshot protocol:
 * **One writer.**  Writes are submitted as batches into a bounded
   :class:`~repro.service.queue.WriteQueue` (backpressure: producers block
   when it fills) and drained by a single writer thread that applies them
-  through the group-commit :class:`~repro.core.batch.BatchExecutor`.  The
-  writer holds the store's exclusive latch across each group and, still
-  holding it, publishes a fresh :class:`~repro.service.epoch.Epoch` —
-  an immutable modification-log snapshot — at every group commit.
+  through the group-commit :class:`~repro.core.batch.BatchExecutor`.  Each
+  wake-up takes every batch already queued, holds the store's exclusive
+  latch across all of them and one durable commit, and, still holding it,
+  publishes one fresh :class:`~repro.service.epoch.Epoch` — an immutable
+  modification-log snapshot — so a published epoch is always durable.
 * **Many readers.**  A :class:`ReaderSession` pins the current epoch and
   serves ``lookup`` / ``compare`` / pair / ancestor-axis calls entirely
   from per-session :class:`~repro.core.cachelog.LabelRef` caches, repaired
@@ -38,13 +39,12 @@ service's back leaves published epochs stale until the next commit.
 
 from __future__ import annotations
 
-import sys
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
-from ..core.batch import BatchOp, BatchResult, shift_refs
+from ..core.batch import BatchOp, BatchResult
 from ..core.cachelog import LABEL_CHANNEL, ORDINAL_CHANNEL, LabelRef, ModificationLog
 from ..core.interface import Label, LabelingScheme
 from ..errors import (
@@ -122,8 +122,8 @@ class LabelService:
     queue_capacity:
         Bounded write-queue depth (backpressure threshold).
     group_size:
-        Group-commit size passed to the batch executor; each group commit
-        publishes one epoch.
+        Group size passed to the batch executor (the measured-I/O scope;
+        every group of a writer wake-up shares its one commit and epoch).
     latch:
         Shared/exclusive latch guarding direct BOX access.  Defaults to the
         scheme's ``store.latch``; the deterministic test harness injects a
@@ -147,13 +147,6 @@ class LabelService:
         ``service.group_commit``).  A
         :class:`~repro.faults.ScopedFaultInjector` view makes the hooks
         addressable per shard (``service.writer_apply@shard1``).
-    write_buffer:
-        How many queued batches the writer may drain and merge into one
-        application per wake-up (default 1 = today's behavior).  Values
-        above 1 trade freshness for throughput: merged batches share one
-        set of group commits (fewer WAL transactions, fewer epochs) but a
-        submitter's ticket resolves only when the whole merged run
-        commits, and a failing op fails every merged ticket.
     shard_name:
         Label attached to this service's :class:`ServiceStats` and its
         store's :class:`~repro.storage.stats.IOStats` (and to its apply
@@ -183,15 +176,11 @@ class LabelService:
         epoch_hook: Callable[[Epoch], None] | None = None,
         retry_policy: RetryPolicy | None = RetryPolicy(),
         fault_injector: Any = None,
-        write_buffer: int = 1,
         shard_name: str | None = None,
         replica: bool = False,
     ) -> None:
         self.scheme = scheme
         self.group_size = group_size
-        if write_buffer < 1:
-            raise ValueError(f"write_buffer must be >= 1, got {write_buffer}")
-        self.write_buffer = write_buffer
         self.shard_name = shard_name
         self.stats = ServiceStats(shard=shard_name)
         if shard_name is not None:
@@ -389,7 +378,8 @@ class LabelService:
         """Queue a batch of scheme-level :class:`BatchOp` items.
 
         Blocks (backpressure) while the queue is full; returns a
-        :class:`WriteTicket` resolved after the batch's last group commit.
+        :class:`WriteTicket` resolved once the wake-up that applied the
+        batch has committed and published its epoch.
         """
         self._check_writable()  # degraded mode fails fast, before the queue
         if self._writer is None:
@@ -406,136 +396,126 @@ class LabelService:
         return ticket
 
     def apply_ops_sync(self, ops: Sequence[BatchOp]) -> BatchResult:
-        """Apply a batch on the calling thread (writer context).
+        """Apply a batch on the calling thread as a wake-up of its own
+        (one commit, one epoch); raises the batch's error.
 
         This is the writer loop's own code path; call it directly only
         when no writer thread is running (single-threaded use, or the
         deterministic harness's virtual writer).
         """
         self._check_writable()
-        with trace.span("service.apply", kind="ops") as span:
-            if span.recording and self.shard_name is not None:
-                span.set("shard", self.shard_name)
-            result = self.scheme.execute_batch(
-                ops,
-                group_size=self.group_size,
-                on_group_start=self._on_group_start,
-                on_group_commit=self._on_group_commit,
-            )
-            if span.recording:
-                span.add("service.ops", len(ops))
-        self.stats.add(batches_applied=1, ops_applied=len(ops))
-        return result
-
-    def _on_group_start(self) -> None:
-        self._yield("write:latch")
-        self._latch.acquire_exclusive()
-        self._yield("write:apply")
-
-    def _on_group_commit(self) -> None:
-        # Runs after the group's dirty blocks flushed (and WAL-committed on
-        # a durable backend).  Publish before releasing the latch so a
-        # fallthrough reader can never see structure state ahead of the
-        # published epoch.  The batch engine calls this from a ``finally``,
-        # so an exception may be in flight: a group that *failed* (crashed
-        # backend, injected writer kill) must NOT publish — its log
-        # snapshot could expose a half-applied group as an epoch.
-        try:
-            in_flight = sys.exc_info()[1]
-            if in_flight is None:
-                # The writer-kill hook fires here, mid-commit: after the
-                # group applied, before its epoch becomes visible.
-                if self.fault_injector is not None:
-                    self.fault_injector.hit("service.group_commit")
-                self._yield("write:publish")
-                self._publish()
-            elif isinstance(in_flight, FATAL_WRITER_ERRORS):
-                self._enter_degraded(in_flight)
-        except FATAL_WRITER_ERRORS as error:
-            # Degrade while the exclusive latch is still held: once it is
-            # released, a fallthrough reader could otherwise slip in and
-            # read this group's applied-but-never-published mutations
-            # before the writer's except-path flips the flag.
-            self._enter_degraded(error)
-            raise
-        finally:
-            self._latch.release_exclusive()
+        (outcome,) = self._apply_wakeup([ops])
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return outcome
 
     def _writer_loop(self) -> None:
         while True:
             item = self._queue.get()
             if item is None:
                 return
-            batch = [item]
-            # Opportunistic write buffering: drain whatever else is already
-            # queued (never waiting), up to write_buffer items.  Under load
-            # the writer applies several submitted batches as one run,
-            # sharing its group commits; when the queue is empty this takes
-            # one timeout-0 get and the run is the one submitted batch.
-            while len(batch) < self.write_buffer:
+            items = [item]
+            # Everything already queued shares this wake-up's commit: take
+            # it without waiting, at most a full queue's worth.
+            while len(items) < self._queue.capacity:
                 extra = self._queue.get(timeout=0)
                 if extra is None:
                     break
-                batch.append(extra)
-            if not self._apply_run(batch):
-                return
+                items.append(extra)
+            try:
+                with trace.get_tracer().attach(items[0][2]):
+                    outcomes: list = self._apply_wakeup([ops for _t, ops, _s in items])
+            except BaseException as error:
+                # The wake-up's commit failed (or the writer died): every
+                # ticket shared it, so every ticket sees the error.
+                outcomes = [error] * len(items)
+            failed = 0
+            for (ticket, _ops, _span), outcome in zip(items, outcomes):
+                if isinstance(outcome, BaseException):
+                    failed += 1
+                    ticket._fail(outcome)
+                else:
+                    ticket._resolve(outcome)
+            if failed:
+                self.stats.add(write_errors=failed)
+            if isinstance(outcomes[0], FATAL_WRITER_ERRORS):
+                return  # degrading already failed everything still queued
 
-    def _apply_run(self, batch: list) -> bool:
-        """Apply the buffered batches (usually one) as a single run.
+    def _apply_wakeup(self, batches: Sequence[Sequence[BatchOp]]) -> list:
+        """Apply ``batches`` as one wake-up: one exclusive latch, one
+        durable commit, one published epoch.
 
-        Each submitter's ops are rebased (:func:`shift_refs`) onto the
-        merged list so intra-batch :class:`~repro.core.batch.BatchRef`
-        links stay valid, then every ticket resolves with its own slice
-        of the positional results.  Group costs describe the shared run,
-        so each ticket carries the full merged-run accounting.  Returns
-        False when a fatal error killed the writer (caller must exit; the
-        degradation path has already failed everything still queued).
+        Each batch runs as its own :meth:`~LabelingScheme.execute_batch`,
+        so a non-fatal error fails that batch alone: its outcome is the
+        exception, its in-memory effects are what running it alone leaves,
+        and the next batch runs on.  Returns one :class:`BatchResult` (its
+        ``backend_commits`` the wake-up's shared commit) or exception per
+        batch, in order.  An error that escapes — the commit's own, or a
+        fatal one — publishes nothing; a fatal one degrades the service
+        before the latch is released, then re-raises.
+
+        This is the writer loop's body, factored out so
+        :meth:`apply_ops_sync` and the deterministic interleaving harness
+        drive exactly the production path, failure path included.
         """
-        merged: list[BatchOp] = []
-        bounds: list[tuple[int, int]] = []
-        for _ticket, payload, _span in batch:
-            start = len(merged)
-            merged.extend(shift_refs(payload, start))
-            bounds.append((start, len(merged)))
-        try:
-            with trace.get_tracer().attach(batch[0][2]):
-                result = self._apply_guarded(merged)
-        except BaseException as error:
-            # A run fails as a unit: the group engine may have committed
-            # earlier groups spanning several submitters, so no single
-            # ticket can claim clean success.  Every ticket sees the error;
-            # the writer keeps serving unless the error killed it.
-            self.stats.add(write_errors=1)
-            for ticket, _payload, _span in batch:
-                ticket._fail(error)
-            return not isinstance(error, FATAL_WRITER_ERRORS)
-        self.stats.add(write_merges=len(batch) - 1)
-        for (ticket, _payload, _span), (start, end) in zip(batch, bounds):
-            ticket._resolve(
-                BatchResult(
-                    results=result.results[start:end],
-                    group_costs=result.group_costs,
-                    group_sizes=result.group_sizes,
-                    backend_commits=result.backend_commits,
-                )
-            )
-        return True
-
-    def _apply_guarded(self, ops: list[BatchOp]) -> BatchResult:
-        """Apply one batch in writer context; on a fatal storage/fault
-        error, enter degraded mode before re-raising.
-
-        This is the writer loop's body, factored out so the deterministic
-        interleaving harness can drive a *virtual* writer through exactly
-        the production failure path (degrade-then-raise) on its own
-        schedule."""
+        store = self.scheme.store
+        latched = False
         try:
             if self.fault_injector is not None:
                 self.fault_injector.hit("service.writer_apply")
-            return self.apply_ops_sync(ops)
+            self._yield("write:latch")
+            self._latch.acquire_exclusive()
+            latched = True
+            self._yield("write:apply")
+            with trace.span("service.apply", kind="ops") as span:
+                if span.recording and self.shard_name is not None:
+                    span.set("shard", self.shard_name)
+                commits_before = getattr(store.backend, "commits", 0)
+                with store.durable():
+                    outcomes = [self._apply_batch(ops) for ops in batches]
+                commits = getattr(store.backend, "commits", 0) - commits_before
+                if span.recording:
+                    span.add("service.ops", sum(len(ops) for ops in batches))
+            # The writer-kill hook fires here, mid-commit: after the
+            # wake-up committed, before its epoch becomes visible.
+            if self.fault_injector is not None:
+                self.fault_injector.hit("service.group_commit")
+            self._yield("write:publish")
+            # Publish before releasing the latch so a fallthrough reader can
+            # never see structure state ahead of the published epoch.
+            self._publish()
         except FATAL_WRITER_ERRORS as error:
+            # Degrade while the exclusive latch is still held: once it is
+            # released, a fallthrough reader could otherwise slip in and
+            # read this wake-up's applied-but-never-published mutations
+            # before the flag flips.
             self._enter_degraded(error)
             raise
+        finally:
+            if latched:
+                self._latch.release_exclusive()
+        applied = [
+            (ops, outcome)
+            for ops, outcome in zip(batches, outcomes)
+            if not isinstance(outcome, BaseException)
+        ]
+        for _ops, result in applied:
+            result.backend_commits = commits
+        self.stats.add(
+            batches_applied=len(applied),
+            ops_applied=sum(len(ops) for ops, _result in applied),
+            write_merges=len(batches) - 1,
+        )
+        return outcomes
+
+    def _apply_batch(self, ops: Sequence[BatchOp]) -> BatchResult | Exception:
+        """One batch of a wake-up: its result, or its non-fatal error."""
+        try:
+            return self.scheme.execute_batch(ops, group_size=self.group_size)
+        except FATAL_WRITER_ERRORS:
+            raise
+        except Exception as error:
+            return error
 
     # ------------------------------------------------------------------
     # read path
@@ -696,7 +676,7 @@ class ReaderSession:
                     f"read needs a BOX fallthrough but the service is "
                     f"degraded: {service._degraded_reason}"
                 )
-            # Holding the shared latch excludes the writer's group commits,
+            # Holding the shared latch excludes the writer's wake-ups,
             # so the structure state and the published epoch agree.
             current = service._current
             if ref.channel == ORDINAL_CHANNEL:

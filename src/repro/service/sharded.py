@@ -194,7 +194,6 @@ class ShardedLabelService:
         epoch_hooks: Sequence[Callable[[Epoch], None]] | None = None,
         retry_policy: RetryPolicy | None = RetryPolicy(),
         fault_injector: Any = None,
-        write_buffer: int = 1,
         replica: bool = False,
     ) -> None:
         if not schemes:
@@ -223,7 +222,6 @@ class ShardedLabelService:
                     epoch_hook=epoch_hooks[shard] if epoch_hooks is not None else None,
                     retry_policy=retry_policy,
                     fault_injector=injector,
-                    write_buffer=write_buffer,
                     shard_name=f"shard{shard}" if sharded else None,
                     replica=replica,
                 )

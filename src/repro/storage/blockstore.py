@@ -25,7 +25,9 @@ Measurement methodology (matches Section 7 of the paper):
   block costs one I/O and later reads are free; each block dirtied during the
   operation costs one write when the operation completes.  With a file
   backend, that flush is also the durability point: the dirty blocks are
-  journaled and committed as one WAL transaction (group commit).
+  journaled and committed as one WAL transaction — unless a
+  :meth:`BlockStore.durable` scope is open, which gathers the flushes of
+  every operation inside it into one commit at its outermost exit.
 * An optional cache (``cache_capacity > 0``) reproduces the paper's
   "caching turned on" remark — reads served from the cache are free (the
   root then tends to be cached at all times); writes are write-through and
@@ -60,7 +62,7 @@ class ReaderWriterLatch:
     entirely (they serve from epoch-pinned caches); only *fallthrough*
     reads — a cache too stale for the modification log to repair — touch
     the structure, and they do so holding this latch in shared mode while
-    the writer holds it exclusively across each group commit.
+    the writer holds it exclusively across each wake-up's commit.
 
     Writer preference: once a writer is waiting, new shared acquirers
     queue behind it, so a steady reader stream cannot starve the write
@@ -126,15 +128,18 @@ class OperationBuffer:
 
     Tracks the nesting depth plus the blocks read (buffered, later reads
     free) and dirtied (one write each at the outermost exit) since the
-    outermost scope opened.
+    outermost scope opened; and, for :meth:`BlockStore.durable`, its own
+    depth and the flushed blocks waiting for its one commit.
     """
 
-    __slots__ = ("depth", "read", "dirty")
+    __slots__ = ("depth", "read", "dirty", "durable", "pending")
 
     def __init__(self) -> None:
         self.depth = 0
         self.read: set[int] = set()
         self.dirty: set[int] = set()
+        self.durable = 0
+        self.pending: set[int] = set()
 
     @property
     def active(self) -> bool:
@@ -149,6 +154,7 @@ class OperationBuffer:
         if any, is cancelled)."""
         self.read.discard(block_id)
         self.dirty.discard(block_id)
+        self.pending.discard(block_id)
 
     def clear(self) -> None:
         self.read.clear()
@@ -356,6 +362,29 @@ class BlockStore:
                     span.add("io.reads", delta.reads)
                     span.add("io.writes", delta.writes)
 
+    @contextmanager
+    def durable(self) -> Iterator[None]:
+        """Scope one durable commit around any number of operations.
+
+        Operations that close inside it still flush — each one's writes
+        are counted when it ends, so per-operation costs do not change —
+        but their dirty blocks join one pending set instead of committing.
+        Contexts nest; the outermost exit commits the set as one backend
+        transaction (nothing when no block was dirtied), also when an
+        exception is in flight, so what the structure holds in memory is
+        what the backend holds once the scope has closed.  A commit that
+        raises leaves the set pending, for the next scope to commit.
+        """
+        buffer = self.buffer
+        buffer.durable += 1
+        try:
+            yield
+        finally:
+            buffer.durable -= 1
+            if buffer.durable == 0 and buffer.pending:
+                self._commit(buffer.pending)
+                buffer.pending.clear()
+
     def measured(self) -> "_MeasuredOperation":
         """Like :meth:`operation` but the context value reports the cost of
         just this operation once it exits::
@@ -376,28 +405,39 @@ class BlockStore:
     # ------------------------------------------------------------------
 
     def _mark_dirty(self, block_id: int) -> None:
-        if self.buffer.depth > 0:
-            self.buffer.dirty.add(block_id)
+        buffer = self.buffer
+        if buffer.depth > 0:
+            buffer.dirty.add(block_id)
         else:
             self.stats.add(writes=1)
             self.cache.insert(block_id)
-            self.backend.commit((block_id,))
+            if buffer.durable > 0:
+                buffer.pending.add(block_id)
+            else:
+                self._commit((block_id,))
 
     def _flush(self) -> None:
-        dirty = self.buffer.dirty
+        buffer = self.buffer
+        dirty = buffer.dirty
         if dirty:
-            # `commit.blocks`, not `io.writes`: the io.* keys live only on
-            # store.operation spans so subtree sums match IOStats exactly.
-            with trace.span("store.commit") as span:
-                if span.recording:
-                    span.add("commit.blocks", len(dirty))
-                self.stats.add(writes=len(dirty))
-                for block_id in dirty:
-                    self.cache.insert(block_id)
-                # Read-only operations skip the backend entirely: they change
-                # nothing durable, so they are not commit points.
-                self.backend.commit(dirty)
-        self.buffer.clear()
+            self.stats.add(writes=len(dirty))
+            for block_id in dirty:
+                self.cache.insert(block_id)
+            # Read-only operations skip the backend entirely: they change
+            # nothing durable, so they are not commit points.
+            if buffer.durable > 0:
+                buffer.pending |= dirty
+            else:
+                self._commit(dirty)
+        buffer.clear()
+
+    def _commit(self, dirty: Any) -> None:
+        # `commit.blocks`, not `io.writes`: the io.* keys live only on
+        # store.operation spans so subtree sums match IOStats exactly.
+        with trace.span("store.commit") as span:
+            if span.recording:
+                span.add("commit.blocks", len(dirty))
+            self.backend.commit(dirty)
 
 
 class _MeasuredOperation:

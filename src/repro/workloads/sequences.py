@@ -20,8 +20,9 @@ to earlier inserts:
 :func:`run_tape` executes a tape through ``scheme.execute_batch`` and
 records the block I/O of every commit group.  The paper's unit — I/Os per
 element insertion — is the tape at ``group_size=1``; a larger group size is
-the same measurement amortised over group commits, where blocks revisited
-inside a group are read and written once.
+the same measurement amortised over groups, where blocks revisited inside a
+group are read and written once.  On a file backend the whole tape is one
+durable commit.
 
 **One stress driver.**  :func:`run_stress` loads a live
 :class:`~repro.service.ShardedLabelService` (N >= 1 shards) with closed-loop
@@ -426,7 +427,6 @@ def run_stress(
     write_pause: float = 0.002,
     write_mode: str = "insert",
     hot_labels: int | None = None,
-    write_buffer: int = 1,
     seed: int = 1,
 ) -> StressResult:
     """Drive a :class:`~repro.service.ShardedLabelService` over ``schemes``
@@ -445,8 +445,8 @@ def run_stress(
     operations at the last label of its shard's chunk for the whole
     duration, pausing ``write_pause`` between submissions and never waiting
     on a ticket: the short bounded queue pushes back instead (backpressure
-    is part of the load), and a queue that stays deep lets the shard's
-    writer merge up to ``write_buffer`` batches per run.
+    is part of the load), and every batch queued when the shard's writer
+    wakes shares that wake-up's one commit.
 
     ``write_mode`` picks the writer stream: ``"insert"`` grows the
     document with :func:`concentrated_edit_batches` (splits and range
@@ -465,7 +465,6 @@ def run_stress(
         log_capacity=log_capacity,
         group_size=group_size,
         queue_capacity=8,
-        write_buffer=write_buffer,
     )
     chunks: list[list[int]] = [[] for _ in schemes]
     for glid in glids:

@@ -1,8 +1,8 @@
 """Deterministic interleavings of a writer dying mid-group-commit.
 
-The virtual writer drives :meth:`LabelService._apply_guarded` — the
+The virtual writer drives :meth:`LabelService._apply_wakeup` — the
 production writer-loop body — with a :class:`FaultPlan.writer_crash`
-installed at ``service.group_commit``: the kill fires after the group's
+installed at ``service.group_commit``: the kill fires after the wake-up's
 mutations are applied and committed but before its epoch publishes, the
 worst spot for readers.  Under every interleaving of the preemption
 points the invariants are:
@@ -59,7 +59,7 @@ def build_degraded_world(scheduler):
 def make_dying_writer(service, lids, outcome):
     def run() -> None:
         try:
-            service._apply_guarded([BatchOp("insert_element_before", (lids[3],))])
+            service._apply_wakeup([[BatchOp("insert_element_before", (lids[3],))]])
         except WriterCrashError:
             outcome["crashes"] += 1
 

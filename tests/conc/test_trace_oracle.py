@@ -1,12 +1,14 @@
 """Linearizability-style trace equivalence for the live (real-thread) service.
 
-One writer feeds deterministic churn batches through the bounded queue
-while reader threads record a trace of (operation, arguments, result,
-session pin after the read).  Afterwards the same batches replay on a
-fresh scheme through a plain :class:`BatchExecutor` with identical group
-parameters, snapshotting every tracked label after each commit group —
-group ``k``'s snapshot is the ground truth for epoch ``k``, because the
-service publishes exactly one epoch per group commit.
+One writer feeds deterministic churn batches through the bounded queue,
+one submitted batch at a time, while reader threads record a trace of
+(operation, arguments, result, session pin after the read).  Afterwards
+the same batches replay on a fresh scheme through a plain
+:class:`BatchExecutor` with identical group parameters, snapshotting every
+tracked label after each batch — batch ``k``'s snapshot is the ground
+truth for epoch ``k``, because a batch submitted alone is one writer
+wake-up, and the service publishes exactly one epoch per wake-up however
+many groups the batch has.
 
 Equivalence demanded, per scheme variant (W-BOX, W-BOX-O, B-BOX,
 B-BOX-O, naive-k):
@@ -116,8 +118,8 @@ def test_concurrent_trace_matches_single_threaded_oracle(scheme_name):
     with service:
         for thread in threads:
             thread.start()
-        tickets = [service.submit_ops(batch, timeout=30) for batch in batches]
-        for ticket in tickets:
+        for batch in batches:
+            ticket = service.submit_ops(batch, timeout=30)
             ticket_results.append(ticket.wait(timeout=30))
         writer_done.set()
         for thread in threads:
@@ -133,25 +135,22 @@ def test_concurrent_trace_matches_single_threaded_oracle(scheme_name):
         0: {lid: oracle.lookup(lid) for lid in lids}
     }
 
-    def snapshot() -> None:
+    executor = BatchExecutor(oracle, group_size=GROUP_SIZE)
+    oracle_results = []
+    for batch in batches:
+        oracle_results.append(executor.execute(batch))
         history[len(history)] = {lid: oracle.lookup(lid) for lid in lids}
-
-    executor = BatchExecutor(
-        oracle,
-        group_size=GROUP_SIZE,
-        on_group_commit=snapshot,
-    )
-    oracle_results = [executor.execute(batch) for batch in batches]
 
     # Writes: the service allocated and labeled exactly as the oracle did.
     for live, reference in zip(ticket_results, oracle_results):
         assert live.results == reference.results
         assert live.group_sizes == reference.group_sizes
 
-    # The service published one epoch per commit group (plus epoch 0).
-    total_epochs = sum(len(r.group_sizes) for r in oracle_results)
-    assert service.current_epoch.number == total_epochs
-    assert set(history) == set(range(total_epochs + 1))
+    # The service published one epoch per batch (plus epoch 0), though
+    # each batch ran as several groups.
+    assert all(len(r.group_sizes) > 1 for r in oracle_results)
+    assert service.current_epoch.number == N_BATCHES
+    assert set(history) == set(range(N_BATCHES + 1))
 
     # Reads: every observation equals the oracle's truth at its pin.
     checked = 0

@@ -174,12 +174,6 @@ class TestServiceVerbs:
         assert "write errors:      0" in out
         assert float(out.split("seconds=")[1].split()[0]) >= 1.0
 
-    def test_stress_write_buffer_applies_on_one_shard(self, capsys):
-        assert main(["stress", "--seconds", "1", "--write-buffer", "4",
-                     "--write-pause-ms", "0"]) == 0
-        out = capsys.readouterr().out
-        assert int(out.split("write merges:")[1].split()[0]) > 0
-
     def test_stress_report_is_one_shape_at_every_n(self, capsys):
         """One report: the same lines, the scheme spelled the same way."""
         shapes = []

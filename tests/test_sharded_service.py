@@ -3,7 +3,7 @@
 Covers the layers bottom-up: the routing functions in
 :mod:`repro.service.router`, the :class:`ShardRouter` glid codec, sharded
 bulk load, the :class:`ShardedLabelService` write/read paths against an
-unsharded oracle, writer-side batch merging (``write_buffer``), the
+unsharded oracle, the writer draining the queue into one commit, the
 sharded on-disk layout and its persistence round-trip, shard-labeled
 metrics, and the one invariant everything else leans on: a 1-shard
 service is byte-identical on disk to the plain ``LabelService`` stack.
@@ -18,7 +18,6 @@ import pytest
 
 from repro import TINY_CONFIG, BatchOp, WBox
 from repro.core import BatchRef
-from repro.core.batch import shift_refs
 from repro.core.registry import scheme_factory
 from repro.errors import CrossShardError, PersistError, ServiceError
 from repro.obs import get_registry
@@ -45,6 +44,8 @@ from repro.storage import (
     shard_page_path,
 )
 from repro.storage.blockstore import ReaderWriterLatch
+
+from .test_one_commit_per_wakeup import submit_behind_held_latch
 
 
 def make_sharded(n_shards, count=24, **service_kwargs):
@@ -127,13 +128,6 @@ def test_globalize_results_maps_lids_back():
     # insert_before yields a lid (local 5 on shard 1 -> glid 11); lookup
     # yields a raw value, passed through untouched.
     assert out == [11, 123]
-
-
-def test_shift_refs_offsets_ref_indices_only():
-    ops = [BatchOp("insert_before", (3,)), BatchOp("insert_before", (BatchRef(0),))]
-    shifted = shift_refs(ops, 10)
-    assert shifted[0].args == (3,)
-    assert shifted[1].args[0].index == 10
 
 
 # ---------------------------------------------------------------------------
@@ -327,46 +321,47 @@ def test_empty_schemes_rejected():
 
 
 # ---------------------------------------------------------------------------
-# write buffering (writer-side batch merging)
+# one commit per writer wake-up (the writer drains the queue)
 # ---------------------------------------------------------------------------
 
 
-def test_write_buffer_merges_and_results_stay_positional():
+def test_drained_tickets_keep_positional_distinct_results():
     scheme = WBox(TINY_CONFIG)
     lids = scheme.bulk_load(12)
-    service = LabelService(scheme, write_buffer=8, group_size=64)
+    service = LabelService(scheme, group_size=64)
     with service:
-        # Pause the writer behind one submission, pile more up, then let
-        # it drain: without the pause the race decides whether merging
-        # happens.  Submitting while unstarted is not possible, so stack
-        # the queue with the writer artificially busy via many tickets.
-        tickets = [
-            service.submit_ops([BatchOp("insert_before", (lids[2],))], timeout=10)
-            for _ in range(6)
-        ]
+        epochs = service.current_epoch.number
+        tickets = submit_behind_held_latch(
+            service,
+            scheme,
+            [[BatchOp("insert_before", (lids[2],)), BatchOp("lookup", (BatchRef(0),))]
+             for _ in range(6)],
+        )
         results = [t.wait(timeout=10).results for t in tickets]
+        # The gate's wake-up and one more: the six tickets shared an epoch.
+        assert service.current_epoch.number == epochs + 2
     for result in results:
-        assert len(result) == 1
+        assert len(result) == 2
         assert isinstance(result[0], int)
-    # All inserted labels are distinct (no shared/duplicated results
-    # between merged tickets).
+        assert result[1] is not None  # its BatchRef named its own insert
     flat = [r[0] for r in results]
     assert len(set(flat)) == len(flat)
+    # Submission order is document order: each insert lands before lids[2].
+    assert sorted(flat + [lids[2]], key=scheme.lookup) == flat + [lids[2]]
 
 
-def test_write_buffer_counter_visible_in_describe():
+def test_drained_tickets_count_as_write_merges_in_describe():
     scheme = WBox(TINY_CONFIG)
-    scheme.bulk_load(8)
-    service = LabelService(scheme, write_buffer=4)
+    lids = scheme.bulk_load(8)
+    service = LabelService(scheme)
     with service:
+        tickets = submit_behind_held_latch(
+            service, scheme, [[BatchOp("insert_before", (lids[2],))]] * 4
+        )
+        for ticket in tickets:
+            ticket.wait(timeout=10)
         info = service.describe()
-    assert "write_merges" in info
-
-
-def test_write_buffer_validation():
-    scheme = WBox(TINY_CONFIG)
-    with pytest.raises(ValueError):
-        LabelService(scheme, write_buffer=0)
+    assert info["write_merges"] == 3
 
 
 # ---------------------------------------------------------------------------
