@@ -50,13 +50,12 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import shutil
 from typing import Any, Iterator
 
 from .config import BoxConfig
 from .core.registry import scheme_class
 from .errors import PersistError
-from .storage import BlockStore, FileBackend, HeapFile, write_bytes_atomic
+from .storage import BlockStore, Disk, FileBackend, HeapFile
 from .storage.codec import (
     append_uvarints,
     check_count,
@@ -130,8 +129,8 @@ def scheme_metadata_header(scheme: Any) -> dict:
 
 def save_scheme(scheme: Any, path: str) -> None:
     """Serialize ``scheme`` (structure, LIDF, counters) to ``path``,
-    replacing it atomically (:func:`~repro.storage.write_bytes_atomic`)."""
-    write_bytes_atomic(path, _snapshot_image(scheme))
+    replacing it atomically (:meth:`~repro.storage.Disk.replace`)."""
+    Disk().replace(path, [_snapshot_image(scheme)])
 
 
 def _snapshot_image(scheme: Any) -> bytearray:
@@ -179,7 +178,7 @@ def save_document(document: Any, path: str) -> None:
     image += b"DOCSECT1" + len(xml_bytes).to_bytes(8, "big") + xml_bytes
     image += uvarint_bytes(len(lids))
     append_uvarints(image, lids)
-    write_bytes_atomic(path, image)
+    Disk().replace(path, [image])
 
 
 def load_document(path: str) -> Any:
@@ -421,11 +420,12 @@ def restore_to_checkpoint(
         )
     record = candidates[-1]
     image = os.path.join(os.path.dirname(path) or ".", record["image"])
-    shutil.copyfile(image, target)
+    disk = Disk()
+    disk.copy(image, target)
     for seg in segments:
         if seg < record["segment"]:
             continue
-        shutil.copyfile(segment_path(path, seg), target + ".wal")
+        disk.copy(segment_path(path, seg), target + ".wal")
         backend = FileBackend(target)
         backend.checkpoint()
         backend.close()

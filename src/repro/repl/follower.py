@@ -13,9 +13,10 @@ a replica label service, one shard at a time:
    deleted the segment they resume at: then they are discarded and the
    shard bootstraps afresh.
 2. **Log-first shipping.**  Fetched WAL bytes are appended to the local
-   live log *before* they are applied, so a follower killed mid-apply
-   loses nothing: on restart, recovery replays the persisted committed
-   prefix and the cursor resumes at the local byte position.
+   live log (its ``WALWriter``) *before* they are applied, so a follower
+   killed mid-apply loses nothing: on restart, recovery replays the
+   persisted committed prefix and the cursor resumes at the local byte
+   position.
 3. **Apply.**  Committed transactions are parsed out of the shipped
    bytes and folded into the live replica under its exclusive latch by
    the same :func:`~repro.storage.filebackend.fold_transaction` recovery
@@ -40,7 +41,7 @@ from __future__ import annotations
 import os
 import threading
 import time
-from typing import Any
+from typing import Any, Iterator
 
 from ..errors import ProtocolError, ReplicationError, ServiceError
 from ..core.cachelog import LABEL_CHANNEL, ORDINAL_CHANNEL, invalidate_all
@@ -50,6 +51,7 @@ from ..obs.metrics import get_registry
 from ..persist import open_file_scheme
 from ..service.service import LabelService
 from ..service.sharded import ShardedLabelService
+from ..storage.disk import Disk
 from ..storage.shardlayout import shard_page_path, write_manifest
 from ..storage.wal import MAGIC as WAL_MAGIC
 from ..storage.wal import scan_wal_bytes
@@ -171,10 +173,12 @@ class ShardFollower:
                 # suffix we had already mirrored.  Those bytes were never
                 # committed (we apply only committed prefixes), so cut
                 # the local log back to the applied position and refetch.
-                self._trim_local()
+                self.trim_to_applied()
                 continue
             if chunk.data:
-                self._persist(chunk.data)
+                self.backend._wal.append_raw(chunk.data)
+                self.offset += len(chunk.data)
+                self._pending += chunk.data
                 self._apply_pending()
                 progressed = True
             if chunk.sealed and self.offset >= chunk.total:
@@ -186,19 +190,9 @@ class ShardFollower:
         self._update_lag(manifest)
         return progressed
 
-    # -- log-first persistence ------------------------------------------
+    # -- the local log ---------------------------------------------------
 
-    def _persist(self, data: bytes) -> None:
-        """Append shipped bytes to the local live log (before applying)."""
-        with open(self.backend.wal_path, "ab") as handle:
-            handle.write(data)
-            if self.backend.fsync:
-                handle.flush()
-                os.fsync(handle.fileno())
-        self.offset += len(data)
-        self._pending += data
-
-    def _trim_local(self) -> None:
+    def trim_to_applied(self) -> None:
         """Cut the local live log back to the applied (committed) prefix.
 
         Run after any event that may mean the primary restarted: its
@@ -208,8 +202,7 @@ class ShardFollower:
         would resume misaligned.  Applied bytes are always safe to keep:
         only committed bytes get applied, and recovery never trims those.
         """
-        with open(self.backend.wal_path, "r+b") as handle:
-            handle.truncate(self.applied)
+        self.backend._wal.trim(self.applied)
         self.offset = self.applied
         self._pending = b""
 
@@ -370,7 +363,6 @@ class Follower:
         self.client = NetClient(self.host, self.port)
         info = self.client.server_info
         assert info is not None
-        os.makedirs(self.root, exist_ok=True)
         write_manifest(self.root, info.n_shards)
         schemes = [self._bootstrap_shard(shard) for shard in range(info.n_shards)]
         self.service = ShardedLabelService(
@@ -398,7 +390,7 @@ class Follower:
             directory, base = os.path.split(path)
             for name in os.listdir(directory):
                 if name == base or name.startswith(base + "."):
-                    os.remove(os.path.join(directory, name))
+                    Disk().remove(os.path.join(directory, name))
         if manifest.checkpoint_segment == 0:
             raise ReplicationError(
                 f"primary shard {shard} has no checkpoint image; run a "
@@ -412,23 +404,25 @@ class Follower:
         return open_file_scheme(path)
 
     def _download_image(self, shard: int, segment: int, dest: str) -> None:
+        """One atomic replace: a short read leaves no ``dest``, no temp file."""
         assert self.client is not None
-        tmp = dest + ".fetch"
-        offset = 0
-        with open(tmp, "wb") as handle:
+
+        def chunks() -> Iterator[bytes]:
+            offset = 0
             while True:
                 chunk = self.client.repl_fetch(
                     shard, proto.REPL_FETCH_IMAGE, segment, offset=offset
                 )
-                handle.write(chunk.data)
+                yield chunk.data
                 offset += len(chunk.data)
                 if offset >= chunk.total:
-                    break
+                    return
                 if not chunk.data:
                     raise ReplicationError(
                         f"short image read: {offset} of {chunk.total} bytes"
                     )
-        os.replace(tmp, dest)
+
+        Disk().replace(dest, chunks())
 
     def _reconnect(self) -> None:
         with self._step_lock:
@@ -440,7 +434,7 @@ class Follower:
                 # and its recovery trimmed a torn tail we already
                 # mirrored; fall back to the applied prefix (always
                 # committed, never trimmed) and refetch from there.
-                shard._trim_local()
+                shard.trim_to_applied()
         if old is not None:
             try:
                 old.close(timeout=0.5)

@@ -10,6 +10,7 @@ cache, an I/O counter, and the LIDF heap file of Section 3.
 from .stats import IOStats, OperationCost
 from .backend import MemoryBackend, StorageBackend
 from .cache import BlockCache
+from .disk import Disk
 from .blockstore import BlockStore, OperationBuffer, ReaderWriterLatch
 from .filebackend import FileBackend, default_page_bytes, read_directory
 from .heapfile import HeapFile
@@ -26,7 +27,6 @@ from .walseg import (
     manifest_path,
     read_wal_manifest,
     segment_path,
-    write_bytes_atomic,
     write_json_atomic,
 )
 
@@ -44,6 +44,7 @@ __all__ = [
     "default_page_bytes",
     "read_directory",
     "BlockCache",
+    "Disk",
     "OperationBuffer",
     "BlockStore",
     "ReaderWriterLatch",
@@ -55,6 +56,5 @@ __all__ = [
     "manifest_path",
     "read_wal_manifest",
     "segment_path",
-    "write_bytes_atomic",
     "write_json_atomic",
 ]

@@ -42,40 +42,27 @@ mutations become durable when the operation scope closes and
 
 **Fault injection.**  Install a :class:`~repro.faults.FaultInjector`
 (``backend.fault_injector = injector`` or
-:meth:`FileBackend.install_faults`) and the backend hits it at its
-named hook points: ``backend.raw_write`` fires on every physical write
-(WAL records, pages, the directory — one funnel), ``backend.page_write``
-and ``backend.superblock`` fire just before a page image and the
-directory go out (inside checkpoints only), ``backend.fsync`` fires
-before each real ``os.fsync``, and ``backend.commit`` fires on commit
-entry.  What a fault kind does is decided in one place,
-:meth:`~repro.faults.FaultInjector.hit`; the backend only tears bytes: a
-torn/short write puts a *prefix* of the data on disk — as real disks
-produce — and raises :class:`~repro.errors.CrashError`.  Every
-crash-type fault at any of its hooks (the WAL's included) — a tear, a
-:class:`~repro.errors.CrashError`, an
-:class:`~repro.errors.FsyncFailedError` — leaves the backend crashed: it
-refuses all further writes until reopened.  Tests use this to prove
-recovery; see :mod:`repro.faults` for the plan vocabulary.
+:meth:`FileBackend.install_faults`) and the backend's
+:class:`~repro.storage.disk.Disk` hits it at the named hook points:
+``backend.raw_write`` on every physical write (WAL records, pages, the
+directory — one funnel), ``backend.page_write`` and
+``backend.superblock`` just before a page image and the directory go
+out (inside checkpoints only), ``backend.fsync`` before each hooked
+``os.fsync``, ``backend.commit`` on commit entry.  Every crash-type
+fault at any of its hooks (the WAL's included) leaves the backend
+refusing all further writes until reopened (:meth:`Disk.hit`).
 """
 
 from __future__ import annotations
 
 import os
-import shutil
 import struct
 import zlib
 from itertools import accumulate, islice
 from typing import Any, Iterable, Iterator
 
 from ..config import BoxConfig
-from ..errors import (
-    CrashError,
-    FsyncFailedError,
-    PersistError,
-    RecoveryError,
-    StorageError,
-)
+from ..errors import PersistError, RecoveryError, StorageError
 from ..obs import trace
 from ..obs.metrics import get_registry
 from .backend import StorageBackend
@@ -87,6 +74,7 @@ from .codec import (
     scan_uvarint,
     scan_uvarints,
 )
+from .disk import Disk
 from .owner import FoldedOwner
 from .wal import MAGIC as WAL_MAGIC
 from .wal import WALTransaction, WALWriter, scan_wal
@@ -301,10 +289,11 @@ class FileBackend(StorageBackend):
         page_bytes: int | None = None,
         fsync: bool = False,
     ) -> None:
+        #: Fsync policy, fault injector, crash state, bytes written.
+        self._disk = Disk(fsync)
         super().__init__()
         self.path = path
         self.wal_path = path + ".wal"
-        self.fsync = fsync
         #: Segment bookkeeping (see :mod:`repro.storage.walseg`).
         self.wal_manifest: dict[str, Any] = read_wal_manifest(path)
         #: Decoded live payloads (the buffer pool); identity-stable.
@@ -330,133 +319,52 @@ class FileBackend(StorageBackend):
         #: (:mod:`repro.storage.owner`): what recovery folded, until
         #: :func:`repro.persist.attach_scheme_to_backend` installs a journal.
         self.owner: Any = FoldedOwner()
-        #: The tear a hook returned, carried out by the next physical write
-        #: (so "tear the directory" tears the actual image bytes, wherever
-        #: they land).
-        self._pending_write_fault: Any = None
-        self._crashed = False
         # Physical-I/O counters (the honest cost the logical IOStats models).
         self.pages_journaled = 0
         self.page_writes = 0
         self.page_reads = 0
         self.commits = 0
-        self.bytes_written = 0
         #: Filled when opening an existing file: what recovery found/did.
         self.recovery_report: dict[str, Any] = {}
 
-        self._wal = WALWriter(
-            self.wal_path,
-            self._raw_write,
-            fault_hit=self._hit,
-            sync=self._sync_raw,
-            sync_dir=self._sync_dir,
-        )
+        self._wal = WALWriter(self.wal_path, self._disk)
         existing = os.path.exists(self.path) and os.path.getsize(self.path) > 0
         if existing:
-            self._handle = open(self.path, "r+b")
+            self._handle = self._disk.open(self.path, "r+b")
             self._open_existing(page_bytes)
         else:
             self.page_bytes = (
                 page_bytes if page_bytes is not None else default_page_bytes(BoxConfig())
             )
-            self._handle = open(self.path, "w+b")
-            self._raw_write_at(0, MAGIC)
+            self._handle = self._disk.open(self.path, "w+b")
+            self._disk.write_at(self._handle, 0, MAGIC)
             self._write_directory(encode_directory(self._directory()))
-            self._sync(self._handle)
+            self._disk.sync(self._handle)
         #: ``_wal.bytes_written`` at the last checkpoint: a log that was
         #: standing when the file was opened counts as logged since.
         self._checkpoint_mark = -self._wal_size()
 
     # ------------------------------------------------------------------
-    # physical writes (single funnel; fault injection lives here)
+    # the disk's policy, faults and counter
     # ------------------------------------------------------------------
+
+    @property
+    def fault_injector(self) -> Any:
+        return self._disk.fault_injector
+
+    @fault_injector.setter
+    def fault_injector(self, injector: Any) -> None:
+        self._disk.fault_injector = injector
+
+    @property
+    def bytes_written(self) -> int:
+        """Bytes through the physical-write funnel (:meth:`Disk.write`)."""
+        return self._disk.bytes_written
 
     def install_faults(self, injector: Any) -> "FileBackend":
         """Attach a :class:`~repro.faults.FaultInjector` (or ``None``)."""
         self.fault_injector = injector
         return self
-
-    def _hit(self, hook: str, size: int | None = None) -> Any:
-        """Carry out ``hook``'s fault through the one interpreter,
-        :meth:`~repro.faults.FaultInjector.hit` (the WAL calls this too).
-
-        The one place a fault crashes the backend: on a
-        :class:`~repro.errors.CrashError` or — fsyncgate: a failed fsync
-        may have dropped dirty pages — a
-        :class:`~repro.errors.FsyncFailedError` raised here, and on a tear
-        returned here, which the next physical write carries out."""
-        injector = self.fault_injector
-        if injector is None:
-            return None
-        try:
-            action = injector.hit(hook, size)
-        except (CrashError, FsyncFailedError):
-            self._crashed = True
-            raise
-        if action is not None:
-            self._crashed = True
-            self._pending_write_fault = action
-        return action
-
-    def _raw_write(self, handle: Any, data: bytes) -> None:
-        """Append/write ``data`` through the fault-injection funnel."""
-        action = self._pending_write_fault
-        if action is None:
-            if self._crashed:
-                raise CrashError("backend has crashed; reopen to recover")
-            if self.fault_injector is not None:
-                action = self._hit("backend.raw_write", len(data))
-        if action is not None:
-            # Put a prefix on disk, then die, like a power loss mid-sector.
-            self._pending_write_fault = None
-            cut = action.keep(len(data))
-            if cut:
-                handle.write(data[:cut])
-            raise CrashError(
-                f"simulated crash: {action.kind} after {cut} of {len(data)} bytes"
-            )
-        handle.write(data)
-        self.bytes_written += len(data)
-
-    def _raw_write_at(self, offset: int, data: bytes) -> None:
-        self._handle.seek(offset)
-        self._raw_write(self._handle, data)
-
-    def _sync(self, handle: Any) -> None:
-        handle.flush()  # surface buffered writes to the OS (and readers)
-        if self.fsync:
-            if self.fault_injector is not None:
-                self._hit("backend.fsync")
-            os.fsync(handle.fileno())
-
-    def _sync_raw(self, handle: Any) -> None:
-        """Like :meth:`_sync` but without the ``backend.fsync`` hook.
-
-        Used for the seal's sync of the log about to be renamed: the
-        checkpoint is already durable in pages + directory by then, so an
-        injected fsync failure there would crash the machine *after* it —
-        a window the chaos oracle cannot attribute.  The hookable crash
-        point for this window is ``wal.truncate``, fired at entry while
-        the log still stands.
-        """
-        handle.flush()
-        if self.fsync:
-            os.fsync(handle.fileno())
-
-    def _sync_dir(self, dirpath: str) -> None:
-        """fsync a directory so renames within it are durable.
-
-        A no-op unless the backend was opened with ``fsync=True`` — the
-        same policy gate as :meth:`_sync`; metadata-only, so it bypasses
-        the write-fault funnel (there are no bytes to tear).
-        """
-        if not self.fsync:
-            return
-        fd = os.open(dirpath or ".", os.O_RDONLY)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
 
     # ------------------------------------------------------------------
     # directory
@@ -478,13 +386,12 @@ class FileBackend(StorageBackend):
         the header at it.  Not atomic, and later page growth overwrites
         the image: a checkpoint makes the same bytes durable in the log
         first, and recovery falls back to that record."""
-        if self.fault_injector is not None:
-            self._hit("backend.superblock", len(blob))
+        self._disk.hit("backend.superblock", len(blob))
         offset = self._page_offset(self._next_id)
-        self._raw_write_at(offset, blob)
+        self._disk.write_at(self._handle, offset, blob)
         header = _HEADER.pack(offset, len(blob), zlib.crc32(blob))
         header += _CRC.pack(zlib.crc32(header))
-        self._raw_write_at(len(MAGIC), header)
+        self._disk.write_at(self._handle, len(MAGIC), header)
         self._directory_lsn = self.lsn
 
     # ------------------------------------------------------------------
@@ -554,9 +461,8 @@ class FileBackend(StorageBackend):
 
     def _write_page_image(self, block_id: int, image: bytes) -> None:
         framed = _PAGE_HEADER.pack(len(image)) + image
-        if self.fault_injector is not None:
-            self._hit("backend.page_write", len(framed))
-        self._raw_write_at(self._page_offset(block_id), framed)
+        self._disk.hit("backend.page_write", len(framed))
+        self._disk.write_at(self._handle, self._page_offset(block_id), framed)
         self.page_writes += 1
 
     def _read_page(self, block_id: int) -> Any:
@@ -643,8 +549,7 @@ class FileBackend(StorageBackend):
         Checkpoints by itself once :data:`CHECKPOINT_LOG_BYTES` have been
         logged since the last one.
         """
-        if self.fault_injector is not None:
-            self._hit("backend.commit")
+        self._disk.hit("backend.commit")
         with trace.span("backend.commit") as span:
             bytes_before = self.bytes_written
             puts: dict[int, bytes] = {}
@@ -691,7 +596,7 @@ class FileBackend(StorageBackend):
         row += owner_row
         body = bytearray()
         append_uvarints(body, [self.lsn + 1, len(row)] + row)
-        self._wal.append_transaction(puts, bytes(body), sync=self._sync)
+        self._wal.append_transaction(puts, bytes(body))
         self.lsn += 1
         self.owner.consumed()
         self._journaled_next_id = self._next_id
@@ -713,7 +618,7 @@ class FileBackend(StorageBackend):
         """
         self._journal({})
         blob = encode_directory(self._directory())
-        self._wal.append_transaction({}, blob, absolute=True, sync=self._sync)
+        self._wal.append_transaction({}, blob, absolute=True)
         self.write_back(blob)
         return self._seal()
 
@@ -730,7 +635,7 @@ class FileBackend(StorageBackend):
         # being the source of truth (is sealed away).  The flush inside
         # also precedes emptying ``_unflushed``, which is what lets cold
         # reads go to the descriptor.
-        self._sync(self._handle)
+        self._disk.sync(self._handle)
         self._unflushed.clear()
 
     def apply_shipped(self, txn: WALTransaction) -> bool:
@@ -772,7 +677,7 @@ class FileBackend(StorageBackend):
         self._checkpoint_mark = self._wal.bytes_written
         manifest["segments"].append(seg_id)
         manifest["next_segment"] = seg_id + 1
-        apply_retention(self.path, manifest, fsync=self.fsync)
+        apply_retention(self.path, manifest, fsync=self._disk.fsync)
         get_registry().counter(
             "repro_wal_segments_sealed_total",
             help="live WAL rotations into sealed segment files",
@@ -813,15 +718,7 @@ class FileBackend(StorageBackend):
         seg = manifest["next_segment"]
         image = checkpoint_image_path(self.path, seg)
         self._handle.flush()
-        tmp = image + ".tmp"
-        with open(self.path, "rb") as src, open(tmp, "wb") as dst:
-            shutil.copyfileobj(src, dst, 1 << 20)
-            if self.fsync:
-                dst.flush()
-                os.fsync(dst.fileno())
-            size = dst.tell()
-        os.replace(tmp, image)
-        self._sync_dir(os.path.dirname(image) or ".")
+        size = self._disk.copy(self.path, image)
         record: dict[str, Any] = {
             "segment": seg,
             "image": os.path.basename(image),
@@ -830,7 +727,7 @@ class FileBackend(StorageBackend):
         if extra:
             record.update(extra)
         manifest["checkpoints"].append(record)
-        apply_retention(self.path, manifest, fsync=self.fsync)
+        apply_retention(self.path, manifest, fsync=self._disk.fsync)
         get_registry().counter(
             "repro_wal_checkpoint_images_total",
             help="checkpoint images recorded in the WAL manifest",

@@ -50,12 +50,13 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 from ..errors import PersistError, TransientIOError, WALError
 from ..obs import trace
 from ..obs.metrics import get_registry
 from .codec import scan_uvarint, uvarint_bytes
+from .disk import Disk
 
 #: Format version 2: DELTA/ABSOLUTE records replaced version 1's JSON META.
 MAGIC = b"BOXWAL02"
@@ -108,33 +109,13 @@ def _encode_record(rec_type: int, body: bytes) -> bytes:
 
 
 class WALWriter:
-    """Appends transactions to a log file through a raw-write callable.
+    """Appends transactions to a log file through the owning backend's
+    :class:`Disk`, whose fault funnel every record goes through — so a
+    simulated crash can tear a record mid-append."""
 
-    The ``raw_write`` indirection is what makes fault injection honest:
-    the backend routes *every* physical write — log records included —
-    through one budgeted function, so a simulated crash can tear a record
-    mid-append.
-    """
-
-    def __init__(
-        self,
-        path: str,
-        raw_write: Callable[[Any, bytes], None],
-        fault_hit: Callable[[str], Any] | None = None,
-        sync: Callable[[Any], None] | None = None,
-        sync_dir: Callable[[str], None] | None = None,
-    ) -> None:
+    def __init__(self, path: str, disk: Disk) -> None:
         self.path = path
-        self._raw_write = raw_write
-        #: Optional fault interpreter call (the owning backend's ``_hit``)
-        #: made at the ``wal.append`` and ``wal.truncate`` (seal entry)
-        #: hook points.
-        self._fault_hit = fault_hit
-        #: Durability callables supplied by the owning backend: ``sync``
-        #: flushes (and, per backend policy, fsyncs) a handle; ``sync_dir``
-        #: fsyncs a directory so renames survive power loss.
-        self._sync = sync
-        self._sync_dir = sync_dir
+        self._disk = disk
         self._handle: Any = None
         self.records_written = 0
         self.bytes_written = 0
@@ -142,20 +123,17 @@ class WALWriter:
     def _ensure_open(self) -> None:
         if self._handle is None:
             fresh = not os.path.exists(self.path) or os.path.getsize(self.path) == 0
-            self._handle = open(self.path, "ab")
+            self._handle = self._disk.open(self.path, "ab")
             if fresh:
-                self._raw_write(self._handle, MAGIC)
+                self._disk.write(self._handle, MAGIC)
 
     def append_transaction(
-        self,
-        puts: dict[int, bytes],
-        body: bytes,
-        absolute: bool = False,
-        sync: Callable[[Any], None] | None = None,
+        self, puts: dict[int, bytes], body: bytes, absolute: bool = False
     ) -> None:
         """Append one transaction: PUT records, the DELTA (or ABSOLUTE)
         record ``body`` — which starts with its uvarint LSN — and COMMIT,
-        then ``sync`` the log (the owning backend's hooked barrier).
+        then sync the log (the hooked barrier,
+        :meth:`~repro.storage.disk.Disk.sync`).
 
         A :class:`~repro.errors.TransientIOError` raised mid-transaction
         or by the sync (an injected retryable fault) rolls the log back to
@@ -167,8 +145,7 @@ class WALWriter:
         cope with.
         """
         with trace.span("wal.append") as span:
-            if self._fault_hit is not None:
-                self._fault_hit("wal.append")
+            self._disk.hit("wal.append")
             self._ensure_open()
             records_before = self.records_written
             bytes_before = self.bytes_written
@@ -185,9 +162,7 @@ class WALWriter:
                 crc = zlib.crc32(state_record, crc)
                 self._write(state_record)
                 self._write(_encode_record(REC_COMMIT, struct.pack(">I", crc)))
-                self._handle.flush()
-                if sync is not None:
-                    sync(self._handle)
+                self._disk.sync(self._handle)
             except TransientIOError:
                 self._rollback_to(start_offset, records_before, bytes_before)
                 raise
@@ -207,8 +182,17 @@ class WALWriter:
             "repro_wal_bytes_total", help="bytes appended to the WAL"
         ).inc(wal_bytes)
 
+    def append_raw(self, data: bytes) -> None:
+        """Append and sync bytes that already are log records — a
+        follower's mirror of its primary's segment, magic included —
+        around the fault funnel and the record counters."""
+        if self._handle is None:
+            self._handle = self._disk.open(self.path, "ab")
+        self._disk.put(self._handle, data)
+        self._disk.sync_raw(self._handle)
+
     def _write(self, record: bytes) -> None:
-        self._raw_write(self._handle, record)
+        self._disk.write(self._handle, record)
         self.records_written += 1
         self.bytes_written += len(record)
 
@@ -218,44 +202,36 @@ class WALWriter:
             self._handle.flush()
         except OSError:  # pragma: no cover - flush of a broken handle
             pass
-        self._handle.truncate(offset)
+        self._disk.truncate(self._handle, offset)
         self._handle.seek(0, os.SEEK_END)
         self.records_written = records
         self.bytes_written = bytes_written
 
     def trim(self, offset: int) -> None:
-        """Cut the log at ``offset``: drop a torn tail, keep the committed
-        prefix (recovery's step — the committed records stay in place:
-        they are the history the next seal puts into a segment)."""
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-        with open(self.path, "r+b") as handle:
-            handle.truncate(offset)
-            if self._sync is not None:
-                self._sync(handle)
+        """Cut the log at ``offset`` and sync it: drop a torn tail, keep
+        the committed prefix (recovery's step — the committed records
+        stay in place: they are the history the next seal puts into a
+        segment — and a follower's, back to its applied prefix)."""
+        self.close()
+        with self._disk.open(self.path, "r+b") as handle:
+            self._disk.truncate(handle, offset)
+            self._disk.sync_raw(handle)
 
     def seal_to(self, target: str) -> None:
         """Atomically rename the live log to ``target`` (a checkpoint's
         last step).
 
         The file is synced before the rename and the directory after it
-        (through the owning backend's fsync policy), so the sealed segment
-        is durable under its final name: a seal lost to a crash leaves the
+        (through the disk's fsync policy), so the sealed segment is
+        durable under its final name: a seal lost to a crash leaves the
         folded log standing, which recovery skips by LSN but must still
         scan.  ``wal.truncate`` fires at entry, while the log still stands.
         """
-        if self._fault_hit is not None:
-            self._fault_hit("wal.truncate")
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-        with open(self.path, "ab") as handle:
-            if self._sync is not None:
-                self._sync(handle)
-        os.replace(self.path, target)
-        if self._sync_dir is not None:
-            self._sync_dir(os.path.dirname(target) or ".")
+        self._disk.hit("wal.truncate")
+        self.close()
+        with self._disk.open(self.path, "ab") as handle:
+            self._disk.sync_raw(handle)
+        self._disk.rename(self.path, target)
 
     def close(self) -> None:
         if self._handle is not None:

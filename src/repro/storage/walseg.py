@@ -4,8 +4,7 @@ Every :class:`~repro.storage.FileBackend` ends each checkpoint by
 **sealing** its live log: atomically renaming it to a numbered *segment*
 file next to the page file.  Segment ids are monotonic and never reused;
 a small JSON manifest (:func:`write_json_atomic`, which the shard
-manifest shares, over the one atomic writer :func:`write_bytes_atomic`
-that snapshots use too) records what exists:
+manifest shares, over the atomic :meth:`Disk.replace`) records what exists:
 
 .. code-block:: text
 
@@ -52,6 +51,7 @@ import os
 import re
 
 from ..errors import PersistError
+from .disk import Disk
 
 __all__ = [
     "apply_retention",
@@ -60,7 +60,6 @@ __all__ = [
     "manifest_path",
     "read_wal_manifest",
     "segment_path",
-    "write_bytes_atomic",
     "write_json_atomic",
 ]
 
@@ -120,41 +119,13 @@ def read_wal_manifest(page_path: str) -> dict:
     return manifest
 
 
-def write_bytes_atomic(path: str, data: bytes, *, fsync: bool = False) -> None:
-    """Atomically replace ``path`` with ``data`` (temp file + rename): a
-    crash or a failed write leaves the old file or the new one, never a
-    mix, and no temp file.  Every manifest and every snapshot is
-    written here.
-
-    With ``fsync`` the temp file is synced before the rename and the
-    directory after it, so the update itself cannot be lost to a crash
-    that the files it describes survived.
-    """
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "wb") as handle:
-            handle.write(data)
-            if fsync:
-                handle.flush()
-                os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-    if fsync:
-        fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-
-
 def write_json_atomic(path: str, data: dict, *, fsync: bool = False) -> None:
-    """:func:`write_bytes_atomic` of ``data`` as indented JSON; every
-    manifest in a store is written here."""
+    """Atomically replace ``path`` with ``data`` as indented JSON
+    (:meth:`~repro.storage.disk.Disk.replace`); every manifest in a store
+    is written here.  With ``fsync`` the update itself cannot be lost to
+    a crash that the files it describes survived."""
     text = json.dumps(data, indent=2, sort_keys=True) + "\n"
-    write_bytes_atomic(path, text.encode("utf-8"), fsync=fsync)
+    Disk(fsync).replace(path, [text.encode("utf-8")])
 
 
 def apply_retention(page_path: str, manifest: dict, *, fsync: bool = False) -> None:
@@ -177,4 +148,4 @@ def apply_retention(page_path: str, manifest: dict, *, fsync: bool = False) -> N
     for name in os.listdir(directory or "."):
         match = history.fullmatch(name)
         if match and int(match.group(1) or match.group(2)) < horizon:
-            os.remove(os.path.join(directory, name))
+            Disk().remove(os.path.join(directory, name))

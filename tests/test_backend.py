@@ -34,6 +34,7 @@ from repro.storage import (
 )
 from repro.storage import filebackend as filebackend_module
 from repro.storage.codec import uvarint_bytes
+from repro.storage.disk import Disk
 from repro.storage.wal import WALWriter
 
 
@@ -230,7 +231,7 @@ class TestWALScan:
 
     def test_round_trip(self, tmp_path):
         path = str(tmp_path / "log.wal")
-        writer = WALWriter(path, lambda handle, data: handle.write(data))
+        writer = WALWriter(path, Disk(fsync=False))
         writer.append_transaction({1: b"abc", 9: b"de"}, delta(1, b"k1"))
         writer.append_transaction({2: b"xyz"}, delta(2, b"k2"))
         writer.append_transaction({}, delta(2, b"whole"), absolute=True)
@@ -244,7 +245,7 @@ class TestWALScan:
 
     def test_torn_tail_discarded_committed_prefix_kept(self, tmp_path):
         path = str(tmp_path / "log.wal")
-        writer = WALWriter(path, lambda handle, data: handle.write(data))
+        writer = WALWriter(path, Disk(fsync=False))
         writer.append_transaction({1: b"abc"}, delta(1))
         writer.append_transaction({2: b"def"}, delta(2))
         writer.close()
@@ -264,7 +265,7 @@ class TestWALScan:
 
     def test_corrupt_commit_crc_treated_as_torn(self, tmp_path):
         path = str(tmp_path / "log.wal")
-        writer = WALWriter(path, lambda handle, data: handle.write(data))
+        writer = WALWriter(path, Disk(fsync=False))
         writer.append_transaction({1: b"abc"}, delta(1))
         writer.close()
         with open(path, "r+b") as handle:

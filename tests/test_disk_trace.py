@@ -1,0 +1,231 @@
+"""The file-system trace of the store's durable operations, pinned.
+
+Every durable effect goes through :class:`~repro.storage.disk.Disk`
+(``tests/test_one_decision_owner.py::test_one_file_system_boundary``
+keeps it that way), so recording its primitives records everything a
+crash could leave.  :class:`RecordingDisk` logs each call as
+``(op, path, offset, length)``, paths relative to the test's directory:
+
+* ``create`` / ``open`` — a file opened for writing, truncating or not;
+* ``write`` — bytes at an offset (every physical write, torn or hooked
+  or not);
+* ``fsync`` / ``fsync_dir`` — a file or directory actually synced (only
+  under the ``fsync`` policy);
+* ``rename`` (``"src -> dst"``), ``truncate`` (to ``offset``),
+  ``unlink``.
+
+Five operations are pinned exactly: a commit, a checkpoint, a recorded
+checkpoint image, a sharded store's creation, and a follower's
+bootstrap, catch-up and local seal.  Unlike ``test_wal_fsync.py``, which
+sees fsync targets only, these pin the renames, truncates and unlinks
+too — the input a crash-state enumerator consumes.
+"""
+
+from __future__ import annotations
+
+import os
+
+import pytest
+
+from repro import WBox
+from repro.config import TINY_CONFIG
+from repro.persist import attach_scheme_to_backend, create_sharded_backends
+from repro.repl import Follower, checkpoint_service
+from repro.storage import BlockStore, FileBackend, default_page_bytes
+from repro.storage.disk import Disk
+
+from .test_replication import Primary
+
+PRIMITIVES = ("open", "put", "sync", "sync_raw", "sync_dir", "rename", "truncate", "remove")
+
+
+class RecordingDisk:
+    """Wraps every :class:`Disk` primitive, on every instance in the
+    process, to log what it does before doing it."""
+
+    def __init__(self, monkeypatch: pytest.MonkeyPatch, root) -> None:
+        self.root = str(root)
+        self.ops: list[tuple] = []
+        for name in PRIMITIVES:
+            wrapped = self._wrap(getattr(self, "_" + name), getattr(Disk, name))
+            monkeypatch.setattr(Disk, name, wrapped)
+
+    @staticmethod
+    def _wrap(log, real):
+        def primitive(disk, *args):
+            log(disk, *args)
+            return real(disk, *args)
+
+        return primitive
+
+    def take(self, prefix: str = "") -> list[tuple]:
+        """The ops logged since the last ``take`` on paths under ``prefix``."""
+        ops, self.ops = self.ops, []
+        return [op for op in ops if op[1].startswith(prefix)]
+
+    def _rel(self, path: str) -> str:
+        return os.path.relpath(path, self.root)
+
+    def _open(self, disk, path, mode):
+        self.ops.append(("create" if "w" in mode else "open", self._rel(path), None, None))
+
+    def _put(self, disk, handle, data):
+        self.ops.append(("write", self._rel(handle.name), handle.tell(), len(data)))
+
+    def _sync(self, disk, handle):
+        if disk.fsync:
+            self.ops.append(("fsync", self._rel(handle.name), None, None))
+
+    _sync_raw = _sync
+
+    def _sync_dir(self, disk, dirpath):
+        if disk.fsync:
+            self.ops.append(("fsync_dir", self._rel(dirpath or "."), None, None))
+
+    def _rename(self, disk, src, dst):
+        self.ops.append(("rename", f"{self._rel(src)} -> {self._rel(dst)}", None, None))
+
+    def _truncate(self, disk, handle, size):
+        self.ops.append(("truncate", self._rel(handle.name), size, None))
+
+    def _remove(self, disk, path):
+        self.ops.append(("unlink", self._rel(path), None, None))
+
+
+def make_scheme(tmp_path):
+    backend = FileBackend(
+        str(tmp_path / "t.pages"), page_bytes=default_page_bytes(TINY_CONFIG), fsync=True
+    )
+    scheme = WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))
+    attach_scheme_to_backend(scheme)
+    lids = scheme.bulk_load(8, [i ^ 1 for i in range(8)])
+    return scheme, backend, lids
+
+
+def replaced(path, size, synced=True):
+    """The trace of one atomic replace of ``path`` with ``size`` bytes."""
+    tmp = path + ".tmp"
+    directory = os.path.dirname(path) or "."
+    return [
+        ("create", tmp, None, None),
+        ("write", tmp, 0, size),
+        *([("fsync", tmp, None, None)] if synced else []),
+        ("rename", f"{tmp} -> {path}", None, None),
+        *([("fsync_dir", directory, None, None)] if synced else []),
+    ]
+
+
+def test_commit_is_log_writes_and_one_fsync(tmp_path, monkeypatch):
+    scheme, backend, lids = make_scheme(tmp_path)
+    disk = RecordingDisk(monkeypatch, tmp_path)
+    scheme.insert_before(lids[3])
+    assert disk.take() == [
+        ("write", "t.pages.wal", 118, 16),  # PUT records...
+        ("write", "t.pages.wal", 134, 21),
+        ("write", "t.pages.wal", 155, 17),
+        ("write", "t.pages.wal", 172, 23),  # DELTA
+        ("write", "t.pages.wal", 195, 9),  # COMMIT
+        ("fsync", "t.pages.wal", None, None),
+    ]
+    backend.close()
+
+
+def test_checkpoint_forces_then_seals_then_retains(tmp_path, monkeypatch):
+    scheme, backend, lids = make_scheme(tmp_path)
+    scheme.insert_before(lids[3])
+    disk = RecordingDisk(monkeypatch, tmp_path)
+    assert backend.checkpoint() == 2
+    assert disk.take() == [
+        ("write", "t.pages.wal", 204, 480),  # ABSOLUTE
+        ("write", "t.pages.wal", 684, 9),  # COMMIT
+        ("fsync", "t.pages.wal", None, None),
+        ("write", "t.pages", 4096, 14),  # pages...
+        ("write", "t.pages", 4438, 22),
+        ("write", "t.pages", 4780, 13),
+        ("write", "t.pages", 5122, 19),
+        ("write", "t.pages", 5464, 15),
+        ("write", "t.pages", 5806, 475),  # directory
+        ("write", "t.pages", 8, 20),  # header
+        ("fsync", "t.pages", None, None),  # the barrier
+        ("open", "t.pages.wal", None, None),  # the seal
+        ("fsync", "t.pages.wal", None, None),
+        ("rename", "t.pages.wal -> t.pages.seg-000002.wal", None, None),
+        ("fsync_dir", ".", None, None),
+        *replaced("t.pages.walseg.json", 79),  # retention: manifest first...
+        ("unlink", "t.pages.seg-000002.wal", None, None),  # ...then the deletes
+    ]
+    backend.close()
+
+
+def test_checkpoint_image_is_one_atomic_copy(tmp_path, monkeypatch):
+    scheme, backend, lids = make_scheme(tmp_path)
+    assert backend.checkpoint() == 2
+    disk = RecordingDisk(monkeypatch, tmp_path)
+    record = backend.record_checkpoint_image()
+    assert record["bytes"] == os.path.getsize(tmp_path / "t.pages")
+    assert disk.take() == [
+        *replaced("t.pages.ckpt-000003", record["bytes"]),
+        *replaced("t.pages.walseg.json", 172),
+    ]
+    backend.close()
+
+
+def test_sharded_store_writes_its_manifest_before_any_shard(tmp_path, monkeypatch):
+    disk = RecordingDisk(monkeypatch, tmp_path)
+    backends = create_sharded_backends(str(tmp_path / "store"), 2, fsync=True)
+    shard = [
+        [
+            ("create", page, None, None),
+            ("write", page, 0, 8),  # magic
+            ("write", page, 4096, 14),  # empty directory
+            ("write", page, 8, 20),  # header
+            ("fsync", page, None, None),
+        ]
+        for page in ("store/shard-000.pages", "store/shard-001.pages")
+    ]
+    assert disk.take() == replaced("store/SHARDS.json", 83) + shard[0] + shard[1]
+    for backend in backends:
+        backend.close()
+
+
+def test_follower_bootstrap_catch_up_and_seal(tmp_path, monkeypatch):
+    """A follower (no fsync) downloads the image as one atomic replace,
+    mirrors shipped bytes into its live log through its ``WALWriter``
+    (the segment's magic comes with them), writes back on the primary's
+    checkpoint record, and seals and retains like a primary."""
+    primary = Primary(tmp_path)
+    try:
+        disk = RecordingDisk(monkeypatch, tmp_path)
+        with Follower("127.0.0.1", primary.port, str(tmp_path / "f")).connect() as follower:
+            page, wal = "f/shard-000.pages", "f/shard-000.pages.wal"
+            image = os.path.getsize(tmp_path / page)
+            assert disk.take("f/") == [
+                *replaced("f/SHARDS.json", 83, synced=False),
+                *replaced(page, image, synced=False),
+                *replaced("f/shard-000.pages.walseg.json", 79, synced=False),
+                ("open", page, None, None),
+            ]
+            primary.insert(primary.lids[3])
+            follower.catch_up()
+            assert disk.take("f/") == [
+                ("open", wal, None, None),
+                ("write", wal, 0, 144),  # magic + the primary's commit
+            ]
+            checkpoint_service(primary.service)
+            follower.catch_up()
+            assert disk.take("f/") == [
+                ("write", wal, 144, 498),  # the primary's ABSOLUTE record
+                ("write", page, 4096, 13),  # write-back: pages...
+                ("write", page, 4438, 22),
+                ("write", page, 6490, 31),
+                ("write", page, 6832, 15),
+                ("write", page, 7174, 13),
+                ("write", page, 7516, 484),  # directory
+                ("write", page, 8, 20),  # header
+                ("open", wal, None, None),  # local seal
+                ("rename", f"{wal} -> f/shard-000.pages.seg-000003.wal", None, None),
+                *replaced("f/shard-000.pages.walseg.json", 79, synced=False),
+                ("unlink", "f/shard-000.pages.seg-000003.wal", None, None),
+            ]
+    finally:
+        primary.close()

@@ -21,6 +21,13 @@ walking ``src/repro`` with ``ast``:
   ``obs/metrics.py`` keeps a live-instance set or registers a collector.
 * **How a manifest reaches disk** belongs to ``write_json_atomic``: no
   other function calls ``json.dump``.
+* **Every durable effect on a file** — opening it for writing, fsync,
+  rename, truncate, unlink, copy — belongs to the file-system boundary,
+  ``Disk`` in ``repro/storage/disk.py``.  No other module calls
+  ``os.fsync`` / ``os.replace`` / ``os.rename`` / ``os.remove`` /
+  ``os.unlink`` / ``shutil.copy*``, calls ``.truncate(`` on anything
+  but a disk, or calls ``open(`` with a mode that writes, except the one
+  simulator named in ``BOUNDARY_EXCEPTIONS``.
 * **What a single-element edit checks** belongs to
   ``LabeledDocument.apply_edits``: ``insert_before``, ``append_child``
   and ``delete_element`` are one-edit calls to it and never reach the
@@ -46,6 +53,14 @@ from repro.storage.blockstore import BlockStore
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 ACTED_ON_KINDS = {"LATENCY", "IO_ERROR", "FSYNC_FAIL", "WRITER_CRASH"}
 FIRE_CALLERS = {"faults/plan.py", "faults/chaos.py"}
+BOUNDARY = "storage/disk.py"
+#: Functions outside the boundary that may write a file, and why.
+BOUNDARY_EXCEPTIONS = {
+    ("faults/chaos.py", "_torn_append"): (
+        "fakes the torn tail a kill leaves; a simulated crash, not a durable write"
+    ),
+}
+FS_CALLS = {"os.fsync", "os.replace", "os.rename", "os.remove", "os.unlink"}
 ROUTER = "service/router.py"
 REMOVED_NAMES = (
     "apply_simple_action",
@@ -69,6 +84,11 @@ REMOVED_NAMES = (
     "collect_io_samples",
     "_LIVE_STATS",
     "add_default_collector",
+    "_sync_raw",
+    "_sync_dir",
+    "_raw_write_at",
+    "_persist(",
+    "_trim_local",
 )
 COUNTER_METHODS = {"add", "reset", "snapshot"}
 METRICS = "obs/metrics.py"
@@ -200,6 +220,53 @@ def _json_writer_violations() -> list[str]:
     return found
 
 
+def _writes_a_file(call: ast.Call) -> bool:
+    """Whether a builtin ``open(`` call's mode writes (or is not a literal)."""
+    if ast.unparse(call.func) != "open":
+        return False
+    mode = call.args[1] if len(call.args) > 1 else next(
+        (kw.value for kw in call.keywords if kw.arg == "mode"), ast.Constant("r")
+    )
+    return not isinstance(mode, ast.Constant) or any(c in mode.value for c in "wax+")
+
+
+def _file_system_violations() -> list[str]:
+    found = []
+    for rel, _text, tree in _modules():
+        if rel == BOUNDARY:
+            continue
+        exempt = [
+            (f.lineno, f.end_lineno)
+            for f in ast.walk(tree)
+            if isinstance(f, ast.FunctionDef) and (rel, f.name) in BOUNDARY_EXCEPTIONS
+        ]
+        for node in ast.walk(tree):
+            where = f"{rel}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.ImportFrom) and node.module in ("os", "shutil"):
+                found += [
+                    f"{where} imports {alias.name}"
+                    for alias in node.names
+                    if f"os.{alias.name}" in FS_CALLS or alias.name.startswith("copy")
+                ]
+            if not isinstance(node, ast.Call) or any(
+                lo <= node.lineno <= hi for lo, hi in exempt
+            ):
+                continue
+            name = ast.unparse(node.func)
+            if (
+                name in FS_CALLS
+                or name.startswith("shutil.copy")
+                or (
+                    isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "truncate"
+                    and not ast.unparse(node.func.value).endswith("disk")
+                )
+                or _writes_a_file(node)
+            ):
+                found.append(f"{where} calls {ast.unparse(node)} outside the Disk")
+    return found
+
+
 def _single_edit_violations() -> list[str]:
     tree = ast.parse((SRC / "core" / "document.py").read_text(encoding="utf-8"))
     (document,) = [
@@ -260,6 +327,10 @@ def test_only_the_metrics_module_collects_live_instances():
 
 def test_one_json_manifest_writer():
     assert _json_writer_violations() == []
+
+
+def test_one_file_system_boundary():
+    assert _file_system_violations() == []
 
 
 def test_single_element_edits_go_through_apply_edits():

@@ -15,12 +15,15 @@ zero exactly when the follower is caught up.
 
 from __future__ import annotations
 
+import dataclasses
+import os
 import threading
 
 import pytest
 
 from repro import TINY_CONFIG, BatchOp, NaiveScheme, WBox
 from repro.errors import ReplicationError, ServiceDegradedError
+from repro.net import protocol as proto
 from repro.net.client import NetClient
 from repro.persist import attach_scheme_to_backend, create_sharded_backends
 from repro.repl import (
@@ -30,7 +33,7 @@ from repro.repl import (
     rotate_service_wal,
 )
 from repro.service import ShardedLabelService, bulk_load_sharded
-from repro.storage import BlockStore, FileBackend, default_page_bytes
+from repro.storage import MANIFEST_NAME, BlockStore, FileBackend, default_page_bytes
 
 
 class Primary:
@@ -326,3 +329,28 @@ class TestFatalReplicationErrors:
             assert not alive
             assert isinstance(f.last_error, ReplicationError)
             assert redials == []
+
+
+class TestBootstrapDownload:
+    def test_short_image_read_leaves_no_temp_file(self, primary, tmp_path, monkeypatch):
+        """A primary that reports a longer image than it sends fails the
+        bootstrap with a typed error, and the download is one atomic
+        replace: no page file and no temp file are left behind, only the
+        shard manifest ``connect`` wrote first."""
+        real = NetClient.repl_fetch
+
+        def short(self, shard, kind, segment, offset=0, **options):
+            chunk = real(self, shard, kind, segment, offset=offset, **options)
+            if kind != proto.REPL_FETCH_IMAGE:
+                return chunk
+            return dataclasses.replace(chunk, data=chunk.data[: max(0, chunk.total // 2 - offset)])
+
+        monkeypatch.setattr(NetClient, "repl_fetch", short)
+        root = tmp_path / "f"
+        follower = Follower("127.0.0.1", primary.port, str(root))
+        try:
+            with pytest.raises(ReplicationError, match="short image read"):
+                follower.connect()
+        finally:
+            follower.close()
+        assert os.listdir(root) == [MANIFEST_NAME]

@@ -14,6 +14,7 @@ the horizon and refused below it.
 
 from __future__ import annotations
 
+import errno
 import os
 import random
 
@@ -221,3 +222,33 @@ def test_pitr_inside_the_horizon_only(tmp_path):
     for upto in range(1, oldest - 1):
         with pytest.raises(PersistError, match="no checkpoint image"):
             restore_to_checkpoint(path, str(tmp_path / "gone.pages"), upto_segment=upto)
+
+
+def test_failed_image_copy_leaves_no_temp_file(tmp_path, monkeypatch):
+    """A checkpoint image whose copy fails partway (here the disk is
+    full when the copy is synced) is one atomic replace: the temp file
+    is removed — retention would never match its name — the manifest is
+    as it was, and the error propagates as the ``OSError`` it is."""
+    path = str(tmp_path / "t.pages")
+    backend = FileBackend(path, page_bytes=default_page_bytes(TINY_CONFIG), fsync=True)
+    scheme = WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))
+    attach_scheme_to_backend(scheme)
+    scheme.bulk_load(24, [i ^ 1 for i in range(24)])
+    backend.checkpoint()
+    listing = sorted(os.listdir(tmp_path))
+    with open(manifest_path(path), "rb") as handle:
+        manifest = handle.read()
+
+    def disk_full(fd):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "fsync", disk_full)
+    with pytest.raises(OSError) as caught:
+        backend.record_checkpoint_image()
+    monkeypatch.undo()
+    assert caught.value.errno == errno.ENOSPC
+    assert sorted(os.listdir(tmp_path)) == listing
+    with open(manifest_path(path), "rb") as handle:
+        assert handle.read() == manifest
+    assert backend.wal_manifest["checkpoints"] == []
+    backend.close()

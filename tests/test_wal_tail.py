@@ -20,6 +20,7 @@ import pytest
 from repro.errors import WALError
 from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
 from repro.storage.codec import uvarint_bytes
+from repro.storage.disk import Disk
 from repro.storage.wal import (
     _HEADER,
     MAGIC,
@@ -42,13 +43,9 @@ def fresh_registry():
         set_registry(previous)
 
 
-def _raw_write(handle, data: bytes) -> None:
-    handle.write(data)
-
-
 def write_transactions(path, count=2):
     """Append ``count`` committed transactions and return the writer."""
-    writer = WALWriter(str(path), _raw_write)
+    writer = WALWriter(str(path), Disk(fsync=False))
     for index in range(count):
         writer.append_transaction(
             {index * 2: b"A" * 40, index * 2 + 1: b"B" * 40},
@@ -79,7 +76,7 @@ def test_mid_record_truncation_keeps_committed_prefix(tmp_path, cut, fresh_regis
     path = tmp_path / "torn.wal"
     write_transactions(path, count=1)
     boundary = path.stat().st_size
-    write_transactions_path = WALWriter(str(path), _raw_write)
+    write_transactions_path = WALWriter(str(path), Disk(fsync=False))
     write_transactions_path.append_transaction({9: b"C" * 40}, uvarint_bytes(2))
     write_transactions_path.close()
     data = path.read_bytes()
