@@ -14,16 +14,24 @@ Connection model
   pinned epoch vector; a ``Refresh`` frame advances the pin and returns
   the new epoch numbers.  Sessions are not thread-safe, which
   dovetails with the ordering contract below.
-* **A burst at a time, in per-connection order.**  The read loop appends
-  every admitted frame of a received chunk to the connection's FIFO; one
-  drain task per connection hands the longest run of queued requests to
-  a ``net-worker`` thread as one job — executed in order against the
-  pinned session, replies encoded there — and answers it with one
-  ``write``.  One run in flight per connection keeps replies in request
-  order and the session on one thread at a time.  ``Submit`` (fsync),
-  ``Query`` (view rebuild) and ``ReplFetch`` (file read) can wait on
-  something other than CPU, so each is a run of one: a read's reply
-  never waits behind a later write of the same burst.
+* **Reads on the loop, waits on a worker, in per-connection order.**
+  The read loop appends every admitted frame of a received chunk to the
+  connection's FIFO, then answers its head in place: while the head is a
+  read frame (anything but ``Submit``, ``Query`` and ``ReplFetch``) and
+  every shard latch can be taken shared without waiting
+  (:meth:`~repro.storage.blockstore.ReaderWriterLatch.try_acquire_shared`),
+  the frame runs on the loop thread holding those latches — a cache hit
+  costs no thread hop, and a first-touch fallthrough re-enters the latch
+  it already holds — and the replies of the whole run go out in one
+  ``write``.  The first frame that would wait — one of the three above
+  (fsync, view rebuild, file read), or a read while a writer is active or
+  waiting — starts the connection's one drain task, which hands the
+  longest run of queued requests to a ``net-worker`` thread as one job
+  (encoded replies back, one ``write``) and, after each job, answers
+  inline again.  While a job is out nothing of the connection runs
+  inline, so replies keep request order and the session is on one thread
+  at a time; ``Submit``, ``Query`` and ``ReplFetch`` are each a run of
+  one, so a read's reply never waits behind a later write of the burst.
 * **Admission control.**  A server-wide in-flight cap bounds the work
   backlog.  When a request arrives above the cap it is *shed at the
   door*: the read loop immediately answers with a typed ``OVERLOADED``
@@ -43,9 +51,9 @@ Connection model
   are untouched.
 
 Tracing: each request runs inside a ``net.request`` span opened on the
-worker thread, so the service's apply spans — carried across the writer
-thread hop by ``Tracer.attach`` — land under it and the finished tree is
-a single client-to-commit trace per request.
+thread that executes it, so the service's apply spans — carried across
+the writer thread hop by ``Tracer.attach`` — land under it and the
+finished tree is a single client-to-commit trace per request.
 """
 
 from __future__ import annotations
@@ -56,9 +64,12 @@ import queue
 import threading
 from collections import deque
 from contextlib import suppress
+from itertools import takewhile
+from operator import methodcaller
 from typing import Any, Callable
 
 from ..core.batch import BatchRef
+from ..core.cachelog import ORDINAL_CHANNEL
 from ..errors import (
     BackpressureTimeout,
     ProtocolError,
@@ -118,7 +129,8 @@ QUERY_CHUNK_CAP = 8192
 #: Worker threads running the blocking service calls.
 MAX_WORKERS = 8
 
-#: Requests that can wait on something other than CPU; each is a run of one.
+#: Requests that can wait on something other than CPU: each is a run of
+#: one on a worker.  Every other request is a read, answered inline.
 RUNS_ALONE = frozenset({Submit, Query, ReplFetch})
 
 #: Every counter the front end keeps (``NetServer._count``): name -> help.
@@ -203,9 +215,11 @@ class NetServer:
         self.submit_timeout = submit_timeout
         self.catalog = catalog if catalog is not None else ElementCatalog()
         self._jobs: queue.SimpleQueue = queue.SimpleQueue()
+        #: Every latch a read frame may fall through on, tried before it runs inline.
+        self._latches = [shard._latch for shard in service.shards]
         #: The dispatch table: each request frame class is handled by the
         #: method named after it in the schema (``Lookup`` -> ``_lookup``),
-        #: ``(conn, frame) -> [reply, ...]`` on a worker thread.  A
+        #: ``(conn, frame) -> [reply, ...]`` on the loop or a worker.  A
         #: request frame without a handler fails here, at construction.
         self._handlers = {
             row.cls: getattr(self, f"_{row.name}")
@@ -325,14 +339,38 @@ class NetServer:
                 alive = False
             if refused:
                 conn.writer.write(b"".join(map(encode_frame, refused)))
-            if conn.queue and conn.drainer is None:
-                conn.drainer = asyncio.ensure_future(self._drain(conn))
+            if conn.drainer is None:  # else a job is out: the drain task answers next
+                self._answer_inline(conn)
+                if conn.queue:
+                    conn.drainer = asyncio.ensure_future(self._drain(conn))
+
+    def _answer_inline(self, conn: _Connection) -> None:
+        """Run the queue's leading read frames on the loop thread, each
+        under every shard latch taken shared without waiting, and send
+        their replies in one ``write``.  Stops at the first frame that
+        must go to a worker: a run-alone request, or a read a writer
+        holds up (a latch refused)."""
+        wire: list[bytes] = []
+        while conn.queue and type(conn.queue[0]) not in RUNS_ALONE:
+            taken = list(takewhile(methodcaller("try_acquire_shared"), self._latches))
+            try:
+                if len(taken) < len(self._latches):
+                    break
+                wire.append(self._execute(conn, conn.queue.popleft()))
+                self._inflight -= 1
+            finally:
+                for latch in taken:
+                    latch.release_shared()
+        if wire and not conn.writer.is_closing():  # else the peer is gone
+            conn.writer.write(b"".join(wire))
 
     async def _drain(self, conn: _Connection) -> None:
-        """The connection's one drain task: one run at a time, one job
-        and one ``write`` per run.  It never waits on the peer — a slot is
-        released once its reply is computed — so a peer that stops reading
-        (the read loop's problem) pins no server capacity."""
+        """The connection's one drain task, started when the queue's head
+        must go to a worker: one run at a time, one job and one ``write``
+        per run, then whatever can be answered inline.  It never waits on
+        the peer — a slot is released once its reply is computed — so a
+        peer that stops reading (the read loop's problem) pins no server
+        capacity."""
         run: list[Frame] = []
         try:
             while conn.queue and self._server is not None:  # stopped: no worker would take it
@@ -347,13 +385,14 @@ class NetServer:
                 run = []
                 if not conn.writer.is_closing():  # else the peer is gone
                     conn.writer.write(wire)
+                self._answer_inline(conn)
         finally:
             # Shutdown (stopped or cancelled) with requests unanswered: release them.
             self._inflight -= len(run) + len(conn.queue)
             conn.queue.clear()
             conn.drainer = None
 
-    # -- blocking request execution (worker thread) --------------------
+    # -- request execution (loop thread for reads, else a worker) ------
 
     def _work(self) -> None:
         """Body of one ``net-worker`` thread: serve queued runs, handing
@@ -368,7 +407,7 @@ class NetServer:
                 done.get_loop().call_soon_threadsafe(_settle, done, *outcome)
 
     def _execute(self, conn: _Connection, frame: Frame) -> bytes:
-        """Run one request on a worker thread, returning its encoded replies
+        """Run one request, returning its encoded replies
         (one frame; a run of chunks for a query).  Any failure — a reply the
         wire cannot carry included (a label integer past
         MAX_VALUE_VARINT_BYTES, a body past MAX_FRAME_BYTES) — collapses the
@@ -421,8 +460,8 @@ class NetServer:
         return [Values(frame.request_id, tuple(values))]
 
     def _ordinal(self, conn: _Connection, frame: Ordinal) -> list[Frame]:
-        ordinals = tuple(conn.session.ordinal_lookup(lid) for lid in frame.lids)
-        return [Orders(frame.request_id, ordinals)]
+        ordinals = conn.session.lookup_many(list(frame.lids), ORDINAL_CHANNEL)
+        return [Orders(frame.request_id, tuple(ordinals))]
 
     def _compare(self, conn: _Connection, frame: Compare) -> list[Frame]:
         orders = tuple(conn.session.compare(a, b) for a, b in frame.pairs)

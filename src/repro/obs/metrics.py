@@ -193,11 +193,14 @@ class Histogram:
         return out
 
 
-def _adder(kind: str, counters: tuple[str, ...]) -> Callable[[dict, Any], Callable[..., None]]:
+def _adder(
+    kind: str, counters: tuple[str, ...], maxima: tuple[str, ...]
+) -> Callable[[dict, Any], Callable[..., None]]:
     """Generate, once per :class:`CounterSet` subclass, the binder of its
-    ``add``: ``bind(values, lock)`` returns ``add(*, c1=0, c2=0, ...)``
-    taking one keyword per counter and bumping each non-zero one in
-    ``values`` under ``lock`` — code built from ``COUNTERS`` the way
+    ``add``: ``bind(values, lock)`` returns ``add(*, c1=0, ..., m1=0, ...)``
+    taking one keyword per counter and per maximum, bumping each non-zero
+    counter and raising each maximum it exceeds in ``values`` under
+    ``lock`` — code built from the declared names the way
     :mod:`dataclasses` builds ``__init__``, so a bump is one lock and a
     few compares, with no ``**kwargs`` dict or loop.  An undeclared name
     is an unexpected keyword: :class:`TypeError`, before anything is
@@ -205,9 +208,13 @@ def _adder(kind: str, counters: tuple[str, ...]) -> Callable[[dict, Any], Callab
     source = "\n".join(
         [
             "def bind(_values, _lock):",
-            f"    def add(*, {', '.join(f'{name}=0' for name in counters)}):",
+            f"    def add(*, {', '.join(f'{name}=0' for name in counters + maxima)}):",
             "        with _lock:",
             *(f"            if {name}: _values[{name!r}] += {name}" for name in counters),
+            *(
+                f"            if {name} > _values[{name!r}]: _values[{name!r}] = {name}"
+                for name in maxima
+            ),
             f"    add.__qualname__ = {kind + '.add'!r}",
             "    return add",
         ]
@@ -225,10 +232,11 @@ class CounterSet:
     this base owns zeroing, ``add``, :meth:`reset`, consistent copies,
     the ``shard`` tag and publication through :func:`collect_counter_sets`.
     Increments go through ``add(**deltas)``, which atomically bumps any
-    subset of ``COUNTERS`` (an undeclared name, ``MAXIMA`` included, raises
-    :class:`TypeError` before anything is counted): a Python ``+=`` on an
-    attribute is a read-modify-write that can lose updates between threads.
-    ``add`` is generated per class from ``COUNTERS`` and bound per
+    subset of ``COUNTERS`` and raises any of ``MAXIMA`` to a larger sample
+    (an undeclared name raises :class:`TypeError` before anything is
+    counted): a Python ``+=`` on an attribute is a read-modify-write that
+    can lose updates between threads.  ``add`` is generated per class from
+    ``COUNTERS`` and ``MAXIMA`` and bound per
     instance to its values and lock.  Reading one attribute
     (``stats.reads``) stays lock-free, since a stale read of a monotone
     counter is harmless; every copy takes the lock, so the values in it
@@ -241,7 +249,7 @@ class CounterSet:
     PREFIX: ClassVar[str]
     #: The counters :meth:`add` bumps; a group of instances sums them.
     COUNTERS: ClassVar[tuple[str, ...]]
-    #: Running maxima the subclass raises under ``_lock``; a group keeps the largest.
+    #: Running maxima ``add`` raises to the largest sample; a group keeps the largest.
     MAXIMA: ClassVar[tuple[str, ...]] = ()
     #: Counters kept for a derived gauge but exported under no own name.
     UNEXPORTED: ClassVar[tuple[str, ...]] = ()
@@ -262,7 +270,7 @@ class CounterSet:
         cls.Counts = counts
         cls.SNAPSHOT = cls.__dict__.get("SNAPSHOT", counts)
         cls._zeros = dict.fromkeys(names, 0)
-        cls._bind_add = staticmethod(_adder(cls.__qualname__, cls.COUNTERS))
+        cls._bind_add = staticmethod(_adder(cls.__qualname__, cls.COUNTERS, cls.MAXIMA))
         cls._take_all = attrgetter(*names)
         cls._take = attrgetter(*(f.name for f in fields(cls.SNAPSHOT)))
 

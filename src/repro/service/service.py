@@ -610,8 +610,8 @@ class ReaderSession:
 
     # -- internals -----------------------------------------------------
 
-    def _get_consistent(self, lids: Sequence[int]) -> list[Label]:
-        """Labels for several LIDs, all at one pinned epoch.
+    def _get_consistent(self, lids: Sequence[int], channel: str = LABEL_CHANNEL) -> list[Label]:
+        """Values on ``channel`` for several LIDs, all at one pinned epoch.
 
         A fallthrough on any component advances the pin mid-read, which
         would mix labels from two epochs (a torn multi-label read — the
@@ -622,7 +622,7 @@ class ReaderSession:
         counted: set[int] = set()
         while True:
             epoch = self._epoch
-            values = [self._get(lid, LABEL_CHANNEL, counted) for lid in lids]
+            values = [self._get(lid, channel, counted) for lid in lids]
             if self._epoch is epoch:
                 return values
 
@@ -630,7 +630,8 @@ class ReaderSession:
         service = self._service
         epoch = self._epoch
         service._yield("read:begin")
-        service.stats.observe_lag(service._current.number - epoch.number)
+        # The epoch-lag sample rides in the read's one counter bump.
+        lag = service._current.number - epoch.number
         key = (lid, channel)
         ref = self._refs.get(key)
         if ref is None:
@@ -638,17 +639,21 @@ class ReaderSession:
             self._refs[key] = ref
         if ref.value is not None:
             if ref.last_cached >= epoch.snapshot.last_modified:
-                service.stats.add(reads=1, fresh_hits=1)
+                service.stats.add(
+                    reads=1, fresh_hits=1, lag_sum=lag, lag_samples=1, max_epoch_lag=lag
+                )
                 return ref.value
             repaired = epoch.snapshot.replay(ref.value, ref.last_cached, channel)
             if repaired is not None:
                 ref.value = repaired
                 ref.last_cached = epoch.clock
-                service.stats.add(reads=1, replay_hits=1)
+                service.stats.add(
+                    reads=1, replay_hits=1, lag_sum=lag, lag_samples=1, max_epoch_lag=lag
+                )
                 return repaired
-        return self._fallthrough(ref, counted)
+        return self._fallthrough(ref, lag, counted)
 
-    def _fallthrough(self, ref: LabelRef, counted: set[int] | None = None) -> Label:
+    def _fallthrough(self, ref: LabelRef, lag: int, counted: set[int] | None = None) -> Label:
         """Latched BOX read; advances the session pin to the epoch the
         structure state belongs to."""
         service = self._service
@@ -693,10 +698,12 @@ class ReaderSession:
         # A multi-label read retries the whole set when a fallthrough moved
         # the pin, so the same LID can fall through once per retry round.
         # That is one logical read of one label: count it once.  Skipping
-        # the whole add (not just fallthrough_reads) keeps the invariant
-        # reads == fresh_hits + replay_hits + fallthrough_reads.
+        # the whole add (not just fallthrough_reads) keeps the invariants
+        # reads == fresh_hits + replay_hits + fallthrough_reads == lag_samples.
         if counted is None or ref.lid not in counted:
             if counted is not None:
                 counted.add(ref.lid)
-            service.stats.add(reads=1, fallthrough_reads=1)
+            service.stats.add(
+                reads=1, fallthrough_reads=1, lag_sum=lag, lag_samples=1, max_epoch_lag=lag
+            )
         return value

@@ -45,6 +45,7 @@ from functools import partial
 from typing import Any, Callable, Sequence
 
 from ..core.batch import BatchOp, BatchResult
+from ..core.cachelog import LABEL_CHANNEL
 from ..core.interface import Label, LabelingScheme
 from ..errors import CrossShardError, ServiceError
 from .epoch import Epoch, WriteTicket
@@ -449,9 +450,9 @@ class ShardedReaderSession:
             (router.to_local(descendant[0]), router.to_local(descendant[1])),
         )
 
-    def lookup_many(self, glids: Sequence[int]) -> list[Label]:
-        """Labels for several global LIDs, all consistent with the pinned
-        vector at return.
+    def lookup_many(self, glids: Sequence[int], channel: str = LABEL_CHANNEL) -> list[Label]:
+        """Values on ``channel`` (labels by default, or ordinals) for
+        several global LIDs, all consistent with the pinned vector at return.
 
         Each shard's group goes through that session's torn-read-safe
         multi-lookup; then, if any involved component pin moved during the
@@ -469,7 +470,7 @@ class ShardedReaderSession:
             values: dict[int, list[Label]] = {}
             served: dict[int, Epoch] = {}
             for shard in involved:
-                values[shard] = self._sessions[shard]._get_consistent(groups[shard])
+                values[shard] = self._sessions[shard]._get_consistent(groups[shard], channel)
                 served[shard] = self._sessions[shard].epoch
             if all(self._sessions[shard].epoch is served[shard] for shard in involved):
                 break

