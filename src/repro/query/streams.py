@@ -4,8 +4,8 @@ The lookup-heavy counterpart of the update-heavy workloads: descendant /
 following / ancestor(-at-depth) streams evaluated purely from the labels
 of a *catalog* of elements, read through a pinned
 :class:`~repro.service.sharded.ShardedReaderSession` so every stream
-reflects exactly one published epoch vector — lock-free, with the same
-retry-on-pin-movement discipline as ``lookup_many``.
+reflects exactly one published epoch vector: a view is built from one
+``lookup_many``, whose values are all exact at the pins it returns with.
 
 Three layers:
 
@@ -215,11 +215,9 @@ class QueryEngine:
     def view(self) -> EpochView:
         """The current epoch's view, rebuilt only when stale.
 
-        The build is the ``lookup_many`` discipline one level up: snapshot
-        the catalog, read every label through the session's torn-read-safe
-        multi-lookup, and retry the whole round if the pin advanced while
-        it ran (a concurrent fallthrough), so the returned view is exact
-        for the pin at return.  Terminates because pins only advance.
+        Snapshot the catalog and read every label in one ``lookup_many``:
+        its values are exact for the pin at return, so the view is built at
+        that pin.  Only a catalog that moved under a dead LID is retried.
         """
         view = self._view
         if (
@@ -230,7 +228,6 @@ class QueryEngine:
             return view
         while True:
             version, pairs = self.catalog.snapshot()
-            before = self.session.vector.numbers
             lids = [lid for pair in pairs for lid in pair]
             try:
                 labels = self.session.lookup_many(lids)
@@ -243,10 +240,7 @@ class QueryEngine:
                 if self.catalog.version != version:
                     continue
                 raise
-            after = self.session.vector.numbers
-            if after != before:
-                continue
-            self._view = self._build(after, version, pairs, labels)
+            self._view = self._build(self.session.vector.numbers, version, pairs, labels)
             return self._view
 
     def _build(

@@ -21,10 +21,10 @@ snapshot protocol:
   Neither path touches the BOX or takes any lock, so reads run
   concurrently with the writer and with each other.
 * **Fallthrough.**  Only when the log no longer covers a cached value's
-  history (log overflow, or a range invalidation) does a reader fall
-  through to a real BOX lookup, holding the store's latch in shared mode;
-  the session then advances its pin to the epoch the lookup observed, so
-  the session stays consistent with exactly one epoch at all times.
+  history (log overflow, or a range invalidation) does a read fall
+  through to the BOX: every such LID of the read in one shared-latch
+  hold.  The session then advances its pin to the epoch that hold
+  observed, so it stays consistent with exactly one epoch at all times.
 
 Consistency contract: every value a session returns equals the true label
 value at the session's pinned epoch at the moment of the read, and a pin
@@ -551,14 +551,15 @@ class ReaderSession:
     """A pinned-epoch read view over a :class:`LabelService`.
 
     All reads reflect exactly the pinned epoch's state.  The pin advances
-    only via :meth:`refresh` or a fallthrough read (log overflow), and
-    never moves backwards.
+    only via :meth:`refresh` or a read the log cannot serve, and never
+    moves backwards.  :meth:`resolve` is the one read path; every other
+    read is one call to it.
     """
 
     def __init__(self, service: LabelService, epoch: Epoch) -> None:
         self._service = service
         self._epoch = epoch
-        self._refs: dict[tuple[int, str], LabelRef] = {}
+        self._refs: dict[str, dict[int, LabelRef]] = {LABEL_CHANNEL: {}, ORDINAL_CHANNEL: {}}
 
     @property
     def epoch(self) -> Epoch:
@@ -576,20 +577,16 @@ class ReaderSession:
 
     def lookup(self, lid: int) -> Label:
         """The label behind ``lid`` at the pinned epoch."""
-        return self._get(lid, LABEL_CHANNEL)
-
-    def ordinal_lookup(self, lid: int) -> int:
-        """The ordinal label behind ``lid`` at the pinned epoch."""
-        return self._get(lid, ORDINAL_CHANNEL)
+        return self.resolve((lid,))[0]
 
     def lookup_pair(self, start_lid: int, end_lid: int) -> tuple[Label, Label]:
         """(start, end) labels of one element, both at the pinned epoch."""
-        start, end = self._get_consistent((start_lid, end_lid))
+        start, end = self.resolve((start_lid, end_lid))
         return start, end
 
     def compare(self, lid1: int, lid2: int) -> int:
         """Document-order comparison at the pinned epoch: -1, 0, or +1."""
-        label1, label2 = self._get_consistent((lid1, lid2))
+        label1, label2 = self.resolve((lid1, lid2))
         return (label1 > label2) - (label1 < label2)
 
     def is_ancestor(
@@ -601,72 +598,90 @@ class ReaderSession:
         element pairs: ``l<(a) < l<(d)`` and ``l>(d) < l>(a)``."""
         if ancestor == descendant:
             return False
-        a_start, a_end = ancestor
-        d_start, d_end = descendant
-        la_start, ld_start, ld_end, la_end = self._get_consistent(
-            (a_start, d_start, d_end, a_end)
+        a_start, d_start, d_end, a_end = self.resolve(
+            (ancestor[0], descendant[0], descendant[1], ancestor[1])
         )
-        return la_start < ld_start and ld_end < la_end
+        return a_start < d_start and d_end < a_end
+
+    def resolve(self, lids: Sequence[int], channel: str = LABEL_CHANNEL) -> list[Label]:
+        """Values on ``channel`` for ``lids``, all exact at the pin held at
+        return: Section 6's read over a set of references.
+
+        One lock-free pass serves each LID from its ref, fresh or replayed
+        over the pinned snapshot.  The LIDs the log cannot bridge are read
+        from the BOX under one shared-latch hold, which advances the pin;
+        a second pass at the new pin brings the others forward.  Only a
+        miss there (the log overflowed between the two pins) goes round
+        again; pins only advance, so this ends.  Each LID counts once, in
+        one ``add``, by how the first pass served it.
+        """
+        service = self._service
+        refs = self._refs[channel]
+        epoch = self._epoch
+        lag = service._current.number - epoch.number
+        hook = service._yield
+        fell = replayed = 0
+        while True:
+            snapshot = epoch.snapshot
+            last_modified = snapshot.last_modified
+            values: list[Label] = []
+            missed: list[LabelRef] | None = None
+            for lid in lids:
+                hook("read:begin")
+                ref = refs.get(lid)
+                if ref is None:
+                    ref = refs[lid] = LabelRef(lid, channel=channel)
+                value = ref.value
+                if value is not None:
+                    if ref.last_cached >= last_modified:
+                        values.append(value)
+                        continue
+                    value = snapshot.replay(value, ref.last_cached, channel)
+                    if value is not None:
+                        ref.value = value
+                        ref.last_cached = epoch.clock
+                        replayed += 1
+                        values.append(value)
+                        continue
+                missed = missed or []
+                missed.append(ref)
+            if missed is None:
+                break
+            if not fell:
+                fell, first_replayed = len(missed), replayed
+            epoch = self._read_through(missed, channel)
+            # Later passes run at a pin only this call moved: nothing a
+            # preemption there could interleave changes what they return.
+            hook = _noop_yield
+        if fell:
+            replayed = first_replayed
+        reads = len(lids)
+        service.stats.add(
+            reads=reads, fresh_hits=reads - replayed - fell, replay_hits=replayed,
+            fallthrough_reads=fell, lag_sum=lag * reads, lag_samples=reads, max_epoch_lag=lag,
+        )
+        return values
 
     # -- internals -----------------------------------------------------
 
-    def _get_consistent(self, lids: Sequence[int], channel: str = LABEL_CHANNEL) -> list[Label]:
-        """Values on ``channel`` for several LIDs, all at one pinned epoch.
-
-        A fallthrough on any component advances the pin mid-read, which
-        would mix labels from two epochs (a torn multi-label read — the
-        interleaving harness catches exactly this).  Retry the whole set
-        whenever the pin moved; terminates because the pin only ever
-        advances, and each retry starts from the newest pin.
-        """
-        counted: set[int] = set()
-        while True:
-            epoch = self._epoch
-            values = [self._get(lid, channel, counted) for lid in lids]
-            if self._epoch is epoch:
-                return values
-
-    def _get(self, lid: int, channel: str, counted: set[int] | None = None) -> Label:
-        service = self._service
-        epoch = self._epoch
-        service._yield("read:begin")
-        # The epoch-lag sample rides in the read's one counter bump.
-        lag = service._current.number - epoch.number
-        key = (lid, channel)
-        ref = self._refs.get(key)
-        if ref is None:
-            ref = LabelRef(lid, channel=channel)
-            self._refs[key] = ref
-        if ref.value is not None:
-            if ref.last_cached >= epoch.snapshot.last_modified:
-                service.stats.add(
-                    reads=1, fresh_hits=1, lag_sum=lag, lag_samples=1, max_epoch_lag=lag
-                )
-                return ref.value
-            repaired = epoch.snapshot.replay(ref.value, ref.last_cached, channel)
-            if repaired is not None:
-                ref.value = repaired
-                ref.last_cached = epoch.clock
-                service.stats.add(
-                    reads=1, replay_hits=1, lag_sum=lag, lag_samples=1, max_epoch_lag=lag
-                )
-                return repaired
-        return self._fallthrough(ref, lag, counted)
-
-    def _fallthrough(self, ref: LabelRef, lag: int, counted: set[int] | None = None) -> Label:
-        """Latched BOX read; advances the session pin to the epoch the
-        structure state belongs to."""
+    def _refuse_if_degraded(self) -> None:
+        """Degraded mode: the structure may hold an unpublished (even
+        half-applied) group from the writer's death.  Cached reads stay
+        correct; a BOX read could observe the torn state: refused, typed."""
         service = self._service
         if service._degraded_reason is not None:
-            # Degraded mode: the structure may hold an unpublished (even
-            # half-applied) group from the writer's death.  Reads served
-            # from pinned-epoch caches stay correct; a live BOX read could
-            # observe the torn state, so it is refused, typed.
             service.stats.add(degraded_read_rejects=1)
             raise ServiceDegradedError(
                 f"read needs a BOX fallthrough but the service is degraded: "
                 f"{service._degraded_reason}"
             )
+
+    def _read_through(self, missed: list[LabelRef], channel: str) -> Epoch:
+        """Read ``missed`` from the BOX under one shared-latch hold and
+        advance the pin to the epoch that structure state belongs to."""
+        service = self._service
+        pending = {ref.lid: ref for ref in missed}  # a LID named twice is read once
+        self._refuse_if_degraded()
         service._yield("read:fallthrough")
         latch = service._latch
         latch.acquire_shared()
@@ -675,35 +690,19 @@ class ReaderSession:
             # the writer died acquires only after the dying group's commit
             # released exclusive — by which point the flag is set (the
             # writer degrades before releasing), so it cannot slip through.
-            if service._degraded_reason is not None:
-                service.stats.add(degraded_read_rejects=1)
-                raise ServiceDegradedError(
-                    f"read needs a BOX fallthrough but the service is "
-                    f"degraded: {service._degraded_reason}"
-                )
+            self._refuse_if_degraded()
             # Holding the shared latch excludes the writer's wake-ups,
             # so the structure state and the published epoch agree.
             current = service._current
-            if ref.channel == ORDINAL_CHANNEL:
-                value = service.scheme.ordinal_lookup(ref.lid)
-            else:
-                value = service.scheme.lookup(ref.lid)
-            clock = service.scheme.clock
+            scheme = service.scheme
+            read = scheme.ordinal_lookup if channel == ORDINAL_CHANNEL else scheme.lookup
+            values = [read(lid) for lid in pending]
+            clock = scheme.clock
         finally:
             latch.release_shared()
         if current.number > self._epoch.number:
             self._epoch = current
-        ref.value = value
-        ref.last_cached = clock
-        # A multi-label read retries the whole set when a fallthrough moved
-        # the pin, so the same LID can fall through once per retry round.
-        # That is one logical read of one label: count it once.  Skipping
-        # the whole add (not just fallthrough_reads) keeps the invariants
-        # reads == fresh_hits + replay_hits + fallthrough_reads == lag_samples.
-        if counted is None or ref.lid not in counted:
-            if counted is not None:
-                counted.add(ref.lid)
-            service.stats.add(
-                reads=1, fallthrough_reads=1, lag_sum=lag, lag_samples=1, max_epoch_lag=lag
-            )
-        return value
+        for ref, value in zip(pending.values(), values):
+            ref.value = value
+            ref.last_cached = clock
+        return self._epoch

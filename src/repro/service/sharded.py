@@ -15,14 +15,13 @@ LIDs.
 Snapshot consistency generalizes from one epoch to an **epoch vector**:
 each shard publishes epochs independently (under its own exclusive
 latch), and a :class:`ShardedReaderSession` pins one
-:class:`~repro.service.epoch.Epoch` per shard.  Single-shard reads are
-exactly today's pinned-epoch protocol on that shard.  Multi-label reads
-spanning shards (:meth:`ShardedReaderSession.lookup_many`) run each
-shard's group through the per-shard torn-read retry, then retry the whole
-round if any involved component of the vector moved mid-read — the same
-pin-only-advances argument that makes the single-epoch retry terminate
-applies per component, so the cross-shard read returns values that all
-match the session's pinned vector at return.
+:class:`~repro.service.epoch.Epoch` per shard.  Every read is
+one :meth:`~repro.service.service.ReaderSession.resolve` per involved
+shard: multi-label reads spanning shards
+(:meth:`ShardedReaderSession.lookup_many`) resolve each shard's group
+once.  A shard's pin moves only inside its own ``resolve``, and every
+value that call returns is exact at the pin it holds at return, so the
+cross-shard read matches the session's pinned vector with no retry.
 
 The shard partition follows contiguous document-order chunks (see
 :class:`~repro.service.router.ShardRouter`), so cross-shard ``compare``
@@ -381,6 +380,9 @@ class ShardedReaderSession:
         #: document-order sort key query streams use).
         self.router = service.router
         self._sessions = [shard.session() for shard in service.shards]
+        #: The one session when N == 1, where the global-LID codec is the
+        #: identity and a read skips routing.
+        self._only = self._sessions[0] if len(self._sessions) == 1 else None
 
     @property
     def vector(self) -> EpochVector:
@@ -396,12 +398,10 @@ class ShardedReaderSession:
     # -- reads ---------------------------------------------------------
 
     def lookup(self, glid: int) -> Label:
+        if self._only is not None:
+            return self._only.resolve((glid,))[0]
         router = self.router
-        return self._sessions[router.shard_of(glid)].lookup(router.to_local(glid))
-
-    def ordinal_lookup(self, glid: int) -> int:
-        router = self.router
-        return self._sessions[router.shard_of(glid)].ordinal_lookup(router.to_local(glid))
+        return self._sessions[router.shard_of(glid)].resolve((router.to_local(glid),))[0]
 
     def lookup_pair(self, start_glid: int, end_glid: int) -> tuple[Label, Label]:
         """(start, end) labels of one element.  An element lives entirely
@@ -452,27 +452,16 @@ class ShardedReaderSession:
 
     def lookup_many(self, glids: Sequence[int], channel: str = LABEL_CHANNEL) -> list[Label]:
         """Values on ``channel`` (labels by default, or ordinals) for
-        several global LIDs, all consistent with the pinned vector at return.
-
-        Each shard's group goes through that session's torn-read-safe
-        multi-lookup; then, if any involved component pin moved during the
-        round (a fallthrough advanced it after its group was served), the
-        whole round retries from the new vector — the epoch-vector
-        generalization of the single-epoch ``_get_consistent`` retry.
-        Terminates because every component pin only ever advances.
-        """
+        several global LIDs, all consistent with the pinned vector at
+        return: one ``resolve`` per involved shard."""
+        if self._only is not None:
+            return self._only.resolve(glids, channel)
         router = self.router
         groups: dict[int, list[int]] = {}
         for glid in glids:
             groups.setdefault(router.shard_of(glid), []).append(router.to_local(glid))
-        involved = sorted(groups)
-        while True:
-            values: dict[int, list[Label]] = {}
-            served: dict[int, Epoch] = {}
-            for shard in involved:
-                values[shard] = self._sessions[shard]._get_consistent(groups[shard], channel)
-                served[shard] = self._sessions[shard].epoch
-            if all(self._sessions[shard].epoch is served[shard] for shard in involved):
-                break
-        iters = {shard: iter(shard_values) for shard, shard_values in values.items()}
-        return [next(iters[router.shard_of(glid)]) for glid in glids]
+        values = {
+            shard: iter(self._sessions[shard].resolve(group, channel))
+            for shard, group in groups.items()
+        }
+        return [next(values[router.shard_of(glid)]) for glid in glids]

@@ -69,11 +69,6 @@ class ServiceStats(CounterSet):
             "epoch_lag_max": counts.max_epoch_lag,
         }
 
-    def observe_lag(self, lag: int) -> None:
-        """Record one epoch-lag sample (published epoch - pinned epoch)
-        on its own; a session read folds its sample into its one ``add``."""
-        self.add(lag_sum=lag, lag_samples=1, max_epoch_lag=lag)
-
     @property
     def repair_hit_ratio(self) -> float:
         """:attr:`Counts.repair_hit_ratio` now, from one locked copy, so

@@ -1,20 +1,20 @@
-"""Fallthrough accounting under multi-label-read retries (satellite fix).
+"""Fallthrough accounting for multi-label reads.
 
-:meth:`ReaderSession._get_consistent` retries the whole LID set whenever a
-fallthrough advanced the session pin mid-read.  Each retry round can force
-the *same* LID through the latched BOX path again — that is one logical
-read of one label, and must be counted once in
-``ServiceStats.fallthrough_reads`` (and once in ``reads``), not once per
-round.  The regression here drives the retry loop deterministically: the
-service's yield hook applies a write batch inline at the first N
-``read:begin`` points, so every interleaving decision is scripted on one
-thread — no scheduler, no timing.
+:meth:`ReaderSession.resolve` serves a LID set in one pass at the pin,
+reads every LID the log cannot bridge from the BOX under one shared-latch
+hold (which advances the pin), and brings the rest forward in a second
+pass at the new pin.  Each LID is one logical read of one label: counted
+once in ``ServiceStats.fallthrough_reads`` (and once in ``reads``),
+however many passes the call made.  The regression here scripts the
+writes deterministically: the service's yield hook applies a write batch
+inline at the first N ``read:begin`` points, all on one thread — no
+scheduler, no timing.
 
 With ``log_capacity=1`` and two-op write batches, every batch drops
 history beyond what replay can bridge, so a session whose pin lags always
-falls through.  A ``lookup_pair`` then runs three rounds (two writes land
-during round one, a third during round two) and the un-fixed accounting
-counts 4 fallthroughs for 2 labels; the fixed accounting counts 2.
+falls through.  A ``lookup_pair`` whose first pass sees a write land
+before each of its two cold labels reads both from the BOX in one latch
+hold, at the newest epoch, and counts 2 fallthroughs for 2 labels.
 """
 
 from __future__ import annotations
@@ -71,8 +71,7 @@ def test_lookup_pair_retry_counts_each_label_once():
         assert pair == scheme.lookup_pair(start_lid, end_lid)
 
         counters = service.stats.snapshot()
-        # Two labels were read; each fell through in round one and at
-        # least once more in a retry round.  Counted once each.
+        # Two labels were read, both from the BOX: counted once each.
         assert counters.fallthrough_reads == 2, counters
         assert counters.reads == (
             counters.fresh_hits + counters.replay_hits + counters.fallthrough_reads

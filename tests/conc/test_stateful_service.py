@@ -92,8 +92,8 @@ class ServiceMachine(RuleBasedStateMachine):
         # Freed LIDs must never be read again (the LID may be recycled),
         # so clients — here, the machine — drop their refs on delete.
         for session in self.sessions:
-            session._refs.pop((start, "label"), None)
-            session._refs.pop((end, "label"), None)
+            session._refs["label"].pop(start, None)
+            session._refs["label"].pop(end, None)
         self.service.apply_ops_sync([BatchOp("delete_element", (start, end))])
 
     # -- sessions ------------------------------------------------------
@@ -130,6 +130,21 @@ class ServiceMachine(RuleBasedStateMachine):
         pin = session.epoch.number
         row = self.history[pin]
         assert (start, end) == (row[start_lid], row[end_lid])
+
+    @rule(
+        pick=st.integers(0, 2**16),
+        which=st.lists(st.integers(0, 2**16), min_size=2, max_size=6),
+    )
+    def read_many(self, pick, which):
+        """One ``resolve`` of several LIDs: every value matches the ONE
+        pinned row the session holds at return, even when some of them
+        fell through and moved the pin mid-read."""
+        session = self.sessions[pick % len(self.sessions)]
+        lids = [self.readable[index % len(self.readable)] for index in which]
+        values = session.resolve(lids)
+        pin = session.epoch.number
+        row = self.history[pin]
+        assert values == [row[lid] for lid in lids], (lids, pin, values)
 
     @rule(pick=st.integers(0, 2**16), which=st.integers(0, 2**16))
     def read_latest_matches_direct(self, pick, which):

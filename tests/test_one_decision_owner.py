@@ -46,7 +46,13 @@ from pathlib import Path
 from repro.core.batch import BatchExecutor
 from repro.obs.metrics import CounterSet
 from repro.repl.follower import Follower
-from repro.service import LabelService, ServiceStats, ShardedLabelService
+from repro.service import (
+    LabelService,
+    ReaderSession,
+    ServiceStats,
+    ShardedLabelService,
+    ShardedReaderSession,
+)
 from repro.storage import IOStats
 from repro.storage.blockstore import BlockStore
 
@@ -89,6 +95,10 @@ REMOVED_NAMES = (
     "_raw_write_at",
     "_persist(",
     "_trim_local",
+    "_get_consistent",
+    "self._get(",
+    "_fallthrough(",
+    "observe_lag",
 )
 COUNTER_METHODS = {"add", "reset", "snapshot"}
 METRICS = "obs/metrics.py"
@@ -313,6 +323,10 @@ def test_removed_options_and_accessors_are_gone():
     assert "reconnect_interval" not in params(Follower)
     legacy = ("_lru", "_protected", "_protected_capacity", "_probation_capacity")
     assert [name for name in legacy if hasattr(BlockStore, name)] == []
+    # Sessions read through ``resolve`` only: an ordinal is
+    # ``lookup_many(lids, ORDINAL_CHANNEL)``.
+    sessions = (ReaderSession, ShardedReaderSession)
+    assert [kind for kind in sessions if hasattr(kind, "ordinal_lookup")] == []
 
 
 def test_counters_are_declared_once():

@@ -88,7 +88,8 @@ def test_service_stats_exact_totals_under_contention():
     def worker(index):
         for i in range(ITERATIONS):
             stats.add(reads=1, replay_hits=1)
-            stats.observe_lag(index * ITERATIONS + i)
+            lag = index * ITERATIONS + i
+            stats.add(lag_sum=lag, lag_samples=1, max_epoch_lag=lag)
 
     hammer(worker)
     counters = stats.snapshot()
