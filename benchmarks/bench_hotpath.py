@@ -7,9 +7,10 @@ Two measurements, one table (``BENCH_hotpath.json``):
   replaced (``tests/codec_reference.py``, the byte-identity oracle), over
   representative node payloads, plus the long-ORDPATH-vector decode case
   the satellite fix (list preallocation inside ``_S_SEQ``) targets.
-* **Batch reconstruction** — labels/second for ``BBox.batch_lookup``
-  (memoized path prefixes) vs the scalar per-LID loop on a churned tree,
-  with identical results and no extra counted reads.
+* **Batch reconstruction** — labels/second for ``BBox.lookup_many``
+  (one memoized bottom-up walk) vs the scalar per-LID loop on a churned
+  tree, with identical results and no extra counted reads.  The ratio
+  keeps its ``batch_lookup`` key.
 
 End-to-end timing is not measured here: that is ``benchmarks/e2e``'s job
 (one production codec and one page-file backend leave no slow arm to
@@ -156,7 +157,7 @@ def _batch_reconstruction() -> dict:
     base = max(2000, SCALE["base"] // 20)
     scalar_walls, batch_walls = [], []
     for _ in range(PAIRED_REPEATS):
-        # A fresh tree per repeat: batch_lookup leaves position maps
+        # A fresh tree per repeat: lookup_many leaves position maps
         # cached on the nodes, which must not leak into the next pair.
         scheme = BBox(BENCH_CONFIG, ordinal=True)
         lids = scheme.bulk_load(base)
@@ -172,11 +173,11 @@ def _batch_reconstruction() -> dict:
         scalar_reads = scheme.stats.reads - before
 
         started = time.perf_counter()
-        batched = scheme.batch_lookup(lids)
+        batched = scheme.lookup_many(lids)
         batch_walls.append(time.perf_counter() - started)
         batch_reads = scheme.stats.reads - before - scalar_reads
 
-        assert batched == scalar, "batch_lookup diverged from the scalar loop"
+        assert batched == scalar, "lookup_many diverged from the scalar loop"
     return {
         "labels": len(lids),
         "scalar_labels_per_s": len(lids) / min(scalar_walls),

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Eleven subcommands, all built on the public API::
+Twelve subcommands, all built on the public API::
 
     python -m repro label    doc.xml --scheme bbox --save labels.box
     python -m repro query    doc.xml "//item[mailbox/mail]" --scheme wbox
@@ -10,6 +10,7 @@ Eleven subcommands, all built on the public API::
     python -m repro info     labels.pages
     python -m repro stress   --scheme wbox --shards 2 --readers 4 --seconds 5
     python -m repro serve    doc.xml --scheme bbox
+    python -m repro replicate --follow HOST:PORT --root DIR
     python -m repro metrics  --scheme wbox
     python -m repro trace    --op insert --scheme wbox
     python -m repro chaos    --seeds 20
@@ -31,7 +32,9 @@ saved file contains — snapshot or page file — without modifying it.
 over ``--shards N`` synthetic shards and hammers it with reader threads beside
 one write client per shard, printing throughput and the service counters;
 ``serve`` labels a document and answers lookup/compare/insert commands on
-stdin through a reader session and the bounded write queue.
+stdin through a reader session and the bounded write queue;
+``replicate`` runs a read replica that follows a ``serve --listen
+--replicate`` primary's write-ahead log.
 
 ``chaos`` runs the seeded fault-injection sweep of :mod:`repro.faults`:
 N seeds x fault plans x scheme variants, each trial crashing a live

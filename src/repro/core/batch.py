@@ -41,6 +41,7 @@ from typing import TYPE_CHECKING, Any, Sequence
 from ..errors import LabelingError
 from ..obs import trace
 from ..storage.stats import OperationCost
+from .interface import LABEL_CHANNEL, ORDINAL_CHANNEL
 
 if TYPE_CHECKING:  # pragma: no cover
     from .interface import LabelingScheme
@@ -62,9 +63,9 @@ SUPPORTED_KINDS = frozenset(
     }
 )
 
-#: Read-only kinds eligible for vectorized execution: a run of these with
-#: plain-int anchors may be handed to a scheme's ``batch_<kind>`` method.
-_VECTOR_KINDS = frozenset({"lookup", "ordinal_lookup"})
+#: Read kinds and the channel each reads: a run of one of them with
+#: plain-int anchors is one :meth:`~LabelingScheme.lookup_many` call.
+_READ_CHANNELS = {"lookup": LABEL_CHANNEL, "ordinal_lookup": ORDINAL_CHANNEL}
 
 
 @dataclass(frozen=True)
@@ -165,14 +166,14 @@ class BatchExecutor:
         one-by-one execution.  A group also closes when the anchor LID
         moves to a different LIDF block (see module docstring).
 
-    Maximal runs of same-kind read ops (``lookup`` / ``ordinal_lookup``
-    with plain-int anchors) go to the scheme's ``batch_<kind>`` method
-    when it has one, so label reconstruction is amortized over the run
-    (B-BOX shares ancestor walks across the batch).  Results and I/O
-    counts are identical to one-by-one execution: the run stays inside the
-    group's measured scope, where each block is counted once regardless of
-    order.  Runs are only formed when tracing is not recording — per-op
-    spans keep their one-span-per-op shape.
+    Each maximal run of same-kind read ops (``lookup`` / ``ordinal_lookup``
+    with plain-int anchors) is one :meth:`~LabelingScheme.lookup_many`
+    call, so label reconstruction is amortized over the run (B-BOX shares
+    ancestor walks across it).  Results and I/O counts are identical to
+    one-by-one execution: the run stays inside the group's measured scope,
+    where each block is counted once.  A recorded trace shows the run as
+    one ``scheme.lookup_many`` span and every other op as one
+    ``scheme.<kind>`` span; tracing never changes what runs.
     """
 
     def __init__(
@@ -231,7 +232,7 @@ class BatchExecutor:
         result = BatchResult(results=[None] * len(ops))
         store = self.scheme.store
         backend = store.backend
-        commits_before = getattr(backend, "commits", 0)
+        commits_before = backend.commits
         with trace.span("batch.execute") as batch_span, store.durable():
             if batch_span.recording:
                 batch_span.set("scheme", self.scheme.name)
@@ -242,58 +243,56 @@ class BatchExecutor:
                     if recording:
                         group_span.add("group.ops", len(group))
                     with store.measured() as measured:
-                        stats = store.stats
                         index = 0
                         while index < len(group):
                             position = group[index]
                             op = ops[position]
-                            if not recording and op.kind in _VECTOR_KINDS:
-                                batch_method = getattr(
-                                    self.scheme, "batch_" + op.kind, None
+                            channel = _READ_CHANNELS.get(op.kind)
+                            if channel is not None:
+                                positions, lids = self._collect_run(
+                                    ops, group, index, result.results
                                 )
-                                if batch_method is not None:
-                                    positions, anchors = self._collect_run(
-                                        ops, group, index, result.results
+                                if positions:
+                                    values = self._call(
+                                        recording, "lookup_many", lids, channel
                                     )
-                                    if len(positions) > 1:
-                                        for pos, value in zip(
-                                            positions, batch_method(anchors)
-                                        ):
-                                            result.results[pos] = value
-                                        index += len(positions)
-                                        continue
+                                    for pos, value in zip(positions, values):
+                                        result.results[pos] = value
+                                    index += len(positions)
+                                    continue
                             args = self._resolve(op, position, result.results)
-                            if recording:
-                                # Per-op spans exist only under a recorded
-                                # group: the per-op call site must cost
-                                # nothing when unsampled.  Lock-free
-                                # counter reads are safe here — the group
-                                # runs single-writer under its scope.
-                                with trace.span("scheme." + op.kind) as op_span:
-                                    before_reads = stats.reads
-                                    result.results[position] = getattr(
-                                        self.scheme, op.kind
-                                    )(*args)
-                                    # Informational (op.* not io.*): reads
-                                    # this op added to the group's scope.
-                                    op_span.add(
-                                        "op.reads", stats.reads - before_reads
-                                    )
-                            else:
-                                result.results[position] = getattr(
-                                    self.scheme, op.kind
-                                )(*args)
+                            result.results[position] = self._call(
+                                recording, op.kind, *args
+                            )
                             index += 1
                 result.group_costs.append(measured.cost)
                 result.group_sizes.append(len(group))
-        result.backend_commits = getattr(backend, "commits", 0) - commits_before
+        result.backend_commits = backend.commits - commits_before
         return result
+
+    def _call(self, recording: bool, name: str, *args: Any) -> Any:
+        """``scheme.<name>(*args)``; under a recorded group, inside one
+        ``scheme.<name>`` span.  Per-op spans exist only there: the per-op
+        call site must cost nothing when unsampled."""
+        method = getattr(self.scheme, name)
+        if not recording:
+            return method(*args)
+        # Lock-free counter reads are safe here: the group runs
+        # single-writer under its scope.
+        stats = self.scheme.store.stats
+        with trace.span("scheme." + name) as span:
+            before_reads = stats.reads
+            value = method(*args)
+            # Informational (op.* not io.*): reads this call added to the
+            # group's scope.
+            span.add("op.reads", stats.reads - before_reads)
+        return value
 
     def _collect_run(
         self, ops: Sequence[BatchOp], group: list[int], start: int, results: list
     ) -> tuple[list[int], list[int]]:
-        """Maximal vectorizable run at ``group[start:]``: consecutive ops of
-        the same kind whose single argument resolves to a plain int LID.
+        """Maximal read run at ``group[start:]``: consecutive ops of the
+        same read kind whose single argument resolves to a plain int LID.
 
         Any irregularity — different kind, extra arguments, an anchor that
         is not an int, or a :class:`BatchRef` whose target has not produced

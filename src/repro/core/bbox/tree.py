@@ -31,9 +31,9 @@ from typing import Any, Sequence
 from ...config import BoxConfig
 from ...errors import ConfigError, InvariantViolation, UnknownLIDError
 from ...storage import BlockStore, HeapFile
-from ..cachelog import ORDINAL_CHANNEL, Invalidate, RangeShift, invalidate_all
+from ..cachelog import LABEL_CHANNEL, ORDINAL_CHANNEL, Invalidate, RangeShift, invalidate_all
 from ..interface import LabelingScheme
-from ..kernels import cumulative, memoized_path_prefixes, position_index
+from ..kernels import cumulative, position_index
 from .node import BNode
 
 
@@ -200,69 +200,40 @@ class BBox(LabelingScheme):
             raise UnknownLIDError(f"LID {lid} not found in its leaf")
         return position
 
-    # ------------------------------------------------------------------
-    # batch reconstruction (vectorized bottom-up walks)
-    # ------------------------------------------------------------------
+    def lookup_many(self, lids: Sequence[int], channel: str = LABEL_CHANNEL) -> list:
+        """Labels (or, on ``ORDINAL_CHANNEL``, document positions) for
+        ``lids`` in one bottom-up walk.
 
-    def batch_lookup(self, lids: Sequence[int]) -> list[tuple[int, ...]]:
-        """Reconstruct labels for a batch of LIDs in one bottom-up pass.
-
-        Per-LID :meth:`lookup` walks leaf-to-root independently, re-deriving
-        the shared path prefix of every LID that lives under the same
-        ancestors.  Here the path prefixes are memoized across the batch
-        (:func:`~repro.core.kernels.memoized_path_prefixes`), so each
-        *distinct* ancestor is resolved exactly once no matter how many
-        batch members sit below it.  The same blocks are read as the per-op
-        loop would read inside one operation scope, so I/O counts are
-        identical — only the Python-level work is folded.
+        Per-LID walks re-derive the path above every leaf they share.
+        Here each node's value for the path above it — the label
+        components, or the document offset of its subtree's first record —
+        is memoized, so every *distinct* ancestor is read and folded once
+        however many LIDs sit below it.  The per-LID blocks are read in the
+        per-LID order, inside one operation scope.
         """
+        ordinal = channel == ORDINAL_CHANNEL
+        if ordinal and not self.ordinal:
+            return super().lookup_many(lids, channel)
         with self.store.operation():
             read = self.store.read
-            memo: dict[int, tuple[int, ...]] = {self.root_id: ()}
-
-            def read_parent(child_id: int) -> tuple[int, int]:
-                parent_id = read(child_id).parent
-                return parent_id, read(parent_id).index_of(child_id)
-
-            results: list[tuple[int, ...]] = []
-            append = results.append
+            above: dict[int, Any] = {self.root_id: 0 if ordinal else ()}
+            results: list = []
             for lid in lids:
                 leaf_id = self.lidf.read(lid)
-                leaf = read(leaf_id)
-                prefix = memoized_path_prefixes(leaf_id, read_parent, memo)
-                append(prefix + (self._leaf_position(leaf, lid),))
-            return results
-
-    def batch_ordinal_lookup(self, lids: Sequence[int]) -> list[int]:
-        """Document positions for a batch of LIDs, sharing ancestor walks.
-
-        The memo here maps a node id to the document offset of its subtree's
-        first record — the sum of ``size_prefix`` contributions along the
-        root-to-node path — so shared ancestors contribute their prefix
-        sums once per batch instead of once per LID.
-        """
-        if not self.ordinal:
-            return [LabelingScheme.ordinal_lookup(self, lid) for lid in lids]
-        with self.store.operation():
-            read = self.store.read
-            offsets: dict[int, int] = {self.root_id: 0}
-            results: list[int] = []
-            append = results.append
-            for lid in lids:
-                leaf_id = self.lidf.read(lid)
-                leaf = read(leaf_id)
+                node = read(leaf_id)
+                position = self._leaf_position(node, lid)
                 node_id = leaf_id
-                stack: list[tuple[int, int]] = []
-                while node_id not in offsets:
-                    parent_id = read(node_id).parent
-                    stack.append((node_id, parent_id))
-                    node_id = parent_id
-                base = offsets[node_id]
-                for child_id, parent_id in reversed(stack):
-                    parent = read(parent_id)
-                    base += parent.size_prefix(parent.index_of(child_id))
-                    offsets[child_id] = base
-                append(base + self._leaf_position(leaf, lid))
+                path: list[tuple[int, BNode]] = []
+                while node_id not in above:
+                    parent = read(node.parent)
+                    path.append((node_id, parent))
+                    node_id, node = node.parent, parent
+                value = above[node_id]
+                for child_id, parent in reversed(path):
+                    index = parent.index_of(child_id)
+                    value += parent.size_prefix(index) if ordinal else (index,)
+                    above[child_id] = value
+                results.append(value + (position if ordinal else (position,)))
             return results
 
     # ------------------------------------------------------------------

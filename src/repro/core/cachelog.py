@@ -35,11 +35,10 @@ from operator import attrgetter
 from typing import Sequence
 
 from ..errors import CacheError
-from .interface import Label, LabelingScheme
+from .interface import LABEL_CHANNEL, Label, LabelingScheme
 
-#: Effect channels.
-LABEL_CHANNEL = "label"
-ORDINAL_CHANNEL = "ordinal"
+# The channels are the scheme interface's; re-exported for the log's users.
+from .interface import ORDINAL_CHANNEL as ORDINAL_CHANNEL
 
 
 def _at_least(label: Label, bound: Label) -> bool:
@@ -380,10 +379,7 @@ class CachedLabelStore:
         return self._refresh(ref)
 
     def _refresh(self, ref: LabelRef) -> Label:
-        if ref.channel == ORDINAL_CHANNEL:
-            value = self.scheme.ordinal_lookup(ref.lid)
-        else:
-            value = self.scheme.lookup(ref.lid)
+        (value,) = self.scheme.lookup_many((ref.lid,), ref.channel)
         ref.value = value
         ref.last_cached = self.scheme.clock
         return value

@@ -8,7 +8,8 @@ never change, while the label value behind them may.
 
 Supported operations (paper, Section 3):
 
-* ``lookup(lid)`` — the current label value behind ``lid``.
+* ``lookup(lid)`` — the current label value behind ``lid``;
+  ``lookup_many(lids, channel)`` reads a set of them in one operation.
 * ``insert_element_before(lid)`` — insert a new element immediately before
   the tag identified by ``lid``; returns the new element's (start, end)
   LIDs.  Implemented, as in the paper, with two low-level
@@ -36,6 +37,11 @@ Label = Any
 
 #: Callback type for modification-log listeners (see core.cachelog).
 LogListener = Callable[[Any], None]
+
+#: Value channels: regular labels, and ordinal labels (document positions).
+#: Modification-log effects and cached references carry one each.
+LABEL_CHANNEL = "label"
+ORDINAL_CHANNEL = "ordinal"
 
 
 class LabelKind(Enum):
@@ -120,6 +126,21 @@ class LabelingScheme(ABC):
         W-BOX-O overrides this to answer from the start record alone.
         """
         return self.lookup(start_lid), self.lookup(end_lid)
+
+    def lookup_many(self, lids: Sequence[int], channel: str = LABEL_CHANNEL) -> list:
+        """Values on ``channel`` — labels, or ordinals with
+        ``ORDINAL_CHANNEL`` — for ``lids``, in order, read in one operation
+        scope so a block several of them share is counted once.  Raises
+        what the per-LID :meth:`lookup` / :meth:`ordinal_lookup` raises.
+
+        The default makes the per-LID calls; B-BOX overrides it with one
+        bottom-up walk that visits each shared ancestor once.
+        """
+        read = self.ordinal_lookup if channel == ORDINAL_CHANNEL else self.lookup
+        if len(lids) == 1:  # nothing to share; the lookup is its own scope
+            return [read(lids[0])]
+        with self.store.operation():
+            return [read(lid) for lid in lids]
 
     def ordinal_lookup(self, lid: int) -> int:
         """The *ordinal* label: the exact 0-based position of the tag in the

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import accumulate
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 
 def cumulative(values: Iterable[int]) -> list[int]:
@@ -66,29 +66,3 @@ def position_index(entries: Sequence[int]) -> dict[int, int]:
     """
     return {entry: index for index, entry in enumerate(entries)}
 
-
-def memoized_path_prefixes(
-    node_id: int,
-    read_parent: Callable[[int], tuple[int, int]],
-    memo: dict[int, tuple[int, ...]],
-) -> tuple[int, ...]:
-    """Root-to-node label components of ``node_id``, sharing ancestor walks.
-
-    ``read_parent(child_id)`` returns ``(parent_id, index_of_child)`` and is
-    only called for nodes whose prefix is not yet memoized — the walk stops
-    at the first memoized ancestor (the root is seeded with ``()``), then
-    fills ``memo`` for every node on the path on the way back down.  Over a
-    batch of ``k`` lookups this folds ``k`` independent bottom-up walks into
-    one pass over the *distinct* ancestors, which is what makes batch label
-    reconstruction O(distinct nodes), not O(k · height).
-    """
-    stack: list[tuple[int, int]] = []
-    while node_id not in memo:
-        parent_id, index = read_parent(node_id)
-        stack.append((node_id, index))
-        node_id = parent_id
-    prefix_components = memo[node_id]
-    for child_id, index in reversed(stack):
-        prefix_components = prefix_components + (index,)
-        memo[child_id] = prefix_components
-    return prefix_components

@@ -470,10 +470,10 @@ class LabelService:
             with trace.span("service.apply", kind="ops") as span:
                 if span.recording and self.shard_name is not None:
                     span.set("shard", self.shard_name)
-                commits_before = getattr(store.backend, "commits", 0)
+                commits_before = store.backend.commits
                 with store.durable():
                     outcomes = [self._apply_batch(ops) for ops in batches]
-                commits = getattr(store.backend, "commits", 0) - commits_before
+                commits = store.backend.commits - commits_before
                 if span.recording:
                     span.add("service.ops", sum(len(ops) for ops in batches))
             # The writer-kill hook fires here, mid-commit: after the
@@ -625,18 +625,15 @@ class ReaderSession:
             snapshot = epoch.snapshot
             last_modified = snapshot.last_modified
             values: list[Label] = []
-            missed: list[LabelRef] | None = None
+            missed: list[int] | None = None
             for lid in lids:
                 hook("read:begin")
                 ref = refs.get(lid)
-                if ref is None:
-                    ref = refs[lid] = LabelRef(lid, channel=channel)
-                value = ref.value
-                if value is not None:
+                if ref is not None:
                     if ref.last_cached >= last_modified:
-                        values.append(value)
+                        values.append(ref.value)
                         continue
-                    value = snapshot.replay(value, ref.last_cached, channel)
+                    value = snapshot.replay(ref.value, ref.last_cached, channel)
                     if value is not None:
                         ref.value = value
                         ref.last_cached = epoch.clock
@@ -644,7 +641,7 @@ class ReaderSession:
                         values.append(value)
                         continue
                 missed = missed or []
-                missed.append(ref)
+                missed.append(lid)
             if missed is None:
                 break
             if not fell:
@@ -676,11 +673,13 @@ class ReaderSession:
                 f"{service._degraded_reason}"
             )
 
-    def _read_through(self, missed: list[LabelRef], channel: str) -> Epoch:
-        """Read ``missed`` from the BOX under one shared-latch hold and
-        advance the pin to the epoch that structure state belongs to."""
+    def _read_through(self, missed: list[int], channel: str) -> Epoch:
+        """Read ``missed`` from the BOX under one shared-latch hold, cache
+        each value in a ref and advance the pin to the epoch that structure
+        state belongs to.  A read that raises caches nothing and leaves
+        the pin where it was."""
         service = self._service
-        pending = {ref.lid: ref for ref in missed}  # a LID named twice is read once
+        pending = list(dict.fromkeys(missed))  # a LID named twice is read once
         self._refuse_if_degraded()
         service._yield("read:fallthrough")
         latch = service._latch
@@ -695,14 +694,13 @@ class ReaderSession:
             # so the structure state and the published epoch agree.
             current = service._current
             scheme = service.scheme
-            read = scheme.ordinal_lookup if channel == ORDINAL_CHANNEL else scheme.lookup
-            values = [read(lid) for lid in pending]
+            values = scheme.lookup_many(pending, channel)
             clock = scheme.clock
         finally:
             latch.release_shared()
         if current.number > self._epoch.number:
             self._epoch = current
-        for ref, value in zip(pending.values(), values):
-            ref.value = value
-            ref.last_cached = clock
+        refs = self._refs[channel]
+        for lid, value in zip(pending, values):
+            refs[lid] = LabelRef(lid, value, clock, channel)
         return self._epoch

@@ -37,6 +37,10 @@ class StorageBackend(ABC):
     pointer).
     """
 
+    #: Durable transactions committed so far; a backend whose commit makes
+    #: nothing durable (memory) counts none.
+    commits = 0
+
     def __init__(self) -> None:
         self._next_id = 1  # block id 0 is reserved as "null pointer"
         self._free_ids: list[int] = []

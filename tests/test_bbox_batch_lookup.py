@@ -1,18 +1,18 @@
-"""Vectorized bottom-up B-BOX label reconstruction.
+"""Bottom-up B-BOX label reconstruction over a set of LIDs.
 
-``BBox.batch_lookup`` / ``batch_ordinal_lookup`` materialize a whole
-group's labels in one pass by memoizing path prefixes (and subtree base
-offsets) per internal node, so a batch of k lookups walks each distinct
+``BBox.lookup_many`` materializes a whole group's labels (or, on the
+ordinal channel, document positions) in one pass by memoizing each
+node's value for the path above it, so k lookups walk each distinct
 internal node once instead of once per anchored LID.  The contract these
 tests pin:
 
 * results equal the scalar per-LID loop, on any tree shape;
 * the logical I/O count never *increases* versus the scalar loop (the
   memo can only remove block reads);
-* ``BatchExecutor`` transparently routes eligible lookup runs through
-  the batch methods, with byte-for-byte identical results and identical
-  per-group measured I/O, and falls back to scalars whenever a run is
-  irregular (BatchRefs into unfilled slots, mixed kinds, tracing);
+* ``BatchExecutor`` sends every lookup run to ``lookup_many``, with
+  byte-for-byte identical results and identical per-group measured I/O,
+  runs irregular ops (BatchRefs into unfilled slots, mixed kinds) one by
+  one, and executes the same calls whether or not a trace is recorded;
 * the ``_pos_index`` position cache that makes ``index_of`` O(1) is
   dropped on ``touch()`` and validated by ``check_invariants``.
 """
@@ -21,7 +21,9 @@ import pytest
 
 from repro import BatchExecutor, BatchOp, BatchRef, BBox
 from repro.config import TINY_CONFIG
-from repro.core.kernels import memoized_path_prefixes, position_index
+from repro.core.bbox.node import BNode
+from repro.core.cachelog import ORDINAL_CHANNEL
+from repro.core.kernels import position_index
 from repro.errors import InvariantViolation, RecordNotFoundError, UnknownLIDError
 
 
@@ -51,10 +53,10 @@ def scheme(request):
 def test_batch_lookup_matches_scalar(scheme):
     lids = churn(scheme, scheme.bulk_load(40))
     scalar = [scheme.lookup(lid) for lid in lids]
-    assert scheme.batch_lookup(lids) == scalar
+    assert scheme.lookup_many(lids) == scalar
     # Duplicates and arbitrary order are fine — it is a read-only batch.
     shuffled = lids[::-1] + lids[:5]
-    assert scheme.batch_lookup(shuffled) == [scheme.lookup(lid) for lid in shuffled]
+    assert scheme.lookup_many(shuffled) == [scheme.lookup(lid) for lid in shuffled]
 
 
 def test_batch_ordinal_lookup_matches_scalar(scheme):
@@ -63,10 +65,10 @@ def test_batch_ordinal_lookup_matches_scalar(scheme):
         from repro.errors import OrdinalUnsupportedError
 
         with pytest.raises(OrdinalUnsupportedError):
-            scheme.batch_ordinal_lookup(lids)
+            scheme.lookup_many(lids, ORDINAL_CHANNEL)
         return
     scalar = [scheme.ordinal_lookup(lid) for lid in lids]
-    assert scheme.batch_ordinal_lookup(lids) == scalar
+    assert scheme.lookup_many(lids, ORDINAL_CHANNEL) == scalar
 
 
 def test_batch_lookup_never_reads_more(scheme):
@@ -76,15 +78,15 @@ def test_batch_lookup_never_reads_more(scheme):
     scalar_reads = scheme.stats.reads - before
 
     before = scheme.stats.reads
-    scheme.batch_lookup(lids)
+    scheme.lookup_many(lids)
     batch_reads = scheme.stats.reads - before
     assert batch_reads <= scalar_reads
 
 
 def test_batch_lookup_empty_and_single(scheme):
     lids = scheme.bulk_load(5)
-    assert scheme.batch_lookup([]) == []
-    assert scheme.batch_lookup([lids[2]]) == [scheme.lookup(lids[2])]
+    assert scheme.lookup_many([]) == []
+    assert scheme.lookup_many([lids[2]]) == [scheme.lookup(lids[2])]
 
 
 def test_batch_lookup_unknown_lid(scheme):
@@ -92,31 +94,41 @@ def test_batch_lookup_unknown_lid(scheme):
     in the LIDF, a freed LID dies in the leaf probe."""
     lids = scheme.bulk_load(5)
     with pytest.raises(RecordNotFoundError):
-        scheme.batch_lookup([999_999])
+        scheme.lookup_many([999_999])
     victim = lids[2]
     scheme.delete(victim)
     try:
         scheme.lookup(victim)
     except (RecordNotFoundError, UnknownLIDError) as scalar_error:
         with pytest.raises(type(scalar_error)):
-            scheme.batch_lookup([victim])
+            scheme.lookup_many([victim])
 
 
-def test_memoized_path_prefixes_walks_each_node_once():
-    parents = {2: (1, 0), 3: (1, 1), 4: (2, 0), 5: (2, 1), 6: (3, 0)}
-    calls = []
+@pytest.mark.parametrize("channel", ["label", ORDINAL_CHANNEL])
+def test_lookup_many_walks_each_node_once(monkeypatch, channel):
+    """Every edge above the leaves is folded once per call, however many
+    LIDs sit below it: ``index_of`` (the only per-edge probe the walk
+    makes; leaves answer through ``position_map``) sees each non-root
+    node exactly once."""
+    scheme = BBox(TINY_CONFIG, ordinal=True)
+    lids = churn(scheme, scheme.bulk_load(80), seed=5)
+    assert scheme.height >= 2
+    probed = []
+    index_of = BNode.index_of
 
-    def read_parent(child):
-        calls.append(child)
-        return parents[child]
+    def counting_index_of(node, entry):
+        probed.append(entry)
+        return index_of(node, entry)
 
-    memo = {1: ()}
-    assert memoized_path_prefixes(4, read_parent, memo) == (0, 0)
-    assert memoized_path_prefixes(5, read_parent, memo) == (0, 1)
-    assert memoized_path_prefixes(6, read_parent, memo) == (1, 0)
-    assert memoized_path_prefixes(2, read_parent, memo) == (0,)
-    # 2 was resolved while walking up from 4; nothing asks for it twice.
-    assert sorted(calls) == [2, 3, 4, 5, 6]
+    monkeypatch.setattr(BNode, "index_of", counting_index_of)
+    scheme.lookup_many(lids + lids[::-1], channel)
+    backend = scheme.store.backend
+    nodes = [
+        block_id
+        for block_id in scheme.store.block_ids()
+        if isinstance(backend.read(block_id), BNode) and not backend.read(block_id).is_root
+    ]
+    assert sorted(probed) == sorted(nodes)
 
 
 class TestExecutorVectorization:
@@ -176,25 +188,38 @@ class TestExecutorVectorization:
         assert result.results[2] == scheme.lookup(result.results[1])
         assert result.results[3] == scheme.lookup(lids[2])
 
-    def test_tracing_disables_vectorization(self):
+    def test_traced_run_is_one_lookup_many_span(self):
+        """A recorded trace executes the same calls as an unrecorded run:
+        each group's lookup run is one ``scheme.lookup_many`` span, and the
+        tree's counted I/O is the store's."""
         from repro.obs.trace import Tracer, set_tracer
 
         scheme = BBox(TINY_CONFIG)
-        lids = scheme.bulk_load(12)
-        executor = BatchExecutor(scheme, group_size=64)
+        lids = sorted(churn(scheme, scheme.bulk_load(24), seed=2))
+        scalar = [scheme.lookup(lid) for lid in lids]
+        executor = BatchExecutor(scheme, group_size=len(lids))
         ops = [BatchOp("lookup", (lid,)) for lid in lids]
         tracer = Tracer(enabled=True)
         previous = set_tracer(tracer)
+        before = scheme.stats.snapshot()
         try:
             traced = executor.execute(ops)
         finally:
             set_tracer(previous)
-        assert traced.results == [scheme.lookup(lid) for lid in lids]
-        # The trace must still show per-op spans, not one batch blob.
+        delta = scheme.stats.snapshot() - before
+        assert traced.results == scalar
+        # Locality cuts one group per LIDF block: several LIDs in each.
+        assert 1 < traced.group_count < len(lids)
         root = tracer.take()
         assert root is not None
         names = [span.name for span in root.walk()]
-        assert names.count("scheme.lookup") == len(lids)
+        assert names.count("scheme.lookup_many") == traced.group_count
+        assert "scheme.lookup" not in names
+        assert delta.reads > 0
+        assert (root.total("io.reads"), root.total("io.writes")) == (
+            delta.reads,
+            delta.writes,
+        )
 
 
 class TestPositionIndexCache:
@@ -235,7 +260,7 @@ class TestPositionIndexCache:
         for ordinal in (False, True):
             scheme = BBox(TINY_CONFIG, ordinal=ordinal)
             lids = churn(scheme, scheme.bulk_load(40), seed=11)
-            scheme.batch_lookup(lids)
+            scheme.lookup_many(lids)
             if ordinal:
-                scheme.batch_ordinal_lookup(lids)
+                scheme.lookup_many(lids, ORDINAL_CHANNEL)
             scheme.check_invariants()

@@ -99,6 +99,11 @@ REMOVED_NAMES = (
     "self._get(",
     "_fallthrough(",
     "observe_lag",
+    "batch_lookup",
+    "batch_ordinal_lookup",
+    '"batch_" +',
+    "memoized_path_prefixes",
+    '"commits", 0)',
 )
 COUNTER_METHODS = {"add", "reset", "snapshot"}
 METRICS = "obs/metrics.py"
