@@ -483,9 +483,12 @@ class AncestryDynamic(_OrderedGapScheme):
         self.relabel_count += 1
         self.relabeled_items += count
         self._emit(invalidate_all(self.clock))
-        renumbered: list[tuple[int, int]] = []
-        for offset, (_value, lid) in enumerate(self._order[left:right]):
-            new_value = lo + step * (offset + 1)
-            self.lidf.write(lid, (new_value, self._kind.get(lid, KIND_UNKNOWN)))
-            renumbered.append((new_value, lid))
+        renumbered = [
+            (lo + step * (offset + 1), lid)
+            for offset, (_value, lid) in enumerate(self._order[left:right])
+        ]
+        kind = self._kind
+        self.lidf.write_many(
+            (lid, (value, kind.get(lid, KIND_UNKNOWN))) for value, lid in renumbered
+        )
         self._order[left:right] = renumbered

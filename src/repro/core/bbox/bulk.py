@@ -63,8 +63,7 @@ def build_tree(tree: "BBox", lids: Sequence[int]) -> tuple[int, int]:
     for chunk in chunk_evenly(lids, tree.leaf_capacity):
         node = BNode(leaf=True, entries=chunk)
         node_id = tree.store.allocate(node)
-        for lid in chunk:
-            tree.lidf.write(lid, node_id)
+        tree.lidf.write_many((lid, node_id) for lid in chunk)
         items.append((node_id, len(chunk)))
     height = 0
     while len(items) > 1:
@@ -144,7 +143,7 @@ def bbox_insert_subtree(tree: "BBox", lid_old: int, n_labels: int) -> list[int]:
         timestamp = tree._tick()
         leaf_id = tree.lidf.read(lid_old)
         leaf = tree.store.read(leaf_id)
-        position = tree._leaf_position(leaf, lid_old)
+        position = tree._find_record(leaf, lid_old)
         if tree.ordinal:
             anchor = tree.ordinal_lookup(lid_old)
             tree._emit(RangeShift(timestamp, anchor, None, n_labels, ORDINAL_CHANNEL))
@@ -166,7 +165,7 @@ def bbox_insert_subtree(tree: "BBox", lid_old: int, n_labels: int) -> list[int]:
         for _ in range(new_height + 1):
             parent_id = current.parent
             parent = tree.store.read(parent_id)
-            index = parent.index_of(current_id)
+            index = parent.find(current_id)
             if split_position == 0:
                 boundary = index
                 ripped.append((current_id, None))
@@ -174,11 +173,11 @@ def bbox_insert_subtree(tree: "BBox", lid_old: int, n_labels: int) -> list[int]:
                 boundary = index + 1
                 ripped.append((current_id, None))
             else:
-                right_id = _split_at(tree, current_id, current, split_position)
+                right_id, right = tree._split_off(current_id, current, split_position)
                 parent.entries.insert(index + 1, right_id)
                 if parent.sizes is not None:
                     left_size = tree._subtree_size(current)
-                    right_size = tree._subtree_size(tree.store.read(right_id))
+                    right_size = tree._subtree_size(right)
                     parent.sizes[index] = left_size
                     parent.sizes.insert(index + 1, right_size)
                 tree.store.write(parent_id)
@@ -199,7 +198,7 @@ def bbox_insert_subtree(tree: "BBox", lid_old: int, n_labels: int) -> list[int]:
             while not node.is_root:
                 parent = tree.store.read(node.parent)
                 assert parent.sizes is not None
-                parent.sizes[parent.index_of(node_id)] += n_labels
+                parent.sizes[parent.find(node_id)] += n_labels
                 tree.store.write(node.parent)
                 node_id, node = node.parent, parent
         tree._live += n_labels
@@ -224,29 +223,6 @@ def bbox_insert_subtree(tree: "BBox", lid_old: int, n_labels: int) -> list[int]:
         return new_lids
 
 
-def _split_at(tree: "BBox", node_id: int, node: BNode, split_position: int) -> int:
-    """Split ``node`` so entries from ``split_position`` on move to a new
-    right sibling; returns the sibling's block id.  The caller links the
-    sibling into the parent."""
-    moved = node.entries[split_position:]
-    node.entries = node.entries[:split_position]
-    sibling = BNode(leaf=node.leaf, parent=node.parent, entries=moved)
-    if node.sizes is not None:
-        sibling.sizes = node.sizes[split_position:]
-        node.sizes = node.sizes[:split_position]
-    sibling_id = tree.store.allocate(sibling)
-    if node.leaf:
-        for lid in moved:
-            tree.lidf.write(lid, sibling_id)
-    else:
-        for child_id in moved:
-            child = tree.store.read(child_id)
-            child.parent = sibling_id
-            tree.store.write(child_id)
-    tree.store.write(node_id)
-    return sibling_id
-
-
 def _rebuild_with_splice(
     tree: "BBox", leaf_id: int, position: int, n_labels: int
 ) -> list[int]:
@@ -254,8 +230,10 @@ def _rebuild_with_splice(
     label sequence from scratch."""
     all_lids, blocks = collect_subtree(tree, tree.root_id)
     offset = 0
-    for block_id in _leaf_order(tree, blocks):
+    for block_id in blocks:  # collect_subtree lists the leaves in document order
         node = tree.store.read(block_id)
+        if not node.leaf:
+            continue
         if block_id == leaf_id:
             offset += position
             break
@@ -275,14 +253,6 @@ def _rebuild_with_splice(
     return new_lids
 
 
-def _leaf_order(tree: "BBox", blocks: list[int]) -> list[int]:
-    """The leaf block ids among ``blocks`` in document order.
-
-    ``collect_subtree`` pushes children in order, so its block list visits
-    leaves in document order already; filter to leaves."""
-    return [block_id for block_id in blocks if tree.store.read(block_id).leaf]
-
-
 # ----------------------------------------------------------------------
 # subtree delete
 # ----------------------------------------------------------------------
@@ -298,10 +268,10 @@ def bbox_delete_range(tree: "BBox", first_lid: int, last_lid: int) -> list[int]:
         leaf1_id = tree.lidf.read(first_lid)
         leaf2_id = tree.lidf.read(last_lid)
         leaf1 = tree.store.read(leaf1_id)
-        position1 = tree._leaf_position(leaf1, first_lid)
+        position1 = tree._find_record(leaf1, first_lid)
 
         if leaf1_id == leaf2_id:
-            position2 = tree._leaf_position(leaf1, last_lid)
+            position2 = tree._find_record(leaf1, last_lid)
             if position2 < position1:
                 raise LabelingError("delete_range bounds are out of order")
             deleted = leaf1.entries[position1 : position2 + 1]
@@ -316,7 +286,7 @@ def bbox_delete_range(tree: "BBox", first_lid: int, last_lid: int) -> list[int]:
             return deleted
 
         leaf2 = tree.store.read(leaf2_id)
-        position2 = tree._leaf_position(leaf2, last_lid)
+        position2 = tree._find_record(leaf2, last_lid)
         path1 = _path_to_root(tree, leaf1_id)
         path2 = _path_to_root(tree, leaf2_id)
         if len(path1) != len(path2):
@@ -328,8 +298,8 @@ def bbox_delete_range(tree: "BBox", first_lid: int, last_lid: int) -> list[int]:
             if path1[i][0] == path2[i][0]
         )
         lca_id, lca = path1[lca_offset]
-        index1 = lca.index_of(path1[lca_offset - 1][0])
-        index2 = lca.index_of(path2[lca_offset - 1][0])
+        index1 = lca.find(path1[lca_offset - 1][0])
+        index2 = lca.find(path2[lca_offset - 1][0])
         if index1 >= index2:
             raise LabelingError("delete_range bounds are out of order")
 
@@ -357,7 +327,7 @@ def bbox_delete_range(tree: "BBox", first_lid: int, last_lid: int) -> list[int]:
         # left of path2 — collected in document order.
         for offset in range(1, lca_offset):
             node_id, node = path1[offset]
-            child_index = node.index_of(path1[offset - 1][0])
+            child_index = node.find(path1[offset - 1][0])
             doomed = list(range(child_index + 1, len(node.entries)))
             before = len(deleted)
             drop_subtrees(node_id, node, doomed)
@@ -367,7 +337,7 @@ def bbox_delete_range(tree: "BBox", first_lid: int, last_lid: int) -> list[int]:
         deleted_order.extend(deleted[before:])
         for offset in range(lca_offset - 1, 0, -1):
             node_id, node = path2[offset]
-            child_index = node.index_of(path2[offset - 1][0])
+            child_index = node.find(path2[offset - 1][0])
             doomed = list(range(child_index))
             before = len(deleted)
             drop_subtrees(node_id, node, doomed)
@@ -384,7 +354,7 @@ def bbox_delete_range(tree: "BBox", first_lid: int, last_lid: int) -> list[int]:
                 if not tree.store.exists(node_id) or node.entries:
                     continue
                 parent_id, parent = path[offset + 1]
-                child_index = parent.index_of(node_id)
+                child_index = parent.find(node_id)
                 parent.entries.pop(child_index)
                 if parent.sizes is not None:
                     parent.sizes.pop(child_index)
@@ -427,7 +397,7 @@ def _finish_delete(tree: "BBox", deleted: list[int], touched: list[int], timesta
             while not node.is_root:
                 parent = tree.store.read(node.parent)
                 assert parent.sizes is not None
-                parent.sizes[parent.index_of(node_id)] = tree._subtree_size(node)
+                parent.sizes[parent.find(node_id)] = tree._subtree_size(node)
                 tree.store.write(node.parent)
                 node_id, node = node.parent, parent
     for leaf_id in touched:

@@ -63,11 +63,21 @@ class BNode:
         return self.parent == 0
 
     def index_of(self, entry: int) -> int:
-        """Position of ``entry`` (a LID or child block id) in this node."""
+        """Position of ``entry`` (a LID or child block id) in this node,
+        for read paths: builds the position map, which later reads reuse."""
         index = self.position_map().get(entry)
         if index is None:
             raise ValueError(f"{entry} is not in list")
         return index
+
+    def find(self, entry: int) -> int:
+        """:meth:`index_of` for update paths: the position map only if a
+        reader already built it, else a scan.  An update dirties the node
+        next, and that write's ``touch()`` would drop a fresh map unused."""
+        pos = self._pos_index
+        if pos is not None and entry in pos:
+            return pos[entry]
+        return self.entries.index(entry)
 
     def position_map(self) -> dict[int, int]:
         """Entry-to-position map (lazily built, dropped by ``touch()``)."""

@@ -122,9 +122,6 @@ class BBox(LabelingScheme):
         internal_bits = max(1, (self.fanout - 1).bit_length())
         return leaf_bits + self.height * internal_bits
 
-    def _sizes(self, values: list[int]) -> list[int] | None:
-        return list(values) if self.ordinal else None
-
     # ------------------------------------------------------------------
     # lookup and comparison
     # ------------------------------------------------------------------
@@ -195,10 +192,19 @@ class BBox(LabelingScheme):
         return (packed << leaf_bits) | label[-1]
 
     def _leaf_position(self, leaf: BNode, lid: int) -> int:
+        """``lid``'s position in ``leaf`` for a read path: builds the
+        leaf's position map, which later reads reuse."""
         position = leaf.position_map().get(lid)
         if position is None:
             raise UnknownLIDError(f"LID {lid} not found in its leaf")
         return position
+
+    def _find_record(self, leaf: BNode, lid: int) -> int:
+        """``lid``'s position in ``leaf`` for an update path: builds no map."""
+        try:
+            return leaf.find(lid)
+        except ValueError:
+            raise UnknownLIDError(f"LID {lid} not found in its leaf") from None
 
     def lookup_many(self, lids: Sequence[int], channel: str = LABEL_CHANNEL) -> list:
         """Labels (or, on ``ORDINAL_CHANNEL``, document positions) for
@@ -245,7 +251,7 @@ class BBox(LabelingScheme):
             timestamp = self._tick()
             leaf_id = self.lidf.read(lid_old)
             leaf = self.store.read(leaf_id)
-            position = self._leaf_position(leaf, lid_old)
+            position = self._find_record(leaf, lid_old)
             if self._log_listeners:
                 prefix = self._prefix_of(leaf_id, leaf)
                 self._emit(
@@ -273,7 +279,7 @@ class BBox(LabelingScheme):
         ordinal = position
         while not node.is_root:
             parent = self.store.read(node.parent)
-            index = parent.index_of(node_id)
+            index = parent.find(node_id)
             assert parent.sizes is not None
             # The prefix excludes index, so it is unaffected by the delta.
             # Use the cached sums when a reader already built them, but do
@@ -293,32 +299,14 @@ class BBox(LabelingScheme):
         components: list[int] = []
         while not node.is_root:
             parent = self.store.read(node.parent)
-            components.append(parent.index_of(node_id))
+            components.append(parent.find(node_id))
             node_id, node = node.parent, parent
         components.reverse()
         return tuple(components)
 
     def _split(self, node_id: int, node: BNode, timestamp: int) -> None:
         """Split an overflowing node; may cascade to the root."""
-        mid = len(node.entries) // 2
-        moved = node.entries[mid:]
-        node.entries = node.entries[:mid]
-        sibling = BNode(leaf=node.leaf, parent=node.parent, entries=moved)
-        if node.sizes is not None:
-            sibling.sizes = node.sizes[mid:]
-            node.sizes = node.sizes[:mid]
-        sibling_id = self.store.allocate(sibling)
-        if node.leaf:
-            # Relocated records: repoint their LIDF records (O(B) I/Os).
-            for lid in moved:
-                self.lidf.write(lid, sibling_id)
-        else:
-            # Relocated children: repoint their back-links (O(B) I/Os).
-            for child_id in moved:
-                child = self.store.read(child_id)
-                child.parent = sibling_id
-                self.store.write(child_id)
-        self.store.write(node_id)
+        sibling_id, sibling = self._split_off(node_id, node, len(node.entries) // 2)
 
         if node.is_root:
             sizes = None
@@ -337,7 +325,7 @@ class BBox(LabelingScheme):
             return
 
         parent = self.store.read(node.parent)
-        index = parent.index_of(node_id)
+        index = parent.find(node_id)
         parent.entries.insert(index + 1, sibling_id)
         if parent.sizes is not None:
             total = parent.sizes[index]
@@ -357,11 +345,37 @@ class BBox(LabelingScheme):
         if len(parent.entries) > self.fanout:
             self._split(node.parent, parent, timestamp)
 
+    def _split_off(self, node_id: int, node: BNode, position: int) -> tuple[int, BNode]:
+        """Move ``node``'s entries from ``position`` on to a new right
+        sibling (not yet linked into the parent); returns it and its id."""
+        moved = node.entries[position:]
+        del node.entries[position:]
+        sibling = BNode(leaf=node.leaf, parent=node.parent, entries=moved)
+        if node.sizes is not None:
+            sibling.sizes = node.sizes[position:]
+            del node.sizes[position:]
+        sibling_id = self.store.allocate(sibling)
+        self._adopt(sibling_id, sibling, moved)
+        self.store.write(node_id)
+        return sibling_id, sibling
+
     def _subtree_size(self, node: BNode) -> int:
         if node.leaf:
             return len(node.entries)
         assert node.sizes is not None
         return sum(node.sizes)
+
+    def _adopt(self, node_id: int, node: BNode, entries: Sequence[int]) -> None:
+        """Point ``entries``, just moved into ``node``, back at it: a leaf's
+        LIDF records, one read and one write per LIDF block (O(B) I/Os at
+        worst), or an internal node's children's back-links."""
+        if node.leaf:
+            self.lidf.write_many((lid, node_id) for lid in entries)
+        else:
+            for child_id in entries:
+                child = self.store.read(child_id)
+                child.parent = node_id
+                self.store.write(child_id)
 
     # ------------------------------------------------------------------
     # delete
@@ -372,7 +386,7 @@ class BBox(LabelingScheme):
             timestamp = self._tick()
             leaf_id = self.lidf.read(lid)
             leaf = self.store.read(leaf_id)
-            position = self._leaf_position(leaf, lid)
+            position = self._find_record(leaf, lid)
             if self._log_listeners:
                 prefix = self._prefix_of(leaf_id, leaf)
                 self._emit(
@@ -414,7 +428,7 @@ class BBox(LabelingScheme):
                 self._emit(invalidate_all(timestamp))
                 return
             self._rebalance(parent_id, parent, timestamp)
-        index = parent.index_of(node_id)
+        index = parent.find(node_id)
         minimum = self.leaf_min if node.leaf else self.fanout_min
 
         # Try borrowing from the left, then the right sibling.  Subtree
@@ -426,8 +440,9 @@ class BBox(LabelingScheme):
                 continue
             sibling_id = parent.entries[sibling_index]
             sibling = self.store.read(sibling_id)
-            while len(node.entries) < minimum and len(sibling.entries) > minimum:
-                self._borrow(node_id, node, sibling_id, sibling, take_last)
+            spare = min(minimum - len(node.entries), len(sibling.entries) - minimum)
+            if spare > 0:
+                self._borrow(node_id, node, sibling_id, sibling, take_last, spare)
                 borrowed = True
             if borrowed:
                 self._update_parent_sizes(parent, index, node, sibling_index, sibling)
@@ -492,40 +507,27 @@ class BBox(LabelingScheme):
             self._rebalance(survivor_id, survivor, timestamp)
 
     def _borrow(
-        self, node_id: int, node: BNode, sibling_id: int, sibling: BNode, take_last: bool
+        self, node_id: int, node: BNode, sibling_id: int, sibling: BNode, take_last: bool, n: int
     ) -> None:
-        """Move one entry from ``sibling`` into ``node``."""
-        if take_last:
-            entry = sibling.entries.pop()
-            node.entries.insert(0, entry)
-            if node.sizes is not None:
-                assert sibling.sizes is not None
-                node.sizes.insert(0, sibling.sizes.pop())
-        else:
-            entry = sibling.entries.pop(0)
-            node.entries.append(entry)
-            if node.sizes is not None:
-                assert sibling.sizes is not None
-                node.sizes.append(sibling.sizes.pop(0))
-        if node.leaf:
-            self.lidf.write(entry, node_id)
-        else:
-            child = self.store.read(entry)
-            child.parent = node_id
-            self.store.write(entry)
+        """Move ``n`` entries from the adjacent end of ``sibling`` into
+        ``node``; their LIDF records or back-links are repointed nearest
+        first."""
+        taken = slice(len(sibling.entries) - n, None) if take_last else slice(0, n)
+        at = 0 if take_last else len(node.entries)
+        moved = sibling.entries[taken]
+        del sibling.entries[taken]
+        node.entries[at:at] = moved
+        if node.sizes is not None:
+            assert sibling.sizes is not None
+            node.sizes[at:at] = sibling.sizes[taken]
+            del sibling.sizes[taken]
+        self._adopt(node_id, node, moved[::-1] if take_last else moved)
         self.store.write(node_id)
         self.store.write(sibling_id)
 
     def _merge(self, left_id: int, left: BNode, right_id: int, right: BNode) -> None:
         """Move all of ``right``'s entries into ``left`` and free ``right``."""
-        if left.leaf:
-            for lid in right.entries:
-                self.lidf.write(lid, left_id)
-        else:
-            for child_id in right.entries:
-                child = self.store.read(child_id)
-                child.parent = left_id
-                self.store.write(child_id)
+        self._adopt(left_id, left, right.entries)
         left.entries.extend(right.entries)
         if left.sizes is not None:
             assert right.sizes is not None

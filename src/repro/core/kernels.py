@@ -62,7 +62,9 @@ def position_index(entries: Sequence[int]) -> dict[int, int]:
     per probe — with one O(B) dict build answering every later probe in
     O(1).  Like the cumulative arrays above, the map is cached on the node
     payload and invalidated wholesale by ``touch()`` when the block is
-    dirtied; it models block-internal computation and costs no I/O.
+    dirtied; it models block-internal computation and costs no I/O.  It
+    pays off only when several probes come before the node's next write,
+    so only read paths build it (update paths probe with ``list.index``).
     """
     return {entry: index for index, entry in enumerate(entries)}
 

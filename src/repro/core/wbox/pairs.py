@@ -95,10 +95,10 @@ class WBoxO(WBox):
         return record.lid
 
     def _find_record(self, leaf: WNode, lid: int) -> int:
-        # Use the leaf's lid -> position map when one is already built (read
-        # paths build it via _position_index); otherwise scan.  Update paths
-        # dirty the leaf right after finding, which would throw a fresh map
-        # away, so they must not pay for building one.
+        # Use the leaf's lid -> position map when one is already built (fixup
+        # sessions build it); otherwise scan.  Update paths dirty the leaf
+        # right after finding, which would throw a fresh map away, so they
+        # must not pay for building one.
         index = leaf._lid_index
         if index is not None:
             try:
@@ -109,19 +109,6 @@ class WBoxO(WBox):
             if record.lid == lid:
                 return position
         raise UnknownLIDError(f"LID {lid} not found in its leaf")
-
-    @staticmethod
-    def _position_index(leaf: WNode) -> dict[int, int]:
-        """The leaf's lid -> position map, built (and cached) on demand.
-        The cache dies with the next write of the leaf's block, so this is
-        only worth calling on paths that do several finds per leaf between
-        writes (pair lookups, fixup sessions)."""
-        index = leaf._lid_index
-        if index is None:
-            index = leaf._lid_index = {
-                record.lid: position for position, record in enumerate(leaf.entries)
-            }
-        return index
 
     def _relocate_records(self, records: list[PairRecord], new_block: int) -> None:
         super()._relocate_records(records, new_block)
@@ -154,63 +141,67 @@ class WBoxO(WBox):
 
     def _run_fixups(self) -> None:
         # Both phases mutate only per-record *fields* (partner_block,
-        # end_value), never record positions, so the writes that record the
-        # I/O can be deferred to the end of the session.  Deferring keeps
-        # each leaf's lid -> position map alive across every find of the
-        # session — one map build per touched leaf instead of one scan per
-        # record — and, inside the enclosing operation scope, leaves the
-        # counted I/O unchanged (each dirty block is counted once either
-        # way).
+        # end_value), never record positions or blocks, so `leaf_at` checks,
+        # reads and indexes each leaf once, at its first touch, and the
+        # writes wait for the end.  In the enclosing operation a block's later
+        # reads were free anyway: counted I/O and first-touch order are kept.
         moves = self._pending_moves
+        store = self.store
+        leaves: dict[int, tuple[WNode, dict[int, int]] | None] = {}
+
+        def leaf_at(block_id: int) -> tuple[WNode, dict[int, int]] | None:
+            """(leaf, lid -> position) at ``block_id``; None if freed or reused."""
+            if block_id in leaves:
+                return leaves[block_id]
+            found = None
+            if store.exists(block_id):
+                node = store.read(block_id)
+                if isinstance(node, WNode) and node.is_leaf:
+                    if node._lid_index is None:  # kept on the leaf until its next write
+                        node._lid_index = {r.lid: p for p, r in enumerate(node.entries)}
+                    found = node, node._lid_index
+            leaves[block_id] = found
+            return found
+
         dirty: dict[int, None] = {}
         # Phase 1: repair partner block pointers for every moved record.
-        for lid, (record, new_block) in moves.items():
+        for record, new_block in moves.values():
             partner_lid = record.partner_lid
             if partner_lid is None:
                 continue  # not yet wired (fresh record)
-            if partner_lid in moves:
-                partner_location = moves[partner_lid][1]
-            else:
-                partner_location = record.partner_block
+            partner_move = moves.get(partner_lid)
+            partner_location = record.partner_block if partner_move is None else partner_move[1]
             record.partner_block = partner_location
-            if not self.store.exists(partner_location):
+            found = leaf_at(partner_location)
+            if found is None:
                 continue  # partner deleted along with its block
-            partner_leaf = self.store.read(partner_location)
-            if not isinstance(partner_leaf, WNode) or not partner_leaf.is_leaf:
-                continue  # partner deleted; its block was reused elsewhere
-            position = self._position_index(partner_leaf).get(partner_lid)
+            position = found[1].get(partner_lid)
             if position is None:
                 continue  # partner record was deleted
-            partner_leaf.entries[position].partner_block = new_block
+            found[0].entries[position].partner_block = new_block
             dirty[partner_location] = None
         # Phase 2: refresh cached end values for every relabeled leaf.  End
         # records inside the relabeled set whose start partners live outside
         # are the D-bounded cost of Theorem 4.7.
         for leaf_id in self._pending_relabeled:
-            if not self.store.exists(leaf_id):
+            found = leaf_at(leaf_id)
+            if found is None:
                 continue  # merged away during a rebuild
-            leaf = self.store.read(leaf_id)
-            if not isinstance(leaf, WNode) or not leaf.is_leaf:
-                continue
+            leaf = found[0]
             for position, record in enumerate(leaf.entries):
                 if record.is_start or record.partner_lid is None:
                     continue
-                if not self.store.exists(record.partner_block):
-                    continue
-                partner_leaf = self.store.read(record.partner_block)
-                if not isinstance(partner_leaf, WNode) or not partner_leaf.is_leaf:
-                    continue  # partner deleted; its block was reused elsewhere
-                partner_position = self._position_index(partner_leaf).get(
-                    record.partner_lid
-                )
+                block = record.partner_block
+                found = leaf_at(block)
+                if found is None:
+                    continue  # partner deleted; its block was freed or reused
+                partner_position = found[1].get(record.partner_lid)
                 if partner_position is None:
                     continue
-                partner = partner_leaf.entries[partner_position]
-                partner.end_value = leaf.range_lo + position
-                dirty[record.partner_block] = None
-        for block_id in dirty:
-            if self.store.exists(block_id):
-                self.store.write(block_id)
+                found[0].entries[partner_position].end_value = leaf.range_lo + position
+                dirty[block] = None
+        for block_id in dirty:  # each one a leaf leaf_at found; none was freed
+            store.write(block_id)
 
     # ------------------------------------------------------------------
     # wrapped mutating operations

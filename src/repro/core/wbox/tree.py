@@ -142,12 +142,12 @@ class WBox(LabelingScheme):
             raise UnknownLIDError(f"LID {lid} not found in its leaf") from None
 
     def _relocate_records(self, records: list[Record], new_block: int) -> None:
-        """Records moved to ``new_block``: repoint their LIDF records.
+        """Records moved to ``new_block``: repoint their LIDF records, one
+        read and one write per LIDF block.
 
         W-BOX-O extends this to journal the moves for partner-pointer
         fixup."""
-        for record in records:
-            self.lidf.write(self._record_lid(record), new_block)
+        self.lidf.write_many((self._record_lid(record), new_block) for record in records)
 
     def _leaf_relabeled(self, leaf_id: int, leaf: WNode) -> None:
         """Hook: the labels of ``leaf``'s records changed (range or

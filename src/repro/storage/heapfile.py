@@ -21,7 +21,7 @@ adjacent costs a single I/O, the paper's "obvious optimization").
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from ..config import BoxConfig
 from ..errors import PersistError, RecordNotFoundError
@@ -130,12 +130,34 @@ class HeapFile:
 
     def write(self, lid: int, value: Any) -> None:
         """Overwrite the record stored under ``lid`` (one block I/O)."""
-        block_id, slot = self._locate(lid)
-        records = self.store.read(block_id)
-        if records[slot] is _EMPTY:
-            raise RecordNotFoundError(f"LID {lid} is not allocated")
-        records[slot] = value
-        self.store.write(block_id)
+        self.write_many(((lid, value),))
+
+    def write_many(self, pairs: Iterable[tuple[int, Any]]) -> None:
+        """Overwrite the record of each ``(lid, value)`` pair with one read
+        and one write per LIDF block, in the order the pairs first touch
+        the blocks: in an operation, a :meth:`write` loop's I/O and cache.
+        All or nothing: a freed or out-of-range LID raises
+        :class:`RecordNotFoundError` before any record changes."""
+        per_block = self.records_per_block
+        groups: dict[int, list[tuple[int, Any]]] = {}
+        for lid, value in pairs:
+            if lid < 0 or lid >= self._tail:
+                raise RecordNotFoundError(f"LID {lid} is not allocated")
+            block_index, slot = divmod(lid, per_block)
+            groups.setdefault(block_index, []).append((slot, value))
+        blocks = []
+        for block_index, group in groups.items():
+            block_id = self._block_ids[block_index]
+            records = self.store.read(block_id)
+            for slot, _ in group:
+                if records[slot] is _EMPTY:
+                    lid = block_index * per_block + slot
+                    raise RecordNotFoundError(f"LID {lid} is not allocated")
+            blocks.append((block_id, records, group))
+        for block_id, records, group in blocks:
+            for slot, value in group:
+                records[slot] = value
+            self.store.write(block_id)
 
     def exists(self, lid: int) -> bool:
         """Whether ``lid`` currently addresses a live record (uncounted)."""

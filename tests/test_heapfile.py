@@ -131,6 +131,67 @@ class TestBulkAccess:
         assert op.reads == 2 and op.writes == 2
 
 
+class TestWriteMany:
+    """``write_many`` is a loop of ``write`` that touches each LIDF block
+    once: the same records, the same counted I/O, the same first-touch
+    order — and all or nothing."""
+
+    PAIRS = [(9, "a"), (2, "b"), (17, "c"), (3, "d"), (10, "e"), (2, "f")]
+
+    @staticmethod
+    def _filled():
+        lidf = HeapFile(BlockStore(TINY_CONFIG))
+        for i in range(3 * RPB):
+            lidf.allocate(i)
+        return lidf
+
+    def test_same_records_as_a_write_loop(self):
+        looped, batched = self._filled(), self._filled()
+        for lid, value in self.PAIRS:
+            looped.write(lid, value)
+        batched.write_many(self.PAIRS)
+        assert list(batched.peek_records()) == list(looped.peek_records())
+
+    def test_same_counted_io_inside_an_operation(self):
+        looped, batched = self._filled(), self._filled()
+        with looped.store.measured() as loop_cost:
+            for lid, value in self.PAIRS:
+                looped.write(lid, value)
+        with batched.store.measured() as batch_cost:
+            batched.write_many(self.PAIRS)
+        assert (batch_cost.reads, batch_cost.writes) == (loop_cost.reads, loop_cost.writes)
+        assert (batch_cost.reads, batch_cost.writes) == (3, 3)
+
+    def test_one_read_and_write_per_block_in_first_touch_order(self):
+        lidf = self._filled()
+        calls = []
+        store = lidf.store
+        read, write = store.read, store.write
+        store.read = lambda block_id: calls.append(("read", block_id)) or read(block_id)
+        store.write = lambda block_id: calls.append(("write", block_id)) or write(block_id)
+        lidf.write_many(self.PAIRS)
+        first, second, third = (lidf._block_ids[lid // RPB] for lid in (9, 2, 17))
+        assert calls == [
+            ("read", first), ("read", second), ("read", third),
+            ("write", first), ("write", second), ("write", third),
+        ]
+
+    @pytest.mark.parametrize("bad_lid", [5, 3 * RPB, -1])
+    def test_a_dead_lid_raises_and_changes_nothing(self, bad_lid):
+        lidf = self._filled()
+        lidf.free(5)
+        before = list(lidf.peek_records())
+        with pytest.raises(RecordNotFoundError):
+            lidf.write_many([(1, "x"), (12, "y"), (bad_lid, "z"), (20, "w")])
+        assert list(lidf.peek_records()) == before
+
+    def test_empty_input_is_a_no_op(self):
+        lidf = self._filled()
+        with lidf.store.measured() as cost:
+            lidf.write_many([])
+        assert cost.total == 0
+
+
 class TestJournal:
     """What a file backend journals per commit: the allocation ops, which
     folded over an older ``persist_state()`` must reproduce the newer one

@@ -32,6 +32,10 @@ walking ``src/repro`` with ``ast``:
   ``LabeledDocument.apply_edits``: ``insert_before``, ``append_child``
   and ``delete_element`` are one-edit calls to it and never reach the
   scheme themselves.
+* **Repointing moved records' LIDF entries** belongs to
+  ``HeapFile.write_many``, one read and one write per LIDF block: no
+  ``lidf.write(`` call under ``repro/core/`` sits inside a loop or a
+  comprehension, where it would cost a block read and write per record.
 * **Options no caller set** stay deleted: the removed names below are
   absent from ``src/``.
 """
@@ -300,6 +304,31 @@ def _single_edit_violations() -> list[str]:
     return found
 
 
+LOOPS = (
+    ast.For,
+    ast.AsyncFor,
+    ast.While,
+    ast.ListComp,
+    ast.SetComp,
+    ast.DictComp,
+    ast.GeneratorExp,
+)
+
+
+def _per_record_repoint_violations() -> list[str]:
+    found = []
+    for rel, _text, tree in _modules():
+        if not rel.startswith("core/"):
+            continue
+        for loop in ast.walk(tree):
+            if not isinstance(loop, LOOPS):
+                continue
+            for node in ast.walk(loop):
+                if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("lidf.write"):
+                    found.append(f"{rel}:{node.lineno}: lidf.write in a loop")
+    return sorted(set(found))
+
+
 def test_one_fault_interpreter():
     assert _fault_violations() == []
 
@@ -354,3 +383,7 @@ def test_one_file_system_boundary():
 
 def test_single_element_edits_go_through_apply_edits():
     assert _single_edit_violations() == []
+
+
+def test_lidf_repointing_is_per_block():
+    assert _per_record_repoint_violations() == []
