@@ -43,27 +43,19 @@ from benchmarks.conftest import (
     scheme_factories,
     workload_inserts,
 )
-from repro.persist import attach_scheme_to_backend
-from repro.core import scheme_page_bytes
-from repro.storage import BlockStore, FileBackend
+from repro.persist import create_store
 from repro.workloads import run_concentrated
 
 #: Schemes spanning the I/O-count range (B-BOX cheapest, naive-16 dearest
-#: under concentration) so the correlation has spread to latch onto.
-SCHEMES = ["W-BOX", "W-BOX-O", "B-BOX", "B-BOX-O", "naive-16"]
-
-#: One page slot every scheme in the sweep fits.
-PAGE_BYTES = max(
-    scheme_page_bytes(name, BENCH_CONFIG) for name in ("wbox", "wboxo", "bbox", "naive-16")
-)
-
-
-def _file_store(directory: str, name: str) -> tuple[BlockStore, FileBackend]:
-    backend = FileBackend(
-        str(Path(directory) / f"{name}.pages"),
-        page_bytes=PAGE_BYTES,
-    )
-    return BlockStore(BENCH_CONFIG, backend=backend), backend
+#: under concentration) so the correlation has spread to latch onto; each
+#: with its registry name for the file-backed run.
+SCHEMES = {
+    "W-BOX": "wbox",
+    "W-BOX-O": "wboxo",
+    "B-BOX": "bbox",
+    "B-BOX-O": "bbox-o",
+    "naive-16": "naive-16",
+}
 
 
 def _counts(scheme) -> dict:
@@ -88,9 +80,10 @@ def _run_pair(name: str, directory: str) -> dict:
     memory_result = run_concentrated(memory_scheme, base, inserts)
     memory_wall = time.perf_counter() - start
 
-    store, backend = _file_store(directory, name.lower().replace("-", "_"))
-    file_scheme = _make_on_store(name, store)
-    attach_scheme_to_backend(file_scheme)
+    (file_scheme,), _ = create_store(
+        str(Path(directory) / SCHEMES[name]), SCHEMES[name], config=BENCH_CONFIG
+    )
+    backend = file_scheme.store.backend
     start = time.perf_counter()
     file_result = run_concentrated(file_scheme, base, inserts)
     backend.checkpoint()  # the write-back half of the physical cost
@@ -115,21 +108,6 @@ def _run_pair(name: str, directory: str) -> dict:
     }
     backend.close()
     return row
-
-
-def _make_on_store(name: str, store: BlockStore):
-    from repro import BBox, NaiveScheme, WBox, WBoxO
-
-    if name == "W-BOX":
-        return WBox(BENCH_CONFIG, store=store)
-    if name == "W-BOX-O":
-        return WBoxO(BENCH_CONFIG, store=store)
-    if name == "B-BOX":
-        return BBox(BENCH_CONFIG, store=store)
-    if name == "B-BOX-O":
-        return BBox(BENCH_CONFIG, store=store, ordinal=True)
-    k = int(name.split("-")[1])
-    return NaiveScheme(k, BENCH_CONFIG, store=store)
 
 
 def _pearson(xs: list[float], ys: list[float]) -> float:

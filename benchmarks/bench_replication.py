@@ -35,7 +35,7 @@ from repro.config import BoxConfig
 from repro.core import BatchOp
 from repro.net.client import NetClient
 from repro.net.server import run_server
-from repro.persist import attach_scheme_to_backend
+from repro.persist import create_store
 from repro.repl import (
     Follower,
     annotate_commits_with_epoch,
@@ -43,7 +43,6 @@ from repro.repl import (
     rotate_service_wal,
 )
 from repro.service import ShardedLabelService
-from repro.storage import BlockStore, FileBackend, default_page_bytes
 
 REPL_SCALE = {
     # ``base`` bulk-loaded labels; ``writes`` burst inserts; ``rotate_every``
@@ -84,15 +83,12 @@ def _serve(service) -> tuple[dict, threading.Thread]:
 
 
 def _make_primary(directory: str, base: int):
-    backend = FileBackend(
-        os.path.join(directory, "primary.pages"),
-        page_bytes=default_page_bytes(BENCH_CONFIG),
+    (scheme,), lids = create_store(
+        os.path.join(directory, "primary"),
+        "wbox",
+        config=BENCH_CONFIG,
+        populate=lambda schemes: schemes[0].bulk_load(base, [i ^ 1 for i in range(base)]),
     )
-    from repro import WBox
-
-    scheme = WBox(BENCH_CONFIG, store=BlockStore(BENCH_CONFIG, backend=backend))
-    attach_scheme_to_backend(scheme)
-    lids = scheme.bulk_load(base, [i ^ 1 for i in range(base)])
     service = ShardedLabelService([scheme]).start()
     annotate_commits_with_epoch(service)
     checkpoint_service(service)

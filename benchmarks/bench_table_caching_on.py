@@ -18,7 +18,7 @@ import random
 import pytest
 
 from repro import BBox, BoxConfig, WBox
-from repro.storage import BlockStore, HeapFile
+from repro.storage import BlockStore
 from repro.workloads import two_level_pairing
 
 from benchmarks.conftest import SCALE, fmt, record_table
@@ -32,7 +32,7 @@ LOOKUPS = 2000
 def build(scheme_cls, cache_capacity: int, cache_mode: str = "lru"):
     config = BoxConfig(block_bytes=BLOCK_BYTES)
     store = BlockStore(config, cache_capacity=cache_capacity, cache_mode=cache_mode)
-    scheme = scheme_cls(config, store=store, lidf=HeapFile(store, config))
+    scheme = scheme_cls(config, store=store)
     n_children = SCALE["base"] // 4
     lids = scheme.bulk_load(2 * (n_children + 1), two_level_pairing(n_children))
     return scheme, lids

@@ -6,8 +6,8 @@ Twelve subcommands, all built on the public API::
     python -m repro query    doc.xml "//item[mailbox/mail]" --scheme wbox
     python -m repro workload concentrated --scheme bbox --base 2000 --inserts 500
     python -m repro inspect  labels.box
-    python -m repro recover  labels.pages
-    python -m repro info     labels.pages
+    python -m repro recover  store/
+    python -m repro info     store/
     python -m repro stress   --scheme wbox --shards 2 --readers 4 --seconds 5
     python -m repro serve    doc.xml --scheme bbox
     python -m repro replicate --follow HOST:PORT --root DIR
@@ -21,12 +21,16 @@ XPath-subset expression over a freshly labeled document and reports the
 block I/O it cost; ``workload`` runs one of the paper's insertion sequences
 and prints the cost summary; ``inspect`` reloads a saved structure.
 
-Commands that build a scheme accept ``--storage file --storage-path F`` to
-run on a real page file with write-ahead logging instead of the default
-in-memory backend — the counted I/Os are identical, the file survives the
-process.  ``recover`` reopens such a file (replaying or discarding any
-interrupted commit) and verifies the structure; ``info`` prints what a
-saved file contains — snapshot or page file — without modifying it.
+Commands that build a scheme accept ``--storage file --storage-path DIR`` to
+run on real page files with write-ahead logging instead of the default
+in-memory backend — the counted I/Os are identical, the files survive the
+process.  ``DIR`` is always a store root (``SHARDS.json`` plus one page
+file per shard, one shard included), created through
+:func:`~repro.persist.create_store`, which refuses a store that exists;
+only ``serve --listen`` reopens one.  ``recover`` reopens a root or a bare
+page file (replaying or discarding any interrupted commit, shard by
+shard) and verifies the structure; ``info`` prints what a saved file or
+root contains — snapshot or page files — without modifying it.
 
 ``stress`` spins up the concurrent :class:`~repro.service.ShardedLabelService`
 over ``--shards N`` synthetic shards and hammers it with reader threads beside
@@ -56,27 +60,25 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager
-from typing import Any, Iterator
+from contextlib import closing, contextmanager, nullcontext
+from typing import Any, Callable, Iterator
 
 from .config import BoxConfig
-from .core import LabeledDocument, scheme_factory, scheme_page_bytes
+from .core import LabeledDocument
 from .errors import PersistError, RecoveryError, ReproError
 from .persist import (
     MAGIC,
-    attach_scheme_to_backend,
     checkpoint_scheme,
-    create_sharded_backends,
+    create_store,
     load_document,
     load_scheme,
-    open_file_scheme,
+    open_store,
     read_snapshot_header,
     save_document,
 )
 from .query.xpath import evaluate
+from .service import ShardedLabelService, bulk_load_sharded
 from .storage import (
-    BlockStore,
-    FileBackend,
     is_sharded_root,
     read_manifest,
     read_directory,
@@ -90,31 +92,45 @@ from .xml.model import element_count, tree_depth
 from .xml.parser import parse
 
 
-def make_scheme(
-    name: str,
-    config: BoxConfig,
-    storage: str = "memory",
-    storage_path: str | None = None,
-) -> Any:
-    """Instantiate a scheme from its CLI name (see
-    :mod:`repro.core.registry`), optionally on a file-backed store
-    (``storage="file"`` + a page-file path)."""
-    if storage == "memory":
-        return make_scheme_on_store(name, config, None)
-    if storage != "file":
-        raise ReproError(f"unknown storage backend {storage!r}")
-    if not storage_path:
+@contextmanager
+def _store(
+    args: argparse.Namespace,
+    shards: int = 1,
+    populate: Callable[[list[Any]], Any] | None = None,
+    *,
+    reopen: bool = False,
+    fsync: bool = False,
+) -> Iterator[list[Any]]:
+    """The one way a verb gets its schemes (one per shard).
+
+    ``--storage memory`` makes in-memory schemes; ``--storage file``
+    creates a store root at ``--storage-path``
+    (:func:`~repro.persist.create_store`, which refuses a store that
+    exists and runs ``populate`` on a fresh store), or — with ``reopen`` —
+    reopens the store there if there is one (:func:`~repro.persist.open_store`).
+    On exit every file shard is checkpointed (the durability point) and
+    closed.
+    """
+    root = args.storage_path if args.storage == "file" else None
+    if args.storage == "file" and not root:
         raise ReproError("--storage file requires --storage-path")
-    backend = FileBackend(storage_path, page_bytes=scheme_page_bytes(name, config))
-    return make_scheme_on_store(name, config, BlockStore(config, backend=backend))
-
-
-def _finish_scheme(scheme: Any) -> None:
-    """Flush and close a file-backed scheme at command end (checkpoint =
-    durability point); no-op on the memory backend."""
-    if isinstance(scheme.store.backend, FileBackend):
-        backend = checkpoint_scheme(scheme)
-        backend.close()
+    if reopen and root is not None and (os.path.isfile(root) or is_sharded_root(root)):
+        schemes = open_store(root, fsync=fsync)
+    else:
+        schemes, _ = create_store(
+            root,
+            args.scheme,
+            shards,
+            config=BoxConfig(block_bytes=args.block_bytes),
+            populate=populate,
+            fsync=fsync,
+        )
+    try:
+        yield schemes
+    finally:
+        if root is not None:
+            for scheme in schemes:
+                checkpoint_scheme(scheme).close()
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -138,8 +154,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--storage-path",
-        metavar="FILE",
-        help="page file for --storage file (WAL lives beside it as FILE.wal)",
+        metavar="DIR",
+        help="store root for --storage file (SHARDS.json + one page file and WAL per shard)",
     )
 
 
@@ -151,60 +167,56 @@ def _is_saved_structure(path: str) -> bool:
         return False
 
 
-def _load_document(path: str, scheme: Any) -> LabeledDocument:
+def _parse_document(path: str) -> Any:
+    """Parse an XML file — before a verb creates its store, so a bad
+    document leaves no store behind."""
     with open(path, "r", encoding="utf-8") as handle:
-        root = parse(handle.read())
-    return LabeledDocument(scheme, root)
+        return parse(handle.read())
 
 
 def cmd_label(args: argparse.Namespace) -> int:
-    config = BoxConfig(block_bytes=args.block_bytes)
-    scheme = make_scheme(args.scheme, config, args.storage, args.storage_path)
-    before = scheme.stats.snapshot()
-    doc = _load_document(args.document, scheme)
-    load_io = (scheme.stats.snapshot() - before).total
-    info = scheme.describe()
-    print(f"document: {args.document}")
-    print(f"  elements:     {element_count(doc.root)}")
-    print(f"  depth:        {tree_depth(doc.root)}")
-    print(f"  scheme:       {info['scheme']}")
-    print(f"  labels:       {info['labels']}")
-    print(f"  blocks:       {info['blocks']}")
-    print(f"  label bits:   {info['label_bits']}")
-    if hasattr(scheme, "height"):
-        print(f"  tree height:  {scheme.height}")
-    print(f"  bulk-load IO: {load_io} block I/Os")
-    if args.save:
-        save_document(doc, args.save)
-        print(f"  saved to:     {args.save} (reload with 'query'/'inspect')")
+    root = _parse_document(args.document)
+    with _store(args) as (scheme,):
+        before = scheme.stats.snapshot()
+        doc = LabeledDocument(scheme, root)
+        load_io = (scheme.stats.snapshot() - before).total
+        info = scheme.describe()
+        print(f"document: {args.document}")
+        print(f"  elements:     {element_count(doc.root)}")
+        print(f"  depth:        {tree_depth(doc.root)}")
+        print(f"  scheme:       {info['scheme']}")
+        print(f"  labels:       {info['labels']}")
+        print(f"  blocks:       {info['blocks']}")
+        print(f"  label bits:   {info['label_bits']}")
+        if hasattr(scheme, "height"):
+            print(f"  tree height:  {scheme.height}")
+        print(f"  bulk-load IO: {load_io} block I/Os")
+        if args.save:
+            save_document(doc, args.save)
+            print(f"  saved to:     {args.save} (reload with 'query'/'inspect')")
     if args.storage == "file":
-        _finish_scheme(scheme)
         print(f"  checkpointed: {args.storage_path} (reopen with 'recover'/'info')")
     return 0
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    if _is_saved_structure(args.document):
-        # A previously saved labeled document: no re-labeling needed.
-        doc = load_document(args.document)
-    else:
-        config = BoxConfig(block_bytes=args.block_bytes)
-        scheme = make_scheme(args.scheme, config, args.storage, args.storage_path)
-        doc = _load_document(args.document, scheme)
-    scheme = doc.scheme
-    before = scheme.stats.snapshot()
-    matches = evaluate(doc, args.expression)
-    query_io = (scheme.stats.snapshot() - before).total
-    print(f"{args.expression}: {len(matches)} match(es), {query_io} block I/Os")
-    limit = args.limit if args.limit > 0 else len(matches)
-    for element in matches[:limit]:
-        attributes = " ".join(f'{k}="{v}"' for k, v in element.attributes.items())
-        start, end = doc.labels(element)
-        text = f" {attributes}" if attributes else ""
-        print(f"  <{element.name}{text}>  labels=({start}, {end})")
-    if len(matches) > limit:
-        print(f"  ... and {len(matches) - limit} more")
-    _finish_scheme(scheme)
+    # A previously saved labeled document needs no store and no re-labeling.
+    saved = _is_saved_structure(args.document)
+    root = None if saved else _parse_document(args.document)
+    with nullcontext((None,)) if saved else _store(args) as (scheme,):
+        doc = load_document(args.document) if saved else LabeledDocument(scheme, root)
+        before = doc.scheme.stats.snapshot()
+        matches = evaluate(doc, args.expression)
+        query_io = (doc.scheme.stats.snapshot() - before).total
+        print(f"{args.expression}: {len(matches)} match(es), {query_io} block I/Os")
+        limit = args.limit if args.limit > 0 else len(matches)
+        for element in matches[:limit]:
+            attributes = " ".join(f'{k}="{v}"' for k, v in element.attributes.items())
+            start, end = doc.labels(element)
+            text = f" {attributes}" if attributes else ""
+            print(f"  <{element.name}{text}>  labels=({start}, {end})")
+        if len(matches) > limit:
+            print(f"  ... and {len(matches) - limit} more")
     return 0
 
 
@@ -231,9 +243,8 @@ SEQUENCES = {
 def cmd_workload(args: argparse.Namespace) -> int:
     if args.batch < 1:
         raise ReproError(f"--batch must be >= 1, got {args.batch}")
-    config = BoxConfig(block_bytes=args.block_bytes)
-    scheme = make_scheme(args.scheme, config, args.storage, args.storage_path)
-    result = SEQUENCES[args.sequence](scheme, args)
+    with _store(args) as (scheme,):
+        result = SEQUENCES[args.sequence](scheme, args)
     summary = summarize(result.costs)
     cost = result.batch.amortized_cost
     batched = " (batched)" if result.group_size > 1 else ""
@@ -249,99 +260,11 @@ def cmd_workload(args: argparse.Namespace) -> int:
     print(f"  wall seconds:     {result.wall_seconds:.3f}")
     if hasattr(scheme, "relabel_count"):
         print(f"  relabels:         {scheme.relabel_count}")
-    _finish_scheme(scheme)
     return 0
 
 
-def make_scheme_on_store(
-    name: str, config: BoxConfig, store: BlockStore | None
-) -> Any:
-    """Instantiate a scheme from its CLI name onto an existing store
-    (``None`` = the scheme's default in-memory store)."""
-    scheme = scheme_factory(name)(config, store)
-    if isinstance(scheme.store.backend, FileBackend):
-        attach_scheme_to_backend(scheme)
-    return scheme
-
-
-def _open_schemes(
-    args: argparse.Namespace,
-    n_shards: int,
-    *,
-    persistent: bool = False,
-    fsync: bool = False,
-) -> tuple[list[Any], bool]:
-    """One scheme per shard on the verb's ``--storage`` → ``(schemes, fresh)``.
-
-    Memory storage makes N independent in-memory schemes.  File storage
-    has two layouts: one page file at ``--storage-path`` (a single shard;
-    the layout ``label``/``recover``/``info`` read), or — for N > 1, and
-    always for a ``persistent`` store — a sharded root directory
-    (``SHARDS.json`` + one page file per shard), which is reopened with
-    per-shard WAL recovery (``fresh`` is False) when it already exists.
-    """
-    config = BoxConfig(block_bytes=args.block_bytes)
-    if args.storage == "memory":
-        return [make_scheme(args.scheme, config) for _ in range(n_shards)], True
-    if n_shards == 1 and not persistent:
-        return [make_scheme(args.scheme, config, args.storage, args.storage_path)], True
-    if not args.storage_path:
-        raise ReproError("a sharded --storage file store needs --storage-path DIR")
-    if is_sharded_root(args.storage_path):
-        from .persist import open_sharded_schemes
-
-        return open_sharded_schemes(args.storage_path, fsync=fsync), False
-    backends = create_sharded_backends(
-        args.storage_path,
-        n_shards,
-        page_bytes=scheme_page_bytes(args.scheme, config),
-        fsync=fsync,
-    )
-    return [
-        make_scheme_on_store(args.scheme, config, BlockStore(config, backend=backend))
-        for backend in backends
-    ], True
-
-
-def _open_service(
-    args: argparse.Namespace,
-    n_shards: int,
-    populate: Any,
-    *,
-    persistent: bool = False,
-    fsync: bool = False,
-    **service_options: Any,
-) -> tuple[Any, Any]:
-    """The one place a verb builds its service → ``(service, loaded)``.
-
-    ``populate(schemes)`` fills freshly created schemes (document or bulk
-    load) before the service pins epoch 0, and its return value comes back
-    as ``loaded``; a reopened ``persistent`` store skips it (``None``).  A
-    freshly loaded persistent store is checkpointed, so a kill before the
-    first commit still reopens the loaded state.
-    """
-    from .service import ShardedLabelService
-
-    schemes, fresh = _open_schemes(args, n_shards, persistent=persistent, fsync=fsync)
-    loaded = None
-    if fresh:
-        loaded = populate(schemes)
-        if persistent and args.storage == "file":
-            for scheme in schemes:
-                checkpoint_scheme(scheme)
-    return ShardedLabelService(schemes, **service_options), loaded
-
-
-def _close_service(service: Any) -> None:
-    """Stop the writers, then checkpoint and close file-backed shards."""
-    service.close()
-    for scheme in service.schemes:
-        _finish_scheme(scheme)
-
-
 def cmd_stress(args: argparse.Namespace) -> int:
-    schemes, _fresh = _open_schemes(args, args.shards)
-    try:
+    with _store(args, args.shards) as schemes:
         result = run_stress(
             schemes,
             base_labels=2 * args.base,
@@ -355,9 +278,6 @@ def cmd_stress(args: argparse.Namespace) -> int:
             write_mode=args.write_mode,
             hot_labels=2 * args.hot or None,
         )
-    finally:
-        for scheme in schemes:
-            _finish_scheme(scheme)
     totals = result.totals
     print(f"stress: scheme={result.scheme} shards={result.shards} "
           f"readers={result.readers} mode={args.write_mode} "
@@ -389,34 +309,29 @@ def _parse_listen(listen: str) -> tuple[str, int]:
         raise ReproError(f"--listen wants HOST:PORT, got {listen!r}")
 
 
-def _serve_service(args: argparse.Namespace) -> tuple[Any, Any]:
-    """Build the service behind ``serve`` → ``(service, loaded)``.
+@contextmanager
+def _serving(args: argparse.Namespace) -> Iterator[tuple[Any, Any]]:
+    """The started service behind ``serve`` → ``(service, doc)``.
 
-    Two modes: an XML ``document`` positional (labeled in memory or on the
-    chosen storage, one shard), or — with ``--listen`` only — a synthetic
-    store of ``--base`` labels over ``--shards`` shards, in memory or as a
-    persistent file-backed sharded root under ``--storage-path``
-    (bulk-loaded on first start, reopened on every start after that).
+    Two modes: an XML ``document`` positional, labeled on a fresh
+    one-shard store; or — with ``--listen`` only — a synthetic store of
+    ``--base`` labels over ``--shards`` shards (``doc`` is ``None``), in
+    memory or a file root under ``--storage-path`` that is bulk-loaded on
+    first start and reopened on every start after that.
     """
-    from .service import bulk_load_sharded
-
     if args.document:
-        return _open_service(
-            args,
-            1,
-            lambda schemes: _load_document(args.document, schemes[0]),
-            log_capacity=args.log_capacity,
-        )
-    if args.replicate and args.storage == "memory":
+        root = _parse_document(args.document)
+        store = _store(args)
+    elif args.replicate and args.storage == "memory":
         raise ReproError("serve --replicate needs --storage file (WAL shipping)")
-    return _open_service(
-        args,
-        args.shards,
-        lambda schemes: bulk_load_sharded(schemes, args.base),
-        persistent=True,
-        fsync=args.fsync,
-        log_capacity=args.log_capacity,
-    )
+    else:
+        root = None
+        populate = lambda schemes: bulk_load_sharded(schemes, args.base)
+        store = _store(args, args.shards, populate, reopen=True, fsync=args.fsync)
+    with store as schemes:
+        doc = None if root is None else LabeledDocument(schemes[0], root)
+        with ShardedLabelService(schemes, log_capacity=args.log_capacity) as service:
+            yield service, doc
 
 
 def _cmd_serve_net(args: argparse.Namespace) -> int:
@@ -426,9 +341,8 @@ def _cmd_serve_net(args: argparse.Namespace) -> int:
     from .net.server import NetServer
 
     host, port = _parse_listen(args.listen)
-    service, _loaded = _serve_service(args)
 
-    async def _run() -> None:
+    async def _run(service: Any) -> None:
         server = NetServer(
             service,
             host,
@@ -454,26 +368,25 @@ def _cmd_serve_net(args: argparse.Namespace) -> int:
             pass
         await server.stop()
 
-    service.start()
-    checkpoint_stop = None
-    if args.replicate:
-        from .repl import (
-            annotate_commits_with_epoch,
-            checkpoint_service,
-            start_checkpoint_thread,
-        )
+    with _serving(args) as (service, _):
+        checkpoint_stop = None
+        if args.replicate:
+            from .repl import (
+                annotate_commits_with_epoch,
+                checkpoint_service,
+                start_checkpoint_thread,
+            )
 
-        annotate_commits_with_epoch(service)
-        checkpoint_service(service)  # the image followers bootstrap from
-        if args.checkpoint_interval > 0:
-            _, checkpoint_stop = start_checkpoint_thread(service, args.checkpoint_interval)
-        print("replication enabled: checkpoint recorded", flush=True)
-    try:
-        asyncio.run(_run())
-    finally:
-        if checkpoint_stop is not None:
-            checkpoint_stop.set()
-        _close_service(service)
+            annotate_commits_with_epoch(service)
+            checkpoint_service(service)  # the image followers bootstrap from
+            if args.checkpoint_interval > 0:
+                _, checkpoint_stop = start_checkpoint_thread(service, args.checkpoint_interval)
+            print("replication enabled: checkpoint recorded", flush=True)
+        try:
+            asyncio.run(_run(service))
+        finally:
+            if checkpoint_stop is not None:
+                checkpoint_stop.set()
     print("server stopped", flush=True)
     return 0
 
@@ -483,14 +396,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
         return _cmd_serve_net(args)
     if not args.document:
         raise ReproError("serve without --listen needs an XML document to label")
-    service, doc = _serve_service(args)
-    print(f"serving {args.document} ({element_count(doc.root)} elements) "
-          f"on {doc.scheme.name}; commands: lookup LID | compare LID LID | "
-          "insert LID | stats | epoch | quit")
-    service.start()
-    session = service.session()
-    stream = open(args.input, "r", encoding="utf-8") if args.input else sys.stdin
-    try:
+    with _serving(args) as (service, doc), (
+        open(args.input, "r", encoding="utf-8") if args.input else nullcontext(sys.stdin)
+    ) as stream:
+        print(f"serving {args.document} ({element_count(doc.root)} elements) "
+              f"on {doc.scheme.name}; commands: lookup LID | compare LID LID | "
+              "insert LID | stats | epoch | quit")
+        session = service.session()
         for line in stream:
             words = line.split()
             if not words:
@@ -528,10 +440,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
                     print(f"unknown command: {command}", file=sys.stderr)
             except (IndexError, ValueError, KeyError) as error:
                 print(f"bad arguments: {error}", file=sys.stderr)
-    finally:
-        if stream is not sys.stdin:
-            stream.close()
-        _close_service(service)
     return 0
 
 
@@ -614,27 +522,26 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def cmd_recover(args: argparse.Namespace) -> int:
-    scheme = open_file_scheme(args.file)
-    backend = scheme.store.backend
-    report = backend.recovery_report
-    print(f"file: {args.file}")
-    checkpoint_lsn = report["checkpoint_lsn"]
-    print("  checkpoint LSN:   "
-          + ("none (directory torn/corrupt)" if checkpoint_lsn is None else str(checkpoint_lsn)))
-    print(f"  folded from log:  {report['replayed_transactions']} transaction(s), "
-          f"to LSN {report['lsn']} (base: {report['base']})")
-    print(f"  discarded tail:   {report['discarded_tail_bytes']} bytes"
-          + (f" ({report['discarded_tail_reason']})" if report["discarded_tail_bytes"] else ""))
-    info = scheme.describe()
-    for key, value in info.items():
-        print(f"  {key}: {value}")
-    if hasattr(scheme, "check_invariants"):
-        scheme.check_invariants()
-        print("  invariants: OK")
-    # Reopening folded the log in memory; checkpoint it into the page
-    # file before closing.
-    _finish_scheme(scheme)
-    print("  recovered: OK (WAL empty, directory current)")
+    # Reopening folds each log in memory; the checkpoint writes it into
+    # the page file before closing.  A root reports once per shard.
+    for scheme in open_store(args.file):
+        backend = scheme.store.backend
+        report = backend.recovery_report
+        print(f"file: {backend.path}")
+        checkpoint_lsn = report["checkpoint_lsn"]
+        torn = checkpoint_lsn is None
+        print(f"  checkpoint LSN:   {'none (directory torn/corrupt)' if torn else checkpoint_lsn}")
+        print(f"  folded from log:  {report['replayed_transactions']} transaction(s), "
+              f"to LSN {report['lsn']} (base: {report['base']})")
+        print(f"  discarded tail:   {report['discarded_tail_bytes']} bytes"
+              + (f" ({report['discarded_tail_reason']})" if report["discarded_tail_bytes"] else ""))
+        for key, value in scheme.describe().items():
+            print(f"  {key}: {value}")
+        if hasattr(scheme, "check_invariants"):
+            scheme.check_invariants()
+            print("  invariants: OK")
+        checkpoint_scheme(scheme).close()
+        print("  recovered: OK (WAL empty, directory current)")
     return 0
 
 
@@ -657,46 +564,43 @@ def _wal_status(path: str, directory: dict | None) -> str:
     return "; ".join(parts)
 
 
-def _info_sharded(root: str) -> int:
-    """Describe a sharded page-file root (``SHARDS.json`` + page files)."""
-    manifest = read_manifest(root)
-    n_shards = manifest["n_shards"]
-    print(f"file: {root}")
-    print("  format:       sharded page-file root (SHARDS.json manifest)")
-    print(f"  shards:       {n_shards}")
-    print(f"  glid codec:   {manifest['codec']} (shard = glid % {n_shards}, "
-          f"local = glid // {n_shards})")
-    if manifest.get("page_bytes"):
-        print(f"  page bytes:   {manifest['page_bytes']}")
-    for shard in range(n_shards):
-        path = shard_page_path(root, shard)
-        print(f"  shard {shard}:      {os.path.basename(path)}")
-        state = read_directory(path)
-        if state is None:
-            print("    directory:  TORN/CORRUPT — run 'repro recover' on the shard file")
-            print(f"    WAL:        {_wal_status(path, None)}")
-            continue
-        print(f"    scheme:     {state['owner'].meta.get('scheme', '(none attached)')}")
-        print(f"    labels:     {state['owner'].lidf['live']} live at checkpoint LSN "
-              f"{state['lsn']} (document-order chunk {shard} of {n_shards})")
-        print(f"    blocks:     {len(state['on_disk'])}")
-        print(f"    page file:  {os.path.getsize(path)} bytes")
-        wal_path = path + ".wal"
-        wal_bytes = os.path.getsize(wal_path) if os.path.exists(wal_path) else 0
-        print(f"    WAL:        {wal_bytes} bytes; {_wal_status(path, state)}")
-    return 0
+def _info_page_file(path: str, indent: str = "  ") -> None:
+    """Describe one page file — a bare one, or a shard of a root — from
+    its at-rest directory and log, without modifying either."""
+    state = read_directory(path)
+    if state is None:
+        print(f"{indent}directory:    TORN/CORRUPT — run 'repro recover' to repair from the WAL")
+        print(f"{indent}WAL:          {_wal_status(path, None)}")
+        return
+    meta = state["owner"].meta
+    print(f"{indent}scheme:       {meta.get('scheme', '(none attached)')}")
+    if "config" in meta:
+        print(f"{indent}block bytes:  {meta['config']['block_bytes']}")
+    print(f"{indent}page bytes:   {state['page_bytes']}")
+    print(f"{indent}checkpoint:   LSN {state['lsn']} (what follows is as of it)")
+    print(f"{indent}blocks:       {len(state['on_disk'])}")
+    print(f"{indent}live labels:  {state['owner'].lidf['live']}")
+    print(f"{indent}WAL:          {_wal_status(path, state)}")
 
 
 def cmd_info(args: argparse.Namespace) -> int:
+    print(f"file: {args.file}")
     if os.path.isdir(args.file):
-        if is_sharded_root(args.file):
-            return _info_sharded(args.file)
-        raise PersistError(f"{args.file} is a directory without a SHARDS.json manifest")
+        manifest = read_manifest(args.file)
+        n_shards = manifest["n_shards"]
+        print("  format:       sharded page-file root (SHARDS.json manifest)")
+        print(f"  shards:       {n_shards}")
+        print(f"  glid codec:   {manifest['codec']} (shard = glid % {n_shards}, "
+              f"local = glid // {n_shards})")
+        for shard in range(n_shards):
+            path = shard_page_path(args.file, shard)
+            print(f"  shard {shard}:      {os.path.basename(path)}")
+            _info_page_file(path, indent="    ")
+        return 0
     with open(args.file, "rb") as handle:
         magic = handle.read(len(MAGIC))
         handle.seek(0)
         header = read_snapshot_header(handle, args.file) if magic == MAGIC else None
-    print(f"file: {args.file}")
     if header is not None:
         print("  format:       snapshot (save_scheme/save_document)")
         print(f"  scheme:       {header['scheme']}")
@@ -706,21 +610,8 @@ def cmd_info(args: argparse.Namespace) -> int:
         print("  WAL:          n/a (snapshots are atomic whole-file writes)")
         return 0
     if magic.startswith(b"BOXPAGE"):  # any version: an old one is refused by name
-        state = read_directory(args.file)
         print("  format:       page file (FileBackend, format version 2)")
-        if state is None:
-            print("  directory:    TORN/CORRUPT — run 'repro recover' to repair from the WAL")
-            print(f"  WAL:          {_wal_status(args.file, None)}")
-            return 0
-        meta = state["owner"].meta
-        print(f"  scheme:       {meta.get('scheme', '(none attached)')}")
-        if "config" in meta:
-            print(f"  block bytes:  {meta['config']['block_bytes']}")
-        print(f"  page bytes:   {state['page_bytes']}")
-        print(f"  checkpoint:   LSN {state['lsn']} (what follows is as of it)")
-        print(f"  blocks:       {len(state['on_disk'])}")
-        print(f"  live labels:  {state['owner'].lidf['live']}")
-        print(f"  WAL:          {_wal_status(args.file, state)}")
+        _info_page_file(args.file)
         return 0
     raise PersistError(f"{args.file} is neither a snapshot nor a page file")
 
@@ -782,28 +673,19 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     from .obs.metrics import get_registry
     from .xml.xmark import xmark_document
 
-    service, doc = _open_service(
-        args,
-        1,
-        lambda schemes: LabeledDocument(
-            schemes[0], xmark_document(args.items, seed=args.seed)
-        ),
-        group_size=16,
-    )
-    service.start()
-    try:
-        elements = list(doc.elements())
-        lid = doc.start_lid(elements[len(elements) // 2])
-        session = service.session()
-        session.lookup(lid)
-        ticket = service.submit_ops(
-            [BatchOp("insert_element_before", (lid,))], timeout=30
-        )
-        ticket.wait(timeout=30)
-        session.refresh()
-        session.lookup(lid)
-    finally:
-        _close_service(service)
+    with _store(args) as schemes:
+        doc = LabeledDocument(schemes[0], xmark_document(args.items, seed=args.seed))
+        with ShardedLabelService(schemes, group_size=16) as service:
+            elements = list(doc.elements())
+            lid = doc.start_lid(elements[len(elements) // 2])
+            session = service.session()
+            session.lookup(lid)
+            ticket = service.submit_ops(
+                [BatchOp("insert_element_before", (lid,))], timeout=30
+            )
+            ticket.wait(timeout=30)
+            session.refresh()
+            session.lookup(lid)
     registry = get_registry()
     if args.format == "json":
         print(registry.to_json())
@@ -866,39 +748,32 @@ def cmd_trace(args: argparse.Namespace) -> int:
     import tempfile
 
     from .core import BatchOp
-    from .service import bulk_load_sharded
 
     n = args.shards
     with tempfile.TemporaryDirectory(prefix="repro-trace-") as tmp:
         if not args.storage_path:
             # A throwaway store: the point of defaulting to file storage is
             # that the trace then includes the backend-commit and WAL layers.
-            args.storage_path = os.path.join(tmp, "trace.pages")
-        service, glids = _open_service(
-            args, n, lambda schemes: bulk_load_sharded(schemes, max(args.items * 30, 16 * n))
-        )
-        # One op per shard, anchored mid-chunk, so every shard's writer
-        # contributes a span to the same tree.
-        shard_of = service.router.shard_of
-        chunks = [[glid for glid in glids if shard_of(glid) == shard] for shard in range(n)]
-        ops = [
-            BatchOp("lookup" if args.op == "lookup" else "insert_element_before", (a,))
-            for a in (chunk[len(chunk) // 2] for chunk in chunks)
-        ]
-        try:
-            if args.op == "delete":
-                # Delete freshly inserted childless elements; the inserts
-                # themselves run before tracing starts.
-                pairs = service.apply_ops_sync(ops).results
-                ops = [BatchOp("delete_element", pair) for pair in pairs]
-            before = [scheme.stats.snapshot() for scheme in service.schemes]
-            tracer = (_trace_net if args.net else _trace_local)(service, ops)
-            deltas = [
-                scheme.stats.snapshot() - snap
-                for scheme, snap in zip(service.schemes, before)
-            ]
-        finally:
-            _close_service(service)
+            args.storage_path = os.path.join(tmp, "trace")
+        with _store(args, n) as schemes:
+            glids = bulk_load_sharded(schemes, max(args.items * 30, 16 * n))
+            with closing(ShardedLabelService(schemes)) as service:
+                # One op per shard, anchored mid-chunk, so every shard's
+                # writer contributes a span to the same tree.
+                shard_of = service.router.shard_of
+                chunks = [[g for g in glids if shard_of(g) == shard] for shard in range(n)]
+                ops = [
+                    BatchOp("lookup" if args.op == "lookup" else "insert_element_before", (a,))
+                    for a in (chunk[len(chunk) // 2] for chunk in chunks)
+                ]
+                if args.op == "delete":
+                    # Delete freshly inserted childless elements; the inserts
+                    # themselves run before tracing starts.
+                    pairs = service.apply_ops_sync(ops).results
+                    ops = [BatchOp("delete_element", pair) for pair in pairs]
+                before = [scheme.stats.snapshot() for scheme in schemes]
+                tracer = (_trace_net if args.net else _trace_local)(service, ops)
+                deltas = [scheme.stats.snapshot() - snap for scheme, snap in zip(schemes, before)]
     roots = tracer.finished
     if len(roots) != 1:
         print(f"error: expected one span tree, got {len(roots)}", file=sys.stderr)
@@ -1135,15 +1010,15 @@ def build_parser() -> argparse.ArgumentParser:
     inspect.set_defaults(handler=cmd_inspect)
 
     recover = subparsers.add_parser(
-        "recover", help="recover and verify a page file written with --storage file"
+        "recover", help="recover and verify a store written with --storage file"
     )
-    recover.add_argument("file", help="page file (its WAL is FILE.wal)")
+    recover.add_argument("file", help="store root, or a bare page file (its WAL is FILE.wal)")
     recover.set_defaults(handler=cmd_recover)
 
     info = subparsers.add_parser(
-        "info", help="describe a saved file (snapshot or page file) without modifying it"
+        "info", help="describe a saved file or store root without modifying it"
     )
-    info.add_argument("file", help="snapshot from 'label --save' or page file")
+    info.add_argument("file", help="snapshot from 'label --save', store root or page file")
     info.set_defaults(handler=cmd_info)
 
     chaos = subparsers.add_parser(

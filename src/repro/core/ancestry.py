@@ -48,7 +48,7 @@ from typing import Any, Sequence
 
 from ..config import BoxConfig
 from ..errors import LabelingError
-from ..storage import BlockStore, HeapFile, default_page_bytes
+from ..storage import BlockStore, default_page_bytes
 from .bits import dynamic_ancestry_gap, dynamic_ancestry_universe, next_power_of_two
 from .bits import dynamic_ancestry_label_bits_bound
 from .cachelog import invalidate_all
@@ -149,9 +149,8 @@ class _OrderedGapScheme(LabelingScheme):
         self,
         config: BoxConfig | None = None,
         store: BlockStore | None = None,
-        lidf: HeapFile | None = None,
     ) -> None:
-        super().__init__(config, store, lidf)
+        super().__init__(config, store)
         #: In-memory sorted (value, lid) view — derived state, rebuilt
         #: from the LIDF on restore (see :meth:`restore_state`).
         self._order: list[tuple[int, int]] = []
@@ -404,9 +403,8 @@ class AncestryDynamic(_OrderedGapScheme):
         self,
         config: BoxConfig | None = None,
         store: BlockStore | None = None,
-        lidf: HeapFile | None = None,
     ) -> None:
-        super().__init__(config, store, lidf)
+        super().__init__(config, store)
         #: Power-of-two universe size; labels live in [1, capacity).
         self.capacity = dynamic_ancestry_universe(0)
         #: The Θ(lg n) spacing global renumberings re-establish.

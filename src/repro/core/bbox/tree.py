@@ -30,7 +30,7 @@ from typing import Any, Sequence
 
 from ...config import BoxConfig
 from ...errors import ConfigError, InvariantViolation, UnknownLIDError
-from ...storage import BlockStore, HeapFile
+from ...storage import BlockStore
 from ..cachelog import LABEL_CHANNEL, ORDINAL_CHANNEL, Invalidate, RangeShift, invalidate_all
 from ..interface import LabelingScheme
 from ..kernels import cumulative, position_index
@@ -42,7 +42,7 @@ class BBox(LabelingScheme):
 
     Parameters
     ----------
-    config, store, lidf:
+    config, store:
         Shared infrastructure (fresh ones are created when omitted).
     ordinal:
         Maintain per-entry size fields so :meth:`ordinal_lookup` works;
@@ -59,11 +59,10 @@ class BBox(LabelingScheme):
         self,
         config: BoxConfig | None = None,
         store: BlockStore | None = None,
-        lidf: HeapFile | None = None,
         ordinal: bool = False,
         min_fill_divisor: int = 2,
     ) -> None:
-        super().__init__(config, store, lidf)
+        super().__init__(config, store)
         if min_fill_divisor not in (2, 4):
             raise ConfigError("min_fill_divisor must be 2 or 4")
         self.ordinal = ordinal

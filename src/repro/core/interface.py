@@ -63,11 +63,10 @@ class LabelingScheme(ABC):
         self,
         config: BoxConfig | None = None,
         store: BlockStore | None = None,
-        lidf: HeapFile | None = None,
     ) -> None:
         self.config = config if config is not None else BoxConfig()
         self.store = store if store is not None else BlockStore(self.config)
-        self.lidf = lidf if lidf is not None else HeapFile(self.store, self.config)
+        self.lidf = HeapFile(self.store, self.config)
         self._log_listeners: list[LogListener] = []
         #: Logical modification clock; bumped once per label-changing
         #: operation (the caching layer's timestamps come from here).

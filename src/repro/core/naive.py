@@ -28,7 +28,7 @@ from typing import Any, Sequence
 
 from ..config import BoxConfig
 from ..errors import LabelingError
-from ..storage import BlockStore, HeapFile, default_page_bytes
+from ..storage import BlockStore, default_page_bytes
 from .cachelog import invalidate_all
 from .interface import LabelingScheme
 
@@ -47,9 +47,8 @@ class NaiveScheme(LabelingScheme):
         gap_bits: int,
         config: BoxConfig | None = None,
         store: BlockStore | None = None,
-        lidf: HeapFile | None = None,
     ) -> None:
-        super().__init__(config, store, lidf)
+        super().__init__(config, store)
         if gap_bits < 1:
             raise LabelingError("gap_bits must be at least 1")
         self.gap_bits = gap_bits

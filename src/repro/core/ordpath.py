@@ -33,7 +33,7 @@ from typing import Any, Sequence
 
 from ..config import BoxConfig
 from ..errors import LabelingError
-from ..storage import BlockStore, HeapFile, default_page_bytes
+from ..storage import BlockStore, default_page_bytes
 from .interface import LabelingScheme
 
 #: Approximate per-component overhead of the ORDPATH prefix-free encoding.
@@ -108,9 +108,8 @@ class OrdPath(LabelingScheme):
         self,
         config: BoxConfig | None = None,
         store: BlockStore | None = None,
-        lidf: HeapFile | None = None,
     ) -> None:
-        super().__init__(config, store, lidf)
+        super().__init__(config, store)
         #: In-memory sorted (label, lid) list — the document-order oracle,
         #: the same concession the paper grants the naive baseline.
         self._order: list[tuple[Label, int]] = []

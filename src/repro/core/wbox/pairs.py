@@ -31,7 +31,7 @@ from typing import Any, Iterator, Sequence
 
 from ...config import BoxConfig
 from ...errors import LabelingError, UnknownLIDError
-from ...storage import BlockStore, HeapFile
+from ...storage import BlockStore
 from .node import WNode
 from .tree import WBox
 
@@ -69,13 +69,12 @@ class WBoxO(WBox):
         self,
         config: BoxConfig | None = None,
         store: BlockStore | None = None,
-        lidf: HeapFile | None = None,
         ordinal: bool = False,
     ) -> None:
         self._session_depth = 0
         self._pending_moves: dict[int, tuple[PairRecord, int]] = {}
         self._pending_relabeled: dict[int, None] = {}
-        super().__init__(config, store, lidf, ordinal)
+        super().__init__(config, store, ordinal)
 
     @classmethod
     def from_persisted(cls, config: BoxConfig, meta: dict[str, Any]) -> "WBoxO":

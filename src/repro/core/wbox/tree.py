@@ -26,7 +26,7 @@ from typing import Any
 
 from ...config import BoxConfig
 from ...errors import InvariantViolation, UnknownLIDError
-from ...storage import BlockStore, HeapFile
+from ...storage import BlockStore
 from ..cachelog import ORDINAL_CHANNEL, Invalidate, RangeShift
 from ..interface import LabelingScheme
 from ..kernels import cumulative, weight_split_point
@@ -41,7 +41,7 @@ class WBox(LabelingScheme):
 
     Parameters
     ----------
-    config, store, lidf:
+    config, store:
         Shared infrastructure (fresh ones are created when omitted).
     ordinal:
         Maintain size fields so :meth:`ordinal_lookup` works.  Insertion
@@ -63,11 +63,10 @@ class WBox(LabelingScheme):
         self,
         config: BoxConfig | None = None,
         store: BlockStore | None = None,
-        lidf: HeapFile | None = None,
         ordinal: bool = False,
         balance: str = "weight",
     ) -> None:
-        super().__init__(config, store, lidf)
+        super().__init__(config, store)
         if balance not in ("weight", "fanout"):
             raise ValueError("balance must be 'weight' or 'fanout'")
         self.balance = balance

@@ -4,10 +4,11 @@ One *trial* is the full crash-recovery story for a single
 ``(scheme, fault plan, seed)`` triple, and :func:`run_chaos_trial` is the
 one shape of it:
 
-1. Create a sharded store root in a throwaway directory, bulk load a base
-   document (:func:`~repro.service.bulk_load_sharded`) and checkpoint
-   every shard.  The topology is *derived from the plan*: one shard more
-   than the highest ``@shardK`` scope it names (else one shard), and a
+1. Create a sharded store root in a throwaway directory
+   (:func:`~repro.persist.create_store`), bulk loading a base document
+   (:func:`~repro.service.bulk_load_sharded`) between two checkpoints.
+   The topology is *derived from the plan*: one shard more than the
+   highest ``@shardK`` scope it names (else one shard), and a
    network front end plus a streaming :class:`~repro.repl.Follower` iff
    it names a ``repl.*`` hook.
 2. Start a :class:`~repro.service.ShardedLabelService` carrying a
@@ -19,8 +20,8 @@ one shape of it:
    tape ends (latency plans don't kill; ``repl.*`` faults kill the
    follower or restart the primary mid-stream and the tape goes on).
 3. Close everything and reopen the root with
-   :func:`~repro.persist.open_sharded_schemes`, which folds each shard's
-   log over its last checkpoint.
+   :func:`~repro.persist.open_store`, which folds each shard's log over
+   its last checkpoint.
 4. Replay the *committed prefix* of the same tape on per-shard twin
    schemes over the memory backend and compare **every** LID's label on
    every endpoint — each recovered shard, plus the follower when there is
@@ -49,7 +50,7 @@ from typing import Any, Callable, Iterable
 
 from ..config import TINY_CONFIG, BoxConfig
 from ..core.batch import BatchOp
-from ..core.registry import scheme_factory, scheme_page_bytes
+from ..core.registry import scheme_factory
 from ..errors import (
     CrashError,
     FsyncFailedError,
@@ -60,7 +61,7 @@ from ..errors import (
     WriterCrashError,
 )
 from ..net.server import serve_in_thread
-from ..persist import checkpoint_scheme, create_sharded_backends, open_sharded_schemes
+from ..persist import checkpoint_scheme, create_store, open_store
 from ..repl import (
     Follower,
     annotate_commits_with_epoch,
@@ -69,7 +70,6 @@ from ..repl import (
 )
 from ..service import ShardedLabelService, bulk_load_sharded
 from ..service.router import ShardRouter
-from ..storage import BlockStore
 from ..storage.shardlayout import shard_page_path
 from ..storage.wal import _HEADER, MAGIC, REC_DELTA, REC_PUT
 from ..workloads.sequences import apply_tape_step, crash_recovery_tape
@@ -364,7 +364,7 @@ class _Stack:
                 break
             time.sleep(0.01)
         self.stop_primary()
-        self.start(open_sharded_schemes(self.root), port=self.follower.port)
+        self.start(open_store(self.root), port=self.follower.port)
 
     def stop_follower(self) -> None:
         if self.follower is not None:
@@ -392,7 +392,6 @@ def run_chaos_trial(
     """Run one crash-recovery trial under ``directory`` (caller-owned);
     see the module docstring for its four steps."""
     config = config if config is not None else TINY_CONFIG
-    factory = scheme_factory(scheme_name)
     scoped = [int(m.group(1)) for spec in plan if (m := _SHARD_SCOPE.search(spec.hook))]
     n_shards = max(scoped, default=0) + 1
     repl_hooks = sorted({spec.hook for spec in plan} & _REPL_ACTIONS.keys())
@@ -408,25 +407,24 @@ def run_chaos_trial(
     tape = crash_recovery_tape(max_ops, seed=seed)
     stack = _Stack(root, injector, bool(repl_hooks))
     replica = None
-    backends: list = []
+    schemes: list = []
     reopened: list = []
+    populate = lambda fresh: bulk_load_sharded(fresh, base_labels)
     try:
-        backends = create_sharded_backends(
+        schemes, lids = create_store(
             root,
+            scheme_name,
             n_shards,
-            page_bytes=scheme_page_bytes(scheme_name, config),
+            config=config,
+            populate=populate,
             fsync=any(spec.hook.startswith("backend.fsync") for spec in plan),
         )
-        schemes = [factory(config, BlockStore(config, backend=b)) for b in backends]
-        lids = bulk_load_sharded(schemes, base_labels)
-        for scheme in schemes:
-            checkpoint_scheme(scheme)
         stack.start(schemes)
         if repl_hooks:
             checkpoint_service(stack.service)  # the image a follower boots from
             stack.follow()
-        for shard, backend in enumerate(backends):
-            backend.install_faults(injector.scoped(f"shard{shard}"))
+        for shard, scheme in enumerate(schemes):
+            scheme.store.backend.install_faults(injector.scoped(f"shard{shard}"))
         acked = stack.lsns()
         try:
             for index, step in enumerate(tape):
@@ -459,7 +457,7 @@ def run_chaos_trial(
         trial.faults_fired = [f"{f.hook}:{f.kind}" for f in injector.fired]
         stack.stop_primary()
 
-        reopened = open_sharded_schemes(root)
+        reopened = open_store(root)
         trial.replayed = any(
             scheme.store.backend.recovery_report.get("replayed_transactions")
             for scheme in reopened
@@ -476,8 +474,10 @@ def run_chaos_trial(
             # shipped WAL; the primary's own reopen does not count.
             trial.replayed = any(s.txns_applied for s in stack.follower.shards)
 
-        twin = _Shards([factory(config, None) for _ in range(n_shards)])
-        twin_lids = bulk_load_sharded(twin.schemes, base_labels)
+        twins, twin_lids = create_store(
+            None, scheme_name, n_shards, config=config, populate=populate
+        )
+        twin = _Shards(twins)
         for step in tape[: trial.committed_ops]:
             apply_tape_step(twin, twin_lids, step)
         recovered = _Shards(reopened)
@@ -502,8 +502,7 @@ def run_chaos_trial(
         trial.error = f"{type(error).__name__}: {error}"
     finally:
         closers = [stack.stop_follower, stack.stop_primary]
-        closers += [backend.close for backend in backends]  # if setup failed
-        closers += [scheme.store.backend.close for scheme in reopened]
+        closers += [scheme.store.backend.close for scheme in schemes + reopened]
         for close in closers:
             try:
                 close()

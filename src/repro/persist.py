@@ -16,13 +16,13 @@ Varints keep the format correct even for values that outgrow fixed-width
 fields (naive-k label values with large k, W-BOX range origins after many
 root splits).
 
-**File backends** (:func:`attach_scheme_to_backend`,
-:func:`checkpoint_scheme`, :func:`open_file_scheme`): the scheme's journal
-is its :class:`~repro.storage.filebackend.FileBackend`'s one ``owner``
+**File backends** (:func:`create_store`, :func:`open_store`,
+:func:`checkpoint_scheme`): the scheme's journal is its
+:class:`~repro.storage.filebackend.FileBackend`'s one ``owner``
 (:mod:`repro.storage.owner`), journaling with every commit only what it
 *changed* — the differences of its integer scalars and the LIDF's
 allocation ops — and its complete description (class, config, LIDF
-directory) with every checkpoint, the first of which attaching takes.
+directory) with every checkpoint; the first checkpoint installs it.
 The page file plus write-ahead log is thereby self-describing at all
 times: :func:`open_file_scheme` builds the scheme the folded state
 describes, and its journal adopts that state (on a follower it folds
@@ -50,10 +50,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from .config import BoxConfig
-from .core.registry import scheme_class
+from .core.registry import scheme_class, scheme_factory, scheme_page_bytes
 from .errors import PersistError
 from .storage import BlockStore, Disk, FileBackend, HeapFile
 from .storage.codec import (
@@ -75,13 +75,13 @@ __all__ = [
     "load_scheme",
     "save_document",
     "load_document",
-    "attach_scheme_to_backend",
     "checkpoint_scheme",
     "full_checkpoint",
     "restore_to_checkpoint",
     "open_file_scheme",
     "create_sharded_backends",
-    "open_sharded_schemes",
+    "create_store",
+    "open_store",
     "scheme_metadata_header",
     "restore_scheme_state",
     "read_snapshot_header",
@@ -101,7 +101,7 @@ def scheme_metadata_header(scheme: Any) -> dict:
     allocation state.
 
     This is both the snapshot header and — journaled by every file-backend
-    *checkpoint* via :func:`attach_scheme_to_backend` — the absolute record
+    *checkpoint* via :func:`checkpoint_scheme` — the absolute record
     that makes a page file recoverable into a working scheme (commits in
     between journal only deltas against it).  O(structure): never called
     on the commit path.  Free lists keep their exact recycling order so a
@@ -331,25 +331,9 @@ def _attach(scheme: Any) -> FileBackend:
     return backend
 
 
-def attach_scheme_to_backend(scheme: Any) -> FileBackend:
-    """Register ``scheme`` as the owner of its file backend.
-
-    Attaching checkpoints once, which journals the scheme's complete
-    :func:`scheme_metadata_header`; from then on every commit journals
-    what it changed, so the page file (plus WAL) is always recoverable
-    into a working scheme via :func:`open_file_scheme`.  Idempotent.
-    Returns the backend; raises :class:`~repro.errors.PersistError` when
-    the scheme's store is not file-backed.
-    """
-    before = getattr(scheme.store.backend, "owner", None)
-    backend = _attach(scheme)
-    if backend.owner is not before:
-        backend.checkpoint()
-    return backend
-
-
 def checkpoint_scheme(scheme: Any) -> FileBackend:
-    """Flush ``scheme`` to its file backend: the scheme's complete
+    """Flush ``scheme`` to its file backend, making its journal the
+    backend's owner on the first call: the scheme's complete
     metadata goes into the log as one absolute record, every block
     journaled since the last checkpoint is written back to the page file
     with the directory, and the log is sealed into the next segment,
@@ -437,7 +421,7 @@ def open_file_scheme(
     page_bytes: int | None = None,
     fsync: bool = False,
 ) -> Any:
-    """Open a page file written through a scheme-attached
+    """Open a page file written through a scheme-owned
     :class:`~repro.storage.filebackend.FileBackend` and return a working
     scheme (the WAL, if non-empty, is folded over the directory first).
 
@@ -451,7 +435,7 @@ def open_file_scheme(
         backend.close()
         raise PersistError(
             f"{path} carries no scheme metadata; was it written without "
-            "attach_scheme_to_backend()?"
+            "checkpoint_scheme()?"
         )
     # Build the scheme shell first (it allocates its empty root into a
     # throwaway memory store), then swap in the recovered file-backed
@@ -482,11 +466,11 @@ def create_sharded_backends(
     """Create a sharded store directory: the manifest plus one fresh
     :class:`~repro.storage.filebackend.FileBackend` per shard.
 
-    The caller builds one scheme per returned backend (all with the same
-    config) and wraps them in a
-    :class:`~repro.service.sharded.ShardedLabelService`.  Each shard file
-    is an ordinary self-describing page file; the manifest only records
-    the shard count and the global-LID codec.
+    :func:`create_store` builds one scheme per returned backend (all with
+    the same config); this half is kept apart so its disk traces stay
+    pinned on their own.  Each shard file is an ordinary self-describing
+    page file; the manifest only records the shard count and the
+    global-LID codec.
     """
     write_manifest(root, n_shards, page_bytes=page_bytes, fsync=fsync)
     return [
@@ -495,21 +479,67 @@ def create_sharded_backends(
     ]
 
 
-def open_sharded_schemes(
-    root: str,
-    page_bytes: int | None = None,
+def create_store(
+    root: str | None,
+    scheme: str,
+    shards: int = 1,
+    *,
+    config: BoxConfig,
+    populate: Callable[[list[Any]], Any] | None = None,
     fsync: bool = False,
-) -> list[Any]:
-    """Open every shard of a sharded store directory, in shard order.
+) -> tuple[list[Any], Any]:
+    """Create a store of ``shards`` fresh schemes of the registry name
+    ``scheme`` → ``(schemes, loaded)``, the one way a store is created.
 
-    Each shard goes through :func:`open_file_scheme` independently, so
-    crash recovery runs per shard — a shard whose writer died recovers
-    from its own WAL while untouched shards reopen cleanly.  Returns the
-    schemes ordered by shard index (shard ``i`` is element ``i``, which
-    is what the global-LID codec requires).
+    ``root=None`` gives in-memory schemes.  Otherwise ``root`` becomes a
+    sharded store directory (:func:`create_sharded_backends`, each slot
+    sized by :func:`~repro.core.registry.scheme_page_bytes`, one shard
+    included) and every scheme takes its first checkpoint, which makes it
+    its backend's owner.  ``populate(schemes)`` then fills the schemes and
+    its result comes back as ``loaded``; a file store checkpoints again
+    after it, so a kill before the first commit reopens the loaded state.
+    A ``root`` that is a non-empty file or directory raises
+    :class:`PersistError`: creating never appends to a store that exists
+    (:func:`open_store` reopens one).
     """
-    manifest = read_manifest(root)
+    factory = scheme_factory(scheme)
+    if root is None:
+        schemes = [factory(config, None) for _ in range(shards)]
+        return schemes, None if populate is None else populate(schemes)
+    if os.path.isdir(root) and os.listdir(root) or os.path.isfile(root) and os.path.getsize(root):
+        raise PersistError(f"{root} already holds a store; refusing to create over it")
+    backends = create_sharded_backends(
+        root, shards, page_bytes=scheme_page_bytes(scheme, config), fsync=fsync
+    )
+    try:
+        schemes = [factory(config, BlockStore(config, backend=backend)) for backend in backends]
+        for each in schemes:
+            checkpoint_scheme(each)
+        loaded = None
+        if populate is not None:
+            loaded = populate(schemes)
+            for each in schemes:
+                checkpoint_scheme(each)
+    except BaseException:
+        for backend in backends:  # a failed creation leaves no file open
+            backend.close()
+        raise
+    return schemes, loaded
+
+
+def open_store(path: str, *, fsync: bool = False) -> list[Any]:
+    """Reopen a store → its schemes in shard order (shard ``i`` is
+    element ``i``, which the global-LID codec requires), the one way a
+    store is reopened.
+
+    ``path`` is a sharded store directory or a bare page file.  Each page
+    file goes through :func:`open_file_scheme` on its own, so crash
+    recovery runs per shard: a shard whose writer died recovers from its
+    own WAL while untouched shards reopen cleanly.
+    """
+    if not os.path.isdir(path):
+        return [open_file_scheme(path, fsync=fsync)]
     return [
-        open_file_scheme(shard_page_path(root, shard), page_bytes=page_bytes, fsync=fsync)
-        for shard in range(manifest["n_shards"])
+        open_file_scheme(shard_page_path(path, shard), fsync=fsync)
+        for shard in range(read_manifest(path)["n_shards"])
     ]

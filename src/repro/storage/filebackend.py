@@ -317,7 +317,7 @@ class FileBackend(StorageBackend):
         self._dropped: list[int] = []
         #: The owner of every directory image's and DELTA's tail
         #: (:mod:`repro.storage.owner`): what recovery folded, until
-        #: :func:`repro.persist.attach_scheme_to_backend` installs a journal.
+        #: :func:`repro.persist.checkpoint_scheme` installs a journal.
         self.owner: Any = FoldedOwner()
         # Physical-I/O counters (the honest cost the logical IOStats models).
         self.pages_journaled = 0

@@ -82,7 +82,7 @@ class HeapFile:
         self._live = 0
         #: Allocation ops since the owner last consumed them, as a flat
         #: list of ``(code, argument)`` pairs; None (the default) records
-        #: nothing.  :func:`repro.persist.attach_scheme_to_backend` turns
+        #: nothing.  :func:`repro.persist.checkpoint_scheme` turns
         #: it on so a file backend's owner journals what each commit changed.
         self.journal: list[int] | None = None
 

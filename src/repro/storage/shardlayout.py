@@ -18,10 +18,10 @@ inspection and corruption-handling path applies per shard unchanged.  The
 manifest records only what cannot be derived from the shard files: how
 many shards there are and the global-LID codec that binds them together.
 
-``n_shards == 1`` sharded deployments intentionally do NOT use this
-layout — the sharded service over a single plain page file degenerates to
-today's on-disk format byte for byte (the acceptance criterion), and this
-directory layout only appears when a caller explicitly creates one.
+Every store the CLI and :func:`repro.persist.create_store` write uses
+this layout, one shard included; a one-shard root's ``shard-000.pages``
+is byte for byte the bare page file a lone
+:class:`~repro.storage.filebackend.FileBackend` writes.
 """
 
 from __future__ import annotations

@@ -19,11 +19,7 @@ from repro import BBox, BatchExecutor, BatchOp, NaiveScheme, OrdPath, WBox, WBox
 from repro.config import TINY_CONFIG
 from repro.errors import CrashError, PersistError, RecoveryError, StorageError, WALError
 from repro.faults import FaultInjector, FaultPlan
-from repro.persist import (
-    attach_scheme_to_backend,
-    checkpoint_scheme,
-    open_file_scheme,
-)
+from repro.persist import checkpoint_scheme, open_file_scheme
 from repro.storage import (
     BlockStore,
     FileBackend,
@@ -58,7 +54,7 @@ def make_file_scheme(tmp_path, factory, name="s.pages", config=TINY_CONFIG):
         str(tmp_path / name), page_bytes=default_page_bytes(config)
     )
     scheme = factory(config, store=BlockStore(config, backend=backend))
-    attach_scheme_to_backend(scheme)
+    checkpoint_scheme(scheme)
     return scheme, backend
 
 

@@ -5,9 +5,10 @@ import shutil
 
 import pytest
 
-from repro.cli import build_parser, main, make_scheme
+from repro.cli import build_parser, main
 from repro.config import TINY_CONFIG
 from repro.errors import ReproError
+from repro.persist import create_store
 from repro.xml.writer import serialize
 from repro.xml.xmark import xmark_document
 
@@ -17,6 +18,11 @@ def xml_file(tmp_path):
     path = tmp_path / "site.xml"
     path.write_text(serialize(xmark_document(4, seed=3)), encoding="utf-8")
     return str(path)
+
+
+def make_scheme(name, config):
+    (scheme,), _ = create_store(None, name, config=config)
+    return scheme
 
 
 class TestSchemeFactory:
@@ -70,6 +76,55 @@ class TestLabelCommand:
     def test_missing_file_is_an_error(self, capsys):
         assert main(["label", "no-such-file.xml"]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestFileStore:
+    """``--storage-path`` names a store root that only ``serve --listen``
+    ever reopens; every other verb creates, and refuses an existing one."""
+
+    def test_a_second_label_run_is_refused_and_changes_nothing(self, xml_file, tmp_path, capsys):
+        root = tmp_path / "store"
+        command = ["label", xml_file, "--storage", "file", "--storage-path", str(root)]
+        # A document that does not parse is refused before any store exists.
+        assert main(["label", str(tmp_path / "missing.xml"), *command[2:]]) == 1
+        assert not root.exists()
+        assert main(command) == 0
+        before = {path.name: path.read_bytes() for path in root.iterdir()}
+        assert sorted(before) == [
+            "SHARDS.json", "shard-000.pages", "shard-000.pages.walseg.json"
+        ]
+        capsys.readouterr()
+        assert main(command + ["--scheme", "wbox"]) == 1
+        assert f"error: {root} already holds a store" in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in root.iterdir()} == before
+
+    def test_recover_folds_every_shard_of_a_root(self, tmp_path, capsys):
+        from repro.service import bulk_load_sharded
+
+        root = str(tmp_path / "shards")
+        schemes, glids = create_store(
+            root,
+            "wbox",
+            2,
+            config=TINY_CONFIG,
+            populate=lambda fresh: bulk_load_sharded(fresh, 40),
+        )
+        for glid in glids[:4] + glids[-4:]:
+            schemes[glid % 2].insert_before(glid // 2)
+        for scheme in schemes:
+            scheme.store.backend.close()  # a kill: the inserts are only in the logs
+        assert main(["info", root]) == 0
+        assert capsys.readouterr().out.count("4 transaction(s), 4 to fold") == 2
+
+        assert main(["recover", root]) == 0
+        report = capsys.readouterr().out
+        assert report.count("folded from log:  4 transaction(s)") == 2
+        assert report.count("recovered: OK (WAL empty, directory current)") == 2
+        assert "shard-000.pages" in report and "shard-001.pages" in report
+        assert main(["info", root]) == 0
+        info = capsys.readouterr().out
+        assert info.count("WAL:          empty (clean shutdown)") == 2
+        assert info.count("live labels:  24") == 2
 
 
 class TestQueryCommand:
@@ -268,13 +323,13 @@ class TestPageFileDiagnostics:
     @pytest.fixture
     def crashed_store(self, tmp_path):
         from repro import WBox
-        from repro.persist import attach_scheme_to_backend
+        from repro.persist import checkpoint_scheme
         from repro.storage import BlockStore, FileBackend, default_page_bytes
 
         path = str(tmp_path / "s.pages")
         backend = FileBackend(path, page_bytes=default_page_bytes(TINY_CONFIG))
         scheme = WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))
-        attach_scheme_to_backend(scheme)
+        checkpoint_scheme(scheme)
         lids = scheme.bulk_load(24, [i ^ 1 for i in range(24)])
         for index in range(5):
             scheme.insert_before(lids[index])
@@ -312,13 +367,13 @@ class TestPageFileDiagnostics:
         from repro import WBox
         from repro.errors import CrashError
         from repro.faults import TORN_WRITE, FaultInjector, FaultPlan, FaultSpec
-        from repro.persist import attach_scheme_to_backend
+        from repro.persist import checkpoint_scheme
         from repro.storage import BlockStore, FileBackend, default_page_bytes
 
         path = str(tmp_path / "c.pages")
         backend = FileBackend(path, page_bytes=default_page_bytes(TINY_CONFIG))
         scheme = WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))
-        attach_scheme_to_backend(scheme)
+        checkpoint_scheme(scheme)
         lids = scheme.bulk_load(24, [i ^ 1 for i in range(24)])
         for index in range(5):
             scheme.insert_before(lids[index])
@@ -374,43 +429,35 @@ class TestPageFileDiagnostics:
         ]
 
     def test_info_on_a_two_shard_root(self, tmp_path, capsys):
-        from repro import WBox
-        from repro.persist import (
-            attach_scheme_to_backend,
-            checkpoint_scheme,
-            create_sharded_backends,
-        )
+        from repro.persist import checkpoint_scheme
         from repro.service import bulk_load_sharded
-        from repro.storage import BlockStore
 
         root = str(tmp_path / "shards")
-        backends = create_sharded_backends(root, 2, page_bytes=512)
-        schemes = [
-            WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))
-            for backend in backends
-        ]
-        for scheme in schemes:
-            attach_scheme_to_backend(scheme)
+        schemes, _ = create_store(root, "wbox", 2, config=TINY_CONFIG)
         glids = bulk_load_sharded(schemes, 40)
         checkpoint_scheme(schemes[0])
         for glid in [glid for glid in glids if glid % 2 == 1][:6]:
             schemes[1].insert_before(glid // 2)
-        for backend in backends:
-            backend.close()
+        for scheme in schemes:
+            scheme.store.backend.close()
         assert main(["info", root]) == 0
-        assert capsys.readouterr().out.splitlines()[5:] == [
+        assert capsys.readouterr().out.splitlines()[4:] == [
             "  shard 0:      shard-000.pages",
-            "    scheme:     WBox",
-            "    labels:     20 live at checkpoint LSN 3 (document-order chunk 0 of 2)",
-            "    blocks:     7",
-            "    page file:  8160 bytes",
-            "    WAL:        0 bytes; empty (clean shutdown)",
+            "    scheme:       WBox",
+            "    block bytes:  1024",
+            "    page bytes:   342",
+            "    checkpoint:   LSN 3 (what follows is as of it)",
+            "    blocks:       7",
+            "    live labels:  20",
+            "    WAL:          empty (clean shutdown)",
             "  shard 1:      shard-001.pages",
-            "    scheme:     WBox",
-            "    labels:     0 live at checkpoint LSN 2 (document-order chunk 1 of 2)",
-            "    blocks:     1",
-            "    page file:  5077 bytes",
-            "    WAL:        816 bytes; 7 transaction(s), 7 to fold",
+            "    scheme:       WBox",
+            "    block bytes:  1024",
+            "    page bytes:   342",
+            "    checkpoint:   LSN 2 (what follows is as of it)",
+            "    blocks:       1",
+            "    live labels:  0",
+            "    WAL:          7 transaction(s), 7 to fold",
         ]
 
     def test_version_1_files_are_refused_by_name(self, tmp_path, capsys):

@@ -25,7 +25,6 @@ from hypothesis import HealthCheck, given, settings
 from repro import WBox
 from repro.config import TINY_CONFIG, BoxConfig
 from repro.persist import (
-    attach_scheme_to_backend,
     checkpoint_scheme,
     open_file_scheme,
     scheme_metadata_header,
@@ -72,7 +71,7 @@ def test_fold_equals_absolute(name, tape, data):
             path, page_bytes=default_page_bytes(TINY_CONFIG)
         )
         scheme = FACTORIES[name](BlockStore(TINY_CONFIG, backend=backend))
-        attach_scheme_to_backend(scheme)
+        checkpoint_scheme(scheme)
         twin = FACTORIES[name](None)
         lids = scheme.bulk_load(16, [i ^ 1 for i in range(16)])
         twin_lids = twin.bulk_load(16, [i ^ 1 for i in range(16)])
@@ -106,7 +105,7 @@ def _three_op_delta(directory, n_labels):
     path = os.path.join(directory, f"{n_labels}.pages")
     backend = FileBackend(path, page_bytes=default_page_bytes(config))
     scheme = WBox(config, store=BlockStore(config, backend=backend))
-    attach_scheme_to_backend(scheme)
+    checkpoint_scheme(scheme)
     lids = scheme.bulk_load(n_labels, [i ^ 1 for i in range(n_labels)])
     checkpoint_scheme(scheme)
     with scheme.store.operation():  # one commit, as one service submit is
@@ -134,7 +133,7 @@ def test_commits_alone_keep_the_log_bounded(tmp_path):
     path = str(tmp_path / "t.pages")
     backend = FileBackend(path, page_bytes=default_page_bytes(TINY_CONFIG))
     scheme = WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))
-    attach_scheme_to_backend(scheme)
+    checkpoint_scheme(scheme)
     lids = scheme.bulk_load(24, [i ^ 1 for i in range(24)])
     wal = path + ".wal"
 

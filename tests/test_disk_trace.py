@@ -29,7 +29,7 @@ import pytest
 
 from repro import WBox
 from repro.config import TINY_CONFIG
-from repro.persist import attach_scheme_to_backend, create_sharded_backends
+from repro.persist import checkpoint_scheme, create_sharded_backends
 from repro.repl import Follower, checkpoint_service
 from repro.storage import BlockStore, FileBackend, default_page_bytes
 from repro.storage.disk import Disk
@@ -97,7 +97,7 @@ def make_scheme(tmp_path):
         str(tmp_path / "t.pages"), page_bytes=default_page_bytes(TINY_CONFIG), fsync=True
     )
     scheme = WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))
-    attach_scheme_to_backend(scheme)
+    checkpoint_scheme(scheme)
     lids = scheme.bulk_load(8, [i ^ 1 for i in range(8)])
     return scheme, backend, lids
 

@@ -16,7 +16,7 @@ import os
 import pytest
 
 from repro import BBox, BoxConfig, NaiveScheme, WBox, WBoxO
-from repro.persist import attach_scheme_to_backend
+from repro.persist import checkpoint_scheme
 from repro.storage import BlockStore, FileBackend, default_page_bytes
 from repro.workloads import run_concentrated, run_xmark_build
 
@@ -71,7 +71,7 @@ def test_file_backend_counts_identical(tmp_path, name, backend_cls):
         page_bytes=default_page_bytes(CONFIG),
     )
     scheme = FACTORIES[name](store=BlockStore(CONFIG, backend=backend))
-    attach_scheme_to_backend(scheme)
+    checkpoint_scheme(scheme)
     result = _run("concentrated", scheme)
     assert _observed("concentrated", result, scheme) == (
         GOLDEN["workloads"]["concentrated"][name]

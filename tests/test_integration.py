@@ -18,7 +18,7 @@ from repro import (
 )
 from repro.query import TwigNode, containment_join_by_name, twig_match
 from repro.query.containment import brute_force_containment
-from repro.storage import BlockStore, HeapFile
+from repro.storage import BlockStore
 from repro.xml import parse, serialize, xmark_document
 from repro.xml.generator import random_document
 from repro.xml.model import Element
@@ -64,8 +64,8 @@ class TestFullSessions:
 class TestSharedInfrastructure:
     def test_two_schemes_share_store_and_stats(self):
         store = BlockStore(TINY_CONFIG)
-        wbox = WBox(TINY_CONFIG, store=store, lidf=HeapFile(store, TINY_CONFIG))
-        bbox = BBox(TINY_CONFIG, store=store, lidf=HeapFile(store, TINY_CONFIG))
+        wbox = WBox(TINY_CONFIG, store=store)
+        bbox = BBox(TINY_CONFIG, store=store)
         wbox.bulk_load(30)
         bbox.bulk_load(30)
         wbox.check_invariants()

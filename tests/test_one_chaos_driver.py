@@ -9,7 +9,7 @@ twins could grow back are checked by walking the source:
 * a removed name (``run_shard_chaos_trial``, ``replchaos``, ``--repl``'s
   ``_cmd_chaos_repl``, ``checkpoint_sharded`` ...) reappearing in ``src/``;
 * a second function under ``repro/faults/`` building a store or a service
-  (``create_sharded_backends(`` / ``ShardedLabelService(``);
+  (``create_store(`` / ``ShardedLabelService(``);
 * a module under ``repro/faults/`` branching on a tape step's kind
   itself instead of going through ``apply_tape_step``;
 * a plan row the CLI's ``--plans`` does not take;
@@ -40,7 +40,7 @@ REMOVED_NAMES = (
     "checkpoint_sharded",
     "replchaos",
 )
-BUILDERS = ("ShardedLabelService", "create_sharded_backends")
+BUILDERS = ("ShardedLabelService", "create_store")
 TAPE_KINDS = {"delete", "insert_before", "checkpoint"}
 
 

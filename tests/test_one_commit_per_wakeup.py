@@ -25,7 +25,7 @@ import pytest
 from repro import TINY_CONFIG, BatchExecutor, BatchOp, WBox
 from repro.errors import CrashError, RecordNotFoundError
 from repro.faults import FaultInjector, FaultPlan
-from repro.persist import attach_scheme_to_backend, open_file_scheme
+from repro.persist import checkpoint_scheme, open_file_scheme
 from repro.service import LabelService
 from repro.storage import BlockStore, FileBackend
 from repro.storage.filebackend import default_page_bytes
@@ -58,7 +58,7 @@ def file_scheme(tmp_path, fsync=False):
     path = str(tmp_path / "s.pages")
     backend = FileBackend(path, page_bytes=default_page_bytes(TINY_CONFIG), fsync=fsync)
     scheme = WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))
-    attach_scheme_to_backend(scheme)
+    checkpoint_scheme(scheme)
     lids = scheme.bulk_load(BASE)
     victim = scheme.insert_element_before(lids[BASE - 2])
     return path, scheme, lids, victim

@@ -36,6 +36,13 @@ walking ``src/repro`` with ``ast``:
   ``HeapFile.write_many``, one read and one write per LIDF block: no
   ``lidf.write(`` call under ``repro/core/`` sits inside a loop or a
   comprehension, where it would cost a block read and write per record.
+* **How a store is created and reopened** belongs to ``repro/persist.py``
+  (``create_store`` / ``open_store``): no other module under ``src/``
+  calls ``FileBackend(``, and the CLI's old open/close helpers and
+  persist's second attach/open entry points stay out of ``src/`` and
+  ``benchmarks/`` (``benchmarks/e2e/`` excepted: its tracer's target
+  table names functions it may outlive, and it is edited only with the
+  benchmark).
 * **Options no caller set** stay deleted: the removed names below are
   absent from ``src/``.
 """
@@ -108,6 +115,17 @@ REMOVED_NAMES = (
     '"batch_" +',
     "memoized_path_prefixes",
     '"commits", 0)',
+)
+STORE_OPENER = "persist.py"
+BENCHMARKS = SRC.parent.parent / "benchmarks"
+REMOVED_STORE_OPENERS = (
+    "attach_scheme_to_backend",
+    "open_sharded_schemes",
+    "make_scheme_on_store",
+    "_open_schemes",
+    "_open_service",
+    "_finish_scheme",
+    "_close_service",
 )
 COUNTER_METHODS = {"add", "reset", "snapshot"}
 METRICS = "obs/metrics.py"
@@ -329,6 +347,29 @@ def _per_record_repoint_violations() -> list[str]:
     return sorted(set(found))
 
 
+def _store_opener_violations() -> list[str]:
+    found = [
+        f"{rel}:{node.lineno} calls FileBackend("
+        for rel, _text, tree in _modules()
+        if rel != STORE_OPENER
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("FileBackend")
+    ]
+    sources = [(f"src/repro/{rel}", text) for rel, text, _tree in _modules()]
+    sources += [
+        (path.relative_to(BENCHMARKS.parent).as_posix(), path.read_text(encoding="utf-8"))
+        for path in sorted(BENCHMARKS.rglob("*.py"))
+        if "e2e" not in path.relative_to(BENCHMARKS).parts
+    ]
+    found += [
+        f"{rel} names {name}"
+        for rel, text in sources
+        for name in REMOVED_STORE_OPENERS
+        if name in text
+    ]
+    return found
+
+
 def test_one_fault_interpreter():
     assert _fault_violations() == []
 
@@ -383,6 +424,10 @@ def test_one_file_system_boundary():
 
 def test_single_element_edits_go_through_apply_edits():
     assert _single_edit_violations() == []
+
+
+def test_one_store_opener():
+    assert _store_opener_violations() == []
 
 
 def test_lidf_repointing_is_per_block():

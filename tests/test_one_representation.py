@@ -32,7 +32,7 @@ from repro.core import register_scheme, scheme_factory
 from repro.errors import CrashError
 from repro.faults import FaultInjector, FaultPlan
 from repro.persist import (
-    attach_scheme_to_backend,
+    checkpoint_scheme,
     load_scheme,
     open_file_scheme,
     save_scheme,
@@ -138,8 +138,8 @@ class CountingNaive(NaiveScheme):
     """naive-k plus one extra piece of persistent state: how many
     ``insert_before`` calls this structure has ever served."""
 
-    def __init__(self, config=None, store=None, lidf=None, gap_bits=8):
-        super().__init__(gap_bits, config, store, lidf)
+    def __init__(self, config=None, store=None, gap_bits=8):
+        super().__init__(gap_bits, config, store)
         self.inserts_served = 0
 
     def insert_before(self, lid_old):
@@ -195,7 +195,7 @@ def test_toy_scheme_recovers_from_a_crash(tmp_path, torn_write):
     path = str(tmp_path / "toy.pages")
     backend = FileBackend(path, page_bytes=default_page_bytes(TINY_CONFIG))
     scheme, lids = _build(BlockStore(TINY_CONFIG, backend=backend))
-    attach_scheme_to_backend(scheme)
+    checkpoint_scheme(scheme)
     backend.install_faults(FaultInjector(FaultPlan.torn_write(at=torn_write), seed=0))
     completed, acked = 0, backend.lsn
     with pytest.raises(CrashError):

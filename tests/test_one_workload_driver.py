@@ -28,7 +28,8 @@ from pathlib import Path
 import pytest
 
 from repro import TINY_CONFIG
-from repro.cli import SEQUENCES, build_parser, make_scheme
+from repro.cli import SEQUENCES, build_parser
+from repro.core import scheme_factory
 from repro.workloads import (
     run_churn,
     run_concentrated,
@@ -223,7 +224,7 @@ def reference_churn(scheme, base_elements, operations, delete_fraction, seed):
 @pytest.mark.parametrize("scheme_name", ["wbox", "bbox", "naive-8", "ordpath"])
 def test_group_size_one_is_one_by_one_execution(scheme_name):
     def fresh():
-        return make_scheme(scheme_name, TINY_CONFIG)
+        return scheme_factory(scheme_name)(TINY_CONFIG, None)
 
     document = xmark_document(3, seed=5)
     pairs = [
@@ -250,7 +251,7 @@ def test_priming_drops_exactly_the_groups_that_start_in_the_prefix(group_size):
     document = xmark_document(3, seed=5)
 
     def build(prime_fraction):
-        scheme = make_scheme("bbox", TINY_CONFIG)
+        scheme = scheme_factory("bbox")(TINY_CONFIG, None)
         return run_xmark_build(
             scheme, 3, prime_fraction, document=document, group_size=group_size
         )

@@ -19,7 +19,6 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.cli import make_scheme
 from repro.config import BENCH_CONFIG, BoxConfig
 from repro.core import scheme_page_bytes
 from repro.core.bbox.node import BNode
@@ -27,7 +26,7 @@ from repro.core.wbox.node import WEntry, WNode
 from repro.core.wbox.pairs import PairRecord
 from repro.errors import CrashError, StorageError
 from repro.faults import SHORT_WRITE, FaultInjector, FaultPlan, FaultSpec
-from repro.persist import checkpoint_scheme, open_file_scheme
+from repro.persist import checkpoint_scheme, create_store, open_store
 from repro.storage import FileBackend, default_page_bytes, read_directory
 from repro.storage.codec import encode_block_payload
 from repro.storage.filebackend import _CRC, _HEADER, _PAGE_HEADER, MAGIC
@@ -164,12 +163,12 @@ def test_a_full_lidf_block_fits_its_schemes_slot(name, block_bytes):
     "name", ["wbox", "wboxo", "bbox", "bbox-o", "naive-64", "ancestry", "ancestry-dyn", "ordpath"]
 )
 def test_every_scheme_bulk_loads_full_blocks_on_a_file_and_reopens(tmp_path, name):
-    path = str(tmp_path / f"{name}.pages")
-    scheme = make_scheme(name, BENCH_CONFIG, "file", path)
+    path = str(tmp_path / name)
+    (scheme,), _ = create_store(path, name, config=BENCH_CONFIG)
     lids = scheme.bulk_load(1000, [i ^ 1 for i in range(1000)])
     labels = [scheme.lookup(lid) for lid in lids]
     checkpoint_scheme(scheme).close()
-    reopened = open_file_scheme(path)
+    (reopened,) = open_store(path)
     assert reopened.store.backend.page_bytes == scheme_page_bytes(name, BENCH_CONFIG)
     assert [reopened.lookup(lid) for lid in lids] == labels
     reopened.store.backend.close()

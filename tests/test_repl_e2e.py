@@ -29,7 +29,7 @@ import pytest
 from repro import TINY_CONFIG, BatchOp, WBox
 from repro.faults import run_chaos_trial, standard_plans
 from repro.faults.chaos import _torn_append
-from repro.persist import attach_scheme_to_backend
+from repro.persist import checkpoint_scheme
 from repro.repl import (
     Follower,
     annotate_commits_with_epoch,
@@ -85,7 +85,7 @@ def test_follower_kill_straddling_a_segment_boundary(tmp_path):
         page_bytes=default_page_bytes(TINY_CONFIG),
     )
     scheme = WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))
-    attach_scheme_to_backend(scheme)
+    checkpoint_scheme(scheme)
     lids = scheme.bulk_load(24, [i ^ 1 for i in range(24)])
     service = ShardedLabelService([scheme]).start()
     annotate_commits_with_epoch(service)

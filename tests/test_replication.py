@@ -25,7 +25,7 @@ from repro import TINY_CONFIG, BatchOp, NaiveScheme, WBox
 from repro.errors import ReplicationError, ServiceDegradedError
 from repro.net import protocol as proto
 from repro.net.client import NetClient
-from repro.persist import attach_scheme_to_backend, create_sharded_backends
+from repro.persist import checkpoint_scheme, create_store
 from repro.repl import (
     Follower,
     annotate_commits_with_epoch,
@@ -49,19 +49,17 @@ class Primary:
                 page_bytes=page_bytes,
             )
             scheme = factory(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))
-            attach_scheme_to_backend(scheme)
+            checkpoint_scheme(scheme)
             self.lids = scheme.bulk_load(base, [i ^ 1 for i in range(base)])
             self.service = ShardedLabelService([scheme]).start()
         else:
-            root = str(tmp_path / "primary-shards")
-            backends = create_sharded_backends(root, n_shards, page_bytes=page_bytes)
-            schemes = [
-                WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))
-                for backend in backends
-            ]
-            for scheme in schemes:
-                attach_scheme_to_backend(scheme)
-            self.lids = bulk_load_sharded(schemes, base)
+            schemes, self.lids = create_store(
+                str(tmp_path / "primary-shards"),
+                "wbox",
+                n_shards,
+                config=TINY_CONFIG,
+                populate=lambda fresh: bulk_load_sharded(fresh, base),
+            )
             self.service = ShardedLabelService(schemes).start()
         annotate_commits_with_epoch(self.service)
         if checkpoint:

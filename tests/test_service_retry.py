@@ -92,7 +92,7 @@ class TestRetryOnAFileBackend:
         pending delta and its LSN unconsumed, so the retry journals the
         same delta under the same LSN: one transaction, folded once."""
         from repro.persist import (
-            attach_scheme_to_backend,
+            checkpoint_scheme,
             open_file_scheme,
             scheme_metadata_header,
         )
@@ -103,7 +103,7 @@ class TestRetryOnAFileBackend:
             path, page_bytes=default_page_bytes(TINY_CONFIG)
         )
         scheme = WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))
-        attach_scheme_to_backend(scheme)
+        checkpoint_scheme(scheme)
         lids = scheme.bulk_load(24, [i ^ 1 for i in range(24)])
         before = [txn.lsn for txn in scan_wal(backend.wal_path).transactions]
         policy = RetryPolicy(max_retries=3, base_delay=0.0, sleep=lambda _: None)
@@ -130,7 +130,7 @@ class TestRetryOnAFileBackend:
         does not retry and edits on then journals one larger delta under
         that LSN; a standing first copy would be folded in its place."""
         from repro.persist import (
-            attach_scheme_to_backend,
+            checkpoint_scheme,
             open_file_scheme,
             scheme_metadata_header,
         )
@@ -141,7 +141,7 @@ class TestRetryOnAFileBackend:
             path, page_bytes=default_page_bytes(TINY_CONFIG), fsync=True
         )
         scheme = WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))
-        attach_scheme_to_backend(scheme)
+        checkpoint_scheme(scheme)
         twin = WBox(TINY_CONFIG)
         lids = scheme.bulk_load(24, [i ^ 1 for i in range(24)])
         twin.bulk_load(24, [i ^ 1 for i in range(24)])

@@ -11,6 +11,7 @@ service is byte-identical on disk to the plain ``LabelService`` stack.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 
@@ -22,10 +23,10 @@ from repro.core.registry import scheme_factory
 from repro.errors import CrossShardError, PersistError, ServiceError
 from repro.obs import get_registry
 from repro.persist import (
-    attach_scheme_to_backend,
     checkpoint_scheme,
     create_sharded_backends,
-    open_sharded_schemes,
+    create_store,
+    open_store,
 )
 from repro.service import (
     EpochVector,
@@ -371,38 +372,58 @@ def test_drained_tickets_count_as_write_merges_in_describe():
 
 def test_sharded_layout_round_trip(tmp_path):
     root = str(tmp_path / "root")
-    backends = create_sharded_backends(
-        root, 2, page_bytes=default_page_bytes(TINY_CONFIG)
+    schemes, glids = create_store(
+        root, "wbox", 2, config=TINY_CONFIG, populate=lambda fresh: bulk_load_sharded(fresh, 10)
     )
-    schemes = [
-        WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=b))
-        for b in backends
-    ]
-    for scheme in schemes:
-        attach_scheme_to_backend(scheme)
-    glids = bulk_load_sharded(schemes, 10)
     service = ShardedLabelService(schemes)
     with service:
         new_glid = service.apply_ops_sync(
             [BatchOp("insert_before", (glids[3],))]
         ).results[0]
-    for scheme in schemes:
-        checkpoint_scheme(scheme)
     values = {g: schemes[g % 2].lookup(g // 2) for g in glids + [new_glid]}
-    for backend in backends:
-        backend.close()
+    for scheme in schemes:
+        checkpoint_scheme(scheme).close()
 
     assert is_sharded_root(root)
     manifest = read_manifest(root)
     assert manifest["n_shards"] == 2
 
-    reopened = open_sharded_schemes(root)
+    reopened = open_store(root)
     try:
         for glid, value in values.items():
             assert reopened[glid % 2].lookup(glid // 2) == value
     finally:
         for scheme in reopened:
             scheme.store.backend.close()
+
+
+def test_create_store_refuses_an_existing_store_and_open_store_reopens_it(tmp_path):
+    """Creating never appends: a non-empty file or directory is refused
+    by name and left as it was; an empty directory is a fresh root.  One
+    shard is a root too, and ``open_store`` reopens it or a bare file."""
+    taken = tmp_path / "taken.pages"
+    taken.write_bytes(b"x")
+    (tmp_path / "full").mkdir()
+    (tmp_path / "full" / "f").write_bytes(b"")
+    for path in (taken, tmp_path / "full"):
+        with pytest.raises(PersistError, match=str(path)):
+            create_store(str(path), "wbox", config=TINY_CONFIG)
+    assert taken.read_bytes() == b"x" and os.listdir(tmp_path / "full") == ["f"]
+
+    root = tmp_path / "empty"
+    root.mkdir()
+    (scheme,), lids = create_store(
+        str(root), "wbox", config=TINY_CONFIG, populate=lambda fresh: fresh[0].bulk_load(8)
+    )
+    labels = [scheme.lookup(lid) for lid in lids]
+    checkpoint_scheme(scheme).close()
+    assert read_manifest(str(root))["n_shards"] == 1
+    for path in (root, shard_page_path(str(root), 0)):
+        (reopened,) = open_store(str(path))
+        assert [reopened.lookup(lid) for lid in lids] == labels
+        reopened.store.backend.close()
+    with pytest.raises(PersistError, match="already holds a store"):
+        create_store(str(root), "wbox", config=TINY_CONFIG)
 
 
 def test_read_manifest_rejects_missing_and_damaged_roots(tmp_path):
@@ -413,8 +434,6 @@ def test_read_manifest_rejects_missing_and_damaged_roots(tmp_path):
     for backend in backends:
         backend.close()
     shard_page_path(root, 1)
-    import os
-
     os.unlink(shard_page_path(root, 1))
     with pytest.raises(PersistError):
         read_manifest(root)
@@ -432,7 +451,7 @@ def test_one_shard_is_byte_identical_to_plain_service(tmp_path):
     plain_path = str(tmp_path / "plain.pages")
     backend = FileBackend(plain_path, page_bytes=page_bytes)
     scheme = WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))
-    attach_scheme_to_backend(scheme)
+    checkpoint_scheme(scheme)
     lids = scheme.bulk_load(12)
     with LabelService(scheme) as plain:
         plain.apply_ops_sync(ops_for(lids))
@@ -444,7 +463,7 @@ def test_one_shard_is_byte_identical_to_plain_service(tmp_path):
     schemes = [
         WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backends[0]))
     ]
-    attach_scheme_to_backend(schemes[0])
+    checkpoint_scheme(schemes[0])
     glids = bulk_load_sharded(schemes, 12)
     assert glids == lids  # identity codec
     with ShardedLabelService(schemes) as sharded:

@@ -30,7 +30,6 @@ from repro.config import TINY_CONFIG
 from repro.errors import CrashError
 from repro.faults import TORN_WRITE, FaultInjector, FaultPlan, FaultSpec, run_chaos_trial
 from repro.persist import (
-    attach_scheme_to_backend,
     checkpoint_scheme,
     create_sharded_backends,
     open_file_scheme,
@@ -50,7 +49,7 @@ def make_scheme(tmp_path, fsync=True):
         fsync=fsync,
     )
     scheme = WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))
-    attach_scheme_to_backend(scheme)
+    checkpoint_scheme(scheme)
     return scheme, backend, path
 
 

@@ -24,7 +24,6 @@ from repro import TINY_CONFIG, BatchOp, WBox
 from repro.errors import ReplicationError
 from repro.persist import (
     PersistError,
-    attach_scheme_to_backend,
     checkpoint_scheme,
     full_checkpoint,
     open_file_scheme,
@@ -46,7 +45,7 @@ from .test_replication import Primary, assert_twin
 def make_scheme(path):
     backend = FileBackend(path, page_bytes=default_page_bytes(TINY_CONFIG))
     scheme = WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))
-    attach_scheme_to_backend(scheme)
+    checkpoint_scheme(scheme)
     return scheme, backend
 
 
@@ -232,7 +231,7 @@ def test_failed_image_copy_leaves_no_temp_file(tmp_path, monkeypatch):
     path = str(tmp_path / "t.pages")
     backend = FileBackend(path, page_bytes=default_page_bytes(TINY_CONFIG), fsync=True)
     scheme = WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))
-    attach_scheme_to_backend(scheme)
+    checkpoint_scheme(scheme)
     scheme.bulk_load(24, [i ^ 1 for i in range(24)])
     backend.checkpoint()
     listing = sorted(os.listdir(tmp_path))

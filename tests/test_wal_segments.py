@@ -20,7 +20,6 @@ from repro import WBox
 from repro.config import TINY_CONFIG
 from repro.persist import (
     PersistError,
-    attach_scheme_to_backend,
     checkpoint_scheme,
     full_checkpoint,
     open_file_scheme,
@@ -46,7 +45,7 @@ def make_scheme(tmp_path, name="t.pages", fsync=False, image=False):
         fsync=fsync,
     )
     scheme = WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))
-    attach_scheme_to_backend(scheme)
+    checkpoint_scheme(scheme)
     if image:
         assert backend.record_checkpoint_image()["segment"] == 2
     return scheme, backend, path
