@@ -1,64 +1,17 @@
 """Network front end: varint-framed binary protocol, asyncio server,
 synchronous pipelining client.  See ``docs/API.md`` (net section) for the
 frame table and error catalogue, and ``DESIGN.md`` §14 for the
-backpressure/overload state machine."""
+backpressure/overload state machine.  Frames and their codec live in
+:mod:`repro.net.protocol`."""
 
 from .client import NetClient, Pending, PendingStream, exception_for_frame
-from .protocol import (
-    MAX_FRAME_BYTES,
-    PROTOCOL_VERSION,
-    Compare,
-    Epochs,
-    ErrorFrame,
-    Frame,
-    FrameDecoder,
-    Hello,
-    Lookup,
-    Ordinal,
-    Orders,
-    Ping,
-    Pong,
-    Query,
-    QueryChunk,
-    Refresh,
-    Results,
-    ServerHello,
-    Submit,
-    Values,
-    decode_payload,
-    encode_frame,
-    encode_payload,
-)
 from .server import NetServer, run_server
 
 __all__ = [
-    "MAX_FRAME_BYTES",
-    "PROTOCOL_VERSION",
-    "Compare",
-    "Epochs",
-    "ErrorFrame",
-    "Frame",
-    "FrameDecoder",
-    "Hello",
-    "Lookup",
     "NetClient",
     "NetServer",
-    "Ordinal",
-    "Orders",
     "Pending",
     "PendingStream",
-    "Ping",
-    "Pong",
-    "Query",
-    "QueryChunk",
-    "Refresh",
-    "Results",
-    "ServerHello",
-    "Submit",
-    "Values",
-    "decode_payload",
-    "encode_frame",
-    "encode_payload",
     "exception_for_frame",
     "run_server",
 ]

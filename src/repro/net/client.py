@@ -65,6 +65,14 @@ def exception_for_frame(frame: ErrorFrame) -> ReproError:
     return cls(f"[{frame.code_name}] {frame.message}")
 
 
+def _expect(pending: "Pending", cls: type, timeout: float | None) -> Any:
+    """The frame ``pending`` resolves to, which must be a ``cls`` reply."""
+    frame = pending.wait(timeout)
+    if not isinstance(frame, cls):
+        raise ProtocolError(f"{type(frame).__name__} answered a request expecting {cls.__name__}")
+    return frame
+
+
 class Pending:
     """One outstanding request: resolves to a frame or an exception."""
 
@@ -336,46 +344,33 @@ class NetClient:
     # blocking forms -----------------------------------------------------
 
     def hello(self, timeout: float | None = 30.0) -> ServerHello:
-        frame = self.begin_hello().wait(timeout)
-        assert isinstance(frame, ServerHello)
-        return frame
+        return _expect(self.begin_hello(), ServerHello, timeout)
 
     def ping(self, timeout: float | None = 30.0) -> None:
-        frame = self.begin_ping().wait(timeout)
-        assert isinstance(frame, Pong)
+        _expect(self.begin_ping(), Pong, timeout)
 
     def refresh(self, timeout: float | None = 30.0) -> tuple[int, ...]:
         """Advance the connection's pinned session; new epoch numbers."""
-        frame = self.begin_refresh().wait(timeout)
-        assert isinstance(frame, Epochs)
-        return frame.numbers
+        return _expect(self.begin_refresh(), Epochs, timeout).numbers
 
     def lookup(self, lids: Sequence[int], timeout: float | None = 30.0) -> list[Any]:
         """Labels for ``lids`` at the connection's pinned epoch(s)."""
-        frame = self.begin_lookup(lids).wait(timeout)
-        assert isinstance(frame, Values)
-        return list(frame.values)
+        return list(_expect(self.begin_lookup(lids), Values, timeout).values)
 
     def ordinal(self, lids: Sequence[int], timeout: float | None = 30.0) -> list[int]:
-        frame = self.begin_ordinal(lids).wait(timeout)
-        assert isinstance(frame, Orders)
-        return list(frame.orders)
+        return list(_expect(self.begin_ordinal(lids), Orders, timeout).orders)
 
     def compare(
         self, pairs: Sequence[tuple[int, int]], timeout: float | None = 30.0
     ) -> list[int]:
         """Signed document-order comparisons for LID pairs."""
-        frame = self.begin_compare(pairs).wait(timeout)
-        assert isinstance(frame, Orders)
-        return list(frame.orders)
+        return list(_expect(self.begin_compare(pairs), Orders, timeout).orders)
 
     def submit(
         self, ops: Sequence[BatchOp], timeout: float | None = 30.0
     ) -> list[Any]:
         """Apply a write tape through the service; positional results."""
-        frame = self.begin_submit(ops).wait(timeout)
-        assert isinstance(frame, Results)
-        return list(frame.values)
+        return list(_expect(self.begin_submit(ops), Results, timeout).values)
 
     def query(
         self,
@@ -401,9 +396,7 @@ class NetClient:
 
     def repl_state(self, shard: int = 0, timeout: float | None = 30.0) -> ReplManifest:
         """One shard's replication position (segment manifest + epoch)."""
-        frame = self.begin_repl_state(shard).wait(timeout)
-        assert isinstance(frame, ReplManifest)
-        return frame
+        return _expect(self.begin_repl_state(shard), ReplManifest, timeout)
 
     def repl_fetch(
         self,
@@ -415,6 +408,5 @@ class NetClient:
         timeout: float | None = 30.0,
     ) -> ReplChunk:
         """One windowed read of a replication source (image or WAL)."""
-        frame = self.begin_repl_fetch(shard, kind, segment, offset, limit).wait(timeout)
-        assert isinstance(frame, ReplChunk)
-        return frame
+        pending = self.begin_repl_fetch(shard, kind, segment, offset, limit)
+        return _expect(pending, ReplChunk, timeout)

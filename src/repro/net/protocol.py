@@ -14,18 +14,22 @@ connection additionally arrive in request order).
 
 What a frame *is* is declared once, by :func:`wire` on its class: type
 code, trace/metric name, one codec per body field.  :data:`SCHEMA` is the
-resulting table; encode, decode, the ``T_*`` constants and the server's
-dispatch all read it.  Adding a frame is one decorated class here, one
-``NetServer`` handler and one ``NetClient`` method.
+resulting table, and each row carries the encoder and decoder
+:func:`wire` composed from its field codecs at import.  Adding a frame is
+one decorated class here, one ``NetServer`` handler and one ``NetClient``
+method.
 
 Label values (which are scheme-specific: ints for W-BOX, component
 tuples for B-BOX/ORDPATH) travel as a small self-describing tagged
-encoding (:func:`encode_value` / :func:`_decode_value`) with a nesting
+encoding (:func:`encode_value` / :func:`_get_value`) with a nesting
 depth cap, so every scheme's labels round-trip without per-scheme wire
 knowledge.
 
 Decoding discipline — the property the fuzz suite pins:
 
+* Decoding is by offset: a field reader is ``get(buf, pos, end) ->
+  (value, next_pos)`` and never reads outside ``buf[pos:end]``, so
+  :class:`FrameDecoder` decodes each frame in place from its buffer.
 * :func:`decode_payload` either returns a frame object or raises
   :class:`~repro.errors.ProtocolError`.  Nothing else, ever: truncated
   varints, element counts exceeding the bytes that could hold them,
@@ -44,6 +48,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Callable, Iterator, NamedTuple, Union
 
 from ..core.batch import BatchOp, BatchRef
@@ -155,6 +160,9 @@ ERRORS = {
 
 
 def _append_uvarint(out: bytearray, value: int, max_bytes: int = MAX_VARINT_BYTES) -> None:
+    if 0 <= value < 0x80:
+        out.append(value)
+        return
     if value >> (7 * max_bytes):  # negative, or wider than the decoder reads
         raise ProtocolError(
             f"cannot encode {value} as a uvarint of at most {max_bytes} bytes"
@@ -169,80 +177,53 @@ def _append_svarint(out: bytearray, value: int) -> None:
     # Zigzag in its arbitrary-precision form: ``value >> 63`` is the sign
     # only for 64-bit values, and labels are not bounded by a word.
     zigzag = ~(value << 1) if value < 0 else value << 1
-    _append_uvarint(out, zigzag, MAX_VALUE_VARINT_BYTES)
+    if zigzag < 0x80:
+        out.append(zigzag)
+    else:
+        _append_uvarint(out, zigzag, MAX_VALUE_VARINT_BYTES)
 
 
-def _scan_uvarint(
+# Field readers: ``get(buf, pos, end) -> (value, next_pos)`` over the
+# payload ``buf[pos:end]``, raising ProtocolError where it falls short.
+
+
+def _get_uvarint(
     buf: Any, pos: int, end: int, max_bytes: int = MAX_VARINT_BYTES
-) -> tuple[int, int] | None:
-    """``(value, next_pos)`` of the uvarint at ``buf[pos:end]``, or None
-    when the buffer ends inside it; :class:`ProtocolError` once
-    ``max_bytes`` bytes have gone by without a terminator."""
-    limit = pos + max_bytes
+) -> tuple[int, int]:
     value = shift = 0
+    stop = pos + max_bytes
     while pos < end:
         byte = buf[pos]
         pos += 1
-        value |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return value, pos
-        if pos >= limit:
+        if byte < 0x80:
+            return value | byte << shift, pos
+        if pos == stop:
             raise ProtocolError(f"varint longer than {max_bytes} bytes")
+        value |= (byte & 0x7F) << shift
         shift += 7
-    return None
+    raise ProtocolError("truncated varint")
 
 
-class _Reader:
-    """Bounds-checked sequential reads over one payload buffer."""
+def _get_svarint(buf: Any, pos: int, end: int) -> tuple[int, int]:
+    raw, pos = _get_uvarint(buf, pos, end, MAX_VALUE_VARINT_BYTES)
+    return (raw >> 1) ^ -(raw & 1), pos
 
-    __slots__ = ("buf", "pos", "end")
 
-    def __init__(self, buf: bytes) -> None:
-        self.buf = buf
-        self.pos = 0
-        self.end = len(buf)
+def _get_count(buf: Any, pos: int, end: int) -> tuple[int, int]:
+    """An element count; each element costs >= 1 byte, so any count
+    exceeding the remaining bytes is an encoding bomb, not data."""
+    n, pos = _get_uvarint(buf, pos, end)
+    if n > end - pos:
+        raise ProtocolError(
+            f"element count {n} exceeds {end - pos} remaining payload bytes"
+        )
+    return n, pos
 
-    @property
-    def remaining(self) -> int:
-        return self.end - self.pos
 
-    def uvarint(self, max_bytes: int = MAX_VARINT_BYTES) -> int:
-        scanned = _scan_uvarint(self.buf, self.pos, self.end, max_bytes)
-        if scanned is None:
-            raise ProtocolError("truncated varint")
-        value, self.pos = scanned
-        return value
-
-    def svarint(self) -> int:
-        raw = self.uvarint(MAX_VALUE_VARINT_BYTES)
-        return (raw >> 1) ^ -(raw & 1)
-
-    def byte(self) -> int:
-        if self.pos >= self.end:
-            raise ProtocolError("truncated payload")
-        self.pos += 1
-        return self.buf[self.pos - 1]
-
-    def count(self) -> int:
-        """An element count; each element costs >= 1 byte, so any count
-        exceeding the remaining bytes is an encoding bomb, not data."""
-        n = self.uvarint()
-        if n > self.remaining:
-            raise ProtocolError(
-                f"element count {n} exceeds {self.remaining} remaining payload bytes"
-            )
-        return n
-
-    def take(self, n: int) -> bytes:
-        if n > self.remaining:
-            raise ProtocolError("truncated payload")
-        chunk = self.buf[self.pos:self.pos + n]
-        self.pos += n
-        return bytes(chunk)
-
-    def expect_end(self) -> None:
-        if self.pos != self.end:
-            raise ProtocolError(f"{self.remaining} trailing garbage byte(s) after frame")
+def _get_byte(buf: Any, pos: int, end: int) -> tuple[int, int]:
+    if pos >= end:
+        raise ProtocolError("truncated payload")
+    return buf[pos], pos + 1
 
 
 # ----------------------------------------------------------------------
@@ -251,10 +232,13 @@ class _Reader:
 
 
 class Codec(NamedTuple):
-    """``put(out, value)`` appends a field; ``get(reader)`` reads it back."""
+    """``put(out, value)`` appends a field; ``get(buf, pos, end)`` reads it
+    back as ``(value, next_pos)``; ``run(buf, pos, end, n)``, where given,
+    reads ``n`` of them in one loop as ``(tuple, next_pos)`` (:func:`seq`)."""
 
     put: Callable[[bytearray, Any], None]
-    get: Callable[[_Reader], Any]
+    get: Callable[[Any, int, int], tuple[Any, int]]
+    run: Callable[[Any, int, int, int], tuple[tuple, int]] | None = None
 
 
 def _put_bytes(out: bytearray, raw: bytes) -> None:
@@ -262,17 +246,19 @@ def _put_bytes(out: bytearray, raw: bytes) -> None:
     out += raw
 
 
-def _get_bytes(reader: _Reader) -> bytes:
-    return reader.take(reader.count())
+def _get_bytes(buf: Any, pos: int, end: int) -> tuple[bytes, int]:
+    n, pos = _get_count(buf, pos, end)
+    return bytes(buf[pos:pos + n]), pos + n
 
 
 def _put_string(out: bytearray, text: str) -> None:
     _put_bytes(out, text.encode("utf-8"))
 
 
-def _get_string(reader: _Reader) -> str:
+def _get_string(buf: Any, pos: int, end: int) -> tuple[str, int]:
+    n, pos = _get_count(buf, pos, end)
     try:
-        return _get_bytes(reader).decode("utf-8")
+        return buf[pos:pos + n].decode("utf-8"), pos + n
     except UnicodeDecodeError as error:
         raise ProtocolError(f"bad utf-8 in string: {error}") from None
 
@@ -281,11 +267,36 @@ def _put_flag(out: bytearray, flag: bool) -> None:
     out.append(1 if flag else 0)
 
 
-def _get_flag(reader: _Reader) -> bool:
-    raw = reader.uvarint()
+def _get_flag(buf: Any, pos: int, end: int) -> tuple[bool, int]:
+    raw, pos = _get_uvarint(buf, pos, end)
     if raw > 1:
         raise ProtocolError(f"bad flag value {raw}")
-    return bool(raw)
+    return bool(raw), pos
+
+
+def _varint_run(max_bytes: int, signed: bool) -> Callable[[Any, int, int, int], tuple[tuple, int]]:
+    """The ``run`` of UVARINT / SVARINT: varints of up to three bytes (LIDs
+    below 2**21) decoded inline, longer ones and the payload's last bytes
+    by :func:`_get_uvarint`."""
+
+    def run(buf: Any, pos: int, end: int, n: int) -> tuple[tuple, int]:
+        values = []
+        append = values.append
+        for _ in range(n):
+            if end - pos < 3:
+                value, pos = _get_uvarint(buf, pos, end, max_bytes)
+            elif (b0 := buf[pos]) < 0x80:
+                value, pos = b0, pos + 1
+            elif (b1 := buf[pos + 1]) < 0x80:
+                value, pos = b0 & 0x7F | b1 << 7, pos + 2
+            elif (b2 := buf[pos + 2]) < 0x80:
+                value, pos = b0 & 0x7F | (b1 & 0x7F) << 7 | b2 << 14, pos + 3
+            else:
+                value, pos = _get_uvarint(buf, pos, end, max_bytes)
+            append((value >> 1) ^ -(value & 1) if signed else value)
+        return tuple(values), pos
+
+    return run
 
 
 # -- tagged values (labels, submit results) ------------------------------
@@ -302,12 +313,15 @@ def encode_value(out: bytearray, value: Any, depth: int = 0) -> None:
     """Append one self-describing value (label, result component)."""
     if depth > MAX_VALUE_DEPTH:
         raise ProtocolError(f"value nesting exceeds depth {MAX_VALUE_DEPTH}")
-    if value is None:
+    if type(value) is int:  # the common label first (a bool is not ``int`` here)
+        out.append(_V_INT)
+        _append_uvarint(out, ~(value << 1) if value < 0 else value << 1, MAX_VALUE_VARINT_BYTES)
+    elif value is None:
         out.append(_V_NONE)
     elif value is True or value is False:
         out.append(_V_BOOL)
         out.append(1 if value else 0)
-    elif isinstance(value, int):
+    elif isinstance(value, int):  # an int subclass
         out.append(_V_INT)
         _append_svarint(out, value)
     elif isinstance(value, (tuple, list)):
@@ -322,25 +336,41 @@ def encode_value(out: bytearray, value: Any, depth: int = 0) -> None:
         raise ProtocolError(f"value of type {type(value).__name__} is not encodable")
 
 
-def _decode_value(reader: _Reader, depth: int = 0) -> Any:
+def _get_value(buf: Any, pos: int, end: int, depth: int = 0) -> tuple[Any, int]:
     if depth > MAX_VALUE_DEPTH:
         raise ProtocolError(f"value nesting exceeds depth {MAX_VALUE_DEPTH}")
-    tag = reader.byte()
+    tag, pos = _get_byte(buf, pos, end)
+    if tag == _V_INT:
+        return _get_svarint(buf, pos, end)
     if tag == _V_NONE:
-        return None
+        return None, pos
     if tag == _V_BOOL:
-        raw = reader.byte()
+        raw, pos = _get_byte(buf, pos, end)
         if raw > 1:
             raise ProtocolError(f"bad bool byte {raw}")
-        return bool(raw)
-    if tag == _V_INT:
-        return reader.svarint()
+        return bool(raw), pos
     if tag in (_V_TUPLE, _V_LIST):
-        items = [_decode_value(reader, depth + 1) for _ in range(reader.count())]
-        return tuple(items) if tag == _V_TUPLE else items
+        n, pos = _get_count(buf, pos, end)
+        items = []
+        for _ in range(n):
+            item, pos = _get_value(buf, pos, end, depth + 1)
+            items.append(item)
+        return (tuple(items) if tag == _V_TUPLE else items), pos
     if tag == _V_STR:
-        return _get_string(reader)
+        return _get_string(buf, pos, end)
     raise ProtocolError(f"unknown value tag {tag}")
+
+
+def _value_run(buf: Any, pos: int, end: int, n: int) -> tuple[tuple, int]:
+    values = []
+    append = values.append
+    for _ in range(n):
+        if pos < end and buf[pos] == _V_INT:  # an int label: no tag dispatch
+            value, pos = _get_svarint(buf, pos + 1, end)
+        else:
+            value, pos = _get_value(buf, pos, end)
+        append(value)
+    return tuple(values), pos
 
 
 # -- batch ops (the Submit tape) -----------------------------------------
@@ -369,64 +399,81 @@ def _encode_op(out: bytearray, op: BatchOp) -> None:
             )
 
 
-def _decode_op(reader: _Reader) -> BatchOp:
-    code = reader.uvarint()
+def _decode_op(buf: Any, pos: int, end: int) -> tuple[BatchOp, int]:
+    code, pos = _get_uvarint(buf, pos, end)
     if code >= len(WIRE_KINDS):
         raise ProtocolError(f"unknown batch op code {code}")
+    n, pos = _get_count(buf, pos, end)
     args: list[Any] = []
-    for _ in range(reader.count()):
-        tag = reader.byte()
+    for _ in range(n):
+        tag, pos = _get_byte(buf, pos, end)
         if tag == _A_INT:
-            args.append(reader.uvarint())
+            arg, pos = _get_uvarint(buf, pos, end)
+            args.append(arg)
         elif tag == _A_REF:
-            index = reader.uvarint()
-            item = reader.uvarint()
+            index, pos = _get_uvarint(buf, pos, end)
+            item, pos = _get_uvarint(buf, pos, end)
             args.append(BatchRef(index, None if item == 0 else item - 1))
         else:
             raise ProtocolError(f"unknown batch op argument tag {tag}")
-    return BatchOp(WIRE_KINDS[code], tuple(args))
+    return BatchOp(WIRE_KINDS[code], tuple(args)), pos
 
 
 # -- the codecs a frame declaration names --------------------------------
 
-UVARINT = Codec(_append_uvarint, _Reader.uvarint)
-SVARINT = Codec(_append_svarint, _Reader.svarint)
+UVARINT = Codec(_append_uvarint, _get_uvarint, _varint_run(MAX_VARINT_BYTES, False))
+SVARINT = Codec(_append_svarint, _get_svarint, _varint_run(MAX_VALUE_VARINT_BYTES, True))
 STRING = Codec(_put_string, _get_string)
 BYTES = Codec(_put_bytes, _get_bytes)
 FLAG = Codec(_put_flag, _get_flag)
-VALUE = Codec(encode_value, _decode_value)
+VALUE = Codec(encode_value, _get_value, _value_run)
 OP = Codec(_encode_op, _decode_op)
 
 
 def seq(item: Codec) -> Codec:
-    """A counted tuple of ``item``.  The count is checked against the
-    bytes remaining (:meth:`_Reader.count`) before anything is built."""
-    put_item, get_item = item
+    """A counted tuple of ``item``, read by its ``run`` where it has one;
+    the count is checked against the bytes remaining before any read."""
+    put_item, get_item, run = item
 
     def put(out: bytearray, values: Any) -> None:
         _append_uvarint(out, len(values))
         for value in values:
             put_item(out, value)
 
-    def get(reader: _Reader) -> tuple:
-        return tuple([get_item(reader) for _ in range(reader.count())])
+    def get(buf: Any, pos: int, end: int) -> tuple[tuple, int]:
+        n, pos = _get_count(buf, pos, end)
+        if run is not None:
+            return run(buf, pos, end, n)
+        values = []
+        for _ in range(n):
+            value, pos = get_item(buf, pos, end)
+            values.append(value)
+        return tuple(values), pos
 
     return Codec(put, get)
 
 
 def pair(item: Codec) -> Codec:
-    """Two ``item`` values back to back, as a 2-tuple."""
-    put_item, get_item = item
+    """Two ``item`` values back to back, as a 2-tuple.  A run of ``n``
+    pairs is a run of ``2n`` items, paired up."""
+    put_item, get_item, run_items = item
 
     def put(out: bytearray, value: Any) -> None:
         first, second = value
         put_item(out, first)
         put_item(out, second)
 
-    def get(reader: _Reader) -> tuple:
-        return get_item(reader), get_item(reader)
+    def get(buf: Any, pos: int, end: int) -> tuple[tuple, int]:
+        first, pos = get_item(buf, pos, end)
+        second, pos = get_item(buf, pos, end)
+        return (first, second), pos
 
-    return Codec(put, get)
+    def run(buf: Any, pos: int, end: int, n: int) -> tuple[tuple, int]:
+        items, pos = run_items(buf, pos, end, 2 * n)
+        pairs = iter(items)
+        return tuple(zip(pairs, pairs)), pos
+
+    return Codec(put, get, run if run_items is not None else None)
 
 
 # ----------------------------------------------------------------------
@@ -435,13 +482,17 @@ def pair(item: Codec) -> Codec:
 
 
 class FrameType(NamedTuple):
-    """One row of the wire schema."""
+    """One row of the wire schema, with the codec :func:`wire` built for it."""
 
     code: int
     name: str
     cls: type
     #: ``(attribute, codec)`` per body field, in wire order.
     fields: tuple[tuple[str, Codec], ...]
+    #: ``encode(out, frame)`` appends the payload: type code, request id, body.
+    encode: Callable[[bytearray, Any], None]
+    #: ``decode(buf, pos, end, request_id)`` reads the body at ``buf[pos:end]``.
+    decode: Callable[[Any, int, int, int], Any]
 
 
 #: The wire schema: one row per frame class, filled by :func:`wire`.
@@ -451,18 +502,39 @@ _BY_CODE: dict[int, FrameType] = {}
 
 def wire(code: int, name: str, *codecs: Codec) -> Callable[[type], type]:
     """Declare the decorated dataclass as frame type ``code``, a row of
-    :data:`SCHEMA`.
+    :data:`SCHEMA`, and compose the row's encoder and decoder from its
+    field codecs once.
 
     ``name`` labels its spans and metrics; ``codecs`` encode its fields
     in declaration order after ``request_id`` (which travels in the frame
     header).  Requests take codes 0x01.., responses 0x81.."""
+    head = bytearray()
+    _append_uvarint(head, code)
 
     def register(cls: type) -> type:
         names = [field.name for field in dataclasses.fields(cls)]
         if names[0] != "request_id" or len(names) != len(codecs) + 1 or code in _BY_CODE:
             raise TypeError(f"bad wire declaration for {cls.__name__}")
+        puts = [(attrgetter(field), codec.put) for field, codec in zip(names[1:], codecs)]
+        gets = [codec.get for codec in codecs]
+
+        def encode(out: bytearray, frame: Any) -> None:
+            out += head
+            _append_uvarint(out, frame.request_id)
+            for field, put in puts:
+                put(out, field(frame))
+
+        def decode(buf: Any, pos: int, end: int, request_id: int) -> Any:
+            values = [request_id]
+            for get in gets:
+                value, pos = get(buf, pos, end)
+                values.append(value)
+            if pos != end:
+                raise ProtocolError(f"{end - pos} trailing garbage byte(s) after frame")
+            return cls(*values)
+
         SCHEMA[cls] = _BY_CODE[code] = FrameType(
-            code, name, cls, tuple(zip(names[1:], codecs))
+            code, name, cls, tuple(zip(names[1:], codecs)), encode, decode
         )
         return cls
 
@@ -729,55 +801,59 @@ def error_frame(request_id: int, error: BaseException) -> ErrorFrame:
 # ----------------------------------------------------------------------
 
 
-def encode_payload(frame: Frame) -> bytes:
-    """The frame's payload bytes (everything after the length prefix)."""
+def _encode(frame: Frame) -> bytearray:
     row = SCHEMA.get(type(frame))
     if row is None:
         raise ProtocolError(f"cannot encode frame of type {type(frame).__name__}")
     out = bytearray()
-    _append_uvarint(out, row.code)
-    _append_uvarint(out, frame.request_id)
-    for name, codec in row.fields:
-        codec.put(out, getattr(frame, name))
-    return bytes(out)
+    row.encode(out, frame)
+    return out
+
+
+def encode_payload(frame: Frame) -> bytes:
+    """The frame's payload bytes (everything after the length prefix)."""
+    return bytes(_encode(frame))
 
 
 def encode_frame(frame: Frame) -> bytes:
-    """Full wire bytes: length prefix plus payload."""
-    payload = encode_payload(frame)
-    if len(payload) > MAX_FRAME_BYTES:
-        raise ProtocolError(
-            f"frame payload of {len(payload)} bytes exceeds {MAX_FRAME_BYTES}"
-        )
+    """Full wire bytes: the length prefix put in front of the payload's own buffer."""
+    out = _encode(frame)
+    if len(out) < 0x80:  # a one-byte prefix
+        out.insert(0, len(out))
+        return bytes(out)
+    if len(out) > MAX_FRAME_BYTES:
+        raise ProtocolError(f"frame payload of {len(out)} bytes exceeds {MAX_FRAME_BYTES}")
     prefix = bytearray()
-    _append_uvarint(prefix, len(payload))
-    return bytes(prefix) + payload
+    _append_uvarint(prefix, len(out))
+    out[:0] = prefix
+    return bytes(out)
 
 
-def decode_payload(payload: bytes) -> Frame:
-    """Decode one payload into its frame, or raise :class:`ProtocolError`.
+def decode_payload(payload: Any, pos: int = 0, end: int | None = None) -> Frame:
+    """Decode the payload at ``payload[pos:end]`` (default: all of it)
+    into its frame, or raise :class:`ProtocolError`.
 
     Total function: every possible byte string either decodes or raises
     the one typed error — never hangs, never escapes another exception.
     """
-    reader = _Reader(payload)
-    code = reader.uvarint()
-    request_id = reader.uvarint()
+    if end is None:
+        end = len(payload)
+    code, pos = _get_uvarint(payload, pos, end)
+    request_id, pos = _get_uvarint(payload, pos, end)
     row = _BY_CODE.get(code)
     if row is None:
         raise ProtocolError(f"unknown frame type {code:#x}")
-    frame = row.cls(request_id, *[codec.get(reader) for _name, codec in row.fields])
-    reader.expect_end()
-    return frame
+    return row.decode(payload, pos, end, request_id)
 
 
 class FrameDecoder:
     """Incremental frame extraction over an arbitrary byte stream.
 
     Feed received chunks with :meth:`feed`; iterate :meth:`frames` for
-    every complete decoded frame.  The length prefix is validated as soon
-    as its bytes arrive — a prefix longer than :data:`MAX_VARINT_BYTES`
-    varint bytes or announcing more than ``max_frame_bytes`` raises
+    every complete decoded frame, read in place from the decoder's own
+    buffer.  The length prefix is validated as soon as its bytes arrive —
+    a prefix longer than :data:`MAX_VARINT_BYTES` varint bytes or
+    announcing more than ``max_frame_bytes`` raises
     :class:`ProtocolError` *before* any body is buffered.  A final
     partial frame at connection close is reported by :meth:`close`.
     """
@@ -798,25 +874,28 @@ class FrameDecoder:
     def frames(self) -> Iterator[Frame]:
         """Yield every complete frame currently buffered."""
         buf = self._buf
-        while True:
-            header = _scan_uvarint(buf, self._pos, len(buf))
-            if header is None:
-                break
-            length, offset = header
+        while (start := self._pos) < len(buf):
+            try:
+                length, offset = _get_uvarint(buf, start, len(buf))
+            except ProtocolError:
+                if len(buf) - start < MAX_VARINT_BYTES:
+                    break  # the rest of the length prefix is still to come
+                raise
             if length > self.max_frame_bytes:
                 raise ProtocolError(
                     f"announced frame of {length} bytes exceeds "
                     f"limit {self.max_frame_bytes}"
                 )
-            if len(buf) - offset < length:
+            end = offset + length
+            if len(buf) < end:
                 break
-            payload = bytes(buf[offset:offset + length])
-            self._pos = offset + length
+            self._pos = end
+            frame = decode_payload(buf, offset, end)
             # Periodically drop the consumed prefix to bound the buffer.
-            if self._pos > 1 << 16:
-                del buf[:self._pos]
+            if end > 1 << 16:
+                del buf[:end]
                 self._pos = 0
-            yield decode_payload(payload)
+            yield frame
 
     def close(self) -> None:
         """Signal end of stream; a buffered partial frame is a violation."""

@@ -5,55 +5,33 @@ One :class:`NetServer` exposes a
 number of connections speaking the varint-framed protocol
 (:mod:`repro.net.protocol`).
 
-Connection model
-----------------
+Connection model (DESIGN.md §14 gives the full argument):
 
-* **Session pinning.**  Each connection gets its own
-  :class:`~repro.service.sharded.ShardedReaderSession` created at accept
-  time.  Every read the connection issues is served at the session's
-  pinned epoch vector; a ``Refresh`` frame advances the pin and returns
-  the new epoch numbers.  Sessions are not thread-safe, which
-  dovetails with the ordering contract below.
+* **Session pinning.**  Each connection pins its own
+  :class:`~repro.service.sharded.ShardedReaderSession` at accept time;
+  every read it issues is served at that epoch vector, and ``Refresh``
+  advances the pin.
 * **Reads on the loop, waits on a worker, in per-connection order.**
-  The read loop appends every admitted frame of a received chunk to the
-  connection's FIFO, then answers its head in place: while the head is a
-  read frame (anything but ``Submit``, ``Query`` and ``ReplFetch``) and
-  every shard latch can be taken shared without waiting
-  (:meth:`~repro.storage.blockstore.ReaderWriterLatch.try_acquire_shared`),
-  the frame runs on the loop thread holding those latches — a cache hit
-  costs no thread hop, and a first-touch fallthrough re-enters the latch
-  it already holds — and the replies of the whole run go out in one
-  ``write``.  The first frame that would wait — one of the three above
-  (fsync, view rebuild, file read), or a read while a writer is active or
-  waiting — starts the connection's one drain task, which hands the
-  longest run of queued requests to a ``net-worker`` thread as one job
-  (encoded replies back, one ``write``) and, after each job, answers
-  inline again.  While a job is out nothing of the connection runs
-  inline, so replies keep request order and the session is on one thread
-  at a time; ``Submit``, ``Query`` and ``ReplFetch`` are each a run of
-  one, so a read's reply never waits behind a later write of the burst.
-* **Admission control.**  A server-wide in-flight cap bounds the work
-  backlog.  When a request arrives above the cap it is *shed at the
-  door*: the read loop immediately answers with a typed ``OVERLOADED``
-  error frame and never queues the work.  The backlog therefore lives
-  where the server can see it (its own counter), not hidden in kernel
-  socket buffers — which is what keeps p99 bounded past the knee instead
-  of collapsing.
-* **Backpressure.**  A connection whose send buffer is above its
-  high-water mark is not read from until it drains: a peer that does not
-  read its replies is stopped by TCP flow control, and the server buffers
-  at most the high-water mark plus one chunk's replies for it.
-* **Typed failure, clean close.**  Service-level failures (degraded
-  read-only mode, write-queue backpressure timeouts, cross-shard ops,
-  unknown LIDs) map to per-request error frames; the connection lives on.
-  A protocol violation answers with one ``ERR_PROTOCOL`` frame (when the
-  transport still exists) and closes that connection; other connections
-  are untouched.
+  The read loop queues every admitted frame of a received chunk on the
+  connection's FIFO and answers its leading read frames in place, each
+  under every shard latch taken shared without waiting
+  (:meth:`~repro.storage.blockstore.ReaderWriterLatch.try_acquire_shared`);
+  a run's replies go out in one ``write``.  ``Submit``, ``Query`` and
+  ``ReplFetch`` (fsync, view rebuild, file read), and a read a writer
+  holds up, start the connection's one drain task instead, which hands
+  the run to a ``net-worker`` thread as one job; while it is out nothing
+  of the connection runs inline, so replies keep request order.
+* **Admission and backpressure.**  A request above the server-wide
+  in-flight cap is shed at the door with a typed ``OVERLOADED`` frame; a
+  connection whose send buffer is above its high-water mark is not read
+  from until it drains.
+* **Typed failure, clean close.**  Service failures map to per-request
+  error frames and the connection lives on; a protocol violation gets
+  one ``ERR_PROTOCOL`` frame and closes that connection only.
 
 Tracing: each request runs inside a ``net.request`` span opened on the
 thread that executes it, so the service's apply spans — carried across
-the writer thread hop by ``Tracer.attach`` — land under it and the
-finished tree is a single client-to-commit trace per request.
+the writer thread hop by ``Tracer.attach`` — land under it.
 """
 
 from __future__ import annotations
@@ -64,8 +42,6 @@ import queue
 import threading
 from collections import deque
 from contextlib import suppress
-from itertools import takewhile
-from operator import methodcaller
 from typing import Any, Callable
 
 from ..core.batch import BatchRef
@@ -345,24 +321,26 @@ class NetServer:
                     conn.drainer = asyncio.ensure_future(self._drain(conn))
 
     def _answer_inline(self, conn: _Connection) -> None:
-        """Run the queue's leading read frames on the loop thread, each
-        under every shard latch taken shared without waiting, and send
-        their replies in one ``write``.  Stops at the first frame that
-        must go to a worker: a run-alone request, or a read a writer
-        holds up (a latch refused)."""
+        """Run the queue's leading read frames on the loop thread, each under
+        every shard latch taken shared without waiting, and send their
+        replies in one ``write``.  Stops at the first frame that must go to
+        a worker: a run-alone request, or a read a writer holds up."""
+        pending, latches = conn.queue, self._latches
         wire: list[bytes] = []
-        while conn.queue and type(conn.queue[0]) not in RUNS_ALONE:
-            taken = list(takewhile(methodcaller("try_acquire_shared"), self._latches))
+        while pending and type(pending[0]) not in RUNS_ALONE:
+            taken = [latch for latch in latches if latch.try_acquire_shared()]
             try:
-                if len(taken) < len(self._latches):
+                if len(taken) < len(latches):
                     break
-                wire.append(self._execute(conn, conn.queue.popleft()))
-                self._inflight -= 1
+                wire.append(self._execute(conn, pending.popleft()))
             finally:
                 for latch in taken:
                     latch.release_shared()
-        if wire and not conn.writer.is_closing():  # else the peer is gone
-            conn.writer.write(b"".join(wire))
+        if wire:
+            self._inflight -= len(wire)
+            self._count["repro_net_requests_total"].inc(len(wire))
+            if not conn.writer.is_closing():  # else the peer is gone
+                conn.writer.write(b"".join(wire))
 
     async def _drain(self, conn: _Connection) -> None:
         """The connection's one drain task, started when the queue's head
@@ -401,6 +379,7 @@ class NetServer:
             conn, run, done = job
             try:
                 outcome = done.set_result, b"".join([self._execute(conn, frame) for frame in run])
+                self._count["repro_net_requests_total"].inc(len(run))
             except BaseException as error:  # noqa: BLE001 — re-raised by the waiter
                 outcome = done.set_exception, error
             with suppress(RuntimeError):  # loop closed under the job (shutdown): nobody waits
@@ -417,21 +396,20 @@ class NetServer:
         trace tree; ``submit_ops`` captures it as the cross-thread parent
         for the writer's apply spans, and the ticket resolves only after
         those spans close — so the tree is complete before the reply."""
-        with trace.span("net.request", kind=proto.SCHEMA[type(frame)].name) as span:
+        kind = type(frame)
+        with trace.span("net.request", kind=proto.SCHEMA[kind].name) as span:
             if span.recording:
                 span.set("request_id", frame.request_id)
             try:
-                handler = self._handlers.get(type(frame))
+                handler = self._handlers.get(kind)
                 if handler is None:
-                    raise ProtocolError(f"{type(frame).__name__} is not a request frame")
-                wire = b"".join(map(encode_frame, handler(conn, frame)))
+                    raise ProtocolError(f"{kind.__name__} is not a request frame")
+                return b"".join(map(encode_frame, handler(conn, frame)))
             except BaseException as error:  # noqa: BLE001 — typed frame, conn lives
                 reply = proto.error_frame(frame.request_id, error)
                 if span.recording:
                     span.set("error", reply.code_name)
-                wire = encode_frame(reply)
-        self._count["repro_net_requests_total"].inc()
-        return wire
+                return encode_frame(reply)
 
     def _hello(self, conn: _Connection, frame: Hello) -> list[Frame]:
         if frame.version != proto.PROTOCOL_VERSION:
@@ -456,16 +434,14 @@ class NetServer:
         return [Epochs(frame.request_id, conn.session.refresh().numbers)]
 
     def _lookup(self, conn: _Connection, frame: Lookup) -> list[Frame]:
-        values = conn.session.lookup_many(list(frame.lids))
-        return [Values(frame.request_id, tuple(values))]
+        return [Values(frame.request_id, tuple(conn.session.lookup_many(frame.lids)))]
 
     def _ordinal(self, conn: _Connection, frame: Ordinal) -> list[Frame]:
-        ordinals = conn.session.lookup_many(list(frame.lids), ORDINAL_CHANNEL)
+        ordinals = conn.session.lookup_many(frame.lids, ORDINAL_CHANNEL)
         return [Orders(frame.request_id, tuple(ordinals))]
 
     def _compare(self, conn: _Connection, frame: Compare) -> list[Frame]:
-        orders = tuple(conn.session.compare(a, b) for a, b in frame.pairs)
-        return [Orders(frame.request_id, orders)]
+        return [Orders(frame.request_id, tuple(conn.session.compare(a, b) for a, b in frame.pairs))]
 
     def _query(self, conn: _Connection, frame: Query) -> list[Frame]:
         """Evaluate one query stream.  The whole answer is materialised
@@ -489,19 +465,16 @@ class NetServer:
             raise ProtocolError(f"unknown query axis {frame.axis}")
         size = frame.chunk if frame.chunk else DEFAULT_QUERY_CHUNK
         size = max(1, min(size, QUERY_CHUNK_CAP))
-        chunks: list[Frame] = []
-        for offset in range(0, len(elements), size):
-            part = elements[offset : offset + size]
-            chunks.append(
-                QueryChunk(
-                    frame.request_id,
-                    offset + size >= len(elements),
-                    view.epochs,
-                    tuple(part),
-                )
+        chunks: list[Frame] = [
+            QueryChunk(
+                frame.request_id,
+                offset + size >= len(elements),
+                view.epochs,
+                tuple(elements[offset : offset + size]),
             )
-        if not chunks:  # empty result still answers: one empty last chunk
-            chunks.append(QueryChunk(frame.request_id, True, view.epochs, ()))
+            # An empty result still answers: one empty last chunk.
+            for offset in range(0, len(elements), size) or [0]
+        ]
         self._count["repro_net_query_chunks_total"].inc(len(chunks))
         return chunks
 
@@ -547,10 +520,9 @@ class NetServer:
                 return value
             return arg
 
-        deleted = set()
-        for op in ops:
-            if op.kind == "delete_element":
-                deleted.add((resolve(op.args[0]), resolve(op.args[1])))
+        deleted = {
+            (resolve(op.args[0]), resolve(op.args[1])) for op in ops if op.kind == "delete_element"
+        }
         for op, result in zip(ops, results):
             if (
                 op.kind == "insert_element_before"

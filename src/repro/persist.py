@@ -535,11 +535,17 @@ def open_store(path: str, *, fsync: bool = False) -> list[Any]:
     ``path`` is a sharded store directory or a bare page file.  Each page
     file goes through :func:`open_file_scheme` on its own, so crash
     recovery runs per shard: a shard whose writer died recovers from its
-    own WAL while untouched shards reopen cleanly.
+    own WAL while untouched shards reopen cleanly.  A shard that fails to
+    open closes the shards opened before it, then the error propagates.
     """
     if not os.path.isdir(path):
         return [open_file_scheme(path, fsync=fsync)]
-    return [
-        open_file_scheme(shard_page_path(path, shard), fsync=fsync)
-        for shard in range(read_manifest(path)["n_shards"])
-    ]
+    schemes: list[Any] = []
+    try:
+        for shard in range(read_manifest(path)["n_shards"]):
+            schemes.append(open_file_scheme(shard_page_path(path, shard), fsync=fsync))
+    except BaseException:
+        for each in schemes:  # a failed open leaves no file open
+            each.store.backend.close()
+        raise
+    return schemes

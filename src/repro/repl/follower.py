@@ -357,17 +357,28 @@ class Follower:
 
     def connect(self) -> "Follower":
         """Dial the primary, bootstrap (or reopen) every shard, and build
-        the replica service.  Idempotent once connected."""
+        the replica service.  Idempotent once connected.  A shard that
+        fails to bootstrap closes the shards opened before it and the
+        client, then the error propagates."""
         if self.service is not None:
             return self
         self.client = NetClient(self.host, self.port)
-        info = self.client.server_info
-        assert info is not None
-        write_manifest(self.root, info.n_shards)
-        schemes = [self._bootstrap_shard(shard) for shard in range(info.n_shards)]
-        self.service = ShardedLabelService(
-            schemes, log_capacity=self.log_capacity, replica=True
-        )
+        schemes: list[Any] = []
+        try:
+            info = self.client.server_info
+            assert info is not None
+            write_manifest(self.root, info.n_shards)
+            for shard in range(info.n_shards):
+                schemes.append(self._bootstrap_shard(shard))
+            self.service = ShardedLabelService(
+                schemes, log_capacity=self.log_capacity, replica=True
+            )
+        except BaseException:
+            for scheme in schemes:
+                scheme.store.backend.close()
+            self.client.close()
+            self.client = None
+            raise
         self.shards = [
             ShardFollower(self.client, shard, shard_service)
             for shard, shard_service in enumerate(self.service.shards)

@@ -32,6 +32,7 @@ from repro.repl import (
     checkpoint_service,
     rotate_service_wal,
 )
+from repro.repl import follower as follower_module
 from repro.service import ShardedLabelService, bulk_load_sharded
 from repro.storage import MANIFEST_NAME, BlockStore, FileBackend, default_page_bytes
 
@@ -304,6 +305,36 @@ class TestSharded:
                     )
         finally:
             harness.close()
+
+    def test_failed_shard_bootstrap_leaves_nothing_open(self, tmp_path, monkeypatch):
+        """Shard 1 reports no checkpoint image: ``with Follower(...)``
+        raises before ``__exit__`` could run, and shard 0's backend and the
+        client are closed again all the same."""
+        harness = Primary(tmp_path, n_shards=2)
+        real_state, real_open = NetClient.repl_state, follower_module.open_file_scheme
+        clients, opened = [], []
+
+        def state(client, shard=0, timeout=30.0):
+            clients.append(client)
+            manifest = real_state(client, shard, timeout)
+            return dataclasses.replace(manifest, checkpoint_segment=0) if shard else manifest
+
+        def recording(path):
+            opened.append(real_open(path))
+            return opened[-1]
+
+        monkeypatch.setattr(NetClient, "repl_state", state)
+        monkeypatch.setattr(follower_module, "open_file_scheme", recording)
+        follower = Follower("127.0.0.1", harness.port, str(tmp_path / "f"))
+        try:
+            with pytest.raises(ReplicationError, match="no checkpoint image"):
+                with follower:
+                    pass
+        finally:
+            harness.close()
+        (shard0,) = opened
+        assert shard0.store.backend._handle.closed
+        assert clients[0]._closed and follower.client is None and follower.service is None
 
 
 class TestFatalReplicationErrors:

@@ -17,7 +17,7 @@ import time
 
 import pytest
 
-from repro import TINY_CONFIG, BatchOp, WBox
+from repro import TINY_CONFIG, BatchOp, WBox, persist
 from repro.core import BatchRef
 from repro.core.registry import scheme_factory
 from repro.errors import CrossShardError, PersistError, ServiceError
@@ -26,6 +26,7 @@ from repro.persist import (
     checkpoint_scheme,
     create_sharded_backends,
     create_store,
+    open_file_scheme,
     open_store,
 )
 from repro.service import (
@@ -424,6 +425,31 @@ def test_create_store_refuses_an_existing_store_and_open_store_reopens_it(tmp_pa
         reopened.store.backend.close()
     with pytest.raises(PersistError, match="already holds a store"):
         create_store(str(root), "wbox", config=TINY_CONFIG)
+
+
+def test_open_store_closes_opened_shards_when_a_later_shard_fails(tmp_path, monkeypatch):
+    """Shard 1's page file is garbage: the open raises, and shard 0,
+    opened before it, has its page file and WAL closed again."""
+    root = str(tmp_path / "root")
+    schemes, _ = create_store(
+        root, "wbox", 2, config=TINY_CONFIG, populate=lambda fresh: bulk_load_sharded(fresh, 10)
+    )
+    for scheme in schemes:
+        scheme.store.backend.close()
+    with open(shard_page_path(root, 1), "wb") as handle:
+        handle.write(b"\xde\xad" * 64)
+    opened = []
+
+    def recording(path, **kwargs):
+        opened.append(open_file_scheme(path, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(persist, "open_file_scheme", recording)
+    with pytest.raises(Exception):
+        persist.open_store(root)
+    (shard0,) = opened
+    backend = shard0.store.backend
+    assert backend._handle.closed and backend._wal._handle is None
 
 
 def test_read_manifest_rejects_missing_and_damaged_roots(tmp_path):
