@@ -61,7 +61,7 @@ from ..errors import (
     WriterCrashError,
 )
 from ..net.server import serve_in_thread
-from ..persist import checkpoint_scheme, create_store, open_store
+from ..persist import create_store, open_store
 from ..repl import (
     Follower,
     annotate_commits_with_epoch,
@@ -326,9 +326,7 @@ class _Stack:
 
     def checkpoint(self) -> None:
         """The tape's checkpoint step: each shard between two commits."""
-        for shard in self.service.shards:
-            with shard._latch.exclusive():
-                checkpoint_scheme(shard.scheme)
+        rotate_service_wal(self.service)
 
     def lsns(self) -> list[int]:
         return [scheme.store.backend.lsn for scheme in self.service.schemes]

@@ -441,7 +441,7 @@ class NetServer:
         return [Orders(frame.request_id, tuple(ordinals))]
 
     def _compare(self, conn: _Connection, frame: Compare) -> list[Frame]:
-        return [Orders(frame.request_id, tuple(conn.session.compare(a, b) for a, b in frame.pairs))]
+        return [Orders(frame.request_id, tuple(conn.session.compare_many(frame.pairs)))]
 
     def _query(self, conn: _Connection, frame: Query) -> list[Frame]:
         """Evaluate one query stream.  The whole answer is materialised

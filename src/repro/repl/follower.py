@@ -5,13 +5,13 @@ the primary's on-disk layout and applies every committed transaction to
 a replica label service, one shard at a time:
 
 1. **Bootstrap.**  A fresh follower downloads the newest checkpoint
-   image (a complete, self-describing page file) and opens it through
-   the ordinary :func:`~repro.persist.open_file_scheme` path; a follower
-   restarting over existing local files just reopens them — local crash
+   image (a complete, self-describing page file); a follower restarting
+   over existing local files keeps them, unless the primary's retention
+   has deleted the segment they resume at: then they are discarded and
+   the shard bootstraps afresh.  Either way the store then opens through
+   the ordinary :func:`~repro.persist.open_store` path — local crash
    recovery replays the committed tail and trims a torn suffix, exactly
-   like a primary restart would — unless the primary's retention has
-   deleted the segment they resume at: then they are discarded and the
-   shard bootstraps afresh.
+   like a primary restart would.
 2. **Log-first shipping.**  Fetched WAL bytes are appended to the local
    live log (its ``WALWriter``) *before* they are applied, so a follower
    killed mid-apply loses nothing: on restart, recovery replays the
@@ -48,7 +48,7 @@ from ..core.cachelog import LABEL_CHANNEL, ORDINAL_CHANNEL, invalidate_all
 from ..net import protocol as proto
 from ..net.client import NetClient
 from ..obs.metrics import get_registry
-from ..persist import open_file_scheme
+from ..persist import open_store
 from ..service.service import LabelService
 from ..service.sharded import ShardedLabelService
 from ..storage.disk import Disk
@@ -68,6 +68,10 @@ _RETRYABLE = (ConnectionError, OSError, TimeoutError, ServiceError, ProtocolErro
 
 #: Seconds a follower backs off before re-dialing a vanished primary.
 RECONNECT_BACKOFF = 0.2
+
+#: Re-dials :meth:`Follower.catch_up` makes before a dead connection's
+#: failure propagates.
+RECONNECT_ATTEMPTS = 25
 
 
 def _behind_horizon(segment: int, manifest: Any) -> bool:
@@ -213,12 +217,8 @@ class ShardFollower:
                 f"shard {self.shard}: segment {self.segment} reported sealed "
                 f"with {len(self._pending)} unapplied byte(s) pending"
             )
-        latch = self.service._latch
-        latch.acquire_exclusive()
-        try:
+        with self.service._latch.exclusive():
             sealed = self.backend.seal_wal_segment()
-        finally:
-            latch.release_exclusive()
         if sealed is not None and sealed != self.segment:
             raise ReplicationError(
                 f"shard {self.shard}: local seal produced segment {sealed}, "
@@ -262,8 +262,7 @@ class ShardFollower:
         checkpoint's restatement change nothing readers can see.
         """
         service = self.service
-        service._latch.acquire_exclusive()
-        try:
+        with service._latch.exclusive():
             if self.backend.apply_shipped(txn) and not txn.absolute:
                 clock = self.scheme.clock
                 service.log.record(invalidate_all(clock, LABEL_CHANNEL))
@@ -272,8 +271,6 @@ class ShardFollower:
                 self.position_epoch = self.backend.owner.scalars[0] or self.position_epoch
                 self.txns_applied += 1
                 self._txns_total.inc()
-        finally:
-            service._latch.release_exclusive()
 
     # -- lag ------------------------------------------------------------
 
@@ -356,26 +353,24 @@ class Follower:
     # -- lifecycle ------------------------------------------------------
 
     def connect(self) -> "Follower":
-        """Dial the primary, bootstrap (or reopen) every shard, and build
-        the replica service.  Idempotent once connected.  A shard that
-        fails to bootstrap closes the shards opened before it and the
-        client, then the error propagates."""
+        """Dial the primary, bootstrap every shard's local files, open the
+        store and build the replica service.  Idempotent once connected.
+        A shard that fails to bootstrap or open closes the client (and
+        :func:`~repro.persist.open_store` the shards it opened), then the
+        error propagates."""
         if self.service is not None:
             return self
         self.client = NetClient(self.host, self.port)
-        schemes: list[Any] = []
         try:
             info = self.client.server_info
             assert info is not None
             write_manifest(self.root, info.n_shards)
             for shard in range(info.n_shards):
-                schemes.append(self._bootstrap_shard(shard))
+                self._bootstrap_shard(shard)
             self.service = ShardedLabelService(
-                schemes, log_capacity=self.log_capacity, replica=True
+                open_store(self.root), log_capacity=self.log_capacity, replica=True
             )
         except BaseException:
-            for scheme in schemes:
-                scheme.store.backend.close()
             self.client.close()
             self.client = None
             raise
@@ -385,19 +380,18 @@ class Follower:
         ]
         return self
 
-    def _bootstrap_shard(self, shard: int) -> Any:
-        """Local page file for one shard: reopen it if present (local
-        crash recovery), otherwise download the primary's newest
-        checkpoint image and seed the local manifest at its segment.
-        Local files that resume below the primary's retention horizon are
-        deleted first — only this shard's — so the shard bootstraps
-        afresh."""
+    def _bootstrap_shard(self, shard: int) -> None:
+        """Make sure one shard's local page file is present: keep it if it
+        is, otherwise download the primary's newest checkpoint image and
+        seed the local manifest at its segment.  Local files that resume
+        below the primary's retention horizon are deleted first — only
+        this shard's — so the shard bootstraps afresh."""
         assert self.client is not None
         path = shard_page_path(self.root, shard)
         manifest = self.client.repl_state(shard)
         if os.path.exists(path) and os.path.getsize(path) > 0:
             if not _behind_horizon(read_wal_manifest(path)["next_segment"], manifest):
-                return open_file_scheme(path)
+                return
             directory, base = os.path.split(path)
             for name in os.listdir(directory):
                 if name == base or name.startswith(base + "."):
@@ -412,7 +406,6 @@ class Follower:
         local = fresh_manifest()
         local["next_segment"] = manifest.checkpoint_segment
         write_json_atomic(manifest_path(path), local)
-        return open_file_scheme(path)
 
     def _download_image(self, shard: int, segment: int, dest: str) -> None:
         """One atomic replace: a short read leaves no ``dest``, no temp file."""
@@ -466,11 +459,11 @@ class Follower:
                 progressed = shard.step() or progressed
             return progressed
 
-    def catch_up(self, reconnect_attempts: int = 25) -> "Follower":
+    def catch_up(self) -> "Follower":
         """Pull until no shard makes further progress (a quiesced primary
         is then fully mirrored and applied).  A dead connection — the
         primary restarted, or the background thread stopped mid-outage —
-        is re-dialed up to ``reconnect_attempts`` times before the
+        is re-dialed up to :data:`RECONNECT_ATTEMPTS` times before the
         failure propagates; a :class:`ReplicationError` propagates at
         once."""
         attempts = 0
@@ -482,7 +475,7 @@ class Follower:
                 raise
             except _RETRYABLE as error:
                 attempts += 1
-                if attempts > reconnect_attempts:
+                if attempts > RECONNECT_ATTEMPTS:
                     raise
                 self.last_error = error
                 time.sleep(RECONNECT_BACKOFF)

@@ -12,11 +12,8 @@ between two wake-up commits, never inside one.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
-from typing import Iterator
 
 from ..persist import checkpoint_scheme, full_checkpoint
-from ..service.service import LabelService
 from ..service.sharded import ShardedLabelService
 
 __all__ = [
@@ -25,15 +22,6 @@ __all__ = [
     "rotate_service_wal",
     "start_checkpoint_thread",
 ]
-
-
-@contextmanager
-def _exclusive(shard_service: LabelService) -> Iterator[None]:
-    shard_service._latch.acquire_exclusive()
-    try:
-        yield
-    finally:
-        shard_service._latch.release_exclusive()
 
 
 def annotate_commits_with_epoch(service: ShardedLabelService) -> ShardedLabelService:
@@ -66,7 +54,7 @@ def checkpoint_service(service: ShardedLabelService) -> list[dict]:
     """
     records = []
     for shard_service in service.shards:
-        with _exclusive(shard_service):
+        with shard_service._latch.exclusive():
             records.append(
                 full_checkpoint(
                     shard_service.scheme,
@@ -82,7 +70,7 @@ def rotate_service_wal(service: ShardedLabelService) -> list[int]:
     sealed segment ids in shard order."""
     sealed = []
     for shard_service in service.shards:
-        with _exclusive(shard_service):
+        with shard_service._latch.exclusive():
             backend = checkpoint_scheme(shard_service.scheme)
             sealed.append(backend.wal_manifest["next_segment"] - 1)
     return sealed

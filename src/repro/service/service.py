@@ -15,9 +15,9 @@ snapshot protocol:
   publishes one fresh :class:`~repro.service.epoch.Epoch` — an immutable
   modification-log snapshot — so a published epoch is always durable.
 * **Many readers.**  A :class:`ReaderSession` pins the current epoch and
-  serves ``lookup`` / ``compare`` / pair / ancestor-axis calls entirely
-  from per-session :class:`~repro.core.cachelog.LabelRef` caches, repaired
-  by replaying the pinned epoch's log snapshot (Section 6 of the paper).
+  resolves LIDs to label values entirely from per-session
+  :class:`~repro.core.cachelog.LabelRef` caches, repaired by replaying the
+  pinned epoch's log snapshot (Section 6 of the paper).
   Neither path touches the BOX or takes any lock, so reads run
   concurrently with the writer and with each other.
 * **Fallthrough.**  Only when the log no longer covers a cached value's
@@ -552,8 +552,9 @@ class ReaderSession:
 
     All reads reflect exactly the pinned epoch's state.  The pin advances
     only via :meth:`refresh` or a read the log cannot serve, and never
-    moves backwards.  :meth:`resolve` is the one read path; every other
-    read is one call to it.
+    moves backwards.  :meth:`resolve` is the one read; order and ancestry
+    are label arithmetic over it, done one layer up by
+    :class:`~repro.service.sharded.ShardedReaderSession`.
     """
 
     def __init__(self, service: LabelService, epoch: Epoch) -> None:
@@ -574,34 +575,6 @@ class ReaderSession:
         return self._epoch
 
     # -- reads ---------------------------------------------------------
-
-    def lookup(self, lid: int) -> Label:
-        """The label behind ``lid`` at the pinned epoch."""
-        return self.resolve((lid,))[0]
-
-    def lookup_pair(self, start_lid: int, end_lid: int) -> tuple[Label, Label]:
-        """(start, end) labels of one element, both at the pinned epoch."""
-        start, end = self.resolve((start_lid, end_lid))
-        return start, end
-
-    def compare(self, lid1: int, lid2: int) -> int:
-        """Document-order comparison at the pinned epoch: -1, 0, or +1."""
-        label1, label2 = self.resolve((lid1, lid2))
-        return (label1 > label2) - (label1 < label2)
-
-    def is_ancestor(
-        self,
-        ancestor: tuple[int, int],
-        descendant: tuple[int, int],
-    ) -> bool:
-        """Label-based ancestor-axis test between two (start LID, end LID)
-        element pairs: ``l<(a) < l<(d)`` and ``l>(d) < l>(a)``."""
-        if ancestor == descendant:
-            return False
-        a_start, d_start, d_end, a_end = self.resolve(
-            (ancestor[0], descendant[0], descendant[1], ancestor[1])
-        )
-        return a_start < d_start and d_end < a_end
 
     def resolve(self, lids: Sequence[int], channel: str = LABEL_CHANNEL) -> list[Label]:
         """Values on ``channel`` for ``lids``, all exact at the pin held at

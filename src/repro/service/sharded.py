@@ -15,11 +15,11 @@ LIDs.
 Snapshot consistency generalizes from one epoch to an **epoch vector**:
 each shard publishes epochs independently (under its own exclusive
 latch), and a :class:`ShardedReaderSession` pins one
-:class:`~repro.service.epoch.Epoch` per shard.  Every read is
-one :meth:`~repro.service.service.ReaderSession.resolve` per involved
-shard: multi-label reads spanning shards
-(:meth:`ShardedReaderSession.lookup_many`) resolve each shard's group
-once.  A shard's pin moves only inside its own ``resolve``, and every
+:class:`~repro.service.epoch.Epoch` per shard.  Every read is one
+:meth:`ShardedReaderSession.lookup_many`: one
+:meth:`~repro.service.service.ReaderSession.resolve` per involved shard,
+each shard's group resolved once (a batch of compares included).  A
+shard's pin moves only inside its own ``resolve``, and every
 value that call returns is exact at the pin it holds at return, so the
 cross-shard read matches the session's pinned vector with no retry.
 
@@ -106,6 +106,11 @@ def bulk_load_sharded(
         for local in schemes[shard].bulk_load(chunk, pairing):
             glids.append(router.to_global(local, shard))
     return glids
+
+
+def _order(first: Any, second: Any) -> int:
+    """-1, 0 or +1 as ``first`` sorts before, with or after ``second``."""
+    return (first > second) - (first < second)
 
 
 def _remaining(deadline: float | None) -> float | None:
@@ -369,20 +374,22 @@ class ShardedReaderSession:
     """A pinned-epoch-vector read view over a :class:`ShardedLabelService`.
 
     Wraps one per-shard :class:`~repro.service.service.ReaderSession`;
-    every component pin only ever advances.  Same-shard reads are the
-    single-epoch protocol verbatim; cross-shard order queries use the
-    contiguous-chunk partition invariant (shard index order IS document
-    order across shards).
+    every component pin only ever advances.  :meth:`lookup_many` is the
+    one routed read: one ``resolve`` per involved shard.  Every other read
+    is label arithmetic over one call to it; cross-shard order queries
+    read nothing, by the contiguous-chunk partition invariant (shard index
+    order IS document order across shards).
     """
 
     def __init__(self, service: ShardedLabelService) -> None:
         #: The service's :class:`ShardRouter` (global-LID codec and the
         #: document-order sort key query streams use).
         self.router = service.router
-        self._sessions = [shard.session() for shard in service.shards]
+        sessions = [shard.session() for shard in service.shards]
+        self._sessions = sessions
         #: The one session when N == 1, where the global-LID codec is the
         #: identity and a read skips routing.
-        self._only = self._sessions[0] if len(self._sessions) == 1 else None
+        self._only = sessions[0] if len(sessions) == 1 else None
 
     @property
     def vector(self) -> EpochVector:
@@ -398,57 +405,53 @@ class ShardedReaderSession:
     # -- reads ---------------------------------------------------------
 
     def lookup(self, glid: int) -> Label:
-        if self._only is not None:
-            return self._only.resolve((glid,))[0]
-        router = self.router
-        return self._sessions[router.shard_of(glid)].resolve((router.to_local(glid),))[0]
+        return self.lookup_many((glid,))[0]
 
     def lookup_pair(self, start_glid: int, end_glid: int) -> tuple[Label, Label]:
         """(start, end) labels of one element.  An element lives entirely
         on one shard (the partition cuts at subtree boundaries), so a
         split pair is a caller error."""
-        router = self.router
-        shard = router.shard_of(start_glid)
-        if router.shard_of(end_glid) != shard:
-            raise CrossShardError(
-                f"element pair ({start_glid}, {end_glid}) spans shards "
-                f"{shard} and {router.shard_of(end_glid)}"
-            )
-        return self._sessions[shard].lookup_pair(
-            router.to_local(start_glid), router.to_local(end_glid)
-        )
+        self._element_shard((start_glid, end_glid))
+        start, end = self.lookup_many((start_glid, end_glid))
+        return start, end
 
     def compare(self, glid1: int, glid2: int) -> int:
-        """Document-order comparison.  Cross-shard compares are free: the
-        chunks are contiguous in document order, so shard index order is
-        document order."""
-        router = self.router
-        shard1, shard2 = router.shard_of(glid1), router.shard_of(glid2)
-        if shard1 != shard2:
-            return (shard1 > shard2) - (shard1 < shard2)
-        return self._sessions[shard1].compare(
-            router.to_local(glid1), router.to_local(glid2)
-        )
+        """Document-order comparison: -1, 0, or +1."""
+        return self.compare_many(((glid1, glid2),))[0]
+
+    def compare_many(self, pairs: Sequence[tuple[int, int]]) -> list[int]:
+        """Document-order comparisons of several (glid, glid) pairs, all at
+        the pinned vector: one read of the same-shard pairs' LIDs.
+        Cross-shard pairs read nothing: the chunks are contiguous in
+        document order, so shard index order is document order."""
+        shard_of = self.router.shard_of
+        signs: list[int | None] = []
+        same: list[int] = []
+        for a, b in pairs:
+            s, t = shard_of(a), shard_of(b)
+            if s == t:
+                same += (a, b)
+                signs.append(None)
+            else:
+                signs.append(_order(s, t))
+        labels = iter(self.lookup_many(same))
+        return [_order(next(labels), next(labels)) if sign is None else sign for sign in signs]
 
     def is_ancestor(
         self, ancestor: tuple[int, int], descendant: tuple[int, int]
     ) -> bool:
-        """Ancestor-axis test.  Each element pair must be same-shard;
-        elements on different shards are never in an ancestor relation
-        (the partition cuts at subtree boundaries)."""
-        router = self.router
-        a_shard = router.shard_of(ancestor[0])
-        if router.shard_of(ancestor[1]) != a_shard:
-            raise CrossShardError(f"element pair {ancestor} spans shards")
-        d_shard = router.shard_of(descendant[0])
-        if router.shard_of(descendant[1]) != d_shard:
-            raise CrossShardError(f"element pair {descendant} spans shards")
-        if a_shard != d_shard:
+        """Ancestor-axis test between two (start, end) element pairs:
+        ``l<(a) < l<(d)`` and ``l>(d) < l>(a)``.  Each pair must be
+        same-shard; elements on different shards are never in an
+        ancestor relation (the partition cuts at subtree boundaries)."""
+        if self._element_shard(ancestor) != self._element_shard(descendant):
             return False
-        return self._sessions[a_shard].is_ancestor(
-            (router.to_local(ancestor[0]), router.to_local(ancestor[1])),
-            (router.to_local(descendant[0]), router.to_local(descendant[1])),
+        if ancestor == descendant:
+            return False
+        a_start, d_start, d_end, a_end = self.lookup_many(
+            (ancestor[0], descendant[0], descendant[1], ancestor[1])
         )
+        return a_start < d_start and d_end < a_end
 
     def lookup_many(self, glids: Sequence[int], channel: str = LABEL_CHANNEL) -> list[Label]:
         """Values on ``channel`` (labels by default, or ordinals) for
@@ -465,3 +468,14 @@ class ShardedReaderSession:
             for shard, group in groups.items()
         }
         return [next(values[router.shard_of(glid)]) for glid in glids]
+
+    def _element_shard(self, element: tuple[int, int]) -> int:
+        """The shard an element pair lives on (raises
+        :class:`~repro.errors.CrossShardError` on a split pair)."""
+        shard_of = self.router.shard_of
+        start, end = shard_of(element[0]), shard_of(element[1])
+        if start != end:
+            raise CrossShardError(
+                f"element pair {tuple(element)} spans shards {start} and {end}"
+            )
+        return start

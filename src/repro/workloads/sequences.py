@@ -300,23 +300,28 @@ def run_churn(
     return run_tape(scheme, "churn", tape, group_size, bulk_load_io=bulk_load_io)
 
 
+#: Probabilities of ``lookup``, ``lookup_pair`` and ``compare`` in a
+#: :func:`read_op_stream`.
+READ_MIX = (0.6, 0.25, 0.15)
+
+
 def read_op_stream(
     chunks: Sequence[Sequence[int]],
     n_ops: int,
     seed: int = 1,
-    mix: tuple[float, float, float] = (0.6, 0.25, 0.15),
 ) -> Iterator[tuple]:
     """Generate a reader op stream over a fixed LID population.
 
     ``chunks`` holds one LID list per shard, each in document order.  Yields
     ``(method, *lids)`` tuples naming a reader-session method — ``lookup``,
-    ``lookup_pair`` or ``compare`` — with the given probability ``mix``.  A
+    ``lookup_pair`` or ``compare`` — with the probabilities of
+    :data:`READ_MIX`.  A
     pair is two adjacent tags of one chunk, so it never spans shards; a
     compare may.  Deterministic per seed, so concurrent readers can each
     run their own seeded stream.
     """
     rng = random.Random(seed)
-    lookup_w, pair_w, _compare_w = mix
+    lookup_w, pair_w, _compare_w = READ_MIX
     for _ in range(n_ops):
         roll = rng.random()
         chunk = rng.choice(chunks)

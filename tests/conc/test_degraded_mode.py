@@ -71,11 +71,11 @@ def make_pinned_reader(service, lids, history, pairs):
     at the pinned epoch and match that epoch's oracle row exactly."""
     session = service.session()
     for lid in lids:
-        session.lookup(lid)
+        session.resolve((lid,))
 
     def run() -> None:
         for start_lid, end_lid in pairs:
-            start, end = session.lookup_pair(start_lid, end_lid)
+            start, end = session.resolve((start_lid, end_lid))
             pin = session.epoch.number
             truth = (history[pin][start_lid], history[pin][end_lid])
             assert (start, end) == truth, (
@@ -95,7 +95,7 @@ def make_cold_reader(service, lids, history, outcome):
     def run() -> None:
         for lid in (lids[1], lids[5]):
             try:
-                value = session.lookup(lid)
+                (value,) = session.resolve((lid,))
             except ServiceDegradedError:
                 outcome["rejected_reads"] += 1
                 continue
@@ -162,7 +162,7 @@ def test_blocked_fallthrough_cannot_slip_past_degradation():
         def cold_read() -> None:
             session = service.session()
             try:
-                session.lookup(lids[1])
+                session.resolve((lids[1],))
             except ServiceDegradedError:
                 rejected["count"] += 1
 

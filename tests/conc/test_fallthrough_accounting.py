@@ -63,7 +63,7 @@ def test_lookup_pair_retry_counts_each_label_once():
         session = service.session()
         start_lid, end_lid = lids[1], lids[2]
         pin_before = session.epoch.number
-        pair = session.lookup_pair(start_lid, end_lid)
+        pair = tuple(session.resolve((start_lid, end_lid)))
         # The pin advanced (fallthroughs happened) and never regressed.
         assert session.epoch.number > pin_before
         # The returned pair is the truth at the final pin — no writes run
@@ -87,8 +87,8 @@ def test_independent_lookups_each_count_a_fallthrough():
     scheme, service, lids = build(write_budget=0)
     try:
         session = service.session()
-        session.lookup(lids[1])  # cold ref -> fallthrough
-        session.lookup(lids[2])  # different cold ref -> fallthrough
+        session.resolve((lids[1],))  # cold ref -> fallthrough
+        session.resolve((lids[2],))  # different cold ref -> fallthrough
         # Outrun the one-entry log, then advance the pin: the next read of
         # an already-seen LID cannot be repaired and falls through again.
         service.apply_ops_sync(
@@ -98,7 +98,7 @@ def test_independent_lookups_each_count_a_fallthrough():
             ]
         )
         session.refresh()
-        session.lookup(lids[1])
+        session.resolve((lids[1],))
         counters = service.stats.snapshot()
         assert counters.fallthrough_reads == 3, counters
         assert counters.reads == 3, counters
@@ -113,9 +113,9 @@ def test_quiet_pair_read_has_no_retry_inflation():
     scheme, service, lids = build(write_budget=0)
     try:
         session = service.session()
-        session.lookup_pair(lids[1], lids[2])  # cold: two fallthroughs
+        session.resolve((lids[1], lids[2]))  # cold: two fallthroughs
         service.stats.reset()
-        session.lookup_pair(lids[1], lids[2])
+        session.resolve((lids[1], lids[2]))
         counters = service.stats.snapshot()
         assert counters.fallthrough_reads == 0, counters
         assert counters.fresh_hits == 2, counters

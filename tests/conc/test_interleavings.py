@@ -70,7 +70,7 @@ def make_reader(service, lids, history, ops, warm):
     session = service.session()
     if warm:
         for lid in lids:
-            session.lookup(lid)
+            session.resolve((lid,))
 
     def run() -> None:
         last_pin = session.epoch.number
@@ -80,7 +80,7 @@ def make_reader(service, lids, history, ops, warm):
                 pin = session.epoch.number
             elif kind == "lookup":
                 (lid,) = args
-                value = session.lookup(lid)
+                (value,) = session.resolve((lid,))
                 pin = session.epoch.number
                 assert value == history[pin][lid], (
                     f"lookup({lid}) = {value!r} but epoch {pin} truth is "
@@ -88,7 +88,7 @@ def make_reader(service, lids, history, ops, warm):
                 )
             else:
                 start_lid, end_lid = args
-                start, end = session.lookup_pair(start_lid, end_lid)
+                start, end = session.resolve((start_lid, end_lid))
                 pin = session.epoch.number
                 truth = (history[pin][start_lid], history[pin][end_lid])
                 assert (start, end) == truth, (

@@ -113,7 +113,7 @@ class ServiceMachine(RuleBasedStateMachine):
     def read(self, pick, which):
         session = self.sessions[pick % len(self.sessions)]
         lid = self.readable[which % len(self.readable)]
-        value = session.lookup(lid)
+        (value,) = session.resolve((lid,))
         pin = session.epoch.number
         row = self.history[pin]
         # Rows are complete (scan at publish), and reading a LID unborn at
@@ -126,7 +126,7 @@ class ServiceMachine(RuleBasedStateMachine):
         session = self.sessions[pick % len(self.sessions)]
         child = which % BASE_CHILDREN
         start_lid, end_lid = self.lids[1 + 2 * child], self.lids[2 + 2 * child]
-        start, end = session.lookup_pair(start_lid, end_lid)
+        start, end = session.resolve((start_lid, end_lid))
         pin = session.epoch.number
         row = self.history[pin]
         assert (start, end) == (row[start_lid], row[end_lid])
@@ -153,7 +153,7 @@ class ServiceMachine(RuleBasedStateMachine):
         session = self.sessions[pick % len(self.sessions)]
         session.refresh()
         lid = self.readable[which % len(self.readable)]
-        assert session.lookup(lid) == self.scheme.lookup(lid), lid
+        assert session.resolve((lid,)) == [self.scheme.lookup(lid)], lid
 
     @invariant()
     def pins_never_lead_published(self):

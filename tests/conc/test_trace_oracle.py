@@ -91,19 +91,19 @@ def test_concurrent_trace_matches_single_threaded_oracle(scheme_name):
                 continue
             if kind == "lookup":
                 lid = lids[rng.randrange(len(lids))]
-                value = session.lookup(lid)
+                (value,) = session.resolve((lid,))
                 observations[index].append(("lookup", (lid,), value, session.epoch.number))
             elif kind == "pair":
                 child = rng.randrange(BASE_CHILDREN)
                 start_lid, end_lid = lids[1 + 2 * child], lids[2 + 2 * child]
-                value = session.lookup_pair(start_lid, end_lid)
+                value = tuple(session.resolve((start_lid, end_lid)))
                 observations[index].append(
                     ("pair", (start_lid, end_lid), value, session.epoch.number)
                 )
             else:
                 lid1 = lids[rng.randrange(len(lids))]
                 lid2 = lids[rng.randrange(len(lids))]
-                value = session.compare(lid1, lid2)
+                value = order(*session.resolve((lid1, lid2)))
                 observations[index].append(
                     ("compare", (lid1, lid2), value, session.epoch.number)
                 )

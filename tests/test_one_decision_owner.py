@@ -38,11 +38,11 @@ walking ``src/repro`` with ``ast``:
   comprehension, where it would cost a block read and write per record.
 * **How a store is created and reopened** belongs to ``repro/persist.py``
   (``create_store`` / ``open_store``): no other module under ``src/``
-  calls ``FileBackend(``, and the CLI's old open/close helpers and
-  persist's second attach/open entry points stay out of ``src/`` and
-  ``benchmarks/`` (``benchmarks/e2e/`` excepted: its tracer's target
-  table names functions it may outlive, and it is edited only with the
-  benchmark).
+  calls ``FileBackend(`` or ``open_file_scheme(``, and the CLI's old
+  open/close helpers and persist's second attach/open entry points stay
+  out of ``src/`` and ``benchmarks/`` (``benchmarks/e2e/`` excepted: its
+  tracer's target table names functions it may outlive, and it is edited
+  only with the benchmark).
 * **Options no caller set** stay deleted: the removed names below are
   absent from ``src/``.
 """
@@ -66,6 +66,7 @@ from repro.service import (
 )
 from repro.storage import IOStats
 from repro.storage.blockstore import BlockStore
+from repro.workloads import read_op_stream
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 ACTED_ON_KINDS = {"LATENCY", "IO_ERROR", "FSYNC_FAIL", "WRITER_CRASH"}
@@ -115,6 +116,8 @@ REMOVED_NAMES = (
     '"batch_" +',
     "memoized_path_prefixes",
     '"commits", 0)',
+    "reconnect_attempts",
+    "def _exclusive",
 )
 STORE_OPENER = "persist.py"
 BENCHMARKS = SRC.parent.parent / "benchmarks"
@@ -349,11 +352,13 @@ def _per_record_repoint_violations() -> list[str]:
 
 def _store_opener_violations() -> list[str]:
     found = [
-        f"{rel}:{node.lineno} calls FileBackend("
+        f"{rel}:{node.lineno} calls {name}("
         for rel, _text, tree in _modules()
         if rel != STORE_OPENER
         for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("FileBackend")
+        if isinstance(node, ast.Call)
+        for name in ("FileBackend", "open_file_scheme")
+        if ast.unparse(node.func).endswith(name)
     ]
     sources = [(f"src/repro/{rel}", text) for rel, text, _tree in _modules()]
     sources += [
@@ -396,6 +401,7 @@ def test_removed_options_and_accessors_are_gone():
     assert "locality_grouping" not in params(LabelService)
     assert "locality_grouping" not in params(ShardedLabelService)
     assert "reconnect_interval" not in params(Follower)
+    assert "mix" not in inspect.signature(read_op_stream).parameters
     legacy = ("_lru", "_protected", "_protected_capacity", "_probation_capacity")
     assert [name for name in legacy if hasattr(BlockStore, name)] == []
     # Sessions read through ``resolve`` only: an ordinal is

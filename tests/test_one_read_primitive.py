@@ -1,11 +1,13 @@
 """A session read is one ``ReaderSession.resolve``: one pass, one latch hold.
 
 Every session read — ``lookup``, ``lookup_pair``, ``compare``,
-``is_ancestor`` and ``lookup_many`` — resolves its whole LID set at once.
-The LIDs the pinned log cannot serve are read from the BOX under a single
-shared-latch hold, however many there are, and the read is counted in one
-``add``.  These tests count the latch acquisitions of cold reads on a
-session whose pin lags, and guard that the retry loops stay gone.
+``compare_many``, ``is_ancestor`` and ``lookup_many`` — resolves its whole
+LID set at once, through ``ShardedReaderSession.lookup_many``, the one
+routed read.  The LIDs the pinned log cannot serve are read from the BOX
+under a single shared-latch hold, however many there are, and the read is
+counted in one ``add``.  These tests count the latch acquisitions of cold
+reads on a session whose pin lags, and guard that the retry loops and the
+hand-routed reads stay gone.
 """
 
 from __future__ import annotations
@@ -82,6 +84,20 @@ def test_cold_is_ancestor_takes_the_shared_latch_once():
         service.close()
 
 
+def test_cold_compare_many_takes_the_shared_latch_once():
+    scheme, service, session, latch, lids = lagging_service()
+    try:
+        pairs = [(lids[index], lids[index + 10]) for index in (1, 12, 5, 30)]
+        signs = session.compare_many(pairs)
+        assert latch.shared == 1
+        labels = [(scheme.lookup(a), scheme.lookup(b)) for a, b in pairs]
+        assert signs == [(a > b) - (a < b) for a, b in labels]
+        assert_counted_once_each(service, 8)
+        assert service.shards[0].stats.fallthrough_reads == 8
+    finally:
+        service.close()
+
+
 def _loops(function) -> int:
     tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
     return sum(isinstance(node, (ast.While, ast.For)) for node in ast.walk(tree))
@@ -92,14 +108,42 @@ def _reads_the_primitive_state(function) -> bool:
     return any(word in source for word in ("_refs", "acquire_shared", "stats.add"))
 
 
+def _routes_a_read(function) -> bool:
+    """Whether ``function`` calls ``resolve`` or picks a shard's session."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
+    return any(
+        (isinstance(node, ast.Attribute) and node.attr == "resolve")
+        or (
+            isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "_sessions"
+        )
+        for node in ast.walk(tree)
+    )
+
+
+def _methods(kind) -> dict:
+    return {name: member for name, member in vars(kind).items() if inspect.isfunction(member)}
+
+
 def test_one_read_path():
     owners = {"resolve", "_read_through", "_refuse_if_degraded", "__init__"}
     readers = {
         name
-        for name, member in vars(ReaderSession).items()
-        if inspect.isfunction(member) and _reads_the_primitive_state(member)
+        for name, member in _methods(ReaderSession).items()
+        if _reads_the_primitive_state(member)
     }
     assert readers <= owners, readers - owners
+    # A per-shard session has one read; order and ancestry are label
+    # arithmetic one layer up.
+    public = {name for name in _methods(ReaderSession) if not name.startswith("_")}
+    assert public == {"resolve", "refresh"}, public
+    # The sharded session routes in one place: every other read is label
+    # arithmetic over one lookup_many.
+    routed = {
+        name for name, member in _methods(ShardedReaderSession).items() if _routes_a_read(member)
+    }
+    assert routed == {"lookup_many"}, routed
     # No pin-movement retry above the primitive: the sharded session makes
     # one resolve per shard group, and the query view retries only on a
     # catalog that moved under a dead LID.

@@ -25,6 +25,7 @@ from repro import TINY_CONFIG, BatchOp, NaiveScheme, WBox
 from repro.errors import ReplicationError, ServiceDegradedError
 from repro.net import protocol as proto
 from repro.net.client import NetClient
+from repro import persist as persist_module
 from repro.persist import checkpoint_scheme, create_store
 from repro.repl import (
     Follower,
@@ -32,7 +33,6 @@ from repro.repl import (
     checkpoint_service,
     rotate_service_wal,
 )
-from repro.repl import follower as follower_module
 from repro.service import ShardedLabelService, bulk_load_sharded
 from repro.storage import MANIFEST_NAME, BlockStore, FileBackend, default_page_bytes
 
@@ -308,10 +308,11 @@ class TestSharded:
 
     def test_failed_shard_bootstrap_leaves_nothing_open(self, tmp_path, monkeypatch):
         """Shard 1 reports no checkpoint image: ``with Follower(...)``
-        raises before ``__exit__`` could run, and shard 0's backend and the
-        client are closed again all the same."""
+        raises before ``__exit__`` could run.  Every shard's files are
+        bootstrapped before the store opens, so no shard was opened, and
+        the client is closed again all the same."""
         harness = Primary(tmp_path, n_shards=2)
-        real_state, real_open = NetClient.repl_state, follower_module.open_file_scheme
+        real_state, real_open = NetClient.repl_state, persist_module.open_file_scheme
         clients, opened = [], []
 
         def state(client, shard=0, timeout=30.0):
@@ -319,12 +320,12 @@ class TestSharded:
             manifest = real_state(client, shard, timeout)
             return dataclasses.replace(manifest, checkpoint_segment=0) if shard else manifest
 
-        def recording(path):
-            opened.append(real_open(path))
+        def recording(path, **kwargs):
+            opened.append(real_open(path, **kwargs))
             return opened[-1]
 
         monkeypatch.setattr(NetClient, "repl_state", state)
-        monkeypatch.setattr(follower_module, "open_file_scheme", recording)
+        monkeypatch.setattr(persist_module, "open_file_scheme", recording)
         follower = Follower("127.0.0.1", harness.port, str(tmp_path / "f"))
         try:
             with pytest.raises(ReplicationError, match="no checkpoint image"):
@@ -332,9 +333,33 @@ class TestSharded:
                     pass
         finally:
             harness.close()
+        assert opened == []
+        assert clients[0]._closed and follower.client is None and follower.service is None
+
+    def test_failed_shard_open_leaves_nothing_open(self, tmp_path, monkeypatch):
+        """Shard 1's page file fails to open after shard 0's opened: the
+        store opener closes shard 0's backend, the follower its client."""
+        harness = Primary(tmp_path, n_shards=2)
+        real_open = persist_module.open_file_scheme
+        opened = []
+
+        def failing(path, **kwargs):
+            if path.endswith("shard-001.pages"):
+                raise OSError("shard 1 cannot open")
+            opened.append(real_open(path, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(persist_module, "open_file_scheme", failing)
+        follower = Follower("127.0.0.1", harness.port, str(tmp_path / "f"))
+        try:
+            with pytest.raises(OSError, match="shard 1 cannot open"):
+                with follower:
+                    pass
+        finally:
+            harness.close()
         (shard0,) = opened
         assert shard0.store.backend._handle.closed
-        assert clients[0]._closed and follower.client is None and follower.service is None
+        assert follower.client is None and follower.service is None
 
 
 class TestFatalReplicationErrors:

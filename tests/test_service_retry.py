@@ -171,7 +171,7 @@ class TestDegradedMode:
         )
         with service.start():
             warm = service.session()
-            truth = {lid: warm.lookup(lid) for lid in lids}
+            truth = {lid: warm.resolve((lid,))[0] for lid in lids}
 
             ticket = service.submit_ops([BatchOp("insert_before", (lids[3],))])
             with pytest.raises(WriterCrashError):
@@ -189,12 +189,12 @@ class TestDegradedMode:
             # A cold session cannot fall through to the structure.
             cold = service.session()
             with pytest.raises(ServiceDegradedError):
-                cold.lookup(lids[1])
+                cold.resolve((lids[1],))
 
             # The warm session's pinned-epoch reads keep serving, and
             # still agree with the pre-crash truth.
             for lid in lids:
-                assert warm.lookup(lid) == truth[lid]
+                assert warm.resolve((lid,)) == [truth[lid]]
 
             counters = service.stats.snapshot()
             assert counters.degradations == 1
