@@ -47,7 +47,7 @@ def run_mix(log_capacity: int, rounds: int):
             reads += 1
         # Subtract the verification lookups (constant 2 I/Os each).
         read_io += (scheme.stats.snapshot() - before).total - 2 * READS_PER_UPDATE
-    return cache.counters.hit_rate, read_io / reads
+    return cache.counters.repair_hit_ratio, read_io / reads
 
 
 @pytest.mark.parametrize("capacity", LOG_CAPACITIES)

@@ -58,7 +58,7 @@ def evaluate_cached(doc: LabeledDocument) -> None:
         pairs = containment_join_by_name(doc, "item", "mail", fetch)
     counters = fetch.counters
     print(f"  after 5 updates: {len(pairs):d} pairs, {after.total:5d} block I/Os "
-          f"(hit rate {counters.hit_rate:.2f})")
+          f"(hit rate {counters.repair_hit_ratio:.2f})")
     fetch.close()
 
 

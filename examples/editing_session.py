@@ -86,7 +86,7 @@ def run_session(scheme) -> dict:
         "concentrated": concentrated_io,
         "subtree": subtree_io,
         "cached reads": read_io,
-        "hit rate": f"{cache.counters.hit_rate:.2f}",
+        "hit rate": f"{cache.counters.repair_hit_ratio:.2f}",
         "subtree delete": delete_io,
         "label bits": scheme.label_bit_length(),
     }

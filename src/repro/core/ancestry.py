@@ -52,7 +52,8 @@ from ..storage import BlockStore, default_page_bytes
 from .bits import dynamic_ancestry_gap, dynamic_ancestry_universe, next_power_of_two
 from .bits import dynamic_ancestry_label_bits_bound
 from .cachelog import invalidate_all
-from .interface import LabelingScheme, LabelKind
+from .interface import LabelKind
+from .naive import SortedOrderScheme
 
 #: LIDF record kind codes (column 2 of every record).
 KIND_START = LabelKind.START.value  # 0
@@ -134,7 +135,7 @@ def interval_layout(pairing: Sequence[int]) -> list[int]:
     return positions
 
 
-class _OrderedGapScheme(LabelingScheme):
+class _OrderedGapScheme(SortedOrderScheme):
     """Shared machinery of the two ancestry schemes.
 
     Like naive-k, the scheme stores the label value directly in each
@@ -151,9 +152,6 @@ class _OrderedGapScheme(LabelingScheme):
         store: BlockStore | None = None,
     ) -> None:
         super().__init__(config, store)
-        #: In-memory sorted (value, lid) view — derived state, rebuilt
-        #: from the LIDF on restore (see :meth:`restore_state`).
-        self._order: list[tuple[int, int]] = []
         #: LID -> kind code mirror of the records' kind column.
         self._kind: dict[int, int] = {}
         #: Renumbering passes performed (global or ranged).
@@ -171,9 +169,6 @@ class _OrderedGapScheme(LabelingScheme):
     # ------------------------------------------------------------------
     # accounting
     # ------------------------------------------------------------------
-
-    def label_count(self) -> int:
-        return len(self._order)
 
     def label_bit_length(self) -> int:
         if not self._order:
@@ -210,9 +205,7 @@ class _OrderedGapScheme(LabelingScheme):
     def _insert_before(self, lid_old: int, kind: int) -> int:
         self._tick()
         value, _ = self.lidf.read(lid_old)
-        index = bisect_left(self._order, (value, lid_old))
-        if index >= len(self._order) or self._order[index] != (value, lid_old):
-            raise LabelingError(f"LID {lid_old} is not tracked by {self.name}")
+        index = self._index(value, lid_old)
         predecessor = self._order[index - 1][0] if index else 0
         if value - predecessor <= 1:
             self._make_room(index)
@@ -228,14 +221,8 @@ class _OrderedGapScheme(LabelingScheme):
 
     def delete(self, lid: int) -> None:
         with self.store.operation():
-            self._tick()
-            value, _ = self.lidf.read(lid)
-            index = bisect_left(self._order, (value, lid))
-            if index >= len(self._order) or self._order[index] != (value, lid):
-                raise LabelingError(f"LID {lid} is not tracked by {self.name}")
-            self._order.pop(index)
+            self._delete_sorted(lid)
             self._kind.pop(lid, None)
-            self.lidf.free(lid)
             self._after_delete()
 
     def bulk_load(self, n_labels: int, pairing: Sequence[int] | None = None) -> list[int]:
@@ -262,20 +249,6 @@ class _OrderedGapScheme(LabelingScheme):
                 (values[index], lid) for index, lid in enumerate(lids)
             )
         return lids
-
-    def delete_range(self, first_lid: int, last_lid: int) -> list[int]:
-        """Delete the contiguous value range between the two labels."""
-        with self.store.operation():
-            first_value, _ = self.lidf.read(first_lid)
-            last_value, _ = self.lidf.read(last_lid)
-            if first_value > last_value:
-                raise LabelingError("delete_range bounds are out of order")
-            start = bisect_left(self._order, (first_value, first_lid))
-            stop = bisect_left(self._order, (last_value, last_lid))
-            doomed = [lid for _, lid in self._order[start : stop + 1]]
-            for lid in doomed:
-                self.delete(lid)
-            return doomed
 
     # ------------------------------------------------------------------
     # renumbering

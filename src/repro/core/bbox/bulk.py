@@ -279,9 +279,8 @@ def bbox_delete_range(tree: "BBox", first_lid: int, last_lid: int) -> list[int]:
             tree.store.write(leaf1_id)
             _finish_delete(tree, deleted, [leaf1_id], timestamp)
             if tree.ordinal:
-                tree._emit(
-                    RangeShift(timestamp, anchor, None, -len(deleted), ORDINAL_CHANNEL)
-                )
+                freed = len(deleted)
+                tree._emit(RangeShift(timestamp, anchor, None, -freed, ORDINAL_CHANNEL, freed))
             tree._emit(invalidate_all(timestamp))
             return deleted
 
@@ -366,9 +365,8 @@ def bbox_delete_range(tree: "BBox", first_lid: int, last_lid: int) -> list[int]:
         _finish_delete(tree, deleted_order, [], timestamp)
         tree._emit(invalidate_all(timestamp))
         if tree.ordinal:
-            tree._emit(
-                RangeShift(timestamp, anchor, None, -len(deleted_order), ORDINAL_CHANNEL)
-            )
+            freed = len(deleted_order)
+            tree._emit(RangeShift(timestamp, anchor, None, -freed, ORDINAL_CHANNEL, freed))
             _recompute_sizes(tree, path1)
             _recompute_sizes(tree, path2)
 

@@ -394,6 +394,7 @@ class BBox(LabelingScheme):
                         prefix + (position,),
                         prefix + (len(leaf.entries) - 1,),
                         -1,
+                        freed=1,
                     )
                 )
             leaf.entries.pop(position)
@@ -402,7 +403,7 @@ class BBox(LabelingScheme):
             self._live -= 1
             if self.ordinal:
                 anchor = self._bubble_sizes(leaf_id, leaf, -1, position)
-                self._emit(RangeShift(timestamp, anchor, None, -1, ORDINAL_CHANNEL))
+                self._emit(RangeShift(timestamp, anchor, None, -1, ORDINAL_CHANNEL, 1))
             if not leaf.is_root and len(leaf.entries) < self.leaf_min:
                 self._rebalance(leaf_id, leaf, timestamp)
 

@@ -10,9 +10,11 @@ combination of *caching* and *logging*:
   existing labels — either a succinct range update (``[l, hi]: +1``,
   :class:`RangeShift`) or, rarely, an invalidated range
   (:class:`Invalidate`);
+* a delete's shift also counts the labels it freed (``freed``): a cached
+  label replayed across its own free is dead, never another element's;
 * a lookup whose cached value is newer than the oldest logged modification
   *replays* the logged effects on the cached value and returns without any
-  I/O.
+  I/O (:func:`serve_refs`, the one rule both front ends read through).
 
 The paper's *basic caching approach* (a single last-modified timestamp) is
 the ``capacity=0`` special case of :class:`ModificationLog`.
@@ -32,7 +34,7 @@ import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Sequence
+from typing import Callable, Sequence
 
 from ..errors import CacheError
 from .interface import LABEL_CHANNEL, Label, LabelingScheme
@@ -70,11 +72,13 @@ def _at_most(label: Label, bound: Label) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class RangeShift:
-    """All existing labels in ``[lo, hi]`` move by ``delta``.
+    """All existing labels in ``[lo, hi]`` move by ``delta``, except the
+    first ``freed`` of them from ``lo``, which a delete freed: they die.
 
     ``hi=None`` means unbounded (the ordinal log entries ``[l, ∞): ±1``).
     For tuple labels the shift applies to the **last component** — a
-    single-leaf B-BOX update only renumbers positions within that leaf.
+    single-leaf B-BOX update only renumbers positions within that leaf —
+    and so does the ``freed`` count.
     """
 
     timestamp: int
@@ -82,16 +86,21 @@ class RangeShift:
     hi: Label | None
     delta: int
     channel: str = LABEL_CHANNEL
+    freed: int = 0
 
     def apply(self, label: Label) -> Label | None:
-        """The label's new value, or the unchanged label if unaffected.
-        Never returns None (present for interface symmetry)."""
+        """The label's new value, the unchanged label if unaffected, or
+        None if the label was freed."""
         if not _at_least(label, self.lo):
             return label
         if self.hi is not None and not _at_most(label, self.hi):
             return label
         if isinstance(label, tuple):
+            if self.freed and label[-1] - self.lo[-1] < self.freed:
+                return None
             return label[:-1] + (label[-1] + self.delta,)
+        if label - self.lo < self.freed:
+            return None
         return label + self.delta
 
     @property
@@ -142,7 +151,7 @@ class LabelRef:
 
     This is what a database would store wherever it today stores a raw
     label; ``value`` and ``last_cached`` are refreshed in place by
-    :meth:`CachedLabelStore.get`.
+    :func:`serve_refs`.
     """
 
     lid: int
@@ -154,65 +163,16 @@ class LabelRef:
 _timestamp = attrgetter("timestamp")
 
 
-def replay_window(
-    items: Sequence[Effect],
-    lo: int,
-    hi: int,
-    dropped_through: int,
-    last_modified: int,
-    label: Label,
-    last_cached: int,
-    channel: str = LABEL_CHANNEL,
-) -> Label | None:
-    """Replay kernel shared by the live log and its immutable snapshots.
-
-    Brings a cached ``label`` (valid as of ``last_cached``) up to the state
-    the window ``items[lo:hi]`` describes, in O(log n + k) for the k effects
-    logged since ``last_cached``: the window's timestamps never decrease
-    (:meth:`ModificationLog.record` enforces it), so the suffix to replay
-    starts at a binary search.  Returns the repaired label, or ``None`` when
-    the cache cannot be used — either the history needed has been dropped
-    from the log, or a logged effect invalidated a range containing the
-    label.
-    """
-    if last_cached >= last_modified:
-        return label  # nothing happened since; cache is fresh
-    if last_cached < dropped_through:
-        return None  # history lost
-    start = bisect_right(items, last_cached, lo, hi, key=_timestamp)
-    if label.__class__ is int:  # W-BOX, naive-k, ordinals: plain comparisons
-        for index in range(start, hi):
-            effect = items[index]
-            if effect.channel != channel:
-                continue
-            low, high = effect.lo, effect.hi
-            if effect.__class__ is RangeShift:
-                if label >= low and (high is None or label <= high):
-                    label += effect.delta
-            elif (low is None or label >= low) and (high is None or label <= high):
-                return None
-        return label
-    for index in range(start, hi):
-        effect = items[index]
-        if effect.channel != channel:
-            continue
-        if effect.__class__ is RangeShift:
-            label = effect.apply(label)
-        elif effect.hits(label):
-            return None
-    return label
-
-
 @dataclass(frozen=True)
 class LogSnapshot:
     """Immutable, epoch-stamped window ``items[lo:hi]`` of a
-    :class:`ModificationLog`.
+    :class:`ModificationLog`: the one thing a cached label is replayed over.
 
-    The label service's writer takes one at every wake-up commit and
-    publishes it inside the epoch object.  ``items`` is the log's own list,
-    shared, not copied: the writer only appends past ``hi`` or compacts
-    into a *new* list, so any number of readers may :meth:`replay` against
-    the window concurrently without synchronization.
+    The label service publishes one per epoch; :class:`CachedLabelStore`
+    one per logged effect.  ``items`` is the log's own list, shared, not
+    copied: the writer only appends past ``hi`` or compacts into a *new*
+    list, so any number of readers may :meth:`replay` against the window
+    concurrently without synchronization.
     """
 
     items: Sequence[Effect]
@@ -223,11 +183,46 @@ class LogSnapshot:
     epoch: int
 
     def replay(self, label: Label, last_cached: int, channel: str = LABEL_CHANNEL) -> Label | None:
-        """Repair ``label`` to this snapshot's state (None = unrepairable)."""
-        return replay_window(
-            self.items, self.lo, self.hi, self.dropped_through, self.last_modified,
-            label, last_cached, channel,
-        )
+        """Bring a cached ``label`` (valid as of ``last_cached``) up to this
+        snapshot's state, in O(log n + k) for the k effects logged since
+        ``last_cached``: the window's timestamps never decrease
+        (:meth:`ModificationLog.record` enforces it), so the suffix to
+        replay starts at a binary search.  Returns the repaired label, or
+        ``None`` when the cache cannot be used — the history needed has been
+        dropped from the log, a logged effect invalidated a range containing
+        the label, or a delete freed it.
+        """
+        if last_cached >= self.last_modified:
+            return label  # nothing happened since; cache is fresh
+        if last_cached < self.dropped_through:
+            return None  # history lost
+        items, hi = self.items, self.hi
+        start = bisect_right(items, last_cached, self.lo, hi, key=_timestamp)
+        if label.__class__ is int:  # W-BOX, naive-k, ordinals: plain comparisons
+            for index in range(start, hi):
+                effect = items[index]
+                if effect.channel != channel:
+                    continue
+                low, high = effect.lo, effect.hi
+                if effect.__class__ is RangeShift:
+                    if label >= low and (high is None or label <= high):
+                        if label - low < effect.freed:
+                            return None
+                        label += effect.delta
+                elif (low is None or label >= low) and (high is None or label <= high):
+                    return None
+            return label
+        for index in range(start, hi):
+            effect = items[index]
+            if effect.channel != channel:
+                continue
+            if effect.__class__ is RangeShift:
+                label = effect.apply(label)
+                if label is None:
+                    return None
+            elif effect.hits(label):
+                return None
+        return label
 
     def __len__(self) -> int:
         return self.hi - self.lo
@@ -245,9 +240,7 @@ class ModificationLog:
     a published :class:`LogSnapshot` never sees its indices rewritten and
     eviction stays O(1) amortized.  :meth:`record` and :meth:`snapshot` are
     serialized by an internal lock so a writer thread can append effects
-    while other threads take epoch snapshots; :meth:`replay` on the live
-    log remains a single-threaded convenience (concurrent readers replay
-    against snapshots instead).
+    while other threads take snapshots; every replay runs on a snapshot.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -303,33 +296,71 @@ class ModificationLog:
             window = (self._items, self._lo, len(self._items)) if len(self) else ((), 0, 0)
             return LogSnapshot(*window, self.dropped_through, self.last_modified, self.epoch)
 
-    def replay(self, label: Label, last_cached: int, channel: str = LABEL_CHANNEL) -> Label | None:
-        """Repair ``label`` to the live log's state (see :func:`replay_window`)."""
-        return replay_window(
-            self._items, self._lo, len(self._items), self.dropped_through,
-            self.last_modified, label, last_cached, channel,
-        )
-
     def __len__(self) -> int:
         return len(self._items) - self._lo
 
 
+def noop_hook(point: str) -> None:
+    """The per-LID hook of an unobserved :func:`serve_refs`: do nothing."""
+
+
+def serve_refs(
+    refs: dict[int, LabelRef],
+    lids: Sequence[int],
+    snapshot: LogSnapshot,
+    clock: int,
+    channel: str = LABEL_CHANNEL,
+    hook: Callable[[str], None] = noop_hook,
+) -> tuple[list[Label], list[int] | None, int]:
+    """Section 6's read rule: serve each of ``lids`` from its ref, as
+    cached if no modification followed it, else replayed over ``snapshot``
+    and stamped ``clock`` (the clock the snapshot is exact at).  A LID with
+    no ref, or one replay cannot repair (history dropped, range
+    invalidated, LID freed), misses, for the caller to read from the BOX.
+    Returns the values (complete only if nothing missed), the missed LIDs
+    (None if none) and the replay count.
+    """
+    last_modified = snapshot.last_modified
+    values: list[Label] = []
+    missed: list[int] | None = None
+    replayed = 0
+    for lid in lids:
+        hook("read:begin")
+        ref = refs.get(lid)
+        if ref is not None:
+            if ref.last_cached >= last_modified:
+                values.append(ref.value)
+                continue
+            value = snapshot.replay(ref.value, ref.last_cached, channel)
+            if value is not None:
+                ref.value = value
+                ref.last_cached = clock
+                replayed += 1
+                values.append(value)
+                continue
+        missed = missed or []
+        missed.append(lid)
+    return values, missed, replayed
+
+
 @dataclass
 class CacheCounters:
-    """Hit/miss accounting for :class:`CachedLabelStore`."""
+    """How :class:`CachedLabelStore` served its reads, in the label
+    service's vocabulary (:class:`~repro.service.ServiceStats`)."""
 
     fresh_hits: int = 0  # cache newer than every modification
-    replayed_hits: int = 0  # repaired by replaying logged effects
-    misses: int = 0  # full lookups paid
+    replay_hits: int = 0  # repaired by replaying logged effects
+    fallthrough_reads: int = 0  # full lookups paid
 
     @property
-    def lookups(self) -> int:
-        return self.fresh_hits + self.replayed_hits + self.misses
+    def reads(self) -> int:
+        return self.fresh_hits + self.replay_hits + self.fallthrough_reads
 
     @property
-    def hit_rate(self) -> float:
-        total = self.lookups
-        return 0.0 if total == 0 else (total - self.misses) / total
+    def repair_hit_ratio(self) -> float:
+        """Reads answered without touching the BOX, over all reads."""
+        reads = self.reads
+        return (reads - self.fallthrough_reads) / reads if reads else 0.0
 
 
 class CachedLabelStore:
@@ -350,11 +381,17 @@ class CachedLabelStore:
         self.scheme = scheme
         self.log = ModificationLog(log_capacity)
         self.counters = CacheCounters()
-        scheme.add_log_listener(self.log.record)
+        self._snapshot = self.log.snapshot(advance_epoch=False)
+        scheme.add_log_listener(self._record)
+
+    def _record(self, effect: Effect) -> None:
+        """Log ``effect`` and take the snapshot reads are served at."""
+        self.log.record(effect)
+        self._snapshot = self.log.snapshot(advance_epoch=False)
 
     def close(self) -> None:
         """Detach from the scheme's log stream."""
-        self.scheme.remove_log_listener(self.log.record)
+        self.scheme.remove_log_listener(self._record)
 
     def reference(self, lid: int, channel: str = LABEL_CHANNEL) -> LabelRef:
         """Create an augmented reference for ``lid`` with a warm cache."""
@@ -363,20 +400,19 @@ class CachedLabelStore:
         return ref
 
     def get(self, ref: LabelRef) -> Label:
-        """Current label behind ``ref``, via cache, replay, or full lookup."""
-        if ref.value is not None:
-            if ref.last_cached >= self.log.last_modified:
-                self.counters.fresh_hits += 1
-                ref.last_cached = self.scheme.clock
-                return ref.value
-            repaired = self.log.replay(ref.value, ref.last_cached, ref.channel)
-            if repaired is not None:
-                self.counters.replayed_hits += 1
-                ref.value = repaired
-                ref.last_cached = self.scheme.clock
-                return repaired
-        self.counters.misses += 1
-        return self._refresh(ref)
+        """Current label behind ``ref``, via cache, replay, or full lookup
+        (:func:`serve_refs`).  A freed LID raises
+        :class:`~repro.errors.UnknownLIDError`; a recycled one reads its
+        new label."""
+        values, missed, replayed = serve_refs(
+            {ref.lid: ref}, (ref.lid,), self._snapshot, self.scheme.clock, ref.channel
+        )
+        if missed is not None:
+            self.counters.fallthrough_reads += 1
+            return self._refresh(ref)
+        self.counters.replay_hits += replayed
+        self.counters.fresh_hits += 1 - replayed
+        return values[0]
 
     def _refresh(self, ref: LabelRef) -> Label:
         (value,) = self.scheme.lookup_many((ref.lid,), ref.channel)

@@ -29,11 +29,64 @@ from typing import Any, Sequence
 from ..config import BoxConfig
 from ..errors import LabelingError
 from ..storage import BlockStore, default_page_bytes
-from .cachelog import invalidate_all
-from .interface import LabelingScheme
+from .cachelog import RangeShift, invalidate_all
+from .interface import Label, LabelingScheme
 
 
-class NaiveScheme(LabelingScheme):
+class SortedOrderScheme(LabelingScheme):
+    """A scheme granted the paper's free sort oracle: its live labels also
+    sit in memory as a sorted ``_order`` list of ``(label, lid)`` — naive-k,
+    ORDPATH and the ancestry schemes.  They delete the same way."""
+
+    def __init__(self, config: BoxConfig | None = None, store: BlockStore | None = None) -> None:
+        super().__init__(config, store)
+        #: Derived state, rebuilt from the LIDF on restore.
+        self._order: list[tuple[Any, int]] = []
+
+    @staticmethod
+    def _label_of(record: Any) -> Label:
+        """The label a LIDF record holds (records are ``(label, extra)``)."""
+        return record[0]
+
+    def label_count(self) -> int:
+        return len(self._order)
+
+    def _index(self, label: Label, lid: int) -> int:
+        """Where ``(label, lid)`` sits in ``_order``."""
+        index = bisect_left(self._order, (label, lid))
+        if index >= len(self._order) or self._order[index] != (label, lid):
+            raise LabelingError(f"LID {lid} is not tracked by {self.name}")
+        return index
+
+    def _delete_sorted(self, lid: int) -> tuple[Any, int]:
+        """Unlink ``lid`` from ``_order``, free its LIDF record and log the
+        free (a :class:`RangeShift` that moves nothing and kills ``lid``'s
+        label); returns its record and the index it held."""
+        timestamp = self._tick()
+        record = self.lidf.read(lid)
+        label = self._label_of(record)
+        index = self._index(label, lid)
+        self._order.pop(index)
+        self.lidf.free(lid)
+        self._emit(RangeShift(timestamp, label, label, 0, freed=1))
+        return record, index
+
+    def delete_range(self, first_lid: int, last_lid: int) -> list[int]:
+        """Delete the contiguous label range between the two labels."""
+        with self.store.operation():
+            first = self._label_of(self.lidf.read(first_lid))
+            last = self._label_of(self.lidf.read(last_lid))
+            if first > last:
+                raise LabelingError("delete_range bounds are out of order")
+            start = bisect_left(self._order, (first, first_lid))
+            stop = bisect_left(self._order, (last, last_lid))
+            doomed = [lid for _, lid in self._order[start : stop + 1]]
+            for lid in doomed:
+                self.delete(lid)
+            return doomed
+
+
+class NaiveScheme(SortedOrderScheme):
     """naive-k: gap labeling with global relabeling.
 
     Parameters
@@ -54,9 +107,6 @@ class NaiveScheme(LabelingScheme):
         self.gap_bits = gap_bits
         self.gap = 1 << gap_bits
         self.name = f"naive-{gap_bits}"
-        #: In-memory sorted view (value, lid) used as the free sort oracle
-        #: the paper grants the baseline.
-        self._order: list[tuple[int, int]] = []
         #: Number of global relabels performed (reported by benchmarks).
         self.relabel_count = 0
         #: Total labels rewritten across all relabels (the "tags relabeled"
@@ -66,9 +116,6 @@ class NaiveScheme(LabelingScheme):
     # ------------------------------------------------------------------
     # accounting
     # ------------------------------------------------------------------
-
-    def label_count(self) -> int:
-        return len(self._order)
 
     def label_bit_length(self) -> int:
         """Bits for the largest label currently assigned."""
@@ -105,17 +152,11 @@ class NaiveScheme(LabelingScheme):
     def delete(self, lid: int) -> None:
         """Remove a label; the freed gap merges into the successor's."""
         with self.store.operation():
-            self._tick()
-            value, gap = self.lidf.read(lid)
-            index = bisect_left(self._order, (value, lid))
-            if index >= len(self._order) or self._order[index] != (value, lid):
-                raise LabelingError(f"LID {lid} is not tracked by {self.name}")
-            self._order.pop(index)
+            (_value, gap), index = self._delete_sorted(lid)
             if index < len(self._order):
                 successor_lid = self._order[index][1]
                 successor_value, successor_gap = self.lidf.read(successor_lid)
                 self.lidf.write(successor_lid, (successor_value, successor_gap + gap))
-            self.lidf.free(lid)
 
     def bulk_load(self, n_labels: int, pairing: Sequence[int] | None = None) -> list[int]:
         """Assign ``i * 2^k`` to the i-th label (1-based), one LIDF pass."""
@@ -140,20 +181,6 @@ class NaiveScheme(LabelingScheme):
         (this is the point the paper's bulk-vs-element table makes)."""
         del pairing
         return super().insert_subtree_before(lid_old, n_labels)
-
-    def delete_range(self, first_lid: int, last_lid: int) -> list[int]:
-        """Delete the contiguous value range between the two labels."""
-        with self.store.operation():
-            first_value, _ = self.lidf.read(first_lid)
-            last_value, _ = self.lidf.read(last_lid)
-            if first_value > last_value:
-                raise LabelingError("delete_range bounds are out of order")
-            start = bisect_left(self._order, (first_value, first_lid))
-            stop = bisect_left(self._order, (last_value, last_lid))
-            doomed = [lid for _, lid in self._order[start : stop + 1]]
-            for lid in doomed:
-                self.delete(lid)
-            return doomed
 
     # ------------------------------------------------------------------
     # persistence

@@ -28,13 +28,13 @@ Li/Oi prefix-free code of the original paper).
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import insort
 from typing import Any, Sequence
 
 from ..config import BoxConfig
 from ..errors import LabelingError
-from ..storage import BlockStore, default_page_bytes
-from .interface import LabelingScheme
+from ..storage import default_page_bytes
+from .naive import SortedOrderScheme
 
 #: Approximate per-component overhead of the ORDPATH prefix-free encoding.
 COMPONENT_OVERHEAD_BITS = 4
@@ -98,21 +98,11 @@ def label_bits(label: Label) -> int:
     return total
 
 
-class OrdPath(LabelingScheme):
+class OrdPath(SortedOrderScheme):
     """The ORDPATH immutable labeling scheme as an order-maintenance
     baseline."""
 
     name = "ORDPATH"
-
-    def __init__(
-        self,
-        config: BoxConfig | None = None,
-        store: BlockStore | None = None,
-    ) -> None:
-        super().__init__(config, store)
-        #: In-memory sorted (label, lid) list — the document-order oracle,
-        #: the same concession the paper grants the naive baseline.
-        self._order: list[tuple[Label, int]] = []
 
     @classmethod
     def page_slot_bytes(cls, config: BoxConfig, **variant: Any) -> int:
@@ -123,9 +113,6 @@ class OrdPath(LabelingScheme):
     # ------------------------------------------------------------------
     # accounting
     # ------------------------------------------------------------------
-
-    def label_count(self) -> int:
-        return len(self._order)
 
     def label_bit_length(self) -> int:
         """Width of the *widest* live label."""
@@ -152,9 +139,7 @@ class OrdPath(LabelingScheme):
         with self.store.operation():
             self._tick()
             anchor = self.lidf.read(lid_old)
-            index = bisect_left(self._order, (anchor, lid_old))
-            if index >= len(self._order) or self._order[index] != (anchor, lid_old):
-                raise LabelingError(f"LID {lid_old} is not tracked by ORDPATH")
+            index = self._index(anchor, lid_old)
             predecessor = self._order[index - 1][0] if index > 0 else None
             new_label = label_between(predecessor, anchor)
             lid_new = self.lidf.allocate(new_label)
@@ -163,14 +148,13 @@ class OrdPath(LabelingScheme):
             return lid_new
 
     def delete(self, lid: int) -> None:
+        """Labels are immutable: the only effect logged is the free."""
         with self.store.operation():
-            self._tick()
-            label = self.lidf.read(lid)
-            index = bisect_left(self._order, (label, lid))
-            if index >= len(self._order) or self._order[index] != (label, lid):
-                raise LabelingError(f"LID {lid} is not tracked by ORDPATH")
-            self._order.pop(index)
-            self.lidf.free(lid)
+            self._delete_sorted(lid)
+
+    @staticmethod
+    def _label_of(record: Label) -> Label:
+        return record  # the record is the label itself
 
     def bulk_load(self, n_labels: int, pairing: Sequence[int] | None = None) -> list[int]:
         """Assign single-component odd labels 1, 3, 5, … in one pass."""
@@ -193,15 +177,3 @@ class OrdPath(LabelingScheme):
             (tuple(label), lid) for lid, label in self.lidf.peek_records()
         )
 
-    def delete_range(self, first_lid: int, last_lid: int) -> list[int]:
-        with self.store.operation():
-            first = self.lidf.read(first_lid)
-            last = self.lidf.read(last_lid)
-            if first > last:
-                raise LabelingError("delete_range bounds are out of order")
-            start = bisect_left(self._order, (first, first_lid))
-            stop = bisect_left(self._order, (last, last_lid))
-            doomed = [lid for _, lid in self._order[start : stop + 1]]
-            for lid in doomed:
-                self.delete(lid)
-            return doomed

@@ -445,13 +445,14 @@ def _delete_within_leaf(
     n_deleted = len(deleted)
     if tree.ordinal:
         anchor = tree._path_ordinal(path) + position1
-        tree._emit(RangeShift(timestamp, anchor, None, -n_deleted, ORDINAL_CHANNEL))
+        tree._emit(RangeShift(timestamp, anchor, None, -n_deleted, ORDINAL_CHANNEL, n_deleted))
     tree._emit(
         RangeShift(
             timestamp,
             leaf.range_lo + position1,
             leaf.range_lo + len(leaf.entries) - 1,
             -n_deleted,
+            freed=n_deleted,
         )
     )
     old_weight = leaf.weight
@@ -548,9 +549,8 @@ def wbox_delete_range(tree: "WBox", first_lid: int, last_lid: int) -> list[int]:
         old_weight = subtree.weight if chosen > 0 else tree.root_weight
 
         if tree.ordinal:
-            tree._emit(
-                RangeShift(timestamp, anchor, None, -len(deleted), ORDINAL_CHANNEL)
-            )
+            freed = len(deleted)
+            tree._emit(RangeShift(timestamp, anchor, None, -freed, ORDINAL_CHANNEL, freed))
         tree._emit(
             Invalidate(
                 timestamp,

@@ -303,13 +303,14 @@ class WBox(LabelingScheme):
                         leaf.range_lo + position,
                         leaf.range_lo + len(leaf.entries) - 1,
                         -1,
+                        freed=1,
                     )
                 )
             if self.ordinal:
                 path = self._descend(leaf.range_lo)
                 if self._log_listeners:
                     anchor = self._path_ordinal(path) + position
-                    self._emit(RangeShift(timestamp, anchor, None, -1, ORDINAL_CHANNEL))
+                    self._emit(RangeShift(timestamp, anchor, None, -1, ORDINAL_CHANNEL, 1))
                 for node_id, node, index in path[:-1]:
                     assert index is not None
                     node.entries[index].size -= 1

@@ -29,10 +29,6 @@ class BlockOverflowError(StorageError):
     """An encoded node does not fit within the configured block size."""
 
 
-class RecordNotFoundError(StorageError):
-    """A heap-file record (LID) does not exist or has been reclaimed."""
-
-
 class PersistError(StorageError):
     """A serialized structure (snapshot file, page payload, varint stream)
     is not valid, or the scheme is not serializable."""
@@ -92,6 +88,11 @@ class LabelingError(ReproError):
 
 class UnknownLIDError(LabelingError):
     """An operation referenced a LID the scheme does not know about."""
+
+
+class RecordNotFoundError(StorageError, UnknownLIDError):
+    """A heap-file record (LID) does not exist or has been reclaimed.  The
+    heap file is only ever the LIDF, so this is an unknown LID too."""
 
 
 class InvariantViolation(LabelingError):

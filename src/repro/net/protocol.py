@@ -57,7 +57,6 @@ from ..errors import (
     CrossShardError,
     LabelingError,
     ProtocolError,
-    RecordNotFoundError,
     ReproError,
     ServiceDegradedError,
     ServiceError,
@@ -144,8 +143,7 @@ ERRORS = {
         ErrorKind(ERR_OVERLOADED, "overloaded", ServiceOverloadedError,
                   (ServiceOverloadedError, BackpressureTimeout)),
         ErrorKind(ERR_CROSS_SHARD, "cross_shard", CrossShardError, (CrossShardError,)),
-        ErrorKind(ERR_UNKNOWN_LID, "unknown_lid", UnknownLIDError,
-                  (UnknownLIDError, RecordNotFoundError)),
+        ErrorKind(ERR_UNKNOWN_LID, "unknown_lid", UnknownLIDError, (UnknownLIDError,)),
         ErrorKind(ERR_PROTOCOL, "protocol", ProtocolError, (ProtocolError,)),
         ErrorKind(ERR_BAD_REQUEST, "bad_request", ReproError,
                   (LabelingError, ReproError, ValueError, TypeError)),

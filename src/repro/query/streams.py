@@ -36,7 +36,7 @@ import threading
 from bisect import bisect_left
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
-from ..errors import LabelingError, RecordNotFoundError, UnknownLIDError
+from ..errors import LabelingError, UnknownLIDError
 
 if TYPE_CHECKING:  # the service builds engines; importing it here would cycle
     from ..service.sharded import ShardedReaderSession
@@ -231,7 +231,7 @@ class QueryEngine:
             lids = [lid for pair in pairs for lid in pair]
             try:
                 labels = self.session.lookup_many(lids)
-            except (UnknownLIDError, RecordNotFoundError):
+            except UnknownLIDError:
                 # Catalog discipline is remove-*before*-the-delete-commits,
                 # so a dead LID in our snapshot means the snapshot raced a
                 # concurrent removal — the catalog has already moved on.

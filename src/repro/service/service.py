@@ -46,6 +46,7 @@ from typing import Any, Callable, Sequence
 
 from ..core.batch import BatchOp, BatchResult
 from ..core.cachelog import LABEL_CHANNEL, ORDINAL_CHANNEL, LabelRef, ModificationLog
+from ..core.cachelog import noop_hook, serve_refs
 from ..core.interface import Label, LabelingScheme
 from ..errors import (
     CrashError,
@@ -55,6 +56,7 @@ from ..errors import (
     ServiceDegradedError,
     ServiceError,
     TransientIOError,
+    UnknownLIDError,
     WriterCrashError,
 )
 from ..obs import trace
@@ -102,10 +104,6 @@ class RetryPolicy:
     def delay_for(self, attempt: int) -> float:
         """Backoff before retry ``attempt`` (1-based)."""
         return min(self.base_delay * self.multiplier ** (attempt - 1), self.max_delay)
-
-
-def _noop_yield(tag: str) -> None:
-    """Production yield hook: do nothing, cost one call."""
 
 
 class LabelService:
@@ -188,7 +186,7 @@ class LabelService:
         self.log = ModificationLog(log_capacity)
         self.scheme.add_log_listener(self.log.record)
         self._latch = latch if latch is not None else self.scheme.store.latch
-        self._yield = yield_hook if yield_hook is not None else _noop_yield
+        self._yield = yield_hook if yield_hook is not None else noop_hook
         self._epoch_hook = epoch_hook
         self._queue = WriteQueue(queue_capacity, stats=self.stats)
         self._writer: threading.Thread | None = None
@@ -592,39 +590,15 @@ class ReaderSession:
         refs = self._refs[channel]
         epoch = self._epoch
         lag = service._current.number - epoch.number
-        hook = service._yield
-        fell = replayed = 0
-        while True:
-            snapshot = epoch.snapshot
-            last_modified = snapshot.last_modified
-            values: list[Label] = []
-            missed: list[int] | None = None
-            for lid in lids:
-                hook("read:begin")
-                ref = refs.get(lid)
-                if ref is not None:
-                    if ref.last_cached >= last_modified:
-                        values.append(ref.value)
-                        continue
-                    value = snapshot.replay(ref.value, ref.last_cached, channel)
-                    if value is not None:
-                        ref.value = value
-                        ref.last_cached = epoch.clock
-                        replayed += 1
-                        values.append(value)
-                        continue
-                missed = missed or []
-                missed.append(lid)
-            if missed is None:
-                break
-            if not fell:
-                fell, first_replayed = len(missed), replayed
+        values, missed, replayed = serve_refs(
+            refs, lids, epoch.snapshot, epoch.clock, channel, service._yield
+        )
+        fell = len(missed) if missed else 0
+        while missed:
             epoch = self._read_through(missed, channel)
             # Later passes run at a pin only this call moved: nothing a
             # preemption there could interleave changes what they return.
-            hook = _noop_yield
-        if fell:
-            replayed = first_replayed
+            values, missed, _ = serve_refs(refs, lids, epoch.snapshot, epoch.clock, channel)
         reads = len(lids)
         service.stats.add(
             reads=reads, fresh_hits=reads - replayed - fell, replay_hits=replayed,
@@ -650,7 +624,8 @@ class ReaderSession:
         """Read ``missed`` from the BOX under one shared-latch hold, cache
         each value in a ref and advance the pin to the epoch that structure
         state belongs to.  A read that raises caches nothing and leaves
-        the pin where it was."""
+        the pin where it was; one that meets a freed LID also drops the
+        refs of ``missed``, which no replay can serve any more."""
         service = self._service
         pending = list(dict.fromkeys(missed))  # a LID named twice is read once
         self._refuse_if_degraded()
@@ -669,6 +644,10 @@ class ReaderSession:
             scheme = service.scheme
             values = scheme.lookup_many(pending, channel)
             clock = scheme.clock
+        except UnknownLIDError:
+            for lid in pending:
+                self._refs[channel].pop(lid, None)
+            raise
         finally:
             latch.release_shared()
         if current.number > self._epoch.number:

@@ -2,9 +2,9 @@
 
 This is the original Section 6 replay — walk *every* logged effect, skip
 the ones at or before ``last_cached`` one by one, and dispatch through the
-``invalidates`` property — kept verbatim as the oracle
-:func:`repro.core.cachelog.replay_window` (binary-searched suffix, inline
-int path) is compared against (``tests/test_cachelog_kernel.py``,
+``invalidates`` property — kept as the oracle
+:meth:`repro.core.cachelog.LogSnapshot.replay` (binary-searched suffix,
+inline int path) is compared against (``tests/test_cachelog_kernel.py``,
 ``tests/conc/test_cachelog_snapshot_reader.py``).  It does not rely on the
 log's timestamps being sorted, so a kernel that skips or repeats an effect
 shows up as a different label.
@@ -25,12 +25,11 @@ def replay_effects(
     last_cached: int,
     channel: str = LABEL_CHANNEL,
 ) -> Label | None:
-    """Replay kernel shared by the live log and its immutable snapshots.
-
-    Brings a cached ``label`` (valid as of ``last_cached``) up to the state
-    ``entries`` describes.  Returns the repaired label, or ``None`` when the
-    cache cannot be used — either the history needed has been dropped from
-    the log, or a logged effect invalidated a range containing the label.
+    """Bring a cached ``label`` (valid as of ``last_cached``) up to the
+    state ``entries`` describes.  Returns the repaired label, or ``None``
+    when the cache cannot be used — the history needed has been dropped
+    from the log, a logged effect invalidated a range containing the
+    label, or a shift freed it (``apply`` returns None).
     """
     if last_cached >= last_modified:
         return label  # nothing happened since; cache is fresh
@@ -44,4 +43,6 @@ def replay_effects(
                 return None
         else:
             label = effect.apply(label)
+            if label is None:
+                return None
     return label

@@ -12,6 +12,8 @@ actual state.
 Sessions deliberately go long stretches without reading (Hypothesis
 decides), so with the small log capacity here the machine explores
 overflow: replay that must give up and fall through, advancing the pin.
+Sessions keep their refs across deletes, and ``recycle`` reads an element
+whose LIDs were freed and reused since the session last read them.
 """
 
 from __future__ import annotations
@@ -89,12 +91,26 @@ class ServiceMachine(RuleBasedStateMachine):
         start, end = self.inserted.pop(pick % len(self.inserted))
         self.readable.remove(start)
         self.readable.remove(end)
-        # Freed LIDs must never be read again (the LID may be recycled),
-        # so clients — here, the machine — drop their refs on delete.
-        for session in self.sessions:
-            session._refs["label"].pop(start, None)
-            session._refs["label"].pop(end, None)
+        # Sessions keep their refs: a freed LID's ref dies in replay.
         self.service.apply_ops_sync([BatchOp("delete_element", (start, end))])
+
+    @rule(pick=st.integers(0, 2**16), which=st.integers(0, 2**16))
+    def recycle(self, pick, which):
+        """A session reads an element, the element is deleted, and inserts
+        run until both its LIDs are reused: the session must read the new
+        elements' labels, never the old element's replayed."""
+        if not self.inserted:
+            return
+        session = self.sessions[pick % len(self.sessions)]
+        pair = self.inserted[which % len(self.inserted)]
+        session.refresh()
+        session.resolve(pair)
+        self.delete(which)
+        while not set(pair) <= set(self.readable):
+            self.insert(pick, 1)
+        session.refresh()
+        row = self.history[session.epoch.number]
+        assert session.resolve(pair) == [row[lid] for lid in pair], pair
 
     # -- sessions ------------------------------------------------------
 

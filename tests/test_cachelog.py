@@ -71,35 +71,38 @@ class TestModificationLog:
         log.record(RangeShift(1, 0, None, +1))
         log.record(RangeShift(2, 0, None, +1))
         log.record(RangeShift(3, 100, None, +1))
-        assert log.replay(50, last_cached=0) == 52
-        assert log.replay(50, last_cached=1) == 51
-        assert log.replay(50, last_cached=3) == 50
+        assert log.snapshot(advance_epoch=False).replay(50, last_cached=0) == 52
+        assert log.snapshot(advance_epoch=False).replay(50, last_cached=1) == 51
+        assert log.snapshot(advance_epoch=False).replay(50, last_cached=3) == 50
 
     def test_dropped_history_forces_miss(self):
         log = ModificationLog(capacity=2)
         for timestamp in range(1, 6):
             log.record(RangeShift(timestamp, 0, None, +1))
-        assert log.replay(10, last_cached=0) is None
-        assert log.replay(10, last_cached=3) == 12
+        assert log.snapshot(advance_epoch=False).replay(10, last_cached=0) is None
+        assert log.snapshot(advance_epoch=False).replay(10, last_cached=3) == 12
 
     def test_invalidation_forces_miss_only_when_hit(self):
         log = ModificationLog(capacity=4)
         log.record(Invalidate(1, 100, 200))
-        assert log.replay(150, last_cached=0) is None
-        assert log.replay(50, last_cached=0) == 50
+        assert log.snapshot(advance_epoch=False).replay(150, last_cached=0) is None
+        assert log.snapshot(advance_epoch=False).replay(50, last_cached=0) == 50
 
     def test_capacity_zero_is_basic_caching(self):
         log = ModificationLog(capacity=0)
-        assert log.replay(5, last_cached=0) == 5  # nothing happened yet
+        # nothing happened yet
+        assert log.snapshot(advance_epoch=False).replay(5, last_cached=0) == 5
         log.record(RangeShift(1, 0, None, +1))
-        assert log.replay(5, last_cached=0) is None  # any update kills it
-        assert log.replay(5, last_cached=1) == 5  # cached after the update
+        # any update kills it; cached after the update
+        assert log.snapshot(advance_epoch=False).replay(5, last_cached=0) is None
+        assert log.snapshot(advance_epoch=False).replay(5, last_cached=1) == 5
 
     def test_channels_are_separate(self):
         log = ModificationLog(capacity=4)
         log.record(RangeShift(1, 0, None, +5, ORDINAL_CHANNEL))
-        assert log.replay(10, last_cached=0) == 10  # label channel untouched
-        assert log.replay(10, last_cached=0, channel=ORDINAL_CHANNEL) == 15
+        snapshot = log.snapshot(advance_epoch=False)
+        assert snapshot.replay(10, last_cached=0) == 10  # label channel untouched
+        assert snapshot.replay(10, last_cached=0, channel=ORDINAL_CHANNEL) == 15
 
     def test_negative_capacity_rejected(self):
         with pytest.raises(CacheError):
@@ -129,7 +132,7 @@ class TestCachedLabelStore:
             value = cache.get(ref)
         assert op.total == 0
         assert value == scheme.lookup(lids[10])
-        assert cache.counters.replayed_hits == 1
+        assert cache.counters.replay_hits == 1
 
     def test_miss_pays_full_lookup_and_recaches(self):
         scheme = WBox(TINY_CONFIG)
@@ -138,7 +141,7 @@ class TestCachedLabelStore:
         ref = cache.reference(lids[10])
         scheme.insert_before(lids[10])
         assert cache.get(ref) == scheme.lookup(lids[10])
-        assert cache.counters.misses == 1
+        assert cache.counters.fallthrough_reads == 1
         # Re-read without further updates: now a fresh hit.
         cache.get(ref)
         assert cache.counters.fresh_hits == 1
@@ -155,8 +158,8 @@ class TestCachedLabelStore:
             scheme.delete(scheme.insert_before(lids[25]))
         value = cache.get(ref)
         assert value == scheme.lookup(lids[2])
-        assert cache.counters.misses == 0
-        assert cache.counters.replayed_hits == 1
+        assert cache.counters.fallthrough_reads == 0
+        assert cache.counters.replay_hits == 1
 
     def test_bbox_replay(self):
         scheme = BBox(TINY_CONFIG)
@@ -174,7 +177,7 @@ class TestCachedLabelStore:
         assert ref.value == 12
         scheme.insert_before(lids[3])
         assert cache.get(ref) == 13  # replayed ordinal shift
-        assert cache.counters.misses == 0
+        assert cache.counters.fallthrough_reads == 0
 
     def test_close_detaches_listener(self):
         scheme = WBox(TINY_CONFIG)
@@ -192,7 +195,7 @@ class TestCachedLabelStore:
         for _ in range(10):  # forces splits and a root change
             scheme.insert_before(lids[3])
         assert cache.get(ref) == scheme.lookup(lids[5])
-        assert cache.counters.misses >= 1
+        assert cache.counters.fallthrough_reads >= 1
 
 
 class TestPrefixBoundComparators:

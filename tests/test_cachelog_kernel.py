@@ -1,12 +1,12 @@
 """The windowed Section 6 replay kernel against the full-scan oracle.
 
-:func:`repro.core.cachelog.replay_window` starts at a binary search on the
-window's timestamps and takes an inline path for int labels; a
+:meth:`repro.core.cachelog.LogSnapshot.replay` starts at a binary search on
+the window's timestamps and takes an inline path for int labels; a
 :class:`LogSnapshot` is a window over the log's own list, not a copy.  The
 property here is that none of that changes a single answer: for every
-``(label, last_cached)``, replay on the live log and on every snapshot taken
-along the way — held across later appends, evictions and compactions —
-equals :func:`tests.cachelog_reference.replay_effects` over a frozen copy
+``(label, last_cached)``, replay on the live log's current window and on
+every snapshot taken along the way — held across later appends, evictions
+and compactions — equals :func:`tests.cachelog_reference.replay_effects` over a frozen copy
 of what the log held.  The frozen copy comes from an independent model of
 the FIFO, so eviction and ``dropped_through`` are checked too.
 
@@ -53,12 +53,12 @@ def _effect(draw, kind: str, timestamp: int):
     channel = draw(st.sampled_from(CHANNELS))
     value = TUPLE_VALUE if _tuple_channel(kind, channel) else INT_VALUE
     if draw(st.integers(0, 3)):
+        delta = draw(st.sampled_from((-2, -1, 0, 1, 2)))
+        # A delete's shift frees labels: ``-delta`` of them (one for the
+        # zero shift of a scheme whose labels never move).
+        freed = draw(st.integers(0, max(-delta, 1))) if delta <= 0 else 0
         return RangeShift(
-            timestamp,
-            draw(value),
-            draw(st.none() | value),
-            draw(st.sampled_from((-2, -1, 1, 2))),
-            channel,
+            timestamp, draw(value), draw(st.none() | value), delta, channel, freed
         )
     return Invalidate(timestamp, draw(st.none() | value), draw(st.none() | value), channel)
 
@@ -141,7 +141,7 @@ def test_kernel_equals_full_scan_on_live_log_and_every_snapshot(stream):
             snapshot = log.snapshot(advance_epoch=arg)
             assert len(snapshot) == len(model.entries)
             held.append((snapshot, model.frozen()))
-        _check(log.replay, model.frozen(), queries, last_timestamp)
+        _check(log.snapshot(advance_epoch=False).replay, model.frozen(), queries, last_timestamp)
     held.append((log.snapshot(), model.frozen()))
     epochs = [snapshot.epoch for snapshot, _ in held]
     assert epochs == sorted(epochs)
@@ -193,7 +193,7 @@ def test_replay_reaches_old_entries_only_through_the_bisect_key(real, label, exp
     snapshot = log.snapshot()
     assert len(snapshot) == 4003
     assert snapshot.replay(label, last_cached=4000) == expected
-    assert log.replay(label, last_cached=4000) == expected
+    assert log.snapshot(advance_epoch=False).replay(label, last_cached=4000) == expected
 
 
 def test_unchanged_log_publishes_without_copying():

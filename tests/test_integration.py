@@ -139,7 +139,7 @@ class TestQueriesUnderChurn:
                 doc.append_child(Element("mail"), mailbox)
             for ref in refs:
                 assert cache.get(ref) == scheme.lookup(ref.lid)
-        assert cache.counters.hit_rate > 0.8
+        assert cache.counters.repair_hit_ratio > 0.8
 
 
 class TestConfigurationSweep:

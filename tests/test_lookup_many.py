@@ -83,8 +83,8 @@ def test_lookup_many_equals_the_per_lid_reads(churned, channel):
 def test_unknown_and_freed_lids_raise_like_the_scalar_path(churned, channel):
     scheme, lids, freed = churned
     assert _raised(lambda: _per_lid(scheme, [999_999], channel)) is not None
-    # Some schemes still answer for a freed LID; lookup_many then answers
-    # too.
+    # A freed LID may since be recycled; either way lookup_many answers
+    # or raises as the scalar path does.
     for bad in (999_999, *freed[:2]):
         scalar = _raised(lambda: _per_lid(scheme, [bad], channel))
         assert _raised(lambda: scheme.lookup_many([lids[0], bad, lids[1]], channel)) is scalar

@@ -55,6 +55,7 @@ import re
 from pathlib import Path
 
 from repro.core.batch import BatchExecutor
+from repro.core.cachelog import ModificationLog
 from repro.obs.metrics import CounterSet
 from repro.repl.follower import Follower
 from repro.service import (
@@ -118,6 +119,7 @@ REMOVED_NAMES = (
     '"commits", 0)',
     "reconnect_attempts",
     "def _exclusive",
+    "replay_window",
 )
 STORE_OPENER = "persist.py"
 BENCHMARKS = SRC.parent.parent / "benchmarks"
@@ -408,6 +410,9 @@ def test_removed_options_and_accessors_are_gone():
     # ``lookup_many(lids, ORDINAL_CHANNEL)``.
     sessions = (ReaderSession, ShardedReaderSession)
     assert [kind for kind in sessions if hasattr(kind, "ordinal_lookup")] == []
+    # One replay: the live log is read through the snapshot type the
+    # service publishes.
+    assert not hasattr(ModificationLog, "replay")
 
 
 def test_counters_are_declared_once():

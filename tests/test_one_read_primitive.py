@@ -7,7 +7,9 @@ routed read.  The LIDs the pinned log cannot serve are read from the BOX
 under a single shared-latch hold, however many there are, and the read is
 counted in one ``add``.  These tests count the latch acquisitions of cold
 reads on a session whose pin lags, and guard that the retry loops and the
-hand-routed reads stay gone.
+hand-routed reads stay gone, and that Section 6's rule is written once:
+``resolve`` and ``CachedLabelStore.get`` both serve refs through
+``serve_refs``.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import ast
 import inspect
 import textwrap
 
-from repro import TINY_CONFIG, BatchOp, WBox
+from repro import TINY_CONFIG, BatchOp, CachedLabelStore, WBox
 from repro.query.streams import QueryEngine
 from repro.service import ReaderSession, ShardedLabelService, ShardedReaderSession
 from repro.storage import ReaderWriterLatch
@@ -149,3 +151,20 @@ def test_one_read_path():
     # catalog that moved under a dead LID.
     assert _loops(ShardedReaderSession.lookup_many) == 1  # the grouping pass
     assert _loops(QueryEngine.view) == 1  # the catalog retry
+
+
+def _calls(function) -> set[str]:
+    """The names ``function`` calls, bare or as an attribute."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
+    return {
+        node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Attribute, ast.Name))
+    }
+
+
+def test_both_front_ends_serve_refs_through_the_one_rule():
+    for read in (ReaderSession.resolve, CachedLabelStore.get):
+        calls = _calls(read)
+        assert "serve_refs" in calls, read.__qualname__
+        assert "replay" not in calls, read.__qualname__

@@ -4,6 +4,7 @@ growth the paper's Section 2 predicts for the concentrated sequence."""
 import pytest
 
 from repro import LabeledDocument, OrdPath, TINY_CONFIG
+from repro.core.cachelog import RangeShift
 from repro.core.ordpath import label_between, label_bits
 from repro.errors import LabelingError
 from repro.xml.generator import two_level_document
@@ -81,15 +82,24 @@ class TestScheme:
                 anchor = new
         assert [scheme.lookup(lid) for lid in lids] == snapshot
 
-    def test_no_log_events_ever(self):
+    def test_logs_only_frees(self):
+        # Labels are immutable: no insert shifts or invalidates anything.
+        # A delete logs one zero shift that frees exactly the deleted label.
         scheme = OrdPath(TINY_CONFIG)
         lids = scheme.bulk_load(10)
         events = []
         scheme.add_log_listener(events.append)
         for _ in range(50):
             scheme.insert_before(lids[5])
-        scheme.delete(lids[3])
         assert events == []
+        doomed = [lids[3], lids[7]]
+        labels = [scheme.lookup(lid) for lid in doomed]
+        for lid in doomed:
+            scheme.delete(lid)
+        assert all(isinstance(effect, RangeShift) for effect in events)
+        assert [(e.lo, e.hi, e.delta, e.freed) for e in events] == [
+            (label, label, 0, 1) for label in labels
+        ]
 
     def test_document_integration(self):
         doc = LabeledDocument(OrdPath(TINY_CONFIG), two_level_document(25))

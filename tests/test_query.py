@@ -144,9 +144,9 @@ class TestCachedFetcher:
         doc = LabeledDocument(WBox(TINY_CONFIG), xmark_document(4, seed=1))
         fetch = CachedIntervalFetcher(doc, log_capacity=16)
         containment_join_by_name(doc, "item", "mail", fetch)
-        first_misses = fetch.counters.misses
+        first_misses = fetch.counters.fallthrough_reads
         containment_join_by_name(doc, "item", "mail", fetch)
-        assert fetch.counters.misses == first_misses  # all cached
+        assert fetch.counters.fallthrough_reads == first_misses  # all cached
         assert fetch.counters.fresh_hits > 0
 
     def test_cached_join_correct_after_updates(self):
