@@ -129,7 +129,7 @@ class UnhookedMemoryBackend(MemoryBackend):
     check, giving the A side of the A/B the budget is judged against.
     """
 
-    def commit(self, dirty_ids) -> None:
+    def commit(self, dirty_ids, tape=None) -> None:
         pass
 
 

@@ -20,7 +20,7 @@ import math
 import pytest
 
 from repro import NaiveScheme, OrdPath
-from repro.core.listorder import OrderList
+from benchmarks.listorder import OrderList
 from repro.workloads import run_concentrated
 
 from benchmarks.conftest import BENCH_CONFIG, SCALE, fmt, record_table

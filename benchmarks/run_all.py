@@ -60,7 +60,7 @@ TARGETS = [
 def _figure_plot(conftest, module_name: str) -> str:
     """Render the CCDF figure behind a distribution table as ASCII art."""
     from repro.workloads.metrics import ccdf
-    from repro.workloads.plotting import ascii_ccdf_plot
+    from benchmarks.plotting import ascii_ccdf_plot
 
     workload = "concentrated" if "fig6" in module_name else "xmark"
     figure = "Figure 6" if "fig6" in module_name else "Figure 9"
@@ -73,7 +73,7 @@ def _figure_plot(conftest, module_name: str) -> str:
 
 def _figure_bars(conftest, module_name: str) -> str:
     """Render an amortized-cost figure as a bar chart."""
-    from repro.workloads.plotting import ascii_bar_chart
+    from benchmarks.plotting import ascii_bar_chart
 
     workload = {
         "bench_fig5_concentrated": "concentrated",

@@ -85,7 +85,7 @@ from .storage import (
     scan_wal,
     shard_page_path,
 )
-from .storage.filebackend import fold_log
+from .storage.filebackend import log_base
 from .workloads import run_concentrated, run_scattered, run_stress, run_xmark_build
 from .workloads.metrics import summarize
 from .xml.model import element_count, tree_depth
@@ -522,8 +522,8 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def cmd_recover(args: argparse.Namespace) -> int:
-    # Reopening folds each log in memory; the checkpoint writes it into
-    # the page file before closing.  A root reports once per shard.
+    # Reopening re-runs each log's tapes in memory; the checkpoint writes
+    # them into the page file before closing.  A root reports once per shard.
     for scheme in open_store(args.file):
         backend = scheme.store.backend
         report = backend.recovery_report
@@ -531,7 +531,7 @@ def cmd_recover(args: argparse.Namespace) -> int:
         checkpoint_lsn = report["checkpoint_lsn"]
         torn = checkpoint_lsn is None
         print(f"  checkpoint LSN:   {'none (directory torn/corrupt)' if torn else checkpoint_lsn}")
-        print(f"  folded from log:  {report['replayed_transactions']} transaction(s), "
+        print(f"  replayed tapes:   {report['replayed_transactions']} transaction(s), "
               f"to LSN {report['lsn']} (base: {report['base']})")
         print(f"  discarded tail:   {report['discarded_tail_bytes']} bytes"
               + (f" ({report['discarded_tail_reason']})" if report["discarded_tail_bytes"] else ""))
@@ -547,16 +547,17 @@ def cmd_recover(args: argparse.Namespace) -> int:
 
 def _wal_status(path: str, directory: dict | None) -> str:
     """What reopening ``path`` would do with its log, given its at-rest
-    ``directory`` (``None``: unreadable); folds it in memory, so call last."""
+    ``directory`` (``None``: unreadable): how many logged tapes it would
+    re-run past its base."""
     wal_path = path + ".wal"
     if not os.path.exists(wal_path) or os.path.getsize(wal_path) == 0:
         return "empty (clean shutdown)"
     scan = scan_wal(wal_path)
     try:
-        to_fold = f"{fold_log(directory, scan.transactions, path)[2]} to fold"
+        to_replay = f"{len(log_base(directory, scan.transactions, path)[2])} to replay"
     except RecoveryError as error:
-        to_fold = f"cannot be folded ({error})"
-    parts = [f"{scan.committed} transaction(s), {to_fold}"]
+        to_replay = f"cannot be replayed ({error})"
+    parts = [f"{scan.committed} transaction(s), {to_replay}"]
     if scan.torn_tail:
         parts.append(
             f"torn tail of {scan.tail_bytes} bytes to discard ({scan.tail_reason})"

@@ -6,7 +6,6 @@ from .ancestry import AncestryDynamic, AncestryScheme
 from .batch import AmortizedCost, BatchExecutor, BatchOp, BatchRef, BatchResult
 from .naive import NaiveScheme
 from .ordpath import OrdPath
-from .listorder import OrderList
 from .prepost import PrePostDocument
 from .wbox.tree import WBox
 from .wbox.pairs import WBoxO
@@ -27,7 +26,6 @@ __all__ = [
     "BatchResult",
     "NaiveScheme",
     "OrdPath",
-    "OrderList",
     "PrePostDocument",
     "WBox",
     "WBoxO",

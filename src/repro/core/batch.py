@@ -13,10 +13,12 @@ common case for label-local edit bursts — share their I/O.
 
 Durability is paid once per run, not once per group: the whole run sits in
 one :meth:`~repro.storage.blockstore.BlockStore.durable` scope, so on a
-file backend an ``execute`` is at most one WAL transaction and one sync,
-and a block several groups dirty is journaled once.  Inside an enclosing
-durable scope (the label service's writer wake-up) the run joins that
-scope's one commit instead.
+file backend an ``execute`` is at most one WAL transaction and one sync.
+What that transaction logs is the run itself — its ops and how it ended,
+one *tape row* (:func:`encode_batch`, the op row a ``Submit`` frame
+carries) — not the blocks it dirtied: recovery re-runs the row.  Inside
+an enclosing durable scope (the label service's writer wake-up) the run
+joins that scope's one commit and tape instead.
 
 Correctness: submission order is preserved unconditionally.  Grouping only
 chooses where to cut measured scopes in the sequence, never reorders ops,
@@ -38,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Sequence
 
-from ..errors import LabelingError
+from ..errors import LabelingError, ProtocolError
 from ..obs import trace
 from ..storage.stats import OperationCost
 from .interface import LABEL_CHANNEL, ORDINAL_CHANNEL
@@ -46,22 +48,23 @@ from .interface import LABEL_CHANNEL, ORDINAL_CHANNEL
 if TYPE_CHECKING:  # pragma: no cover
     from .interface import LabelingScheme
 
-#: Operation kinds a batch may contain; each one's anchor LID — the key of
-#: locality grouping — is its first argument.
-SUPPORTED_KINDS = frozenset(
-    {
-        "lookup",
-        "ordinal_lookup",
-        "lookup_pair",
-        "compare",
-        "insert_before",
-        "insert_element_before",
-        "delete",
-        "delete_element",
-        "insert_subtree_before",
-        "delete_range",
-    }
+#: Operation kinds a batch may contain, in their op-row code order (index
+#: == code; append only); each one's anchor LID — the key of locality
+#: grouping — is its first argument.
+WIRE_KINDS = (
+    "lookup",
+    "ordinal_lookup",
+    "lookup_pair",
+    "compare",
+    "insert_before",
+    "insert_element_before",
+    "delete",
+    "delete_element",
+    "insert_subtree_before",
+    "delete_range",
 )
+SUPPORTED_KINDS = frozenset(WIRE_KINDS)
+_KIND_CODE = {kind: code for code, kind in enumerate(WIRE_KINDS)}
 
 #: Read kinds and the channel each reads: a run of one of them with
 #: plain-int anchors is one :meth:`~LabelingScheme.lookup_many` call.
@@ -233,7 +236,10 @@ class BatchExecutor:
         store = self.scheme.store
         backend = store.backend
         commits_before = backend.commits
-        with trace.span("batch.execute") as batch_span, store.durable():
+        logged = tuple(ops)  # the tape row is encoded at commit, after the run
+        with trace.span("batch.execute") as batch_span, store.durable(), store.taped(
+            lambda outcome: encode_batch(logged, outcome)
+        ):
             if batch_span.recording:
                 batch_span.set("scheme", self.scheme.name)
                 batch_span.add("batch.ops", len(ops))
@@ -343,6 +349,143 @@ class BatchExecutor:
         return tuple(resolved)
 
 
+# ----------------------------------------------------------------------
+# the op row: one BatchOp as bytes (a Submit frame's tape, a log's OPS)
+# ----------------------------------------------------------------------
+
+#: A structural uvarint (length, count, id, LID) longer than this many
+#: bytes is malformed — 10 bytes already cover 70 bits.
+MAX_VARINT_BYTES = 10
+
+_A_INT = 0
+_A_REF = 1
+
+
+def put_uvarint(out: bytearray, value: int, max_bytes: int = MAX_VARINT_BYTES) -> None:
+    if 0 <= value < 0x80:
+        out.append(value)
+        return
+    if value >> (7 * max_bytes):  # negative, or wider than the decoder reads
+        raise ProtocolError(
+            f"cannot encode {value} as a uvarint of at most {max_bytes} bytes"
+        )
+    while value > 0x7F:
+        out.append((value & 0x7F) | 0x80)
+        value >>= 7
+    out.append(value)
+
+
+# Field readers: ``get(buf, pos, end) -> (value, next_pos)`` over
+# ``buf[pos:end]``, raising ProtocolError where it falls short.
+
+
+def get_uvarint(
+    buf: Any, pos: int, end: int, max_bytes: int = MAX_VARINT_BYTES
+) -> tuple[int, int]:
+    value = shift = 0
+    stop = pos + max_bytes
+    while pos < end:
+        byte = buf[pos]
+        pos += 1
+        if byte < 0x80:
+            return value | byte << shift, pos
+        if pos == stop:
+            raise ProtocolError(f"varint longer than {max_bytes} bytes")
+        value |= (byte & 0x7F) << shift
+        shift += 7
+    raise ProtocolError("truncated varint")
+
+
+def get_count(buf: Any, pos: int, end: int) -> tuple[int, int]:
+    """An element count; each element costs >= 1 byte, so any count
+    exceeding the remaining bytes is an encoding bomb, not data."""
+    n, pos = get_uvarint(buf, pos, end)
+    if n > end - pos:
+        raise ProtocolError(
+            f"element count {n} exceeds {end - pos} remaining payload bytes"
+        )
+    return n, pos
+
+
+def get_byte(buf: Any, pos: int, end: int) -> tuple[int, int]:
+    if pos >= end:
+        raise ProtocolError("truncated payload")
+    return buf[pos], pos + 1
+
+
+def encode_op(out: bytearray, op: BatchOp) -> None:
+    """Append one op: kind code, argument count, each argument tagged as
+    a plain int or a :class:`BatchRef`."""
+    code = _KIND_CODE.get(op.kind)
+    if code is None:
+        raise ProtocolError(f"batch op kind {op.kind!r} has no wire code")
+    put_uvarint(out, code)
+    put_uvarint(out, len(op.args))
+    for arg in op.args:
+        if isinstance(arg, BatchRef):
+            out.append(_A_REF)
+            put_uvarint(out, arg.index)
+            put_uvarint(out, 0 if arg.item is None else arg.item + 1)
+        elif isinstance(arg, int):
+            out.append(_A_INT)
+            put_uvarint(out, arg)
+        else:
+            raise ProtocolError(
+                f"batch op argument of type {type(arg).__name__} is not encodable"
+            )
+
+
+def decode_op(buf: Any, pos: int, end: int) -> tuple[BatchOp, int]:
+    code, pos = get_uvarint(buf, pos, end)
+    if code >= len(WIRE_KINDS):
+        raise ProtocolError(f"unknown batch op code {code}")
+    n, pos = get_count(buf, pos, end)
+    args: list[Any] = []
+    for _ in range(n):
+        tag, pos = get_byte(buf, pos, end)
+        if tag == _A_INT:
+            arg, pos = get_uvarint(buf, pos, end)
+            args.append(arg)
+        elif tag == _A_REF:
+            index, pos = get_uvarint(buf, pos, end)
+            item, pos = get_uvarint(buf, pos, end)
+            args.append(BatchRef(index, None if item == 0 else item - 1))
+        else:
+            raise ProtocolError(f"unknown batch op argument tag {tag}")
+    return BatchOp(WIRE_KINDS[code], tuple(args)), pos
+
+
+def encode_batch(ops: Sequence[BatchOp], outcome: str) -> bytes:
+    """One batch as a tape row: how it ended (``""``: ok, else the class
+    name of the exception it raised), its op count, its ops; a
+    :class:`~repro.errors.ProtocolError` for an op the row cannot carry."""
+    out = bytearray()
+    name = outcome.encode("ascii")
+    put_uvarint(out, len(name))
+    out += name
+    put_uvarint(out, len(ops))
+    for op in ops:
+        encode_op(out, op)
+    return bytes(out)
+
+
+def decode_tape(body: bytes) -> list[tuple[tuple[BatchOp, ...], str]]:
+    """Rows of :func:`encode_batch`, back to back, as ``(ops, outcome)``
+    pairs; raises :class:`~repro.errors.ProtocolError` on malformed bytes."""
+    batches = []
+    pos, end = 0, len(body)
+    while pos < end:
+        n, pos = get_count(body, pos, end)
+        outcome = bytes(body[pos:pos + n]).decode("ascii", "replace")
+        count, pos = get_count(body, pos + n, end)
+        ops = []
+        for _ in range(count):
+            op, pos = decode_op(body, pos, end)
+            ops.append(op)
+        batches.append((tuple(ops), outcome))
+    return batches
+
+
 __all__ = [
     "SUPPORTED_KINDS",
     "AmortizedCost",
@@ -350,4 +493,9 @@ __all__ = [
     "BatchRef",
     "BatchResult",
     "BatchExecutor",
+    "WIRE_KINDS",
+    "decode_op",
+    "decode_tape",
+    "encode_batch",
+    "encode_op",
 ]

@@ -290,6 +290,11 @@ class LabelingScheme(ABC):
         LIDF values at the config's label width."""
         return default_page_bytes(config)
 
+    def widest_page_bytes(self) -> int | None:
+        """The slot this instance's widest page image needs (None: no
+        bound), so a page file skips encoding to check a slot this wide."""
+        return self.page_slot_bytes(self.config)
+
     # ------------------------------------------------------------------
     # reporting helpers
     # ------------------------------------------------------------------

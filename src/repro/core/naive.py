@@ -214,6 +214,9 @@ class NaiveScheme(SortedOrderScheme):
         # Values and gaps stay at most n * 2^k, n < 2^lid_bits labels.
         return default_page_bytes(config, gap_bits + config.lid_bits)
 
+    def widest_page_bytes(self) -> int:
+        return self.page_slot_bytes(self.config, gap_bits=self.gap_bits)
+
     # ------------------------------------------------------------------
     # global relabel
     # ------------------------------------------------------------------

@@ -110,6 +110,9 @@ class OrdPath(SortedOrderScheme):
         # a longer block is refused at commit with a StorageError.
         return max(4096, 2 * config.block_bytes, default_page_bytes(config))
 
+    def widest_page_bytes(self) -> None:
+        return None
+
     # ------------------------------------------------------------------
     # accounting
     # ------------------------------------------------------------------

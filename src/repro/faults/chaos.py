@@ -20,7 +20,7 @@ one shape of it:
    tape ends (latency plans don't kill; ``repl.*`` faults kill the
    follower or restart the primary mid-stream and the tape goes on).
 3. Close everything and reopen the root with
-   :func:`~repro.persist.open_store`, which folds each shard's log over
+   :func:`~repro.persist.open_store`, which re-runs each shard's logged tapes over
    its last checkpoint.
 4. Replay the *committed prefix* of the same tape on per-shard twin
    schemes over the memory backend and compare **every** LID's label on
@@ -71,7 +71,7 @@ from ..repl import (
 from ..service import ShardedLabelService, bulk_load_sharded
 from ..service.router import ShardRouter
 from ..storage.shardlayout import shard_page_path
-from ..storage.wal import _HEADER, MAGIC, REC_DELTA, REC_PUT
+from ..storage.wal import _HEADER, MAGIC, REC_OPS, REC_PUT
 from ..workloads.sequences import apply_tape_step, crash_recovery_tape
 from .plan import TORN_WRITE, WRITER_CRASH, FaultInjector, FaultPlan, FaultSpec
 
@@ -180,7 +180,7 @@ class ChaosTrial:
     completed_ops: int = 0
     #: Committed prefix length the twin replayed (ops, not transactions).
     committed_ops: int = 0
-    #: Whether a committed transaction was folded from a log: by a
+    #: Whether a committed transaction was replayed from a log: by a
     #: shard's reopen — or, on a replication row, by the follower
     #: applying shipped WAL (there the primary's own reopen does not count).
     replayed: bool = False
@@ -237,8 +237,8 @@ def _torn_append(rng: random.Random, wal_path: str) -> None:
         torn = MAGIC[: rng.randrange(1, len(MAGIC))]
     else:
         body = bytes(rng.randrange(0, 24))
-        header = _HEADER.pack(
-            rng.choice((REC_PUT, REC_DELTA)), len(body) + rng.randrange(8, 64)
+        header = _HEADER.pack(  # a commit's first record, or a checkpoint's
+            rng.choice((REC_OPS, REC_PUT)), len(body) + rng.randrange(8, 64)
         )
         torn = (header + body)[: rng.randrange(1, len(header) + len(body) + 1)]
     with open(wal_path, "ab") as handle:
@@ -248,7 +248,9 @@ def _torn_append(rng: random.Random, wal_path: str) -> None:
 class _Shards:
     """Bare per-shard schemes addressed by global LID: the memory twins
     (an insert/delete target for :func:`apply_tape_step`) and the
-    recovered shards (an endpoint to look up)."""
+    recovered shards (an endpoint to look up).  Each edit is a one-op
+    batch, so on a recovered shard it commits as a logged tape, as the
+    live service's do."""
 
     def __init__(self, schemes: list) -> None:
         self.schemes = schemes
@@ -263,13 +265,12 @@ class _Shards:
 
     def insert_before(self, glid: int) -> int:
         scheme, local = self._local(glid)
-        return self.router.to_global(
-            scheme.insert_before(local), self.router.shard_of(glid)
-        )
+        (lid,) = scheme.execute_batch([BatchOp("insert_before", (local,))]).results
+        return self.router.to_global(lid, self.router.shard_of(glid))
 
     def delete(self, glid: int) -> None:
         scheme, local = self._local(glid)
-        scheme.delete(local)
+        scheme.execute_batch([BatchOp("delete", (local,))])
 
 
 class _Stack:
@@ -461,7 +462,7 @@ def run_chaos_trial(
             for scheme in reopened
         )
         # A tape cut short leaves one step in flight.  If its commit
-        # record made a log, recovery folded it — the shard's LSN is past
+        # record made a log, recovery replayed it — the shard's LSN is past
         # the last acknowledged one — so the twin must apply that step too.
         in_flight = trial.completed_ops < len(tape) and any(
             scheme.store.backend.lsn > lsn for scheme, lsn in zip(reopened, acked)

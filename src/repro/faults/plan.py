@@ -31,7 +31,7 @@ hook                   fires
 ``wal.append``         entry of :meth:`WALWriter.append_transaction`
 ``wal.truncate``       entry of :meth:`WALWriter.seal_to`, a checkpoint's
                        last step — *after* pages + directory are synced,
-                       *before* the log is sealed away; the folded-log
+                       *before* the log is sealed away; the replayed-log
                        window (the hook keeps its pre-segment name)
 ``service.writer_apply``   writer, before applying one wake-up's batches
 ``service.group_commit``   after a wake-up's one commit, before its epoch publishes

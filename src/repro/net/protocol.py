@@ -51,7 +51,11 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Any, Callable, Iterator, NamedTuple, Union
 
-from ..core.batch import BatchOp, BatchRef
+from ..core.batch import MAX_VARINT_BYTES, BatchOp, decode_op, encode_op
+from ..core.batch import get_byte as _get_byte
+from ..core.batch import get_count as _get_count
+from ..core.batch import get_uvarint as _get_uvarint
+from ..core.batch import put_uvarint as _append_uvarint
 from ..errors import (
     BackpressureTimeout,
     CrossShardError,
@@ -71,10 +75,6 @@ PROTOCOL_VERSION = 1
 #: Hard ceiling on one frame's payload (requests and responses alike).
 MAX_FRAME_BYTES = 1 << 20
 
-#: A structural uvarint (length, count, id, LID, epoch) longer than this
-#: many bytes is a protocol violation — 10 bytes already cover 70 bits.
-MAX_VARINT_BYTES = 10
-
 #: The bound on value integers (tagged label ints, :class:`Orders`
 #: entries), shared by encoder and decoder: 224 zigzag bits, wider than
 #: any registered scheme's labels (``naive-80`` needs ~91).
@@ -93,21 +93,6 @@ AXIS_ANCESTOR_AT_DEPTH = 3
 #: :class:`ReplFetch` source kinds.
 REPL_FETCH_IMAGE = 0  # a checkpoint image (page-file copy)
 REPL_FETCH_WAL = 1  # a WAL segment (sealed file, or the live tail)
-
-#: Batch-op kinds in their wire order.  Index == wire code; append only.
-WIRE_KINDS = (
-    "lookup",
-    "ordinal_lookup",
-    "lookup_pair",
-    "compare",
-    "insert_before",
-    "insert_element_before",
-    "delete",
-    "delete_element",
-    "insert_subtree_before",
-    "delete_range",
-)
-_KIND_CODE = {kind: code for code, kind in enumerate(WIRE_KINDS)}
 
 # -- typed error-frame codes -------------------------------------------
 
@@ -153,22 +138,9 @@ ERRORS = {
 
 
 # ----------------------------------------------------------------------
-# low-level byte readers/writers
+# low-level byte readers/writers (the unsigned ones are the op row's,
+# :mod:`repro.core.batch`)
 # ----------------------------------------------------------------------
-
-
-def _append_uvarint(out: bytearray, value: int, max_bytes: int = MAX_VARINT_BYTES) -> None:
-    if 0 <= value < 0x80:
-        out.append(value)
-        return
-    if value >> (7 * max_bytes):  # negative, or wider than the decoder reads
-        raise ProtocolError(
-            f"cannot encode {value} as a uvarint of at most {max_bytes} bytes"
-        )
-    while value > 0x7F:
-        out.append((value & 0x7F) | 0x80)
-        value >>= 7
-    out.append(value)
 
 
 def _append_svarint(out: bytearray, value: int) -> None:
@@ -181,47 +153,9 @@ def _append_svarint(out: bytearray, value: int) -> None:
         _append_uvarint(out, zigzag, MAX_VALUE_VARINT_BYTES)
 
 
-# Field readers: ``get(buf, pos, end) -> (value, next_pos)`` over the
-# payload ``buf[pos:end]``, raising ProtocolError where it falls short.
-
-
-def _get_uvarint(
-    buf: Any, pos: int, end: int, max_bytes: int = MAX_VARINT_BYTES
-) -> tuple[int, int]:
-    value = shift = 0
-    stop = pos + max_bytes
-    while pos < end:
-        byte = buf[pos]
-        pos += 1
-        if byte < 0x80:
-            return value | byte << shift, pos
-        if pos == stop:
-            raise ProtocolError(f"varint longer than {max_bytes} bytes")
-        value |= (byte & 0x7F) << shift
-        shift += 7
-    raise ProtocolError("truncated varint")
-
-
 def _get_svarint(buf: Any, pos: int, end: int) -> tuple[int, int]:
     raw, pos = _get_uvarint(buf, pos, end, MAX_VALUE_VARINT_BYTES)
     return (raw >> 1) ^ -(raw & 1), pos
-
-
-def _get_count(buf: Any, pos: int, end: int) -> tuple[int, int]:
-    """An element count; each element costs >= 1 byte, so any count
-    exceeding the remaining bytes is an encoding bomb, not data."""
-    n, pos = _get_uvarint(buf, pos, end)
-    if n > end - pos:
-        raise ProtocolError(
-            f"element count {n} exceeds {end - pos} remaining payload bytes"
-        )
-    return n, pos
-
-
-def _get_byte(buf: Any, pos: int, end: int) -> tuple[int, int]:
-    if pos >= end:
-        raise ProtocolError("truncated payload")
-    return buf[pos], pos + 1
 
 
 # ----------------------------------------------------------------------
@@ -371,52 +305,6 @@ def _value_run(buf: Any, pos: int, end: int, n: int) -> tuple[tuple, int]:
     return tuple(values), pos
 
 
-# -- batch ops (the Submit tape) -----------------------------------------
-
-_A_INT = 0
-_A_REF = 1
-
-
-def _encode_op(out: bytearray, op: BatchOp) -> None:
-    code = _KIND_CODE.get(op.kind)
-    if code is None:
-        raise ProtocolError(f"batch op kind {op.kind!r} has no wire code")
-    _append_uvarint(out, code)
-    _append_uvarint(out, len(op.args))
-    for arg in op.args:
-        if isinstance(arg, BatchRef):
-            out.append(_A_REF)
-            _append_uvarint(out, arg.index)
-            _append_uvarint(out, 0 if arg.item is None else arg.item + 1)
-        elif isinstance(arg, int):
-            out.append(_A_INT)
-            _append_uvarint(out, arg)
-        else:
-            raise ProtocolError(
-                f"batch op argument of type {type(arg).__name__} is not encodable"
-            )
-
-
-def _decode_op(buf: Any, pos: int, end: int) -> tuple[BatchOp, int]:
-    code, pos = _get_uvarint(buf, pos, end)
-    if code >= len(WIRE_KINDS):
-        raise ProtocolError(f"unknown batch op code {code}")
-    n, pos = _get_count(buf, pos, end)
-    args: list[Any] = []
-    for _ in range(n):
-        tag, pos = _get_byte(buf, pos, end)
-        if tag == _A_INT:
-            arg, pos = _get_uvarint(buf, pos, end)
-            args.append(arg)
-        elif tag == _A_REF:
-            index, pos = _get_uvarint(buf, pos, end)
-            item, pos = _get_uvarint(buf, pos, end)
-            args.append(BatchRef(index, None if item == 0 else item - 1))
-        else:
-            raise ProtocolError(f"unknown batch op argument tag {tag}")
-    return BatchOp(WIRE_KINDS[code], tuple(args)), pos
-
-
 # -- the codecs a frame declaration names --------------------------------
 
 UVARINT = Codec(_append_uvarint, _get_uvarint, _varint_run(MAX_VARINT_BYTES, False))
@@ -425,7 +313,7 @@ STRING = Codec(_put_string, _get_string)
 BYTES = Codec(_put_bytes, _get_bytes)
 FLAG = Codec(_put_flag, _get_flag)
 VALUE = Codec(encode_value, _get_value, _value_run)
-OP = Codec(_encode_op, _decode_op)
+OP = Codec(encode_op, decode_op)
 
 
 def seq(item: Codec) -> Codec:

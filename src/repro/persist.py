@@ -24,12 +24,13 @@ root splits).
 allocation ops — and its complete description (class, config, LIDF
 directory) with every checkpoint; the first checkpoint installs it.
 The page file plus write-ahead log is thereby self-describing at all
-times: :func:`open_file_scheme` builds the scheme the folded state
-describes, and its journal adopts that state (on a follower it folds
-each shipped DELTA into the live scheme).  :func:`checkpoint_scheme` is the
-explicit flush: the log folded into the page file and sealed.  The
-historical whole-structure snapshot is thereby just one checkpoint
-format among two.
+times: :func:`open_file_scheme` builds the scheme the base state
+describes, its journal adopts that state, and :func:`replay_transaction`
+re-runs every logged tape past it — as a follower does with each
+shipped one.  :func:`checkpoint_scheme` is the explicit flush: the
+dirty pages written back and the log sealed.  The historical
+whole-structure snapshot is thereby just one checkpoint format among
+two.
 
 This module knows no concrete scheme.  What a scheme's persistent state
 *is* belongs to the scheme (``persist_state`` / ``restore_state`` /
@@ -50,11 +51,12 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 from .config import BoxConfig
+from .core.batch import decode_tape
 from .core.registry import scheme_class, scheme_factory, scheme_page_bytes
-from .errors import PersistError
+from .errors import PersistError, ProtocolError, RecoveryError
 from .storage import BlockStore, Disk, FileBackend, HeapFile
 from .storage.codec import (
     append_uvarints,
@@ -79,6 +81,7 @@ __all__ = [
     "full_checkpoint",
     "restore_to_checkpoint",
     "open_file_scheme",
+    "replay_transaction",
     "create_sharded_backends",
     "create_store",
     "open_store",
@@ -279,14 +282,14 @@ def restore_scheme_state(scheme: Any, header: dict) -> None:
 
 class _SchemeJournal(FoldedOwner):
     """A file backend's owner once a scheme is attached: journals its
-    integers and LIDF ops per commit, its description per checkpoint, and
-    folds a shipped DELTA straight into the live LIDF and scheme.  Takes
-    over the journaled scalars and stamp from the backend's owner."""
+    integers and LIDF ops per commit and its description per checkpoint.
+    Takes over the journaled scalars and stamp from the backend's owner."""
 
     def __init__(self, scheme: Any) -> None:
         self.scheme = scheme
         previous = scheme.store.backend.owner
         self.scalars, self.stamp = previous.scalars, previous.stamp
+        self.widest_page = scheme.widest_page_bytes()
         if scheme.lidf.journal is None:
             scheme.lidf.journal = []
         self.ops = scheme.lidf.journal
@@ -299,13 +302,6 @@ class _SchemeJournal(FoldedOwner):
         lidf = header.pop("lidf")
         del header["store"]  # the backend journals its own allocation state
         return lidf, header
-
-    def fold(self, row: Iterator[int]) -> None:
-        super().fold(row)
-        self.restore_scalars()
-
-    def _fold_lidf(self, ops: Iterator[int]) -> None:
-        self.scheme.lidf.fold_journal(ops)
 
     def restore_scalars(self) -> None:
         """Hand the journaled integers back to the scheme."""
@@ -378,10 +374,10 @@ def restore_to_checkpoint(
     ``upto_segment`` (``None`` = all sealed segments), copies its image
     to ``target``, then replays each in-range segment through the stock
     recovery path: the segment file is placed as ``target``'s WAL, the
-    backend is opened — which folds the committed transactions — and
-    checkpointed, which writes them back and seals the log away.  Every
-    mechanism is the ordinary crash path — PITR adds no second way to
-    interpret the log.  Returns the checkpoint record used; a checkpoint
+    file is opened — which re-runs its tapes (:func:`replay_transaction`)
+    — and checkpointed, which writes them back and seals the log away.
+    Every mechanism is the ordinary crash path — PITR adds no second way
+    to interpret the log.  Returns the checkpoint record used; a checkpoint
     image below the retention horizon is gone, and asking for it raises
     :class:`PersistError`.
     """
@@ -410,10 +406,44 @@ def restore_to_checkpoint(
         if seg < record["segment"]:
             continue
         disk.copy(segment_path(path, seg), target + ".wal")
-        backend = FileBackend(target)
-        backend.checkpoint()
-        backend.close()
+        checkpoint_scheme(open_file_scheme(target)).close()
     return record
+
+
+def replay_transaction(scheme: Any, txn: Any) -> bool:
+    """Bring ``scheme`` forward by one logged transaction: the one replay
+    crash recovery, point-in-time restore and replication followers share.
+
+    A commit's tape re-runs batch by batch through
+    :meth:`~repro.core.interface.LabelingScheme.execute_batch`, in one
+    durable scope under the backend's
+    :meth:`~repro.storage.FileBackend.replaying`: the commit must
+    re-create the logged DELTA and tape byte for byte — so every batch
+    must end as it was logged, ok or raising the same error class — or a
+    :class:`~repro.errors.RecoveryError` names the LSN.  A checkpoint
+    record — a follower's primary checkpointed — must restate the
+    replayed state, and is written back.  Returns False for a transaction
+    the state already includes.
+    """
+    backend = scheme.store.backend
+    if txn.absolute:
+        backend.restate(txn)
+        return True
+    if txn.lsn <= backend.lsn:
+        return False
+    if txn.ops is None:
+        raise RecoveryError(f"{backend.path}: log transaction {txn.lsn} carries no tape")
+    try:
+        tape = decode_tape(txn.ops)
+    except ProtocolError as error:
+        raise RecoveryError(f"{backend.path}: log transaction {txn.lsn}: {error}") from None
+    with backend.replaying(txn), scheme.store.durable():
+        for ops, _ended in tape:
+            try:
+                scheme.execute_batch(ops)
+            except Exception:  # noqa: BLE001 - how it ended is on the re-run's tape
+                pass
+    return True
 
 
 def open_file_scheme(
@@ -423,15 +453,15 @@ def open_file_scheme(
 ) -> Any:
     """Open a page file written through a scheme-owned
     :class:`~repro.storage.filebackend.FileBackend` and return a working
-    scheme (the WAL, if non-empty, is folded over the directory first).
+    scheme (the tapes the WAL holds past its base re-run first).
 
     The reopened scheme has fresh I/O counters; every committed LID
     resolves to its pre-crash label.  The backend's ``recovery_report``
     says what recovery found and did.
     """
     backend = FileBackend(path, page_bytes=page_bytes, fsync=fsync)
-    folded = backend.owner
-    if "scheme" not in folded.meta:
+    base = backend.owner
+    if "scheme" not in base.meta:
         backend.close()
         raise PersistError(
             f"{path} carries no scheme metadata; was it written without "
@@ -440,14 +470,21 @@ def open_file_scheme(
     # Build the scheme shell first (it allocates its empty root into a
     # throwaway memory store), then swap in the recovered file-backed
     # store so the backend's allocation state is untouched.
-    scheme = _instantiate_scheme(folded.meta)
+    scheme = _instantiate_scheme(base.meta)
     store = BlockStore(scheme.config, backend=backend)
     scheme.store = store
     scheme.lidf = HeapFile(store, scheme.config)
-    scheme.lidf.restore_state(folded.lidf)
+    scheme.lidf.restore_state(base.lidf)
     # The scheme *is* the backend's journaled state: its journal adopts
-    # the folded state, no checkpoint needed.
+    # the base state, no checkpoint needed.
     _attach(scheme).owner.restore_scalars()
+    tapes, backend.tapes = backend.tapes, []
+    try:
+        for txn in tapes:
+            replay_transaction(scheme, txn)
+    except BaseException:
+        backend.close()
+        raise
     store.stats.reset()
     return scheme
 

@@ -18,14 +18,15 @@ a replica label service, one shard at a time:
    persisted committed prefix and the cursor resumes at the local byte
    position.
 3. **Apply.**  Committed transactions are parsed out of the shipped
-   bytes and folded into the live replica under its exclusive latch by
-   the same :func:`~repro.storage.filebackend.fold_transaction` recovery
-   runs: O(delta) per commit, no page or directory write (journaled
-   images are served from memory until the primary's next checkpoint
-   record tells the follower to write back) — then both cache channels
-   are invalidated and a fresh epoch is published.  Pinned-epoch reader
-   sessions on the follower therefore behave exactly like sessions on
-   the primary.
+   bytes and replayed into the live replica under its exclusive latch by
+   the same :func:`~repro.persist.replay_transaction` recovery runs: the
+   tape re-runs through the batch executor, no page or directory write
+   (dirty pages stay in memory until the primary's next checkpoint
+   record tells the follower to write back) — then a fresh epoch is
+   published.  The re-run records the §6 effects the primary recorded,
+   so pinned-epoch reader sessions on the follower behave exactly like
+   sessions on the primary; a re-run that diverges from the log stops
+   the follower with a :class:`~repro.errors.ReplicationError`.
 4. **Sealing.**  When the primary reports a segment sealed and the
    follower has fully mirrored and applied it, the follower seals its
    local copy too, keeping the two segment numberings aligned.  A
@@ -43,12 +44,11 @@ import threading
 import time
 from typing import Any, Iterator
 
-from ..errors import ProtocolError, ReplicationError, ServiceError
-from ..core.cachelog import LABEL_CHANNEL, ORDINAL_CHANNEL, invalidate_all
+from ..errors import ProtocolError, RecoveryError, ReplicationError, ServiceError
 from ..net import protocol as proto
 from ..net.client import NetClient
 from ..obs.metrics import get_registry
-from ..persist import open_store
+from ..persist import open_store, replay_transaction
 from ..service.service import LabelService
 from ..service.sharded import ShardedLabelService
 from ..storage.disk import Disk
@@ -117,7 +117,7 @@ class ShardFollower:
         self.txns_applied = 0
         self.segments_sealed = 0
         #: The primary epoch the last applied transaction was committed
-        #: at (the stamp its owner folded; None until one is seen).
+        #: at (the stamp its DELTA carried; None until one is seen).
         self.position_epoch: int | None = None
         self.primary_epoch = 0
         labels = {"shard": f"shard{shard}"}
@@ -254,19 +254,25 @@ class ShardFollower:
 
     def _apply_txn(self, txn: Any) -> None:
         """Apply one committed transaction under the exclusive latch:
-        fold it into the live backend and, through its owner, the live
-        LIDF and scheme scalars; invalidate both cache channels and
-        publish an epoch, so readers move to the new state exactly as
-        they would on the primary.  A transaction
-        the state already includes (a retried commit's duplicate) and a
-        checkpoint's restatement change nothing readers can see.
+        :func:`~repro.persist.replay_transaction` re-runs its tape on the
+        live scheme, whose effects reach the replica's log, then an epoch
+        is published, so readers move to the new state exactly as they
+        would on the primary.  A transaction the state already includes
+        and a checkpoint's restatement change nothing readers can see.  A
+        re-run that diverges degrades the replica (its readers keep their
+        pinned epochs, no read reaches the diverged structure) and raises
+        :class:`~repro.errors.ReplicationError`.
         """
         service = self.service
         with service._latch.exclusive():
-            if self.backend.apply_shipped(txn) and not txn.absolute:
-                clock = self.scheme.clock
-                service.log.record(invalidate_all(clock, LABEL_CHANNEL))
-                service.log.record(invalidate_all(clock, ORDINAL_CHANNEL))
+            try:
+                applied = replay_transaction(self.scheme, txn)
+            except RecoveryError as error:
+                service._enter_degraded(error)
+                raise ReplicationError(
+                    f"shard {self.shard}: replaying the primary's log diverged: {error}"
+                ) from error
+            if applied and not txn.absolute:
                 service._publish()
                 self.position_epoch = self.backend.owner.scalars[0] or self.position_epoch
                 self.txns_applied += 1

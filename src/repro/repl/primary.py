@@ -84,7 +84,8 @@ def start_checkpoint_thread(
 ) -> tuple[threading.Thread, threading.Event]:
     """Background full checkpoints: every ``interval`` seconds run
     :func:`checkpoint_service` (the backend seals by itself in between,
-    every :data:`~repro.storage.filebackend.CHECKPOINT_LOG_BYTES` logged).
+    every :data:`~repro.storage.filebackend.CHECKPOINT_TAPE_BYTES` of tape
+    logged).
     Returns the started daemon thread and its stop event."""
     stop_event = stop if stop is not None else threading.Event()
 

@@ -90,7 +90,7 @@ class RetryPolicy:
     ``max_delay``), up to ``max_retries`` times.  Retrying at the commit
     level is what makes the policy sound: the group's in-memory mutations
     are already applied exactly once, and re-running the commit is
-    idempotent (same WAL transaction, same page images).
+    idempotent (same WAL transaction: same tape, same DELTA).
 
     ``sleep`` is injectable so tests can count backoffs without waiting.
     """
@@ -226,12 +226,12 @@ class LabelService:
         self._orig_commit = original
         stats = self.stats
 
-        def commit_with_retry(dirty_ids: Any) -> None:
+        def commit_with_retry(dirty_ids: Any, tape: Any = None) -> None:
             dirty = list(dirty_ids)
             attempt = 0
             while True:
                 try:
-                    return original(dirty)
+                    return original(dirty, tape)
                 except TransientIOError:
                     attempt += 1
                     if attempt > policy.max_retries:

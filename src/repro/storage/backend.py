@@ -25,7 +25,12 @@ public error contract is unchanged.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
+
+#: A commit's tape: ``(encoder, outcome)`` per batch run under
+#: :meth:`~repro.storage.BlockStore.taped`, ``encoder(outcome)`` its row;
+#: None when blocks were dirtied outside every batch.
+Tape = list[tuple[Callable[[str], bytes], str]] | None
 
 
 class StorageBackend(ABC):
@@ -118,13 +123,14 @@ class StorageBackend(ABC):
     # durability
     # ------------------------------------------------------------------
 
-    def commit(self, dirty_ids: Iterable[int]) -> None:
+    def commit(self, dirty_ids: Iterable[int], tape: Tape = None) -> None:
         """Make the listed blocks (and all allocation state) durable.
 
         Called by :class:`BlockStore` when the outermost operation scope
-        closes, once per dirtied block id.  Volatile backends ignore it —
-        but still expose the ``backend.commit`` hook point, so transient
-        commit faults can be injected on any backend.
+        closes, with the :data:`Tape` of the batches that dirtied them.
+        Volatile backends ignore it — but still expose
+        the ``backend.commit`` hook point, so transient commit faults can
+        be injected on any backend.
         """
         if self.fault_injector is not None:
             self.fault_injector.hit("backend.commit")

@@ -25,9 +25,10 @@ Measurement methodology (matches Section 7 of the paper):
   block costs one I/O and later reads are free; each block dirtied during the
   operation costs one write when the operation completes.  With a file
   backend, that flush is also the durability point: the dirty blocks are
-  journaled and committed as one WAL transaction — unless a
-  :meth:`BlockStore.durable` scope is open, which gathers the flushes of
-  every operation inside it into one commit at its outermost exit.
+  committed as one WAL transaction — unless a :meth:`BlockStore.durable`
+  scope is open, which gathers the flushes of every operation inside it
+  into one commit at its outermost exit, together with the *tape* of the
+  batches that dirtied them (:meth:`BlockStore.taped`).
 * An optional cache (``cache_capacity > 0``) reproduces the paper's
   "caching turned on" remark — reads served from the cache are free (the
   root then tends to be cached at all times); writes are write-through and
@@ -45,14 +46,19 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from ..config import BoxConfig
-from ..errors import BlockNotFoundError, StorageError
+from ..errors import BlockNotFoundError, LabelingError, StorageError
 from ..obs import trace
-from .backend import MemoryBackend, StorageBackend
+from .backend import MemoryBackend, StorageBackend, Tape
 from .cache import BlockCache
 from .stats import IOStats, OperationCost
+
+#: Errors a batch raises the same way when re-run on the same state — a
+#: scheme op's typed refusal, a malformed op's arguments — and so may end
+#: a logged tape row (:meth:`BlockStore.taped`).
+REPLAYABLE_ERRORS = (LabelingError, TypeError, LookupError)
 
 
 class ReaderWriterLatch:
@@ -158,10 +164,12 @@ class OperationBuffer:
     Tracks the nesting depth plus the blocks read (buffered, later reads
     free) and dirtied (one write each at the outermost exit) since the
     outermost scope opened; and, for :meth:`BlockStore.durable`, its own
-    depth and the flushed blocks waiting for its one commit.
+    depth, the flushed blocks waiting for its one commit and the
+    :data:`~repro.storage.backend.Tape` that re-creates them (a backend
+    that logs nothing never calls its encoders).
     """
 
-    __slots__ = ("depth", "read", "dirty", "durable", "pending")
+    __slots__ = ("depth", "read", "dirty", "durable", "pending", "tape", "taping")
 
     def __init__(self) -> None:
         self.depth = 0
@@ -169,6 +177,8 @@ class OperationBuffer:
         self.dirty: set[int] = set()
         self.durable = 0
         self.pending: set[int] = set()
+        self.tape: Tape = []
+        self.taping = 0
 
     @property
     def active(self) -> bool:
@@ -399,10 +409,15 @@ class BlockStore:
         are counted when it ends, so per-operation costs do not change —
         but their dirty blocks join one pending set instead of committing.
         Contexts nest; the outermost exit commits the set as one backend
-        transaction (nothing when no block was dirtied), also when an
-        exception is in flight, so what the structure holds in memory is
-        what the backend holds once the scope has closed.  A commit that
-        raises leaves the set pending, for the next scope to commit.
+        transaction with its tape, also when an exception is in flight, so
+        what the structure holds in memory is what the backend holds once
+        the scope has closed.  Nothing is committed when no block was
+        dirtied and every batch ended ok; a failed batch is committed even
+        so — it may have changed the scheme's scalars (its clock) without
+        a block, and the backend logs it only then.  A commit that raises
+        leaves the set pending, for the next scope to commit without a
+        tape: a checkpoint may restate it first, and a re-run of a tape
+        the state already holds would diverge.
         """
         buffer = self.buffer
         buffer.durable += 1
@@ -410,9 +425,42 @@ class BlockStore:
             yield
         finally:
             buffer.durable -= 1
-            if buffer.durable == 0 and buffer.pending:
-                self._commit(buffer.pending)
-                buffer.pending.clear()
+            if buffer.durable == 0:
+                tape = buffer.tape
+                if buffer.pending or tape is None or any(ended for _row, ended in tape):
+                    try:
+                        self._commit(buffer.pending, tape)
+                    except BaseException:
+                        buffer.tape = None
+                        raise
+                    buffer.pending.clear()
+                buffer.tape = []
+
+    @contextmanager
+    def taped(self, row: Callable[[str], bytes]) -> Iterator[None]:
+        """Scope one batch of the enclosing :meth:`durable` scope: what it
+        dirties is re-created by re-running it, so on exit ``row`` — which
+        encodes the batch as a tape row, told how it ended — joins the
+        scope's tape with that outcome (``""``, or the class name of the
+        :data:`REPLAYABLE_ERRORS` one leaving the scope), for the backend
+        to call at commit.  Any other exception, or a block dirtied under
+        the durable scope but outside every taped one, leaves the commit
+        without a tape."""
+        buffer = self.buffer
+        buffer.taping += 1
+        outcome = ""
+        try:
+            yield
+        except REPLAYABLE_ERRORS as error:
+            outcome = type(error).__name__
+            raise
+        except BaseException:
+            buffer.tape = None
+            raise
+        finally:
+            buffer.taping -= 1
+            if not buffer.taping and buffer.tape is not None:  # the outermost batch re-runs the rest
+                buffer.tape.append((row, outcome))
 
     def measured(self) -> "_MeasuredOperation":
         """Like :meth:`operation` but the context value reports the cost of
@@ -442,8 +490,10 @@ class BlockStore:
             self.cache.insert(block_id)
             if buffer.durable > 0:
                 buffer.pending.add(block_id)
+                if not buffer.taping:
+                    buffer.tape = None
             else:
-                self._commit((block_id,))
+                self._commit((block_id,), None)
 
     def _flush(self) -> None:
         buffer = self.buffer
@@ -456,17 +506,19 @@ class BlockStore:
             # nothing durable, so they are not commit points.
             if buffer.durable > 0:
                 buffer.pending |= dirty
+                if not buffer.taping:
+                    buffer.tape = None
             else:
-                self._commit(dirty)
+                self._commit(dirty, None)
         buffer.clear()
 
-    def _commit(self, dirty: Any) -> None:
+    def _commit(self, dirty: Any, tape: Tape) -> None:
         # `commit.blocks`, not `io.writes`: the io.* keys live only on
         # store.operation spans so subtree sums match IOStats exactly.
         with trace.span("store.commit") as span:
             if span.recording:
                 span.add("commit.blocks", len(dirty))
-            self.backend.commit(dirty)
+            self.backend.commit(dirty, tape)
 
 
 class _MeasuredOperation:

@@ -22,23 +22,29 @@ single file, round-tripping payloads through the live-payload codec of
   the image in a slot are stale and never read: reads trim by length.
 
 Durability runs through the write-ahead log (:mod:`repro.storage.wal`):
-a commit appends the dirty pages' images and a DELTA record — what the
-commit changed in the directory, the owner's part last — and syncs the
-log; nothing else.  A checkpoint (explicit, or taken by
-:meth:`FileBackend.commit` itself once :data:`CHECKPOINT_LOG_BYTES` have
-been logged) folds the log into the page file and seals the log into a
-numbered segment, which one retention rule keeps or deletes
-(:mod:`repro.storage.walseg`).  Opening a file folds the log over the
-directory through :func:`fold_transaction`, the one function recovery,
-point-in-time restore and replication followers all share.
+a commit appends the tape of the batches that dirtied its blocks (OPS)
+and a DELTA record — what the commit changed in the directory, the
+owner's part last — and syncs the log; nothing else, and no page is
+encoded.  A commit without a tape (blocks dirtied outside a batch, or a
+batch ended by an error a re-run cannot reproduce) is a checkpoint.  A checkpoint (explicit, or taken by :meth:`FileBackend.commit`
+itself once :data:`CHECKPOINT_TAPE_BYTES` of tape have been logged since
+the last one) logs the image of every page dirtied since the last one,
+writes them and the directory back and seals the log into a numbered
+segment, which one retention rule keeps or deletes
+(:mod:`repro.storage.walseg`).  Opening a file starts from the newer of
+the directory and the log's last ABSOLUTE record (:func:`log_base`) and
+holds the tapes past it until :func:`repro.persist.replay_transaction` —
+the one replay recovery, point-in-time restore and replication followers
+share — re-runs them under :meth:`FileBackend.replaying`.
 
 **Consistency model.**  Decoded payloads live in an object table and are
 mutated in place by the tree code, exactly like the memory backend — the
 object table is the "buffer pool" and keeps object identity stable within
-a process.  Serialization happens at commit (encode) and on a cold read
-(decode).  Only *committed* state survives a crash: an operation's
-mutations become durable when the operation scope closes and
-:meth:`commit` runs.
+a process.  Serialization happens at checkpoint (encode) and on a cold
+read (decode); a page dirtied since the last checkpoint lives only in the
+table (and in the tapes that re-create it) until the next one writes it
+back.  Only *committed* state survives a crash: an operation's mutations
+become durable when the operation scope closes and :meth:`commit` runs.
 
 **Fault injection.**  Install a :class:`~repro.faults.FaultInjector`
 (``backend.fault_injector = injector`` or
@@ -58,14 +64,21 @@ from __future__ import annotations
 import os
 import struct
 import zlib
-from itertools import accumulate, islice
+from contextlib import contextmanager
+from itertools import accumulate
 from typing import Any, Iterable, Iterator
 
 from ..config import BoxConfig
-from ..errors import PersistError, RecoveryError, StorageError
+from ..errors import (
+    PersistError,
+    ProtocolError,
+    RecoveryError,
+    StorageError,
+    TransientIOError,
+)
 from ..obs import trace
 from ..obs.metrics import get_registry
-from .backend import StorageBackend
+from .backend import StorageBackend, Tape
 from .codec import (
     append_uvarints,
     decode_block_payload,
@@ -93,10 +106,17 @@ MAGIC = b"BOXPAGE2"
 #: at offset 4096.
 HEADER_BYTES = 4088
 
-#: Bytes a backend lets its log grow by before :meth:`FileBackend.commit`
-#: checkpoints on its own.  Bounds the live log and what reopening has to
-#: fold; a function of bytes logged only, never of time.
-CHECKPOINT_LOG_BYTES = 1 << 20
+#: Tape bytes (OPS record bodies) a backend logs before
+#: :meth:`FileBackend.commit` checkpoints on its own: what bounds the
+#: tapes reopening re-runs, a function of tape logged only, never of time.
+#: Sized from the measured replay cost of point edits: re-running logged
+#: 3-op W-BOX submits (1 KB blocks, 200k labels, every page cold; 19–27
+#: tape bytes a submit) costs 15–40 µs per tape byte on a 2-vCPU host, so
+#: 0.1–0.3 s of replay stands behind a reopen.  A range op's row is a few
+#: bytes for O(range) work — 64-label subtree inserts and range deletes
+#: re-run at ~130 and ~100 µs per byte — so range-heavy tapes replay
+#: several times longer per byte.
+CHECKPOINT_TAPE_BYTES = 8192
 
 _PAGE_HEADER = struct.Struct(">I")  # payload length
 
@@ -143,72 +163,32 @@ def decode_directory(data: bytes) -> dict[str, Any]:
     }
 
 
-def _follows(state: dict[str, Any], txn: WALTransaction) -> bool:
-    """Whether ``txn`` folds onto ``state``: a DELTA folds only onto the
-    state one LSN behind it — one the state already includes (a log that
-    outlived its checkpoint, a retried commit's duplicate) is skipped, a
-    gap is a :class:`~repro.errors.RecoveryError` — because a delta,
-    unlike the absolute metadata version 1 journaled, is not idempotent.
-    An ABSOLUTE record restates the state at its own LSN and folds
-    nothing."""
-    lsn = txn.lsn
-    if lsn is None:
-        raise RecoveryError("committed transaction carries no DELTA record")
-    if lsn <= state["lsn"]:
-        return False
-    if txn.absolute or lsn != state["lsn"] + 1:
-        raise RecoveryError(
-            f"log sequence gap: transaction {lsn} cannot follow state {state['lsn']}"
-        )
-    return True
+def _owner_row(body: bytes) -> Iterator[int]:
+    """A DELTA body's owner part: its row past the backend's own fields
+    (next-id step, pops, then the pushed and dropped id rows)."""
+    (_lsn, count), pos = scan_uvarints(body, 0, 2)
+    row = scan_uvarints(body, pos, count)[0]
+    start = 3 + row[2]
+    return iter(row[start + 1 + row[start]:])
 
 
-def fold_transaction(state: dict[str, Any], txn: WALTransaction) -> list[int] | None:
-    """Advance the directory ``state`` by one log transaction, in place.
-
-    The one fold function: crash recovery, point-in-time segment replay
-    and replication followers all bring a directory forward through it.
-    The backend folds its own fields; the rest of the DELTA goes to
-    ``state["owner"].fold``.  Returns ``None`` for a transaction that
-    does not fold (:func:`_follows`), else the ids of the blocks it
-    dropped (their page images are dead).
-    """
-    if not _follows(state, txn):
-        return None
-    (_lsn, count), pos = scan_uvarints(txn.body, 0, 2)
-    ints = iter(scan_uvarints(txn.body, pos, count)[0])
-
-    def row() -> list[int]:
-        return list(islice(ints, next(ints)))
-
-    state["next_id"] += next(ints)
-    pops = next(ints)
-    if pops:
-        del state["free_ids"][-pops:]
-    state["free_ids"] += row()
-    dropped = row()
-    state["on_disk"].difference_update(dropped)
-    state["on_disk"].update(txn.puts)
-    state["owner"].fold(ints)
-    state["lsn"] = txn.lsn
-    return dropped
-
-
-def fold_log(
+def log_base(
     directory: dict[str, Any] | None, transactions: list[WALTransaction], path: str
-) -> tuple[dict[str, Any], str, int]:
-    """What a page file's log continues its at-rest ``directory`` to.
+) -> tuple[dict[str, Any], str, list[WALTransaction]]:
+    """Where a page file's log starts its at-rest ``directory`` from.
 
     The base is the directory (``None``: torn or corrupt) or the log's
-    last ABSOLUTE record, whichever is newer; every transaction then goes
-    through :func:`fold_transaction`.  Returns the folded state (the
-    directory itself, advanced in place, when it was the base), which
-    base it was (``"directory"`` or ``"wal"``) and how many transactions
-    folded rather than being skipped.
+    last ABSOLUTE record, whichever is newer.  Returns the base state,
+    which it was (``"directory"`` or ``"wal"``) and the logged tapes past
+    it, in order, for :func:`repro.persist.replay_transaction` to re-run
+    (the ones at or below the base's LSN — a log that outlived its
+    checkpoint — are skipped; a gap is a :class:`~repro.errors.RecoveryError`).
     """
     flushed_lsn = directory["lsn"] if directory is not None else -1
     base = None
     for txn in transactions:
+        if txn.lsn is None:
+            raise RecoveryError(f"{path}: a committed transaction carries no DELTA record")
         if txn.absolute and txn.lsn > flushed_lsn:
             base = txn
     if base is None and directory is None:
@@ -217,8 +197,14 @@ def fold_log(
             "absolute record to replace it"
         )
     state = directory if base is None else decode_directory(base.body)
-    folded = sum(fold_transaction(state, txn) is not None for txn in transactions)
-    return state, "directory" if base is None else "wal", folded
+    tapes = [txn for txn in transactions if not txn.absolute and txn.lsn > state["lsn"]]
+    for lsn, txn in enumerate(tapes, state["lsn"] + 1):
+        if txn.lsn != lsn or txn.ops is None:
+            raise RecoveryError(
+                f"{path}: log transaction {txn.lsn} cannot follow state {lsn - 1}"
+                if txn.lsn != lsn else f"{path}: log transaction {lsn} carries no tape"
+            )
+    return state, "directory" if base is None else "wal", tapes
 
 
 def read_directory(path: str) -> dict[str, Any] | None:
@@ -269,8 +255,8 @@ class FileBackend(StorageBackend):
     Parameters
     ----------
     path:
-        The page file.  Created if missing; otherwise opened, folding
-        the write-ahead log (``path + ".wal"``) over its directory.
+        The page file.  Created if missing; otherwise opened on the base
+        its directory and write-ahead log (``path + ".wal"``) name.
     page_bytes:
         Fixed page slot size, :func:`default_page_bytes` when omitted for a
         new file.  Must match the file's on opening an existing file (omit
@@ -298,11 +284,23 @@ class FileBackend(StorageBackend):
         self.wal_manifest: dict[str, Any] = read_wal_manifest(path)
         #: Decoded live payloads (the buffer pool); identity-stable.
         self._objects: dict[int, Any] = {}
-        #: Ids with a durable page image (in the log or the page file).
+        #: Ids with a page image (in the page file, or in the log's last
+        #: checkpoint record).
         self._on_disk: set[int] = set()
-        #: Newest journaled image of every block the page file does not
-        #: hold yet; a checkpoint writes these back and empties the table.
-        self._unflushed: dict[int, bytes] = {}
+        #: Blocks dirtied since the last checkpoint: pinned in the object
+        #: table, the next checkpoint encodes and writes them back.
+        self._dirty: set[int] = set()
+        #: Logged tapes past the base that opening found, for
+        #: :func:`repro.persist.replay_transaction` to take and re-run.
+        self.tapes: list[WALTransaction] = []
+        #: The logged transaction a replay is re-creating, else None.
+        self._replay: WALTransaction | None = None
+        #: Tape bytes logged since the last checkpoint.
+        self._tape_bytes = 0
+        #: Whether the state holds changes no log record carries (blocks
+        #: no tape re-creates, or what a failed checkpoint consumed): the
+        #: next record must then restate it, at a new LSN.
+        self._unlogged = False
         #: LSN of the last transaction made durable, and of the at-rest
         #: directory.
         self.lsn = 0
@@ -316,7 +314,7 @@ class FileBackend(StorageBackend):
         self._pushed: list[int] = []
         self._dropped: list[int] = []
         #: The owner of every directory image's and DELTA's tail
-        #: (:mod:`repro.storage.owner`): what recovery folded, until
+        #: (:mod:`repro.storage.owner`): what the base held, until
         #: :func:`repro.persist.checkpoint_scheme` installs a journal.
         self.owner: Any = FoldedOwner()
         # Physical-I/O counters (the honest cost the logical IOStats models).
@@ -340,9 +338,6 @@ class FileBackend(StorageBackend):
             self._disk.write_at(self._handle, 0, MAGIC)
             self._write_directory(encode_directory(self._directory()))
             self._disk.sync(self._handle)
-        #: ``_wal.bytes_written`` at the last checkpoint: a log that was
-        #: standing when the file was opened counts as logged since.
-        self._checkpoint_mark = -self._wal_size()
 
     # ------------------------------------------------------------------
     # the disk's policy, faults and counter
@@ -405,29 +400,32 @@ class FileBackend(StorageBackend):
             return 0
 
     def _open_existing(self, page_bytes: int | None) -> None:
-        """Fold the log over the newest absolute state (:func:`fold_log`).
+        """Take the base :func:`log_base` names and hold the tapes past it.
 
-        Every journaled image still in the log is kept in ``_unflushed``,
-        newest wins, and served from there — also one the directory's LSN
-        says was written back: page, directory and header writes share
-        one sync, so a power loss can keep the directory and lose a page.
-        Opening writes nothing but the cut of a torn tail, so a
-        follower's log stays a byte-for-byte mirror and the next
-        checkpoint does the write-back.
+        The page images of every checkpoint record still in the log are
+        decoded over the page file, newest wins, and count as dirty — also
+        those the directory's LSN says were written back: page, directory
+        and header writes share one sync, so a power loss can keep the
+        directory and lose a page.  Opening writes nothing but the cut of
+        a torn tail, so a follower's log stays a byte-for-byte mirror and
+        the next checkpoint does the write-back.
         """
         directory = read_directory(self.path)
         flushed_lsn = directory["lsn"] if directory is not None else -1
         scan = scan_wal(self.wal_path)
-        state, source, folded = fold_log(directory, scan.transactions, self.path)
-        for txn in scan.transactions:
-            self._unflushed.update(txn.puts)
+        state, source, self.tapes = log_base(directory, scan.transactions, self.path)
         self.lsn, self.page_bytes = state["lsn"], state["page_bytes"]
         self._next_id = self._journaled_next_id = state["next_id"]
         self._free_ids, self._on_disk = state["free_ids"], state["on_disk"]
         self.owner = state["owner"]
         self._directory_lsn = max(flushed_lsn, 0)
-        for block_id in self._unflushed.keys() - self._on_disk:
-            del self._unflushed[block_id]
+        images: dict[int, bytes] = {}
+        for txn in scan.transactions:
+            images.update(txn.puts)
+        for block_id, image in images.items():
+            if block_id in self._on_disk:
+                self._objects[block_id] = decode_block_payload(image)
+                self._dirty.add(block_id)
         if scan.torn_tail:
             self._wal.trim(scan.committed_bytes)
         if page_bytes is not None and page_bytes != self.page_bytes:
@@ -436,9 +434,9 @@ class FileBackend(StorageBackend):
             )
         self.recovery_report = {
             "checkpoint_lsn": flushed_lsn if directory is not None else None,
-            "lsn": self.lsn,
+            "lsn": self.lsn + len(self.tapes),
             "base": source,
-            "replayed_transactions": folded,
+            "replayed_transactions": len(self.tapes),
             "discarded_tail_bytes": scan.tail_bytes if scan.torn_tail else 0,
             "discarded_tail_reason": scan.tail_reason,
         }
@@ -446,11 +444,11 @@ class FileBackend(StorageBackend):
         registry.counter(
             "repro_recovery_opens_total", help="page files opened with recovery"
         ).inc()
-        if folded:
+        if self.tapes:
             registry.counter(
                 "repro_recovery_replayed_txns_total",
-                help="committed WAL transactions folded at open",
-            ).inc(folded)
+                help="committed WAL transactions replayed at open",
+            ).inc(len(self.tapes))
 
     # ------------------------------------------------------------------
     # pages
@@ -466,22 +464,28 @@ class FileBackend(StorageBackend):
         self.page_writes += 1
 
     def _read_page(self, block_id: int) -> Any:
-        # A block's newest image is in ``_unflushed`` from the commit that
-        # journals it until a checkpoint has written it back *and* flushed
-        # the handle; only then does a cold read go to the file.  That
-        # read is positioned on the descriptor: readers under the shared
-        # latch cold-read concurrently, and seek + read on the one shared
-        # handle would let two of them swap pages.  (``_unflushed`` itself
-        # changes only under the exclusive latch.)
-        image = self._unflushed.get(block_id)
-        if image is None:
-            framed = os.pread(
-                self._handle.fileno(), self.page_bytes, self._page_offset(block_id)
-            )
-            (length,) = _PAGE_HEADER.unpack_from(framed)
-            image = framed[_PAGE_HEADER.size : _PAGE_HEADER.size + length]
+        # A block dirtied since the last checkpoint is pinned in the
+        # object table, so a cold read always finds its newest image in
+        # the file.  The read is positioned on the descriptor: readers
+        # under the shared latch cold-read concurrently, and seek + read on
+        # the one shared handle would let two of them swap pages.
+        framed = os.pread(
+            self._handle.fileno(), self.page_bytes, self._page_offset(block_id)
+        )
+        (length,) = _PAGE_HEADER.unpack_from(framed)
         self.page_reads += 1
-        return decode_block_payload(image)
+        return decode_block_payload(framed[_PAGE_HEADER.size : _PAGE_HEADER.size + length])
+
+    def _image(self, block_id: int) -> bytes:
+        """The block's page image; a :class:`~repro.errors.StorageError`
+        when it outgrows the slot."""
+        image = encode_block_payload(self._objects[block_id])
+        if _PAGE_HEADER.size + len(image) > self.page_bytes:
+            raise StorageError(
+                f"block {block_id} needs {_PAGE_HEADER.size + len(image)} "
+                f"bytes but pages hold {self.page_bytes}; raise page_bytes"
+            )
+        return image
 
     # ------------------------------------------------------------------
     # StorageBackend interface
@@ -533,7 +537,7 @@ class FileBackend(StorageBackend):
         if not self.exists(block_id):
             raise KeyError(block_id)
         self._objects.pop(block_id, None)
-        self._unflushed.pop(block_id, None)
+        self._dirty.discard(block_id)
         if block_id in self._on_disk:
             self._on_disk.discard(block_id)
             self._dropped.append(block_id)
@@ -542,42 +546,80 @@ class FileBackend(StorageBackend):
     # durability
     # ------------------------------------------------------------------
 
-    def commit(self, dirty_ids: Iterable[int]) -> None:
+    def commit(self, dirty_ids: Iterable[int], tape: Tape = None) -> None:
         """Make the listed blocks + what changed in the directory durable:
-        one log transaction, one sync (see :mod:`repro.storage.wal`).
+        with their ``tape`` (its rows encoded here), one log transaction
+        ``[OPS, DELTA, COMMIT]`` and one sync (see :mod:`repro.storage.wal`);
+        without one — or with an op the op row cannot carry — a checkpoint.
 
-        Checkpoints by itself once :data:`CHECKPOINT_LOG_BYTES` have been
-        logged since the last one.
+        The blocks join the next checkpoint's write-back first, so one
+        restates them also when this commit fails.  Once the tape is
+        logged the commit stands: the automatic checkpoint it takes every
+        :data:`CHECKPOINT_TAPE_BYTES` of tape is retried by the next
+        commit when it fails transiently.
         """
+        dirty = [block_id for block_id in dirty_ids if block_id in self._objects]
+        if not dirty and not self._delta()[1]:
+            return  # a failed batch that changed nothing durable
         self._disk.hit("backend.commit")
         with trace.span("backend.commit") as span:
             bytes_before = self.bytes_written
-            puts: dict[int, bytes] = {}
-            for block_id in dirty_ids:
-                if block_id in self._objects:
-                    image = encode_block_payload(self._objects[block_id])
-                    if _PAGE_HEADER.size + len(image) > self.page_bytes:
-                        raise StorageError(
-                            f"block {block_id} needs {_PAGE_HEADER.size + len(image)} "
-                            f"bytes but pages hold {self.page_bytes}; raise page_bytes"
-                        )
-                    puts[block_id] = image
-            self._journal(puts)
-            self.commits += 1
-            self.pages_journaled += len(puts)
-            if self._wal.bytes_written - self._checkpoint_mark > CHECKPOINT_LOG_BYTES:
+            try:
+                ops = None if tape is None else b"".join(row(ended) for row, ended in tape)
+            except ProtocolError:
+                ops = None
+            widest = self.owner.widest_page
+            if ops is not None and self._replay is None and (
+                widest is None or widest > self.page_bytes
+            ):
+                for block_id in dirty:  # refused before the ack, not at a checkpoint
+                    self._image(block_id)
+            self._dirty.update(dirty)
+            if ops is None or self._unlogged:
+                self._unlogged = True
                 self.checkpoint()
+            else:
+                self._journal(ops)
+                self._tape_bytes += len(ops)
+                if self._tape_bytes > CHECKPOINT_TAPE_BYTES and self._replay is None:
+                    try:
+                        self.checkpoint()
+                    except TransientIOError:
+                        pass
+            self.commits += 1
             if span.recording:
-                span.add("backend.pages", len(puts))
+                span.add("backend.pages", 0 if ops is not None else len(dirty))
                 span.add("backend.bytes", self.bytes_written - bytes_before)
         get_registry().counter(
             "repro_backend_commits_total",
             help="WAL-guarded page-file commits",
         ).inc()
 
-    def _journal(self, puts: dict[int, bytes]) -> None:
-        """Append ``[PUT…, DELTA, COMMIT]`` and sync the log; nothing is
-        written when nothing changed.
+    def _delta(self) -> tuple[list[int], bool]:
+        """The pending DELTA row — the allocation changes, then the
+        owner's part — and whether it changes anything."""
+        owner_row, owner_changed = self.owner.delta()
+        row = [self._next_id - self._journaled_next_id, self._pops]
+        row.append(len(self._pushed))
+        row += self._pushed
+        row.append(len(self._dropped))
+        row += self._dropped
+        changed = owner_changed or any(row)
+        return row + owner_row, changed
+
+    def _consumed(self) -> None:
+        """The pending DELTA is durable (or restated): start the next."""
+        self.lsn += 1
+        self.owner.consumed()
+        self._journaled_next_id = self._next_id
+        self._pops = 0
+        self._pushed.clear()
+        self._dropped.clear()
+
+    def _journal(self, ops: bytes) -> None:
+        """Append ``[OPS, DELTA, COMMIT]`` and sync the log — or, under
+        :meth:`replaying`, check the DELTA and tape against the logged
+        transaction instead of appending.
 
         The pending delta and its LSN are consumed only once the sync has
         succeeded, and a :class:`~repro.errors.TransientIOError` up to and
@@ -585,84 +627,119 @@ class FileBackend(StorageBackend):
         the same delta under the same LSN, an abandoned one leaves no
         transaction behind for a later, larger delta to duplicate.
         """
-        owner_row, owner_changed = self.owner.delta()
-        row = [self._next_id - self._journaled_next_id, self._pops]
-        row.append(len(self._pushed))
-        row += self._pushed
-        row.append(len(self._dropped))
-        row += self._dropped
-        if not (puts or owner_changed or any(row)):
-            return
-        row += owner_row
+        self._refuse_unreplayed()
+        row, _changed = self._delta()
         body = bytearray()
         append_uvarints(body, [self.lsn + 1, len(row)] + row)
-        self._wal.append_transaction(puts, bytes(body))
-        self.lsn += 1
-        self.owner.consumed()
-        self._journaled_next_id = self._next_id
-        self._pops = 0
-        self._pushed.clear()
-        self._dropped.clear()
-        self._on_disk.update(puts)
-        self._unflushed.update(puts)
+        logged = self._replay
+        if logged is None:
+            self._wal.append_transaction({}, bytes(body), ops=ops)
+        elif (logged.body, logged.ops) != (body, ops):  # the body leads with the LSN
+            record = "DELTA" if logged.ops == ops else "tape (a batch's ops or how it ended)"
+            raise RecoveryError(
+                f"{self.path}: re-running log transaction {logged.lsn} "
+                f"gave a different {record} than the one logged"
+            )
+        self._consumed()
+
+    def _refuse_unreplayed(self) -> None:
+        if self.tapes:
+            raise RecoveryError(
+                f"{self.path}: the log holds {len(self.tapes)} tape(s) past "
+                f"LSN {self.lsn} that no replay has re-run; open the file "
+                "through repro.persist.open_file_scheme"
+            )
+
+    @contextmanager
+    def replaying(self, txn: WALTransaction) -> Iterator[None]:
+        """Scope the re-run of logged transaction ``txn``: the commit inside
+        logs nothing, and raises a :class:`~repro.errors.RecoveryError`
+        naming the LSN unless its DELTA and tape are the logged ones byte
+        for byte — the owner journals the logged stamp, which re-running
+        cannot derive.  So does leaving the scope without that commit."""
+        owner = self.owner
+        stamp = owner.stamp
+        logged = owner.logged_stamp(_owner_row(txn.body))
+        owner.stamp = lambda: logged
+        self._replay = txn
+        try:
+            yield
+        finally:
+            self._replay = None
+            owner.stamp = stamp
+        if self.lsn != txn.lsn:
+            raise RecoveryError(
+                f"{self.path}: re-running log transaction {txn.lsn} committed nothing"
+            )
 
     def checkpoint(self) -> int:
         """Fold the log into the page file (the *force* protocol) and seal
         it; returns the sealed segment's id.
 
-        Whatever is still pending is journaled first, so the ABSOLUTE
-        record restates exactly the state the log's DELTAs fold to.  Then:
-        record into the log, sync; pages journaled since the last
-        checkpoint and the directory into the page file, sync; seal the
-        log into the next segment and apply retention (:meth:`_seal`).
+        Encodes every page dirtied since the last checkpoint once and logs
+        the images with an ABSOLUTE record — the complete directory, at a
+        new LSN when something is still pending or no record carries it
+        (a commit's blocks without a tape: a follower, which cannot
+        restate those, stops rather than diverge) — as ``[PUT…, ABSOLUTE,
+        COMMIT]``, sync; writes the same images and the directory into
+        the page file, sync; seals the log into the next segment and
+        applies retention (:meth:`_seal`).  A transient error logging the
+        record leaves its LSN to the retry.
         """
-        self._journal({})
+        self._refuse_unreplayed()
+        if self._replay is not None:  # a re-run re-creates its tape, or nothing
+            raise RecoveryError(
+                f"{self.path}: re-running log transaction {self._replay.lsn} "
+                "ended without its tape"
+            )
+        puts = {block_id: self._image(block_id) for block_id in sorted(self._dirty)}
+        _row, changed = self._delta()
+        bump = changed or self._unlogged
+        if bump:
+            self._consumed()  # the record restates the whole directory
+        self._on_disk.update(puts)
         blob = encode_directory(self._directory())
-        self._wal.append_transaction({}, blob, absolute=True)
-        self.write_back(blob)
+        try:
+            self._wal.append_transaction(puts, blob, absolute=True)
+        except TransientIOError:
+            if bump:
+                self.lsn -= 1
+                self._unlogged = True
+            raise
+        self._unlogged = False
+        self.pages_journaled += len(puts)
+        self.write_back(puts, blob)
         return self._seal()
 
-    def write_back(self, blob: bytes) -> None:
-        """Write the unflushed page images and the directory image
-        ``blob`` to the page file and sync it.  ``blob`` must already be
-        durable in the log as an ABSOLUTE record (a checkpoint's own, or
-        on a follower the one its primary shipped): a crash in here tears
-        pages and directory, and only the log can repair both."""
-        for block_id, image in self._unflushed.items():
+    def write_back(self, puts: dict[int, bytes], blob: bytes) -> None:
+        """Write the page images ``puts`` and the directory image ``blob``
+        to the page file and sync it; nothing is dirty after.  Both must
+        already be durable in the log as a checkpoint record (this
+        checkpoint's own, or on a follower the one its primary shipped): a
+        crash in here tears pages and directory, and only the log can
+        repair both."""
+        for block_id, image in puts.items():
             self._write_page_image(block_id, image)
         self._write_directory(blob)
         # The barrier: the page file must be durable before the log stops
-        # being the source of truth (is sealed away).  The flush inside
-        # also precedes emptying ``_unflushed``, which is what lets cold
-        # reads go to the descriptor.
+        # being the source of truth (is sealed away).
         self._disk.sync(self._handle)
-        self._unflushed.clear()
+        self._dirty.clear()
+        self._tape_bytes = 0
 
-    def apply_shipped(self, txn: WALTransaction) -> bool:
-        """Follower side: fold one shipped transaction into the *live*
-        state — the backend's own lists in place, the rest through the
-        owner (a replica scheme's journal folds it into the live
-        scheme).  Journaled images are served from ``_unflushed``; an
-        ABSOLUTE record — the primary checkpointed — is the follower's cue
-        to write back, with the record's own bytes as its directory.
-        Returns False for a transaction the state already includes."""
-        if txn.absolute and txn.lsn == self.lsn:
-            self.write_back(txn.body)
-            return True
-        state = self._directory()
-        if not _follows(state, txn):
-            return False
-        # Images first: the owner's fold may read the blocks they replace.
-        for block_id in txn.puts:
-            self._objects.pop(block_id, None)
-        self._unflushed.update(txn.puts)
-        for block_id in fold_transaction(state, txn):
-            if block_id not in txn.puts:
-                self._objects.pop(block_id, None)
-                self._unflushed.pop(block_id, None)
-        self.lsn, self._next_id = state["lsn"], state["next_id"]
-        self._journaled_next_id = self._next_id
-        return True
+    def restate(self, txn: WALTransaction) -> None:
+        """Follower side: the primary checkpointed at ``txn`` (an ABSOLUTE
+        record and its page images), which the replica's replayed state
+        must already be — same LSN, every block dirtied since the last
+        checkpoint among the images — or a
+        :class:`~repro.errors.RecoveryError`; then write them back."""
+        if txn.lsn != self.lsn or not self._dirty.issubset(txn.puts):
+            raise RecoveryError(
+                f"{self.path}: checkpoint record {txn.lsn} does not restate "
+                f"the replayed state at LSN {self.lsn}"
+            )
+        self._on_disk.update(txn.puts)
+        self.write_back(txn.puts, txn.body)
 
     # ------------------------------------------------------------------
     # WAL segments and retention (see repro.storage.walseg)
@@ -674,7 +751,6 @@ class FileBackend(StorageBackend):
         manifest = self.wal_manifest
         seg_id = manifest["next_segment"]
         self._wal.seal_to(segment_path(self.path, seg_id))
-        self._checkpoint_mark = self._wal.bytes_written
         manifest["segments"].append(seg_id)
         manifest["next_segment"] = seg_id + 1
         apply_retention(self.path, manifest, fsync=self._disk.fsync)
@@ -691,16 +767,16 @@ class FileBackend(StorageBackend):
 
         Returns the new segment's id, or ``None`` when the live log holds
         no transactions (sealing would produce an empty segment).  A log
-        the page file does not fully include yet — a newer LSN, or images
-        reopening found in it and could not tell were written back — is
-        checkpointed instead, whose seal is the seal: once sealed, a log
-        can no longer repair a torn write-back.  The caller must hold
+        the page file does not fully include yet — a newer LSN, or pages
+        dirtied since the last write-back — is checkpointed instead, whose
+        seal is the seal: once sealed, a log can no longer repair a torn
+        write-back.  The caller must hold
         whatever latch guards commits — rotation must not interleave with
         a transaction being appended.
         """
         if self._wal_size() <= len(WAL_MAGIC):
             return None
-        if self._directory_lsn != self.lsn or self._unflushed:
+        if self._directory_lsn != self.lsn or self._dirty:
             return self.checkpoint()
         return self._seal()
 
@@ -735,16 +811,15 @@ class FileBackend(StorageBackend):
         return record
 
     def drop_clean_objects(self) -> None:
-        """Evict the object table (committed blocks only).
+        """Evict the object table (blocks written back only).
 
         Diagnostics/tests: forces subsequent reads down the decode path
-        (the page file, or ``_unflushed`` for an image no checkpoint has
-        written back yet), proving the durable images are the real
-        structure.  Blocks never committed stay resident — dropping them
-        would lose data.
+        (the page file), proving the durable images are the real
+        structure.  Blocks dirtied since the last checkpoint stay resident
+        — the page file does not hold them yet.
         """
         for block_id in list(self._objects):
-            if block_id in self._on_disk:
+            if block_id in self._on_disk and block_id not in self._dirty:
                 del self._objects[block_id]
 
     def close(self) -> None:

@@ -24,49 +24,19 @@ import heapq
 from typing import Any, Callable, Iterable, Iterator
 
 from ..config import BoxConfig
-from ..errors import PersistError, RecordNotFoundError
+from ..errors import RecordNotFoundError
 from .blockstore import BlockStore
 
 #: Marker stored in unallocated slots.
 _EMPTY = None
 
-# Journal op codes (see :func:`fold_lidf_journal`); each op is the pair
-# ``(code, argument)``.
+# Journal op codes; each op is the pair ``(code, argument)``, and repeats
+# exactly what :class:`HeapFile` did to its own lists (the DELTA carries
+# them; ``tests/lidf_reference.py`` writes their meaning down).
 _J_TAIL = 0  # argument records taken from the tail
 _J_POP = 1  # argument records popped off the free heap
 _J_FREE = 2  # LID argument pushed onto the free heap
 _J_BLOCK = 4  # store block argument appended to the file (3 is retired)
-
-
-def fold_lidf_journal(
-    block_ids: list[int], free: list[int], ops: Iterator[int]
-) -> tuple[int, int]:
-    """Replay journaled allocation ops (an iterator of ints, two per op)
-    onto an LIDF directory's block list and free heap, in place; returns
-    how far they move its tail and its live count.
-
-    The one interpreter of the journal :meth:`HeapFile._log` writes.
-    Each op repeats exactly what :class:`HeapFile` did to its own lists,
-    so the folded free heap has the live one's order, not just its
-    members — a recovered file recycles LIDs as the crashed one would.
-    """
-    tail = live = 0
-    for code, arg in zip(ops, ops):
-        if code == _J_TAIL:
-            tail += arg
-            live += arg
-        elif code == _J_POP:
-            for _ in range(arg):
-                heapq.heappop(free)
-            live += arg
-        elif code == _J_FREE:
-            heapq.heappush(free, arg)
-            live -= 1
-        elif code == _J_BLOCK:
-            block_ids.append(arg)
-        else:
-            raise PersistError(f"unknown LIDF journal op {code}")
-    return tail, live
 
 
 class HeapFile:
@@ -235,13 +205,6 @@ class HeapFile:
         heapq.heapify(self._free)
         self._tail = state["tail"]
         self._live = state["live"]
-
-    def fold_journal(self, ops: Iterator[int]) -> None:
-        """Replay journaled ops onto this file in place (a replication
-        follower applying a shipped commit)."""
-        tail, live = fold_lidf_journal(self._block_ids, self._free, ops)
-        self._tail += tail
-        self._live += live
 
     # ------------------------------------------------------------------
     # sizing

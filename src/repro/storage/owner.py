@@ -2,8 +2,9 @@
 
 A :class:`~repro.storage.filebackend.FileBackend` hands it to its one
 ``owner`` — the labeling structure, whose LIDF is its own (§3) — with
-``delta()`` at commit, ``consumed()`` once that DELTA is durable,
-``image()`` at checkpoint and ``fold(row)`` at recovery and on a follower::
+``delta()`` at commit, ``consumed()`` once that DELTA is durable and
+``image()`` at checkpoint; a replay re-creates each DELTA and checks it
+against the logged one, taking only its stamp (``logged_stamp``)::
 
     directory image:  scalars row | LIDF tail, live, block ids, free heap | JSON meta
     DELTA:            scalar-diff row | LIDF journal ops
@@ -15,12 +16,10 @@ scheme's ``persist_state()`` integers in key order.
 from __future__ import annotations
 
 import json
-from itertools import islice
 from typing import Any, Callable, Iterator
 
 from ..errors import PersistError
 from .codec import append_uvarints, scan_uvarint, scan_uvarints
-from .heapfile import fold_lidf_journal
 
 
 def _zigzag(value: int) -> int:
@@ -32,7 +31,7 @@ def _unzigzag(raw: int) -> int:
 
 
 class FoldedOwner:
-    """The section decoded and folded — ``scalars``, ``lidf`` (a
+    """The section decoded — ``scalars``, ``lidf`` (a
     :meth:`HeapFile.persist_state` dict), ``meta`` — which a backend opens
     with until :mod:`repro.persist` attaches a scheme's journal to adopt
     it.  It journals no change of its own."""
@@ -40,6 +39,9 @@ class FoldedOwner:
     #: Zero-arg callable whose integer is journaled as ``scalars[0]``;
     #: None keeps the last journaled value.
     stamp: Callable[[], int] | None = None
+    #: The widest page slot the structure's images can need; None when
+    #: nothing bounds them, so a commit encodes its pages to tell.
+    widest_page: int | None = None
 
     def __init__(self, section: bytes | None = None) -> None:
         #: LIDF journal ops not journaled yet (a scheme's ``lidf.journal``).
@@ -100,17 +102,8 @@ class FoldedOwner:
         append_uvarints(out, flat)
         return bytes(out) + json.dumps(meta, sort_keys=True).encode("utf-8")
 
-    def fold(self, row: Iterator[int]) -> None:
-        """Replay the owner's part of a DELTA; the one reader of a
-        scalar-diff row."""
-        for index, raw in enumerate(islice(row, next(row))):
-            if index == len(self.scalars):
-                self.scalars.append(0)
-            self.scalars[index] += _unzigzag(raw)
-        self._fold_lidf(row)
-
-    def _fold_lidf(self, ops: Iterator[int]) -> None:
-        lidf = self.lidf
-        tail, live = fold_lidf_journal(lidf["block_ids"], lidf["free"], ops)
-        lidf["tail"] += tail
-        lidf["live"] += live
+    def logged_stamp(self, row: Iterator[int]) -> int:
+        """The stamp a DELTA's owner part ``row`` journals: its first
+        scalar difference over the current stamp."""
+        count = next(row)
+        return self.scalars[0] + (_unzigzag(next(row)) if count else 0)

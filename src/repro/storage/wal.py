@@ -1,47 +1,49 @@
 """Write-ahead log for the file backend.
 
-Durability protocol (redo-only WAL, *no-force*):
+Durability protocol (redo-only WAL, *no-force*, logical redo between
+checkpoints):
 
-* **Commit.**  When an operation scope closes, the dirty blocks' encoded
-  pages and a DELTA record — what the operation changed in the
-  backend's allocation state and in its owner's state — are
-  appended as one transaction ``[PUT…, DELTA, COMMIT]``, and the log is
-  synced.  That is all a commit writes: pages and the page file's
-  directory stay as they were.
-* **Checkpoint.**  An ABSOLUTE record — the complete directory, the
-  state every DELTA so far folds to — is appended and synced; then the
-  pages journaled since the last checkpoint and the directory are
-  written to the page file, the page file is synced, and the log is
-  sealed: renamed into the next numbered segment
-  (:mod:`repro.storage.walseg`), whose retention rule decides how long
-  it stays.
+* **Commit.**  When a writer wake-up's durable scope closes, its *tape*
+  — the batches it ran, each with how it ended — and a DELTA record —
+  what the wake-up changed in the backend's allocation state and in its
+  owner's state — are appended as one transaction ``[OPS, DELTA,
+  COMMIT]``, and the log is synced.  That is all a commit writes: no page
+  image, and pages and the page file's directory stay as they were.
+* **Checkpoint.**  The images of every page dirtied since the last
+  checkpoint, each encoded once, and an ABSOLUTE record — the complete
+  directory — are appended as ``[PUT…, ABSOLUTE, COMMIT]`` and synced;
+  then those pages and the directory are written to the page file, the
+  page file is synced, and the log is sealed: renamed into the next
+  numbered segment (:mod:`repro.storage.walseg`), whose retention rule
+  decides how long it stays.
 
 Every DELTA carries a log sequence number one past its predecessor's;
 an ABSOLUTE record carries the LSN of the state it restates and the
-page file's directory records the LSN it includes.  Recovery therefore
-folds each DELTA exactly once (see
-:func:`repro.storage.filebackend.fold_transaction`), whichever of the
-crash states it finds:
+page file's directory records the LSN it includes.  Recovery
+(:func:`repro.persist.replay_transaction`) starts from the newer of the
+directory and the last ABSOLUTE record and re-runs each later tape
+through the batch executor, checking that the re-run's DELTA is the
+logged one byte for byte.  The three crash windows:
 
 * **torn transaction** (crash mid-append): the log's tail has no valid
   commit record and is discarded; the structure is its last committed
   state.
-* **committed, not written back** (the normal state between
-  checkpoints): the directory is older than the log; DELTAs past its LSN
-  are folded over it and the newest journaled image of each block is
-  served from the log.
+* **committed, not checkpointed** (the normal state between
+  checkpoints): the directory is older than the log; the tapes past its
+  LSN are re-run over it.
 * **crash inside a checkpoint**: the ABSOLUTE record is durable, pages
-  or the directory may be torn.  The record is the base, and every page
-  being written back still has its image in the log.
-* **directory written, log not yet sealed**: every DELTA's LSN is at
-  or below the directory's and is skipped.  Its page images are not:
-  pages and directory share one sync, so a landed directory does not
-  prove the pages landed, and PUTs replay idempotently.
+  or the directory may be torn — or all landed, the log not yet sealed.
+  Every page being written back has its image in the log's PUTs, which
+  are served over the page file (pages and directory share one sync, so
+  even a landed directory does not prove the pages landed), and the next
+  checkpoint writes them back again.
 
 Record format: ``u8 type │ u32 length │ body``.  Types: PUT (uvarint
 block id + page image), DELTA and ABSOLUTE (uvarint LSN + a body the
 file backend encodes), COMMIT (u32 CRC-32 over every record byte since
-the previous commit).  The file starts with an 8-byte magic.
+the previous commit), OPS (tape rows back to back,
+:func:`repro.core.batch.encode_batch`).  The file starts with an 8-byte
+magic.
 """
 
 from __future__ import annotations
@@ -58,23 +60,27 @@ from ..obs.metrics import get_registry
 from .codec import scan_uvarint, uvarint_bytes
 from .disk import Disk
 
-#: Format version 2: DELTA/ABSOLUTE records replaced version 1's JSON META.
-MAGIC = b"BOXWAL02"
+#: Format version 3: a commit logs its tape (OPS), page images go out
+#: only with checkpoints; version 2 journaled them with every commit.
+MAGIC = b"BOXWAL03"
 
 REC_PUT = 1
 REC_DELTA = 2
 REC_COMMIT = 3
 REC_ABSOLUTE = 4
+REC_OPS = 5
 
 _HEADER = struct.Struct(">BI")  # record type, body length
 
 
 @dataclass
 class WALTransaction:
-    """One decoded committed transaction: page images plus its DELTA (or,
-    for a checkpoint's restatement, ABSOLUTE) record."""
+    """One decoded committed transaction: a commit's tape and DELTA, or a
+    checkpoint's page images and ABSOLUTE record."""
 
     puts: dict[int, bytes] = field(default_factory=dict)
+    #: The OPS record body (tape rows); None when there is none.
+    ops: bytes | None = None
     #: The record's LSN; None when the transaction carries neither record.
     lsn: int | None = None
     #: The DELTA/ABSOLUTE record body, LSN varint included.
@@ -128,12 +134,16 @@ class WALWriter:
                 self._disk.write(self._handle, MAGIC)
 
     def append_transaction(
-        self, puts: dict[int, bytes], body: bytes, absolute: bool = False
+        self,
+        puts: dict[int, bytes],
+        body: bytes,
+        absolute: bool = False,
+        ops: bytes | None = None,
     ) -> None:
-        """Append one transaction: PUT records, the DELTA (or ABSOLUTE)
-        record ``body`` — which starts with its uvarint LSN — and COMMIT,
-        then sync the log (the hooked barrier,
-        :meth:`~repro.storage.disk.Disk.sync`).
+        """Append one transaction: the OPS record ``ops`` (when given), PUT
+        records, the DELTA (or ABSOLUTE) record ``body`` — which starts
+        with its uvarint LSN — and COMMIT, then sync the log (the hooked
+        barrier, :meth:`~repro.storage.disk.Disk.sync`).
 
         A :class:`~repro.errors.TransientIOError` raised mid-transaction
         or by the sync (an injected retryable fault) rolls the log back to
@@ -152,6 +162,10 @@ class WALWriter:
             start_offset = self._handle.tell()
             crc = 0
             try:
+                if ops is not None:
+                    record = _encode_record(REC_OPS, ops)
+                    crc = zlib.crc32(record, crc)
+                    self._write(record)
                 for block_id, image in puts.items():
                     record = _encode_record(REC_PUT, uvarint_bytes(block_id) + image)
                     crc = zlib.crc32(record, crc)
@@ -224,7 +238,7 @@ class WALWriter:
         The file is synced before the rename and the directory after it
         (through the disk's fsync policy), so the sealed segment is
         durable under its final name: a seal lost to a crash leaves the
-        folded log standing, which recovery skips by LSN but must still
+        replayed log standing, which recovery skips by LSN but must still
         scan.  ``wal.truncate`` fires at entry, while the log still stands.
         """
         self._disk.hit("wal.truncate")
@@ -275,10 +289,10 @@ def scan_wal_bytes(
         return scan
     if expect_magic:
         if data[: len(MAGIC)] != MAGIC:
-            if data[: len(MAGIC)] == b"BOXWAL01":
+            if data[: len(MAGIC)] in (b"BOXWAL01", b"BOXWAL02"):
                 raise WALError(
-                    f"{source} is a format-version-1 write-ahead log; "
-                    "this build reads version 2"
+                    f"{source} is a format-version-{data[7] - 48} write-ahead "
+                    "log; this build reads version 3"
                 )
             if MAGIC.startswith(data[: len(MAGIC)]):
                 # The very first physical write (the magic itself) was torn:
@@ -302,7 +316,7 @@ def scan_wal_bytes(
             break
         rec_type, length = _HEADER.unpack_from(data, offset)
         body_start = offset + _HEADER.size
-        if rec_type not in (REC_PUT, REC_DELTA, REC_COMMIT, REC_ABSOLUTE):
+        if not REC_PUT <= rec_type <= REC_OPS:
             raise WALError(f"{source}: impossible record type {rec_type}")
         if body_start + length > len(data):
             scan.tail_reason = "torn record body"
@@ -333,6 +347,8 @@ def scan_wal_bytes(
                 scan.tail_reason = "corrupt PUT body"
                 break
             pending.puts[block_id] = body[image_start:]
+        elif rec_type == REC_OPS:
+            pending.ops = body
         else:  # REC_DELTA / REC_ABSOLUTE
             try:
                 pending.lsn = scan_uvarint(body, 0)[0]

@@ -595,18 +595,27 @@ def apply_tape_step(target: Any, lids: list[int], step: tuple[str, int]) -> None
     """Interpret one :func:`crash_recovery_tape` step against ``target``,
     keeping ``lids`` (the live-LID list, mutated in place) in sync.
 
-    ``target`` is anything with ``insert_before(lid) -> lid`` and
-    ``delete(lid)`` over the LIDs in ``lids``: a scheme, or the chaos
-    driver's live service and its twin (the one interpreter for both).
-    Deletes are demoted to inserts while the live population is small, so
-    a delete-heavy seed can never drain the structure.  A checkpoint step
-    calls ``target.checkpoint()`` where there is one and changes no label
-    (a no-op on a memory twin).
+    ``target`` is a scheme, or anything else with ``insert_before(lid) ->
+    lid`` and ``delete(lid)`` over the LIDs in ``lids``: the chaos
+    driver's live service and its twin (the one interpreter for both).  A
+    scheme runs each edit as a one-op batch, so on a page file it commits
+    as one logged tape, as the service's edits do.  Deletes are demoted to
+    inserts while the live population is small, so a delete-heavy seed can
+    never drain the structure.  A checkpoint step calls
+    ``target.checkpoint()`` where there is one and changes no label (a
+    no-op on a memory twin).
     """
     kind, draw = step
+    run = getattr(target, "execute_batch", None)
     if kind == "checkpoint":
         getattr(target, "checkpoint", lambda: None)()
     elif kind == "delete" and len(lids) > 12:
-        target.delete(lids.pop(draw % len(lids)))
+        lid = lids.pop(draw % len(lids))
+        target.delete(lid) if run is None else run([BatchOp("delete", (lid,))])
     else:
-        lids.append(target.insert_before(lids[draw % len(lids)]))
+        anchor = lids[draw % len(lids)]
+        lids.append(
+            target.insert_before(anchor)
+            if run is None
+            else run([BatchOp("insert_before", (anchor,))]).results[0]
+        )

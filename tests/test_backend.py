@@ -33,6 +33,8 @@ from repro.storage.codec import uvarint_bytes
 from repro.storage.disk import Disk
 from repro.storage.wal import WALWriter
 
+from . import taped
+
 
 def delta(lsn, payload=b""):
     """A DELTA record body as the log sees it: uvarint LSN + opaque rest."""
@@ -191,8 +193,8 @@ class TestFileBackendPages:
         backend = make_backend(tmp_path)
         ids = [backend.allocate([i]) for i in range(30)]
         backend.owner.meta = {"payload": "x" * 20_000}
-        backend.commit(ids)
-        assert read_directory(backend.path)["on_disk"] == set()  # commits leave it be
+        backend.commit(ids)  # no tape: the commit is a checkpoint
+        assert read_directory(backend.path)["on_disk"] == set(ids)
         backend.checkpoint()
         first_size = os.path.getsize(backend.path)
         more = [backend.allocate([i]) for i in range(30, 40)]
@@ -341,36 +343,33 @@ class TestRecoveryWindows:
     def test_committed_but_unapplied_is_replayed(self, tmp_path):
         backend, ids = self._committed_file(tmp_path)
         backend.write(ids[0], [404, 405])
-        backend.commit([ids[0]])
-        # The checkpoint's physical writes: ABSOLUTE + COMMIT into the
-        # log, then the pages.  Granting exactly three tears the first
-        # page write — after the absolute record is durable.
-        arm_crash_after(backend, 3)
+        # A commit without a tape is a checkpoint, whose physical writes
+        # are the fresh log's magic, PUT + ABSOLUTE + COMMIT, then the
+        # pages.  Granting exactly five tears the first page write — after
+        # the checkpoint record is durable.
+        arm_crash_after(backend, 5)
         with pytest.raises(CrashError):
-            backend.checkpoint()
+            backend.commit([ids[0]])
         backend.close()
-        assert scan_wal(backend.wal_path).committed == 3
+        assert scan_wal(backend.wal_path).committed == 1
         reopened = FileBackend(str(backend.path))
         assert reopened.recovery_report["base"] == "wal"
-        # Page 1 landed where the empty file's directory image was: the
-        # file has outgrown it, so the log's record is the only base.
-        assert reopened.recovery_report["checkpoint_lsn"] is None
+        assert reopened.recovery_report["checkpoint_lsn"] == 1
         assert reopened.lsn == 2
-        assert reopened.read(ids[0]) == [404, 405]
-        assert reopened.read(ids[1]) == [1, 1]  # the torn page, served from the log
+        assert reopened.read(ids[0]) == [404, 405]  # the torn page, served from the log
+        assert reopened.read(ids[1]) == [1, 1]
         reopened.close()
 
     def test_torn_superblock_repaired_from_wal(self, tmp_path):
         backend, ids = self._committed_file(tmp_path)
         backend.checkpoint()
         backend.write(ids[1], [777])
-        backend.commit([ids[1]])
-        # Tear the directory image the next checkpoint writes: it lands
+        # Tear the directory image the commit's checkpoint writes: it lands
         # on the old image (same offset), so neither survives — only the
         # absolute record the checkpoint logged first.
         backend.install_faults(FaultInjector(FaultPlan.superblock_crash(at=1)))
         with pytest.raises(CrashError):
-            backend.checkpoint()
+            backend.commit([ids[1]])
         backend.close()
         assert read_directory(backend.path) is None
         reopened = FileBackend(str(backend.path))
@@ -421,7 +420,7 @@ class TestSchemeCrashRecovery:
         try:
             for round_index in range(1000):
                 anchor = lids[(7 * round_index) % len(lids)]
-                lids.append(scheme.insert_before(anchor))
+                lids.append(taped.insert_before(scheme, anchor))
                 acked = backend.lsn
         except CrashError:
             crashed = True

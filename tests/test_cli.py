@@ -12,6 +12,9 @@ from repro.persist import create_store
 from repro.xml.writer import serialize
 from repro.xml.xmark import xmark_document
 
+from . import taped
+from .test_format_pin import tapes_of
+
 
 @pytest.fixture
 def xml_file(tmp_path):
@@ -110,15 +113,15 @@ class TestFileStore:
             populate=lambda fresh: bulk_load_sharded(fresh, 40),
         )
         for glid in glids[:4] + glids[-4:]:
-            schemes[glid % 2].insert_before(glid // 2)
+            taped.insert_before(schemes[glid % 2], glid // 2)
         for scheme in schemes:
             scheme.store.backend.close()  # a kill: the inserts are only in the logs
         assert main(["info", root]) == 0
-        assert capsys.readouterr().out.count("4 transaction(s), 4 to fold") == 2
+        assert capsys.readouterr().out.count("4 transaction(s), 4 to replay") == 2
 
         assert main(["recover", root]) == 0
         report = capsys.readouterr().out
-        assert report.count("folded from log:  4 transaction(s)") == 2
+        assert report.count("replayed tapes:   4 transaction(s)") == 2
         assert report.count("recovered: OK (WAL empty, directory current)") == 2
         assert "shard-000.pages" in report and "shard-001.pages" in report
         assert main(["info", root]) == 0
@@ -317,7 +320,7 @@ GOLDEN_INFO = {
 
 class TestPageFileDiagnostics:
     """``info`` and ``recover`` on a page file whose writer died: they
-    name the checkpoint LSN, how many log transactions fold over it, and
+    name the checkpoint LSN, how many logged tapes replay over it, and
     why the tail was discarded."""
 
     @pytest.fixture
@@ -332,7 +335,7 @@ class TestPageFileDiagnostics:
         checkpoint_scheme(scheme)
         lids = scheme.bulk_load(24, [i ^ 1 for i in range(24)])
         for index in range(5):
-            scheme.insert_before(lids[index])
+            taped.insert_before(scheme, lids[index])
         backend.close()
         with open(path + ".wal", "ab") as handle:
             handle.write(b"\x01\x00\x00\x00\x40abc")  # a PUT cut short
@@ -342,14 +345,14 @@ class TestPageFileDiagnostics:
         assert main(["info", crashed_store]) == 0
         before = capsys.readouterr().out
         assert "format version 2" in before
-        assert "checkpoint:   LSN 2" in before and "live labels:  0" in before
-        assert "6 transaction(s), 6 to fold" in before
+        assert "checkpoint:   LSN 3" in before and "live labels:  24" in before
+        assert "5 transaction(s), 5 to replay" in before
         assert "torn tail of 8 bytes to discard (torn record body)" in before
 
         assert main(["recover", crashed_store]) == 0
         report = capsys.readouterr().out
-        assert "checkpoint LSN:   2" in report
-        assert "folded from log:  6 transaction(s), to LSN 8 (base: directory)" in report
+        assert "checkpoint LSN:   3" in report
+        assert "replayed tapes:   5 transaction(s), to LSN 8 (base: directory)" in report
         assert "discarded tail:   8 bytes (torn record body)" in report
         assert "labels: 29" in report and "WAL empty, directory current" in report
 
@@ -363,7 +366,7 @@ class TestPageFileDiagnostics:
     ):
         """Crash inside a checkpoint's write-back: the log's ABSOLUTE
         record, not the older directory, is the base — ``info`` counts
-        through the same fold as ``recover`` and says 0, not 6."""
+        through the same replay as ``recover`` and says 0, not 5."""
         from repro import WBox
         from repro.errors import CrashError
         from repro.faults import TORN_WRITE, FaultInjector, FaultPlan, FaultSpec
@@ -376,7 +379,7 @@ class TestPageFileDiagnostics:
         checkpoint_scheme(scheme)
         lids = scheme.bulk_load(24, [i ^ 1 for i in range(24)])
         for index in range(5):
-            scheme.insert_before(lids[index])
+            taped.insert_before(scheme, lids[index])
         backend.install_faults(
             FaultInjector(FaultPlan([FaultSpec(TORN_WRITE, "backend.page_write", at=1)]))
         )
@@ -385,31 +388,27 @@ class TestPageFileDiagnostics:
         backend.close()
 
         assert main(["info", path]) == 0
-        assert "7 transaction(s), 0 to fold" in capsys.readouterr().out
+        assert "6 transaction(s), 0 to replay" in capsys.readouterr().out
         assert main(["recover", path]) == 0
         report = capsys.readouterr().out
-        assert "folded from log:  0 transaction(s), to LSN 8 (base: wal)" in report
+        assert "replayed tapes:   0 transaction(s), to LSN 8 (base: wal)" in report
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_INFO))
     def test_info_on_the_committed_page_files(self, name, tmp_path, capsys):
         """``info`` reads scheme and live labels from the owner's section:
         the committed page file alone, and the checkpoint image from
         before the tape with the tape's commits (its segment minus the
-        closing ABSOLUTE record) as a log to fold."""
-        from repro.storage import scan_wal
-
+        closing checkpoint record) as a log to replay."""
         golden = os.path.join(os.path.dirname(__file__), "data", "golden_format", name)
         scheme, after, before = GOLDEN_INFO[name]
         pages, base = str(tmp_path / "copy.pages"), str(tmp_path / "base.pages")
         shutil.copyfile(os.path.join(golden, "pages"), pages)
         shutil.copyfile(os.path.join(golden, "base.pages"), base)
-        segment = os.path.join(golden, "segment.wal")
-        closing = scan_wal(segment).transactions[-1]
-        with open(segment, "rb") as src, open(base + ".wal", "wb") as dst:
-            dst.write(src.read()[: -(5 + len(closing.body) + 9)])
+        with open(base + ".wal", "wb") as dst:
+            dst.write(tapes_of(os.path.join(golden, "segment.wal")))
         for path, (lsn, blocks, live), wal in (
             (pages, after, "empty (clean shutdown)"),
-            (base, before, "20 transaction(s), 20 to fold"),
+            (base, before, "20 transaction(s), 20 to replay"),
         ):
             assert main(["info", path]) == 0
             lines = capsys.readouterr().out.splitlines()
@@ -437,7 +436,7 @@ class TestPageFileDiagnostics:
         glids = bulk_load_sharded(schemes, 40)
         checkpoint_scheme(schemes[0])
         for glid in [glid for glid in glids if glid % 2 == 1][:6]:
-            schemes[1].insert_before(glid // 2)
+            taped.insert_before(schemes[1], glid // 2)
         for scheme in schemes:
             scheme.store.backend.close()
         assert main(["info", root]) == 0
@@ -454,10 +453,10 @@ class TestPageFileDiagnostics:
             "    scheme:       WBox",
             "    block bytes:  1024",
             "    page bytes:   342",
-            "    checkpoint:   LSN 2 (what follows is as of it)",
-            "    blocks:       1",
-            "    live labels:  0",
-            "    WAL:          7 transaction(s), 7 to fold",
+            "    checkpoint:   LSN 3 (what follows is as of it)",
+            "    blocks:       7",
+            "    live labels:  20",
+            "    WAL:          6 transaction(s), 6 to replay",
         ]
 
     def test_version_1_files_are_refused_by_name(self, tmp_path, capsys):

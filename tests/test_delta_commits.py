@@ -1,18 +1,20 @@
-"""O(delta) commits: what a commit journals, and that folding it is exact.
+"""O(delta) commits: what a commit journals, and that replaying it is exact.
 
-A file-backend commit writes one log transaction ``[PUT…, DELTA, COMMIT]``;
-the DELTA says what changed in the directory (allocation state, LIDF
-directory, scheme scalars) and reopening folds the DELTAs over the last
-checkpoint.  Three claims are pinned here:
+A file-backend commit writes one log transaction ``[OPS, DELTA, COMMIT]``:
+the tape of the batches it ran and the DELTA of what changed in the
+directory (allocation state, LIDF directory, scheme scalars); reopening
+re-runs the tapes over the last checkpoint and checks each DELTA.  Three
+claims are pinned here:
 
-* **fold ≡ absolute** (property): whatever tape ran, wherever checkpoints
-  fell and wherever the process died, the reopened scheme's complete
-  self-description equals a memory twin's that ran the same tape — free
-  lists *in order* — and both go on allocating the same ids;
-* **flat in the size of the structure**: the DELTA of one fixed edit has
-  the same bytes on a 2k-label and a 20k-label store;
-* **bounded log**: commits alone keep the live log under
-  ``CHECKPOINT_LOG_BYTES`` plus one transaction.
+* **replay ≡ absolute** (property): whatever tape ran, wherever
+  checkpoints fell and wherever the process died, the reopened scheme's
+  complete self-description equals a memory twin's that ran the same
+  tape — free lists *in order* — and both go on allocating the same ids;
+* **flat in the size of the structure**: the DELTA and tape of one fixed
+  3-op submit have the same bytes on a 2k-label and a 20k-label store,
+  and it logs no page image;
+* **bounded replay**: commits alone keep the tape a reopen re-runs under
+  ``CHECKPOINT_TAPE_BYTES`` plus one commit's.
 """
 
 import os
@@ -22,7 +24,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro import WBox
+from repro import BatchOp, WBox
+from repro.core.batch import encode_batch
 from repro.config import TINY_CONFIG, BoxConfig
 from repro.persist import (
     checkpoint_scheme,
@@ -30,8 +33,9 @@ from repro.persist import (
     scheme_metadata_header,
 )
 from repro.storage import BlockStore, FileBackend, default_page_bytes, scan_wal
-from repro.storage.filebackend import CHECKPOINT_LOG_BYTES
+from repro.storage import filebackend as filebackend_module
 
+from . import taped
 from .test_format_pin import FACTORIES
 
 #: One tape step: insert before / insert an element before / delete the
@@ -46,16 +50,17 @@ STEP = st.tuples(
 
 
 def _apply(scheme, lids, step):
+    """One step, as one logged tape on a page file."""
     kind, draw = step
     if kind == "checkpoint":
         if isinstance(scheme.store.backend, FileBackend):
             checkpoint_scheme(scheme)
     elif kind == "delete" and len(lids) > 6:
-        scheme.delete(lids.pop(draw % len(lids)))
+        taped.delete(scheme, lids.pop(draw % len(lids)))
     elif kind == "element":
-        lids.extend(scheme.insert_element_before(lids[draw % len(lids)]))
+        lids.extend(taped.insert_element_before(scheme, lids[draw % len(lids)]))
     else:
-        lids.append(scheme.insert_before(lids[draw % len(lids)]))
+        lids.append(taped.insert_before(scheme, lids[draw % len(lids)]))
 
 
 @pytest.mark.parametrize("name", sorted(FACTORIES))
@@ -108,28 +113,33 @@ def _three_op_delta(directory, n_labels):
     checkpoint_scheme(scheme)
     lids = scheme.bulk_load(n_labels, [i ^ 1 for i in range(n_labels)])
     checkpoint_scheme(scheme)
-    with scheme.store.operation():  # one commit, as one service submit is
-        scheme.insert_element_before(lids[40])
-        scheme.insert_before(lids[40])
-        scheme.delete_element(lids[60], lids[61])
+    scheme.execute_batch(  # one commit, as one service submit is
+        [
+            BatchOp("insert_element_before", (lids[40],)),
+            BatchOp("insert_before", (lids[40],)),
+            BatchOp("delete_element", (lids[60], lids[61])),
+        ]
+    )
     backend.close()
     (txn,) = scan_wal(path + ".wal").transactions
-    assert not txn.absolute and len(txn.puts) >= 2
-    return txn.body
+    assert not txn.absolute and txn.ops and not txn.puts
+    return txn.body, txn.ops
 
 
 def test_delta_is_flat_in_the_size_of_the_structure(tmp_path):
-    small = _three_op_delta(str(tmp_path), 2_000)
-    large = _three_op_delta(str(tmp_path), 20_000)
+    small, small_ops = _three_op_delta(str(tmp_path), 2_000)
+    large, large_ops = _three_op_delta(str(tmp_path), 20_000)
     assert len(small) == len(large) <= 32
     assert small == large  # same LSN, same differences, same LIDF ops
+    assert small_ops == large_ops and len(small_ops) <= 16
 
 
-def test_commits_alone_keep_the_log_bounded(tmp_path):
-    """5,000 small commits, no explicit checkpoint: ``commit`` checkpoints
-    by itself on bytes logged, so the live log never holds more than the
-    constant plus the transaction that crossed it — and that is all a
-    reopen has to scan."""
+def test_commits_alone_keep_the_log_bounded(tmp_path, monkeypatch):
+    """5,000 one-op commits, no explicit checkpoint: ``commit``
+    checkpoints by itself on tape logged, so the live log never holds more
+    tape than the constant plus the commit that crossed it — and that is
+    all a reopen re-runs."""
+    monkeypatch.setattr(filebackend_module, "CHECKPOINT_TAPE_BYTES", 4096)
     path = str(tmp_path / "t.pages")
     backend = FileBackend(path, page_bytes=default_page_bytes(TINY_CONFIG))
     scheme = WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))
@@ -141,27 +151,28 @@ def test_commits_alone_keep_the_log_bounded(tmp_path):
         return os.path.getsize(wal) if os.path.exists(wal) else 0
 
     size = wal_size()
-    largest = checkpoints = 0
+    tape = checkpoints = 0
     for index in range(5_000):
-        lids.append(scheme.insert_before(lids[(7 * index) % len(lids)]))
+        anchor = lids[(7 * index) % len(lids)]
+        row = len(encode_batch([BatchOp("insert_before", (anchor,))], ""))
+        lids.append(taped.insert_before(scheme, anchor))
         now = wal_size()
         if now < size:
+            # Only the commit whose row crosses the bound checkpoints.
             checkpoints += 1
-            # Only the commit that crosses the bound seals (these
-            # transactions are a few hundred bytes each).
-            assert size > CHECKPOINT_LOG_BYTES - 4096
+            assert tape <= 4096 < tape + row and backend._tape_bytes == 0
         else:
-            largest = max(largest, now - size)
-            assert now <= CHECKPOINT_LOG_BYTES + largest
-        size = now
-    assert checkpoints >= 1 and backend.page_writes > 0
+            assert backend._tape_bytes == tape + row <= 4096
+        tape, size = backend._tape_bytes, now
+    assert checkpoints >= 5 and backend.page_writes > 0
+    tapes = [txn.ops for txn in scan_wal(wal).transactions]
+    assert sum(map(len, tapes)) == tape
     labels = [scheme.lookup(lid) for lid in lids]
     backend.close()
 
     reopened = open_file_scheme(path)
     report = reopened.store.backend.recovery_report
-    assert wal_size() == size <= CHECKPOINT_LOG_BYTES + largest
-    assert 0 < report["replayed_transactions"] < 5_000
+    assert report["replayed_transactions"] == len(tapes) < 5_000
     assert report["lsn"] == backend.lsn
     assert [reopened.lookup(lid) for lid in lids] == labels
     reopened.store.backend.close()

@@ -34,6 +34,7 @@ from repro.repl import Follower, checkpoint_service
 from repro.storage import BlockStore, FileBackend, default_page_bytes
 from repro.storage.disk import Disk
 
+from . import taped
 from .test_replication import Primary
 
 PRIMITIVES = ("open", "put", "sync", "sync_raw", "sync_dir", "rename", "truncate", "remove")
@@ -118,13 +119,13 @@ def replaced(path, size, synced=True):
 def test_commit_is_log_writes_and_one_fsync(tmp_path, monkeypatch):
     scheme, backend, lids = make_scheme(tmp_path)
     disk = RecordingDisk(monkeypatch, tmp_path)
-    scheme.insert_before(lids[3])
+    taped.insert_before(scheme, lids[3])
     assert disk.take() == [
-        ("write", "t.pages.wal", 118, 16),  # PUT records...
-        ("write", "t.pages.wal", 134, 21),
-        ("write", "t.pages.wal", 155, 17),
-        ("write", "t.pages.wal", 172, 23),  # DELTA
-        ("write", "t.pages.wal", 195, 9),  # COMMIT
+        ("open", "t.pages.wal", None, None),  # the bulk load's checkpoint sealed it
+        ("write", "t.pages.wal", 0, 8),  # magic
+        ("write", "t.pages.wal", 8, 11),  # OPS: the one-op tape
+        ("write", "t.pages.wal", 19, 23),  # DELTA
+        ("write", "t.pages.wal", 42, 9),  # COMMIT
         ("fsync", "t.pages.wal", None, None),
     ]
     backend.close()
@@ -132,16 +133,17 @@ def test_commit_is_log_writes_and_one_fsync(tmp_path, monkeypatch):
 
 def test_checkpoint_forces_then_seals_then_retains(tmp_path, monkeypatch):
     scheme, backend, lids = make_scheme(tmp_path)
-    scheme.insert_before(lids[3])
+    taped.insert_before(scheme, lids[3])
     disk = RecordingDisk(monkeypatch, tmp_path)
-    assert backend.checkpoint() == 2
+    assert backend.checkpoint() == 4
     assert disk.take() == [
-        ("write", "t.pages.wal", 204, 480),  # ABSOLUTE
-        ("write", "t.pages.wal", 684, 9),  # COMMIT
+        ("write", "t.pages.wal", 51, 16),  # PUT records: the pages the tape dirtied...
+        ("write", "t.pages.wal", 67, 21),
+        ("write", "t.pages.wal", 88, 17),
+        ("write", "t.pages.wal", 105, 480),  # ABSOLUTE
+        ("write", "t.pages.wal", 585, 9),  # COMMIT
         ("fsync", "t.pages.wal", None, None),
-        ("write", "t.pages", 4096, 14),  # pages...
-        ("write", "t.pages", 4438, 22),
-        ("write", "t.pages", 4780, 13),
+        ("write", "t.pages", 4096, 14),  # ...the same images written back
         ("write", "t.pages", 5122, 19),
         ("write", "t.pages", 5464, 15),
         ("write", "t.pages", 5806, 475),  # directory
@@ -149,22 +151,22 @@ def test_checkpoint_forces_then_seals_then_retains(tmp_path, monkeypatch):
         ("fsync", "t.pages", None, None),  # the barrier
         ("open", "t.pages.wal", None, None),  # the seal
         ("fsync", "t.pages.wal", None, None),
-        ("rename", "t.pages.wal -> t.pages.seg-000002.wal", None, None),
+        ("rename", "t.pages.wal -> t.pages.seg-000004.wal", None, None),
         ("fsync_dir", ".", None, None),
         *replaced("t.pages.walseg.json", 79),  # retention: manifest first...
-        ("unlink", "t.pages.seg-000002.wal", None, None),  # ...then the deletes
+        ("unlink", "t.pages.seg-000004.wal", None, None),  # ...then the deletes
     ]
     backend.close()
 
 
 def test_checkpoint_image_is_one_atomic_copy(tmp_path, monkeypatch):
     scheme, backend, lids = make_scheme(tmp_path)
-    assert backend.checkpoint() == 2
+    assert backend.checkpoint() == 4
     disk = RecordingDisk(monkeypatch, tmp_path)
     record = backend.record_checkpoint_image()
     assert record["bytes"] == os.path.getsize(tmp_path / "t.pages")
     assert disk.take() == [
-        *replaced("t.pages.ckpt-000003", record["bytes"]),
+        *replaced("t.pages.ckpt-000005", record["bytes"]),
         *replaced("t.pages.walseg.json", 172),
     ]
     backend.close()
@@ -191,8 +193,9 @@ def test_sharded_store_writes_its_manifest_before_any_shard(tmp_path, monkeypatc
 def test_follower_bootstrap_catch_up_and_seal(tmp_path, monkeypatch):
     """A follower (no fsync) downloads the image as one atomic replace,
     mirrors shipped bytes into its live log through its ``WALWriter``
-    (the segment's magic comes with them), writes back on the primary's
-    checkpoint record, and seals and retains like a primary."""
+    (the segment's magic comes with them), writes the primary's
+    checkpoint record's page images back, and seals and retains like a
+    primary."""
     primary = Primary(tmp_path)
     try:
         disk = RecordingDisk(monkeypatch, tmp_path)
@@ -209,13 +212,13 @@ def test_follower_bootstrap_catch_up_and_seal(tmp_path, monkeypatch):
             follower.catch_up()
             assert disk.take("f/") == [
                 ("open", wal, None, None),
-                ("write", wal, 0, 144),  # magic + the primary's commit
+                ("write", wal, 0, 51),  # magic + the primary's commit
             ]
             checkpoint_service(primary.service)
             follower.catch_up()
             assert disk.take("f/") == [
-                ("write", wal, 144, 498),  # the primary's ABSOLUTE record
-                ("write", page, 4096, 13),  # write-back: pages...
+                ("write", wal, 51, 602),  # the primary's checkpoint record
+                ("write", page, 4096, 13),  # write-back: its page images...
                 ("write", page, 4438, 22),
                 ("write", page, 6490, 31),
                 ("write", page, 6832, 15),
@@ -223,9 +226,9 @@ def test_follower_bootstrap_catch_up_and_seal(tmp_path, monkeypatch):
                 ("write", page, 7516, 484),  # directory
                 ("write", page, 8, 20),  # header
                 ("open", wal, None, None),  # local seal
-                ("rename", f"{wal} -> f/shard-000.pages.seg-000003.wal", None, None),
+                ("rename", f"{wal} -> f/shard-000.pages.seg-000005.wal", None, None),
                 *replaced("f/shard-000.pages.walseg.json", 79, synced=False),
-                ("unlink", "f/shard-000.pages.seg-000003.wal", None, None),
+                ("unlink", "f/shard-000.pages.seg-000005.wal", None, None),
             ]
     finally:
         primary.close()

@@ -24,12 +24,13 @@ from repro.faults.chaos import SCHEME_NAMES
 from repro.persist import checkpoint_scheme, open_file_scheme
 from repro.storage import BlockStore, FileBackend, default_page_bytes, read_directory
 
+from . import taped
+
 MATRIX_PLANS = {
     "torn-write": FaultPlan.torn_write(at=None, window=(1, 160)),
     "fsync-fail": FaultPlan.fsync_failure(at=None, window=(1, 27)),
     "superblock-torn": FaultPlan.superblock_crash(at=None, window=(1, 6)),
 }
-
 
 @pytest.mark.parametrize("plan_name", sorted(MATRIX_PLANS))
 @pytest.mark.parametrize("scheme_name", sorted(SCHEME_NAMES))
@@ -70,7 +71,7 @@ def test_directory_write_crash(tmp_path, scheme_name):
     lids = scheme.bulk_load(24, [i ^ 1 for i in range(24)])
     checkpoint_scheme(scheme)
     assert read_directory(probe_path)["lsn"] == backend.lsn
-    scheme.insert_before(lids[5])
+    taped.insert_before(scheme, lids[5])
     backend.install_faults(FaultInjector(FaultPlan.superblock_crash(at=1)))
     with pytest.raises(CrashError):
         checkpoint_scheme(scheme)

@@ -215,24 +215,27 @@ class TestBackendHooks:
         first = backend.allocate([1])
         backend.commit([first])
         second = backend.allocate([2])
-        # Invocation 2 of raw_write within the next commit lands inside
-        # its WAL transaction (after the first PUT): the partial
-        # transaction must be rolled back, not left as a torn tail — and
-        # the allocation delta it carried must still be pending.
+        # A commit without a tape is a checkpoint.  Invocation 3 of
+        # raw_write within it — after the fresh log's magic and the first
+        # PUT — lands inside its WAL transaction: the partial transaction
+        # must be rolled back, not left as a torn tail, and its LSN must
+        # still be the next one.
         backend.install_faults(
             FaultInjector(
-                FaultPlan.transient_io_error(hook="backend.raw_write", at=2)
+                FaultPlan.transient_io_error(hook="backend.raw_write", at=3)
             )
         )
         with pytest.raises(TransientIOError):
             backend.commit([first, second])
         scan = scan_wal(backend.wal_path)
-        assert scan.committed == 1 and not scan.torn_tail
+        assert scan.committed == 0 and not scan.torn_tail
         assert backend.lsn == 1
         backend.commit([first, second])  # retry succeeds against a clean log
-        scan = scan_wal(backend.wal_path)
-        assert [txn.lsn for txn in scan.transactions] == [1, 2]
+        assert backend.lsn == 2
         backend.close()
+        reopened = make_backend(tmp_path)
+        assert [reopened.read(first), reopened.read(second)] == [[1], [2]]
+        reopened.close()
         reopened = make_backend(tmp_path)
         assert reopened.read(second) == [2]
         assert reopened.next_id == 3  # the retried delta folded exactly once

@@ -9,7 +9,10 @@ page images, the DELTA and ABSOLUTE record bodies, the WAL record
 framing and the snapshot body all live in those bytes) and must still
 *load* them into a working scheme whose every LID agrees with a memory
 twin.  Snapshots date from before the page-file and WAL formats went to
-version 2 (O(delta) commits) and did not change with them.
+version 2 (O(delta) commits) and did not change with them, nor with the
+WAL's version 3 (commits log tapes, checkpoints log page images); the
+tape runs one batch per step, so the segment holds one OPS record per
+step.
 
 Regenerate (only when the format is changed on purpose)::
 
@@ -22,7 +25,7 @@ import shutil
 
 import pytest
 
-from repro import BBox, NaiveScheme, OrdPath, WBox, WBoxO
+from repro import BatchOp, BBox, NaiveScheme, OrdPath, WBox, WBoxO
 from repro.config import TINY_CONFIG
 from repro.core.ancestry import AncestryDynamic
 from repro.persist import (
@@ -39,6 +42,8 @@ from repro.storage import (
     scan_wal,
     segment_path,
 )
+
+from repro.storage.codec import uvarint_bytes
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "data", "golden_format")
 
@@ -88,11 +93,13 @@ def _bulk(scheme):
 
 
 def _apply_tape(scheme, lids):
+    """One batch per step: on a page file, one logged tape each."""
     for kind, draw in TAPE:
         if kind == "delete":
-            scheme.delete(lids.pop(draw % len(lids)))
+            scheme.execute_batch([BatchOp("delete", (lids.pop(draw % len(lids)),))])
         else:
-            lids.append(scheme.insert_before(lids[draw % len(lids)]))
+            op = BatchOp("insert_before", (lids[draw % len(lids)],))
+            lids.append(scheme.execute_batch([op]).results[0])
 
 
 def build_artefacts(name, workdir):
@@ -116,6 +123,19 @@ def build_artefacts(name, workdir):
         "pages": page_path,
         "segment.wal": segment_path(page_path, segment),
     }
+
+
+def tapes_of(segment):
+    """A sealed segment's bytes minus the checkpoint record that closes
+    it: the log a crash before the sealing checkpoint leaves standing."""
+    closing = scan_wal(segment).transactions[-1]
+    assert closing.absolute and closing.puts and closing.ops is None
+    # each record is a 5-byte header + body; PUT bodies lead with the id
+    length = 5 + len(closing.body) + 9 + sum(
+        5 + len(uvarint_bytes(block)) + len(image) for block, image in closing.puts.items()
+    )
+    with open(segment, "rb") as src:
+        return src.read()[:-length]
 
 
 def _twin(name):
@@ -155,20 +175,15 @@ def test_committed_snapshot_loads(name):
 def test_committed_page_file_opens(tmp_path, name, replay_segment):
     """The committed page file opens into a working scheme on its own;
     the committed checkpoint image from before the tape does with the
-    committed segment placed as its log — minus the absolute record that
-    closes it, as a crash before the sealing checkpoint would have left
-    it — which sends every commit of the tape back through WAL scan +
-    fold."""
+    committed segment placed as its log — minus the checkpoint record
+    that closes it, as a crash before the sealing checkpoint would have
+    left it — which sends every tape back through WAL scan + replay."""
     path = str(tmp_path / "copy.pages")
     pages = "base.pages" if replay_segment else "pages"
     shutil.copyfile(os.path.join(GOLDEN_DIR, name, pages), path)
     if replay_segment:
-        segment = os.path.join(GOLDEN_DIR, name, "segment.wal")
-        closing = scan_wal(segment).transactions[-1]
-        assert closing.absolute and not closing.puts
-        with open(segment, "rb") as src, open(path + ".wal", "wb") as dst:
-            # record header + body, then the 9-byte commit record
-            dst.write(src.read()[: -(5 + len(closing.body) + 9)])
+        with open(path + ".wal", "wb") as dst:
+            dst.write(tapes_of(os.path.join(GOLDEN_DIR, name, "segment.wal")))
     scheme = open_file_scheme(path)
     try:
         report = scheme.store.backend.recovery_report
@@ -184,7 +199,7 @@ def test_committed_page_file_opens(tmp_path, name, replay_segment):
 def test_segment_already_in_the_page_file_is_skipped(tmp_path, name):
     """The page file *after* the tape with the tape's segment as its log
     (a checkpoint that crashed before its seal): every transaction's
-    LSN is at or below the directory's, so nothing folds twice."""
+    LSN is at or below the directory's, so nothing replays twice."""
     path = str(tmp_path / "copy.pages")
     shutil.copyfile(os.path.join(GOLDEN_DIR, name, "pages"), path)
     shutil.copyfile(os.path.join(GOLDEN_DIR, name, "segment.wal"), path + ".wal")

@@ -205,7 +205,7 @@ class TestJournal:
     def test_fold_reproduces_the_directory(self, lidf, seed):
         import random
 
-        from repro.storage.heapfile import fold_lidf_journal
+        from .lidf_reference import fold_lidf_journal
 
         rng = random.Random(seed)
         live = [lidf.allocate(i) for i in range(3 * RPB)]

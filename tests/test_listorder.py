@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.core.listorder import OrderList
+from benchmarks.listorder import OrderList
 from repro.errors import LabelingError
 
 

@@ -120,6 +120,10 @@ REMOVED_NAMES = (
     "reconnect_attempts",
     "def _exclusive",
     "replay_window",
+    "_unflushed",
+    "CHECKPOINT_LOG_BYTES",
+    "fold_transaction",
+    "apply_shipped",
 )
 STORE_OPENER = "persist.py"
 BENCHMARKS = SRC.parent.parent / "benchmarks"

@@ -12,12 +12,16 @@ checked here:
 * either module naming the owner's state or importing the LIDF;
 * a second owner-facing attribute on a backend;
 * a removed name reappearing in ``src/``;
-* ``apply_shipped`` being handed the live LIDF again, or reaching for a
-  whole-structure header to apply a shipped DELTA;
-* a second interpreter of the LIDF journal's op codes.
+* a follower applying a shipped transaction any other way than the one
+  replay recovery runs, or reaching for a whole-structure header to do
+  it;
+* an interpreter of the LIDF journal's op codes besides the test
+  reference (a replay compares journals, it never folds one).
 
 A bare backend (no scheme attached) must still write the bytes it wrote
-before the owner existed; the digests below were recorded then.
+before the owner existed; the digests below were recorded then, and
+recorded again when the log went to version 3 (a bare backend's commits,
+which carry no tape, became checkpoints).
 """
 
 from __future__ import annotations
@@ -83,13 +87,21 @@ def test_removed_names_stay_out_of_src():
     assert hits == []
 
 
-def test_apply_shipped_takes_only_the_transaction():
-    assert list(inspect.signature(FileBackend.apply_shipped).parameters) == ["self", "txn"]
+def test_the_follower_applies_through_the_one_replay():
+    from repro.persist import replay_transaction
+    from repro.repl.follower import ShardFollower
+
+    assert not hasattr(FileBackend, "apply_shipped")
+    assert list(inspect.signature(replay_transaction).parameters) == ["scheme", "txn"]
+    assert "replay_transaction(self.scheme, txn)" in inspect.getsource(ShardFollower._apply_txn)
 
 
 def test_one_function_compares_against_the_lidf_journal_op_codes():
+    """The one interpreter is the test reference: a replay compares the
+    journals it re-creates, so no function in ``src/`` reads the ops."""
+    reference = Path(__file__).resolve().parent / "lidf_reference.py"
     found = []
-    for path in sorted(SRC.rglob("*.py")):
+    for path in sorted(SRC.rglob("*.py")) + [reference]:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -100,14 +112,15 @@ def test_one_function_compares_against_the_lidf_journal_op_codes():
                 & LIDF_OP_CODES
                 for compare in ast.walk(node)
             ):
-                found.append(f"{path.relative_to(SRC).as_posix()}:{node.name}")
-    assert found == ["storage/heapfile.py:fold_lidf_journal"]
+                found.append(f"{path.relative_to(SRC.parent.parent).as_posix()}:{node.name}")
+    assert found == ["tests/lidf_reference.py:fold_lidf_journal"]
 
 
 @pytest.mark.parametrize("name", ["wbox", "naive-8"])
 def test_a_shipped_delta_folds_straight_into_the_live_scheme(tmp_path, monkeypatch, name):
     """A follower's apply: the committed checkpoint image from before the
-    tape takes the tape's segment transaction by transaction, without a
+    tape takes the tape's segment transaction by transaction — each tape
+    re-run, the closing checkpoint record written back — without a
     whole-structure header either way, and ends up the memory twin."""
     from repro import persist
 
@@ -124,7 +137,7 @@ def test_a_shipped_delta_folds_straight_into_the_live_scheme(tmp_path, monkeypat
     monkeypatch.setattr(persist, "scheme_metadata_header", refuse)
     monkeypatch.setattr(persist, "restore_scheme_state", refuse)
     segment = scan_wal(os.path.join(GOLDEN_DIR, name, "segment.wal"))
-    assert all(backend.apply_shipped(txn) for txn in segment.transactions)
+    assert all(persist.replay_transaction(scheme, txn) for txn in segment.transactions)
     monkeypatch.undo()
     try:
         _assert_matches_twin(scheme, name)
@@ -142,8 +155,8 @@ def _digest(path):
 
 
 def test_a_bare_backend_writes_the_bytes_it_always_did(tmp_path):
-    """Commits, a checkpoint, a reopen that folds the log and an
-    unattached checkpoint of the folded state, with no scheme anywhere."""
+    """Commits (each a checkpoint: no tape), a checkpoint, a reopen and an
+    unattached checkpoint of the reopened state, with no scheme anywhere."""
     path = str(tmp_path / "bare.pages")
     backend = FileBackend(path, page_bytes=512)
     ids = [backend.allocate([i] * (i + 1)) for i in range(6)]
@@ -162,8 +175,8 @@ def test_a_bare_backend_writes_the_bytes_it_always_did(tmp_path):
     digests.append(_digest(path))
     reopened.close()
     assert digests == [
-        "e08971e0979c5bc8",
-        "d50a36fd58f31e80",
-        "7bc5811184d2b49c",
-        "3be5c21c6306a292",
+        "bf48cfe952cb9dcf",
+        "bf48cfe952cb9dcf",
+        "521f2dc73dffbcdd",
+        "521f2dc73dffbcdd",
     ]

@@ -54,8 +54,9 @@ CONCRETE_SCHEMES = {
     "AncestryDynamic",
 }
 #: ``repro.core`` modules persist.py may import: the scheme interface and
-#: registry, plus the document binding its ``save_document`` section stores.
-PERSIST_CORE_IMPORTS = {"core.interface", "core.registry", "core.document"}
+#: registry, the document binding its ``save_document`` section stores,
+#: and the batch module whose op rows are the tapes a log replays.
+PERSIST_CORE_IMPORTS = {"core.interface", "core.registry", "core.document", "core.batch"}
 
 
 def _sources():

@@ -30,6 +30,7 @@ from repro.persist import checkpoint_scheme, create_store, open_store
 from repro.storage import FileBackend, default_page_bytes, read_directory
 from repro.storage.codec import encode_block_payload
 from repro.storage.filebackend import _CRC, _HEADER, _PAGE_HEADER, MAGIC
+from repro.storage.wal import MAGIC as WAL_MAGIC
 
 BLOCK_SIZES = (512, 1024, 2048, 4096, 8192)
 
@@ -200,24 +201,31 @@ GEOMETRIES = {
 }
 
 
-def _committed_backend(path, geometry="bare", **kwargs):
+def _loaded_backend(path, geometry="bare", **kwargs):
     options, make_payloads = GEOMETRIES[geometry]
     backend = FileBackend(path, **options, **kwargs)
-    payloads = {backend.allocate(p): p for p in make_payloads(backend.page_bytes)}
+    return backend, {backend.allocate(p): p for p in make_payloads(backend.page_bytes)}
+
+
+def _committed_backend(path, geometry="bare", **kwargs):
+    backend, payloads = _loaded_backend(path, geometry, **kwargs)
     backend.commit(payloads)
     return backend, payloads
 
 
 @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
 def test_a_checkpoint_writes_back_exactly_the_framed_images(tmp_path, geometry):
+    """A commit without a tape is a checkpoint: past its log record (and
+    the fresh log's magic) it writes the framed images and the directory."""
     path = str(tmp_path / "acct.pages")
-    backend, payloads = _committed_backend(path, geometry)
+    backend, payloads = _loaded_backend(path, geometry)
     framed = [_framed(p) for p in payloads.values()]
     if geometry == "bench-slot":
         assert backend.page_bytes - 12 < min(framed) <= max(framed) <= backend.page_bytes
     before, logged = backend.bytes_written, backend._wal.bytes_written
-    backend.checkpoint()
+    backend.commit(payloads)
     written = backend.bytes_written - before - (backend._wal.bytes_written - logged)
+    written -= len(WAL_MAGIC)
     with open(backend.path, "rb") as handle:
         handle.seek(len(MAGIC))
         _offset, directory, _crc = _HEADER.unpack(handle.read(_HEADER.size))
@@ -231,7 +239,7 @@ def test_a_checkpoint_writes_back_exactly_the_framed_images(tmp_path, geometry):
 
 def test_a_page_write_short_by_one_byte_is_repaired_from_the_log(tmp_path):
     path = str(tmp_path / "torn.pages")
-    backend, payloads = _committed_backend(path)
+    backend, payloads = _loaded_backend(path)
     first = next(iter(payloads))
     framed = _framed(payloads[first])
     injector = FaultInjector(
@@ -247,7 +255,7 @@ def test_a_page_write_short_by_one_byte_is_repaired_from_the_log(tmp_path):
     injector.hit = hit
     backend.install_faults(injector)
     with pytest.raises(CrashError, match=f"after {framed - 1} of {framed} bytes"):
-        backend.checkpoint()
+        backend.commit(payloads)
     assert ("backend.page_write", framed) in sizes  # the hook sees the bytes written
     backend.close()
     reopened = FileBackend(path)

@@ -1,7 +1,7 @@
 """ASCII figure rendering."""
 
 from repro.workloads.metrics import ccdf
-from repro.workloads.plotting import MARKERS, ascii_bar_chart, ascii_ccdf_plot
+from benchmarks.plotting import MARKERS, ascii_bar_chart, ascii_ccdf_plot
 
 
 class TestCcdfPlot:

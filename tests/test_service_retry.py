@@ -17,6 +17,8 @@ from repro.faults import FaultInjector, FaultPlan
 from repro.service import LabelService, RetryPolicy
 from repro.workloads.sequences import _bulk_load_two_level
 
+from . import taped
+
 
 def build_service(**kwargs):
     scheme = WBox(TINY_CONFIG)
@@ -105,19 +107,20 @@ class TestRetryOnAFileBackend:
         scheme = WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))
         checkpoint_scheme(scheme)
         lids = scheme.bulk_load(24, [i ^ 1 for i in range(24)])
-        before = [txn.lsn for txn in scan_wal(backend.wal_path).transactions]
+        before = backend.lsn  # the bulk load, a checkpoint, left no live log
         policy = RetryPolicy(max_retries=3, base_delay=0.0, sleep=lambda _: None)
         service = LabelService(scheme, log_capacity=64, retry_policy=policy)
-        # The 2nd physical write of the submit's commit is inside its
-        # transaction: a PUT is already in the log when the DELTA fails.
+        # The 3rd physical write of the submit's commit (after the fresh
+        # log's magic) is inside its transaction: its OPS record is
+        # already in the log when the DELTA fails.
         backend.fault_injector = FaultInjector(
-            FaultPlan.transient_io_error(hook="backend.raw_write", at=2)
+            FaultPlan.transient_io_error(hook="backend.raw_write", at=3)
         )
         with service.start():
             service.submit_ops([BatchOp("delete", (lids[8],))]).wait(timeout=5.0)
             assert service.stats.snapshot().write_retries == 1
         after = [txn.lsn for txn in scan_wal(backend.wal_path).transactions]
-        assert after == before + [before[-1] + 1] and backend.lsn == after[-1]
+        assert after == [before + 1] and backend.lsn == after[-1]
         header = scheme_metadata_header(scheme)
         backend.close()
         reopened = open_file_scheme(path)
@@ -127,14 +130,21 @@ class TestRetryOnAFileBackend:
     def test_abandoned_commit_leaves_no_transaction_behind(self, tmp_path):
         """A transient error at the log's fsync — the transaction is
         complete in the file by then — rolls it back too.  A caller who
-        does not retry and edits on then journals one larger delta under
-        that LSN; a standing first copy would be folded in its place."""
+        does not retry and edits on then commits both edits under that
+        LSN, by checkpointing: the held-over tape is never logged, since
+        a checkpoint may have restated its effects by then."""
         from repro.persist import (
             checkpoint_scheme,
             open_file_scheme,
             scheme_metadata_header,
         )
-        from repro.storage import BlockStore, FileBackend, default_page_bytes, scan_wal
+        from repro.storage import (
+            BlockStore,
+            FileBackend,
+            default_page_bytes,
+            read_directory,
+            scan_wal,
+        )
 
         path = str(tmp_path / "abandon.pages")
         backend = FileBackend(
@@ -145,18 +155,18 @@ class TestRetryOnAFileBackend:
         twin = WBox(TINY_CONFIG)
         lids = scheme.bulk_load(24, [i ^ 1 for i in range(24)])
         twin.bulk_load(24, [i ^ 1 for i in range(24)])
-        before = [txn.lsn for txn in scan_wal(backend.wal_path).transactions]
+        before = backend.lsn  # the bulk load, a checkpoint, left no live log
         backend.fault_injector = FaultInjector(
             FaultPlan.transient_io_error(hook="backend.fsync", at=1)
         )
         with pytest.raises(TransientIOError):
-            scheme.insert_before(lids[3])
-        assert [txn.lsn for txn in scan_wal(backend.wal_path).transactions] == before
+            taped.insert_before(scheme, lids[3])
+        assert scan_wal(backend.wal_path).transactions == []
         twin.insert_before(lids[3])
-        lids.append(scheme.insert_before(lids[5]))
+        lids.append(taped.insert_before(scheme, lids[5]))
         assert twin.insert_before(lids[5]) == lids[-1]
-        after = [txn.lsn for txn in scan_wal(backend.wal_path).transactions]
-        assert after == before + [before[-1] + 1]
+        assert scan_wal(backend.wal_path).transactions == []  # sealed away
+        assert backend.lsn == read_directory(path)["lsn"] == before + 1
         backend.close()
         reopened = open_file_scheme(path)
         assert scheme_metadata_header(reopened) == scheme_metadata_header(twin)

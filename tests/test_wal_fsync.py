@@ -27,18 +27,21 @@ import pytest
 
 from repro import WBox
 from repro.config import TINY_CONFIG
-from repro.errors import CrashError
+from repro.errors import CrashError, RecoveryError
 from repro.faults import TORN_WRITE, FaultInjector, FaultPlan, FaultSpec, run_chaos_trial
 from repro.persist import (
     checkpoint_scheme,
     create_sharded_backends,
     open_file_scheme,
+    replay_transaction,
     scheme_metadata_header,
 )
 from repro.storage import BlockStore, FileBackend, default_page_bytes, scan_wal
 from repro.storage import filebackend as filebackend_module
 from repro.storage.shardlayout import MANIFEST_NAME
 from repro.storage.walseg import manifest_path, segment_path
+
+from . import taped
 
 
 def make_scheme(tmp_path, fsync=True):
@@ -58,12 +61,15 @@ def bulk(scheme, count):
 
 
 def lose_page_writes(path):
-    """Zero every page the at-rest directory lists: the directory and
-    header reached the disk, the page images under them did not."""
+    """Zero every page the log's last checkpoint record wrote back: the
+    directory and header reached the disk, the page images under them —
+    which shared their sync — did not."""
     directory = filebackend_module.read_directory(path)
+    closing = scan_wal(path + ".wal").transactions[-1]
+    assert closing.absolute and closing.puts
     first = len(filebackend_module.MAGIC) + filebackend_module.HEADER_BYTES
     with open(path, "r+b") as handle:
-        for block_id in directory["on_disk"]:
+        for block_id in closing.puts:
             handle.seek(first + (block_id - 1) * directory["page_bytes"])
             handle.write(bytes(directory["page_bytes"]))
 
@@ -98,7 +104,7 @@ class TestSealDurability:
         the seal returns — the regression for renames lost to the page
         cache."""
         scheme, backend, path = make_scheme(tmp_path)
-        bulk(scheme, 8)
+        taped.insert_before(scheme, bulk(scheme, 8)[0])
         wal_ino = os.stat(backend.wal_path).st_ino
         recorder = FsyncRecorder(monkeypatch)
         backend._wal.seal_to(segment_path(path, 9))
@@ -110,7 +116,7 @@ class TestSealDurability:
         """The durability gate is the backend's one fsync policy: with
         ``fsync=False`` the seal must not sneak syncs in."""
         scheme, backend, path = make_scheme(tmp_path, fsync=False)
-        bulk(scheme, 8)
+        taped.insert_before(scheme, bulk(scheme, 8)[0])
         recorder = FsyncRecorder(monkeypatch)
         backend._wal.seal_to(segment_path(path, 9))
         assert recorder.targets == []
@@ -141,10 +147,11 @@ class TestCommitBarrierOrdering:
         file barrier, no seal — and writes nothing to the page file."""
         scheme, backend, path = make_scheme(tmp_path)
         lids = bulk(scheme, 8)
+        taped.insert_before(scheme, lids[0])
         wal_ino = os.stat(backend.wal_path).st_ino
         pages_before, written_before = open(path, "rb").read(), backend.page_writes
         recorder = FsyncRecorder(monkeypatch)
-        scheme.insert_before(lids[3])
+        taped.insert_before(scheme, lids[3])
         assert recorder.targets == [(wal_ino, False)]
         assert open(path, "rb").read() == pages_before
         assert backend.page_writes == written_before
@@ -159,11 +166,11 @@ class TestCommitBarrierOrdering:
         the sealed segment is then deleted: no live log and no segment
         remain."""
         scheme, backend, path = make_scheme(tmp_path)
-        bulk(scheme, 8)
+        taped.insert_before(scheme, bulk(scheme, 8)[0])
         wal_ino = os.stat(backend.wal_path).st_ino
         pages_ino = os.stat(path).st_ino
         recorder = FsyncRecorder(monkeypatch)
-        assert backend.checkpoint() == 2
+        assert backend.checkpoint() == 4
         dir_ino = os.stat(tmp_path).st_ino
         assert recorder.targets == [
             (wal_ino, False),  # absolute record + commit record
@@ -174,7 +181,7 @@ class TestCommitBarrierOrdering:
             (dir_ino, True),  # its directory entry
         ]
         assert not os.path.exists(backend.wal_path)
-        assert not os.path.exists(segment_path(path, 2))
+        assert not os.path.exists(segment_path(path, 4))
         backend.close()
 
     def test_retaining_checkpoint_leaves_the_log_to_be_sealed(
@@ -187,7 +194,7 @@ class TestCommitBarrierOrdering:
         sealed as it is: the same syncs as a checkpoint's tail, and no
         page file barrier."""
         scheme, backend, path = make_scheme(tmp_path)
-        bulk(scheme, 8)
+        taped.insert_before(scheme, bulk(scheme, 8)[0])
         wal_ino = os.stat(backend.wal_path).st_ino
         pages_ino = os.stat(path).st_ino
         recorder = FsyncRecorder(monkeypatch)
@@ -200,7 +207,7 @@ class TestCommitBarrierOrdering:
         assert recorder.targets == [(wal_ino, False), (pages_ino, False)]
         assert os.stat(backend.wal_path).st_ino == wal_ino
         del recorder.targets[:]
-        assert backend.seal_wal_segment() == 2
+        assert backend.seal_wal_segment() == 4
         assert pages_ino not in recorder.files()  # already checkpointed
         dir_ino = os.stat(tmp_path).st_ino
         assert recorder.targets == [
@@ -215,7 +222,7 @@ class TestCommitBarrierOrdering:
         scheme, backend, path = make_scheme(tmp_path, fsync=False)
         lids = bulk(scheme, 8)
         recorder = FsyncRecorder(monkeypatch)
-        scheme.insert_before(lids[0])
+        taped.insert_before(scheme, lids[0])
         backend.checkpoint()
         assert recorder.targets == []
         backend.close()
@@ -225,12 +232,12 @@ class TestTruncateCrashWindow:
     def test_crash_at_truncate_preserves_log_and_recovers(self, tmp_path):
         """A crash at seal entry leaves the full log *and* the full
         pages+directory; reopening must come up in the checkpointed
-        state without folding any of the log's deltas a second time."""
+        state without re-running any of the log's tapes a second time."""
         scheme, backend, path = make_scheme(tmp_path, fsync=False)
         lids = bulk(scheme, 24)
         for index in range(6):
-            lids.append(scheme.insert_before(lids[index]))
-        scheme.delete(lids.pop(2))  # a free-list push: folding it twice shows
+            lids.append(taped.insert_before(scheme, lids[index]))
+        taped.delete(scheme, lids.pop(2))  # a free-list push: re-running it twice shows
         order = sorted(lids, key=scheme.lookup)
         header = scheme_metadata_header(scheme)
         backend.install_faults(
@@ -244,7 +251,7 @@ class TestTruncateCrashWindow:
         with pytest.raises(CrashError):
             backend.checkpoint()
         # The checkpoint finished everything except the seal: the log
-        # still holds every transaction the directory now includes.
+        # still holds every tape the directory now includes.
         committed = scan_wal(path + ".wal").committed
         assert committed >= 8
         backend.close()
@@ -266,7 +273,7 @@ class TestTruncateCrashWindow:
         must win over the page file, whatever the directory's LSN says."""
         scheme, backend, path = make_scheme(tmp_path, fsync=False)
         lids = bulk(scheme, 24)
-        scheme.delete(lids.pop(2))
+        taped.delete(scheme, lids.pop(2))
         labels = [scheme.lookup(lid) for lid in lids]
         backend.install_faults(
             FaultInjector(FaultPlan([FaultSpec(TORN_WRITE, "wal.truncate", at=1)]))
@@ -293,6 +300,7 @@ class TestTruncateCrashWindow:
         checkpoints, and that checkpoint's seal is the seal."""
         scheme, backend, path = make_scheme(tmp_path, fsync=False)
         lids = bulk(scheme, 24)
+        taped.delete(scheme, lids.pop(2))
         labels = [scheme.lookup(lid) for lid in lids]
         backend.install_faults(
             FaultInjector(FaultPlan([FaultSpec(TORN_WRITE, "wal.truncate", at=1)]))
@@ -302,7 +310,7 @@ class TestTruncateCrashWindow:
         backend.close()
         lose_page_writes(path)
         reopened = open_file_scheme(path)
-        assert reopened.store.backend.seal_wal_segment() == 2
+        assert reopened.store.backend.seal_wal_segment() == 4
         assert reopened.store.backend.page_writes > 0
         reopened.store.backend.close()
         assert scan_wal(path + ".wal").committed == 0
@@ -310,34 +318,29 @@ class TestTruncateCrashWindow:
         assert [sealed.lookup(lid) for lid in lids] == labels
         sealed.store.backend.close()
 
-    def test_refolding_an_included_log_is_what_the_lsn_prevents(
-        self, tmp_path, monkeypatch
-    ):
-        """The same files, opened by a fold that ignores LSNs: the
-        free-list pushes land twice.  (Fails the test above if the check
-        in ``fold_transaction`` is ever dropped.)"""
+    def test_refolding_an_included_log_is_what_the_lsn_prevents(self, tmp_path):
+        """The same files: the tape the directory already includes is
+        skipped by its LSN, and re-running it anyway is refused by name —
+        the free-list push would land twice.  (Fails the test above if the
+        check in ``replay_transaction`` is ever dropped.)"""
         scheme, backend, path = make_scheme(tmp_path, fsync=False)
         lids = bulk(scheme, 24)
-        scheme.delete(lids.pop(2))
+        taped.delete(scheme, lids.pop(2))
         backend.install_faults(
             FaultInjector(FaultPlan([FaultSpec(TORN_WRITE, "wal.truncate", at=1)]))
         )
         with pytest.raises(CrashError):
             backend.checkpoint()
         backend.close()
-        real = filebackend_module.fold_transaction
-
-        def blind(state, txn):
-            if not txn.absolute:
-                state["lsn"] = txn.lsn - 1
-            return real(state, txn)
-
-        monkeypatch.setattr(filebackend_module, "fold_transaction", blind)
-        refolded = FileBackend(path)
-        assert sorted(refolded.owner.lidf["free"]) != sorted(
-            scheme.lidf.persist_state()["free"]
-        )
-        refolded.close()
+        (included, _closing) = scan_wal(path + ".wal").transactions
+        reopened = open_file_scheme(path)
+        try:
+            assert not replay_transaction(reopened, included)
+            with pytest.raises(RecoveryError, match=f"log transaction {included.lsn}"):
+                with reopened.store.backend.replaying(included):
+                    taped.delete(reopened, lids[0])
+        finally:
+            reopened.store.backend.close()
 
     def test_truncate_crash_matrix_entry(self, tmp_path):
         """The directed fault-matrix entry: crash anywhere a seeded

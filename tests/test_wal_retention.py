@@ -39,6 +39,7 @@ from repro.storage.walseg import (
     segment_path,
 )
 
+from . import taped
 from .test_replication import Primary, assert_twin
 
 
@@ -83,14 +84,15 @@ def test_store_without_image_keeps_no_history(tmp_path, monkeypatch):
     recorded every sealed segment is deleted at once, so on disk the
     store is what truncating the log left: page file, manifest, live
     log."""
-    monkeypatch.setattr(filebackend_module, "CHECKPOINT_LOG_BYTES", 512)
+    monkeypatch.setattr(filebackend_module, "CHECKPOINT_TAPE_BYTES", 24)
     path = str(tmp_path / "plain.pages")
     scheme, backend = make_scheme(path)
     lids = scheme.bulk_load(32, [i ^ 1 for i in range(32)])
     rng = random.Random(5)
     explicit = 0
     for index in range(240):
-        lids.append(scheme.insert_before(rng.choice(lids)))
+        op = BatchOp("insert_before", (rng.choice(lids),))
+        lids.append(scheme.execute_batch([op]).results[0])
         if index % 20 == 19:
             checkpoint_scheme(scheme)
             explicit += 1
@@ -112,7 +114,7 @@ def test_primary_keeps_exactly_the_horizon(tmp_path, monkeypatch):
     """(b) After every full checkpoint a replicating primary holds its
     page file, the manifest, the two newest images and the segments from
     the older one on — and once it commits again, the live log."""
-    monkeypatch.setattr(filebackend_module, "CHECKPOINT_LOG_BYTES", 4096)
+    monkeypatch.setattr(filebackend_module, "CHECKPOINT_TAPE_BYTES", 100)
     root = tmp_path / "primary"
     root.mkdir()
     primary = Primary(root, base=48)
@@ -200,10 +202,10 @@ def test_pitr_inside_the_horizon_only(tmp_path):
     at_seal = {}  # segment id -> labels once it was sealed
     for _ in range(4):
         for _ in range(2):
-            lids.append(scheme.insert_before(rng.choice(lids)))
+            lids.append(taped.insert_before(scheme, rng.choice(lids)))
             sealed = backend.checkpoint()
             at_seal[sealed] = {lid: scheme.lookup(lid) for lid in lids}
-        lids.append(scheme.insert_before(rng.choice(lids)))
+        lids.append(taped.insert_before(scheme, rng.choice(lids)))
         sealed = full_checkpoint(scheme)["segment"] - 1
         at_seal[sealed] = {lid: scheme.lookup(lid) for lid in lids}
     manifest = backend.wal_manifest

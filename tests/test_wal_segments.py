@@ -16,7 +16,7 @@ import os
 
 import pytest
 
-from repro import WBox
+from repro import BatchOp, WBox
 from repro.config import TINY_CONFIG
 from repro.persist import (
     PersistError,
@@ -35,9 +35,11 @@ from repro.storage.wal import _HEADER, REC_PUT
 
 
 def make_scheme(tmp_path, name="t.pages", fsync=False, image=False):
-    """A scheme on a fresh page file; attaching seals segment 1, which
-    retention deletes.  ``image``: then record the image segments 2 and
-    later are kept for."""
+    """A scheme on a fresh page file; creating it (its root commits
+    without a tape: a checkpoint) and attaching seal segments 1 and 2,
+    which retention deletes.  ``image``: then record the image segments 3
+    and later are kept for.  (A bulk load commits without a tape too, so
+    it seals a segment of its own.)"""
     path = str(tmp_path / name)
     backend = FileBackend(
         path,
@@ -47,7 +49,7 @@ def make_scheme(tmp_path, name="t.pages", fsync=False, image=False):
     scheme = WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))
     checkpoint_scheme(scheme)
     if image:
-        assert backend.record_checkpoint_image()["segment"] == 2
+        assert backend.record_checkpoint_image()["segment"] == 3
     return scheme, backend, path
 
 
@@ -56,8 +58,10 @@ def bulk(scheme, count):
 
 
 def edit(scheme, lids, rounds):
+    """``rounds`` inserts, one logged tape each."""
     for index in range(rounds):
-        lids.append(scheme.insert_before(lids[(5 * index) % len(lids)]))
+        op = BatchOp("insert_before", (lids[(5 * index) % len(lids)],))
+        lids.append(scheme.execute_batch([op]).results[0])
     return lids
 
 
@@ -70,11 +74,11 @@ class TestRotation:
         scheme, backend, path = make_scheme(tmp_path, image=True)
         edit(scheme, bulk(scheme, 24), 10)
         sealed = backend.checkpoint()
-        assert sealed == 2
+        assert sealed == 4
         manifest = read_wal_manifest(path)
-        assert manifest["segments"] == [2]
-        assert manifest["next_segment"] == 3
-        segment = segment_path(path, 2)
+        assert manifest["segments"] == [3, 4]
+        assert manifest["next_segment"] == 5
+        segment = segment_path(path, 4)
         assert os.path.exists(segment)
         scan = scan_wal(segment)
         assert scan.committed and not scan.torn_tail
@@ -83,29 +87,29 @@ class TestRotation:
     def test_seal_of_empty_log_is_none(self, tmp_path):
         scheme, backend, path = make_scheme(tmp_path, image=True)
         bulk(scheme, 24)
-        assert backend.checkpoint() == 2
+        assert read_wal_manifest(path)["segments"] == [3]
         # The live log is gone right after sealing: a bare rotation with
         # no intervening commit has nothing to seal and must not burn an id.
         assert backend.seal_wal_segment() is None
-        assert read_wal_manifest(path)["segments"] == [2]
-        assert read_wal_manifest(path)["next_segment"] == 3
+        assert read_wal_manifest(path)["segments"] == [3]
+        assert read_wal_manifest(path)["next_segment"] == 4
         backend.close()
 
     def test_segment_ids_monotonic_across_reopen(self, tmp_path):
         scheme, backend, path = make_scheme(tmp_path, image=True)
         lids = bulk(scheme, 24)
         edit(scheme, lids, 6)
-        assert backend.checkpoint() == 2
+        assert backend.checkpoint() == 4
         edit(scheme, lids, 6)
-        assert backend.checkpoint() == 3
+        assert backend.checkpoint() == 5
         backend.close()
 
         reopened = open_file_scheme(path)
         edit(reopened, list(lids), 6)
-        assert reopened.store.backend.checkpoint() == 4
+        assert reopened.store.backend.checkpoint() == 6
         manifest = read_wal_manifest(path)
-        assert manifest["segments"] == [2, 3, 4]
-        assert manifest["next_segment"] == 5
+        assert manifest["segments"] == [3, 4, 5, 6]
+        assert manifest["next_segment"] == 7
         reopened.store.backend.close()
 
     def test_retain_mode_recovery_trims_tail_in_place(self, tmp_path):
