@@ -162,7 +162,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _is_saved_structure(path: str) -> bool:
     try:
         with open(path, "rb") as handle:
-            return handle.read(len(MAGIC)) == MAGIC
+            # any version: an old one is refused by name when loaded
+            return handle.read(len(MAGIC))[:4] == MAGIC[:4]
     except OSError:
         return False
 
@@ -601,7 +602,8 @@ def cmd_info(args: argparse.Namespace) -> int:
     with open(args.file, "rb") as handle:
         magic = handle.read(len(MAGIC))
         handle.seek(0)
-        header = read_snapshot_header(handle, args.file) if magic == MAGIC else None
+        # any version: an old one is refused by name
+        header = read_snapshot_header(handle, args.file) if magic[:4] == MAGIC[:4] else None
     if header is not None:
         print("  format:       snapshot (save_scheme/save_document)")
         print(f"  scheme:       {header['scheme']}")
@@ -611,7 +613,7 @@ def cmd_info(args: argparse.Namespace) -> int:
         print("  WAL:          n/a (snapshots are atomic whole-file writes)")
         return 0
     if magic.startswith(b"BOXPAGE"):  # any version: an old one is refused by name
-        print("  format:       page file (FileBackend, format version 2)")
+        print("  format:       page file (FileBackend, format version 3)")
         _info_page_file(args.file)
         return 0
     raise PersistError(f"{args.file} is neither a snapshot nor a page file")

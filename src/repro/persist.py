@@ -90,7 +90,9 @@ __all__ = [
     "read_snapshot_header",
 ]
 
-MAGIC = b"BOXS0001"
+#: Format version 2: block bodies code rows of LIDs and block pointers as
+#: zigzag deltas; version 1 wrote them as plain varint rows.
+MAGIC = b"BOXS0002"
 
 
 # ----------------------------------------------------------------------
@@ -228,7 +230,12 @@ def read_snapshot_header(handle: Any, path: str) -> dict:
     """Read a snapshot's magic and JSON header (a
     :func:`scheme_metadata_header` dict) from the open binary ``handle``,
     leaving it at the block section."""
-    if handle.read(len(MAGIC)) != MAGIC:
+    magic = handle.read(len(MAGIC))
+    if magic == b"BOXS0001":
+        raise PersistError(
+            f"{path} is a format-version-1 snapshot; this build reads version 2"
+        )
+    if magic != MAGIC:
         raise PersistError(f"{path} is not a saved BOX structure")
     header_length = int.from_bytes(handle.read(8), "big")
     return json.loads(handle.read(header_length).decode("utf-8"))

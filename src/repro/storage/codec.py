@@ -10,6 +10,16 @@ consumers.  Varints (unsigned LEB128; signed values zigzag-encoded) keep
 it correct for values that outgrow fixed-width fields (naive-k label
 values with large k, W-BOX range origins after many root splits).
 
+Rows of LIDs and block pointers are delta rows: a W-BOX leaf's LIDs, a
+B-BOX leaf's LIDs and a B-BOX internal node's child pointers are written
+as the first value, then each next value's zigzag delta from the one
+before.  An LIDF record is one head varint with its slot tag in the low
+two bits; an INT record's head carries the zigzag delta from the
+previous INT record, so a run of LIDs in one leaf costs a byte a record
+however wide the pointer.  A bulk-loaded leaf's consecutive LIDs cost a
+byte each too.  A delta is one bit wider than its field, which
+:func:`payload_bounds` counts.
+
 The codec moves whole rows at a time: the encoder flattens a node's
 child arrays into one list of ints and appends their varints to a
 ``bytearray`` in one pass; the decoder scans varints straight out of the
@@ -17,8 +27,12 @@ buffer (``bytes`` or a ``memoryview``) by index.  Two uniform-width tiers
 use C-level batch packing — ``bytes(seq)`` when every value is a
 single-byte varint, ``array('H')`` word packing when every value is
 exactly two bytes — and mixed-width rows fall back to a tight per-value
-loop.  Values that overflow a tier are exactly the values the generic
-loop encodes, so the bytes never depend on the tier.
+loop.  A delta row whose deltas all fit one byte is mapped through a
+128-entry zigzag table and summed with ``itertools.accumulate``, both at
+C speed, and so is an LIDF block whose every record is a one-byte INT
+head or an empty slot; other rows take the per-value loop.  Values that
+overflow a tier are exactly the values the generic loop encodes, so the
+bytes never depend on the tier.
 
 The byte-at-a-time streaming implementation this replaced lives on as
 the byte-identity oracle in ``tests/codec_reference.py``; the bit-packed
@@ -27,14 +41,17 @@ test-only too (``tests/layout_images.py``).
 
 Everything decoded here may come from an untrusted file, so every
 element count is checked against the bytes that remain (each element
-costs at least one byte) before anything is allocated, and every
-malformed input surfaces as :class:`~repro.errors.PersistError`.
+costs at least one byte) before anything is allocated, a delta that
+steps below zero is refused, and every malformed input surfaces as
+:class:`~repro.errors.PersistError`.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
+from itertools import accumulate
+from operator import sub
 from typing import Any
 
 from ..errors import PersistError
@@ -196,6 +213,86 @@ def scan_uvarints(buf: Any, pos: int, count: int) -> tuple[list[int], int]:
 
 
 # ----------------------------------------------------------------------
+# delta rows: a row of LIDs or block pointers as zigzag deltas
+# ----------------------------------------------------------------------
+
+
+# Zigzag coding maps a signed delta to an unsigned int (0, -1, 1, -2, ...
+# -> 0, 1, 2, 3, ...) at any magnitude: ``d << 1``, or ``~(d << 1)`` below 0.
+
+#: One-byte zigzag images: a delta in [-64, 64) to its byte, and back.
+_ZIGZAG_BYTE = {(raw >> 1) ^ -(raw & 1): raw for raw in range(0x80)}
+_UNZIGZAG_BYTE = [(raw >> 1) ^ -(raw & 1) for raw in range(0x80)]
+
+
+def _append_delta_row(out: bytearray, values: list) -> None:
+    """Append a row of non-negative ints as its first value's uvarint,
+    then each next value's zigzag delta from the one before as a uvarint.
+
+    A run of consecutive LIDs (a bulk-loaded leaf) or of one pointer
+    costs a byte per value, whatever the values' width."""
+    if not values:
+        return
+    lo = min(values)
+    if lo < 0:
+        raise PersistError(f"uvarint cannot encode negative value {lo}")
+    out += uvarint_bytes(values[0])
+    try:
+        # Every delta one byte: a C-level map through the table.
+        out += bytes(map(_ZIGZAG_BYTE.__getitem__, map(sub, values[1:], values)))
+    except KeyError:
+        append = out.append
+        for delta in map(sub, values[1:], values):
+            raw = delta << 1 if delta >= 0 else ~(delta << 1)
+            while raw > 0x7F:
+                append((raw & 0x7F) | 0x80)
+                raw >>= 7
+            append(raw)
+
+
+def _scan_delta_row(buf: Any, pos: int, count: int) -> tuple[list[int], int]:
+    """Decode a row :func:`_append_delta_row` wrote with ``count`` values.
+
+    Raises :class:`PersistError` on an impossible ``count``, a row that
+    runs off the buffer, or a delta that takes a value below zero."""
+    check_count(buf, pos, count)
+    if not count:
+        return [], pos
+    first, pos = scan_uvarint(buf, pos)
+    end = pos + count - 1
+    deltas = bytes(buf[pos:end])
+    if len(deltas) == count - 1 and deltas.isascii():
+        # Every delta one byte: a table lookup and a running sum in C.
+        values = list(accumulate(map(_UNZIGZAG_BYTE.__getitem__, deltas), initial=first))
+        pos = end
+    else:
+        # Multi-byte deltas: decode, unzigzag and sum in one pass.
+        values = [first] * count
+        value = first
+        try:
+            for i in range(1, count):
+                raw = buf[pos]
+                pos += 1
+                if raw >= 0x80:  # inline: a call per jump is measurable
+                    byte = buf[pos]
+                    pos += 1
+                    raw = (raw & 0x7F) | (byte & 0x7F) << 7
+                    shift = 14
+                    while byte >= 0x80:
+                        byte = buf[pos]
+                        pos += 1
+                        raw |= (byte & 0x7F) << shift
+                        shift += 7
+                value += (raw >> 1) ^ -(raw & 1)
+                values[i] = value
+        except IndexError:
+            raise PersistError("truncated varint") from None
+    if min(values) < 0:
+        raise PersistError("a delta row steps below zero")
+    return values, pos
+
+
+# ----------------------------------------------------------------------
 # block payloads (pages, WAL, snapshots)
 # ----------------------------------------------------------------------
 
@@ -241,7 +338,7 @@ def _encode_wnode(out: bytearray, node: Any) -> None:
                 )
             append_uvarints(out, flat)
         else:
-            append_uvarints(out, node.entries)
+            _append_delta_row(out, node.entries)
         return
     out += uvarint_bytes(_K_WINT)
     out += uvarint_bytes(node.level)
@@ -256,7 +353,7 @@ def _encode_bnode(out: bytearray, node: Any) -> None:
     out += uvarint_bytes(_K_BLEAF if node.leaf else _K_BINT)
     out += uvarint_bytes(node.parent)
     out += uvarint_bytes(len(node.entries))
-    append_uvarints(out, node.entries)
+    _append_delta_row(out, node.entries)
     if not node.leaf:
         if node.sizes is None:
             out += uvarint_bytes(0)
@@ -266,38 +363,49 @@ def _encode_bnode(out: bytearray, node: Any) -> None:
 
 
 def _encode_lidf_records(out: bytearray, records: list) -> None:
+    """Each record is a head uvarint, its slot tag in the low two bits:
+    an empty slot is head 0; an INT record's head carries the zigzag
+    delta from the previous INT record (from 0 for the first); a PAIR's
+    carries its first value, the second follows; a SEQ's carries its
+    length, the zigzagged components follow."""
     flat: list[int] = [_K_LIDF, len(records)]
     append = flat.append
     extend = flat.extend
+    previous = 0
     for record in records:
         if record is None:
             append(_S_EMPTY)
         elif isinstance(record, int):
-            extend((_S_INT, record))
+            if record < 0:
+                raise PersistError(f"uvarint cannot encode negative value {record}")
+            delta = record - previous
+            previous = record
+            append((delta << 3 if delta >= 0 else ~(delta << 1) << 2) | _S_INT)
         elif (
             isinstance(record, tuple)
             and len(record) == 2
             and all(isinstance(x, int) and x >= 0 for x in record)
         ):
-            extend((_S_PAIR, record[0], record[1]))
+            extend(((record[0] << 2) | _S_PAIR, record[1]))
         elif isinstance(record, tuple) and all(isinstance(x, int) for x in record):
-            extend((_S_SEQ, len(record)))
-            extend(
-                (c << 1) ^ (c >> 63) if c < 0 else c << 1 for c in record
-            )
+            append((len(record) << 2) | _S_SEQ)
+            extend(c << 1 if c >= 0 else ~(c << 1) for c in record)
         else:
             raise PersistError(f"unsupported LIDF record {record!r}")
     append_uvarints(out, flat)
 
 
-def max_payload_bytes(config: Any, value_bits: int | None = None) -> int:
-    """The longest image :func:`encode_block_payload` gives a full node
-    under ``config`` — W-BOX leaf, pair leaf or internal node, B-BOX leaf
-    or internal node, LIDF block — every field at the largest value its
-    declared width holds (``ceil(bits/7)`` varint bytes).  An LIDF record
-    holds a block pointer or a pair of values up to ``value_bits`` wide
-    (default ``config.label_bits``); ORDPATH vectors have no width and are
-    not covered."""
+def payload_bounds(config: Any, value_bits: int | None = None) -> dict[str, int]:
+    """The longest image :func:`encode_block_payload` gives a full node of
+    each kind under ``config`` — W-BOX leaf, pair leaf and internal node,
+    B-BOX leaf and internal node, LIDF block of pointers and of pairs —
+    every field at the largest value its declared width holds
+    (``ceil(bits/7)`` varint bytes).  In a delta row every value after the
+    first is a zigzag delta, one bit wider than the field, so a row
+    alternating between 0 and the widest value is the longest.  An LIDF
+    record holds a block pointer or a pair of values up to ``value_bits``
+    wide (default ``config.label_bits``), its head two bits wider; ORDPATH
+    vectors have no width and are not covered."""
 
     def var(bits: int) -> int:
         return max(1, -(-bits // 7))
@@ -305,23 +413,92 @@ def max_payload_bytes(config: Any, value_bits: int | None = None) -> int:
     def row(count: int, each: int) -> int:
         return var(count.bit_length()) + count * each
 
+    def deltas(count: int, bits: int) -> int:
+        return var(count.bit_length()) + var(bits) + (count - 1) * var(bits + 1)
+
     c = config
-    lid, ptr, size = var(c.lid_bits), var(c.pointer_bits), var(c.size_bits)
+    ptr, size = var(c.pointer_bits), var(c.size_bits)
     value, weight = var(c.label_bits), var(c.weight_bits)
-    record = var(c.label_bits if value_bits is None else value_bits)
+    record = c.label_bits if value_bits is None else value_bits
     # kind, range origin, range length (up to 2**label_bits), weight
     wheader = 1 + value + var(c.label_bits + 1) + weight
     # lid, is_start, partner lid + 1, partner block, end value + 1
-    pair = lid + 1 + var(c.lid_bits + 1) + ptr + var(c.label_bits + 1)
+    pair = var(c.lid_bits) + 1 + var(c.lid_bits + 1) + ptr + var(c.label_bits + 1)
     entry = ptr + var((c.wbox_max_fanout - 1).bit_length()) + weight + size
-    return max(
-        wheader + row(c.wbox_leaf_capacity, lid),
-        wheader + row(c.wbox_pair_leaf_capacity, pair),
-        wheader + 1 + row(c.wbox_max_fanout, entry),  # + level
-        1 + ptr + row(c.bbox_leaf_capacity, lid),
-        2 + ptr + row(c.bbox_fanout, ptr + size),  # + sizes flag
-        1 + row(c.lidf_records_per_block, 1 + max(ptr, 2 * record)),  # slot tags
-    )
+    records = c.lidf_records_per_block
+    return {
+        "wbox-leaf": wheader + deltas(c.wbox_leaf_capacity, c.lid_bits),
+        "wboxo-leaf": wheader + row(c.wbox_pair_leaf_capacity, pair),
+        "wbox-internal": wheader + 1 + row(c.wbox_max_fanout, entry),  # + level
+        "bbox-leaf": 1 + ptr + deltas(c.bbox_leaf_capacity, c.lid_bits),
+        # + sizes flag, then the sizes row
+        "bbox-internal": 2 + ptr + deltas(c.bbox_fanout, c.pointer_bits)
+        + c.bbox_fanout * size,
+        # a head with the tag in its low two bits: a pointer's zigzag
+        # delta, or a pair's first value followed by its second
+        "lidf-pointer": 1 + row(records, var(c.pointer_bits + 3)),
+        "lidf-pair": 1 + row(records, var(record + 2) + var(record)),
+    }
+
+
+def max_payload_bytes(config: Any, value_bits: int | None = None) -> int:
+    """The longest image of any kind in :func:`payload_bounds`."""
+    return max(payload_bounds(config, value_bits).values())
+
+
+#: An LIDF head byte to its INT record's delta (0 for an empty slot), and
+#: the one-byte heads that table covers: empty slots and INT records.
+_LIDF_HEAD_DELTA = [
+    _UNZIGZAG_BYTE[head >> 2] if head & 3 == _S_INT else 0 for head in range(0x80)
+]
+_ONE_BYTE_HEADS = bytes(
+    head for head in range(0x80) if head == _S_EMPTY or head & 3 == _S_INT
+)
+
+
+def _scan_lidf_records(buf: Any, pos: int, count: int) -> tuple[list, int]:
+    check_count(buf, pos, count)
+    heads = bytes(buf[pos : pos + count])
+    if len(heads) == count and not heads.translate(None, _ONE_BYTE_HEADS):
+        # Every record one byte, an empty slot or an INT record (a block
+        # of pointers): a table lookup and a running sum in C.
+        records: list = list(accumulate(map(_LIDF_HEAD_DELTA.__getitem__, heads)))
+        if records and min(records) < 0:
+            raise PersistError("an LIDF delta steps below zero")
+        if _S_EMPTY in heads:
+            records = [value if head else None for head, value in zip(heads, records)]
+        return records, pos + count
+    records = [None] * count
+    previous = 0
+    for i in range(count):
+        head = buf[pos]
+        pos += 1
+        if head >= 0x80:  # inline: a churned block's heads are two bytes
+            byte = buf[pos]
+            pos += 1
+            head = (head & 0x7F) | (byte & 0x7F) << 7
+            shift = 14
+            while byte >= 0x80:
+                byte = buf[pos]
+                pos += 1
+                head |= (byte & 0x7F) << shift
+                shift += 7
+        tag = head & 3
+        if tag == _S_INT:
+            raw = head >> 2
+            previous += (raw >> 1) ^ -(raw & 1)
+            if previous < 0:
+                raise PersistError("an LIDF delta steps below zero")
+            records[i] = previous
+        elif tag == _S_PAIR:
+            second, pos = scan_uvarint(buf, pos)
+            records[i] = (head >> 2, second)
+        elif tag == _S_SEQ:
+            raws, pos = scan_uvarints(buf, pos, head >> 2)
+            records[i] = tuple([(raw >> 1) ^ -(raw & 1) for raw in raws])
+        elif head:
+            raise PersistError(f"LIDF empty slot with head {head}")
+    return records, pos
 
 
 def decode_block_payload_at(buf: Any, pos: int) -> tuple[Any, int]:
@@ -351,7 +528,7 @@ def decode_block_payload_at(buf: Any, pos: int) -> tuple[Any, int]:
                     record.end_value = None if end_value == 0 else end_value - 1
                     append(record)
             else:
-                entries, pos = scan_uvarints(buf, pos, count)
+                entries, pos = _scan_delta_row(buf, pos, count)
             return WNode(0, range_lo, range_len, weight, entries), pos
         if kind == _K_WINT:
             level, pos = scan_uvarint(buf, pos)
@@ -369,7 +546,7 @@ def decode_block_payload_at(buf: Any, pos: int) -> tuple[Any, int]:
         if kind in (_K_BLEAF, _K_BINT):
             parent, pos = scan_uvarint(buf, pos)
             count, pos = scan_uvarint(buf, pos)
-            entries, pos = scan_uvarints(buf, pos, count)
+            entries, pos = _scan_delta_row(buf, pos, count)
             sizes = None
             if kind == _K_BINT:
                 flag, pos = scan_uvarint(buf, pos)
@@ -381,28 +558,7 @@ def decode_block_payload_at(buf: Any, pos: int) -> tuple[Any, int]:
             return node, pos
         if kind == _K_LIDF:
             count, pos = scan_uvarint(buf, pos)
-            check_count(buf, pos, count)
-            records: list = [None] * count
-            for i in range(count):
-                tag = buf[pos]
-                pos += 1
-                if tag >= 0x80:  # multi-byte tag: impossible today, stay exact
-                    tag, pos = scan_uvarint(buf, pos - 1)
-                if tag == _S_EMPTY:
-                    continue
-                if tag == _S_INT:
-                    records[i], pos = scan_uvarint(buf, pos)
-                elif tag == _S_PAIR:
-                    first, pos = scan_uvarint(buf, pos)
-                    second, pos = scan_uvarint(buf, pos)
-                    records[i] = (first, second)
-                elif tag == _S_SEQ:
-                    length, pos = scan_uvarint(buf, pos)
-                    raws, pos = scan_uvarints(buf, pos, length)
-                    records[i] = tuple([(raw >> 1) ^ -(raw & 1) for raw in raws])
-                else:
-                    raise PersistError(f"unknown LIDF slot tag {tag}")
-            return records, pos
+            return _scan_lidf_records(buf, pos, count)
     except IndexError:
         raise PersistError("truncated varint") from None
     raise PersistError(f"unknown block kind {kind}")

@@ -98,9 +98,11 @@ from .walseg import (
     segment_path,
 )
 
-#: Format version 2: binary directory past the last page (version 1 kept
-#: a JSON superblock and rewrote it with every commit).
-MAGIC = b"BOXPAGE2"
+#: Format version 3: page images code rows of LIDs and block pointers as
+#: zigzag deltas (:mod:`repro.storage.codec`).  Version 2 had the same
+#: binary directory past the last page with plain varint rows; version 1
+#: kept a JSON superblock and rewrote it with every commit.
+MAGIC = b"BOXPAGE3"
 
 #: Fixed byte length of the header region; with the magic, pages start
 #: at offset 4096.
@@ -112,7 +114,11 @@ HEADER_BYTES = 4088
 #: Sized from the measured replay cost of point edits: re-running logged
 #: 3-op W-BOX submits (1 KB blocks, 200k labels, every page cold; 19–27
 #: tape bytes a submit) costs 15–40 µs per tape byte on a 2-vCPU host, so
-#: 0.1–0.3 s of replay stands behind a reopen.  A range op's row is a few
+#: 0.1–0.3 s of replay stands behind a reopen.  Measured again with
+#: delta-coded pages: 500 / 1,000 / 2,000 submits reopen in 154–164 /
+#: 329–333 / 518–608 ms (11–14 µs a tape byte; plain varint rows: 169–254
+#: / 366–520 / 538–638 ms on the same host) — replayed W-BOX splits, not
+#: first-touch decodes, are most of it.  A range op's row is a few
 #: bytes for O(range) work — 64-label subtree inserts and range deletes
 #: re-run at ~130 and ~100 µs per byte — so range-heavy tapes replay
 #: several times longer per byte.
@@ -217,9 +223,10 @@ def read_directory(path: str) -> dict[str, Any] | None:
     """
     with open(path, "rb") as handle:
         magic = handle.read(len(MAGIC))
-        if magic == b"BOXPAGE1":
+        if magic in (b"BOXPAGE1", b"BOXPAGE2"):
             raise PersistError(
-                f"{path} is a format-version-1 page file; this build reads version 2"
+                f"{path} is a format-version-{magic[-1] - 48} page file; "
+                "this build reads version 3"
             )
         if magic != MAGIC:
             raise PersistError(f"{path} is not a page file (bad magic)")

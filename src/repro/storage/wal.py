@@ -60,9 +60,11 @@ from ..obs.metrics import get_registry
 from .codec import scan_uvarint, uvarint_bytes
 from .disk import Disk
 
-#: Format version 3: a commit logs its tape (OPS), page images go out
+#: Format version 4: page images code rows of LIDs and block pointers as
+#: zigzag deltas.  Version 3 logged the same records with plain varint
+#: rows; since it, a commit logs its tape (OPS) and page images go out
 #: only with checkpoints; version 2 journaled them with every commit.
-MAGIC = b"BOXWAL03"
+MAGIC = b"BOXWAL04"
 
 REC_PUT = 1
 REC_DELTA = 2
@@ -289,10 +291,10 @@ def scan_wal_bytes(
         return scan
     if expect_magic:
         if data[: len(MAGIC)] != MAGIC:
-            if data[: len(MAGIC)] in (b"BOXWAL01", b"BOXWAL02"):
+            if data[: len(MAGIC)] in (b"BOXWAL01", b"BOXWAL02", b"BOXWAL03"):
                 raise WALError(
                     f"{source} is a format-version-{data[7] - 48} write-ahead "
-                    "log; this build reads version 3"
+                    "log; this build reads version 4"
                 )
             if MAGIC.startswith(data[: len(MAGIC)]):
                 # The very first physical write (the magic itself) was torn:

@@ -215,7 +215,7 @@ class TestFileBackendPages:
         path.write_bytes(b"BOXPAGE1" + b"\0" * 8192)
         with pytest.raises(PersistError, match="format-version-1 page file"):
             FileBackend(str(path))
-        with pytest.raises(PersistError, match="reads version 2"):
+        with pytest.raises(PersistError, match="reads version 3"):
             read_directory(str(path))
 
 

@@ -344,7 +344,7 @@ class TestPageFileDiagnostics:
     def test_info_then_recover_then_info(self, crashed_store, capsys):
         assert main(["info", crashed_store]) == 0
         before = capsys.readouterr().out
-        assert "format version 2" in before
+        assert "format version 3" in before
         assert "checkpoint:   LSN 3" in before and "live labels:  24" in before
         assert "5 transaction(s), 5 to replay" in before
         assert "torn tail of 8 bytes to discard (torn record body)" in before

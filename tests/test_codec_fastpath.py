@@ -15,7 +15,10 @@ The payload zoo deliberately straddles the packed encoder's width tiers
 fall off the table, 2**50 magnitudes) and every kind tag / LIDF slot tag,
 including the long signed ORDPATH component vectors whose decode the
 satellite fix (list preallocation instead of a generator inside
-``tuple()``) targets.
+``tuple()``) targets.  Delta rows (LIDs and block pointers) get runs
+that stay in the one-byte delta tier, descending runs (negative
+deltas), rows alternating between 0 and a field's widest value, and
+rows of no value and of one.
 """
 
 import io
@@ -111,6 +114,23 @@ def _payload_zoo():
         "lidf-long-seq": [tuple((-1) ** i * (i * 37) for i in range(500))],
         "lidf-empty": [],
         "lidf-all-empty": [None] * 40,
+        # Delta rows: one-byte tier, negative deltas, alternating extremes,
+        # one value, and the step from the tier into the generic loop.
+        "wleaf-run": WNode(0, 0, 1 << 20, 240, list(range(70_000, 70_240))),
+        "wleaf-descending": WNode(0, 0, 1 << 20, 100, list(range(5_000, 4_900, -1))),
+        "wleaf-tier-edge": WNode(0, 0, 256, 5, [200, 263, 199, 263, 327]),
+        "wleaf-alternating": WNode(0, 0, 1 << 33, 9, [0, 2**32 - 1] * 4 + [0]),
+        "wleaf-one": WNode(0, 0, 16, 1, [2**40]),
+        "bleaf-run": BNode(leaf=True, parent=3, entries=list(range(900, 1148))),
+        "bleaf-alternating": BNode(leaf=True, parent=3, entries=[2**32 - 1, 0] * 5),
+        "bint-run": BNode(
+            leaf=False, parent=0, entries=list(range(40, 164)), sizes=[2] * 124
+        ),
+        "lidf-pointer-run": [17] * 60 + [None, None] + [18] * 58 + [None],
+        "lidf-pointer-descending": [None] + list(range(300, 180, -1)),
+        "lidf-pointer-alternating": [0, 2**32 - 1] * 61,
+        "lidf-pointer-one": [2**32 - 1],
+        "lidf-pointers-and-pairs": [5, 5, (5, 7), 6, None, (0, 0), 4],
     }
     return zoo
 
@@ -215,6 +235,8 @@ def test_uvarint_bytes_matches_stream_writer():
 def test_negative_row_value_raises(fast):
     with pytest.raises(PersistError):
         ENCODERS[fast](WNode(0, 0, 16, 1, [-3]))
+    with pytest.raises(PersistError):
+        ENCODERS[fast]([3, -1])  # an LIDF pointer
 
 
 @pytest.mark.parametrize("fast", [True, False])
@@ -237,9 +259,9 @@ def test_truncated_image_raises(fast):
 def test_unknown_kind_and_slot_tags_raise(fast):
     with pytest.raises(PersistError):
         DECODERS[fast](bytes([99]))  # unknown block kind
-    # _K_LIDF block with one record carrying an unknown slot tag.
+    # _K_LIDF block with one record: an empty-slot tag with a payload.
     with pytest.raises(PersistError):
-        DECODERS[fast](bytes([6, 1, 9]))
+        DECODERS[fast](bytes([6, 1, 4]))
 
 
 def test_streaming_seq_decode_matches_fast():
@@ -290,7 +312,8 @@ def _count_bombs():
         # one real entry, sizes flag set, but the sizes row is missing
         "bint-sizes": bytes([5, 0, 1, 7, 1]),
         "lidf-records": bytes([6]) + bomb,
-        "lidf-seq-length": bytes([6, 1, 3]) + bomb,
+        # a multi-byte SEQ head: the length rides in the head
+        "lidf-seq-length": bytes([6, 1]) + uvarint_bytes(1 << 42 | 3),
     }
 
 
@@ -314,3 +337,56 @@ def test_count_bomb_uses_bytes_remaining_after_offset():
     bomb = bytes([4, 0, 40])  # B-BOX leaf claiming 40 entries, none present
     with pytest.raises(PersistError, match="exceeds"):
         decode_block_payload_at(padding + bomb, len(padding))
+
+
+# ----------------------------------------------------------------------
+# delta rows: the one-byte tier, the generic loop, and hostile steps
+# ----------------------------------------------------------------------
+
+ONE_BYTE_ROWS = {
+    "ascending": list(range(10_000, 10_200)),
+    "descending": list(range(10_200, 10_000, -1)),
+    "widest-one-byte-steps": [1000 + (63 if i % 2 else 0) for i in range(101)],
+    "one": [12],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_BYTE_ROWS))
+def test_one_byte_tier_decodes_like_the_generic_loop(name):
+    """A row whose deltas all fit a byte decodes through the table tier;
+    the same row with one far value after it decodes through the generic
+    loop.  Both give the row back, as the byte-at-a-time reference does."""
+    row = ONE_BYTE_ROWS[name]
+    for tail in ([], [row[-1] + 10**6]):
+        values = row + tail
+        for payload, entries in (
+            (WNode(0, 0, 1 << 40, len(values), values), lambda n: n.entries),
+            (BNode(leaf=True, parent=1, entries=values), lambda n: n.entries),
+            (values + [None], lambda block: block[:-1]),
+            (values + [(1, 2)], lambda block: block[:-1]),  # a PAIR: generic loop
+        ):
+            image = encode_block_payload(payload)
+            assert image == reference_encode(payload)
+            assert entries(decode_block_payload(image)) == values
+            assert entries(reference_decode(image)) == values
+
+
+def _steps_below_zero():
+    """Images whose deltas take a value below zero: one-byte and
+    multi-byte deltas in each kind of delta row."""
+    minus_5, minus_1000 = uvarint_bytes(9), uvarint_bytes(1999)  # zigzag
+    return {
+        "wleaf-one-byte": bytes([1, 0, 16, 0, 2, 3]) + minus_5,
+        "wleaf-multi-byte": bytes([1, 0, 16, 0, 2, 3]) + minus_1000,
+        "bleaf-one-byte": bytes([4, 0, 2, 3]) + minus_5,
+        "bint-multi-byte": bytes([5, 0, 2, 3]) + minus_1000 + bytes([0]),
+        "lidf-one-byte-head": bytes([6, 2, 1, 4 * 9 + 1]),
+        "lidf-multi-byte-head": bytes([6, 2, 1]) + uvarint_bytes(4 * 1999 + 1),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_steps_below_zero()))
+def test_a_step_below_zero_is_refused(name):
+    image = _steps_below_zero()[name]
+    assert _failure_type(decode_block_payload, image) is PersistError
+    assert _failure_type(reference_decode, image) is PersistError

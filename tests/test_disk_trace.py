@@ -139,13 +139,13 @@ def test_checkpoint_forces_then_seals_then_retains(tmp_path, monkeypatch):
     assert disk.take() == [
         ("write", "t.pages.wal", 51, 16),  # PUT records: the pages the tape dirtied...
         ("write", "t.pages.wal", 67, 21),
-        ("write", "t.pages.wal", 88, 17),
-        ("write", "t.pages.wal", 105, 480),  # ABSOLUTE
-        ("write", "t.pages.wal", 585, 9),  # COMMIT
+        ("write", "t.pages.wal", 88, 16),
+        ("write", "t.pages.wal", 104, 480),  # ABSOLUTE
+        ("write", "t.pages.wal", 584, 9),  # COMMIT
         ("fsync", "t.pages.wal", None, None),
         ("write", "t.pages", 4096, 14),  # ...the same images written back
         ("write", "t.pages", 5122, 19),
-        ("write", "t.pages", 5464, 15),
+        ("write", "t.pages", 5464, 14),
         ("write", "t.pages", 5806, 475),  # directory
         ("write", "t.pages", 8, 20),  # header
         ("fsync", "t.pages", None, None),  # the barrier
@@ -217,11 +217,11 @@ def test_follower_bootstrap_catch_up_and_seal(tmp_path, monkeypatch):
             checkpoint_service(primary.service)
             follower.catch_up()
             assert disk.take("f/") == [
-                ("write", wal, 51, 602),  # the primary's checkpoint record
+                ("write", wal, 51, 593),  # the primary's checkpoint record
                 ("write", page, 4096, 13),  # write-back: its page images...
-                ("write", page, 4438, 22),
+                ("write", page, 4438, 14),
                 ("write", page, 6490, 31),
-                ("write", page, 6832, 15),
+                ("write", page, 6832, 14),
                 ("write", page, 7174, 13),
                 ("write", page, 7516, 484),  # directory
                 ("write", page, 8, 20),  # header

@@ -8,11 +8,10 @@ Every change must reproduce them bit for bit (the directory image, the
 page images, the DELTA and ABSOLUTE record bodies, the WAL record
 framing and the snapshot body all live in those bytes) and must still
 *load* them into a working scheme whose every LID agrees with a memory
-twin.  Snapshots date from before the page-file and WAL formats went to
-version 2 (O(delta) commits) and did not change with them, nor with the
-WAL's version 3 (commits log tapes, checkpoints log page images); the
-tape runs one batch per step, so the segment holds one OPS record per
-step.
+twin.  All three were last regenerated when rows of LIDs and block
+pointers became zigzag deltas (page file version 3, WAL version 4,
+snapshot version 2); the tape runs one batch per step, so the segment
+holds one OPS record per step.
 
 Regenerate (only when the format is changed on purpose)::
 
@@ -26,8 +25,10 @@ import shutil
 import pytest
 
 from repro import BatchOp, BBox, NaiveScheme, OrdPath, WBox, WBoxO
+from repro.cli import main
 from repro.config import TINY_CONFIG
 from repro.core.ancestry import AncestryDynamic
+from repro.errors import PersistError, WALError
 from repro.persist import (
     checkpoint_scheme,
     full_checkpoint,
@@ -211,6 +212,32 @@ def test_segment_already_in_the_page_file_is_skipped(tmp_path, name):
         _assert_matches_twin(scheme, name)
     finally:
         scheme.store.backend.close()
+
+
+#: The magic of the version each format had before rows became zigzag
+#: deltas, how a reader names it, the reader and what it raises.
+PREVIOUS_VERSIONS = {
+    "page file": (b"BOXPAGE2", "format-version-2 page file", FileBackend, PersistError),
+    "write-ahead log": (
+        b"BOXWAL03", "format-version-3 write-ahead log", scan_wal, WALError
+    ),
+    "snapshot": (b"BOXS0001", "format-version-1 snapshot", load_scheme, PersistError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PREVIOUS_VERSIONS))
+def test_the_previous_version_is_refused_by_name(tmp_path, name, capsys):
+    """A file of the version before delta-coded rows is refused with its
+    version named, never decoded as the current layout; ``repro info``
+    names it too."""
+    magic, message, reader, error = PREVIOUS_VERSIONS[name]
+    path = tmp_path / "old"
+    path.write_bytes(magic + bytes(8192))
+    with pytest.raises(error, match=message):
+        reader(str(path))
+    if reader is not scan_wal:
+        assert main(["info", str(path)]) == 1
+        assert message in capsys.readouterr().err
 
 
 if __name__ == "__main__":

@@ -3,7 +3,9 @@ config's largest node, and nothing pads it back to a fixed 4 KB.
 
 * every maximally full node of every fixed-width kind, at every block
   size the paper and the benchmarks use, fits ``default_page_bytes`` —
-  and the largest one fills it exactly, so the slot has no headroom guess;
+  each kind's widest node fills its own bound exactly (delta rows at
+  their worst: alternating between 0 and the widest value), and the
+  largest one fills the slot exactly, so the slot has no headroom guess;
 * a scheme that stores label values in its LIDF (naive-k, the ancestry
   schemes) gets a slot for values of its own width, and every scheme's
   file store takes a bulk load of full blocks and reopens;
@@ -28,7 +30,7 @@ from repro.errors import CrashError, StorageError
 from repro.faults import SHORT_WRITE, FaultInjector, FaultPlan, FaultSpec
 from repro.persist import checkpoint_scheme, create_store, open_store
 from repro.storage import FileBackend, default_page_bytes, read_directory
-from repro.storage.codec import encode_block_payload
+from repro.storage.codec import encode_block_payload, payload_bounds
 from repro.storage.filebackend import _CRC, _HEADER, _PAGE_HEADER, MAGIC
 from repro.storage.wal import MAGIC as WAL_MAGIC
 
@@ -52,13 +54,19 @@ KINDS = (
 def full_node(kind, config, value, value_bits=None):
     """A node of ``kind`` at its capacity under ``config``; ``value(bits)``
     gives each field a value below ``2**bits``, an LIDF pair holds values
-    ``value_bits`` wide (default the label width)."""
+    ``value_bits`` wide (default the label width).  A delta-coded row (LIDs,
+    block pointers) alternates between that value and 0, so every delta
+    is as wide as the value."""
     c = config
     label, lid, ptr = c.label_bits, c.lid_bits, c.pointer_bits
+
+    def deltas(bits, count):
+        return [0 if i % 2 else value(bits) for i in range(count)]
+
     if kind in ("wbox-leaf", "wboxo-leaf", "wbox-internal"):
         header = (value(label), value(label) + 1, value(c.weight_bits))
     if kind == "wbox-leaf":
-        return WNode(0, *header, [value(lid) for _ in range(c.wbox_leaf_capacity)])
+        return WNode(0, *header, deltas(lid, c.wbox_leaf_capacity))
     if kind == "wboxo-leaf":
         records = []
         for _ in range(c.wbox_pair_leaf_capacity):
@@ -78,14 +86,14 @@ def full_node(kind, config, value, value_bits=None):
         ]
         return WNode(1 + value(6), *header, entries)
     if kind == "bbox-leaf":
-        return BNode(True, value(ptr), [value(lid) for _ in range(c.bbox_leaf_capacity)])
+        return BNode(True, value(ptr), deltas(lid, c.bbox_leaf_capacity))
     if kind == "bbox-internal":
         fanout = c.bbox_fanout
-        return BNode(False, value(ptr), [value(ptr) for _ in range(fanout)],
+        return BNode(False, value(ptr), deltas(ptr, fanout),
                      [value(c.size_bits) for _ in range(fanout)])
     records = c.lidf_records_per_block
     if kind == "lidf-pointer":
-        return [value(ptr) for _ in range(records)]
+        return deltas(ptr, records)
     bits = label if value_bits is None else value_bits
     return [(value(bits), value(bits)) for _ in range(records)]
 
@@ -109,7 +117,8 @@ def test_a_full_node_fits_its_default_slot(block_bytes, kind, data):
     page_bytes`` error is unreachable on default geometry."""
     config = BoxConfig(block_bytes=block_bytes)
     # One draw per field width, shared by every field and entry of that
-    # width: a varint's length only grows with its value.
+    # width: a varint's length only grows with its value, and a delta's
+    # with the value it alternates with 0.
     drawn = {}
 
     def value(bits):
@@ -118,6 +127,15 @@ def test_a_full_node_fits_its_default_slot(block_bytes, kind, data):
         return drawn[bits]
 
     assert _framed(full_node(kind, config, value)) <= default_page_bytes(config)
+
+
+@pytest.mark.parametrize("block_bytes", BLOCK_SIZES)
+def test_each_kinds_widest_node_fills_its_bound_exactly(block_bytes):
+    config = BoxConfig(block_bytes=block_bytes)
+    bounds = payload_bounds(config)
+    assert sorted(bounds) == sorted(KINDS)
+    for kind in KINDS:
+        assert len(encode_block_payload(full_node(kind, config, _widest))) == bounds[kind]
 
 
 @pytest.mark.parametrize("block_bytes", BLOCK_SIZES)
@@ -186,13 +204,18 @@ def _small_payloads(_slot):
     return [[i] * (7 * i + 1) for i in range(10)]
 
 
+def _alternating(count, i=0):
+    return [(1 << 31) + i if j % 2 == 0 else i for j in range(count)]
+
+
 def _near_full_payloads(slot):
-    """LIDF-style blocks of 5-byte varints, each as long as the slot
-    allows: an image past its slot would run into the next page."""
+    """LIDF-style blocks of 5-byte heads (pointers alternating between
+    2**31 and about 0), each as long as the slot allows: an image past
+    its slot would run into the next page."""
     count = 1
-    while _PAGE_HEADER.size + len(encode_block_payload([1 << 31] * (count + 1))) <= slot:
+    while _PAGE_HEADER.size + len(encode_block_payload(_alternating(count + 1))) <= slot:
         count += 1
-    return [[(1 << 31) + i] * (count - i % 2) for i in range(10)]
+    return [_alternating(count - i % 2, i) for i in range(10)]
 
 
 GEOMETRIES = {

@@ -96,8 +96,9 @@ class TestCountBombs:
     """An untrusted file can claim any element count; the decoder must
     refuse one the file cannot hold instead of preallocating from it."""
 
-    #: LIDF block, one record, an _S_SEQ vector of 2**40 components.
-    BOMB = bytes([6, 1, 3]) + uvarint_bytes(1 << 40)
+    #: LIDF block, one record, an _S_SEQ vector of 2**40 components (the
+    #: length rides in the record head, above the two tag bits).
+    BOMB = bytes([6, 1]) + uvarint_bytes(1 << 42 | 3)
 
     def test_snapshot_payload_count_bomb(self, saved, tmp_path):
         _, path = saved
