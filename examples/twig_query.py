@@ -4,7 +4,9 @@
 Twig matching (Bruno et al.'s holistic twig joins are the reference point
 the paper cites) finds all embeddings of a small tree pattern connected by
 ancestor/descendant edges.  With order-based labels, every structural test
-is an interval containment check over label-sorted candidate lists.
+is an interval containment check: the candidates' labels are read once and
+sorted, and an element's descendants are one contiguous run.  For labels
+cached across updates (the Section 6 layer), see ``editing_session.py``.
 
 The example matches two patterns over an XMark-shaped auction site:
 
@@ -18,7 +20,6 @@ Run:  python examples/twig_query.py
 
 from repro import BBox, BoxConfig, LabeledDocument
 from repro.query import TwigNode, twig_match
-from repro.query.axes import CachedIntervalFetcher
 from repro.xml import xmark_document
 from repro.xml.model import element_count
 
@@ -55,14 +56,9 @@ def main() -> None:
     mail_pattern = TwigNode("item", [TwigNode("mailbox", [TwigNode("mail")])])
     print("\nPattern:")
     print(render(mail_pattern, depth=1))
-    fetch = CachedIntervalFetcher(doc, log_capacity=128)
-    with doc.scheme.store.measured() as cold:
-        matches = twig_match(doc, mail_pattern, fetch)
-    with doc.scheme.store.measured() as warm:
-        twig_match(doc, mail_pattern, fetch)
-    print(f"  {len(matches)} embeddings")
-    print(f"  cold: {cold.total} block I/Os; warm (cached labels): {warm.total}")
-    fetch.close()
+    with doc.scheme.store.measured() as op:
+        matches = twig_match(doc, mail_pattern)
+    print(f"  {len(matches)} embeddings, {op.total} block I/Os")
 
 
 if __name__ == "__main__":

@@ -1,15 +1,16 @@
 """Label-based XML query operators.
 
-Order-based labels exist to make these fast: ancestor/descendant checks are
-two label comparisons, containment (structural) joins are a stack-based
-merge over label-sorted inputs, and twig matching composes containment
-joins.  Everything here consumes labels through a
-:class:`~repro.core.document.LabeledDocument` (optionally via the Section 6
-caching layer), so every label fetch is I/O-accounted.
+Order-based labels exist to make these fast: an ancestor/descendant check
+is two label comparisons.  :class:`EpochView` is the one structural index:
+it holds a set of elements sorted by start label, so an element's
+descendants are one contiguous run.  Containment joins, twig matching and
+XPath's result order each read their labels once, with one
+``lookup_many``, into a view (:func:`document_view`); served queries build
+theirs through :class:`QueryEngine` at one pinned epoch.  Every label read
+is I/O-accounted.
 """
 
-from .axes import LabelInterval, contains, precedes, label_interval
-from .streams import ElementCatalog, EpochView, QueryEngine
+from .streams import ElementCatalog, EpochView, QueryEngine, document_view
 from .containment import (
     containment_count,
     containment_join,
@@ -23,10 +24,7 @@ __all__ = [
     "ElementCatalog",
     "EpochView",
     "QueryEngine",
-    "LabelInterval",
-    "contains",
-    "precedes",
-    "label_interval",
+    "document_view",
     "containment_join",
     "containment_join_by_name",
     "containment_semijoin",

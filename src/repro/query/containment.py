@@ -1,71 +1,47 @@
 """Containment (structural) join over order-based labels.
 
-The stack-based merge join of Zhang et al. [20] — the operation the paper's
-introduction motivates the labeling with.  Inputs are two element lists;
-their label intervals are fetched through the scheme (or a cached fetcher),
-sorted by start label, and merged in one pass with a stack of currently
-open ancestors.  Output pairs are every ``(ancestor, descendant)`` with
-``l<(a) < l<(d) < l>(d) < l>(a)``.
+The operation the paper's introduction motivates the labeling with: every
+``(ancestor, descendant)`` pair with ``l<(a) < l<(d) < l>(d) < l>(a)``.
+Both inputs' labels are read in one ``lookup_many`` into an
+:class:`~repro.query.streams.EpochView`; an ancestor's descendants are
+then one contiguous run of the view's start-sorted array.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from ..core.document import LabeledDocument
 from ..xml.model import Element
-from .axes import IntervalFetcher, LabelInterval, default_fetcher
+from .streams import document_view
+
+
+def _runs(
+    doc: LabeledDocument, ancestors: Sequence[Element], descendants: Sequence[Element]
+) -> Iterator[tuple[Element, Iterator[Element]]]:
+    """Each ancestor, in document order, with its ``descendants`` in
+    document order, from one view over both lists."""
+    view, element_of = document_view(doc, [*ancestors, *descendants])
+    outer, inner = set(ancestors), set(descendants)
+    for pair in view.pairs:
+        ancestor = element_of[pair]
+        if ancestor in outer:
+            run = (element_of[p] for p in view.descendants(pair))
+            yield ancestor, (element for element in run if element in inner)
 
 
 def containment_join(
     doc: LabeledDocument,
     ancestors: Sequence[Element],
     descendants: Sequence[Element],
-    fetch: IntervalFetcher | None = None,
 ) -> list[tuple[Element, Element]]:
-    """All (ancestor, descendant) pairs between the two element lists.
-
-    Runs in ``O(A log A + D log D + output)`` comparisons after fetching
-    one label interval per input element.
-    """
-    if fetch is None:
-        fetch = default_fetcher(doc)
-    labeled_a = sorted(
-        ((fetch(element), element) for element in ancestors),
-        key=lambda pair: pair[0].start,
-    )
-    labeled_d = sorted(
-        ((fetch(element), element) for element in descendants),
-        key=lambda pair: pair[0].start,
-    )
-
-    output: list[tuple[Element, Element]] = []
-    stack: list[tuple[LabelInterval, Element]] = []
-    a_index = 0
-    for d_interval, d_element in labeled_d:
-        # Open every ancestor that starts before this descendant.
-        while a_index < len(labeled_a) and labeled_a[a_index][0].start < d_interval.start:
-            a_interval, a_element = labeled_a[a_index]
-            while stack and stack[-1][0].end < a_interval.start:
-                stack.pop()
-            stack.append((a_interval, a_element))
-            a_index += 1
-        # Close ancestors that ended before this descendant starts.
-        while stack and stack[-1][0].end < d_interval.start:
-            stack.pop()
-        # Every remaining stacked ancestor contains the descendant: the
-        # stack holds nested intervals that are all open at d's start.
-        for a_interval, a_element in stack:
-            if a_interval.contains(d_interval):
-                output.append((a_element, d_element))
-    return output
+    """All (ancestor, descendant) pairs between the two element lists,
+    grouped by ancestor, in document order."""
+    return [(a, d) for a, run in _runs(doc, ancestors, descendants) for d in run]
 
 
 def containment_join_by_name(
-    doc: LabeledDocument,
-    ancestor_name: str,
-    descendant_name: str,
-    fetch: IntervalFetcher | None = None,
+    doc: LabeledDocument, ancestor_name: str, descendant_name: str
 ) -> list[tuple[Element, Element]]:
     """Containment join between all elements with the two tag names —
     the ``//a//d`` path expression."""
@@ -73,67 +49,25 @@ def containment_join_by_name(
         return []
     ancestors = doc.root.find_all(ancestor_name)
     descendants = doc.root.find_all(descendant_name)
-    return containment_join(doc, ancestors, descendants, fetch)
+    return containment_join(doc, ancestors, descendants)
 
 
 def containment_semijoin(
     doc: LabeledDocument,
     ancestors: Sequence[Element],
     descendants: Sequence[Element],
-    fetch: IntervalFetcher | None = None,
 ) -> list[Element]:
-    """Ancestors with at least one descendant in the second list — the
-    existential form of XPath predicates (``//a[.//d]``).  Same merge as
-    :func:`containment_join` but each ancestor is reported once and the
-    scan of the open-ancestor stack stops at first proof."""
-    if fetch is None:
-        fetch = default_fetcher(doc)
-    labeled_a = sorted(
-        ((fetch(element), element) for element in ancestors),
-        key=lambda pair: pair[0].start,
-    )
-    labeled_d = sorted((fetch(element).start for element in descendants))
-
-    from bisect import bisect_right
-
-    output = []
-    for interval, element in labeled_a:
-        position = bisect_right(labeled_d, interval.start)
-        if position < len(labeled_d) and labeled_d[position] < interval.end:
-            output.append(element)
-    return output
+    """Ancestors with at least one descendant in the second list, in
+    document order — the existential form of XPath predicates
+    (``//a[.//d]``); each run stops at its first proof."""
+    return [a for a, run in _runs(doc, ancestors, descendants) if any(True for _ in run)]
 
 
 def containment_count(
     doc: LabeledDocument,
     ancestors: Sequence[Element],
     descendants: Sequence[Element],
-    fetch: IntervalFetcher | None = None,
 ) -> dict[Element, int]:
-    """Per-ancestor descendant counts (``count(.//d)``) by binary search on
-    the label-sorted descendant starts — no pair materialization."""
-    if fetch is None:
-        fetch = default_fetcher(doc)
-    starts = sorted(fetch(element).start for element in descendants)
-
-    from bisect import bisect_left, bisect_right
-
-    counts: dict[Element, int] = {}
-    for element in ancestors:
-        interval = fetch(element)
-        low = bisect_right(starts, interval.start)
-        high = bisect_left(starts, interval.end, lo=low)
-        counts[element] = high - low
-    return counts
-
-
-def brute_force_containment(
-    ancestors: Sequence[Element], descendants: Sequence[Element]
-) -> list[tuple[Element, Element]]:
-    """Reference implementation by tree-walking (tests compare against it)."""
-    return [
-        (ancestor, descendant)
-        for ancestor in ancestors
-        for descendant in descendants
-        if ancestor.is_ancestor_of(descendant)
-    ]
+    """Per-ancestor descendant counts (``count(.//d)``) without pair
+    materialization."""
+    return {a: sum(1 for _ in run) for a, run in _runs(doc, ancestors, descendants)}

@@ -34,17 +34,24 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
+from ..core.document import LabeledDocument
 from ..errors import LabelingError, UnknownLIDError
+from ..xml.model import Element
 
 if TYPE_CHECKING:  # the service builds engines; importing it here would cycle
     from ..service.sharded import ShardedReaderSession
 
-__all__ = ["ElementCatalog", "EpochView", "QueryEngine"]
+__all__ = ["ElementCatalog", "EpochView", "QueryEngine", "document_view"]
 
 #: An element's identity: its (start LID, end LID) pair.
 ElementPair = tuple[int, int]
+
+
+def _label(_lid: int, label: Any) -> Any:
+    """The identity sort key: one scheme's labels are document order."""
+    return label
 
 
 class ElementCatalog:
@@ -138,6 +145,37 @@ class EpochView:
             stack.append(position)
         self._parents = parents
         self._depths = depths
+
+    @classmethod
+    def build(
+        cls,
+        pairs: Sequence[ElementPair],
+        labels: Sequence[Any],
+        key: Callable[[int, Any], Any] = _label,
+        epochs: tuple[int, ...] = (),
+        version: int = 0,
+    ) -> "EpochView":
+        """The view of ``pairs`` from one label round: ``labels[2 * i]``
+        and ``labels[2 * i + 1]`` are pair ``i``'s start and end labels
+        (one ``lookup_many`` over the flattened pairs), ordered by
+        ``key(lid, label)``."""
+        keyed = []
+        for position, pair in enumerate(pairs):
+            start_key = key(pair[0], labels[2 * position])
+            end_key = key(pair[1], labels[2 * position + 1])
+            if not start_key < end_key:
+                raise LabelingError(
+                    f"catalog pair {pair!r} is not a (start, end) element"
+                )
+            keyed.append((start_key, end_key, pair))
+        keyed.sort()
+        return cls(
+            epochs,
+            version,
+            [pair for _s, _e, pair in keyed],
+            [start for start, _e, _p in keyed],
+            [end for _s, end, _p in keyed],
+        )
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -240,34 +278,14 @@ class QueryEngine:
                 if self.catalog.version != version:
                     continue
                 raise
-            self._view = self._build(self.session.vector.numbers, version, pairs, labels)
+            self._view = EpochView.build(
+                pairs,
+                labels,
+                key=self.session.router.order_key,
+                epochs=self.session.vector.numbers,
+                version=version,
+            )
             return self._view
-
-    def _build(
-        self,
-        epochs: tuple[int, ...],
-        version: int,
-        pairs: list[ElementPair],
-        labels: Sequence[Any],
-    ) -> EpochView:
-        key_of = self.session.router.order_key
-        keyed = []
-        for position, pair in enumerate(pairs):
-            start_key = key_of(pair[0], labels[2 * position])
-            end_key = key_of(pair[1], labels[2 * position + 1])
-            if not start_key < end_key:
-                raise LabelingError(
-                    f"catalog pair {pair!r} is not a (start, end) element"
-                )
-            keyed.append((start_key, end_key, pair))
-        keyed.sort()
-        return EpochView(
-            epochs,
-            version,
-            [pair for _s, _e, pair in keyed],
-            [start for start, _e, _p in keyed],
-            [end for _s, end, _p in keyed],
-        )
 
     # -- convenience streams (always against the fresh view) -----------
 
@@ -282,3 +300,17 @@ class QueryEngine:
 
     def ancestor_at_depth(self, element: ElementPair, depth: int) -> ElementPair | None:
         return self.view().ancestor_at_depth(element, depth)
+
+
+def document_view(
+    doc: LabeledDocument, elements: Iterable[Element]
+) -> tuple[EpochView, dict[ElementPair, Element]]:
+    """The view of ``elements`` of ``doc``, every label read in one
+    ``lookup_many``, and the map from each view pair back to its element.
+
+    This is the library operators' one label read: containment joins,
+    twigs and XPath's result order all run on the view it returns.
+    """
+    by_pair = {(doc.start_lid(e), doc.end_lid(e)): e for e in elements}
+    labels = doc.scheme.lookup_many([lid for pair in by_pair for lid in pair])
+    return EpochView.build(list(by_pair), labels), by_pair

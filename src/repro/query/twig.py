@@ -2,10 +2,11 @@
 
 A twig is a small tree of tag names connected by ancestor/descendant edges
 — the building block of XPath evaluation and the second operation (after
-containment join) the paper's introduction names.  Candidate lists per
-pattern node are label intervals sorted by start label; matches are
-enumerated by recursive interval containment, which is correct because XML
-intervals properly nest.
+containment join) the paper's introduction names.  Every candidate's
+labels are read in one ``lookup_many`` into an
+:class:`~repro.query.streams.EpochView`; a child pattern node's matches
+under a bound element are the candidates in that element's descendant
+run, which is correct because XML intervals properly nest.
 
 Example::
 
@@ -17,13 +18,12 @@ Example::
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from ..core.document import LabeledDocument
 from ..xml.model import Element
-from .axes import IntervalFetcher, LabelInterval, default_fetcher
+from .streams import ElementPair, document_view
 
 
 @dataclass
@@ -50,35 +50,7 @@ def _strip(name: str) -> str:
     return name.split("#", 1)[0]
 
 
-class _Candidates:
-    """Label-sorted candidate elements for one pattern name."""
-
-    def __init__(self, elements: Sequence[Element], fetch: IntervalFetcher) -> None:
-        labeled = sorted(
-            ((fetch(element), element) for element in elements),
-            key=lambda pair: pair[0].start,
-        )
-        self.intervals = [interval for interval, _ in labeled]
-        self.elements = [element for _, element in labeled]
-        self.starts = [interval.start for interval in self.intervals]
-
-    def within(self, container: LabelInterval) -> Iterator[tuple[LabelInterval, Element]]:
-        """Candidates strictly inside ``container`` (binary search on the
-        start labels; containment follows from proper nesting)."""
-        low = bisect_right(self.starts, container.start)
-        high = bisect_left(self.starts, container.end, lo=low)
-        for index in range(low, high):
-            yield self.intervals[index], self.elements[index]
-
-    def all(self) -> Iterator[tuple[LabelInterval, Element]]:
-        yield from zip(self.intervals, self.elements)
-
-
-def twig_match(
-    doc: LabeledDocument,
-    pattern: TwigNode,
-    fetch: IntervalFetcher | None = None,
-) -> list[dict[str, Element]]:
+def twig_match(doc: LabeledDocument, pattern: TwigNode) -> list[dict[str, Element]]:
     """Every binding of the twig pattern against the document.
 
     Returns one dict per match, mapping each pattern name to its bound
@@ -90,63 +62,31 @@ def twig_match(
     names = pattern.pattern_names()
     if len(set(names)) != len(names):
         raise ValueError("twig pattern names must be distinct (use #suffixes)")
-    if fetch is None:
-        fetch = default_fetcher(doc)
-    candidates = {
-        name: _Candidates(doc.root.find_all(_strip(name)), fetch) for name in names
-    }
+    tags = {_strip(name) for name in names}
+    view, element_of = document_view(doc, (e for e in doc.root.iter() if e.name in tags))
 
-    def match_node(
-        node: TwigNode, interval: LabelInterval, element: Element
-    ) -> Iterator[dict[str, Element]]:
-        """Bindings of ``node``'s subtree given ``node`` bound to ``element``."""
+    def match_node(node: TwigNode, pair: ElementPair) -> Iterator[dict[str, Element]]:
+        """Bindings of ``node``'s subtree given ``node`` bound to ``pair``."""
         per_child: list[list[dict[str, Element]]] = []
         for child in node.children:
             options = [
                 binding
-                for child_interval, child_element in candidates[child.name].within(interval)
-                for binding in match_node(child, child_interval, child_element)
+                for inner in view.descendants(pair)
+                if element_of[inner].name == _strip(child.name)
+                for binding in match_node(child, inner)
             ]
             if not options:
                 return  # this subtree cannot match
             per_child.append(options)
         for combination in itertools.product(*per_child):
-            merged = {node.name: element}
+            merged = {node.name: element_of[pair]}
             for binding in combination:
                 merged.update(binding)
             yield merged
 
     return [
         match
-        for interval, element in candidates[pattern.name].all()
-        for match in match_node(pattern, interval, element)
-    ]
-
-
-def brute_force_twig(root: Element, pattern: TwigNode) -> list[dict[str, Element]]:
-    """Reference twig matcher by tree walking (tests compare against it)."""
-
-    def match_node(node: TwigNode, element: Element) -> Iterator[dict[str, Element]]:
-        per_child: list[list[dict[str, Element]]] = []
-        for child in node.children:
-            options = [
-                binding
-                for candidate in element.iter()
-                if candidate is not element and candidate.name == _strip(child.name)
-                for binding in match_node(child, candidate)
-            ]
-            if not options:
-                return
-            per_child.append(options)
-        for combination in itertools.product(*per_child):
-            merged = {node.name: element}
-            for binding in combination:
-                merged.update(binding)
-            yield merged
-
-    return [
-        match
-        for element in root.iter()
-        if element.name == _strip(pattern.name)
-        for match in match_node(pattern, element)
+        for pair in view.pairs
+        if element_of[pair].name == _strip(pattern.name)
+        for match in match_node(pattern, pair)
     ]

@@ -1,8 +1,8 @@
-"""A small XPath front end over the label-based operators.
+"""A small XPath front end over labeled documents.
 
 Path expressions are "the basic building blocks of XPath" the paper's
 related-work section frames the whole labeling problem around; this module
-evaluates the structural subset directly over order-based labels:
+evaluates their structural subset:
 
 * absolute paths with child (``/``) and descendant-or-self (``//``) steps;
 * name tests (``item``), wildcards (``*``);
@@ -15,10 +15,12 @@ Examples::
     evaluate(doc, "//person[@id='person0']")
     evaluate(doc, "//item[mailbox/mail]/name")
 
-Child steps are evaluated structurally (parent links); descendant steps and
-predicates go through label intervals, so the expensive axes are the ones
-the labeling accelerates.  The grammar is deliberately tiny — no ordering
-predicates, no functions, no reverse axes.
+Steps and predicates walk the :class:`~repro.xml.model.Element` tree: a
+child test needs every element's true depth, which labels alone give only
+after reading every label.  The matches are put in document order by their
+labels, read once into an :class:`~repro.query.streams.EpochView`.  The
+grammar is deliberately tiny — no ordering predicates, no functions, no
+reverse axes.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from ..core.document import LabeledDocument
 from ..errors import ReproError
 from ..xml.model import Element
-from .axes import IntervalFetcher, default_fetcher
+from .streams import document_view
 
 
 class XPathError(ReproError):
@@ -175,25 +177,18 @@ def parse_xpath(expression: str) -> tuple[Step, ...]:
     return steps
 
 
-def evaluate(
-    doc: LabeledDocument,
-    expression: str,
-    fetch: IntervalFetcher | None = None,
-) -> list[Element]:
+def evaluate(doc: LabeledDocument, expression: str) -> list[Element]:
     """Evaluate an absolute path expression; returns matching elements in
-    document order (by label)."""
+    document order (by label), each once."""
     if doc.root is None:
         return []
     steps = parse_xpath(expression)
-    if fetch is None:
-        fetch = default_fetcher(doc)
     context: list[Element] = _initial_context(doc.root, steps[0])
     context = [e for e in context if _predicates_hold(e, steps[0].predicates)]
     for step in steps[1:]:
         context = _apply_step(context, step)
-    # Order and deduplicate by label.
-    unique = {id(element): element for element in context}
-    return sorted(unique.values(), key=lambda element: fetch(element).start)
+    view, element_of = document_view(doc, context)
+    return [element_of[pair] for pair in view.pairs]
 
 
 def _initial_context(root: Element, step: Step) -> list[Element]:

@@ -1,40 +1,42 @@
-"""Coverage for the module-level axis predicates and the achievable
-label-width estimators used by the label-bits benchmark."""
-
-import pytest
+"""Coverage for axis answers on label values alone (the query index) and
+the achievable label-width estimators used by the label-bits benchmark."""
 
 from repro import BBox, BoxConfig, LabeledDocument, TINY_CONFIG, WBox
 from repro.config import BENCH_CONFIG
 from repro.core.bits import bbox_bulk_label_bits, wbox_bulk_label_bits
-from repro.query.axes import LabelInterval, contains, label_interval, precedes
+from repro.query import EpochView, document_view
 from repro.xml.generator import two_level_document
 
 
 class TestAxisFunctions:
     def test_contains_function(self):
-        outer, inner = LabelInterval(0, 9), LabelInterval(3, 4)
-        assert contains(outer, inner)
-        assert not contains(inner, outer)
+        view = EpochView.build([(1, 2), (3, 4)], [0, 9, 3, 4])
+        assert list(view.descendants((1, 2))) == [(3, 4)]
+        assert list(view.ancestors((3, 4))) == [(1, 2)]
+        assert list(view.ancestors((1, 2))) == []
 
     def test_precedes_function(self):
-        first, second = LabelInterval(0, 2), LabelInterval(5, 7)
-        assert precedes(first, second)
-        assert not precedes(second, first)
-        # Overlapping (nested) intervals precede in neither direction.
-        outer, inner = LabelInterval(0, 9), LabelInterval(3, 4)
-        assert not precedes(outer, inner) and not precedes(inner, outer)
+        view = EpochView.build([(1, 2), (3, 4)], [0, 2, 5, 7])
+        assert list(view.following((1, 2))) == [(3, 4)]
+        assert list(view.following((3, 4))) == []
+        # Nested intervals precede in neither direction.
+        nested = EpochView.build([(1, 2), (3, 4)], [0, 9, 3, 4])
+        assert list(nested.following((1, 2))) == []
+        assert list(nested.following((3, 4))) == []
 
     def test_label_interval_matches_scheme(self):
         doc = LabeledDocument(WBox(TINY_CONFIG), two_level_document(5))
-        interval = label_interval(doc, doc.root)
-        start, end = doc.labels(doc.root)
-        assert (interval.start, interval.end) == (start, end)
+        view, element_of = document_view(doc, doc.elements())
+        ordered = sorted(doc.elements(), key=lambda element: doc.labels(element))
+        assert [element_of[pair] for pair in view.pairs] == ordered
 
     def test_intervals_from_tuple_labels(self):
         doc = LabeledDocument(BBox(TINY_CONFIG), two_level_document(5))
-        root_interval = label_interval(doc, doc.root)
-        child_interval = label_interval(doc, doc.root.children[2])
-        assert contains(root_interval, child_interval)
+        child = doc.root.children[2]
+        view, element_of = document_view(doc, [child, doc.root])
+        root_pair, child_pair = view.pairs
+        assert element_of[root_pair] is doc.root
+        assert list(view.descendants(root_pair)) == [child_pair]
 
 
 class TestBulkLabelWidthEstimators:

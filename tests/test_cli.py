@@ -149,6 +149,23 @@ class TestQueryCommand:
         assert main(["query", xml_file, "//item", "--limit", "0"]) == 0
         assert "... and" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("scheme", ["wbox", "bbox"])
+    def test_saved_box_answers_like_the_xml_file(self, scheme, xml_file, tmp_path, capsys):
+        expression = "//item[mailbox/mail]/name"
+        saved = str(tmp_path / "saved.box")
+        assert main(["label", xml_file, "--scheme", scheme, "--save", saved]) == 0
+        capsys.readouterr()
+
+        def match_lines(document):
+            assert main(["query", document, expression, "--scheme", scheme, "--limit", "0"]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert lines[0].startswith(f"{expression}: ")
+            return lines[0].split(",")[0], lines[1:]
+
+        from_xml = match_lines(xml_file)
+        assert from_xml[1] and all(line.startswith("  <name") for line in from_xml[1])
+        assert match_lines(saved) == from_xml
+
 
 class TestWorkloadCommand:
     @pytest.mark.parametrize("sequence", ["concentrated", "scattered", "xmark"])

@@ -17,13 +17,13 @@ from repro import (
     WBoxO,
 )
 from repro.query import TwigNode, containment_join_by_name, twig_match
-from repro.query.containment import brute_force_containment
 from repro.storage import BlockStore
 from repro.xml import parse, serialize, xmark_document
 from repro.xml.generator import random_document
 from repro.xml.model import Element
 
 from .conftest import SCHEME_FACTORIES, random_edit_session, verify_document
+from .query_reference import brute_force_containment
 
 
 class TestFullSessions:

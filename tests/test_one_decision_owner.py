@@ -44,7 +44,7 @@ walking ``src/repro`` with ``ast``:
   tracer's target table names functions it may outlive, and it is edited
   only with the benchmark).
 * **Options no caller set** stay deleted: the removed names below are
-  absent from ``src/``.
+  absent from ``src/``, and no query operator takes a ``fetch``.
 """
 
 from __future__ import annotations
@@ -57,6 +57,13 @@ from pathlib import Path
 from repro.core.batch import BatchExecutor
 from repro.core.cachelog import ModificationLog
 from repro.obs.metrics import CounterSet
+from repro.query import (
+    containment_count,
+    containment_join,
+    containment_semijoin,
+    twig_match,
+    xpath,
+)
 from repro.repl.follower import Follower
 from repro.service import (
     LabelService,
@@ -124,6 +131,15 @@ REMOVED_NAMES = (
     "CHECKPOINT_LOG_BYTES",
     "fold_transaction",
     "apply_shipped",
+    # The query operators read their labels once, into EpochView.
+    "query.axes",
+    "from .axes",
+    "LabelInterval",
+    "label_interval",
+    "IntervalFetcher",
+    "default_fetcher",
+    "_Candidates",
+    "brute_force_",
 )
 STORE_OPENER = "persist.py"
 BENCHMARKS = SRC.parent.parent / "benchmarks"
@@ -417,6 +433,9 @@ def test_removed_options_and_accessors_are_gone():
     # One replay: the live log is read through the snapshot type the
     # service publishes.
     assert not hasattr(ModificationLog, "replay")
+    # Query operators read labels into one EpochView, never per element.
+    operators = (containment_join, containment_semijoin, containment_count, twig_match, xpath)
+    assert [op for op in operators if "fetch" in inspect.signature(op).parameters] == []
 
 
 def test_counters_are_declared_once():

@@ -1,18 +1,23 @@
-"""Query operators: axes, containment join, twig matching — verified
-against brute-force tree walks, across schemes."""
+"""Query operators: label intervals in the view, containment join, twig
+matching — verified against brute-force tree walks, across schemes."""
 
 import pytest
 
 from repro import BBox, LabeledDocument, TINY_CONFIG, WBox
-from repro.query import TwigNode, containment_join, containment_join_by_name, twig_match
-from repro.query.axes import CachedIntervalFetcher, LabelInterval, label_interval
-from repro.query.containment import brute_force_containment
-from repro.query.twig import brute_force_twig
+from repro.query import (
+    EpochView,
+    TwigNode,
+    containment_join,
+    containment_join_by_name,
+    document_view,
+    twig_match,
+)
 from repro.xml.generator import random_document
 from repro.xml.model import Element
 from repro.xml.xmark import xmark_document
 
 from .conftest import SCHEME_FACTORIES
+from .query_reference import brute_force_containment, brute_force_twig
 
 
 def binding_key(binding):
@@ -29,25 +34,30 @@ def xmark_doc(request):
 
 
 class TestLabelInterval:
+    """An element is its (start, end) label interval in the view, and
+    containment and precedence are decided on those values alone."""
+
     def test_contains(self):
-        outer, inner = LabelInterval(0, 10), LabelInterval(2, 5)
-        assert outer.contains(inner)
-        assert not inner.contains(outer)
-        assert not outer.contains(outer)
+        view = EpochView.build([(1, 2), (3, 4)], [0, 10, 2, 5])
+        assert list(view.descendants((1, 2))) == [(3, 4)]
+        assert list(view.descendants((3, 4))) == []  # never its own
 
     def test_precedes(self):
-        first, second = LabelInterval(0, 3), LabelInterval(4, 8)
-        assert first.precedes(second)
-        assert not second.precedes(first)
+        view = EpochView.build([(3, 4), (1, 2)], [4, 8, 0, 3])
+        assert view.pairs == [(1, 2), (3, 4)]
+        assert list(view.following((1, 2))) == [(3, 4)]
+        assert list(view.following((3, 4))) == []
 
     def test_tuple_labels(self):
-        outer = LabelInterval((0,), (5,))
-        inner = LabelInterval((1,), (2,))
-        assert outer.contains(inner)
+        view = EpochView.build([(1, 2), (3, 4)], [(0,), (5,), (1,), (2,)])
+        assert list(view.descendants((1, 2))) == [(3, 4)]
 
     def test_label_interval_fetch(self, xmark_doc):
-        interval = label_interval(xmark_doc, xmark_doc.root)
-        assert interval.start < interval.end
+        root = xmark_doc.root
+        view, element_of = document_view(xmark_doc, root.iter())
+        assert [element_of[pair] for pair in view.pairs] == list(root.iter())
+        root_pair = (xmark_doc.start_lid(root), xmark_doc.end_lid(root))
+        assert len(list(view.descendants(root_pair))) == len(view) - 1
 
 
 class TestContainmentJoin:
@@ -137,38 +147,3 @@ class TestTwigMatch:
     def test_leaf_only_pattern(self, xmark_doc):
         matches = twig_match(xmark_doc, TwigNode("regions"))
         assert len(matches) == 1
-
-
-class TestCachedFetcher:
-    def test_repeated_queries_hit_cache(self):
-        doc = LabeledDocument(WBox(TINY_CONFIG), xmark_document(4, seed=1))
-        fetch = CachedIntervalFetcher(doc, log_capacity=16)
-        containment_join_by_name(doc, "item", "mail", fetch)
-        first_misses = fetch.counters.fallthrough_reads
-        containment_join_by_name(doc, "item", "mail", fetch)
-        assert fetch.counters.fallthrough_reads == first_misses  # all cached
-        assert fetch.counters.fresh_hits > 0
-
-    def test_cached_join_correct_after_updates(self):
-        doc = LabeledDocument(WBox(TINY_CONFIG), xmark_document(4, seed=1))
-        fetch = CachedIntervalFetcher(doc, log_capacity=64)
-        containment_join_by_name(doc, "item", "mail", fetch)
-        mailbox = doc.root.find("mailbox")
-        doc.append_child(Element("mail"), mailbox)
-        pairs = containment_join_by_name(doc, "item", "mail", fetch)
-        slow = brute_force_containment(
-            doc.root.find_all("item"), doc.root.find_all("mail")
-        )
-        assert pair_key(pairs) == pair_key(slow)
-
-    def test_cached_join_saves_io(self):
-        doc = LabeledDocument(BBox(TINY_CONFIG), xmark_document(5, seed=2))
-        fetch = CachedIntervalFetcher(doc, log_capacity=16)
-        containment_join_by_name(doc, "item", "mail", fetch)  # warm
-        with doc.scheme.store.measured() as cached_op:
-            containment_join_by_name(doc, "item", "mail", fetch)
-        with doc.scheme.store.measured() as plain_op:
-            containment_join_by_name(doc, "item", "mail")
-        assert cached_op.total == 0
-        assert plain_op.total > 0
-        fetch.close()
