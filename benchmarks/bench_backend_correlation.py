@@ -7,18 +7,18 @@ only honest if (a) the counts are a property of the algorithms, not of the
 backend — running the same workload on a real page file must count exactly
 the same I/Os — and (b) the counts predict physical cost — a scheme that
 counts more I/Os must spend more wall clock once every dirty block is
-really encoded, journaled, and written to disk.
+really encoded and written to disk.
 
 The table runs the concentrated insertion workload per scheme twice — on
 the default :class:`MemoryBackend` and on a :class:`FileBackend` (WAL and
 all, ``fsync`` off so the numbers measure work, not the disk) — asserts
 the counted I/Os are identical, and reports the physical side: WAL
 commits (one per durable run — the whole tape is one ``execute``, so one
-commit, however many groups it has), the page images those commits journaled,
-the pages the closing checkpoint wrote back (a commit writes only the
-log; the file-backend wall clock includes that checkpoint), bytes, and
-the wall-clock ratio.  The JSON extras carry a Pearson correlation of
-counted total I/O against file-backend wall clock across schemes.
+commit, however many groups it has), the pages the closing checkpoint
+wrote, each once (a commit writes only the log; the file-backend wall
+clock includes that checkpoint), bytes, and the wall-clock ratio.  The
+JSON extras carry a Pearson correlation of counted total I/O against
+file-backend wall clock across schemes.
 
 When run at the ``small`` scale, the memory-backend counts are also
 asserted against the recorded pre-refactor ``BENCH_fig5_concentrated.json``
@@ -86,7 +86,7 @@ def _run_pair(name: str, directory: str) -> dict:
     backend = file_scheme.store.backend
     start = time.perf_counter()
     file_result = run_concentrated(file_scheme, base, inserts)
-    backend.checkpoint()  # the write-back half of the physical cost
+    backend.checkpoint()  # the page-image half of the physical cost
     file_wall = time.perf_counter() - start
 
     assert _counts(file_scheme) == _counts(memory_scheme), (
@@ -102,7 +102,6 @@ def _run_pair(name: str, directory: str) -> dict:
         "memory_wall": memory_wall,
         "file_wall": file_wall,
         "commits": backend.commits,
-        "pages_journaled": backend.pages_journaled,
         "page_writes": backend.page_writes,
         "bytes_written": backend.bytes_written,
     }
@@ -166,7 +165,6 @@ def test_backend_correlation_table(benchmark):
             fmt(row["file_wall"], 3),
             fmt(row["file_wall"] / row["memory_wall"], 2) if row["memory_wall"] else "-",
             row["commits"],
-            row["pages_journaled"],
             row["page_writes"],
             row["bytes_written"],
         ]
@@ -187,8 +185,7 @@ def test_backend_correlation_table(benchmark):
             "file wall s",
             "slowdown",
             "commits",
-            "journaled images",
-            "write-back pages",
+            "page writes",
             "bytes",
         ],
         table_rows,
@@ -205,6 +202,3 @@ def test_backend_correlation_table(benchmark):
     )
     for row in rows:
         assert row["commits"] > 0 and row["page_writes"] > 0
-        # A commit journals each block it covers once, however many counted
-        # writes it had; write-back sees each journaled block once.
-        assert row["pages_journaled"] >= row["page_writes"]

@@ -85,7 +85,7 @@ from .storage import (
     scan_wal,
     shard_page_path,
 )
-from .storage.filebackend import log_base
+from .storage.filebackend import logged_tapes
 from .workloads import run_concentrated, run_scattered, run_stress, run_xmark_build
 from .workloads.metrics import summarize
 from .xml.model import element_count, tree_depth
@@ -529,11 +529,9 @@ def cmd_recover(args: argparse.Namespace) -> int:
         backend = scheme.store.backend
         report = backend.recovery_report
         print(f"file: {backend.path}")
-        checkpoint_lsn = report["checkpoint_lsn"]
-        torn = checkpoint_lsn is None
-        print(f"  checkpoint LSN:   {'none (directory torn/corrupt)' if torn else checkpoint_lsn}")
+        print(f"  checkpoint LSN:   {report['checkpoint_lsn']}")
         print(f"  replayed tapes:   {report['replayed_transactions']} transaction(s), "
-              f"to LSN {report['lsn']} (base: {report['base']})")
+              f"to LSN {report['lsn']}")
         print(f"  discarded tail:   {report['discarded_tail_bytes']} bytes"
               + (f" ({report['discarded_tail_reason']})" if report["discarded_tail_bytes"] else ""))
         for key, value in scheme.describe().items():
@@ -546,16 +544,15 @@ def cmd_recover(args: argparse.Namespace) -> int:
     return 0
 
 
-def _wal_status(path: str, directory: dict | None) -> str:
-    """What reopening ``path`` would do with its log, given its at-rest
-    ``directory`` (``None``: unreadable): how many logged tapes it would
-    re-run past its base."""
+def _wal_status(path: str, directory: dict) -> str:
+    """What reopening ``path`` would do with its log, given its durable
+    ``directory``: how many logged tapes it would re-run past it."""
     wal_path = path + ".wal"
     if not os.path.exists(wal_path) or os.path.getsize(wal_path) == 0:
         return "empty (clean shutdown)"
     scan = scan_wal(wal_path)
     try:
-        to_replay = f"{len(log_base(directory, scan.transactions, path)[2])} to replay"
+        to_replay = f"{len(logged_tapes(directory['lsn'], scan.transactions, path))} to replay"
     except RecoveryError as error:
         to_replay = f"cannot be replayed ({error})"
     parts = [f"{scan.committed} transaction(s), {to_replay}"]
@@ -569,18 +566,20 @@ def _wal_status(path: str, directory: dict | None) -> str:
 def _info_page_file(path: str, indent: str = "  ") -> None:
     """Describe one page file — a bare one, or a shard of a root — from
     its at-rest directory and log, without modifying either."""
-    state = read_directory(path)
-    if state is None:
-        print(f"{indent}directory:    TORN/CORRUPT — run 'repro recover' to repair from the WAL")
-        print(f"{indent}WAL:          {_wal_status(path, None)}")
+    try:
+        state = read_directory(path)
+    except RecoveryError as error:
+        print(f"{indent}directory:    UNRECOVERABLE — {error}")
         return
     meta = state["owner"].meta
     print(f"{indent}scheme:       {meta.get('scheme', '(none attached)')}")
     if "config" in meta:
         print(f"{indent}block bytes:  {meta['config']['block_bytes']}")
-    print(f"{indent}page bytes:   {state['page_bytes']}")
+    table = state["table"]
     print(f"{indent}checkpoint:   LSN {state['lsn']} (what follows is as of it)")
-    print(f"{indent}blocks:       {len(state['on_disk'])}")
+    print(f"{indent}blocks:       {len(table.ids())}")
+    print(f"{indent}image bytes:  {sum(table.lengths)} live, "
+          f"{os.path.getsize(path)} in the file")
     print(f"{indent}live labels:  {state['owner'].lidf['live']}")
     print(f"{indent}WAL:          {_wal_status(path, state)}")
 
@@ -613,7 +612,7 @@ def cmd_info(args: argparse.Namespace) -> int:
         print("  WAL:          n/a (snapshots are atomic whole-file writes)")
         return 0
     if magic.startswith(b"BOXPAGE"):  # any version: an old one is refused by name
-        print("  format:       page file (FileBackend, format version 3)")
+        print("  format:       page file (FileBackend, format version 4)")
         _info_page_file(args.file)
         return 0
     raise PersistError(f"{args.file} is neither a snapshot nor a page file")

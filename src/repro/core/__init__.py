@@ -11,7 +11,7 @@ from .wbox.tree import WBox
 from .wbox.pairs import WBoxO
 from .bbox.tree import BBox
 from .document import LabeledDocument
-from .registry import register_scheme, scheme_class, scheme_factory, scheme_page_bytes
+from .registry import register_scheme, scheme_class, scheme_factory
 from .cachelog import CachedLabelStore, LogSnapshot, ModificationLog, RangeShift, Invalidate
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "register_scheme",
     "scheme_class",
     "scheme_factory",
-    "scheme_page_bytes",
     "CachedLabelStore",
     "LogSnapshot",
     "ModificationLog",

@@ -48,9 +48,8 @@ from typing import Any, Sequence
 
 from ..config import BoxConfig
 from ..errors import LabelingError
-from ..storage import BlockStore, default_page_bytes
+from ..storage import BlockStore
 from .bits import dynamic_ancestry_gap, dynamic_ancestry_universe, next_power_of_two
-from .bits import dynamic_ancestry_label_bits_bound
 from .cachelog import invalidate_all
 from .interface import LabelKind
 from .naive import SortedOrderScheme
@@ -159,13 +158,6 @@ class _OrderedGapScheme(SortedOrderScheme):
         #: Total labels rewritten across all renumberings.
         self.relabeled_items = 0
 
-    @classmethod
-    def page_slot_bytes(cls, config: BoxConfig, **variant: Any) -> int:
-        # The interval layout spans at most 4 e^2 slots for e < 2^lid_bits / 2
-        # elements (DESIGN §7); the dynamic universe has its own bound.
-        bound = dynamic_ancestry_label_bits_bound(1 << config.lid_bits)
-        return default_page_bytes(config, max(2 * config.lid_bits + 1, bound))
-
     # ------------------------------------------------------------------
     # accounting
     # ------------------------------------------------------------------
@@ -203,9 +195,9 @@ class _OrderedGapScheme(SortedOrderScheme):
         return start_lid, end_lid
 
     def _insert_before(self, lid_old: int, kind: int) -> int:
-        self._tick()
         value, _ = self.lidf.read(lid_old)
         index = self._index(value, lid_old)
+        self._tick()
         predecessor = self._order[index - 1][0] if index else 0
         if value - predecessor <= 1:
             self._make_room(index)

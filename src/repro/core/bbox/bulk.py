@@ -140,10 +140,10 @@ def bbox_insert_subtree(tree: "BBox", lid_old: int, n_labels: int) -> list[int]:
     if n_labels <= 0:
         return []
     with tree.store.operation():
-        timestamp = tree._tick()
         leaf_id = tree.lidf.read(lid_old)
         leaf = tree.store.read(leaf_id)
         position = tree._find_record(leaf, lid_old)
+        timestamp = tree._tick()
         if tree.ordinal:
             anchor = tree.ordinal_lookup(lid_old)
             tree._emit(RangeShift(timestamp, anchor, None, n_labels, ORDINAL_CHANNEL))
@@ -262,7 +262,6 @@ def bbox_delete_range(tree: "BBox", first_lid: int, last_lid: int) -> list[int]:
     """Delete the contiguous label range from ``first_lid`` through
     ``last_lid`` inclusive; returns the deleted LIDs in document order."""
     with tree.store.operation():
-        timestamp = tree._tick()
         if tree.ordinal:
             anchor = tree.ordinal_lookup(first_lid)
         leaf1_id = tree.lidf.read(first_lid)
@@ -274,6 +273,7 @@ def bbox_delete_range(tree: "BBox", first_lid: int, last_lid: int) -> list[int]:
             position2 = tree._find_record(leaf1, last_lid)
             if position2 < position1:
                 raise LabelingError("delete_range bounds are out of order")
+            timestamp = tree._tick()
             deleted = leaf1.entries[position1 : position2 + 1]
             del leaf1.entries[position1 : position2 + 1]
             tree.store.write(leaf1_id)
@@ -301,6 +301,7 @@ def bbox_delete_range(tree: "BBox", first_lid: int, last_lid: int) -> list[int]:
         index2 = lca.find(path2[lca_offset - 1][0])
         if index1 >= index2:
             raise LabelingError("delete_range bounds are out of order")
+        timestamp = tree._tick()
 
         deleted: list[int] = []
         freed_blocks: list[int] = []

@@ -247,10 +247,10 @@ class BBox(LabelingScheme):
 
     def insert_before(self, lid_old: int) -> int:
         with self.store.operation():
-            timestamp = self._tick()
             leaf_id = self.lidf.read(lid_old)
             leaf = self.store.read(leaf_id)
             position = self._find_record(leaf, lid_old)
+            timestamp = self._tick()
             if self._log_listeners:
                 prefix = self._prefix_of(leaf_id, leaf)
                 self._emit(
@@ -382,10 +382,10 @@ class BBox(LabelingScheme):
 
     def delete(self, lid: int) -> None:
         with self.store.operation():
-            timestamp = self._tick()
             leaf_id = self.lidf.read(lid)
             leaf = self.store.read(leaf_id)
             position = self._find_record(leaf, lid)
+            timestamp = self._tick()
             if self._log_listeners:
                 prefix = self._prefix_of(leaf_id, leaf)
                 self._emit(

@@ -30,7 +30,7 @@ from typing import Any, Callable, Sequence
 
 from ..config import BoxConfig
 from ..errors import OrdinalUnsupportedError
-from ..storage import BlockStore, HeapFile, IOStats, default_page_bytes
+from ..storage import BlockStore, HeapFile, IOStats
 
 #: A label: an int for W-BOX / naive-k, a tuple of ints for B-BOX.
 Label = Any
@@ -282,18 +282,6 @@ class LabelingScheme(ABC):
         then calls :meth:`restore_state`)."""
         del meta
         return cls(config)
-
-    @classmethod
-    def page_slot_bytes(cls, config: BoxConfig, **variant: Any) -> int:
-        """The page slot a file store of this scheme (constructor flags
-        ``variant``) needs under ``config``: the config's widest node,
-        LIDF values at the config's label width."""
-        return default_page_bytes(config)
-
-    def widest_page_bytes(self) -> int | None:
-        """The slot this instance's widest page image needs (None: no
-        bound), so a page file skips encoding to check a slot this wide."""
-        return self.page_slot_bytes(self.config)
 
     # ------------------------------------------------------------------
     # reporting helpers

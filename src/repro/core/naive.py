@@ -28,7 +28,7 @@ from typing import Any, Sequence
 
 from ..config import BoxConfig
 from ..errors import LabelingError
-from ..storage import BlockStore, default_page_bytes
+from ..storage import BlockStore
 from .cachelog import RangeShift, invalidate_all
 from .interface import Label, LabelingScheme
 
@@ -62,10 +62,10 @@ class SortedOrderScheme(LabelingScheme):
         """Unlink ``lid`` from ``_order``, free its LIDF record and log the
         free (a :class:`RangeShift` that moves nothing and kills ``lid``'s
         label); returns its record and the index it held."""
-        timestamp = self._tick()
         record = self.lidf.read(lid)
         label = self._label_of(record)
         index = self._index(label, lid)
+        timestamp = self._tick()
         self._order.pop(index)
         self.lidf.free(lid)
         self._emit(RangeShift(timestamp, label, label, 0, freed=1))
@@ -136,8 +136,8 @@ class NaiveScheme(SortedOrderScheme):
     def insert_before(self, lid_old: int) -> int:
         """Split the gap below ``lid_old``; global relabel when it closes."""
         with self.store.operation():
-            self._tick()
             value, gap = self.lidf.read(lid_old)
+            self._tick()
             if gap <= 1:
                 self._relabel()
                 value, gap = self.lidf.read(lid_old)
@@ -208,14 +208,6 @@ class NaiveScheme(SortedOrderScheme):
     @classmethod
     def from_persisted(cls, config: BoxConfig, meta: dict[str, Any]) -> "NaiveScheme":
         return cls(meta["gap_bits"], config)
-
-    @classmethod
-    def page_slot_bytes(cls, config: BoxConfig, *, gap_bits: int, **variant: Any) -> int:
-        # Values and gaps stay at most n * 2^k, n < 2^lid_bits labels.
-        return default_page_bytes(config, gap_bits + config.lid_bits)
-
-    def widest_page_bytes(self) -> int:
-        return self.page_slot_bytes(self.config, gap_bits=self.gap_bits)
 
     # ------------------------------------------------------------------
     # global relabel

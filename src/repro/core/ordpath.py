@@ -31,9 +31,7 @@ from __future__ import annotations
 from bisect import insort
 from typing import Any, Sequence
 
-from ..config import BoxConfig
 from ..errors import LabelingError
-from ..storage import default_page_bytes
 from .naive import SortedOrderScheme
 
 #: Approximate per-component overhead of the ORDPATH prefix-free encoding.
@@ -104,15 +102,6 @@ class OrdPath(SortedOrderScheme):
 
     name = "ORDPATH"
 
-    @classmethod
-    def page_slot_bytes(cls, config: BoxConfig, **variant: Any) -> int:
-        # Careted labels have no width bound: keep the earlier fixed slot;
-        # a longer block is refused at commit with a StorageError.
-        return max(4096, 2 * config.block_bytes, default_page_bytes(config))
-
-    def widest_page_bytes(self) -> None:
-        return None
-
     # ------------------------------------------------------------------
     # accounting
     # ------------------------------------------------------------------
@@ -140,9 +129,9 @@ class OrdPath(SortedOrderScheme):
 
     def insert_before(self, lid_old: int) -> int:
         with self.store.operation():
-            self._tick()
             anchor = self.lidf.read(lid_old)
             index = self._index(anchor, lid_old)
+            self._tick()
             predecessor = self._order[index - 1][0] if index > 0 else None
             new_label = label_between(predecessor, anchor)
             lid_new = self.lidf.allocate(new_label)

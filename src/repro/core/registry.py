@@ -70,13 +70,6 @@ def scheme_factory(name: str) -> SchemeFactory:
     return lambda config, store: cls(config=config, store=store, **kwargs)
 
 
-def scheme_page_bytes(name: str, config: BoxConfig) -> int:
-    """The page slot a file store of scheme ``name`` needs under
-    ``config`` (:meth:`LabelingScheme.page_slot_bytes`)."""
-    cls, kwargs = _variant(name)
-    return cls.page_slot_bytes(config, **kwargs)
-
-
 register_scheme(WBox, {"wbox": {}, "wbox-ordinal": {"ordinal": True}})
 register_scheme(WBoxO, {"wboxo": {}})
 register_scheme(BBox, {"bbox": {}, "bbox-o": {"ordinal": True}})

@@ -315,10 +315,10 @@ def wbox_insert_subtree(
     if n_labels <= 0:
         return []
     with tree.store.operation():
-        timestamp = tree._tick()
         leaf_id = tree.lidf.read(lid_old)
         leaf = tree.store.read(leaf_id)
         position = tree._find_record(leaf, lid_old)
+        timestamp = tree._tick()
         path = tree._descend(leaf.range_lo)
         if tree.ordinal:
             anchor = tree._path_ordinal(path) + position
@@ -486,7 +486,6 @@ def wbox_delete_range(tree: "WBox", first_lid: int, last_lid: int) -> list[int]:
     LIDF records (``O(N'/B)`` when they were allocated together).
     """
     with tree.store.operation():
-        timestamp = tree._tick()
         leaf1_id = tree.lidf.read(first_lid)
         leaf1 = tree.store.read(leaf1_id)
         position1 = tree._find_record(leaf1, first_lid)
@@ -495,6 +494,7 @@ def wbox_delete_range(tree: "WBox", first_lid: int, last_lid: int) -> list[int]:
         position2 = tree._find_record(leaf2, last_lid)
         if (leaf1.range_lo + position1) > (leaf2.range_lo + position2):
             raise LabelingError("delete_range bounds are out of order")
+        timestamp = tree._tick()
         path1 = tree._descend(leaf1.range_lo)
         path2 = tree._descend(leaf2.range_lo)
         lca_index = 0

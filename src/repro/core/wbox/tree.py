@@ -244,10 +244,10 @@ class WBox(LabelingScheme):
     def insert_before(self, lid_old: int) -> int:
         """Insert a new label immediately before ``lid_old``'s."""
         with self.store.operation():
-            timestamp = self._tick()
             leaf_id = self.lidf.read(lid_old)
             leaf = self.store.read(leaf_id)
             position = self._find_record(leaf, lid_old)
+            timestamp = self._tick()
             lid_new = self.lidf.allocate(leaf_id)
             if self._log_listeners:
                 self._emit(
@@ -292,10 +292,10 @@ class WBox(LabelingScheme):
         """Remove one label.  ``O(1)`` amortized; ``O(log_B N)`` with
         ordinal support (size fields must reach the root)."""
         with self.store.operation():
-            timestamp = self._tick()
             leaf_id = self.lidf.read(lid)
             leaf = self.store.read(leaf_id)
             position = self._find_record(leaf, lid)
+            timestamp = self._tick()
             if self._log_listeners:
                 self._emit(
                     RangeShift(

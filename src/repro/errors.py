@@ -37,13 +37,14 @@ class PersistError(StorageError):
 class WALError(StorageError):
     """The write-ahead log is malformed beyond what recovery tolerates
     (bad magic, impossible record type) — distinct from an ordinary torn
-    tail, which recovery silently discards."""
+    tail, which recovery discards and reports."""
 
 
 class RecoveryError(StorageError):
-    """A page file cannot be brought to a consistent state: its directory
-    is unreadable and the log holds no absolute record to replace it, or
-    the log's sequence numbers do not continue the state they follow."""
+    """A page file cannot be brought to a consistent state: neither
+    header slot is valid or the directory the newer one names is
+    unreadable, or the log's sequence numbers do not continue the state
+    they follow."""
 
 
 class CrashError(StorageError):

@@ -71,7 +71,7 @@ from ..repl import (
 from ..service import ShardedLabelService, bulk_load_sharded
 from ..service.router import ShardRouter
 from ..storage.shardlayout import shard_page_path
-from ..storage.wal import _HEADER, MAGIC, REC_OPS, REC_PUT
+from ..storage.wal import _HEADER, MAGIC, REC_OPS
 from ..workloads.sequences import apply_tape_step, crash_recovery_tape
 from .plan import TORN_WRITE, WRITER_CRASH, FaultInjector, FaultPlan, FaultSpec
 
@@ -237,9 +237,7 @@ def _torn_append(rng: random.Random, wal_path: str) -> None:
         torn = MAGIC[: rng.randrange(1, len(MAGIC))]
     else:
         body = bytes(rng.randrange(0, 24))
-        header = _HEADER.pack(  # a commit's first record, or a checkpoint's
-            rng.choice((REC_OPS, REC_PUT)), len(body) + rng.randrange(8, 64)
-        )
+        header = _HEADER.pack(REC_OPS, len(body) + rng.randrange(8, 64))  # a commit's first
         torn = (header + body)[: rng.randrange(1, len(header) + len(body) + 1)]
     with open(wal_path, "ab") as handle:
         handle.write(torn)

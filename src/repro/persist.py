@@ -28,7 +28,7 @@ times: :func:`open_file_scheme` builds the scheme the base state
 describes, its journal adopts that state, and :func:`replay_transaction`
 re-runs every logged tape past it — as a follower does with each
 shipped one.  :func:`checkpoint_scheme` is the explicit flush: the
-dirty pages written back and the log sealed.  The historical
+dirty pages written into the page file and the log sealed.  The historical
 whole-structure snapshot is thereby just one checkpoint format among
 two.
 
@@ -55,7 +55,7 @@ from typing import Any, Callable
 
 from .config import BoxConfig
 from .core.batch import decode_tape
-from .core.registry import scheme_class, scheme_factory, scheme_page_bytes
+from .core.registry import scheme_class, scheme_factory
 from .errors import PersistError, ProtocolError, RecoveryError
 from .storage import BlockStore, Disk, FileBackend, HeapFile
 from .storage.codec import (
@@ -106,9 +106,9 @@ def scheme_metadata_header(scheme: Any) -> dict:
     allocation state.
 
     This is both the snapshot header and — journaled by every file-backend
-    *checkpoint* via :func:`checkpoint_scheme` — the absolute record
-    that makes a page file recoverable into a working scheme (commits in
-    between journal only deltas against it).  O(structure): never called
+    *checkpoint* via :func:`checkpoint_scheme` — the directory that makes
+    a page file recoverable into a working scheme (commits in between
+    journal only deltas against it).  O(structure): never called
     on the commit path.  Free lists keep their exact recycling order so a
     reopened scheme allocates (and therefore counts I/Os) identically to
     the original process.
@@ -296,7 +296,6 @@ class _SchemeJournal(FoldedOwner):
         self.scheme = scheme
         previous = scheme.store.backend.owner
         self.scalars, self.stamp = previous.scalars, previous.stamp
-        self.widest_page = scheme.widest_page_bytes()
         if scheme.lidf.journal is None:
             scheme.lidf.journal = []
         self.ops = scheme.lidf.journal
@@ -336,15 +335,15 @@ def _attach(scheme: Any) -> FileBackend:
 
 def checkpoint_scheme(scheme: Any) -> FileBackend:
     """Flush ``scheme`` to its file backend, making its journal the
-    backend's owner on the first call: the scheme's complete
-    metadata goes into the log as one absolute record, every block
-    journaled since the last checkpoint is written back to the page file
-    with the directory, and the log is sealed into the next segment,
-    which the retention rule keeps only while a checkpoint image needs it
-    (:mod:`repro.storage.walseg`).  The checkpoint enforces the
-    durability order explicitly: WAL fsync -> page images -> directory ->
-    fsync barrier -> seal, so a crash at any point recovers to the same
-    state.  The file is then a complete, self-describing checkpoint —
+    backend's owner on the first call: every block dirtied since the last
+    checkpoint goes into a fresh extent of the page file, the scheme's
+    complete metadata into a new directory, and the log is sealed into
+    the next segment, which the retention rule keeps only while a
+    checkpoint image needs it (:mod:`repro.storage.walseg`).  The
+    checkpoint enforces the durability order explicitly: page images ->
+    directory -> fsync barrier -> header slot -> fsync -> seal, so a crash
+    at any point recovers to the state before or after it.  The file is
+    then a complete, self-describing checkpoint —
     the file-backend counterpart of :func:`save_scheme`.  Returns the
     backend.
 
@@ -382,7 +381,9 @@ def restore_to_checkpoint(
     to ``target``, then replays each in-range segment through the stock
     recovery path: the segment file is placed as ``target``'s WAL, the
     file is opened — which re-runs its tapes (:func:`replay_transaction`)
-    — and checkpointed, which writes them back and seals the log away.
+    — and checkpointed, which writes their pages and seals the log away.
+    A segment that does not follow the state (its primary checkpointed
+    blocks no tape re-creates) is a :class:`~repro.errors.RecoveryError`.
     Every mechanism is the ordinary crash path — PITR adds no second way
     to interpret the log.  Returns the checkpoint record used; a checkpoint
     image below the retention horizon is gone, and asking for it raises
@@ -427,17 +428,18 @@ def replay_transaction(scheme: Any, txn: Any) -> bool:
     :meth:`~repro.storage.FileBackend.replaying`: the commit must
     re-create the logged DELTA and tape byte for byte — so every batch
     must end as it was logged, ok or raising the same error class — or a
-    :class:`~repro.errors.RecoveryError` names the LSN.  A checkpoint
-    record — a follower's primary checkpointed — must restate the
-    replayed state, and is written back.  Returns False for a transaction
-    the state already includes.
+    :class:`~repro.errors.RecoveryError` names the LSN.  So does a tape
+    that does not follow the state — a gap in the log, such as a primary's
+    checkpoint of blocks no tape re-creates.  Returns False for a
+    transaction the state already includes.
     """
     backend = scheme.store.backend
-    if txn.absolute:
-        backend.restate(txn)
-        return True
     if txn.lsn <= backend.lsn:
         return False
+    if txn.lsn != backend.lsn + 1:
+        raise RecoveryError(
+            f"{backend.path}: log transaction {txn.lsn} cannot follow state {backend.lsn}"
+        )
     if txn.ops is None:
         raise RecoveryError(f"{backend.path}: log transaction {txn.lsn} carries no tape")
     try:
@@ -453,11 +455,7 @@ def replay_transaction(scheme: Any, txn: Any) -> bool:
     return True
 
 
-def open_file_scheme(
-    path: str,
-    page_bytes: int | None = None,
-    fsync: bool = False,
-) -> Any:
+def open_file_scheme(path: str, fsync: bool = False) -> Any:
     """Open a page file written through a scheme-owned
     :class:`~repro.storage.filebackend.FileBackend` and return a working
     scheme (the tapes the WAL holds past its base re-run first).
@@ -466,7 +464,7 @@ def open_file_scheme(
     resolves to its pre-crash label.  The backend's ``recovery_report``
     says what recovery found and did.
     """
-    backend = FileBackend(path, page_bytes=page_bytes, fsync=fsync)
+    backend = FileBackend(path, fsync=fsync)
     base = backend.owner
     if "scheme" not in base.meta:
         backend.close()
@@ -501,12 +499,7 @@ def open_file_scheme(
 # ----------------------------------------------------------------------
 
 
-def create_sharded_backends(
-    root: str,
-    n_shards: int,
-    page_bytes: int | None = None,
-    fsync: bool = False,
-) -> list[FileBackend]:
+def create_sharded_backends(root: str, n_shards: int, fsync: bool = False) -> list[FileBackend]:
     """Create a sharded store directory: the manifest plus one fresh
     :class:`~repro.storage.filebackend.FileBackend` per shard.
 
@@ -516,11 +509,8 @@ def create_sharded_backends(
     page file; the manifest only records the shard count and the
     global-LID codec.
     """
-    write_manifest(root, n_shards, page_bytes=page_bytes, fsync=fsync)
-    return [
-        FileBackend(shard_page_path(root, shard), page_bytes=page_bytes, fsync=fsync)
-        for shard in range(n_shards)
-    ]
+    write_manifest(root, n_shards, fsync=fsync)
+    return [FileBackend(shard_page_path(root, shard), fsync=fsync) for shard in range(n_shards)]
 
 
 def create_store(
@@ -536,8 +526,7 @@ def create_store(
     ``scheme`` → ``(schemes, loaded)``, the one way a store is created.
 
     ``root=None`` gives in-memory schemes.  Otherwise ``root`` becomes a
-    sharded store directory (:func:`create_sharded_backends`, each slot
-    sized by :func:`~repro.core.registry.scheme_page_bytes`, one shard
+    sharded store directory (:func:`create_sharded_backends`, one shard
     included) and every scheme takes its first checkpoint, which makes it
     its backend's owner.  ``populate(schemes)`` then fills the schemes and
     its result comes back as ``loaded``; a file store checkpoints again
@@ -552,9 +541,7 @@ def create_store(
         return schemes, None if populate is None else populate(schemes)
     if os.path.isdir(root) and os.listdir(root) or os.path.isfile(root) and os.path.getsize(root):
         raise PersistError(f"{root} already holds a store; refusing to create over it")
-    backends = create_sharded_backends(
-        root, shards, page_bytes=scheme_page_bytes(scheme, config), fsync=fsync
-    )
+    backends = create_sharded_backends(root, shards, fsync=fsync)
     try:
         schemes = [factory(config, BlockStore(config, backend=backend)) for backend in backends]
         for each in schemes:

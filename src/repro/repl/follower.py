@@ -21,15 +21,17 @@ a replica label service, one shard at a time:
    bytes and replayed into the live replica under its exclusive latch by
    the same :func:`~repro.persist.replay_transaction` recovery runs: the
    tape re-runs through the batch executor, no page or directory write
-   (dirty pages stay in memory until the primary's next checkpoint
-   record tells the follower to write back) — then a fresh epoch is
-   published.  The re-run records the §6 effects the primary recorded,
-   so pinned-epoch reader sessions on the follower behave exactly like
-   sessions on the primary; a re-run that diverges from the log stops
-   the follower with a :class:`~repro.errors.ReplicationError`.
+   (dirty pages stay in memory until the follower's own next
+   checkpoint) — then a fresh epoch is published.  The re-run records
+   the §6 effects the primary recorded, so pinned-epoch reader sessions
+   on the follower behave exactly like sessions on the primary; a re-run
+   that diverges from the log stops the follower with a
+   :class:`~repro.errors.ReplicationError`.
 4. **Sealing.**  When the primary reports a segment sealed and the
-   follower has fully mirrored and applied it, the follower seals its
-   local copy too, keeping the two segment numberings aligned.  A
+   follower has fully mirrored and applied it, the follower checkpoints
+   its own page file and seals its local copy too, keeping the two
+   segment numberings aligned: the log carries no page image, so the
+   follower writes its pages where its primary did, at the same LSN.  A
    running follower whose cursor falls below the primary's retention
    horizon stops with a :class:`~repro.errors.ReplicationError`.
 
@@ -219,7 +221,7 @@ class ShardFollower:
             )
         with self.service._latch.exclusive():
             sealed = self.backend.seal_wal_segment()
-        if sealed is not None and sealed != self.segment:
+        if sealed != self.segment:
             raise ReplicationError(
                 f"shard {self.shard}: local seal produced segment {sealed}, "
                 f"expected {self.segment} (manifests diverged)"
@@ -258,9 +260,10 @@ class ShardFollower:
         live scheme, whose effects reach the replica's log, then an epoch
         is published, so readers move to the new state exactly as they
         would on the primary.  A transaction the state already includes
-        and a checkpoint's restatement change nothing readers can see.  A
-        re-run that diverges degrades the replica (its readers keep their
-        pinned epochs, no read reaches the diverged structure) and raises
+        changes nothing readers can see.  A re-run that diverges, or a
+        tape that does not follow the replica's LSN, degrades the replica
+        (its readers keep their pinned epochs, no read reaches the
+        diverged structure) and raises
         :class:`~repro.errors.ReplicationError`.
         """
         service = self.service
@@ -272,7 +275,7 @@ class ShardFollower:
                 raise ReplicationError(
                     f"shard {self.shard}: replaying the primary's log diverged: {error}"
                 ) from error
-            if applied and not txn.absolute:
+            if applied:
                 service._publish()
                 self.position_epoch = self.backend.owner.scalars[0] or self.position_epoch
                 self.txns_applied += 1

@@ -12,7 +12,7 @@ from .backend import MemoryBackend, StorageBackend
 from .cache import BlockCache
 from .disk import Disk
 from .blockstore import BlockStore, OperationBuffer, ReaderWriterLatch
-from .filebackend import FileBackend, default_page_bytes, read_directory
+from .filebackend import FileBackend, read_directory
 from .heapfile import HeapFile
 from .shardlayout import (
     MANIFEST_NAME,
@@ -41,7 +41,6 @@ __all__ = [
     "StorageBackend",
     "MemoryBackend",
     "FileBackend",
-    "default_page_bytes",
     "read_directory",
     "BlockCache",
     "Disk",

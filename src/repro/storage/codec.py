@@ -17,8 +17,7 @@ before.  An LIDF record is one head varint with its slot tag in the low
 two bits; an INT record's head carries the zigzag delta from the
 previous INT record, so a run of LIDs in one leaf costs a byte a record
 however wide the pointer.  A bulk-loaded leaf's consecutive LIDs cost a
-byte each too.  A delta is one bit wider than its field, which
-:func:`payload_bounds` counts.
+byte each too.
 
 The codec moves whole rows at a time: the encoder flattens a node's
 child arrays into one list of ints and appends their varints to a
@@ -393,57 +392,6 @@ def _encode_lidf_records(out: bytearray, records: list) -> None:
         else:
             raise PersistError(f"unsupported LIDF record {record!r}")
     append_uvarints(out, flat)
-
-
-def payload_bounds(config: Any, value_bits: int | None = None) -> dict[str, int]:
-    """The longest image :func:`encode_block_payload` gives a full node of
-    each kind under ``config`` — W-BOX leaf, pair leaf and internal node,
-    B-BOX leaf and internal node, LIDF block of pointers and of pairs —
-    every field at the largest value its declared width holds
-    (``ceil(bits/7)`` varint bytes).  In a delta row every value after the
-    first is a zigzag delta, one bit wider than the field, so a row
-    alternating between 0 and the widest value is the longest.  An LIDF
-    record holds a block pointer or a pair of values up to ``value_bits``
-    wide (default ``config.label_bits``), its head two bits wider; ORDPATH
-    vectors have no width and are not covered."""
-
-    def var(bits: int) -> int:
-        return max(1, -(-bits // 7))
-
-    def row(count: int, each: int) -> int:
-        return var(count.bit_length()) + count * each
-
-    def deltas(count: int, bits: int) -> int:
-        return var(count.bit_length()) + var(bits) + (count - 1) * var(bits + 1)
-
-    c = config
-    ptr, size = var(c.pointer_bits), var(c.size_bits)
-    value, weight = var(c.label_bits), var(c.weight_bits)
-    record = c.label_bits if value_bits is None else value_bits
-    # kind, range origin, range length (up to 2**label_bits), weight
-    wheader = 1 + value + var(c.label_bits + 1) + weight
-    # lid, is_start, partner lid + 1, partner block, end value + 1
-    pair = var(c.lid_bits) + 1 + var(c.lid_bits + 1) + ptr + var(c.label_bits + 1)
-    entry = ptr + var((c.wbox_max_fanout - 1).bit_length()) + weight + size
-    records = c.lidf_records_per_block
-    return {
-        "wbox-leaf": wheader + deltas(c.wbox_leaf_capacity, c.lid_bits),
-        "wboxo-leaf": wheader + row(c.wbox_pair_leaf_capacity, pair),
-        "wbox-internal": wheader + 1 + row(c.wbox_max_fanout, entry),  # + level
-        "bbox-leaf": 1 + ptr + deltas(c.bbox_leaf_capacity, c.lid_bits),
-        # + sizes flag, then the sizes row
-        "bbox-internal": 2 + ptr + deltas(c.bbox_fanout, c.pointer_bits)
-        + c.bbox_fanout * size,
-        # a head with the tag in its low two bits: a pointer's zigzag
-        # delta, or a pair's first value followed by its second
-        "lidf-pointer": 1 + row(records, var(c.pointer_bits + 3)),
-        "lidf-pair": 1 + row(records, var(record + 2) + var(record)),
-    }
-
-
-def max_payload_bytes(config: Any, value_bits: int | None = None) -> int:
-    """The longest image of any kind in :func:`payload_bounds`."""
-    return max(payload_bounds(config, value_bits).values())
 
 
 #: An LIDF head byte to its INT record's delta (0 for an empty slot), and

@@ -3,11 +3,11 @@ opens files for writing, writes, syncs files and directories, renames,
 truncates and removes (DESIGN.md §7, "File-system boundary").
 
 The protocol is argued under one persistence model: everything written
-to a file before its last fsync persists; any prefix of the later
-writes may persist, and the last one may be torn; a rename or unlink
-persists only once its directory is fsynced.  Every physical write is
-one :meth:`Disk.put`, so wrapping the primitives records an operation's
-whole trace.
+to a file before its last fsync persists; any subset of the later
+writes may persist (the disk may reorder them), and the last one may be
+torn; a rename or unlink persists only once its directory is fsynced.
+Every physical write is one :meth:`Disk.put`, so wrapping the
+primitives records an operation's whole trace.
 """
 
 from __future__ import annotations

@@ -1,58 +1,68 @@
-"""File-backed block storage: real fixed-size pages + WAL + recovery.
+"""File-backed block storage: page images in shadow extents + WAL + recovery.
 
-The :class:`FileBackend` stores every block as one fixed-size page in a
-single file, round-tripping payloads through the live-payload codec of
-:mod:`repro.storage.codec`.  Layout::
+The :class:`FileBackend` keeps every block's encoded payload
+(:mod:`repro.storage.codec`) as one *extent* of a single page file: a
+byte range exactly as long as the image, found through the page table.
+Layout::
 
-    ┌──────────┬────────────────┬────────┬────────┬─────┬───────────┐
-    │ magic 8B │ header (fixed) │ page 1 │ page 2 │ ... │ directory │
-    └──────────┴────────────────┴────────┴────────┴─────┴───────────┘
+    ┌──────────┬────────┬────────┬───────────────────────────────────────┐
+    │ magic 8B │ slot 0 │ slot 1 │ extents: page images, the directory, │
+    │          │ @8     │ @512   │ gaps — from byte 1024 on              │
+    └──────────┴────────┴────────┴───────────────────────────────────────┘
 
 * The **directory** is the structure's complete description minus block
-  payloads: page geometry, the LSN it includes, the allocation state
-  (next id, free list in recycling order, ids with a durable image), then
-  the section of the backend's one ``owner`` (:mod:`repro.storage.owner`
-  — what makes reopening yield a working scheme, not just bytes).  It is
-  one binary, packed-varint image written just past the last page, and
-  only by a checkpoint; the fixed **header** holds its offset, length
-  and CRC-32 under a CRC of its own.
-* A **page** is ``u32 payload length + encoded payload``, unpadded, at
-  the start of a ``page_bytes`` slot (:func:`default_page_bytes`) at a
-  fixed offset, so a block write is one positioned write.  Bytes past
-  the image in a slot are stale and never read: reads trim by length.
+  payloads: the LSN it includes, the allocation state (next id, free
+  list in recycling order), the **page table** (block id → offset and
+  length of its image: a row of lengths by block id, then each image's
+  offset as a zigzag delta from the end of the one before), then the
+  section of the backend's one ``owner`` (:mod:`repro.storage.owner` —
+  what makes reopening yield a working scheme, not just bytes).  It is
+  one more extent, written only by a checkpoint.
+* A **header slot** holds a checkpoint sequence number, the LSN, the
+  directory's offset, length and CRC-32, under a CRC of its own.  The
+  valid slot with the higher sequence number is the file's state; the
+  other is the previous checkpoint's.
+* A **checkpoint** writes each page dirtied since the last one once, into
+  a free extent — first fit over the gaps between the extents the
+  durable directory references, low offsets first, the file growing only
+  when no gap fits — then the directory the same way, syncs, writes the
+  *older* header slot and syncs again: that write is the commit point.
+  The extents the new state no longer references become gaps only then,
+  so no write of a checkpoint ever lands on bytes the durable header
+  reaches.  A cold read is one positioned read of exactly the image.
 
-Durability runs through the write-ahead log (:mod:`repro.storage.wal`):
-a commit appends the tape of the batches that dirtied its blocks (OPS)
-and a DELTA record — what the commit changed in the directory, the
-owner's part last — and syncs the log; nothing else, and no page is
-encoded.  A commit without a tape (blocks dirtied outside a batch, or a
-batch ended by an error a re-run cannot reproduce) is a checkpoint.  A checkpoint (explicit, or taken by :meth:`FileBackend.commit`
-itself once :data:`CHECKPOINT_TAPE_BYTES` of tape have been logged since
-the last one) logs the image of every page dirtied since the last one,
-writes them and the directory back and seals the log into a numbered
-segment, which one retention rule keeps or deletes
-(:mod:`repro.storage.walseg`).  Opening a file starts from the newer of
-the directory and the log's last ABSOLUTE record (:func:`log_base`) and
-holds the tapes past it until :func:`repro.persist.replay_transaction` —
-the one replay recovery, point-in-time restore and replication followers
-share — re-runs them under :meth:`FileBackend.replaying`.
+Durability between checkpoints runs through the write-ahead log
+(:mod:`repro.storage.wal`): a commit appends the tape of the batches that
+dirtied its blocks (OPS) and a DELTA record — what the commit changed in
+the allocation state, the owner's part last — and syncs the log; nothing
+else, and no page is encoded.  A commit without a tape (blocks dirtied
+outside a batch, or a batch ended by an error a re-run cannot reproduce)
+is a checkpoint.  A checkpoint is taken explicitly, or by
+:meth:`FileBackend.commit` itself once :data:`CHECKPOINT_TAPE_BYTES` of
+tape have been logged since the last one; it ends by sealing the log into
+a numbered segment, which one retention rule keeps or deletes
+(:mod:`repro.storage.walseg`).  Opening a file starts from its header's
+directory and holds the logged tapes past its LSN until
+:func:`repro.persist.replay_transaction` — the one replay recovery,
+point-in-time restore and replication followers share — re-runs them
+under :meth:`FileBackend.replaying`.
 
 **Consistency model.**  Decoded payloads live in an object table and are
 mutated in place by the tree code, exactly like the memory backend — the
 object table is the "buffer pool" and keeps object identity stable within
 a process.  Serialization happens at checkpoint (encode) and on a cold
 read (decode); a page dirtied since the last checkpoint lives only in the
-table (and in the tapes that re-create it) until the next one writes it
-back.  Only *committed* state survives a crash: an operation's mutations
-become durable when the operation scope closes and :meth:`commit` runs.
+table (and in the tapes that re-create it) until the next one writes it.
+Only *committed* state survives a crash: an operation's mutations become
+durable when the operation scope closes and :meth:`commit` runs.
 
 **Fault injection.**  Install a :class:`~repro.faults.FaultInjector`
 (``backend.fault_injector = injector`` or
 :meth:`FileBackend.install_faults`) and the backend's
 :class:`~repro.storage.disk.Disk` hits it at the named hook points:
 ``backend.raw_write`` on every physical write (WAL records, pages, the
-directory — one funnel), ``backend.page_write`` and
-``backend.superblock`` just before a page image and the directory go
+directory, the header — one funnel), ``backend.page_write`` just before a
+page image and ``backend.superblock`` just before the header slot goes
 out (inside checkpoints only), ``backend.fsync`` before each hooked
 ``os.fsync``, ``backend.commit`` on commit entry.  Every crash-type
 fault at any of its hooks (the WAL's included) leaves the backend
@@ -64,18 +74,13 @@ from __future__ import annotations
 import os
 import struct
 import zlib
+from array import array
+from bisect import bisect
 from contextlib import contextmanager
-from itertools import accumulate
+from itertools import compress
 from typing import Any, Iterable, Iterator
 
-from ..config import BoxConfig
-from ..errors import (
-    PersistError,
-    ProtocolError,
-    RecoveryError,
-    StorageError,
-    TransientIOError,
-)
+from ..errors import PersistError, ProtocolError, RecoveryError, TransientIOError
 from ..obs import trace
 from ..obs.metrics import get_registry
 from .backend import StorageBackend, Tape
@@ -83,14 +88,12 @@ from .codec import (
     append_uvarints,
     decode_block_payload,
     encode_block_payload,
-    max_payload_bytes,
     scan_uvarint,
     scan_uvarints,
 )
 from .disk import Disk
 from .owner import FoldedOwner
-from .wal import MAGIC as WAL_MAGIC
-from .wal import WALTransaction, WALWriter, scan_wal
+from .wal import REC_DELTA, REC_OPS, WALTransaction, WALWriter, scan_wal
 from .walseg import (
     apply_retention,
     checkpoint_image_path,
@@ -98,15 +101,16 @@ from .walseg import (
     segment_path,
 )
 
-#: Format version 3: page images code rows of LIDs and block pointers as
-#: zigzag deltas (:mod:`repro.storage.codec`).  Version 2 had the same
-#: binary directory past the last page with plain varint rows; version 1
-#: kept a JSON superblock and rewrote it with every commit.
-MAGIC = b"BOXPAGE3"
+#: Format version 4: page images in extents sized to them, found through
+#: the directory's page table, and two header slots a checkpoint flips
+#: between.  Version 3 kept each image in a fixed-size slot by block id
+#: and one header; version 2 coded rows as plain varints; version 1 kept
+#: a JSON superblock and rewrote it with every commit.
+MAGIC = b"BOXPAGE4"
 
-#: Fixed byte length of the header region; with the magic, pages start
-#: at offset 4096.
-HEADER_BYTES = 4088
+#: Where the two header slots start, and where extents start.
+SLOTS = (len(MAGIC), 512)
+DATA_START = 1024
 
 #: Tape bytes (OPS record bodies) a backend logs before
 #: :meth:`FileBackend.commit` checkpoints on its own: what bounds the
@@ -124,28 +128,160 @@ HEADER_BYTES = 4088
 #: several times longer per byte.
 CHECKPOINT_TAPE_BYTES = 8192
 
-_PAGE_HEADER = struct.Struct(">I")  # payload length
-
 #: Object-table miss marker (``None`` is a legal payload).
 _ABSENT = object()
-_HEADER = struct.Struct(">QII")  # directory offset, length, CRC-32
-_CRC = struct.Struct(">I")  # of the header itself
+#: A header slot: checkpoint sequence number, LSN, directory offset,
+#: length and CRC-32; then the CRC-32 of those.
+_SLOT = struct.Struct(">QQQII")
+_CRC = struct.Struct(">I")
+
+
+class PageTable:
+    """Block id → the extent of its durable image, as two arrays indexed
+    by id (length 0: no image), so a block costs 12 bytes, not a tuple."""
+
+    def __init__(self, offsets: Iterable[int] = (0,), lengths: Iterable[int] = (0,)) -> None:
+        self.offsets = array("Q", offsets)
+        self.lengths = array("L", lengths)
+
+    def copy(self) -> "PageTable":
+        return PageTable(self.offsets, self.lengths)
+
+    def length(self, block_id: int) -> int:
+        return self.lengths[block_id] if block_id < len(self.lengths) else 0
+
+    def extent(self, block_id: int) -> tuple[int, int]:
+        return self.offsets[block_id], self.lengths[block_id]
+
+    def place(self, block_id: int, offset: int, length: int) -> None:
+        grow = block_id + 1 - len(self.lengths)
+        if grow > 0:
+            self.offsets.extend([0] * grow)
+            self.lengths.extend([0] * grow)
+        self.offsets[block_id] = offset
+        self.lengths[block_id] = length
+
+    def drop(self, block_id: int) -> None:
+        self.lengths[block_id] = 0
+
+    def ids(self) -> list[int]:
+        return list(compress(range(len(self.lengths)), self.lengths))
+
+    def extents(self) -> list[tuple[int, int]]:
+        return [self.extent(block_id) for block_id in self.ids()]
+
+    def row(self) -> list[int]:
+        """The directory's rows: the length of every id's image up to the
+        last that has one, then each image's offset as the zigzag delta
+        from where the image before it (by id) ends."""
+        rows = len(self.lengths)
+        while rows > 1 and not self.lengths[rows - 1]:
+            rows -= 1
+        flat = [rows - 1, *self.lengths[1:rows]]
+        end = DATA_START
+        for block_id in compress(range(1, rows), self.lengths[1:rows]):
+            offset = self.offsets[block_id]
+            delta = offset - end
+            flat.append(delta << 1 if delta >= 0 else (-delta << 1) - 1)
+            end = offset + self.lengths[block_id]
+        return flat
+
+    @classmethod
+    def scan(cls, data: bytes, pos: int) -> tuple["PageTable", int]:
+        """Inverse of :meth:`row`."""
+        rows, pos = scan_uvarint(data, pos)
+        lengths, pos = scan_uvarints(data, pos, rows)
+        deltas, pos = scan_uvarints(data, pos, sum(map(bool, lengths)))
+        offsets = [0] * (rows + 1)
+        end = DATA_START
+        placed = iter(deltas)
+        for block_id, length in enumerate(lengths, 1):
+            if length:
+                raw = next(placed)
+                offsets[block_id] = end + ((raw >> 1) ^ -(raw & 1))
+                end = offsets[block_id] + length
+        return cls(offsets, [0, *lengths]), pos
+
+
+class Gaps:
+    """The free byte ranges past :data:`DATA_START` between the extents
+    in use: sorted, coalesced, taken first fit; everything from ``end``
+    on is free too.
+
+    First fit descends a max-tree over the gap sizes, built on the first
+    :meth:`take` after a :meth:`give` — a checkpoint takes all its
+    extents, then gives back in one batch — so a take costs a root-to-leaf
+    walk, not a scan of every small gap ahead of the one that fits.  A
+    taken-up gap stays as a zero-sized one until the next give."""
+
+    def __init__(self, extents: Iterable[tuple[int, int]]) -> None:
+        self.starts: list[int] = []
+        self.sizes: list[int] = []
+        self._tree: list[int] | None = None
+        end = DATA_START
+        for offset, length in sorted(extents):
+            if offset > end:
+                self.starts.append(end)
+                self.sizes.append(offset - end)
+            end = max(end, offset + length)
+        self.end = end
+
+    def take(self, size: int) -> int:
+        """The lowest offset with ``size`` free bytes, now in use."""
+        tree = self._tree
+        if tree is None:
+            leaves = 1 << max(0, len(self.sizes) - 1).bit_length()
+            tree = self._tree = [0] * leaves + self.sizes + [0] * (leaves - len(self.sizes))
+            for node in range(leaves - 1, 0, -1):
+                tree[node] = max(tree[2 * node], tree[2 * node + 1])
+        leaves = len(tree) // 2
+        if tree[1] < size:
+            offset = self.end
+            self.end += size
+            return offset
+        node = 1
+        while node < leaves:
+            node = 2 * node if tree[2 * node] >= size else 2 * node + 1
+        index = node - leaves
+        offset = self.starts[index]
+        self.starts[index] += size
+        self.sizes[index] -= size
+        tree[node] = self.sizes[index]
+        while node > 1:
+            node //= 2
+            tree[node] = max(tree[2 * node], tree[2 * node + 1])
+        return offset
+
+    def give(self, offset: int, size: int) -> None:
+        """Return an extent :meth:`take` handed out (or one in use at
+        construction)."""
+        if self._tree is not None:
+            self._tree = None
+            kept = [index for index, free in enumerate(self.sizes) if free]
+            self.starts = [self.starts[index] for index in kept]
+            self.sizes = [self.sizes[index] for index in kept]
+        index = bisect(self.starts, offset)
+        if index and self.starts[index - 1] + self.sizes[index - 1] == offset:
+            index -= 1
+            self.sizes[index] += size
+        else:
+            self.starts.insert(index, offset)
+            self.sizes.insert(index, size)
+        stop = self.starts[index] + self.sizes[index]
+        if index + 1 < len(self.starts) and self.starts[index + 1] == stop:
+            self.sizes[index] += self.sizes.pop(index + 1)
+            del self.starts[index + 1]
+        if self.starts[index] + self.sizes[index] == self.end:
+            self.end = self.starts.pop(index)
+            del self.sizes[index]
 
 
 def encode_directory(state: dict[str, Any]) -> bytes:
-    """A directory dict as bytes: the at-rest image, and equally the body
-    of a checkpoint's ABSOLUTE log record (its first varint is the LSN).
-
-    The backend's fields are counted varint rows (``on_disk`` sorted, as
-    gaps); the owner's section, ``state["owner"].image()``, closes the
-    image as the owner wrote it.
-    """
-    on_disk = sorted(state["on_disk"])
-    flat = [state["lsn"], state["page_bytes"], state["next_id"]]
-    flat.append(len(state["free_ids"]))
-    flat += state["free_ids"]
-    flat.append(len(on_disk))
-    flat += [b - a for a, b in zip([0] + on_disk, on_disk)]
+    """A directory dict as the bytes of its extent: counted varint rows
+    (LSN, next id, free list, :meth:`PageTable.row`), then the owner's
+    section, ``state["owner"].image()``, as the owner wrote it."""
+    flat = [state["lsn"], state["next_id"], len(state["free_ids"]), *state["free_ids"]]
+    flat += state["table"].row()
     out = bytearray()
     append_uvarints(out, flat)
     return bytes(out) + state["owner"].image()
@@ -155,133 +291,105 @@ def decode_directory(data: bytes) -> dict[str, Any]:
     """Inverse of :func:`encode_directory`, the image's tail handed to a
     :class:`~repro.storage.owner.FoldedOwner`; raises
     :class:`~repro.errors.PersistError` on a malformed image."""
-    (lsn, page_bytes, next_id, count), pos = scan_uvarints(data, 0, 4)
+    (lsn, next_id, count), pos = scan_uvarints(data, 0, 3)
     free_ids, pos = scan_uvarints(data, pos, count)
-    count, pos = scan_uvarint(data, pos)
-    gaps, pos = scan_uvarints(data, pos, count)
+    table, pos = PageTable.scan(data, pos)
     return {
         "lsn": lsn,
-        "page_bytes": page_bytes,
         "next_id": next_id,
         "free_ids": free_ids,
-        "on_disk": set(accumulate(gaps)),
+        "table": table,
         "owner": FoldedOwner(data[pos:]),
     }
 
 
-def _owner_row(body: bytes) -> Iterator[int]:
-    """A DELTA body's owner part: its row past the backend's own fields
-    (next-id step, pops, then the pushed and dropped id rows)."""
-    (_lsn, count), pos = scan_uvarints(body, 0, 2)
-    row = scan_uvarints(body, pos, count)[0]
-    start = 3 + row[2]
-    return iter(row[start + 1 + row[start]:])
-
-
-def log_base(
-    directory: dict[str, Any] | None, transactions: list[WALTransaction], path: str
-) -> tuple[dict[str, Any], str, list[WALTransaction]]:
-    """Where a page file's log starts its at-rest ``directory`` from.
-
-    The base is the directory (``None``: torn or corrupt) or the log's
-    last ABSOLUTE record, whichever is newer.  Returns the base state,
-    which it was (``"directory"`` or ``"wal"``) and the logged tapes past
-    it, in order, for :func:`repro.persist.replay_transaction` to re-run
-    (the ones at or below the base's LSN — a log that outlived its
-    checkpoint — are skipped; a gap is a :class:`~repro.errors.RecoveryError`).
-    """
-    flushed_lsn = directory["lsn"] if directory is not None else -1
-    base = None
+def logged_tapes(lsn: int, transactions: list[WALTransaction], path: str) -> list[WALTransaction]:
+    """The logged tapes past a directory at ``lsn``, in order, for
+    :func:`repro.persist.replay_transaction` to re-run.  The ones at or
+    below ``lsn`` — a log that outlived its checkpoint — are skipped; a
+    gap, or a transaction without its DELTA or tape, is a
+    :class:`~repro.errors.RecoveryError`."""
     for txn in transactions:
         if txn.lsn is None:
             raise RecoveryError(f"{path}: a committed transaction carries no DELTA record")
-        if txn.absolute and txn.lsn > flushed_lsn:
-            base = txn
-    if base is None and directory is None:
-        raise RecoveryError(
-            f"{path}: directory unreadable and the log holds no "
-            "absolute record to replace it"
-        )
-    state = directory if base is None else decode_directory(base.body)
-    tapes = [txn for txn in transactions if not txn.absolute and txn.lsn > state["lsn"]]
-    for lsn, txn in enumerate(tapes, state["lsn"] + 1):
-        if txn.lsn != lsn or txn.ops is None:
+    tapes = [txn for txn in transactions if txn.lsn > lsn]
+    for expected, txn in enumerate(tapes, lsn + 1):
+        if txn.lsn != expected:
             raise RecoveryError(
-                f"{path}: log transaction {txn.lsn} cannot follow state {lsn - 1}"
-                if txn.lsn != lsn else f"{path}: log transaction {lsn} carries no tape"
+                f"{path}: log transaction {txn.lsn} cannot follow state {expected - 1}"
             )
-    return state, "directory" if base is None else "wal", tapes
+        if txn.ops is None:
+            raise RecoveryError(f"{path}: log transaction {expected} carries no tape")
+    return tapes
 
 
-def read_directory(path: str) -> dict[str, Any] | None:
-    """Read a page file's at-rest directory without opening a backend.
+def read_directory(path: str) -> dict[str, Any]:
+    """Read a page file's durable directory without opening a backend.
 
     Read-only and recovery-free: diagnostics (``repro info``) must not
-    mutate the file they describe.  Raises
-    :class:`~repro.errors.PersistError` on bad magic; returns ``None``
-    when the header or the directory is torn or corrupt.
+    mutate the file they describe.  The directory the valid header slot
+    with the higher sequence number names; its dict also carries
+    ``slot``, ``generation`` and ``extent`` (the directory's own offset
+    and length).  Raises :class:`~repro.errors.PersistError` on bad magic
+    and :class:`~repro.errors.RecoveryError` when neither slot is valid
+    or the directory it names fails its CRC — never falling back to the
+    older slot, whose extents the newer checkpoint may have reused.
     """
     with open(path, "rb") as handle:
         magic = handle.read(len(MAGIC))
-        if magic in (b"BOXPAGE1", b"BOXPAGE2"):
+        if magic in (b"BOXPAGE1", b"BOXPAGE2", b"BOXPAGE3"):
             raise PersistError(
                 f"{path} is a format-version-{magic[-1] - 48} page file; "
-                "this build reads version 3"
+                "this build reads version 4"
             )
         if magic != MAGIC:
             raise PersistError(f"{path} is not a page file (bad magic)")
-        image = handle.read(_HEADER.size + _CRC.size)
-        if len(image) < _HEADER.size + _CRC.size or _CRC.unpack_from(
-            image, _HEADER.size
-        ) != (zlib.crc32(image[: _HEADER.size]),):
-            return None
-        offset, length, crc = _HEADER.unpack_from(image)
+        slots = []
+        for slot, offset in enumerate(SLOTS):
+            handle.seek(offset)
+            image = handle.read(_SLOT.size + _CRC.size)
+            if len(image) == _SLOT.size + _CRC.size and _CRC.unpack_from(
+                image, _SLOT.size
+            ) == (zlib.crc32(image[: _SLOT.size]),):
+                slots.append((_SLOT.unpack_from(image), slot))
+        if not slots:
+            raise RecoveryError(f"{path}: neither header slot is valid")
+        (generation, lsn, offset, length, crc), slot = max(slots)
         handle.seek(offset)
         blob = handle.read(length)
     if len(blob) != length or zlib.crc32(blob) != crc:
-        return None
+        raise RecoveryError(
+            f"{path}: the directory header slot {slot} names (LSN {lsn}) fails its CRC"
+        )
     try:
-        return decode_directory(blob)
-    except PersistError:
-        return None
-
-
-def default_page_bytes(config: BoxConfig, value_bits: int | None = None) -> int:
-    """Page slot size: the length header plus the longest image a full
-    node under ``config`` encodes to when stored label values are at
-    most ``value_bits`` wide (:func:`~repro.storage.codec.max_payload_bytes`;
-    about 1.7x the block at the default widths).  A scheme's own slot is
-    :func:`repro.core.registry.scheme_page_bytes`.  :meth:`FileBackend.commit`
-    refuses a longer image with a :class:`~repro.errors.StorageError`."""
-    return _PAGE_HEADER.size + max_payload_bytes(config, value_bits)
+        state = decode_directory(blob)
+    except PersistError as error:
+        raise RecoveryError(f"{path}: directory unreadable: {error}") from None
+    if state["lsn"] != lsn:
+        raise RecoveryError(f"{path}: header slot {slot} and its directory disagree on the LSN")
+    state.update(slot=slot, generation=generation, extent=(offset, length))
+    return state
 
 
 class FileBackend(StorageBackend):
-    """Block residency in a real page file with WAL durability.
+    """Block residency in a page file of shadow extents with WAL
+    durability.
 
     Parameters
     ----------
     path:
-        The page file.  Created if missing; otherwise opened on the base
-        its directory and write-ahead log (``path + ".wal"``) name.
-    page_bytes:
-        Fixed page slot size, :func:`default_page_bytes` when omitted for a
-        new file.  Must match the file's on opening an existing file (omit
-        to accept the stored geometry).
+        The page file.  Created if missing; otherwise opened on its
+        durable directory, with the write-ahead log (``path + ".wal"``)
+        holding the tapes past it.
     fsync:
         Issue ``os.fsync`` at the durability points: once per commit (the
-        log), and at a checkpoint's barriers.  Off by default: simulated
-        crashes (the only kind tests can make) do not lose OS-buffered
-        writes, and benchmarks should measure the protocol, not the
-        host's disk.
+        log), and at a checkpoint's two barriers.  Off by default:
+        simulated crashes (the only kind tests can make) do not lose
+        OS-buffered writes, and benchmarks should measure the protocol,
+        not the host's disk.
     """
 
-    def __init__(
-        self,
-        path: str,
-        page_bytes: int | None = None,
-        fsync: bool = False,
-    ) -> None:
+    def __init__(self, path: str, fsync: bool = False) -> None:
         #: Fsync policy, fault injector, crash state, bytes written.
         self._disk = Disk(fsync)
         super().__init__()
@@ -291,11 +399,22 @@ class FileBackend(StorageBackend):
         self.wal_manifest: dict[str, Any] = read_wal_manifest(path)
         #: Decoded live payloads (the buffer pool); identity-stable.
         self._objects: dict[int, Any] = {}
-        #: Ids with a page image (in the page file, or in the log's last
-        #: checkpoint record).
-        self._on_disk: set[int] = set()
+        #: The extent of every live block's durable image.
+        self._table = PageTable()
+        #: Extents the durable directory references and the live table no
+        #: longer does (freed blocks): gaps once the next checkpoint commits.
+        self._retired: list[tuple[int, int]] = []
+        #: Extents of a checkpoint whose header slot went out but whose
+        #: sync failed: the slot may be durable, so they stay in use until
+        #: a later checkpoint overwrites that slot.
+        self._in_doubt: list[tuple[int, int]] = []
+        #: The durable directory's own extent, header sequence number and
+        #: the slot the next checkpoint writes (the older one).
+        self._dir_extent = (DATA_START, 0)
+        self._generation = 0
+        self._next_slot = 0
         #: Blocks dirtied since the last checkpoint: pinned in the object
-        #: table, the next checkpoint encodes and writes them back.
+        #: table, the next checkpoint encodes and writes them.
         self._dirty: set[int] = set()
         #: Logged tapes past the base that opening found, for
         #: :func:`repro.persist.replay_transaction` to take and re-run.
@@ -306,26 +425,24 @@ class FileBackend(StorageBackend):
         self._tape_bytes = 0
         #: Whether the state holds changes no log record carries (blocks
         #: no tape re-creates, or what a failed checkpoint consumed): the
-        #: next record must then restate it, at a new LSN.
+        #: next commit must then be a checkpoint, at a new LSN.
         self._unlogged = False
-        #: LSN of the last transaction made durable, and of the at-rest
+        #: LSN of the last transaction made durable, and of the durable
         #: directory.
         self.lsn = 0
         self._directory_lsn = 0
         # The allocation delta since the last journaled transaction,
-        # recorded by allocate/free/_discard as they happen: free-list
-        # pops reaching below this delta's own pushes, the pushes still
-        # standing, and ids that lost their durable image.
+        # recorded by allocate/free as they happen: free-list pops
+        # reaching below this delta's own pushes, and the pushes still
+        # standing.
         self._journaled_next_id = 1
         self._pops = 0
         self._pushed: list[int] = []
-        self._dropped: list[int] = []
         #: The owner of every directory image's and DELTA's tail
         #: (:mod:`repro.storage.owner`): what the base held, until
         #: :func:`repro.persist.checkpoint_scheme` installs a journal.
         self.owner: Any = FoldedOwner()
         # Physical-I/O counters (the honest cost the logical IOStats models).
-        self.pages_journaled = 0
         self.page_writes = 0
         self.page_reads = 0
         self.commits = 0
@@ -336,15 +453,12 @@ class FileBackend(StorageBackend):
         existing = os.path.exists(self.path) and os.path.getsize(self.path) > 0
         if existing:
             self._handle = self._disk.open(self.path, "r+b")
-            self._open_existing(page_bytes)
+            self._open_existing()
         else:
-            self.page_bytes = (
-                page_bytes if page_bytes is not None else default_page_bytes(BoxConfig())
-            )
             self._handle = self._disk.open(self.path, "w+b")
+            self._gaps = Gaps(())
             self._disk.write_at(self._handle, 0, MAGIC)
-            self._write_directory(encode_directory(self._directory()))
-            self._disk.sync(self._handle)
+            self._write_checkpoint({})
 
     # ------------------------------------------------------------------
     # the disk's policy, faults and counter
@@ -369,80 +483,31 @@ class FileBackend(StorageBackend):
         return self
 
     # ------------------------------------------------------------------
-    # directory
-    # ------------------------------------------------------------------
-
-    def _directory(self) -> dict[str, Any]:
-        """The current directory (lists shared with the live state)."""
-        return {
-            "lsn": self.lsn,
-            "page_bytes": self.page_bytes,
-            "next_id": self._next_id,
-            "free_ids": self._free_ids,
-            "on_disk": self._on_disk,
-            "owner": self.owner,
-        }
-
-    def _write_directory(self, blob: bytes) -> None:
-        """Put the directory image just past the last page, then point
-        the header at it.  Not atomic, and later page growth overwrites
-        the image: a checkpoint makes the same bytes durable in the log
-        first, and recovery falls back to that record."""
-        self._disk.hit("backend.superblock", len(blob))
-        offset = self._page_offset(self._next_id)
-        self._disk.write_at(self._handle, offset, blob)
-        header = _HEADER.pack(offset, len(blob), zlib.crc32(blob))
-        header += _CRC.pack(zlib.crc32(header))
-        self._disk.write_at(self._handle, len(MAGIC), header)
-        self._directory_lsn = self.lsn
-
-    # ------------------------------------------------------------------
     # open / recovery
     # ------------------------------------------------------------------
 
-    def _wal_size(self) -> int:
-        try:
-            return os.path.getsize(self.wal_path)
-        except OSError:
-            return 0
+    def _open_existing(self) -> None:
+        """Take the durable directory and hold the logged tapes past it.
 
-    def _open_existing(self, page_bytes: int | None) -> None:
-        """Take the base :func:`log_base` names and hold the tapes past it.
-
-        The page images of every checkpoint record still in the log are
-        decoded over the page file, newest wins, and count as dirty — also
-        those the directory's LSN says were written back: page, directory
-        and header writes share one sync, so a power loss can keep the
-        directory and lose a page.  Opening writes nothing but the cut of
-        a torn tail, so a follower's log stays a byte-for-byte mirror and
-        the next checkpoint does the write-back.
+        The free gaps are rebuilt from its page table.  Opening writes
+        nothing but the cut of a torn tail, so a follower's log stays a
+        byte-for-byte mirror.
         """
-        directory = read_directory(self.path)
-        flushed_lsn = directory["lsn"] if directory is not None else -1
+        state = read_directory(self.path)
         scan = scan_wal(self.wal_path)
-        state, source, self.tapes = log_base(directory, scan.transactions, self.path)
-        self.lsn, self.page_bytes = state["lsn"], state["page_bytes"]
+        self.tapes = logged_tapes(state["lsn"], scan.transactions, self.path)
+        self.lsn = self._directory_lsn = state["lsn"]
         self._next_id = self._journaled_next_id = state["next_id"]
-        self._free_ids, self._on_disk = state["free_ids"], state["on_disk"]
+        self._free_ids, self._table = state["free_ids"], state["table"]
         self.owner = state["owner"]
-        self._directory_lsn = max(flushed_lsn, 0)
-        images: dict[int, bytes] = {}
-        for txn in scan.transactions:
-            images.update(txn.puts)
-        for block_id, image in images.items():
-            if block_id in self._on_disk:
-                self._objects[block_id] = decode_block_payload(image)
-                self._dirty.add(block_id)
+        self._dir_extent = state["extent"]
+        self._generation, self._next_slot = state["generation"], 1 - state["slot"]
+        self._gaps = Gaps([*self._table.extents(), self._dir_extent])
         if scan.torn_tail:
             self._wal.trim(scan.committed_bytes)
-        if page_bytes is not None and page_bytes != self.page_bytes:
-            raise StorageError(
-                f"{self.path} has {self.page_bytes}-byte pages, not {page_bytes}"
-            )
         self.recovery_report = {
-            "checkpoint_lsn": flushed_lsn if directory is not None else None,
+            "checkpoint_lsn": state["lsn"],
             "lsn": self.lsn + len(self.tapes),
-            "base": source,
             "replayed_transactions": len(self.tapes),
             "discarded_tail_bytes": scan.tail_bytes if scan.torn_tail else 0,
             "discarded_tail_reason": scan.tail_reason,
@@ -461,38 +526,17 @@ class FileBackend(StorageBackend):
     # pages
     # ------------------------------------------------------------------
 
-    def _page_offset(self, block_id: int) -> int:
-        return len(MAGIC) + HEADER_BYTES + (block_id - 1) * self.page_bytes
-
-    def _write_page_image(self, block_id: int, image: bytes) -> None:
-        framed = _PAGE_HEADER.pack(len(image)) + image
-        self._disk.hit("backend.page_write", len(framed))
-        self._disk.write_at(self._handle, self._page_offset(block_id), framed)
-        self.page_writes += 1
-
     def _read_page(self, block_id: int) -> Any:
         # A block dirtied since the last checkpoint is pinned in the
         # object table, so a cold read always finds its newest image in
-        # the file.  The read is positioned on the descriptor: readers
+        # the file, in an extent no checkpoint writes over while the table
+        # names it.  The read is positioned on the descriptor: readers
         # under the shared latch cold-read concurrently, and seek + read on
         # the one shared handle would let two of them swap pages.
-        framed = os.pread(
-            self._handle.fileno(), self.page_bytes, self._page_offset(block_id)
-        )
-        (length,) = _PAGE_HEADER.unpack_from(framed)
+        offset, length = self._table.extent(block_id)
+        image = os.pread(self._handle.fileno(), length, offset)
         self.page_reads += 1
-        return decode_block_payload(framed[_PAGE_HEADER.size : _PAGE_HEADER.size + length])
-
-    def _image(self, block_id: int) -> bytes:
-        """The block's page image; a :class:`~repro.errors.StorageError`
-        when it outgrows the slot."""
-        image = encode_block_payload(self._objects[block_id])
-        if _PAGE_HEADER.size + len(image) > self.page_bytes:
-            raise StorageError(
-                f"block {block_id} needs {_PAGE_HEADER.size + len(image)} "
-                f"bytes but pages hold {self.page_bytes}; raise page_bytes"
-            )
-        return image
+        return decode_block_payload(image)
 
     # ------------------------------------------------------------------
     # StorageBackend interface
@@ -517,7 +561,7 @@ class FileBackend(StorageBackend):
         payload = self._objects.get(block_id, _ABSENT)
         if payload is not _ABSENT:
             return payload  # may be a stored literal None
-        if block_id not in self._on_disk:
+        if not self._table.length(block_id):
             raise KeyError(block_id)
         payload = self._read_page(block_id)
         self._objects[block_id] = payload
@@ -529,13 +573,13 @@ class FileBackend(StorageBackend):
         self._objects[block_id] = payload
 
     def exists(self, block_id: int) -> bool:
-        return block_id in self._objects or block_id in self._on_disk
+        return block_id in self._objects or self._table.length(block_id) > 0
 
     def block_ids(self) -> Iterator[int]:
-        return iter(sorted(self._on_disk.union(self._objects)))
+        return iter(sorted(self._objects.keys() | self._table.ids()))
 
     def __len__(self) -> int:
-        return len(self._on_disk.union(self._objects))
+        return len(self._objects.keys() | self._table.ids())
 
     def _install(self, block_id: int, payload: Any) -> None:
         self._objects[block_id] = payload
@@ -545,9 +589,9 @@ class FileBackend(StorageBackend):
             raise KeyError(block_id)
         self._objects.pop(block_id, None)
         self._dirty.discard(block_id)
-        if block_id in self._on_disk:
-            self._on_disk.discard(block_id)
-            self._dropped.append(block_id)
+        if self._table.length(block_id):
+            self._retired.append(self._table.extent(block_id))
+            self._table.drop(block_id)
 
     # ------------------------------------------------------------------
     # durability
@@ -559,9 +603,9 @@ class FileBackend(StorageBackend):
         ``[OPS, DELTA, COMMIT]`` and one sync (see :mod:`repro.storage.wal`);
         without one — or with an op the op row cannot carry — a checkpoint.
 
-        The blocks join the next checkpoint's write-back first, so one
-        restates them also when this commit fails.  Once the tape is
-        logged the commit stands: the automatic checkpoint it takes every
+        The blocks join the next checkpoint first, so one writes them
+        also when this commit fails.  Once the tape is logged the commit
+        stands: the automatic checkpoint it takes every
         :data:`CHECKPOINT_TAPE_BYTES` of tape is retried by the next
         commit when it fails transiently.
         """
@@ -575,12 +619,6 @@ class FileBackend(StorageBackend):
                 ops = None if tape is None else b"".join(row(ended) for row, ended in tape)
             except ProtocolError:
                 ops = None
-            widest = self.owner.widest_page
-            if ops is not None and self._replay is None and (
-                widest is None or widest > self.page_bytes
-            ):
-                for block_id in dirty:  # refused before the ack, not at a checkpoint
-                    self._image(block_id)
             self._dirty.update(dirty)
             if ops is None or self._unlogged:
                 self._unlogged = True
@@ -606,11 +644,8 @@ class FileBackend(StorageBackend):
         """The pending DELTA row — the allocation changes, then the
         owner's part — and whether it changes anything."""
         owner_row, owner_changed = self.owner.delta()
-        row = [self._next_id - self._journaled_next_id, self._pops]
-        row.append(len(self._pushed))
+        row = [self._next_id - self._journaled_next_id, self._pops, len(self._pushed)]
         row += self._pushed
-        row.append(len(self._dropped))
-        row += self._dropped
         changed = owner_changed or any(row)
         return row + owner_row, changed
 
@@ -621,7 +656,6 @@ class FileBackend(StorageBackend):
         self._journaled_next_id = self._next_id
         self._pops = 0
         self._pushed.clear()
-        self._dropped.clear()
 
     def _journal(self, ops: bytes) -> None:
         """Append ``[OPS, DELTA, COMMIT]`` and sync the log — or, under
@@ -640,7 +674,7 @@ class FileBackend(StorageBackend):
         append_uvarints(body, [self.lsn + 1, len(row)] + row)
         logged = self._replay
         if logged is None:
-            self._wal.append_transaction({}, bytes(body), ops=ops)
+            self._wal.append_transaction({REC_OPS: ops, REC_DELTA: bytes(body)})
         elif (logged.body, logged.ops) != (body, ops):  # the body leads with the LSN
             record = "DELTA" if logged.ops == ops else "tape (a batch's ops or how it ended)"
             raise RecoveryError(
@@ -666,7 +700,9 @@ class FileBackend(StorageBackend):
         cannot derive.  So does leaving the scope without that commit."""
         owner = self.owner
         stamp = owner.stamp
-        logged = owner.logged_stamp(_owner_row(txn.body))
+        (_lsn, count), pos = scan_uvarints(txn.body, 0, 2)
+        row = scan_uvarints(txn.body, pos, count)[0]
+        logged = owner.logged_stamp(iter(row[3 + row[2]:]))
         owner.stamp = lambda: logged
         self._replay = txn
         try:
@@ -680,18 +716,17 @@ class FileBackend(StorageBackend):
             )
 
     def checkpoint(self) -> int:
-        """Fold the log into the page file (the *force* protocol) and seal
-        it; returns the sealed segment's id.
+        """Write every page dirtied since the last checkpoint, once, into
+        the page file and seal the log; returns the sealed segment's id.
 
-        Encodes every page dirtied since the last checkpoint once and logs
-        the images with an ABSOLUTE record — the complete directory, at a
-        new LSN when something is still pending or no record carries it
-        (a commit's blocks without a tape: a follower, which cannot
-        restate those, stops rather than diverge) — as ``[PUT…, ABSOLUTE,
-        COMMIT]``, sync; writes the same images and the directory into
-        the page file, sync; seals the log into the next segment and
-        applies retention (:meth:`_seal`).  A transient error logging the
-        record leaves its LSN to the retry.
+        The directory goes out at a new LSN when something is still
+        pending or no log record carries it (a commit's blocks without a
+        tape: the log then skips that LSN, and a follower, which cannot
+        re-create those blocks, stops rather than diverge).  A transient
+        error before the header slot is durable leaves the durable state,
+        the page table and the LSN to the retry (:meth:`_write_checkpoint`);
+        then the log is sealed into the next segment and retention applied
+        (:meth:`_seal`).
         """
         self._refuse_unreplayed()
         if self._replay is not None:  # a re-run re-creates its tape, or nothing
@@ -699,54 +734,83 @@ class FileBackend(StorageBackend):
                 f"{self.path}: re-running log transaction {self._replay.lsn} "
                 "ended without its tape"
             )
-        puts = {block_id: self._image(block_id) for block_id in sorted(self._dirty)}
+        images = {
+            block_id: encode_block_payload(self._objects[block_id])
+            for block_id in sorted(self._dirty)
+        }
         _row, changed = self._delta()
         bump = changed or self._unlogged
         if bump:
-            self._consumed()  # the record restates the whole directory
-        self._on_disk.update(puts)
-        blob = encode_directory(self._directory())
+            self._consumed()  # the directory restates the whole state
         try:
-            self._wal.append_transaction(puts, blob, absolute=True)
+            self._write_checkpoint(images)
         except TransientIOError:
             if bump:
                 self.lsn -= 1
                 self._unlogged = True
             raise
         self._unlogged = False
-        self.pages_journaled += len(puts)
-        self.write_back(puts, blob)
-        return self._seal()
-
-    def write_back(self, puts: dict[int, bytes], blob: bytes) -> None:
-        """Write the page images ``puts`` and the directory image ``blob``
-        to the page file and sync it; nothing is dirty after.  Both must
-        already be durable in the log as a checkpoint record (this
-        checkpoint's own, or on a follower the one its primary shipped): a
-        crash in here tears pages and directory, and only the log can
-        repair both."""
-        for block_id, image in puts.items():
-            self._write_page_image(block_id, image)
-        self._write_directory(blob)
-        # The barrier: the page file must be durable before the log stops
-        # being the source of truth (is sealed away).
-        self._disk.sync(self._handle)
         self._dirty.clear()
         self._tape_bytes = 0
+        return self._seal()
 
-    def restate(self, txn: WALTransaction) -> None:
-        """Follower side: the primary checkpointed at ``txn`` (an ABSOLUTE
-        record and its page images), which the replica's replayed state
-        must already be — same LSN, every block dirtied since the last
-        checkpoint among the images — or a
-        :class:`~repro.errors.RecoveryError`; then write them back."""
-        if txn.lsn != self.lsn or not self._dirty.issubset(txn.puts):
-            raise RecoveryError(
-                f"{self.path}: checkpoint record {txn.lsn} does not restate "
-                f"the replayed state at LSN {self.lsn}"
+    def _write_checkpoint(self, images: dict[int, bytes]) -> None:
+        """Write ``images`` and the directory into free extents, sync,
+        write the older header slot, sync; then adopt the new page table
+        and hand the extents it no longer references to the gaps.
+
+        A :class:`~repro.errors.TransientIOError` before the header slot
+        goes out returns the extents this attempt took; one after keeps
+        them in use (:attr:`_in_doubt`), as the slot may be durable."""
+        table = self._table.copy()
+        gaps, disk, handle = self._gaps, self._disk, self._handle
+        taken: list[tuple[int, int]] = []
+        header_out = False
+        try:
+            for block_id, image in images.items():
+                offset = gaps.take(len(image))
+                taken.append((offset, len(image)))
+                disk.hit("backend.page_write", len(image))
+                disk.write_at(handle, offset, image)
+                self.page_writes += 1
+                table.place(block_id, offset, len(image))
+            blob = encode_directory(
+                {
+                    "lsn": self.lsn,
+                    "next_id": self._next_id,
+                    "free_ids": self._free_ids,
+                    "table": table,
+                    "owner": self.owner,
+                }
             )
-        self._on_disk.update(txn.puts)
-        self.write_back(txn.puts, txn.body)
+            directory = (gaps.take(len(blob)), len(blob))
+            taken.append(directory)
+            disk.write_at(handle, directory[0], blob)
+            disk.sync(handle)  # the barrier: images before the header
+            slot = _SLOT.pack(self._generation + 1, self.lsn, *directory, zlib.crc32(blob))
+            slot += _CRC.pack(zlib.crc32(slot))
+            disk.hit("backend.superblock", len(slot))
+            header_out = True
+            disk.write_at(handle, SLOTS[self._next_slot], slot)
+            disk.sync(handle)  # the commit point
+        except TransientIOError:
+            if header_out:
+                self._in_doubt += taken
+            else:
+                for extent in reversed(taken):
+                    gaps.give(*extent)
+            raise
+        freed = [self._table.extent(b) for b in images if self._table.length(b)]
+        freed += self._retired + self._in_doubt
+        freed.append(self._dir_extent)
+        for extent in freed:
+            if extent[1]:
+                gaps.give(*extent)
+        self._retired, self._in_doubt = [], []
+        self._table, self._dir_extent = table, directory
+        self._generation += 1
+        self._next_slot ^= 1
+        self._directory_lsn = self.lsn
 
     # ------------------------------------------------------------------
     # WAL segments and retention (see repro.storage.walseg)
@@ -767,22 +831,19 @@ class FileBackend(StorageBackend):
         ).inc()
         return seg_id
 
-    def seal_wal_segment(self) -> int | None:
+    def seal_wal_segment(self) -> int:
         """Seal the live log into a numbered segment — a replication
         follower's step, once it has mirrored the segment its primary
-        sealed.
+        sealed (an empty one too: a checkpoint with no commit since the
+        last seals an empty log) — and return its id.
 
-        Returns the new segment's id, or ``None`` when the live log holds
-        no transactions (sealing would produce an empty segment).  A log
-        the page file does not fully include yet — a newer LSN, or pages
-        dirtied since the last write-back — is checkpointed instead, whose
-        seal is the seal: once sealed, a log can no longer repair a torn
-        write-back.  The caller must hold
-        whatever latch guards commits — rotation must not interleave with
-        a transaction being appended.
+        A log the page file does not fully include yet — a newer LSN, or
+        pages dirtied since the last checkpoint — is checkpointed instead,
+        whose seal is the seal: a follower writes its pages on its own, at
+        the points its primary did.  The caller must hold whatever latch
+        guards commits — rotation must not interleave with a transaction
+        being appended.
         """
-        if self._wal_size() <= len(WAL_MAGIC):
-            return None
         if self._directory_lsn != self.lsn or self._dirty:
             return self.checkpoint()
         return self._seal()
@@ -818,7 +879,7 @@ class FileBackend(StorageBackend):
         return record
 
     def drop_clean_objects(self) -> None:
-        """Evict the object table (blocks written back only).
+        """Evict the object table (blocks the page file holds only).
 
         Diagnostics/tests: forces subsequent reads down the decode path
         (the page file), proving the durable images are the real
@@ -826,7 +887,7 @@ class FileBackend(StorageBackend):
         — the page file does not hold them yet.
         """
         for block_id in list(self._objects):
-            if block_id in self._on_disk and block_id not in self._dirty:
+            if self._table.length(block_id) and block_id not in self._dirty:
                 del self._objects[block_id]
 
     def close(self) -> None:

@@ -39,9 +39,6 @@ class FoldedOwner:
     #: Zero-arg callable whose integer is journaled as ``scalars[0]``;
     #: None keeps the last journaled value.
     stamp: Callable[[], int] | None = None
-    #: The widest page slot the structure's images can need; None when
-    #: nothing bounds them, so a commit encodes its pages to tell.
-    widest_page: int | None = None
 
     def __init__(self, section: bytes | None = None) -> None:
         #: LIDF journal ops not journaled yet (a scheme's ``lidf.journal``).

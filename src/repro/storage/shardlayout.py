@@ -58,7 +58,7 @@ def is_sharded_root(path: str) -> bool:
 
 
 def write_manifest(
-    root: str, n_shards: int, *, page_bytes: int | None = None, fsync: bool = False
+    root: str, n_shards: int, *, fsync: bool = False
 ) -> dict:
     """Create ``root`` (if needed) and write its shard manifest.
 
@@ -73,7 +73,6 @@ def write_manifest(
         "version": MANIFEST_VERSION,
         "n_shards": n_shards,
         "codec": "interleave",  # shard = glid % n, local = glid // n
-        "page_bytes": page_bytes,
     }
     os.makedirs(root, exist_ok=True)
     write_json_atomic(os.path.join(root, MANIFEST_NAME), manifest, fsync=fsync)

@@ -1,4 +1,4 @@
-"""Write-ahead log for the file backend.
+"""Write-ahead log for the file backend: a log of tapes.
 
 Durability protocol (redo-only WAL, *no-force*, logical redo between
 checkpoints):
@@ -8,22 +8,20 @@ checkpoints):
   what the wake-up changed in the backend's allocation state and in its
   owner's state — are appended as one transaction ``[OPS, DELTA,
   COMMIT]``, and the log is synced.  That is all a commit writes: no page
-  image, and pages and the page file's directory stay as they were.
-* **Checkpoint.**  The images of every page dirtied since the last
-  checkpoint, each encoded once, and an ABSOLUTE record — the complete
-  directory — are appended as ``[PUT…, ABSOLUTE, COMMIT]`` and synced;
-  then those pages and the directory are written to the page file, the
-  page file is synced, and the log is sealed: renamed into the next
-  numbered segment (:mod:`repro.storage.walseg`), whose retention rule
-  decides how long it stays.
+  image, and the page file stays as it was.
+* **Checkpoint.**  The log carries nothing of it.  The page file takes
+  the images of every page dirtied since the last checkpoint, each into
+  a fresh extent, and a new directory; a header slot flip commits them
+  (:mod:`repro.storage.filebackend`).  Then the log is sealed: renamed
+  into the next numbered segment (:mod:`repro.storage.walseg`), whose
+  retention rule decides how long it stays.
 
-Every DELTA carries a log sequence number one past its predecessor's;
-an ABSOLUTE record carries the LSN of the state it restates and the
-page file's directory records the LSN it includes.  Recovery
-(:func:`repro.persist.replay_transaction`) starts from the newer of the
-directory and the last ABSOLUTE record and re-runs each later tape
-through the batch executor, checking that the re-run's DELTA is the
-logged one byte for byte.  The three crash windows:
+Every DELTA carries a log sequence number one past its predecessor's,
+and the page file's directory records the LSN it includes.  Recovery
+(:func:`repro.persist.replay_transaction`) starts from the directory and
+re-runs each later tape through the batch executor, checking that the
+re-run's DELTA is the logged one byte for byte.  The three crash
+windows:
 
 * **torn transaction** (crash mid-append): the log's tail has no valid
   commit record and is discarded; the structure is its last committed
@@ -31,17 +29,15 @@ logged one byte for byte.  The three crash windows:
 * **committed, not checkpointed** (the normal state between
   checkpoints): the directory is older than the log; the tapes past its
   LSN are re-run over it.
-* **crash inside a checkpoint**: the ABSOLUTE record is durable, pages
-  or the directory may be torn — or all landed, the log not yet sealed.
-  Every page being written back has its image in the log's PUTs, which
-  are served over the page file (pages and directory share one sync, so
-  even a landed directory does not prove the pages landed), and the next
-  checkpoint writes them back again.
+* **crash inside a checkpoint**: before the header slot is durable, the
+  previous directory still stands — the checkpoint wrote only to extents
+  it does not reference — and the log still holds every tape past it.
+  After, the new directory stands and the tapes at or below its LSN,
+  still in the unsealed log, are skipped.
 
-Record format: ``u8 type │ u32 length │ body``.  Types: PUT (uvarint
-block id + page image), DELTA and ABSOLUTE (uvarint LSN + a body the
-file backend encodes), COMMIT (u32 CRC-32 over every record byte since
-the previous commit), OPS (tape rows back to back,
+Record format: ``u8 type │ u32 length │ body``.  Types: DELTA (uvarint
+LSN + a body the file backend encodes), COMMIT (u32 CRC-32 over every
+record byte since the previous commit), OPS (tape rows back to back,
 :func:`repro.core.batch.encode_batch`).  The file starts with an 8-byte
 magic.
 """
@@ -57,19 +53,17 @@ from typing import Any
 from ..errors import PersistError, TransientIOError, WALError
 from ..obs import trace
 from ..obs.metrics import get_registry
-from .codec import scan_uvarint, uvarint_bytes
+from .codec import scan_uvarint
 from .disk import Disk
 
-#: Format version 4: page images code rows of LIDs and block pointers as
-#: zigzag deltas.  Version 3 logged the same records with plain varint
-#: rows; since it, a commit logs its tape (OPS) and page images go out
-#: only with checkpoints; version 2 journaled them with every commit.
-MAGIC = b"BOXWAL04"
+#: Format version 5: tapes only — checkpoints log nothing.  Version 4
+#: logged a checkpoint's page images (PUT) and directory (ABSOLUTE), with
+#: rows of LIDs and block pointers as zigzag deltas; version 3 the same
+#: with plain varint rows; version 2 journaled images with every commit.
+MAGIC = b"BOXWAL05"
 
-REC_PUT = 1
 REC_DELTA = 2
 REC_COMMIT = 3
-REC_ABSOLUTE = 4
 REC_OPS = 5
 
 _HEADER = struct.Struct(">BI")  # record type, body length
@@ -77,17 +71,14 @@ _HEADER = struct.Struct(">BI")  # record type, body length
 
 @dataclass
 class WALTransaction:
-    """One decoded committed transaction: a commit's tape and DELTA, or a
-    checkpoint's page images and ABSOLUTE record."""
+    """One decoded committed transaction: a commit's tape and DELTA."""
 
-    puts: dict[int, bytes] = field(default_factory=dict)
     #: The OPS record body (tape rows); None when there is none.
     ops: bytes | None = None
-    #: The record's LSN; None when the transaction carries neither record.
+    #: The DELTA record's LSN; None when the transaction carries none.
     lsn: int | None = None
-    #: The DELTA/ABSOLUTE record body, LSN varint included.
+    #: The DELTA record body, LSN varint included.
     body: bytes = b""
-    absolute: bool = False
 
 
 @dataclass
@@ -135,16 +126,10 @@ class WALWriter:
             if fresh:
                 self._disk.write(self._handle, MAGIC)
 
-    def append_transaction(
-        self,
-        puts: dict[int, bytes],
-        body: bytes,
-        absolute: bool = False,
-        ops: bytes | None = None,
-    ) -> None:
-        """Append one transaction: the OPS record ``ops`` (when given), PUT
-        records, the DELTA (or ABSOLUTE) record ``body`` — which starts
-        with its uvarint LSN — and COMMIT, then sync the log (the hooked
+    def append_transaction(self, records: dict[int, bytes]) -> None:
+        """Append one transaction: ``records`` (record type → body, in
+        order: the OPS record, then the DELTA record, whose body starts
+        with its uvarint LSN) and COMMIT, then sync the log (the hooked
         barrier, :meth:`~repro.storage.disk.Disk.sync`).
 
         A :class:`~repro.errors.TransientIOError` raised mid-transaction
@@ -164,19 +149,10 @@ class WALWriter:
             start_offset = self._handle.tell()
             crc = 0
             try:
-                if ops is not None:
-                    record = _encode_record(REC_OPS, ops)
+                for rec_type, body in records.items():
+                    record = _encode_record(rec_type, body)
                     crc = zlib.crc32(record, crc)
                     self._write(record)
-                for block_id, image in puts.items():
-                    record = _encode_record(REC_PUT, uvarint_bytes(block_id) + image)
-                    crc = zlib.crc32(record, crc)
-                    self._write(record)
-                state_record = _encode_record(
-                    REC_ABSOLUTE if absolute else REC_DELTA, body
-                )
-                crc = zlib.crc32(state_record, crc)
-                self._write(state_record)
                 self._write(_encode_record(REC_COMMIT, struct.pack(">I", crc)))
                 self._disk.sync(self._handle)
             except TransientIOError:
@@ -259,9 +235,11 @@ def scan_wal(path: str) -> WALScan:
     """Decode a log file into committed transactions plus torn-tail info.
 
     A missing or empty file scans as zero transactions.  Structurally
-    impossible content (bad magic) raises :class:`~repro.errors.WALError`;
-    an incomplete or CRC-mismatched tail is expected after a crash and is
-    reported, not raised.
+    impossible content (bad magic, an unknown record type) raises
+    :class:`~repro.errors.WALError`; an incomplete or CRC-mismatched
+    tail is expected after a crash and is reported, not raised — and so
+    is a record header of zeros, what an unsynced write a crash lost
+    leaves behind a later one that landed.
     """
     if not os.path.exists(path) or os.path.getsize(path) == 0:
         return WALScan()
@@ -291,10 +269,10 @@ def scan_wal_bytes(
         return scan
     if expect_magic:
         if data[: len(MAGIC)] != MAGIC:
-            if data[: len(MAGIC)] in (b"BOXWAL01", b"BOXWAL02", b"BOXWAL03"):
+            if data[: len(MAGIC)] in (b"BOXWAL01", b"BOXWAL02", b"BOXWAL03", b"BOXWAL04"):
                 raise WALError(
                     f"{source} is a format-version-{data[7] - 48} write-ahead "
-                    "log; this build reads version 4"
+                    "log; this build reads version 5"
                 )
             if MAGIC.startswith(data[: len(MAGIC)]):
                 # The very first physical write (the magic itself) was torn:
@@ -318,7 +296,10 @@ def scan_wal_bytes(
             break
         rec_type, length = _HEADER.unpack_from(data, offset)
         body_start = offset + _HEADER.size
-        if not REC_PUT <= rec_type <= REC_OPS:
+        if rec_type == 0 and length == 0:
+            scan.tail_reason = "zero-filled record header"
+            break
+        if rec_type not in (REC_DELTA, REC_COMMIT, REC_OPS):
             raise WALError(f"{source}: impossible record type {rec_type}")
         if body_start + length > len(data):
             scan.tail_reason = "torn record body"
@@ -336,29 +317,21 @@ def scan_wal_bytes(
             pending_start = offset
             continue
         crc = zlib.crc32(record, crc)
-        if rec_type == REC_PUT:
-            # A truncated-then-overwritten tail can leave a PUT whose body
-            # length checks out but whose block-id varint is cut short;
+        if rec_type == REC_OPS:
+            pending.ops = body
+        else:  # REC_DELTA
+            # A truncated-then-overwritten tail can leave a DELTA whose
+            # body length checks out but whose LSN varint is cut short;
             # scan_uvarint raises PersistError on that.  The record is by
             # construction uncommitted (a commit CRC over it could not have
             # verified), so it is a torn tail to discard — not a reason to
             # fail recovery of the committed prefix.
-            try:
-                block_id, image_start = scan_uvarint(body, 0)
-            except PersistError:
-                scan.tail_reason = "corrupt PUT body"
-                break
-            pending.puts[block_id] = body[image_start:]
-        elif rec_type == REC_OPS:
-            pending.ops = body
-        else:  # REC_DELTA / REC_ABSOLUTE
             try:
                 pending.lsn = scan_uvarint(body, 0)[0]
             except PersistError:
                 scan.tail_reason = "corrupt DELTA body"
                 break
             pending.body = body
-            pending.absolute = rec_type == REC_ABSOLUTE
         offset = body_start + length
     scan.committed_bytes = pending_start
     if pending_start < len(data):

@@ -5,8 +5,8 @@ The crash tests install :class:`repro.faults.FaultPlan.crash_after_writes`
 plans (the exact semantics of the retired ``crash_after_n_writes``
 budget): ``budget`` physical writes are granted and the final one is torn
 in half — sweeping the budget walks the crash point through every window
-of a commit followed by a checkpoint (mid-WAL-record, mid-absolute-record,
-between log and pages, mid-page, mid-directory, before the truncate).
+of a commit followed by a checkpoint (mid-WAL-record, mid-page,
+mid-directory, at the header slot, before the seal).
 After every simulated crash, reopening must yield exactly the last
 committed state: every LID looks up its pre-crash committed label.
 """
@@ -17,21 +17,20 @@ import pytest
 
 from repro import BBox, BatchExecutor, BatchOp, NaiveScheme, OrdPath, WBox, WBoxO
 from repro.config import TINY_CONFIG
-from repro.errors import CrashError, PersistError, RecoveryError, StorageError, WALError
-from repro.faults import FaultInjector, FaultPlan
+from repro.errors import CrashError, PersistError, RecoveryError, TransientIOError, WALError
+from repro.faults import TORN_WRITE, FaultInjector, FaultPlan, FaultSpec
 from repro.persist import checkpoint_scheme, open_file_scheme
 from repro.storage import (
     BlockStore,
     FileBackend,
     MemoryBackend,
-    default_page_bytes,
     read_directory,
     scan_wal,
 )
 from repro.storage import filebackend as filebackend_module
 from repro.storage.codec import uvarint_bytes
 from repro.storage.disk import Disk
-from repro.storage.wal import WALWriter
+from repro.storage.wal import REC_DELTA, REC_OPS, WALWriter
 
 from . import taped
 
@@ -51,10 +50,8 @@ def arm_crash_after(backend, budget):
     backend.install_faults(FaultInjector(FaultPlan.crash_after_writes(budget)))
 
 
-def make_file_scheme(tmp_path, factory, name="s.pages", config=TINY_CONFIG):
-    backend = FileBackend(
-        str(tmp_path / name), page_bytes=default_page_bytes(config)
-    )
+def make_file_scheme(tmp_path, factory, name="s.pages", config=TINY_CONFIG, fsync=False):
+    backend = FileBackend(str(tmp_path / name), fsync=fsync)
     scheme = factory(config, store=BlockStore(config, backend=backend))
     checkpoint_scheme(scheme)
     return scheme, backend
@@ -167,43 +164,34 @@ class TestFileBackendPages:
         assert reopened.read(2) == [1]
         reopened.close()
 
-    def test_page_bytes_mismatch_rejected(self, tmp_path):
-        backend = make_backend(tmp_path, page_bytes=4096)
-        backend.close()
-        with pytest.raises(StorageError, match="4096-byte pages"):
-            make_backend(tmp_path, page_bytes=8192)
-
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.pages"
         path.write_bytes(b"NOTAPAGE" + b"\0" * 64)
         with pytest.raises(PersistError, match="bad magic"):
             FileBackend(str(path))
 
-    def test_oversized_payload_rejected(self, tmp_path):
-        backend = make_backend(tmp_path, page_bytes=4096)
-        block_id = backend.allocate(list(range(100_000)))
-        with pytest.raises(StorageError, match="raise page_bytes"):
-            backend.commit([block_id])
-        backend.close()
-
-    def test_directory_past_last_page(self, tmp_path):
-        """The directory has one location whatever its size — past the
-        last page — and moves as the file grows; reopening and read-only
-        inspection follow the header to it."""
+    def test_the_directory_is_one_more_extent(self, tmp_path):
+        """The directory goes into a free extent like a page image,
+        whatever its size, and the header slot a checkpoint flips points
+        at it; reopening and read-only inspection follow the header."""
         backend = make_backend(tmp_path)
         ids = [backend.allocate([i]) for i in range(30)]
         backend.owner.meta = {"payload": "x" * 20_000}
         backend.commit(ids)  # no tape: the commit is a checkpoint
-        assert read_directory(backend.path)["on_disk"] == set(ids)
+        assert read_directory(backend.path)["table"].ids() == ids
         backend.checkpoint()
-        first_size = os.path.getsize(backend.path)
         more = [backend.allocate([i]) for i in range(30, 40)]
         backend.commit(more)
         backend.checkpoint()
-        assert os.path.getsize(backend.path) > first_size
         state = read_directory(backend.path)
         assert state["owner"].meta == {"payload": "x" * 20_000}
-        assert state["on_disk"] == set(ids + more) and state["lsn"] == backend.lsn
+        assert state["table"].ids() == ids + more and state["lsn"] == backend.lsn
+        # Two directories stand at most (one per header slot), and a
+        # growing one leaves at most one more behind as a gap.
+        live = sum(state["table"].lengths)
+        assert os.path.getsize(backend.path) <= filebackend_module.DATA_START + live + 3 * (
+            state["extent"][1] + 64
+        )
         backend.close()
         reopened = make_backend(tmp_path)
         assert reopened.owner.meta == {"payload": "x" * 20_000}
@@ -215,7 +203,7 @@ class TestFileBackendPages:
         path.write_bytes(b"BOXPAGE1" + b"\0" * 8192)
         with pytest.raises(PersistError, match="format-version-1 page file"):
             FileBackend(str(path))
-        with pytest.raises(PersistError, match="reads version 3"):
+        with pytest.raises(PersistError, match="reads version 4"):
             read_directory(str(path))
 
 
@@ -230,22 +218,20 @@ class TestWALScan:
     def test_round_trip(self, tmp_path):
         path = str(tmp_path / "log.wal")
         writer = WALWriter(path, Disk(fsync=False))
-        writer.append_transaction({1: b"abc", 9: b"de"}, delta(1, b"k1"))
-        writer.append_transaction({2: b"xyz"}, delta(2, b"k2"))
-        writer.append_transaction({}, delta(2, b"whole"), absolute=True)
+        writer.append_transaction({REC_OPS: b"abc", REC_DELTA: delta(1, b"k1")})
+        writer.append_transaction({REC_OPS: b"xyz", REC_DELTA: delta(2, b"k2")})
         writer.close()
         scan = scan_wal(path)
-        assert scan.committed == 3 and not scan.torn_tail
-        assert scan.transactions[0].puts == {1: b"abc", 9: b"de"}
-        second, third = scan.transactions[1:]
-        assert (second.lsn, second.body, second.absolute) == (2, delta(2, b"k2"), False)
-        assert (third.lsn, third.body, third.absolute) == (2, delta(2, b"whole"), True)
+        assert scan.committed == 2 and not scan.torn_tail
+        first, second = scan.transactions
+        assert (first.lsn, first.body, first.ops) == (1, delta(1, b"k1"), b"abc")
+        assert (second.lsn, second.body, second.ops) == (2, delta(2, b"k2"), b"xyz")
 
     def test_torn_tail_discarded_committed_prefix_kept(self, tmp_path):
         path = str(tmp_path / "log.wal")
         writer = WALWriter(path, Disk(fsync=False))
-        writer.append_transaction({1: b"abc"}, delta(1))
-        writer.append_transaction({2: b"def"}, delta(2))
+        writer.append_transaction({REC_OPS: b"abc", REC_DELTA: delta(1)})
+        writer.append_transaction({REC_OPS: b"def", REC_DELTA: delta(2)})
         writer.close()
         intact = os.path.getsize(path)
         first_end = len(scan_wal(path).transactions)  # sanity: both committed
@@ -264,7 +250,7 @@ class TestWALScan:
     def test_corrupt_commit_crc_treated_as_torn(self, tmp_path):
         path = str(tmp_path / "log.wal")
         writer = WALWriter(path, Disk(fsync=False))
-        writer.append_transaction({1: b"abc"}, delta(1))
+        writer.append_transaction({REC_OPS: b"abc", REC_DELTA: delta(1)})
         writer.close()
         with open(path, "r+b") as handle:
             handle.seek(-1, os.SEEK_END)
@@ -338,44 +324,78 @@ class TestRecoveryWindows:
             again.close()
             if not crashed:
                 break  # budget exceeds commit + checkpoint; later sweeps identical
-        assert not crashed and budget > 19, "the sweep must cover the whole checkpoint"
+        assert not crashed and budget > 10, "the sweep must cover the whole checkpoint"
 
     def test_committed_but_unapplied_is_replayed(self, tmp_path):
+        """Tapes committed to the log, then a checkpoint torn at its first
+        page write: the page file never took them (its header slots are as
+        they were), and reopening re-runs them from the log."""
+        scheme, backend = make_file_scheme(tmp_path, WBox)
+        lids = bulk(scheme, 24)
+        lids += [taped.insert_before(scheme, lids[index]) for index in (2, 2, 7)]
+        labels = [scheme.lookup(lid) for lid in lids]
+        checkpoint_lsn = read_directory(backend.path)["lsn"]
+        backend.install_faults(FaultInjector(FaultPlan.crash_after_writes(1)))
+        with pytest.raises(CrashError):
+            backend.checkpoint()
+        backend.close()
+        reopened = open_file_scheme(backend.path)
+        report = reopened.store.backend.recovery_report
+        assert report["checkpoint_lsn"] == checkpoint_lsn
+        assert report["replayed_transactions"] == 3
+        assert [reopened.lookup(lid) for lid in lids] == labels
+        reopened.store.backend.close()
+
+    def test_a_checkpoint_torn_before_its_header_leaves_the_old_state(self, tmp_path):
         backend, ids = self._committed_file(tmp_path)
         backend.write(ids[0], [404, 405])
-        # A commit without a tape is a checkpoint, whose physical writes
-        # are the fresh log's magic, PUT + ABSOLUTE + COMMIT, then the
-        # pages.  Granting exactly five tears the first page write — after
-        # the checkpoint record is durable.
-        arm_crash_after(backend, 5)
+        # A commit without a tape is a checkpoint: it logs nothing and
+        # writes its page images first.  Tearing the first one leaves the
+        # header slots as they were: the commit never happened.
+        arm_crash_after(backend, 0)
         with pytest.raises(CrashError):
             backend.commit([ids[0]])
         backend.close()
-        assert scan_wal(backend.wal_path).committed == 1
+        assert scan_wal(backend.wal_path).committed == 0
         reopened = FileBackend(str(backend.path))
-        assert reopened.recovery_report["base"] == "wal"
-        assert reopened.recovery_report["checkpoint_lsn"] == 1
-        assert reopened.lsn == 2
-        assert reopened.read(ids[0]) == [404, 405]  # the torn page, served from the log
+        assert reopened.recovery_report["checkpoint_lsn"] == reopened.lsn == 1
+        assert reopened.read(ids[0]) == [0, 0]
         assert reopened.read(ids[1]) == [1, 1]
         reopened.close()
 
     def test_torn_superblock_repaired_from_wal(self, tmp_path):
+        """The header slot a checkpoint writes is torn: the other slot
+        still names the previous directory — whose extents the checkpoint
+        never wrote over — and the log, not sealed yet, holds the tapes
+        past it."""
+        scheme, backend = make_file_scheme(tmp_path, WBox)
+        lids = bulk(scheme, 24)
+        lids += [taped.insert_before(scheme, lids[index]) for index in (5, 11)]
+        labels = [scheme.lookup(lid) for lid in lids]
+        backend.install_faults(FaultInjector(FaultPlan.superblock_crash(at=1)))
+        with pytest.raises(CrashError):
+            backend.checkpoint()
+        backend.close()
+        reopened = open_file_scheme(backend.path)
+        assert reopened.store.backend.recovery_report["replayed_transactions"] == 2
+        assert [reopened.lookup(lid) for lid in lids] == labels
+        reopened.store.backend.close()
+
+    def test_a_torn_header_slot_leaves_the_other_standing(self, tmp_path):
         backend, ids = self._committed_file(tmp_path)
         backend.checkpoint()
         backend.write(ids[1], [777])
-        # Tear the directory image the commit's checkpoint writes: it lands
-        # on the old image (same offset), so neither survives — only the
-        # absolute record the checkpoint logged first.
+        # Tear the header slot the commit's checkpoint writes: the other
+        # slot still names the previous directory, whose extents that
+        # checkpoint never wrote over.
         backend.install_faults(FaultInjector(FaultPlan.superblock_crash(at=1)))
         with pytest.raises(CrashError):
             backend.commit([ids[1]])
         backend.close()
-        assert read_directory(backend.path) is None
+        assert read_directory(backend.path)["lsn"] == 1
         reopened = FileBackend(str(backend.path))
-        assert reopened.recovery_report["base"] == "wal"
-        assert reopened.recovery_report["checkpoint_lsn"] is None
-        assert reopened.read(ids[1]) == [777]
+        assert reopened.recovery_report["checkpoint_lsn"] == 1
+        assert reopened.read(ids[1]) == [1, 1]
         reopened.close()
 
     def test_unreadable_superblock_without_wal_is_unrecoverable(self, tmp_path):
@@ -383,10 +403,56 @@ class TestRecoveryWindows:
         backend.checkpoint()
         backend.close()
         with open(backend.path, "r+b") as handle:
-            handle.seek(len(filebackend_module.MAGIC) + 2)
-            handle.write(b"\xff\xff\xff\xff")
-        with pytest.raises(RecoveryError, match="directory unreadable"):
+            for offset in filebackend_module.SLOTS:
+                handle.seek(offset + 2)
+                handle.write(b"\xff\xff\xff\xff")
+        with pytest.raises(RecoveryError, match="neither header slot is valid"):
             FileBackend(str(backend.path))
+
+    def test_a_corrupt_newest_directory_never_falls_back(self, tmp_path):
+        """The older slot's extents may have been reused by the newer
+        checkpoint, so a newest directory that fails its CRC is a typed
+        error, not a silent step back."""
+        backend, _ = self._committed_file(tmp_path)
+        backend.checkpoint()
+        offset, _length = read_directory(backend.path)["extent"]
+        backend.close()
+        with open(backend.path, "r+b") as handle:
+            handle.seek(offset)
+            handle.write(b"\xff")
+        with pytest.raises(RecoveryError, match="fails its CRC"):
+            FileBackend(str(backend.path))
+
+    def test_a_header_whose_sync_failed_keeps_its_extents(self, tmp_path):
+        """A transient error at the header slot's own sync leaves a slot
+        that may be durable: the next checkpoint must not write over the
+        extents it names.  Here it is durable (a simulated crash keeps
+        what reached the OS), and the next checkpoint dies after writing
+        all its images: reopening takes that slot, whose images must
+        still be there, and re-runs the tapes past it."""
+        path = str(tmp_path / "s.pages")
+        scheme, backend = make_file_scheme(tmp_path, WBox, fsync=True)
+        lids = bulk(scheme, 24)
+        lids += [taped.insert_before(scheme, lids[index]) for index in (2, 9, 9)]
+        # A checkpoint syncs twice: images and directory, then the header.
+        backend.install_faults(
+            FaultInjector(FaultPlan.transient_io_error(hook="backend.fsync", at=2))
+        )
+        with pytest.raises(TransientIOError):
+            backend.checkpoint()
+        lids += [taped.insert_before(scheme, lids[index]) for index in (4, 4, 17)]
+        labels = [scheme.lookup(lid) for lid in lids]
+        backend.install_faults(
+            FaultInjector(FaultPlan([FaultSpec(TORN_WRITE, "backend.fsync", at=1)]))
+        )
+        with pytest.raises(CrashError):
+            backend.checkpoint()
+        backend.close()
+        reopened = open_file_scheme(path)
+        assert reopened.store.backend.recovery_report["replayed_transactions"] == 3
+        assert [reopened.lookup(lid) for lid in lids] == labels
+        reopened.check_invariants()
+        reopened.store.backend.close()
 
     def test_crashed_backend_refuses_further_writes(self, tmp_path):
         backend = make_backend(tmp_path)

@@ -9,11 +9,11 @@ from repro.cli import build_parser, main
 from repro.config import TINY_CONFIG
 from repro.errors import ReproError
 from repro.persist import create_store
+from repro.storage import read_directory
 from repro.xml.writer import serialize
 from repro.xml.xmark import xmark_document
 
 from . import taped
-from .test_format_pin import tapes_of
 
 
 @pytest.fixture
@@ -335,6 +335,11 @@ GOLDEN_INFO = {
 }
 
 
+def _image_bytes_line(path, indent):
+    table = read_directory(path)["table"]
+    return f"{indent}image bytes:  {sum(table.lengths)} live, {os.path.getsize(path)} in the file"
+
+
 class TestPageFileDiagnostics:
     """``info`` and ``recover`` on a page file whose writer died: they
     name the checkpoint LSN, how many logged tapes replay over it, and
@@ -344,10 +349,10 @@ class TestPageFileDiagnostics:
     def crashed_store(self, tmp_path):
         from repro import WBox
         from repro.persist import checkpoint_scheme
-        from repro.storage import BlockStore, FileBackend, default_page_bytes
+        from repro.storage import BlockStore, FileBackend
 
         path = str(tmp_path / "s.pages")
-        backend = FileBackend(path, page_bytes=default_page_bytes(TINY_CONFIG))
+        backend = FileBackend(path)
         scheme = WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))
         checkpoint_scheme(scheme)
         lids = scheme.bulk_load(24, [i ^ 1 for i in range(24)])
@@ -355,13 +360,13 @@ class TestPageFileDiagnostics:
             taped.insert_before(scheme, lids[index])
         backend.close()
         with open(path + ".wal", "ab") as handle:
-            handle.write(b"\x01\x00\x00\x00\x40abc")  # a PUT cut short
+            handle.write(b"\x05\x00\x00\x00\x40abc")  # an OPS record cut short
         return path
 
     def test_info_then_recover_then_info(self, crashed_store, capsys):
         assert main(["info", crashed_store]) == 0
         before = capsys.readouterr().out
-        assert "format version 3" in before
+        assert "format version 4" in before
         assert "checkpoint:   LSN 3" in before and "live labels:  24" in before
         assert "5 transaction(s), 5 to replay" in before
         assert "torn tail of 8 bytes to discard (torn record body)" in before
@@ -369,7 +374,7 @@ class TestPageFileDiagnostics:
         assert main(["recover", crashed_store]) == 0
         report = capsys.readouterr().out
         assert "checkpoint LSN:   3" in report
-        assert "replayed tapes:   5 transaction(s), to LSN 8 (base: directory)" in report
+        assert "replayed tapes:   5 transaction(s), to LSN 8" in report
         assert "discarded tail:   8 bytes (torn record body)" in report
         assert "labels: 29" in report and "WAL empty, directory current" in report
 
@@ -381,48 +386,49 @@ class TestPageFileDiagnostics:
     def test_info_counts_what_recover_folds_under_a_newer_absolute_base(
         self, tmp_path, capsys
     ):
-        """Crash inside a checkpoint's write-back: the log's ABSOLUTE
-        record, not the older directory, is the base — ``info`` counts
-        through the same replay as ``recover`` and says 0, not 5."""
+        """Crash after a checkpoint's header slot, before its seal: the
+        newer directory is the base and the unsealed log still holds the
+        tapes it includes — ``info`` counts through the same replay as
+        ``recover`` and says 0, not 5."""
         from repro import WBox
         from repro.errors import CrashError
         from repro.faults import TORN_WRITE, FaultInjector, FaultPlan, FaultSpec
         from repro.persist import checkpoint_scheme
-        from repro.storage import BlockStore, FileBackend, default_page_bytes
+        from repro.storage import BlockStore, FileBackend
 
         path = str(tmp_path / "c.pages")
-        backend = FileBackend(path, page_bytes=default_page_bytes(TINY_CONFIG))
+        backend = FileBackend(path)
         scheme = WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))
         checkpoint_scheme(scheme)
         lids = scheme.bulk_load(24, [i ^ 1 for i in range(24)])
         for index in range(5):
             taped.insert_before(scheme, lids[index])
         backend.install_faults(
-            FaultInjector(FaultPlan([FaultSpec(TORN_WRITE, "backend.page_write", at=1)]))
+            FaultInjector(FaultPlan([FaultSpec(TORN_WRITE, "wal.truncate", at=1)]))
         )
         with pytest.raises(CrashError):
             backend.checkpoint()
         backend.close()
 
         assert main(["info", path]) == 0
-        assert "6 transaction(s), 0 to replay" in capsys.readouterr().out
+        assert "5 transaction(s), 0 to replay" in capsys.readouterr().out
         assert main(["recover", path]) == 0
         report = capsys.readouterr().out
-        assert "replayed tapes:   0 transaction(s), to LSN 8 (base: wal)" in report
+        assert "checkpoint LSN:   8" in report
+        assert "replayed tapes:   0 transaction(s), to LSN 8" in report
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_INFO))
     def test_info_on_the_committed_page_files(self, name, tmp_path, capsys):
         """``info`` reads scheme and live labels from the owner's section:
         the committed page file alone, and the checkpoint image from
-        before the tape with the tape's commits (its segment minus the
-        closing checkpoint record) as a log to replay."""
+        before the tape with the tape's commits (its segment) as a log to
+        replay."""
         golden = os.path.join(os.path.dirname(__file__), "data", "golden_format", name)
         scheme, after, before = GOLDEN_INFO[name]
         pages, base = str(tmp_path / "copy.pages"), str(tmp_path / "base.pages")
         shutil.copyfile(os.path.join(golden, "pages"), pages)
         shutil.copyfile(os.path.join(golden, "base.pages"), base)
-        with open(base + ".wal", "wb") as dst:
-            dst.write(tapes_of(os.path.join(golden, "segment.wal")))
+        shutil.copyfile(os.path.join(golden, "segment.wal"), base + ".wal")
         for path, (lsn, blocks, live), wal in (
             (pages, after, "empty (clean shutdown)"),
             (base, before, "20 transaction(s), 20 to replay"),
@@ -430,9 +436,10 @@ class TestPageFileDiagnostics:
             assert main(["info", path]) == 0
             lines = capsys.readouterr().out.splitlines()
             assert lines[2:4] == [f"  scheme:       {scheme}", "  block bytes:  1024"]
-            assert lines[5:] == [
+            assert lines[4:] == [
                 f"  checkpoint:   LSN {lsn} (what follows is as of it)",
                 f"  blocks:       {blocks}",
+                _image_bytes_line(path, "  "),
                 f"  live labels:  {live}",
                 f"  WAL:          {wal}",
             ]
@@ -461,17 +468,17 @@ class TestPageFileDiagnostics:
             "  shard 0:      shard-000.pages",
             "    scheme:       WBox",
             "    block bytes:  1024",
-            "    page bytes:   342",
             "    checkpoint:   LSN 3 (what follows is as of it)",
             "    blocks:       7",
+            _image_bytes_line(os.path.join(root, "shard-000.pages"), "    "),
             "    live labels:  20",
             "    WAL:          empty (clean shutdown)",
             "  shard 1:      shard-001.pages",
             "    scheme:       WBox",
             "    block bytes:  1024",
-            "    page bytes:   342",
             "    checkpoint:   LSN 3 (what follows is as of it)",
             "    blocks:       7",
+            _image_bytes_line(os.path.join(root, "shard-001.pages"), "    "),
             "    live labels:  20",
             "    WAL:          6 transaction(s), 6 to replay",
         ]

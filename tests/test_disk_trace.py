@@ -31,7 +31,7 @@ from repro import WBox
 from repro.config import TINY_CONFIG
 from repro.persist import checkpoint_scheme, create_sharded_backends
 from repro.repl import Follower, checkpoint_service
-from repro.storage import BlockStore, FileBackend, default_page_bytes
+from repro.storage import BlockStore, FileBackend
 from repro.storage.disk import Disk
 
 from . import taped
@@ -95,7 +95,7 @@ class RecordingDisk:
 
 def make_scheme(tmp_path):
     backend = FileBackend(
-        str(tmp_path / "t.pages"), page_bytes=default_page_bytes(TINY_CONFIG), fsync=True
+        str(tmp_path / "t.pages"), fsync=True
     )
     scheme = WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))
     checkpoint_scheme(scheme)
@@ -124,8 +124,8 @@ def test_commit_is_log_writes_and_one_fsync(tmp_path, monkeypatch):
         ("open", "t.pages.wal", None, None),  # the bulk load's checkpoint sealed it
         ("write", "t.pages.wal", 0, 8),  # magic
         ("write", "t.pages.wal", 8, 11),  # OPS: the one-op tape
-        ("write", "t.pages.wal", 19, 23),  # DELTA
-        ("write", "t.pages.wal", 42, 9),  # COMMIT
+        ("write", "t.pages.wal", 19, 22),  # DELTA
+        ("write", "t.pages.wal", 41, 9),  # COMMIT
         ("fsync", "t.pages.wal", None, None),
     ]
     backend.close()
@@ -137,18 +137,13 @@ def test_checkpoint_forces_then_seals_then_retains(tmp_path, monkeypatch):
     disk = RecordingDisk(monkeypatch, tmp_path)
     assert backend.checkpoint() == 4
     assert disk.take() == [
-        ("write", "t.pages.wal", 51, 16),  # PUT records: the pages the tape dirtied...
-        ("write", "t.pages.wal", 67, 21),
-        ("write", "t.pages.wal", 88, 16),
-        ("write", "t.pages.wal", 104, 480),  # ABSOLUTE
-        ("write", "t.pages.wal", 584, 9),  # COMMIT
-        ("fsync", "t.pages.wal", None, None),
-        ("write", "t.pages", 4096, 14),  # ...the same images written back
-        ("write", "t.pages", 5122, 19),
-        ("write", "t.pages", 5464, 14),
-        ("write", "t.pages", 5806, 475),  # directory
-        ("write", "t.pages", 8, 20),  # header
+        ("write", "t.pages", 1051, 10),  # the pages the tape dirtied, once each,
+        ("write", "t.pages", 1061, 15),  # packed into the first free extents
+        ("write", "t.pages", 1076, 10),
+        ("write", "t.pages", 2023, 480),  # directory: the first gap that fits
         ("fsync", "t.pages", None, None),  # the barrier
+        ("write", "t.pages", 8, 36),  # the older header slot: the commit point
+        ("fsync", "t.pages", None, None),
         ("open", "t.pages.wal", None, None),  # the seal
         ("fsync", "t.pages.wal", None, None),
         ("rename", "t.pages.wal -> t.pages.seg-000004.wal", None, None),
@@ -179,13 +174,14 @@ def test_sharded_store_writes_its_manifest_before_any_shard(tmp_path, monkeypatc
         [
             ("create", page, None, None),
             ("write", page, 0, 8),  # magic
-            ("write", page, 4096, 14),  # empty directory
-            ("write", page, 8, 20),  # header
+            ("write", page, 1024, 12),  # empty directory
+            ("fsync", page, None, None),
+            ("write", page, 8, 36),  # header slot 0
             ("fsync", page, None, None),
         ]
         for page in ("store/shard-000.pages", "store/shard-001.pages")
     ]
-    assert disk.take() == replaced("store/SHARDS.json", 83) + shard[0] + shard[1]
+    assert disk.take() == replaced("store/SHARDS.json", 61) + shard[0] + shard[1]
     for backend in backends:
         backend.close()
 
@@ -193,9 +189,9 @@ def test_sharded_store_writes_its_manifest_before_any_shard(tmp_path, monkeypatc
 def test_follower_bootstrap_catch_up_and_seal(tmp_path, monkeypatch):
     """A follower (no fsync) downloads the image as one atomic replace,
     mirrors shipped bytes into its live log through its ``WALWriter``
-    (the segment's magic comes with them), writes the primary's
-    checkpoint record's page images back, and seals and retains like a
-    primary."""
+    (the segment's magic comes with them), and when its primary seals the
+    segment, checkpoints its own pages and seals and retains like a
+    primary — the log carries no page image."""
     primary = Primary(tmp_path)
     try:
         disk = RecordingDisk(monkeypatch, tmp_path)
@@ -203,7 +199,7 @@ def test_follower_bootstrap_catch_up_and_seal(tmp_path, monkeypatch):
             page, wal = "f/shard-000.pages", "f/shard-000.pages.wal"
             image = os.path.getsize(tmp_path / page)
             assert disk.take("f/") == [
-                *replaced("f/SHARDS.json", 83, synced=False),
+                *replaced("f/SHARDS.json", 61, synced=False),
                 *replaced(page, image, synced=False),
                 *replaced("f/shard-000.pages.walseg.json", 79, synced=False),
                 ("open", page, None, None),
@@ -212,19 +208,18 @@ def test_follower_bootstrap_catch_up_and_seal(tmp_path, monkeypatch):
             follower.catch_up()
             assert disk.take("f/") == [
                 ("open", wal, None, None),
-                ("write", wal, 0, 51),  # magic + the primary's commit
+                ("write", wal, 0, 50),  # magic + the primary's commit
             ]
             checkpoint_service(primary.service)
             follower.catch_up()
             assert disk.take("f/") == [
-                ("write", wal, 51, 593),  # the primary's checkpoint record
-                ("write", page, 4096, 13),  # write-back: its page images...
-                ("write", page, 4438, 14),
-                ("write", page, 6490, 31),
-                ("write", page, 6832, 14),
-                ("write", page, 7174, 13),
-                ("write", page, 7516, 484),  # directory
-                ("write", page, 8, 20),  # header
+                ("write", page, 1051, 9),  # its own checkpoint: the replayed pages...
+                ("write", page, 1060, 10),
+                ("write", page, 1070, 27),
+                ("write", page, 1097, 10),
+                ("write", page, 1107, 9),
+                ("write", page, image, 494),  # directory: no gap fits, the file grows
+                ("write", page, 512, 36),  # header slot 1
                 ("open", wal, None, None),  # local seal
                 ("rename", f"{wal} -> f/shard-000.pages.seg-000005.wal", None, None),
                 *replaced("f/shard-000.pages.walseg.json", 79, synced=False),

@@ -6,8 +6,8 @@ each fault class — torn physical write, failed fsync, mid-directory
 crash — a file-backed scheme runs a deterministic op tape until the
 injected fault kills the backend, reopens through WAL recovery, and must
 agree with a memory-backed twin on **every** LID.  A dedicated case pins
-the *directory* write of a checkpoint, proving first that the tear
-destroys the at-rest image and only the log's absolute record remains.
+the *header slot* write of a checkpoint, proving first that the tear
+leaves the previous directory standing and the log's tapes past it.
 
 The per-trial machinery is :func:`repro.faults.run_chaos_trial` — the
 same code the ``repro chaos`` CLI sweeps — so this matrix doubles as the
@@ -22,7 +22,7 @@ from repro.errors import CrashError
 from repro.faults import FaultInjector, FaultPlan, run_chaos_trial, standard_plans
 from repro.faults.chaos import SCHEME_NAMES
 from repro.persist import checkpoint_scheme, open_file_scheme
-from repro.storage import BlockStore, FileBackend, default_page_bytes, read_directory
+from repro.storage import BlockStore, FileBackend, read_directory
 
 from . import taped
 
@@ -56,17 +56,16 @@ def test_recovery_matrix(tmp_path, scheme_name, plan_name):
 
 @pytest.mark.parametrize("scheme_name", ["wbox", "bbox"])
 def test_directory_write_crash(tmp_path, scheme_name):
-    """Tear the directory image a checkpoint writes: the fault lands on
-    the image bytes (past the last page, over the previous image), so the
-    at-rest directory is gone and recovery must rebuild from the absolute
-    record the checkpoint logged first."""
-    # Prove the path is actually exercised: after the tear the header
-    # points at an image that no longer checks out.
+    """Tear the header slot a checkpoint writes — its commit point,
+    after its images and directory are synced into free extents: the
+    slot no longer checks out, the other slot still names the previous
+    directory, whose extents the checkpoint never wrote over, and
+    recovery re-runs the tape the unsealed log still holds."""
+    # Prove the path is actually exercised: after the tear the durable
+    # directory is the previous checkpoint's.
     factory = scheme_factory(scheme_name)
     probe_path = str(tmp_path / "probe.pages")
-    backend = FileBackend(
-        probe_path, page_bytes=default_page_bytes(TINY_CONFIG)
-    )
+    backend = FileBackend(probe_path)
     scheme = factory(TINY_CONFIG, BlockStore(TINY_CONFIG, backend=backend))
     lids = scheme.bulk_load(24, [i ^ 1 for i in range(24)])
     checkpoint_scheme(scheme)
@@ -76,9 +75,9 @@ def test_directory_write_crash(tmp_path, scheme_name):
     with pytest.raises(CrashError):
         checkpoint_scheme(scheme)
     backend.close()
-    assert read_directory(probe_path) is None
+    assert read_directory(probe_path)["lsn"] == backend.lsn - 1
     reopened = open_file_scheme(probe_path)
-    assert reopened.store.backend.recovery_report["base"] == "wal"
+    assert reopened.store.backend.recovery_report["replayed_transactions"] == 1
     assert reopened.label_count() == 25
     reopened.store.backend.close()
 

@@ -264,10 +264,11 @@ class TestBackendHooks:
         backend = make_backend(tmp_path, fsync=True)
         block_id = backend.allocate([3])
         backend.install_faults(FaultInjector(FaultPlan([FaultSpec(kind, hook)])))
+        tape = [(lambda ended: b"\x00", "")]  # a logged commit, so wal.append fires
         with pytest.raises((CrashError, FsyncFailedError)):
-            backend.commit([block_id])
+            backend.commit([block_id], tape)
         with pytest.raises(CrashError, match="backend has crashed; reopen"):
-            backend.commit([block_id])
+            backend.commit([block_id], tape)
         backend.close()
 
     def test_fsync_hook_silent_without_fsync_mode(self, tmp_path):

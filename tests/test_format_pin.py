@@ -4,14 +4,16 @@
 on-disk artefacts of one small fixed tape — a :func:`save_scheme`
 snapshot, the checkpoint image taken before the tape, the page file
 after it, and the sealed WAL segment that holds the tape's commits.
-Every change must reproduce them bit for bit (the directory image, the
-page images, the DELTA and ABSOLUTE record bodies, the WAL record
-framing and the snapshot body all live in those bytes) and must still
-*load* them into a working scheme whose every LID agrees with a memory
-twin.  All three were last regenerated when rows of LIDs and block
-pointers became zigzag deltas (page file version 3, WAL version 4,
-snapshot version 2); the tape runs one batch per step, so the segment
-holds one OPS record per step.
+Every change must reproduce them bit for bit (the header slots, the
+directory and its page table, the page images in their extents, the
+DELTA record bodies, the WAL record framing and the snapshot body all
+live in those bytes) and must still *load* them into a working scheme
+whose every LID agrees with a memory twin.  The page files and segments
+were last regenerated when checkpoints began writing each image once,
+into an extent, and stopped logging (page file version 4, WAL version
+5); the snapshot when rows of LIDs and block pointers became zigzag
+deltas (version 2).  The tape runs one batch per step, so the segment
+holds one OPS record per step, and nothing else.
 
 Regenerate (only when the format is changed on purpose)::
 
@@ -44,13 +46,7 @@ from repro.storage import (
     segment_path,
 )
 
-from repro.storage.codec import uvarint_bytes
-
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "data", "golden_format")
-
-#: TINY_CONFIG node images are well under this; small pages keep the
-#: committed files small.
-PAGE_BYTES = 512
 
 BASE_LABELS = 16
 
@@ -108,7 +104,7 @@ def build_artefacts(name, workdir):
     path of each artefact it produced."""
     page_path = os.path.join(workdir, "work.pages")
     snapshot_path = os.path.join(workdir, "snapshot")
-    backend = FileBackend(page_path, page_bytes=PAGE_BYTES)
+    backend = FileBackend(page_path)
     scheme = FACTORIES[name](BlockStore(TINY_CONFIG, backend=backend))
     lids = _bulk(scheme)
     # Seals the bulk load; the tape gets its own segment, which the
@@ -124,19 +120,6 @@ def build_artefacts(name, workdir):
         "pages": page_path,
         "segment.wal": segment_path(page_path, segment),
     }
-
-
-def tapes_of(segment):
-    """A sealed segment's bytes minus the checkpoint record that closes
-    it: the log a crash before the sealing checkpoint leaves standing."""
-    closing = scan_wal(segment).transactions[-1]
-    assert closing.absolute and closing.puts and closing.ops is None
-    # each record is a 5-byte header + body; PUT bodies lead with the id
-    length = 5 + len(closing.body) + 9 + sum(
-        5 + len(uvarint_bytes(block)) + len(image) for block, image in closing.puts.items()
-    )
-    with open(segment, "rb") as src:
-        return src.read()[:-length]
 
 
 def _twin(name):
@@ -176,15 +159,14 @@ def test_committed_snapshot_loads(name):
 def test_committed_page_file_opens(tmp_path, name, replay_segment):
     """The committed page file opens into a working scheme on its own;
     the committed checkpoint image from before the tape does with the
-    committed segment placed as its log — minus the checkpoint record
-    that closes it, as a crash before the sealing checkpoint would have
-    left it — which sends every tape back through WAL scan + replay."""
+    committed segment placed as its log — a segment holds tapes only, so
+    it is the log a crash before the sealing checkpoint leaves standing —
+    which sends every tape back through WAL scan + replay."""
     path = str(tmp_path / "copy.pages")
     pages = "base.pages" if replay_segment else "pages"
     shutil.copyfile(os.path.join(GOLDEN_DIR, name, pages), path)
     if replay_segment:
-        with open(path + ".wal", "wb") as dst:
-            dst.write(tapes_of(os.path.join(GOLDEN_DIR, name, "segment.wal")))
+        shutil.copyfile(os.path.join(GOLDEN_DIR, name, "segment.wal"), path + ".wal")
     scheme = open_file_scheme(path)
     try:
         report = scheme.store.backend.recovery_report
@@ -214,11 +196,17 @@ def test_segment_already_in_the_page_file_is_skipped(tmp_path, name):
         scheme.store.backend.close()
 
 
-#: The magic of the version each format had before rows became zigzag
-#: deltas, how a reader names it, the reader and what it raises.
+#: The magic of the version each format had before — for page files and
+#: logs the one before checkpoints wrote each image once, and the one
+#: before that, before rows became zigzag deltas — how a reader names
+#: it, the reader and what it raises.
 PREVIOUS_VERSIONS = {
-    "page file": (b"BOXPAGE2", "format-version-2 page file", FileBackend, PersistError),
+    "page file": (b"BOXPAGE3", "format-version-3 page file", FileBackend, PersistError),
+    "page file v2": (b"BOXPAGE2", "format-version-2 page file", FileBackend, PersistError),
     "write-ahead log": (
+        b"BOXWAL04", "format-version-4 write-ahead log", scan_wal, WALError
+    ),
+    "write-ahead log v3": (
         b"BOXWAL03", "format-version-3 write-ahead log", scan_wal, WALError
     ),
     "snapshot": (b"BOXS0001", "format-version-1 snapshot", load_scheme, PersistError),
@@ -227,9 +215,8 @@ PREVIOUS_VERSIONS = {
 
 @pytest.mark.parametrize("name", sorted(PREVIOUS_VERSIONS))
 def test_the_previous_version_is_refused_by_name(tmp_path, name, capsys):
-    """A file of the version before delta-coded rows is refused with its
-    version named, never decoded as the current layout; ``repro info``
-    names it too."""
+    """A file of an earlier version is refused with its version named,
+    never decoded as the current layout; ``repro info`` names it too."""
     magic, message, reader, error = PREVIOUS_VERSIONS[name]
     path = tmp_path / "old"
     path.write_bytes(magic + bytes(8192))

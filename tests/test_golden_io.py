@@ -17,7 +17,7 @@ import pytest
 
 from repro import BBox, BoxConfig, NaiveScheme, WBox, WBoxO
 from repro.persist import checkpoint_scheme
-from repro.storage import BlockStore, FileBackend, default_page_bytes
+from repro.storage import BlockStore, FileBackend
 from repro.workloads import run_concentrated, run_xmark_build
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_io_smoke.json")
@@ -68,7 +68,6 @@ def test_file_backend_counts_identical(tmp_path, name, backend_cls):
     """The same workload on a real page file counts the same I/Os."""
     backend = backend_cls(
         str(tmp_path / "golden.pages"),
-        page_bytes=default_page_bytes(CONFIG),
     )
     scheme = FACTORIES[name](store=BlockStore(CONFIG, backend=backend))
     checkpoint_scheme(scheme)
@@ -76,6 +75,6 @@ def test_file_backend_counts_identical(tmp_path, name, backend_cls):
     assert _observed("concentrated", result, scheme) == (
         GOLDEN["workloads"]["concentrated"][name]
     )
-    backend.checkpoint()  # commits only log; pages are a checkpoint's write-back
+    backend.checkpoint()  # commits only log; pages go out with a checkpoint
     assert backend.commits > 0 and backend.page_writes > 0
     backend.close()

@@ -28,7 +28,6 @@ from repro.faults import FaultInjector, FaultPlan
 from repro.persist import checkpoint_scheme, open_file_scheme
 from repro.service import LabelService
 from repro.storage import BlockStore, FileBackend
-from repro.storage.filebackend import default_page_bytes
 
 BASE = 64
 
@@ -56,7 +55,7 @@ def file_scheme(tmp_path, fsync=False):
     """A W-BOX on a journaled page file with ``BASE`` labels, plus an
     element far from label 2 (a different LIDF block) to delete later."""
     path = str(tmp_path / "s.pages")
-    backend = FileBackend(path, page_bytes=default_page_bytes(TINY_CONFIG), fsync=fsync)
+    backend = FileBackend(path, fsync=fsync)
     scheme = WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))
     checkpoint_scheme(scheme)
     lids = scheme.bulk_load(BASE)

@@ -120,8 +120,8 @@ def test_one_function_compares_against_the_lidf_journal_op_codes():
 def test_a_shipped_delta_folds_straight_into_the_live_scheme(tmp_path, monkeypatch, name):
     """A follower's apply: the committed checkpoint image from before the
     tape takes the tape's segment transaction by transaction — each tape
-    re-run, the closing checkpoint record written back — without a
-    whole-structure header either way, and ends up the memory twin."""
+    re-run — without a whole-structure header either way, and ends up
+    the memory twin."""
     from repro import persist
 
     from .test_format_pin import GOLDEN_DIR, _assert_matches_twin
@@ -158,7 +158,7 @@ def test_a_bare_backend_writes_the_bytes_it_always_did(tmp_path):
     """Commits (each a checkpoint: no tape), a checkpoint, a reopen and an
     unattached checkpoint of the reopened state, with no scheme anywhere."""
     path = str(tmp_path / "bare.pages")
-    backend = FileBackend(path, page_bytes=512)
+    backend = FileBackend(path)
     ids = [backend.allocate([i] * (i + 1)) for i in range(6)]
     backend.commit(ids)
     backend.free(ids[2])
@@ -174,11 +174,12 @@ def test_a_bare_backend_writes_the_bytes_it_always_did(tmp_path):
     reopened.checkpoint()
     digests.append(_digest(path))
     reopened.close()
-    # Restated with page-file version 3 (delta-coded rows); the pattern of
-    # equal and differing digests is the one version 2 had.
+    # Restated with page-file version 4 (shadow extents, two header
+    # slots): a checkpoint with nothing dirty still writes a fresh
+    # directory extent and flips a slot, so every digest differs.
     assert digests == [
-        "d305aa9076f34e48",
-        "d305aa9076f34e48",
-        "4d987567b6ab62d7",
-        "4d987567b6ab62d7",
+        "1b4f732304172704",
+        "ae6136114984ff57",
+        "cb3ff8ff793c19e5",
+        "9f09d28a6a16c754",
     ]

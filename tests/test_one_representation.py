@@ -37,7 +37,7 @@ from repro.persist import (
     open_file_scheme,
     save_scheme,
 )
-from repro.storage import BlockStore, FileBackend, default_page_bytes
+from repro.storage import BlockStore, FileBackend
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -194,7 +194,7 @@ def test_toy_scheme_round_trips_a_snapshot(tmp_path):
 @pytest.mark.parametrize("torn_write", range(40, 48))
 def test_toy_scheme_recovers_from_a_crash(tmp_path, torn_write):
     path = str(tmp_path / "toy.pages")
-    backend = FileBackend(path, page_bytes=default_page_bytes(TINY_CONFIG))
+    backend = FileBackend(path)
     scheme, lids = _build(BlockStore(TINY_CONFIG, backend=backend))
     checkpoint_scheme(scheme)
     backend.install_faults(FaultInjector(FaultPlan.torn_write(at=torn_write), seed=0))

@@ -25,7 +25,7 @@ from repro.storage.codec import encode_block_payload
 
 
 def _checkpointed_backend(tmp_path, labels=400):
-    backend = FileBackend(str(tmp_path / "race.pages"), page_bytes=512)
+    backend = FileBackend(str(tmp_path / "race.pages"))
     scheme = WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))
     scheme.bulk_load(labels)
     checkpoint_scheme(scheme)

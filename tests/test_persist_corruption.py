@@ -121,17 +121,18 @@ class TestCountBombs:
 
     def test_page_image_count_bomb(self, tmp_path):
         path = str(tmp_path / "bomb.pages")
-        backend = FileBackend(path, page_bytes=512)
+        backend = FileBackend(path)
         scheme = WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))
         lids = scheme.bulk_load(8)
         checkpoint_scheme(scheme)
         store = scheme.store
         lidf_block = next(b for b in store.block_ids() if isinstance(store.peek(b), list))
-        offset = backend._page_offset(lidf_block)
+        offset, length = backend._table.extent(lidf_block)
+        assert length >= len(self.BOMB)
         backend.close()
         with open(path, "r+b") as handle:
             handle.seek(offset)
-            handle.write(len(self.BOMB).to_bytes(4, "big") + self.BOMB)
+            handle.write(self.BOMB)
         reopened = open_file_scheme(path)
         try:
             with pytest.raises(PersistError):

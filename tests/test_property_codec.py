@@ -184,11 +184,11 @@ def test_payloads_round_trip_through_file_backend(payloads, tmp_path_factory):
     """The page file and the raw codec agree: whatever the codec accepts,
     a commit + reopen reproduces field-for-field."""
     directory = tmp_path_factory.mktemp("codec")
-    backend = FileBackend(str(directory / "prop.pages"), page_bytes=1 << 16)
+    backend = FileBackend(str(directory / "prop.pages"))
     ids = [backend.allocate(payload) for payload in payloads]
     backend.commit(ids)
     backend.close()
-    reopened = FileBackend(str(directory / "prop.pages"), page_bytes=1 << 16)
+    reopened = FileBackend(str(directory / "prop.pages"))
     for block_id, payload in zip(ids, payloads):
         assert payload_fields(reopened.read(block_id)) == payload_fields(payload)
     reopened.close()

@@ -37,7 +37,7 @@ from repro.repl import (
     rotate_service_wal,
 )
 from repro.service import ShardedLabelService
-from repro.storage import BlockStore, FileBackend, default_page_bytes
+from repro.storage import BlockStore, FileBackend
 from repro.storage.shardlayout import shard_page_path
 
 KILLS = int(os.environ.get("REPRO_REPL_KILLS", "1"))
@@ -82,7 +82,6 @@ def test_follower_kill_straddling_a_segment_boundary(tmp_path):
     path = str(tmp_path / "primary.pages")
     backend = FileBackend(
         path,
-        page_bytes=default_page_bytes(TINY_CONFIG),
     )
     scheme = WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))
     checkpoint_scheme(scheme)

@@ -34,7 +34,7 @@ from repro.repl import (
     rotate_service_wal,
 )
 from repro.service import ShardedLabelService, bulk_load_sharded
-from repro.storage import MANIFEST_NAME, BlockStore, FileBackend, default_page_bytes
+from repro.storage import MANIFEST_NAME, BlockStore, FileBackend
 
 
 class Primary:
@@ -43,12 +43,8 @@ class Primary:
     def __init__(self, tmp_path, n_shards=1, base=24, checkpoint=True, factory=WBox):
         from repro.net.server import run_server
 
-        page_bytes = default_page_bytes(TINY_CONFIG)
         if n_shards == 1:
-            backend = FileBackend(
-                str(tmp_path / "primary.pages"),
-                page_bytes=page_bytes,
-            )
+            backend = FileBackend(str(tmp_path / "primary.pages"))
             scheme = factory(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))
             checkpoint_scheme(scheme)
             self.lids = scheme.bulk_load(base, [i ^ 1 for i in range(base)])
@@ -265,8 +261,8 @@ class TestLag:
 
     def test_position_epoch_tracks_the_primary(self, primary, tmp_path):
         """The stamp rides in the owner's section of every DELTA; full
-        checkpoints and rotations between the inserts put ABSOLUTE
-        records and sealed segments into the shipped stream too."""
+        checkpoints and rotations between the inserts put sealed (and
+        empty) segments into the shipped stream too."""
         with Follower("127.0.0.1", primary.port, str(tmp_path / "f")).connect() as f:
             for index in range(6):
                 primary.insert(primary.lids[index])
@@ -383,6 +379,30 @@ class TestFatalReplicationErrors:
             assert not alive
             assert isinstance(f.last_error, ReplicationError)
             assert redials == []
+
+    def test_a_tape_that_does_not_follow_is_named(self, primary, tmp_path):
+        """A tapeless primary commit — a direct scheme edit, outside every
+        batch — is a checkpoint at a new LSN that the log carries nothing
+        of.  The follower cannot re-create it: the next shipped tape names
+        both LSNs, the follower stops with a :class:`ReplicationError`
+        and never serves a state past the gap."""
+        with Follower("127.0.0.1", primary.port, str(tmp_path / "f")).connect() as f:
+            f.catch_up()
+            shard = primary.service.shards[0]
+            backend = shard.scheme.store.backend
+            with shard._latch.exclusive():
+                gap = shard.scheme.insert_before(primary.lids[3])
+            skipped = backend.lsn
+            primary.insert(primary.lids[5])
+            with pytest.raises(
+                ReplicationError,
+                match=f"log transaction {skipped + 1} cannot follow state {skipped - 1}",
+            ):
+                f.catch_up()
+            assert f.service.shards[0].degraded
+            assert f.shards[0].backend.lsn == skipped - 1
+            with pytest.raises(ServiceDegradedError):
+                f.service.session().lookup(gap)
 
 
 class TestBootstrapDownload:

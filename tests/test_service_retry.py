@@ -98,11 +98,11 @@ class TestRetryOnAFileBackend:
             open_file_scheme,
             scheme_metadata_header,
         )
-        from repro.storage import BlockStore, FileBackend, default_page_bytes, scan_wal
+        from repro.storage import BlockStore, FileBackend, scan_wal
 
         path = str(tmp_path / "retry.pages")
         backend = FileBackend(
-            path, page_bytes=default_page_bytes(TINY_CONFIG)
+            path
         )
         scheme = WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))
         checkpoint_scheme(scheme)
@@ -141,14 +141,13 @@ class TestRetryOnAFileBackend:
         from repro.storage import (
             BlockStore,
             FileBackend,
-            default_page_bytes,
-            read_directory,
+                    read_directory,
             scan_wal,
         )
 
         path = str(tmp_path / "abandon.pages")
         backend = FileBackend(
-            path, page_bytes=default_page_bytes(TINY_CONFIG), fsync=True
+            path, fsync=True
         )
         scheme = WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))
         checkpoint_scheme(scheme)

@@ -40,7 +40,6 @@ from repro.service.router import ShardRouting, route_ops
 from repro.storage import (
     BlockStore,
     FileBackend,
-    default_page_bytes,
     is_sharded_root,
     read_manifest,
     shard_page_path,
@@ -472,10 +471,8 @@ def test_one_shard_is_byte_identical_to_plain_service(tmp_path):
         [BatchOp("insert_before", (lids[2],)) for _ in range(5)]
         + [BatchOp("delete", (lids[7],))]
     )
-    page_bytes = default_page_bytes(TINY_CONFIG)
-
     plain_path = str(tmp_path / "plain.pages")
-    backend = FileBackend(plain_path, page_bytes=page_bytes)
+    backend = FileBackend(plain_path)
     scheme = WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))
     checkpoint_scheme(scheme)
     lids = scheme.bulk_load(12)
@@ -485,7 +482,7 @@ def test_one_shard_is_byte_identical_to_plain_service(tmp_path):
     backend.close()
 
     root = str(tmp_path / "sharded")
-    backends = create_sharded_backends(root, 1, page_bytes=page_bytes)
+    backends = create_sharded_backends(root, 1)
     schemes = [
         WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backends[0]))
     ]

@@ -14,8 +14,6 @@ tape are the logged ones.  Pinned here:
 * a replay that diverges from its log is a typed error naming the LSN —
   ``RecoveryError`` on a reopen, ``ReplicationError`` on a follower,
   which degrades — and never a silently different store;
-* a page that outgrows its slot is refused before its submit is
-  acknowledged, not at the checkpoint after;
 * no tape is logged twice or re-run over a state that already holds it:
   a failed automatic checkpoint leaves its logged commit standing, an
   abandoned commit's blocks commit by checkpointing, and an interrupted
@@ -36,16 +34,14 @@ from repro.errors import (
     RecoveryError,
     ReplicationError,
     ServiceDegradedError,
-    StorageError,
     TransientIOError,
 )
 from repro.faults import FaultInjector, FaultPlan
 from repro.persist import checkpoint_scheme, open_file_scheme
 from repro.repl import Follower
 from repro.service import LabelService
-from repro.storage import BlockStore, FileBackend, default_page_bytes, scan_wal
+from repro.storage import BlockStore, FileBackend, scan_wal
 from repro.storage import filebackend as filebackend_module
-from repro.storage.codec import encode_block_payload
 from repro.storage.disk import Disk
 from repro.storage.wal import _HEADER, MAGIC, REC_COMMIT, REC_DELTA, REC_OPS, WALWriter
 
@@ -56,7 +52,7 @@ CONFIG = BoxConfig(block_bytes=1024)
 
 
 def file_scheme(path, factory=WBox, config=CONFIG, labels=2_000):
-    backend = FileBackend(path, page_bytes=default_page_bytes(config))
+    backend = FileBackend(path)
     scheme = factory(config, store=BlockStore(config, backend=backend))
     checkpoint_scheme(scheme)
     lids = scheme.bulk_load(labels, [i ^ 1 for i in range(labels)])
@@ -168,7 +164,7 @@ def _rewrite_log(path, body, ops):
     tape ``ops`` — a valid log (its CRC checks), whatever it says."""
     Disk().remove(path + ".wal")
     writer = WALWriter(path + ".wal", Disk())
-    writer.append_transaction({}, body, ops=ops)
+    writer.append_transaction({REC_OPS: ops, REC_DELTA: body})
     writer.close()
 
 
@@ -215,35 +211,6 @@ def test_a_diverging_replay_stops_the_follower_typed(tmp_path):
                 follower.service.session().lookup(lid)
     finally:
         primary.close()
-
-
-def test_an_outgrown_page_is_refused_before_the_ack(tmp_path):
-    """Slots sized for a W-BOX leaf one insert fuller than the bulk load
-    leaves it: concentrated inserts refill that leaf, and the submit whose
-    insert outgrows the slot fails with the typed error — nothing of it
-    logged — and the store reopens at its last acknowledged commit."""
-    twin = WBox(TINY_CONFIG)
-    twin.insert_before(twin.bulk_load(24, [i ^ 1 for i in range(24)])[4])
-    slot = 4 + max(len(encode_block_payload(twin.store.peek(b))) for b in twin.store.block_ids())
-    path = str(tmp_path / "w.pages")
-    backend = FileBackend(path, page_bytes=slot)
-    scheme = WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))
-    checkpoint_scheme(scheme)
-    lids = scheme.bulk_load(24, [i ^ 1 for i in range(24)])
-    acked = 0
-    with LabelService(scheme) as service:
-        with pytest.raises(StorageError, match="raise page_bytes"):
-            for _ in range(100):
-                service.submit_ops([BatchOp("insert_before", (lids[4],))]).wait(10)
-                acked += 1
-    logged = scan_wal(path + ".wal").transactions
-    assert acked >= 1 and len(logged) == acked and all(txn.ops for txn in logged)
-    backend.close()
-    reopened = open_file_scheme(path)
-    try:
-        assert reopened.label_count() == 24 + acked
-    finally:
-        reopened.store.backend.close()
 
 
 def test_a_failed_automatic_checkpoint_leaves_the_logged_tape_standing(tmp_path, monkeypatch):
@@ -336,17 +303,22 @@ def test_an_interrupted_batch_commits_by_checkpointing(tmp_path):
         reopened.store.backend.close()
 
 
-def test_a_failed_batch_that_dirties_no_block_is_logged_if_it_changed_state(tmp_path):
-    """A W-BOX ``delete_range`` ticks the scheme's clock before it finds
-    its last LID unallocated and raises, dirtying no block: the wake-up
-    still commits that batch — tape and DELTA — so a re-run ticks too and
-    the next commit re-runs equal.  A failed lookup changes nothing and
-    logs nothing."""
+def test_a_failed_batch_that_dirties_no_block_is_logged_if_it_changed_state(
+    tmp_path, monkeypatch
+):
+    """An op that ticks the scheme's clock and then raises, dirtying no
+    block — every shipped op validates before it ticks
+    (``tests/test_failed_op_changes_nothing.py``), so a stand-in does —
+    still commits its batch, tape and DELTA, so a re-run ticks too and
+    the next commit re-runs equal."""
+
+    def tick_then_fail(self, first_lid, last_lid):
+        self._tick()
+        raise RecordNotFoundError(f"LID {last_lid}")
+
+    monkeypatch.setattr(WBox, "delete_range", tick_then_fail)
     path = str(tmp_path / "s.pages")
     scheme, backend, lids = file_scheme(path, config=TINY_CONFIG, labels=24)
-    with pytest.raises(RecordNotFoundError):
-        scheme.execute_batch([BatchOp("lookup", (10**6,))])
-    assert scan_wal(backend.wal_path).transactions == []
     clock = scheme.clock
     with pytest.raises(RecordNotFoundError):
         scheme.execute_batch([BatchOp("delete_range", (lids[2], 10**6))])
@@ -359,6 +331,32 @@ def test_a_failed_batch_that_dirties_no_block_is_logged_if_it_changed_state(tmp_
     reopened = open_file_scheme(path)
     try:
         assert reopened.store.backend.recovery_report["replayed_transactions"] == 2
+        assert [reopened.lookup(lid) for lid in lids] == labels
+        assert reopened.clock == scheme.clock
+    finally:
+        reopened.store.backend.close()
+
+
+def test_a_failed_batch_that_changes_nothing_logs_nothing(tmp_path):
+    """A W-BOX ``delete_range`` whose last LID is unallocated raises
+    before it ticks the clock or dirties a block (so does a failed
+    lookup): the wake-up commits nothing, and the next commit re-runs
+    equal."""
+    path = str(tmp_path / "s.pages")
+    scheme, backend, lids = file_scheme(path, config=TINY_CONFIG, labels=24)
+    with pytest.raises(RecordNotFoundError):
+        scheme.execute_batch([BatchOp("lookup", (10**6,))])
+    clock = scheme.clock
+    with pytest.raises(RecordNotFoundError):
+        scheme.execute_batch([BatchOp("delete_range", (lids[2], 10**6))])
+    assert scheme.clock == clock
+    assert scan_wal(backend.wal_path).transactions == []
+    lids.append(taped.insert_before(scheme, lids[5]))
+    labels = [scheme.lookup(lid) for lid in lids]
+    backend.close()
+    reopened = open_file_scheme(path)
+    try:
+        assert reopened.store.backend.recovery_report["replayed_transactions"] == 1
         assert [reopened.lookup(lid) for lid in lids] == labels
         assert reopened.clock == scheme.clock
     finally:

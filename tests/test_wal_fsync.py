@@ -1,8 +1,9 @@
 """The WAL protocol's fsync discipline, pinned syscall-by-syscall.
 
-A commit is one log append and one barrier; a checkpoint is the force
-protocol, and every checkpoint ends by sealing the log into a segment.
-Two durability bugs motivate pinning the latter:
+A commit is one log append and one barrier; a checkpoint writes its
+page images and directory into free extents, syncs, flips a header slot,
+syncs again, and ends by sealing the log into a segment.  Two durability
+bugs motivate pinning the latter:
 
 * **Seal durability** — renaming the log away (a checkpoint's last step)
   must fsync the log *and* its parent directory.  A rename that only
@@ -10,8 +11,10 @@ Two durability bugs motivate pinning the latter:
   log next to the directory that includes it; recovery must then skip
   it by LSN instead of folding its deltas twice.
 * **Barrier ordering** — pages + directory must be fsynced *before* the
-  seal begins.  Sealing first opens a window where neither the live log
-  nor the page file holds the committed transactions.
+  header slot goes out, and the header *before* the seal begins.  A
+  header ahead of its images could name bytes never written; sealing
+  ahead of the header opens a window where neither the live log nor the
+  page file holds the committed transactions.
 
 The tests record every ``os.fsync`` target (inode + file/dir bit) during
 a single commit and a single checkpoint on an ``fsync=True`` backend and
@@ -36,7 +39,7 @@ from repro.persist import (
     replay_transaction,
     scheme_metadata_header,
 )
-from repro.storage import BlockStore, FileBackend, default_page_bytes, scan_wal
+from repro.storage import BlockStore, FileBackend, scan_wal
 from repro.storage import filebackend as filebackend_module
 from repro.storage.shardlayout import MANIFEST_NAME
 from repro.storage.walseg import manifest_path, segment_path
@@ -48,7 +51,6 @@ def make_scheme(tmp_path, fsync=True):
     path = str(tmp_path / "t.pages")
     backend = FileBackend(
         path,
-        page_bytes=default_page_bytes(TINY_CONFIG),
         fsync=fsync,
     )
     scheme = WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))
@@ -60,18 +62,18 @@ def bulk(scheme, count):
     return scheme.bulk_load(count, [i ^ 1 for i in range(count)])
 
 
-def lose_page_writes(path):
-    """Zero every page the log's last checkpoint record wrote back: the
-    directory and header reached the disk, the page images under them —
-    which shared their sync — did not."""
-    directory = filebackend_module.read_directory(path)
-    closing = scan_wal(path + ".wal").transactions[-1]
-    assert closing.absolute and closing.puts
-    first = len(filebackend_module.MAGIC) + filebackend_module.HEADER_BYTES
+def header_slots(path):
+    """The bytes of both header slots."""
+    with open(path, "rb") as handle:
+        return handle.read(filebackend_module.DATA_START)
+
+
+def lose_header_write(path, slots):
+    """Put back the header slots as ``slots`` had them: the last
+    checkpoint's images and directory reached the disk, its header write
+    — which came after their sync — did not."""
     with open(path, "r+b") as handle:
-        for block_id in closing.puts:
-            handle.seek(first + (block_id - 1) * directory["page_bytes"])
-            handle.write(bytes(directory["page_bytes"]))
+        handle.write(slots)
 
 
 class FsyncRecorder:
@@ -158,11 +160,12 @@ class TestCommitBarrierOrdering:
         backend.close()
 
     def test_single_commit_fsync_sequence(self, tmp_path, monkeypatch):
-        """One checkpoint fsyncs, in order: the log (its absolute
-        record), the page file (the barrier), the sealed log under its
-        old inode, the directory (the rename), the manifest and the
-        directory again (its rename).  The barrier strictly preceding the
-        seal is the protocol's safety argument.  With no image recorded
+        """One checkpoint fsyncs, in order: the page file twice (its
+        images and directory, then the header slot: the commit point),
+        the sealed log under its old inode, the directory (the rename),
+        the manifest and the directory again (its rename).  Both page
+        file barriers strictly preceding the seal is the protocol's
+        safety argument; the checkpoint logs nothing.  With no image recorded
         the sealed segment is then deleted: no live log and no segment
         remain."""
         scheme, backend, path = make_scheme(tmp_path)
@@ -173,8 +176,8 @@ class TestCommitBarrierOrdering:
         assert backend.checkpoint() == 4
         dir_ino = os.stat(tmp_path).st_ino
         assert recorder.targets == [
-            (wal_ino, False),  # absolute record + commit record
             (pages_ino, False),  # pages + directory barrier
+            (pages_ino, False),  # the header slot: the commit point
             (wal_ino, False),  # the log, about to be sealed
             (dir_ino, True),  # its new directory entry
             (os.stat(manifest_path(path)).st_ino, False),  # the manifest
@@ -190,9 +193,8 @@ class TestCommitBarrierOrdering:
         """A checkpoint stopped at seal entry has run its barriers up to
         the page file and left the log standing under its old inode.  A
         log the page file already includes — this one, or a follower's
-        mirror after its primary's ABSOLUTE record was written back — is
-        sealed as it is: the same syncs as a checkpoint's tail, and no
-        page file barrier."""
+        mirror after it checkpointed on its own — is sealed as it is: the
+        same syncs as a checkpoint's tail, and no page file barrier."""
         scheme, backend, path = make_scheme(tmp_path)
         taped.insert_before(scheme, bulk(scheme, 8)[0])
         wal_ino = os.stat(backend.wal_path).st_ino
@@ -204,7 +206,7 @@ class TestCommitBarrierOrdering:
         with pytest.raises(CrashError):
             backend.checkpoint()
         backend.install_faults(None)
-        assert recorder.targets == [(wal_ino, False), (pages_ino, False)]
+        assert recorder.targets == [(pages_ino, False), (pages_ino, False)]
         assert os.stat(backend.wal_path).st_ino == wal_ino
         del recorder.targets[:]
         assert backend.seal_wal_segment() == 4
@@ -252,8 +254,7 @@ class TestTruncateCrashWindow:
             backend.checkpoint()
         # The checkpoint finished everything except the seal: the log
         # still holds every tape the directory now includes.
-        committed = scan_wal(path + ".wal").committed
-        assert committed >= 8
+        assert scan_wal(path + ".wal").committed == 7  # the seven tapes, nothing else
         backend.close()
 
         reopened = open_file_scheme(path)
@@ -264,29 +265,29 @@ class TestTruncateCrashWindow:
         assert sorted(lids, key=reopened.lookup) == order
         reopened.store.backend.close()
 
-    def test_page_lost_under_a_landed_directory_is_served_from_the_log(
-        self, tmp_path
-    ):
-        """Pages, directory and header share one fsync, so a power loss
-        can keep the directory and lose a page write.  The log still
-        stands then (the seal comes after the barrier) and its images
-        must win over the page file, whatever the directory's LSN says."""
+    def test_a_lost_header_write_is_served_from_the_log(self, tmp_path):
+        """The header slot goes out after the images' sync, so a power
+        loss can keep the images and directory and lose the header write.
+        The log still stands then (the seal comes after the header's own
+        sync): the previous directory, whose extents the checkpoint never
+        wrote over, takes the log's tapes."""
         scheme, backend, path = make_scheme(tmp_path, fsync=False)
         lids = bulk(scheme, 24)
         taped.delete(scheme, lids.pop(2))
         labels = [scheme.lookup(lid) for lid in lids]
+        slots = header_slots(path)
         backend.install_faults(
             FaultInjector(FaultPlan([FaultSpec(TORN_WRITE, "wal.truncate", at=1)]))
         )
         with pytest.raises(CrashError):
             backend.checkpoint()
         backend.close()
-        lose_page_writes(path)
+        lose_header_write(path, slots)
 
         reopened = open_file_scheme(path)
-        assert reopened.store.backend.recovery_report["replayed_transactions"] == 0
+        assert reopened.store.backend.recovery_report["replayed_transactions"] == 1
         assert [reopened.lookup(lid) for lid in lids] == labels
-        checkpoint_scheme(reopened)  # ...and the next checkpoint repairs the file
+        checkpoint_scheme(reopened)  # ...and the next checkpoint writes it
         reopened.store.backend.close()
         repaired = open_file_scheme(path)
         assert scan_wal(path + ".wal").committed == 0
@@ -294,21 +295,22 @@ class TestTruncateCrashWindow:
         repaired.store.backend.close()
 
     def test_seal_does_not_rotate_away_images_the_page_file_may_lack(self, tmp_path):
-        """The same lost page writes under the log the crash left
+        """The same lost header write under the log the crash left
         standing.  A follower's seal of it after a reopen must write the
-        images back first — a sealed segment repairs nothing — so it
-        checkpoints, and that checkpoint's seal is the seal."""
+        re-run tape's pages first — a sealed segment repairs nothing — so
+        it checkpoints, and that checkpoint's seal is the seal."""
         scheme, backend, path = make_scheme(tmp_path, fsync=False)
         lids = bulk(scheme, 24)
         taped.delete(scheme, lids.pop(2))
         labels = [scheme.lookup(lid) for lid in lids]
+        slots = header_slots(path)
         backend.install_faults(
             FaultInjector(FaultPlan([FaultSpec(TORN_WRITE, "wal.truncate", at=1)]))
         )
         with pytest.raises(CrashError):
             backend.checkpoint()
         backend.close()
-        lose_page_writes(path)
+        lose_header_write(path, slots)
         reopened = open_file_scheme(path)
         assert reopened.store.backend.seal_wal_segment() == 4
         assert reopened.store.backend.page_writes > 0
@@ -332,7 +334,7 @@ class TestTruncateCrashWindow:
         with pytest.raises(CrashError):
             backend.checkpoint()
         backend.close()
-        (included, _closing) = scan_wal(path + ".wal").transactions
+        (included,) = scan_wal(path + ".wal").transactions
         reopened = open_file_scheme(path)
         try:
             assert not replay_transaction(reopened, included)

@@ -30,7 +30,7 @@ from repro.persist import (
     restore_to_checkpoint,
 )
 from repro.repl import Follower, checkpoint_service, rotate_service_wal
-from repro.storage import BlockStore, FileBackend, default_page_bytes
+from repro.storage import BlockStore, FileBackend
 from repro.storage import filebackend as filebackend_module
 from repro.storage.walseg import (
     checkpoint_image_path,
@@ -44,7 +44,7 @@ from .test_replication import Primary, assert_twin
 
 
 def make_scheme(path):
-    backend = FileBackend(path, page_bytes=default_page_bytes(TINY_CONFIG))
+    backend = FileBackend(path)
     scheme = WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))
     checkpoint_scheme(scheme)
     return scheme, backend
@@ -231,7 +231,7 @@ def test_failed_image_copy_leaves_no_temp_file(tmp_path, monkeypatch):
     is removed — retention would never match its name — the manifest is
     as it was, and the error propagates as the ``OSError`` it is."""
     path = str(tmp_path / "t.pages")
-    backend = FileBackend(path, page_bytes=default_page_bytes(TINY_CONFIG), fsync=True)
+    backend = FileBackend(path, fsync=True)
     scheme = WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))
     checkpoint_scheme(scheme)
     scheme.bulk_load(24, [i ^ 1 for i in range(24)])

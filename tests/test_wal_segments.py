@@ -25,13 +25,13 @@ from repro.persist import (
     open_file_scheme,
     restore_to_checkpoint,
 )
-from repro.storage import BlockStore, FileBackend, default_page_bytes, scan_wal
+from repro.storage import BlockStore, FileBackend, scan_wal
 from repro.storage.walseg import (
     checkpoint_image_path,
     read_wal_manifest,
     segment_path,
 )
-from repro.storage.wal import _HEADER, REC_PUT
+from repro.storage.wal import _HEADER, REC_OPS
 
 
 def make_scheme(tmp_path, name="t.pages", fsync=False, image=False):
@@ -43,7 +43,6 @@ def make_scheme(tmp_path, name="t.pages", fsync=False, image=False):
     path = str(tmp_path / name)
     backend = FileBackend(
         path,
-        page_bytes=default_page_bytes(TINY_CONFIG),
         fsync=fsync,
     )
     scheme = WBox(TINY_CONFIG, store=BlockStore(TINY_CONFIG, backend=backend))
@@ -84,15 +83,17 @@ class TestRotation:
         assert scan.committed and not scan.torn_tail
         backend.close()
 
-    def test_seal_of_empty_log_is_none(self, tmp_path):
+    def test_seal_of_empty_log_keeps_the_numbering(self, tmp_path):
         scheme, backend, path = make_scheme(tmp_path, image=True)
         bulk(scheme, 24)
         assert read_wal_manifest(path)["segments"] == [3]
-        # The live log is gone right after sealing: a bare rotation with
-        # no intervening commit has nothing to seal and must not burn an id.
-        assert backend.seal_wal_segment() is None
-        assert read_wal_manifest(path)["segments"] == [3]
-        assert read_wal_manifest(path)["next_segment"] == 4
+        # The live log is gone right after sealing, and a checkpoint with
+        # no intervening commit seals it empty: a follower mirroring that
+        # segment seals its empty log too, so the numberings stay aligned.
+        assert backend.seal_wal_segment() == 4
+        assert read_wal_manifest(path)["segments"] == [3, 4]
+        assert scan_wal(segment_path(path, 4)).committed == 0
+        assert read_wal_manifest(path)["next_segment"] == 5
         backend.close()
 
     def test_segment_ids_monotonic_across_reopen(self, tmp_path):
@@ -123,7 +124,7 @@ class TestRotation:
 
         committed = scan_wal(path + ".wal").committed_bytes
         body = bytes(12)
-        torn = (_HEADER.pack(REC_PUT, len(body) + 40) + body)[:9]
+        torn = (_HEADER.pack(REC_OPS, len(body) + 40) + body)[:9]
         with open(path + ".wal", "ab") as handle:
             handle.write(torn)
 

@@ -1,9 +1,9 @@
 """Fault injection for the WAL recovery scan's torn-tail handling.
 
-Regression target: :func:`repro.storage.wal.scan_wal` decodes PUT bodies
-with :func:`~repro.storage.codec.scan_uvarint`, which raises
+Regression target: :func:`repro.storage.wal.scan_wal` decodes DELTA
+bodies with :func:`~repro.storage.codec.scan_uvarint`, which raises
 :class:`~repro.errors.PersistError` on a truncated varint.  A crash can
-tear a PUT record so that its length header survives but the block-id
+tear a DELTA record so that its length header survives but the LSN
 varint inside the body does not — the record is by construction
 uncommitted, yet the scan used to let the exception escape and fail
 recovery of the perfectly good committed prefix.  The scan must instead
@@ -26,7 +26,7 @@ from repro.storage.wal import (
     MAGIC,
     REC_COMMIT,
     REC_DELTA,
-    REC_PUT,
+    REC_OPS,
     WALWriter,
     scan_wal,
 )
@@ -47,10 +47,7 @@ def write_transactions(path, count=2):
     """Append ``count`` committed transactions and return the writer."""
     writer = WALWriter(str(path), Disk(fsync=False))
     for index in range(count):
-        writer.append_transaction(
-            {index * 2: b"A" * 40, index * 2 + 1: b"B" * 40},
-            uvarint_bytes(index + 1),
-        )
+        writer.append_transaction({REC_OPS: b"A" * 40, REC_DELTA: uvarint_bytes(index + 1)})
     writer.close()
     return writer
 
@@ -62,7 +59,7 @@ def test_clean_log_scans_with_no_tail(tmp_path, fresh_registry):
     assert scan.committed == 3
     assert not scan.torn_tail
     assert scan.tail_reason == ""
-    assert scan.transactions[0].puts[0] == b"A" * 40
+    assert scan.transactions[0].ops == b"A" * 40
     assert all(
         sample.name != "repro_wal_torn_tail_skipped_total"
         for sample in fresh_registry.collect()
@@ -77,7 +74,7 @@ def test_mid_record_truncation_keeps_committed_prefix(tmp_path, cut, fresh_regis
     write_transactions(path, count=1)
     boundary = path.stat().st_size
     write_transactions_path = WALWriter(str(path), Disk(fsync=False))
-    write_transactions_path.append_transaction({9: b"C" * 40}, uvarint_bytes(2))
+    write_transactions_path.append_transaction({REC_OPS: b"C" * 40, REC_DELTA: uvarint_bytes(2)})
     write_transactions_path.close()
     data = path.read_bytes()
     path.write_bytes(data[: boundary + cut])
@@ -93,28 +90,10 @@ def test_mid_record_truncation_keeps_committed_prefix(tmp_path, cut, fresh_regis
     ) == 1.0
 
 
-def test_corrupt_put_varint_is_torn_tail_not_crash(tmp_path, fresh_registry):
-    """The masked-crash regression: a PUT whose framing is intact but whose
-    block-id varint is truncated (every byte has the continuation bit set)
-    must scan as a torn tail, not raise PersistError."""
-    path = tmp_path / "varint.wal"
-    write_transactions(path, count=2)
-    with open(path, "ab") as handle:
-        # length=2, body=two continuation bytes: scan_uvarint hits EOF.
-        handle.write(_HEADER.pack(REC_PUT, 2) + b"\x80\x80")
-
-    scan = scan_wal(str(path))
-    assert scan.committed == 2
-    assert scan.torn_tail
-    assert scan.tail_reason == "corrupt PUT body"
-    assert fresh_registry.value(
-        "repro_wal_torn_tail_skipped_total", {"reason": "corrupt PUT body"}
-    ) == 1.0
-
-
 def test_corrupt_delta_is_torn_tail(tmp_path, fresh_registry):
-    """A DELTA whose framing is intact but whose LSN varint runs off the
-    body (every byte has the continuation bit set)."""
+    """The masked-crash regression: a DELTA whose framing is intact but
+    whose LSN varint runs off the body (every byte has the continuation
+    bit set) must scan as a torn tail, not raise PersistError."""
     path = tmp_path / "delta.wal"
     write_transactions(path, count=1)
     with open(path, "ab") as handle:
@@ -124,13 +103,16 @@ def test_corrupt_delta_is_torn_tail(tmp_path, fresh_registry):
     assert scan.committed == 1
     assert scan.torn_tail
     assert scan.tail_reason == "corrupt DELTA body"
+    assert fresh_registry.value(
+        "repro_wal_torn_tail_skipped_total", {"reason": "corrupt DELTA body"}
+    ) == 1.0
 
 
 def test_commit_crc_mismatch_is_torn_tail(tmp_path, fresh_registry):
     path = tmp_path / "crc.wal"
     write_transactions(path, count=1)
     with open(path, "ab") as handle:
-        handle.write(_HEADER.pack(REC_PUT, 3) + b"\x07xy")
+        handle.write(_HEADER.pack(REC_OPS, 3) + b"\x07xy")
         handle.write(_HEADER.pack(REC_COMMIT, 4) + struct.pack(">I", 0xDEADBEEF))
 
     scan = scan_wal(str(path))
@@ -157,3 +139,16 @@ def test_impossible_record_type_still_raises(tmp_path, fresh_registry):
         handle.write(_HEADER.pack(99, 0))
     with pytest.raises(WALError):
         scan_wal(str(path))
+
+
+def test_a_zero_filled_record_header_is_torn_tail(tmp_path, fresh_registry):
+    """A crash that lost an unsynced write but kept a later one leaves
+    zeros where the lost record's header was: crash damage, not a
+    structural impossibility, so the committed prefix survives."""
+    path = tmp_path / "hole.wal"
+    write_transactions(path, count=1)
+    with open(path, "ab") as handle:
+        handle.write(bytes(_HEADER.size + 12) + _HEADER.pack(REC_COMMIT, 4) + bytes(4))
+    scan = scan_wal(str(path))
+    assert scan.committed == 1
+    assert scan.torn_tail and scan.tail_reason == "zero-filled record header"
