@@ -6,7 +6,6 @@ from .ancestry import AncestryDynamic, AncestryScheme
 from .batch import AmortizedCost, BatchExecutor, BatchOp, BatchRef, BatchResult
 from .naive import NaiveScheme
 from .ordpath import OrdPath
-from .prepost import PrePostDocument
 from .wbox.tree import WBox
 from .wbox.pairs import WBoxO
 from .bbox.tree import BBox
@@ -26,7 +25,6 @@ __all__ = [
     "BatchResult",
     "NaiveScheme",
     "OrdPath",
-    "PrePostDocument",
     "WBox",
     "WBoxO",
     "BBox",

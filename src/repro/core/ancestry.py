@@ -232,10 +232,7 @@ class _OrderedGapScheme(SortedOrderScheme):
         values = self._bulk_values(n_labels, pairing)
         with self.store.operation():
             self._tick()
-            lids = [
-                self.lidf.allocate((values[index], kinds[index]))
-                for index in range(n_labels)
-            ]
+            lids = self.lidf.allocate_many(list(zip(values, kinds)))
             self._kind = {lid: kinds[index] for index, lid in enumerate(lids)}
             self._order = sorted(
                 (values[index], lid) for index, lid in enumerate(lids)

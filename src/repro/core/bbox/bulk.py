@@ -2,7 +2,10 @@
 insert/delete").
 
 * **Bulk load** — a single document scan fills leaves and levels in order;
-  no sorting, ``O(N/B)`` I/Os.
+  no sorting, ``O(N/B)`` I/Os.  LIDs come from one
+  :meth:`~repro.storage.HeapFile.allocate_many` and each leaf repoints its
+  run of records with one ``repoint``: storage is touched once per LIDF
+  block, not once per label.
 * **Subtree insert** — bulk load the new data as a separate B-BOX ``T'``
   sharing the LIDF, then "rip" the host tree along the insertion point for
   as many levels as ``T'`` has and splice ``T'`` into the gap, so every
@@ -63,7 +66,7 @@ def build_tree(tree: "BBox", lids: Sequence[int]) -> tuple[int, int]:
     for chunk in chunk_evenly(lids, tree.leaf_capacity):
         node = BNode(leaf=True, entries=chunk)
         node_id = tree.store.allocate(node)
-        tree.lidf.write_many((lid, node_id) for lid in chunk)
+        tree.lidf.repoint(chunk, node_id)
         items.append((node_id, len(chunk)))
     height = 0
     while len(items) > 1:
@@ -121,7 +124,7 @@ def bbox_bulk_load(tree: "BBox", n_labels: int) -> list[int]:
         raise LabelingError("bulk_load requires an empty structure")
     with tree.store.operation():
         tree._tick()
-        lids = [tree.lidf.allocate(0) for _ in range(n_labels)]
+        lids = tree.lidf.allocate_many([0] * n_labels)
         if not lids:
             return lids
         tree.store.free(tree.root_id)
@@ -153,7 +156,7 @@ def bbox_insert_subtree(tree: "BBox", lid_old: int, n_labels: int) -> list[int]:
         if new_height >= tree.height:
             return _rebuild_with_splice(tree, leaf_id, position, n_labels)
 
-        new_lids = [tree.lidf.allocate(0) for _ in range(n_labels)]
+        new_lids = tree.lidf.allocate_many([0] * n_labels)
         prime_root, built_height = build_tree(tree, new_lids)
         if built_height != new_height:
             raise LabelingError("bulk builder height diverged from prediction")
@@ -240,7 +243,7 @@ def _rebuild_with_splice(
         offset += len(node.entries)
     else:
         raise LabelingError("anchor leaf not found during rebuild")
-    new_lids = [tree.lidf.allocate(0) for _ in range(n_labels)]
+    new_lids = tree.lidf.allocate_many([0] * n_labels)
     combined = all_lids[:offset] + new_lids + all_lids[offset:]
     for block_id in blocks:
         tree.store.free(block_id)

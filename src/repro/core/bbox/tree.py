@@ -369,7 +369,7 @@ class BBox(LabelingScheme):
         LIDF records, one read and one write per LIDF block (O(B) I/Os at
         worst), or an internal node's children's back-links."""
         if node.leaf:
-            self.lidf.write_many((lid, node_id) for lid in entries)
+            self.lidf.repoint(entries, node_id)
         else:
             for child_id in entries:
                 child = self.store.read(child_id)

@@ -165,10 +165,9 @@ class NaiveScheme(SortedOrderScheme):
             raise LabelingError("bulk_load requires an empty structure")
         with self.store.operation():
             self._tick()
-            lids = [
-                self.lidf.allocate(((index + 1) * self.gap, self.gap))
-                for index in range(n_labels)
-            ]
+            lids = self.lidf.allocate_many(
+                [((index + 1) * self.gap, self.gap) for index in range(n_labels)]
+            )
             self._order = sorted(
                 ((index + 1) * self.gap, lid) for index, lid in enumerate(lids)
             )

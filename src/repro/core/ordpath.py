@@ -155,9 +155,7 @@ class OrdPath(SortedOrderScheme):
             raise LabelingError("bulk_load requires an empty structure")
         with self.store.operation():
             self._tick()
-            lids = [
-                self.lidf.allocate((2 * index + 1,)) for index in range(n_labels)
-            ]
+            lids = self.lidf.allocate_many([(2 * index + 1,) for index in range(n_labels)])
             self._order = [((2 * index + 1,), lid) for index, lid in enumerate(lids)]
         return lids
 

@@ -11,7 +11,10 @@ update cost.
 
 Bulk loading requires no sorting: scanning the document in order produces
 the records in exactly their intended order, and each LIDF block is written
-once, for an overall ``O(N/B)`` cost.
+once, for an overall ``O(N/B)`` cost.  The Python work follows the I/O: new
+LIDs come from one :meth:`~repro.storage.HeapFile.allocate_many` and each
+emitted leaf repoints its records with one ``repoint``, so both touch
+storage once per LIDF block, not once per label.
 """
 
 from __future__ import annotations
@@ -147,11 +150,13 @@ class _Rebuilder:
         records remain to keep the tail viable."""
         tree = self.tree
         capacity = tree.leaf_capacity
-        while len(self._buffer) >= capacity + tree.k:
-            chunk = self._buffer[:capacity]
-            del self._buffer[:capacity]
+        buffer = self._buffer
+        start = 0  # one cut at the end: cutting each leaf off the front is quadratic
+        while len(buffer) - start >= capacity + tree.k:
             home = into if into is not None and into not in self._reuse_emitted else None
-            self._emit(home, chunk)
+            self._emit(home, buffer[start : start + capacity])
+            start += capacity
+        del buffer[:start]
 
     def _flush_buffer(self) -> None:
         chunks = _even_chunks(self._buffer, self.tree.leaf_capacity)
@@ -275,7 +280,7 @@ def wbox_bulk_load(tree: "WBox", n_labels: int, pairing: Sequence[int] | None = 
     with tree.store.operation():
         timestamp = tree._tick()
         old_root = tree.root_id
-        lids = [tree.lidf.allocate(0) for _ in range(n_labels)]
+        lids = tree.lidf.allocate_many([0] * n_labels)
         if not lids:
             return lids
         tree.store.free(old_root)
@@ -323,7 +328,7 @@ def wbox_insert_subtree(
         if tree.ordinal:
             anchor = tree._path_ordinal(path) + position
             tree._emit(RangeShift(timestamp, anchor, None, n_labels, ORDINAL_CHANNEL))
-        new_lids = [tree.lidf.allocate(0) for _ in range(n_labels)]
+        new_lids = tree.lidf.allocate_many([0] * n_labels)
         new_records = [tree._make_record(lid) for lid in new_lids]
 
         # Case 1: everything fits in the anchor leaf.

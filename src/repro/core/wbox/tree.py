@@ -141,12 +141,12 @@ class WBox(LabelingScheme):
             raise UnknownLIDError(f"LID {lid} not found in its leaf") from None
 
     def _relocate_records(self, records: list[Record], new_block: int) -> None:
-        """Records moved to ``new_block``: repoint their LIDF records, one
-        read and one write per LIDF block.
+        """Records moved to ``new_block``: repoint their LIDF records (a
+        W-BOX record is its LID), one read and one write per LIDF block.
 
-        W-BOX-O extends this to journal the moves for partner-pointer
+        W-BOX-O overrides this to journal the moves for partner-pointer
         fixup."""
-        self.lidf.write_many((self._record_lid(record), new_block) for record in records)
+        self.lidf.repoint(records, new_block)
 
     def _leaf_relabeled(self, leaf_id: int, leaf: WNode) -> None:
         """Hook: the labels of ``leaf``'s records changed (range or

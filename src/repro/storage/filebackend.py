@@ -125,7 +125,12 @@ DATA_START = 1024
 #: first-touch decodes, are most of it.  A range op's row is a few
 #: bytes for O(range) work — 64-label subtree inserts and range deletes
 #: re-run at ~130 and ~100 µs per byte — so range-heavy tapes replay
-#: several times longer per byte.
+#: several times longer per byte.  A larger bound alone writes no fewer
+#: bytes per submit: on the e2e ``write_small`` workload (seeds 1 and 2)
+#: 16 KiB wrote 383.6 / 378.6 B a submit against 352.1 / 354.3 B at
+#: 8 KiB, and 32 KiB wrote 340.3 / 334.1 B but grew the page file from
+#: 3.21–3.23 to 3.98–4.03 B a label — checkpoints land in whole latency
+#: slices, and a larger dirty set needs more shadow-extent room.
 CHECKPOINT_TAPE_BYTES = 8192
 
 #: Object-table miss marker (``None`` is a legal payload).

@@ -1,4 +1,4 @@
-"""Exact ``BlockStore`` call counts on the insert paths.
+"""Exact ``BlockStore`` call counts on the insert and bulk paths.
 
 Counted I/O (``IOStats``) is the paper's cost model, and the operation
 buffer dedupes it: a block read ten times in one operation costs one I/O.
@@ -6,11 +6,12 @@ The Python work does not dedupe — every ``BlockStore.read`` / ``write`` /
 ``exists`` call is paid.  These counts are a host-independent proxy for
 that CPU cost: they pin that the insert paths touch storage once per
 block (W-BOX-O's partner fixups, LIDF repointing after a split), not once
-per record, and that B-BOX update paths build no position map the next
-write would throw away.
+per record, that bulk loads and subtree inserts allocate and repoint LIDF
+records a block at a time, and that B-BOX update paths build no position
+map the next write would throw away.
 
 Regenerate the pinned numbers (only for a deliberate change of the insert
-paths) with::
+or bulk paths) with::
 
     PYTHONPATH=src python -m tests.test_insert_call_counts
 """
@@ -23,6 +24,7 @@ import pytest
 from repro import BBox, WBox, WBoxO
 from repro.config import BENCH_CONFIG, TINY_CONFIG
 from repro.core.bbox import node as bbox_node
+from repro.workloads.sequences import two_level_pairing
 from repro.xml.xmark import xmark_document
 
 #: The e2e ``embed_xmark --smoke`` document: 20 items, fixed seed.
@@ -30,6 +32,8 @@ XMARK_ITEMS = 20
 #: Labels bulk-loaded before the random inserts, and how many follow.
 BULK_LABELS = 20_000
 RANDOM_INSERTS = 400
+#: Labels of the pinned subtree insert into a BULK_LABELS tree.
+SUBTREE_LABELS = 1_000
 
 FACTORIES = {
     "W-BOX": lambda: WBox(BENCH_CONFIG),
@@ -54,6 +58,24 @@ XMARK_CALLS = {
 INSERT_CALLS = {
     "W-BOX": (2762, 2044, 0),
     "B-BOX": (1574, 1255, 0),
+}
+
+#: (read, write, exists) calls of ``bulk_load(BULK_LABELS)`` (W-BOX-O with
+#: a two-level document's pairing).  Before the per-block bulk paths, one
+#: LIDF read and write per label: W-BOX 20,336 / 20,336 / 0, W-BOX-O
+#: 60,937 / 40,937 / 254, B-BOX and B-BOX-O 20,325 / 20,325 / 0.
+BULK_CALLS = {
+    "W-BOX": (500, 500, 0),
+    "W-BOX-O": (1355, 1355, 254),
+    "B-BOX": (489, 489, 0),
+    "B-BOX-O": (489, 489, 0),
+}
+#: (read, write, exists) calls of one ``insert_subtree_before`` of
+#: SUBTREE_LABELS labels a third of the way into a BULK_LABELS tree.
+#: Before: W-BOX 1,083 / 1,058 / 0, B-BOX 1,454 / 1,342 / 0.
+SUBTREE_CALLS = {
+    "W-BOX": (93, 68, 0),
+    "B-BOX": (464, 352, 0),
 }
 
 
@@ -98,6 +120,24 @@ def random_insert_calls(name: str) -> tuple[int, int, int]:
     return _triple(counts)
 
 
+def bulk_load_calls(name: str) -> tuple[tuple[int, int, int], int]:
+    """Calls made by one bulk load of BULK_LABELS labels, and the counted
+    block writes it made."""
+    scheme = FACTORIES[name]()
+    counts = _count_calls(scheme.store)
+    scheme.bulk_load(BULK_LABELS, two_level_pairing(BULK_LABELS // 2 - 1))
+    return _triple(counts), scheme.stats.writes
+
+
+def subtree_insert_calls(name: str) -> tuple[int, int, int]:
+    """Calls made by one subtree insert into a bulk-loaded tree."""
+    scheme = FACTORIES[name]()
+    lids = scheme.bulk_load(BULK_LABELS)
+    counts = _count_calls(scheme.store)
+    scheme.insert_subtree_before(lids[BULK_LABELS // 3], SUBTREE_LABELS)
+    return _triple(counts)
+
+
 @pytest.mark.parametrize("name", sorted(XMARK_CALLS))
 def test_xmark_build_calls(name):
     assert xmark_build_calls(name) == XMARK_CALLS[name]
@@ -106,6 +146,19 @@ def test_xmark_build_calls(name):
 @pytest.mark.parametrize("name", sorted(INSERT_CALLS))
 def test_random_insert_calls(name):
     assert random_insert_calls(name) == INSERT_CALLS[name]
+
+
+@pytest.mark.parametrize("name", sorted(BULK_CALLS))
+def test_bulk_load_calls(name):
+    calls, counted_writes = bulk_load_calls(name)
+    assert calls == BULK_CALLS[name]
+    # O(N/B) Python work: a few calls per counted block write, not per label
+    assert calls[0] + calls[1] <= 8 * counted_writes
+
+
+@pytest.mark.parametrize("name", sorted(SUBTREE_CALLS))
+def test_subtree_insert_calls(name):
+    assert subtree_insert_calls(name) == SUBTREE_CALLS[name]
 
 
 @pytest.mark.parametrize("name", ["B-BOX", "B-BOX-O"])
@@ -134,3 +187,7 @@ if __name__ == "__main__":
         print(f"xmark   {name:8} {xmark_build_calls(name)}")
     for name in INSERT_CALLS:
         print(f"insert  {name:8} {random_insert_calls(name)}")
+    for name in BULK_CALLS:
+        print(f"bulk    {name:8} {bulk_load_calls(name)[0]}")
+    for name in SUBTREE_CALLS:
+        print(f"subtree {name:8} {subtree_insert_calls(name)}")

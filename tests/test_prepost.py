@@ -1,11 +1,12 @@
-"""Pre/post-order labeling adapter (Section 3's 'other orders' remark)."""
+"""Pre/post-order labeling adapter (Section 3's 'other orders' remark),
+which lives beside its demo in ``examples/prepost_plane.py``."""
 
 import random
 
 import pytest
 
+from examples.prepost_plane import PrePostDocument, leftmost_leaf, postorder, preorder
 from repro import BBox, NaiveScheme, TINY_CONFIG, WBox
-from repro.core.prepost import PrePostDocument, leftmost_leaf, postorder, preorder
 from repro.errors import LabelingError
 from repro.xml.generator import random_document, two_level_document
 from repro.xml.model import Element

@@ -18,6 +18,7 @@ import pytest
 
 from repro import BatchOp, WBox
 from repro.config import TINY_CONFIG
+from repro.errors import RecoveryError
 from repro.persist import (
     PersistError,
     checkpoint_scheme,
@@ -199,6 +200,32 @@ class TestPITR:
         assert restored.label_count() == count_at_first
         assert snapshot(restored, list(at_first)) == at_first
         restored.store.backend.close()
+
+    def test_restore_across_a_tapeless_commit_raises_typed(self, tmp_path):
+        """A direct ``insert_before`` on a file store commits without a
+        tape, which checkpoints: the LSN it consumed is in no log record,
+        so a restore cannot replay past it and says so, naming both LSNs.
+        The source store itself is whole."""
+        scheme, backend, path = make_scheme(tmp_path)
+        lids = bulk(scheme, 24)
+        full_checkpoint(scheme)
+        edit(scheme, lids, 1)
+        state = backend.lsn
+        lids.append(scheme.insert_before(lids[3]))  # tapeless: consumes state + 1
+        edit(scheme, lids, 1)
+        checkpoint_scheme(scheme)
+        labels = snapshot(scheme, lids)
+        backend.close()
+
+        with pytest.raises(
+            RecoveryError,
+            match=f"log transaction {state + 2} cannot follow state {state}$",
+        ):
+            restore_to_checkpoint(path, str(tmp_path / "restored.pages"))
+        reopened = open_file_scheme(path)
+        assert reopened.label_count() == len(lids)
+        assert snapshot(reopened, lids) == labels
+        reopened.store.backend.close()
 
     def test_restore_without_covering_checkpoint_raises(self, tmp_path):
         scheme, backend, path = make_scheme(tmp_path)
