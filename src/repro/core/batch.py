@@ -359,6 +359,7 @@ MAX_VARINT_BYTES = 10
 
 _A_INT = 0
 _A_REF = 1
+_A_INTS = 2
 
 
 def put_uvarint(out: bytearray, value: int, max_bytes: int = MAX_VARINT_BYTES) -> None:
@@ -415,7 +416,8 @@ def get_byte(buf: Any, pos: int, end: int) -> tuple[int, int]:
 
 def encode_op(out: bytearray, op: BatchOp) -> None:
     """Append one op: kind code, argument count, each argument tagged as
-    a plain int or a :class:`BatchRef`."""
+    a plain int, a :class:`BatchRef` or a sequence of ints (a subtree's
+    tag pairing: its count, then each int)."""
     code = _KIND_CODE.get(op.kind)
     if code is None:
         raise ProtocolError(f"batch op kind {op.kind!r} has no wire code")
@@ -429,6 +431,11 @@ def encode_op(out: bytearray, op: BatchOp) -> None:
         elif isinstance(arg, int):
             out.append(_A_INT)
             put_uvarint(out, arg)
+        elif isinstance(arg, (list, tuple)) and all(isinstance(item, int) for item in arg):
+            out.append(_A_INTS)
+            put_uvarint(out, len(arg))
+            for item in arg:
+                put_uvarint(out, item)
         else:
             raise ProtocolError(
                 f"batch op argument of type {type(arg).__name__} is not encodable"
@@ -450,6 +457,13 @@ def decode_op(buf: Any, pos: int, end: int) -> tuple[BatchOp, int]:
             index, pos = get_uvarint(buf, pos, end)
             item, pos = get_uvarint(buf, pos, end)
             args.append(BatchRef(index, None if item == 0 else item - 1))
+        elif tag == _A_INTS:
+            count, pos = get_count(buf, pos, end)
+            items = []
+            for _ in range(count):
+                item, pos = get_uvarint(buf, pos, end)
+                items.append(item)
+            args.append(tuple(items))
         else:
             raise ProtocolError(f"unknown batch op argument tag {tag}")
     return BatchOp(WIRE_KINDS[code], tuple(args)), pos

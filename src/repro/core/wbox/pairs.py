@@ -227,18 +227,19 @@ class WBoxO(WBox):
             return start_lid, end_lid
 
     def bulk_load(self, n_labels: int, pairing: Sequence[int] | None = None) -> list[int]:
-        if pairing is None:
-            raise LabelingError("W-BOX-O bulk_load requires the tag pairing")
+        self._check_pairing("bulk_load", n_labels, pairing)
         with self.store.operation(), self._fixup_session():
             lids = super().bulk_load(n_labels)
             self._wire_pairing(lids, pairing)
+            # The tree was empty and the wiring set every end value: no
+            # leaf needs its end values refreshed.
+            self._pending_relabeled.clear()
             return lids
 
     def insert_subtree_before(
         self, lid_old: int, n_labels: int, pairing: Sequence[int] | None = None
     ) -> list[int]:
-        if pairing is None:
-            raise LabelingError("W-BOX-O insert_subtree_before requires the tag pairing")
+        self._check_pairing("insert_subtree_before", n_labels, pairing)
         with self.store.operation(), self._fixup_session():
             lids = super().insert_subtree_before(lid_old, n_labels)
             self._wire_pairing(lids, pairing)
@@ -247,6 +248,18 @@ class WBoxO(WBox):
     # ------------------------------------------------------------------
     # pair wiring and pair lookup
     # ------------------------------------------------------------------
+
+    @staticmethod
+    def _check_pairing(what: str, n_labels: int, pairing: Sequence[int] | None) -> None:
+        """Refuse a pairing that does not pair every position back (one may
+        come in a Submit frame) before any label is placed."""
+        if pairing is None:
+            raise LabelingError(f"W-BOX-O {what} requires the tag pairing")
+        if len(pairing) != n_labels:
+            raise LabelingError("pairing length must match the number of labels")
+        for index, partner in enumerate(pairing):
+            if not 0 <= partner < n_labels or pairing[partner] != index:
+                raise LabelingError(f"pairing[{index}] = {partner} does not pair back")
 
     def _locate(self, lid: int) -> tuple[int, WNode, int]:
         """(leaf block id, leaf, position) for ``lid``."""
@@ -290,8 +303,6 @@ class WBoxO(WBox):
         holding end records is read and indexed once, and each leaf is
         written once, in the order a pair-by-pair loop first wrote them
         (the placement dirtied them all: counted I/O does not change)."""
-        if len(pairing) != len(lids):
-            raise LabelingError("pairing length must match the number of labels")
         store = self.store
         moves = self._pending_moves
         placed = [moves[lid] for lid in lids]

@@ -73,7 +73,7 @@ class XMLError(ReproError):
 
 
 class XMLParseError(XMLError):
-    """The input text is not well-formed (for the supported XML subset).
+    """The input text is not well-formed XML, or has a DTD the parser refuses.
 
     Carries the byte offset and a human-readable reason.
     """

@@ -508,9 +508,9 @@ class NetServer:
         ``insert_element_before`` created — unless the same batch also
         deleted it (by ref or by value).
 
-        Only element-level ops maintain the catalog (tag-level inserts
-        and subtree/range ops carry no element pairing on the wire);
-        callers seeding richer catalogs pass one to the constructor."""
+        Only element-level ops maintain the catalog (tag-level and range
+        ops carry no element pairing, and a W-BOX-O subtree op's is not
+        catalogued); callers seeding richer catalogs pass one to the constructor."""
 
         def resolve(arg: Any) -> Any:
             if isinstance(arg, BatchRef):

@@ -1,279 +1,85 @@
-"""A small from-scratch XML parser.
+"""XML parsing on the standard library's expat.
 
-Supports the subset of XML the substrate needs: elements with attributes,
-character data, self-closing tags, comments, processing instructions, CDATA
-sections, an optional XML declaration / doctype, and the five predefined
-entities plus numeric character references.  Namespaces are treated as plain
-prefixed names.  Anything outside the subset raises
-:class:`~repro.errors.XMLParseError` with a byte offset.
-
-The parser is a hand-rolled recursive-descent scanner over the input string;
-it builds :class:`~repro.xml.model.Element` trees and also exposes an event
-stream (:func:`iter_events`) used by bulk loading so huge documents do not
-need a second traversal.
+Expat checks well-formedness, applying XML's end-of-line and attribute-value
+normalisation, and this module builds :class:`~repro.xml.model.Element`
+trees (namespaces are plain prefixed names).  Nothing here reads a DTD, so a
+DOCTYPE with an internal subset or an external identifier is refused: no
+entity expansion, no injected attribute default, no fetched DTD, and every
+entity but XML's five is an error (under an external DTD expat drops one in
+an attribute value silently).  Every refusal raises
+:class:`~repro.errors.XMLParseError` with a byte offset into the UTF-8 text.
 """
 
 from __future__ import annotations
 
-import re
 from typing import Iterator
+from xml.parsers import expat
 
 from ..errors import XMLParseError
 from .model import Element
 
-_NAME_RE = re.compile(r"[A-Za-z_:][A-Za-z0-9_.:\-]*")
-_WS_RE = re.compile(r"[ \t\r\n]+")
-_ATTR_VALUE_RE = {'"': re.compile(r'[^<"&]*'), "'": re.compile(r"[^<'&]*")}
-_CHARDATA_RE = re.compile(r"[^<&]+")
 
-_PREDEFINED_ENTITIES = {
-    "lt": "<",
-    "gt": ">",
-    "amp": "&",
-    "apos": "'",
-    "quot": '"',
-}
+def parse(text: str) -> Element:
+    """Parse ``text`` and return the root :class:`Element`.  Each run of
+    character data between two tags is one ``text`` or ``tail``."""
+    parser = expat.ParserCreate()
+    parser.buffer_text = True
+    document = Element("")  # holds the root while the parse runs
+    stack = [document]
+    run: list[str] = []
 
+    def end_run() -> None:
+        if run:
+            parent = stack[-1]
+            if parent.children:
+                parent.children[-1].tail = "".join(run)
+            else:
+                parent.text = "".join(run)
+            run.clear()
 
-class _Scanner:
-    """Cursor over the document text with primitive token helpers."""
+    def start(name: str, attributes: dict[str, str]) -> None:
+        end_run()
+        stack.append(stack[-1].append(Element(name, attributes)))
 
-    __slots__ = ("text", "pos")
+    def end(name: str) -> None:
+        end_run()
+        stack.pop()
 
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
+    def doctype(name: str, system_id: str, public_id: str, has_internal_subset: int) -> None:
+        if has_internal_subset or system_id or public_id:
+            kind = "internal subsets" if has_internal_subset else "external identifiers"
+            raise XMLParseError(f"DOCTYPE {kind} are not supported", parser.CurrentByteIndex)
 
-    def at_end(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def peek(self, n: int = 1) -> str:
-        return self.text[self.pos : self.pos + n]
-
-    def startswith(self, token: str) -> bool:
-        return self.text.startswith(token, self.pos)
-
-    def expect(self, token: str) -> None:
-        if not self.startswith(token):
-            raise XMLParseError(f"expected {token!r}", self.pos)
-        self.pos += len(token)
-
-    def skip_whitespace(self) -> None:
-        match = _WS_RE.match(self.text, self.pos)
-        if match:
-            self.pos = match.end()
-
-    def read_name(self) -> str:
-        match = _NAME_RE.match(self.text, self.pos)
-        if not match:
-            raise XMLParseError("expected a name", self.pos)
-        self.pos = match.end()
-        return match.group()
-
-    def read_until(self, token: str, what: str) -> str:
-        end = self.text.find(token, self.pos)
-        if end < 0:
-            raise XMLParseError(f"unterminated {what}", self.pos)
-        value = self.text[self.pos : end]
-        self.pos = end + len(token)
-        return value
-
-
-def _decode_entity(scanner: _Scanner) -> str:
-    """Decode one ``&...;`` reference (cursor sits on the ``&``)."""
-    start = scanner.pos
-    scanner.expect("&")
-    if scanner.startswith("#"):
-        scanner.pos += 1
-        base = 10
-        if scanner.peek() in ("x", "X"):
-            scanner.pos += 1
-            base = 16
-        digits = scanner.read_until(";", "character reference")
-        try:
-            code = int(digits, base)
-            return chr(code)
-        except (ValueError, OverflowError) as exc:
-            raise XMLParseError(f"bad character reference &#{digits};", start) from exc
-    name = scanner.read_until(";", "entity reference")
+    parser.StartElementHandler = start
+    parser.EndElementHandler = end
+    parser.CharacterDataHandler = run.append
+    parser.StartDoctypeDeclHandler = doctype
     try:
-        return _PREDEFINED_ENTITIES[name]
-    except KeyError:
-        raise XMLParseError(f"unknown entity &{name};", start) from None
-
-
-def _read_text(scanner: _Scanner) -> str:
-    """Character data up to the next markup, with entities decoded."""
-    parts: list[str] = []
-    while not scanner.at_end():
-        char = scanner.peek()
-        if char == "<":
-            break
-        if char == "&":
-            parts.append(_decode_entity(scanner))
-            continue
-        match = _CHARDATA_RE.match(scanner.text, scanner.pos)
-        assert match is not None
-        parts.append(match.group())
-        scanner.pos = match.end()
-    return "".join(parts)
-
-
-def _read_attributes(scanner: _Scanner) -> dict[str, str]:
-    attributes: dict[str, str] = {}
-    while True:
-        scanner.skip_whitespace()
-        if scanner.at_end() or scanner.peek() in (">", "/"):
-            return attributes
-        offset = scanner.pos
-        name = scanner.read_name()
-        scanner.skip_whitespace()
-        scanner.expect("=")
-        scanner.skip_whitespace()
-        quote = scanner.peek()
-        if quote not in ('"', "'"):
-            raise XMLParseError("attribute value must be quoted", scanner.pos)
-        scanner.pos += 1
-        raw_parts: list[str] = []
-        while True:
-            match = _ATTR_VALUE_RE[quote].match(scanner.text, scanner.pos)
-            assert match is not None
-            raw_parts.append(match.group())
-            scanner.pos = match.end()
-            if scanner.at_end():
-                raise XMLParseError("unterminated attribute value", offset)
-            char = scanner.peek()
-            if char == quote:
-                scanner.pos += 1
-                break
-            if char == "&":
-                raw_parts.append(_decode_entity(scanner))
-                continue
-            raise XMLParseError("'<' is not allowed in attribute values", scanner.pos)
-        if name in attributes:
-            raise XMLParseError(f"duplicate attribute {name!r}", offset)
-        attributes[name] = "".join(raw_parts)
-
-
-def _skip_misc(scanner: _Scanner) -> None:
-    """Skip comments, PIs, doctype and whitespace between markup."""
-    while True:
-        scanner.skip_whitespace()
-        if scanner.startswith("<!--"):
-            scanner.pos += 4
-            body_start = scanner.pos
-            scanner.read_until("-->", "comment")
-            if "--" in scanner.text[body_start : scanner.pos - 3]:
-                raise XMLParseError("'--' is not allowed inside comments", body_start)
-        elif scanner.startswith("<?"):
-            scanner.pos += 2
-            scanner.read_until("?>", "processing instruction")
-        elif scanner.startswith("<!DOCTYPE"):
-            # Accept a simple doctype without an internal subset.
-            scanner.read_until(">", "doctype")
-        else:
-            return
+        parser.Parse(text, True)
+    except expat.ExpatError as error:
+        message = expat.errors.messages[error.code]
+        offset = parser.ErrorByteIndex
+        if message == expat.errors.XML_ERROR_TAG_MISMATCH:
+            offset -= len("</")  # expat points at the end tag's name
+        raise XMLParseError(message, max(offset, 0)) from None
+    root = document.children[0]
+    root.parent = None
+    return root
 
 
 def iter_events(text: str) -> Iterator[tuple[str, Element | str]]:
-    """Stream parse ``text``, yielding ``("start", element)``,
-    ``("end", element)`` and ``("text", data)`` events in document order.
-
-    The same :class:`Element` object is yielded for an element's start and
-    end events; children/parent links are wired as the stream unfolds, so by
-    the time the final ``end`` event fires the full tree is connected.
-    """
-    scanner = _Scanner(text)
-    _skip_misc(scanner)
-    if scanner.at_end() or scanner.peek() != "<":
-        raise XMLParseError("document has no root element", scanner.pos)
-
-    stack: list[Element] = []
-    seen_root = False
-    while True:
-        if scanner.at_end():
-            if stack:
-                raise XMLParseError(f"unclosed element <{stack[-1].name}>", scanner.pos)
-            break
-        char = scanner.peek()
-        if char != "<":
-            data = _read_text(scanner)
-            if stack:
-                if data:
-                    yield ("text", data)
-                    if stack[-1].children:
-                        stack[-1].children[-1].tail += data
-                    else:
-                        stack[-1].text += data
-            elif data.strip():
-                raise XMLParseError("character data outside the root element", scanner.pos)
-            continue
-        if scanner.startswith("<!--") or scanner.startswith("<?"):
-            _skip_misc(scanner)
-            continue
-        if scanner.startswith("<![CDATA["):
-            offset = scanner.pos
-            scanner.pos += 9
-            data = scanner.read_until("]]>", "CDATA section")
-            if not stack:
-                raise XMLParseError("CDATA outside the root element", offset)
-            yield ("text", data)
-            if stack[-1].children:
-                stack[-1].children[-1].tail += data
-            else:
-                stack[-1].text += data
-            continue
-        if scanner.startswith("</"):
-            offset = scanner.pos
-            scanner.pos += 2
-            name = scanner.read_name()
-            scanner.skip_whitespace()
-            scanner.expect(">")
-            if not stack:
-                raise XMLParseError(f"unmatched end tag </{name}>", offset)
-            element = stack.pop()
-            if element.name != name:
-                raise XMLParseError(
-                    f"end tag </{name}> does not match <{element.name}>", offset
-                )
-            yield ("end", element)
-            if not stack:
-                _skip_misc(scanner)
-                if not scanner.at_end():
-                    raise XMLParseError("content after the root element", scanner.pos)
-                break
-            continue
-        # start tag
-        offset = scanner.pos
-        scanner.pos += 1
-        name = scanner.read_name()
-        attributes = _read_attributes(scanner)
-        element = Element(name, attributes)
-        if stack:
-            stack[-1].append(element)
-        elif seen_root:
-            raise XMLParseError("multiple root elements", offset)
-        seen_root = True
-        yield ("start", element)
-        if scanner.startswith("/>"):
-            scanner.pos += 2
-            yield ("end", element)
-            if not stack:
-                _skip_misc(scanner)
-                if not scanner.at_end():
-                    raise XMLParseError("content after the root element", scanner.pos)
-                break
-        else:
-            scanner.expect(">")
-            stack.append(element)
-
-
-def parse(text: str) -> Element:
-    """Parse ``text`` and return the root :class:`Element`."""
-    root: Element | None = None
-    for kind, payload in iter_events(text):
-        if kind == "start" and root is None:
-            assert isinstance(payload, Element)
-            root = payload
-    assert root is not None  # iter_events raises on empty documents
-    return root
+    """Parse ``text``, then yield ``("start", element)``, ``("end", element)``
+    (the same linked :class:`Element`) and ``("text", data)`` events in
+    document order, one text event per non-empty ``text`` or ``tail``."""
+    pending: list[tuple[str, Element | str]] = [("start", parse(text))]
+    while pending:
+        kind, payload = pending.pop()
+        yield kind, payload
+        if kind == "start":
+            pending.append(("end", payload))
+            for child in reversed(payload.children):
+                if child.tail:
+                    pending.append(("text", child.tail))
+                pending.append(("start", child))
+            if payload.text:
+                pending.append(("text", payload.text))

@@ -1,31 +1,35 @@
 """Serialize :class:`~repro.xml.model.Element` trees back to XML text.
 
-Round-trips with :mod:`repro.xml.parser` for the supported subset; the test
-suite asserts ``parse(serialize(tree))`` reproduces the tree.
+Round-trips with :mod:`repro.xml.parser`: the test suite asserts
+``parse(serialize(tree))`` reproduces the tree.  A tree holding a
+character XML 1.0 cannot carry, raw or as a reference, is refused with
+:class:`~repro.errors.XMLError` instead of written.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Iterator
 
+from ..errors import XMLError
 from .model import Element
 
-_TEXT_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;"}
-_ATTR_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"}
+# Everything outside XML 1.0's Char production.
+_NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+# Expat turns a literal CR (and CRLF) into LF, and a literal LF or TAB in an
+# attribute value into a space; character references survive both.
+_TEXT_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", "\r": "&#13;"})
+_ATTR_ESCAPES = str.maketrans({'"': "&quot;", "\n": "&#10;", "\t": "&#9;"}) | _TEXT_ESCAPES
 
 
 def escape_text(data: str) -> str:
     """Escape character data for element content."""
-    for char, entity in _TEXT_ESCAPES.items():
-        data = data.replace(char, entity)
-    return data
+    return data.translate(_TEXT_ESCAPES)
 
 
 def escape_attribute(data: str) -> str:
     """Escape character data for a double-quoted attribute value."""
-    for char, entity in _ATTR_ESCAPES.items():
-        data = data.replace(char, entity)
-    return data
+    return data.translate(_ATTR_ESCAPES)
 
 
 def _fragments(element: Element, indent: str | None, depth: int) -> Iterator[str]:
@@ -64,6 +68,9 @@ def serialize(root: Element, indent: str | None = None, declaration: bool = Fals
         Prefix the output with an XML declaration.
     """
     body = "".join(_fragments(root, indent, 0))
+    bad = _NOT_XML_CHAR.search(body)
+    if bad is not None:
+        raise XMLError(f"U+{ord(bad.group()):04X} cannot be written in XML 1.0")
     if indent is not None:
         body = body.lstrip("\n")
     if declaration:

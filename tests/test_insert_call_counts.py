@@ -63,10 +63,12 @@ INSERT_CALLS = {
 #: (read, write, exists) calls of ``bulk_load(BULK_LABELS)`` (W-BOX-O with
 #: a two-level document's pairing).  Before the per-block bulk paths, one
 #: LIDF read and write per label: W-BOX 20,336 / 20,336 / 0, W-BOX-O
-#: 60,937 / 40,937 / 254, B-BOX and B-BOX-O 20,325 / 20,325 / 0.
+#: 60,937 / 40,937 / 254, B-BOX and B-BOX-O 20,325 / 20,325 / 0.  Before
+#: a W-BOX-O load stopped re-deriving the end values its wiring had just
+#: set: W-BOX-O 1,355 / 1,355 / 254.
 BULK_CALLS = {
     "W-BOX": (500, 500, 0),
-    "W-BOX-O": (1355, 1355, 254),
+    "W-BOX-O": (1101, 1101, 0),
     "B-BOX": (489, 489, 0),
     "B-BOX-O": (489, 489, 0),
 }

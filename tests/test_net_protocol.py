@@ -88,6 +88,7 @@ batch_args = st.lists(
             st.integers(min_value=0, max_value=1000),
             st.one_of(st.none(), st.integers(min_value=0, max_value=3)),
         ),
+        st.lists(st.integers(min_value=0, max_value=2**32), max_size=6).map(tuple),
     ),
     max_size=4,
 )

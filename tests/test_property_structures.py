@@ -3,9 +3,11 @@ images, heap-file consistency under arbitrary alloc/free traces, and parser
 round trips for generated trees."""
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.config import TINY_CONFIG, BoxConfig
+from repro.errors import XMLError
 from repro.storage import BlockStore, HeapFile
 from .layout_images import (
     BBoxInternalImage,
@@ -93,10 +95,13 @@ def test_heapfile_alloc_free_consistency(trace):
 
 
 _NAME = st.from_regex(r"[A-Za-z_][A-Za-z0-9_\-]{0,8}", fullmatch=True)
+# The characters XML 1.0 cannot carry at all, raw or as a reference:
+# the writer refuses them (see test_writer_refuses_what_xml_cannot_carry).
+_NOT_XML = "".join(chr(c) for c in range(0x20) if chr(c) not in "\t\n\r")
+_NOT_XML += "\ufffe\uffff\ud800"
+# Every other character: markup, TAB, LF, CR and the other controls included.
 _TEXT = st.text(
-    alphabet=st.characters(
-        blacklist_categories=("Cs", "Cc"), blacklist_characters="<>&\r"
-    ),
+    alphabet=st.characters(exclude_categories=("Cs",), exclude_characters=_NOT_XML),
     max_size=20,
 )
 
@@ -132,3 +137,16 @@ def test_parser_writer_round_trip(tree):
 
     tree.tail = ""  # a root tail is not serializable content
     assert_equal(tree, reparsed)
+
+
+@given(tree=xml_trees(), bad=st.sampled_from(_NOT_XML), data=st.data())
+@RELAXED
+def test_writer_refuses_what_xml_cannot_carry(tree, bad, data):
+    element = data.draw(st.sampled_from(list(tree.iter())))
+    where = data.draw(st.sampled_from(["text", "attribute"] + ["tail"] * (element is not tree)))
+    if where == "attribute":
+        element.attributes["bad"] = f"x{bad}y"
+    else:
+        setattr(element, where, getattr(element, where) + bad)
+    with pytest.raises(XMLError, match=f"U\\+{ord(bad):04X}"):
+        serialize(tree)

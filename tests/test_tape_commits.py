@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import BatchOp, BatchRef, WBox
+from repro import BatchOp, BatchRef, WBox, WBoxO
 from repro.config import TINY_CONFIG, BoxConfig
 from repro.core.batch import decode_tape, encode_batch
 from repro.errors import (
@@ -139,6 +139,37 @@ def test_a_failed_middle_batch_recovers_as_it_ran(tmp_path, failing):
     try:
         assert {lid: reopened.lookup(lid) for lid in live} == before
         assert {lid: twin.lookup(lid) for lid in live} == before
+        assert reopened.label_count() == twin.label_count()
+    finally:
+        reopened.store.backend.close()
+
+
+def test_wbox_o_subtree_inserts_are_logged_and_rerun_as_tapes(tmp_path):
+    """A W-BOX-O subtree insert carries its tag pairing in its op row, so
+    each batch commits as a tape, and a reopen re-runs every tape into the
+    store its memory twin holds, cached end labels included."""
+    path = str(tmp_path / "s.pages")
+    scheme, backend, lids = file_scheme(path, factory=WBoxO, config=TINY_CONFIG, labels=24)
+    twin = WBoxO(TINY_CONFIG)
+    assert twin.bulk_load(24, [i ^ 1 for i in range(24)]) == lids
+    pairing = (3, 2, 1, 0)  # <a><b/></a>
+    batches = [
+        [BatchOp("insert_subtree_before", (lids[anchor], 4, pairing))]
+        for anchor in (3, 8, 8, 15, 22)
+    ]
+    pairs = [(lids[i], lids[i + 1]) for i in range(0, 24, 2)]
+    for ops in batches:
+        a_start, b_start, b_end, a_end = scheme.execute_batch(ops).results[0]
+        assert twin.execute_batch(ops).results[0] == [a_start, b_start, b_end, a_end]
+        pairs += [(a_start, a_end), (b_start, b_end)]
+    expected = [scheme.lookup_pair(*pair) for pair in pairs]
+    assert [twin.lookup_pair(*pair) for pair in pairs] == expected
+    backend.close()
+    reopened = open_file_scheme(path)
+    try:
+        report = reopened.store.backend.recovery_report
+        assert report["replayed_transactions"] == len(batches)
+        assert [reopened.lookup_pair(*pair) for pair in pairs] == expected
         assert reopened.label_count() == twin.label_count()
     finally:
         reopened.store.backend.close()

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro import TINY_CONFIG, WBoxO
+from repro import TINY_CONFIG, BatchOp, WBoxO
 from repro.core.document import LabeledDocument
 from repro.errors import LabelingError
 from repro.xml.generator import path_document, two_level_document
@@ -118,6 +118,27 @@ class TestSubtreeOps:
     def test_subtree_insert_requires_pairing(self, doc):
         with pytest.raises(LabelingError):
             doc.scheme.insert_subtree_before(doc.start_lid(doc.root.children[0]), 4)
+
+    @pytest.mark.parametrize(
+        "pairing",
+        [(1, 2, 0), (1, 0, 5), (0, 1, -1), (1, 0)],
+        ids=["not-an-involution", "out-of-range", "negative", "short"],
+    )
+    def test_bad_pairing_in_a_batch_is_refused_before_any_insert(self, pairing):
+        """A Submit frame can carry any int tuple: a pairing that does not
+        pair every position back is a typed error, and the tree is as it was."""
+        scheme = WBoxO(TINY_CONFIG)
+        lids = scheme.bulk_load(8, [i ^ 1 for i in range(8)])
+        before = [scheme.lookup(lid) for lid in lids]
+        with pytest.raises(LabelingError, match="pairing"):
+            scheme.execute_batch([BatchOp("insert_subtree_before", (lids[3], 3, pairing))])
+        assert scheme.label_count() == 8
+        assert [scheme.lookup(lid) for lid in lids] == before
+        scheme.check_invariants()
+        (new,) = scheme.execute_batch(
+            [BatchOp("insert_subtree_before", (lids[3], 3, (2, 1, 0)))]
+        ).results
+        assert scheme.lookup_pair(new[0], new[2]) == (scheme.lookup(new[0]), scheme.lookup(new[2]))
 
     def test_subtree_delete_keeps_outside_pairs(self, doc):
         from repro.xml.generator import random_document

@@ -1,4 +1,5 @@
-"""The from-scratch XML parser: supported subset and error reporting."""
+"""The expat-backed XML parser: supported subset, refused DTD features and
+error reporting."""
 
 import pytest
 
@@ -149,3 +150,55 @@ class TestEventStream:
             if kind == "end" and payload.name == "c":
                 assert payload.parent.name == "b"
                 assert payload.parent.parent.name == "a"
+
+
+class TestHostileInput:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '<!DOCTYPE a [<!ENTITY e "x">]><a>&e;</a>',
+            '<!DOCTYPE a [<!ATTLIST a injected CDATA "default">]><a/>',
+        ],
+        ids=["entity", "attlist"],
+    )
+    def test_internal_subset_refused(self, text):
+        with pytest.raises(XMLParseError, match="internal subset") as info:
+            parse(text)
+        assert info.value.offset == text.index("[")
+
+    def test_billion_laughs_refused_before_expansion(self):
+        levels = "".join(
+            f'<!ENTITY l{level} "{f"&l{level - 1};" * 10}">' for level in range(1, 10)
+        )
+        text = f'<!DOCTYPE a [<!ENTITY l0 "lol">{levels}]><a>&l9;</a>'
+        # Refused where the subset opens, before one entity is declared
+        # (expat's own amplification limit would fail later, differently).
+        with pytest.raises(XMLParseError, match="internal subset") as info:
+            list(iter_events(text))
+        assert info.value.offset == text.index("[")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '<!DOCTYPE a SYSTEM "a.dtd"><a>&e;</a>',
+            '<!DOCTYPE a SYSTEM "a.dtd"><a k="x&e;y"/>',
+            '<!DOCTYPE a PUBLIC "-//x//DTD a//EN" "a.dtd"><a/>',
+        ],
+        ids=["entity-in-content", "entity-in-attribute", "public"],
+    )
+    def test_external_identifier_refused(self, text):
+        # Under an external DTD, expat drops an undeclared entity inside an
+        # attribute value without a word: the DOCTYPE itself is refused.
+        with pytest.raises(XMLParseError, match="external identifiers") as info:
+            parse(text)
+        assert info.value.offset == text.index(">")
+
+    def test_undeclared_entity_in_an_attribute_refused(self):
+        with pytest.raises(XMLParseError, match="undefined entity"):
+            parse('<!DOCTYPE a><a k="x&e;y"/>')
+
+    def test_external_dtd_on_disk_is_refused_unread(self, tmp_path):
+        dtd = tmp_path / "a.dtd"
+        dtd.write_text('<!ATTLIST a injected CDATA "default">')
+        with pytest.raises(XMLParseError, match="external identifiers"):
+            parse(f'<!DOCTYPE a SYSTEM "{dtd}"><a>x</a>')

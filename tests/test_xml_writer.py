@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro import TINY_CONFIG, LabeledDocument, WBox
+from repro.errors import XMLError
+from repro.persist import load_document, save_document
 from repro.xml.model import Element, document_tags
 from repro.xml.parser import parse
 from repro.xml.writer import escape_attribute, escape_text, serialize
@@ -25,6 +28,10 @@ class TestEscaping:
 
     def test_attribute_escapes_quotes(self):
         assert escape_attribute('say "hi" & <go>') == "say &quot;hi&quot; &amp; &lt;go&gt;"
+
+    def test_whitespace_the_parser_would_normalise_is_escaped(self):
+        assert escape_text("a\r\nb\tc") == "a&#13;\nb\tc"
+        assert escape_attribute("a\r\nb\tc") == "a&#13;&#10;b&#9;c"
 
 
 class TestSerialization:
@@ -75,3 +82,21 @@ def test_round_trip_preserves_tag_stream():
     original = [(t.kind, t.element.name) for t in document_tags(tree)]
     again = [(t.kind, t.element.name) for t in document_tags(reparsed)]
     assert original == again
+
+
+def test_saved_document_keeps_whitespace_controls(tmp_path):
+    root = Element("a", {"k": "\n\t\r"})
+    root.text = "\r\n"
+    child = root.make_child("b", text="x\ry", k="1\r\n2")
+    child.tail = "\t\r\n"
+    path = str(tmp_path / "doc.box")
+    save_document(LabeledDocument(WBox(TINY_CONFIG), root), path)
+    assert trees_equal(load_document(path).root, root)
+
+
+def test_save_refuses_a_character_xml_cannot_carry(tmp_path):
+    root = Element("a", {"k": "x\x01"})
+    path = tmp_path / "doc.box"
+    with pytest.raises(XMLError, match="U\\+0001"):
+        save_document(LabeledDocument(WBox(TINY_CONFIG), root), str(path))
+    assert not path.exists()

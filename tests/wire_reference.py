@@ -229,6 +229,7 @@ def _decode_value(reader: _Reader, depth: int = 0) -> Any:
 
 _A_INT = 0
 _A_REF = 1
+_A_INTS = 2
 
 
 def _encode_op(out: bytearray, op: BatchOp) -> None:
@@ -245,6 +246,11 @@ def _encode_op(out: bytearray, op: BatchOp) -> None:
         elif isinstance(arg, int):
             out.append(_A_INT)
             _append_uvarint(out, arg)
+        elif isinstance(arg, (list, tuple)) and all(isinstance(item, int) for item in arg):
+            out.append(_A_INTS)
+            _append_uvarint(out, len(arg))
+            for item in arg:
+                _append_uvarint(out, item)
         else:
             raise ProtocolError(
                 f"batch op argument of type {type(arg).__name__} is not encodable"
@@ -264,6 +270,8 @@ def _decode_op(reader: _Reader) -> BatchOp:
             index = reader.uvarint()
             item = reader.uvarint()
             args.append(BatchRef(index, None if item == 0 else item - 1))
+        elif tag == _A_INTS:
+            args.append(tuple(reader.uvarint() for _ in range(reader.count())))
         else:
             raise ProtocolError(f"unknown batch op argument tag {tag}")
     return BatchOp(WIRE_KINDS[code], tuple(args))
