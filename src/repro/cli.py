@@ -1113,6 +1113,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
+    except BrokenPipeError:
+        # The reader closed stdout early (``repro query ... | head``), which
+        # is not a failure.  Point stdout at devnull so the interpreter's
+        # final flush of what is still buffered stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1

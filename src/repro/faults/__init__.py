@@ -34,7 +34,6 @@ from .plan import (
     FaultSpec,
     FiredFault,
     ScopedFaultInjector,
-    spec_at,
     split_hook,
 )
 
@@ -59,7 +58,6 @@ __all__ = [
     "ScopedFaultInjector",
     "run_chaos_sweep",
     "run_chaos_trial",
-    "spec_at",
     "split_hook",
     "standard_plan_names",
     "standard_plans",

@@ -84,7 +84,7 @@ Every injected fault is counted in the process metrics registry as
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from random import Random
 from typing import Any, Iterable, Iterator
 
@@ -505,8 +505,3 @@ class ScopedFaultInjector:
 
     def scoped(self, scope: str) -> "ScopedFaultInjector":
         return ScopedFaultInjector(self.parent, scope)
-
-
-def spec_at(spec: FaultSpec, at: int) -> FaultSpec:
-    """A copy of ``spec`` with a concrete firing point (sweep helper)."""
-    return replace(spec, at=at)

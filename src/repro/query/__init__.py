@@ -3,7 +3,7 @@
 Order-based labels exist to make these fast: an ancestor/descendant check
 is two label comparisons.  :class:`EpochView` is the one structural index:
 it holds a set of elements sorted by start label, so an element's
-descendants are one contiguous run.  Containment joins, twig matching and
+descendants are one bisected range, its span.  Joins, twig matching and
 XPath's result order each read their labels once, with one
 ``lookup_many``, into a view (:func:`document_view`); served queries build
 theirs through :class:`QueryEngine` at one pinned epoch.  Every label read

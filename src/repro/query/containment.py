@@ -3,41 +3,51 @@
 The operation the paper's introduction motivates the labeling with: every
 ``(ancestor, descendant)`` pair with ``l<(a) < l<(d) < l>(d) < l>(a)``.
 Both inputs' labels are read in one ``lookup_many`` into an
-:class:`~repro.query.streams.EpochView`; an ancestor's descendants are
-then one contiguous run of the view's start-sorted array.
+:class:`~repro.query.streams.EpochView`, in which an ancestor's
+descendants are one range of the start-sorted array, its
+:meth:`~repro.query.streams.EpochView.span`.  The descendant list's view
+positions are sorted once, so each ancestor's matches are one slice of
+them, found by two bisections: an operator costs the one ``lookup_many``,
+then O((|A|+|D|)·⌈log₂ n⌉ + output) view positions.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from bisect import bisect_left
+from typing import Sequence
 
 from ..core.document import LabeledDocument
 from ..xml.model import Element
 from .streams import document_view
 
 
-def _runs(
+def _slices(
     doc: LabeledDocument, ancestors: Sequence[Element], descendants: Sequence[Element]
-) -> Iterator[tuple[Element, Iterator[Element]]]:
-    """Each ancestor, in document order, with its ``descendants`` in
-    document order, from one view over both lists."""
-    view, element_of = document_view(doc, [*ancestors, *descendants])
-    outer, inner = set(ancestors), set(descendants)
-    for pair in view.pairs:
-        ancestor = element_of[pair]
-        if ancestor in outer:
-            run = (element_of[p] for p in view.descendants(pair))
-            yield ancestor, (element for element in run if element in inner)
+) -> tuple[list[Element], list[tuple[Element, int, int]]]:
+    """The ``descendants`` in document order, and each ancestor once, in
+    document order, with the ``[lo, hi)`` slice of them it contains."""
+    view, _ = document_view(doc, [*ancestors, *descendants])
+
+    def span(element: Element) -> tuple[int, int]:
+        return view.span((doc.start_lid(element), doc.end_lid(element)))
+
+    # An element's own view position is the one before its span.
+    inner = sorted({span(d)[0] - 1: d for d in descendants}.items())
+    positions = [position for position, _d in inner]
+    slices = []
+    for (start, limit), ancestor in sorted({span(a): a for a in ancestors}.items()):
+        lo = bisect_left(positions, start)
+        slices.append((ancestor, lo, bisect_left(positions, limit, lo)))
+    return [d for _p, d in inner], slices
 
 
 def containment_join(
-    doc: LabeledDocument,
-    ancestors: Sequence[Element],
-    descendants: Sequence[Element],
+    doc: LabeledDocument, ancestors: Sequence[Element], descendants: Sequence[Element]
 ) -> list[tuple[Element, Element]]:
     """All (ancestor, descendant) pairs between the two element lists,
     grouped by ancestor, in document order."""
-    return [(a, d) for a, run in _runs(doc, ancestors, descendants) for d in run]
+    inner, slices = _slices(doc, ancestors, descendants)
+    return [(a, d) for a, lo, hi in slices for d in inner[lo:hi]]
 
 
 def containment_join_by_name(
@@ -53,21 +63,17 @@ def containment_join_by_name(
 
 
 def containment_semijoin(
-    doc: LabeledDocument,
-    ancestors: Sequence[Element],
-    descendants: Sequence[Element],
+    doc: LabeledDocument, ancestors: Sequence[Element], descendants: Sequence[Element]
 ) -> list[Element]:
     """Ancestors with at least one descendant in the second list, in
     document order — the existential form of XPath predicates
-    (``//a[.//d]``); each run stops at its first proof."""
-    return [a for a, run in _runs(doc, ancestors, descendants) if any(True for _ in run)]
+    (``//a[.//d]``): a non-empty slice."""
+    return [a for a, lo, hi in _slices(doc, ancestors, descendants)[1] if hi > lo]
 
 
 def containment_count(
-    doc: LabeledDocument,
-    ancestors: Sequence[Element],
-    descendants: Sequence[Element],
+    doc: LabeledDocument, ancestors: Sequence[Element], descendants: Sequence[Element]
 ) -> dict[Element, int]:
     """Per-ancestor descendant counts (``count(.//d)``) without pair
-    materialization."""
-    return {a: sum(1 for _ in run) for a, run in _runs(doc, ancestors, descendants)}
+    materialization: a slice's length."""
+    return {a: hi - lo for a, lo, hi in _slices(doc, ancestors, descendants)[1]}

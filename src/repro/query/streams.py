@@ -194,19 +194,24 @@ class EpochView:
 
     # -- axis streams (generators, document order) ---------------------
 
+    def span(self, element: ElementPair) -> tuple[int, int]:
+        """``element``'s descendants as the range ``[position + 1, limit)``
+        of the start-sorted array, ``position`` being its own: the
+        elements that start before it ends, found by one bisection."""
+        position = self._position(element)
+        limit = bisect_left(self._start_keys, self._end_keys[position], position + 1)
+        return position + 1, limit
+
     def descendants(self, element: ElementPair) -> Iterator[ElementPair]:
         """Catalog elements properly contained in ``element``, in
-        document order — a contiguous run of the start-sorted array."""
-        position = self._position(element)
-        limit = bisect_left(self._start_keys, self._end_keys[position])
-        for inner in range(position + 1, limit):
+        document order: the pairs in its :meth:`span`."""
+        for inner in range(*self.span(element)):
             yield self.pairs[inner]
 
     def following(self, element: ElementPair) -> Iterator[ElementPair]:
         """Catalog elements that begin after ``element`` ends (the XPath
         ``following`` axis restricted to the catalog), document order."""
-        position = self._position(element)
-        for later in range(bisect_left(self._start_keys, self._end_keys[position]), len(self.pairs)):
+        for later in range(self.span(element)[1], len(self.pairs)):
             yield self.pairs[later]
 
     def ancestors(self, element: ElementPair) -> Iterator[ElementPair]:
@@ -222,9 +227,8 @@ class EpochView:
         (roots are depth 0), or ``None`` when the element sits at or
         above that depth."""
         position = self._position(element)
-        if depth >= self._depths[position] or depth < 0:
+        if not 0 <= depth < self._depths[position]:
             return None
-        position = self._parents[position]
         while self._depths[position] != depth:
             position = self._parents[position]
         return self.pairs[position]

@@ -4,9 +4,13 @@ A twig is a small tree of tag names connected by ancestor/descendant edges
 — the building block of XPath evaluation and the second operation (after
 containment join) the paper's introduction names.  Every candidate's
 labels are read in one ``lookup_many`` into an
-:class:`~repro.query.streams.EpochView`; a child pattern node's matches
-under a bound element are the candidates in that element's descendant
-run, which is correct because XML intervals properly nest.
+:class:`~repro.query.streams.EpochView`, and each pattern tag keeps one
+sorted list of its candidates' view positions.  A child pattern node's
+matches under a bound element are one slice of its tag's list, two
+bisections at the element's :meth:`~repro.query.streams.EpochView.span`,
+which is correct because XML intervals properly nest.  A call costs the
+one ``lookup_many``, then O((|A|+|D|)·⌈log₂ n⌉ + output) view positions
+for the |A|+|D| candidates.
 
 Example::
 
@@ -18,12 +22,13 @@ Example::
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterator
 
 from ..core.document import LabeledDocument
 from ..xml.model import Element
-from .streams import ElementPair, document_view
+from .streams import document_view
 
 
 @dataclass
@@ -64,29 +69,36 @@ def twig_match(doc: LabeledDocument, pattern: TwigNode) -> list[dict[str, Elemen
         raise ValueError("twig pattern names must be distinct (use #suffixes)")
     tags = {_strip(name) for name in names}
     view, element_of = document_view(doc, (e for e in doc.root.iter() if e.name in tags))
+    # The view's elements with their pairs, and one position list per tag.
+    ordered = [(pair, element_of[pair]) for pair in view.pairs]
+    positions: dict[str, list[int]] = {tag: [] for tag in tags}
+    for position, (_pair, element) in enumerate(ordered):
+        positions[element.name].append(position)
 
-    def match_node(node: TwigNode, pair: ElementPair) -> Iterator[dict[str, Element]]:
-        """Bindings of ``node``'s subtree given ``node`` bound to ``pair``."""
+    def match_node(node: TwigNode, position: int) -> Iterator[dict[str, Element]]:
+        """Bindings of ``node``'s subtree given ``node`` bound at ``position``."""
+        pair, element = ordered[position]
         per_child: list[list[dict[str, Element]]] = []
         for child in node.children:
+            start, limit = view.span(pair)
+            candidates = positions[_strip(child.name)]
+            lo = bisect_left(candidates, start)
             options = [
                 binding
-                for inner in view.descendants(pair)
-                if element_of[inner].name == _strip(child.name)
+                for inner in candidates[lo : bisect_left(candidates, limit, lo)]
                 for binding in match_node(child, inner)
             ]
             if not options:
                 return  # this subtree cannot match
             per_child.append(options)
         for combination in itertools.product(*per_child):
-            merged = {node.name: element_of[pair]}
+            merged = {node.name: element}
             for binding in combination:
                 merged.update(binding)
             yield merged
 
     return [
         match
-        for pair in view.pairs
-        if element_of[pair].name == _strip(pattern.name)
-        for match in match_node(pattern, pair)
+        for position in positions[_strip(pattern.name)]
+        for match in match_node(pattern, position)
     ]

@@ -110,37 +110,23 @@ class _Parser:
         self.position += 1
         return value
 
-    def parse_absolute(self) -> tuple[Step, ...]:
-        if self.peek() not in ("slash", "slashslash"):
-            raise XPathError("path must start with / or //")
-        return self.parse_steps(initial_axis_required=True)
-
-    def parse_steps(self, initial_axis_required: bool) -> tuple[Step, ...]:
+    def parse_steps(self) -> tuple[Step, ...]:
         steps: list[Step] = []
+        # A relative path's first step may leave its axis out or give it
+        # as "./" or ".//" (an absolute path starts with "/" or "//").
         first = True
         while True:
             token = self.peek()
-            if token == "slashslash":
-                self.take("slashslash")
-                axis = "descendant"
-            elif token == "slash":
-                self.take("slash")
+            if token in ("slash", "slashslash") or (first and token == "dotslash"):
+                axis = "descendant" if self.take(token).endswith("//") else "child"
+            elif first and token in ("name", "star"):
                 axis = "child"
-            elif first and not initial_axis_required and token in ("name", "star", "dotslash"):
-                axis = "child"
-                if token == "dotslash":
-                    value = self.take("dotslash")
-                    axis = "descendant" if value == ".//" else "child"
             else:
                 break
             name_token = self.peek()
-            if name_token == "star":
-                self.take("star")
-                name = "*"
-            elif name_token == "name":
-                name = self.take("name")
-            else:
+            if name_token not in ("name", "star"):
                 raise XPathError(f"expected a name test in {self.expression!r}")
+            name = self.take(name_token)
             predicates = []
             while self.peek() == "lbracket":
                 predicates.append(self.parse_predicate())
@@ -162,7 +148,7 @@ class _Parser:
             else:
                 predicate = Predicate("attr", attribute=attribute)
         else:
-            path = self.parse_steps(initial_axis_required=False)
+            path = self.parse_steps()
             predicate = Predicate("path", path=path)
         self.take("rbracket")
         return predicate
@@ -171,7 +157,9 @@ class _Parser:
 def parse_xpath(expression: str) -> tuple[Step, ...]:
     """Parse an absolute path expression into location steps."""
     parser = _Parser(_tokenize(expression), expression)
-    steps = parser.parse_absolute()
+    if parser.peek() not in ("slash", "slashslash"):
+        raise XPathError("path must start with / or //")
+    steps = parser.parse_steps()
     if parser.position != len(parser.tokens):
         raise XPathError(f"trailing tokens in {expression!r}")
     return steps
@@ -182,20 +170,15 @@ def evaluate(doc: LabeledDocument, expression: str) -> list[Element]:
     document order (by label), each once."""
     if doc.root is None:
         return []
-    steps = parse_xpath(expression)
-    context: list[Element] = _initial_context(doc.root, steps[0])
-    context = [e for e in context if _predicates_hold(e, steps[0].predicates)]
-    for step in steps[1:]:
+    # The document node, whose one child is the root: an absolute path's
+    # first step is taken from it like every later step.
+    document = Element("")
+    document.children = [doc.root]
+    context = [document]
+    for step in parse_xpath(expression):
         context = _apply_step(context, step)
     view, element_of = document_view(doc, context)
     return [element_of[pair] for pair in view.pairs]
-
-
-def _initial_context(root: Element, step: Step) -> list[Element]:
-    if step.axis == "child":
-        # An absolute child step matches the document root itself.
-        return [root] if step.name in ("*", root.name) else []
-    return [element for element in root.iter() if step.name in ("*", element.name)]
 
 
 def _apply_step(context: list[Element], step: Step) -> list[Element]:
@@ -206,31 +189,23 @@ def _apply_step(context: list[Element], step: Step) -> list[Element]:
         else:
             candidates = [e for e in element.iter() if e is not element]
         for candidate in candidates:
-            if step.name not in ("*", candidate.name):
-                continue
-            if _predicates_hold(candidate, step.predicates):
+            if step.name in ("*", candidate.name) and _holds(candidate, step.predicates):
                 output.append(candidate)
     return output
 
 
-def _predicates_hold(element: Element, predicates: tuple[Predicate, ...]) -> bool:
+def _holds(element: Element, predicates: tuple[Predicate, ...]) -> bool:
+    """Whether ``element`` satisfies every predicate."""
     for predicate in predicates:
         if predicate.kind == "attr":
-            if predicate.attribute not in element.attributes:
-                return False
+            held = predicate.attribute in element.attributes
         elif predicate.kind == "attr-eq":
-            if element.attributes.get(predicate.attribute) != predicate.value:
-                return False
-        else:
-            if not _relative_match(element, predicate.path):
-                return False
-    return True
-
-
-def _relative_match(element: Element, steps: tuple[Step, ...]) -> bool:
-    context = [element]
-    for step in steps:
-        context = _apply_step(context, step)
-        if not context:
+            held = element.attributes.get(predicate.attribute) == predicate.value
+        else:  # a relative path: every step must match something
+            context = [element]
+            for step in predicate.path:
+                context = _apply_step(context, step)
+            held = bool(context)
+        if not held:
             return False
     return True

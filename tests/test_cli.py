@@ -2,9 +2,12 @@
 
 import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 from repro.config import TINY_CONFIG
 from repro.errors import ReproError
@@ -148,6 +151,22 @@ class TestQueryCommand:
     def test_limit_zero_prints_all(self, xml_file, capsys):
         assert main(["query", xml_file, "//item", "--limit", "0"]) == 0
         assert "... and" not in capsys.readouterr().out
+
+    def test_reader_closing_stdout_is_not_a_failure(self, tmp_path):
+        # ``repro query ... | head -1``: the match lines (~200 KB) overflow
+        # the 64 KiB pipe buffer, so writes after the reader leaves fail.
+        path = tmp_path / "big.xml"
+        path.write_text(serialize(xmark_document(100, seed=3)), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+        command = [sys.executable, "-m", "repro", "query", str(path), "//*", "--limit", "0"]
+        process = subprocess.Popen(
+            command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        )
+        assert b"match(es)" in process.stdout.readline()
+        process.stdout.close()
+        stderr = process.stderr.read().decode()
+        assert process.wait(timeout=120) == 0, stderr
+        assert stderr == ""
 
     @pytest.mark.parametrize("scheme", ["wbox", "bbox"])
     def test_saved_box_answers_like_the_xml_file(self, scheme, xml_file, tmp_path, capsys):

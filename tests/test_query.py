@@ -147,3 +147,31 @@ class TestTwigMatch:
     def test_leaf_only_pattern(self, xmark_doc):
         matches = twig_match(xmark_doc, TwigNode("regions"))
         assert len(matches) == 1
+
+    @pytest.mark.parametrize("name", sorted(SCHEME_FACTORIES))
+    def test_self_nesting_documents_match_brute_force(self, name):
+        # XMark never nests a tag in itself; these documents do at every
+        # level, so each step's candidates include inner bound elements.
+        chain = node = Element("a")
+        for depth in range(40):
+            node = node.make_child("a" if depth % 5 else "b")
+            node.make_child("c")
+        documents = [
+            random_document(90, seed=7, tag_pool=("a", "b"), depth_bias=0.7),
+            random_document(90, seed=8, tag_pool=("a", "b", "c"), depth_bias=0.7),
+            chain,
+        ]
+        patterns = [
+            TwigNode("a", [TwigNode("b")]),
+            TwigNode("a", [TwigNode("a#inner", [TwigNode("b")])]),
+            TwigNode("b", [TwigNode("a", [TwigNode("c")]), TwigNode("b#inner")]),
+        ]
+        for root in documents:
+            doc = LabeledDocument(SCHEME_FACTORIES[name](), root)
+            for pattern in patterns:
+                fast = twig_match(doc, pattern)
+                # Same bindings in the same order: roots in document order,
+                # each step's candidates in document order.
+                assert list(map(binding_key, fast)) == list(
+                    map(binding_key, brute_force_twig(root, pattern))
+                )
