@@ -10,9 +10,8 @@ function — almost every insertion is either trivial or a full relabel.
 
 import pytest
 
-from repro.workloads.metrics import ccdf_at, geometric_thresholds
-
 from benchmarks.conftest import fmt, get_workload, record_table
+from benchmarks.plotting import ccdf_at, geometric_thresholds
 
 SCHEMES = ["W-BOX", "W-BOX-O", "B-BOX", "B-BOX-O", "naive-16", "naive-256"]
 

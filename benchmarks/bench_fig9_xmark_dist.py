@@ -6,9 +6,10 @@ trace), log-log as in the paper.
 
 import pytest
 
-from repro.workloads.metrics import ccdf_at, geometric_thresholds, summarize
+from repro.workloads.metrics import summarize
 
 from benchmarks.conftest import fmt, get_workload, record_table
+from benchmarks.plotting import ccdf_at, geometric_thresholds
 
 SCHEMES = ["W-BOX", "W-BOX-O", "B-BOX", "B-BOX-O", "naive-16", "naive-256"]
 

@@ -14,9 +14,10 @@ climbs with depth.
 import pytest
 
 from repro import BBox, LabeledDocument, WBox, WBoxO
-from repro.xml import dblp_document, treebank_document, xmark_document
+from repro.xml import xmark_document
 from repro.xml.model import Element, element_count, tree_depth
 
+from benchmarks.corpora import dblp_document, treebank_document
 from benchmarks.conftest import BENCH_CONFIG, fmt, record_table
 
 INSERTS = 300

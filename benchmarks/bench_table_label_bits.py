@@ -14,7 +14,8 @@ paper's 4M labels, which decide the machine-word question.
 import pytest
 
 from repro.config import MACHINE_WORD_BITS
-from repro.core.bits import (
+
+from benchmarks.labelbits import (
     ancestry_bulk_label_bits,
     ancestry_label_bits_bound,
     bbox_bulk_label_bits,
@@ -28,7 +29,6 @@ from repro.core.bits import (
     wbox_label_bits_bound,
     wbox_supported_labels,
 )
-
 from benchmarks.conftest import (
     BENCH_CONFIG,
     NAIVE_KS,

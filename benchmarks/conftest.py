@@ -5,9 +5,9 @@ Every benchmark reproduces one table or figure from the paper's Section 7
 pytest terminal summary and written to ``benchmarks/results/``.
 
 Scales: the paper ran 2,000,000-element base documents on 8 KB blocks in
-C++.  The default ``small`` scale keeps the same base:insert ratio (4:1)
-with 1 KB blocks, so tree heights (2-3) and split behaviour match while a
-full run stays in CPU-minutes.  Select with ``REPRO_BENCH_SCALE``
+C++.  The default ``small`` scale is 100,000 base elements and 1,000
+inserts (100:1) on 1 KB blocks, so tree heights (2-3) and split behaviour
+match while a full run stays in CPU-minutes.  Select with ``REPRO_BENCH_SCALE``
 (``smoke`` / ``small`` / ``medium``).
 """
 

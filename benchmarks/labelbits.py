@@ -1,5 +1,6 @@
-"""Label bit-length accounting (metric 1 of Section 3, and the machine-word
-discussion in Section 7, "Other findings").
+"""Label bit-length accounting for ``bench_table_label_bits.py`` (metric 1
+of Section 3, and the machine-word discussion in Section 7, "Other
+findings").
 
 Implements the paper's analytical bounds:
 
@@ -18,7 +19,8 @@ from __future__ import annotations
 
 import math
 
-from ..config import MACHINE_WORD_BITS, BoxConfig
+from repro.config import MACHINE_WORD_BITS, BoxConfig
+from repro.core.ancestry import dynamic_ancestry_universe
 
 
 def minimum_label_bits(n_labels: int) -> int:
@@ -98,13 +100,6 @@ def naive_label_bits(n_labels: int, gap_bits: int) -> int:
     return minimum_label_bits(n_labels) + gap_bits
 
 
-def next_power_of_two(value: int) -> int:
-    """The smallest power of two ``>= value`` (and ``>= 1``)."""
-    if value <= 1:
-        return 1
-    return 1 << (value - 1).bit_length()
-
-
 def ancestry_label_bits_bound(n_labels: int) -> int:
     """DKR's simple-optimal static ancestry bound, restated for this
     repo's two-LID interval encoding: ``lg N + 2 lg lg N + O(1)`` bits.
@@ -137,22 +132,6 @@ def dynamic_ancestry_bulk_label_bits(n_labels: int) -> int:
     ``G = Θ(lg n)`` apart in a power-of-two universe, so
     ``lg n + lg lg n + O(1)`` bits from the first label on."""
     return max(4, (dynamic_ancestry_universe(n_labels) - 1).bit_length())
-
-
-def dynamic_ancestry_gap(n_labels: int) -> int:
-    """The Θ(lg n) power-of-two spacing the dynamic ancestry scheme
-    re-establishes at every global renumbering."""
-    n = max(16, n_labels)
-    log_n = max(1, (n - 1).bit_length())
-    return next_power_of_two(max(4, log_n))
-
-
-def dynamic_ancestry_universe(n_labels: int) -> int:
-    """The power-of-two label universe for ``n_labels`` live labels:
-    ``next_pow2(2 n G)`` slots with ``G = Θ(lg n)``, i.e.
-    ``lg n + lg lg n + O(1)`` bits per label."""
-    n = max(16, n_labels)
-    return next_power_of_two(2 * n * dynamic_ancestry_gap(n_labels))
 
 
 def dynamic_ancestry_label_bits_bound(n_labels: int) -> int:

@@ -1,18 +1,68 @@
-"""ASCII rendering of the paper's figures.
+"""The paper's cost distributions, and ASCII rendering of its figures.
 
-The paper's Figures 6 and 9 are log-log complementary CDFs; this module
-renders the same series as terminal plots so `benchmarks/run_all.py` can
-show the *shape*, not just the sampled grid.  Pure formatting — no plotting
-dependencies.
+The paper's Figures 6 and 9 are log-log complementary CDFs: "for each I/O
+cost, the fraction of insertions in the sequence that incurred higher than
+this cost".  :func:`ccdf`, :func:`ccdf_at` and :func:`geometric_thresholds`
+compute those series; the plots render them in the terminal so
+`benchmarks/run_all.py` can show the *shape*, not just the sampled grid.
+No plotting dependencies.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Mapping, Sequence
 
 #: Marker characters assigned to series, in order.
 MARKERS = "ox*+#@%&"
+
+
+def ccdf(costs: Sequence[int]) -> list[tuple[int, float]]:
+    """Complementary CDF: ``(cost, fraction of operations costing > cost)``
+    for every distinct cost, ascending — the series Figures 6 and 9 plot."""
+    if not costs:
+        return []
+    total = len(costs)
+    counts = Counter(costs)
+    points: list[tuple[int, float]] = []
+    above = total
+    for cost in sorted(counts):
+        above -= counts[cost]
+        points.append((cost, above / total))
+    return points
+
+
+def ccdf_at(costs: Sequence[int], thresholds: Sequence[int]) -> list[tuple[int, float]]:
+    """CCDF sampled at the given thresholds (for fixed-grid tables)."""
+    total = len(costs)
+    if total == 0:
+        return [(threshold, 0.0) for threshold in thresholds]
+    sorted_costs = sorted(costs)
+    points = []
+    for threshold in thresholds:
+        # count of costs > threshold
+        low, high = 0, total
+        while low < high:
+            mid = (low + high) // 2
+            if sorted_costs[mid] <= threshold:
+                low = mid + 1
+            else:
+                high = mid
+        points.append((threshold, (total - low) / total))
+    return points
+
+
+def geometric_thresholds(limit: int, base: float = 2.0) -> list[int]:
+    """1, 2, 4, ... — the log-scale x-grid of Figures 6/9.  The grid always
+    reaches ``limit`` (the last threshold is >= it), so a CCDF sampled on it
+    ends at zero."""
+    thresholds = [1]
+    value = 1.0
+    while value < limit:
+        value *= base
+        thresholds.append(int(value))
+    return thresholds
 
 
 def _log_position(value: float, low: float, high: float, width: int) -> int:
@@ -34,7 +84,7 @@ def ascii_ccdf_plot(
     """Render CCDF series (cost → fraction above) as a log-log ASCII plot.
 
     ``series`` maps a label to ``(cost, fraction)`` points (as produced by
-    :func:`~repro.workloads.metrics.ccdf` or ``ccdf_at``).  Fractions of 0
+    :func:`ccdf` or :func:`ccdf_at`).  Fractions of 0
     are clamped to the plot floor; both axes are logarithmic, matching the
     paper's Figures 6 and 9.
     """

@@ -59,8 +59,7 @@ TARGETS = [
 
 def _figure_plot(conftest, module_name: str) -> str:
     """Render the CCDF figure behind a distribution table as ASCII art."""
-    from repro.workloads.metrics import ccdf
-    from benchmarks.plotting import ascii_ccdf_plot
+    from benchmarks.plotting import ascii_ccdf_plot, ccdf
 
     workload = "concentrated" if "fig6" in module_name else "xmark"
     figure = "Figure 6" if "fig6" in module_name else "Figure 9"

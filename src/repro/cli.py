@@ -64,7 +64,6 @@ from contextlib import closing, contextmanager, nullcontext
 from typing import Any, Callable, Iterator
 
 from .config import BoxConfig
-from .core import LabeledDocument
 from .errors import PersistError, RecoveryError, ReproError
 from .persist import (
     MAGIC,
@@ -76,8 +75,7 @@ from .persist import (
     read_snapshot_header,
     save_document,
 )
-from .query.xpath import evaluate
-from .service import ShardedLabelService, bulk_load_sharded
+from .service.sharded import ShardedLabelService, bulk_load_sharded
 from .storage import (
     is_sharded_root,
     read_manifest,
@@ -86,10 +84,6 @@ from .storage import (
     shard_page_path,
 )
 from .storage.filebackend import logged_tapes
-from .workloads import run_concentrated, run_scattered, run_stress, run_xmark_build
-from .workloads.metrics import summarize
-from .xml.model import element_count, tree_depth
-from .xml.parser import parse
 
 
 @contextmanager
@@ -171,11 +165,16 @@ def _is_saved_structure(path: str) -> bool:
 def _parse_document(path: str) -> Any:
     """Parse an XML file — before a verb creates its store, so a bad
     document leaves no store behind."""
+    from .xml.parser import parse
+
     with open(path, "r", encoding="utf-8") as handle:
         return parse(handle.read())
 
 
 def cmd_label(args: argparse.Namespace) -> int:
+    from .core.document import LabeledDocument
+    from .xml.model import element_count, tree_depth
+
     root = _parse_document(args.document)
     with _store(args) as (scheme,):
         before = scheme.stats.snapshot()
@@ -201,6 +200,9 @@ def cmd_label(args: argparse.Namespace) -> int:
 
 
 def cmd_query(args: argparse.Namespace) -> int:
+    from .core.document import LabeledDocument
+    from .query.xpath import evaluate
+
     # A previously saved labeled document needs no store and no re-labeling.
     saved = _is_saved_structure(args.document)
     root = None if saved else _parse_document(args.document)
@@ -221,18 +223,18 @@ def cmd_query(args: argparse.Namespace) -> int:
     return 0
 
 
-#: ``workload`` sequence name -> its runner call; the one place the verb
-#: tells the sequences apart.
+#: ``workload`` sequence name -> its runner call on :mod:`repro.workloads`;
+#: the one place the verb tells the sequences apart.
 SEQUENCES = {
-    "concentrated": lambda scheme, args: run_concentrated(
+    "concentrated": lambda workloads, scheme, args: workloads.run_concentrated(
         scheme, args.base, args.inserts, group_size=args.batch
     ),
-    "scattered": lambda scheme, args: run_scattered(
+    "scattered": lambda workloads, scheme, args: workloads.run_scattered(
         scheme, args.base, args.inserts, group_size=args.batch
     ),
     # One by one, the build is measured after the paper's priming prefix; a
     # commit group straddles any priming index, so groups are measured whole.
-    "xmark": lambda scheme, args: run_xmark_build(
+    "xmark": lambda workloads, scheme, args: workloads.run_xmark_build(
         scheme,
         max(1, args.base // 30),
         prime_fraction=0.6 if args.batch == 1 else 0.0,
@@ -242,10 +244,13 @@ SEQUENCES = {
 
 
 def cmd_workload(args: argparse.Namespace) -> int:
+    from . import workloads
+    from .workloads.metrics import summarize
+
     if args.batch < 1:
         raise ReproError(f"--batch must be >= 1, got {args.batch}")
     with _store(args) as (scheme,):
-        result = SEQUENCES[args.sequence](scheme, args)
+        result = SEQUENCES[args.sequence](workloads, scheme, args)
     summary = summarize(result.costs)
     cost = result.batch.amortized_cost
     batched = " (batched)" if result.group_size > 1 else ""
@@ -265,6 +270,8 @@ def cmd_workload(args: argparse.Namespace) -> int:
 
 
 def cmd_stress(args: argparse.Namespace) -> int:
+    from .workloads.sequences import run_stress
+
     with _store(args, args.shards) as schemes:
         result = run_stress(
             schemes,
@@ -320,6 +327,8 @@ def _serving(args: argparse.Namespace) -> Iterator[tuple[Any, Any]]:
     memory or a file root under ``--storage-path`` that is bulk-loaded on
     first start and reopened on every start after that.
     """
+    from .core.document import LabeledDocument
+
     if args.document:
         root = _parse_document(args.document)
         store = _store(args)
@@ -397,6 +406,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
         return _cmd_serve_net(args)
     if not args.document:
         raise ReproError("serve without --listen needs an XML document to label")
+    from .core.batch import BatchOp
+    from .xml.model import element_count
+
     with _serving(args) as (service, doc), (
         open(args.input, "r", encoding="utf-8") if args.input else nullcontext(sys.stdin)
     ) as stream:
@@ -420,7 +432,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
                     order = session.compare(int(rest[0]), int(rest[1]))
                     print({-1: "before", 0: "equal", 1: "after"}[order])
                 elif command == "insert":
-                    from .core import BatchOp
                     ticket = service.submit_ops(
                         [BatchOp("insert_element_before", (int(rest[0]),))],
                         timeout=30,
@@ -671,7 +682,8 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
-    from .core import BatchOp
+    from .core.batch import BatchOp
+    from .core.document import LabeledDocument
     from .obs.metrics import get_registry
     from .xml.xmark import xmark_document
 
@@ -749,7 +761,7 @@ def _trace_net(service: Any, ops: list[Any]) -> Any:
 def cmd_trace(args: argparse.Namespace) -> int:
     import tempfile
 
-    from .core import BatchOp
+    from .core.batch import BatchOp
 
     n = args.shards
     with tempfile.TemporaryDirectory(prefix="repro-trace-") as tmp:

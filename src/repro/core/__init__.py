@@ -1,40 +1,21 @@
 """Core labeling schemes: W-BOX, B-BOX, their variants, and the naive-k
-baseline, plus the LID indirection and caching/logging layers."""
+baseline, plus the LID indirection and caching/logging layers.  Each name
+imports its module on first use."""
 
-from .interface import LabelingScheme, LabelKind
-from .ancestry import AncestryDynamic, AncestryScheme
-from .batch import AmortizedCost, BatchExecutor, BatchOp, BatchRef, BatchResult
-from .naive import NaiveScheme
-from .ordpath import OrdPath
-from .wbox.tree import WBox
-from .wbox.pairs import WBoxO
-from .bbox.tree import BBox
-from .document import LabeledDocument
-from .registry import register_scheme, scheme_class, scheme_factory
-from .cachelog import CachedLabelStore, LogSnapshot, ModificationLog, RangeShift, Invalidate
+from .._exports import lazy_exports
 
-__all__ = [
-    "LabelingScheme",
-    "LabelKind",
-    "AncestryDynamic",
-    "AncestryScheme",
-    "AmortizedCost",
-    "BatchExecutor",
-    "BatchOp",
-    "BatchRef",
-    "BatchResult",
-    "NaiveScheme",
-    "OrdPath",
-    "WBox",
-    "WBoxO",
-    "BBox",
-    "LabeledDocument",
-    "register_scheme",
-    "scheme_class",
-    "scheme_factory",
-    "CachedLabelStore",
-    "LogSnapshot",
-    "ModificationLog",
-    "RangeShift",
-    "Invalidate",
-]
+__all__ = lazy_exports(__name__, {
+    ".interface": ("LabelingScheme", "LabelKind"),
+    ".ancestry": ("AncestryDynamic", "AncestryScheme"),
+    ".batch": ("AmortizedCost", "BatchExecutor", "BatchOp", "BatchRef", "BatchResult"),
+    ".naive": ("NaiveScheme",),
+    ".ordpath": ("OrdPath",),
+    ".wbox.tree": ("WBox",),
+    ".wbox.pairs": ("WBoxO",),
+    ".bbox.tree": ("BBox",),
+    ".document": ("LabeledDocument",),
+    ".registry": ("register_scheme", "scheme_class", "scheme_factory"),
+    ".cachelog": (
+        "CachedLabelStore", "LogSnapshot", "ModificationLog", "RangeShift", "Invalidate",
+    ),
+})

@@ -29,7 +29,7 @@ adapted from the ancestry-labeling literature retrieved in PAPERS.md:
   of the naive scheme's full-file sweep.  The universe grows/shrinks by
   global renumber when the live count drifts past its density band,
   which is what keeps the bit-length invariant
-  (:func:`~repro.core.bits.dynamic_ancestry_label_bits_bound`) true at
+  (:func:`benchmarks.labelbits.dynamic_ancestry_label_bits_bound`) true at
   every point of any insert/delete sequence — the Hypothesis state
   machine in ``tests/test_ancestry_stateful.py`` asserts exactly that.
 
@@ -49,7 +49,6 @@ from typing import Any, Sequence
 from ..config import BoxConfig
 from ..errors import LabelingError
 from ..storage import BlockStore
-from .bits import dynamic_ancestry_gap, dynamic_ancestry_universe, next_power_of_two
 from .cachelog import invalidate_all
 from .interface import LabelKind
 from .naive import SortedOrderScheme
@@ -58,6 +57,29 @@ from .naive import SortedOrderScheme
 KIND_START = LabelKind.START.value  # 0
 KIND_END = LabelKind.END.value  # 1
 KIND_UNKNOWN = 2  # a raw insert_before label with no element identity
+
+
+def next_power_of_two(value: int) -> int:
+    """The smallest power of two ``>= value`` (and ``>= 1``)."""
+    if value <= 1:
+        return 1
+    return 1 << (value - 1).bit_length()
+
+
+def dynamic_ancestry_gap(n_labels: int) -> int:
+    """The Θ(lg n) power-of-two spacing the dynamic ancestry scheme
+    re-establishes at every global renumbering."""
+    n = max(16, n_labels)
+    log_n = max(1, (n - 1).bit_length())
+    return next_power_of_two(max(4, log_n))
+
+
+def dynamic_ancestry_universe(n_labels: int) -> int:
+    """The power-of-two label universe for ``n_labels`` live labels:
+    ``next_pow2(2 n G)`` slots with ``G = Θ(lg n)``, i.e.
+    ``lg n + lg lg n + O(1)`` bits per label."""
+    n = max(16, n_labels)
+    return next_power_of_two(2 * n * dynamic_ancestry_gap(n_labels))
 
 
 def interval_layout(pairing: Sequence[int]) -> list[int]:
@@ -356,7 +378,7 @@ class AncestryDynamic(_OrderedGapScheme):
     when the live count leaves its density band.  The maximum assigned
     value never exceeds the universe, which pins the bit length to
     ``lg n + lg lg n + O(1)``
-    (:func:`~repro.core.bits.dynamic_ancestry_label_bits_bound`).
+    (:func:`benchmarks.labelbits.dynamic_ancestry_label_bits_bound`).
     """
 
     name = "ancestry-dyn"

@@ -1,5 +1,5 @@
 """B-BOX: back-linked keyless B-tree for ordering XML (Section 5)."""
 
-from .tree import BBox
+from ..._exports import lazy_exports
 
-__all__ = ["BBox"]
+__all__ = lazy_exports(__name__, {".tree": ("BBox",)})

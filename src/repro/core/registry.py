@@ -9,27 +9,47 @@ snapshot header or of a page file's commit metadata), which
 ``restore_state`` rebuild the instance.  A scheme defined elsewhere joins
 with :func:`register_scheme`; the CLI, the chaos sweeps and the
 persistence layer then handle it without naming its class.
+
+The built-in schemes are registered by module, not by class
+(:data:`BUILTIN`): a name imports its scheme's module the first time it is
+resolved, so a W-BOX server never loads B-BOX, naive-k, ORDPATH or the
+ancestry schemes.
 """
 
 from __future__ import annotations
 
+from importlib import import_module
 from typing import Any, Callable, Mapping
 
 from ..config import BoxConfig
 from ..errors import ReproError
 from ..storage import BlockStore
-from .ancestry import AncestryDynamic, AncestryScheme
-from .bbox.tree import BBox
 from .interface import LabelingScheme
-from .naive import NaiveScheme
-from .ordpath import OrdPath
-from .wbox.pairs import WBoxO
-from .wbox.tree import WBox
 
 SchemeFactory = Callable[[BoxConfig | None, BlockStore | None], LabelingScheme]
 
-_CLASSES: dict[str, type[LabelingScheme]] = {}
-_VARIANTS: dict[str, tuple[type[LabelingScheme], Mapping[str, Any]]] = {}
+#: Built-in class name -> (its module, user-facing name -> constructor kwargs).
+BUILTIN: dict[str, tuple[str, Mapping[str, Mapping[str, Any]]]] = {
+    "WBox": (".wbox.tree", {"wbox": {}, "wbox-ordinal": {"ordinal": True}}),
+    "WBoxO": (".wbox.pairs", {"wboxo": {}}),
+    "BBox": (".bbox.tree", {"bbox": {}, "bbox-o": {"ordinal": True}}),
+    "NaiveScheme": (".naive", {}),
+    "OrdPath": (".ordpath", {"ordpath": {}}),
+    "AncestryScheme": (".ancestry", {"ancestry": {}}),
+    "AncestryDynamic": (".ancestry", {"ancestry-dyn": {}}),
+}
+
+#: Class name -> the class, or the module that defines it until first use.
+_CLASSES: dict[str, type[LabelingScheme] | str] = {}
+#: User-facing name -> (class name, constructor kwargs).
+_VARIANTS: dict[str, tuple[str, Mapping[str, Any]]] = {}
+
+
+def _register(type_name: str, cls: type[LabelingScheme] | str,
+              names: Mapping[str, Mapping[str, Any]] | None) -> None:
+    _CLASSES[type_name] = cls
+    for name, kwargs in (names or {}).items():
+        _VARIANTS[name] = (type_name, kwargs)
 
 
 def register_scheme(
@@ -39,23 +59,25 @@ def register_scheme(
     """Register ``cls`` under its class name (for persistence) and under
     each user-facing name in ``names``, which maps a name to the
     constructor keyword arguments of that variant."""
-    _CLASSES[cls.__name__] = cls
-    for name, kwargs in (names or {}).items():
-        _VARIANTS[name] = (cls, kwargs)
+    _register(cls.__name__, cls, names)
 
 
 def scheme_class(type_name: str) -> type[LabelingScheme] | None:
     """The registered class named ``type_name`` (``None`` if there is none)."""
-    return _CLASSES.get(type_name)
+    cls = _CLASSES.get(type_name)
+    if isinstance(cls, str):
+        cls = _CLASSES[type_name] = getattr(import_module(cls, __package__), type_name)
+    return cls
 
 
 def _variant(name: str) -> tuple[type[LabelingScheme], Mapping[str, Any]]:
     variant = _VARIANTS.get(name)
     if variant is not None:
-        return variant
+        type_name, kwargs = variant
+        return scheme_class(type_name), kwargs
     family, _, gap_bits = name.partition("-")
     if family == "naive" and gap_bits.isdigit():
-        return NaiveScheme, {"gap_bits": int(gap_bits)}
+        return scheme_class("NaiveScheme"), {"gap_bits": int(gap_bits)}
     raise ReproError(
         f"unknown scheme {name!r}; choose from "
         f"{', '.join(sorted(_VARIANTS))}, naive-<k>"
@@ -70,10 +92,5 @@ def scheme_factory(name: str) -> SchemeFactory:
     return lambda config, store: cls(config=config, store=store, **kwargs)
 
 
-register_scheme(WBox, {"wbox": {}, "wbox-ordinal": {"ordinal": True}})
-register_scheme(WBoxO, {"wboxo": {}})
-register_scheme(BBox, {"bbox": {}, "bbox-o": {"ordinal": True}})
-register_scheme(NaiveScheme)
-register_scheme(OrdPath, {"ordpath": {}})
-register_scheme(AncestryScheme, {"ancestry": {}})
-register_scheme(AncestryDynamic, {"ancestry-dyn": {}})
+for _type_name, (_module, _names) in BUILTIN.items():
+    _register(_type_name, _module, _names)

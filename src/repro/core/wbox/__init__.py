@@ -1,6 +1,5 @@
 """W-BOX: weight-balanced B-tree for ordering XML (Section 4)."""
 
-from .tree import WBox
-from .pairs import WBoxO
+from ..._exports import lazy_exports
 
-__all__ = ["WBox", "WBoxO"]
+__all__ = lazy_exports(__name__, {".tree": ("WBox",), ".pairs": ("WBoxO",)})

@@ -111,8 +111,18 @@ class _Rebuilder:
         self._buffer.extend((record, block_id) for record in records)
         self._drain(into=block_id)
 
-    def add_records(self, records: Sequence[Any], origin: int | None = None) -> None:
-        """Fresh or displaced records needing placement."""
+    def add_records(self, records: list[Any], origin: int | None = None) -> None:
+        """Fresh or displaced records needing placement.  With nothing
+        buffered, fresh records fill whole leaves straight from slices of
+        ``records`` (the tail rule of :meth:`_drain`); only the rest is
+        buffered."""
+        if not self._buffer and origin is None:
+            capacity = self.tree.leaf_capacity
+            start = 0
+            while len(records) - start >= capacity + self.tree.k:
+                self._emit(None, records[start : start + capacity], fresh=True)
+                start += capacity
+            records = records[start:]
         self._buffer.extend((record, origin) for record in records)
         self._drain(into=None)
 
@@ -164,10 +174,11 @@ class _Rebuilder:
         for chunk in chunks:
             self._emit(None, chunk)
 
-    def _emit(self, block_id: int | None, chunk: list[tuple[Any, int | None]]) -> None:
-        """Finalize one leaf holding ``chunk``'s records."""
+    def _emit(self, block_id: int | None, chunk: Sequence[Any], fresh: bool = False) -> None:
+        """Finalize one leaf holding ``chunk``'s records: ``(record, current
+        block)`` pairs, or with ``fresh`` records that have no block yet."""
         tree = self.tree
-        records = [record for record, _ in chunk]
+        records = chunk if fresh else [record for record, _ in chunk]
         if block_id is None:
             node = WNode(0, None, tree.leaf_range_len, len(records), records)
             block_id = tree.store.allocate(node)
@@ -179,7 +190,7 @@ class _Rebuilder:
             tree.store.write(block_id)
             if changed:
                 tree._leaf_relabeled(block_id, node)
-        moved = [record for record, origin in chunk if origin != block_id]
+        moved = records if fresh else [record for record, origin in chunk if origin != block_id]
         if moved:
             tree._relocate_records(moved, block_id)
         self._reuse_emitted.add(block_id)
@@ -285,7 +296,7 @@ def wbox_bulk_load(tree: "WBox", n_labels: int, pairing: Sequence[int] | None = 
             return lids
         tree.store.free(old_root)
         rebuilder = _Rebuilder(tree, timestamp)
-        rebuilder.add_records([tree._make_record(lid) for lid in lids])
+        rebuilder.add_records(tree._make_records(lids))
         rebuilder.install_as_root()
         tree._live = n_labels
         tree._deletions = 0
@@ -329,7 +340,7 @@ def wbox_insert_subtree(
             anchor = tree._path_ordinal(path) + position
             tree._emit(RangeShift(timestamp, anchor, None, n_labels, ORDINAL_CHANNEL))
         new_lids = tree.lidf.allocate_many([0] * n_labels)
-        new_records = [tree._make_record(lid) for lid in new_lids]
+        new_records = tree._make_records(new_lids)
 
         # Case 1: everything fits in the anchor leaf.
         if leaf.weight + n_labels < tree._max_weight(0):

@@ -25,8 +25,31 @@ from typing import Any
 from ..kernels import cumulative, prefix
 
 #: Leaf records are LIDs (ints) in the basic W-BOX; W-BOX-O uses
-#: :class:`~repro.core.wbox.pairs.PairRecord` objects.
+#: :class:`PairRecord` objects.
 Record = Any
+
+
+class PairRecord:
+    """A W-BOX-O leaf record.
+
+    ``partner_lid`` / ``partner_block`` locate the record of the same
+    element's other tag; ``end_value`` caches the end label (maintained on
+    start records only).  Fresh records are unwired until the element-level
+    operation that created them installs the pairing.
+    """
+
+    __slots__ = ("lid", "is_start", "partner_lid", "partner_block", "end_value")
+
+    def __init__(self, lid: int) -> None:
+        self.lid = lid
+        self.is_start = False
+        self.partner_lid: int | None = None
+        self.partner_block = 0
+        self.end_value: int | None = None
+
+    def __repr__(self) -> str:
+        kind = "start" if self.is_start else "end"
+        return f"PairRecord(lid={self.lid}, {kind}, partner={self.partner_lid})"
 
 
 class WEntry:

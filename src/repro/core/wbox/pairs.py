@@ -32,31 +32,8 @@ from typing import Any, Iterator, Sequence
 from ...config import BoxConfig
 from ...errors import LabelingError, UnknownLIDError
 from ...storage import BlockStore
-from .node import WNode
+from .node import PairRecord, WNode
 from .tree import WBox
-
-
-class PairRecord:
-    """A W-BOX-O leaf record.
-
-    ``partner_lid`` / ``partner_block`` locate the record of the same
-    element's other tag; ``end_value`` caches the end label (maintained on
-    start records only).  Fresh records are unwired until the element-level
-    operation that created them installs the pairing.
-    """
-
-    __slots__ = ("lid", "is_start", "partner_lid", "partner_block", "end_value")
-
-    def __init__(self, lid: int) -> None:
-        self.lid = lid
-        self.is_start = False
-        self.partner_lid: int | None = None
-        self.partner_block = 0
-        self.end_value: int | None = None
-
-    def __repr__(self) -> str:
-        kind = "start" if self.is_start else "end"
-        return f"PairRecord(lid={self.lid}, {kind}, partner={self.partner_lid})"
 
 
 class WBoxO(WBox):
@@ -89,6 +66,9 @@ class WBoxO(WBox):
 
     def _make_record(self, lid: int) -> PairRecord:
         return PairRecord(lid)
+
+    def _make_records(self, lids: list[int]) -> list[PairRecord]:
+        return [PairRecord(lid) for lid in lids]
 
     def _record_lid(self, record: PairRecord) -> int:
         return record.lid

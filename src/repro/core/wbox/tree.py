@@ -128,6 +128,11 @@ class WBox(LabelingScheme):
         """Create a leaf record for a fresh LID."""
         return lid
 
+    def _make_records(self, lids: list[int]) -> list[Record]:
+        """Leaf records for fresh LIDs, in order (a W-BOX record is its LID,
+        so the list itself)."""
+        return lids
+
     def _record_lid(self, record: Record) -> int:
         """The LID stored in a leaf record."""
         return record

@@ -4,14 +4,9 @@ frame table and error catalogue, and ``DESIGN.md`` §14 for the
 backpressure/overload state machine.  Frames and their codec live in
 :mod:`repro.net.protocol`."""
 
-from .client import NetClient, Pending, PendingStream, exception_for_frame
-from .server import NetServer, run_server
+from .._exports import lazy_exports
 
-__all__ = [
-    "NetClient",
-    "NetServer",
-    "Pending",
-    "PendingStream",
-    "exception_for_frame",
-    "run_server",
-]
+__all__ = lazy_exports(__name__, {
+    ".client": ("NetClient", "Pending", "PendingStream", "exception_for_frame"),
+    ".server": ("NetServer", "run_server"),
+})

@@ -10,27 +10,12 @@ theirs through :class:`QueryEngine` at one pinned epoch.  Every label read
 is I/O-accounted.
 """
 
-from .streams import ElementCatalog, EpochView, QueryEngine, document_view
-from .containment import (
-    containment_count,
-    containment_join,
-    containment_join_by_name,
-    containment_semijoin,
-)
-from .twig import TwigNode, twig_match
-from .xpath import XPathError, evaluate as xpath
+from .._exports import lazy_exports
 
-__all__ = [
-    "ElementCatalog",
-    "EpochView",
-    "QueryEngine",
-    "document_view",
-    "containment_join",
-    "containment_join_by_name",
-    "containment_semijoin",
-    "containment_count",
-    "TwigNode",
-    "twig_match",
-    "xpath",
-    "XPathError",
-]
+__all__ = lazy_exports(__name__, {
+    ".streams": ("ElementCatalog", "EpochView", "QueryEngine", "document_view"),
+    ".containment": ("containment_join", "containment_join_by_name",
+                     "containment_semijoin", "containment_count"),
+    ".twig": ("TwigNode", "twig_match"),
+    ".xpath": ("xpath=evaluate", "XPathError"),
+})

@@ -1,32 +1,22 @@
-"""A small XPath front end over labeled documents.
+"""A small XPath front end over labeled documents: the structural subset of
+the path expressions the paper's related work frames labeling around.
+Absolute paths of child (``/``) and descendant-or-self (``//``) steps, name
+tests or ``*``, and predicates on relative paths (``[mailbox/mail]``,
+``[.//keyword]``) and attributes (``[@id]``, ``[@id='person0']``).
 
-Path expressions are "the basic building blocks of XPath" the paper's
-related-work section frames the whole labeling problem around; this module
-evaluates their structural subset:
-
-* absolute paths with child (``/``) and descendant-or-self (``//``) steps;
-* name tests (``item``), wildcards (``*``);
-* structural predicates: ``[child]``, ``[.//descendant]``, nested paths;
-* attribute existence and equality predicates: ``[@id]``, ``[@id="x"]``.
-
-Examples::
-
-    evaluate(doc, "/site/regions//item")
-    evaluate(doc, "//person[@id='person0']")
-    evaluate(doc, "//item[mailbox/mail]/name")
-
-Steps and predicates walk the :class:`~repro.xml.model.Element` tree: a
-child test needs every element's true depth, which labels alone give only
-after reading every label.  The matches are put in document order by their
-labels, read once into an :class:`~repro.query.streams.EpochView`.  The
-grammar is deliberately tiny — no ordering predicates, no functions, no
-reverse axes.
+Steps walk the :class:`~repro.xml.model.Element` tree (a child test needs
+every element's true depth, which labels give only after reading every
+label) as node-sets: a step's output holds each element once, a descendant
+step walks only the outermost context elements, and a predicate's path
+stops at its first match.  The matches are put in document order by their
+labels, read once into an :class:`~repro.query.streams.EpochView`.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Iterator
 
 from ..core.document import LabeledDocument
 from ..errors import ReproError
@@ -51,9 +41,7 @@ class Step:
 class Predicate:
     """A structural or attribute predicate."""
 
-    #: "path" (a relative path must match), "attr" (attribute exists),
-    #: or "attr-eq" (attribute equals a literal).
-    kind: str
+    kind: str  # "path" (a relative path matches), "attr" (exists) or "attr-eq"
     path: tuple[Step, ...] = ()
     attribute: str = ""
     value: str = ""
@@ -61,17 +49,9 @@ class Predicate:
 
 _TOKEN = re.compile(
     r"""
-    (?P<slashslash>//)
-  | (?P<slash>/)
-  | (?P<lbracket>\[)
-  | (?P<rbracket>\])
-  | (?P<at>@)
-  | (?P<eq>=)
-  | (?P<string>'[^']*'|"[^"]*")
-  | (?P<star>\*)
-  | (?P<dotslash>\.//?)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_.\-:]*)
-  | (?P<space>\s+)
+    (?P<slashslash>//) | (?P<slash>/) | (?P<lbracket>\[) | (?P<rbracket>\])
+  | (?P<at>@) | (?P<eq>=) | (?P<string>'[^']*'|"[^"]*") | (?P<star>\*)
+  | (?P<dotslash>\.//?) | (?P<name>[A-Za-z_][A-Za-z0-9_.\-:]*) | (?P<space>\s+)
     """,
     re.VERBOSE,
 )
@@ -84,10 +64,8 @@ def _tokenize(expression: str) -> list[tuple[str, str]]:
         match = _TOKEN.match(expression, position)
         if not match:
             raise XPathError(f"unexpected character at {position}: {expression[position:]!r}")
-        kind = match.lastgroup
-        assert kind is not None
-        if kind != "space":
-            tokens.append((kind, match.group()))
+        if match.lastgroup != "space":
+            tokens.append((match.lastgroup, match.group()))
         position = match.end()
     return tokens
 
@@ -99,16 +77,13 @@ class _Parser:
         self.expression = expression
 
     def peek(self) -> str | None:
-        if self.position < len(self.tokens):
-            return self.tokens[self.position][0]
-        return None
+        return self.tokens[self.position][0] if self.position < len(self.tokens) else None
 
     def take(self, kind: str) -> str:
         if self.peek() != kind:
             raise XPathError(f"expected {kind} in {self.expression!r}")
-        value = self.tokens[self.position][1]
         self.position += 1
-        return value
+        return self.tokens[self.position - 1][1]
 
     def parse_steps(self) -> tuple[Step, ...]:
         steps: list[Step] = []
@@ -143,13 +118,11 @@ class _Parser:
             attribute = self.take("name")
             if self.peek() == "eq":
                 self.take("eq")
-                literal = self.take("string")[1:-1]
-                predicate = Predicate("attr-eq", attribute=attribute, value=literal)
+                predicate = Predicate("attr-eq", attribute=attribute, value=self.take("string")[1:-1])
             else:
                 predicate = Predicate("attr", attribute=attribute)
         else:
-            path = self.parse_steps()
-            predicate = Predicate("path", path=path)
+            predicate = Predicate("path", path=self.parse_steps())
         self.take("rbracket")
         return predicate
 
@@ -170,42 +143,82 @@ def evaluate(doc: LabeledDocument, expression: str) -> list[Element]:
     document order (by label), each once."""
     if doc.root is None:
         return []
-    # The document node, whose one child is the root: an absolute path's
-    # first step is taken from it like every later step.
+    # An absolute path's first step is taken from the document node.
     document = Element("")
     document.children = [doc.root]
-    context = [document]
+    context, memo = [document], {}
     for step in parse_xpath(expression):
-        context = _apply_step(context, step)
+        context = _apply_step(context, step, memo)
     view, element_of = document_view(doc, context)
     return [element_of[pair] for pair in view.pairs]
 
 
-def _apply_step(context: list[Element], step: Step) -> list[Element]:
-    output: list[Element] = []
+def _apply_step(context: list[Element], step: Step, memo: dict) -> list[Element]:
+    """The elements ``step`` selects from a duplicate-free context, each once."""
+    candidates = (_descendants(context) if step.axis == "descendant"
+                  else (child for element in context for child in element.children))
+    return [e for e in candidates if _matches(e, step, memo)]
+
+
+def _matches(element: Element, step: Step, memo: dict) -> bool:
+    """Whether ``element`` passes ``step``'s name test and predicates."""
+    return step.name in ("*", element.name) and _holds(element, step.predicates, memo)
+
+
+def _descendants(context: list[Element]) -> Iterator[Element]:
+    """Every proper descendant of the context elements, once.  No step puts
+    an element after one of its descendants, so a context element already
+    seen lies in a walked subtree: only the outermost ones are walked."""
+    seen: set[Element] = set()
     for element in context:
-        if step.axis == "child":
-            candidates = element.children
-        else:
-            candidates = [e for e in element.iter() if e is not element]
-        for candidate in candidates:
-            if step.name in ("*", candidate.name) and _holds(candidate, step.predicates):
-                output.append(candidate)
-    return output
+        if element not in seen:
+            walk = element.iter()
+            next(walk)  # the element itself
+            for node in walk:
+                seen.add(node)
+                yield node
 
 
-def _holds(element: Element, predicates: tuple[Predicate, ...]) -> bool:
+def _holds(element: Element, predicates: tuple[Predicate, ...], memo: dict) -> bool:
     """Whether ``element`` satisfies every predicate."""
     for predicate in predicates:
         if predicate.kind == "attr":
             held = predicate.attribute in element.attributes
         elif predicate.kind == "attr-eq":
             held = element.attributes.get(predicate.attribute) == predicate.value
-        else:  # a relative path: every step must match something
-            context = [element]
-            for step in predicate.path:
-                context = _apply_step(context, step)
-            held = bool(context)
+        else:
+            held = _reaches(element, predicate.path, memo)
         if not held:
             return False
     return True
+
+
+def _reaches(element: Element, path: tuple[Step, ...], memo: dict) -> bool:
+    """Whether the relative ``path`` selects anything from ``element``,
+    stopping at the first match.  A descendant walk records in ``memo`` which
+    elements have a match below, so no element is walked twice per path."""
+    step, rest = path[0], path[1:]
+
+    def selects(node: Element) -> bool:
+        return _matches(node, step, memo) and (not rest or _reaches(node, rest, memo))
+
+    if step.axis == "child":
+        return any(selects(child) for child in element.children)
+    below = memo.setdefault(path, {})
+    if element in below:
+        return below[element]
+    trail = [(element, iter(element.children))]  # the walk's open elements
+    while trail:
+        node, children = trail[-1]
+        for child in children:
+            known = below.get(child)
+            if known or selects(child):
+                below.update((open_node, True) for open_node, _ in trail)
+                return True
+            if known is None:
+                trail.append((child, iter(child.children)))
+                break
+        else:
+            below[node] = False
+            trail.pop()
+    return False

@@ -18,33 +18,16 @@ stays importable here for the deterministic interleaving harness, whose
 subject it is.
 """
 
-from .epoch import Epoch, WriteTicket
-from .queue import WriteQueue
-from .router import ShardRouter
-from .service import FATAL_WRITER_ERRORS, LabelService, ReaderSession, RetryPolicy
-from .sharded import (
-    EpochVector,
-    ShardedLabelService,
-    ShardedReaderSession,
-    ShardedWriteTicket,
-    bulk_load_sharded,
-)
-from .stats import ServiceCounters, ServiceStats
+from .._exports import lazy_exports
 
-__all__ = [
-    "Epoch",
-    "EpochVector",
-    "FATAL_WRITER_ERRORS",
-    "WriteTicket",
-    "WriteQueue",
-    "LabelService",
-    "ReaderSession",
-    "RetryPolicy",
-    "ServiceCounters",
-    "ServiceStats",
-    "ShardRouter",
-    "ShardedLabelService",
-    "ShardedReaderSession",
-    "ShardedWriteTicket",
-    "bulk_load_sharded",
-]
+__all__ = lazy_exports(__name__, {
+    ".epoch": ("Epoch", "WriteTicket"),
+    ".queue": ("WriteQueue",),
+    ".router": ("ShardRouter",),
+    ".service": ("FATAL_WRITER_ERRORS", "LabelService", "ReaderSession", "RetryPolicy"),
+    ".sharded": (
+        "EpochVector", "ShardedLabelService", "ShardedReaderSession",
+        "ShardedWriteTicket", "bulk_load_sharded",
+    ),
+    ".stats": ("ServiceCounters", "ServiceStats"),
+})

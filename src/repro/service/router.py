@@ -114,6 +114,13 @@ class ShardRouter:
         """A shard-local LID's global LID."""
         return local * self.n_shards + shard
 
+    def to_global_many(self, lids: Sequence[int], shard: int) -> list[int]:
+        """The global LIDs of shard ``shard``'s local ``lids``, in order."""
+        n = self.n_shards
+        if n == 1:
+            return list(lids)
+        return [local * n + shard for local in lids]
+
     def order_key(self, glid: int, label: Any) -> tuple[int, Any]:
         """Document-order sort key of ``glid``'s ``label``: chunks are
         contiguous in document order, so (shard index, label) compares

@@ -103,8 +103,7 @@ def bulk_load_sharded(
         pairing = None
         if schemes[shard].bulk_needs_pairing:
             pairing = [min(index ^ 1, chunk - 1) for index in range(chunk)]
-        for local in schemes[shard].bulk_load(chunk, pairing):
-            glids.append(router.to_global(local, shard))
+        glids += router.to_global_many(schemes[shard].bulk_load(chunk, pairing), shard)
     return glids
 
 

@@ -74,8 +74,7 @@ def _payload_classes() -> tuple[Any, ...]:
     classes = _PAYLOAD_CLASSES
     if classes is None:
         from ..core.bbox.node import BNode
-        from ..core.wbox.node import WEntry, WNode
-        from ..core.wbox.pairs import PairRecord
+        from ..core.wbox.node import PairRecord, WEntry, WNode
 
         classes = _PAYLOAD_CLASSES = (WNode, BNode, WEntry, PairRecord)
     return classes

@@ -1,56 +1,21 @@
 """Cost metrics over per-operation I/O traces.
 
 The paper reports (a) the average cost over a sequence — Figures 5, 7, 8 —
-and (b) the *distribution* of individual costs as a complementary CDF: "for
-each I/O cost, the fraction of insertions in the sequence that incurred
-higher than this cost" — Figures 6 and 9.
+and (b) the *distribution* of individual costs as a complementary CDF
+(Figures 6 and 9).  This module summarises a trace; the CCDF series the
+figure benchmarks sample live beside their plots, in
+``benchmarks/plotting.py``.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from typing import Sequence
 
 
 def amortized_cost(costs: Sequence[int]) -> float:
     """Average I/Os per operation over the sequence."""
     return sum(costs) / len(costs) if costs else 0.0
-
-
-def ccdf(costs: Sequence[int]) -> list[tuple[int, float]]:
-    """Complementary CDF: ``(cost, fraction of operations costing > cost)``
-    for every distinct cost, ascending — the series Figures 6 and 9 plot."""
-    if not costs:
-        return []
-    total = len(costs)
-    counts = Counter(costs)
-    points: list[tuple[int, float]] = []
-    above = total
-    for cost in sorted(counts):
-        above -= counts[cost]
-        points.append((cost, above / total))
-    return points
-
-
-def ccdf_at(costs: Sequence[int], thresholds: Sequence[int]) -> list[tuple[int, float]]:
-    """CCDF sampled at the given thresholds (for fixed-grid tables)."""
-    total = len(costs)
-    if total == 0:
-        return [(threshold, 0.0) for threshold in thresholds]
-    sorted_costs = sorted(costs)
-    points = []
-    for threshold in thresholds:
-        # count of costs > threshold
-        low, high = 0, total
-        while low < high:
-            mid = (low + high) // 2
-            if sorted_costs[mid] <= threshold:
-                low = mid + 1
-            else:
-                high = mid
-        points.append((threshold, (total - low) / total))
-    return points
 
 
 def percentile(costs: Sequence[int], fraction: float) -> int:
@@ -75,15 +40,3 @@ def summarize(costs: Sequence[int]) -> dict[str, float]:
         "max": max(costs),
         "total": sum(costs),
     }
-
-
-def geometric_thresholds(limit: int, base: float = 2.0) -> list[int]:
-    """1, 2, 4, ... — the log-scale x-grid of Figures 6/9.  The grid always
-    reaches ``limit`` (the last threshold is >= it), so a CCDF sampled on it
-    ends at zero."""
-    thresholds = [1]
-    value = 1.0
-    while value < limit:
-        value *= base
-        thresholds.append(int(value))
-    return thresholds

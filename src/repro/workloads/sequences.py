@@ -280,26 +280,6 @@ def run_xmark_build(
     return run_tape(scheme, "xmark", tape, group_size, measure_from=prime_count - 1)
 
 
-def run_churn(
-    scheme: LabelingScheme,
-    base_elements: int,
-    operations: int,
-    delete_fraction: float = 0.5,
-    seed: int = 1,
-    group_size: int = 1,
-) -> WorkloadResult:
-    """A mixed insert/delete stream over a two-level base document.
-
-    Not one of the paper's three plotted sequences, but the workload its
-    deletion analysis speaks to: Theorem 4.6's O(1) amortized W-BOX delete
-    (global rebuilding) and Theorem 5.3's O(1) amortized mixed updates for
-    B-BOX (:func:`churn_tape`).
-    """
-    lids, bulk_load_io = _measured_bulk_load(scheme, base_elements)
-    tape = churn_tape(lids, base_elements, operations, delete_fraction, seed)
-    return run_tape(scheme, "churn", tape, group_size, bulk_load_io=bulk_load_io)
-
-
 #: Probabilities of ``lookup``, ``lookup_pair`` and ``compare`` in a
 #: :func:`read_op_stream`.
 READ_MIX = (0.6, 0.25, 0.15)

@@ -1,28 +1,12 @@
-"""XML substrate: tree model, parser, writer, and document generators."""
+"""XML substrate: tree model, parser, writer, and document generators.
+Each name imports its module on first use."""
 
-from .model import Element, Tag, TagKind, document_tags, element_count, tree_depth
-from .parser import parse
-from .writer import serialize
-from .generator import (
-    dblp_document,
-    random_document,
-    treebank_document,
-    two_level_document,
-)
-from .xmark import xmark_document
+from .._exports import lazy_exports
 
-__all__ = [
-    "Element",
-    "Tag",
-    "TagKind",
-    "document_tags",
-    "element_count",
-    "tree_depth",
-    "parse",
-    "serialize",
-    "two_level_document",
-    "random_document",
-    "dblp_document",
-    "treebank_document",
-    "xmark_document",
-]
+__all__ = lazy_exports(__name__, {
+    ".model": ("Element", "Tag", "TagKind", "document_tags", "element_count", "tree_depth"),
+    ".parser": ("parse",),
+    ".writer": ("serialize",),
+    ".generator": ("two_level_document", "random_document"),
+    ".xmark": ("xmark_document",),
+})

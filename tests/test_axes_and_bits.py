@@ -3,9 +3,9 @@ the achievable label-width estimators used by the label-bits benchmark."""
 
 from repro import BBox, BoxConfig, LabeledDocument, TINY_CONFIG, WBox
 from repro.config import BENCH_CONFIG
-from repro.core.bits import bbox_bulk_label_bits, wbox_bulk_label_bits
 from repro.query import EpochView, document_view
 from repro.xml.generator import two_level_document
+from benchmarks.labelbits import bbox_bulk_label_bits, wbox_bulk_label_bits
 
 
 class TestAxisFunctions:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import BBox, BoxConfig, NaiveScheme, TINY_CONFIG, WBox
-from repro.core.bits import (
+from benchmarks.labelbits import (
     bbox_label_bits_bound,
     fits_machine_word,
     minimum_label_bits,

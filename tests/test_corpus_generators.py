@@ -3,8 +3,8 @@
 import pytest
 
 from repro import LabeledDocument, TINY_CONFIG, WBoxO
-from repro.xml import dblp_document, treebank_document
 from repro.xml.model import document_tags, element_count, tree_depth, validate_tag_order
+from benchmarks.corpora import dblp_document, treebank_document
 
 
 class TestDblp:

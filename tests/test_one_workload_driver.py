@@ -31,13 +31,13 @@ from repro import TINY_CONFIG
 from repro.cli import SEQUENCES, build_parser
 from repro.core import scheme_factory
 from repro.workloads import (
-    run_churn,
     run_concentrated,
     run_scattered,
     run_xmark_build,
     two_level_pairing,
 )
 from repro.xml.xmark import xmark_document
+from benchmarks.churn import run_churn
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"

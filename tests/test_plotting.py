@@ -1,7 +1,6 @@
 """ASCII figure rendering."""
 
-from repro.workloads.metrics import ccdf
-from benchmarks.plotting import MARKERS, ascii_bar_chart, ascii_ccdf_plot
+from benchmarks.plotting import MARKERS, ascii_bar_chart, ascii_ccdf_plot, ccdf
 
 
 class TestCcdfPlot:

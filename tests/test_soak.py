@@ -7,8 +7,8 @@ import random
 import pytest
 
 from repro import BBox, BoxConfig, LabeledDocument, NaiveScheme, WBox, WBoxO
-from repro.workloads import run_churn
 from repro.xml.xmark import xmark_document
+from benchmarks.churn import run_churn
 
 from .conftest import verify_document
 

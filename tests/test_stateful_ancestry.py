@@ -16,9 +16,9 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 
 from repro import AncestryDynamic, AncestryScheme, TINY_CONFIG
 from repro.core.interface import LabelKind
-from repro.core.bits import dynamic_ancestry_label_bits_bound
 from repro.persist import load_scheme, save_scheme
 from repro.workloads import two_level_pairing
+from benchmarks.labelbits import dynamic_ancestry_label_bits_bound
 
 MACHINE_SETTINGS = settings(
     max_examples=10,

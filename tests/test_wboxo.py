@@ -7,8 +7,9 @@ import pytest
 from repro import TINY_CONFIG, BatchOp, WBoxO
 from repro.core.document import LabeledDocument
 from repro.errors import LabelingError
-from repro.xml.generator import path_document, two_level_document
+from repro.xml.generator import two_level_document
 from repro.xml.model import Element
+from benchmarks.corpora import path_document
 
 
 @pytest.fixture

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import BBox, TINY_CONFIG, WBox
-from repro.workloads import run_churn
+from benchmarks.churn import run_churn
 
 
 class TestRunChurn:

@@ -10,14 +10,8 @@ from repro.workloads import (
     run_xmark_build,
     two_level_pairing,
 )
-from repro.workloads.metrics import (
-    amortized_cost,
-    ccdf,
-    ccdf_at,
-    geometric_thresholds,
-    percentile,
-    summarize,
-)
+from repro.workloads.metrics import amortized_cost, percentile, summarize
+from benchmarks.plotting import ccdf, ccdf_at, geometric_thresholds
 
 
 class TestMetrics:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.xml.generator import path_document, random_document, two_level_document, wide_document
+from repro.xml.generator import random_document, two_level_document
 from repro.xml.model import document_tags, element_count, tree_depth, validate_tag_order
 from repro.xml.xmark import (
     CLOSED_AUCTIONS_PER_ITEM,
@@ -11,6 +11,8 @@ from repro.xml.xmark import (
     xmark_document,
     xmark_items_for_elements,
 )
+
+from benchmarks.corpora import path_document, wide_document
 
 
 class TestTwoLevel:
