@@ -63,6 +63,7 @@ import sys
 from contextlib import closing, contextmanager, nullcontext
 from typing import Any, Callable, Iterator
 
+from . import workloads
 from .config import BoxConfig
 from .errors import PersistError, RecoveryError, ReproError
 from .persist import (
@@ -226,15 +227,15 @@ def cmd_query(args: argparse.Namespace) -> int:
 #: ``workload`` sequence name -> its runner call on :mod:`repro.workloads`;
 #: the one place the verb tells the sequences apart.
 SEQUENCES = {
-    "concentrated": lambda workloads, scheme, args: workloads.run_concentrated(
+    "concentrated": lambda scheme, args: workloads.run_concentrated(
         scheme, args.base, args.inserts, group_size=args.batch
     ),
-    "scattered": lambda workloads, scheme, args: workloads.run_scattered(
+    "scattered": lambda scheme, args: workloads.run_scattered(
         scheme, args.base, args.inserts, group_size=args.batch
     ),
     # One by one, the build is measured after the paper's priming prefix; a
     # commit group straddles any priming index, so groups are measured whole.
-    "xmark": lambda workloads, scheme, args: workloads.run_xmark_build(
+    "xmark": lambda scheme, args: workloads.run_xmark_build(
         scheme,
         max(1, args.base // 30),
         prime_fraction=0.6 if args.batch == 1 else 0.0,
@@ -244,14 +245,11 @@ SEQUENCES = {
 
 
 def cmd_workload(args: argparse.Namespace) -> int:
-    from . import workloads
-    from .workloads.metrics import summarize
-
     if args.batch < 1:
         raise ReproError(f"--batch must be >= 1, got {args.batch}")
     with _store(args) as (scheme,):
-        result = SEQUENCES[args.sequence](workloads, scheme, args)
-    summary = summarize(result.costs)
+        result = SEQUENCES[args.sequence](scheme, args)
+    summary = workloads.summarize(result.costs)
     cost = result.batch.amortized_cost
     batched = " (batched)" if result.group_size > 1 else ""
     print(f"workload: {result.workload}{batched}, scheme: {result.scheme}")
@@ -270,10 +268,8 @@ def cmd_workload(args: argparse.Namespace) -> int:
 
 
 def cmd_stress(args: argparse.Namespace) -> int:
-    from .workloads.sequences import run_stress
-
     with _store(args, args.shards) as schemes:
-        result = run_stress(
+        result = workloads.run_stress(
             schemes,
             base_labels=2 * args.base,
             readers=args.readers,

@@ -111,19 +111,19 @@ class _Rebuilder:
         self._buffer.extend((record, block_id) for record in records)
         self._drain(into=block_id)
 
-    def add_records(self, records: list[Any], origin: int | None = None) -> None:
-        """Fresh or displaced records needing placement.  With nothing
-        buffered, fresh records fill whole leaves straight from slices of
-        ``records`` (the tail rule of :meth:`_drain`); only the rest is
-        buffered."""
-        if not self._buffer and origin is None:
+    def add_records(self, records: list[Any]) -> None:
+        """Fresh or displaced records needing placement; every one of them
+        is repointed to the leaf it lands in.  With nothing buffered, they
+        fill whole leaves straight from slices of ``records`` (the tail rule
+        of :meth:`_drain`); only the rest is buffered."""
+        if not self._buffer:
             capacity = self.tree.leaf_capacity
             start = 0
             while len(records) - start >= capacity + self.tree.k:
-                self._emit(None, records[start : start + capacity], fresh=True)
+                self._emit(None, records[start : start + capacity], repoint_all=True)
                 start += capacity
             records = records[start:]
-        self._buffer.extend((record, origin) for record in records)
+        self._buffer.extend((record, None) for record in records)
         self._drain(into=None)
 
     # -- finishing ------------------------------------------------------
@@ -174,11 +174,12 @@ class _Rebuilder:
         for chunk in chunks:
             self._emit(None, chunk)
 
-    def _emit(self, block_id: int | None, chunk: Sequence[Any], fresh: bool = False) -> None:
+    def _emit(self, block_id: int | None, chunk: Sequence[Any], repoint_all: bool = False) -> None:
         """Finalize one leaf holding ``chunk``'s records: ``(record, current
-        block)`` pairs, or with ``fresh`` records that have no block yet."""
+        block)`` pairs, or with ``repoint_all`` bare records, none of which
+        has a block to keep."""
         tree = self.tree
-        records = chunk if fresh else [record for record, _ in chunk]
+        records = chunk if repoint_all else [record for record, _ in chunk]
         if block_id is None:
             node = WNode(0, None, tree.leaf_range_len, len(records), records)
             block_id = tree.store.allocate(node)
@@ -190,7 +191,7 @@ class _Rebuilder:
             tree.store.write(block_id)
             if changed:
                 tree._leaf_relabeled(block_id, node)
-        moved = records if fresh else [record for record, origin in chunk if origin != block_id]
+        moved = records if repoint_all else [record for record, origin in chunk if origin != block_id]
         if moved:
             tree._relocate_records(moved, block_id)
         self._reuse_emitted.add(block_id)
@@ -408,7 +409,7 @@ def wbox_insert_subtree(
             tail = node.entries[position:]  # displaced: always repointed
             rebuilder.add_reuse(block_id, node, head)
             rebuilder.add_records(new_records)
-            rebuilder.add_records(tail, origin=None)
+            rebuilder.add_records(tail)
         for block_id in internals:
             if block_id != subtree_id:
                 tree.store.free(block_id)

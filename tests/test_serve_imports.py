@@ -36,7 +36,6 @@ PAPER_KIT = (
     "repro.core.naive",
     "repro.core.ordpath",
     "repro.core.ancestry",
-    "repro.core.bits",
     "repro.query.xpath",
     "repro.query.twig",
     "repro.query.containment",
@@ -44,7 +43,8 @@ PAPER_KIT = (
     "repro.xml.writer",
     "repro.xml.generator",
     "repro.xml.xmark",
-    "repro.workloads",
+    "repro.workloads.sequences",
+    "repro.workloads.metrics",
     "repro.net.client",
 )
 
