@@ -357,7 +357,6 @@ def _cmd_serve_net(args: argparse.Namespace) -> int:
             submit_timeout=args.submit_timeout,
         )
         await server.start()
-        print(f"listening on {server.host}:{server.port}", flush=True)
         loop = asyncio.get_running_loop()
         stop = asyncio.Event()
         for signum in (signal.SIGINT, signal.SIGTERM):
@@ -365,6 +364,8 @@ def _cmd_serve_net(args: argparse.Namespace) -> int:
                 loop.add_signal_handler(signum, stop.set)
             except NotImplementedError:  # pragma: no cover — non-POSIX loop
                 signal.signal(signum, lambda *_: stop.set())
+        # Only now: a signal sent at the banner must find its handler in.
+        print(f"listening on {server.host}:{server.port}", flush=True)
         serving = asyncio.ensure_future(server.serve_forever())
         await stop.wait()
         serving.cancel()

@@ -240,12 +240,13 @@ class BatchExecutor:
         with trace.span("batch.execute") as batch_span, store.durable(), store.taped(
             lambda outcome: encode_batch(logged, outcome)
         ):
-            if batch_span.recording:
+            recording = batch_span.recording
+            if recording:
                 batch_span.set("scheme", self.scheme.name)
                 batch_span.add("batch.ops", len(ops))
             for group in self.plan(ops):
-                with trace.span("batch.group") as group_span:
-                    recording = group_span.recording
+                # Below an unrecorded batch span no span records: build none.
+                with trace.span("batch.group") if recording else trace.NOOP_SPAN as group_span:
                     if recording:
                         group_span.add("group.ops", len(group))
                     with store.measured() as measured:

@@ -272,7 +272,10 @@ class CounterSet:
         cls._zeros = dict.fromkeys(names, 0)
         cls._bind_add = staticmethod(_adder(cls.__qualname__, cls.COUNTERS, cls.MAXIMA))
         cls._take_all = attrgetter(*names)
-        cls._take = attrgetter(*(f.name for f in fields(cls.SNAPSHOT)))
+        snapshot = cls.SNAPSHOT  # a dataclass or a NamedTuple
+        cls._take = attrgetter(
+            *getattr(snapshot, "_fields", None) or (f.name for f in fields(snapshot))
+        )
 
     def __init__(self, shard: str | None = None) -> None:
         self.shard = shard

@@ -140,15 +140,6 @@ class ReaderWriterLatch:
             self._cond.notify_all()
 
     @contextmanager
-    def shared(self) -> Iterator[None]:
-        """Hold the latch in shared (reader) mode for the context."""
-        self.acquire_shared()
-        try:
-            yield
-        finally:
-            self.release_shared()
-
-    @contextmanager
     def exclusive(self) -> Iterator[None]:
         """Hold the latch in exclusive (writer) mode for the context."""
         self.acquire_exclusive()
@@ -166,10 +157,13 @@ class OperationBuffer:
     outermost scope opened; and, for :meth:`BlockStore.durable`, its own
     depth, the flushed blocks waiting for its one commit and the
     :data:`~repro.storage.backend.Tape` that re-creates them (a backend
-    that logs nothing never calls its encoders).
+    that logs nothing never calls its encoders).  The outermost operation
+    scope keeps its trace scope here, and its span and opening I/O if traced.
     """
 
-    __slots__ = ("depth", "read", "dirty", "durable", "pending", "tape", "taping")
+    __slots__ = (
+        "depth", "read", "dirty", "durable", "pending", "tape", "taping", "scope", "traced",
+    )
 
     def __init__(self) -> None:
         self.depth = 0
@@ -179,14 +173,8 @@ class OperationBuffer:
         self.pending: set[int] = set()
         self.tape: Tape = []
         self.taping = 0
-
-    @property
-    def active(self) -> bool:
-        return self.depth > 0
-
-    def buffered(self, block_id: int) -> bool:
-        """Whether a read of ``block_id`` is free inside this operation."""
-        return block_id in self.read or block_id in self.dirty
+        self.scope: Any = trace.NOOP_SPAN
+        self.traced: tuple | None = None
 
     def forget(self, block_id: int) -> None:
         """Drop a freed block from the scratch buffers (its pending write,
@@ -195,9 +183,12 @@ class OperationBuffer:
         self.dirty.discard(block_id)
         self.pending.discard(block_id)
 
-    def clear(self) -> None:
-        self.read.clear()
-        self.dirty.clear()
+
+class _ThreadBuffer(threading.local):
+    """Holds each thread's own :class:`OperationBuffer` as ``value``."""
+
+    def __init__(self) -> None:
+        self.value = OperationBuffer()
 
 
 class BlockStore:
@@ -236,7 +227,9 @@ class BlockStore:
         # measurement device, and concurrent latched readers must not share
         # (or flush) each other's read sets.  Single-threaded code always
         # sees the same buffer, preserving the historical semantics.
-        self._buffers = threading.local()
+        self._buffers = _ThreadBuffer()
+        self._operation = _Operation(self)
+        self._durable = _Durable(self)
         self.cache = BlockCache(cache_capacity, cache_mode)
         self._cache_capacity = cache_capacity
         #: Shared/exclusive latch for concurrent direct reads (advisory;
@@ -246,12 +239,7 @@ class BlockStore:
     @property
     def buffer(self) -> OperationBuffer:
         """The calling thread's operation scratch buffer."""
-        try:
-            return self._buffers.value
-        except AttributeError:
-            buffer = OperationBuffer()
-            self._buffers.value = buffer
-            return buffer
+        return self._buffers.value
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -281,7 +269,7 @@ class BlockStore:
         except KeyError:
             raise BlockNotFoundError(f"block {block_id} is not allocated") from None
         self.stats.add(frees=1)
-        self.buffer.forget(block_id)
+        self._buffers.value.forget(block_id)
         self.cache.evict(block_id)
 
     def exists(self, block_id: int) -> bool:
@@ -307,19 +295,20 @@ class BlockStore:
             payload = self.backend.read(block_id)
         except KeyError:
             raise BlockNotFoundError(f"block {block_id} is not allocated") from None
-        buffer = self.buffer
-        if buffer.depth > 0 and buffer.buffered(block_id):
-            pass  # buffered within this operation: free
-        elif self._cache_capacity > 0 and self.cache.lookup(block_id):
-            self.stats.add(cache_hits=1)
+        buffer = self._buffers.value
+        if buffer.depth:
+            read = buffer.read
+            if block_id in read or block_id in buffer.dirty:
+                return payload  # buffered within this operation: free
+            read.add(block_id)
+        if self._cache_capacity > 0:
+            if self.cache.lookup(block_id):
+                self.stats.add(cache_hits=1)
+                return payload
+            self.stats.add(reads=1, cache_misses=1)
+            self.cache.insert(block_id)
         else:
-            if self._cache_capacity > 0:
-                self.stats.add(reads=1, cache_misses=1)
-                self.cache.insert(block_id)
-            else:
-                self.stats.add(reads=1)
-        if buffer.depth > 0:
-            buffer.read.add(block_id)
+            self.stats.add(reads=1)
         return payload
 
     def write(self, block_id: int, payload: Any = ...) -> None:
@@ -370,39 +359,23 @@ class BlockStore:
     # operation scoping
     # ------------------------------------------------------------------
 
-    @contextmanager
-    def operation(self) -> Iterator[IOStats]:
+    def operation(self) -> "_Operation":
         """Scope one logical operation.
 
         Within the context, repeated reads of the same block are free and
-        each dirtied block costs exactly one write.  Contexts nest; buffers
-        flush (and, on a durable backend, commit) when the outermost
-        context exits.  Yields the shared stats object so callers can
-        snapshot around the context.
+        each dirtied block costs exactly one write.  Contexts nest, and a
+        nested one only bumps the depth; buffers flush (and, on a durable
+        backend, commit) when the outermost context exits.  Yields the
+        shared stats object so callers can snapshot around the context.
 
         When a trace is being recorded on this thread, the outermost
         scope becomes a ``store.operation`` span annotated with the
         counted I/O delta; nested scopes add nothing (they are not
         commit points).
         """
-        buffer = self.buffer
-        scope = trace.span("store.operation") if buffer.depth == 0 else trace.NOOP_SPAN
-        with scope as span:
-            before = self.stats.snapshot() if span.recording else None
-            buffer.depth += 1
-            try:
-                yield self.stats
-            finally:
-                buffer.depth -= 1
-                if buffer.depth == 0:
-                    self._flush()
-                if before is not None:
-                    delta = self.stats.snapshot() - before
-                    span.add("io.reads", delta.reads)
-                    span.add("io.writes", delta.writes)
+        return self._operation
 
-    @contextmanager
-    def durable(self) -> Iterator[None]:
+    def durable(self) -> "_Durable":
         """Scope one durable commit around any number of operations.
 
         Operations that close inside it still flush — each one's writes
@@ -419,25 +392,9 @@ class BlockStore:
         tape: a checkpoint may restate it first, and a re-run of a tape
         the state already holds would diverge.
         """
-        buffer = self.buffer
-        buffer.durable += 1
-        try:
-            yield
-        finally:
-            buffer.durable -= 1
-            if buffer.durable == 0:
-                tape = buffer.tape
-                if buffer.pending or tape is None or any(ended for _row, ended in tape):
-                    try:
-                        self._commit(buffer.pending, tape)
-                    except BaseException:
-                        buffer.tape = None
-                        raise
-                    buffer.pending.clear()
-                buffer.tape = []
+        return self._durable
 
-    @contextmanager
-    def taped(self, row: Callable[[str], bytes]) -> Iterator[None]:
+    def taped(self, row: Callable[[str], bytes]) -> "_Taped":
         """Scope one batch of the enclosing :meth:`durable` scope: what it
         dirties is re-created by re-running it, so on exit ``row`` — which
         encodes the batch as a tape row, told how it ended — joins the
@@ -446,23 +403,9 @@ class BlockStore:
         to call at commit.  Any other exception, or a block dirtied under
         the durable scope but outside every taped one, leaves the commit
         without a tape."""
-        buffer = self.buffer
-        buffer.taping += 1
-        outcome = ""
-        try:
-            yield
-        except REPLAYABLE_ERRORS as error:
-            outcome = type(error).__name__
-            raise
-        except BaseException:
-            buffer.tape = None
-            raise
-        finally:
-            buffer.taping -= 1
-            if not buffer.taping and buffer.tape is not None:  # the outermost batch re-runs the rest
-                buffer.tape.append((row, outcome))
+        return _Taped(self, row)
 
-    def measured(self) -> "_MeasuredOperation":
+    def measured(self) -> "_Measured":
         """Like :meth:`operation` but the context value reports the cost of
         just this operation once it exits::
 
@@ -470,19 +413,19 @@ class BlockStore:
                 ...do work...
             print(cost.reads, cost.writes)
         """
-        return _MeasuredOperation(self)
+        return _Measured(self)
 
     @property
     def in_operation(self) -> bool:
         """Whether an operation context is currently open."""
-        return self.buffer.depth > 0
+        return self._buffers.value.depth > 0
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
 
     def _mark_dirty(self, block_id: int) -> None:
-        buffer = self.buffer
+        buffer = self._buffers.value
         if buffer.depth > 0:
             buffer.dirty.add(block_id)
         else:
@@ -495,8 +438,7 @@ class BlockStore:
             else:
                 self._commit((block_id,), None)
 
-    def _flush(self) -> None:
-        buffer = self.buffer
+    def _flush(self, buffer: OperationBuffer) -> None:
         dirty = buffer.dirty
         if dirty:
             self.stats.add(writes=len(dirty))
@@ -510,7 +452,8 @@ class BlockStore:
                     buffer.tape = None
             else:
                 self._commit(dirty, None)
-        buffer.clear()
+        buffer.read.clear()
+        dirty.clear()
 
     def _commit(self, dirty: Any, tape: Tape) -> None:
         # `commit.blocks`, not `io.writes`: the io.* keys live only on
@@ -521,36 +464,128 @@ class BlockStore:
             self.backend.commit(dirty, tape)
 
 
-class _MeasuredOperation:
-    """Context manager that exposes the I/O delta of one operation."""
+def _counted(stats: IOStats) -> tuple[int, int]:
+    """Counted reads and writes, read together under the stats lock: what
+    :meth:`IOStats.snapshot` reads, without building a cost at each end of
+    every scope."""
+    with stats._lock:
+        return stats.reads, stats.writes
+
+
+# A scope runs per operation, so each is a slotted class whose enter and exit
+# cost a few attribute operations.  An open scope's state is the calling
+# thread's OperationBuffer: one _Operation and one _Durable serve every call.
+
+
+class _Operation:
+    """:meth:`BlockStore.operation`."""
+
+    __slots__ = ("_store",)
 
     def __init__(self, store: BlockStore) -> None:
         self._store = store
-        self._before: OperationCost | None = None
-        self._cost: OperationCost | None = None
-        self._scope: Any = trace.NOOP_SPAN
-        self._span: Any = trace.NOOP_SPAN
 
-    def __enter__(self) -> "_MeasuredOperation":
-        buffer = self._store.buffer
-        if buffer.depth == 0:
-            self._scope = trace.span("store.operation")
-            self._span = self._scope.__enter__()
-        self._before = self._store.stats.snapshot()
-        buffer.depth += 1
+    def __enter__(self) -> IOStats:
+        store = self._store
+        buffer = store._buffers.value
+        if buffer.depth:
+            buffer.depth += 1
+            return store.stats
+        buffer.scope = scope = trace.span("store.operation")
+        span = scope.__enter__()
+        buffer.traced = (span, *_counted(store.stats)) if span.recording else None
+        buffer.depth = 1
+        return store.stats
+
+    def __exit__(self, *exc_info: object) -> None:
+        store = self._store
+        buffer = store._buffers.value
+        buffer.depth -= 1
+        if buffer.depth:
+            return
+        scope = buffer.scope
+        try:
+            store._flush(buffer)
+            if buffer.traced is not None:
+                span, reads, writes = buffer.traced
+                now_reads, now_writes = _counted(store.stats)
+                span.add("io.reads", now_reads - reads)
+                span.add("io.writes", now_writes - writes)
+        finally:
+            scope.__exit__(*exc_info)
+
+
+class _Durable:
+    """:meth:`BlockStore.durable`."""
+
+    __slots__ = ("_store",)
+
+    def __init__(self, store: BlockStore) -> None:
+        self._store = store
+
+    def __enter__(self) -> None:
+        self._store._buffers.value.durable += 1
+
+    def __exit__(self, *exc_info: object) -> None:
+        store = self._store
+        buffer = store._buffers.value
+        buffer.durable -= 1
+        if buffer.durable:
+            return
+        tape = buffer.tape
+        if buffer.pending or tape is None or any(ended for _row, ended in tape):
+            try:
+                store._commit(buffer.pending, tape)
+            except BaseException:
+                buffer.tape = None
+                raise
+            buffer.pending.clear()
+        buffer.tape = []
+
+
+class _Taped:
+    """:meth:`BlockStore.taped`: the outermost batch re-runs the rest."""
+
+    __slots__ = ("_store", "_row")
+
+    def __init__(self, store: BlockStore, row: Callable[[str], bytes]) -> None:
+        self._store = store
+        self._row = row
+
+    def __enter__(self) -> None:
+        self._store._buffers.value.taping += 1
+
+    def __exit__(self, kind: type[BaseException] | None, *_: object) -> None:
+        buffer = self._store._buffers.value
+        buffer.taping -= 1
+        if kind is not None and not issubclass(kind, REPLAYABLE_ERRORS):
+            buffer.tape = None
+        elif not buffer.taping and buffer.tape is not None:
+            buffer.tape.append((self._row, "" if kind is None else kind.__name__))
+
+
+class _Measured:
+    """:meth:`BlockStore.measured`: an :meth:`BlockStore.operation` that
+    keeps its own I/O delta."""
+
+    __slots__ = ("_store", "_before", "_cost")
+
+    def __init__(self, store: BlockStore) -> None:
+        self._store = store
+        self._cost: OperationCost | None = None
+
+    def __enter__(self) -> "_Measured":
+        store = self._store
+        store._operation.__enter__()
+        self._before = _counted(store.stats)
         return self
 
     def __exit__(self, *exc_info: object) -> None:
-        self._store.buffer.depth -= 1
-        if self._store.buffer.depth == 0:
-            self._store._flush()
-        assert self._before is not None
-        self._cost = self._store.stats.snapshot() - self._before
-        if self._span.recording:
-            self._span.add("io.reads", self._cost.reads)
-            self._span.add("io.writes", self._cost.writes)
-        self._scope.__exit__(*exc_info)
-        self._scope = self._span = trace.NOOP_SPAN
+        store = self._store
+        store._operation.__exit__(*exc_info)
+        reads, writes = _counted(store.stats)
+        before_reads, before_writes = self._before
+        self._cost = OperationCost(reads - before_reads, writes - before_writes)
 
     @property
     def cost(self) -> OperationCost:

@@ -7,14 +7,14 @@ counters: performance "is measured by the number of I/Os" (Section 7).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..obs.metrics import CounterSet
 
 
-@dataclass(frozen=True)
-class OperationCost:
-    """Immutable snapshot of the I/O cost of one logical operation."""
+class OperationCost(NamedTuple):
+    """Immutable snapshot of the I/O cost of one logical operation: a
+    ``(reads, writes)`` tuple, equal to a plain 2-tuple of the same ints."""
 
     reads: int
     writes: int
@@ -24,11 +24,11 @@ class OperationCost:
         """Combined read + write block I/Os."""
         return self.reads + self.writes
 
-    def __add__(self, other: "OperationCost") -> "OperationCost":
-        return OperationCost(self.reads + other.reads, self.writes + other.writes)
+    def __add__(self, other: tuple) -> "OperationCost":  # type: ignore[override]
+        return OperationCost(self[0] + other[0], self[1] + other[1])
 
-    def __sub__(self, other: "OperationCost") -> "OperationCost":
-        return OperationCost(self.reads - other.reads, self.writes - other.writes)
+    def __sub__(self, other: tuple) -> "OperationCost":
+        return OperationCost(self[0] - other[0], self[1] - other[1])
 
 
 class IOStats(CounterSet):

@@ -8,7 +8,10 @@ that CPU cost: they pin that the insert paths touch storage once per
 block (W-BOX-O's partner fixups, LIDF repointing after a split), not once
 per record, that bulk loads and subtree inserts allocate and repoint LIDF
 records a block at a time, and that B-BOX update paths build no position
-map the next write would throw away.
+map the next write would throw away.  They also pin how many operation
+scopes (``operation()`` / ``measured()``) open, outermost and nested: a
+nested scope is only a depth bump, but every one is a call, and the
+outermost ones each flush and may commit.
 
 Regenerate the pinned numbers (only for a deliberate change of the insert
 or bulk paths) with::
@@ -21,7 +24,7 @@ from collections import Counter
 
 import pytest
 
-from repro import BBox, WBox, WBoxO
+from repro import BatchExecutor, BatchOp, BBox, WBox, WBoxO
 from repro.config import BENCH_CONFIG, TINY_CONFIG
 from repro.core.bbox import node as bbox_node
 from repro.workloads.sequences import two_level_pairing
@@ -51,6 +54,24 @@ XMARK_CALLS = {
     "W-BOX-O": (16814, 11231, 3540),
     "B-BOX": (5695, 3835, 0),
     "B-BOX-O": (7324, 5464, 0),
+}
+#: (outermost, nested) operation scopes over the same XMark build.
+XMARK_SCOPES = {
+    "W-BOX": (938, 1876),
+    "W-BOX-O": (938, 3752),
+    "B-BOX": (938, 1876),
+    "B-BOX-O": (938, 1876),
+}
+#: Ops in the pinned read batch over the built XMark tree: the e2e
+#: ``embed_xmark`` read shape (lookups of a start or end tag, and
+#: lookup_pairs), random anchors, so most groups hold one op.
+READ_BATCH_OPS = 64
+#: (outermost, nested) operation scopes of that one read batch.
+READ_BATCH_SCOPES = {
+    "W-BOX": (60, 81),
+    "W-BOX-O": (60, 64),
+    "B-BOX": (60, 81),
+    "B-BOX-O": (60, 81),
 }
 #: (read, write, exists) calls over RANDOM_INSERTS seeded ``insert_before``
 #: calls at BULK_LABELS labels.  Before: W-BOX 12,404 / 11,686 / 0, B-BOX
@@ -82,7 +103,9 @@ SUBTREE_CALLS = {
 
 
 def _count_calls(store) -> Counter:
-    """Wrap the store's read / write / exists to count their calls."""
+    """Wrap the store's read / write / exists to count their calls, and its
+    operation / measured to count the scopes they open: ``outermost`` when
+    no operation is open on the store, ``nested`` inside one."""
     counts: Counter = Counter()
     for name in ("read", "write", "exists"):
         method = getattr(store, name)
@@ -92,6 +115,14 @@ def _count_calls(store) -> Counter:
             return _method(*args)
 
         setattr(store, name, counted)
+    for name in ("operation", "measured"):
+        method = getattr(store, name)
+
+        def scoped(_method=method):
+            counts["nested" if store.in_operation else "outermost"] += 1
+            return _method()
+
+        setattr(store, name, scoped)
     return counts
 
 
@@ -99,16 +130,51 @@ def _triple(counts: Counter) -> tuple[int, int, int]:
     return counts["read"], counts["write"], counts["exists"]
 
 
-def xmark_build_calls(name: str) -> tuple[int, int, int]:
-    """Calls made by the XMark build, element by element in document order
-    (the ``embed_xmark`` build)."""
+def _scopes(counts: Counter) -> tuple[int, int]:
+    return counts["outermost"], counts["nested"]
+
+
+def _xmark_build(name: str) -> tuple:
+    """The XMark build, element by element in document order (the
+    ``embed_xmark`` build) → ``(scheme, (start, end) LIDs by element
+    index, the calls it made)``."""
     elements = list(xmark_document(XMARK_ITEMS, seed=1).iter())
     scheme = FACTORIES[name]()
     end_lids = {elements[0]: scheme.bulk_load(2, [1, 0])[1]}
+    pairs = [(0, 0)]
     counts = _count_calls(scheme.store)
     for element in elements[1:]:
-        end_lids[element] = scheme.insert_element_before(end_lids[element.parent])[1]
-    return _triple(counts)
+        pair = scheme.insert_element_before(end_lids[element.parent])
+        end_lids[element] = pair[1]
+        pairs.append(pair)
+    return scheme, pairs, Counter(counts)
+
+
+def xmark_build_calls(name: str) -> tuple[int, int, int]:
+    """Calls made by the XMark build."""
+    return _triple(_xmark_build(name)[2])
+
+
+def xmark_build_scopes(name: str) -> tuple[int, int]:
+    """Operation scopes the XMark build opens."""
+    return _scopes(_xmark_build(name)[2])
+
+
+def read_batch_scopes(name: str) -> tuple[int, int]:
+    """Operation scopes of one seeded READ_BATCH_OPS-op read batch through
+    ``BatchExecutor`` over the built XMark tree."""
+    scheme, pairs, _ = _xmark_build(name)
+    rng = random.Random(5)
+    ops = []
+    for _ in range(READ_BATCH_OPS):
+        index, which = rng.randrange(1, len(pairs)), rng.randrange(3)
+        pair = pairs[index]
+        ops.append(
+            BatchOp("lookup_pair", pair) if which == 2 else BatchOp("lookup", (pair[which],))
+        )
+    counts = _count_calls(scheme.store)
+    BatchExecutor(scheme, group_size=READ_BATCH_OPS).execute(ops)
+    return _scopes(counts)
 
 
 def random_insert_calls(name: str) -> tuple[int, int, int]:
@@ -143,6 +209,16 @@ def subtree_insert_calls(name: str) -> tuple[int, int, int]:
 @pytest.mark.parametrize("name", sorted(XMARK_CALLS))
 def test_xmark_build_calls(name):
     assert xmark_build_calls(name) == XMARK_CALLS[name]
+
+
+@pytest.mark.parametrize("name", sorted(XMARK_SCOPES))
+def test_xmark_build_scopes(name):
+    assert xmark_build_scopes(name) == XMARK_SCOPES[name]
+
+
+@pytest.mark.parametrize("name", sorted(READ_BATCH_SCOPES))
+def test_read_batch_scopes(name):
+    assert read_batch_scopes(name) == READ_BATCH_SCOPES[name]
 
 
 @pytest.mark.parametrize("name", sorted(INSERT_CALLS))
@@ -187,6 +263,10 @@ def test_bbox_inserts_build_no_position_map(name, monkeypatch):
 if __name__ == "__main__":
     for name in XMARK_CALLS:
         print(f"xmark   {name:8} {xmark_build_calls(name)}")
+    for name in XMARK_SCOPES:
+        print(f"xmark scopes {name:8} {xmark_build_scopes(name)}")
+    for name in READ_BATCH_SCOPES:
+        print(f"read scopes  {name:8} {read_batch_scopes(name)}")
     for name in INSERT_CALLS:
         print(f"insert  {name:8} {random_insert_calls(name)}")
     for name in BULK_CALLS:
